@@ -1,15 +1,15 @@
 """Backend shoot-out on the Monte Carlo resampling workload.
 
-Runs the same MC job under the serial, threads, processes, and persistent
-cluster backends, asserts the statistics are bit-identical, and emits
+Runs the same MC job under the serial, threads, and persistent cluster
+backends, asserts the statistics are bit-identical, and emits
 ``BENCH_backends.json`` with wall-clock and driver-traffic numbers:
 
     PYTHONPATH=src python benchmarks/bench_backends.py --iterations 200
 
-The processes backend only shows its multi-core speedup on a multi-core
-host (the dispatch is asynchronous either way; on one core the pool just
-adds serialization overhead).  The JSON records ``cpu_count`` so readers
-can interpret the ratios.
+The cluster backend only shows its multi-core speedup on a multi-core
+host (the dispatch is asynchronous either way; on one core the workers
+just add serialization overhead).  The JSON records ``cpu_count`` so
+readers can interpret the ratios.
 
 The cold/warm sweep runs the identical analysis in several consecutive
 fresh Contexts over one persistent cluster: job 1 pays the fleet spawn and
@@ -40,7 +40,7 @@ from repro.core.local import LocalSparkScore
 from repro.engine.context import Context
 from repro.genomics.synthetic import SyntheticConfig, generate_dataset
 
-BACKENDS = ("serial", "threads", "processes", "cluster")
+BACKENDS = ("serial", "threads", "cluster")
 
 
 def run_backend(dataset, backend: str, args, serializer: str | None = None) -> dict:
@@ -53,7 +53,7 @@ def run_backend(dataset, backend: str, args, serializer: str | None = None) -> d
         serializer=serializer,
     )
     with Context(config) as ctx:
-        # persistent backends share a transport across contexts; record the
+        # the cluster's transport is shared across contexts; record the
         # traffic this run added, not the lifetime totals
         pub0 = ctx.transport.bytes_published if ctx.transport is not None else 0
         dedup0 = ctx.transport.dedup_hits if ctx.transport is not None else 0
@@ -85,26 +85,15 @@ def run_backend(dataset, backend: str, args, serializer: str | None = None) -> d
         return row
 
 
-def cold_warm_sweep(dataset, args) -> dict:
+def cold_warm_sweep(dataset, args, reference_counts) -> dict:
     """The persistence drill: identical analysis, fresh Context each time,
     one long-lived cluster underneath.  Job 1 is cold (fleet spawn + every
     task binary shipped); warm jobs re-hit worker caches and ship ~refs.
 
     Walls here are *end-to-end per job* -- Context construction included --
-    because the spawn cost is exactly what persistence amortizes.  A
-    per-job processes baseline (pool torn down between jobs) anchors the
-    comparison to what every job used to pay.
+    because the spawn cost is exactly what persistence amortizes.
     """
-    from repro.engine.backends import shutdown_shared_pool
     from repro.engine.cluster_backend import stop_all_clusters
-
-    shutdown_shared_pool()
-    start = time.perf_counter()
-    baseline = run_backend(dataset, "processes", args)
-    per_job_processes = time.perf_counter() - start
-    shutdown_shared_pool()
-    print(f"{'processes*':>10}: {per_job_processes:8.2f}s  (per-job pool: "
-          f"spawn + analyze + teardown)")
 
     stop_all_clusters()  # guarantee job 1 really pays the spawn
     jobs = []
@@ -112,8 +101,8 @@ def cold_warm_sweep(dataset, args) -> dict:
         start = time.perf_counter()
         row = run_backend(dataset, "cluster", args)
         end_to_end = time.perf_counter() - start
-        assert np.array_equal(row["exceed_counts"], baseline["exceed_counts"]), (
-            f"cluster job {i} diverged from the processes baseline"
+        assert np.array_equal(row["exceed_counts"], reference_counts), (
+            f"cluster job {i} diverged from the serial reference"
         )
         jobs.append({
             "job": "cold" if i == 0 else f"warm_{i}",
@@ -133,13 +122,9 @@ def cold_warm_sweep(dataset, args) -> dict:
     warm = min(j["wall_seconds"] for j in jobs[1:])
     return {
         "jobs": jobs,
-        "per_job_processes_wall_seconds": per_job_processes,
         "cold_wall_seconds": cold,
         "best_warm_wall_seconds": warm,
         "warm_speedup_vs_cold": cold / warm if warm > 0 else float("inf"),
-        "warm_speedup_vs_per_job_processes": (
-            per_job_processes / warm if warm > 0 else float("inf")
-        ),
         # task binaries travel as ~refs on warm jobs (the blob itself dedups
         # against the persistent transport's content-hash index).  Explicitly
         # destroyed broadcasts (the per-batch MC multipliers) legitimately
@@ -231,7 +216,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--serializer", choices=["pickle", "numpy", "compressed"],
                         default="pickle", help="serializer for the backend sweep")
     parser.add_argument("--skip-serializer-sweep", action="store_true",
-                        help="skip the per-serializer sweep on the processes backend")
+                        help="skip the per-serializer sweep on the cluster backend")
     parser.add_argument("--warm-jobs", type=int, default=2,
                         help="warm repetitions in the cluster cold/warm sweep "
                         "(0 skips the sweep)")
@@ -278,7 +263,7 @@ def main(argv: list[str] | None = None) -> int:
     if not args.skip_serializer_sweep:
         print()
         for serializer in ("pickle", "numpy", "compressed"):
-            row = run_backend(dataset, "processes", args, serializer=serializer)
+            row = run_backend(dataset, "cluster", args, serializer=serializer)
             assert np.array_equal(row["exceed_counts"], rows[0]["exceed_counts"]), (
                 f"serializer {serializer} diverged"
             )
@@ -296,7 +281,7 @@ def main(argv: list[str] | None = None) -> int:
     cold_warm = None
     if args.warm_jobs > 0:
         print()
-        cold_warm = cold_warm_sweep(dataset, args)
+        cold_warm = cold_warm_sweep(dataset, args, rows[0]["exceed_counts"])
 
     adaptive = None
     if not args.skip_adaptive_sweep:
@@ -324,7 +309,7 @@ def main(argv: list[str] | None = None) -> int:
             }
             for row in rows
         ],
-        "serializer_sweep_processes": [
+        "serializer_sweep_cluster": [
             {k: v for k, v in row.items() if k not in ("observed", "exceed_counts")}
             for row in serializer_rows
         ],
@@ -336,12 +321,10 @@ def main(argv: list[str] | None = None) -> int:
         json.dump(report, fh, indent=2)
     print(f"\nlocal reference: {local_wall:.2f}s; report written to {args.output}")
 
-    # reap the intentionally persistent machinery before the interpreter exits
-    from repro.engine.backends import shutdown_shared_pool
+    # reap the intentionally persistent fleet before the interpreter exits
     from repro.engine.cluster_backend import stop_all_clusters
 
     stop_all_clusters()
-    shutdown_shared_pool()
     return 0
 
 

@@ -8,10 +8,10 @@ Four legs, one report (``BENCH_obs.json``):
    feeding the TSDB, and the alert engine evaluating the built-in
    rules every tick).  The whole observability plane must cost less
    than ``--max-overhead-pct`` (default 10%) of wall-clock.  The leg
-   runs once per ``--overhead-backend`` (default: processes *and* the
-   persistent cluster, whose trace propagation and FleetStats fold
-   points ride in the task envelope and dispatch loop) and every
-   backend must hold the same budget.
+   runs once per ``--overhead-backend`` (default: the persistent
+   cluster, whose trace propagation and FleetStats fold points ride in
+   the task envelope and dispatch loop) and every backend must hold the
+   same budget.
 
 2. **Skew recovery** -- a heavy-tailed workload runs skewed, its event
    log is fed to the advisor (the same engine behind ``sparkscore
@@ -36,7 +36,7 @@ blocking (I/O-bound) tasks with ``time.sleep`` under the threads
 backend: sleeps yield exact per-task durations and overlap on any
 host, so the load-balancing win from repartitioning shows even on a
 single core, where CPU-bound tasks would just contend.  The overhead
-leg stays CPU-bound (numpy) under the processes backend to price the
+leg stays CPU-bound (numpy) under the cluster backend to price the
 worker-side log capture against real compute.
 """
 
@@ -326,8 +326,8 @@ def bench_postmortem_smoke(args) -> dict:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--overhead-backend", nargs="+",
-                        choices=["serial", "threads", "processes", "cluster"],
-                        default=["processes", "cluster"],
+                        choices=["serial", "threads", "cluster"],
+                        default=["cluster"],
                         help="backend(s) for the overhead leg, each gated on "
                              "the same budget (skew leg is threads)")
     parser.add_argument("--partitions", type=int, default=8)

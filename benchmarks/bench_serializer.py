@@ -1,7 +1,7 @@
 """Serializer/transport smoke benchmark with structural assertions.
 
 A fast data-plane health check (CI runs it on every push): runs one Monte
-Carlo workload per serializer on the processes backend and asserts the
+Carlo workload per serializer on a cold cluster backend and asserts the
 structural properties the data-plane overhaul guarantees -- not wall-clock,
 which CI machines can't promise:
 
@@ -27,6 +27,7 @@ import numpy as np
 
 from repro.config import EngineConfig
 from repro.core.algorithms import DistributedSparkScore
+from repro.engine.cluster_backend import stop_all_clusters
 from repro.engine.context import Context
 from repro.genomics.synthetic import SyntheticConfig, generate_dataset
 
@@ -34,15 +35,15 @@ SERIALIZERS = ("pickle", "numpy", "compressed")
 
 
 def run_one(dataset, serializer: str, args) -> dict:
+    # a fresh fleet (and transport) per serializer: the publish-once
+    # assertions below read this run's transport counters from zero
+    stop_all_clusters()
     config = EngineConfig(
-        backend="processes",
+        backend="cluster",
         num_executors=args.executors,
         executor_cores=args.cores,
         default_parallelism=args.executors * args.cores,
         serializer=serializer,
-        # small workload: lower the by-ref threshold so task binaries take
-        # the transport path the assertions below exercise
-        transport_min_bytes=1024,
     )
     with Context(config) as ctx:
         scorer = DistributedSparkScore(
@@ -92,6 +93,7 @@ def main(argv: list[str] | None = None) -> int:
     )
 
     rows = [run_one(dataset, serializer, args) for serializer in SERIALIZERS]
+    stop_all_clusters()
     for row in rows:
         print(
             f"{row['serializer']:>10}: {row['wall_seconds']:6.2f}s  "

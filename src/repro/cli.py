@@ -57,7 +57,9 @@ def _add_analyze(sub: argparse._SubParsersAction) -> None:
                    help="replicates per engine pass (default: 64 monte-carlo, 16 permutation)")
     p.add_argument("--engine", choices=["local", "distributed"], default="local")
     p.add_argument("--backend", choices=["serial", "threads", "processes", "cluster"],
-                   default="threads")
+                   default="threads",
+                   help="where tasks run; 'processes' is another spelling of "
+                        "'cluster' (persistent worker processes)")
     p.add_argument("--cluster-address", default=None, metavar="HOST:PORT",
                    help="attach to an externally started cluster head "
                         "(sparkscore cluster start); implies --backend cluster")
@@ -236,7 +238,6 @@ def _add_cluster(sub: argparse._SubParsersAction) -> None:
     start.add_argument("--cores", type=int, default=2)
     start.add_argument("--host", default="127.0.0.1")
     start.add_argument("--port", type=int, default=7077)
-    start.add_argument("--heartbeat-interval", type=float, default=0.5)
     start.add_argument(
         "--secret", default=None, metavar="TOKEN",
         help="shared auth secret drivers must present (default: "
@@ -531,22 +532,23 @@ def _sparkline(values: list[float], width: int = 40) -> str:
 
 
 def cmd_history(args: argparse.Namespace) -> int:
-    from repro.engine.eventlog import read_event_log, read_telemetry
+    from repro.engine.eventlog import read_channels, series_to_points
     from repro.obs.history import render_history
     from repro.obs.spans import spans_from_jobs, write_chrome_trace, write_spans_jsonl
 
     try:
-        jobs = read_event_log(args.event_log)
+        channels = read_channels(args.event_log)
     except FileNotFoundError:
         print(f"no such event log: {args.event_log}", file=sys.stderr)
         return 1
+    jobs = channels["job"]
     if args.job is not None:
         jobs = [j for j in jobs if j.job_id == args.job]
         if not jobs:
             print(f"no job {args.job} in {args.event_log}", file=sys.stderr)
             return 1
     print(render_history(jobs))
-    telemetry = read_telemetry(args.event_log)
+    telemetry = channels["telemetry"]
     if telemetry:
         heartbeats = [t for t in telemetry if t["event"] == "heartbeat"]
         timeouts = [t for t in telemetry if t["event"] == "executor_timed_out"]
@@ -561,9 +563,7 @@ def cmd_history(args: argparse.Namespace) -> int:
                 t["executor_id"] for t in timeouts
             )
         print(line)
-    from repro.engine.eventlog import read_fleet
-
-    fleet = read_fleet(args.event_log)
+    fleet = channels["fleet"]
     if fleet:
         snap = fleet[-1]
         warm = snap.get("warm") or {}
@@ -577,9 +577,7 @@ def cmd_history(args: argparse.Namespace) -> int:
             line += (f", {warm['warm_bytes_saved'] / (1 << 20):,.1f} MiB "
                      f"warm-cache bytes saved")
         print(line)
-    from repro.engine.eventlog import read_adaptive
-
-    adaptive = read_adaptive(args.event_log)
+    adaptive = channels["adaptive"]
     if adaptive:
         plans = [a for a in adaptive if a.get("kind") != "speculation"]
         spec = [a for a in adaptive if a.get("kind") == "speculation"]
@@ -599,9 +597,7 @@ def cmd_history(args: argparse.Namespace) -> int:
                   f"{a.get('original_executor')} after "
                   f"{a.get('elapsed_seconds', 0.0):.2f}s "
                   f"(median {a.get('median_seconds', 0.0):.2f}s)")
-    from repro.engine.eventlog import read_inference
-
-    inference = read_inference(args.event_log)
+    inference = channels["inference"]
     if inference:
         batches = [r for r in inference if r.get("kind") == "batch"]
         converged = [r for r in inference if r.get("kind") == "converged"]
@@ -626,9 +622,7 @@ def cmd_history(args: argparse.Namespace) -> int:
                   f"(CI {rec.get('ci_low', 0.0):.4g}..{rec.get('ci_high', 1.0):.4g}, "
                   f"{rec.get('replicates', 0)} replicates)")
     if args.series:
-        from repro.engine.eventlog import read_alerts, read_series, series_to_points
-
-        points = series_to_points(read_series(args.event_log))
+        points = series_to_points(channels["series"])
         if not points:
             print("\nno sampled series in this log "
                   "(was it written with --metrics-interval?)")
@@ -640,7 +634,7 @@ def cmd_history(args: argparse.Namespace) -> int:
                 values = [v for _, v in pts]
                 print(f"  {_series_label(key):<{width}}  "
                       f"last {values[-1]:<12g} {_sparkline(values)}")
-        alerts = read_alerts(args.event_log)
+        alerts = channels["alert"]
         if alerts:
             print(f"\n-- alert transitions ({len(alerts)}) --")
             for a in alerts:
@@ -671,13 +665,7 @@ def _series_label(key: tuple) -> str:
 
 
 def cmd_doctor(args: argparse.Namespace) -> int:
-    from repro.engine.eventlog import (
-        read_adaptive,
-        read_event_log,
-        read_fleet,
-        read_inference,
-        read_telemetry,
-    )
+    from repro.engine.eventlog import read_channels
     from repro.obs.advisor import (
         cache_pressure_from_jobs,
         diagnose,
@@ -701,7 +689,7 @@ def cmd_doctor(args: argparse.Namespace) -> int:
     jobs, telemetry, fleet, adaptive, inference, read = [], [], [], [], [], []
     for path in paths:
         try:
-            jobs.extend(read_event_log(path))
+            channels = read_channels(path)
         except FileNotFoundError:
             print(f"no such event log: {path}", file=sys.stderr)
             return 1
@@ -710,10 +698,11 @@ def cmd_doctor(args: argparse.Namespace) -> int:
                 print(f"{path}: {exc}", file=sys.stderr)
                 return 1
             continue  # directories may hold other JSONL (log files, traces)
-        telemetry.extend(read_telemetry(path))
-        fleet.extend(read_fleet(path))
-        adaptive.extend(read_adaptive(path))
-        inference.extend(read_inference(path))
+        jobs.extend(channels["job"])
+        telemetry.extend(channels["telemetry"])
+        fleet.extend(channels["fleet"])
+        adaptive.extend(channels["adaptive"])
+        inference.extend(channels["inference"])
         read.append(path)
     if scan_dir and not read:
         print(f"no readable event logs in {args.path}", file=sys.stderr)
@@ -1012,7 +1001,6 @@ def cmd_cluster(args: argparse.Namespace) -> int:
             executor_cores=args.cores,
             host=args.host,
             port=args.port,
-            hb_interval=args.heartbeat_interval,
             secret=args.secret,
         )
         print(f"cluster head listening on {head.address} "

@@ -57,8 +57,9 @@ class EngineConfig:
     """
 
     app_name: str = "sparkscore"
-    #: execution backend: "serial", "threads", "processes", or "cluster"
-    #: (persistent executor pool surviving across jobs and contexts)
+    #: execution backend: "serial", "threads", or "cluster" (persistent
+    #: executor processes surviving across jobs and contexts); "processes"
+    #: is accepted as another spelling of "cluster" and normalised away
     backend: str = "serial"
     #: number of executors (YARN containers); Experiment C varies this
     num_executors: int = 2
@@ -93,7 +94,7 @@ class EngineConfig:
     #: blocks, and serialized storage levels
     serializer: str = "pickle"
     #: blobs at least this large travel by shared-memory/temp-file
-    #: transport ref instead of through the worker pipe (processes backend)
+    #: transport ref instead of through the worker socket (cluster backend)
     transport_min_bytes: int = 64 * 1024
     #: out-of-band transport scheme: "auto" (probe shared memory, fall back
     #: to temp files), "shm", "file", or "tcp" (socket blob server with
@@ -224,7 +225,10 @@ class EngineConfig:
 
     def validate(self) -> None:
         """Raise :class:`ValueError` on inconsistent settings."""
-        if self.backend not in ("serial", "threads", "processes", "cluster"):
+        if self.backend == "processes":
+            # one process-isolated backend: nothing downstream sees the alias
+            self.backend = "cluster"
+        if self.backend not in ("serial", "threads", "cluster"):
             raise ValueError(f"unknown backend {self.backend!r}")
         if self.transport_scheme not in ("auto", "shm", "file", "tcp"):
             raise ValueError(

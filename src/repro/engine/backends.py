@@ -5,17 +5,16 @@
 - :class:`ThreadBackend` -- a thread pool sized to the configured total
   cores.  NumPy kernels release the GIL, so the score-statistic workload
   gets real parallelism.
-- :class:`ProcessBackend` -- process pool for CPU-bound pure-Python tasks.
-  Tasks are made self-contained before dispatch (shuffle input pre-fetched,
+- :class:`~repro.engine.cluster_backend.ClusterBackend` -- the one
+  process-isolated backend: a persistent fleet of worker processes.  Tasks
+  are made self-contained before dispatch (shuffle input pre-fetched,
   relevant cached blocks attached); results, new cache blocks, and
-  accumulator updates ship back to the driver.  Closures must be picklable.
-  The future returned by ``submit_pickled`` is the *pool's* future, so the
-  scheduler keeps ``max_inflight`` attempts genuinely running in parallel
-  worker processes; driver-side result merging is chained as a completion
-  callback by the task scheduler.
+  accumulator updates ship back to the driver.  Its workers run
+  :func:`_run_pickled_task`, which lives here with the rest of the
+  worker-side task runner.
 
-Shared-state backends expose ``submit(fn, *args) -> Future``; the process
-backend exposes ``submit_pickled(payload) -> Future`` instead.
+Shared-state backends expose ``submit(fn, *args) -> Future``; the cluster
+backend exposes ``submit_pickled(payload, executor_id) -> Future`` instead.
 
 Stage closures ship as *task binaries* (see
 :class:`~repro.engine.task.TaskBinary`): the scheduler pickles each stage's
@@ -101,14 +100,14 @@ def current_task_executor() -> str:
     return getattr(_CURRENT_EXECUTOR, "executor_id", "driver")
 
 
-def _load_task_binary(binary_id: str, blob: bytes | None, ref: Any = None) -> Any:
+def _load_task_binary(binary_id: str, ref: Any, transport: Any) -> Any:
     """Materialize a stage's task binary at most once per worker process.
 
-    ``blob`` is the compressed binary framed by
-    :func:`repro.engine.serializer.compress_blob`; when it is ``None`` the
-    binary travels out-of-band and ``ref`` is a
-    :class:`~repro.engine.transport.TransportRef` to fetch it by -- the
-    shared-memory path that keeps megabyte lineages out of the pool pipe.
+    The binary (compressed, framed by
+    :func:`repro.engine.serializer.compress_blob`) always travels
+    out-of-band: ``ref`` is the :class:`~repro.engine.transport.TransportRef`
+    to fetch it by on a cache miss, which keeps megabyte lineages out of
+    the task frames.
     """
     from repro.obs.registry import REGISTRY
 
@@ -127,14 +126,8 @@ def _load_task_binary(binary_id: str, blob: bytes | None, ref: Any = None) -> An
         labelnames=("executor",),
     ).labels(executor=current_task_executor()).inc()
     from repro.engine.serializer import decompress_blob
-    from repro.engine.transport import worker_transport
 
-    if blob is None:
-        transport = worker_transport()
-        if transport is None:
-            raise RuntimeError("task binary shipped by ref but no transport attached")
-        blob = transport.get(ref)
-    binary = pickle.loads(decompress_blob(blob))
+    binary = pickle.loads(decompress_blob(transport.get(ref)))
     _TASK_BINARY_CACHE[binary_id] = binary
     while len(_TASK_BINARY_CACHE) > _TASK_BINARY_CACHE_MAX:
         _TASK_BINARY_CACHE.popitem(last=False)
@@ -143,26 +136,22 @@ def _load_task_binary(binary_id: str, blob: bytes | None, ref: Any = None) -> An
 
 # -- worker-side heartbeats ---------------------------------------------------
 #
-# Set up by the pool initializer (ProcessBackend.configure_heartbeats): a
-# manager-queue proxy plus interval land in module globals, and the first
-# task run starts one daemon thread per worker process that reports the
-# worker's in-flight tasks to the driver's HeartbeatHub.
+# A cluster worker installs ``send`` (a callable framing one record over its
+# driver socket) at startup; every task envelope carries the heartbeat
+# interval of the driver that submitted it, so the cadence follows whoever
+# is waiting on the task rather than whoever spawned the fleet.  The first
+# task that asks for heartbeats starts one daemon thread per worker process
+# that reports the worker's in-flight tasks.
 
-_WORKER_HB: dict[str, Any] = {"queue": None, "interval": 0.5}
+_WORKER_HB: dict[str, Any] = {"send": None, "interval": 0.0}
 _WORKER_INFLIGHT: "dict[tuple, Any]" = {}  # (stage, partition, attempt) -> TaskContext
 _WORKER_INFLIGHT_LOCK = threading.Lock()
 _WORKER_HB_THREAD: threading.Thread | None = None
 
 
-def _init_worker_heartbeats(hb_queue: Any, interval: float) -> None:
-    """ProcessPoolExecutor initializer: runs once in each worker process."""
-    _WORKER_HB["queue"] = hb_queue
-    _WORKER_HB["interval"] = max(float(interval), 0.05)
-
-
 def _ensure_worker_heartbeat_thread() -> None:
     global _WORKER_HB_THREAD
-    if _WORKER_HB["queue"] is None:
+    if _WORKER_HB["send"] is None or _WORKER_HB["interval"] <= 0:
         return
     if _WORKER_HB_THREAD is not None and _WORKER_HB_THREAD.is_alive():
         return
@@ -174,14 +163,16 @@ def _ensure_worker_heartbeat_thread() -> None:
 
 def _worker_heartbeat_loop() -> None:
     while True:
-        time.sleep(_WORKER_HB["interval"])
+        # 0 = the current task's driver disabled heartbeats: idle until a
+        # task asks for them again
+        time.sleep(_WORKER_HB["interval"] or 0.5)
         _send_worker_heartbeats()
 
 
 def _send_worker_heartbeats() -> None:
     """Ship one HeartbeatRecord per executor with tasks in this worker."""
-    hb_queue = _WORKER_HB["queue"]
-    if hb_queue is None:
+    send = _WORKER_HB["send"]
+    if send is None or _WORKER_HB["interval"] <= 0:
         return
     from repro.engine.heartbeat import HeartbeatRecord
     from repro.engine.task import current_rss_bytes
@@ -200,18 +191,18 @@ def _send_worker_heartbeats() -> None:
             worker_pid=os.getpid(),
         )
         try:
-            hb_queue.put(record)
-        except (EOFError, OSError, ConnectionError):  # driver gone; go quiet
-            _WORKER_HB["queue"] = None
+            send(record)
+        except (OSError, ConnectionError):  # driver gone; go quiet
+            _WORKER_HB["send"] = None
             return
 
 
 def _run_pickled_task(payload: bytes) -> bytes:
     """Worker-side entry point: run one self-contained task attempt.
 
-    Receives a pickled dict with the stage's task binary (lineage + closure,
-    memoized per worker, fetched over the shared-memory transport when it
-    shipped by ref), the partition/attempt to run, pre-fetched shuffle
+    Receives a pickled dict with a transport ref to the stage's task binary
+    (lineage + closure, memoized per worker and fetched on a cache miss),
+    the partition/attempt to run, pre-fetched shuffle
     frames, and pre-attached cache blocks (serializer frames); computes a
     result dict with the result, any shuffle output written (as serialized
     :class:`~repro.engine.shuffle.ShuffleBlock` frames), newly cached
@@ -225,7 +216,7 @@ def _run_pickled_task(payload: bytes) -> bytes:
     :func:`_frame_result`): a fixed-size header carrying the serialization
     timings followed by the pickled body -- the body is *not* pickled a
     second time inside a wrapper, and large bodies travel by transport ref
-    instead of through the pool pipe.
+    instead of through the worker's socket.
     """
     from repro.engine.accumulator import AccumulatorBuffer
     from repro.engine.blockmanager import BlockManager
@@ -242,9 +233,9 @@ def _run_pickled_task(payload: bytes) -> bytes:
     registry_baseline = REGISTRY.state_snapshot()
     spec = pickle.loads(payload)
     _CURRENT_EXECUTOR.executor_id = spec["executor_id"]
-    transport = from_spec(spec["transport"]) if spec.get("transport") else None
+    transport = from_spec(spec["transport"])
     serializer = get_serializer(spec.get("serializer"))
-    binary = _load_task_binary(spec["binary_id"], spec["binary"], spec.get("binary_ref"))
+    binary = _load_task_binary(spec["binary_id"], spec["binary_ref"], transport)
     task = binary.make_task(spec["partition"])
     block_manager = BlockManager(spec["executor_id"], memory_budget=1 << 62)
     block_manager.serializer = serializer
@@ -277,6 +268,8 @@ def _run_pickled_task(payload: bytes) -> bytes:
     telemetry = TaskTelemetry()
     with _WORKER_INFLIGHT_LOCK:
         _WORKER_INFLIGHT[key] = tc
+    hb_interval = spec["heartbeat_interval"]
+    _WORKER_HB["interval"] = max(hb_interval, 0.05) if hb_interval > 0 else 0.0
     _ensure_worker_heartbeat_thread()
     _send_worker_heartbeats()  # immediate "task picked up" liveness signal
     compute_start = time.perf_counter()
@@ -365,7 +358,7 @@ def _run_pickled_task(payload: bytes) -> bytes:
 #   serialize_offset f64 | payload
 #
 # flags bit 0: payload is a pickled TransportRef to the real body (large
-# results travel out-of-band instead of through the pool pipe).
+# results travel out-of-band instead of through the worker's socket).
 
 _RESULT_MAGIC = b"RF"
 _RESULT_HEADER = struct.Struct("<2sBBdd")
@@ -382,7 +375,7 @@ def _frame_result(
 ) -> bytes:
     flags = 0
     payload = body
-    if transport is not None and len(body) >= transport_min:
+    if len(body) >= transport_min:
         ref = transport.put(body)
         payload = pickle.dumps(ref, protocol=pickle.HIGHEST_PROTOCOL)
         flags |= _RESULT_FLAG_REF
@@ -405,125 +398,18 @@ def unframe_result(frame: bytes, transport: Any) -> tuple[dict, float, float]:
         raise ValueError(f"bad result frame (magic={magic!r}, version={version})")
     payload: Any = memoryview(frame)[_RESULT_HEADER.size:]
     if flags & _RESULT_FLAG_REF:
-        if transport is None:
-            raise RuntimeError("result shipped by ref but driver has no transport")
         ref = pickle.loads(payload)
         payload = transport.get(ref)
         transport.delete(ref)
     return pickle.loads(payload), serialize_seconds, serialize_offset
 
 
-# -- shared process pool ------------------------------------------------------
-#
-# One process-wide pool (plus the manager queue its workers heartbeat over)
-# survives Context teardown/rebuild: the first Context of a given shape
-# pays the fork cost, every later one reuses warm workers whose task-binary
-# and broadcast caches are already populated.  The pool is only recreated
-# when the requested shape (worker count / heartbeat wiring) changes.
-
-_SHARED_POOL_LOCK = threading.Lock()
-_SHARED_POOL: dict[str, Any] = {
-    "pool": None, "key": None, "manager": None, "queue": None, "interval": 0.5,
-}
-
-
-def _shared_heartbeat_queue(interval: float) -> Any:
-    """The process-wide manager queue worker processes heartbeat over.
-
-    Created once and kept for the life of the driver process so reused
-    pools keep a live queue (a per-context queue would die with its
-    context's Manager and silence every warm worker's heartbeats).
-    """
-    with _SHARED_POOL_LOCK:
-        if _SHARED_POOL["queue"] is None:
-            import multiprocessing
-
-            _SHARED_POOL["manager"] = multiprocessing.Manager()
-            _SHARED_POOL["queue"] = _SHARED_POOL["manager"].Queue()
-        _SHARED_POOL["interval"] = max(float(interval), 0.05)
-        return _SHARED_POOL["queue"]
-
-
 def shutdown_shared_pool() -> None:
-    """Tear down the shared pool + heartbeat manager (tests / interpreter exit)."""
-    with _SHARED_POOL_LOCK:
-        pool, _SHARED_POOL["pool"], _SHARED_POOL["key"] = _SHARED_POOL["pool"], None, None
-        manager = _SHARED_POOL["manager"]
-        _SHARED_POOL["manager"] = None
-        _SHARED_POOL["queue"] = None
-    if pool is not None:
-        pool.shutdown(wait=True)
-    if manager is not None:
-        manager.shutdown()
+    # frozen importer: benchmarks/e2e/workloads.py (a BENCHMARK.json path this
+    # repo may not edit) calls this next to stop_all_clusters()
+    from repro.engine.cluster_backend import stop_all_clusters
 
-
-class ProcessBackend:
-    """Process pool running self-contained pickled tasks.
-
-    ``submit_pickled`` hands the payload straight to the pool and returns
-    the pool's own future, so up to ``parallelism`` task attempts execute
-    concurrently in worker processes.  The scheduler serializes on the
-    driver and merges results via a completion callback -- the driver is
-    never blocked inside a single task attempt.
-
-    The pool itself is process-wide and persistent: ``shutdown`` merely
-    detaches this backend, leaving warm workers (and their caches) for the
-    next Context with the same configuration.  Use
-    :func:`shutdown_shared_pool` to actually reap the workers.
-    """
-
-    name = "processes"
-    supports_shared_state = False
-
-    def __init__(self, config: "EngineConfig") -> None:
-        self.parallelism = max(1, config.total_cores)
-        self._hb_wanted = config.heartbeat_interval > 0
-        self._hb_interval = max(config.heartbeat_interval, 0.05)
-        self._detached = False
-
-    def heartbeat_queue(self, interval: float) -> Any:
-        """Queue the heartbeat hub should drain for worker liveness."""
-        self._hb_wanted = True
-        self._hb_interval = max(float(interval), 0.05)
-        return _shared_heartbeat_queue(interval)
-
-    def _pool_key(self) -> tuple:
-        return (self.parallelism, self._hb_wanted)
-
-    def _ensure_pool(self) -> concurrent.futures.ProcessPoolExecutor:
-        key = self._pool_key()
-        with _SHARED_POOL_LOCK:
-            if _SHARED_POOL["pool"] is not None and _SHARED_POOL["key"] == key:
-                return _SHARED_POOL["pool"]
-            stale = _SHARED_POOL["pool"]
-            _SHARED_POOL["pool"] = None
-        if stale is not None:  # shape changed: retire the old fleet first
-            stale.shutdown(wait=True)
-        kwargs: dict[str, Any] = {}
-        if self._hb_wanted:
-            queue_proxy = _shared_heartbeat_queue(self._hb_interval)
-            kwargs["initializer"] = _init_worker_heartbeats
-            kwargs["initargs"] = (queue_proxy, self._hb_interval)
-        pool = concurrent.futures.ProcessPoolExecutor(
-            max_workers=self.parallelism, **kwargs
-        )
-        with _SHARED_POOL_LOCK:
-            _SHARED_POOL["pool"] = pool
-            _SHARED_POOL["key"] = key
-        return pool
-
-    def submit_pickled(
-        self, payload: bytes, executor_id: str | None = None
-    ) -> concurrent.futures.Future:
-        # the pool places tasks on any idle worker; executor routing is a
-        # cluster-backend refinement (accepted here for interface parity)
-        if self._detached:
-            raise RuntimeError("backend is shut down")
-        return self._ensure_pool().submit(_run_pickled_task, payload)
-
-    def shutdown(self) -> None:
-        """Detach from the shared pool; warm workers stay for the next context."""
-        self._detached = True
+    stop_all_clusters()
 
 
 def make_backend(config: "EngineConfig"):
@@ -532,8 +418,6 @@ def make_backend(config: "EngineConfig"):
         return SerialBackend(config)
     if config.backend == "threads":
         return ThreadBackend(config)
-    if config.backend == "processes":
-        return ProcessBackend(config)
     if config.backend == "cluster":
         from repro.engine.cluster_backend import ClusterBackend
 

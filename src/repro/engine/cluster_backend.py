@@ -1,12 +1,12 @@
 """Persistent executor cluster: long-lived workers, event-driven dispatch.
 
-The process backend pays its dominant cost over and over: every Context
-forks a fresh pool, re-pickles every stage closure, re-publishes every
-broadcast, and tears it all down at ``stop()``.  This module keeps the
-fleet alive instead.  A :class:`ClusterManager` owns one single-threaded
-worker *process per task slot* (``executor_cores`` slots form one logical
-executor) connected back to the driver over loopback TCP, and survives any
-number of Context attach/detach cycles.  The payoff is the warm second
+Spawning workers, shipping every stage closure and publishing every
+broadcast are the dominant costs of a small job, so this module pays them
+once and keeps the fleet alive.  A :class:`ClusterManager` owns one
+single-threaded worker *process per task slot* (``executor_cores`` slots
+form one logical executor) connected back to the driver over loopback
+TCP, and survives any number of Context attach/detach cycles.  The payoff
+is the warm second
 job: workers' task-binary caches (content-hash keyed, see
 :mod:`repro.engine.backends`), broadcast memos, and transport handles all
 hit, so a rerun ships refs instead of megabytes.
@@ -21,7 +21,8 @@ two attempts per slot in flight, so a worker finishing a task finds its
 next one already sitting in its socket buffer.
 
 Executor lifecycle is explicit -- *register* (worker connects and
-announces itself), *heartbeat* (socket frames feeding the ordinary
+announces itself), *heartbeat* (socket frames, at the cadence the task's
+driver asked for, fanned out to every subscribed
 :class:`~repro.engine.heartbeat.HeartbeatHub`), *drain* (finish in-flight,
 take nothing new), *decommission* (worker exits, driver announces it) --
 and surfaced as :class:`~repro.engine.listener.ExecutorRegistered` /
@@ -31,7 +32,7 @@ Two deployment shapes share the protocol:
 
 - **in-process** (default): ``Context(backend="cluster")`` lazily builds a
   process-wide :class:`ClusterManager` keyed by cluster shape; it persists
-  until :func:`stop_all_clusters`.
+  until :func:`stop_all_clusters` (or interpreter exit).
 - **external**: ``sparkscore cluster start`` runs a :class:`ClusterHead`
   in its own process; drivers attach over TCP via :class:`ClusterClient`
   (``cluster_address`` config), and blobs travel the socket transport.
@@ -39,6 +40,7 @@ Two deployment shapes share the protocol:
 
 from __future__ import annotations
 
+import atexit
 import concurrent.futures
 import itertools
 import os
@@ -69,24 +71,8 @@ _REGISTER_TIMEOUT = 60.0
 # -- worker process -----------------------------------------------------------
 
 
-class _SocketHeartbeatSender:
-    """Duck-typed stand-in for the manager queue in ``_WORKER_HB``: the
-    worker heartbeat thread calls ``put(record)``, we frame it over the
-    driver connection instead."""
-
-    def __init__(self, sock: socket.socket, send_lock: threading.Lock) -> None:
-        self._sock = sock
-        self._send_lock = send_lock
-
-    def put(self, record: Any) -> None:
-        payload = pickle.dumps(record, protocol=pickle.HIGHEST_PROTOCOL)
-        with self._send_lock:
-            frames.send_frame(self._sock, frames.HEARTBEAT, payload)
-
-
 def _cluster_worker_main(
-    host: str, port: int, slot: int, executor_id: str, hb_interval: float,
-    secret_hex: str,
+    host: str, port: int, slot: int, executor_id: str, secret_hex: str
 ) -> None:
     """Worker process entry point: one task slot, one socket, one loop.
 
@@ -111,12 +97,13 @@ def _cluster_worker_main(
         return
     conn.settimeout(None)
     send_lock = threading.Lock()
-    if hb_interval > 0:
-        # the existing worker heartbeat machinery (backends._WORKER_HB)
-        # drives a daemon thread that calls .put(record); substituting a
-        # socket sender reuses it wholesale
-        _WORKER_HB["queue"] = _SocketHeartbeatSender(conn, send_lock)
-        _WORKER_HB["interval"] = max(hb_interval, 0.05)
+
+    def send_heartbeat(record: Any) -> None:
+        payload = pickle.dumps(record, protocol=pickle.HIGHEST_PROTOCOL)
+        with send_lock:
+            frames.send_frame(conn, frames.HEARTBEAT, payload)
+
+    _WORKER_HB["send"] = send_heartbeat
     try:
         with send_lock:
             frames.send_frame(conn, frames.REGISTER, pickle.dumps(
@@ -165,6 +152,33 @@ def _cluster_worker_main(
 # -- driver-side manager ------------------------------------------------------
 
 
+class _HeartbeatFanout:
+    """Hands each worker heartbeat to whoever is subscribed when it arrives.
+
+    Subscribers are the heartbeat hubs of attached drivers (and a head's
+    forwarder to its external drivers).  A record nobody is subscribed to
+    is dropped: liveness is only ever read by a live hub, so there is
+    nothing to queue it for.  Sinks run on the publishing thread (the
+    dispatch loop / client reader) and must not block.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._sinks: tuple = ()
+
+    def subscribe(self, sink: Any) -> None:
+        with self._lock:
+            self._sinks += (sink,)
+
+    def unsubscribe(self, sink: Any) -> None:
+        with self._lock:
+            self._sinks = tuple(s for s in self._sinks if s != sink)
+
+    def publish(self, record: Any) -> None:
+        for sink in self._sinks:
+            sink(record)
+
+
 class _WorkerHandle:
     """Driver-side state for one worker slot."""
 
@@ -205,12 +219,10 @@ class ClusterManager:
         num_executors: int,
         executor_cores: int,
         transport_scheme: str = "auto",
-        hb_interval: float = 0.5,
         transport_host: str = "127.0.0.1",
     ) -> None:
         self.num_executors = num_executors
         self.executor_cores = executor_cores
-        self.hb_interval = hb_interval
         #: per-cluster authkey (multiprocessing-style): workers receive it
         #: via their spawn args and must answer the listener's HMAC
         #: challenge before any frame of theirs is deserialized
@@ -219,7 +231,7 @@ class ClusterManager:
             transport_scheme, thread_prefix="repro-cluster-transport",
             host=transport_host,
         )
-        self.hb_queue: "queue.Queue[Any]" = queue.Queue()
+        self.heartbeats = _HeartbeatFanout()
         self.stopped = False
         #: attach() calls so far; >0 means the fleet is warm for the next one
         self.jobs_attached = 0
@@ -264,6 +276,9 @@ class ClusterManager:
         )
         self._dispatch.start()
         self._await_registration()
+        # a driver that exits without stopping its fleet would leak the
+        # transport's shared-memory segments; stop() unregisters again
+        atexit.register(self.stop)
 
     # -- startup ----------------------------------------------------------
 
@@ -275,7 +290,7 @@ class ClusterManager:
             proc = multiprocessing.Process(
                 target=_cluster_worker_main,
                 args=(host, int(port), handle.slot, handle.executor_id,
-                      self.hb_interval, self.secret.hex()),
+                      self.secret.hex()),
                 name=f"repro-cluster-{handle.executor_id}-s{handle.slot}",
                 daemon=True,
             )
@@ -333,9 +348,6 @@ class ClusterManager:
             ), token))
         self._wake()
         return future
-
-    def heartbeat_queue(self, interval: float) -> "queue.Queue[Any]":
-        return self.hb_queue
 
     def note_binary_shipped(self, executor_id: str, binary_id: str) -> bool:
         """True exactly once per (executor, binary content hash) -- ever."""
@@ -616,7 +628,7 @@ class ClusterManager:
         elif ftype == frames.HEARTBEAT:
             record = pickle.loads(payload)
             self.fleet.note_heartbeat(record)
-            self.hb_queue.put(record)
+            self.heartbeats.publish(record)
 
     def _on_disconnect(self, sock: socket.socket, handle: _WorkerHandle | None) -> None:
         try:
@@ -673,6 +685,7 @@ class ClusterManager:
             if self.stopped:
                 return
             self.stopped = True
+            atexit.unregister(self.stop)
             for handle in self.workers:
                 if handle.alive and handle.sock is not None:
                     self._cmds.append(
@@ -720,7 +733,6 @@ def get_cluster(config: "EngineConfig") -> ClusterManager:
                 config.num_executors,
                 config.executor_cores,
                 config.transport_scheme,
-                config.heartbeat_interval,
             )
             _CLUSTERS[key] = manager
         return manager
@@ -733,9 +745,7 @@ def get_cluster_client(config: "EngineConfig") -> "ClusterClient":
     with _CLUSTERS_LOCK:
         client = _CLUSTERS.get(key)
         if client is None or client.stopped:
-            client = ClusterClient(
-                config.cluster_address, config.heartbeat_interval, secret=secret
-            )
+            client = ClusterClient(config.cluster_address, secret=secret)
             _CLUSTERS[key] = client
         return client
 
@@ -753,16 +763,15 @@ class ClusterBackend:
     """Backend facade over the persistent cluster (or an external head).
 
     ``shutdown`` only detaches -- the cluster outlives the context by
-    design.  ``stable_placement`` pins partition -> executor across jobs so
-    warm caches actually get re-hit; ``persistent_executors`` makes the
-    scheduler publish every task binary by transport ref (size threshold
-    0), which is what turns job 2's publication into a dedup hit.
+    design.  As the one backend without shared driver state it is what the
+    scheduler's process-isolated path assumes: partition -> executor
+    placement is pinned across jobs so warm caches actually get re-hit,
+    and every task binary is published by transport ref, which is what
+    turns job 2's publication into a dedup hit.
     """
 
     name = "cluster"
     supports_shared_state = False
-    stable_placement = True
-    persistent_executors = True
 
     def __init__(self, config: "EngineConfig") -> None:
         self.parallelism = max(1, config.total_cores)
@@ -776,8 +785,10 @@ class ClusterBackend:
     def transport(self) -> Any:
         return self._manager.transport
 
-    def heartbeat_queue(self, interval: float) -> Any:
-        return self._manager.heartbeat_queue(interval)
+    @property
+    def heartbeats(self) -> _HeartbeatFanout:
+        """Where a heartbeat hub subscribes to this fleet's worker records."""
+        return self._manager.heartbeats
 
     def submit_pickled(
         self, payload: bytes, executor_id: str | None = None
@@ -791,9 +802,7 @@ class ClusterBackend:
 
     def note_inference(self, info: dict) -> None:
         """Best-effort inference-convergence telemetry for ``cluster top``."""
-        note = getattr(self._manager, "note_inference", None)
-        if note is not None:
-            note(info)
+        self._manager.note_inference(info)
 
     def attach(self, ctx: "Context") -> None:
         self._manager.attach(ctx)
@@ -892,7 +901,6 @@ class ClusterHead:
         executor_cores: int,
         host: str = "127.0.0.1",
         port: int = 7077,
-        hb_interval: float = 0.5,
         secret: str | None = None,
     ) -> None:
         if secret is None:
@@ -906,8 +914,7 @@ class ClusterHead:
         # the front door, not loopback, or remote drivers would dial
         # their own 127.0.0.1 for every blob
         self.manager = ClusterManager(
-            num_executors, executor_cores, "tcp", hb_interval,
-            transport_host=host,
+            num_executors, executor_cores, "tcp", transport_host=host
         )
         self._listener = socket.create_server((host, port))
         self.address = "%s:%d" % (
@@ -922,10 +929,7 @@ class ClusterHead:
             target=self._accept_loop, name="repro-cluster-head", daemon=True
         )
         self._accept.start()
-        self._hb_pump = threading.Thread(
-            target=self._pump_heartbeats, name="repro-cluster-head-hb", daemon=True
-        )
-        self._hb_pump.start()
+        self.manager.heartbeats.subscribe(self._forward_heartbeat)
 
     def serve_forever(self, duration: float | None = None) -> None:
         self._stopped.wait(timeout=duration)
@@ -1050,21 +1054,21 @@ class ClusterHead:
 
         return _forward
 
-    def _pump_heartbeats(self) -> None:
-        """Forward worker heartbeats to every attached external driver."""
-        while not self._stopped.is_set():
-            try:
-                record = self.manager.hb_queue.get(timeout=0.5)
-            except queue.Empty:
-                continue
-            payload = pickle.dumps(record, protocol=pickle.HIGHEST_PROTOCOL)
-            with self._lock:
-                drivers = list(self._drivers)
-            for writer in drivers:
-                # heartbeats are advisory: skip drivers whose queue is
-                # already backed up rather than growing it without bound
-                if not writer.failed and writer.pending() < 512:
-                    writer.send(frames.HEARTBEAT, payload)
+    def _forward_heartbeat(self, record: Any) -> None:
+        """Forward a worker heartbeat to every attached external driver.
+
+        Runs in the manager's dispatch thread, so it only enqueues.
+        """
+        with self._lock:
+            drivers = list(self._drivers)
+        if not drivers:
+            return
+        payload = pickle.dumps(record, protocol=pickle.HIGHEST_PROTOCOL)
+        for writer in drivers:
+            # heartbeats are advisory: skip drivers whose queue is
+            # already backed up rather than growing it without bound
+            if not writer.failed and writer.pending() < 512:
+                writer.send(frames.HEARTBEAT, payload)
 
     def stop(self) -> None:
         if self._stopped.is_set():
@@ -1081,14 +1085,12 @@ class ClusterClient:
     """Driver-side handle to an external :class:`ClusterHead`.
 
     Presents the same surface as :class:`ClusterManager` (submit /
-    heartbeat_queue / attach / note_binary_shipped / executor_info), so
+    heartbeats / attach / note_binary_shipped / executor_info), so
     :class:`ClusterBackend` cannot tell local from remote.  One persistent
     connection; a reader thread resolves futures and feeds heartbeats.
     """
 
-    def __init__(
-        self, address: str, hb_interval: float = 0.5, secret: str = ""
-    ) -> None:
+    def __init__(self, address: str, secret: str = "") -> None:
         host, _, port = address.rpartition(":")
         self.address = address
         self.stopped = False
@@ -1114,7 +1116,7 @@ class ClusterClient:
         self.executor_ids = list(info["executor_ids"])
         self.warm = bool(info.get("warm"))
         self.transport = from_spec(tuple(info["transport_spec"]))
-        self.hb_queue: "queue.Queue[Any]" = queue.Queue()
+        self.heartbeats = _HeartbeatFanout()
         self.jobs_attached = 1 if self.warm else 0
         self._tokens = itertools.count(1)
         self._lock = threading.Lock()
@@ -1147,7 +1149,7 @@ class ClusterClient:
                     except concurrent.futures.InvalidStateError:
                         pass
                 elif ftype == frames.HEARTBEAT:
-                    self.hb_queue.put(pickle.loads(payload))
+                    self.heartbeats.publish(pickle.loads(payload))
         except (ConnectionError, OSError):
             pass
         self.stopped = True
@@ -1182,9 +1184,6 @@ class ClusterClient:
                 self._futures.pop(token, None)
             future.set_exception(exc)
         return future
-
-    def heartbeat_queue(self, interval: float) -> "queue.Queue[Any]":
-        return self.hb_queue
 
     def note_binary_shipped(self, executor_id: str, binary_id: str) -> bool:
         with self._lock:

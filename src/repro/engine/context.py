@@ -79,18 +79,13 @@ class Context:
         self.serializer = get_serializer(self.config.serializer)
         self.backend = make_backend(self.config)
         #: out-of-band blob transport (shared memory / temp files / TCP);
-        #: only process-isolated backends move bytes across address spaces,
-        #: so shared-state backends skip the segment bookkeeping.  The
-        #: cluster backend *owns* its transport (it must outlive this
-        #: context so warm workers keep their handles); the process backend
-        #: gets a context-owned one
-        self.transport = getattr(self.backend, "transport", None)
-        self._owns_transport = False
-        if self.transport is None and self.config.backend == "processes":
-            from repro.engine.transport import create_transport
-
-            self.transport = create_transport(self.config.transport_scheme)
-            self._owns_transport = True
+        #: only the process-isolated cluster backend moves bytes across
+        #: address spaces, and it owns the transport (which must outlive
+        #: this context so warm workers keep their handles).  None on the
+        #: shared-state backends
+        self.transport = (
+            None if self.backend.supports_shared_state else self.backend.transport
+        )
         self.executors = build_executors(
             self.config.num_executors,
             self.config.executor_cores,
@@ -242,9 +237,9 @@ class Context:
             self.heartbeats = HeartbeatHub(self)
             self.listener_bus.add_listener(self.heartbeats)
             self.heartbeats.start()
-        # persistent backends announce their (possibly pre-existing, warm)
-        # executors on this context's bus: ExecutorRegistered per executor
-        if hasattr(self.backend, "attach"):
+        # the cluster announces its (possibly pre-existing, warm) executors
+        # on this context's bus: ExecutorRegistered per executor
+        if not self.backend.supports_shared_state:
             self.backend.attach(self)
         if self.sampler is not None:
             # started after the heartbeat hub so the alert engine's busy
@@ -434,12 +429,10 @@ class Context:
                         self._event_log_listener.write_fleet(fleet_fn(None))
                     except Exception:
                         pass  # a dead head must not break context teardown
-            if hasattr(self.backend, "detach"):
+            if not self.backend.supports_shared_state:
                 self.backend.detach(self)
             self.listener_bus.stop()
             self.backend.shutdown()
-            if self.transport is not None and self._owns_transport:
-                self.transport.close()
             self._stopped = True
 
     def _check_alive(self) -> None:

@@ -22,29 +22,29 @@ future fields can be added compatibly.  Version history:
   fields defaulted, and v3 telemetry lines are skipped by job readers.
 - **v4** -- structured logging.  The log may interleave ``log`` record
   lines (one :class:`repro.obs.logging.LogRecord` each, with correlation
-  ids), recoverable via :func:`read_logs`.  Job readers skip them; v3
+  ids), recoverable as the ``log`` channel of :func:`read_channels`.  Job readers skip them; v3
   and earlier fixtures still load unchanged.  Readers also became
   crash-safe: a truncated *final* line (the writer was killed mid-write)
   produces a warning and a partial result instead of raising.
 - **v5** -- continuous monitoring.  Two new side-channel kinds:
   ``series`` lines carry one metrics-sampler tick each (only the samples
   whose value changed, as ``[name, {labels}, value]`` triples against a
-  shared monotonic timestamp), recoverable via :func:`read_series` so
+  shared monotonic timestamp), recoverable as the ``series`` channel so
   ``sparkscore history`` can replay metric evolution offline; ``alert``
   lines record alert-engine transitions (firing/resolved), recoverable
-  via :func:`read_alerts`.  v4 and earlier logs still load unchanged.
+  as the ``alert`` channel.  v4 and earlier logs still load unchanged.
 - **v6** -- fleet observability.  ``fleet`` lines carry one
   cluster-resident fleet snapshot each (uptime, jobs served, per-driver
   throughput, warm-cache economics, trailing per-executor series from
   the fleet's own TSDB), written by the context at ``stop()`` when the
-  backend exposes one.  Recoverable via :func:`read_fleet`, so
+  backend exposes one.  Recoverable as the ``fleet`` channel, so
   ``sparkscore history`` and ``doctor`` can see cross-job fleet state
   long after the cluster is gone.  v5 and earlier logs load unchanged.
 - **v7** -- adaptive query execution.  Task records gain an optional
   ``speculative`` flag (present only when a winning attempt was a
   speculative twin), and a new ``adaptive`` side channel records every
   planner decision: skew splits/coalesces, per-shuffle serializer picks,
-  and speculative launches.  Recoverable via :func:`read_adaptive` so
+  and speculative launches.  Recoverable as the ``adaptive`` channel so
   ``sparkscore history`` and post-mortem bundles can show *why* a job's
   physical plan diverged from its static one.  v6 and earlier logs load
   unchanged.
@@ -54,15 +54,16 @@ future fields can be added compatibly.  Version history:
   totals, sets converged, smallest p-value estimate) and one flushed
   ``converged`` line per SNP-set whose confidence interval became
   decisive (status, p-value, CI bounds at decision time).  Recoverable
-  via :func:`read_inference` so ``sparkscore history``/``doctor`` can
+  as the ``inference`` channel so ``sparkscore history``/``doctor`` can
   audit early-stop decisions and recommend replicate budgets offline.
   v7 and earlier logs load unchanged.
 
 Since the listener-bus refactor the log is written *incrementally*: the
 context attaches an :class:`EventLogListener` to its bus and each job is
 flushed as it ends, so a crashed driver still leaves every completed job
-on disk.  The module-level :func:`write_event_log` / :func:`read_event_log`
-functions remain for bulk/offline use.
+on disk.  The module-level :func:`write_event_log` / :func:`read_channels`
+functions remain for bulk/offline use: one reader, one pass, every side
+channel.
 """
 
 from __future__ import annotations
@@ -87,23 +88,6 @@ from repro.obs.logging import LogRecord
 
 FORMAT_VERSION = 8
 SUPPORTED_VERSIONS = (1, 2, 3, 4, 5, 6, 7, 8)
-
-#: non-job record kinds introduced by v3 (telemetry side-channel)
-TELEMETRY_EVENTS = ("heartbeat", "executor_timed_out")
-
-#: side-channel record kinds a job reader skips, with the format version
-#: that introduced each (older logs containing them are corrupt)
-SIDE_CHANNEL_MIN_VERSION = {
-    "heartbeat": 3,
-    "executor_timed_out": 3,
-    "log": 4,
-    "series": 5,
-    "alert": 5,
-    "fleet": 6,
-    "adaptive": 7,
-    "inference": 8,
-}
-
 
 def _job_to_dict(job: JobMetrics) -> dict:
     return {
@@ -219,140 +203,99 @@ def write_event_log(jobs: Iterable[JobMetrics], path_or_file: str | IO[str]) -> 
     return count
 
 
-def _is_side_channel(data: dict) -> bool:
-    """v3+ interleaves side-channel records (telemetry, logs) with job
-    records; job readers skip them.  The same kinds in v1/v2 logs still
-    fail loudly (they predate the side channel, so a non-job line there is
-    corruption)."""
-    min_version = SIDE_CHANNEL_MIN_VERSION.get(data.get("event"))
-    return min_version is not None and data.get("version", 0) >= min_version
+def _identity(data: dict) -> dict:
+    return data
 
 
-def read_event_log(path_or_file: str | IO[str]) -> list[JobMetrics]:
-    """Load all job records from an event log (any supported version).
+#: event kind -> (channel :func:`read_channels` files it under, format
+#: version that introduced it, decoder from the raw line to the record
+#: readers get).  A listed kind in a log older than its version predates
+#: the side channel, so there it is corruption and fails like any other
+#: non-job line.
+_SIDE_CHANNELS = {
+    "heartbeat": ("telemetry", 3, _identity),
+    "executor_timed_out": ("telemetry", 3, _identity),
+    "log": ("log", 4, LogRecord.from_dict),
+    "series": ("series", 5, lambda data: {
+        "time": data.get("time", 0.0), "samples": data.get("samples", []),
+    }),
+    "alert": ("alert", 5, _identity),
+    "fleet": ("fleet", 6, lambda data: data.get("snapshot", {})),
+    "adaptive": ("adaptive", 7, _identity),
+    "inference": ("inference", 8, _identity),
+}
+
+
+def read_channels(path_or_file: str | IO[str]) -> dict[str, list]:
+    """Load an event log (any supported version) in one pass.
+
+    Returns ``{channel: [records in file order]}`` with every channel
+    present (empty when the log has no such lines):
+
+    - ``"job"`` -- :class:`~repro.engine.metrics.JobMetrics` trees;
+    - ``"telemetry"`` -- raw v3 ``heartbeat`` / ``executor_timed_out`` dicts;
+    - ``"log"`` -- v4 :class:`~repro.obs.logging.LogRecord` objects;
+    - ``"series"`` -- one v5 ``{"time": t, "samples": [[name, {labels},
+      value], ...]}`` dict per sampler tick (see :func:`series_to_points`);
+    - ``"alert"`` -- raw v5 alert-transition dicts;
+    - ``"fleet"`` -- v6 fleet snapshot dicts;
+    - ``"adaptive"`` -- raw v7 planner-decision dicts (``kind`` is
+      ``"split"``, ``"coalesce"``, ``"rebalance"``, ``"serializer"`` or
+      ``"speculation"``);
+    - ``"inference"`` -- raw v8 convergence dicts (``kind`` is ``"batch"``
+      or ``"converged"``).
 
     Crash-safe: a final line that is not valid JSON is the signature of a
     writer killed mid-write, so it produces a :class:`UserWarning` and the
-    jobs loaded so far instead of raising.  Unparseable lines *before* the
-    end of the file -- and parseable-but-invalid records anywhere -- are
-    real corruption and still raise :class:`ValueError`.
+    records loaded so far instead of raising.  Unparseable lines *before*
+    the end of the file -- and parseable-but-invalid records anywhere --
+    are real corruption and raise :class:`ValueError`.
     """
     own = isinstance(path_or_file, str)
     fh: IO[str] = open(path_or_file) if own else path_or_file  # type: ignore[assignment]
     try:
         lines = fh.read().splitlines()
-        jobs = []
-        for lineno, line in enumerate(lines, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                data = json.loads(line)
-            except json.JSONDecodeError as exc:
-                if lineno == len(lines):
-                    warnings.warn(
-                        f"event log ends with a truncated line {lineno} "
-                        f"(writer killed mid-write?); loaded {len(jobs)} "
-                        f"complete job(s)",
-                        stacklevel=2,
-                    )
-                    break
-                raise ValueError(f"event log line {lineno} is corrupt: {exc}") from exc
-            try:
-                if _is_side_channel(data):
-                    continue
-                jobs.append(_job_from_dict(data))
-            except KeyError as exc:
-                raise ValueError(f"event log line {lineno} is corrupt: {exc}") from exc
-        return jobs
     finally:
         if own:
             fh.close()
+    out: dict[str, list] = {"job": []}
+    for channel, _, _ in _SIDE_CHANNELS.values():
+        out.setdefault(channel, [])
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            data = json.loads(line)
+        except json.JSONDecodeError as exc:
+            if lineno == len(lines):
+                warnings.warn(
+                    f"event log ends with a truncated line {lineno} "
+                    f"(writer killed mid-write?); loaded {len(out['job'])} "
+                    f"complete job(s)",
+                    stacklevel=2,
+                )
+                break
+            raise ValueError(f"event log line {lineno} is corrupt: {exc}") from exc
+        side = _SIDE_CHANNELS.get(data.get("event"))
+        if side is not None and data.get("version", 0) >= side[1]:
+            channel, _, decode = side
+        else:  # a job line, or a non-job line _job_from_dict rejects
+            channel, decode = "job", _job_from_dict
+        try:
+            out[channel].append(decode(data))
+        except KeyError as exc:
+            raise ValueError(f"event log line {lineno} is corrupt: {exc}") from exc
+    return out
 
 
-def read_telemetry(path_or_file: str | IO[str]) -> list[dict]:
-    """Load the v3 telemetry records (heartbeats, timeouts) from a log.
-
-    Returns raw dicts in file order; empty for v1/v2 logs.
-    """
-    own = isinstance(path_or_file, str)
-    fh: IO[str] = open(path_or_file) if own else path_or_file  # type: ignore[assignment]
-    try:
-        out = []
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                data = json.loads(line)
-            except json.JSONDecodeError:
-                continue
-            if data.get("event") in TELEMETRY_EVENTS:
-                out.append(data)
-        return out
-    finally:
-        if own:
-            fh.close()
-
-
-def read_logs(path_or_file: str | IO[str]) -> list[LogRecord]:
-    """Load the v4 structured-log records from an event log.
-
-    Returns :class:`~repro.obs.logging.LogRecord` objects in file order;
-    empty for v1-v3 logs.  Unparseable lines are skipped (same tolerance
-    as :func:`read_telemetry`: the side channel is best-effort).
-    """
-    own = isinstance(path_or_file, str)
-    fh: IO[str] = open(path_or_file) if own else path_or_file  # type: ignore[assignment]
-    try:
-        out = []
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                data = json.loads(line)
-            except json.JSONDecodeError:
-                continue
-            if data.get("event") == "log":
-                out.append(LogRecord.from_dict(data))
-        return out
-    finally:
-        if own:
-            fh.close()
-
-
-def read_series(path_or_file: str | IO[str]) -> list[dict]:
-    """Load the v5 metric-series records from an event log.
-
-    Returns one dict per sampler tick, in file order:
-    ``{"time": t, "samples": [[name, {labels}, value], ...]}``; empty for
-    v1-v4 logs.  Unparseable lines are skipped (the side channel is
-    best-effort, same tolerance as :func:`read_telemetry`).
-    """
-    own = isinstance(path_or_file, str)
-    fh: IO[str] = open(path_or_file) if own else path_or_file  # type: ignore[assignment]
-    try:
-        out = []
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                data = json.loads(line)
-            except json.JSONDecodeError:
-                continue
-            if data.get("event") == "series":
-                out.append({"time": data.get("time", 0.0),
-                            "samples": data.get("samples", [])})
-        return out
-    finally:
-        if own:
-            fh.close()
+def read_event_log(path_or_file: str | IO[str]) -> list[JobMetrics]:
+    """The job records of an event log: ``read_channels(...)["job"]``."""
+    return read_channels(path_or_file)["job"]
 
 
 def series_to_points(records: list[dict]) -> dict[tuple, list[tuple[float, float]]]:
-    """Pivot :func:`read_series` output into per-series point lists.
+    """Pivot the ``series`` channel of :func:`read_channels` into per-series point lists.
 
     Returns ``{(name, ((label, value), ...)): [(time, value), ...]}`` --
     the shape ``sparkscore history --series`` plots from.  Because the
@@ -367,117 +310,6 @@ def series_to_points(records: list[dict]) -> dict[tuple, list[tuple[float, float
             key = (name, tuple(sorted((str(k), str(v)) for k, v in labels.items())))
             out.setdefault(key, []).append((t, float(value)))
     return out
-
-
-def read_fleet(path_or_file: str | IO[str]) -> list[dict]:
-    """Load the v6 fleet-snapshot records from an event log.
-
-    Returns one snapshot dict per ``fleet`` line (uptime, jobs served,
-    per-driver throughput, warm-cache stats, trailing fleet series), in
-    file order; empty for v1-v5 logs.  Unparseable lines are skipped
-    (the side channel is best-effort).
-    """
-    own = isinstance(path_or_file, str)
-    fh: IO[str] = open(path_or_file) if own else path_or_file  # type: ignore[assignment]
-    try:
-        out = []
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                data = json.loads(line)
-            except json.JSONDecodeError:
-                continue
-            if data.get("event") == "fleet":
-                out.append(data.get("snapshot", {}))
-        return out
-    finally:
-        if own:
-            fh.close()
-
-
-def read_adaptive(path_or_file: str | IO[str]) -> list[dict]:
-    """Load the v7 adaptive-decision records from an event log.
-
-    Returns raw decision dicts in file order -- ``kind`` is ``"split"``,
-    ``"coalesce"``, ``"rebalance"``, ``"serializer"``, or
-    ``"speculation"`` -- empty for v1-v6 logs.  Unparseable lines are
-    skipped (the side channel is best-effort).
-    """
-    own = isinstance(path_or_file, str)
-    fh: IO[str] = open(path_or_file) if own else path_or_file  # type: ignore[assignment]
-    try:
-        out = []
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                data = json.loads(line)
-            except json.JSONDecodeError:
-                continue
-            if data.get("event") == "adaptive":
-                out.append(data)
-        return out
-    finally:
-        if own:
-            fh.close()
-
-
-def read_inference(path_or_file: str | IO[str]) -> list[dict]:
-    """Load the v8 inference-convergence records from an event log.
-
-    Returns raw dicts in file order -- ``kind`` is ``"batch"`` (one
-    replicate batch folded: running replicate totals, sets converged,
-    smallest p-value estimate) or ``"converged"`` (one SNP-set decision
-    with its CI bounds at decision time) -- empty for v1-v7 logs.
-    Unparseable lines are skipped (the side channel is best-effort).
-    """
-    own = isinstance(path_or_file, str)
-    fh: IO[str] = open(path_or_file) if own else path_or_file  # type: ignore[assignment]
-    try:
-        out = []
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                data = json.loads(line)
-            except json.JSONDecodeError:
-                continue
-            if data.get("event") == "inference":
-                out.append(data)
-        return out
-    finally:
-        if own:
-            fh.close()
-
-
-def read_alerts(path_or_file: str | IO[str]) -> list[dict]:
-    """Load the v5 alert-transition records from an event log.
-
-    Returns raw transition dicts (rule, severity, transition, value, ...)
-    in file order; empty for v1-v4 logs.
-    """
-    own = isinstance(path_or_file, str)
-    fh: IO[str] = open(path_or_file) if own else path_or_file  # type: ignore[assignment]
-    try:
-        out = []
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                data = json.loads(line)
-            except json.JSONDecodeError:
-                continue
-            if data.get("event") == "alert":
-                out.append(data)
-        return out
-    finally:
-        if own:
-            fh.close()
 
 
 class EventLogListener(Listener):

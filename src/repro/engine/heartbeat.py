@@ -10,9 +10,11 @@ in flight every executor periodically reports liveness and progress
   unless an executor's heartbeats are suspended
   (:meth:`~repro.engine.executor.Executor.suspend_heartbeats`), which is
   how tests and fault drills simulate a frozen executor;
-- **process backend**: each worker process runs a small daemon thread that
-  ships :class:`HeartbeatRecord`\\ s over a ``multiprocessing`` manager
-  queue -- genuine cross-process liveness.
+- **cluster backend**: each worker process runs a small daemon thread that
+  ships :class:`HeartbeatRecord`\\ s as frames over its driver socket, at
+  the interval carried in the running task's envelope -- genuine
+  cross-process liveness that does not depend on which Context spawned
+  the fleet.
 
 The hub posts every received record as a typed
 :class:`~repro.engine.listener.ExecutorHeartbeat` on the listener bus (so
@@ -70,7 +72,7 @@ class HeartbeatHub(Listener):
     ``interval`` seconds:
 
     1. emits heartbeats for busy driver-hosted executors (shared backends);
-    2. drains worker-process heartbeats from the manager queue;
+    2. drains worker-process heartbeats the backend delivered to its queue;
     3. flags busy executors silent for longer than ``timeout`` seconds.
 
     The scheduler consumes flagged executors via :meth:`take_timed_out`.
@@ -89,31 +91,29 @@ class HeartbeatHub(Listener):
         #: already announced (avoid re-posting ExecutorTimedOut every tick)
         self._announced: set[str] = set()
         self.records_received = 0
-        self._worker_queue = None
+        #: worker-process records land here while the hub is subscribed to
+        #: the backend; the queue is the hub's own, so it dies with the hub
+        self._worker_queue: "queue.Queue[HeartbeatRecord]" = queue.Queue()
         self._stop = threading.Event()
         self._thread: threading.Thread | None = None
 
     # -- lifecycle --------------------------------------------------------
 
     def start(self) -> None:
-        backend = self.ctx.backend
-        if not backend.supports_shared_state and hasattr(backend, "heartbeat_queue"):
-            # the queue (and the Manager behind it, for the process backend)
-            # belongs to the backend, not the hub: persistent pools outlive
-            # this context, and a hub-owned queue dying with the context
-            # would permanently silence every warm worker's heartbeats
-            self._worker_queue = backend.heartbeat_queue(self.interval)
+        if not self.ctx.backend.supports_shared_state:
+            self.ctx.backend.heartbeats.subscribe(self._worker_queue.put)
         self._thread = threading.Thread(
             target=self._run, name="repro-heartbeat-hub", daemon=True
         )
         self._thread.start()
 
     def stop(self) -> None:
+        if not self.ctx.backend.supports_shared_state:
+            self.ctx.backend.heartbeats.unsubscribe(self._worker_queue.put)
         self._stop.set()
         if self._thread is not None:
             self._thread.join(timeout=5.0)
             self._thread = None
-        self._worker_queue = None
 
     def close(self) -> None:  # bus stop() hook
         self.stop()
@@ -217,14 +217,10 @@ class HeartbeatHub(Listener):
             ))
 
     def _drain_worker_queue(self) -> None:
-        if self._worker_queue is None:
-            return
         while True:
             try:
                 record = self._worker_queue.get_nowait()
             except queue.Empty:
-                return
-            except (EOFError, OSError, ConnectionError):  # manager shut down
                 return
             self._receive(record)
 

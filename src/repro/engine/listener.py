@@ -160,7 +160,7 @@ class ExecutorHeartbeat(EngineEvent):
     """Periodic liveness/progress report from one executor.
 
     Emitted by the driver-side heartbeat hub for shared-state backends and
-    by worker processes (over a queue) for the process backend.
+    by worker processes (over their socket) for the cluster backend.
     """
 
     executor_id: str

@@ -18,7 +18,7 @@ import pickle
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Iterator
 
 from repro.engine.accumulator import AccumulatorBuffer
@@ -182,11 +182,10 @@ class _SerializedTaskBinary:
 
     ``blob`` is the zlib-framed (see
     :func:`repro.engine.serializer.compress_blob`) pickle of the binary.
-    When a transport is available and the blob is large, it is published
-    once (content-hash dedup'd) and tasks ship only ``ref``; the
-    ``shipped_executors`` set drives the ``task_binary_bytes`` accounting
-    -- an executor is charged the full blob the first time it sees the
-    binary and only the ref's bytes afterwards.
+    It is published once on the cluster's transport (content-hash dedup'd)
+    and tasks ship only ``ref``; in the ``task_binary_bytes`` accounting an
+    executor is charged the full blob the first time it sees the binary
+    and only the ref's bytes afterwards.
     """
 
     #: SHA-256 of ``blob``: content identity, not a per-context sequence
@@ -198,11 +197,10 @@ class _SerializedTaskBinary:
     raw_len: int
     #: requested StorageLevel per cached rdd id (for merging remote blocks)
     storage_levels: dict[int, StorageLevel]
-    #: transport handle when the blob travels out-of-band
-    ref: Any = None
+    #: transport handle the blob was published under
+    ref: Any
     #: pickled size of ``ref`` (the per-task cost once dedup'd)
-    ref_cost: int = 0
-    shipped_executors: set = field(default_factory=set)
+    ref_cost: int
 
 
 class TaskScheduler:
@@ -236,10 +234,11 @@ class TaskScheduler:
             for executor in alive:
                 if executor.executor_id in preferred or executor.host in preferred:
                     return executor
-        # 3) persistent backends get *stable* placement: partition -> same
-        # executor across jobs, so a rerun hits the executor whose caches
-        # already hold that partition's binary and broadcasts
-        if getattr(self.ctx.backend, "stable_placement", False):
+        # 3) the cluster's executors persist, so placement is *stable*:
+        # partition -> same executor across jobs, and a rerun hits the
+        # executor whose caches already hold that partition's binary and
+        # broadcasts
+        if not self.ctx.backend.supports_shared_state:
             return alive[task.partition % len(alive)]
         # 4) round robin
         with self._lock:
@@ -684,7 +683,7 @@ class TaskScheduler:
         )
         return value, record
 
-    # -- process-backend execution ------------------------------------------------
+    # -- cluster-backend execution ------------------------------------------------
 
     def _build_task_binary(self, stage: Stage, probe: Task) -> _SerializedTaskBinary:
         """Serialize the stage's closure/lineage once for all its tasks."""
@@ -709,23 +708,15 @@ class TaskScheduler:
         # the lineage serialize by value (repro.engine.closure)
         raw = closure_dumps(binary)
         blob = compress_blob(raw)
-        tb = _SerializedTaskBinary(
-            hashlib.sha256(blob).hexdigest(), blob, len(raw), levels
+        # every binary is published by ref regardless of size: workers that
+        # evicted it can re-fetch it from the long-lived transport, and the
+        # content-hash dedup makes job 2's publication a no-op
+        # (transport_dedup_hits instead of bytes)
+        ref = self.ctx.transport.put(blob, dedup=True)
+        return _SerializedTaskBinary(
+            hashlib.sha256(blob).hexdigest(), blob, len(raw), levels, ref,
+            len(pickle.dumps(ref, protocol=pickle.HIGHEST_PROTOCOL)),
         )
-        transport = getattr(self.ctx, "transport", None)
-        # persistent backends publish every binary by ref regardless of
-        # size: workers that evicted the binary can re-fetch it from the
-        # long-lived transport, and the content-hash dedup makes job 2's
-        # publication a no-op (transport_dedup_hits instead of bytes)
-        threshold = (
-            0
-            if getattr(self.ctx.backend, "persistent_executors", False)
-            else self.ctx.config.transport_min_bytes
-        )
-        if transport is not None and len(blob) >= threshold:
-            tb.ref = transport.put(blob, dedup=True)
-            tb.ref_cost = len(pickle.dumps(tb.ref, protocol=pickle.HIGHEST_PROTOCOL))
-        return tb
 
     def _submit_process(
         self,
@@ -738,16 +729,17 @@ class TaskScheduler:
         commits: _TaskSetCommits | None = None,
         speculative: bool = False,
     ) -> concurrent.futures.Future:
-        """Dispatch one attempt to the process pool without blocking.
+        """Dispatch one attempt to the cluster without blocking.
 
         The returned future resolves to ``(value, TaskRecord)`` once the
         worker finishes *and* the driver-side merge (shuffle output, cache
-        blocks, accumulators) has run in the pool's completion callback, so
-        ``run_task_set`` keeps ``max_inflight`` attempts genuinely parallel.
+        blocks, accumulators) has run in the backend future's completion
+        callback, so ``run_task_set`` keeps ``max_inflight`` attempts
+        genuinely parallel.
         """
         out_future: concurrent.futures.Future = concurrent.futures.Future()
         serializer = self.ctx.serializer
-        transport = getattr(self.ctx, "transport", None)
+        transport = self.ctx.transport
         try:
             if not executor.alive:
                 raise ExecutorLostError(executor.executor_id)
@@ -783,7 +775,6 @@ class TaskScheduler:
             payload = pickle.dumps(
                 {
                     "binary_id": tb.binary_id,
-                    "binary": tb.blob if tb.ref is None else None,
                     "binary_ref": tb.ref,
                     "partition": task.partition,
                     "attempt": attempt,
@@ -796,8 +787,11 @@ class TaskScheduler:
                     # private ShuffleManager must frame its map output the
                     # same way the driver will decode it
                     "shuffle_serializers": self.ctx.shuffle_manager.serializer_overrides(),
-                    "transport": transport.spec() if transport is not None else None,
+                    "transport": transport.spec(),
                     "result_transport_min": self.ctx.config.transport_min_bytes * 4,
+                    # the worker heartbeats at *this* driver's cadence while
+                    # the task runs, whoever spawned the fleet (0 = none)
+                    "heartbeat_interval": self.ctx.config.heartbeat_interval,
                     # the driver decides sampling so the profiled subset is
                     # identical across backends and retries
                     "profile": should_profile(
@@ -932,17 +926,10 @@ class TaskScheduler:
         # is charged once per (binary, executor); subsequent tasks on the
         # same executor only pay the pickled TransportRef (the bytes that
         # actually crossed the pipe once the blob is memoized worker-side).
-        # Persistent backends remember shipments *across contexts* -- a warm
-        # job re-running an identical stage charges only refs, which is the
+        # The cluster remembers shipments *across contexts* -- a warm job
+        # re-running an identical stage charges only refs, which is the
         # whole point of keeping the executors alive.
-        note = getattr(self.ctx.backend, "note_binary_shipped", None)
-        if note is not None:
-            first_ship = note(executor.executor_id, tb.binary_id)
-        else:
-            with self._lock:
-                first_ship = executor.executor_id not in tb.shipped_executors
-                tb.shipped_executors.add(executor.executor_id)
-        if first_ship or tb.ref is None:
+        if self.ctx.backend.note_binary_shipped(executor.executor_id, tb.binary_id):
             out["metrics"].task_binary_bytes += len(tb.blob)
         else:
             out["metrics"].task_binary_bytes += tb.ref_cost

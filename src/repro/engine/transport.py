@@ -1,12 +1,12 @@
-"""Out-of-band payload transport for the process backend.
+"""Out-of-band payload transport for the cluster backend.
 
-The pool pipe is the wrong place for megabyte payloads: every task that
-ships a stage's task binary (or a large broadcast / result body) through
-``ProcessPoolExecutor`` pays a full pickle copy through a pipe per task.
+A worker's task socket is the wrong place for megabyte payloads: every
+task that carried its stage's task binary (or a large broadcast / result
+body) inline would pay a full copy per task.
 This module moves those payloads through POSIX shared memory
 (:mod:`multiprocessing.shared_memory`) -- or a temp-file handoff when
 shared memory is unavailable -- and ships only a tiny
-:class:`TransportRef` through the pipe.  A third variant,
+:class:`TransportRef` in the task frame.  A third variant,
 :class:`SocketTransport`, serves the same refs over TCP with SHA-256
 dedup offers ahead of every payload push, so executors on *other hosts*
 (the persistent cluster's remote workers) speak the identical protocol.

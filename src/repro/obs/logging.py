@@ -15,11 +15,11 @@ The engine's logging layer.  Three pieces:
   human-readable console sink (``--log-level`` on a TTY), and the event
   log (v4 ``log`` record lines interleaved with job/telemetry records).
   Sinks are isolated -- a raising sink can never fail the engine.
-- worker capture (:func:`capture_logs`) -- the processes backend wraps
+- worker capture (:func:`capture_logs`) -- the cluster backend wraps
   each task attempt in a capture; records emitted worker-side ship home
   with the task result (the same channel as span fragments) and are
   replayed into the driver's bus with their correlation ids intact, so
-  ``serial``/``threads``/``processes`` runs expose identical log streams.
+  ``serial``/``threads``/``cluster`` runs expose identical log streams.
 
 Levels are the classic four (``debug`` < ``info`` < ``warning`` <
 ``error``); the bus level gates emission up front so disabled records
@@ -384,7 +384,7 @@ def capture_logs(
 ) -> Iterator[list[LogRecord]]:
     """Collect records emitted on ``bus`` during the block.
 
-    The processes backend wraps each worker task attempt in this; the
+    The cluster backend wraps each worker task attempt in this; the
     captured records ship home with the task result and are replayed into
     the driver's bus.  ``level`` temporarily widens/narrows the bus gate so
     the driver's requested verbosity applies inside worker processes too.

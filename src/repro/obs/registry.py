@@ -364,7 +364,7 @@ class Registry:
     # made there (size estimation, per-task instrumentation, GC meters)
     # would otherwise be silently dropped.  A worker snapshots state before
     # a task, collects the delta after, and ships it with the task result;
-    # the driver merges it so serial/threads/processes expose identical
+    # the driver merges it so serial/threads/cluster expose identical
     # series.
 
     def state_snapshot(self) -> dict:

@@ -28,12 +28,12 @@ def pytest_configure(config):
         "markers",
         "shared_driver_state: test observes driver-side closure mutation "
         "(list.append inside a task); impossible across a process boundary, "
-        "skipped when REPRO_BACKEND=processes",
+        "skipped when REPRO_BACKEND=cluster",
     )
 
 
 def pytest_collection_modifyitems(config, items):
-    if DEFAULT_BACKEND not in ("processes", "cluster"):
+    if DEFAULT_BACKEND != "cluster":
         return
     skip = pytest.mark.skip(
         reason="closures ship to worker processes by value; driver-side "
@@ -77,14 +77,12 @@ def no_leaked_engine_threads():
 
 @pytest.fixture(autouse=True, scope="session")
 def _reap_persistent_engine():
-    """End-of-session teardown for intentionally persistent machinery:
-    the cluster fleet(s) and the shared process pool."""
+    """End-of-session teardown for the intentionally persistent cluster
+    fleet(s)."""
     yield
-    from repro.engine.backends import shutdown_shared_pool
     from repro.engine.cluster_backend import stop_all_clusters
 
     stop_all_clusters()
-    shutdown_shared_pool()
 
 
 @pytest.fixture

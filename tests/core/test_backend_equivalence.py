@@ -1,4 +1,4 @@
-"""Cross-backend equivalence: serial, threads, and processes must agree.
+"""Cross-backend equivalence: serial, threads, and cluster must agree.
 
 The engine's whole claim is that the backend is an execution detail --
 identical statistics bit for bit, whichever pool runs the tasks.  These
@@ -13,7 +13,7 @@ from repro.config import EngineConfig
 from repro.core.algorithms import DistributedSparkScore
 from repro.engine.context import Context
 
-BACKENDS = ("serial", "threads", "processes")
+BACKENDS = ("serial", "threads", "cluster")
 SERIALIZERS = ("pickle", "numpy", "compressed")
 
 
@@ -39,7 +39,7 @@ class TestBackendsBitIdentical:
             out[flavor] = _run(small_dataset, "serial", flavor)
         return out
 
-    @pytest.mark.parametrize("backend", ["threads", "processes"])
+    @pytest.mark.parametrize("backend", ["threads", "cluster"])
     def test_matches_serial(self, small_dataset, reference, flavor, backend):
         mc_ref, perm_ref = reference[flavor]
         mc, perm = _run(small_dataset, backend, flavor)
@@ -76,7 +76,7 @@ class TestSerializersBitIdentical:
         assert np.array_equal(perm.exceed_counts, perm_ref.exceed_counts)
         assert np.array_equal(perm.pvalues(), perm_ref.pvalues())
 
-    @pytest.mark.parametrize("backend", ["threads", "processes"])
+    @pytest.mark.parametrize("backend", ["threads", "cluster"])
     def test_pickle_on_pool_backends_matches(self, small_dataset, reference, backend):
         mc_ref, perm_ref = reference
         mc, perm = _run(small_dataset, backend, "vectorized", serializer="pickle")

@@ -144,7 +144,7 @@ class TestSpeculationPolicy:
 # -- cross-backend bit-equivalence -------------------------------------------
 
 
-BACKENDS = ["serial", "threads", "processes", "cluster"]
+BACKENDS = ["serial", "threads", "cluster"]
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -263,7 +263,7 @@ def test_speculation_disabled_on_serial_backend():
 # -- serializer auto-selection -------------------------------------------------
 
 
-@pytest.mark.parametrize("backend", ["threads", "processes"])
+@pytest.mark.parametrize("backend", ["threads", "cluster"])
 def test_serializer_auto_selected_per_shuffle(backend):
     # genuinely distinct payloads: constant-folded repeats pickle-memoize
     # into tiny frames and the probe correctly keeps "pickle"
@@ -291,7 +291,7 @@ def test_serializer_auto_selected_per_shuffle(backend):
 
 
 def test_eventlog_v7_adaptive_side_channel(tmp_path):
-    from repro.engine.eventlog import read_adaptive, read_event_log
+    from repro.engine.eventlog import read_channels, read_event_log
 
     path = str(tmp_path / "events.jsonl")
     config = _adaptive_config("threads", speculation_enabled=True)
@@ -299,7 +299,7 @@ def test_eventlog_v7_adaptive_side_channel(tmp_path):
         ctx.parallelize(_skewed_pairs(), 4).partition_by(8).collect()
     jobs = read_event_log(path)
     assert len(jobs) == 1 and jobs[0].stages
-    records = read_adaptive(path)
+    records = read_channels(path)["adaptive"]
     assert records, "AQE decisions must land in the v7 side channel"
     plan = [r for r in records if r["kind"] != "speculation"]
     assert plan

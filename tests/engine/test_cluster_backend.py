@@ -240,9 +240,16 @@ class TestLifecycle:
             deadline = time.monotonic() + 5.0
             while time.monotonic() < deadline and hub.records_received == 0:
                 time.sleep(0.02)
-            # cluster workers heartbeat over their REGISTER socket; the hub
-            # drains them from the manager-owned queue like any other backend
+            # cluster workers heartbeat over their REGISTER socket; the
+            # manager hands the records to the subscribed hub
             assert hub.records_received > 0
+
+    def test_detached_backend_refuses_submits(self):
+        ctx = Context(_cluster_config())
+        backend = ctx.backend
+        ctx.stop()
+        with pytest.raises(RuntimeError, match="shut down"):
+            backend.submit_pickled(b"")
 
 
 def _sleep_a_beat(x):
@@ -337,51 +344,3 @@ class TestExternalHead:
             assert [r["executor_id"] for r in rows] == ["exec-0"]
         finally:
             head.stop()
-
-
-class TestSharedProcessPool:
-    """Satellite: the processes backend keeps its pool across contexts."""
-
-    def test_pool_survives_context_teardown(self):
-        config = EngineConfig(
-            backend="processes", num_executors=2, executor_cores=1,
-            default_parallelism=2, heartbeat_interval=0.0,
-        )
-        with Context(config) as ctx1:
-            ctx1.parallelize(range(4), 2).map(_square).collect()
-            pool1 = ctx1.backend._ensure_pool()
-            pids1 = {p.pid for p in pool1._processes.values()}
-        with Context(config) as ctx2:
-            ctx2.parallelize(range(4), 2).map(_square).collect()
-            pool2 = ctx2.backend._ensure_pool()
-            pids2 = {p.pid for p in pool2._processes.values()}
-        assert pool1 is pool2
-        assert pids1 == pids2  # same OS processes, not a lookalike pool
-
-    def test_detached_backend_refuses_submits(self):
-        config = EngineConfig(
-            backend="processes", num_executors=1, executor_cores=1,
-            default_parallelism=1, heartbeat_interval=0.0,
-        )
-        ctx = Context(config)
-        backend = ctx.backend
-        ctx.stop()
-        with pytest.raises(RuntimeError, match="shut down"):
-            backend.submit_pickled(b"")
-
-    def test_pool_retires_on_shape_change(self):
-        small = EngineConfig(
-            backend="processes", num_executors=1, executor_cores=1,
-            default_parallelism=1, heartbeat_interval=0.0,
-        )
-        large = EngineConfig(
-            backend="processes", num_executors=2, executor_cores=2,
-            default_parallelism=4, heartbeat_interval=0.0,
-        )
-        with Context(small) as ctx:
-            ctx.parallelize([1], 1).map(_square).collect()
-            pool_small = ctx.backend._ensure_pool()
-        with Context(large) as ctx:
-            ctx.parallelize(range(4), 4).map(_square).collect()
-            pool_large = ctx.backend._ensure_pool()
-        assert pool_small is not pool_large

@@ -10,14 +10,8 @@ from repro.core.replay import capture_job, replay
 from repro.engine.eventlog import (
     FORMAT_VERSION,
     EventLogListener,
-    read_adaptive,
-    read_alerts,
+    read_channels,
     read_event_log,
-    read_fleet,
-    read_inference,
-    read_logs,
-    read_series,
-    read_telemetry,
     series_to_points,
     write_event_log,
 )
@@ -230,7 +224,7 @@ class TestVersionCompat:
         assert task.metrics.peak_rss_bytes == 0
         assert task.profile is None
         assert task.span_fragments == []
-        assert read_telemetry(str(FIXTURES / "eventlog_v2.jsonl")) == []
+        assert read_channels(str(FIXTURES / "eventlog_v2.jsonl"))["telemetry"] == []
 
 
 class TestV3Telemetry:
@@ -254,7 +248,7 @@ class TestV3Telemetry:
 
     def test_heartbeat_lines_written_and_skipped(self, tmp_path):
         """Heartbeat records interleave in the stream; job readers skip
-        them, read_telemetry returns them."""
+        them, the telemetry channel returns them."""
         from repro.config import EngineConfig
         from repro.engine.context import Context
 
@@ -271,7 +265,7 @@ class TestV3Telemetry:
             ).sum()
         jobs = read_event_log(path)
         assert len(jobs) == 1
-        telemetry = read_telemetry(path)
+        telemetry = read_channels(path)["telemetry"]
         assert telemetry, "expected heartbeat records in the v3 log"
         assert all(t["event"] == "heartbeat" for t in telemetry)
         assert all(t["version"] == FORMAT_VERSION for t in telemetry)
@@ -302,7 +296,7 @@ class TestV4Logs:
 
     def test_log_records_interleave_and_recover(self, tmp_path):
         path = self._run_logged(tmp_path)
-        records = read_logs(path)
+        records = read_channels(path)["log"]
         assert records, "expected structured log lines in the v4 log"
         messages = {r.message for r in records}
         assert "job started" in messages and "job finished" in messages
@@ -316,14 +310,14 @@ class TestV4Logs:
         jobs = read_event_log(path)
         assert len(jobs) == 1
         # and telemetry readers don't confuse log lines with heartbeats
-        assert all(t["event"] != "log" for t in read_telemetry(path))
+        assert all(t["event"] != "log" for t in read_channels(path)["telemetry"])
 
     def test_level_gates_the_side_channel(self, tmp_path):
-        quiet = read_logs(self._run_logged(tmp_path, level="error"))
+        quiet = read_channels(self._run_logged(tmp_path, level="error"))["log"]
         assert quiet == []
 
     def test_old_fixture_has_no_logs(self):
-        assert read_logs(str(FIXTURES / "eventlog_v2.jsonl")) == []
+        assert read_channels(str(FIXTURES / "eventlog_v2.jsonl"))["log"] == []
 
     def test_committed_truncated_fixture_loads_partially(self):
         """Regression: the chopped fixture simulates a driver killed
@@ -341,12 +335,12 @@ class TestV5Monitoring:
         path = str(FIXTURES / "eventlog_v4.jsonl")
         (job,) = read_event_log(path)
         assert job.stages and job.stages[0].tasks
-        telemetry = read_telemetry(path)
+        telemetry = read_channels(path)["telemetry"]
         assert telemetry and all(t["event"] == "heartbeat" for t in telemetry)
-        records = read_logs(path)
+        records = read_channels(path)["log"]
         assert any(r.message == "job finished" for r in records)
-        assert read_series(path) == []
-        assert read_alerts(path) == []
+        assert read_channels(path)["series"] == []
+        assert read_channels(path)["alert"] == []
 
     def test_series_lines_round_trip(self, tmp_path):
         path = str(tmp_path / "v5.jsonl")
@@ -357,7 +351,7 @@ class TestV5Monitoring:
             ("engine_executor_rss_bytes", {"executor": "exec-0"}, 1024.0),
         ])
         listener.close()
-        records = read_series(path)
+        records = read_channels(path)["series"]
         assert [r["time"] for r in records] == [1.0, 2.0]
         points = series_to_points(records)
         assert points[("engine_jobs_total", ())] == [(1.0, 3.0), (2.0, 4.0)]
@@ -375,7 +369,7 @@ class TestV5Monitoring:
         }
         listener.write_alert(transition)
         listener.close()
-        (loaded,) = read_alerts(path)
+        (loaded,) = read_channels(path)["alert"]
         assert loaded["event"] == "alert"
         assert loaded["version"] == FORMAT_VERSION
         for key, value in transition.items():
@@ -396,11 +390,11 @@ class TestV5Monitoring:
                 assert _time.monotonic() < deadline, "no series line landed"
                 _time.sleep(0.02)
         assert len(read_event_log(path)) == 1
-        points = series_to_points(read_series(path))
+        points = series_to_points(read_channels(path)["series"])
         names = {name for name, _ in points}
         assert "engine_jobs_total" in names
         # job readers and the other side channels ignore series lines
-        assert all(t["event"] == "heartbeat" for t in read_telemetry(path))
+        assert all(t["event"] == "heartbeat" for t in read_channels(path)["telemetry"])
 
     def test_fleet_lines_round_trip(self, tmp_path):
         path = str(tmp_path / "v6.jsonl")
@@ -409,13 +403,13 @@ class TestV5Monitoring:
                               "tasks_by_driver": {"abc": 12}})
         listener.close()
         assert listener.fleet_written == 1
-        (snap,) = read_fleet(path)
+        (snap,) = read_channels(path)["fleet"]
         assert snap["jobs_served"] == 3
         assert snap["tasks_by_driver"] == {"abc": 12}
         # job readers and the other side channels skip fleet lines
         assert read_event_log(path) == []
-        assert read_telemetry(path) == []
-        assert read_series(path) == []
+        assert read_channels(path)["telemetry"] == []
+        assert read_channels(path)["series"] == []
 
     def test_torn_final_line_tolerated_by_side_channels(self, tmp_path):
         """A writer killed mid-series-line must not poison any reader."""
@@ -426,10 +420,11 @@ class TestV5Monitoring:
         listener.close()
         with open(path, "a") as fh:
             fh.write('{"event":"series","version":5,"time":3.0,"samp')  # torn
-        assert [r["time"] for r in read_series(path)] == [1.0]
-        assert [a["rule"] for a in read_alerts(path)] == ["r"]
         with pytest.warns(UserWarning, match="truncated"):
-            assert read_event_log(path) == []  # no jobs, but no crash either
+            channels = read_channels(path)
+        assert [r["time"] for r in channels["series"]] == [1.0]
+        assert [a["rule"] for a in channels["alert"]] == ["r"]
+        assert channels["job"] == []  # no jobs, but no crash either
 
 
 class TestV6Fleet:
@@ -447,8 +442,8 @@ class TestV6Fleet:
         with Context(config, event_log_path=path) as ctx:
             ctx.parallelize(range(8), 4).map(_plus_two).sum()
             trace_id = ctx.trace_id
-            assert read_fleet(path) == []  # written at stop, not before
-        (snap,) = read_fleet(path)
+            assert read_channels(path)["fleet"] == []  # written at stop, not before
+        (snap,) = read_channels(path)["fleet"]
         assert snap["jobs_served"] >= 1
         assert snap["tasks_by_driver"].get(trace_id, 0) >= 4
         assert "fleet_tasks_total" in snap["series_names"]
@@ -461,7 +456,7 @@ class TestV6Fleet:
         path = str(tmp_path / "serial.jsonl")
         with Context(serial_config, event_log_path=path) as ctx:
             ctx.parallelize(range(8), 4).sum()
-        assert read_fleet(path) == []
+        assert read_channels(path)["fleet"] == []
 
     def test_committed_v6_fixture_still_loads(self):
         """Regression: a real v6 log keeps loading whole -- job, telemetry,
@@ -469,16 +464,16 @@ class TestV6Fleet:
         path = str(FIXTURES / "eventlog_v6.jsonl")
         (job,) = read_event_log(path)
         assert job.stages and job.stages[0].tasks
-        assert read_telemetry(path), "expected heartbeat lines in the v6 log"
-        (snap,) = read_fleet(path)
+        assert read_channels(path)["telemetry"], "expected heartbeat lines in the v6 log"
+        (snap,) = read_channels(path)["fleet"]
         assert snap["jobs_served"] == 1
         assert snap["tasks_completed"] == 4
         assert snap["warm"]["binaries_cached"] == 1
         assert "fleet_slot_occupancy" in snap["series_names"]
 
     def test_old_fixtures_have_no_fleet(self):
-        assert read_fleet(str(FIXTURES / "eventlog_v2.jsonl")) == []
-        assert read_fleet(str(FIXTURES / "eventlog_v4.jsonl")) == []
+        assert read_channels(str(FIXTURES / "eventlog_v2.jsonl"))["fleet"] == []
+        assert read_channels(str(FIXTURES / "eventlog_v4.jsonl"))["fleet"] == []
 
 
 class TestV7Adaptive:
@@ -488,12 +483,12 @@ class TestV7Adaptive:
         path = str(FIXTURES / "eventlog_v7.jsonl")
         (job,) = read_event_log(path)
         assert job.stages and job.stages[0].tasks
-        assert any(r.message == "job finished" for r in read_logs(path))
-        (decision,) = read_adaptive(path)
+        assert any(r.message == "job finished" for r in read_channels(path)["log"])
+        (decision,) = read_channels(path)["adaptive"]
         assert decision["kind"] == "split"
         assert decision["old_partitions"] == 4
         assert decision["new_partitions"] == 6
-        assert read_inference(path) == []
+        assert read_channels(path)["inference"] == []
 
 
 class TestV8Inference:
@@ -519,7 +514,7 @@ class TestV8Inference:
         ))
         listener.close()
         assert listener.inference_written == 2
-        batch, decision = read_inference(path)
+        batch, decision = read_channels(path)["inference"]
         assert batch["kind"] == "batch"
         assert batch["replicates_total"] == 64
         assert batch["planned_replicates"] == 512
@@ -529,8 +524,8 @@ class TestV8Inference:
         assert decision["ci_low"] == pytest.approx(0.002)
         # job readers and the other side channels skip inference lines
         assert read_event_log(path) == []
-        assert read_adaptive(path) == []
-        assert read_telemetry(path) == []
+        assert read_channels(path)["adaptive"] == []
+        assert read_channels(path)["telemetry"] == []
 
     def test_committed_v8_fixture_still_loads(self):
         """Regression: a real v8 log (early-stopped monte-carlo run) keeps
@@ -538,7 +533,7 @@ class TestV8Inference:
         path = str(FIXTURES / "eventlog_v8.jsonl")
         jobs = read_event_log(path)
         assert jobs and all(j.stages for j in jobs)
-        records = read_inference(path)
+        records = read_channels(path)["inference"]
         batches = [r for r in records if r["kind"] == "batch"]
         converged = [r for r in records if r["kind"] == "converged"]
         assert batches and converged
@@ -568,7 +563,7 @@ class TestV8Inference:
         with Context(config, event_log_path=path) as ctx:
             analysis = SparkScoreAnalysis(dataset, engine="distributed", ctx=ctx)
             result = analysis.monte_carlo(256, seed=0, batch_size=64)
-        records = read_inference(path)
+        records = read_channels(path)["inference"]
         batches = [r for r in records if r["kind"] == "batch"]
         assert batches, "expected inference batch lines in the v8 log"
         assert batches[-1]["replicates_total"] == result.n_resamples
@@ -587,15 +582,16 @@ class TestV8Inference:
         listener.close()
         with open(path, "a") as fh:
             fh.write('{"event":"inference","version":8,"kind":"batc')  # torn
-        (batch,) = read_inference(path)
-        assert batch["replicates_total"] == 16
         with pytest.warns(UserWarning, match="truncated"):
-            assert read_event_log(path) == []  # no jobs, but no crash either
+            channels = read_channels(path)
+        (batch,) = channels["inference"]
+        assert batch["replicates_total"] == 16
+        assert channels["job"] == []  # no jobs, but no crash either
 
     def test_old_fixtures_have_no_inference(self):
-        assert read_inference(str(FIXTURES / "eventlog_v2.jsonl")) == []
-        assert read_inference(str(FIXTURES / "eventlog_v4.jsonl")) == []
-        assert read_inference(str(FIXTURES / "eventlog_v6.jsonl")) == []
+        assert read_channels(str(FIXTURES / "eventlog_v2.jsonl"))["inference"] == []
+        assert read_channels(str(FIXTURES / "eventlog_v4.jsonl"))["inference"] == []
+        assert read_channels(str(FIXTURES / "eventlog_v6.jsonl"))["inference"] == []
 
 
 def _plus_two(x):

@@ -21,6 +21,11 @@ def _slow(x):
     return x
 
 
+def _outlast_the_timeout(x):
+    time.sleep(1.0)
+    return x
+
+
 class TestHeartbeatFlow:
     def test_threads_backend_emits_heartbeats(self):
         config = EngineConfig(
@@ -40,20 +45,20 @@ class TestHeartbeatFlow:
 
     def test_process_backend_heartbeats_cross_process(self):
         config = EngineConfig(
-            backend="processes", num_executors=2, executor_cores=2,
+            backend="cluster", num_executors=2, executor_cores=2,
             default_parallelism=4, heartbeat_interval=0.05,
         )
         with Context(config) as ctx:
             collected = ctx.add_listener(CollectingListener(ExecutorHeartbeat))
             total = ctx.parallelize(range(16), 8).map(_slow).sum()
             assert total == 120
-            # worker heartbeats may still be in the manager queue; give the
-            # hub a couple of drain ticks
+            # worker heartbeats may still be in the hub's queue; give it a
+            # couple of drain ticks
             deadline = time.time() + 2.0
             while not collected.of(ExecutorHeartbeat) and time.time() < deadline:
                 time.sleep(0.05)
             beats = collected.of(ExecutorHeartbeat)
-            assert beats, "worker processes should heartbeat over the queue"
+            assert beats, "worker processes should heartbeat over their sockets"
             assert any(b.worker_pid != os.getpid() for b in beats), (
                 "heartbeats must originate in the worker processes"
             )
@@ -120,6 +125,33 @@ class TestTimeoutRecovery:
             # the frozen executor is dead; the survivor is alive
             by_id = {e.executor_id: e for e in ctx.executors}
             assert not by_id[frozen].alive
+
+    def test_fleet_spawned_without_heartbeats_still_reports_liveness(self):
+        """Regression: worker heartbeats used to be baked in at spawn, so a
+        fleet first created by a heartbeat_interval=0 context stayed silent
+        for every later context, whose timeout monitor then declared the
+        healthy executors lost ("no alive executors remain")."""
+        # a shape no other test uses, so this test is what spawns the fleet
+        quiet = EngineConfig(
+            backend="cluster", num_executors=3, executor_cores=1,
+            default_parallelism=3, heartbeat_interval=0.0,
+        )
+        watched = quiet.copy(heartbeat_interval=0.05, heartbeat_timeout=0.4)
+        with Context(quiet) as ctx:
+            assert ctx.parallelize(range(3), 3).map(_slow).sum() == 3
+            manager = ctx.backend._manager
+        try:
+            with Context(watched) as ctx:
+                assert ctx.backend._manager is manager
+                collected = ctx.add_listener(CollectingListener(ExecutorTimedOut))
+                rdd = ctx.parallelize(range(3), 3).map(_outlast_the_timeout)
+                assert rdd.collect() == [0, 1, 2]
+                assert not collected.of(ExecutorTimedOut)
+                assert ctx.heartbeats.records_received > 0
+            # with no hub subscribed the fleet drops records, queues nothing
+            assert manager.heartbeats._sinks == ()
+        finally:
+            manager.stop()
 
     def test_timed_out_flag_consumed_once(self):
         config = EngineConfig(

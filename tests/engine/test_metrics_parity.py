@@ -2,7 +2,7 @@
 
 The same analysis must surface the same metric series names (with
 consistent deterministic totals) on the driver registry whether tasks ran
-serially, on threads, or in worker processes.  For the process backend
+serially, on threads, or in worker processes.  For the cluster backend
 this exercises the worker -> driver registry-delta shipping path: the
 increments happen in another process and only reach the driver because
 each task result carries a delta that the scheduler merges.
@@ -16,7 +16,7 @@ from repro.config import EngineConfig
 from repro.engine.context import Context
 from repro.obs.registry import REGISTRY
 
-BACKENDS = ("serial", "threads", "processes")
+BACKENDS = ("serial", "threads", "cluster")
 
 
 def _double(x):
@@ -95,14 +95,14 @@ class TestParity:
             'engine_shuffle_records_total{direction="read"}',
         )
         reference = runs["serial"]["delta"]
-        for backend in ("threads", "processes"):
+        for backend in ("threads", "cluster"):
             delta = runs[backend]["delta"]
             for key in keys:
                 assert delta.get(key) == reference.get(key), (backend, key)
 
     def test_metric_name_sets_consistent(self, runs):
         """Serial's engine/worker series are a subset of every other
-        backend's (processes legitimately adds serialization-path series
+        backend's (cluster legitimately adds serialization-path series
         such as task-binary bytes)."""
         def names(run):
             # gauges (e.g. peak-RSS high-water marks) may legitimately not
@@ -123,15 +123,16 @@ class TestParity:
 
         base = names(runs["serial"])
         assert base  # sanity: the workload moved the registry
-        for backend in ("threads", "processes"):
+        for backend in ("threads", "cluster"):
             missing = base - names(runs[backend])
             assert not missing, f"{backend} lost series: {sorted(missing)}"
 
     def test_task_binary_bytes_counted_under_processes(self, runs):
-        """Only the process backend pickles per-stage task binaries; its
-        byte counter must be live both in TaskMetrics and the registry."""
-        assert runs["processes"]["binary_bytes"] > 0
-        assert runs["processes"]["delta"].get("engine_task_binary_bytes_total", 0) > 0
+        """Only the cluster backend ships per-stage task binaries to worker
+        processes; its byte counter must be live both in TaskMetrics and the
+        registry."""
+        assert runs["cluster"]["binary_bytes"] > 0
+        assert runs["cluster"]["delta"].get("engine_task_binary_bytes_total", 0) > 0
 
     def test_gc_pause_counter_exists_everywhere(self, runs):
         for backend in BACKENDS:

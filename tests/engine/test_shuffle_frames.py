@@ -209,10 +209,10 @@ class TestEngineRecoveryOverFrames:
 
     @pytest.mark.slow
     def test_recovery_through_worker_combined_route(self, serializer):
-        """Process backend: map output flows through register_map_output
+        """Cluster backend: map output flows through register_map_output
         (worker-encoded frames adopted by the driver), then an executor dies
         and the reduce recovers via resubmission of the lost maps."""
-        with _make_ctx("processes", serializer) as ctx:
+        with _make_ctx("cluster", serializer) as ctx:
             rdd = (
                 ctx.parallelize([(i % 4, i) for i in range(40)], 4)
                 .reduce_by_key(operator.add)

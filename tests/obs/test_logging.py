@@ -198,13 +198,13 @@ class TestEngineIntegration:
         """The same job logs the same (job, stage, partition) ids under
         every backend -- worker-side records ship home with full ids."""
         expected = {(0, s, p) for s in (0, 1) for p in range(4)}
-        for backend in ("serial", "threads", "processes"):
+        for backend in ("serial", "threads", "cluster"):
             assert self._task_finished_keys(backend) == expected, backend
 
     def test_worker_records_carry_executor_ids(self):
         LOG_BUS.clear()
         config = EngineConfig(
-            backend="processes", num_executors=2, executor_cores=1,
+            backend="cluster", num_executors=2, executor_cores=1,
             default_parallelism=2, log_level="debug",
         )
         with Context(config) as ctx:

@@ -79,6 +79,40 @@ class TestAnalyze:
         assert len(lines) == 9  # header + 8 sets
 
 
+class TestOneShotClusterRun:
+    @pytest.mark.parametrize("backend", ["cluster", "processes"])
+    def test_exits_clean_and_matches_serial(self, backend, dataset_dir, tmp_path):
+        """Regression: nothing stopped the in-process cluster at interpreter
+        exit, so a one-shot run leaked its transport's shared memory and
+        the resource tracker said so on stderr.  ``processes`` is the same
+        backend under its other spelling."""
+        import glob
+        import os
+        import subprocess
+        import sys
+
+        import repro
+
+        analyze = ["analyze", dataset_dir, "--iterations", "64", "--seed", "2",
+                   "--engine", "distributed"]
+        out_serial = tmp_path / "serial.tsv"
+        main(analyze + ["--backend", "serial", "--output", str(out_serial)])
+
+        segments_before = set(glob.glob("/dev/shm/repro-*"))
+        out_cluster = tmp_path / "cluster.tsv"
+        env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-m", "repro.cli", *analyze,
+             "--backend", backend, "--output", str(out_cluster)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert "resource_tracker" not in done.stderr, done.stderr
+        assert "leaked" not in done.stderr, done.stderr
+        assert set(glob.glob("/dev/shm/repro-*")) <= segments_before
+        assert out_cluster.read_text() == out_serial.read_text()
+
+
 class TestMaxt:
     def test_runs_and_reports(self, dataset_dir, capsys):
         rc = main(["maxt", dataset_dir, "--iterations", "300", "--seed", "3", "--top", "5"])
@@ -352,9 +386,9 @@ class TestMonitoringFlags:
                    "--no-progress"])
         assert rc == 0
         capsys.readouterr()
-        from repro.engine.eventlog import read_series
+        from repro.engine.eventlog import read_channels
 
-        assert read_series(str(log)), "sampler produced no v5 series lines"
+        assert read_channels(str(log))["series"], "sampler produced no v5 series lines"
         rc = main(["history", str(log), "--series"])
         assert rc == 0
         out = capsys.readouterr().out

@@ -78,6 +78,16 @@ class TestEngineConfig:
         with pytest.raises(ValueError):
             EngineConfig().set("spark.executor.cores", 0)
 
+    def test_processes_is_a_spelling_of_cluster(self):
+        config = EngineConfig(backend="processes")
+        assert config.backend == "cluster"
+        # every path back through validate() normalises it again
+        assert config.copy(backend="processes").backend == "cluster"
+        config.backend = "processes"
+        config.set("spark.executor.instances", 3)
+        assert config.backend == "cluster"
+        assert config.get("spark.executor.instances") == 3
+
     def test_storage_memory_budget(self):
         config = EngineConfig(executor_memory=1000, storage_fraction=0.6)
         assert config.storage_memory_per_executor == 600
