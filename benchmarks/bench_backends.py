@@ -43,14 +43,12 @@ from repro.genomics.synthetic import SyntheticConfig, generate_dataset
 BACKENDS = ("serial", "threads", "cluster")
 
 
-def run_backend(dataset, backend: str, args, serializer: str | None = None) -> dict:
-    serializer = serializer or args.serializer
+def run_backend(dataset, backend: str, args) -> dict:
     config = EngineConfig(
         backend=backend,
         num_executors=args.executors,
         executor_cores=args.cores,
         default_parallelism=args.executors * args.cores,
-        serializer=serializer,
     )
     with Context(config) as ctx:
         # the cluster's transport is shared across contexts; record the
@@ -68,12 +66,10 @@ def run_backend(dataset, backend: str, args, serializer: str | None = None) -> d
         totals = [job.totals() for job in ctx.metrics.jobs]
         row = {
             "backend": backend,
-            "serializer": serializer,
             "wall_seconds": wall,
             "driver_bytes_collected": sum(t.driver_bytes_collected for t in totals),
             "task_binary_bytes": sum(t.task_binary_bytes for t in totals),
             "shuffle_bytes": sum(t.shuffle_bytes_written for t in totals),
-            "shuffle_compressed_bytes": sum(t.shuffle_compressed_bytes for t in totals),
             "serializer_seconds": sum(t.serializer_seconds for t in totals),
             "jobs_run": len(ctx.metrics.jobs),
             "observed": result.observed,
@@ -213,10 +209,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--cores", type=int, default=2)
     parser.add_argument("--flavor", choices=["paper", "vectorized"], default="vectorized")
     parser.add_argument("--seed", type=int, default=17)
-    parser.add_argument("--serializer", choices=["pickle", "numpy", "compressed"],
-                        default="pickle", help="serializer for the backend sweep")
-    parser.add_argument("--skip-serializer-sweep", action="store_true",
-                        help="skip the per-serializer sweep on the cluster backend")
     parser.add_argument("--warm-jobs", type=int, default=2,
                         help="warm repetitions in the cluster cold/warm sweep "
                         "(0 skips the sweep)")
@@ -259,25 +251,6 @@ def main(argv: list[str] | None = None) -> int:
             f"{row['backend']} diverged from serial"
         )
 
-    serializer_rows = []
-    if not args.skip_serializer_sweep:
-        print()
-        for serializer in ("pickle", "numpy", "compressed"):
-            row = run_backend(dataset, "cluster", args, serializer=serializer)
-            assert np.array_equal(row["exceed_counts"], rows[0]["exceed_counts"]), (
-                f"serializer {serializer} diverged"
-            )
-            row["matches_local"] = np.array_equal(
-                row["exceed_counts"], local.exceed_counts
-            )
-            serializer_rows.append(row)
-            print(
-                f"{serializer:>10}: {row['wall_seconds']:8.2f}s  "
-                f"shuffle {row['shuffle_bytes']:>10,} B raw / "
-                f"{row['shuffle_compressed_bytes']:>10,} B framed  "
-                f"task-binaries {row['task_binary_bytes']:>12,} B"
-            )
-
     cold_warm = None
     if args.warm_jobs > 0:
         print()
@@ -308,10 +281,6 @@ def main(argv: list[str] | None = None) -> int:
                 "speedup_vs_serial": serial_wall / row["wall_seconds"],
             }
             for row in rows
-        ],
-        "serializer_sweep_cluster": [
-            {k: v for k, v in row.items() if k not in ("observed", "exceed_counts")}
-            for row in serializer_rows
         ],
         "cluster_cold_warm": cold_warm,
         "adaptive_sweep": adaptive,

@@ -66,10 +66,6 @@ def _add_analyze(sub: argparse._SubParsersAction) -> None:
     p.add_argument("--cluster-secret", default=None, metavar="TOKEN",
                    help="auth secret of the external cluster head "
                         "(default: $REPRO_CLUSTER_SECRET)")
-    p.add_argument("--serializer", choices=["pickle", "numpy", "compressed"],
-                   default="pickle",
-                   help="data-plane serializer for shuffle blocks and shipped "
-                        "cache blocks (engine=distributed only)")
     p.add_argument("--executors", type=int, default=2)
     p.add_argument("--cores", type=int, default=2)
     p.add_argument("--flavor", choices=["paper", "vectorized"], default="vectorized")
@@ -92,9 +88,8 @@ def _add_analyze(sub: argparse._SubParsersAction) -> None:
     adaptive.add_argument("--adaptive", dest="adaptive", action="store_true",
                           default=None,
                           help="enable adaptive query execution: runtime skew "
-                               "repartitioning, speculative task execution, and "
-                               "auto-tuned shuffle serialization (equivalent to "
-                               "spark.adaptive.enabled=true + "
+                               "repartitioning and speculative task execution "
+                               "(equivalent to spark.adaptive.enabled=true + "
                                "spark.speculation=true; distributed only)")
     adaptive.add_argument("--no-adaptive", dest="adaptive", action="store_false",
                           help="force adaptive execution and speculation off")
@@ -328,7 +323,6 @@ def _load_analysis(args: argparse.Namespace):
             executor_cores=args.cores,
             default_parallelism=args.executors * args.cores,
             profile_fraction=getattr(args, "profile_fraction", 0.0) or 0.0,
-            serializer=getattr(args, "serializer", "pickle") or "pickle",
             cluster_address=cluster_address or "",
             cluster_secret=getattr(args, "cluster_secret", None) or "",
         )
@@ -863,11 +857,9 @@ def cmd_postmortem(args: argparse.Namespace) -> int:
               + ", ".join(s.get("name", "?") for s in open_spans))
 
     aqe = bundle.get("adaptive")
-    if aqe and (aqe.get("stages_rewritten") or aqe.get("serializer_picks")
-                or aqe.get("speculative_launched")):
+    if aqe and (aqe.get("stages_rewritten") or aqe.get("speculative_launched")):
         print(f"\nadaptive execution: {aqe.get('stages_rewritten', 0)} plan "
-              f"rewrite(s), {aqe.get('serializer_picks', 0)} serializer "
-              f"pick(s), speculative launched/won "
+              f"rewrite(s), speculative launched/won "
               f"{aqe.get('speculative_launched', 0)}/"
               f"{aqe.get('speculative_won', 0)}")
         for d in (aqe.get("decisions") or [])[-5:]:

@@ -89,10 +89,6 @@ class EngineConfig:
     profile_fraction: float = 0.0
     #: hotspot rows kept per profiled task attempt
     profile_top_n: int = 20
-    #: data-plane serializer: "pickle", "numpy" (raw ndarray frames), or
-    #: "compressed" (numpy + zlib); governs shuffle blocks, shipped cache
-    #: blocks, and serialized storage levels
-    serializer: str = "pickle"
     #: blobs at least this large travel by shared-memory/temp-file
     #: transport ref instead of through the worker socket (cluster backend)
     transport_min_bytes: int = 64 * 1024
@@ -149,10 +145,6 @@ class EngineConfig:
     #: buckets below this fraction of the median are coalesced with
     #: adjacent small buckets
     adaptive_coalesce_ratio: float = 0.25
-    #: probe the first map output of each shuffle and pick the cheapest
-    #: serializer (pickle/numpy/compressed) per shuffle (requires
-    #: ``adaptive_enabled``)
-    adaptive_serializer: bool = True
     #: launch duplicate attempts of straggling tasks on warm executors;
     #: first result wins, the loser is cancelled and ignored
     speculation_enabled: bool = False
@@ -179,6 +171,11 @@ class EngineConfig:
     #: free-form extra options (string keyed, Spark style)
     extra: dict[str, Any] = field(default_factory=dict)
 
+    #: the one frame format's name; a class constant, not a field.  Kept only
+    #: for benchmarks/e2e (``layers.py`` reads ``config.serializer``); drop
+    #: in the next ``[benchmark]`` PR
+    serializer = "pickle"
+
     _ALIASES = {
         "spark.app.name": "app_name",
         "spark.executor.instances": "num_executors",
@@ -191,7 +188,6 @@ class EngineConfig:
         "spark.executor.heartbeatInterval": "heartbeat_interval",
         "spark.network.timeout": "heartbeat_timeout",
         "spark.python.profile.fraction": "profile_fraction",
-        "spark.serializer": "serializer",
         "spark.transport.minBytes": "transport_min_bytes",
         "spark.transport.scheme": "transport_scheme",
         "spark.cluster.address": "cluster_address",
@@ -205,7 +201,6 @@ class EngineConfig:
         "spark.sql.adaptive.enabled": "adaptive_enabled",
         "spark.adaptive.maxSplits": "adaptive_max_splits",
         "spark.adaptive.coalesceRatio": "adaptive_coalesce_ratio",
-        "spark.adaptive.serializer": "adaptive_serializer",
         "spark.diagnostics.skewRatio": "skew_max_over_median",
         "spark.diagnostics.minTasks": "diagnostics_min_tasks",
         "spark.metrics.interval": "metrics_interval",
@@ -253,13 +248,6 @@ class EngineConfig:
             raise ValueError("profile_fraction must be in [0, 1]")
         if self.profile_top_n < 1:
             raise ValueError("profile_top_n must be >= 1")
-        from repro.engine.serializer import SERIALIZER_NAMES
-
-        if self.serializer not in SERIALIZER_NAMES:
-            raise ValueError(
-                f"unknown serializer {self.serializer!r}; "
-                f"choose from {', '.join(SERIALIZER_NAMES)}"
-            )
         if self.transport_min_bytes < 0:
             raise ValueError("transport_min_bytes must be >= 0")
         from repro.obs.logging import LEVELS

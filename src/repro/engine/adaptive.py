@@ -13,10 +13,6 @@ only fed dashboards and ``sparkscore doctor``.  The
   into a :class:`~repro.engine.partitioner.ShuffleRemap`, producing a
   rebalanced reduce stage with bit-identical results (segments preserve
   the old bucket/map iteration order exactly).
-- **runtime serializer selection** -- the first map task of a shuffle runs
-  as a probe; its registered frames are sampled for compressibility and
-  record shape, and the cheapest serializer is pinned per-shuffle
-  (re-encoding the probe's frames) before the remaining maps launch.
 - **speculative execution policy** -- :class:`SpeculationPolicy` decides
   when a running task has straggled long enough past the completed-task
   median to justify a duplicate attempt; the task scheduler owns the
@@ -25,18 +21,13 @@ only fed dashboards and ``sparkscore doctor``.  The
 Remaps are *job-scoped*: shuffle storage keeps the original layout, and
 the scheduler reverts the partitioner mutation when the job finishes so a
 later job over the same lineage plans against the committed layout.
-Serializer overrides are *storage-scoped* and persist with the frames
-they describe.
 """
 
 from __future__ import annotations
 
 import math
 import threading
-import zlib
 from typing import TYPE_CHECKING, Any
-
-import numpy as np
 
 from repro.engine.dependencies import OneToOneDependency
 from repro.engine.listener import AdaptivePlanApplied
@@ -214,7 +205,6 @@ class AdaptivePlanner:
         self.ctx = ctx
         config = ctx.config
         self.enabled = config.adaptive_enabled
-        self.serializer_enabled = config.adaptive_enabled and config.adaptive_serializer
         self.speculation: SpeculationPolicy | None = (
             SpeculationPolicy.from_config(config) if config.speculation_enabled else None
         )
@@ -225,10 +215,8 @@ class AdaptivePlanner:
         self._lock = threading.Lock()
         self.decisions: list[dict] = []
         self.stages_rewritten = 0
-        self.serializer_picks = 0
         self.speculative_launched = 0
         self.speculative_won = 0
-        self._probed_shuffles: set[int] = set()
 
     # -- skew repartitioning ----------------------------------------------
 
@@ -301,50 +289,6 @@ class AdaptivePlanner:
             self.stages_rewritten += 1
         return AppliedRemap(shuffled, original, remap, manager)
 
-    # -- serializer selection ---------------------------------------------
-
-    def wants_serializer_probe(self, stage: "Stage") -> bool:
-        """Should this shuffle-map stage gate on a one-task probe wave?"""
-        if not self.serializer_enabled or not stage.is_shuffle_map:
-            return False
-        shuffle_id = stage.shuffle_dep.shuffle_id
-        if shuffle_id in self._probed_shuffles or stage.num_tasks < 2:
-            return False
-        return not self.ctx.shuffle_manager.available_maps(shuffle_id)
-
-    def choose_serializer(self, stage: "Stage", job_id: int) -> str | None:
-        """Pick a per-shuffle serializer from the probe map's frames.
-
-        Called after the stage's first map output registered and before
-        any other map launches; re-encodes the probe frames when the
-        choice differs from the context serializer.
-        """
-        dep = stage.shuffle_dep
-        shuffle_id = dep.shuffle_id
-        self._probed_shuffles.add(shuffle_id)
-        manager = self.ctx.shuffle_manager
-        maps = sorted(manager.available_maps(shuffle_id))
-        if not maps:
-            return None
-        blocks = manager.peek_map_output(shuffle_id, maps[0])
-        current = manager.serializer_for(shuffle_id)
-        choice = _pick_serializer(blocks, current)
-        if choice is None or choice == current.name:
-            return None
-        manager.set_serializer_override(shuffle_id, choice)
-        self._record(
-            kind="serializer",
-            shuffle_id=shuffle_id,
-            stage_id=stage.id,
-            job_id=job_id,
-            old_partitions=stage.num_tasks,
-            new_partitions=stage.num_tasks,
-            detail=f"{current.name} -> {choice}",
-        )
-        with self._lock:
-            self.serializer_picks += 1
-        return choice
-
     # -- speculation accounting -------------------------------------------
 
     def note_speculation_launched(self) -> None:
@@ -373,10 +317,8 @@ class AdaptivePlanner:
         with self._lock:
             return {
                 "enabled": self.enabled,
-                "serializer_enabled": self.serializer_enabled,
                 "speculation_enabled": self.speculation is not None,
                 "stages_rewritten": self.stages_rewritten,
-                "serializer_picks": self.serializer_picks,
                 "speculative_launched": self.speculative_launched,
                 "speculative_won": self.speculative_won,
                 "decisions": list(self.decisions[-100:]),
@@ -436,31 +378,3 @@ def _chain_is_private(stage: "Stage", graph: "StageGraph", chain_ids: set[int]) 
         if _narrow_closure_ids(other.rdd) & chain_ids:
             return False
     return True
-
-
-def _pick_serializer(blocks: dict, current) -> str | None:
-    """Heuristic codec choice from one map's registered buckets."""
-    non_empty = [b for b in blocks.values() if b.num_records > 0]
-    if not non_empty:
-        return None
-    largest = max(non_empty, key=lambda b: len(b.payload))
-    sample = largest.payload[:65536]
-    if len(sample) < 64:
-        return None
-    ratio = len(zlib.compress(sample, 1)) / len(sample)
-    total_bytes = sum(b.serialized_bytes for b in non_empty)
-    total_records = sum(b.num_records for b in non_empty)
-    avg_record_bytes = total_bytes / max(1, total_records)
-    try:
-        records = current.loads(largest.payload)
-        ndarray_heavy = any(
-            isinstance(value, np.ndarray)
-            for _key, value in list(records)[:8]
-        )
-    except Exception:
-        ndarray_heavy = False
-    if ndarray_heavy:
-        return "compressed" if ratio < 0.6 else "numpy"
-    if ratio < 0.6 and avg_record_bytes >= 64:
-        return "compressed"
-    return "pickle"

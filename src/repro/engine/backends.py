@@ -203,8 +203,8 @@ def _run_pickled_task(payload: bytes) -> bytes:
     Receives a pickled dict with a transport ref to the stage's task binary
     (lineage + closure, memoized per worker and fetched on a cache miss),
     the partition/attempt to run, pre-fetched shuffle
-    frames, and pre-attached cache blocks (serializer frames); computes a
-    result dict with the result, any shuffle output written (as serialized
+    frames, and pre-attached cache blocks (frames); computes a
+    result dict with the result, any shuffle output written (as
     :class:`~repro.engine.shuffle.ShuffleBlock` frames), newly cached
     blocks, accumulator updates, task metrics + resource telemetry,
     optional cProfile hotspot rows, worker-local span fragments
@@ -221,7 +221,7 @@ def _run_pickled_task(payload: bytes) -> bytes:
     from repro.engine.accumulator import AccumulatorBuffer
     from repro.engine.blockmanager import BlockManager
     from repro.engine.profiler import profile_call
-    from repro.engine.serializer import get_serializer
+    from repro.engine.serializer import loads
     from repro.engine.shuffle import ShuffleManager
     from repro.engine.storage import StorageLevel
     from repro.engine.task import ShuffleMapTask, TaskContext, TaskTelemetry
@@ -234,16 +234,10 @@ def _run_pickled_task(payload: bytes) -> bytes:
     spec = pickle.loads(payload)
     _CURRENT_EXECUTOR.executor_id = spec["executor_id"]
     transport = from_spec(spec["transport"])
-    serializer = get_serializer(spec.get("serializer"))
     binary = _load_task_binary(spec["binary_id"], spec["binary_ref"], transport)
     task = binary.make_task(spec["partition"])
     block_manager = BlockManager(spec["executor_id"], memory_budget=1 << 62)
-    block_manager.serializer = serializer
-    worker_shuffle = ShuffleManager(track_bytes=False, serializer=serializer)
-    # adaptive per-shuffle serializer picks made driver-side: the worker
-    # must frame its map output the way the driver will decode it
-    for sid, name in (spec.get("shuffle_serializers") or {}).items():
-        worker_shuffle.set_serializer_override(sid, name)
+    worker_shuffle = ShuffleManager(track_bytes=False)
     tc = TaskContext(
         stage_id=task.stage_id,
         partition=task.partition,
@@ -260,7 +254,7 @@ def _run_pickled_task(payload: bytes) -> bytes:
     tc.prefetched_shuffle = spec["prefetched_shuffle"]
     for block_id, frame in spec["cached_blocks"].items():
         level = binary.storage_levels.get(block_id[0], StorageLevel.MEMORY)
-        tc.block_manager.put(block_id, serializer.loads(frame), level)
+        tc.block_manager.put(block_id, loads(frame), level)
     deserialize_seconds = time.perf_counter() - task_start
     tc.metrics.deserialize_seconds = deserialize_seconds
 

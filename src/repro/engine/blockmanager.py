@@ -26,6 +26,7 @@ from typing import TYPE_CHECKING, Any, Iterable
 
 import numpy as np
 
+from repro.engine.serializer import dumps, loads
 from repro.engine.storage import StorageLevel
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -144,10 +145,10 @@ def estimate_size(obj: Any, _depth: int = 0) -> int:
 
 @dataclass
 class _Block:
-    data: list
+    #: the live list, or its frame alone when ``level.serialized``
+    data: list | bytes
     size: int
     level: StorageLevel
-    serialized: bytes | None = None
 
 
 class BlockManager:
@@ -165,19 +166,6 @@ class BlockManager:
         self.spills = 0
         #: optional listener bus (set by the context); cache events go here
         self.bus: "ListenerBus | None" = None
-        #: data-plane serializer for serialized storage levels and spill
-        #: files (set by the context / worker entry point); pickle when unset
-        self.serializer: Any = None
-
-    def _dumps(self, data: list) -> bytes:
-        if self.serializer is not None:
-            return self.serializer.dumps(data)
-        return pickle.dumps(data, protocol=pickle.HIGHEST_PROTOCOL)
-
-    def _loads(self, frame: bytes) -> list:
-        if self.serializer is not None:
-            return self.serializer.loads(frame)
-        return pickle.loads(frame)
 
     # -- properties --------------------------------------------------------
 
@@ -213,11 +201,11 @@ class BlockManager:
         materialized = data if isinstance(data, list) else list(data)
         if level is StorageLevel.NONE:
             return materialized
-        serialized = None
+        stored: list | bytes = materialized
         est_start = time.perf_counter()
         if level.serialized:
-            serialized = self._dumps(materialized)
-            size = len(serialized) + 64
+            stored = dumps(materialized)
+            size = len(stored) + 64
         else:
             size = 64 + sum(estimate_size(item) for item in materialized)
         if metrics is not None:
@@ -232,9 +220,7 @@ class BlockManager:
                     self._spill(block_id, materialized)
                 return materialized
             self._evict_until_fits(size, protect=block_id, events=events)
-            self._blocks[block_id] = _Block(
-                data=materialized, size=size, level=level, serialized=serialized
-            )
+            self._blocks[block_id] = _Block(data=stored, size=size, level=level)
             self._memory_used += size
             self._blocks.move_to_end(block_id)
         self._post_cached(block_id, size, level, events)
@@ -258,13 +244,13 @@ class BlockManager:
             block = self._blocks.get(block_id)
             if block is not None:
                 self._blocks.move_to_end(block_id)
-                if block.level.serialized and block.serialized is not None:
-                    return self._loads(block.serialized)
+                if block.level.serialized:
+                    return loads(block.data)
                 return block.data
             path = self._spilled.get(block_id)
         if path is not None:
             with open(path, "rb") as fh:
-                return self._loads(fh.read())
+                return loads(fh.read())
         return None
 
     def was_spilled(self, block_id: BlockId) -> bool:
@@ -312,7 +298,7 @@ class BlockManager:
         os.makedirs(self._spill_dir, exist_ok=True)
         path = os.path.join(self._spill_dir, f"block_{block_id[0]}_{block_id[1]}.pkl")
         with open(path, "wb") as fh:
-            fh.write(self._dumps(data))
+            fh.write(dumps(data))
         with self._lock:
             self._spilled[block_id] = path
         self.spills += 1

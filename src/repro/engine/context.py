@@ -41,7 +41,6 @@ class Context:
         trace_path: str | None = None,
         ui_port: int | None = None,
         progress: bool = False,
-        serializer: "str | None" = None,
         log_file: str | None = None,
         log_level: str | None = None,
         metrics_interval: float | None = None,
@@ -50,8 +49,6 @@ class Context:
         flight_recorder: str | None = None,
     ) -> None:
         self.config = config or EngineConfig()
-        if serializer is not None:
-            self.config = self.config.copy(serializer=serializer)
         if log_level is not None:
             self.config = self.config.copy(log_level=log_level)
         if metrics_interval is not None:
@@ -72,11 +69,6 @@ class Context:
         #: drivers sharing one persistent fleet stay distinguishable
         self.trace_id = secrets.token_hex(16)
         self.listener_bus = ListenerBus()
-        #: the data-plane serializer (shuffle frames, shipped cache blocks,
-        #: serialized storage levels); Spark's ``spark.serializer``
-        from repro.engine.serializer import get_serializer
-
-        self.serializer = get_serializer(self.config.serializer)
         self.backend = make_backend(self.config)
         #: out-of-band blob transport (shared memory / temp files / TCP);
         #: only the process-isolated cluster backend moves bytes across
@@ -96,13 +88,12 @@ class Context:
         for executor in self.executors:
             self.block_master.register_manager(executor.block_manager)
             executor.block_manager.bus = self.listener_bus
-            executor.block_manager.serializer = self.serializer
-        self.shuffle_manager = ShuffleManager(serializer=self.serializer)
+        self.shuffle_manager = ShuffleManager()
         self.shuffle_manager.bus = self.listener_bus
         self.metrics = MetricsRegistry()
-        # adaptive query execution: skew repartitioning + per-shuffle
-        # serializer selection + the speculation policy.  Always present so
-        # dashboards and flight-recorder bundles can report "disabled"
+        # adaptive query execution: skew repartitioning + the speculation
+        # policy.  Always present so dashboards and flight-recorder bundles
+        # can report "disabled"
         from repro.engine.adaptive import AdaptivePlanner
 
         self.adaptive = AdaptivePlanner(self)

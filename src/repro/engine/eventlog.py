@@ -43,11 +43,12 @@ future fields can be added compatibly.  Version history:
 - **v7** -- adaptive query execution.  Task records gain an optional
   ``speculative`` flag (present only when a winning attempt was a
   speculative twin), and a new ``adaptive`` side channel records every
-  planner decision: skew splits/coalesces, per-shuffle serializer picks,
-  and speculative launches.  Recoverable as the ``adaptive`` channel so
-  ``sparkscore history`` and post-mortem bundles can show *why* a job's
-  physical plan diverged from its static one.  v6 and earlier logs load
-  unchanged.
+  planner decision: skew splits/coalesces and speculative launches
+  (older logs may also carry ``"serializer"`` decisions and a retired
+  task-metric key; both load, and decisions render as recorded).
+  Recoverable as the ``adaptive`` channel so ``sparkscore history`` and
+  post-mortem bundles can show *why* a job's physical plan diverged from
+  its static one.  v6 and earlier logs load unchanged.
 - **v8** -- inference observability.  An ``inference`` side channel
   records the convergence of resampling p-values: one ``batch`` line per
   replicate batch folded into the convergence monitor (running replicate
@@ -70,7 +71,7 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from typing import IO, Iterable
 
 from repro.engine.listener import (
@@ -139,6 +140,15 @@ def _task_to_dict(rec: TaskRecord) -> dict:
     return out
 
 
+_TASK_METRIC_FIELDS = frozenset(f.name for f in fields(TaskMetrics))
+
+
+def _task_metrics(data: dict) -> TaskMetrics:
+    """Task metrics from any log version: fields added later take their
+    defaults, keys since retired from ``TaskMetrics`` are dropped."""
+    return TaskMetrics(**{k: v for k, v in data.items() if k in _TASK_METRIC_FIELDS})
+
+
 def _job_from_dict(data: dict) -> JobMetrics:
     if data.get("event") != "job":
         raise ValueError(f"not a job event: {data.get('event')!r}")
@@ -166,8 +176,6 @@ def _job_from_dict(data: dict) -> JobMetrics:
             submit_time=stage_data.get("submit_time", 0.0),
         )
         for rec in stage_data["tasks"]:
-            # v1 task metrics lack fields added later; TaskMetrics defaults
-            # cover them
             stage.tasks.append(
                 TaskRecord(
                     stage_id=rec["stage_id"],
@@ -176,7 +184,7 @@ def _job_from_dict(data: dict) -> JobMetrics:
                     executor_id=rec["executor_id"],
                     duration_seconds=rec["duration_seconds"],
                     start_time=rec.get("start_time", 0.0),
-                    metrics=TaskMetrics(**rec["metrics"]),
+                    metrics=_task_metrics(rec["metrics"]),
                     succeeded=rec["succeeded"],
                     error=rec["error"],
                     profile=rec.get("profile"),
@@ -240,8 +248,7 @@ def read_channels(path_or_file: str | IO[str]) -> dict[str, list]:
     - ``"alert"`` -- raw v5 alert-transition dicts;
     - ``"fleet"`` -- v6 fleet snapshot dicts;
     - ``"adaptive"`` -- raw v7 planner-decision dicts (``kind`` is
-      ``"split"``, ``"coalesce"``, ``"rebalance"``, ``"serializer"`` or
-      ``"speculation"``);
+      ``"split"``, ``"coalesce"``, ``"rebalance"`` or ``"speculation"``);
     - ``"inference"`` -- raw v8 convergence dicts (``kind`` is ``"batch"``
       or ``"converged"``).
 

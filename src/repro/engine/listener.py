@@ -113,9 +113,6 @@ class ShuffleWrite(EngineEvent):
     executor_id: str
     bytes_written: int
     records_written: int
-    #: framed (post-compression) bytes stored; equals ``bytes_written``
-    #: under an uncompressed serializer
-    compressed_bytes: int = 0
 
 
 @dataclass
@@ -217,11 +214,9 @@ class AdaptivePlanApplied(EngineEvent):
     """The adaptive planner rewrote part of the physical plan at a stage
     boundary.
 
-    ``kind`` is ``"split"``, ``"coalesce"``, ``"rebalance"`` (both at
-    once) or ``"serializer"``; for partition remaps ``old_partitions`` /
-    ``new_partitions`` describe the reduce layout change, for serializer
-    selections they carry the shuffle's map count and ``detail`` names the
-    chosen codec."""
+    ``kind`` is ``"split"``, ``"coalesce"`` or ``"rebalance"`` (both at
+    once); ``old_partitions`` / ``new_partitions`` describe the reduce
+    layout change."""
 
     shuffle_id: int
     stage_id: int

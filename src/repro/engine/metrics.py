@@ -27,17 +27,14 @@ class TaskMetrics:
     shuffle_bytes_written: int = 0
     shuffle_records_read: int = 0
     shuffle_records_written: int = 0
-    #: framed (post-compression) shuffle bytes actually stored/moved; equals
-    #: ``shuffle_bytes_written`` under an uncompressed serializer
-    shuffle_compressed_bytes: int = 0
     cache_hits: int = 0
     cache_misses: int = 0
     remote_cache_hits: int = 0
     disk_blocks_read: int = 0
     compute_seconds: float = 0.0
     size_estimation_seconds: float = 0.0
-    #: wall seconds spent in the data-plane serializer (shuffle frame
-    #: encode/decode), distinct from result/task-payload pickling
+    #: wall seconds spent encoding/decoding shuffle frames, distinct from
+    #: result/task-payload pickling
     serializer_seconds: float = 0.0
     #: estimated bytes of this task's result materialized on the driver
     driver_bytes_collected: int = 0

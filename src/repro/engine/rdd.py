@@ -402,7 +402,6 @@ class RDD:
         ]
         planner = getattr(self.context, "adaptive", None)
         manager = self.context.shuffle_manager
-        overrides = manager.serializer_overrides()
         decided: dict[int, list[dict]] = {}
         if planner is not None:
             for d in planner.snapshot()["decisions"]:
@@ -421,8 +420,6 @@ class RDD:
                 remap = manager.remap_for(dep.shuffle_id)
                 if remap is not None:
                     notes.append(f"remapped to {remap.new_partitions} buckets")
-                if dep.shuffle_id in overrides:
-                    notes.append(f"serializer={overrides[dep.shuffle_id]}")
                 for d in decided.get(dep.shuffle_id, ()):
                     notes.append(
                         f"{d.get('kind')}: {d.get('old_partitions')}"
@@ -438,8 +435,6 @@ class RDD:
             modes = []
             if planner.enabled:
                 modes.append("skew repartitioning")
-                if planner.serializer_enabled:
-                    modes.append("serializer auto-tuning")
             if planner.speculation is not None:
                 modes.append("speculative execution")
             lines.append(

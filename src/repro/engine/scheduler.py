@@ -39,7 +39,7 @@ from repro.engine.listener import (
 )
 from repro.engine.metrics import JobMetrics, StageMetrics, TaskRecord
 from repro.engine.profiler import profile_call, should_profile
-from repro.engine.serializer import FrameBatch, compress_blob
+from repro.engine.serializer import FrameBatch, compress_blob, dumps
 from repro.engine.shuffle import FetchFailedError
 from repro.engine.storage import StorageLevel
 from repro.engine.task import (
@@ -280,11 +280,6 @@ class TaskScheduler:
             policy = None
         completed_durations: list[float] = []
         speculated: set[int] = set()
-        # serializer probe: run the stage's first map task alone, pick a
-        # per-shuffle serializer from its registered frames, then open the
-        # gate for the rest
-        probe_gate = planner is not None and planner.wants_serializer_probe(stage)
-        launch_limit = 1 if probe_gate else max_inflight
 
         hub = getattr(self.ctx, "heartbeats", None)
         # with an active timeout monitor, wake up periodically to check for
@@ -298,7 +293,7 @@ class TaskScheduler:
             wait_timeout = spec_tick if wait_timeout is None else min(wait_timeout, spec_tick)
 
         while pending or inflight:
-            while pending and len(inflight) < launch_limit and fetch_failure is None:
+            while pending and len(inflight) < max_inflight and fetch_failure is None:
                 task, attempt, tried = pending.popleft()
                 executor = self._choose_executor(task, exclude=tried)
                 self.ctx.listener_bus.post(
@@ -418,12 +413,6 @@ class TaskScheduler:
                         record.metrics.driver_bytes_collected += estimate_size(value)
                     stage_metrics.tasks.append(record)
                     self.ctx.listener_bus.post(TaskEnd(record))
-                    if probe_gate:
-                        # the probe map output is registered; pick the
-                        # shuffle's serializer before the rest launch
-                        probe_gate = False
-                        launch_limit = max_inflight
-                        planner.choose_serializer(stage, job.job_id)
                     log.debug(
                         "task finished",
                         job_id=job.job_id, stage_id=stage.id,
@@ -738,7 +727,6 @@ class TaskScheduler:
         genuinely parallel.
         """
         out_future: concurrent.futures.Future = concurrent.futures.Future()
-        serializer = self.ctx.serializer
         transport = self.ctx.transport
         try:
             if not executor.alive:
@@ -752,15 +740,13 @@ class TaskScheduler:
                     stage.id, task.partition, attempt, executor.executor_id
                 ))
             # make the task self-contained: pre-fetch shuffle input + cache
-            # blocks.  Shuffle input ships as the map outputs' serialized
-            # frames (no driver-side decode + re-pickle); cache blocks ship
-            # as serializer frames
+            # blocks.  Shuffle input ships as the map outputs' frames (no
+            # driver-side decode + re-pickle); cache blocks ship as frames
             prefetched: dict[tuple[int, int], FrameBatch] = {}
             for shuffle_id, reduce_part in stage_shuffle_inputs(task.rdd, task.partition):
                 blocks = self.ctx.shuffle_manager.fetch_blocks(shuffle_id, reduce_part)
                 prefetched[(shuffle_id, reduce_part)] = FrameBatch(
-                    [b.payload for b in blocks],
-                    self.ctx.shuffle_manager.serializer_for(shuffle_id),
+                    [b.payload for b in blocks]
                 )
             cached_blocks: dict[tuple[int, int], bytes] = {}
             for block_id in stage_cached_rdd_blocks(task.rdd, task.partition):
@@ -771,7 +757,7 @@ class TaskScheduler:
                     )
                     data = remote[0] if remote is not None else None
                 if data is not None:
-                    cached_blocks[block_id] = serializer.dumps(data)
+                    cached_blocks[block_id] = dumps(data)
             payload = pickle.dumps(
                 {
                     "binary_id": tb.binary_id,
@@ -782,11 +768,6 @@ class TaskScheduler:
                     "speculative": speculative,
                     "prefetched_shuffle": prefetched,
                     "cached_blocks": cached_blocks,
-                    "serializer": serializer,
-                    # adaptive per-shuffle serializer picks: the worker's
-                    # private ShuffleManager must frame its map output the
-                    # same way the driver will decode it
-                    "shuffle_serializers": self.ctx.shuffle_manager.serializer_overrides(),
                     "transport": transport.spec(),
                     "result_transport_min": self.ctx.config.transport_min_bytes * 4,
                     # the worker heartbeats at *this* driver's cadence while

@@ -1,369 +1,60 @@
-"""Pluggable data-plane serializers (Spark's ``spark.serializer`` analogue).
+"""The data plane's one frame format.
 
-Everything the engine moves between tasks -- shuffle buckets, cached-block
-spills, broadcast payloads, task results -- goes through a
-:class:`Serializer`.  Three implementations:
+A *frame* is ``pickle.dumps(records, HIGHEST_PROTOCOL)``.  Everything the
+engine stores or moves as encoded records -- shuffle buckets, ``MEMORY_SER``
+cache blocks, spilled blocks, cache blocks shipped to worker processes --
+is a frame, produced by :func:`dumps` and decoded by :func:`loads`.  This
+module is the only place that decision lives: a frame is self-describing,
+so a worker decodes what the driver encoded (and vice versa) with no format
+name on the wire.
 
-- :class:`PickleSerializer` -- the default; ``pickle`` at the highest
-  protocol, exactly what the engine did before this layer existed.
-- :class:`NumpySerializer` -- encodes NumPy arrays (and
-  :class:`~repro.core.blocks.SnpBlock` records built from them) as raw
-  ``dtype + shape + buffer`` frames with no pickle round-trip for the
-  array payload; containers and scalars get compact tagged frames and
-  anything unrecognized falls back to an embedded pickle frame.  Decoded
-  values are bit-identical to the originals -- the cross-backend
-  equivalence matrix pins this down.
-- :class:`CompressedSerializer` -- wraps any inner serializer and
-  ``zlib``-compresses frames above a size threshold (small frames are
-  framed raw: compressing a 40-byte bucket costs more than it saves).
+Two helpers sit next to the codec:
 
-Pick one with :func:`get_serializer` (``"pickle"``, ``"numpy"``,
-``"compressed"``) or pass an instance to ``Context(serializer=...)``.
+- :func:`compress_blob` / :func:`decompress_blob` -- flag-prefixed zlib
+  framing for bytes that are *already* serialized (task binaries, broadcast
+  payloads);
+- :class:`FrameBatch` -- a picklable list of frames that decodes on
+  iteration, so shuffle input travels to a worker without a driver-side
+  decode + re-pickle.
 
-A frame is self-describing: ``loads`` needs no out-of-band schema, so a
-worker process can decode a frame produced by the driver (and vice versa)
-knowing only the serializer name, which ships in the task payload.
+DESIGN.md section 10 records why there is no second format.
 """
 
 from __future__ import annotations
 
 import pickle
-import struct
+import sys
 import zlib
 from typing import Any, Iterator
 
-import numpy as np
-
 __all__ = [
-    "Serializer",
-    "PickleSerializer",
-    "NumpySerializer",
-    "CompressedSerializer",
+    "dumps",
+    "loads",
     "FrameBatch",
-    "get_serializer",
     "compress_blob",
     "decompress_blob",
+    "get_serializer",
 ]
 
 
-class Serializer:
-    """Interface: ``dumps``/``loads`` plus stats-aware encoding.
-
-    ``encode_with_stats`` exists so byte accounting can distinguish the
-    *serialized* (pre-compression) size from the *framed* (on-the-wire)
-    size without serializing twice; for uncompressed serializers the two
-    are equal.
-    """
-
-    name: str = "base"
-
-    def dumps(self, obj: Any) -> bytes:
-        raise NotImplementedError
-
-    def loads(self, data: bytes) -> Any:
-        raise NotImplementedError
-
-    def encode_with_stats(self, obj: Any) -> tuple[bytes, int]:
-        """Return ``(frame, serialized_bytes)``.
-
-        ``serialized_bytes`` is the size before any compression, i.e. the
-        number the legacy ``shuffle_bytes_written`` metric reports.
-        """
-        frame = self.dumps(obj)
-        return frame, len(frame)
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}()"
+def dumps(obj: Any) -> bytes:
+    """Encode ``obj`` as one frame."""
+    return pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
 
 
-class PickleSerializer(Serializer):
-    """Default serializer: stdlib pickle at the highest protocol."""
-
-    name = "pickle"
-
-    def dumps(self, obj: Any) -> bytes:
-        return pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
-
-    def loads(self, data: bytes) -> Any:
-        return pickle.loads(data)
-
-
-# -- numpy frame format -------------------------------------------------------
-#
-# One-byte tag, then a tag-specific body.  Multi-byte integers are
-# little-endian.  Arrays are encoded as dtype descriptor + shape + raw
-# C-contiguous buffer; object-dtype and exotic arrays fall back to pickle.
-
-_TAG_NONE = b"n"
-_TAG_TRUE = b"t"
-_TAG_FALSE = b"f"
-_TAG_INT = b"i"  # fits in signed 64-bit
-_TAG_FLOAT = b"d"
-_TAG_STR = b"s"
-_TAG_BYTES = b"y"
-_TAG_LIST = b"L"
-_TAG_TUPLE = b"T"
-_TAG_DICT = b"D"
-_TAG_ARRAY = b"N"
-_TAG_SCALAR = b"c"  # numpy scalar: dtype + raw bytes
-_TAG_SNPBLOCK = b"K"
-_TAG_PICKLE = b"P"
-
-_I64_MIN, _I64_MAX = -(1 << 63), (1 << 63) - 1
-
-
-def _encode_array(out: bytearray, arr: np.ndarray) -> None:
-    descr = arr.dtype.str.encode("ascii")
-    out += _TAG_ARRAY
-    out += struct.pack("<H", len(descr))
-    out += descr
-    out += struct.pack("<B", arr.ndim)
-    out += struct.pack(f"<{arr.ndim}q", *arr.shape)
-    buf = np.ascontiguousarray(arr)
-    raw = buf.tobytes()
-    out += struct.pack("<Q", len(raw))
-    out += raw
-
-
-class NumpySerializer(Serializer):
-    """Raw-buffer frames for ndarray/SnpBlock payloads; pickle fallback."""
-
-    name = "numpy"
-
-    def dumps(self, obj: Any) -> bytes:
-        out = bytearray()
-        self._encode(out, obj)
-        return bytes(out)
-
-    def loads(self, data: bytes) -> Any:
-        value, offset = self._decode(memoryview(data), 0)
-        if offset != len(data):
-            raise ValueError(f"trailing bytes in numpy frame ({len(data) - offset})")
-        return value
-
-    # -- encode ----------------------------------------------------------
-
-    def _encode(self, out: bytearray, obj: Any) -> None:
-        if obj is None:
-            out += _TAG_NONE
-        elif obj is True:
-            out += _TAG_TRUE
-        elif obj is False:
-            out += _TAG_FALSE
-        elif type(obj) is int:
-            if _I64_MIN <= obj <= _I64_MAX:
-                out += _TAG_INT
-                out += struct.pack("<q", obj)
-            else:
-                self._encode_pickle(out, obj)
-        elif type(obj) is float:
-            out += _TAG_FLOAT
-            out += struct.pack("<d", obj)
-        elif type(obj) is str:
-            raw = obj.encode("utf-8")
-            out += _TAG_STR
-            out += struct.pack("<Q", len(raw))
-            out += raw
-        elif type(obj) is bytes:
-            out += _TAG_BYTES
-            out += struct.pack("<Q", len(obj))
-            out += obj
-        elif type(obj) is list or type(obj) is tuple:
-            out += _TAG_LIST if type(obj) is list else _TAG_TUPLE
-            out += struct.pack("<Q", len(obj))
-            for item in obj:
-                self._encode(out, item)
-        elif type(obj) is dict:
-            out += _TAG_DICT
-            out += struct.pack("<Q", len(obj))
-            for key, value in obj.items():
-                self._encode(out, key)
-                self._encode(out, value)
-        elif isinstance(obj, np.ndarray):
-            if obj.dtype.hasobject:
-                self._encode_pickle(out, obj)
-            else:
-                _encode_array(out, obj)
-        elif isinstance(obj, np.generic):
-            if obj.dtype.hasobject:
-                self._encode_pickle(out, obj)
-            else:
-                descr = obj.dtype.str.encode("ascii")
-                raw = obj.tobytes()
-                out += _TAG_SCALAR
-                out += struct.pack("<H", len(descr))
-                out += descr
-                out += struct.pack("<Q", len(raw))
-                out += raw
-        elif _is_snp_block(obj):
-            out += _TAG_SNPBLOCK
-            _encode_array(out, obj.snp_ids)
-            _encode_array(out, obj.set_ids)
-            _encode_array(out, obj.weights_sq)
-            _encode_array(out, obj.genotypes)
-            out += struct.pack("<q", obj.n_sets)
-        else:
-            self._encode_pickle(out, obj)
-
-    def _encode_pickle(self, out: bytearray, obj: Any) -> None:
-        raw = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
-        out += _TAG_PICKLE
-        out += struct.pack("<Q", len(raw))
-        out += raw
-
-    # -- decode ----------------------------------------------------------
-
-    def _decode(self, view: memoryview, offset: int) -> tuple[Any, int]:
-        tag = view[offset:offset + 1].tobytes()
-        offset += 1
-        if tag == _TAG_NONE:
-            return None, offset
-        if tag == _TAG_TRUE:
-            return True, offset
-        if tag == _TAG_FALSE:
-            return False, offset
-        if tag == _TAG_INT:
-            return struct.unpack_from("<q", view, offset)[0], offset + 8
-        if tag == _TAG_FLOAT:
-            return struct.unpack_from("<d", view, offset)[0], offset + 8
-        if tag == _TAG_STR:
-            (length,) = struct.unpack_from("<Q", view, offset)
-            offset += 8
-            return view[offset:offset + length].tobytes().decode("utf-8"), offset + length
-        if tag == _TAG_BYTES:
-            (length,) = struct.unpack_from("<Q", view, offset)
-            offset += 8
-            return view[offset:offset + length].tobytes(), offset + length
-        if tag in (_TAG_LIST, _TAG_TUPLE):
-            (count,) = struct.unpack_from("<Q", view, offset)
-            offset += 8
-            items = []
-            for _ in range(count):
-                item, offset = self._decode(view, offset)
-                items.append(item)
-            return (items if tag == _TAG_LIST else tuple(items)), offset
-        if tag == _TAG_DICT:
-            (count,) = struct.unpack_from("<Q", view, offset)
-            offset += 8
-            result: dict = {}
-            for _ in range(count):
-                key, offset = self._decode(view, offset)
-                value, offset = self._decode(view, offset)
-                result[key] = value
-            return result, offset
-        if tag == _TAG_ARRAY:
-            return self._decode_array(view, offset)
-        if tag == _TAG_SCALAR:
-            (descr_len,) = struct.unpack_from("<H", view, offset)
-            offset += 2
-            dtype = np.dtype(view[offset:offset + descr_len].tobytes().decode("ascii"))
-            offset += descr_len
-            (nbytes,) = struct.unpack_from("<Q", view, offset)
-            offset += 8
-            value = np.frombuffer(view[offset:offset + nbytes], dtype=dtype)[0]
-            return value, offset + nbytes
-        if tag == _TAG_SNPBLOCK:
-            fields = []
-            for _ in range(4):
-                inner_tag = view[offset:offset + 1].tobytes()
-                if inner_tag != _TAG_ARRAY:
-                    raise ValueError("corrupt SnpBlock frame")
-                arr, offset = self._decode_array(view, offset + 1)
-                fields.append(arr)
-            (n_sets,) = struct.unpack_from("<q", view, offset)
-            offset += 8
-            from repro.core.blocks import SnpBlock
-
-            return SnpBlock(fields[0], fields[1], fields[2], fields[3], n_sets), offset
-        if tag == _TAG_PICKLE:
-            (length,) = struct.unpack_from("<Q", view, offset)
-            offset += 8
-            return pickle.loads(view[offset:offset + length]), offset + length
-        raise ValueError(f"unknown numpy-frame tag {tag!r}")
-
-    def _decode_array(self, view: memoryview, offset: int) -> tuple[np.ndarray, int]:
-        (descr_len,) = struct.unpack_from("<H", view, offset)
-        offset += 2
-        dtype = np.dtype(view[offset:offset + descr_len].tobytes().decode("ascii"))
-        offset += descr_len
-        (ndim,) = struct.unpack_from("<B", view, offset)
-        offset += 1
-        shape = struct.unpack_from(f"<{ndim}q", view, offset)
-        offset += 8 * ndim
-        (nbytes,) = struct.unpack_from("<Q", view, offset)
-        offset += 8
-        # copy so the array owns (writable) memory independent of the frame
-        arr = np.frombuffer(
-            view[offset:offset + nbytes], dtype=dtype
-        ).reshape(shape).copy()
-        return arr, offset + nbytes
-
-
-def _is_snp_block(obj: Any) -> bool:
-    cls = type(obj)
-    if cls.__name__ != "SnpBlock":
-        return False
-    try:
-        from repro.core.blocks import SnpBlock
-    except ImportError:  # pragma: no cover - core always importable in-repo
-        return False
-    return cls is SnpBlock
-
-
-# -- compression wrapper ------------------------------------------------------
-
-_COMP_RAW = b"R"
-_COMP_ZLIB = b"Z"
-
-
-class CompressedSerializer(Serializer):
-    """zlib-compress frames from an inner serializer above a threshold."""
-
-    name = "compressed"
-
-    def __init__(
-        self,
-        inner: Serializer | None = None,
-        threshold: int = 512,
-        level: int = 6,
-    ) -> None:
-        self.inner = inner if inner is not None else NumpySerializer()
-        self.threshold = threshold
-        self.level = level
-
-    def dumps(self, obj: Any) -> bytes:
-        return self.encode_with_stats(obj)[0]
-
-    def encode_with_stats(self, obj: Any) -> tuple[bytes, int]:
-        raw = self.inner.dumps(obj)
-        if len(raw) >= self.threshold:
-            packed = zlib.compress(raw, self.level)
-            if len(packed) < len(raw):
-                return _COMP_ZLIB + packed, len(raw)
-        return _COMP_RAW + raw, len(raw)
-
-    def loads(self, data: bytes) -> Any:
-        flag, body = data[:1], data[1:]
-        if isinstance(flag, memoryview):  # pragma: no cover - defensive
-            flag = flag.tobytes()
-        if flag == _COMP_ZLIB:
-            return self.inner.loads(zlib.decompress(body))
-        if flag == _COMP_RAW:
-            return self.inner.loads(body)
-        raise ValueError(f"unknown compression flag {flag!r}")
-
-    def __repr__(self) -> str:
-        return (
-            f"CompressedSerializer(inner={self.inner!r}, "
-            f"threshold={self.threshold}, level={self.level})"
-        )
+def loads(frame: bytes) -> Any:
+    """Decode one frame; the result shares no memory with ``frame``."""
+    return pickle.loads(frame)
 
 
 # -- standalone blob compression ---------------------------------------------
 #
 # Task binaries and broadcast payloads are already bytes when the transport
-# sees them; these helpers apply the same flag-prefixed zlib framing to a
-# blob without re-serializing it.
+# sees them; these helpers apply flag-prefixed zlib framing to a blob
+# without re-serializing it.
+
+_COMP_RAW = b"R"
+_COMP_ZLIB = b"Z"
 
 
 def compress_blob(blob: bytes, threshold: int = 512, level: int = 6) -> bytes:
@@ -388,50 +79,35 @@ def decompress_blob(framed: bytes) -> bytes:
 
 
 class FrameBatch:
-    """A picklable sequence of serialized frames, decoded on iteration.
+    """A picklable sequence of frames, decoded on iteration.
 
-    The scheduler pre-fetches shuffle input for process-backend tasks as
-    the map outputs' *frames* (no driver-side decode + re-pickle); the
-    worker iterates the batch, which decodes each frame on first traversal.
-    ``iter()`` yields the concatenated records, matching the shape the old
-    list-of-records prefetch produced.
+    The scheduler pre-fetches shuffle input for worker-process tasks as the
+    map outputs' *frames* (no driver-side decode + re-pickle); the worker
+    iterates the batch, which decodes each frame as the traversal reaches
+    it and yields the concatenated records.
     """
 
-    __slots__ = ("frames", "serializer")
+    __slots__ = ("frames",)
 
-    def __init__(self, frames: list[bytes], serializer: "str | Serializer") -> None:
+    def __init__(self, frames: list[bytes]) -> None:
         self.frames = frames
-        self.serializer = serializer
 
     def __iter__(self) -> Iterator:
-        serializer = get_serializer(self.serializer)
         for frame in self.frames:
-            yield from serializer.loads(frame)
+            yield from loads(frame)
 
     def __reduce__(self):
-        return (FrameBatch, (self.frames, self.serializer))
+        return (FrameBatch, (self.frames,))
 
     def __repr__(self) -> str:
-        return f"FrameBatch({len(self.frames)} frames, {self.serializer!r})"
+        return f"FrameBatch({len(self.frames)} frames)"
 
 
-# -- registry -----------------------------------------------------------------
+def get_serializer(which: Any = None):
+    """This module (it has ``dumps``/``loads``), whatever ``which`` is.
 
-SERIALIZER_NAMES = ("pickle", "numpy", "compressed")
-
-
-def get_serializer(which: "str | Serializer | None") -> Serializer:
-    """Resolve a serializer name (or pass an instance through)."""
-    if which is None:
-        return PickleSerializer()
-    if isinstance(which, Serializer):
-        return which
-    if which == "pickle":
-        return PickleSerializer()
-    if which == "numpy":
-        return NumpySerializer()
-    if which == "compressed":
-        return CompressedSerializer()
-    raise ValueError(
-        f"unknown serializer {which!r}; expected one of {SERIALIZER_NAMES}"
-    )
+    Kept only for benchmarks/e2e (``layers.py`` calls
+    ``get_serializer(config.serializer).dumps/.loads``); drop in the next
+    ``[benchmark]`` PR.
+    """
+    return sys.modules[__name__]

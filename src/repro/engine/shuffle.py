@@ -8,15 +8,14 @@ and subsequent fetches raise :class:`FetchFailedError`, which the DAG
 scheduler handles by resubmitting the parent stage's missing tasks --
 exactly Spark's recovery path.
 
-Since the data-plane overhaul, map outputs are stored as *serialized byte
-frames* (:class:`ShuffleBlock`) produced by the manager's configured
-:class:`~repro.engine.serializer.Serializer` -- optionally compressed --
-instead of live Python lists.  Batched record encoding happens once on the
-write side; the reduce side decodes lazily, one map-output frame at a time,
-as the fetch iterator advances.  This is the analogue of Spark's
-serialized, compressed shuffle files: a worker-process map task ships its
-frames to the driver as opaque bytes (no per-record pickle overhead), and
-:meth:`register_map_output` adopts them without a decode/re-encode cycle.
+Map outputs are stored as *frames* (:class:`ShuffleBlock`, encoded by
+:func:`repro.engine.serializer.dumps`), not live Python lists.  Each bucket
+is encoded once on the write side; the reduce side decodes lazily, one
+map-output frame at a time, as the fetch iterator advances.  This is the
+analogue of Spark's serialized shuffle files: a worker-process map task
+ships its frames to the driver as opaque bytes (no per-record pickle
+overhead), and :meth:`register_map_output` adopts them without a
+decode/re-encode cycle.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Iterator
 
-from repro.engine.serializer import Serializer, get_serializer
+from repro.engine.serializer import dumps, loads
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.engine.dependencies import ShuffleDependency
@@ -58,34 +57,26 @@ class MapStatus:
 class ShuffleBlock:
     """One reduce partition's worth of a map task's output, as bytes.
 
-    ``payload`` is a serializer frame (possibly compressed);
-    ``serialized_bytes`` is the pre-compression serialized size, which is
-    what the legacy ``shuffle_bytes_written`` metric and
-    ``MapStatus.bytes_by_reducer`` report, so byte accounting stays
-    comparable across serializers.
+    ``payload`` is a frame; ``len(payload)`` is what the
+    ``shuffle_bytes_written`` metric and ``MapStatus.bytes_by_reducer``
+    report.
     """
 
     payload: bytes
-    serialized_bytes: int
     num_records: int
 
 
 class ShuffleManager:
-    """Holds serialized shuffle blocks; thread-safe.
+    """Holds shuffle blocks as frames; thread-safe.
 
     ``track_bytes=False`` (worker-local managers) suppresses metric byte
     accounting -- the driver prices adopted buckets when it merges them --
     but frames are always encoded: they *are* the storage format.
     """
 
-    def __init__(
-        self,
-        track_bytes: bool = True,
-        serializer: "Serializer | str | None" = None,
-    ) -> None:
+    def __init__(self, track_bytes: bool = True) -> None:
         #: optional listener bus (set by the context); shuffle events go here
         self.bus: "ListenerBus | None" = None
-        self.serializer: Serializer = get_serializer(serializer)
         self._lock = threading.Lock()
         # (shuffle_id, map_partition) -> {reduce_partition: ShuffleBlock}
         self._outputs: dict[tuple[int, int], dict[int, ShuffleBlock]] = {}
@@ -96,40 +87,7 @@ class ShuffleManager:
         # shuffle_id -> adaptive reduce-side remap (storage stays in the
         # original layout; fetch translates new reduce indices to old ones)
         self._remaps: "dict[int, ShuffleRemap]" = {}
-        # shuffle_id -> adaptively chosen serializer (overrides self.serializer)
-        self._serializer_overrides: dict[int, Serializer] = {}
         self._track_bytes = track_bytes
-
-    # -- per-shuffle serializer ----------------------------------------------
-
-    def serializer_for(self, shuffle_id: int) -> Serializer:
-        """The serializer this shuffle's frames are encoded with."""
-        return self._serializer_overrides.get(shuffle_id, self.serializer)
-
-    def set_serializer_override(self, shuffle_id: int, which: "str | Serializer") -> None:
-        """Pin a serializer for one shuffle, re-encoding any frames already
-        written with the old one (the adaptive probe's first map output).
-
-        Must be called before reduce tasks read the shuffle; the scheduler
-        only switches while the probe gate holds back the remaining maps.
-        """
-        new = get_serializer(which)
-        old = self.serializer_for(shuffle_id)
-        with self._lock:
-            self._serializer_overrides[shuffle_id] = new
-            if new.name == old.name:
-                return
-            for (sid, _mp), blocks in self._outputs.items():
-                if sid != shuffle_id:
-                    continue
-                for reduce_idx, block in blocks.items():
-                    records = old.loads(block.payload)
-                    frame, serialized = new.encode_with_stats(records)
-                    blocks[reduce_idx] = ShuffleBlock(frame, serialized, block.num_records)
-
-    def serializer_overrides(self) -> dict[int, str]:
-        """Name map shipped to worker processes inside the task payload."""
-        return {sid: ser.name for sid, ser in self._serializer_overrides.items()}
 
     # -- registration --------------------------------------------------------
 
@@ -137,11 +95,10 @@ class ShuffleManager:
         with self._lock:
             self._num_maps[shuffle_id] = num_maps
 
-    def encode_bucket(self, records: list, serializer: Serializer | None = None) -> ShuffleBlock:
-        """Serialize one reduce bucket into a frame."""
-        ser = serializer if serializer is not None else self.serializer
-        frame, serialized = ser.encode_with_stats(records)
-        return ShuffleBlock(frame, serialized, len(records))
+    @staticmethod
+    def encode_bucket(records: list) -> ShuffleBlock:
+        """Encode one reduce bucket into a frame."""
+        return ShuffleBlock(dumps(records), len(records))
 
     def write_map_output(
         self,
@@ -151,7 +108,7 @@ class ShuffleManager:
         executor_id: str,
         metrics: "TaskMetrics | None" = None,
     ) -> MapStatus:
-        """Bucket ``records`` by key, serialize the buckets, register them."""
+        """Bucket ``records`` by key, encode the buckets, register them."""
         partitioner = dep.partitioner
         buckets: dict[int, list] = {i: [] for i in range(partitioner.num_partitions)}
         agg = dep.aggregator
@@ -170,9 +127,8 @@ class ShuffleManager:
                 buckets[partitioner.partition(key)].append((key, value))
 
         encode_start = time.perf_counter()
-        ser = self.serializer_for(dep.shuffle_id)
         blocks = {
-            reduce_idx: self.encode_bucket(bucket, ser)
+            reduce_idx: self.encode_bucket(bucket)
             for reduce_idx, bucket in buckets.items()
         }
         encode_seconds = time.perf_counter() - encode_start
@@ -197,7 +153,7 @@ class ShuffleManager:
         """Adopt pre-bucketed output computed by a worker process.
 
         The worker already partitioned the records, ran any map-side
-        combine, *and serialized the buckets into frames*; pushing its
+        combine, *and encoded the buckets into frames*; pushing its
         output back through :meth:`write_map_output` would apply
         ``create_combiner`` a second time (wrong for non-identity combiners
         such as ``fold_by_key`` zeros) and pay a decode/re-encode cycle.
@@ -208,14 +164,13 @@ class ShuffleManager:
         """
         partitioner = dep.partitioner
         encode_start = time.perf_counter()
-        ser = self.serializer_for(dep.shuffle_id)
         blocks: dict[int, ShuffleBlock] = {}
         for reduce_idx in range(partitioner.num_partitions):
             bucket = buckets.get(reduce_idx)
             if isinstance(bucket, ShuffleBlock):
                 blocks[reduce_idx] = bucket
             else:
-                blocks[reduce_idx] = self.encode_bucket(list(bucket or ()), ser)
+                blocks[reduce_idx] = self.encode_bucket(list(bucket or ()))
         encode_seconds = time.perf_counter() - encode_start
         return self._register(
             dep.shuffle_id,
@@ -239,8 +194,7 @@ class ShuffleManager:
         encode_seconds: float,
         count_records: bool = True,
     ) -> MapStatus:
-        sizes = tuple(blocks[i].serialized_bytes for i in range(num_reducers))
-        compressed = sum(len(blocks[i].payload) for i in range(num_reducers))
+        sizes = tuple(len(blocks[i].payload) for i in range(num_reducers))
         records_written = sum(block.num_records for block in blocks.values())
         status = MapStatus(shuffle_id, map_partition, executor_id, sizes)
         with self._lock:
@@ -255,13 +209,12 @@ class ShuffleManager:
                 metrics.shuffle_records_written += records_written
             if self._track_bytes:
                 metrics.shuffle_bytes_written += sum(sizes)
-                metrics.shuffle_compressed_bytes += compressed
         if self.bus is not None:
             from repro.engine.listener import ShuffleWrite
 
             self.bus.post(ShuffleWrite(
                 shuffle_id, map_partition, executor_id, sum(sizes),
-                records_written, compressed_bytes=compressed,
+                records_written,
             ))
         return status
 
@@ -287,13 +240,8 @@ class ShuffleManager:
     def remap_for(self, shuffle_id: int) -> "ShuffleRemap | None":
         return self._remaps.get(shuffle_id)
 
-    def peek_map_output(self, shuffle_id: int, map_partition: int) -> dict[int, ShuffleBlock]:
-        """Copy of one map task's registered buckets (adaptive probing)."""
-        with self._lock:
-            return dict(self._outputs.get((shuffle_id, map_partition)) or {})
-
     def bucket_stats(self, shuffle_id: int) -> list[list[tuple[int, int]]]:
-        """Per-old-reduce-bucket, per-map ``(num_records, serialized_bytes)``.
+        """Per-old-reduce-bucket, per-map ``(num_records, frame_bytes)``.
 
         Requires every map output to be registered (the planner runs at a
         stage boundary, after the map stage completed); raises
@@ -320,7 +268,7 @@ class ShuffleManager:
                     if block is None:
                         row.append((0, 0))
                     else:
-                        row.append((block.num_records, block.serialized_bytes))
+                        row.append((block.num_records, len(block.payload)))
                 stats.append(row)
             return stats
 
@@ -393,16 +341,15 @@ class ShuffleManager:
         first missing map output.
         """
         blocks = self.fetch_blocks(shuffle_id, reduce_partition)
-        serializer = self.serializer_for(shuffle_id)
         for block in blocks:
             if block.num_records == 0:
                 continue
             decode_start = time.perf_counter()
-            records = serializer.loads(block.payload)
+            records = loads(block.payload)
             if metrics is not None:
                 metrics.serializer_seconds += time.perf_counter() - decode_start
                 metrics.shuffle_records_read += block.num_records
-                metrics.shuffle_bytes_read += block.serialized_bytes
+                metrics.shuffle_bytes_read += len(block.payload)
             yield from records
 
     # -- failure handling -------------------------------------------------------
@@ -426,7 +373,6 @@ class ShuffleManager:
         with self._lock:
             self._num_maps.pop(shuffle_id, None)
             self._remaps.pop(shuffle_id, None)
-            self._serializer_overrides.pop(shuffle_id, None)
             for key in [k for k in self._outputs if k[0] == shuffle_id]:
                 del self._outputs[key]
                 self._writers.pop(key, None)

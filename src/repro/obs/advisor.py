@@ -16,8 +16,7 @@ The rules encode the paper's own tuning playbook:
   (the paper's memory-pressure analysis);
 - executor/core sizing -> many small containers (Experiment C,
   Tables VII/VIII: 126 x 2-core beat 42 x 6-core on equal hardware);
-- GC pressure, serializer choice, and task granularity -> the engine's
-  own data-plane knobs.
+- GC pressure and task granularity -> the engine's own knobs.
 
 Pure functions over plain data: ``diagnose()`` never needs a live
 context, which is what lets ``doctor`` run on a cold event log.
@@ -293,40 +292,6 @@ def rule_gc_pressure(inp: DiagnosisInput) -> list[Recommendation]:
     return out
 
 
-def rule_serializer(inp: DiagnosisInput) -> list[Recommendation]:
-    """Large uncompressed shuffles -> the compressed data plane is free wall-clock."""
-    out = []
-    for job in inp.jobs:
-        totals = job.totals()
-        written = totals.shuffle_bytes_written
-        framed = totals.shuffle_compressed_bytes
-        # framed == raw means no compression happened; only worth flagging
-        # when real volume moved (>= 8 MiB)
-        if written < 8 * 1024 * 1024 or framed < written:
-            continue
-        out.append(
-            Recommendation(
-                rule="uncompressed-shuffle",
-                severity="info",
-                title=(
-                    f"job {job.job_id} shuffled {written / 1e6:.1f} MB "
-                    "uncompressed"
-                ),
-                action=(
-                    "set serializer='compressed' (spark.engine.serializer): "
-                    "zlib-framed shuffle trades cheap CPU for bytes moved"
-                ),
-                evidence={
-                    "shuffle_bytes_written": written,
-                    "shuffle_compressed_bytes": framed,
-                },
-                job_id=job.job_id,
-                score=written / 1e6,
-            )
-        )
-    return out
-
-
 def rule_tiny_tasks(inp: DiagnosisInput) -> list[Recommendation]:
     """Many sub-scheduling-overhead tasks -> coarsen partitioning."""
     out = []
@@ -572,7 +537,6 @@ RULES = (
     rule_insufficient_resamples,
     rule_cache_thrash,
     rule_gc_pressure,
-    rule_serializer,
     rule_tiny_tasks,
     rule_container_sizing,
 )
@@ -682,7 +646,6 @@ __all__ = [
     "rule_insufficient_resamples",
     "rule_cache_thrash",
     "rule_gc_pressure",
-    "rule_serializer",
     "rule_tiny_tasks",
     "rule_container_sizing",
 ]

@@ -17,8 +17,8 @@ four different logs -- into one JSON **post-mortem bundle**:
   engine config;
 - on persistent fleets, the cluster-resident fleet snapshot (executor
   lifecycle history, warm-cache stats, queue depths) under ``fleet``;
-- the adaptive planner's decision ledger (plan rewrites, serializer
-  picks, speculation outcomes) under ``adaptive``;
+- the adaptive planner's decision ledger (plan rewrites, speculation
+  outcomes) under ``adaptive``;
 - the failed job's full stage/task tree, in event-log v5 ``job`` shape so
   offline tooling (advisor, span reconstruction) reuses the same readers.
 

@@ -468,10 +468,6 @@ class MetricsListener(Listener):
         self.shuffle_records = r.counter(
             "engine_shuffle_records_total", "shuffle records moved", labelnames=("direction",)
         )
-        self.shuffle_compressed_bytes = r.counter(
-            "engine_shuffle_compressed_bytes_total",
-            "framed (post-compression) shuffle bytes stored",
-        )
         self.serializer_seconds = r.counter(
             "engine_serializer_seconds_total",
             "wall seconds spent encoding/decoding data-plane frames",
@@ -602,7 +598,6 @@ class MetricsListener(Listener):
             self.executors_timed_out.inc()
         elif isinstance(event, ShuffleWrite):
             self.shuffle_bytes.inc(event.bytes_written)
-            self.shuffle_compressed_bytes.inc(event.compressed_bytes)
             self.shuffle_records.labels(direction="write").inc(event.records_written)
         elif isinstance(event, ShuffleFetch):
             self.shuffle_records.labels(direction="read").inc(event.records_read)

@@ -27,7 +27,7 @@ Endpoints:
   driver teardown); disabled unless the backend exposes
   ``fleet_snapshot`` (cluster backend only);
 - ``/api/adaptive`` -- the adaptive planner's decision ledger (plan
-  rewrites, serializer picks, speculation wins) and enablement flags;
+  rewrites, speculation wins) and enablement flags;
 - ``/api/inference`` -- convergence telemetry for resampling runs:
   per-set running p-values with CI bounds, decision status, replicate
   throughput, and early-stop savings (always present; ``enabled``
@@ -176,7 +176,6 @@ async function refresh() {
   const aqe = await (await fetch("/api/adaptive")).json();
   if (aqe.enabled || aqe.speculation_enabled || (aqe.decisions || []).length) {
     const summary = "plans " + aqe.stages_rewritten +
-      ", serializer picks " + aqe.serializer_picks +
       ", speculative launched/won " + aqe.speculative_launched + "/" + aqe.speculative_won;
     const decisions = (aqe.decisions || []).slice(-15).reverse();
     document.getElementById("adaptive").innerHTML = summary +

@@ -18,10 +18,6 @@ from repro.genomics.synthetic import SyntheticConfig, generate_dataset
 #: need determinism or backend-specific behavior use serial_config directly.
 DEFAULT_BACKEND = os.environ.get("REPRO_BACKEND", "serial")
 
-#: CI's serializer leg sets REPRO_SERIALIZER=numpy / compressed to run the
-#: core suite through the non-default data planes.
-DEFAULT_SERIALIZER = os.environ.get("REPRO_SERIALIZER", "pickle")
-
 
 def pytest_configure(config):
     config.addinivalue_line(
@@ -97,7 +93,6 @@ def ctx() -> Context:
         num_executors=2,
         executor_cores=2,
         default_parallelism=4,
-        serializer=DEFAULT_SERIALIZER,
     )
     with Context(config) as context:
         yield context

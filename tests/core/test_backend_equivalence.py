@@ -13,14 +13,10 @@ from repro.config import EngineConfig
 from repro.core.algorithms import DistributedSparkScore
 from repro.engine.context import Context
 
-BACKENDS = ("serial", "threads", "cluster")
-SERIALIZERS = ("pickle", "numpy", "compressed")
 
-
-def _run(dataset, backend, flavor, serializer="pickle", **kwargs):
+def _run(dataset, backend, flavor, **kwargs):
     config = EngineConfig(
         backend=backend, num_executors=2, executor_cores=2, default_parallelism=4,
-        serializer=serializer,
     )
     with Context(config) as ctx:
         scorer = DistributedSparkScore(ctx, dataset, flavor=flavor, block_size=64)
@@ -45,43 +41,16 @@ class TestBackendsBitIdentical:
         mc, perm = _run(small_dataset, backend, flavor)
         assert np.array_equal(mc.observed, mc_ref.observed)
         assert np.array_equal(mc.exceed_counts, mc_ref.exceed_counts)
+        assert np.array_equal(mc.pvalues(), mc_ref.pvalues())
         assert np.array_equal(perm.observed, perm_ref.observed)
         assert np.array_equal(perm.exceed_counts, perm_ref.exceed_counts)
+        assert np.array_equal(perm.pvalues(), perm_ref.pvalues())
 
     def test_flavors_agree(self, reference, flavor):
         mc, perm = reference[flavor]
         mc_v, perm_v = reference["vectorized"]
         assert np.array_equal(mc.exceed_counts, mc_v.exceed_counts)
         assert np.array_equal(perm.exceed_counts, perm_v.exceed_counts)
-
-
-@pytest.mark.slow
-class TestSerializersBitIdentical:
-    """The serializer is a wire-format detail: every serializer on every
-    backend must reproduce the serial/pickle statistics bit for bit."""
-
-    @pytest.fixture(scope="class")
-    def reference(self, small_dataset):
-        return _run(small_dataset, "serial", "vectorized", serializer="pickle")
-
-    @pytest.mark.parametrize("backend", BACKENDS)
-    @pytest.mark.parametrize("serializer", ["numpy", "compressed"])
-    def test_matches_pickle_serial(self, small_dataset, reference, backend, serializer):
-        mc_ref, perm_ref = reference
-        mc, perm = _run(small_dataset, backend, "vectorized", serializer=serializer)
-        assert np.array_equal(mc.observed, mc_ref.observed)
-        assert np.array_equal(mc.exceed_counts, mc_ref.exceed_counts)
-        assert np.array_equal(mc.pvalues(), mc_ref.pvalues())
-        assert np.array_equal(perm.observed, perm_ref.observed)
-        assert np.array_equal(perm.exceed_counts, perm_ref.exceed_counts)
-        assert np.array_equal(perm.pvalues(), perm_ref.pvalues())
-
-    @pytest.mark.parametrize("backend", ["threads", "cluster"])
-    def test_pickle_on_pool_backends_matches(self, small_dataset, reference, backend):
-        mc_ref, perm_ref = reference
-        mc, perm = _run(small_dataset, backend, "vectorized", serializer="pickle")
-        assert np.array_equal(mc.exceed_counts, mc_ref.exceed_counts)
-        assert np.array_equal(perm.exceed_counts, perm_ref.exceed_counts)
 
 
 class TestDriverTrafficBound:

@@ -1,4 +1,4 @@
-"""Adaptive query execution: skew remaps, speculation, serializer tuning.
+"""Adaptive query execution: skew remaps and speculation.
 
 Three layers of coverage:
 
@@ -260,31 +260,34 @@ def test_speculation_disabled_on_serial_backend():
         assert ctx.adaptive.snapshot()["speculative_launched"] == 0
 
 
-# -- serializer auto-selection -------------------------------------------------
+# -- no serialised first wave --------------------------------------------------
 
 
-@pytest.mark.parametrize("backend", ["threads", "cluster"])
-def test_serializer_auto_selected_per_shuffle(backend):
-    # genuinely distinct payloads: constant-folded repeats pickle-memoize
-    # into tiny frames and the probe correctly keeps "pickle"
-    data = [(i % 8, ("row-%06d" % i) * 40) for i in range(400)]
+def test_adaptive_map_stage_launches_its_first_wave_in_parallel():
+    """AQE must not hold a shuffle-map stage to one task until it ends:
+    every map blocks until a second one is running alongside it."""
+    import threading
 
-    def run(adaptive: bool):
-        config = _adaptive_config(backend) if adaptive else EngineConfig(
-            backend=backend, num_executors=2, executor_cores=2,
-            default_parallelism=4,
-        )
-        with Context(config) as ctx:
-            result = ctx.parallelize(data, 4).partition_by(8).collect()
-            snap = ctx.adaptive.snapshot()
-        return result, snap
+    from repro.engine.listener import CollectingListener, TaskEnd, TaskStart
 
-    static, _ = run(adaptive=False)
-    adapted, snap = run(adaptive=True)
-    assert adapted == static
-    assert snap["serializer_picks"] >= 1
-    picks = [d for d in snap["decisions"] if d["kind"] == "serializer"]
-    assert picks and "compressed" in picks[0]["detail"]
+    barrier = threading.Barrier(2, timeout=5.0)
+
+    def meet_a_peer(x):
+        try:
+            barrier.wait()
+        except threading.BrokenBarrierError:
+            pass  # ran alone: let the job finish so the assertion reports it
+        return (x % 2, x)
+
+    with Context(_adaptive_config("threads")) as ctx:
+        sink = ctx.listener_bus.add_listener(CollectingListener(TaskStart, TaskEnd))
+        result = ctx.parallelize(range(4), 4).map(meet_a_peer).reduce_by_key(
+            lambda a, b: a + b
+        ).collect()
+        assert ctx.metrics.last_job.stages[0].is_shuffle_map
+    assert sorted(result) == [(0, 2), (1, 4)]
+    names = sink.names()
+    assert names[: names.index("TaskEnd")].count("TaskStart") > 1
 
 
 # -- eventlog v7 side channel --------------------------------------------------
@@ -410,8 +413,6 @@ def test_spark_conf_aliases():
     assert config.adaptive_max_splits == 4
     config.set("spark.adaptive.coalesceRatio", "0.1")
     assert config.adaptive_coalesce_ratio == 0.1
-    config.set("spark.adaptive.serializer", "false")
-    assert config.adaptive_serializer is False
 
 
 def test_config_validation_rejects_bad_adaptive_values():

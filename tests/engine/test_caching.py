@@ -172,23 +172,27 @@ class TestBlockManager:
         sizes = {estimate_size(array.array("b", b"z" * 1000)) for _ in range(20)}
         assert all(900 < s < 1300 for s in sizes)
 
-    def test_serialized_level_uses_configured_serializer(self):
-        from repro.engine.serializer import CompressedSerializer
+    def test_serialized_level_stores_the_frame_alone(self):
+        """Regression: a MEMORY_SER block used to pin the live list next to
+        its frame while accounting for the frame only."""
+        from repro.engine.serializer import dumps
 
         bm = BlockManager("e0", memory_budget=1 << 20)
-        bm.serializer = CompressedSerializer(threshold=64)
-        data = [np.zeros(512) for _ in range(4)]
+        data = [np.arange(512, dtype=np.float64) for _ in range(4)]
         bm.put((7, 0), data, StorageLevel.MEMORY_SER)
-        # compressed frames shrink the accounted footprint well below raw
-        assert bm.memory_used < sum(a.nbytes for a in data)
+        frame = dumps(data)
+        stored = bm._blocks[(7, 0)].data
+        assert isinstance(stored, bytes) and stored == frame  # no live list held
+        assert bm.memory_used == len(frame) + 64
         out = bm.get((7, 0))
         assert len(out) == 4 and all(np.array_equal(a, b) for a, b in zip(out, data))
+        # every read decodes a fresh copy: mutating one cannot reach the cache
+        assert out is not data and out[0] is not data[0]
+        out[0][:] = -1.0
+        assert np.array_equal(bm.get((7, 0))[0], data[0])
 
     def test_spill_roundtrip_with_serializer(self, tmp_path):
-        from repro.engine.serializer import NumpySerializer
-
         bm = BlockManager("e0", memory_budget=256, spill_dir=str(tmp_path))
-        bm.serializer = NumpySerializer()
         data = [np.arange(100, dtype=np.float64)]
         bm.put((3, 0), data, StorageLevel.MEMORY_AND_DISK)
         assert bm.was_spilled((3, 0))

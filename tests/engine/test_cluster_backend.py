@@ -137,6 +137,28 @@ class TestTwoJobWarmth:
         # worker-side task-binary LRU hits flowed home through the registry
         assert _counter_total("task_binary_cache_hits_total") > cache_hits_before
 
+    def test_analysis_binaries_are_published_once_and_shipped_by_ref(self, tiny_dataset):
+        """A whole Monte Carlo analysis on a fresh fleet: every task's
+        accounted binary bytes cover what the transport actually published
+        (blob once per executor, refs after), so nothing is re-published
+        per task."""
+        from repro.core.algorithms import DistributedSparkScore
+
+        # a fleet shape no other test uses, so its transport starts from zero
+        config = _cluster_config(num_executors=1, executor_cores=3, default_parallelism=3)
+        manager = get_cluster(config)
+        try:
+            assert manager.transport.bytes_published == 0
+            with Context(config) as ctx:
+                scorer = DistributedSparkScore(ctx, tiny_dataset, flavor="vectorized")
+                scorer.monte_carlo(40, seed=17, batch_size=20)
+                accounted = sum(
+                    job.totals().task_binary_bytes for job in ctx.metrics.jobs
+                )
+            assert 0 < manager.transport.bytes_published <= accounted
+        finally:
+            manager.stop()
+
     def test_broadcast_memo_hits_on_second_job(self):
         memo_before = _counter_total("broadcast_memo_hits_total")
         with Context(_cluster_config()) as ctx:

@@ -1,4 +1,4 @@
-"""Pluggable serializers: frame round-trips, compression, FrameBatch."""
+"""The one frame format: round-trips, blob helpers, FrameBatch."""
 
 import pickle
 
@@ -7,17 +7,12 @@ import pytest
 
 from repro.core.blocks import SnpBlock
 from repro.engine.serializer import (
-    CompressedSerializer,
     FrameBatch,
-    NumpySerializer,
-    PickleSerializer,
-    Serializer,
     compress_blob,
     decompress_blob,
-    get_serializer,
+    dumps,
+    loads,
 )
-
-SERIALIZERS = [PickleSerializer(), NumpySerializer(), CompressedSerializer()]
 
 SAMPLES = [
     None,
@@ -26,7 +21,7 @@ SAMPLES = [
     0,
     -17,
     2**62,
-    2**100,  # beyond int64: pickle fallback path in NumpySerializer
+    2**100,  # beyond int64
     3.14159,
     float("inf"),
     "",
@@ -52,118 +47,58 @@ def make_snp_block(n_snps=6, n_patients=4, n_sets=3, seed=0):
     )
 
 
-@pytest.mark.parametrize("ser", SERIALIZERS, ids=lambda s: s.name)
 class TestRoundTrip:
     @pytest.mark.parametrize("obj", SAMPLES, ids=repr)
-    def test_python_values(self, ser, obj):
-        assert ser.loads(ser.dumps(obj)) == obj
+    def test_python_values(self, obj):
+        assert loads(dumps(obj)) == obj
 
-    def test_python_value_types_preserved(self, ser):
-        decoded = ser.loads(ser.dumps([1, (2,), [3], {4: 5}, "s", b"b"]))
+    def test_python_value_types_preserved(self):
+        decoded = loads(dumps([1, (2,), [3], {4: 5}, "s", b"b"]))
         assert [type(v) for v in decoded] == [int, tuple, list, dict, str, bytes]
 
     @pytest.mark.parametrize("dtype", ["float64", "float32", "int64", "int8", "bool"])
-    def test_ndarray_bit_identical(self, ser, dtype):
+    def test_ndarray_bit_identical(self, dtype):
         rng = np.random.default_rng(7)
         arr = (rng.random((5, 3)) * 100).astype(dtype)
-        out = ser.loads(ser.dumps(arr))
+        out = loads(dumps(arr))
         assert out.dtype == arr.dtype
         assert out.shape == arr.shape
         assert np.array_equal(out, arr)
 
-    def test_ndarray_zero_dim_and_empty(self, ser):
+    def test_ndarray_zero_dim_and_empty(self):
         for arr in (np.array(3.5), np.empty((0, 4))):
-            out = ser.loads(ser.dumps(arr))
+            out = loads(dumps(arr))
             assert out.shape == arr.shape
             assert np.array_equal(out, arr)
 
-    def test_fortran_order_array(self, ser):
+    def test_fortran_order_array(self):
         arr = np.asfortranarray(np.arange(12, dtype=np.float64).reshape(3, 4))
-        assert np.array_equal(ser.loads(ser.dumps(arr)), arr)
+        assert np.array_equal(loads(dumps(arr)), arr)
 
-    def test_numpy_scalar(self, ser):
+    def test_numpy_scalar(self):
         value = np.float64(2.718281828)
-        out = ser.loads(ser.dumps(value))
+        out = loads(dumps(value))
         assert out == value and out.dtype == value.dtype
 
-    def test_snp_block(self, ser):
+    def test_snp_block(self):
         block = make_snp_block()
-        out = ser.loads(ser.dumps(block))
+        out = loads(dumps(block))
         assert isinstance(out, SnpBlock)
         assert out.n_sets == block.n_sets
         for attr in ("snp_ids", "set_ids", "weights_sq", "genotypes"):
             assert np.array_equal(getattr(out, attr), getattr(block, attr))
 
-    def test_decoded_arrays_are_writable(self, ser):
-        out = ser.loads(ser.dumps(np.zeros(4)))
+    def test_decoded_arrays_are_writable(self):
+        out = loads(dumps(np.zeros(4)))
         out[0] = 1.0  # would raise on a frombuffer view of the frame
         assert out[0] == 1.0
 
-    def test_shuffle_bucket_shape(self, ser):
+    def test_shuffle_bucket_shape(self):
         bucket = [(i % 3, np.full(8, float(i))) for i in range(12)]
-        out = ser.loads(ser.dumps(bucket))
+        out = loads(dumps(bucket))
         assert len(out) == 12
         assert all(k == i % 3 and np.array_equal(v, np.full(8, float(i)))
                    for i, (k, v) in enumerate(out))
-
-
-class TestNumpyFraming:
-    def test_array_avoids_pickle(self):
-        frame = NumpySerializer().dumps(np.arange(100, dtype=np.float64))
-        assert frame[:1] == b"N"
-        assert b"numpy.core.multiarray" not in frame  # no pickle round-trip
-
-    def test_trailing_bytes_rejected(self):
-        ser = NumpySerializer()
-        with pytest.raises(ValueError, match="trailing"):
-            ser.loads(ser.dumps(1) + b"junk")
-
-    def test_unknown_tag_rejected(self):
-        with pytest.raises(ValueError, match="unknown"):
-            NumpySerializer().loads(b"\xffgarbage")
-
-    def test_custom_object_falls_back_to_pickle(self):
-        class Point:
-            def __init__(self, x):
-                self.x = x
-
-            def __eq__(self, other):
-                return self.x == other.x
-
-        # defined locally so only an embedded-pickle frame could carry it
-        # through __main__-visible classes; module-level import works fine
-        frame = NumpySerializer().dumps({"p": 4 + 2j})
-        assert NumpySerializer().loads(frame) == {"p": 4 + 2j}
-
-
-class TestCompression:
-    def test_small_frame_stays_raw(self):
-        ser = CompressedSerializer(threshold=512)
-        assert ser.dumps([1, 2])[:1] == b"R"
-
-    def test_large_compressible_frame_is_zlib(self):
-        ser = CompressedSerializer(threshold=512)
-        frame = ser.dumps([0.0] * 4096)
-        assert frame[:1] == b"Z"
-        inner_size = len(ser.inner.dumps([0.0] * 4096))
-        assert len(frame) < inner_size
-
-    def test_encode_with_stats_reports_precompression_size(self):
-        ser = CompressedSerializer(threshold=128)
-        obj = list(range(1000))
-        frame, serialized = ser.encode_with_stats(obj)
-        assert serialized == len(ser.inner.dumps(obj))
-        assert len(frame) < serialized
-
-    def test_incompressible_payload_stays_raw(self):
-        ser = CompressedSerializer(threshold=16)
-        rng = np.random.default_rng(1)
-        noise = rng.bytes(4096)  # random bytes do not compress
-        assert ser.dumps(noise)[:1] == b"R"
-
-    def test_bad_flag_rejected(self):
-        with pytest.raises(ValueError, match="compression flag"):
-            CompressedSerializer().loads(b"Qnope")
 
 
 class TestBlobHelpers:
@@ -185,40 +120,14 @@ class TestBlobHelpers:
 
 class TestFrameBatch:
     def test_iterates_concatenated_records(self):
-        ser = NumpySerializer()
-        batch = FrameBatch([ser.dumps([(0, "a"), (1, "b")]), ser.dumps([(2, "c")])], ser)
+        batch = FrameBatch([dumps([(0, "a"), (1, "b")]), dumps([(2, "c")])])
         assert list(batch) == [(0, "a"), (1, "b"), (2, "c")]
         assert list(batch) == [(0, "a"), (1, "b"), (2, "c")]  # re-iterable
 
-    def test_accepts_serializer_name(self):
-        ser = get_serializer("compressed")
-        batch = FrameBatch([ser.dumps([(1, 2)])], "compressed")
-        assert list(batch) == [(1, 2)]
-
     def test_pickles_without_decoding(self):
-        ser = CompressedSerializer()
-        batch = FrameBatch([ser.dumps([(k, np.arange(4)) for k in range(3)])], ser)
+        batch = FrameBatch([dumps([(k, np.arange(4)) for k in range(3)])])
         clone = pickle.loads(pickle.dumps(batch))
+        assert clone.frames == batch.frames
         assert [(k, v.tolist()) for k, v in clone] == [
             (k, list(range(4))) for k in range(3)
         ]
-
-
-class TestRegistry:
-    def test_names_resolve(self):
-        assert isinstance(get_serializer("pickle"), PickleSerializer)
-        assert isinstance(get_serializer("numpy"), NumpySerializer)
-        assert isinstance(get_serializer("compressed"), CompressedSerializer)
-        assert isinstance(get_serializer(None), PickleSerializer)
-
-    def test_instance_passthrough(self):
-        ser = CompressedSerializer(threshold=7)
-        assert get_serializer(ser) is ser
-
-    def test_unknown_name_rejected(self):
-        with pytest.raises(ValueError, match="unknown serializer"):
-            get_serializer("json")
-
-    def test_base_class_is_abstract(self):
-        with pytest.raises(NotImplementedError):
-            Serializer().dumps(1)

@@ -1,10 +1,10 @@
-"""Serialized/compressed shuffle blocks and fault recovery through them.
+"""Shuffle blocks as frames, and fault recovery through them.
 
-The shuffle store holds serializer frames, not live lists; these tests pin
-the frame lifecycle (write-side encode, adopt-without-re-encode, lazy
-reduce-side decode), the compressed-byte accounting, and the FetchFailed ->
+The shuffle store holds frames, not live lists; these tests pin the frame
+lifecycle (write-side encode, adopt-without-re-encode, lazy reduce-side
+decode), driver-side byte pricing, and the FetchFailed ->
 stage-resubmission recovery path running entirely over frames -- including
-the worker-combined ``register_map_output`` route used by the process
+the worker-combined ``register_map_output`` route used by the cluster
 backend.
 """
 
@@ -21,8 +21,6 @@ from repro.engine.metrics import TaskMetrics
 from repro.engine.partitioner import HashPartitioner
 from repro.engine.shuffle import FetchFailedError, ShuffleBlock, ShuffleManager
 
-SERIALIZER_NAMES = ("pickle", "numpy", "compressed")
-
 
 class _FakeRdd:
     pass
@@ -32,10 +30,9 @@ def make_dep(shuffle_id=0, partitions=2, aggregator=None):
     return ShuffleDependency(_FakeRdd(), HashPartitioner(partitions), shuffle_id, aggregator)
 
 
-@pytest.mark.parametrize("serializer", SERIALIZER_NAMES)
 class TestFrameStorage:
-    def test_outputs_stored_as_frames(self, serializer):
-        mgr = ShuffleManager(serializer=serializer)
+    def test_outputs_stored_as_frames(self):
+        mgr = ShuffleManager()
         dep = make_dep(partitions=2)
         mgr.register_shuffle(0, 1)
         mgr.write_map_output(dep, 0, [(i, np.full(4, float(i))) for i in range(6)], "e0")
@@ -43,8 +40,8 @@ class TestFrameStorage:
         assert blocks and all(isinstance(b, ShuffleBlock) for b in blocks)
         assert all(isinstance(b.payload, bytes) for b in blocks)
 
-    def test_fetch_decodes_bit_identical(self, serializer):
-        mgr = ShuffleManager(serializer=serializer)
+    def test_fetch_decodes_bit_identical(self):
+        mgr = ShuffleManager()
         dep = make_dep(partitions=2)
         mgr.register_shuffle(0, 1)
         records = [(i % 2, np.arange(5, dtype=np.float64) * i) for i in range(8)]
@@ -56,8 +53,8 @@ class TestFrameStorage:
         for (gk, gv), (ek, ev) in zip(by_key, expect):
             assert gk == ek and np.array_equal(gv, ev)
 
-    def test_serializer_seconds_metric(self, serializer):
-        mgr = ShuffleManager(serializer=serializer)
+    def test_serializer_seconds_metric(self):
+        mgr = ShuffleManager()
         dep = make_dep(partitions=1)
         mgr.register_shuffle(0, 1)
         metrics = TaskMetrics()
@@ -67,14 +64,14 @@ class TestFrameStorage:
         list(mgr.fetch(0, 0, read_metrics))
         assert read_metrics.serializer_seconds > 0
 
-    def test_register_map_output_adopts_frames_without_reencode(self, serializer):
-        worker = ShuffleManager(track_bytes=False, serializer=serializer)
+    def test_register_map_output_adopts_frames_without_reencode(self):
+        worker = ShuffleManager(track_bytes=False)
         dep = make_dep(partitions=2)
         worker.register_shuffle(0, 1)
         worker.write_map_output(dep, 0, [(0, "a"), (1, "b"), (2, "c")], "e0")
         buckets = worker._outputs[(0, 0)]
 
-        driver = ShuffleManager(serializer=serializer)
+        driver = ShuffleManager()
         driver.register_shuffle(0, 1)
         metrics = TaskMetrics()
         status = driver.register_map_output(dep, 0, buckets, "e0", metrics)
@@ -85,59 +82,26 @@ class TestFrameStorage:
         assert metrics.shuffle_records_written == 0
         assert sorted(driver.fetch(0, 0)) == [(0, "a"), (2, "c")]
 
-    def test_register_map_output_encodes_legacy_lists(self, serializer):
-        driver = ShuffleManager(serializer=serializer)
+    def test_worker_manager_skips_byte_pricing(self):
+        mgr = ShuffleManager(track_bytes=False)
+        dep = make_dep(partitions=1)
+        mgr.register_shuffle(0, 1)
+        metrics = TaskMetrics()
+        mgr.write_map_output(dep, 0, [(0, 1)] * 20, "e0", metrics)
+        assert metrics.shuffle_bytes_written == 0
+        assert metrics.shuffle_records_written > 0  # records still counted
+
+    def test_register_map_output_encodes_legacy_lists(self):
+        driver = ShuffleManager()
         dep = make_dep(partitions=2)
         driver.register_shuffle(0, 1)
         driver.register_map_output(dep, 0, {0: [(0, "a")], 1: [(1, "b")]}, "e0")
         assert list(driver.fetch(0, 1)) == [(1, "b")]
 
 
-class TestCompressedAccounting:
-    def test_compressed_bytes_below_serialized(self):
-        mgr = ShuffleManager(serializer="compressed")
-        dep = make_dep(partitions=1)
-        mgr.register_shuffle(0, 1)
-        metrics = TaskMetrics()
-        # highly compressible payload
-        mgr.write_map_output(dep, 0, [(0, np.zeros(4096))], "e0", metrics)
-        assert 0 < metrics.shuffle_compressed_bytes < metrics.shuffle_bytes_written
-
-    def test_uncompressed_serializer_equal_bytes(self):
-        mgr = ShuffleManager(serializer="pickle")
-        dep = make_dep(partitions=1)
-        mgr.register_shuffle(0, 1)
-        metrics = TaskMetrics()
-        mgr.write_map_output(dep, 0, [(0, np.zeros(64))], "e0", metrics)
-        assert metrics.shuffle_compressed_bytes == metrics.shuffle_bytes_written
-
-    def test_worker_manager_skips_byte_pricing(self):
-        mgr = ShuffleManager(track_bytes=False, serializer="compressed")
-        dep = make_dep(partitions=1)
-        mgr.register_shuffle(0, 1)
-        metrics = TaskMetrics()
-        mgr.write_map_output(dep, 0, [(0, 1)] * 20, "e0", metrics)
-        assert metrics.shuffle_bytes_written == 0
-        assert metrics.shuffle_compressed_bytes == 0
-        assert metrics.shuffle_records_written > 0  # records still counted
-
-    def test_shuffle_write_event_carries_compressed_bytes(self):
-        from repro.engine.listener import CollectingListener, ListenerBus, ShuffleWrite
-
-        mgr = ShuffleManager(serializer="compressed")
-        mgr.bus = ListenerBus()
-        sink = mgr.bus.add_listener(CollectingListener(ShuffleWrite))
-        dep = make_dep(partitions=1)
-        mgr.register_shuffle(0, 1)
-        mgr.write_map_output(dep, 0, [(0, np.zeros(2048))], "e0")
-        (event,) = sink.of(ShuffleWrite)
-        assert 0 < event.compressed_bytes < event.bytes_written
-
-
-@pytest.mark.parametrize("serializer", SERIALIZER_NAMES)
 class TestFetchFailureOverFrames:
-    def test_lost_executor_invalidates_frames(self, serializer):
-        mgr = ShuffleManager(serializer=serializer)
+    def test_lost_executor_invalidates_frames(self):
+        mgr = ShuffleManager()
         dep = make_dep(partitions=1)
         mgr.register_shuffle(0, 2)
         mgr.write_map_output(dep, 0, [(1, "x")], "e0")
@@ -147,8 +111,8 @@ class TestFetchFailureOverFrames:
             mgr.fetch_blocks(0, 0)
         assert exc.value.map_partition == 0
 
-    def test_map_side_combine_through_frames(self, serializer):
-        mgr = ShuffleManager(serializer=serializer)
+    def test_map_side_combine_through_frames(self):
+        mgr = ShuffleManager()
         agg = Aggregator(lambda v: v, operator.add, operator.add)
         dep = make_dep(partitions=1, aggregator=agg)
         mgr.register_shuffle(0, 1)
@@ -158,7 +122,7 @@ class TestFetchFailureOverFrames:
         assert list(mgr.fetch(0, 0)) == [(1, 100)]
 
 
-def _make_ctx(backend, serializer, plan=None):
+def _make_ctx(backend, plan=None):
     injector = FaultInjector(plan) if plan is not None else None
     return Context(
         EngineConfig(
@@ -166,18 +130,16 @@ def _make_ctx(backend, serializer, plan=None):
             num_executors=3,
             executor_cores=1,
             default_parallelism=6,
-            serializer=serializer,
         ),
         fault_injector=injector,
     )
 
 
-@pytest.mark.parametrize("serializer", SERIALIZER_NAMES)
 class TestEngineRecoveryOverFrames:
     """FetchFailed -> parent-stage resubmission with the frame store."""
 
-    def test_shuffle_output_lost_triggers_stage_resubmit(self, serializer):
-        with _make_ctx("serial", serializer) as ctx:
+    def test_shuffle_output_lost_triggers_stage_resubmit(self):
+        with _make_ctx("serial") as ctx:
             rdd = (
                 ctx.parallelize([(i % 3, 1) for i in range(30)], 6)
                 .reduce_by_key(operator.add)
@@ -194,9 +156,9 @@ class TestEngineRecoveryOverFrames:
             map_stages = [s for s in ctx.metrics.jobs[-1].stages if s.is_shuffle_map]
             assert map_stages and map_stages[0].num_tasks == len(missing)
 
-    def test_injected_executor_loss_mid_shuffle(self, serializer):
+    def test_injected_executor_loss_mid_shuffle(self):
         plan = FaultPlan(kill_executor_after_tasks={"exec-1": 2})
-        with _make_ctx("serial", serializer, plan) as ctx:
+        with _make_ctx("serial", plan) as ctx:
             got = dict(
                 ctx.parallelize([(i % 5, i) for i in range(50)], 10)
                 .reduce_by_key(operator.add)
@@ -208,11 +170,11 @@ class TestEngineRecoveryOverFrames:
             assert got == expected
 
     @pytest.mark.slow
-    def test_recovery_through_worker_combined_route(self, serializer):
+    def test_recovery_through_worker_combined_route(self):
         """Cluster backend: map output flows through register_map_output
         (worker-encoded frames adopted by the driver), then an executor dies
         and the reduce recovers via resubmission of the lost maps."""
-        with _make_ctx("cluster", serializer) as ctx:
+        with _make_ctx("cluster") as ctx:
             rdd = (
                 ctx.parallelize([(i % 4, i) for i in range(40)], 4)
                 .reduce_by_key(operator.add)
@@ -228,19 +190,3 @@ class TestEngineRecoveryOverFrames:
         for i in range(40):
             expected[i % 4] = expected.get(i % 4, 0) + i
         assert first == second == expected
-
-
-@pytest.mark.parametrize("serializer", SERIALIZER_NAMES)
-def test_wordcount_identical_across_serializers(serializer):
-    words = ("the quick brown fox jumps over the lazy dog the end " * 10).split()
-    with _make_ctx("serial", serializer) as ctx:
-        got = dict(
-            ctx.parallelize(words, 6).map(lambda w: (w, 1))
-            .reduce_by_key(operator.add).collect()
-        )
-    with _make_ctx("serial", "pickle") as ctx:
-        ref = dict(
-            ctx.parallelize(words, 6).map(lambda w: (w, 1))
-            .reduce_by_key(operator.add).collect()
-        )
-    assert got == ref

@@ -78,6 +78,13 @@ class TestAnalyze:
         assert lines[0].split("\t") == ["set", "n_snps", "statistic", "exceed_count", "pvalue"]
         assert len(lines) == 9  # header + 8 sets
 
+    def test_serializer_flag_is_gone(self, dataset_dir, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", dataset_dir, "--engine", "distributed",
+                  "--serializer", "compressed"])
+        assert exc.value.code == 2  # argparse usage error, not an ignored knob
+        assert "--serializer" in capsys.readouterr().err
+
 
 class TestOneShotClusterRun:
     @pytest.mark.parametrize("backend", ["cluster", "processes"])

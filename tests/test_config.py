@@ -88,6 +88,18 @@ class TestEngineConfig:
         assert config.backend == "cluster"
         assert config.get("spark.executor.instances") == 3
 
+    def test_frame_format_is_not_a_knob(self):
+        from repro.engine.context import Context
+
+        with pytest.raises(TypeError):
+            EngineConfig(serializer="numpy")
+        with pytest.raises(TypeError):
+            EngineConfig().copy(serializer="compressed")
+        with pytest.raises(TypeError):
+            Context(serializer="numpy")
+        config = EngineConfig().set("spark.serializer", "numpy")  # an extra, no alias
+        assert config.serializer == EngineConfig().serializer == "pickle"
+
     def test_storage_memory_budget(self):
         config = EngineConfig(executor_memory=1000, storage_fraction=0.6)
         assert config.storage_memory_per_executor == 600
