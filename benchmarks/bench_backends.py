@@ -12,10 +12,12 @@ just add serialization overhead).  The JSON records ``cpu_count`` so
 readers can interpret the ratios.
 
 The cold/warm sweep runs the identical analysis in several consecutive
-fresh Contexts over one persistent cluster: job 1 pays the fleet spawn and
-ships every task binary, warm jobs re-hit the workers' caches and publish
-nothing (``transport_dedup_hits`` instead of bytes).  CI gates on
-``warm_wall <= 0.5 * cold_wall``.
+fresh Contexts over one persistent cluster: job 1 pays the fleet spawn,
+ships every task binary and computes ``U``; warm jobs re-hit the workers'
+caches (binaries, dataset slices, resident ``U`` blocks) and publish no
+binary (``transport_dedup_hits`` instead of bytes).  CI gates on
+``warm_wall <= 0.5 * cold_wall`` at 3000 SNPs x 1000 patients, where a cost
+proportional to the payload is most of the wall if it is paid per stage.
 
 The adaptive (AQE) sweep runs a deliberately skewed shuffle -- one reduce
 bucket carrying ~11x the records, with fixed per-record work -- under a
@@ -72,6 +74,7 @@ def run_backend(dataset, backend: str, args) -> dict:
             "shuffle_bytes": sum(t.shuffle_bytes_written for t in totals),
             "serializer_seconds": sum(t.serializer_seconds for t in totals),
             "jobs_run": len(ctx.metrics.jobs),
+            "tasks_run": sum(len(s.tasks) for j in ctx.metrics.jobs for s in j.stages),
             "observed": result.observed,
             "exceed_counts": result.exceed_counts,
         }
@@ -105,6 +108,7 @@ def cold_warm_sweep(dataset, args, reference_counts) -> dict:
             "wall_seconds": end_to_end,
             "analyze_seconds": row["wall_seconds"],
             "task_binary_bytes": row["task_binary_bytes"],
+            "tasks_run": row["tasks_run"],
             "transport_bytes_published": row.get("transport_bytes_published", 0),
             "transport_dedup_hits": row.get("transport_dedup_hits", 0),
         })
@@ -121,12 +125,14 @@ def cold_warm_sweep(dataset, args, reference_counts) -> dict:
         "cold_wall_seconds": cold,
         "best_warm_wall_seconds": warm,
         "warm_speedup_vs_cold": cold / warm if warm > 0 else float("inf"),
-        # task binaries travel as ~refs on warm jobs (the blob itself dedups
-        # against the persistent transport's content-hash index).  Explicitly
-        # destroyed broadcasts (the per-batch MC multipliers) legitimately
-        # republish, so bytes_published shrinks but need not reach zero.
+        # task binaries travel as refs on warm jobs (the pickle itself
+        # dedups against the persistent transport's content-hash index): a
+        # pickled ref is ~130 B, the thinnest binary over 1 KB.  Dataset
+        # slices and the per-batch MC multipliers are a context's own and
+        # legitimately republish, so bytes_published need not reach zero.
         "warm_jobs_ship_binaries_by_ref": all(
-            j["task_binary_bytes"] < 0.05 * max(jobs[0]["task_binary_bytes"], 1)
+            j["task_binary_bytes"] <= 256 * j["tasks_run"]
+            < jobs[0]["task_binary_bytes"]
             for j in jobs[1:]
         ),
         "warm_jobs_hit_dedup": all(

@@ -6,20 +6,30 @@
   cores.  NumPy kernels release the GIL, so the score-statistic workload
   gets real parallelism.
 - :class:`~repro.engine.cluster_backend.ClusterBackend` -- the one
-  process-isolated backend: a persistent fleet of worker processes.  Tasks
-  are made self-contained before dispatch (shuffle input pre-fetched,
-  relevant cached blocks attached); results, new cache blocks, and
-  accumulator updates ship back to the driver.  Its workers run
+  process-isolated backend: a persistent fleet of worker processes.  A task
+  envelope carries refs and its pre-fetched shuffle input, never partition
+  or cache data; results, accumulator updates and the *metadata* of the
+  blocks the task left resident ship back to the driver.  Its workers run
   :func:`_run_pickled_task`, which lives here with the rest of the
   worker-side task runner.
 
 Shared-state backends expose ``submit(fn, *args) -> Future``; the cluster
-backend exposes ``submit_pickled(payload, executor_id) -> Future`` instead.
+backend exposes ``submit_pickled(payload, executor_id, partition) -> Future``
+instead.
 
 Stage closures ship as *task binaries* (see
 :class:`~repro.engine.task.TaskBinary`): the scheduler pickles each stage's
-lineage+closure once, and workers memoize the deserialized binary by id so
-repeated tasks of the same stage skip the unpickling entirely.
+lineage+closure once -- kilobytes: partitions and large broadcasts are
+content-hash refs (:class:`~repro.engine.transport.ByRef`) -- and workers
+memoize the deserialized binary by content hash so repeated tasks of the
+same stage skip the unpickling entirely.
+
+Cached RDD blocks are *resident*: each worker process keeps one
+:class:`~repro.engine.blockmanager.BlockManager` for its whole life, keyed
+``(lineage fingerprint, split)`` so that contexts whose RDD ids all restart
+at 0 cannot collide and an identical analysis on a warm fleet finds its
+blocks already there.  Block data never leaves the worker; a miss anywhere
+recomputes from the (cheap to ship) lineage.
 """
 
 from __future__ import annotations
@@ -88,6 +98,7 @@ class ThreadBackend:
 #: ids) are what make *persistent* executors warm: a rerun of the same
 #: workload in a fresh Context produces byte-identical binaries, so the
 #: second job's tasks hit this cache without fetching or unpickling.
+#: Capped by count: a binary holds refs, not data, so each is kilobytes.
 _TASK_BINARY_CACHE: "OrderedDict[str, Any]" = OrderedDict()
 _TASK_BINARY_CACHE_MAX = 64
 
@@ -100,17 +111,17 @@ def current_task_executor() -> str:
     return getattr(_CURRENT_EXECUTOR, "executor_id", "driver")
 
 
-def _load_task_binary(binary_id: str, ref: Any, transport: Any) -> Any:
+def _load_task_binary(ref: Any, transport: Any) -> Any:
     """Materialize a stage's task binary at most once per worker process.
 
-    The binary (compressed, framed by
-    :func:`repro.engine.serializer.compress_blob`) always travels
-    out-of-band: ``ref`` is the :class:`~repro.engine.transport.TransportRef`
-    to fetch it by on a cache miss, which keeps megabyte lineages out of
-    the task frames.
+    The binary always travels out-of-band: ``ref`` is the
+    :class:`~repro.engine.transport.TransportRef` to fetch its pickle by on
+    a cache miss (and its content hash is the binary's id), so a task frame
+    carries the ref whatever the lineage.
     """
     from repro.obs.registry import REGISTRY
 
+    binary_id = ref.content_hash
     binary = _TASK_BINARY_CACHE.get(binary_id)
     if binary is not None:
         _TASK_BINARY_CACHE.move_to_end(binary_id)
@@ -125,13 +136,95 @@ def _load_task_binary(binary_id: str, ref: Any, transport: Any) -> Any:
         "task binaries fetched and deserialized (cold path)",
         labelnames=("executor",),
     ).labels(executor=current_task_executor()).inc()
-    from repro.engine.serializer import decompress_blob
-
-    binary = pickle.loads(decompress_blob(transport.get(ref)))
+    binary = pickle.loads(transport.get(ref))
     _TASK_BINARY_CACHE[binary_id] = binary
     while len(_TASK_BINARY_CACHE) > _TASK_BINARY_CACHE_MAX:
         _TASK_BINARY_CACHE.popitem(last=False)
     return binary
+
+
+# -- worker-side resident blocks -----------------------------------------------
+
+#: this worker process's cache.  It lives as long as the process -- across
+#: tasks, jobs and driver contexts -- and its blocks never leave it
+_RESIDENT_BLOCKS: Any = None
+
+
+def _resident_blocks(memory_budget: int) -> Any:
+    """The process-lifetime block manager, under the calling driver's budget."""
+    global _RESIDENT_BLOCKS
+    if _RESIDENT_BLOCKS is None:
+        from repro.engine.blockmanager import BlockManager
+
+        _RESIDENT_BLOCKS = BlockManager(f"worker-{os.getpid()}", memory_budget)
+    _RESIDENT_BLOCKS.memory_budget = memory_budget
+    return _RESIDENT_BLOCKS
+
+
+def release_resident_blocks() -> None:
+    """Worker exit: drop every block (and with them any spilled file)."""
+    global _RESIDENT_BLOCKS
+    if _RESIDENT_BLOCKS is not None:
+        _RESIDENT_BLOCKS.clear()
+        _RESIDENT_BLOCKS = None
+
+
+class _TaskBlocks:
+    """One task's window onto the worker's resident block manager.
+
+    ``RDD.iterator`` asks for ``(rdd_id, split)``, but rdd ids restart at 0
+    in every context while the resident store outlives them all, so each
+    access is re-keyed to ``(lineage fingerprint, split)`` with the
+    fingerprints the task binary carries.  The window also notes which
+    blocks the task touched and which it pushed out, so the result can tell
+    the driver *where* blocks are without carrying any of them.
+    """
+
+    def __init__(self, manager: Any, keys: "dict[int, str]") -> None:
+        self._manager = manager
+        self._keys = keys
+        self._rdd_of = {key: rdd_id for rdd_id, key in keys.items()}
+        self._touched: set[tuple[int, int]] = set()
+        self.evicted: list[tuple[tuple[int, int], int, bool]] = []
+        manager.bus = self  # one task at a time per worker process
+
+    def _key(self, block_id: "tuple[int, int]") -> "tuple[str, int]":
+        self._touched.add(block_id)
+        return (self._keys[block_id[0]], block_id[1])
+
+    def was_spilled(self, block_id: "tuple[int, int]") -> bool:
+        return self._manager.was_spilled(self._key(block_id))
+
+    def get(self, block_id: "tuple[int, int]") -> "list | None":
+        return self._manager.get(self._key(block_id))
+
+    def put(self, block_id: "tuple[int, int]", data: Any, level: Any, metrics: Any = None) -> list:
+        return self._manager.put(self._key(block_id), data, level, metrics=metrics)
+
+    def contains(self, block_id: "tuple[int, int]") -> bool:
+        return self._manager.contains(self._key(block_id))
+
+    def post(self, event: Any) -> None:
+        """The manager's cache events; evictions of this stage's RDDs are
+        reported, another context's blocks leave silently (its driver finds
+        out by missing)."""
+        from repro.engine.listener import BlockEvicted
+
+        if isinstance(event, BlockEvicted):
+            rdd_id = self._rdd_of.get(event.block_id[0])
+            if rdd_id is not None:
+                self.evicted.append(
+                    ((rdd_id, event.block_id[1]), event.size, event.spilled)
+                )
+
+    def resident(self) -> "list[tuple[tuple[int, int], int, str]]":
+        """``(block_id, size, level)`` of every touched block still held."""
+        out = []
+        for block_id in sorted(self._touched):
+            held = self._manager.held(self._key(block_id))
+            if held is not None:
+                out.append((block_id, held[0], held[1].name))
+        return out
 
 
 # -- worker-side heartbeats ---------------------------------------------------
@@ -202,11 +295,11 @@ def _run_pickled_task(payload: bytes) -> bytes:
 
     Receives a pickled dict with a transport ref to the stage's task binary
     (lineage + closure, memoized per worker and fetched on a cache miss),
-    the partition/attempt to run, pre-fetched shuffle
-    frames, and pre-attached cache blocks (frames); computes a
+    the partition/attempt to run and pre-fetched shuffle frames; computes a
     result dict with the result, any shuffle output written (as
-    :class:`~repro.engine.shuffle.ShuffleBlock` frames), newly cached
-    blocks, accumulator updates, task metrics + resource telemetry,
+    :class:`~repro.engine.shuffle.ShuffleBlock` frames), the metadata of
+    the cache blocks it left resident or evicted (never their data),
+    accumulator updates, task metrics + resource telemetry,
     optional cProfile hotspot rows, worker-local span fragments
     (task-relative offsets), and a delta of every metrics-registry
     increment made while the task ran -- the driver merges the delta so
@@ -219,11 +312,8 @@ def _run_pickled_task(payload: bytes) -> bytes:
     instead of through the worker's socket.
     """
     from repro.engine.accumulator import AccumulatorBuffer
-    from repro.engine.blockmanager import BlockManager
     from repro.engine.profiler import profile_call
-    from repro.engine.serializer import loads
     from repro.engine.shuffle import ShuffleManager
-    from repro.engine.storage import StorageLevel
     from repro.engine.task import ShuffleMapTask, TaskContext, TaskTelemetry
     from repro.engine.transport import from_spec
     from repro.obs.logging import capture_logs, log_context
@@ -234,9 +324,9 @@ def _run_pickled_task(payload: bytes) -> bytes:
     spec = pickle.loads(payload)
     _CURRENT_EXECUTOR.executor_id = spec["executor_id"]
     transport = from_spec(spec["transport"])
-    binary = _load_task_binary(spec["binary_id"], spec["binary_ref"], transport)
+    binary = _load_task_binary(spec["binary_ref"], transport)
     task = binary.make_task(spec["partition"])
-    block_manager = BlockManager(spec["executor_id"], memory_budget=1 << 62)
+    blocks = _TaskBlocks(_resident_blocks(spec["storage_memory"]), binary.block_keys)
     worker_shuffle = ShuffleManager(track_bytes=False)
     tc = TaskContext(
         stage_id=task.stage_id,
@@ -244,7 +334,7 @@ def _run_pickled_task(payload: bytes) -> bytes:
         attempt=spec["attempt"],
         executor_id=spec["executor_id"],
         shuffle_manager=worker_shuffle,
-        block_manager=block_manager,
+        block_manager=blocks,
         block_master=None,
         accumulators=AccumulatorBuffer(binary.accumulators),
         trace_id=spec.get("trace_id"),
@@ -252,9 +342,6 @@ def _run_pickled_task(payload: bytes) -> bytes:
         speculative=spec.get("speculative", False),
     )
     tc.prefetched_shuffle = spec["prefetched_shuffle"]
-    for block_id, frame in spec["cached_blocks"].items():
-        level = binary.storage_levels.get(block_id[0], StorageLevel.MEMORY)
-        tc.block_manager.put(block_id, loads(frame), level)
     deserialize_seconds = time.perf_counter() - task_start
     tc.metrics.deserialize_seconds = deserialize_seconds
 
@@ -303,14 +390,11 @@ def _run_pickled_task(payload: bytes) -> bytes:
             if key[0] == sid
         }
         result = None  # MapStatus rebuilt by the driver
-    new_blocks = {}
-    for block_id in tc.block_manager.block_ids():
-        if block_id not in spec["cached_blocks"]:
-            new_blocks[block_id] = tc.block_manager.get(block_id)
     out = {
         "result": result,
         "shuffle_output": shuffle_output,
-        "new_blocks": new_blocks,
+        "resident_blocks": blocks.resident(),
+        "evicted_blocks": blocks.evicted,
         "accumulator_updates": tc.accumulators.snapshot(),
         "metrics": tc.metrics,
         "profile": hotspots,

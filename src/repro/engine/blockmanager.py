@@ -6,6 +6,12 @@ executor owns a :class:`BlockManager` with a memory budget; the driver-side
 tasks scheduled elsewhere can fetch remotely (counted in metrics, and
 charged as network transfer by the cost model).
 
+On the cluster backend the data side of that split lives in the workers:
+every worker process keeps one manager for its whole life, keyed
+``(lineage fingerprint, partition)`` (see :mod:`repro.engine.backends`),
+and the driver's master holds locations only -- nothing fetches remotely, a
+miss recomputes from lineage.
+
 Sizes are estimated with :func:`estimate_size`, which understands NumPy
 arrays exactly, walks plain-attribute objects (so block payloads like
 ``SnpBlock`` are sized from their arrays without serialization), and
@@ -161,6 +167,8 @@ class BlockManager:
         self._blocks: "OrderedDict[BlockId, _Block]" = OrderedDict()
         self._memory_used = 0
         self._spill_dir = spill_dir
+        #: a directory this manager made for itself (removed by ``clear``)
+        self._own_spill_dir: str | None = None
         self._spilled: dict[BlockId, str] = {}
         self.evictions = 0
         self.spills = 0
@@ -181,6 +189,16 @@ class BlockManager:
     def block_ids(self) -> list[BlockId]:
         with self._lock:
             return list(self._blocks) + list(self._spilled)
+
+    def held(self, block_id: BlockId) -> tuple[int, StorageLevel] | None:
+        """``(accounted bytes, level)`` of a block held here, else None."""
+        with self._lock:
+            block = self._blocks.get(block_id)
+            if block is not None:
+                return block.size, block.level
+            if block_id in self._spilled:
+                return 0, StorageLevel.MEMORY_AND_DISK  # no memory accounted
+        return None
 
     # -- put / get ----------------------------------------------------------
 
@@ -269,6 +287,11 @@ class BlockManager:
     def clear(self) -> None:
         for block_id in self.block_ids():
             self.remove(block_id)
+        if self._own_spill_dir is not None:
+            try:
+                os.rmdir(self._own_spill_dir)
+            except OSError:
+                pass  # a concurrent put spilled again; the next clear gets it
 
     # -- internals ----------------------------------------------------------
 
@@ -294,7 +317,9 @@ class BlockManager:
 
     def _spill(self, block_id: BlockId, data: list) -> None:
         if self._spill_dir is None:
-            self._spill_dir = tempfile.mkdtemp(prefix=f"repro-spill-{self.executor_id}-")
+            self._spill_dir = self._own_spill_dir = tempfile.mkdtemp(
+                prefix=f"repro-spill-{self.executor_id}-"
+            )
         os.makedirs(self._spill_dir, exist_ok=True)
         path = os.path.join(self._spill_dir, f"block_{block_id[0]}_{block_id[1]}.pkl")
         with open(path, "wb") as fh:
@@ -369,6 +394,17 @@ class BlockManagerMaster:
         if manager is not None:
             manager.clear()
         return lost
+
+    def remove_rdd(self, rdd_id: int) -> None:
+        """Forget every location of one RDD's blocks (unpersist)."""
+        with self._lock:
+            for block_id in [b for b in self._locations if b[0] == rdd_id]:
+                del self._locations[block_id]
+
+    def block_count(self, executor_id: str) -> int:
+        """How many blocks are registered on one executor."""
+        with self._lock:
+            return sum(executor_id in holders for holders in self._locations.values())
 
     def executors_holding_rdd(self, rdd_id: int) -> set[str]:
         with self._lock:

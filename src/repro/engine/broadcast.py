@@ -1,43 +1,28 @@
 """Broadcast variables.
 
 A broadcast wraps a read-only value shipped once to every executor rather
-than with every task closure.  In this single-process engine the win is
+than with every task closure.  On the shared-state backends the win is
 semantic fidelity plus metrics: the context records broadcast sizes so the
 cost model can charge network transfer, and ``unpersist``/``destroy``
 lifecycle matches Spark's.
 
-With the process backend a context-attached :class:`~repro.engine.transport.
-Transport` upgrades broadcasts to out-of-band delivery: the first pickle of
-a large broadcast publishes its compressed payload to shared memory (or the
-temp-file fallback) exactly once, and every task closure thereafter carries
-only a :class:`~repro.engine.transport.TransportRef`.  Workers attach the
-segment lazily on first ``.value`` access and memoize the decoded value for
-the life of the process -- the Torrent-broadcast idea reduced to one host.
+On the cluster backend the value travels as a
+:class:`~repro.engine.transport.ByRef` -- the same publish-once /
+fetch-lazily / memoize-per-worker path ``parallelize`` partitions take: the
+first pickle of a large broadcast publishes its raw pickle under its content
+hash exactly once, every task binary thereafter carries only a
+:class:`~repro.engine.transport.TransportRef`, and workers resolve
+``.value`` through a byte-budgeted per-process memo (the Torrent-broadcast
+idea reduced to one host).  Nothing is compressed on the way.
 """
 
 from __future__ import annotations
 
-import pickle
-import threading
-from collections import OrderedDict
 from typing import Any, Generic, TypeVar
 
+from repro.engine.transport import BY_REF_MIN_BYTES, ByRef
+
 T = TypeVar("T")
-
-#: compressed payloads at least this large travel by transport ref; tiny
-#: broadcasts are cheaper inline than as a ref + segment attach
-_BROADCAST_TRANSPORT_MIN = 16 * 1024
-
-#: worker-side memo: transport ref identity -> decoded value (read-only,
-#: safe to share).  Keyed by (scheme, key) rather than broadcast id because
-#: persistent cluster workers outlive driver contexts, and every fresh
-#: context restarts broadcast ids at 0 -- id keys would collide across jobs
-#: while ref keys are content-addressed and never do.  LRU-capped like the
-#: task-binary cache: persistent executors would otherwise accumulate
-#: every broadcast value ever seen for the life of the fleet.
-_WORKER_VALUES: "OrderedDict[tuple[str, str], Any]" = OrderedDict()
-_WORKER_VALUES_MAX = 64
-_WORKER_LOCK = threading.Lock()
 
 
 class BroadcastDestroyedError(RuntimeError):
@@ -52,130 +37,41 @@ class Broadcast(Generic[T]):
         broadcast_id: int,
         value: T,
         transport: Any = None,
-        transport_min: int = _BROADCAST_TRANSPORT_MIN,
+        transport_min: int = BY_REF_MIN_BYTES,
     ) -> None:
         self.id = broadcast_id
-        self._value: T | None = value
-        self._destroyed = False
-        self._size_bytes: int | None = None
-        self._transport = transport
-        self._transport_min = transport_min
-        self._ref: Any = None  # TransportRef once published
-        self._blob: bytes | None = None  # compressed pickle, driver-side cache
+        self._payload: ByRef | None = ByRef(value, transport, transport_min)
+
+    def _live(self) -> ByRef:
+        if self._payload is None:
+            raise BroadcastDestroyedError(f"broadcast {self.id} was destroyed")
+        return self._payload
 
     @property
     def value(self) -> T:
-        if self._destroyed:
+        payload = self._payload  # read per record on the paper flavor: no extra call
+        if payload is None:
             raise BroadcastDestroyedError(f"broadcast {self.id} was destroyed")
-        if self._value is None and self._ref is not None:
-            self._value = self._fetch_remote()
-        return self._value  # type: ignore[return-value]
-
-    def _fetch_remote(self) -> T:
-        """Worker-side lazy load: attach the segment once per process."""
-        memo_key = (self._ref.scheme, self._ref.key)
-        with _WORKER_LOCK:
-            if memo_key in _WORKER_VALUES:
-                from repro.engine.backends import current_task_executor
-                from repro.obs.registry import REGISTRY
-
-                _WORKER_VALUES.move_to_end(memo_key)
-                REGISTRY.counter(
-                    "broadcast_memo_hits_total",
-                    "Broadcast values served from the worker's warm memo",
-                    labelnames=("executor",),
-                ).labels(executor=current_task_executor()).inc()
-                return _WORKER_VALUES[memo_key]
-        from repro.engine.serializer import decompress_blob
-        from repro.engine.transport import worker_transport
-
-        transport = worker_transport()
-        if transport is None:
-            raise RuntimeError(
-                f"broadcast {self.id} shipped by ref but no transport attached"
-            )
-        value = pickle.loads(decompress_blob(transport.get(self._ref)))
-        with _WORKER_LOCK:
-            _WORKER_VALUES[memo_key] = value
-            _WORKER_VALUES.move_to_end(memo_key)
-            while len(_WORKER_VALUES) > _WORKER_VALUES_MAX:
-                _WORKER_VALUES.popitem(last=False)
-        return value
-
-    def _publish(self) -> bytes | None:
-        """Compress the payload and, when large, publish it out-of-band.
-
-        Returns the compressed blob when the broadcast stays inline, or
-        ``None`` once a transport ref exists.  Idempotent: the content-hash
-        dedup in :meth:`Transport.put` plus driver-side memoization mean
-        repeated pickles of the same broadcast never re-publish.
-        """
-        if self._ref is not None:
-            return None
-        if self._blob is None:
-            from repro.engine.serializer import compress_blob
-
-            raw = pickle.dumps(self._value, protocol=pickle.HIGHEST_PROTOCOL)
-            self._size_bytes = len(raw)
-            self._blob = compress_blob(raw)
-        if self._transport is not None and len(self._blob) >= self._transport_min:
-            self._ref = self._transport.put(self._blob, dedup=True)
-            return None
-        return self._blob
+        return payload.value
 
     def __getstate__(self) -> dict:
-        if self._destroyed:
-            raise BroadcastDestroyedError(
-                f"cannot ship destroyed broadcast {self.id}"
-            )
-        blob = self._publish()
-        return {
-            "id": self.id,
-            "ref": self._ref,
-            "blob": blob,
-            "transport_min": self._transport_min,
-        }
-
-    def __setstate__(self, state: dict) -> None:
-        self.id = state["id"]
-        self._destroyed = False
-        self._size_bytes = None
-        self._transport = None
-        self._transport_min = state["transport_min"]
-        self._ref = state["ref"]
-        self._blob = None
-        if state["blob"] is not None:
-            from repro.engine.serializer import decompress_blob
-
-            self._value = pickle.loads(decompress_blob(state["blob"]))
-        else:
-            self._value = None  # lazy-loaded from the transport on .value
+        return {"id": self.id, "_payload": self._live()}
 
     @property
     def size_bytes(self) -> int:
-        """Pickled (uncompressed) size of the payload (lazy, cached)."""
-        if self._size_bytes is None:
-            if self._destroyed:
-                raise BroadcastDestroyedError(f"broadcast {self.id} was destroyed")
-            self._size_bytes = len(
-                pickle.dumps(self._value, protocol=pickle.HIGHEST_PROTOCOL)
-            )
-        return self._size_bytes
+        """Pickled size of the payload (lazy, cached)."""
+        return self._live().size_bytes
 
     def unpersist(self) -> None:
         """Release executor copies and any published transport segment."""
-        if self._transport is not None and self._ref is not None:
-            self._transport.delete(self._ref)
-            self._ref = None
-            self._blob = None
+        if self._payload is not None:
+            self._payload.unpublish()
 
     def destroy(self) -> None:
         """Release the value entirely; further ``.value`` reads raise."""
         self.unpersist()
-        self._destroyed = True
-        self._value = None
-        self._blob = None
+        self._payload = None
 
     def __repr__(self) -> str:
-        state = "destroyed" if self._destroyed else "live"
+        state = "destroyed" if self._payload is None else "live"
         return f"Broadcast(id={self.id}, {state})"

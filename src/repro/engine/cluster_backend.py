@@ -8,8 +8,9 @@ form one logical executor) connected back to the driver over loopback
 TCP, and survives any number of Context attach/detach cycles.  The payoff
 is the warm second
 job: workers' task-binary caches (content-hash keyed, see
-:mod:`repro.engine.backends`), broadcast memos, and transport handles all
-hit, so a rerun ships refs instead of megabytes.
+:mod:`repro.engine.backends`), by-ref value memos (dataset slices,
+broadcasts), resident cache blocks and transport handles all hit, so a
+rerun ships kilobytes of refs and recomputes nothing it already holds.
 
 Dispatch is a single event-driven thread multiplexing every worker socket
 through :mod:`selectors`: non-blocking accepts, incremental
@@ -81,7 +82,11 @@ def _cluster_worker_main(
     interleaves two tasks' increments, and DRAIN can exit at any frame
     boundary knowing nothing is in flight.
     """
-    from repro.engine.backends import _WORKER_HB, _run_pickled_task
+    from repro.engine.backends import (
+        _WORKER_HB,
+        _run_pickled_task,
+        release_resident_blocks,
+    )
 
     try:
         conn = socket.create_connection((host, port), timeout=30.0)
@@ -116,7 +121,7 @@ def _cluster_worker_main(
                 return
             ftype, payload = received
             if ftype == frames.TASK:
-                token, _eid, spec = frames.unpack_task(payload)
+                token, _eid, _partition, spec = frames.unpack_task(payload)
                 try:
                     result = _run_pickled_task(spec)
                 except BaseException as exc:  # noqa: BLE001 - shipped to driver
@@ -143,6 +148,7 @@ def _cluster_worker_main(
     except (ConnectionError, OSError):
         return
     finally:
+        release_resident_blocks()
         try:
             conn.close()
         except OSError:
@@ -313,9 +319,17 @@ class ClusterManager:
     # -- backend interface -------------------------------------------------
 
     def submit(
-        self, payload: bytes, executor_id: str, driver: str | None = None
+        self, payload: bytes, executor_id: str, partition: int = 0,
+        driver: str | None = None,
     ) -> concurrent.futures.Future:
-        """Queue one task on the named executor's least-loaded alive slot.
+        """Queue one task on the named executor's slot for ``partition``.
+
+        The slot is a function of the partition, not of load: each slot is
+        its own worker process with its own resident blocks and memos, so
+        the same partition must reach the same process while it lives.  An
+        executor with no alive slot fails the future with
+        :class:`ExecutorLostError`; the scheduler then forgets its block
+        locations and places the task elsewhere.
 
         ``driver`` labels this submission for the fleet's per-driver
         throughput series; the head passes its per-connection label, the
@@ -332,19 +346,19 @@ class ClusterManager:
                 h for h in self.workers
                 if h.executor_id == executor_id and h.alive and not h.draining
             ]
-            if not candidates:  # executor gone: any alive slot keeps the job going
-                candidates = [h for h in self.workers if h.alive and not h.draining]
             if not candidates:
                 future.set_exception(ExecutorLostError(executor_id))
                 return future
-            handle = min(candidates, key=lambda h: len(h.inflight))
+            # executors take partitions round-robin, so consecutive
+            # partitions of one executor are num_executors apart
+            handle = candidates[(partition // self.num_executors) % len(candidates)]
             token = next(self._tokens)
             handle.inflight[token] = future
             self._token_driver[token] = driver
             # the token rides along so the dispatch loop can drop the frame
             # if the future is cancelled (speculation loser) before sending
             self._cmds.append(("send", handle, frames.encode_frame(
-                frames.TASK, frames.pack_task(token, executor_id, payload)
+                frames.TASK, frames.pack_task(token, executor_id, partition, payload)
             ), token))
         self._wake()
         return future
@@ -764,10 +778,11 @@ class ClusterBackend:
 
     ``shutdown`` only detaches -- the cluster outlives the context by
     design.  As the one backend without shared driver state it is what the
-    scheduler's process-isolated path assumes: partition -> executor
-    placement is pinned across jobs so warm caches actually get re-hit,
-    and every task binary is published by transport ref, which is what
-    turns job 2's publication into a dedup hit.
+    scheduler's process-isolated path assumes: partition -> worker-process
+    placement is pinned across jobs and contexts so resident blocks and
+    warm memos actually get re-hit, and every task binary is published by
+    transport ref, which is what turns job 2's publication into a dedup
+    hit.
     """
 
     name = "cluster"
@@ -791,11 +806,11 @@ class ClusterBackend:
         return self._manager.heartbeats
 
     def submit_pickled(
-        self, payload: bytes, executor_id: str | None = None
+        self, payload: bytes, executor_id: str | None = None, partition: int = 0
     ) -> concurrent.futures.Future:
         if self._detached:
             raise RuntimeError("backend is shut down")
-        return self._manager.submit(payload, executor_id or "exec-0")
+        return self._manager.submit(payload, executor_id or "exec-0", partition)
 
     def note_binary_shipped(self, executor_id: str, binary_id: str) -> bool:
         return self._manager.note_binary_shipped(executor_id, binary_id)
@@ -986,8 +1001,10 @@ class ClusterHead:
                     with self._lock:
                         self._drivers.append(writer)
                 elif ftype == frames.TASK:
-                    token, eid, spec = frames.unpack_task(payload)
-                    future = self.manager.submit(spec, eid, driver=driver_label)
+                    token, eid, partition, spec = frames.unpack_task(payload)
+                    future = self.manager.submit(
+                        spec, eid, partition, driver=driver_label
+                    )
                     future.add_done_callback(
                         self._result_forwarder(writer, token)
                     )
@@ -1165,7 +1182,9 @@ class ClusterClient:
 
     # -- manager-compatible surface ---------------------------------------
 
-    def submit(self, payload: bytes, executor_id: str) -> concurrent.futures.Future:
+    def submit(
+        self, payload: bytes, executor_id: str, partition: int = 0
+    ) -> concurrent.futures.Future:
         future: concurrent.futures.Future = concurrent.futures.Future()
         if self.stopped:
             future.set_exception(ConnectionError("cluster head connection lost"))
@@ -1177,7 +1196,7 @@ class ClusterClient:
             with self._send_lock:
                 frames.send_frame(
                     self._sock, frames.TASK,
-                    frames.pack_task(token, executor_id, payload),
+                    frames.pack_task(token, executor_id, partition, payload),
                 )
         except (ConnectionError, OSError) as exc:
             with self._lock:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import secrets
 import threading
+import weakref
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator
 
 from repro.config import EngineConfig
@@ -78,6 +79,11 @@ class Context:
         self.transport = (
             None if self.backend.supports_shared_state else self.backend.transport
         )
+        #: live :class:`~repro.engine.transport.ByRef` holders (broadcast
+        #: payloads, ``parallelize`` partitions) this context may have
+        #: published on that transport; ``stop()`` deletes their segments so
+        #: a long-lived fleet's ``/dev/shm`` stays bounded
+        self._published: "weakref.WeakSet" = weakref.WeakSet()
         self.executors = build_executors(
             self.config.num_executors,
             self.config.executor_cores,
@@ -308,7 +314,13 @@ class Context:
 
     def broadcast(self, value: Any) -> Broadcast:
         self._check_alive()
-        return Broadcast(next(self._broadcast_ids), value, transport=self.transport)
+        bc = Broadcast(next(self._broadcast_ids), value, transport=self.transport)
+        if self.transport is not None:
+            self._track_published([bc._payload])
+        return bc
+
+    def _track_published(self, holders: Iterable) -> None:
+        self._published.update(holders)
 
     def accumulator(self, initial: Any, op: Callable | None = None, zero: Any | None = None) -> Accumulator:
         self._check_alive()
@@ -340,7 +352,10 @@ class Context:
             for block_id in executor.block_manager.block_ids():
                 if block_id[0] == rdd_id:
                     executor.block_manager.remove(block_id)
-                    self.block_master.unregister_block(block_id, executor.executor_id)
+        # cluster workers keep their resident copies until LRU takes them:
+        # the RDD now pickles as not persisted, so nothing reads them, and
+        # persisting it again finds them (same lineage, same fingerprint)
+        self.block_master.remove_rdd(rdd_id)
 
     def cached_partition_count(self, rdd: "RDD") -> int:
         """How many of an RDD's partitions are currently cached somewhere."""
@@ -424,6 +439,15 @@ class Context:
                 self.backend.detach(self)
             self.listener_bus.stop()
             self.backend.shutdown()
+            # release what this context owns now rather than at the next
+            # gen-2 collection: the context sits in reference cycles (its
+            # scheduler, planner and listeners point back at it), so until
+            # then it would pin every cached block of the analysis
+            for holder in list(self._published):
+                holder.unpublish()
+            for executor in self.executors:
+                executor.block_manager.clear()
+            self.shuffle_manager.clear()
             self._stopped = True
 
     def _check_alive(self) -> None:

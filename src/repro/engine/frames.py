@@ -37,9 +37,10 @@ MAX_FRAME = 1 << 31
 #: after the CHALLENGE/AUTH handshake has proven the peer holds the
 #: cluster secret -- no pickle ever touches unauthenticated bytes
 REGISTER = 1
-#: driver -> worker (or driver -> head): ``!QH`` token, executor-id length,
-#: executor id utf-8, task spec bytes (the executor id routes head-side;
-#: workers ignore it)
+#: driver -> worker (or driver -> head): ``!QIH`` token, partition,
+#: executor-id length, executor id utf-8, task spec bytes (executor id and
+#: partition route head-side -- the same partition always reaches the same
+#: worker process; workers ignore both)
 TASK = 2
 #: worker -> driver: ``!Q`` token, framed result bytes (see
 #: :func:`repro.engine.backends.unframe_result`)
@@ -102,20 +103,20 @@ BLOB_OK = 27
 #: utf-8 key
 BLOB_DELETE = 28
 
-_TASK_PREFIX = struct.Struct("!QH")
+_TASK_PREFIX = struct.Struct("!QIH")
 _TOKEN = struct.Struct("!Q")
 
 
-def pack_task(token: int, executor_id: str, payload: bytes) -> bytes:
+def pack_task(token: int, executor_id: str, partition: int, payload: bytes) -> bytes:
     eid = executor_id.encode("utf-8")
-    return _TASK_PREFIX.pack(token, len(eid)) + eid + payload
+    return _TASK_PREFIX.pack(token, partition, len(eid)) + eid + payload
 
 
-def unpack_task(frame: bytes) -> tuple[int, str, bytes]:
-    token, eid_len = _TASK_PREFIX.unpack_from(frame)
+def unpack_task(frame: bytes) -> tuple[int, str, int, bytes]:
+    token, partition, eid_len = _TASK_PREFIX.unpack_from(frame)
     start = _TASK_PREFIX.size
     eid = bytes(frame[start:start + eid_len]).decode("utf-8")
-    return token, eid, bytes(frame[start + eid_len:])
+    return token, eid, partition, bytes(frame[start + eid_len:])
 
 
 def pack_token(token: int, payload: bytes) -> bytes:

@@ -9,8 +9,12 @@ Naming follows Python convention (``flat_map``); camelCase aliases
 (``flatMap``) are provided for people porting Spark code.
 
 RDDs hold a reference to their driver :class:`~repro.engine.context.Context`
-for action execution; the reference is dropped on pickling (process
-backend) because workers never run actions.
+for action execution; the reference is dropped on pickling (cluster
+backend) because workers never run actions.  An RDD's pickle is *thin*: a
+``parallelize`` partition travels as a content-hash ref a worker resolves
+for the one split it runs, so a lineage pickles to kilobytes whatever the
+dataset's size -- and the SHA-256 of a cached RDD's pickle is the key its
+blocks are resident under on the workers.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ from repro.engine.dependencies import (
 )
 from repro.engine.storage import StorageLevel
 from repro.engine.task import TaskContext
+from repro.engine.transport import ByRef
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.engine.context import Context
@@ -572,13 +577,47 @@ class ParallelCollectionRDD(RDD):
         if num_partitions < 1:
             raise ValueError("num_partitions must be >= 1")
         self._slices = _slice_collection(items, num_partitions)
+        #: the slices as ByRef holders, made on the first cluster pickle
+        self._published: "_PublishedSlices | None" = None
 
     def num_partitions(self) -> int:
         return len(self._slices)
 
     def compute(self, split: int, tc: TaskContext) -> Iterator:
-        tc.metrics.records_read += len(self._slices[split])
-        return iter(self._slices[split])
+        part = self._slices[split]
+        tc.metrics.records_read += len(part)
+        return iter(part)
+
+    def __getstate__(self) -> dict:
+        state = super().__getstate__()
+        state["_published"] = None
+        transport = getattr(self.context, "transport", None)
+        if transport is not None:
+            if self._published is None:
+                self._published = _PublishedSlices(
+                    [ByRef(part, transport) for part in self._slices]
+                )
+                # the context deletes the published segments when it stops
+                self.context._track_published(self._published.parts)
+            state["_slices"] = self._published
+        return state
+
+
+class _PublishedSlices:
+    """What ``_slices`` is in a worker: partitions resolved on access.
+
+    Each partition is its own :class:`~repro.engine.transport.ByRef`, so a
+    task fetches (and the worker memoizes) only the split it computes.
+    """
+
+    def __init__(self, parts: "list[ByRef]") -> None:
+        self.parts = parts
+
+    def __len__(self) -> int:
+        return len(self.parts)
+
+    def __getitem__(self, split: int) -> list:
+        return self.parts[split].value
 
 
 def _slice_collection(items: list, num_partitions: int) -> list[list]:
@@ -714,6 +753,15 @@ class LocalTextFileRDD(RDD):
 
     def num_partitions(self) -> int:
         return len(self._splits)
+
+    def __getstate__(self) -> dict:
+        # a cached descendant's resident blocks are keyed by the hash of
+        # this pickle: a rewritten file must not find the old file's blocks
+        state = super().__getstate__()
+        state["_file_identity"] = [
+            (st.st_size, st.st_mtime_ns) for st in map(os.stat, self._files)
+        ]
+        return state
 
     def compute(self, split: int, tc: TaskContext) -> Iterator:
         # Hadoop line-split semantics: this split owns every line whose

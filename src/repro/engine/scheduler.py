@@ -7,6 +7,15 @@ shuffle-fetch failures by letting the missing map partitions be recomputed
 attempts on alive executors (locality-aware), retries transient failures up
 to ``max_task_retries``, and converts executor loss into block/shuffle
 invalidation plus rescheduling.
+
+The cluster branch ships a stage as a kilobyte task binary (lineage,
+closures and content-hash refs; see :meth:`TaskScheduler._build_task_binary`)
+and a task as an envelope of refs plus its pre-fetched shuffle frames.
+Cached blocks stay resident in the worker that computed them: a result
+carries ``(block_id, size, level)`` metadata, the driver keeps locations in
+its ``BlockManagerMaster`` and none of the data, placement sends a
+partition to the same worker process every time, and a miss anywhere
+(evicted, dead holder, speculative twin elsewhere) recomputes from lineage.
 """
 
 from __future__ import annotations
@@ -28,6 +37,8 @@ from repro.engine.dag import Stage, StageGraph
 from repro.engine.dependencies import ShuffleDependency
 from repro.engine.executor import Executor, ExecutorLostError
 from repro.engine.listener import (
+    BlockCached,
+    BlockEvicted,
     ExecutorLost,
     JobEnd,
     JobStart,
@@ -39,9 +50,8 @@ from repro.engine.listener import (
 )
 from repro.engine.metrics import JobMetrics, StageMetrics, TaskRecord
 from repro.engine.profiler import profile_call, should_profile
-from repro.engine.serializer import FrameBatch, compress_blob, dumps
+from repro.engine.serializer import FrameBatch
 from repro.engine.shuffle import FetchFailedError
-from repro.engine.storage import StorageLevel
 from repro.engine.task import (
     ResultTask,
     ShuffleMapTask,
@@ -155,52 +165,47 @@ def stage_shuffle_inputs(rdd: "RDD", split: int) -> set[tuple[int, int]]:
     return out
 
 
-def stage_cached_rdd_blocks(rdd: "RDD", split: int) -> set[tuple[int, int]]:
-    """(rdd_id, partition) block ids of persisted RDDs in this task's slice."""
-    out: set[tuple[int, int]] = set()
-    seen: set[tuple[int, int]] = set()
-
-    def visit(node: "RDD", s: int) -> None:
-        if (node.id, s) in seen:
-            return
-        seen.add((node.id, s))
-        if node.is_cached:
-            out.add((node.id, s))
-        for dep in node.dependencies:
-            if isinstance(dep, ShuffleDependency):
-                continue
-            for parent_split in dep.parents(s):
-                visit(dep.rdd, parent_split)
-
-    visit(rdd, split)
-    return out
+def stage_cached_rdds(rdd: "RDD") -> list["RDD"]:
+    """Persisted RDDs a task of this stage may compute: ``rdd`` and its
+    ancestors through narrow dependencies (a shuffle ends the stage)."""
+    seen: dict[int, "RDD"] = {}
+    frontier = [rdd]
+    while frontier:
+        node = frontier.pop()
+        if node.id not in seen:
+            seen[node.id] = node
+            frontier.extend(
+                dep.rdd for dep in node.dependencies
+                if not isinstance(dep, ShuffleDependency)
+            )
+    return [node for node in seen.values() if node.is_cached]
 
 
 @dataclass
 class _SerializedTaskBinary:
-    """A stage's pickled :class:`TaskBinary` plus driver-side lookup state.
+    """What the driver keeps of a stage's published :class:`TaskBinary`.
 
-    ``blob`` is the zlib-framed (see
-    :func:`repro.engine.serializer.compress_blob`) pickle of the binary.
-    It is published once on the cluster's transport (content-hash dedup'd)
-    and tasks ship only ``ref``; in the ``task_binary_bytes`` accounting an
-    executor is charged the full blob the first time it sees the binary
-    and only the ref's bytes afterwards.
+    The pickle itself lives on the cluster's transport (published once,
+    content-hash dedup'd) and tasks ship only ``ref``; in the
+    ``task_binary_bytes`` accounting an executor is charged the full
+    pickle the first time it sees the binary and only the ref's bytes
+    afterwards.
     """
 
-    #: SHA-256 of ``blob``: content identity, not a per-context sequence
-    #: number, so persistent executors recognize a binary they already hold
-    #: even when it was built by an earlier (dead) Context
-    binary_id: str
-    blob: bytes
-    #: uncompressed pickled size, for compression accounting
-    raw_len: int
-    #: requested StorageLevel per cached rdd id (for merging remote blocks)
-    storage_levels: dict[int, StorageLevel]
-    #: transport handle the blob was published under
+    #: pickled size of the binary
+    size: int
+    #: transport handle the pickle was published under
     ref: Any
     #: pickled size of ``ref`` (the per-task cost once dedup'd)
     ref_cost: int
+
+    @property
+    def binary_id(self) -> str:
+        """SHA-256 of the pickle (the one ``put`` took): content identity,
+        not a per-context sequence number, so persistent executors recognize
+        a binary they already hold even when an earlier (dead) Context
+        built it."""
+        return self.ref.content_hash
 
 
 class TaskScheduler:
@@ -235,9 +240,9 @@ class TaskScheduler:
                 if executor.executor_id in preferred or executor.host in preferred:
                     return executor
         # 3) the cluster's executors persist, so placement is *stable*:
-        # partition -> same executor across jobs, and a rerun hits the
-        # executor whose caches already hold that partition's binary and
-        # broadcasts
+        # partition -> same executor (and, inside it, same worker process)
+        # across jobs and contexts, so a rerun lands where that partition's
+        # resident blocks, slice and broadcasts already are
         if not self.ctx.backend.supports_shared_state:
             return alive[task.partition % len(alive)]
         # 4) round robin
@@ -675,36 +680,34 @@ class TaskScheduler:
     # -- cluster-backend execution ------------------------------------------------
 
     def _build_task_binary(self, stage: Stage, probe: Task) -> _SerializedTaskBinary:
-        """Serialize the stage's closure/lineage once for all its tasks."""
-        levels = {
-            node.id: node.storage_level
-            for node in stage.rdd.lineage()
-            if node.is_cached
-        }
-        if isinstance(probe, ShuffleMapTask):
-            binary = TaskBinary(
-                stage.id, "shuffle_map", stage.rdd,
-                func=None, shuffle_dep=probe.shuffle_dep,
-                accumulators=self.ctx._accumulators, storage_levels=levels,
-            )
-        else:
-            binary = TaskBinary(
-                stage.id, "result", stage.rdd,
-                func=probe.func, shuffle_dep=None,
-                accumulators=self.ctx._accumulators, storage_levels=levels,
-            )
+        """Serialize the stage's closure/lineage once for all its tasks.
+
+        The pickle is thin -- ``parallelize`` partitions and large
+        broadcasts pickle as content-hash refs -- so building it costs
+        kilobytes, not the dataset, and a stage a warm fleet has seen
+        before pickles to the same bytes and publishes nothing.
+        """
         # closure-aware pickling: lambdas and locally-defined functions in
         # the lineage serialize by value (repro.engine.closure)
-        raw = closure_dumps(binary)
-        blob = compress_blob(raw)
+        block_keys = {
+            node.id: hashlib.sha256(closure_dumps(node)).hexdigest()
+            for node in stage_cached_rdds(stage.rdd)
+        }
+        shuffle_map = isinstance(probe, ShuffleMapTask)
+        binary = TaskBinary(
+            stage.id, "shuffle_map" if shuffle_map else "result", stage.rdd,
+            func=None if shuffle_map else probe.func,
+            shuffle_dep=probe.shuffle_dep if shuffle_map else None,
+            accumulators=self.ctx._accumulators, block_keys=block_keys,
+        )
+        blob = closure_dumps(binary)
         # every binary is published by ref regardless of size: workers that
         # evicted it can re-fetch it from the long-lived transport, and the
         # content-hash dedup makes job 2's publication a no-op
         # (transport_dedup_hits instead of bytes)
         ref = self.ctx.transport.put(blob, dedup=True)
         return _SerializedTaskBinary(
-            hashlib.sha256(blob).hexdigest(), blob, len(raw), levels, ref,
-            len(pickle.dumps(ref, protocol=pickle.HIGHEST_PROTOCOL)),
+            len(blob), ref, len(pickle.dumps(ref, protocol=pickle.HIGHEST_PROTOCOL))
         )
 
     def _submit_process(
@@ -721,8 +724,8 @@ class TaskScheduler:
         """Dispatch one attempt to the cluster without blocking.
 
         The returned future resolves to ``(value, TaskRecord)`` once the
-        worker finishes *and* the driver-side merge (shuffle output, cache
-        blocks, accumulators) has run in the backend future's completion
+        worker finishes *and* the driver-side merge (shuffle output, block
+        locations, accumulators) has run in the backend future's completion
         callback, so ``run_task_set`` keeps ``max_inflight`` attempts
         genuinely parallel.
         """
@@ -739,35 +742,30 @@ class TaskScheduler:
                 injector.on_task_launch(TaskContext(
                     stage.id, task.partition, attempt, executor.executor_id
                 ))
-            # make the task self-contained: pre-fetch shuffle input + cache
-            # blocks.  Shuffle input ships as the map outputs' frames (no
-            # driver-side decode + re-pickle); cache blocks ship as frames
+            # make the task self-contained: pre-fetch its shuffle input, as
+            # the map outputs' frames (no driver-side decode + re-pickle).
+            # Cached blocks are the worker's own business: resident there
+            # or recomputed from the lineage in the binary
             prefetched: dict[tuple[int, int], FrameBatch] = {}
             for shuffle_id, reduce_part in stage_shuffle_inputs(task.rdd, task.partition):
                 blocks = self.ctx.shuffle_manager.fetch_blocks(shuffle_id, reduce_part)
                 prefetched[(shuffle_id, reduce_part)] = FrameBatch(
                     [b.payload for b in blocks]
                 )
-            cached_blocks: dict[tuple[int, int], bytes] = {}
-            for block_id in stage_cached_rdd_blocks(task.rdd, task.partition):
-                data = executor.block_manager.get(block_id)
-                if data is None:
-                    remote = self.ctx.block_master.get_remote(
-                        block_id, excluding=executor.executor_id
-                    )
-                    data = remote[0] if remote is not None else None
-                if data is not None:
-                    cached_blocks[block_id] = dumps(data)
             payload = pickle.dumps(
                 {
-                    "binary_id": tb.binary_id,
                     "binary_ref": tb.ref,
                     "partition": task.partition,
                     "attempt": attempt,
                     "executor_id": executor.executor_id,
                     "speculative": speculative,
                     "prefetched_shuffle": prefetched,
-                    "cached_blocks": cached_blocks,
+                    # budget of the worker process's resident block
+                    # manager: the executor's, split over its slot processes
+                    "storage_memory": (
+                        self.ctx.config.storage_memory_per_executor
+                        // self.ctx.config.executor_cores
+                    ),
                     "transport": transport.spec(),
                     "result_transport_min": self.ctx.config.transport_min_bytes * 4,
                     # the worker heartbeats at *this* driver's cadence while
@@ -803,9 +801,15 @@ class TaskScheduler:
             return out_future
 
         start = time.perf_counter()
-        pool_future = self.ctx.backend.submit_pickled(payload, executor.executor_id)
+        pool_future = self.ctx.backend.submit_pickled(
+            payload, executor.executor_id, task.partition
+        )
 
         def _finish(done: concurrent.futures.Future) -> None:
+            # nothing left to cancel; and the two futures pointing at each
+            # other (a done future keeps its callbacks) would be a cycle
+            # pinning the task, its lineage and its data until a gen-2 gc
+            out_future._pool_future = None
             # the scheduler may have abandoned (cancelled) this attempt after
             # a heartbeat timeout; a late worker result must not blow up the
             # completion callback with InvalidStateError
@@ -892,18 +896,21 @@ class TaskScheduler:
                 executor_id=executor.executor_id,
                 metrics=out["metrics"],
             )
-        # merge newly cached blocks at the RDD's requested storage level
-        for block_id, data in out["new_blocks"].items():
-            level = tb.storage_levels.get(block_id[0], StorageLevel.MEMORY)
-            executor.block_manager.put(block_id, data, level)
-            if executor.block_manager.contains(block_id):
-                self.ctx.block_master.register_block(block_id, executor.executor_id)
+        # the blocks stay in the worker; the driver learns where they are
+        master, bus = self.ctx.block_master, self.ctx.listener_bus
+        for block_id, size, spilled in out["evicted_blocks"]:
+            master.unregister_block(block_id, executor.executor_id)
+            bus.post(BlockEvicted(block_id, executor.executor_id, size, spilled))
+        for block_id, size, level in out["resident_blocks"]:
+            if executor.executor_id not in master.locations(block_id):
+                master.register_block(block_id, executor.executor_id)
+                bus.post(BlockCached(block_id, executor.executor_id, size, level))
         # merge accumulator updates (dedup by stage/partition)
         for acc_id, local in out["accumulator_updates"].items():
             acc = self.ctx._accumulators.get(acc_id)
             if acc is not None:
                 acc._merge(stage.id, task.partition, local)
-        # task-binary accounting with per-executor dedup: the compressed blob
+        # task-binary accounting with per-executor dedup: the pickle
         # is charged once per (binary, executor); subsequent tasks on the
         # same executor only pay the pickled TransportRef (the bytes that
         # actually crossed the pipe once the blob is memoized worker-side).
@@ -911,7 +918,7 @@ class TaskScheduler:
         # re-running an identical stage charges only refs, which is the
         # whole point of keeping the executors alive.
         if self.ctx.backend.note_binary_shipped(executor.executor_id, tb.binary_id):
-            out["metrics"].task_binary_bytes += len(tb.blob)
+            out["metrics"].task_binary_bytes += tb.size
         else:
             out["metrics"].task_binary_bytes += tb.ref_cost
         record = TaskRecord(
@@ -1042,6 +1049,10 @@ class DAGScheduler:
         finally:
             for applied in applied_remaps:
                 applied.revert()
+            # a networkx graph caches views that point back at it: without
+            # this the job's stages -- and through them the lineage and the
+            # dataset it parallelized -- wait for a gen-2 collection
+            graph.graph.clear()
 
     def _drive_stages(
         self,

@@ -369,6 +369,12 @@ class ShuffleManager:
                     self._outputs.pop(key, None)
         return lost
 
+    def clear(self) -> None:
+        """Drop every map output (context stop)."""
+        with self._lock:
+            self._outputs.clear()
+            self._writers.clear()
+
     def unregister_shuffle(self, shuffle_id: int) -> None:
         with self._lock:
             self._num_maps.pop(shuffle_id, None)

@@ -220,7 +220,9 @@ class TaskBinary:
     per stage and ships tasks as ``(binary_id, partition, attempt, inputs)``
     so the lineage is serialized once per stage instead of once per task,
     and worker processes deserialize it once per stage (keyed by
-    ``binary_id``) instead of once per task.
+    ``binary_id``) instead of once per task.  The pickle holds lineage,
+    closures and content-hash refs -- no partition data, no broadcast
+    payload over 4 KB -- so it is kilobytes whatever the dataset's size.
     """
 
     def __init__(
@@ -231,7 +233,7 @@ class TaskBinary:
         func: Callable[[Iterator], Any] | None,
         shuffle_dep: Any | None,
         accumulators: dict,
-        storage_levels: dict[int, Any],
+        block_keys: dict[int, str],
     ) -> None:
         if kind not in ("result", "shuffle_map"):
             raise ValueError(f"unknown task kind {kind!r}")
@@ -243,8 +245,10 @@ class TaskBinary:
         #: accumulator *definitions* (id -> Accumulator); driver-side state
         #: is stripped by Accumulator.__getstate__ on pickling
         self.accumulators = accumulators
-        #: requested StorageLevel per persisted rdd id in this stage's slice
-        self.storage_levels = storage_levels
+        #: lineage fingerprint per persisted rdd id computed in this stage:
+        #: what a worker keys the RDD's resident blocks by (rdd ids restart
+        #: at 0 in every context; the SHA-256 of the RDD's pickle does not)
+        self.block_keys = block_keys
 
     def make_task(self, partition: int) -> "Task":
         """Rebuild the concrete task for one partition of this stage."""

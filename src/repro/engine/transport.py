@@ -22,8 +22,16 @@ Key properties:
 - **Bidirectional**: workers can ``put`` large result bodies and return a
   ref; the driver reads and deletes the segment after merging.
 - **Lifecycle**: the driver-side owner tracks every segment it created and
-  unlinks them all on ``close()`` (context stop); worker-created segments
+  unlinks them all on ``close()`` (fleet stop); worker-created segments
   are deleted by the driver as soon as the result is merged.
+- **Nothing is compressed**: shared memory and loopback never earn it
+  (zlib cost 0.168 s per 3.1 MB payload, DESIGN.md section 10), and the
+  content hash is taken over the raw bytes, so a dedup hit costs one
+  SHA-256 and nothing else.
+
+:class:`ByRef` is the one publish-once / fetch-lazily / memoize-per-worker
+path built on those refs: broadcast values and ``parallelize`` partitions
+both cross to workers as one.
 
 A :class:`Transport` is addressed by a picklable :meth:`spec`; worker
 processes rebuild a handle lazily from the spec riding in the task payload
@@ -39,10 +47,13 @@ from __future__ import annotations
 
 import hashlib
 import os
+import pickle
 import secrets
 import socket
 import tempfile
 import threading
+import time
+import weakref
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any
@@ -51,6 +62,7 @@ __all__ = [
     "TransportRef",
     "Transport",
     "SocketTransport",
+    "ByRef",
     "advertised_host",
     "create_transport",
     "from_spec",
@@ -172,6 +184,10 @@ class Transport:
         self._create_lock = threading.Lock()
         #: content hash -> ref, for dedup'd puts
         self._by_hash: dict[str, TransportRef] = {}
+        #: content hash -> dedup'd puts not yet matched by a delete: two
+        #: contexts on one fleet that publish the same dataset share one
+        #: segment, and the first to stop must not unlink it under the other
+        self._holders: dict[str, int] = {}
         #: every ref this handle created (unlinked on close)
         self._created: list[TransportRef] = []
         self.bytes_published = 0
@@ -214,12 +230,14 @@ class Transport:
                 if existing is not None:
                     self.dedup_hits += 1
                     self.dedup_bytes_saved += len(blob)
+                    self._holders[content_hash] += 1
                     return existing
             ref = self._write(blob, content_hash)
             with self._lock:
                 self._created.append(ref)
                 self.bytes_published += len(blob)
                 self._by_hash[content_hash] = ref
+                self._holders[content_hash] = 1
             return ref
 
     def _write(self, blob: bytes, content_hash: str | None) -> TransportRef:
@@ -286,7 +304,15 @@ class Transport:
             return fh.read()
 
     def delete(self, ref: TransportRef) -> None:
-        """Remove one payload (idempotent)."""
+        """Remove one payload (idempotent); a dedup'd payload goes with the
+        last of its publishers."""
+        if ref.content_hash is not None:
+            with self._lock:
+                holders = self._holders.get(ref.content_hash, 0) - 1
+                if holders > 0:
+                    self._holders[ref.content_hash] = holders
+                    return
+                self._holders.pop(ref.content_hash, None)
         try:
             if ref.scheme == "shm":
                 # attach (untracked) + unlink; unlink() unregisters the one
@@ -309,6 +335,7 @@ class Transport:
         with self._lock:
             created, self._created = self._created, []
             self._by_hash.clear()
+            self._holders.clear()
         for ref in created:
             self.delete(ref)
         if self.scheme == "file":
@@ -755,3 +782,167 @@ def worker_transport() -> Transport | None:
     """The transport handle of the task currently running in this process."""
     with _WORKER_LOCK:
         return _WORKER["transport"]
+
+
+# -- values by ref --------------------------------------------------------------
+
+#: pickles at least this large travel by transport ref.  A ref is ~150
+#: pickled bytes, ~0.1 ms to publish and ~0.05 ms to attach once per worker;
+#: an inline value rides again in every stage's task binary, so only values
+#: too small to matter there (a 10-stage analysis re-ships < 40 KB) stay inline
+BY_REF_MIN_BYTES = 4 * 1024
+
+#: byte budget of a worker process's memo of fetched values (sized with
+#: ``estimate_size``).  Persistent workers outlive driver contexts, so the
+#: memo must evict rather than keep every dataset slice ever seen
+_WORKER_VALUES_BUDGET = 256 * 1024 * 1024
+
+
+class _ValueMemo:
+    """Byte-budgeted LRU: content hash -> decoded (read-only) value.
+
+    Keyed by content hash rather than any driver-side id because every
+    fresh context restarts its ids at 0, while identical content published
+    by a later context should hit.
+    """
+
+    def __init__(self, budget: int) -> None:
+        self.budget = budget
+        self.bytes_used = 0
+        self._lock = threading.Lock()
+        self._entries: "OrderedDict[str, tuple[Any, int]]" = OrderedDict()
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def get(self, key: str) -> "tuple[Any, int] | None":
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is not None:
+                self._entries.move_to_end(key)
+            return entry
+
+    def put(self, key: str, value: Any) -> None:
+        from repro.engine.blockmanager import estimate_size
+
+        size = estimate_size(value)
+        with self._lock:
+            if key in self._entries or size > self.budget:
+                return  # an oversized value is used once and dropped
+            self._entries[key] = (value, size)
+            self.bytes_used += size
+            while self.bytes_used > self.budget:
+                _, (_, evicted) = self._entries.popitem(last=False)
+                self.bytes_used -= evicted
+
+
+_WORKER_VALUES = _ValueMemo(_WORKER_VALUES_BUDGET)
+
+
+def _fetch_value(holder: "ByRef") -> Any:
+    """Worker side of :class:`ByRef`: the value behind ``holder``'s ref.
+
+    Runs on every read (per record, on the paper flavor), so the hit path
+    is one memo lookup; a *warm* hit -- the holder's first read found the
+    value already there -- is counted once per holder.  A memo miss fetches
+    and unpickles; that time is moved from the running task's
+    ``compute_seconds`` to its ``deserialize_seconds``, where the layer
+    table expects it.
+    """
+    ref = holder._ref
+    entry = _WORKER_VALUES.get(ref.content_hash)
+    if entry is not None:
+        if not holder._read:
+            holder._read = True
+            from repro.engine.backends import current_task_executor
+            from repro.obs.registry import REGISTRY
+
+            REGISTRY.counter(
+                "broadcast_memo_hits_total",
+                "By-ref values (broadcasts, partitions) a worker's memo already held",
+                labelnames=("executor",),
+            ).labels(executor=current_task_executor()).inc()
+        return entry[0]
+    holder._read = True
+    transport = worker_transport()
+    if transport is None:
+        raise RuntimeError(f"value shipped as {ref.key!r} but no transport attached")
+    from repro.engine.task import current_task_context
+
+    start = time.perf_counter()
+    value = pickle.loads(transport.get(ref))
+    elapsed = time.perf_counter() - start
+    tc = current_task_context()
+    if tc is not None:
+        tc.metrics.deserialize_seconds += elapsed
+        tc.metrics.compute_seconds -= elapsed  # Task.run adds the enclosing wall
+    _WORKER_VALUES.put(ref.content_hash, value)
+    return value
+
+
+class ByRef:
+    """A value that crosses to workers out-of-band when it is large.
+
+    Driver side it wraps the live value.  Pickling it publishes the value's
+    raw pickle under its content hash -- once, however many task binaries
+    embed it, and a republication of identical content is a dedup hit --
+    and ships the :class:`TransportRef`; a pickle under ``min_bytes`` (or a
+    holder with no transport) rides inline instead.  The published segment
+    lasts until ``unpublish()`` or the holder's death.  Worker side ``.value``
+    resolves through the process memo on every read and never keeps the
+    value on the holder, so a cached task binary stays kilobytes and the
+    memo's byte budget is what bounds the worker.
+    """
+
+    def __init__(
+        self, value: Any, transport: Any = None, min_bytes: int = BY_REF_MIN_BYTES
+    ) -> None:
+        self._value = value
+        self._transport = transport
+        self._min_bytes = min_bytes
+        self._ref: TransportRef | None = None
+        self._blob: bytes | None = None  # inline pickle, kept for re-pickling
+        self._size_bytes: int | None = None
+        self._read = False  # worker side: resolved at least once
+
+    @property
+    def value(self) -> Any:
+        if self._ref is not None and self._transport is None:
+            return _fetch_value(self)
+        return self._value
+
+    @property
+    def size_bytes(self) -> int:
+        """Pickled size of the value (lazy, cached)."""
+        if self._size_bytes is None:
+            self._size_bytes = len(
+                pickle.dumps(self._value, protocol=pickle.HIGHEST_PROTOCOL)
+            )
+        return self._size_bytes
+
+    def __getstate__(self) -> dict:
+        if self._ref is None and self._blob is None:
+            blob = pickle.dumps(self._value, protocol=pickle.HIGHEST_PROTOCOL)
+            self._size_bytes = len(blob)
+            if self._transport is not None and len(blob) >= self._min_bytes:
+                self._ref = self._transport.put(blob, dedup=True)
+                # the segment goes with the holder (an RDD dropped mid-context
+                # must not leave its slices in /dev/shm) or at unpublish()
+                self._release = weakref.finalize(
+                    self, self._transport.delete, self._ref
+                )
+            else:
+                self._blob = blob
+        return {"ref": self._ref, "blob": self._blob}
+
+    def __setstate__(self, state: dict) -> None:
+        self.__init__(
+            pickle.loads(state["blob"]) if state["blob"] is not None else None
+        )
+        self._ref = state["ref"]
+
+    def unpublish(self) -> None:
+        """Delete the published segment, if any; the live value stays."""
+        if self._ref is not None and self._transport is not None:
+            self._release()
+            self._ref = None

@@ -378,7 +378,12 @@ class UIServer:
                     "alive": executor.alive,
                     "tasks_run": executor.tasks_run,
                     "tasks_failed": executor.tasks_failed,
-                    "cached_blocks": len(executor.block_manager.block_ids()),
+                    # cluster blocks live in the workers; the master knows where
+                    "cached_blocks": (
+                        len(executor.block_manager.block_ids())
+                        if self.ctx.backend.supports_shared_state
+                        else self.ctx.block_master.block_count(eid)
+                    ),
                     "task_binary_cache_hits": binary_hits.get(eid, 0),
                     "broadcast_memo_hits": memo_hits.get(eid, 0),
                 }

@@ -82,6 +82,33 @@ def _reap_persistent_engine():
 
 
 @pytest.fixture
+def fresh_cluster():
+    """Factory ``make(**config) -> (config, manager)``: a cluster fleet
+    nothing has run on (2 executors x 1 core, the benchmark's shape, unless
+    overridden), stopped after the test -- its workers' resident blocks and
+    memos would otherwise outlive it into whoever uses the shape next."""
+    from repro.engine.cluster_backend import get_cluster
+
+    managers = []
+
+    def make(**overrides):
+        config = EngineConfig(**{
+            "backend": "cluster", "num_executors": 2, "executor_cores": 1,
+            "default_parallelism": 4, **overrides,
+        })
+        manager = get_cluster(config)
+        if manager.jobs_attached:  # warm from an earlier test: start over
+            manager.stop()
+            manager = get_cluster(config)
+        managers.append(manager)
+        return config, manager
+
+    yield make
+    for manager in managers:
+        manager.stop()
+
+
+@pytest.fixture
 def serial_config() -> EngineConfig:
     return EngineConfig(backend="serial", num_executors=2, executor_cores=2, default_parallelism=4)
 

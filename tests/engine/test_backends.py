@@ -91,11 +91,13 @@ class TestProcessBackend:
             expected[x % 3] = expected.get(x % 3, 0) + x
         assert out == expected
 
-    def test_cache_round_trips_to_driver(self, pctx):
+    def test_cache_stays_resident_in_workers(self, pctx):
         rdd = pctx.parallelize(range(20), 4).map(_square).cache()
         assert rdd.sum() == rdd.sum()
-        cached = sum(len(e.block_manager.block_ids()) for e in pctx.executors)
-        assert cached == 4
+        assert pctx.metrics.last_job.totals().cache_hits == 4
+        # the driver knows where the four blocks are and holds none of them
+        assert pctx.cached_partition_count(rdd) == 4
+        assert all(not e.block_manager.block_ids() for e in pctx.executors)
 
     def test_tasks_overlap_in_time(self, pctx):
         """Regression: dispatch must not serialize the workers.
@@ -132,13 +134,12 @@ class TestProcessBackend:
         assert totals.driver_bytes_collected > 0
 
     def test_remote_cache_respects_storage_level(self, pctx):
-        """Regression: blocks computed in workers must be merged at the
+        """Regression: blocks computed in workers must be cached at the
         RDD's requested storage level, not hardcoded MEMORY."""
+        from repro.engine.listener import BlockCached, CollectingListener
+
+        sink = pctx.add_listener(CollectingListener(BlockCached))
         rdd = pctx.parallelize(range(20), 4).map(_square).persist(StorageLevel.MEMORY_SER)
         rdd.sum()
-        levels = {
-            block.level
-            for executor in pctx.executors
-            for block in executor.block_manager._blocks.values()
-        }
-        assert levels == {StorageLevel.MEMORY_SER}
+        assert [e.level for e in sink.events] == [StorageLevel.MEMORY_SER.name] * 4
+        assert all(e.size > 0 for e in sink.events)

@@ -38,23 +38,43 @@ class TestBroadcast:
 
     def test_worker_memo_is_lru_capped(self, monkeypatch):
         # persistent executors hold the memo for the life of the fleet, so
-        # it must evict rather than accumulate every broadcast ever seen
-        from repro.engine import broadcast as bc
+        # it must evict rather than accumulate every broadcast ever seen --
+        # by bytes: one entry may be a whole dataset slice
+        from repro.engine import transport as tp
+        from repro.engine.blockmanager import estimate_size
+
+        t = tp.Transport.create()
+        one = estimate_size(list(range(2000)))
+        memo = tp._ValueMemo(budget=2 * one + one // 2)
+        monkeypatch.setattr(tp, "_WORKER_VALUES", memo)
+        monkeypatch.setattr(tp, "_WORKER", {"spec": t.spec(), "transport": t})
+        try:
+            live, clones = [], []
+            for i in range(4):
+                live.append(Broadcast(i, list(range(i, i + 2000)), transport=t,
+                                      transport_min=0))
+                clones.append(pickle.loads(pickle.dumps(live[-1])))
+                assert clones[-1].value[0] == i  # fetched by ref through the memo
+            assert len(memo) == 2 and memo.bytes_used <= memo.budget
+            # an unpickled holder never pins what it resolved: an evicted
+            # value is fetched again, not served from the holder
+            assert clones[0].value[0] == 0
+            assert len(memo) == 2
+        finally:
+            t.close()
+
+    def test_value_over_the_memo_budget_is_served_but_not_kept(self, monkeypatch):
         from repro.engine import transport as tp
 
         t = tp.Transport.create()
-        monkeypatch.setattr(bc, "_WORKER_VALUES_MAX", 2)
+        memo = tp._ValueMemo(budget=1024)
+        monkeypatch.setattr(tp, "_WORKER_VALUES", memo)
         monkeypatch.setattr(tp, "_WORKER", {"spec": t.spec(), "transport": t})
-        bc._WORKER_VALUES.clear()
         try:
-            for i in range(4):
-                b = Broadcast(i, list(range(i, i + 2000)), transport=t,
-                              transport_min=0)
-                clone = pickle.loads(pickle.dumps(b))
-                assert clone.value[0] == i  # fetched by ref through the memo
-            assert len(bc._WORKER_VALUES) == 2
+            b = Broadcast(0, list(range(5000)), transport=t, transport_min=0)
+            assert pickle.loads(pickle.dumps(b)).value[-1] == 4999
+            assert len(memo) == 0 and memo.bytes_used == 0
         finally:
-            bc._WORKER_VALUES.clear()
             t.close()
 
 

@@ -1,12 +1,20 @@
-"""Block-manager caching: hits, eviction, spill, remote fetch."""
+"""Block-manager caching: hits, eviction, spill, remote fetch, residency."""
+
+import dataclasses
+import gc
+import weakref
 
 import numpy as np
 import pytest
 
 from repro.config import EngineConfig
+from repro.core.local import LocalSparkScore
+from repro.core.sparkscore import SparkScoreAnalysis
 from repro.engine.blockmanager import BlockManager, BlockManagerMaster, estimate_size
 from repro.engine.context import Context
 from repro.engine.storage import StorageLevel
+from repro.genomics.genotypes import GenotypeMatrix
+from repro.genomics.io import write_dataset
 
 
 class _OpaquePayload:
@@ -119,6 +127,17 @@ class TestBlockManager:
         reloaded = bm.get((1, 0))
         assert reloaded is not None
         assert np.array_equal(reloaded[0], payload[0])
+
+    def test_clear_removes_the_spill_directory_it_made(self):
+        # cluster workers hold one manager for life and clear it on exit
+        import os
+
+        bm = BlockManager("e0", memory_budget=256)
+        bm.put((3, 0), [np.arange(100, dtype=np.float64)], StorageLevel.MEMORY_AND_DISK)
+        spill_dir = bm._spill_dir
+        assert bm.was_spilled((3, 0)) and os.listdir(spill_dir)
+        bm.clear()
+        assert not os.path.exists(spill_dir)
 
     def test_remove_frees_memory(self):
         bm = BlockManager("e0", memory_budget=1 << 20)
@@ -254,3 +273,138 @@ class TestBlockMaster:
             totals = ctx.metrics.jobs[-1].totals()
             # most blocks were evicted, so second pass recomputes
             assert totals.cache_misses > 0
+
+
+class TestStopReleases:
+    def test_cached_blocks_die_with_close_not_with_the_next_gc(self, small_dataset):
+        """``Context.stop()`` clears what it owns: the context sits in
+        reference cycles, so without that every cached ``U`` block of an
+        analysis stays pinned until a gen-2 collection happens to run."""
+        gc.collect()
+        gc.disable()
+        try:
+            analysis = SparkScoreAnalysis(
+                small_dataset, engine="distributed",
+                config=EngineConfig(backend="serial", default_parallelism=2),
+            )
+            analysis.monte_carlo(32, seed=1, batch_size=32)
+            cached = [
+                block
+                for executor in analysis.ctx.executors
+                for block_id in executor.block_manager.block_ids()
+                for block in executor.block_manager.get(block_id)
+            ]
+            assert cached  # U was cached
+            array = weakref.ref(cached[0].genotypes)
+            fgm = analysis._impl._gm_rdd.dependencies[0].rdd
+            rows = weakref.ref(fgm.dependencies[0].rdd)  # the parallelized dataset
+            del fgm
+            del cached
+            analysis.close()
+            assert array() is None
+            # nor does a finished job's stage graph (networkx caches views
+            # that point back at the graph) keep the lineage, and with it
+            # the parallelized dataset, once its owner lets go
+            del analysis
+            assert rows() is None
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize("backend", ["serial", "threads", "cluster"])
+    def test_a_finished_job_does_not_pin_its_lineage(self, backend):
+        gc.collect()
+        gc.disable()
+        try:
+            with Context(EngineConfig(backend=backend, default_parallelism=4)) as ctx:
+                rdd = ctx.parallelize([(i % 3, i) for i in range(3000)], 4)
+                assert rdd.reduce_by_key(lambda a, b: a + b).count() == 3
+                lineage = weakref.ref(rdd)
+                del rdd
+                assert lineage() is None
+        finally:
+            gc.enable()
+
+    def test_stop_empties_block_managers_and_shuffle_outputs(self, ctx):
+        rdd = ctx.parallelize([(i % 3, i) for i in range(30)], 4).cache()
+        rdd.reduce_by_key(lambda a, b: a + b).collect()
+        ctx.stop()
+        assert all(not e.block_manager.block_ids() for e in ctx.executors)
+        assert not ctx.shuffle_manager._outputs
+
+
+def _mc(config, dataset, **kwargs):
+    """One benchmark-shaped analysis (5 jobs, 4 map tasks each) in its own
+    Context: ``(result, cache_hits, cache_misses)``."""
+    with SparkScoreAnalysis(dataset, engine="distributed", config=config, **kwargs) as a:
+        result = a.monte_carlo(128, seed=9, batch_size=32)
+    return result, result.info["cache_hits"], result.info["cache_misses"]
+
+
+class TestResidentBlocks:
+    """Cluster workers keep cached blocks for the life of the process, keyed
+    ``(lineage fingerprint, split)``; the driver holds locations only."""
+
+    @pytest.fixture(params=[1, 2], ids=["cores=1", "cores=2"])
+    def fleet_config(self, request, fresh_cluster):
+        return fresh_cluster(executor_cores=request.param)[0]
+
+    def test_identical_analysis_in_a_second_context_finds_u_resident(
+        self, fleet_config, small_dataset
+    ):
+        reference = LocalSparkScore(small_dataset).monte_carlo(128, seed=9, batch_size=32)
+        first, hits, misses = _mc(fleet_config, small_dataset)
+        assert (hits, misses) == (16, 4)  # job 0 computes U, four batches reuse it
+        second, hits, misses = _mc(fleet_config, small_dataset)
+        assert (hits, misses) == (20, 0)  # rdd ids restarted at 0; the key did not move
+        for result in (first, second):
+            assert np.array_equal(result.exceed_counts, reference.exceed_counts)
+            assert np.array_equal(result.observed, first.observed)
+
+    def test_different_dataset_in_a_second_context_cannot_collide(
+        self, fleet_config, small_dataset
+    ):
+        """Both contexts number their RDDs from 0: a key made of rdd ids
+        would serve the first dataset's ``U`` to the second analysis."""
+        other = dataclasses.replace(
+            small_dataset,
+            genotypes=GenotypeMatrix(
+                small_dataset.genotypes.snp_ids,
+                np.roll(small_dataset.genotypes.matrix, 1, axis=1),
+            ),
+        )
+        _mc(fleet_config, small_dataset)
+        result, hits, misses = _mc(fleet_config, other)
+        assert (hits, misses) == (16, 4)
+        reference = LocalSparkScore(other).monte_carlo(128, seed=9, batch_size=32)
+        assert np.array_equal(result.exceed_counts, reference.exceed_counts)
+        assert np.allclose(result.observed, reference.observed, rtol=1e-9, atol=0.0)
+
+    def test_rewritten_genotype_file_misses(self, fleet_config, small_dataset, tmp_path):
+        """File-backed lineages fold size and mtime into their pickle: the
+        same path with new content is a new fingerprint.  Rolling the
+        patient axis keeps every other file, and the genotype file's size,
+        byte-for-byte what it was."""
+        base = str(tmp_path / "data")
+
+        def from_files():
+            with SparkScoreAnalysis.from_files(
+                base, engine="distributed", config=fleet_config, parse_with_engine=True
+            ) as a:
+                return a.monte_carlo(128, seed=9, batch_size=32)
+
+        write_dataset(small_dataset, base)
+        first = from_files()
+        assert from_files().info["cache_misses"] == 0  # untouched file: resident
+        rolled = dataclasses.replace(
+            small_dataset,
+            genotypes=GenotypeMatrix(
+                small_dataset.genotypes.snp_ids,
+                np.roll(small_dataset.genotypes.matrix, 1, axis=1),
+            ),
+        )
+        write_dataset(rolled, base)
+        second = from_files()
+        assert second.info["cache_misses"] == 4
+        reference = LocalSparkScore(rolled).monte_carlo(128, seed=9, batch_size=32)
+        assert np.array_equal(second.exceed_counts, reference.exceed_counts)
+        assert not np.array_equal(second.observed, first.observed)

@@ -2,11 +2,17 @@
 
 The tentpole property under test: a second job over an *identical* stage --
 even from a brand-new :class:`Context` -- republishes nothing.  Task-binary
-identity is the SHA-256 of the compressed closure blob, so the workload
-functions here are module-level (lambdas on different source lines pickle
-differently and would defeat the content-hash on purpose-built tests).
+identity is the SHA-256 of the closure pickle, so the workload functions
+here are module-level (lambdas on different source lines pickle differently
+and would defeat the content-hash on purpose-built tests).  A binary is
+*thin* -- lineage, closures and refs, never partition or cache data -- and
+the structural tests below pin that with byte counts.
 """
 
+import glob
+import os
+import pickle
+import signal
 import time
 
 import numpy as np
@@ -20,13 +26,22 @@ from repro.engine.cluster_backend import (
     cluster_status,
     get_cluster,
 )
+from repro.core.algorithms import DistributedSparkScore
+from repro.core.local import LocalSparkScore
+from repro.engine.backends import unframe_result
 from repro.engine.context import Context
 from repro.engine.listener import (
     CollectingListener,
     ExecutorDecommissioned,
     ExecutorRegistered,
+    JobEnd,
+    Listener,
     ListenerBus,
 )
+from repro.engine.scheduler import TaskScheduler
+from repro.engine.task import current_task_context
+from repro.engine.transport import BY_REF_MIN_BYTES
+from repro.genomics.synthetic import SyntheticConfig, generate_dataset
 from repro.obs.registry import REGISTRY
 
 
@@ -137,33 +152,56 @@ class TestTwoJobWarmth:
         # worker-side task-binary LRU hits flowed home through the registry
         assert _counter_total("task_binary_cache_hits_total") > cache_hits_before
 
-    def test_analysis_binaries_are_published_once_and_shipped_by_ref(self, tiny_dataset):
-        """A whole Monte Carlo analysis on a fresh fleet: every task's
-        accounted binary bytes cover what the transport actually published
-        (blob once per executor, refs after), so nothing is re-published
-        per task."""
-        from repro.core.algorithms import DistributedSparkScore
+    def test_analysis_binaries_are_published_once_and_shipped_by_ref(
+        self, small_dataset, monkeypatch
+    ):
+        """A whole Monte Carlo analysis on a fresh fleet, split two ways.
+        *Binary bytes*: every stage's pickle is put once and the tasks'
+        accounted bytes cover it (pickle once per executor, refs after).
+        *Partition-data bytes*: six binaries embed the dataset's slices, and
+        the slices are put exactly once, outside all of them."""
+        binaries: dict[str, int] = {}
+        build = TaskScheduler._build_task_binary
 
+        def spy(self, stage, probe):
+            tb = build(self, stage, probe)
+            binaries[tb.binary_id] = tb.size
+            return tb
+
+        monkeypatch.setattr(TaskScheduler, "_build_task_binary", spy)
         # a fleet shape no other test uses, so its transport starts from zero
         config = _cluster_config(num_executors=1, executor_cores=3, default_parallelism=3)
         manager = get_cluster(config)
         try:
             assert manager.transport.bytes_published == 0
             with Context(config) as ctx:
-                scorer = DistributedSparkScore(ctx, tiny_dataset, flavor="vectorized")
+                scorer = DistributedSparkScore(ctx, small_dataset, flavor="vectorized")
                 scorer.monte_carlo(40, seed=17, batch_size=20)
-                accounted = sum(
-                    job.totals().task_binary_bytes for job in ctx.metrics.jobs
-                )
-            assert 0 < manager.transport.bytes_published <= accounted
+                totals = [job.totals() for job in ctx.metrics.jobs]
+                tasks = sum(len(s.tasks) for job in ctx.metrics.jobs for s in job.stages)
+                rows = scorer._gm_rdd.lineage()[0]
+            accounted = sum(t.task_binary_bytes for t in totals)
+            slice_bytes = [
+                len(pickle.dumps(part, protocol=pickle.HIGHEST_PROTOCOL))
+                for part in rows._slices
+            ]
         finally:
             manager.stop()
+        assert len(binaries) == 6  # 3 jobs x (map stage, reduce stage), none alike
+        binary_bytes = sum(binaries.values())
+        assert binary_bytes <= accounted <= binary_bytes + tasks * 512
+        assert min(slice_bytes) >= BY_REF_MIN_BYTES  # the case under test
+        data_bytes = manager.transport.bytes_published - binary_bytes
+        assert data_bytes >= sum(slice_bytes)
+        # nothing was offered twice: a re-put of a slice by a later stage's
+        # pickle would show here
+        assert manager.transport.dedup_hits == 0
 
     def test_broadcast_memo_hits_on_second_job(self):
         memo_before = _counter_total("broadcast_memo_hits_total")
         with Context(_cluster_config()) as ctx:
-            # incompressible and > _BROADCAST_TRANSPORT_MIN, so the value
-            # travels by transport ref and workers go through the memo
+            # > BY_REF_MIN_BYTES, so the value travels by transport ref and
+            # workers go through the memo
             payload = np.random.default_rng(0).integers(
                 0, 255, 100_000, dtype=np.uint8
             ).tobytes()
@@ -188,6 +226,165 @@ class TestTwoJobWarmth:
                 for rec in ctx.metrics.last_job.stages[0].tasks
             }
         assert execs == execs2  # partition -> executor mapping is sticky
+
+
+@pytest.fixture
+def fresh_fleet(fresh_cluster):
+    """A 2x1 fleet nothing has run on: ``(config, manager)``."""
+    return fresh_cluster()
+
+
+def _snp_dataset(n_snps: int):
+    # few patients, many SNPs: everything that grows with the SNP count
+    # (slices, SNP->set and SNP->weight maps) is past BY_REF_MIN_BYTES
+    return generate_dataset(
+        SyntheticConfig(n_patients=16, n_snps=n_snps, n_snpsets=8, seed=5)
+    )
+
+
+class TestThinBinaries:
+    def test_binary_bytes_do_not_scale_with_the_dataset(self, fresh_fleet):
+        config, _ = fresh_fleet
+
+        def binary_bytes(n_snps):
+            with Context(config) as ctx:
+                DistributedSparkScore(ctx, _snp_dataset(n_snps)).monte_carlo(
+                    64, seed=2, batch_size=32
+                )
+                jobs = ctx.metrics.jobs_snapshot()
+            stages = sum(len(job.stages) for job in jobs)
+            return sum(job.totals().task_binary_bytes for job in jobs), stages
+
+        small, stages = binary_bytes(2000)
+        large, _ = binary_bytes(8000)
+        assert stages == 6
+        assert small < 64 * 1024 * stages and large < 64 * 1024 * stages
+        assert abs(large - small) <= 0.05 * small
+
+    def test_envelopes_and_result_frames_carry_no_block_data(
+        self, fresh_fleet, small_dataset
+    ):
+        config, manager = fresh_fleet
+        with Context(config) as ctx:
+            sent: list[tuple[int, object]] = []  # (envelope bytes, result future)
+            submit = ctx.backend.submit_pickled
+
+            def spy(payload, executor_id=None, partition=0):
+                future = submit(payload, executor_id, partition)
+                sent.append((len(payload), future))
+                return future
+
+            ctx.backend.submit_pickled = spy
+            scorer = DistributedSparkScore(ctx, small_dataset)
+            scorer.monte_carlo(96, seed=4, batch_size=32)
+            u = scorer.contributions_rdd()
+            first_batch = sum(len(s.tasks) for s in ctx.metrics.jobs[0].stages)
+            blocks = []
+            for nbytes, future in sent[first_batch:]:
+                assert nbytes < 16 * 1024
+                frame = future.result()
+                assert len(frame) < 16 * 1024
+                out, _, _ = unframe_result(frame, manager.transport)
+                assert "new_blocks" not in out
+                blocks += out["resident_blocks"]
+            # what does come back: where U's four partitions are, and how big
+            assert {block_id for block_id, _, _ in blocks} == {(u.id, p) for p in range(4)}
+            assert all(
+                size > 16 * 1024 and level == "MEMORY" for _, size, level in blocks
+            )
+            assert ctx.cached_partition_count(u) == 4
+
+
+    def test_stopping_one_context_leaves_a_shared_slice_to_the_other(self, fresh_fleet):
+        """Two live contexts that parallelize the same data share its
+        segments (content-hash dedup); they go with the last holder."""
+        config, manager = fresh_fleet
+        data = list(range(20_000))
+        first, second = Context(config), Context(config)
+        try:
+            # partition 0 only: no worker has fetched slices 1-3 yet
+            assert first.parallelize(data, 4).take(1) == [0]
+            rdd = second.parallelize(data, 4)
+            assert rdd.take(1) == [0]
+            refs = [part._ref for part in rdd._published.parts]
+            first.stop()
+            assert all(manager.transport.get(ref) for ref in refs)
+            assert rdd.sum() == sum(data)
+        finally:
+            first.stop()
+            second.stop()
+        for ref in refs:
+            with pytest.raises(OSError):
+                manager.transport.get(ref)
+
+
+class _KillHolderAfter(Listener):
+    """SIGKILLs exec-0's worker process once ``jobs`` jobs have ended."""
+
+    def __init__(self, manager, jobs: int) -> None:
+        self.manager, self.remaining = manager, jobs
+
+    def on_event(self, event) -> None:
+        if not isinstance(event, JobEnd):
+            return
+        self.remaining -= 1
+        if self.remaining == 0:
+            handle = next(h for h in self.manager.workers if h.executor_id == "exec-0")
+            os.kill(handle.pid, signal.SIGKILL)
+            deadline = time.monotonic() + 5.0
+            while handle.alive and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert not handle.alive  # the dispatch loop saw the socket close
+
+
+def _slow_hot_partition(split, it):
+    """Partition 2 straggles: 0.3 s first time, 0.8 s as a speculative twin."""
+    tc = current_task_context()
+    if split == 2:
+        time.sleep(0.8 if tc.speculative else 0.3)
+    return iter([sum(it)])
+
+
+class TestResidentBlockFailures:
+    def test_sigkill_of_a_block_holder_between_batches(self, fresh_fleet, small_dataset):
+        config, manager = fresh_fleet
+        reference = LocalSparkScore(small_dataset).monte_carlo(96, seed=3, batch_size=32)
+        with Context(config) as ctx:
+            # job 0 computes U, job 1 is the first batch: kill between batches
+            ctx.add_listener(_KillHolderAfter(manager, jobs=2))
+            scorer = DistributedSparkScore(ctx, small_dataset)
+            result = scorer.monte_carlo(96, seed=3, batch_size=32)
+            u = scorer.contributions_rdd()
+            holders = {p: ctx.block_master.locations((u.id, p)) for p in range(4)}
+            jobs = ctx.metrics.jobs_snapshot()
+        # finished on the survivor, by lineage recompute, bit for bit
+        assert np.array_equal(result.exceed_counts, reference.exceed_counts)
+        assert holders == {p: ["exec-1"] for p in range(4)}
+        assert result.info["cache_misses"] == 4 + 2  # U once, then exec-0's half again
+        # partitions 0 and 2 were both placed on exec-0 before the driver knew
+        assert sum(job.num_task_failures for job in jobs) == 2
+        manager.stop()
+        assert not glob.glob(f"/dev/shm/repro-{manager.transport.namespace}-*")
+
+    def test_speculative_twin_that_loses_registers_no_block(self, fresh_fleet):
+        config, _ = fresh_fleet
+        config = config.copy(
+            speculation_enabled=True, speculation_multiplier=2.0,
+            speculation_min_runtime=0.05, speculation_quantile=0.5,
+        )
+        with Context(config) as ctx:
+            rdd = ctx.parallelize(range(40), 4).map_partitions_with_index(
+                _slow_hot_partition
+            ).cache()
+            assert rdd.sum() == sum(range(40))
+            snap = ctx.adaptive.snapshot()
+            assert (snap["speculative_launched"], snap["speculative_won"]) == (1, 0)
+            time.sleep(0.8)  # the losing twin finishes, and caches, on exec-1
+            # partition 2 lives on exec-0 (2 % 2); the twin's copy on exec-1
+            # is real but its result lost the commit race, so the driver
+            # never heard of it
+            assert ctx.block_master.locations((rdd.id, 2)) == ["exec-0"]
+            assert ctx.cached_partition_count(rdd) == 4
 
 
 class TestLifecycle:

@@ -6,7 +6,7 @@ import operator
 import pytest
 
 from repro.engine.dag import StageGraph, upstream_shuffle_deps
-from repro.engine.scheduler import stage_cached_rdd_blocks, stage_shuffle_inputs
+from repro.engine.scheduler import stage_cached_rdds, stage_shuffle_inputs
 
 
 class TestStageGraph:
@@ -75,12 +75,12 @@ class TestProcessBackendHelpers:
     def test_stage_cached_blocks(self, ctx):
         base = ctx.parallelize(range(4), 2).cache()
         rdd = base.map(str)
-        assert stage_cached_rdd_blocks(rdd, 1) == {(base.id, 1)}
+        assert stage_cached_rdds(rdd) == [base]
 
     def test_cached_blocks_not_traversed_past_shuffle(self, ctx):
         base = ctx.parallelize([(1, 1)], 2).cache()
         rdd = base.reduce_by_key(operator.add)
-        assert stage_cached_rdd_blocks(rdd, 0) == set()
+        assert stage_cached_rdds(rdd) == []
 
 
 class TestExecutionDeterminism:

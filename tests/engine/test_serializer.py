@@ -1,4 +1,4 @@
-"""The one frame format: round-trips, blob helpers, FrameBatch."""
+"""The one frame format: round-trips, FrameBatch."""
 
 import pickle
 
@@ -6,13 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core.blocks import SnpBlock
-from repro.engine.serializer import (
-    FrameBatch,
-    compress_blob,
-    decompress_blob,
-    dumps,
-    loads,
-)
+from repro.engine.serializer import FrameBatch, dumps, loads
 
 SAMPLES = [
     None,
@@ -99,23 +93,6 @@ class TestRoundTrip:
         assert len(out) == 12
         assert all(k == i % 3 and np.array_equal(v, np.full(8, float(i)))
                    for i, (k, v) in enumerate(out))
-
-
-class TestBlobHelpers:
-    def test_roundtrip_large(self):
-        blob = b"abc" * 10_000
-        framed = compress_blob(blob)
-        assert framed[:1] == b"Z" and len(framed) < len(blob)
-        assert decompress_blob(framed) == blob
-
-    def test_roundtrip_small(self):
-        framed = compress_blob(b"tiny")
-        assert framed == b"Rtiny"
-        assert decompress_blob(framed) == b"tiny"
-
-    def test_bad_flag(self):
-        with pytest.raises(ValueError):
-            decompress_blob(b"Xoops")
 
 
 class TestFrameBatch:

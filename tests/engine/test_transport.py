@@ -5,7 +5,11 @@ import pickle
 
 import pytest
 
+from repro.engine import task as engine_task
+from repro.engine import transport as tp
+from repro.engine.task import TaskContext
 from repro.engine.transport import (
+    ByRef,
     SocketTransport,
     Transport,
     TransportRef,
@@ -103,6 +107,69 @@ class TestLifecycle:
         refs = [t.put(f"blob {i}".encode()) for i in range(3)]
         t.close()
         assert all(not os.path.exists(r.key) for r in refs)
+
+
+class TestByRef:
+    """The one publish-once / fetch-lazily / memoize-per-worker path."""
+
+    @pytest.fixture
+    def as_worker(self, transport, monkeypatch):
+        """Make this process look like a worker attached to ``transport``."""
+        memo = tp._ValueMemo(budget=1 << 20)
+        monkeypatch.setattr(tp, "_WORKER_VALUES", memo)
+        monkeypatch.setattr(tp, "_WORKER", {"spec": transport.spec(), "transport": transport})
+        return memo
+
+    def test_small_values_ride_inline(self, transport):
+        wire = pickle.dumps(ByRef([1, 2, 3], transport))
+        assert transport.bytes_published == 0
+        assert pickle.loads(wire).value == [1, 2, 3]
+
+    def test_large_value_is_published_once_however_often_it_is_pickled(
+        self, transport, as_worker
+    ):
+        value = list(range(5000))
+        holder = ByRef(value, transport)
+        wires = [pickle.dumps(holder) for _ in range(3)]
+        assert len(set(wires)) == 1 and len(wires[0]) < 512  # a ref, the same ref
+        assert transport.bytes_published == holder.size_bytes
+        assert transport.dedup_hits == 0  # memoized on the holder, not re-offered
+        clone = pickle.loads(wires[0])
+        assert clone.value == value and len(as_worker) == 1
+        assert clone.value is pickle.loads(wires[1]).value  # one copy per worker
+
+    def test_unpublish_then_pickle_republishes_under_the_same_ref(self, transport):
+        holder = ByRef(b"x" * 10_000, transport)
+        wire = pickle.dumps(holder)
+        holder.unpublish()
+        assert holder.value == b"x" * 10_000  # the live value stays
+        assert pickle.dumps(holder) == wire  # content-addressed: same bytes
+        assert transport.bytes_published == 2 * holder.size_bytes
+
+    def test_segment_goes_with_its_holder(self, transport):
+        holder = ByRef(b"y" * 10_000, transport)
+        pickle.dumps(holder)
+        ref = holder._ref
+        assert transport.get(ref) == pickle.dumps(b"y" * 10_000, protocol=pickle.HIGHEST_PROTOCOL)
+        del holder  # e.g. an RDD dropped mid-context
+        with pytest.raises(OSError):
+            transport.get(ref)
+
+    def test_memo_miss_is_charged_to_deserialize_not_compute(
+        self, transport, as_worker, monkeypatch
+    ):
+        holder = ByRef(list(range(10_000)), transport)  # the segment lives with it
+        clone = pickle.loads(pickle.dumps(holder))
+        tc = TaskContext(0, 0, 0, "exec-0")
+        monkeypatch.setattr(engine_task._LOCAL, "tc", tc, raising=False)
+        clone.value  # miss: fetch + unpickle
+        fetched = tc.metrics.deserialize_seconds
+        assert fetched > 0
+        # Task.run adds the enclosing wall to compute_seconds afterwards, so
+        # taking the fetch out here leaves compute = wall - fetch
+        assert tc.metrics.compute_seconds == -fetched
+        clone.value  # hit: nothing to charge
+        assert tc.metrics.deserialize_seconds == fetched
 
 
 class TestSpec:
