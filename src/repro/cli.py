@@ -1080,9 +1080,15 @@ _COMMANDS = {
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    from repro.genomics.io.formats import FormatError
+
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
+    except FormatError as exc:
+        # a malformed input file: the message already names file and line
+        print(f"sparkscore: error: {exc}", file=sys.stderr)
+        return 2
     except BrokenPipeError:
         # stdout went away mid-report (e.g. `sparkscore history ... | head`);
         # detach so the interpreter doesn't raise again at shutdown

@@ -11,6 +11,14 @@ Line-level parse/format functions live in :mod:`repro.genomics.io.formats`
 (they are also the map functions of the engine's parse stage); whole-dataset
 round trips in :mod:`repro.genomics.io.dataset_io` work against either a
 local directory or a :class:`~repro.hdfs.filesystem.MiniHDFS`.
+
+Genotype lines in the canonical shape -- an id of ASCII digits, a tab,
+single-digit dosages separated by commas; what ``write_dataset`` writes --
+are decoded by byte arithmetic, per line (``parse_genotype_line``) or per
+file (``parse_genotype_text``).  Every other line takes the token-by-token
+parser, so the accepted inputs and the error text are the same on both
+paths.  ``read_dataset`` reports malformed input as a ``FormatError`` whose
+message starts ``<file>:<line>:`` (physical lines, blank ones counted).
 """
 
 from repro.genomics.io.dataset_io import read_dataset, write_dataset
@@ -20,6 +28,7 @@ from repro.genomics.io.formats import (
     format_snpset_line,
     format_weight_line,
     parse_genotype_line,
+    parse_genotype_text,
     parse_phenotype_line,
     parse_snpset_line,
     parse_weight_line,
@@ -31,6 +40,7 @@ __all__ = [
     "format_snpset_line",
     "format_weight_line",
     "parse_genotype_line",
+    "parse_genotype_text",
     "parse_phenotype_line",
     "parse_snpset_line",
     "parse_weight_line",

@@ -9,11 +9,14 @@ import numpy as np
 
 from repro.genomics.genotypes import GenotypeMatrix
 from repro.genomics.io.formats import (
-    format_genotype_line,
+    FormatError,
+    _decode_lines,
+    _format_genotype_text,
+    _parse_lines,
     format_phenotype_line,
     format_snpset_line,
     format_weight_line,
-    parse_genotype_line,
+    parse_genotype_text,
     parse_phenotype_line,
     parse_snpset_line,
     parse_weight_line,
@@ -31,70 +34,104 @@ WEIGHTS_FILE = "weights.txt"
 SNPSETS_FILE = "snpsets.txt"
 
 
-def _write_file(base: str, name: str, content: str, hdfs: "MiniHDFS | None") -> str:
+def _write_file(base: str, name: str, content: bytes, hdfs: "MiniHDFS | None") -> str:
     if hdfs is not None:
         path = f"{base.rstrip('/')}/{name}"
-        hdfs.write_text(path, content)
+        hdfs.write_bytes(path, content, line_aligned=True)
         return f"hdfs://{path.lstrip('/')}" if not path.startswith("hdfs://") else path
     os.makedirs(base, exist_ok=True)
     path = os.path.join(base, name)
-    with open(path, "w") as fh:
+    with open(path, "wb") as fh:
         fh.write(content)
     return path
 
 
-def _read_lines(base: str, name: str, hdfs: "MiniHDFS | None") -> list[str]:
+def _read_file(base: str, name: str, hdfs: "MiniHDFS | None") -> bytes:
     if hdfs is not None:
-        return hdfs.read_text(f"{base.rstrip('/')}/{name}").splitlines()
-    with open(os.path.join(base, name)) as fh:
-        return fh.read().splitlines()
+        return hdfs.read_bytes(f"{base.rstrip('/')}/{name}")
+    with open(os.path.join(base, name), "rb") as fh:
+        return fh.read()
+
+
+def _encode_lines(lines: list[str]) -> bytes:
+    return ("\n".join(lines) + "\n").encode("utf-8")
 
 
 def write_dataset(dataset: Dataset, base: str, hdfs: "MiniHDFS | None" = None) -> dict[str, str]:
     """Serialize all four input files; returns {kind: path}."""
-    genotype_lines = [
-        format_genotype_line(snp_id, row) for snp_id, row in dataset.genotypes.rows()
-    ]
+    genotypes = dataset.genotypes
     phenotype_lines = [
         format_phenotype_line(i, float(t), int(e))
         for i, (t, e) in enumerate(zip(dataset.phenotype.time, dataset.phenotype.event))
     ]
     weight_lines = [
         format_weight_line(int(snp_id), float(w))
-        for snp_id, w in zip(dataset.genotypes.snp_ids, dataset.weights)
+        for snp_id, w in zip(genotypes.snp_ids, dataset.weights)
     ]
-    set_lists = dataset.snpsets.as_lists(dataset.genotypes.snp_ids)
+    set_lists = dataset.snpsets.as_lists(genotypes.snp_ids)
     snpset_lines = [format_snpset_line(name, ids) for name, ids in set_lists.items()]
+    genotype_text = _format_genotype_text(genotypes.snp_ids, genotypes.matrix)
     return {
-        "genotypes": _write_file(base, GENOTYPES_FILE, "\n".join(genotype_lines) + "\n", hdfs),
-        "phenotype": _write_file(base, PHENOTYPE_FILE, "\n".join(phenotype_lines) + "\n", hdfs),
-        "weights": _write_file(base, WEIGHTS_FILE, "\n".join(weight_lines) + "\n", hdfs),
-        "snpsets": _write_file(base, SNPSETS_FILE, "\n".join(snpset_lines) + "\n", hdfs),
+        "genotypes": _write_file(base, GENOTYPES_FILE, genotype_text, hdfs),
+        "phenotype": _write_file(base, PHENOTYPE_FILE, _encode_lines(phenotype_lines), hdfs),
+        "weights": _write_file(base, WEIGHTS_FILE, _encode_lines(weight_lines), hdfs),
+        "snpsets": _write_file(base, SNPSETS_FILE, _encode_lines(snpset_lines), hdfs),
     }
 
 
-def read_dataset(base: str, hdfs: "MiniHDFS | None" = None) -> Dataset:
-    """Load a dataset previously written by :func:`write_dataset`."""
-    genotype_rows = [parse_genotype_line(l) for l in _read_lines(base, GENOTYPES_FILE, hdfs) if l]
-    if not genotype_rows:
-        raise ValueError("empty genotype file")
-    snp_ids = np.array([snp_id for snp_id, _ in genotype_rows], dtype=np.int64)
-    matrix = np.vstack([row for _, row in genotype_rows])
-    genotypes = GenotypeMatrix(snp_ids, matrix)
+def _read_genotypes(data: bytes) -> GenotypeMatrix:
+    """Parse and validate the genotype file, every error ``genotypes.txt:<line>:``."""
+    snp_ids, matrix = parse_genotype_text(data, GENOTYPES_FILE)
+    if not snp_ids.size:
+        raise FormatError(f"{GENOTYPES_FILE}: empty genotype file")
+    try:
+        return GenotypeMatrix(snp_ids, matrix)
+    except ValueError as exc:
+        # GenotypeMatrix says what is wrong; find the physical line it is wrong on
+        line_of = [i for i, l in enumerate(_decode_lines(data, GENOTYPES_FILE), 1) if l]
+        # uint8 view: a negative dosage reads as >= 128
+        out_of_range = matrix.view(np.uint8) > 2
+        if out_of_range.any():
+            row = int(np.flatnonzero(out_of_range.any(axis=1))[0])
+            message = f"{exc}, found {matrix[row][out_of_range[row]][0]}"
+        else:
+            first_row: dict[int, int] = {}
+            for row, snp_id in enumerate(snp_ids.tolist()):
+                if first_row.setdefault(snp_id, row) != row:
+                    break
+            else:
+                raise
+            message = f"SNP id {snp_id} repeats line {line_of[first_row[snp_id]]}"
+        raise FormatError(f"{GENOTYPES_FILE}:{line_of[row]}: {message}") from exc
 
-    phenotype_rows = sorted(
-        parse_phenotype_line(l) for l in _read_lines(base, PHENOTYPE_FILE, hdfs) if l
-    )
+
+def read_dataset(base: str, hdfs: "MiniHDFS | None" = None) -> Dataset:
+    """Load a dataset previously written by :func:`write_dataset`.
+
+    Malformed input raises :class:`~repro.genomics.io.formats.FormatError`
+    (a ``ValueError``) whose message starts ``<file>:<line>:``.
+    """
+
+    def parsed(parse, name):
+        return _parse_lines(parse, _decode_lines(_read_file(base, name, hdfs), name), name)
+
+    genotypes = _read_genotypes(_read_file(base, GENOTYPES_FILE, hdfs))
+    snp_ids = genotypes.snp_ids
+
+    phenotype_rows = sorted(parsed(parse_phenotype_line, PHENOTYPE_FILE))
     times = np.array([t for _, t, _ in phenotype_rows])
     events = np.array([e for _, _, e in phenotype_rows])
     phenotype = SurvivalPhenotype(times, events)
 
-    weight_map = dict(parse_weight_line(l) for l in _read_lines(base, WEIGHTS_FILE, hdfs) if l)
+    weight_map = dict(parsed(parse_weight_line, WEIGHTS_FILE))
     try:
         weights = np.array([weight_map[int(s)] for s in snp_ids])
     except KeyError as exc:
-        raise ValueError(f"weights file missing SNP {exc}") from exc
+        raise FormatError(f"{WEIGHTS_FILE}: missing SNP {exc}") from exc
 
-    sets = dict(parse_snpset_line(l) for l in _read_lines(base, SNPSETS_FILE, hdfs) if l)
-    snpsets = SnpSetCollection.from_lists(snp_ids, sets)
+    sets = dict(parsed(parse_snpset_line, SNPSETS_FILE))
+    try:
+        snpsets = SnpSetCollection.from_lists(snp_ids, sets)
+    except ValueError as exc:
+        raise FormatError(f"{SNPSETS_FILE}: {exc}") from exc
     return Dataset(genotypes, phenotype, weights, snpsets)

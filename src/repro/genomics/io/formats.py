@@ -3,15 +3,58 @@
 These functions are deliberately tiny and dependency-free on the write
 side; the genotype parser returns a NumPy vector because it doubles as the
 map function of the engine's parse stage (Algorithm 1, step 3).
+
+Genotype text has one *canonical* shape -- ``<ascii digits>\t`` followed by
+single-digit dosages separated by commas, which is the only shape
+:func:`~repro.genomics.io.dataset_io.write_dataset` has ever produced.
+Canonical fields are decoded (and encoded) by byte arithmetic, with no
+per-genotype Python call; every other line -- multi-digit or signed tokens,
+spaces, non-ASCII digits, a trailing comma, a missing tab -- goes through the
+token-by-token parser, which therefore defines both the accepted inputs and
+the text of every error.  Which path a line takes is decided from its bytes
+alone.
+
+The per-line parsers raise :class:`FormatError` without a location (a line
+does not know its file); the whole-file readers prefix ``<file>:<line>:``.
 """
 
 from __future__ import annotations
 
+from typing import Callable, Iterable, Iterator, TypeVar
+
 import numpy as np
+
+T = TypeVar("T")
+
+_ZERO, _COMMA, _TAB, _NEWLINE = b"0,\t\n"
+#: a canonical SNP id is at most this many ASCII digits: it fits ``int64`` and
+#: ``int()`` cannot refuse it (Python caps the digits it will convert)
+_ID_DIGITS = 18
 
 
 class FormatError(ValueError):
     """A malformed input line."""
+
+
+def _decode_lines(data: bytes, source: str) -> list[str]:
+    """The physical lines of a UTF-8 text file (``str.splitlines`` breaks)."""
+    try:
+        return data.decode("utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise FormatError(f"{source}:{line}: not UTF-8 text ({exc.reason})") from exc
+
+
+def _parse_lines(
+    parse: Callable[[str], T], lines: Iterable[str], source: str
+) -> Iterator[T]:
+    """``parse`` over the non-blank ``lines``, errors located ``source:line:``."""
+    for lineno, line in enumerate(lines, 1):
+        if line:
+            try:
+                yield parse(line)
+            except FormatError as exc:
+                raise FormatError(f"{source}:{lineno}: {exc}") from exc
 
 
 # -- genotype matrix ----------------------------------------------------------
@@ -21,7 +64,41 @@ def format_genotype_line(snp_id: int, genotypes: np.ndarray) -> str:
     return f"{int(snp_id)}\t{','.join(str(int(g)) for g in genotypes)}"
 
 
-def parse_genotype_line(line: str) -> tuple[int, np.ndarray]:
+def _format_genotype_text(snp_ids: np.ndarray, matrix: np.ndarray) -> bytes:
+    """Every row as :func:`format_genotype_line` plus a newline, as bytes.
+
+    Dosages 0-9 are written into one ``(J, 2n)`` byte block ``d , d , ... \\n``;
+    a row holding anything else is formatted by :func:`format_genotype_line`.
+    """
+    n_rows, n = matrix.shape
+    digits = matrix.view(np.uint8)  # of int8: a negative dosage reads as >= 128
+    block = np.empty((n_rows, 2 * n), dtype=np.uint8)
+    np.add(digits, _ZERO, out=block[:, 0::2])
+    block[:, 1::2] = _COMMA
+    block[:, -1:] = _NEWLINE
+    single_digit = (digits.max(axis=1, initial=0) <= 9).tolist()
+    parts: list = []
+    for snp_id, row, line, ok in zip(snp_ids.tolist(), matrix, block, single_digit):
+        if ok and n:
+            parts += (b"%d\t" % snp_id, line)
+        else:
+            parts.append(format_genotype_line(snp_id, row).encode() + b"\n")
+    return b"".join(parts)
+
+
+def _decode_digits(field: np.ndarray) -> np.ndarray | None:
+    """``uint8`` bytes of ``d,d,...,d`` -> fresh ``int8`` dosages; else ``None``."""
+    if not field.size & 1:
+        return None
+    # uint8 wraps: a byte below "0" lands above 9 too
+    values = field[0::2] - _ZERO
+    if values.max() > 9 or (field[1::2] != _COMMA).any():
+        return None
+    return values.view(np.int8)
+
+
+def _parse_genotype_tokens(line: str) -> tuple[int, np.ndarray]:
+    """The reference parser: one ``int()`` per token."""
     try:
         snp_field, values_field = line.split("\t", 1)
         snp_id = int(snp_field)
@@ -30,6 +107,66 @@ def parse_genotype_line(line: str) -> tuple[int, np.ndarray]:
     except ValueError as exc:
         raise FormatError(f"bad genotype line {line[:80]!r}: {exc}") from exc
     return snp_id, values
+
+
+def parse_genotype_line(line: str) -> tuple[int, np.ndarray]:
+    tab = line.find("\t")
+    if 0 < tab <= _ID_DIGITS and line.isascii() and line[:tab].isdigit():
+        values = _decode_digits(np.frombuffer(line.encode("ascii"), np.uint8, offset=tab + 1))
+        if values is not None:
+            return int(line[:tab]), values
+    return _parse_genotype_tokens(line)
+
+
+def parse_genotype_text(
+    data: bytes, source: str = "genotypes.txt"
+) -> tuple[np.ndarray, np.ndarray]:
+    """A whole genotype file -> ``(snp_ids int64 (J,), matrix int8 (J, n))``.
+
+    Row for row what :func:`parse_genotype_line` returns for each non-blank
+    line, without the per-line ``str`` and array copies.  Errors (a malformed
+    line, a row of another length, an id beyond 64 bits) are
+    :class:`FormatError` prefixed ``source:line:``, counting physical lines.
+    """
+    buf = np.frombuffer(data, dtype=np.uint8)
+    newlines, tabs = np.flatnonzero(buf == _NEWLINE), np.flatnonzero(buf == _TAB)
+    if buf.size and (
+        buf.max() > 0x7F or np.count_nonzero(buf < 0x20) != newlines.size + tabs.size
+    ):
+        # something other than "\n" may break lines here ("\r\n", "\x0c",
+        # U+2028 ...): let str.splitlines, the definition, rewrite them
+        data = "\n".join(_decode_lines(data, source)).encode("utf-8")
+        buf = np.frombuffer(data, dtype=np.uint8)
+        newlines, tabs = np.flatnonzero(buf == _NEWLINE), np.flatnonzero(buf == _TAB)
+    # the last line ends at the end of the buffer (and is blank after a final "\n")
+    ends = np.append(newlines, buf.size)
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    # each line's first tab (the line's end or beyond when it has none)
+    first_tab = np.append(tabs, buf.size)[np.searchsorted(tabs, starts)]
+    linenos = np.flatnonzero(ends > starts)
+    snp_ids = np.empty(linenos.size, dtype=np.int64)
+    matrix = np.empty((linenos.size, 0), dtype=np.int8)
+    rows = zip(linenos.tolist(), starts[linenos].tolist(),
+               first_tab[linenos].tolist(), ends[linenos].tolist())
+    for row, (lineno, start, tab, end) in enumerate(rows):
+        snp_id = data[start:tab] if tab < end else b""  # digits, until int() below
+        values = None
+        if len(snp_id) <= _ID_DIGITS and snp_id.isdigit():
+            values = _decode_digits(buf[tab + 1:end])
+        try:
+            if values is None:
+                snp_id, values = _parse_genotype_tokens(data[start:end].decode("utf-8"))
+            if row == 0:
+                matrix = np.empty((linenos.size, values.size), dtype=np.int8)
+            elif values.size != matrix.shape[1]:
+                raise FormatError(
+                    f"expected {matrix.shape[1]} genotypes, found {values.size}"
+                )
+            matrix[row] = values
+            snp_ids[row] = int(snp_id)
+        except (FormatError, OverflowError) as exc:
+            raise FormatError(f"{source}:{lineno + 1}: {exc}") from exc
+    return snp_ids, matrix
 
 
 # -- phenotype pairs ------------------------------------------------------------

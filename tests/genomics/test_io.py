@@ -1,20 +1,34 @@
 """Text formats and whole-dataset round trips (local + HDFS)."""
 
+import os
+import re
+
 import numpy as np
 import pytest
+from hypothesis import example, given, seed, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from repro.cli import main
+from repro.config import EngineConfig
+from repro.core.sparkscore import SparkScoreAnalysis
+from repro.genomics.io import formats
 from repro.genomics.io.dataset_io import read_dataset, write_dataset
 from repro.genomics.io.formats import (
     FormatError,
+    _format_genotype_text,
+    _parse_genotype_tokens,
     format_genotype_line,
     format_phenotype_line,
     format_snpset_line,
     format_weight_line,
     parse_genotype_line,
+    parse_genotype_text,
     parse_phenotype_line,
     parse_snpset_line,
     parse_weight_line,
 )
+from repro.genomics.synthetic import SyntheticConfig, generate_dataset
 from repro.hdfs.filesystem import MiniHDFS
 
 
@@ -117,3 +131,289 @@ class TestDatasetRoundTrip:
             (base / name).write_text("")
         with pytest.raises(ValueError, match="empty genotype"):
             read_dataset(str(base))
+
+
+# -- the byte-arithmetic codec against the token parser ------------------------
+
+_DIGITS = st.sampled_from("0123456789")
+#: tokens only ``int()`` accepts, and tokens nobody does
+_ODD_TOKENS = st.sampled_from(
+    ["10", "-1", "+2", " 1", "1 ", "\u0661", "127", "128", "", "x", "1\r", "/", ":"]
+)
+_ODD_IDS = st.sampled_from(
+    ["", "-3", "+4", " 5", "\u0661\u0662", "x", "9" * 18, "9" * 19, "7" * 200]
+)
+_ODD_TABS = st.sampled_from(["", " ", "\t\t", "\t "])
+
+
+@st.composite
+def _genotype_lines(draw, n_tokens=st.integers(0, 6)):
+    """Six in ten canonical; the rest odd in the tokens, the id, the tab, or noise."""
+    kind = draw(st.integers(0, 9))
+    if kind == 0:
+        return draw(st.text(alphabet="0123456789,-+ \t\rx\u0661", max_size=12))
+    size = draw(n_tokens)
+    token = st.one_of(_DIGITS, _DIGITS, _ODD_TOKENS) if kind == 1 else _DIGITS
+    tokens = draw(st.lists(token, min_size=size, max_size=size))
+    snp_id = draw(_ODD_IDS) if kind == 2 else str(draw(st.integers(0, 10**6)))
+    tab = draw(_ODD_TABS) if kind == 3 else "\t"
+    return snp_id + tab + ",".join(tokens)
+
+
+def _outcome(call, *args):
+    """A parse result, or the exception it raised, in comparable form."""
+    try:
+        snp_id, values = call(*args)
+    except (FormatError, OverflowError) as exc:
+        return type(exc).__name__, str(exc)
+    return snp_id, values.dtype, values.tolist()
+
+
+def _reference_text(text: str, source: str = "genotypes.txt"):
+    """The parent's read loop -- token parser over ``str.splitlines`` -- with
+    the locations and the ragged-row check ``parse_genotype_text`` adds."""
+    ids, rows = [], []
+    for lineno, line in enumerate(text.splitlines(), 1):
+        if not line:
+            continue
+        try:
+            snp_id, values = _parse_genotype_tokens(line)
+            if rows and values.size != rows[0].size:
+                raise FormatError(f"expected {rows[0].size} genotypes, found {values.size}")
+            np.int64(snp_id)
+        except (FormatError, OverflowError) as exc:
+            return "FormatError", f"{source}:{lineno}: {exc}"
+        ids.append(snp_id)
+        rows.append(values)
+    return ids, [row.tolist() for row in rows]
+
+
+def _text_outcome(data: bytes):
+    try:
+        snp_ids, matrix = parse_genotype_text(data)
+    except FormatError as exc:
+        return "FormatError", str(exc)
+    assert snp_ids.dtype == np.int64 and matrix.dtype == np.int8
+    return snp_ids.tolist(), matrix.tolist()
+
+
+class TestCodecAgainstTokenParser:
+    @seed(190_001)
+    @settings(max_examples=400, deadline=None, database=None)
+    @given(_genotype_lines())
+    @example("")
+    @example("7")
+    @example("7\t")
+    @example("7\t1")
+    @example("7\t0,1,")
+    @example("7\t0,,1")
+    @example("7\t0,1\r")
+    @example("7\t0,1\n")
+    @example("7\t0,\u0661")
+    @example("\u0667\t0,1")
+    @example("7\t 0,1")
+    @example("7\t0,1\t2")
+    @example("7" * 200 + "\t0,1,2")
+    @example("7" * 5000 + "\t0,1,2")  # past int()'s digit limit: ValueError inside int()
+    @example("7\t0,:")
+    @example("7\t/,1")
+    @example("1_0\t0,1")
+    def test_line_matches_token_parser(self, line):
+        assert _outcome(parse_genotype_line, line) == _outcome(_parse_genotype_tokens, line)
+
+    @seed(190_002)
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(
+        st.integers(1, 5).flatmap(
+            lambda n: st.lists(
+                st.one_of(
+                    *[_genotype_lines(st.just(n))] * 8, _genotype_lines(), st.just("")
+                ),
+                max_size=8,
+            )
+        ),
+        st.sampled_from(["\n", "\n", "\r\n", "\r", "\x0c", "\u2028"]),
+        st.booleans(),
+    )
+    @example(["1\t0,1", "", "", "2\t1,1"], "\n", True)
+    @example(["1\t0,1", "2\t1,1"], "\n", False)
+    @example(["1\t0,1", "2\t1,1"], "\r\n", True)
+    @example(["1\t0,1", "2\t1,1,"], "\n", True)
+    @example(["1\t0,1", "2\t1"], "\n", True)
+    @example(["1\t0,1", "2"], "\n", True)
+    @example(["7" * 200 + "\t0,1"], "\n", True)
+    @example(["7" * 5000 + "\t0,1"], "\n", True)
+    @example(["1\t0,128"], "\n", True)
+    @example([], "\n", False)
+    def test_buffer_matches_lines(self, lines, newline, trailing):
+        text = newline.join(lines) + (newline if trailing else "")
+        assert _text_outcome(text.encode("utf-8")) == _reference_text(text)
+
+    def test_not_utf8_is_located(self):
+        with pytest.raises(FormatError, match=r"^g\.txt:2: not UTF-8"):
+            parse_genotype_text(b"1\t0,1\n2\t0,\xff\n", "g.txt")
+
+    @seed(190_003)
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(
+        hnp.arrays(np.int8, st.tuples(st.integers(1, 6), st.integers(1, 7)),
+                   elements=st.integers(0, 2)),
+        st.data(),
+    )
+    def test_written_bytes_match_line_formatter(self, matrix, data):
+        snp_ids = np.array(data.draw(
+            st.lists(st.integers(0, 10**9), min_size=len(matrix), max_size=len(matrix),
+                     unique=True)
+        ))
+        expected = "".join(format_genotype_line(i, row) + "\n" for i, row in zip(snp_ids, matrix))
+        assert _format_genotype_text(snp_ids, matrix) == expected.encode()
+        back_ids, back = parse_genotype_text(expected.encode())
+        assert np.array_equal(back_ids, snp_ids) and np.array_equal(back, matrix)
+
+    @pytest.mark.parametrize("odd", [12, -1])
+    def test_write_dataset_bytes(self, odd, tmp_path):
+        ds = generate_dataset(SyntheticConfig(n_patients=9, n_snps=12, n_snpsets=2, seed=3))
+        ds.genotypes.matrix[5, 4] = odd  # past validation: that row takes the line formatter
+        paths = write_dataset(ds, str(tmp_path / "ds"))
+        expected = "\n".join(format_genotype_line(i, row) for i, row in ds.genotypes.rows()) + "\n"
+        assert f",{odd}," in expected
+        with open(paths["genotypes"], "rb") as fh:
+            assert fh.read() == expected.encode()
+
+
+class TestReadDatasetStructure:
+    """Pins on *how* ``read_dataset`` parses, which fail on a per-token parser."""
+
+    @pytest.fixture(scope="class")
+    def dataset(self):
+        return generate_dataset(SyntheticConfig(n_patients=60, n_snps=400, n_snpsets=8, seed=19))
+
+    @pytest.fixture
+    def token_calls(self, monkeypatch):
+        calls = []
+
+        def counting(line):
+            calls.append(line)
+            return _parse_genotype_tokens(line)
+
+        monkeypatch.setattr(formats, "_parse_genotype_tokens", counting)
+        return calls
+
+    def test_canonical_file_never_reaches_the_token_parser(self, dataset, token_calls, tmp_path):
+        write_dataset(dataset, str(tmp_path))
+        matrix = read_dataset(str(tmp_path)).genotypes.matrix
+        assert token_calls == []
+        assert np.array_equal(matrix, dataset.genotypes.matrix)
+        assert matrix.dtype == np.int8
+        assert matrix.flags.c_contiguous and matrix.flags.writeable
+        # owns its memory: a view of the file buffer would pin 2 bytes per genotype
+        assert matrix.base is None
+
+    def test_one_odd_line_makes_one_token_parse(self, dataset, token_calls, tmp_path):
+        write_dataset(dataset, str(tmp_path))
+        path = tmp_path / "genotypes.txt"
+        lines = path.read_text().split("\n")
+        lines[7] = lines[7].replace("\t", "\t ")
+        path.write_text("\n".join(lines))
+        back = read_dataset(str(tmp_path))
+        assert token_calls == [lines[7]]
+        assert np.array_equal(back.genotypes.matrix, dataset.genotypes.matrix)
+
+    @pytest.mark.parametrize("rewrite", [
+        lambda text: text.replace("\n", "\r\n"),
+        lambda text: text.replace("\n", "\n\n", 5),
+        lambda text: "\n\n" + text.rstrip("\n"),
+    ], ids=["crlf", "blank-lines", "no-trailing-newline"])
+    def test_line_break_variants_load_the_same(self, rewrite, dataset, tmp_path):
+        write_dataset(dataset, str(tmp_path))
+        for name in os.listdir(tmp_path):
+            path = tmp_path / name
+            path.write_bytes(rewrite(path.read_bytes().decode()).encode())
+        back = read_dataset(str(tmp_path))
+        assert np.array_equal(back.genotypes.snp_ids, dataset.genotypes.snp_ids)
+        assert np.array_equal(back.genotypes.matrix, dataset.genotypes.matrix)
+        assert np.array_equal(back.weights, dataset.weights)
+        assert np.array_equal(back.snpsets.set_ids, dataset.snpsets.set_ids)
+
+    @pytest.mark.parametrize("backend", ["serial", "threads"])
+    def test_in_task_parse_is_bit_identical(self, backend, dataset, tmp_path):
+        write_dataset(dataset, str(tmp_path))
+        options = dict(
+            engine="distributed", flavor="paper",
+            config=EngineConfig(backend=backend, num_executors=2, default_parallelism=4),
+        )
+        parsed = SparkScoreAnalysis.from_files(str(tmp_path), parse_with_engine=True, **options)
+        in_memory = SparkScoreAnalysis(dataset, **options)
+        try:
+            a = parsed.monte_carlo(48, seed=2, batch_size=16, cache_contributions=False)
+            b = in_memory.monte_carlo(48, seed=2, batch_size=16, cache_contributions=False)
+        finally:
+            parsed.close()
+            in_memory.close()
+        assert np.array_equal(a.observed, b.observed)
+        assert np.array_equal(a.exceed_counts, b.exceed_counts)
+        assert np.array_equal(a.pvalues(), b.pvalues())
+
+
+def _edit_line(path, lineno, edit):
+    lines = path.read_text().split("\n")
+    lines[lineno - 1] = edit(lines[lineno - 1])
+    path.write_text("\n".join(lines))
+
+
+class TestLocatedErrors:
+    """Bad input names its file and physical line, through the API and the CLI."""
+
+    CASES = {
+        "malformed": ("genotypes.txt", 21, lambda l: l.replace(",", ",x,", 1),
+                      r"^genotypes\.txt:21: bad genotype line '.*invalid literal"),
+        "after-blank-lines": ("genotypes.txt", 21, lambda l: "\n\n" + l[:-1] + "x",
+                              r"^genotypes\.txt:23: bad genotype line"),
+        "ragged": ("genotypes.txt", 9, lambda l: l[:-2],
+                   r"^genotypes\.txt:9: expected 30 genotypes, found 29$"),
+        "dosage-3": ("genotypes.txt", 33, lambda l: l[:-1] + "3",
+                     r"^genotypes\.txt:33: genotype dosages must be 0, 1, or 2, found 3$"),
+        "dosage-negative": ("genotypes.txt", 2, lambda l: l[:-1] + "-1",
+                            r"^genotypes\.txt:2: genotype dosages must be 0, 1, or 2, found -1$"),
+        "dosage-int8-overflow": ("genotypes.txt", 2, lambda l: l[:-1] + "128",
+                                 r"^genotypes\.txt:2: .*128"),
+        "repeated-id": ("genotypes.txt", 12, lambda l: "0" + l[l.index("\t"):],
+                        r"^genotypes\.txt:12: SNP id 0 repeats line 1$"),
+        "phenotype": ("phenotype.txt", 4, lambda l: l + "\t1",
+                      r"^phenotype\.txt:4: bad phenotype line"),
+        "weight": ("weights.txt", 40, lambda l: l.replace("\t", "\t-"),
+                   r"^weights\.txt:40: bad weight line .*negative weight"),
+        "snpset": ("snpsets.txt", 3, lambda l: l + ",x",
+                   r"^snpsets\.txt:3: bad SNP-set line"),
+    }
+
+    @pytest.fixture
+    def broken(self, request, tiny_dataset, tmp_path):
+        name, lineno, edit, message = self.CASES[request.param]
+        write_dataset(tiny_dataset, str(tmp_path))
+        _edit_line(tmp_path / name, lineno, edit)
+        return str(tmp_path), message
+
+    @pytest.mark.parametrize("broken", CASES, indirect=True)
+    def test_read_dataset_names_file_and_line(self, broken):
+        base, message = broken
+        with pytest.raises(FormatError, match=message):
+            read_dataset(base)
+
+    @pytest.mark.parametrize("broken", CASES, indirect=True)
+    def test_cli_prints_one_line_and_exits_2(self, broken, capsys):
+        base, message = broken
+        assert main(["analyze", base, "--method", "observed"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("sparkscore: error: ")
+        assert re.search(message, line.removeprefix("sparkscore: error: "))
+
+    def test_hdfs_errors_are_located_too(self, tiny_dataset):
+        fs = MiniHDFS(num_datanodes=2, block_size=1024)
+        write_dataset(tiny_dataset, "/bad", hdfs=fs)
+        lines = fs.read_text("/bad/genotypes.txt").split("\n")
+        fs.write_text("/bad/genotypes.txt", "\n".join(lines[:3] + ["x"] + lines[3:]))
+        with pytest.raises(FormatError, match=r"^genotypes\.txt:4: bad genotype line 'x'"):
+            read_dataset("/bad", hdfs=fs)
