@@ -164,7 +164,8 @@ class TestSetStatisticVariants:
 
 
 class TestPermutationFastPath:
-    """GEMM permutation path for covariate-free GLM phenotypes."""
+    """The score-weight kernel against Algorithm 2 as written (Gaussian
+    phenotype; both consume the same permutation stream)."""
 
     @pytest.fixture(scope="class")
     def gaussian_sampler(self, live_dataset_small):
@@ -186,14 +187,16 @@ class TestPermutationFastPath:
             live_dataset_small.n_sets,
         )
 
-    def test_vectorized(self, benchmark, gaussian_sampler):
-        benchmark.pedantic(
-            gaussian_sampler.run, args=(200, 1), kwargs={"vectorized": True},
-            rounds=3, iterations=1,
-        )
+    def test_kernel(self, benchmark, gaussian_sampler):
+        benchmark.pedantic(gaussian_sampler.run, args=(200, 1), rounds=3, iterations=1)
 
-    def test_per_replicate(self, benchmark, gaussian_sampler):
-        benchmark.pedantic(
-            gaussian_sampler.run, args=(200, 1), kwargs={"vectorized": False},
-            rounds=2, iterations=1,
+    def test_as_written(
+        self, benchmark, gaussian_sampler, live_dataset_small, permutation_as_written
+    ):
+        import numpy as np
+
+        counts = benchmark.pedantic(
+            permutation_as_written, args=(live_dataset_small, 200, 1),
+            kwargs={"model": gaussian_sampler.model}, rounds=2, iterations=1,
         )
+        assert np.array_equal(counts, gaussian_sampler.run(200, 1).exceed_counts)

@@ -2,9 +2,11 @@
 
 Live part: measure Monte Carlo and permutation replicate costs on the real
 engine at reduced scale and assert the paper's ordering (A1-A3 in
-DESIGN.md).  Simulated part: replay the exact Table II workload (1000
-patients x 100K SNPs x 1000 sets on 6 m3.2xlarge nodes) and print our
-predicted seconds next to Table III's published numbers.
+DESIGN.md) for Algorithm 2 as the paper wrote it; the score-weight kernel
+``LocalSparkScore.permutation`` runs is timed beside it.  Simulated part:
+replay the exact Table II workload (1000 patients x 100K SNPs x 1000 sets
+on 6 m3.2xlarge nodes) and print our predicted seconds next to Table III's
+published numbers.
 """
 
 from __future__ import annotations
@@ -40,18 +42,33 @@ class TestLiveScaling:
         result = benchmark.pedantic(local.permutation, args=(16, 3), rounds=3, iterations=1)
         assert result.n_resamples == 16
 
-    def test_mc_beats_permutation_at_equal_iterations(self, benchmark, local):
-        """A2 live: per-replicate cost of MC is far below permutation's."""
+    def test_mc_beats_permutation_at_equal_iterations(
+        self, benchmark, local, live_dataset, permutation_as_written
+    ):
+        """A2 live: per-replicate cost of MC is far below that of Algorithm 2
+        as written (refit + recompute U per replicate).  The score-weight
+        kernel behind ``local.permutation`` recomputes no U -- A2 does not
+        describe it -- so its time is recorded beside the ratio, not in it."""
         import time
+
+        import numpy as np
 
         start = time.perf_counter()
         local.monte_carlo(64, seed=1)
         mc = time.perf_counter() - start
         start = time.perf_counter()
-        local.permutation(64, seed=1)
+        as_written = permutation_as_written(live_dataset, 64, seed=1)
         perm = time.perf_counter() - start
-        assert perm > 2.0 * mc, f"permutation {perm:.3f}s vs MC {mc:.3f}s"
+        start = time.perf_counter()
+        kernel = local.permutation(64, seed=1)
+        kernel_seconds = time.perf_counter() - start
+        assert np.array_equal(as_written, kernel.exceed_counts)
+        assert perm > 2.0 * mc, f"permutation as written {perm:.3f}s vs MC {mc:.3f}s"
         benchmark.extra_info["live_speedup_at_64"] = perm / mc
+        benchmark.extra_info["kernel_seconds_at_64"] = kernel_seconds
+        benchmark.extra_info["kernel_over_mc_at_64"] = kernel_seconds / mc
+        print(f"\nlive @64: MC {mc * 1e3:.0f} ms, permutation as written "
+              f"{perm * 1e3:.0f} ms, score-weight kernel {kernel_seconds * 1e3:.0f} ms")
         benchmark(lambda: None)
 
 

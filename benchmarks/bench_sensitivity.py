@@ -4,7 +4,8 @@ The paper fixes iterations x SNPs = 1e7 across three configurations and
 observes that runtime is similar within each method while Monte Carlo
 dominates permutation throughout.  The live part scales the product down
 to 2e4 (iterations x SNPs) and measures the same invariance on the real
-local engine; the simulated part replays the paper-scale configurations.
+local engine (permutation as the paper wrote it: refit and recompute U per
+replicate); the simulated part replays the paper-scale configurations.
 
 Note: the paper does not state the cluster size for this figure; we use
 the 18-node Experiment B cluster so the 1M-SNP configuration sits in the
@@ -53,7 +54,10 @@ class TestLiveSensitivity:
         benchmark(lambda: None)
         assert max(times) / min(times) < 10
 
-    def test_mc_beats_perm_in_each_config_live(self, benchmark):
+    def test_mc_beats_perm_in_each_config_live(self, benchmark, permutation_as_written):
+        """Fig. 3's ordering holds for Algorithm 2 as written; the score-weight
+        kernel (``local.permutation``) is recorded beside it, not asserted."""
+        kernel_over_mc = []
         for iterations, n_snps in LIVE_CONFIGS:
             data = generate_dataset(
                 SyntheticConfig(n_patients=200, n_snps=n_snps, n_snpsets=20, seed=1)
@@ -63,9 +67,13 @@ class TestLiveSensitivity:
             local.monte_carlo(iterations, seed=5)
             mc = time.perf_counter() - start
             start = time.perf_counter()
-            local.permutation(iterations, seed=5)
+            permutation_as_written(data, iterations, seed=5)
             perm = time.perf_counter() - start
+            start = time.perf_counter()
+            local.permutation(iterations, seed=5)
+            kernel_over_mc.append((time.perf_counter() - start) / mc)
             assert mc < perm
+        benchmark.extra_info["kernel_over_mc"] = kernel_over_mc
         benchmark(lambda: None)
 
 

@@ -11,9 +11,14 @@ Two flavors of the same pipeline:
 
 Monte Carlo (Algorithm 3) caches the contributions RDD and reuses it for
 every replicate batch; permutation (Algorithm 2) re-runs the scoring
-pipeline per replicate *batch* with a re-broadcast block of shuffled
-phenotypes, amortizing DAG-build/scheduling overhead the same way the MC
-multiplier batches do.
+pipeline per replicate *batch*, amortizing DAG-build/scheduling overhead
+the same way the MC multiplier batches do.  What a batch re-broadcasts is
+where the flavors part: the paper flavor ships refit models and recomputes
+every contribution row under each -- Algorithm 2 as written, the shape the
+simulator's cost model charges, and the referee for the other flavor; the
+vectorized flavor ships the ``(b, n)`` array of permuted
+:meth:`~repro.stats.score.base.ScoreModel.score_weights`, and a block's
+replicate scores are one GEMM against it.
 
 Every transformation in the hot path is a named module-level callable (not
 a lambda), so the whole pipeline pickles and runs on the process backend.
@@ -183,14 +188,13 @@ class _PermutedRowInnersFn:
 
 
 class _PermutedBlockPartialsFn:
-    """(batch, K) per-set partials of one block under permuted models."""
+    """(batch, K) per-set partials of one block under permuted score weights."""
 
-    def __init__(self, models_bc) -> None:
-        self.models_bc = models_bc
+    def __init__(self, weights_bc) -> None:
+        self.weights_bc = weights_bc
 
     def __call__(self, block: SnpBlock):
-        g = block.genotypes.astype(np.float64)
-        scores = np.stack([model.scores(g) for model in self.models_bc.value])
+        scores = self.weights_bc.value @ block.genotypes.astype(np.float64).T
         return block.skat_partial_rows(scores)
 
 
@@ -306,12 +310,12 @@ class DistributedSparkScore:
         snp_ids = dataset.genotypes.snp_ids
         set_map = {int(s): int(k) for s, k in zip(snp_ids, dataset.snpsets.set_ids)}
         w2_map = {int(s): float(w) ** 2 for s, w in zip(snp_ids, dataset.weights)}
-        # broadcast the SNP-set mapping and the phenotype pairs (Alg. 1 step 6)
+        # broadcast the SNP-set mapping and, inside the model, the phenotype
+        # pairs (Alg. 1 step 6)
         self._set_map_bc = ctx.broadcast(set_map)
         self._w2_map_bc = ctx.broadcast(w2_map)
         self._union_set_bc = ctx.broadcast(frozenset(set_map))
         self._model_bc = ctx.broadcast(self.model)
-        self._pairs_bc = ctx.broadcast(dataset.phenotype.pairs())
 
         self._gm_rdd = self._build_genotype_rdd(input_paths, cache_genotypes)
         self._weights_rdd = self._build_weights_rdd(input_paths)
@@ -509,21 +513,25 @@ class DistributedSparkScore:
         monitor = self._new_monitor("permutation", iterations)
         used = 0
         n = self.dataset.n_patients
+        score_weights = self.model.score_weights()  # the vectorized flavor's payload
         for perm_batch in permutation_batches(n, iterations, seed, batch_size):
             batch_start = time.perf_counter()
-            # re-broadcast a block of shuffled phenotypes (Alg. 2 step 2) and
-            # recompute steps 6-12 of Algorithm 1 once for the whole batch
-            models = [self.model.permuted(perm) for perm in perm_batch]
-            models_bc = self.ctx.broadcast(models)
-            width = len(models)
+            width = perm_batch.shape[0]
             if self.flavor == "paper":
-                scored = self._gm_rdd.map_values(_PermutedRowInnersFn(models_bc))
+                # re-broadcast a block of shuffled phenotypes (Alg. 2 step 2)
+                # and recompute steps 6-12 of Algorithm 1 under each
+                batch_bc = self.ctx.broadcast(
+                    [self.model.permuted(perm) for perm in perm_batch]
+                )
+                scored = self._gm_rdd.map_values(_PermutedRowInnersFn(batch_bc))
             else:
-                scored = self._gm_rdd.map(_PermutedBlockPartialsFn(models_bc))
+                # the shuffle only permutes the score weights: (b, n) float64
+                batch_bc = self.ctx.broadcast(score_weights[perm_batch])
+                scored = self._gm_rdd.map(_PermutedBlockPartialsFn(batch_bc))
             batch_counts = self._scores_to_counts(scored, width, observed_bc)
             counts += monitor.fold(batch_counts, width)
             used += width
-            models_bc.destroy()
+            batch_bc.destroy()
             instrumentation.observe_batch(
                 "permutation", "distributed", time.perf_counter() - batch_start, width
             )
@@ -588,8 +596,3 @@ class DistributedSparkScore:
             explicit_pvalues=explicit,
             info=info,
         )
-
-
-def permuted_contributions(model_bc, genotype_row) -> np.ndarray:
-    """Per-row contributions under the broadcast permuted model."""
-    return model_bc.value.contributions(np.asarray(genotype_row, dtype=np.float64))[0]

@@ -1,8 +1,8 @@
 """Driver-path metrics: resampling costs measured, not inferred.
 
 The paper's core economic claim (Monte Carlo resampling amortizes the
-scoring pass; permutation pays it per replicate) is a statement about
-*per-replicate cost*.  These process-wide instruments record exactly that
+scoring pass; permutation as written pays it per replicate) is a statement
+about *per-replicate cost*.  These process-wide instruments record exactly that
 from the score/SKAT/resampling driver loops, for both the local and the
 distributed engine, so benchmarks and ``sparkscore history --metrics``
 report measured numbers.
@@ -11,7 +11,7 @@ Series (all labeled ``method`` x ``engine``):
 
 - ``repro_replicates_total`` -- replicates computed;
 - ``repro_resampling_batch_seconds`` -- wall time per driver batch (one
-  broadcast + pass for MC, one replicate for permutation);
+  broadcast + pass on the engine, the whole run on the local engine);
 - ``repro_replicate_seconds`` -- amortized wall time per single replicate;
 - ``repro_score_pass_seconds`` -- observed-statistics passes (label
   ``engine`` only).

@@ -121,12 +121,14 @@ class LocalSparkScore:
 
     # -- Algorithm 2 (permutation) --------------------------------------------------
 
-    def permutation(self, iterations: int, seed: int = 0, monitor=None) -> ResamplingResult:
+    def permutation(
+        self, iterations: int, seed: int = 0, batch_size: int = 16, monitor=None
+    ) -> ResamplingResult:
         start = time.perf_counter()
         sampler = PermutationResampler(
             self.model, self._G, self._weights, self._set_ids, self._K
         )
-        outcome = sampler.run(iterations, seed, monitor=monitor)
+        outcome = sampler.run(iterations, seed, batch_size, monitor=monitor)
         elapsed = time.perf_counter() - start
         instrumentation.observe_batch("permutation", "local", elapsed, outcome.n_resamples)
         return self._result(
@@ -137,9 +139,9 @@ class LocalSparkScore:
     def permutation_statistics(self, iterations: int, seed: int = 0) -> np.ndarray:
         """(B, K) replicate statistics (diagnostics / QQ plots)."""
         out = np.empty((iterations, self._K))
+        c = self.model.score_weights()
         for b, perm in enumerate(permutation_stream(self.dataset.n_patients, iterations, seed)):
-            scores = self.model.permuted(perm).scores(self._G)
-            out[b] = skat_statistics(scores, self._weights, self._set_ids, self._K)
+            out[b] = skat_statistics(self._G @ c[perm], self._weights, self._set_ids, self._K)
         return out
 
     # -- asymptotics ----------------------------------------------------------------------

@@ -129,15 +129,17 @@ class SparkScoreAnalysis:
     def permutation(
         self, iterations: int, seed: int = 0, batch_size: int = 16, monitor=None
     ) -> ResamplingResult:
-        """Algorithm 2: permutation resampling (full recompute per replicate).
+        """Algorithm 2: permutation resampling (no cached U; each replicate
+        is the model's score weights, permuted, times the genotypes).
 
-        ``batch_size`` controls how many permuted phenotypes the distributed
-        engine broadcasts per job (the local engine streams one at a time;
-        both consume the identical replicate sequence).  ``monitor`` follows
-        the :meth:`monte_carlo` contract.
+        ``batch_size`` is how many replicates go into one GEMM -- one
+        broadcast and one job on the distributed engine -- and how often a
+        convergence monitor is folded, so under early stopping both engines
+        stop at the same replicate; the replicate sequence itself does not
+        depend on it.  ``monitor`` follows the :meth:`monte_carlo` contract.
         """
         if isinstance(self._impl, LocalSparkScore):
-            return self._impl.permutation(iterations, seed, monitor=monitor)
+            return self._impl.permutation(iterations, seed, batch_size, monitor=monitor)
         if monitor is not None:
             raise TypeError("the distributed engine mints its own monitor")
         return self._impl.permutation(iterations, seed, batch_size)

@@ -1,10 +1,14 @@
 """Permutation resampling for SKAT statistics.
 
 Each replicate shuffles the phenotype pairs among patients and recomputes
-the marginal scores from scratch (Algorithm 2 is the iterated Algorithm 1).
-Unlike the Monte Carlo method nothing can be reused across replicates --
-which is exactly the computational contrast the paper's Experiment A
-measures.
+the marginal scores (Algorithm 2 is the iterated Algorithm 1).  Every score
+model is linear in the genotypes, ``U_j = G_j . c`` with ``c`` the model's
+:meth:`~repro.stats.score.base.ScoreModel.score_weights`, and a joint
+shuffle of the pairs only permutes ``c``, so a batch of replicates is one
+GEMM, ``c[perms] @ G.T``: the same cost as a Monte Carlo batch, with no
+refit and no cached ``U``.  Algorithm 2 as written -- refit, recompute the
+contributions, sum -- is ``model.permuted(perm).contributions(G).sum(axis=1)``,
+the definitional loop the tests hold this kernel to.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from repro.stats.skat import skat_statistics, validate_set_ids
 
 
 class PermutationResampler:
-    """Recomputes scores under phenotype permutations."""
+    """Scores under phenotype permutations: permuted score weights times G."""
 
     def __init__(
         self,
@@ -40,94 +44,56 @@ class PermutationResampler:
             raise ValueError("weights must align with genotype rows")
         self.set_ids = validate_set_ids(set_ids, n_sets, self.J)
         self.n_sets = n_sets
-        self.observed = skat_statistics(model.scores(G), self.weights, self.set_ids, n_sets)
+        self.score_weights = model.score_weights()
+        self.observed = skat_statistics(
+            G @ self.score_weights, self.weights, self.set_ids, n_sets
+        )
 
     def replicate(self, perm: np.ndarray) -> np.ndarray:
         """SKAT statistics under one permutation of the phenotype pairs."""
         perm = np.asarray(perm)
         if perm.shape != (self.n,) or sorted(perm.tolist()) != list(range(self.n)):
             raise ValueError("perm must be a permutation of range(n)")
-        scores = self.model.permuted(perm).scores(self.G)
+        scores = self.G @ self.score_weights[perm]
         return skat_statistics(scores, self.weights, self.set_ids, self.n_sets)
 
     def run(
         self,
         n_resamples: int,
         seed: int,
-        vectorized: str | bool = "auto",
         batch_size: int = 64,
         monitor=None,
     ) -> ResamplingOutcome:
-        """Run B permutation replicates.
+        """Run B permutation replicates, ``batch_size`` per GEMM.
 
-        ``vectorized`` controls the GEMM fast path available for models
-        whose permutation commutes with the null fit (GLM scores without
-        covariates): ``"auto"`` uses it when supported, ``True`` requires
-        it (raises otherwise), ``False`` forces the per-replicate
-        recompute.  Both paths consume the same permutation stream, so
-        results are interchangeable up to float summation order.
+        Batching changes scheduling, never the replicate sequence
+        (:func:`~repro.stats.resampling.streams.permutation_batches`).
 
         ``monitor`` is an optional
-        :class:`repro.obs.inference.ConvergenceMonitor`; see
-        :meth:`MonteCarloResampler.run` for the passive/early-stop
-        contract.  Both paths fold into it per batch (the per-replicate
-        path folds one replicate at a time).
+        :class:`repro.obs.inference.ConvergenceMonitor`, folded once per
+        batch; see :meth:`MonteCarloResampler.run` for the
+        passive/early-stop contract.
         """
-        from repro.stats.resampling.streams import permutation_stream
-
-        if vectorized not in ("auto", True, False):
-            raise ValueError("vectorized must be 'auto', True, or False")
-        parts = None
-        if vectorized in ("auto", True):
-            getter = getattr(self.model, "permutation_invariant_parts", None)
-            parts = getter(self.G) if getter is not None else None
-            if parts is None and vectorized is True:
-                raise ValueError(
-                    "model does not support the vectorized permutation path "
-                    "(needs a covariate-free GLM score model)"
-                )
+        from repro.stats.resampling.streams import permutation_batches
 
         counts = np.zeros(self.n_sets, dtype=np.int64)
         used = 0
-        stream = permutation_stream(self.n, n_resamples, seed)
-        if parts is not None:
-            G_adj, residuals = parts
-            batch: list[np.ndarray] = []
-            stopped = False
-            for perm in stream:
-                batch.append(residuals[perm])
-                if len(batch) == batch_size:
-                    used += len(batch)
-                    if self._fold(counts, self._count_batch(G_adj, np.vstack(batch)),
-                                  len(batch), monitor):
-                        stopped = True
-                        break
-                    batch = []
-            if batch and not stopped:
-                used += len(batch)
-                self._fold(counts, self._count_batch(G_adj, np.vstack(batch)),
-                           len(batch), monitor)
-        else:
-            for perm in stream:
-                stats = self.replicate(perm)
-                used += 1
-                if self._fold(counts, (stats >= self.observed).astype(np.int64),
-                              1, monitor):
+        for perms in permutation_batches(self.n, n_resamples, seed, batch_size):
+            batch_counts = self._count_batch(self.score_weights[perms])
+            width = perms.shape[0]
+            used += width
+            if monitor is None:
+                counts += batch_counts
+            else:
+                counts += monitor.fold(batch_counts, width)
+                if monitor.done:
                     break
         if monitor is not None:
             monitor.finish()
         return ResamplingOutcome(self.observed, counts, used)
 
-    def _fold(self, counts, batch_counts, width, monitor) -> bool:
-        """Accumulate one batch; returns True when the monitor says stop."""
-        if monitor is None:
-            counts += batch_counts
-            return False
-        counts += monitor.fold(batch_counts, width)
-        return monitor.done
-
-    def _count_batch(self, G_adj: np.ndarray, permuted_residuals: np.ndarray) -> np.ndarray:
-        scores = permuted_residuals @ G_adj.T  # (b, J)
+    def _count_batch(self, permuted_weights: np.ndarray) -> np.ndarray:
+        scores = permuted_weights @ self.G.T  # (b, J)
         stats = skat_statistics(scores, self.weights, self.set_ids, self.n_sets)
         return (stats >= self.observed[None, :]).sum(axis=0)
 

@@ -6,6 +6,9 @@ genotypes: ``U_j = sum_i U[j, i]`` is the marginal efficient score for SNP
 ``j`` (paper, Section II).  The contributions matrix -- not just its row
 sums -- is what Monte Carlo resampling reuses
 (``U~_j = sum_i Z_i U[j, i]``, Lin 2005), which is why SparkScore caches it.
+The row sums alone are one matrix-vector product, ``U_j = G_j . c`` with
+``c`` the model's :meth:`~ScoreModel.score_weights`, and a permuted
+replicate is the same product against ``c[perm]``.
 """
 
 from __future__ import annotations
@@ -136,12 +139,22 @@ class ScoreModel(abc.ABC):
         """
 
     @abc.abstractmethod
+    def score_weights(self) -> np.ndarray:
+        """The ``(n,)`` vector ``c`` with ``scores(G) == G @ c``.
+
+        Every score here is linear in the genotypes, and shuffling the
+        phenotype pairs jointly (covariates travel with the outcome) only
+        permutes ``c``: ``permuted(perm).score_weights()`` equals
+        ``score_weights()[perm]``.  Both identities hold to rounding.
+        """
+
+    @abc.abstractmethod
     def permuted(self, perm: np.ndarray) -> "ScoreModel":
         """A new model with the phenotype shuffled among patients."""
 
     def scores(self, genotypes: np.ndarray) -> np.ndarray:
         """Marginal scores ``U_j = sum_i U[j, i]`` for a block of SNPs."""
-        return self.contributions(genotypes).sum(axis=1)
+        return self._check_block(genotypes) @ self.score_weights()
 
     def _check_block(self, genotypes: np.ndarray) -> np.ndarray:
         block = np.asarray(genotypes, dtype=np.float64)

@@ -4,54 +4,21 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.stats.score.base import BinaryPhenotype, ScoreModel
-from repro.stats.score.glm import fit_binomial_null, project_out_covariates
+from repro.stats.score.base import BinaryPhenotype
+from repro.stats.score.glm import GlmScoreModel, fit_binomial_null
 
 
-class BinomialScoreModel(ScoreModel):
+class BinomialScoreModel(GlmScoreModel):
     """Score contributions ``U_ij = (Y_i - mu_hat_i) * G_adj_ij``.
 
-    The null model (intercept + covariates) is fit once by IRLS.  With
-    ``adjust_genotypes=True`` (default) genotypes are projected orthogonal
-    to the covariate space, giving the proper efficient score; without
-    covariates this reduces to weighted centering.
+    The null model (intercept + covariates) is fit once by IRLS.
     """
 
     def __init__(self, phenotype: BinaryPhenotype, adjust_genotypes: bool = True) -> None:
-        self.phenotype = phenotype
-        self.adjust_genotypes = adjust_genotypes
+        super().__init__(phenotype, adjust_genotypes)
         self._fit = fit_binomial_null(phenotype.y, phenotype.covariates)
         self._residuals = phenotype.y - self._fit.mu
 
     @property
-    def n_patients(self) -> int:
-        return self.phenotype.n
-
-    @property
     def fitted_means(self) -> np.ndarray:
         return self._fit.mu
-
-    def contributions(self, genotypes: np.ndarray) -> np.ndarray:
-        block = self._check_block(genotypes)
-        if self.adjust_genotypes:
-            block = project_out_covariates(block, self._fit)
-        return block * self._residuals[None, :]
-
-    def permuted(self, perm: np.ndarray) -> "BinomialScoreModel":
-        # permutation shuffles outcomes over patients; covariates travel
-        # with the outcome (the pairs are shuffled jointly, as in the paper)
-        return BinomialScoreModel(self.phenotype.permuted(perm), self.adjust_genotypes)
-
-    def permutation_invariant_parts(self, genotypes: np.ndarray):
-        """(adjusted genotypes, residuals) for the GEMM permutation path.
-
-        Valid only without covariates: the intercept-only IRLS fit depends
-        on ``y`` solely through its mean, which permutation preserves, so
-        permuted residuals are exactly the permuted residual vector.
-        """
-        if self.phenotype.covariates is not None:
-            return None
-        block = self._check_block(genotypes)
-        if self.adjust_genotypes:
-            block = project_out_covariates(block, self._fit)
-        return block, self._residuals.copy()

@@ -11,7 +11,9 @@ exactly as the paper notes.  The vectorized implementation sorts patients
 by descending survival time once; risk-set sums for every SNP in a block
 are then prefix sums, giving O(m*n + n log n) per block instead of the
 O(m*n^2) of the defining formula (kept in
-:func:`cox_contributions_naive` as the correctness oracle).
+:func:`cox_contributions_naive` as the correctness oracle).  The marginal
+scores alone need none of that: ``U_j = sum_l G_lj * c_l`` with ``c`` the
+null martingale residuals (:meth:`CoxScoreModel.score_weights`).
 """
 
 from __future__ import annotations
@@ -51,6 +53,17 @@ class CoxScoreModel(ScoreModel):
         prefix = np.cumsum(block[:, self._order], axis=1)
         risk_sums = prefix[:, self._risk_counts - 1]
         return self._event * (block - risk_sums / self._risk_counts)
+
+    def score_weights(self) -> np.ndarray:
+        # sum_i Delta_i (G_ij - a_ij / b_i) with the two sums swapped: patient
+        # l sits in the risk set of every i with Y_i <= Y_l (ties included),
+        # so c_l = Delta_l - sum_{i: Y_i <= Y_l} Delta_i / b_i -- the null
+        # martingale residual (event minus Breslow cumulative hazard at Y_l)
+        time = self.phenotype.time
+        ascending = self._order[::-1]
+        cum_hazard = np.cumsum((self._event / self._risk_counts)[ascending])
+        at_or_before = np.searchsorted(time[ascending], time, side="right")
+        return self._event - cum_hazard[at_or_before - 1]
 
     def permuted(self, perm: np.ndarray) -> "CoxScoreModel":
         return CoxScoreModel(self.phenotype.permuted(perm))

@@ -6,50 +6,18 @@ Used for eQTL-style analyses (paper abstract: "can be readily extended to
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro.stats.score.base import QuantitativePhenotype, ScoreModel
-from repro.stats.score.glm import fit_gaussian_null, project_out_covariates
+from repro.stats.score.base import QuantitativePhenotype
+from repro.stats.score.glm import GlmScoreModel, fit_gaussian_null
 
 
-class GaussianScoreModel(ScoreModel):
+class GaussianScoreModel(GlmScoreModel):
     """Score contributions ``U_ij = (Y_i - mu_hat_i) * G_adj_ij / sigma^2``."""
 
     def __init__(self, phenotype: QuantitativePhenotype, adjust_genotypes: bool = True) -> None:
-        self.phenotype = phenotype
-        self.adjust_genotypes = adjust_genotypes
+        super().__init__(phenotype, adjust_genotypes)
         self._fit = fit_gaussian_null(phenotype.y, phenotype.covariates)
         self._residuals = (phenotype.y - self._fit.mu) / self._fit.dispersion
 
     @property
-    def n_patients(self) -> int:
-        return self.phenotype.n
-
-    @property
     def sigma2(self) -> float:
         return self._fit.dispersion
-
-    def contributions(self, genotypes: np.ndarray) -> np.ndarray:
-        block = self._check_block(genotypes)
-        if self.adjust_genotypes:
-            block = project_out_covariates(block, self._fit)
-        return block * self._residuals[None, :]
-
-    def permuted(self, perm: np.ndarray) -> "GaussianScoreModel":
-        return GaussianScoreModel(self.phenotype.permuted(perm), self.adjust_genotypes)
-
-    def permutation_invariant_parts(self, genotypes: np.ndarray):
-        """(adjusted genotypes, residual vector) when permutation commutes.
-
-        With an intercept-only null model, permuting the outcome permutes
-        the residuals and leaves the genotype adjustment unchanged, so
-        permutation scores are ``G_adj @ r[perm]`` -- one GEMM per batch.
-        With covariates the null fit changes per permutation; returns None
-        and callers fall back to the per-replicate path.
-        """
-        if self.phenotype.covariates is not None:
-            return None
-        block = self._check_block(genotypes)
-        if self.adjust_genotypes:
-            block = project_out_covariates(block, self._fit)
-        return block, self._residuals.copy()

@@ -18,6 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.stats.score.base import ScoreModel
+
 
 class NullModelError(RuntimeError):
     """The null model could not be fit (separation, singular design, ...)."""
@@ -92,6 +94,14 @@ def fit_binomial_null(
     return NullFit(mu=mu, weights=mu * (1.0 - mu), X=X, dispersion=1.0)
 
 
+def _information_inverse(fit: NullFit) -> np.ndarray:
+    X, w = fit.X, fit.weights
+    try:
+        return np.linalg.inv(X.T @ (X * w[:, None]))
+    except np.linalg.LinAlgError as exc:
+        raise NullModelError("singular X'WX in covariate projection") from exc
+
+
 def project_out_covariates(block: np.ndarray, fit: NullFit) -> np.ndarray:
     """Weighted projection of genotype rows orthogonal to the design.
 
@@ -99,11 +109,56 @@ def project_out_covariates(block: np.ndarray, fit: NullFit) -> np.ndarray:
     intercept-only design this is centering at the weighted mean.
     """
     X, w = fit.X, fit.weights
-    XtWX = X.T @ (X * w[:, None])
-    try:
-        XtWX_inv = np.linalg.inv(XtWX)
-    except np.linalg.LinAlgError as exc:
-        raise NullModelError("singular X'WX in covariate projection") from exc
     # block: (m, n); coef: (m, p)
-    coef = (block * w[None, :]) @ X @ XtWX_inv
+    coef = (block * w[None, :]) @ X @ _information_inverse(fit)
     return block - coef @ X.T
+
+
+def project_residuals(residuals: np.ndarray, fit: NullFit) -> np.ndarray:
+    """The projection's transpose applied to the residual vector.
+
+    ``c = r - W X (X' W X)^{-1} X' r``, so that
+    ``project_out_covariates(G, fit) @ r == G @ c`` for every block.
+    """
+    X, w = fit.X, fit.weights
+    return residuals - w * (X @ (_information_inverse(fit) @ (X.T @ residuals)))
+
+
+class GlmScoreModel(ScoreModel):
+    """Score contributions ``U_ij = r_i * G_adj_ij`` from a fitted null model.
+
+    Subclasses fit the null model (intercept + covariates) once and set
+    ``_fit`` and the scaled residuals ``_residuals``.  With
+    ``adjust_genotypes=True`` (default) genotypes are projected orthogonal
+    to the covariate space, giving the proper efficient score; without
+    covariates this reduces to weighted centering.
+    """
+
+    _fit: NullFit
+    _residuals: np.ndarray
+
+    def __init__(self, phenotype, adjust_genotypes: bool = True) -> None:
+        self.phenotype = phenotype
+        self.adjust_genotypes = adjust_genotypes
+
+    @property
+    def n_patients(self) -> int:
+        return self.phenotype.n
+
+    def contributions(self, genotypes: np.ndarray) -> np.ndarray:
+        block = self._check_block(genotypes)
+        if self.adjust_genotypes:
+            block = project_out_covariates(block, self._fit)
+        return block * self._residuals[None, :]
+
+    def score_weights(self) -> np.ndarray:
+        if self.adjust_genotypes:
+            return project_residuals(self._residuals, self._fit)
+        return self._residuals.copy()
+
+    def permuted(self, perm: np.ndarray) -> "GlmScoreModel":
+        # permutation shuffles outcomes over patients; covariates travel
+        # with the outcome (the pairs are shuffled jointly, as in the paper),
+        # so the refit reproduces the same coefficients and the fitted means,
+        # working weights and residuals are simply permuted
+        return type(self)(self.phenotype.permuted(perm), self.adjust_genotypes)

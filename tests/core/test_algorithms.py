@@ -107,6 +107,73 @@ class TestCachingBehavior:
         )
 
 
+class TestPermutationKernelStructure:
+    """What each flavor's ``permutation(32, batch_size=16)`` may call and ship."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """Counts of ``permuted`` / ``contributions`` calls and every
+        ``ctx.broadcast`` value, on the serial backend (one address space)."""
+        from repro.stats.score.cox import CoxScoreModel
+
+        counts = {"permuted": 0, "contributions": 0, "broadcasts": []}
+
+        def counting(name):
+            method = getattr(CoxScoreModel, name)
+
+            def wrapper(self, *args):
+                counts[name] += 1
+                return method(self, *args)
+
+            monkeypatch.setattr(CoxScoreModel, name, wrapper)
+
+        counting("permuted")
+        counting("contributions")
+        broadcast = Context.broadcast
+
+        def spy(ctx, value):
+            counts["broadcasts"].append(value)
+            return broadcast(ctx, value)
+
+        monkeypatch.setattr(Context, "broadcast", spy)
+        return counts
+
+    def test_vectorized_flavor_refits_and_recomputes_nothing(self, small_dataset, calls):
+        with make_ctx() as ctx:
+            scorer = DistributedSparkScore(ctx, small_dataset, flavor="vectorized", block_size=64)
+            scorer.observed_statistics(cache_contributions=False)
+            observed_pass = calls["contributions"]  # one call per block
+            calls["broadcasts"].clear()
+            result = scorer.permutation(32, seed=5, batch_size=16)
+            # the observed pass stays on the contributions route, to the bit
+            assert np.array_equal(result.observed, scorer.observed().observed)
+        assert observed_pass > 0
+        assert calls["permuted"] == 0
+        # the two runs' own observed passes, and nothing per replicate
+        assert calls["contributions"] == 3 * observed_pass
+        observed_bc, *batches = calls["broadcasts"]
+        assert observed_bc.shape == (small_dataset.n_sets,)
+        assert [(b.shape, b.dtype) for b in batches] == [
+            ((16, small_dataset.n_patients), np.float64)
+        ] * 2
+
+    def test_paper_flavor_is_algorithm_2_as_written(self, small_dataset, calls):
+        with make_ctx() as ctx:
+            scorer = DistributedSparkScore(ctx, small_dataset, flavor="paper")
+            paper = scorer.permutation(32, seed=5, batch_size=16)
+        assert calls["permuted"] == 32  # one refit model per replicate
+        batches = calls["broadcasts"][-2:]
+        assert [len(models) for models in batches] == [16, 16]
+        assert all(type(m) is type(scorer.model) for models in batches for m in models)
+        with make_ctx() as ctx:
+            scorer = DistributedSparkScore(ctx, small_dataset, flavor="vectorized", block_size=64)
+            vectorized = scorer.permutation(32, seed=5, batch_size=16)
+        local = LocalSparkScore(small_dataset).permutation(32, seed=5, batch_size=16)
+        assert calls["permuted"] == 32  # neither kernel path refit anything
+        assert np.array_equal(paper.exceed_counts, vectorized.exceed_counts)
+        assert np.array_equal(paper.exceed_counts, local.exceed_counts)
+
+
 class TestTextInputPaths:
     def test_local_files_parse_stage(self, small_dataset, reference, tmp_path):
         paths = write_dataset(small_dataset, str(tmp_path / "ds"))

@@ -11,7 +11,11 @@ import pytest
 
 from repro.config import EngineConfig
 from repro.core.algorithms import DistributedSparkScore
+from repro.core.local import LocalSparkScore
 from repro.engine.context import Context
+from repro.engine.scheduler import TaskScheduler
+from repro.genomics.synthetic import SyntheticConfig, generate_dataset
+from repro.stats.score.cox import CoxScoreModel
 
 
 def _run(dataset, backend, flavor, **kwargs):
@@ -53,6 +57,33 @@ class TestBackendsBitIdentical:
         assert np.array_equal(perm.exceed_counts, perm_v.exceed_counts)
 
 
+@pytest.mark.slow
+@pytest.mark.parametrize("backend", ["serial", "threads", "cluster"])
+class TestPermutationFlavorsAcrossBackends:
+    def test_paper_refits_per_replicate_and_agrees_with_the_kernel(
+        self, small_dataset, backend, monkeypatch
+    ):
+        """The paper flavor is Algorithm 2 as written (one ``permuted()``
+        model per replicate, built in the driver) and referees the kernel:
+        same counts from the vectorized flavor and the local engine, neither
+        of which refits anything."""
+        refits = []
+        permuted = CoxScoreModel.permuted
+
+        def counting(self, perm):
+            refits.append(1)
+            return permuted(self, perm)
+
+        monkeypatch.setattr(CoxScoreModel, "permuted", counting)
+        _, paper = _run(small_dataset, backend, "paper")
+        assert len(refits) == 16
+        _, vectorized = _run(small_dataset, backend, "vectorized")
+        local = LocalSparkScore(small_dataset).permutation(16, seed=9, batch_size=8)
+        assert len(refits) == 16
+        assert np.array_equal(paper.exceed_counts, vectorized.exceed_counts)
+        assert np.array_equal(paper.exceed_counts, local.exceed_counts)
+
+
 class TestDriverTrafficBound:
     def test_mc_batch_collects_o_k_bytes(self, small_dataset):
         """Executor-side counting: an MC batch job hands the driver one
@@ -87,6 +118,46 @@ class TestDriverTrafficBound:
             scorer.permutation(12, seed=3, batch_size=12)
             collected = ctx.metrics.last_job.totals().driver_bytes_collected
             assert collected <= small_dataset.n_sets * 8 + 512
+
+    def test_permutation_batch_publishes_one_weight_array(self, fresh_cluster, monkeypatch):
+        """Driver -> executors: a vectorized permutation batch job publishes
+        its two task binaries and the (b, n) float64 array of permuted score
+        weights -- b*n*8 bytes plus a pickle header, not b refit models."""
+        b, n = 16, 200
+        dataset = generate_dataset(
+            SyntheticConfig(n_patients=n, n_snps=240, n_snpsets=6, seed=3)
+        )
+        config, manager = fresh_cluster()
+        transport = manager.transport
+        shipped = []  # (broadcast value, bytes published so far, binary bytes after it)
+        broadcast = Context.broadcast
+        build = TaskScheduler._build_task_binary
+
+        def broadcast_spy(ctx, value):
+            shipped.append([value, transport.bytes_published, 0])
+            return broadcast(ctx, value)
+
+        def build_spy(self, stage, probe):
+            tb = build(self, stage, probe)
+            if shipped:  # the run's observed pass comes before any broadcast
+                shipped[-1][2] += tb.size
+            return tb
+
+        with Context(config) as ctx:
+            scorer = DistributedSparkScore(ctx, dataset, flavor="vectorized", block_size=64)
+            observed = scorer.observed_statistics(cache_contributions=False)
+            monkeypatch.setattr(Context, "broadcast", broadcast_spy)
+            monkeypatch.setattr(TaskScheduler, "_build_task_binary", build_spy)
+            scorer.permutation(2 * b, seed=3, batch_size=b)
+            end = transport.bytes_published
+        (observed_bc, _, _), *batches = shipped
+        assert np.array_equal(observed_bc, observed)
+        assert len(batches) == 2
+        after = [mark for _, mark, _ in batches[1:]] + [end]
+        for (value, before, binaries), after in zip(batches, after):
+            assert value.shape == (b, n) and value.dtype == np.float64
+            assert binaries > 0
+            assert b * n * 8 <= after - before - binaries <= b * n * 8 + 4096
 
 
 class TestBatchedPermutationEquivalence:

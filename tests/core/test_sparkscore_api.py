@@ -6,7 +6,9 @@ import pytest
 from repro.config import EngineConfig
 from repro.core.sparkscore import SparkScoreAnalysis
 from repro.genomics.io.dataset_io import write_dataset
+from repro.genomics.synthetic import SyntheticConfig, generate_dataset
 from repro.hdfs.filesystem import MiniHDFS
+from repro.obs.inference import ConvergenceMonitor, EarlyStopPolicy
 
 
 class TestConstruction:
@@ -91,6 +93,36 @@ class TestAnalyses:
         analysis = SparkScoreAnalysis(small_dataset, model=GaussianScoreModel(pheno))
         result = analysis.monte_carlo(50, seed=1)
         assert result.n_resamples == 50
+
+
+class TestPermutationBatchSize:
+    """``batch_size`` reaches the local engine too: it is how often the
+    convergence monitor is folded, so it decides where early stopping ends."""
+
+    @pytest.mark.parametrize("batch_size", [4, 16])
+    def test_early_stop_identical_on_local_and_distributed(self, batch_size):
+        dataset = generate_dataset(
+            SyntheticConfig(n_patients=120, n_snps=300, n_snpsets=6, seed=7)
+        )
+        config = EngineConfig(
+            backend="serial", num_executors=2, default_parallelism=4,
+            inference_early_stop=True, inference_min_replicates=16,
+        )
+        with SparkScoreAnalysis(dataset, engine="distributed", config=config) as dist:
+            engine = dist.permutation(400, seed=4, batch_size=batch_size)
+        monitor = ConvergenceMonitor(
+            n_sets=dataset.n_sets, method="permutation", planned_replicates=400,
+            alpha=config.inference_alpha, ci=config.inference_ci,
+            min_replicates=config.inference_min_replicates,
+            policy=EarlyStopPolicy.from_config(config),
+        )
+        local = SparkScoreAnalysis(dataset).permutation(
+            400, seed=4, batch_size=batch_size, monitor=monitor
+        )
+        assert engine.n_resamples < 400  # the policy did stop the run
+        assert local.n_resamples == engine.n_resamples
+        assert np.array_equal(local.exceed_counts, engine.exceed_counts)
+        assert local.info["replicates_saved"] == engine.info["replicates_saved"]
 
 
 class TestFromFiles:

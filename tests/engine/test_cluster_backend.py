@@ -9,6 +9,7 @@ and would defeat the content-hash on purpose-built tests).  A binary is
 the structural tests below pin that with byte counts.
 """
 
+import gc
 import glob
 import os
 import pickle
@@ -59,6 +60,10 @@ def _cluster_config(**overrides) -> EngineConfig:
 
 def _square(x):
     return x * x
+
+
+def _frozen_object_count(_):
+    return gc.get_freeze_count()
 
 
 def _warm_workload_shm(ctx: Context):
@@ -439,6 +444,15 @@ class TestLifecycle:
         claimed.clear()
         _claim_cpu_share(3, 6)
         assert claimed == []
+
+    def test_workers_freeze_the_heap_they_were_forked_with(self, fresh_cluster):
+        # a worker that traversed the driver's heap paid the driver's overdue
+        # full collection in its first task, page-copying as it went
+        config, _ = fresh_cluster()
+        with Context(config) as ctx:
+            frozen = ctx.parallelize(range(2), 2).map(_frozen_object_count).collect()
+        assert min(frozen) > 10_000  # the interpreter and the program, at the least
+        assert gc.get_freeze_count() == 0  # the driver's own collector is untouched
 
     def test_decommission_drains_and_announces(self):
         # a dedicated 2x1 shape so draining exec-1 cannot degrade the
