@@ -41,7 +41,7 @@ def main() -> None:
     )
     with Context(config, hdfs=fs) as ctx:
         analysis = SparkScoreAnalysis.from_files(
-            "/gwas/run1", hdfs=fs, parse_with_engine=True,
+            "/gwas/run1", hdfs=fs,
             engine="distributed", ctx=ctx, flavor="vectorized", block_size=256,
         )
 

@@ -9,6 +9,18 @@ Two flavors of the same pipeline:
   with broadcast weights, trading fidelity for NumPy batching.  Both
   produce identical statistics.
 
+Where the genotypes come from is the other axis.  Given ``input_paths`` the
+executors read the genotype file themselves: the paper flavor parses each
+split line by line into per-SNP records (Algorithm 1 step 3, re-parsed by
+every uncached pass); the vectorized flavor hands each split's *bytes* to
+``parse_genotype_text`` and persists the int8 blocks cut from the result, so
+the file is parsed once per fleet -- the blocks, like the cached ``U``, are
+resident in the workers under a lineage fingerprint that folds the file's
+size and mtime and the content of the weight/set broadcast.  Without
+``input_paths`` the in-memory matrix is parallelized as one slice per
+partition.  Either way the vectorized flavor has one record shape going in,
+``(snp_ids, matrix)`` chunks, and one block builder.
+
 Monte Carlo (Algorithm 3) caches the contributions RDD and reuses it for
 every replicate batch; permutation (Algorithm 2) re-runs the scoring
 pipeline per replicate *batch*, amortizing DAG-build/scheduling overhead
@@ -35,9 +47,10 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.core import instrumentation
-from repro.core.blocks import SnpBlock, build_blocks
+from repro.core.blocks import SnpBlock, SnpLookup
 from repro.core.results import ResamplingResult
-from repro.genomics.io.formats import parse_genotype_line, parse_weight_line
+from repro.genomics.io.dataset_io import GENOTYPES_FILE, SNPSETS_FILE, parse_genotype_rows
+from repro.genomics.io.formats import FormatError, parse_genotype_line, parse_weight_line
 from repro.genomics.synthetic import Dataset
 from repro.stats.resampling.streams import mc_multiplier_batches, permutation_batches
 from repro.stats.score.base import ScoreModel
@@ -96,19 +109,40 @@ class _InUnionFn:
         return rec[0] in self.union_bc.value
 
 
-class _BuildBlocksFn:
-    """Assemble per-SNP records into :class:`SnpBlock` chunks."""
+class _ParseSplitFn:
+    """A text split's bytes -> one ``(snp_ids, matrix)`` chunk, every row checked."""
 
-    def __init__(self, set_bc, w2_bc, n_sets: int, block_size: int) -> None:
-        self.set_bc = set_bc
-        self.w2_bc = w2_bc
-        self.n_sets = n_sets
+    def __init__(self, n_patients: int) -> None:
+        self.n_patients = n_patients
+
+    def __call__(self, split):
+        try:
+            return parse_genotype_rows(split.data, self.n_patients)
+        except FormatError as exc:
+            # located within the split: count the file's lines before it
+            raise exc.moved(split.lines_before()) from None
+
+
+class _BuildBlocksFn:
+    """``(snp_ids, matrix)`` chunks -> :class:`SnpBlock` s under the broadcast
+    lookup; a row no SNP-set covers is refused, as ``read_dataset`` refuses it."""
+
+    def __init__(self, lookup_bc, block_size: int) -> None:
+        self.lookup_bc = lookup_bc
         self.block_size = block_size
 
-    def __call__(self, it):
-        return build_blocks(
-            it, self.set_bc.value, self.w2_bc.value, self.n_sets, self.block_size
-        )
+    def __call__(self, chunks):
+        lookup: SnpLookup = self.lookup_bc.value
+        for snp_ids, matrix in chunks:
+            covered = 0
+            for block in lookup.blocks(snp_ids, matrix, self.block_size):
+                covered += block.n_snps
+                yield block
+            if covered != snp_ids.size:
+                stray = snp_ids[~np.isin(snp_ids, lookup.snp_ids)]
+                raise FormatError(
+                    f"{SNPSETS_FILE}: SNPs not covered by any set (e.g. {stray[:5].tolist()})"
+                )
 
 
 class _RowContributionsFn:
@@ -145,10 +179,12 @@ class _RowInnerFn:
 
 
 class _ObservedBlockPartialFn:
-    """Observed per-set partials from a contributions block."""
+    """Observed per-set partials from a contributions block, paired with the
+    SNP ids it scored -- the block just built or found resident -- for the
+    driver to hold against the SNP-sets."""
 
     def __call__(self, block: SnpBlock):
-        return block.skat_partial(block.genotypes.sum(axis=1))
+        return block.skat_partial(block.genotypes.sum(axis=1)), [block.snp_ids]
 
 
 class _McRowInnersFn:
@@ -225,15 +261,18 @@ class _KeyZeroFn:
         return (0, value)
 
 
-class _MatrixZeroFn:
-    """Zero factory for tree-aggregated (width, K) stat matrices."""
+class _ObservedZeroFn:
+    """Zero of the observed fold: a (K,) statistic and no scored ids."""
 
-    def __init__(self, width: int, n_sets: int) -> None:
-        self.width = width
+    def __init__(self, n_sets: int) -> None:
         self.n_sets = n_sets
 
     def __call__(self):
-        return np.zeros((self.width, self.n_sets))
+        return np.zeros(self.n_sets), []
+
+
+def _add_observed(a, b):
+    return a[0] + b[0], a[1] + b[1]
 
 
 class _ExceedCountsFn:
@@ -266,13 +305,16 @@ class DistributedSparkScore:
     ctx:
         The engine context (owns executors, shuffle state, caches).
     dataset:
-        In-memory dataset; mutually exclusive with ``input_paths``.
+        Phenotype, weights and SNP-sets for the driver side; its genotype
+        matrix is read only when ``input_paths`` is not given.
     input_paths:
         ``{"genotypes": path, "weights": path}`` text files (local or
-        ``hdfs://``) to parse with the engine, plus ``dataset`` supplying
-        phenotype/sets/weights metadata for the driver side.  When given,
-        genotype records flow through the parse stage exactly as in the
-        paper (re-parsed on every uncached recomputation).
+        ``hdfs://``) the executors read themselves (see module docstring).
+        The vectorized flavor checks every row in the task that parses it
+        (a :class:`~repro.genomics.io.formats.FormatError` names the file
+        and the line) and, in the driver, the SNP ids the observed pass
+        scored against the SNP-sets; the paper flavor parses line by line,
+        re-parses on every uncached pass and checks neither.
     flavor:
         ``"paper"`` or ``"vectorized"`` (see module docstring).
     join_strategy:
@@ -290,7 +332,6 @@ class DistributedSparkScore:
         num_partitions: int | None = None,
         join_strategy: str = "rdd_join",
         input_paths: dict[str, str] | None = None,
-        cache_genotypes: bool = False,
     ) -> None:
         if flavor not in FLAVORS:
             raise ValueError(f"flavor must be one of {FLAVORS}")
@@ -307,46 +348,62 @@ class DistributedSparkScore:
         self.num_partitions = num_partitions or ctx.config.default_parallelism
         self._K = dataset.n_sets
 
-        snp_ids = dataset.genotypes.snp_ids
-        set_map = {int(s): int(k) for s, k in zip(snp_ids, dataset.snpsets.set_ids)}
-        w2_map = {int(s): float(w) ** 2 for s, w in zip(snp_ids, dataset.weights)}
         # broadcast the SNP-set mapping and, inside the model, the phenotype
         # pairs (Alg. 1 step 6)
-        self._set_map_bc = ctx.broadcast(set_map)
-        self._w2_map_bc = ctx.broadcast(w2_map)
-        self._union_set_bc = ctx.broadcast(frozenset(set_map))
+        snp_ids = dataset.genotypes.snp_ids
+        if flavor == "paper":
+            set_map = {int(s): int(k) for s, k in zip(snp_ids, dataset.snpsets.set_ids)}
+            w2_map = {int(s): float(w) ** 2 for s, w in zip(snp_ids, dataset.weights)}
+            self._set_map_bc = ctx.broadcast(set_map)
+            self._w2_map_bc = ctx.broadcast(w2_map)
+            self._union_set_bc = ctx.broadcast(frozenset(set_map))
+        else:
+            self._lookup = SnpLookup.from_arrays(
+                snp_ids, dataset.snpsets.set_ids, np.square(dataset.weights), self._K
+            )
+            self._lookup_bc = ctx.broadcast(self._lookup)
         self._model_bc = ctx.broadcast(self.model)
 
-        self._gm_rdd = self._build_genotype_rdd(input_paths, cache_genotypes)
+        self._gm_rdd = self._build_genotype_rdd(input_paths)
         self._weights_rdd = self._build_weights_rdd(input_paths)
         self._u_rdd: "RDD | None" = None
         self._u_cached = False
 
     # -- input RDDs ------------------------------------------------------------
 
-    def _build_genotype_rdd(
-        self, input_paths: dict[str, str] | None, cache_genotypes: bool
-    ) -> "RDD":
+    def _build_genotype_rdd(self, input_paths: dict[str, str] | None) -> "RDD":
         ctx = self.ctx
+        if self.flavor == "paper":
+            if input_paths is not None:
+                lines = ctx.text_file(input_paths["genotypes"], self.num_partitions)
+                rows = lines.map_partitions(_ParseGenotypesFn(), name="parse_gm")
+            else:
+                rows = ctx.parallelize(list(self.dataset.genotypes.rows()), self.num_partitions)
+                rows.name = "gm_rows"
+            # Algorithm 1 step 5: filter against the union of the SNP-sets
+            filtered = rows.filter(_InUnionFn(self._union_set_bc))
+            filtered.name = "fgm"
+            return filtered
+        build = _BuildBlocksFn(self._lookup_bc, self.block_size)
         if input_paths is not None:
-            lines = ctx.text_file(input_paths["genotypes"], self.num_partitions)
-            rows = lines.map_partitions(_ParseGenotypesFn(), name="parse_gm")
-        else:
-            rows = ctx.parallelize(list(self.dataset.genotypes.rows()), self.num_partitions)
-            rows.name = "gm_rows"
-        # Algorithm 1 step 5: filter against the union of the SNP-sets
-        filtered = rows.filter(_InUnionFn(self._union_set_bc))
-        filtered.name = "fgm"
-        if self.flavor == "vectorized":
-            filtered = filtered.map_partitions(
-                _BuildBlocksFn(
-                    self._set_map_bc, self._w2_map_bc, self._K, self.block_size
-                ),
-                name="gm_blocks",
-            )
-        if cache_genotypes:
-            filtered.cache()
-        return filtered
+            splits = ctx.text_file(input_paths["genotypes"], self.num_partitions).splits()
+            chunks = splits.map(_ParseSplitFn(self.dataset.n_patients))
+            # parsed once per fleet: int8, an eighth of the U they become
+            return chunks.map_partitions(build, name="gm_blocks").persist()
+        genotypes = self.dataset.genotypes
+        bounds = [
+            (i * genotypes.n_snps) // self.num_partitions
+            for i in range(self.num_partitions + 1)
+        ]
+        chunks = ctx.parallelize(
+            [
+                (genotypes.snp_ids[lo:hi], genotypes.matrix[lo:hi])
+                for lo, hi in zip(bounds, bounds[1:])
+            ],
+            self.num_partitions,
+        )
+        chunks.name = "gm_chunks"
+        return chunks.map_partitions(build, name="gm_blocks")
 
     def _build_weights_rdd(self, input_paths: dict[str, str] | None) -> "RDD | None":
         if self.flavor != "paper" or self.join_strategy != "rdd_join":
@@ -395,21 +452,12 @@ class DistributedSparkScore:
             _add, self.num_partitions
         )
 
-    def _scores_to_set_stats(self, scored: "RDD", width: int) -> np.ndarray:
-        """Steps 8-12: inner sigma -> weight join -> per-set reduction.
-
-        ``scored`` carries per-SNP squared scores: paper flavor records are
-        ``(snp_id, value_or_vector)``; vectorized records are per-set
-        partial vectors already.  Returns (width, K) statistics.
-        """
-        K = self._K
-        if self.flavor == "vectorized":
-            # executors pre-combine per partition; the driver merges
-            # O(sqrt(P)) group partials instead of every block partial
-            return scored.tree_aggregate(_MatrixZeroFn(width, K), _add, _add, depth=2)
-        stats = np.zeros((width, K))
+    def _scores_to_set_stats(self, scored: "RDD") -> np.ndarray:
+        """Steps 8-12, paper flavor: inner sigma -> weight join -> per-set
+        reduction of ``(snp_id, squared score)`` records to (K,) statistics."""
+        stats = np.zeros(self._K)
         for set_idx, value in self._per_set_scores(scored).collect():
-            stats[:, set_idx] = value
+            stats[set_idx] = value
         return stats
 
     def _scores_to_counts(
@@ -447,14 +495,29 @@ class DistributedSparkScore:
         u = self.contributions_rdd(cache_contributions)
         if self.flavor == "paper":
             inner = u.map_values(_RowInnerFn())
-            stats = self._scores_to_set_stats(inner, 1)[0]
+            stats = self._scores_to_set_stats(inner)
         else:
-            partial = u.map(_ObservedBlockPartialFn())
-            stats = self._scores_to_set_stats(partial, 1)[0]
+            # executors pre-combine per partition; the driver merges
+            # O(sqrt(P)) group partials instead of every block partial
+            stats, scored = u.map(_ObservedBlockPartialFn()).tree_aggregate(
+                _ObservedZeroFn(self._K), _add_observed, _add_observed, depth=2
+            )
+            self._check_scored_ids(scored)
         instrumentation.SCORE_PASS_SECONDS.labels(engine="distributed").observe(
             time.perf_counter() - pass_start
         )
         return stats
+
+    def _check_scored_ids(self, scored: list[np.ndarray]) -> None:
+        """The checks no single split can make: every SNP the sets name was
+        scored, and scored once.  Made on what the observed pass reports,
+        so blocks found resident on a warm fleet are held to it too."""
+        scored_ids = np.sort(np.concatenate([np.empty(0, np.int64), *scored]))
+        if not np.array_equal(scored_ids, self._lookup.snp_ids):
+            # an id on two lines, or a set naming a SNP the file lacks: the
+            # whole-file reader behind a deferred matrix finds and words it
+            self.dataset.genotypes.matrix
+            raise FormatError(f"{GENOTYPES_FILE}: SNP ids do not match the SNP-sets")
 
     def observed(self) -> ResamplingResult:
         start = time.perf_counter()

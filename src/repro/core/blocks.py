@@ -6,6 +6,11 @@ faithful but pays per-record overhead for every genotype row; the
 each map task is a handful of NumPy kernel calls.  A block carries its
 members' weights and set assignments, resolved once at construction, plus a
 cached sparse membership matrix for set aggregation.
+
+Blocks are cut from ``(snp_ids, matrix)`` chunks -- a parsed split of the
+genotype file, or a slice of an in-memory matrix -- by
+:meth:`SnpLookup.blocks`, the one builder: ids are joined to weights and
+sets on arrays, and a block's rows are a view of the chunk's.
 """
 
 from __future__ import annotations
@@ -71,6 +76,57 @@ class SnpBlock:
         return np.stack([self.skat_partial(row) for row in rows])
 
 
+@dataclass(frozen=True)
+class SnpLookup:
+    """SNP id -> (set index, squared weight) as arrays sorted by id.
+
+    The one thing the block builder needs of the weight and SNP-set files,
+    in the form it is broadcast: three ``(M,)`` arrays, joined to a chunk of
+    genotype rows by one ``searchsorted``.
+    """
+
+    snp_ids: np.ndarray  # (M,) int64, ascending
+    set_ids: np.ndarray  # (M,) int64
+    weights_sq: np.ndarray  # (M,) float64
+    n_sets: int
+
+    @classmethod
+    def from_arrays(
+        cls, snp_ids: np.ndarray, set_ids: np.ndarray, weights_sq: np.ndarray, n_sets: int
+    ) -> "SnpLookup":
+        snp_ids = np.asarray(snp_ids, dtype=np.int64)
+        order = np.argsort(snp_ids, kind="stable")
+        return cls(
+            snp_ids[order],
+            np.asarray(set_ids, dtype=np.int64)[order],
+            np.asarray(weights_sq, dtype=np.float64)[order],
+            n_sets,
+        )
+
+    def blocks(
+        self, snp_ids: np.ndarray, matrix: np.ndarray, block_size: int
+    ) -> Iterator[SnpBlock]:
+        """A chunk of genotype rows -> :class:`SnpBlock` s of ``block_size`` rows.
+
+        Rows whose SNP id the lookup does not hold are dropped -- this is
+        Algorithm 1's filter against the union of the SNP-sets.  Blocks of
+        a chunk with nothing to drop are views of ``matrix``.
+        """
+        if block_size < 1:
+            raise ValueError("block_size must be >= 1")
+        at = np.searchsorted(self.snp_ids, snp_ids)
+        known = at < self.snp_ids.size
+        known[known] = self.snp_ids[at[known]] == snp_ids[known]
+        if not known.all():
+            snp_ids, matrix, at = snp_ids[known], matrix[known], at[known]
+        for start in range(0, snp_ids.size, block_size):
+            rows = slice(start, start + block_size)
+            yield SnpBlock(
+                snp_ids[rows], self.set_ids[at[rows]], self.weights_sq[at[rows]],
+                matrix[rows], self.n_sets,
+            )
+
+
 def build_blocks(
     rows: Iterable[tuple[int, np.ndarray]],
     set_map: Mapping[int, int],
@@ -78,39 +134,18 @@ def build_blocks(
     n_sets: int,
     block_size: int,
 ) -> Iterator[SnpBlock]:
-    """Assemble per-SNP (id, vector) records into :class:`SnpBlock` chunks.
+    """Per-SNP ``(id, vector)`` records -> :class:`SnpBlock` chunks.
 
-    Records whose SNP id is absent from ``set_map`` are dropped -- this is
-    Algorithm 1's filter against the union of the SNP-sets.
+    The record-fed spelling of :meth:`SnpLookup.blocks` (which the engine
+    feeds whole chunks); records whose SNP id is absent from ``set_map``
+    are dropped.
     """
-    if block_size < 1:
-        raise ValueError("block_size must be >= 1")
-    ids: list[int] = []
-    vectors: list[np.ndarray] = []
-    for snp_id, vector in rows:
-        if snp_id not in set_map:
-            continue
-        ids.append(snp_id)
-        vectors.append(vector)
-        if len(ids) >= block_size:
-            yield _finish_block(ids, vectors, set_map, weight_sq_map, n_sets)
-            ids, vectors = [], []
-    if ids:
-        yield _finish_block(ids, vectors, set_map, weight_sq_map, n_sets)
-
-
-def _finish_block(
-    ids: list[int],
-    vectors: list[np.ndarray],
-    set_map: Mapping[int, int],
-    weight_sq_map: Mapping[int, float],
-    n_sets: int,
-) -> SnpBlock:
-    snp_ids = np.asarray(ids, dtype=np.int64)
-    return SnpBlock(
-        snp_ids=snp_ids,
-        set_ids=np.array([set_map[i] for i in ids], dtype=np.int64),
-        weights_sq=np.array([weight_sq_map[i] for i in ids], dtype=np.float64),
-        genotypes=np.vstack(vectors),
-        n_sets=n_sets,
+    kept = [(snp_id, vector) for snp_id, vector in rows if snp_id in set_map]
+    if not kept:
+        return iter(())
+    ids = [snp_id for snp_id, _ in kept]
+    lookup = SnpLookup.from_arrays(
+        ids, [set_map[i] for i in ids], [weight_sq_map[i] for i in ids], n_sets
     )
+    matrix = np.vstack([vector for _, vector in kept])
+    return lookup.blocks(np.array(ids, dtype=np.int64), matrix, block_size)

@@ -37,6 +37,7 @@ class SparkScoreAnalysis:
         engine: str = "local",
         config: EngineConfig | None = None,
         ctx: "Context | None" = None,
+        hdfs=None,
         **engine_options: Any,
     ) -> None:
         if engine not in ENGINES:
@@ -56,7 +57,8 @@ class SparkScoreAnalysis:
             if ctx is None:
                 from repro.engine.context import Context
 
-                ctx = Context(config or EngineConfig())
+                # ``hdfs``: the filesystem ``hdfs://`` input paths are read from
+                ctx = Context(config or EngineConfig(), hdfs=hdfs)
                 self._owns_ctx = True
             self.ctx = ctx
             self._impl = DistributedSparkScore(ctx, dataset, self.model, **engine_options)
@@ -71,30 +73,37 @@ class SparkScoreAnalysis:
     def from_files(
         cls, base: str, hdfs=None, parse_with_engine: bool = False, **kwargs: Any
     ) -> "SparkScoreAnalysis":
-        """Load the four input files and build an analysis.
+        """Build an analysis from the four input files under ``base``.
 
-        With ``parse_with_engine=True`` (distributed engine only) the
-        genotype and weight files are parsed by engine map tasks rather
-        than the driver, as in the paper.
+        The local engine loads all four (``read_dataset``).  The distributed
+        engine's driver reads phenotype, weights and SNP-sets and nothing
+        else: the executors read the genotype file themselves, split by
+        split (see :mod:`repro.core.algorithms`), and
+        ``analysis.dataset.genotypes.matrix`` is loaded in the driver only
+        if something touches it (``wald``, ``skat_o``, ``marginal_scores``,
+        ``variant_maxt``, ``asymptotic``).  ``parse_with_engine`` changes
+        nothing there; it is refused with the local engine, which has no
+        tasks to parse in.
         """
         from repro.genomics.io.dataset_io import (
             GENOTYPES_FILE,
             WEIGHTS_FILE,
+            open_dataset,
             read_dataset,
         )
 
-        dataset = read_dataset(base, hdfs)
-        if parse_with_engine:
-            if kwargs.get("engine", "local") != "distributed":
+        if kwargs.get("engine", "local") != "distributed":
+            if parse_with_engine:
                 raise ValueError("parse_with_engine requires engine='distributed'")
-            prefix = f"{base.rstrip('/')}/"
-            if hdfs is not None and not prefix.startswith("hdfs://"):
-                prefix = "hdfs://" + prefix.lstrip("/")
-            kwargs.setdefault("input_paths", {
-                "genotypes": prefix + GENOTYPES_FILE,
-                "weights": prefix + WEIGHTS_FILE,
-            })
-        return cls(dataset, **kwargs)
+            return cls(read_dataset(base, hdfs), **kwargs)
+        prefix = f"{base.rstrip('/')}/"
+        if hdfs is not None and not prefix.startswith("hdfs://"):
+            prefix = "hdfs://" + prefix.lstrip("/")
+        kwargs.setdefault("input_paths", {
+            "genotypes": prefix + GENOTYPES_FILE,
+            "weights": prefix + WEIGHTS_FILE,
+        })
+        return cls(open_dataset(base, hdfs), hdfs=hdfs, **kwargs)
 
     # -- analyses ------------------------------------------------------------------
 

@@ -714,7 +714,21 @@ class CoalescedRDD(RDD):
         )
 
 
-class LocalTextFileRDD(RDD):
+class TextFileRDD(RDD):
+    """Lines of a text file, one partition per split of its bytes.
+
+    A subclass says which bytes a split owns (``read_split``) and how they
+    break into lines (``compute``)."""
+
+    def read_split(self, split: int) -> "TextSplit":
+        raise NotImplementedError
+
+    def splits(self) -> RDD:
+        """One :class:`TextSplit` per partition instead of its decoded lines."""
+        return TextSplitsRDD(self.context, self)
+
+
+class LocalTextFileRDD(TextFileRDD):
     """Reads a local text file (or directory of part files), one partition per chunk.
 
     The file is split into ``min_partitions`` byte ranges aligned to line
@@ -763,27 +777,81 @@ class LocalTextFileRDD(RDD):
         ]
         return state
 
-    def compute(self, split: int, tc: TaskContext) -> Iterator:
+    def _owned_range(self, fh, split: int) -> tuple[int, int]:
         # Hadoop line-split semantics: this split owns every line whose
         # starting byte offset s satisfies start <= s < end.  Seeking to
         # start-1 and discarding one readline() leaves the file positioned
         # at the first owned line regardless of whether `start` falls
-        # mid-line or exactly on a line boundary.
-        filename, start, end = self._splits[split]
-        lines = []
+        # mid-line or exactly on a line boundary; the last owned line is
+        # the one holding byte end-1, read to its end.
+        _, start, end = self._splits[split]
+        if start > 0:
+            fh.seek(start - 1)
+            fh.readline()
+        first = last = fh.tell()
+        if first < end:
+            fh.seek(end - 1)
+            fh.readline()
+            last = fh.tell()
+        return first, last
+
+    def read_split(self, split: int) -> "TextSplit":
+        filename = self._splits[split][0]
         with open(filename, "rb") as fh:
-            if start > 0:
-                fh.seek(start - 1)
-                fh.readline()
-            pos = fh.tell()
-            while pos < end:
-                line = fh.readline()
-                if not line:
-                    break
-                lines.append(line.decode("utf-8").rstrip("\n"))
-                pos = fh.tell()
-        tc.metrics.records_read += len(lines)
-        return iter(lines)
+            first, last = self._owned_range(fh, split)
+            fh.seek(first)
+            data = fh.read(last - first)
+        return TextSplit(data, lambda: count_lines(_read_prefix(filename, first)))
+
+    def compute(self, split: int, tc: TaskContext) -> Iterator:
+        # streamed: a split's lines are never all in memory beside its bytes
+        with open(self._splits[split][0], "rb") as fh:
+            first, last = self._owned_range(fh, split)
+            fh.seek(first)
+            while fh.tell() < last:
+                tc.metrics.records_read += 1
+                yield fh.readline().decode("utf-8").rstrip("\n")
+
+
+class TextSplit:
+    """The lines one split of a text file owns, as the file's bytes.
+
+    For consumers that parse a split in one pass over its buffer.
+    ``lines_before()`` is the number of physical lines (``str.splitlines``
+    breaks) that precede ``data`` in its file; it reads the file up to the
+    split, so ask only to locate an error.
+    """
+
+    __slots__ = ("data", "lines_before")
+
+    def __init__(self, data: bytes, lines_before: Callable[[], int]) -> None:
+        self.data = data
+        self.lines_before = lines_before
+
+
+def _read_prefix(filename: str, length: int) -> bytes:
+    with open(filename, "rb") as fh:
+        return fh.read(length)
+
+
+def count_lines(data: bytes) -> int:
+    """Physical lines of ``data`` (what :meth:`TextSplit.lines_before` counts)."""
+    return len(data.decode("utf-8", "replace").splitlines())
+
+
+class TextSplitsRDD(RDD):
+    """``text_rdd.splits()``: each partition is its split's one :class:`TextSplit`."""
+
+    def __init__(self, ctx: "Context", parent: TextFileRDD) -> None:
+        super().__init__(ctx, [OneToOneDependency(parent)], f"splits:{parent.name}")
+        self._parent = parent
+
+    def num_partitions(self) -> int:
+        return self._parent.num_partitions()
+
+    def compute(self, split: int, tc: TaskContext) -> Iterator:
+        tc.metrics.records_read += 1
+        return iter([self._parent.read_split(split)])
 
 
 class ShuffledRDD(RDD):

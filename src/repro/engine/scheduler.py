@@ -6,7 +6,9 @@ shuffle-fetch failures by letting the missing map partitions be recomputed
 (Spark's stage-resubmission path).  The :class:`TaskScheduler` places task
 attempts on alive executors (locality-aware), retries transient failures up
 to ``max_task_retries``, and converts executor loss into block/shuffle
-invalidation plus rescheduling.
+invalidation plus rescheduling.  A task that raises
+:class:`~repro.genomics.io.formats.FormatError` met malformed input: it is
+not retried and the job fails with that error, unwrapped.
 
 The cluster branch ships a stage as a kilobyte task binary (lineage,
 closures and content-hash refs; see :meth:`TaskScheduler._build_task_binary`)
@@ -60,6 +62,7 @@ from repro.engine.task import (
     TaskContext,
     TaskTelemetry,
 )
+from repro.genomics.io.formats import FormatError
 from repro.obs.logging import LogRecord, get_logger, log_context
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -392,6 +395,11 @@ class TaskScheduler:
                         executor_id=executor.executor_id,
                         error=f"{type(exc).__name__}: {exc}",
                     )
+                    if isinstance(exc, FormatError):
+                        # malformed input, not a fault: the same bytes fail
+                        # the same way on every executor, and the error
+                        # already names its file and line
+                        raise
                     if self._partition_satisfied(task.partition, results, inflight):
                         continue
                     if attempt + 1 > config.max_task_retries:

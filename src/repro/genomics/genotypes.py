@@ -3,9 +3,13 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
+
+
+#: how a dosage outside 0/1/2 is refused (the file readers add where)
+DOSAGE_RANGE_ERROR = "genotype dosages must be 0, 1, or 2"
 
 
 @dataclass
@@ -34,13 +38,13 @@ class GenotypeMatrix:
                 raise ValueError("genotype dosages out of int8 range")
             self.matrix = values.astype(np.int8)
         if self.matrix.size and (self.matrix.min() < 0 or self.matrix.max() > 2):
-            raise ValueError("genotype dosages must be 0, 1, or 2")
+            raise ValueError(DOSAGE_RANGE_ERROR)
         if len(np.unique(self.snp_ids)) != len(self.snp_ids):
             raise ValueError("snp_ids must be unique")
 
     @property
     def n_snps(self) -> int:
-        return self.matrix.shape[0]
+        return self.snp_ids.shape[0]
 
     @property
     def n_patients(self) -> int:
@@ -76,3 +80,33 @@ class GenotypeMatrix:
 
     def __repr__(self) -> str:
         return f"GenotypeMatrix({self.n_snps} SNPs x {self.n_patients} patients)"
+
+
+class DeferredGenotypeMatrix(GenotypeMatrix):
+    """A genotype matrix that knows its ids and shape and reads its dosages
+    on the first touch of ``matrix``.
+
+    What ``SparkScoreAnalysis.from_files(engine="distributed")`` holds: the
+    engine's tasks read the genotype file themselves, so the driver loads
+    it only for an analysis that needs the dense matrix (``wald``,
+    ``skat_o`` ...).  ``load()`` returns the validated ``(J, n)`` int8
+    matrix, rows in ``snp_ids`` order.
+    """
+
+    def __init__(
+        self, snp_ids: np.ndarray, n_patients: int, load: Callable[[], np.ndarray]
+    ) -> None:
+        self.snp_ids = np.asarray(snp_ids)
+        self._n_patients = n_patients
+        self._load = load
+
+    @property
+    def n_patients(self) -> int:
+        return self._n_patients
+
+    def __getattr__(self, name: str) -> np.ndarray:
+        # reached only while ``matrix`` is not in the instance dict
+        if name != "matrix":
+            raise AttributeError(name)
+        self.matrix = self._load()
+        return self.matrix

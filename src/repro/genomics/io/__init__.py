@@ -19,9 +19,12 @@ file (``parse_genotype_text``).  Every other line takes the token-by-token
 parser, so the accepted inputs and the error text are the same on both
 paths.  ``read_dataset`` reports malformed input as a ``FormatError`` whose
 message starts ``<file>:<line>:`` (physical lines, blank ones counted).
+``open_dataset`` reads the three small files and leaves the genotype file to
+whoever needs it: the engine's tasks parse their own splits of it, and the
+dataset's matrix is loaded on first touch.
 """
 
-from repro.genomics.io.dataset_io import read_dataset, write_dataset
+from repro.genomics.io.dataset_io import open_dataset, read_dataset, write_dataset
 from repro.genomics.io.formats import (
     format_genotype_line,
     format_phenotype_line,
@@ -39,6 +42,7 @@ __all__ = [
     "format_phenotype_line",
     "format_snpset_line",
     "format_weight_line",
+    "open_dataset",
     "parse_genotype_line",
     "parse_genotype_text",
     "parse_phenotype_line",

@@ -15,7 +15,9 @@ the text of every error.  Which path a line takes is decided from its bytes
 alone.
 
 The per-line parsers raise :class:`FormatError` without a location (a line
-does not know its file); the whole-file readers prefix ``<file>:<line>:``.
+does not know its file); the whole-file readers prefix ``<file>:<line>:``,
+and a reader handed part of a file (an engine task parsing its split) moves
+the line number by the lines before its part (:meth:`FormatError.moved`).
 """
 
 from __future__ import annotations
@@ -33,7 +35,21 @@ _ID_DIGITS = 18
 
 
 class FormatError(ValueError):
-    """A malformed input line."""
+    """A malformed input line, reading ``<source>:<lineno>: <message>`` once located.
+
+    Deterministic in the input bytes: the engine's scheduler does not retry
+    a task that raised one.
+    """
+
+    def __init__(self, message: str, source: str | None = None, lineno: int | None = None):
+        self.message, self.source, self.lineno = message, source, lineno
+        super().__init__(message if lineno is None else f"{source}:{lineno}: {message}")
+
+    def moved(self, lines_before: int) -> "FormatError":
+        """The same error, ``lines_before`` physical lines further into its file."""
+        if self.lineno is None:
+            return self
+        return FormatError(self.message, self.source, self.lineno + lines_before)
 
 
 def _decode_lines(data: bytes, source: str) -> list[str]:
@@ -42,7 +58,7 @@ def _decode_lines(data: bytes, source: str) -> list[str]:
         return data.decode("utf-8").splitlines()
     except UnicodeDecodeError as exc:
         line = data.count(b"\n", 0, exc.start) + 1
-        raise FormatError(f"{source}:{line}: not UTF-8 text ({exc.reason})") from exc
+        raise FormatError(f"not UTF-8 text ({exc.reason})", source, line) from exc
 
 
 def _parse_lines(
@@ -54,7 +70,7 @@ def _parse_lines(
             try:
                 yield parse(line)
             except FormatError as exc:
-                raise FormatError(f"{source}:{lineno}: {exc}") from exc
+                raise FormatError(str(exc), source, lineno) from exc
 
 
 # -- genotype matrix ----------------------------------------------------------
@@ -119,14 +135,16 @@ def parse_genotype_line(line: str) -> tuple[int, np.ndarray]:
 
 
 def parse_genotype_text(
-    data: bytes, source: str = "genotypes.txt"
+    data: bytes, source: str = "genotypes.txt", n_columns: int | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """A whole genotype file -> ``(snp_ids int64 (J,), matrix int8 (J, n))``.
+    """Genotype text -> ``(snp_ids int64 (J,), matrix int8 (J, n))``.
 
-    Row for row what :func:`parse_genotype_line` returns for each non-blank
-    line, without the per-line ``str`` and array copies.  Errors (a malformed
-    line, a row of another length, an id beyond 64 bits) are
-    :class:`FormatError` prefixed ``source:line:``, counting physical lines.
+    ``data`` is a whole file or any run of whole lines of one.  Row for row
+    what :func:`parse_genotype_line` returns for each non-blank line, without
+    the per-line ``str`` and array copies.  Errors (a malformed line, a row
+    of another length than ``n_columns`` -- the first row's, when not given --
+    an id beyond 64 bits) are :class:`FormatError` prefixed ``source:line:``,
+    counting the physical lines of ``data``.
     """
     buf = np.frombuffer(data, dtype=np.uint8)
     newlines, tabs = np.flatnonzero(buf == _NEWLINE), np.flatnonzero(buf == _TAB)
@@ -145,7 +163,7 @@ def parse_genotype_text(
     first_tab = np.append(tabs, buf.size)[np.searchsorted(tabs, starts)]
     linenos = np.flatnonzero(ends > starts)
     snp_ids = np.empty(linenos.size, dtype=np.int64)
-    matrix = np.empty((linenos.size, 0), dtype=np.int8)
+    matrix = np.empty((linenos.size, n_columns or 0), dtype=np.int8)
     rows = zip(linenos.tolist(), starts[linenos].tolist(),
                first_tab[linenos].tolist(), ends[linenos].tolist())
     for row, (lineno, start, tab, end) in enumerate(rows):
@@ -156,7 +174,7 @@ def parse_genotype_text(
         try:
             if values is None:
                 snp_id, values = _parse_genotype_tokens(data[start:end].decode("utf-8"))
-            if row == 0:
+            if row == 0 and n_columns is None:
                 matrix = np.empty((linenos.size, values.size), dtype=np.int8)
             elif values.size != matrix.shape[1]:
                 raise FormatError(
@@ -165,7 +183,7 @@ def parse_genotype_text(
             matrix[row] = values
             snp_ids[row] = int(snp_id)
         except (FormatError, OverflowError) as exc:
-            raise FormatError(f"{source}:{lineno + 1}: {exc}") from exc
+            raise FormatError(str(exc), source, lineno + 1) from exc
     return snp_ids, matrix
 
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterator
 
-from repro.engine.rdd import RDD
+from repro.engine.rdd import TextFileRDD, TextSplit, count_lines
 from repro.engine.task import TaskContext
 from repro.hdfs.filesystem import MiniHDFS
 
@@ -12,7 +12,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.engine.context import Context
 
 
-class HdfsTextFileRDD(RDD):
+class HdfsTextFileRDD(TextFileRDD):
     """Lines of an HDFS file; partition ``i`` reads block ``i``.
 
     Because MiniHDFS blocks are line-aligned at write time, each block is a
@@ -31,8 +31,14 @@ class HdfsTextFileRDD(RDD):
     def preferred_locations(self, split: int) -> list[str]:
         return self._fs.block_locations(self._blocks[split])
 
+    def read_split(self, split: int) -> TextSplit:
+        blocks = self._blocks
+        return TextSplit(
+            self._fs.read_block(blocks[split]),
+            lambda: sum(count_lines(self._fs.read_block(b)) for b in blocks[:split]),
+        )
+
     def compute(self, split: int, tc: TaskContext) -> Iterator:
-        data = self._fs.read_block(self._blocks[split])
-        lines = data.decode("utf-8").splitlines()
+        lines = self.read_split(split).data.decode("utf-8").splitlines()
         tc.metrics.records_read += len(lines)
         return iter(lines)

@@ -62,10 +62,6 @@ class SurvivalPhenotype:
         """Shuffle the (time, event) pairs among patients jointly."""
         return SurvivalPhenotype(self.time[perm], self.event[perm])
 
-    def pairs(self) -> list[tuple[float, int]]:
-        """(Y_i, Delta_i) tuples -- the broadcast payload in Algorithm 1."""
-        return [(float(t), int(e)) for t, e in zip(self.time, self.event)]
-
 
 @dataclass(frozen=True)
 class BinaryPhenotype:

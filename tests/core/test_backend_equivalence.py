@@ -12,8 +12,10 @@ import pytest
 from repro.config import EngineConfig
 from repro.core.algorithms import DistributedSparkScore
 from repro.core.local import LocalSparkScore
+from repro.core.sparkscore import SparkScoreAnalysis
 from repro.engine.context import Context
 from repro.engine.scheduler import TaskScheduler
+from repro.genomics.io.dataset_io import write_dataset
 from repro.genomics.synthetic import SyntheticConfig, generate_dataset
 from repro.stats.score.cox import CoxScoreModel
 
@@ -55,6 +57,61 @@ class TestBackendsBitIdentical:
         mc_v, perm_v = reference["vectorized"]
         assert np.array_equal(mc.exceed_counts, mc_v.exceed_counts)
         assert np.array_equal(perm.exceed_counts, perm_v.exceed_counts)
+
+
+def _run_routes(dataset, base, backend):
+    """(file route, in-memory route) -> (monte carlo, permutation) results."""
+    config = EngineConfig(
+        backend=backend, num_executors=2, executor_cores=2, default_parallelism=4,
+    )
+    out = []
+    for make in (
+        lambda: SparkScoreAnalysis.from_files(
+            base, engine="distributed", config=config, block_size=64
+        ),
+        lambda: SparkScoreAnalysis(
+            dataset, engine="distributed", config=config, block_size=64
+        ),
+    ):
+        with make() as analysis:
+            out.append((
+                analysis.monte_carlo(60, seed=9, batch_size=20),
+                analysis.permutation(16, seed=9, batch_size=8),
+            ))
+    return out
+
+
+@pytest.mark.slow
+class TestFileAndMemoryRoutes:
+    """Executors reading the genotype file against the matrix parallelized
+    from the driver: one block builder, two ways in."""
+
+    @pytest.fixture(scope="class")
+    def base(self, small_dataset, tmp_path_factory):
+        base = str(tmp_path_factory.mktemp("routes"))
+        write_dataset(small_dataset, base)
+        return base
+
+    @pytest.fixture(scope="class")
+    def serial(self, small_dataset, base):
+        return _run_routes(small_dataset, base, "serial")
+
+    @pytest.mark.parametrize("backend", ["serial", "threads", "cluster"])
+    def test_routes_agree_and_each_is_bit_identical_across_backends(
+        self, small_dataset, base, serial, backend
+    ):
+        routes = _run_routes(small_dataset, base, backend)
+        for results, reference in zip(routes, serial):
+            for result, expected in zip(results, reference):
+                assert np.array_equal(result.observed, expected.observed)
+                assert np.array_equal(result.exceed_counts, expected.exceed_counts)
+        # across the routes only the counts are promised to the bit: a byte
+        # split of the file and an even split of the rows put partition
+        # boundaries -- hence the 64-row block boundaries, hence the order
+        # per-set partials are added in -- at different SNPs
+        for on_file, in_memory in zip(*routes):
+            assert np.array_equal(on_file.exceed_counts, in_memory.exceed_counts)
+            assert np.allclose(on_file.observed, in_memory.observed, rtol=1e-9, atol=0.0)
 
 
 @pytest.mark.slow

@@ -7,7 +7,15 @@ import pytest
 from repro.config import EngineConfig
 from repro.engine.context import Context
 from repro.engine.faults import FaultInjector, FaultPlan
+from repro.engine.listener import CollectingListener, TaskEnd
 from repro.engine.scheduler import JobFailedError
+from repro.genomics.io.formats import FormatError
+
+
+def _refuse_four(x):
+    if x == 4:
+        raise FormatError("no good", "g.txt", 7)
+    return x
 
 
 def make_ctx(plan=None, **config_overrides):
@@ -36,6 +44,20 @@ class TestTaskRetry:
         with make_ctx(plan, max_task_retries=2) as ctx:
             with pytest.raises(JobFailedError):
                 ctx.parallelize(range(6), 6).sum()
+
+    @pytest.mark.parametrize("backend", ["serial", "threads", "cluster"])
+    def test_malformed_input_is_not_retried(self, backend):
+        """A ``FormatError`` is a property of the input bytes: one attempt,
+        and the job fails with it, not with a retry-budget ``JobFailedError``."""
+        ended = CollectingListener(TaskEnd)
+        with make_ctx(backend=backend, max_task_retries=3) as ctx:
+            ctx.add_listener(ended)
+            with pytest.raises(FormatError, match=r"^g\.txt:7: no good$") as raised:
+                ctx.parallelize(range(6), 3).map(_refuse_four).collect()
+        assert type(raised.value) is FormatError
+        assert (raised.value.source, raised.value.lineno) == ("g.txt", 7)
+        failed = [e.record for e in ended.events if not e.record.succeeded]
+        assert [(r.partition, r.attempt) for r in failed] == [(2, 0)]
 
     def test_retry_does_not_duplicate_accumulator(self):
         plan = FaultPlan(fail_partition_attempts={2: 1})

@@ -12,6 +12,8 @@ from hypothesis.extra import numpy as hnp
 from repro.cli import main
 from repro.config import EngineConfig
 from repro.core.sparkscore import SparkScoreAnalysis
+from repro.engine.context import Context
+from repro.engine.listener import CollectingListener, TaskEnd
 from repro.genomics.io import formats
 from repro.genomics.io.dataset_io import read_dataset, write_dataset
 from repro.genomics.io.formats import (
@@ -409,6 +411,48 @@ class TestLocatedErrors:
         (line,) = captured.err.splitlines()
         assert line.startswith("sparkscore: error: ")
         assert re.search(message, line.removeprefix("sparkscore: error: "))
+
+    @pytest.mark.parametrize("backend", ["serial", "cluster"])
+    @pytest.mark.parametrize("broken", CASES, indirect=True)
+    def test_engine_tasks_name_file_and_line(self, broken, backend, request):
+        """The executors read the genotype file: the same ten messages from
+        ``from_files(engine="distributed")``, the bad line met by one task
+        attempt -- malformed input is not a fault to retry."""
+        base, message = broken
+        config = EngineConfig(
+            backend=backend, num_executors=2, executor_cores=1, default_parallelism=4
+        )
+        ended = CollectingListener(TaskEnd)
+        with Context(config) as ctx:
+            ctx.add_listener(ended)
+            with pytest.raises(FormatError, match=message) as raised:
+                SparkScoreAnalysis.from_files(
+                    base, engine="distributed", ctx=ctx
+                ).monte_carlo(32, seed=1, batch_size=16)
+            jobs = len(ctx.metrics.jobs)
+        assert type(raised.value) is FormatError
+        failures = [e.record for e in ended.events if not e.record.succeeded]
+        in_genotypes = self.CASES[request.node.callspec.params["broken"]][0] == "genotypes.txt"
+        if not in_genotypes:
+            assert not ended.events  # refused by the driver before any job
+        elif "repeats line" in message:
+            assert not failures and jobs == 1  # every split is fine on its own
+        else:
+            assert len(failures) == 1 and failures[0].attempt == 0
+            assert re.search(message, failures[0].error.removeprefix("FormatError: "))
+
+    @pytest.mark.parametrize("backend", ["serial", "cluster"])
+    def test_cli_distributed_prints_one_line_and_exits_2(self, backend, tiny_dataset, tmp_path, capsys):
+        write_dataset(tiny_dataset, str(tmp_path))
+        _edit_line(tmp_path / "genotypes.txt", 21, lambda l: l.replace(",", ",x,", 1))
+        code = main([
+            "analyze", str(tmp_path), "--engine", "distributed", "--backend", backend,
+            "--method", "monte-carlo", "--iterations", "32", "--no-progress",
+        ])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("sparkscore: error: genotypes.txt:21: bad genotype line")
 
     def test_hdfs_errors_are_located_too(self, tiny_dataset):
         fs = MiniHDFS(num_datanodes=2, block_size=1024)

@@ -133,6 +133,3 @@ class TestPhenotypeValidation:
         with pytest.raises(ValueError):
             SurvivalPhenotype([np.nan, 2.0], [1, 1])
 
-    def test_pairs_roundtrip(self):
-        pheno = SurvivalPhenotype([1.5, 2.0], [1, 0])
-        assert pheno.pairs() == [(1.5, 1), (2.0, 0)]
