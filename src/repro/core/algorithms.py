@@ -30,7 +30,12 @@ every contribution row under each -- Algorithm 2 as written, the shape the
 simulator's cost model charges, and the referee for the other flavor; the
 vectorized flavor ships the ``(b, n)`` array of permuted
 :meth:`~repro.stats.score.base.ScoreModel.score_weights`, and a block's
-replicate scores are one GEMM against it.
+replicate scores are one GEMM against it.  Both methods share one body,
+``DistributedSparkScore._resample``: it picks the (method x flavor) kernel
+once and hands :func:`~repro.stats.resampling.driver.resample` -- the loop
+the local engine runs too -- a batch count (broadcast the payload, one job,
+destroy the broadcast) and an ``after_batch`` that records the batch and
+publishes the monitor.
 
 Every transformation in the hot path is a named module-level callable (not
 a lambda), so the whole pipeline pickles and runs on the process backend.
@@ -52,7 +57,8 @@ from repro.core.results import ResamplingResult
 from repro.genomics.io.dataset_io import GENOTYPES_FILE, SNPSETS_FILE, parse_genotype_rows
 from repro.genomics.io.formats import FormatError, parse_genotype_line, parse_weight_line
 from repro.genomics.synthetic import Dataset
-from repro.stats.resampling.streams import mc_multiplier_batches, permutation_batches
+from repro.stats.resampling import streams
+from repro.stats.resampling.driver import exceedances, resample
 from repro.stats.score.base import ScoreModel
 from repro.stats.score.cox import CoxScoreModel
 
@@ -282,7 +288,7 @@ class _ExceedCountsFn:
         self.observed_bc = observed_bc
 
     def __call__(self, stats):
-        return (stats >= self.observed_bc.value[None, :]).sum(axis=0).astype(np.int64)
+        return exceedances(stats, self.observed_bc.value)
 
 
 class _PaperExceedFn:
@@ -524,7 +530,7 @@ class DistributedSparkScore:
         stats = self.observed_statistics()
         return self._result("observed", stats, np.zeros(self._K, dtype=np.int64), 0, start)
 
-    # -- Algorithm 3: Monte Carlo -----------------------------------------------------------
+    # -- Algorithms 2 and 3: resampling ---------------------------------------------------
 
     def monte_carlo(
         self,
@@ -533,86 +539,65 @@ class DistributedSparkScore:
         batch_size: int = 64,
         cache_contributions: bool = True,
     ) -> ResamplingResult:
-        start = time.perf_counter()
-        observed = self.observed_statistics(cache_contributions)
-        observed_bc = self.ctx.broadcast(observed)
-        u = self.contributions_rdd(cache_contributions)
-        counts = np.zeros(self._K, dtype=np.int64)
-        monitor = self._new_monitor("monte_carlo", iterations)
-        used = 0
-        n = self.dataset.n_patients
-        for z_batch in mc_multiplier_batches(n, iterations, seed, batch_size):
-            batch_start = time.perf_counter()
-            z_bc = self.ctx.broadcast(z_batch)
-            width = z_batch.shape[0]
-            if self.flavor == "paper":
-                scored = u.map_values(_McRowInnersFn(z_bc))
-            else:
-                scored = u.map(_McBlockPartialFn(z_bc))
-            batch_counts = self._scores_to_counts(scored, width, observed_bc)
-            counts += monitor.fold(batch_counts, width)
-            used += width
-            z_bc.destroy()
-            instrumentation.observe_batch(
-                "monte_carlo", "distributed", time.perf_counter() - batch_start, width
-            )
-            self.ctx.inference.publish(monitor)
-            if monitor.done:
-                break
-        monitor.finish()
-        self.ctx.inference.publish(monitor, force=True)
-        observed_bc.destroy()
-        return self._result("monte_carlo", observed, counts, used, start, monitor)
-
-    # -- Algorithm 2: permutation ---------------------------------------------------------------
+        """Algorithm 3: Monte Carlo multipliers against the (cached) ``U``."""
+        batches = streams.mc_multiplier_batches(
+            self.dataset.n_patients, iterations, seed, batch_size
+        )
+        return self._resample("monte_carlo", batches, iterations, cache_contributions)
 
     def permutation(
         self, iterations: int, seed: int = 0, batch_size: int = 16
     ) -> ResamplingResult:
+        """Algorithm 2: the scoring pipeline re-run per batch of permutations."""
+        batches = streams.permutation_batches(
+            self.dataset.n_patients, iterations, seed, batch_size
+        )
+        return self._resample("permutation", batches, iterations, cache_contributions=False)
+
+    def _resample(
+        self, method: str, batches, planned: int, cache_contributions: bool
+    ) -> ResamplingResult:
+        """One batch is one broadcast of its payload and one job on the
+        engine; the loop around it is :func:`resample`'s."""
         start = time.perf_counter()
-        observed = self.observed_statistics(cache_contributions=False)
+        observed = self.observed_statistics(cache_contributions)
         observed_bc = self.ctx.broadcast(observed)
-        counts = np.zeros(self._K, dtype=np.int64)
-        monitor = self._new_monitor("permutation", iterations)
-        used = 0
-        n = self.dataset.n_patients
-        score_weights = self.model.score_weights()  # the vectorized flavor's payload
-        for perm_batch in permutation_batches(n, iterations, seed, batch_size):
-            batch_start = time.perf_counter()
-            width = perm_batch.shape[0]
-            if self.flavor == "paper":
-                # re-broadcast a block of shuffled phenotypes (Alg. 2 step 2)
-                # and recompute steps 6-12 of Algorithm 1 under each
-                batch_bc = self.ctx.broadcast(
-                    [self.model.permuted(perm) for perm in perm_batch]
-                )
-                scored = self._gm_rdd.map_values(_PermutedRowInnersFn(batch_bc))
-            else:
-                # the shuffle only permutes the score weights: (b, n) float64
-                batch_bc = self.ctx.broadcast(score_weights[perm_batch])
-                scored = self._gm_rdd.map(_PermutedBlockPartialsFn(batch_bc))
-            batch_counts = self._scores_to_counts(scored, width, observed_bc)
-            counts += monitor.fold(batch_counts, width)
-            used += width
-            batch_bc.destroy()
-            instrumentation.observe_batch(
-                "permutation", "distributed", time.perf_counter() - batch_start, width
-            )
-            self.ctx.inference.publish(monitor)
-            if monitor.done:
-                break
-        monitor.finish()
-        self.ctx.inference.publish(monitor, force=True)
-        observed_bc.destroy()
-        return self._result("permutation", observed, counts, used, start, monitor)
-
-    # -- results -----------------------------------------------------------------------------------
-
-    def _new_monitor(self, method: str, planned: int):
-        """Mint a convergence monitor wired to this context's bus/policy."""
-        return self.ctx.inference.new_monitor(
+        paper = self.flavor == "paper"
+        if method == "monte_carlo":
+            source, payload = self.contributions_rdd(cache_contributions), lambda z: z
+            kernel = _McRowInnersFn if paper else _McBlockPartialFn
+        elif paper:
+            # re-broadcast a block of shuffled phenotypes (Alg. 2 step 2)
+            # and recompute steps 6-12 of Algorithm 1 under each
+            source, kernel = self._gm_rdd, _PermutedRowInnersFn
+            payload = lambda perms: [self.model.permuted(perm) for perm in perms]
+        else:
+            # the shuffle only permutes the score weights: (b, n) float64
+            source, kernel = self._gm_rdd, _PermutedBlockPartialsFn
+            payload = self.model.score_weights().__getitem__
+        score = source.map_values if paper else source.map
+        monitor = self.ctx.inference.new_monitor(
             self._K, method, planned, list(self.dataset.snpsets.names)
         )
+
+        def count_batch(batch: np.ndarray) -> np.ndarray:
+            batch_bc = self.ctx.broadcast(payload(batch))
+            counts = self._scores_to_counts(score(kernel(batch_bc)), len(batch), observed_bc)
+            batch_bc.destroy()
+            return counts
+
+        def after_batch(width: int, seconds: float) -> None:
+            instrumentation.observe_batch(method, "distributed", width, seconds)
+            self.ctx.inference.publish(monitor)
+
+        counts, used = resample(
+            batches, count_batch, monitor, n_sets=self._K, after_batch=after_batch
+        )
+        self.ctx.inference.publish(monitor, force=True)
+        observed_bc.destroy()
+        return self._result(method, observed, counts, used, start, monitor)
+
+    # -- results -----------------------------------------------------------------------------------
 
     def _result(
         self,
@@ -636,26 +621,6 @@ class DistributedSparkScore:
             "shuffle_bytes": sum(t.shuffle_bytes_written for t in totals),
             "driver_bytes_collected": sum(t.driver_bytes_collected for t in totals),
         }
-        explicit = None
-        if monitor is not None:
-            info["early_stop"] = monitor.policy is not None
-            info["replicates_planned"] = monitor.planned_replicates
-            info["replicates_saved"] = monitor.replicates_saved
-            info["sets_converged"] = monitor.sets_converged
-            if monitor.masking and not np.all(
-                monitor.denominators == monitor.replicates_total
-            ):
-                # masked sets froze at per-set denominators; the shared
-                # n_resamples would misprice them, so ship the monitor's
-                # per-set estimates explicitly
-                explicit = monitor.pvalues("plugin")
-        return ResamplingResult(
-            method=method,
-            set_names=list(self.dataset.snpsets.names),
-            set_sizes=self.dataset.snpsets.sizes(),
-            observed=observed,
-            exceed_counts=counts,
-            n_resamples=iterations,
-            explicit_pvalues=explicit,
-            info=info,
+        return ResamplingResult.from_run(
+            method, self.dataset.snpsets, observed, counts, iterations, info, monitor
         )

@@ -3,15 +3,18 @@
 The paper's core economic claim (Monte Carlo resampling amortizes the
 scoring pass; permutation as written pays it per replicate) is a statement
 about *per-replicate cost*.  These process-wide instruments record exactly that
-from the score/SKAT/resampling driver loops, for both the local and the
+from the score passes and the resampling driver
+(:func:`~repro.stats.resampling.driver.resample`), for both the local and the
 distributed engine, so benchmarks and ``sparkscore history --metrics``
 report measured numbers.
 
 Series (all labeled ``method`` x ``engine``):
 
 - ``repro_replicates_total`` -- replicates computed;
-- ``repro_resampling_batch_seconds`` -- wall time per driver batch (one
-  broadcast + pass on the engine, the whole run on the local engine);
+- ``repro_resampling_batch_seconds`` -- wall time per driver batch, its
+  count and its fold, on every engine alike (one broadcast + job on the
+  distributed engine, one GEMM -- or, uncached, ``U`` rebuilt and a GEMM --
+  on the local one);
 - ``repro_replicate_seconds`` -- amortized wall time per single replicate;
 - ``repro_score_pass_seconds`` -- observed-statistics passes (label
   ``engine`` only).
@@ -74,16 +77,10 @@ def observe_worker_task(kind: str, seconds: float, gc_pause_seconds: float = 0.0
     WORKER_GC_PAUSE_SECONDS.inc(gc_pause_seconds)
 
 
-def observe_batch(method: str, engine: str, seconds: float, replicates: int) -> None:
-    """Record one resampling batch of ``replicates`` replicates."""
+def observe_batch(method: str, engine: str, replicates: int, seconds: float) -> None:
+    """Record one resampling batch (the driver's ``after_batch`` arguments last)."""
     if replicates <= 0:
         return
     REPLICATES.labels(method=method, engine=engine).inc(replicates)
     BATCH_SECONDS.labels(method=method, engine=engine).observe(seconds)
     REPLICATE_SECONDS.labels(method=method, engine=engine).observe(seconds / replicates)
-
-
-def mean_replicate_seconds(method: str, engine: str) -> float:
-    """Measured mean per-replicate cost so far (0.0 if nothing recorded)."""
-    child = REPLICATE_SECONDS.labels(method=method, engine=engine)
-    return child.sum / child.count if child.count else 0.0

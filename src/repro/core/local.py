@@ -3,12 +3,18 @@
 This is the validation oracle for the distributed algorithms (given the
 same seed both paths consume identical resampling streams, see
 :mod:`repro.stats.resampling.streams`) and the single-node baseline for
-the benchmarks.
+the benchmarks.  Its resampling runs through the same driver as the
+engine's (:func:`~repro.stats.resampling.driver.resample`): the cached Monte
+Carlo arm and permutation through the resamplers' ``run``, the no-cache arm
+with a batch count that rebuilds ``U`` every batch.  Every batch is recorded
+in the ``repro_resampling_batch_seconds`` / ``repro_replicates_total``
+series under ``engine="local"``, as the engine records its own.
 """
 
 from __future__ import annotations
 
 import time
+from functools import partial
 
 import numpy as np
 
@@ -16,9 +22,10 @@ from repro.core import instrumentation
 from repro.core.results import ResamplingResult
 from repro.genomics.synthetic import Dataset
 from repro.stats.asymptotic import skat_asymptotic_pvalues
+from repro.stats.resampling import streams
+from repro.stats.resampling.driver import exceedances, resample
 from repro.stats.resampling.montecarlo import MonteCarloResampler
 from repro.stats.resampling.permutation import PermutationResampler
-from repro.stats.resampling.streams import mc_multiplier_batches, permutation_stream
 from repro.stats.score.base import ScoreModel
 from repro.stats.score.cox import CoxScoreModel
 from repro.stats.skat import skat_statistics
@@ -50,10 +57,8 @@ class LocalSparkScore:
 
     def observed(self) -> ResamplingResult:
         start = time.perf_counter()
-        scores = self.model.scores(self._G)
-        stats = skat_statistics(scores, self._weights, self._set_ids, self._K)
-        elapsed = time.perf_counter() - start
-        return self._result("observed", stats, np.zeros(self._K, dtype=np.int64), 0, elapsed)
+        stats = self.observed_statistics()
+        return self._result("observed", stats, np.zeros(self._K, dtype=np.int64), 0, start)
 
     def observed_statistics(self) -> np.ndarray:
         pass_start = time.perf_counter()
@@ -92,46 +97,32 @@ class LocalSparkScore:
         :class:`~repro.obs.inference.ConvergenceMonitor` (the local engine
         has no context to mint one, so callers wire their own)."""
         start = time.perf_counter()
-        used = iterations
+        after_batch = partial(instrumentation.observe_batch, "monte_carlo", "local")
         if cache_contributions:
             sampler = MonteCarloResampler(
                 self.contributions(), self._weights, self._set_ids, self._K
             )
-            outcome = sampler.run(iterations, seed, batch_size, monitor=monitor)
-            observed, counts = outcome.observed, outcome.exceed_counts
-            used = outcome.n_resamples
-            instrumentation.observe_batch(
-                "monte_carlo", "local", time.perf_counter() - start, used
+            outcome = sampler.run(
+                iterations, seed, batch_size, monitor=monitor, after_batch=after_batch
             )
+            observed, counts, used = outcome.observed, outcome.exceed_counts, outcome.n_resamples
         else:
             # no-cache arm: re-derive U from genotypes for every batch,
             # exactly what Spark does when the U RDD is not persisted
             observed = self.observed_statistics()
-            counts = np.zeros(self._K, dtype=np.int64)
-            used = 0
-            n = self.dataset.n_patients
-            for z_batch in mc_multiplier_batches(n, iterations, seed, batch_size):
-                batch_start = time.perf_counter()
-                U = self.contributions()  # recomputed!
-                scores = z_batch @ U.T
+
+            def count_batch(z_batch: np.ndarray) -> np.ndarray:
+                scores = z_batch @ self.contributions().T  # U recomputed!
                 stats = skat_statistics(scores, self._weights, self._set_ids, self._K)
-                batch_counts = (stats >= observed[None, :]).sum(axis=0)
-                width = z_batch.shape[0]
-                used += width
-                instrumentation.observe_batch(
-                    "monte_carlo_nocache", "local",
-                    time.perf_counter() - batch_start, width,
-                )
-                if monitor is None:
-                    counts += batch_counts
-                else:
-                    counts += monitor.fold(batch_counts, width)
-                    if monitor.done:
-                        break
-            if monitor is not None:
-                monitor.finish()
-        elapsed = time.perf_counter() - start
-        return self._result("monte_carlo", observed, counts, used, elapsed, monitor)
+                return exceedances(stats, observed)
+
+            batches = streams.mc_multiplier_batches(
+                self.dataset.n_patients, iterations, seed, batch_size
+            )
+            counts, used = resample(
+                batches, count_batch, monitor, n_sets=self._K, after_batch=after_batch
+            )
+        return self._result("monte_carlo", observed, counts, used, start, monitor)
 
     # -- Algorithm 2 (permutation) --------------------------------------------------
 
@@ -142,19 +133,21 @@ class LocalSparkScore:
         sampler = PermutationResampler(
             self.model, self._G, self._weights, self._set_ids, self._K
         )
-        outcome = sampler.run(iterations, seed, batch_size, monitor=monitor)
-        elapsed = time.perf_counter() - start
-        instrumentation.observe_batch("permutation", "local", elapsed, outcome.n_resamples)
+        outcome = sampler.run(
+            iterations, seed, batch_size, monitor=monitor,
+            after_batch=partial(instrumentation.observe_batch, "permutation", "local"),
+        )
         return self._result(
             "permutation", outcome.observed, outcome.exceed_counts,
-            outcome.n_resamples, elapsed, monitor,
+            outcome.n_resamples, start, monitor,
         )
 
     def permutation_statistics(self, iterations: int, seed: int = 0) -> np.ndarray:
         """(B, K) replicate statistics (diagnostics / QQ plots)."""
         out = np.empty((iterations, self._K))
         c = self.model.score_weights()
-        for b, perm in enumerate(permutation_stream(self.dataset.n_patients, iterations, seed)):
+        perms = streams.permutation_stream(self.dataset.n_patients, iterations, seed)
+        for b, perm in enumerate(perms):
             out[b] = skat_statistics(self._G @ c[perm], self._weights, self._set_ids, self._K)
         return out
 
@@ -167,8 +160,7 @@ class LocalSparkScore:
         pvals = skat_asymptotic_pvalues(
             U, self._weights, self._set_ids, self._K, observed, method
         )
-        elapsed = time.perf_counter() - start
-        result = self._result("asymptotic", observed, np.zeros(self._K, dtype=np.int64), 0, elapsed)
+        result = self._result("asymptotic", observed, np.zeros(self._K, dtype=np.int64), 0, start)
         result.explicit_pvalues = pvals
         result.info["approximation"] = method
         return result
@@ -181,27 +173,10 @@ class LocalSparkScore:
         observed: np.ndarray,
         counts: np.ndarray,
         iterations: int,
-        elapsed: float,
+        start: float,
         monitor=None,
     ) -> ResamplingResult:
-        info = {"wall_seconds": elapsed, "engine": "local"}
-        explicit = None
-        if monitor is not None:
-            info["early_stop"] = monitor.policy is not None
-            info["replicates_planned"] = monitor.planned_replicates
-            info["replicates_saved"] = monitor.replicates_saved
-            info["sets_converged"] = monitor.sets_converged
-            if monitor.masking and not np.all(
-                monitor.denominators == monitor.replicates_total
-            ):
-                explicit = monitor.pvalues("plugin")
-        return ResamplingResult(
-            method=method,
-            set_names=list(self.dataset.snpsets.names),
-            set_sizes=self.dataset.snpsets.sizes(),
-            observed=observed,
-            exceed_counts=counts,
-            n_resamples=iterations,
-            explicit_pvalues=explicit,
-            info=info,
+        info = {"wall_seconds": time.perf_counter() - start, "engine": "local"}
+        return ResamplingResult.from_run(
+            method, self.dataset.snpsets, observed, counts, iterations, info, monitor
         )

@@ -60,6 +60,40 @@ class ResamplingResult:
         if self.set_sizes.shape != (K,):
             raise ValueError("set_sizes must have one entry per set")
 
+    @classmethod
+    def from_run(
+        cls,
+        method: str,
+        snpsets,
+        observed: np.ndarray,
+        counts: np.ndarray,
+        n_resamples: int,
+        info: dict,
+        monitor=None,
+    ) -> "ResamplingResult":
+        """A run's result, with what its convergence monitor saw added to
+        ``info``.  When masking froze sets at per-set denominators the shared
+        ``n_resamples`` would misprice them, so the monitor's per-set
+        estimates ship as ``explicit_pvalues``."""
+        explicit = None
+        if monitor is not None:
+            info["early_stop"] = monitor.policy is not None
+            info["replicates_planned"] = monitor.planned_replicates
+            info["replicates_saved"] = monitor.replicates_saved
+            info["sets_converged"] = monitor.sets_converged
+            if not np.all(monitor.denominators == monitor.replicates_total):
+                explicit = monitor.pvalues("plugin")
+        return cls(
+            method=method,
+            set_names=list(snpsets.names),
+            set_sizes=snpsets.sizes(),
+            observed=observed,
+            exceed_counts=counts,
+            n_resamples=n_resamples,
+            explicit_pvalues=explicit,
+            info=info,
+        )
+
     @property
     def n_sets(self) -> int:
         return len(self.set_names)

@@ -21,7 +21,8 @@ history``/``doctor``, and flight-recorder bundles.
 ``inference_early_stop``), :meth:`ConvergenceMonitor.fold` masks converged
 sets out of subsequent batches -- their exceedance counts and denominators
 freeze at decision time -- and :attr:`ConvergenceMonitor.done` tells the
-driving loop to stop once every set is decided.  Replicate *streams* are
+resampling driver (:func:`repro.stats.resampling.driver.resample`) to stop
+once every set is decided.  Replicate *streams* are
 untouched (batching and stopping change scheduling, never the statistics of
 the replicates actually consumed), so:
 
@@ -171,11 +172,6 @@ class EarlyStopPolicy:
     alpha: float = 0.05
     ci: str = "wilson"
     min_replicates: int = 64
-    #: mask converged sets out of subsequent fold() increments.  The
-    #: variant-level maxT path turns this off: step-down adjustment needs a
-    #: common denominator across SNPs, so it stops the loop but never
-    #: freezes individual counts.
-    mask_converged: bool = True
 
     @classmethod
     def from_config(cls, config: Any) -> "EarlyStopPolicy | None":
@@ -224,6 +220,9 @@ class ConvergenceMonitor:
         if len(self.set_names) != n_sets:
             raise ValueError("set_names must have one entry per set")
         self.policy = policy
+        #: freeze decided sets out of later fold() increments; the resampling
+        #: driver turns it off for this run only (``per_set_masking=False``)
+        self.masking = policy is not None
         if policy is not None:
             alpha, ci, min_replicates = policy.alpha, policy.ci, policy.min_replicates
         if not 0.0 < alpha < 1.0:
@@ -259,13 +258,9 @@ class ConvergenceMonitor:
     # -- folding -----------------------------------------------------------
 
     @property
-    def masking(self) -> bool:
-        return self.policy is not None and self.policy.mask_converged
-
-    @property
     def done(self) -> bool:
         """True when an attached policy has decided every set."""
-        return self.policy is not None and not bool(self._mask.any())
+        return self.policy is not None and bool((self.decided_at >= 0).all())
 
     @property
     def sets_converged(self) -> int:

@@ -1,12 +1,13 @@
 """Resampling inference for SKAT statistics: permutation and Monte Carlo."""
 
-from repro.stats.resampling.montecarlo import MonteCarloResampler, monte_carlo_skat
+from repro.stats.resampling.driver import exceedances, resample
+from repro.stats.resampling.montecarlo import MonteCarloResampler
 from repro.stats.resampling.multipletesting import (
     MaxTResult,
     adjust_pvalues,
     westfall_young_maxt,
 )
-from repro.stats.resampling.permutation import PermutationResampler, permutation_skat
+from repro.stats.resampling.permutation import PermutationResampler
 from repro.stats.resampling.pvalues import empirical_pvalues
 
 __all__ = [
@@ -15,7 +16,7 @@ __all__ = [
     "PermutationResampler",
     "adjust_pvalues",
     "empirical_pvalues",
-    "monte_carlo_skat",
-    "permutation_skat",
+    "exceedances",
+    "resample",
     "westfall_young_maxt",
 ]

@@ -4,7 +4,8 @@ Replicates are ``U~_j = sum_i Z_i * U_ij`` with ``Z_i ~ N(0, 1)``.  The
 score-contribution matrix ``U`` is computed once and *reused* across all B
 replicates -- the property SparkScore exploits by caching the U RDD
 (Algorithm 3).  In matrix form a whole batch of replicates is one GEMM:
-``scores_batch = Z_batch @ U.T``.
+``scores_batch = Z_batch @ U.T``, the batch count
+:meth:`MonteCarloResampler.run` hands :func:`~repro.stats.resampling.driver.resample`.
 """
 
 from __future__ import annotations
@@ -13,7 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.stats.resampling.driver import exceedances, resample
 from repro.stats.resampling.pvalues import empirical_pvalues
+from repro.stats.resampling.streams import mc_multiplier_batches
 from repro.stats.skat import skat_statistics, validate_set_ids
 
 
@@ -67,6 +70,7 @@ class MonteCarloResampler:
         seed: int,
         batch_size: int = 256,
         monitor=None,
+        after_batch=None,
     ) -> ResamplingOutcome:
         """Run B Monte Carlo replicates.
 
@@ -78,36 +82,11 @@ class MonteCarloResampler:
         ``monitor.pvalues()`` (per-set denominators) rather than the
         outcome's shared ``n_resamples``.
         """
-        from repro.stats.resampling.streams import mc_multiplier_batches
-
-        counts = np.zeros(self.n_sets, dtype=np.int64)
-        used = 0
-        for z_batch in mc_multiplier_batches(self.n, n_resamples, seed, batch_size):
-            stats = self.replicate_batch(z_batch)
-            batch_counts = (stats >= self.observed[None, :]).sum(axis=0)
-            width = stats.shape[0]
-            used += width
-            if monitor is None:
-                counts += batch_counts
-            else:
-                counts += monitor.fold(batch_counts, width)
-                if monitor.done:
-                    break
-        if monitor is not None:
-            monitor.finish()
+        counts, used = resample(
+            mc_multiplier_batches(self.n, n_resamples, seed, batch_size),
+            self._count_batch, monitor, n_sets=self.n_sets, after_batch=after_batch,
+        )
         return ResamplingOutcome(self.observed, counts, used)
 
-
-def monte_carlo_skat(
-    contributions: np.ndarray,
-    weights: np.ndarray,
-    set_ids: np.ndarray,
-    n_sets: int,
-    n_resamples: int,
-    seed: int = 0,
-    batch_size: int = 256,
-    monitor=None,
-) -> ResamplingOutcome:
-    """One-shot convenience wrapper around :class:`MonteCarloResampler`."""
-    sampler = MonteCarloResampler(contributions, weights, set_ids, n_sets)
-    return sampler.run(n_resamples, seed, batch_size, monitor=monitor)
+    def _count_batch(self, z_batch: np.ndarray) -> np.ndarray:
+        return exceedances(self.replicate_batch(z_batch), self.observed)

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.stats.resampling.driver import exceedances, resample
 from repro.stats.resampling.streams import mc_multiplier_batches
 
 
@@ -72,7 +73,7 @@ def westfall_young_maxt(
 
     ``monitor`` is an optional
     :class:`repro.obs.inference.ConvergenceMonitor` fed the *adjusted*
-    exceedance counts per batch.  Per-SNP masking is disabled here even
+    exceedance counts per batch.  The run turns per-SNP masking off even
     under an early-stop policy -- step-down adjustment needs one common
     denominator across SNPs -- so the policy only stops the whole loop
     once every SNP's adjusted p-value CI is decisive.
@@ -86,35 +87,26 @@ def westfall_young_maxt(
     sd = np.sqrt((U**2).sum(axis=1))
     safe_sd = np.where(sd > 0, sd, 1.0)
     observed = standardized_statistics(U)
-    if monitor is not None and monitor.policy is not None:
-        monitor.policy.mask_converged = False
-
     order = np.argsort(-observed, kind="stable")  # decreasing statistics
     raw_exceed = np.zeros(J, dtype=np.int64)
-    adj_exceed = np.zeros(J, dtype=np.int64)
-    used = 0
 
-    for z_batch in mc_multiplier_batches(n, n_resamples, seed, batch_size):
+    def count_batch(z_batch: np.ndarray) -> np.ndarray:
         replicates = np.abs(z_batch @ U.T) / safe_sd[None, :]  # (b, J)
         replicates[:, sd == 0] = 0.0
-        raw_exceed += (replicates >= observed[None, :]).sum(axis=0)
+        raw_exceed[:] += exceedances(replicates, observed)
         if step_down:
             # successive maxima over the ordered tail: q_(j) = max over
             # hypotheses ranked j..J (computed right-to-left)
             tail_max = np.maximum.accumulate(replicates[:, order[::-1]], axis=1)[:, ::-1]
             batch_adj = np.zeros(J, dtype=np.int64)
-            batch_adj[order] = (tail_max >= observed[order][None, :]).sum(axis=0)
-        else:
-            global_max = replicates.max(axis=1)
-            batch_adj = (global_max[:, None] >= observed[None, :]).sum(axis=0)
-        adj_exceed += batch_adj
-        used += replicates.shape[0]
-        if monitor is not None:
-            monitor.fold(batch_adj, replicates.shape[0])
-            if monitor.done:
-                break
-    if monitor is not None:
-        monitor.finish()
+            batch_adj[order] = exceedances(tail_max, observed[order])
+            return batch_adj
+        return exceedances(replicates.max(axis=1)[:, None], observed)
+
+    adj_exceed, used = resample(
+        mc_multiplier_batches(n, n_resamples, seed, batch_size), count_batch, monitor,
+        n_sets=J, per_set_masking=False,
+    )
 
     raw = (raw_exceed + 1.0) / (used + 1.0)
     adjusted = (adj_exceed + 1.0) / (used + 1.0)

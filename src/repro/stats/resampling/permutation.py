@@ -8,14 +8,18 @@ shuffle of the pairs only permutes ``c``, so a batch of replicates is one
 GEMM, ``c[perms] @ G.T``: the same cost as a Monte Carlo batch, with no
 refit and no cached ``U``.  Algorithm 2 as written -- refit, recompute the
 contributions, sum -- is ``model.permuted(perm).contributions(G).sum(axis=1)``,
-the definitional loop the tests hold this kernel to.
+the definitional loop the tests hold this kernel to.  The GEMM is the batch
+count :meth:`PermutationResampler.run` hands
+:func:`~repro.stats.resampling.driver.resample`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.stats.resampling.driver import exceedances, resample
 from repro.stats.resampling.montecarlo import ResamplingOutcome
+from repro.stats.resampling.streams import permutation_batches
 from repro.stats.score.base import ScoreModel
 from repro.stats.skat import skat_statistics, validate_set_ids
 
@@ -63,6 +67,7 @@ class PermutationResampler:
         seed: int,
         batch_size: int = 64,
         monitor=None,
+        after_batch=None,
     ) -> ResamplingOutcome:
         """Run B permutation replicates, ``batch_size`` per GEMM.
 
@@ -74,40 +79,13 @@ class PermutationResampler:
         batch; see :meth:`MonteCarloResampler.run` for the
         passive/early-stop contract.
         """
-        from repro.stats.resampling.streams import permutation_batches
-
-        counts = np.zeros(self.n_sets, dtype=np.int64)
-        used = 0
-        for perms in permutation_batches(self.n, n_resamples, seed, batch_size):
-            batch_counts = self._count_batch(self.score_weights[perms])
-            width = perms.shape[0]
-            used += width
-            if monitor is None:
-                counts += batch_counts
-            else:
-                counts += monitor.fold(batch_counts, width)
-                if monitor.done:
-                    break
-        if monitor is not None:
-            monitor.finish()
+        counts, used = resample(
+            permutation_batches(self.n, n_resamples, seed, batch_size),
+            self._count_batch, monitor, n_sets=self.n_sets, after_batch=after_batch,
+        )
         return ResamplingOutcome(self.observed, counts, used)
 
-    def _count_batch(self, permuted_weights: np.ndarray) -> np.ndarray:
-        scores = permuted_weights @ self.G.T  # (b, J)
+    def _count_batch(self, perms: np.ndarray) -> np.ndarray:
+        scores = self.score_weights[perms] @ self.G.T  # (b, J)
         stats = skat_statistics(scores, self.weights, self.set_ids, self.n_sets)
-        return (stats >= self.observed[None, :]).sum(axis=0)
-
-
-def permutation_skat(
-    model: ScoreModel,
-    genotypes: np.ndarray,
-    weights: np.ndarray,
-    set_ids: np.ndarray,
-    n_sets: int,
-    n_resamples: int,
-    seed: int = 0,
-    monitor=None,
-) -> ResamplingOutcome:
-    """One-shot convenience wrapper around :class:`PermutationResampler`."""
-    sampler = PermutationResampler(model, genotypes, weights, set_ids, n_sets)
-    return sampler.run(n_resamples, seed, monitor=monitor)
+        return exceedances(stats, self.observed)

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.stats.resampling.driver import exceedances, resample
 from repro.stats.resampling.streams import mc_multiplier_batches
 from repro.stats.skat import membership_matrix, validate_set_ids
 
@@ -100,7 +101,7 @@ def skato_resampling(
     count per batch: the number of replicates where *any* rho exceeds the
     observed Q_rho (a conservative stand-in for the min-p exceedance, so
     the CI never declares convergence before the calibrated p-value has).
-    Per-set masking is disabled -- min-p calibration ranks replicates
+    The run turns per-set masking off -- min-p calibration ranks replicates
     against each other and needs the full common tensor -- so an
     early-stop policy only truncates the whole replicate stream.
     """
@@ -113,27 +114,23 @@ def skato_resampling(
     weights = np.asarray(weights, dtype=np.float64)
     ids = validate_set_ids(set_ids, n_sets, J)
     rho = tuple(float(r) for r in rho_grid)
-    if monitor is not None and monitor.policy is not None:
-        monitor.policy.mask_converged = False
 
     observed = skato_grid_statistics(U.sum(axis=1), weights, ids, n_sets, rho)  # (K, R)
     replicate_chunks = []
-    for z_batch in mc_multiplier_batches(n, n_resamples, seed, batch_size):
-        scores = z_batch @ U.T  # (b, J)
-        batch_grid = skato_grid_statistics(scores, weights, ids, n_sets, rho)
+
+    def count_batch(z_batch: np.ndarray) -> np.ndarray:
+        batch_grid = skato_grid_statistics(z_batch @ U.T, weights, ids, n_sets, rho)
         replicate_chunks.append(batch_grid)
-        if monitor is not None:
-            proxy = (batch_grid >= observed[None, :, :]).any(axis=2).sum(axis=0)
-            monitor.fold(proxy.astype(np.int64), batch_grid.shape[0])
-            if monitor.done:
-                break
-    if monitor is not None:
-        monitor.finish()
+        return (batch_grid >= observed).any(axis=2).sum(axis=0, dtype=np.int64)
+
+    _, B = resample(
+        mc_multiplier_batches(n, n_resamples, seed, batch_size), count_batch, monitor,
+        n_sets=n_sets, per_set_masking=False,
+    )
     replicates = np.concatenate(replicate_chunks, axis=0)  # (B, K, R)
-    B = replicates.shape[0]
 
     # per-rho empirical p for the observed statistics (add-one estimator)
-    exceed = (replicates >= observed[None, :, :]).sum(axis=0)  # (K, R)
+    exceed = exceedances(replicates, observed)  # (K, R)
     per_rho_p = (exceed + 1.0) / (B + 1.0)
 
     # min-p across rho, calibrated against the replicates' own min-p:

@@ -1,5 +1,7 @@
 """Convergence monitor: interval math, classification, early stopping."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -238,7 +240,10 @@ class TestPolicyConfig:
         assert policy.alpha == 0.01
         assert policy.ci == "clopper-pearson"
         assert policy.min_replicates == 32
-        assert policy.mask_converged is True
+        # masking is a per-run setting of the monitor, never the policy's
+        assert [f.name for f in dataclasses.fields(policy)] == [
+            "alpha", "ci", "min_replicates",
+        ]
 
     def test_spark_style_aliases(self):
         config = EngineConfig(

@@ -11,7 +11,7 @@ from repro.stats.asymptotic import (
     skat_asymptotic_pvalues,
     skat_mixture_eigenvalues,
 )
-from repro.stats.resampling.montecarlo import monte_carlo_skat
+from repro.stats.resampling.montecarlo import MonteCarloResampler
 from repro.stats.score.base import SurvivalPhenotype
 from repro.stats.score.cox import CoxScoreModel
 from repro.stats.skat import skat_statistics
@@ -92,7 +92,7 @@ class TestEndToEnd:
         w = np.ones(J)
         ids = rng.integers(0, K, J)
         U = model.contributions(G)
-        mc = monte_carlo_skat(U, w, ids, K, n_resamples=4000, seed=11)
+        mc = MonteCarloResampler(U, w, ids, K).run(4000, seed=11)
         asym = skat_asymptotic_pvalues(U, w, ids, K, method="imhof")
         assert np.all(np.abs(mc.pvalues() - asym) < 0.05)
 

@@ -9,6 +9,7 @@ consuming the same permutation stream.
 import numpy as np
 import pytest
 
+from repro.genomics.synthetic import SyntheticConfig, generate_dataset
 from repro.stats.resampling.permutation import PermutationResampler
 from repro.stats.resampling.streams import permutation_stream
 from repro.stats.score.base import (
@@ -30,6 +31,52 @@ def definitional_counts(model, G, w, ids, K, n_resamples, seed):
         scores = model.permuted(perm).contributions(G).sum(axis=1)
         counts += skat_statistics(scores, w, ids, K) >= observed
     return counts
+
+
+#: every function that drives a resampling loop, hence folds a monitor
+FOLDING_CALLERS = (
+    "MonteCarloResampler.run",
+    "PermutationResampler.run",
+    "LocalSparkScore.monte_carlo(uncached)",
+    "DistributedSparkScore.monte_carlo",
+    "DistributedSparkScore.permutation",
+    "westfall_young_maxt",
+    "skato_resampling",
+)
+
+
+def _run_caller(caller, dataset, monitor, monkeypatch):
+    """B=40 replicates in batches of 16 through ``caller``, folding ``monitor``."""
+    from repro.config import EngineConfig
+    from repro.core.algorithms import DistributedSparkScore
+    from repro.core.local import LocalSparkScore
+    from repro.engine.context import Context
+    from repro.stats.resampling.montecarlo import MonteCarloResampler
+    from repro.stats.resampling.multipletesting import westfall_young_maxt
+    from repro.stats.skato import skato_resampling
+
+    local = LocalSparkScore(dataset)
+    sets = (dataset.weights, dataset.snpsets.set_ids, dataset.n_sets)
+    run = dict(seed=2, batch_size=16, monitor=monitor)
+    if caller.startswith("DistributedSparkScore."):
+        config = EngineConfig(
+            backend="serial", num_executors=1, executor_cores=1, default_parallelism=2
+        )
+        with Context(config) as ctx:
+            monkeypatch.setattr(ctx.inference, "new_monitor", lambda *args: monitor)
+            method = getattr(DistributedSparkScore(ctx, dataset), caller.split(".")[1])
+            method(40, seed=2, batch_size=16)
+    elif caller == "MonteCarloResampler.run":
+        MonteCarloResampler(local.contributions(), *sets).run(40, **run)
+    elif caller == "PermutationResampler.run":
+        G = dataset.genotypes.matrix.astype(float)
+        PermutationResampler(local.model, G, *sets).run(40, **run)
+    elif caller == "LocalSparkScore.monte_carlo(uncached)":
+        local.monte_carlo(40, cache_contributions=False, **run)
+    elif caller == "westfall_young_maxt":
+        westfall_young_maxt(local.contributions(), 40, **run)
+    else:
+        skato_resampling(local.contributions(), *sets, 40, **run)
 
 
 def dosages(rng, J, n):
@@ -134,22 +181,27 @@ class TestKernelCoversEveryModel:
             fast.exceed_counts, definitional_counts(model, G, w, ids, K, 80, 10)
         )
 
-    def test_monitor_is_folded_once_per_batch(self, rng):
+    @pytest.mark.parametrize("caller", FOLDING_CALLERS)
+    def test_monitor_is_folded_once_per_batch(self, caller, monkeypatch):
+        """Every caller of the resampling driver: one fold per batch, one finish."""
         from repro.obs.inference import ConvergenceMonitor
 
-        n, J = 40, 12
-        model = CoxScoreModel(
-            SurvivalPhenotype(rng.exponential(12, n), rng.binomial(1, 0.85, n))
+        dataset = generate_dataset(
+            SyntheticConfig(n_patients=40, n_snps=12, n_snpsets=2, seed=2)
         )
-        widths = []
+        widths, finishes = [], []
 
         class Recording(ConvergenceMonitor):
             def fold(self, batch_counts, width):
                 widths.append(width)
                 return super().fold(batch_counts, width)
 
-        monitor = Recording(n_sets=2, method="permutation", planned_replicates=40)
-        PermutationResampler(
-            model, dosages(rng, J, n), np.ones(J), rng.integers(0, 2, J), 2
-        ).run(40, seed=2, batch_size=16, monitor=monitor)
+            def finish(self):
+                finishes.append(self.replicates_total)
+                super().finish()
+
+        n_sets = dataset.n_snps if caller == "westfall_young_maxt" else dataset.n_sets
+        monitor = Recording(n_sets=n_sets, planned_replicates=40)
+        _run_caller(caller, dataset, monitor, monkeypatch)
         assert widths == [16, 16, 8]
+        assert finishes == [40]

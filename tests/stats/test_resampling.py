@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.stats.resampling.montecarlo import MonteCarloResampler, monte_carlo_skat
-from repro.stats.resampling.permutation import PermutationResampler, permutation_skat
+from repro.stats.resampling.montecarlo import MonteCarloResampler
+from repro.stats.resampling.permutation import PermutationResampler
 from repro.stats.resampling.pvalues import empirical_pvalues, required_resamples
 from repro.stats.resampling.streams import mc_multiplier_batches, permutation_stream
 from repro.stats.score.base import SurvivalPhenotype
@@ -33,26 +33,27 @@ class TestMonteCarlo:
     def test_counts_reproducible(self, setup):
         model, G, w, ids, K = setup
         U = model.contributions(G)
-        a = monte_carlo_skat(U, w, ids, K, n_resamples=100, seed=3)
-        b = monte_carlo_skat(U, w, ids, K, n_resamples=100, seed=3)
+        a = MonteCarloResampler(U, w, ids, K).run(100, seed=3)
+        b = MonteCarloResampler(U, w, ids, K).run(100, seed=3)
         assert np.array_equal(a.exceed_counts, b.exceed_counts)
 
     def test_batch_size_does_not_change_counts(self, setup):
         model, G, w, ids, K = setup
         U = model.contributions(G)
-        a = monte_carlo_skat(U, w, ids, K, 100, seed=3, batch_size=7)
-        b = monte_carlo_skat(U, w, ids, K, 100, seed=3, batch_size=64)
+        sampler = MonteCarloResampler(U, w, ids, K)
+        a = sampler.run(100, seed=3, batch_size=7)
+        b = sampler.run(100, seed=3, batch_size=64)
         # same seed, same stream order regardless of batching
         assert np.array_equal(a.exceed_counts, b.exceed_counts)
 
     def test_zero_resamples(self, setup):
         model, G, w, ids, K = setup
-        out = monte_carlo_skat(model.contributions(G), w, ids, K, 0, seed=0)
+        out = MonteCarloResampler(model.contributions(G), w, ids, K).run(0, seed=0)
         assert out.exceed_counts.sum() == 0
 
     def test_counts_bounded(self, setup):
         model, G, w, ids, K = setup
-        out = monte_carlo_skat(model.contributions(G), w, ids, K, 50, seed=1)
+        out = MonteCarloResampler(model.contributions(G), w, ids, K).run(50, seed=1)
         assert np.all(out.exceed_counts >= 0)
         assert np.all(out.exceed_counts <= 50)
 
@@ -76,8 +77,8 @@ class TestPermutation:
 
     def test_reproducible(self, setup):
         model, G, w, ids, K = setup
-        a = permutation_skat(model, G, w, ids, K, 30, seed=5)
-        b = permutation_skat(model, G, w, ids, K, 30, seed=5)
+        a = PermutationResampler(model, G, w, ids, K).run(30, seed=5)
+        b = PermutationResampler(model, G, w, ids, K).run(30, seed=5)
         assert np.array_equal(a.exceed_counts, b.exceed_counts)
 
     def test_invalid_perm_rejected(self, setup):
@@ -96,8 +97,8 @@ class TestAgreementMcVsPermutation:
     def test_pvalues_correlate_under_null(self, setup):
         """Both resampling schemes estimate the same null distribution."""
         model, G, w, ids, K = setup
-        mc = monte_carlo_skat(model.contributions(G), w, ids, K, 400, seed=7)
-        perm = permutation_skat(model, G, w, ids, K, 400, seed=7)
+        mc = MonteCarloResampler(model.contributions(G), w, ids, K).run(400, seed=7)
+        perm = PermutationResampler(model, G, w, ids, K).run(400, seed=7)
         p_mc = mc.pvalues()
         p_perm = perm.pvalues()
         assert np.all(np.abs(p_mc - p_perm) < 0.25)

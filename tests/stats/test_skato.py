@@ -100,9 +100,9 @@ class TestSkatOResampling:
     def test_single_rho_reduces_to_plain_resampling(self, setup):
         U, w, ids, K = setup
         result = skato_resampling(U, w, ids, K, 400, seed=4, rho_grid=(0.0,))
-        from repro.stats.resampling.montecarlo import monte_carlo_skat
+        from repro.stats.resampling.montecarlo import MonteCarloResampler
 
-        mc = monte_carlo_skat(U, w, ids, K, 400, seed=4, batch_size=128)
+        mc = MonteCarloResampler(U, w, ids, K).run(400, seed=4, batch_size=128)
         expected = (mc.exceed_counts + 1.0) / (mc.n_resamples + 1.0)
         assert np.allclose(result.per_rho_pvalues[:, 0], expected)
         # min-p over a single rho is calibrated against itself
