@@ -118,13 +118,15 @@ def bench_overhead(args, burn: _Burn, backend: str) -> dict:
     config = _make_config(args, backend)
 
     with tempfile.TemporaryDirectory() as tmp:
-        with Context(config, log_level="warning") as bare_ctx, Context(
-            config,
+        loaded = config.copy(
             log_level="debug",
+            metrics_interval=args.metrics_interval,
+            alerts_enabled=True,
+        )
+        with Context(config.copy(log_level="warning")) as bare_ctx, Context(
+            loaded,
             log_file=os.path.join(tmp, "driver-logs.jsonl"),
             event_log_path=os.path.join(tmp, "events.jsonl"),
-            metrics_interval=args.metrics_interval,
-            alerts=True,
         ) as loaded_ctx:
             bare_walls: list[float] = []
             loaded_walls: list[float] = []
@@ -289,16 +291,15 @@ def bench_postmortem_smoke(args) -> dict:
     from repro.obs.flightrecorder import load_bundle
 
     fail_partition = 2
-    config = _make_config(args, "serial").copy(max_task_retries=0)
     with tempfile.TemporaryDirectory() as tmp:
-        plan = FaultPlan(fail_partition_attempts={fail_partition: 99})
-        with Context(
-            config,
-            fault_injector=FaultInjector(plan),
-            flight_recorder=tmp,
+        config = _make_config(args, "serial").copy(
+            max_task_retries=0,
+            flight_recorder_dir=tmp,
             metrics_interval=args.metrics_interval,
-            alerts=True,
-        ) as ctx:
+            alerts_enabled=True,
+        )
+        plan = FaultPlan(fail_partition_attempts={fail_partition: 99})
+        with Context(config, fault_injector=FaultInjector(plan)) as ctx:
             try:
                 ctx.parallelize([1] * (args.partitions * 4), args.partitions).sum()
             except JobFailedError:

@@ -56,10 +56,10 @@ def _add_analyze(sub: argparse._SubParsersAction) -> None:
     p.add_argument("--batch-size", type=int, default=None,
                    help="replicates per engine pass (default: 64 monte-carlo, 16 permutation)")
     p.add_argument("--engine", choices=["local", "distributed"], default="local")
-    p.add_argument("--backend", choices=["serial", "threads", "processes", "cluster"],
+    p.add_argument("--backend", choices=["serial", "threads", "cluster"],
                    default="threads",
-                   help="where tasks run; 'processes' is another spelling of "
-                        "'cluster' (persistent worker processes)")
+                   help="where tasks run; 'cluster' is a fleet of persistent "
+                        "worker processes")
     p.add_argument("--cluster-address", default=None, metavar="HOST:PORT",
                    help="attach to an externally started cluster head "
                         "(sparkscore cluster start); implies --backend cluster")
@@ -89,8 +89,8 @@ def _add_analyze(sub: argparse._SubParsersAction) -> None:
                           default=None,
                           help="enable adaptive query execution: runtime skew "
                                "repartitioning and speculative task execution "
-                               "(equivalent to spark.adaptive.enabled=true + "
-                               "spark.speculation=true; distributed only)")
+                               "(sets adaptive_enabled and speculation_enabled; "
+                               "distributed only)")
     adaptive.add_argument("--no-adaptive", dest="adaptive", action="store_false",
                           help="force adaptive execution and speculation off")
     early = p.add_mutually_exclusive_group()
@@ -98,8 +98,7 @@ def _add_analyze(sub: argparse._SubParsersAction) -> None:
                        default=None,
                        help="stop resampling SNP-sets whose p-value confidence "
                             "interval has settled on one side of alpha "
-                            "(equivalent to spark.inference.earlyStop=true; "
-                            "distributed only)")
+                            "(sets inference_early_stop; distributed only)")
     early.add_argument("--no-early-stop", dest="early_stop", action="store_false",
                        help="force sequential early stopping off")
     p.add_argument("--alpha", type=float, default=None, metavar="A",
@@ -178,12 +177,6 @@ def _add_doctor(sub: argparse._SubParsersAction) -> None:
                    help="JSONL event log, or a directory of *.jsonl event logs")
     p.add_argument("--json", action="store_true",
                    help="emit recommendations as a JSON array instead of a table")
-    p.add_argument("--skew-ratio", type=float, default=4.0, metavar="R",
-                   help="max/median ratio above which a stage counts as skewed "
-                        "(default: 4.0)")
-    p.add_argument("--straggler-multiplier", type=float, default=3.0, metavar="M",
-                   help="task duration vs stage median above which a task is a "
-                        "straggler (default: 3.0)")
     p.add_argument("--strict", action="store_true",
                    help="exit 2 when any recommendation at or above "
                         "--strict-severity fires (CI gate)")
@@ -304,95 +297,83 @@ def cmd_generate(args: argparse.Namespace) -> int:
     return 0
 
 
+#: analyze flags that only the distributed engine reads, by argparse dest
+_DISTRIBUTED_ONLY = {
+    "cluster_address": "--cluster-address",
+    "cluster_secret": "--cluster-secret",
+    "event_log": "--event-log",
+    "trace": "--trace",
+    "ui_port": "--ui-port",
+    "adaptive": "--adaptive",
+    "early_stop": "--early-stop",
+    "alpha": "--alpha",
+    "log_level": "--log-level",
+    "log_file": "--log-file",
+    "metrics_interval": "--metrics-interval",
+    "alerts": "--alerts",
+    "alert_rules": "--alert-rules",
+    "flight_recorder": "--flight-recorder",
+}
+
+
 def _load_analysis(args: argparse.Namespace):
     from repro.config import EngineConfig
     from repro.core.sparkscore import SparkScoreAnalysis
 
-    kwargs: dict = {"engine": args.engine}
-    want_progress = getattr(args, "progress", None)
+    want_progress = args.progress
     if want_progress is None:  # default: bars only on an interactive terminal
         want_progress = sys.stdout.isatty()
-    if args.engine == "distributed":
-        cluster_address = getattr(args, "cluster_address", None)
-        backend = args.backend
-        if cluster_address:
-            backend = "cluster"
-        config = EngineConfig(
-            backend=backend,
-            num_executors=args.executors,
-            executor_cores=args.cores,
-            default_parallelism=args.executors * args.cores,
-            profile_fraction=getattr(args, "profile_fraction", 0.0) or 0.0,
-            cluster_address=cluster_address or "",
-            cluster_secret=getattr(args, "cluster_secret", None) or "",
-        )
-        want_adaptive = getattr(args, "adaptive", None)
-        if want_adaptive is not None:
-            config = config.copy(
-                adaptive_enabled=want_adaptive,
-                speculation_enabled=want_adaptive,
-            )
-        want_early_stop = getattr(args, "early_stop", None)
-        if want_early_stop is not None:
-            config = config.copy(inference_early_stop=want_early_stop)
-        alpha = getattr(args, "alpha", None)
-        if alpha is not None:
-            config = config.copy(inference_alpha=alpha)
-        kwargs["flavor"] = args.flavor
-        event_log = getattr(args, "event_log", None)
-        trace = getattr(args, "trace", None)
-        ui_port = getattr(args, "ui_port", None)
-        log_level = getattr(args, "log_level", None)
-        log_file = getattr(args, "log_file", None)
-        metrics_interval = getattr(args, "metrics_interval", None)
-        alert_rules = getattr(args, "alert_rules", None)
-        alerts = getattr(args, "alerts", None)
-        if alert_rules is not None:
-            alerts = True
-        flight_recorder = getattr(args, "flight_recorder", None)
-        if log_level is not None:
-            config = config.copy(log_level=log_level)
-        monitoring = (
-            metrics_interval is not None or alerts or flight_recorder is not None
-        )
-        if (event_log or trace or log_file or ui_port is not None
-                or want_progress or monitoring):
+    if args.engine == "local":
+        given = []
+        for dest, flag in _DISTRIBUTED_ONLY.items():
+            value = getattr(args, dest)
+            # --no-adaptive / --no-early-stop store False: they ask for nothing
+            if value is not None and value is not False:
+                given.append(flag)
+        if given:
+            raise SystemExit(f"--engine distributed is required by {', '.join(given)}")
+        kwargs: dict = {"engine": "local"}
+    else:
+        fields = {
+            "backend": "cluster" if args.cluster_address else args.backend,
+            "num_executors": args.executors,
+            "executor_cores": args.cores,
+            "default_parallelism": args.executors * args.cores,
+            "profile_fraction": args.profile_fraction,
+            "cluster_address": args.cluster_address or "",
+            "cluster_secret": args.cluster_secret or "",
+            "alerts_enabled": bool(args.alerts or args.alert_rules),
+        }
+        for field, value in (
+            ("adaptive_enabled", args.adaptive),
+            ("speculation_enabled", args.adaptive),
+            ("inference_early_stop", args.early_stop),
+            ("inference_alpha", args.alpha),
+            ("log_level", args.log_level),
+            ("metrics_interval", args.metrics_interval),
+            ("flight_recorder_dir", args.flight_recorder),
+        ):
+            if value is not None:
+                fields[field] = value
+        config = EngineConfig(**fields)
+        kwargs = {"engine": "distributed", "flavor": args.flavor}
+        if (args.event_log or args.trace or args.log_file or args.alert_rules
+                or args.ui_port is not None or want_progress):
             from repro.engine.context import Context
 
             kwargs["ctx"] = Context(
                 config,
-                event_log_path=event_log,
-                trace_path=trace,
-                ui_port=ui_port,
+                event_log_path=args.event_log,
+                trace_path=args.trace,
+                ui_port=args.ui_port,
                 progress=want_progress,
-                log_file=log_file,
-                metrics_interval=metrics_interval,
-                alerts=alerts,
-                alert_rules=alert_rules,
-                flight_recorder=flight_recorder,
+                log_file=args.log_file,
+                alert_rules=args.alert_rules,
             )
-            if ui_port is not None:
+            if args.ui_port is not None:
                 print(f"engine UI serving at {kwargs['ctx'].ui_url}", file=sys.stderr)
         else:
             kwargs["config"] = config
-    elif getattr(args, "event_log", None) or getattr(args, "trace", None):
-        raise SystemExit("--event-log/--trace require --engine distributed")
-    elif getattr(args, "ui_port", None) is not None:
-        raise SystemExit("--ui-port requires --engine distributed")
-    elif getattr(args, "adaptive", None):
-        raise SystemExit("--adaptive requires --engine distributed")
-    elif getattr(args, "early_stop", None):
-        raise SystemExit("--early-stop requires --engine distributed")
-    elif getattr(args, "log_file", None) or getattr(args, "log_level", None):
-        raise SystemExit("--log-file/--log-level require --engine distributed")
-    elif (getattr(args, "metrics_interval", None) is not None
-          or getattr(args, "alerts", None)
-          or getattr(args, "alert_rules", None)
-          or getattr(args, "flight_recorder", None)):
-        raise SystemExit(
-            "--metrics-interval/--alerts/--alert-rules/--flight-recorder "
-            "require --engine distributed"
-        )
     analysis = SparkScoreAnalysis.from_files(args.dataset_dir, **kwargs)
     if "ctx" in kwargs:
         analysis._owns_ctx = True  # CLI hands the context over for cleanup
@@ -707,8 +688,6 @@ def cmd_doctor(args: argparse.Namespace) -> int:
         jobs,
         telemetry=telemetry,
         cache=cache_pressure_from_jobs(jobs),
-        skew_max_over_median=args.skew_ratio,
-        straggler_multiplier=args.straggler_multiplier,
         adaptive=bool(adaptive),
         inference=inference,
     )
@@ -999,7 +978,7 @@ def cmd_cluster(args: argparse.Namespace) -> int:
               f"({args.executors} executors x {args.cores} cores)", flush=True)
         if generated:
             print(f"cluster secret: {head.secret}\n"
-                  f"  drivers attach with spark.cluster.secret={head.secret} "
+                  f"  drivers attach with --cluster-secret {head.secret} "
                   f"or REPRO_CLUSTER_SECRET={head.secret}", flush=True)
         try:
             head.serve_forever(duration=args.duration)

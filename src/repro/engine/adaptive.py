@@ -8,7 +8,8 @@ only fed dashboards and ``sparkscore doctor``.  The
 
 - **runtime skew repartitioning** -- before a reduce stage launches, the
   registered bucket distribution of the shuffle it reads is compared
-  against the diagnostics skew threshold; oversized buckets are split
+  against the diagnostics skew threshold
+  (:data:`repro.obs.diagnostics.SKEW_RATIO`); oversized buckets are split
   along map-output boundaries and runs of tiny neighbours are coalesced
   into a :class:`~repro.engine.partitioner.ShuffleRemap`, producing a
   rebalanced reduce stage with bit-identical results (segments preserve
@@ -33,6 +34,7 @@ from repro.engine.dependencies import OneToOneDependency
 from repro.engine.listener import AdaptivePlanApplied
 from repro.engine.partitioner import RemappedPartitioner, ShuffleRemap
 from repro.engine.rdd import MappedPartitionsRDD, ShuffledRDD
+from repro.obs.diagnostics import MIN_TASKS, SKEW_RATIO
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.engine.context import Context
@@ -44,6 +46,12 @@ __all__ = [
     "SpeculationPolicy",
     "build_remap",
 ]
+
+#: hard cap on how many pieces one oversized reduce bucket is split into
+#: (splits happen along map-output boundaries)
+MAX_SPLITS = 8
+#: buckets below this fraction of the median coalesce with small neighbours
+COALESCE_RATIO = 0.25
 
 
 def _median(values: list[float]) -> float:
@@ -170,24 +178,19 @@ class AppliedRemap:
 class SpeculationPolicy:
     """When is a running task straggling badly enough to duplicate?
 
-    Mirrors Spark's ``spark.speculation.{quantile,multiplier}`` contract:
-    once ``quantile`` of the task set has completed, any still-running task
-    whose elapsed time exceeds ``multiplier`` x the completed median (and
-    the absolute ``min_runtime`` floor) earns a twin attempt.
+    Mirrors Spark's speculation contract: once ``quantile`` of the task
+    set has completed, any still-running task whose elapsed time exceeds
+    ``multiplier`` x the completed median (and the absolute ``min_runtime``
+    floor, in seconds) earns a twin attempt.  ``speculation_enabled``
+    installs the defaults; a caller may replace ``ctx.adaptive.speculation``.
     """
 
-    def __init__(self, multiplier: float, min_runtime: float, quantile: float) -> None:
+    def __init__(
+        self, multiplier: float = 2.0, min_runtime: float = 0.1, quantile: float = 0.75
+    ) -> None:
         self.multiplier = multiplier
         self.min_runtime = min_runtime
         self.quantile = quantile
-
-    @classmethod
-    def from_config(cls, config) -> "SpeculationPolicy":
-        return cls(
-            config.speculation_multiplier,
-            config.speculation_min_runtime,
-            config.speculation_quantile,
-        )
 
     def ready(self, completed: int, total: int) -> bool:
         return total > 0 and completed >= max(1, math.ceil(self.quantile * total))
@@ -206,12 +209,8 @@ class AdaptivePlanner:
         config = ctx.config
         self.enabled = config.adaptive_enabled
         self.speculation: SpeculationPolicy | None = (
-            SpeculationPolicy.from_config(config) if config.speculation_enabled else None
+            SpeculationPolicy() if config.speculation_enabled else None
         )
-        self.max_splits = config.adaptive_max_splits
-        self.coalesce_ratio = config.adaptive_coalesce_ratio
-        self.skew_max_over_median = config.skew_max_over_median
-        self.min_buckets = config.diagnostics_min_tasks
         self._lock = threading.Lock()
         self.decisions: list[dict] = []
         self.stages_rewritten = 0
@@ -253,7 +252,7 @@ class AdaptivePlanner:
             return None
         if len(stats) != shuffled.partitioner.num_partitions:
             return None
-        if len(stats) < self.min_buckets:
+        if len(stats) < MIN_TASKS:
             return None
         record_counts = [[records for records, _bytes in row] for row in stats]
         if sum(sum(row) for row in record_counts) == 0:
@@ -261,9 +260,9 @@ class AdaptivePlanner:
         remap = build_remap(
             dep.shuffle_id,
             record_counts,
-            max_over_median=self.skew_max_over_median,
-            max_splits=self.max_splits,
-            coalesce_ratio=self.coalesce_ratio,
+            max_over_median=SKEW_RATIO,
+            max_splits=MAX_SPLITS,
+            coalesce_ratio=COALESCE_RATIO,
             splittable=dep.aggregator is None,
         )
         if remap is None:

@@ -366,9 +366,7 @@ def _run_pickled_task(payload: bytes) -> bytes:
             executor_id=spec["executor_id"],
         ):
             if spec.get("profile"):
-                result, hotspots = profile_call(
-                    lambda: task.run(tc), spec.get("profile_top_n", 20)
-                )
+                result, hotspots = profile_call(lambda: task.run(tc))
             else:
                 result, hotspots = task.run(tc), None
     finally:
@@ -418,11 +416,7 @@ def _run_pickled_task(payload: bytes) -> bytes:
     body = pickle.dumps(out, protocol=pickle.HIGHEST_PROTOCOL)
     serialize_seconds = time.perf_counter() - serialize_start
     return _frame_result(
-        body,
-        serialize_seconds,
-        serialize_start - task_start,
-        transport,
-        spec.get("result_transport_min", _RESULT_TRANSPORT_MIN_DEFAULT),
+        body, serialize_seconds, serialize_start - task_start, transport
     )
 
 
@@ -441,7 +435,8 @@ def _run_pickled_task(payload: bytes) -> bytes:
 _RESULT_MAGIC = b"RF"
 _RESULT_HEADER = struct.Struct("<2sBBdd")
 _RESULT_FLAG_REF = 0x01
-_RESULT_TRANSPORT_MIN_DEFAULT = 256 * 1024
+#: result bodies at least this large travel by transport ref
+_RESULT_TRANSPORT_MIN = 256 * 1024
 
 
 def _frame_result(
@@ -449,11 +444,10 @@ def _frame_result(
     serialize_seconds: float,
     serialize_offset: float,
     transport: Any,
-    transport_min: int,
 ) -> bytes:
     flags = 0
     payload = body
-    if len(body) >= transport_min:
+    if len(body) >= _RESULT_TRANSPORT_MIN:
         ref = transport.put(body)
         payload = pickle.dumps(ref, protocol=pickle.HIGHEST_PROTOCOL)
         flags |= _RESULT_FLAG_REF

@@ -883,8 +883,8 @@ def _resolve_secret(secret: str | None) -> bytes:
     value = secret or os.environ.get("REPRO_CLUSTER_SECRET", "")
     if not value:
         raise ConnectionError(
-            "no cluster secret configured: set cluster_secret "
-            "(spark.cluster.secret), pass --secret, or export "
+            "no cluster secret configured: set EngineConfig.cluster_secret "
+            "(analyze --cluster-secret), pass --secret, or export "
             "REPRO_CLUSTER_SECRET with the value the head printed at start"
         )
     return value.encode("utf-8")

@@ -43,21 +43,9 @@ class Context:
         ui_port: int | None = None,
         progress: bool = False,
         log_file: str | None = None,
-        log_level: str | None = None,
-        metrics_interval: float | None = None,
-        alerts: bool | None = None,
         alert_rules: "str | list | None" = None,
-        flight_recorder: str | None = None,
     ) -> None:
         self.config = config or EngineConfig()
-        if log_level is not None:
-            self.config = self.config.copy(log_level=log_level)
-        if metrics_interval is not None:
-            self.config = self.config.copy(metrics_interval=metrics_interval)
-        if alerts is not None:
-            self.config = self.config.copy(alerts_enabled=alerts)
-        if flight_recorder is not None:
-            self.config = self.config.copy(flight_recorder_dir=flight_recorder)
         #: when set, each completed job is streamed here as JSONL (v4)
         self.event_log_path = event_log_path
         #: when set, every structured log record is appended here as JSONL
@@ -148,7 +136,7 @@ class Context:
         # online diagnostics: skew/straggler detection on stage completion
         from repro.obs.diagnostics import DiagnosticsListener
 
-        self.diagnostics = DiagnosticsListener.from_config(self.listener_bus, self.config)
+        self.diagnostics = DiagnosticsListener(self.listener_bus)
         self.listener_bus.add_listener(self.diagnostics)
 
         # continuous monitoring: the driver-side metrics sampler feeding the
@@ -164,10 +152,7 @@ class Context:
         if sample_interval > 0:
             from repro.obs.timeseries import MetricsSampler, TimeSeriesStore
 
-            self.timeseries = TimeSeriesStore(
-                raw_capacity=self.config.metrics_retention,
-                downsample_factor=self.config.metrics_downsample,
-            )
+            self.timeseries = TimeSeriesStore()
             self.sampler = MetricsSampler(self.timeseries, interval=sample_interval)
             if self._event_log_listener is not None:
                 self.sampler.add_tick_sink(self._event_log_listener.write_series)
@@ -203,9 +188,7 @@ class Context:
             from repro.obs.flightrecorder import FlightRecorder
 
             self.flight_recorder = FlightRecorder(
-                self.config.flight_recorder_dir,
-                context=self,
-                window=self.config.flight_recorder_window,
+                self.config.flight_recorder_dir, context=self
             )
             self.listener_bus.add_listener(self.flight_recorder)
 

@@ -71,6 +71,11 @@ if TYPE_CHECKING:  # pragma: no cover
 
 log = get_logger("repro.scheduler")
 
+#: application name stamped on every job's log records
+APP_NAME = "sparkscore"
+#: resubmissions of one stage after shuffle-fetch failures before the job fails
+MAX_STAGE_RETRIES = 4
+
 
 class JobFailedError(RuntimeError):
     """The job could not complete within the configured retry budgets."""
@@ -656,9 +661,7 @@ class TaskScheduler:
             attempt=attempt, executor_id=executor.executor_id,
         ):
             if profiled:
-                value, hotspots = profile_call(
-                    lambda: task.run(tc), self.ctx.config.profile_top_n
-                )
+                value, hotspots = profile_call(lambda: task.run(tc))
             else:
                 value, hotspots = task.run(tc), None
         duration = time.perf_counter() - start
@@ -775,7 +778,6 @@ class TaskScheduler:
                         // self.ctx.config.executor_cores
                     ),
                     "transport": transport.spec(),
-                    "result_transport_min": self.ctx.config.transport_min_bytes * 4,
                     # the worker heartbeats at *this* driver's cadence while
                     # the task runs, whoever spawned the fleet (0 = none)
                     "heartbeat_interval": self.ctx.config.heartbeat_interval,
@@ -784,7 +786,6 @@ class TaskScheduler:
                     "profile": should_profile(
                         self.ctx.config.profile_fraction, stage.id, task.partition
                     ),
-                    "profile_top_n": self.ctx.config.profile_top_n,
                     # structured-logging correlation: the worker captures at
                     # the driver's level and stamps these ids on its records
                     "job_id": job.job_id,
@@ -972,7 +973,6 @@ class DAGScheduler:
         partitions: list[int] | None = None,
         description: str = "",
     ) -> list[Any]:
-        config = self.ctx.config
         # an explicit partition subset pins the result layout; only a
         # default all-partitions job may be adaptively re-partitioned
         auto_partitions = partitions is None
@@ -994,7 +994,7 @@ class DAGScheduler:
         wanted = set(partitions)
         stage_attempts: dict[int, int] = {}
 
-        with log_context(app=config.app_name, job_id=job.job_id):
+        with log_context(app=APP_NAME, job_id=job.job_id):
             log.info(
                 "job started",
                 description=job.description,
@@ -1004,7 +1004,7 @@ class DAGScheduler:
             try:
                 self._drive(
                     graph, job, func, results, partitions, wanted,
-                    auto_partitions, stage_attempts, config, description,
+                    auto_partitions, stage_attempts, description,
                 )
             except Exception as exc:
                 job.wall_seconds = time.perf_counter() - job_start
@@ -1038,7 +1038,6 @@ class DAGScheduler:
         wanted: set[int],
         auto_partitions: bool,
         stage_attempts: dict[int, int],
-        config: Any,
         description: str,
     ) -> None:
         bus = self.ctx.listener_bus
@@ -1051,7 +1050,7 @@ class DAGScheduler:
         try:
             self._drive_stages(
                 graph, job, func, results, partitions, wanted, auto_partitions,
-                stage_attempts, config, description, planner, applied_remaps,
+                stage_attempts, description, planner, applied_remaps,
                 adapted,
             )
         finally:
@@ -1072,7 +1071,6 @@ class DAGScheduler:
         wanted: set[int],
         auto_partitions: bool,
         stage_attempts: dict[int, int],
-        config: Any,
         description: str,
         planner: Any,
         applied_remaps: list,
@@ -1140,9 +1138,9 @@ class DAGScheduler:
                         stage_id=stage.id, name=stage.name,
                         stage_attempt=stage_attempts[stage.id],
                     )
-                    if stage_attempts[stage.id] > config.max_stage_retries:
+                    if stage_attempts[stage.id] > MAX_STAGE_RETRIES:
                         raise JobFailedError(
-                            f"{stage.name} exceeded {config.max_stage_retries} resubmissions"
+                            f"{stage.name} exceeded {MAX_STAGE_RETRIES} resubmissions"
                         ) from None
                     # loop around: missing map outputs will be recomputed
                     break

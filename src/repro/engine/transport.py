@@ -84,12 +84,10 @@ def _sha256(blob: bytes) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
-#: default byte budget for a socket transport's dedup'd blob store; a
-#: persistent head otherwise keeps every task binary ever offered for the
-#: life of the fleet
-_STORE_BUDGET = int(
-    os.environ.get("REPRO_TRANSPORT_STORE_BUDGET", 256 * 1024 * 1024)
-)
+#: byte budget for a socket transport's dedup'd blob store; a persistent
+#: head otherwise keeps every task binary ever offered for the life of the
+#: fleet
+_STORE_BUDGET = 256 * 1024 * 1024
 
 
 def advertised_host(bind_host: str) -> str:

@@ -30,8 +30,8 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Sequence
 
 from repro.obs.diagnostics import (
+    STRAGGLER_MULTIPLIER,
     CachePressureReport,
-    SkewReport,
     StragglerReport,
     analyze_cache_pressure,
     detect_skew,
@@ -88,10 +88,6 @@ class DiagnosisInput:
     jobs: list = field(default_factory=list)
     telemetry: list = field(default_factory=list)
     cache: CachePressureReport | None = None
-    skew_max_over_median: float = 4.0
-    straggler_multiplier: float = 3.0
-    straggler_min_seconds: float = 0.1
-    min_tasks: int = 4
     #: whether adaptive query execution was enabled for the run; ``None``
     #: means unknown (e.g. a cold event log predating the field)
     adaptive: bool | None = None
@@ -131,9 +127,7 @@ def rule_repartition_skew(inp: DiagnosisInput) -> list[Recommendation]:
     """
     out = []
     for job, stage in inp.stages():
-        reports = detect_skew(
-            stage, max_over_median=inp.skew_max_over_median, min_tasks=inp.min_tasks
-        )
+        reports = detect_skew(stage)
         # one recommendation per stage: use the worst metric as evidence
         if not reports:
             continue
@@ -170,12 +164,7 @@ def rule_stragglers(inp: DiagnosisInput) -> list[Recommendation]:
     """Straggling tasks; escalates when they concentrate on one executor."""
     out = []
     for job, stage in inp.stages():
-        stragglers = detect_stragglers(
-            stage,
-            multiplier=inp.straggler_multiplier,
-            min_seconds=inp.straggler_min_seconds,
-            min_tasks=inp.min_tasks,
-        )
+        stragglers = detect_stragglers(stage)
         if not stragglers:
             continue
         by_executor: dict[str, list[StragglerReport]] = {}
@@ -191,14 +180,15 @@ def rule_stragglers(inp: DiagnosisInput) -> list[Recommendation]:
             )
             action = (
                 "suspect the executor, not the data: check its heartbeat RSS/GC "
-                "series; enable speculative execution (spark.speculation=true) "
-                "so twin attempts on healthy peers outrun it, or reduce "
-                "executor_cores / exclude the host"
+                "series; enable speculative execution (--adaptive, or "
+                "EngineConfig(speculation_enabled=True)) so twin attempts on "
+                "healthy peers outrun it, or reduce executor_cores / exclude "
+                "the host"
             )
         else:
             title = (
                 f"stage {stage.stage_id} ({stage.name}): {len(stragglers)} "
-                f"task(s) ran >= {inp.straggler_multiplier:g}x the stage median"
+                f"task(s) ran >= {STRAGGLER_MULTIPLIER:g}x the stage median"
             )
             action = (
                 "skew-spread the slow partitions (repartition) or raise "
@@ -231,14 +221,14 @@ def rule_cache_thrash(inp: DiagnosisInput) -> list[Recommendation]:
         return []
     spilled_all = cache.blocks_spilled >= cache.blocks_evicted > 0
     action = (
-        "raise executor_memory / storage_fraction, or persist with a "
-        "serialized storage level (MEMORY_ONLY_SER halves typical footprint "
-        "for numeric rows)"
+        "raise executor_memory, or persist with StorageLevel.MEMORY_SER "
+        "(pickled blocks: a smaller footprint for numeric rows)"
     )
     if not spilled_all:
         action += (
             "; evicted blocks are being recomputed -- switch persist() to "
-            "MEMORY_AND_DISK so evictions spill instead of recompute"
+            "StorageLevel.MEMORY_AND_DISK so evictions spill instead of "
+            "recompute"
         )
     out = [
         Recommendation(
@@ -382,16 +372,9 @@ def rule_enable_adaptive(inp: DiagnosisInput) -> list[Recommendation]:
     skewed: list[int] = []
     straggling: list[int] = []
     for _, stage in inp.stages():
-        if detect_skew(
-            stage, max_over_median=inp.skew_max_over_median, min_tasks=inp.min_tasks
-        ):
+        if detect_skew(stage):
             skewed.append(stage.stage_id)
-        if detect_stragglers(
-            stage,
-            multiplier=inp.straggler_multiplier,
-            min_seconds=inp.straggler_min_seconds,
-            min_tasks=inp.min_tasks,
-        ):
+        if detect_stragglers(stage):
             straggling.append(stage.stage_id)
     if not skewed and not straggling:
         return []
@@ -409,10 +392,10 @@ def rule_enable_adaptive(inp: DiagnosisInput) -> list[Recommendation]:
                 + " and ".join(what)
             ),
             action=(
-                "set spark.adaptive.enabled=true (or pass --adaptive): the "
-                "planner splits oversized shuffle buckets and races "
-                "speculative twins against stragglers at runtime, with "
-                "bit-identical results"
+                "pass --adaptive (EngineConfig(adaptive_enabled=True, "
+                "speculation_enabled=True)): the planner splits oversized "
+                "shuffle buckets and races speculative twins against "
+                "stragglers at runtime, with bit-identical results"
             ),
             evidence={
                 "skewed_stages": sorted(set(skewed)),
@@ -459,8 +442,8 @@ def rule_enable_early_stop(inp: DiagnosisInput) -> list[Recommendation]:
                     f"SNP-set was statistically decided by replicate {decisive}"
                 ),
                 action=(
-                    "pass --early-stop (spark.inference.earlyStop=true): the "
-                    "convergence monitor stops once every set's p-value CI "
+                    "pass --early-stop (EngineConfig(inference_early_stop=True)): "
+                    "the convergence monitor stops once every set's p-value CI "
                     "clears alpha, keeping significance calls identical within "
                     "the CI guarantee"
                 ),
@@ -548,10 +531,6 @@ def diagnose(
     registry: "Registry" | None = None,
     cache: CachePressureReport | None = None,
     *,
-    skew_max_over_median: float = 4.0,
-    straggler_multiplier: float = 3.0,
-    straggler_min_seconds: float = 0.1,
-    min_tasks: int = 4,
     adaptive: bool | None = None,
     inference: Sequence[dict] | None = None,
 ) -> list[Recommendation]:
@@ -567,10 +546,6 @@ def diagnose(
         jobs=list(jobs),
         telemetry=list(telemetry or ()),
         cache=cache,
-        skew_max_over_median=skew_max_over_median,
-        straggler_multiplier=straggler_multiplier,
-        straggler_min_seconds=straggler_min_seconds,
-        min_tasks=min_tasks,
         adaptive=adaptive,
         inference=list(inference or ()),
     )

@@ -10,8 +10,8 @@ series) and the tuning advisor.  Three analyses:
   so a stage whose slowest partition is several times its median is the
   canonical "why is this configuration slow" answer.
 - **stragglers** -- individual task attempts that ran far longer than
-  their stage's median (configurable multiplier, with an absolute floor
-  so trivial stages don't alarm).
+  their stage's median (a fixed multiplier, with an absolute floor so
+  trivial stages don't alarm).
 - **cache pressure** -- eviction and recompute ratios derived from the
   BlockManager counters in the process-wide metrics registry.
 
@@ -20,13 +20,15 @@ series) and the tuning advisor.  Three analyses:
 :class:`StragglerDetected` back onto the bus, and logs a structured
 warning for each, so skew shows up in the live UI and the event log while
 the job is still running.  The same pure functions run offline inside
-``sparkscore doctor`` over a loaded event log.
+``sparkscore doctor`` over a loaded event log, and the adaptive planner
+splits reduce buckets at the same skew ratio: the thresholds below are
+the only copy, so online detection, ``doctor`` and AQE always agree.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
 from repro.engine.listener import (
@@ -38,7 +40,6 @@ from repro.engine.listener import (
 from repro.obs.logging import get_logger
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.config import EngineConfig
     from repro.engine.listener import ListenerBus
     from repro.engine.metrics import StageMetrics
     from repro.obs.registry import Registry
@@ -47,6 +48,16 @@ log = get_logger("repro.diagnostics")
 
 #: per-partition metrics the skew detector scores
 SKEW_METRICS = ("records", "bytes", "duration")
+#: a stage whose max-over-median partition ratio (records, bytes or
+#: duration) reaches this is skewed
+SKEW_RATIO = 4.0
+#: a task at least this multiple of its stage's median duration straggles
+STRAGGLER_MULTIPLIER = 3.0
+#: tasks shorter than this (seconds) are never stragglers, whatever the ratio
+STRAGGLER_MIN_SECONDS = 0.1
+#: stages with fewer tasks than this are exempt: tiny stages are trivially
+#: imbalanced
+MIN_TASKS = 4
 
 
 def gini(values: Sequence[float]) -> float:
@@ -150,23 +161,18 @@ class StragglerReport:
         }
 
 
-def detect_skew(
-    stage: "StageMetrics",
-    *,
-    max_over_median: float = 4.0,
-    min_tasks: int = 4,
-) -> list[SkewReport]:
+def detect_skew(stage: "StageMetrics") -> list[SkewReport]:
     """Score each metric's partition distribution; report those whose
-    max/median ratio crosses the threshold.
+    max/median ratio reaches :data:`SKEW_RATIO`.
 
-    Stages with fewer than ``min_tasks`` partitions are skipped: a 2-task
-    stage is trivially "skewed" by any imbalance, and repartitioning it is
-    rarely the right advice.
+    Stages with fewer than :data:`MIN_TASKS` partitions are skipped: a
+    2-task stage is trivially "skewed" by any imbalance, and repartitioning
+    it is rarely the right advice.
     """
     reports: list[SkewReport] = []
     for metric in SKEW_METRICS:
         dist = stage_distribution(stage, metric)
-        if len(dist) < min_tasks:
+        if len(dist) < MIN_TASKS:
             continue
         values = list(dist.values())
         med = median(values)
@@ -176,7 +182,7 @@ def detect_skew(
         # a zero median with a non-zero max is infinite skew; report it
         # with a finite sentinel ratio so the evidence stays JSON-clean
         ratio = peak / med if med > 0 else math.inf
-        if ratio >= max_over_median:
+        if ratio >= SKEW_RATIO:
             reports.append(
                 SkewReport(
                     stage_id=stage.stage_id,
@@ -193,27 +199,22 @@ def detect_skew(
     return reports
 
 
-def detect_stragglers(
-    stage: "StageMetrics",
-    *,
-    multiplier: float = 3.0,
-    min_seconds: float = 0.1,
-    min_tasks: int = 4,
-) -> list[StragglerReport]:
-    """Tasks whose duration exceeds ``multiplier`` x the stage median.
+def detect_stragglers(stage: "StageMetrics") -> list[StragglerReport]:
+    """Tasks whose duration reaches :data:`STRAGGLER_MULTIPLIER` x the
+    stage median.
 
-    ``min_seconds`` is an absolute floor: a 3 ms task in a 1 ms-median
-    stage is noise, not a straggler.
+    :data:`STRAGGLER_MIN_SECONDS` is an absolute floor: a 3 ms task in a
+    1 ms-median stage is noise, not a straggler.
     """
     succeeded = [t for t in stage.tasks if t.succeeded]
-    if len(succeeded) < min_tasks:
+    if len(succeeded) < MIN_TASKS:
         return []
     med = median([t.duration_seconds for t in succeeded])
     out: list[StragglerReport] = []
     for rec in succeeded:
-        if rec.duration_seconds < min_seconds:
+        if rec.duration_seconds < STRAGGLER_MIN_SECONDS:
             continue
-        if med > 0 and rec.duration_seconds >= multiplier * med:
+        if med > 0 and rec.duration_seconds >= STRAGGLER_MULTIPLIER * med:
             out.append(
                 StragglerReport(
                     stage_id=stage.stage_id,
@@ -287,49 +288,22 @@ class DiagnosticsListener(Listener):
     """Online skew/straggler detection on stage completion.
 
     For every completed stage this runs :func:`detect_skew` and
-    :func:`detect_stragglers` with the context's configured thresholds,
-    re-posts findings as typed bus events (so other listeners -- UI
+    :func:`detect_stragglers` at the module thresholds, re-posts findings as typed bus events (so other listeners -- UI
     progress, event log -- see them), and emits structured warnings.
     Reports accumulate for the life of the context; ``snapshot()`` serves
     the UI Diagnostics panel.
     """
 
-    def __init__(
-        self,
-        bus: "ListenerBus",
-        *,
-        skew_max_over_median: float = 4.0,
-        straggler_multiplier: float = 3.0,
-        straggler_min_seconds: float = 0.1,
-        min_tasks: int = 4,
-    ) -> None:
+    def __init__(self, bus: "ListenerBus") -> None:
         self._bus = bus
-        self.skew_max_over_median = skew_max_over_median
-        self.straggler_multiplier = straggler_multiplier
-        self.straggler_min_seconds = straggler_min_seconds
-        self.min_tasks = min_tasks
         self.skew_reports: list[SkewReport] = []
         self.straggler_reports: list[StragglerReport] = []
-
-    @classmethod
-    def from_config(cls, bus: "ListenerBus", config: "EngineConfig") -> "DiagnosticsListener":
-        return cls(
-            bus,
-            skew_max_over_median=config.skew_max_over_median,
-            straggler_multiplier=config.straggler_multiplier,
-            straggler_min_seconds=config.straggler_min_seconds,
-            min_tasks=config.diagnostics_min_tasks,
-        )
 
     def on_stage_completed(self, event: StageCompleted) -> None:
         stage = event.stage
         # dedupe per (stage, metric): retried stage attempts re-complete
         seen_skew = {(r.stage_id, r.metric) for r in self.skew_reports}
-        for report in detect_skew(
-            stage,
-            max_over_median=self.skew_max_over_median,
-            min_tasks=self.min_tasks,
-        ):
+        for report in detect_skew(stage):
             if (report.stage_id, report.metric) in seen_skew:
                 continue
             self.skew_reports.append(report)
@@ -355,12 +329,7 @@ class DiagnosticsListener(Listener):
         seen_straggler = {
             (r.stage_id, r.partition, r.attempt) for r in self.straggler_reports
         }
-        for report in detect_stragglers(
-            stage,
-            multiplier=self.straggler_multiplier,
-            min_seconds=self.straggler_min_seconds,
-            min_tasks=self.min_tasks,
-        ):
+        for report in detect_stragglers(stage):
             if (report.stage_id, report.partition, report.attempt) in seen_straggler:
                 continue
             self.straggler_reports.append(report)
@@ -396,6 +365,10 @@ class DiagnosticsListener(Listener):
 
 __all__ = [
     "SKEW_METRICS",
+    "SKEW_RATIO",
+    "STRAGGLER_MULTIPLIER",
+    "STRAGGLER_MIN_SECONDS",
+    "MIN_TASKS",
     "gini",
     "median",
     "stage_distribution",

@@ -21,7 +21,7 @@ this module answers *how did it get there*.  Three pieces:
   a configurable interval it snapshots the process registry, hands the
   *changed* samples to tick sinks (the event log's v5 ``series`` side
   channel), and runs tick hooks (the alert engine evaluates its rules
-  here).  ``Context(metrics_interval=...)`` / ``--metrics-interval``
+  here).  ``EngineConfig.metrics_interval`` / ``--metrics-interval``
   own its lifecycle; :meth:`MetricsSampler.stop` joins the thread with
   a bounded timeout so contexts never leak it across tests.
 

@@ -132,13 +132,16 @@ class TestSpeculationPolicy:
         assert policy.ready(6, 8)
 
     def test_from_config(self):
-        config = EngineConfig(speculation_multiplier=3.0,
-                              speculation_min_runtime=0.2,
-                              speculation_quantile=0.5)
-        policy = SpeculationPolicy.from_config(config)
+        # speculation_enabled installs the default policy; nothing else
+        # in the config shapes it
+        config = EngineConfig(speculation_enabled=True)
+        with Context(config) as ctx:
+            policy = ctx.adaptive.speculation
         assert (policy.multiplier, policy.min_runtime, policy.quantile) == (
-            3.0, 0.2, 0.5
+            2.0, 0.1, 0.75
         )
+        with Context(EngineConfig()) as ctx:
+            assert ctx.adaptive.speculation is None
 
 
 # -- cross-backend bit-equivalence -------------------------------------------
@@ -201,11 +204,12 @@ def test_speculative_twin_wins_and_commits_exactly_once():
     config = EngineConfig(
         backend="threads", num_executors=2, executor_cores=2,
         default_parallelism=4, speculation_enabled=True,
-        speculation_multiplier=2.0, speculation_min_runtime=0.05,
-        speculation_quantile=0.5,
     )
     hot = 6
     with Context(config) as ctx:
+        ctx.adaptive.speculation = SpeculationPolicy(
+            multiplier=2.0, min_runtime=0.05, quantile=0.5
+        )
         seen = ctx.accumulator(0)
 
         def compute(split, it):
@@ -251,9 +255,9 @@ def test_speculation_disabled_on_serial_backend():
     config = EngineConfig(
         backend="serial", num_executors=1, executor_cores=1,
         default_parallelism=1, speculation_enabled=True,
-        speculation_min_runtime=0.0,
     )
     with Context(config) as ctx:
+        ctx.adaptive.speculation = SpeculationPolicy(min_runtime=0.0)
         assert ctx.parallelize(range(10), 4).map(lambda x: x + 1).collect() == [
             x + 1 for x in range(10)
         ]
@@ -317,10 +321,12 @@ def test_eventlog_roundtrips_speculative_flag(tmp_path):
     config = EngineConfig(
         backend="threads", num_executors=2, executor_cores=2,
         default_parallelism=4, speculation_enabled=True,
-        speculation_multiplier=2.0, speculation_min_runtime=0.05,
-        speculation_quantile=0.5,
     )
     with Context(config, event_log_path=path) as ctx:
+        ctx.adaptive.speculation = SpeculationPolicy(
+            multiplier=2.0, min_runtime=0.05, quantile=0.5
+        )
+
         def compute(split, it):
             tc = current_task_context()
             if tc.partition == 3 and not tc.speculative:
@@ -363,7 +369,8 @@ def test_advisor_recommends_enabling_adaptive():
             .partition_by(8).map_values(slow_value).collect())
         jobs = ctx.metrics.jobs_snapshot()
     off = diagnose(jobs, adaptive=False)
-    assert any(r.rule == "enable-adaptive-execution" for r in off)
+    (rec,) = [r for r in off if r.rule == "enable-adaptive-execution"]
+    assert "--adaptive" in rec.action and "spark." not in rec.action
     on = diagnose(jobs, adaptive=True)
     assert not any(r.rule == "enable-adaptive-execution" for r in on)
     unknown = diagnose(jobs)  # provenance unknown: stay quiet
@@ -376,7 +383,7 @@ def test_advisor_straggler_copy_mentions_speculation():
 
     source = inspect.getsource(advisor.rule_stragglers)
     assert "speculative retry unavailable" not in source
-    assert "spark.speculation" in source
+    assert "speculation_enabled" in source
 
 
 # -- explain() annotations -----------------------------------------------------
@@ -392,38 +399,7 @@ def test_explain_annotates_adaptive_decisions():
         assert "<adaptive:" in after and "split" in after
 
 
-# -- config aliases and CLI flags ---------------------------------------------
-
-
-def test_spark_conf_aliases():
-    config = EngineConfig()
-    config.set("spark.sql.adaptive.enabled", "true")
-    assert config.adaptive_enabled is True
-    config.set("spark.adaptive.enabled", "false")
-    assert config.adaptive_enabled is False
-    config.set("spark.speculation", "true")
-    assert config.speculation_enabled is True
-    config.set("spark.speculation.multiplier", "3.5")
-    assert config.speculation_multiplier == 3.5
-    config.set("spark.speculation.minTaskRuntime", "0.25")
-    assert config.speculation_min_runtime == 0.25
-    config.set("spark.speculation.quantile", "0.9")
-    assert config.speculation_quantile == 0.9
-    config.set("spark.adaptive.maxSplits", "4")
-    assert config.adaptive_max_splits == 4
-    config.set("spark.adaptive.coalesceRatio", "0.1")
-    assert config.adaptive_coalesce_ratio == 0.1
-
-
-def test_config_validation_rejects_bad_adaptive_values():
-    with pytest.raises(ValueError):
-        EngineConfig(adaptive_max_splits=0)
-    with pytest.raises(ValueError):
-        EngineConfig(adaptive_coalesce_ratio=1.5)
-    with pytest.raises(ValueError):
-        EngineConfig(speculation_multiplier=0.5)
-    with pytest.raises(ValueError):
-        EngineConfig(speculation_quantile=0.0)
+# -- CLI flags -----------------------------------------------------------------
 
 
 def test_cli_adaptive_flags():

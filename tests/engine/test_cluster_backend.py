@@ -30,6 +30,7 @@ from repro.engine.cluster_backend import (
 )
 from repro.core.algorithms import DistributedSparkScore
 from repro.core.local import LocalSparkScore
+from repro.engine.adaptive import SpeculationPolicy
 from repro.engine.backends import unframe_result
 from repro.engine.context import Context
 from repro.engine.listener import (
@@ -374,11 +375,10 @@ class TestResidentBlockFailures:
 
     def test_speculative_twin_that_loses_registers_no_block(self, fresh_fleet):
         config, _ = fresh_fleet
-        config = config.copy(
-            speculation_enabled=True, speculation_multiplier=2.0,
-            speculation_min_runtime=0.05, speculation_quantile=0.5,
-        )
-        with Context(config) as ctx:
+        with Context(config.copy(speculation_enabled=True)) as ctx:
+            ctx.adaptive.speculation = SpeculationPolicy(
+                multiplier=2.0, min_runtime=0.05, quantile=0.5
+            )
             rdd = ctx.parallelize(range(40), 4).map_partitions_with_index(
                 _slow_hot_partition
             ).cache()

@@ -194,11 +194,14 @@ class TestConfig:
         with pytest.raises(ValueError):
             EngineConfig(heartbeat_timeout=-0.1)
 
-    def test_spark_aliases(self):
-        config = (
-            EngineConfig()
-            .set("spark.executor.heartbeatInterval", "0.25")
-            .set("spark.network.timeout", "12")
-        )
-        assert config.heartbeat_interval == 0.25
-        assert config.heartbeat_timeout == 12.0
+    def test_timeout_must_outlast_the_heartbeat(self):
+        # a busy worker heartbeats every interval, so a timeout no longer
+        # than that would declare every long task's executor lost
+        for timeout in (0.25, 0.5):
+            with pytest.raises(ValueError, match="heartbeat_timeout"):
+                EngineConfig(heartbeat_interval=0.5, heartbeat_timeout=timeout)
+        with pytest.raises(ValueError, match="heartbeat_timeout"):
+            EngineConfig().copy(heartbeat_timeout=0.1)
+        assert EngineConfig(heartbeat_interval=0.5, heartbeat_timeout=0.6)
+        assert EngineConfig(heartbeat_interval=0.5, heartbeat_timeout=0)
+        assert EngineConfig(heartbeat_interval=0, heartbeat_timeout=0.1)

@@ -276,9 +276,9 @@ class TestLiveHeartbeatLoss:
         config = EngineConfig(
             backend="threads", num_executors=1, executor_cores=1,
             default_parallelism=1, heartbeat_interval=0.05,
-            metrics_interval=0.02,
+            metrics_interval=0.02, alerts_enabled=True,
         )
-        with Context(config, alerts=True) as ctx:
+        with Context(config) as ctx:
             recorder = _Recorder()
             ctx.listener_bus.add_listener(recorder)
 
@@ -341,9 +341,9 @@ class TestLiveHeartbeatLoss:
         config = EngineConfig(
             backend="serial", num_executors=2, executor_cores=1,
             default_parallelism=2, heartbeat_interval=0.05,
-            metrics_interval=0.02,
+            metrics_interval=0.02, alerts_enabled=True,
         )
-        with Context(config, alerts=True) as ctx:
+        with Context(config) as ctx:
             ctx.parallelize(range(4), 2).sum()
             time.sleep(0.8)  # well past the absence window, all idle
             assert [

@@ -11,7 +11,7 @@ from repro.engine.listener import (
     StageSkewDetected,
     StragglerDetected,
 )
-from repro.engine.metrics import StageMetrics, TaskMetrics, TaskRecord
+from repro.engine.metrics import JobMetrics, StageMetrics, TaskMetrics, TaskRecord
 from repro.obs.diagnostics import (
     CachePressureReport,
     DiagnosticsListener,
@@ -78,7 +78,7 @@ class TestDetectSkew:
             durations=[0.1] * 7 + [1.0],
             records=[10] * 7 + [500],
         )
-        reports = detect_skew(stage, max_over_median=4.0)
+        reports = detect_skew(stage)
         by_metric = {r.metric: r for r in reports}
         assert "duration" in by_metric and "records" in by_metric
         dur = by_metric["duration"]
@@ -88,7 +88,7 @@ class TestDetectSkew:
 
     def test_min_tasks_guard(self):
         stage = make_stage([0.1, 1.0])
-        assert detect_skew(stage, min_tasks=4) == []
+        assert detect_skew(stage) == []  # MIN_TASKS is 4
 
     def test_zero_median_reports_finite_sentinel(self):
         stage = make_stage([0.1] * 8, records=[0] * 7 + [100])
@@ -116,18 +116,18 @@ class TestDetectSkew:
 class TestDetectStragglers:
     def test_flags_the_slow_task(self):
         stage = make_stage([0.2] * 7 + [1.0])
-        (report,) = detect_stragglers(stage, multiplier=3.0, min_seconds=0.1)
+        (report,) = detect_stragglers(stage)
         assert report.partition == 7
         assert report.ratio == pytest.approx(5.0)
         assert report.median_seconds == pytest.approx(0.2)
 
     def test_absolute_floor_silences_fast_stages(self):
         stage = make_stage([0.001] * 7 + [0.01])
-        assert detect_stragglers(stage, min_seconds=0.1) == []
+        assert detect_stragglers(stage) == []
 
     def test_min_tasks_guard(self):
         stage = make_stage([0.1, 0.1, 1.0])
-        assert detect_stragglers(stage, min_tasks=4) == []
+        assert detect_stragglers(stage) == []
 
 
 class TestCachePressure:
@@ -162,9 +162,7 @@ class TestDiagnosticsListener:
         collected = bus.add_listener(
             CollectingListener(StageSkewDetected, StragglerDetected)
         )
-        diag = DiagnosticsListener(
-            bus, skew_max_over_median=4.0, straggler_min_seconds=0.05
-        )
+        diag = DiagnosticsListener(bus)
         bus.add_listener(diag)
         bus.post(self._completed(make_stage([0.1] * 7 + [1.0])))
         skew_events = collected.of(StageSkewDetected)
@@ -178,9 +176,7 @@ class TestDiagnosticsListener:
 
     def test_stage_retry_does_not_duplicate(self):
         bus = ListenerBus()
-        diag = bus.add_listener(
-            DiagnosticsListener(bus, straggler_min_seconds=0.05)
-        )
+        diag = bus.add_listener(DiagnosticsListener(bus))
         stage = make_stage([0.1] * 7 + [1.0])
         bus.post(self._completed(stage))
         bus.post(self._completed(stage))
@@ -193,3 +189,26 @@ class TestDiagnosticsListener:
         snap = diag.snapshot()
         assert set(snap) == {"skew", "stragglers", "cache_pressure"}
         assert snap["skew"] == []
+
+
+class TestOneThreshold:
+    def test_online_offline_and_aqe_share_the_skew_ratio(self):
+        from repro.engine import adaptive
+        from repro.obs import diagnostics
+        from repro.obs.advisor import diagnose
+
+        assert adaptive.SKEW_RATIO is diagnostics.SKEW_RATIO
+        assert adaptive.MIN_TASKS is diagnostics.MIN_TASKS
+        # a stage exactly at the ratio is skewed for the live listener and
+        # for doctor alike; just under it, for neither
+        at = [0.1] * 7 + [0.1 * diagnostics.SKEW_RATIO]
+        under = [0.1] * 7 + [0.1 * diagnostics.SKEW_RATIO * 0.95]
+        for durations, skewed in ((at, True), (under, False)):
+            stage = make_stage(durations)
+            bus = ListenerBus()
+            diag = bus.add_listener(DiagnosticsListener(bus))
+            bus.post(StageCompleted(stage=stage, job_id=0))
+            assert bool(diag.skew_reports) is skewed
+            job = JobMetrics(job_id=0, description="j", stages=[stage])
+            rules = {r.rule for r in diagnose([job], cache=CachePressureReport())}
+            assert ("repartition-skewed-stage" in rules) is skewed

@@ -328,7 +328,7 @@ class TestFleetSurfaces:
         cluster-resident history into the post-mortem bundle."""
         from repro.obs.flightrecorder import load_bundle
 
-        with Context(_cluster_config(), flight_recorder=str(tmp_path)) as ctx:
+        with Context(_cluster_config(flight_recorder_dir=str(tmp_path))) as ctx:
             with pytest.raises(Exception, match="boom"):
                 ctx.parallelize(range(4), 4).map(_raise_boom).collect()
             (path,) = ctx.flight_recorder.bundles

@@ -25,14 +25,11 @@ def _failing_ctx(backend, out_dir, **overrides):
     """A context whose partition 2 always fails (no retries left)."""
     config = EngineConfig(
         backend=backend, num_executors=2, executor_cores=2,
-        default_parallelism=4, max_task_retries=0, **overrides,
+        default_parallelism=4, max_task_retries=0,
+        flight_recorder_dir=str(out_dir), **overrides,
     )
     plan = FaultPlan(fail_partition_attempts={2: 99})
-    return Context(
-        config,
-        fault_injector=FaultInjector(plan),
-        flight_recorder=str(out_dir),
-    )
+    return Context(config, fault_injector=FaultInjector(plan))
 
 
 class TestBundleOnFailure:
@@ -116,8 +113,9 @@ class TestBundleOnFailure:
 
     def test_successful_jobs_write_nothing(self, tmp_path):
         config = EngineConfig(backend="serial", num_executors=2,
-                              executor_cores=2, default_parallelism=4)
-        with Context(config, flight_recorder=str(tmp_path)) as ctx:
+                              executor_cores=2, default_parallelism=4,
+                              flight_recorder_dir=str(tmp_path))
+        with Context(config) as ctx:
             assert ctx.parallelize(range(8), 4).sum() == 28
             assert ctx.flight_recorder.bundles == []
         assert glob.glob(str(tmp_path / "*.json")) == []

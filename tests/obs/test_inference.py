@@ -245,20 +245,6 @@ class TestPolicyConfig:
             "alpha", "ci", "min_replicates",
         ]
 
-    def test_spark_style_aliases(self):
-        config = EngineConfig(
-            backend="serial", num_executors=1, executor_cores=1,
-            default_parallelism=1,
-        )
-        config.set("spark.inference.earlyStop", "true")
-        config.set("spark.inference.alpha", "0.01")
-        config.set("spark.inference.ci", "clopper-pearson")
-        config.set("spark.inference.minReplicates", "128")
-        assert config.inference_early_stop is True
-        assert config.inference_alpha == 0.01
-        assert config.inference_ci == "clopper-pearson"
-        assert config.inference_min_replicates == 128
-
     def test_validation(self):
         base = dict(
             backend="serial", num_executors=1, executor_cores=1,
@@ -387,6 +373,7 @@ class TestAdvisorRules:
             jobs=[], inference=[early, final],
         ))
         assert "--early-stop" in rec.action
+        assert "inference_early_stop" in rec.action and "spark." not in rec.action
         assert rec.evidence["replicates_past_decisiveness"] == 4096 - 512
 
     def test_enable_early_stop_silent_when_already_on(self):

@@ -179,9 +179,9 @@ class TestMonitoringEndpoints:
         config = EngineConfig(
             backend="threads", num_executors=2, executor_cores=2,
             default_parallelism=4, heartbeat_interval=0.05,
-            metrics_interval=0.02,
+            metrics_interval=0.02, alerts_enabled=True,
         )
-        with Context(config, ui_port=0, alerts=True) as ctx:
+        with Context(config, ui_port=0) as ctx:
             yield ctx
 
     def test_timeseries_disabled_without_sampler(self, ui_ctx):

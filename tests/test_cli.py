@@ -87,12 +87,10 @@ class TestAnalyze:
 
 
 class TestOneShotClusterRun:
-    @pytest.mark.parametrize("backend", ["cluster", "processes"])
-    def test_exits_clean_and_matches_serial(self, backend, dataset_dir, tmp_path):
+    def test_exits_clean_and_matches_serial(self, dataset_dir, tmp_path):
         """Regression: nothing stopped the in-process cluster at interpreter
         exit, so a one-shot run leaked its transport's shared memory and
-        the resource tracker said so on stderr.  ``processes`` is the same
-        backend under its other spelling."""
+        the resource tracker said so on stderr."""
         import glob
         import os
         import subprocess
@@ -110,7 +108,7 @@ class TestOneShotClusterRun:
         env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
         done = subprocess.run(
             [sys.executable, "-m", "repro.cli", *analyze,
-             "--backend", backend, "--output", str(out_cluster)],
+             "--backend", "cluster", "--output", str(out_cluster)],
             env=env, capture_output=True, text=True, timeout=120,
         )
         assert done.returncode == 0, done.stderr
@@ -321,16 +319,6 @@ class TestDoctor:
         # warnings rank above the always-on sizing info
         assert recs[-1]["rule"] == "container-sizing"
 
-    def test_thresholds_are_flags(self, capsys):
-        rc = main(["doctor", self.FIXTURE, "--json", "--skew-ratio", "100",
-                   "--straggler-multiplier", "100"])
-        assert rc == 0
-        import json
-
-        rules = {r["rule"] for r in json.loads(capsys.readouterr().out)}
-        assert "repartition-skewed-stage" not in rules
-        assert "stragglers" not in rules
-
     def test_directory_scan_skips_foreign_jsonl(self, tmp_path, capsys):
         import shutil
 
@@ -419,6 +407,38 @@ class TestMonitoringFlags:
             main(["analyze", dataset_dir, "--method", "monte-carlo",
                   "--iterations", "32", "--metrics-interval", "0.1"])
 
+    def test_one_error_names_every_distributed_flag(self, dataset_dir, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", dataset_dir, "--iterations", "8",
+                  "--event-log", str(tmp_path / "e.jsonl"), "--adaptive",
+                  "--log-level", "debug", "--metrics-interval", "0",
+                  "--flight-recorder", str(tmp_path), "--ui-port", "0"])
+        message = str(exc.value)
+        assert "--engine distributed" in message
+        for flag in ("--event-log", "--adaptive", "--log-level",
+                     "--metrics-interval", "--flight-recorder", "--ui-port"):
+            assert flag in message
+        # forcing a feature off asks the local engine for nothing
+        assert main(["analyze", dataset_dir, "--method", "observed",
+                     "--no-adaptive", "--no-early-stop"]) == 0
+
+    def test_flags_land_in_the_context_config(self, dataset_dir, tmp_path):
+        from repro.cli import _load_analysis, build_parser
+
+        args = build_parser().parse_args([
+            "analyze", dataset_dir, "--engine", "distributed",
+            "--backend", "serial", "--log-level", "warning",
+            "--metrics-interval", "0.5", "--alerts",
+            "--flight-recorder", str(tmp_path), "--no-progress",
+        ])
+        with _load_analysis(args) as analysis:
+            config = analysis.ctx.config
+            assert config.log_level == "warning"
+            assert config.metrics_interval == 0.5
+            assert config.alerts_enabled is True
+            assert config.flight_recorder_dir == str(tmp_path)
+            assert analysis.ctx.flight_recorder is not None
+
 
 class TestPostmortem:
     @pytest.fixture
@@ -431,10 +451,9 @@ class TestPostmortem:
         out = tmp_path_factory.mktemp("bundles")
         config = EngineConfig(backend="serial", num_executors=2,
                               executor_cores=2, default_parallelism=4,
-                              max_task_retries=0)
+                              max_task_retries=0, flight_recorder_dir=str(out))
         plan = FaultPlan(fail_partition_attempts={2: 99})
-        with Context(config, fault_injector=FaultInjector(plan),
-                     flight_recorder=str(out)) as ctx:
+        with Context(config, fault_injector=FaultInjector(plan)) as ctx:
             with pytest.raises(JobFailedError):
                 ctx.parallelize(range(16), 4).sum()
         return str(out)
