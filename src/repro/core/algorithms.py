@@ -4,29 +4,36 @@ Two flavors of the same pipeline:
 
 - ``"paper"`` -- record-per-SNP RDDs and an explicit weights *join*,
   transcribing Algorithm 1 step by step (including the filter against the
-  union of SNP-sets and the broadcast of the phenotype pairs);
+  union of SNP-sets and the broadcast of the phenotype pairs).  Records are
+  one per SNP wherever the pipeline moves or keys them (filter, join,
+  ``reduce_by_key``); its kernels stack up to :data:`CHUNK_ROWS`
+  consecutive records of a partition into one NumPy call and hand the
+  per-SNP records back;
 - ``"vectorized"`` -- record-per-block RDDs (:class:`~repro.core.blocks.SnpBlock`)
   with broadcast weights, trading fidelity for NumPy batching.  Both
   produce identical statistics.
 
-Where the genotypes come from is the other axis.  Given ``input_paths`` the
-executors read the genotype file themselves: the paper flavor parses each
-split line by line into per-SNP records (Algorithm 1 step 3, re-parsed by
-every uncached pass); the vectorized flavor hands each split's *bytes* to
-``parse_genotype_text`` and persists the int8 blocks cut from the result, so
-the file is parsed once per fleet -- the blocks, like the cached ``U``, are
-resident in the workers under a lineage fingerprint that folds the file's
-size and mtime and the content of the weight/set broadcast.  Without
+Where the genotypes come from is the other axis, and both flavors start
+from the same ``(snp_ids, matrix)`` chunks.  Given ``input_paths`` the
+executors read the genotype file themselves: each split's *bytes* go to
+``parse_genotype_text`` and every row is checked there, so a bad line is a
+``FormatError`` naming the file and the line on either flavor.  Without
 ``input_paths`` the in-memory matrix is parallelized as one slice per
-partition.  Either way the vectorized flavor has one record shape going in,
-``(snp_ids, matrix)`` chunks, and one block builder.
+partition.  The paper flavor flat-maps the chunks into per-SNP records
+(Algorithm 1 step 3, re-parsed by every uncached pass); the vectorized
+flavor cuts blocks from them with one builder and, on the file route,
+persists the int8 blocks, so the file is parsed once per fleet -- the
+blocks, like the cached ``U``, are resident in the workers under a lineage
+fingerprint that folds the file's size and mtime and the content of the
+weight/set broadcast.
 
 Monte Carlo (Algorithm 3) caches the contributions RDD and reuses it for
 every replicate batch; permutation (Algorithm 2) re-runs the scoring
 pipeline per replicate *batch*, amortizing DAG-build/scheduling overhead
 the same way the MC multiplier batches do.  What a batch re-broadcasts is
 where the flavors part: the paper flavor ships refit models and recomputes
-every contribution row under each -- Algorithm 2 as written, the shape the
+every contribution row under each (one ``contributions`` call per model per
+chunk) -- Algorithm 2 as written, the shape the
 simulator's cost model charges, and the referee for the other flavor; the
 vectorized flavor ships the ``(b, n)`` array of permuted
 :meth:`~repro.stats.score.base.ScoreModel.score_weights`, and a block's
@@ -46,6 +53,7 @@ batch instead of per-partition ``(batch, K)`` stat matrices.
 
 from __future__ import annotations
 
+import itertools
 import time
 from typing import TYPE_CHECKING
 
@@ -55,7 +63,7 @@ from repro.core import instrumentation
 from repro.core.blocks import SnpBlock, SnpLookup
 from repro.core.results import ResamplingResult
 from repro.genomics.io.dataset_io import GENOTYPES_FILE, SNPSETS_FILE, parse_genotype_rows
-from repro.genomics.io.formats import FormatError, parse_genotype_line, parse_weight_line
+from repro.genomics.io.formats import FormatError, parse_weight_line
 from repro.genomics.synthetic import Dataset
 from repro.stats.resampling import streams
 from repro.stats.resampling.driver import exceedances, resample
@@ -68,6 +76,11 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.engine.rdd import RDD
 
 FLAVORS = ("paper", "vectorized")
+
+#: Rows a paper-flavor kernel stacks into one NumPy call.  Not a parameter:
+#: it trades per-call overhead against the stacked copies a task holds at
+#: once, and DESIGN.md §17 has the measurements it was picked from.
+CHUNK_ROWS = 64
 
 
 # ---------------------------------------------------------------------------
@@ -88,11 +101,19 @@ def _mul_pair(uw):
     return uw[0] * uw[1]
 
 
-class _ParseGenotypesFn:
-    """Per-partition text parse of genotype lines."""
+def _chunked(records):
+    """``(snp_id, row)`` records -> ``(ids, stacked rows)``, up to
+    :data:`CHUNK_ROWS` consecutive records at a time."""
+    records = iter(records)
+    while chunk := list(itertools.islice(records, CHUNK_ROWS)):
+        ids, rows = zip(*chunk)
+        yield ids, np.stack(rows)
 
-    def __call__(self, it):
-        return (parse_genotype_line(line) for line in it if line)
+
+def _snp_records(chunk):
+    """A ``(snp_ids, matrix)`` chunk -> its ``(snp_id, row)`` records."""
+    snp_ids, matrix = chunk
+    return zip(snp_ids.tolist(), matrix)
 
 
 class _ParseWeightsFn:
@@ -151,14 +172,17 @@ class _BuildBlocksFn:
                 )
 
 
-class _RowContributionsFn:
-    """Per-SNP contribution row under the broadcast model (paper flavor)."""
+class _ChunkContributionsFn:
+    """Per-SNP contribution rows under the broadcast model, one
+    ``contributions`` call per chunk (paper flavor)."""
 
     def __init__(self, model_bc) -> None:
         self.model_bc = model_bc
 
-    def __call__(self, g):
-        return self.model_bc.value.contributions(np.asarray(g, dtype=np.float64))[0]
+    def __call__(self, records):
+        model = self.model_bc.value
+        for ids, rows in _chunked(records):
+            yield from zip(ids, model.contributions(rows))
 
 
 class _BlockContributionsFn:
@@ -193,14 +217,17 @@ class _ObservedBlockPartialFn:
         return block.skat_partial(block.genotypes.sum(axis=1)), [block.snp_ids]
 
 
-class _McRowInnersFn:
-    """(batch,) squared scores of one SNP row under MC multipliers."""
+class _McChunkInnersFn:
+    """(batch,) squared scores per SNP row under MC multipliers, one GEMM
+    per chunk (paper flavor)."""
 
     def __init__(self, z_bc) -> None:
         self.z_bc = z_bc
 
-    def __call__(self, row):
-        return np.square(self.z_bc.value @ row)
+    def __call__(self, records):
+        z = self.z_bc.value
+        for ids, rows in _chunked(records):
+            yield from zip(ids, np.square(rows @ z.T))
 
 
 class _McBlockPartialFn:
@@ -213,20 +240,20 @@ class _McBlockPartialFn:
         return block.skat_partial(self.z_bc.value @ block.genotypes.T)
 
 
-class _PermutedRowInnersFn:
-    """(batch,) squared score sums of one SNP row under permuted models."""
+class _PermutedChunkInnersFn:
+    """(batch,) squared score sums per SNP row under permuted models, one
+    ``contributions`` call per model per chunk (paper flavor)."""
 
     def __init__(self, models_bc) -> None:
         self.models_bc = models_bc
 
-    def __call__(self, g):
-        g_arr = np.asarray(g, dtype=np.float64)
-        return np.array(
-            [
-                float(np.sum(model.contributions(g_arr)[0])) ** 2
-                for model in self.models_bc.value
-            ]
-        )
+    def __call__(self, records):
+        models = self.models_bc.value
+        for ids, rows in _chunked(records):
+            rows = rows.astype(np.float64)
+            # column r: every row's score under replicate r's refit model
+            sums = np.stack([model.contributions(rows).sum(axis=1) for model in models], axis=1)
+            yield from zip(ids, np.square(sums))
 
 
 class _PermutedBlockPartialsFn:
@@ -316,11 +343,12 @@ class DistributedSparkScore:
     input_paths:
         ``{"genotypes": path, "weights": path}`` text files (local or
         ``hdfs://``) the executors read themselves (see module docstring).
-        The vectorized flavor checks every row in the task that parses it
-        (a :class:`~repro.genomics.io.formats.FormatError` names the file
-        and the line) and, in the driver, the SNP ids the observed pass
-        scored against the SNP-sets; the paper flavor parses line by line,
-        re-parses on every uncached pass and checks neither.
+        Both flavors check every row in the task that parses its split (a
+        :class:`~repro.genomics.io.formats.FormatError` names the file and
+        the line).  The vectorized flavor also holds, in the driver, the
+        SNP ids the observed pass scored against the SNP-sets; the paper
+        flavor makes no such cross-split check and re-parses on every
+        uncached pass.
     flavor:
         ``"paper"`` or ``"vectorized"`` (see module docstring).
     join_strategy:
@@ -378,38 +406,38 @@ class DistributedSparkScore:
     # -- input RDDs ------------------------------------------------------------
 
     def _build_genotype_rdd(self, input_paths: dict[str, str] | None) -> "RDD":
+        """``(snp_ids, matrix)`` chunks, then the flavor's records: per-SNP
+        rows (paper) or :class:`SnpBlock` s (vectorized)."""
         ctx = self.ctx
+        if input_paths is not None:
+            splits = ctx.text_file(input_paths["genotypes"], self.num_partitions).splits()
+            chunks = splits.map(_ParseSplitFn(self.dataset.n_patients))
+        else:
+            genotypes = self.dataset.genotypes
+            bounds = [
+                (i * genotypes.n_snps) // self.num_partitions
+                for i in range(self.num_partitions + 1)
+            ]
+            chunks = ctx.parallelize(
+                [
+                    (genotypes.snp_ids[lo:hi], genotypes.matrix[lo:hi])
+                    for lo, hi in zip(bounds, bounds[1:])
+                ],
+                self.num_partitions,
+            )
+            chunks.name = "gm_chunks"
         if self.flavor == "paper":
-            if input_paths is not None:
-                lines = ctx.text_file(input_paths["genotypes"], self.num_partitions)
-                rows = lines.map_partitions(_ParseGenotypesFn(), name="parse_gm")
-            else:
-                rows = ctx.parallelize(list(self.dataset.genotypes.rows()), self.num_partitions)
-                rows.name = "gm_rows"
+            rows = chunks.flat_map(_snp_records)
+            rows.name = "gm_rows"
             # Algorithm 1 step 5: filter against the union of the SNP-sets
             filtered = rows.filter(_InUnionFn(self._union_set_bc))
             filtered.name = "fgm"
             return filtered
-        build = _BuildBlocksFn(self._lookup_bc, self.block_size)
-        if input_paths is not None:
-            splits = ctx.text_file(input_paths["genotypes"], self.num_partitions).splits()
-            chunks = splits.map(_ParseSplitFn(self.dataset.n_patients))
-            # parsed once per fleet: int8, an eighth of the U they become
-            return chunks.map_partitions(build, name="gm_blocks").persist()
-        genotypes = self.dataset.genotypes
-        bounds = [
-            (i * genotypes.n_snps) // self.num_partitions
-            for i in range(self.num_partitions + 1)
-        ]
-        chunks = ctx.parallelize(
-            [
-                (genotypes.snp_ids[lo:hi], genotypes.matrix[lo:hi])
-                for lo, hi in zip(bounds, bounds[1:])
-            ],
-            self.num_partitions,
+        blocks = chunks.map_partitions(
+            _BuildBlocksFn(self._lookup_bc, self.block_size), name="gm_blocks"
         )
-        chunks.name = "gm_chunks"
-        return chunks.map_partitions(build, name="gm_blocks")
+        # parsed once per fleet: int8, an eighth of the U they become
+        return blocks.persist() if input_paths is not None else blocks
 
     def _build_weights_rdd(self, input_paths: dict[str, str] | None) -> "RDD | None":
         if self.flavor != "paper" or self.join_strategy != "rdd_join":
@@ -435,7 +463,9 @@ class DistributedSparkScore:
         if self._u_rdd is not None and self._u_cached == cache:
             return self._u_rdd
         if self.flavor == "paper":
-            u = self._gm_rdd.map_values(_RowContributionsFn(self._model_bc))
+            u = self._gm_rdd.map_partitions(
+                _ChunkContributionsFn(self._model_bc), preserves_partitioning=True
+            )
         else:
             u = self._gm_rdd.map(_BlockContributionsFn(self._model_bc))
         u.name = "U"
@@ -565,17 +595,17 @@ class DistributedSparkScore:
         paper = self.flavor == "paper"
         if method == "monte_carlo":
             source, payload = self.contributions_rdd(cache_contributions), lambda z: z
-            kernel = _McRowInnersFn if paper else _McBlockPartialFn
+            kernel = _McChunkInnersFn if paper else _McBlockPartialFn
         elif paper:
             # re-broadcast a block of shuffled phenotypes (Alg. 2 step 2)
             # and recompute steps 6-12 of Algorithm 1 under each
-            source, kernel = self._gm_rdd, _PermutedRowInnersFn
+            source, kernel = self._gm_rdd, _PermutedChunkInnersFn
             payload = lambda perms: [self.model.permuted(perm) for perm in perms]
         else:
             # the shuffle only permutes the score weights: (b, n) float64
             source, kernel = self._gm_rdd, _PermutedBlockPartialsFn
             payload = self.model.score_weights().__getitem__
-        score = source.map_values if paper else source.map
+        score = source.map_partitions if paper else source.map
         monitor = self.ctx.inference.new_monitor(
             self._K, method, planned, list(self.dataset.snpsets.names)
         )

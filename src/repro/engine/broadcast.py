@@ -49,7 +49,9 @@ class Broadcast(Generic[T]):
 
     @property
     def value(self) -> T:
-        payload = self._payload  # read per record on the paper flavor: no extra call
+        # read per chunk by the paper flavor's kernels and per record by its
+        # filter and re-keying: no extra call
+        payload = self._payload
         if payload is None:
             raise BroadcastDestroyedError(f"broadcast {self.id} was destroyed")
         return payload.value

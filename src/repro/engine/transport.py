@@ -840,7 +840,7 @@ _WORKER_VALUES = _ValueMemo(_WORKER_VALUES_BUDGET)
 def _fetch_value(holder: "ByRef") -> Any:
     """Worker side of :class:`ByRef`: the value behind ``holder``'s ref.
 
-    Runs on every read (per record, on the paper flavor), so the hit path
+    Runs on every read (per chunk or per record, on the paper flavor), so the hit path
     is one memo lookup; a *warm* hit -- the holder's first read found the
     value already there -- is counted once per holder.  A memo miss fetches
     and unpickles; that time is moved from the running task's

@@ -8,7 +8,8 @@ Four files, mirroring Algorithm 1's inputs:
 - SNP-sets:        ``<set_name>\\t<snp_id_1>,<snp_id_2>,...``
 
 Line-level parse/format functions live in :mod:`repro.genomics.io.formats`
-(they are also the map functions of the engine's parse stage); whole-dataset
+(the weight parser is also the map function of the engine's weights
+stage; genotype splits are parsed whole, ``parse_genotype_text``); whole-dataset
 round trips in :mod:`repro.genomics.io.dataset_io` work against either a
 local directory or a :class:`~repro.hdfs.filesystem.MiniHDFS`.
 

@@ -1,8 +1,9 @@
 """Line-level (de)serialization for the four SparkScore input files.
 
 These functions are deliberately tiny and dependency-free on the write
-side; the genotype parser returns a NumPy vector because it doubles as the
-map function of the engine's parse stage (Algorithm 1, step 3).
+side; the genotype line parser returns a NumPy vector, the row
+:func:`parse_genotype_text` gives for that line when an engine task parses
+its whole split (Algorithm 1, step 3).
 
 Genotype text has one *canonical* shape -- ``<ascii digits>\t`` followed by
 single-digit dosages separated by commas, which is the only shape

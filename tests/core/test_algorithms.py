@@ -173,6 +173,50 @@ class TestPermutationKernelStructure:
         assert np.array_equal(paper.exceed_counts, vectorized.exceed_counts)
         assert np.array_equal(paper.exceed_counts, local.exceed_counts)
 
+    def test_paper_flavor_calls_contributions_once_per_chunk(self, small_dataset, calls):
+        """Records stay per SNP, but a kernel stacks up to 64 of a
+        partition's records into one call: ``sum_p ceil(rows_p / 64)`` calls
+        per pass, not one per SNP."""
+        J, P = small_dataset.n_snps, 4
+        bounds = [(i * J) // P for i in range(P + 1)]
+        chunks = sum(-(-(hi - lo) // 64) for lo, hi in zip(bounds, bounds[1:]))
+        assert chunks < J
+        with make_ctx(default_parallelism=P) as ctx:
+            scorer = DistributedSparkScore(ctx, small_dataset, flavor="paper")
+            scorer.observed_statistics(cache_contributions=False)
+            assert calls["contributions"] == chunks
+            scorer.permutation(32, seed=5, batch_size=16)
+        assert calls["permuted"] == 32
+        # two observed passes, then every chunk under each refit model
+        assert calls["contributions"] == 2 * chunks + 32 * chunks
+
+
+@pytest.mark.parametrize("parallelism", [1, 3, 7])
+class TestPaperChunksAcrossPartitionSizes:
+    """Partitions of 300, 100 and ~43 rows: full chunks, a short last
+    chunk, and partitions shorter than one chunk."""
+
+    @pytest.fixture(scope="class")
+    def local(self, small_dataset):
+        local = LocalSparkScore(small_dataset)
+        return local.monte_carlo(64, seed=3, batch_size=32), local.permutation(32, seed=3)
+
+    def test_counts_match_vectorized_and_local(self, small_dataset, local, parallelism):
+        local_mc, local_perm = local
+        results = {}
+        for flavor in ("paper", "vectorized"):
+            with make_ctx(default_parallelism=parallelism) as ctx:
+                scorer = DistributedSparkScore(ctx, small_dataset, flavor=flavor)
+                results[flavor] = [
+                    scorer.monte_carlo(64, seed=3, batch_size=32),
+                    scorer.monte_carlo(64, seed=3, batch_size=32, cache_contributions=False),
+                    scorer.permutation(32, seed=3),
+                ]
+        expected = [local_mc, local_mc, local_perm]
+        for paper, vectorized, reference in zip(results["paper"], results["vectorized"], expected):
+            assert np.array_equal(paper.exceed_counts, vectorized.exceed_counts)
+            assert np.array_equal(paper.exceed_counts, reference.exceed_counts)
+
 
 class TestTextInputPaths:
     def test_local_files_parse_stage(self, small_dataset, reference, tmp_path):

@@ -412,9 +412,18 @@ class TestLocatedErrors:
         assert line.startswith("sparkscore: error: ")
         assert re.search(message, line.removeprefix("sparkscore: error: "))
 
+    # (case, flavor); the vectorized ids are the bare case names
+    ENGINE_CASES = [pytest.param(case, "vectorized", id=case) for case in CASES] + [
+        pytest.param(case, "paper", id=f"{case}-paper")
+        for case in CASES
+        # the paper flavor makes no cross-split id check: a repeated id is
+        # joined and scored twice, not refused
+        if case != "repeated-id"
+    ]
+
     @pytest.mark.parametrize("backend", ["serial", "cluster"])
-    @pytest.mark.parametrize("broken", CASES, indirect=True)
-    def test_engine_tasks_name_file_and_line(self, broken, backend, request):
+    @pytest.mark.parametrize("broken, flavor", ENGINE_CASES, indirect=["broken"])
+    def test_engine_tasks_name_file_and_line(self, broken, flavor, backend, request):
         """The executors read the genotype file: the same ten messages from
         ``from_files(engine="distributed")``, the bad line met by one task
         attempt -- malformed input is not a fault to retry."""
@@ -427,7 +436,7 @@ class TestLocatedErrors:
             ctx.add_listener(ended)
             with pytest.raises(FormatError, match=message) as raised:
                 SparkScoreAnalysis.from_files(
-                    base, engine="distributed", ctx=ctx
+                    base, engine="distributed", ctx=ctx, flavor=flavor
                 ).monte_carlo(32, seed=1, batch_size=16)
             jobs = len(ctx.metrics.jobs)
         assert type(raised.value) is FormatError
