@@ -5,9 +5,8 @@
   loop with convergence monitoring;
 - algorithm flavor: the paper-faithful record-per-SNP pipeline vs the
   vectorized block pipeline (per-record overhead ablation);
-- weights join strategy: RDD join (Algorithm 1 step 9) vs broadcast map;
 - resampling vs asymptotic inference cost;
-- serial vs threads backend.
+- serial vs cluster backend.
 """
 
 from __future__ import annotations
@@ -85,23 +84,6 @@ class TestFlavorAblation:
         assert vec_t < paper_t
 
 
-class TestJoinStrategyAblation:
-    @pytest.mark.parametrize("strategy", ["rdd_join", "broadcast"])
-    def test_join_strategy(self, benchmark, live_dataset_small, strategy):
-        config = EngineConfig(
-            backend="serial", num_executors=2, executor_cores=2, default_parallelism=4
-        )
-
-        def run():
-            with Context(config) as ctx:
-                scorer = DistributedSparkScore(
-                    ctx, live_dataset_small, flavor="paper", join_strategy=strategy
-                )
-                return scorer.monte_carlo(10, seed=1, batch_size=10)
-
-        benchmark.pedantic(run, rounds=2, iterations=1)
-
-
 class TestInferenceCostComparison:
     def test_asymptotic(self, benchmark, live_dataset_small):
         local = LocalSparkScore(live_dataset_small)
@@ -117,7 +99,7 @@ class TestInferenceCostComparison:
 
 
 class TestBackendAblation:
-    @pytest.mark.parametrize("backend", ["serial", "threads"])
+    @pytest.mark.parametrize("backend", ["serial", "cluster"])
     def test_backend(self, benchmark, live_dataset, backend):
         config = EngineConfig(
             backend=backend, num_executors=2, executor_cores=2, default_parallelism=4

@@ -1,7 +1,7 @@
 """Backend shoot-out on the Monte Carlo resampling workload.
 
-Runs the same MC job under the serial, threads, and persistent cluster
-backends, asserts the statistics are bit-identical, and emits
+Runs the same MC job under the serial and persistent cluster backends,
+asserts the statistics are bit-identical, and emits
 ``BENCH_backends.json`` with wall-clock and driver-traffic numbers:
 
     PYTHONPATH=src python benchmarks/bench_backends.py --iterations 200
@@ -21,9 +21,9 @@ proportional to the payload is most of the wall if it is paid per stage.
 
 The adaptive (AQE) sweep runs a deliberately skewed shuffle -- one reduce
 bucket carrying ~11x the records, with fixed per-record work -- under a
-static plan and under the adaptive planner.  The planner splits the hot
-bucket along map boundaries at the stage boundary, so the tail spreads
-across all slots; results must stay bit-identical.  CI gates on
+static plan and under the adaptive planner, on the cluster backend.  The
+planner splits the hot bucket along map boundaries at the stage boundary,
+so the tail spreads across all slots; results must stay bit-identical.  CI gates on
 ``adaptive_wall <= 0.7 * static_wall``.
 """
 
@@ -42,7 +42,7 @@ from repro.core.local import LocalSparkScore
 from repro.engine.context import Context
 from repro.genomics.synthetic import SyntheticConfig, generate_dataset
 
-BACKENDS = ("serial", "threads", "cluster")
+BACKENDS = ("serial", "cluster")
 
 
 def run_backend(dataset, backend: str, args) -> dict:
@@ -167,7 +167,7 @@ def adaptive_sweep(args) -> dict:
 
     def run(adaptive: bool) -> tuple[list, float, dict]:
         config = EngineConfig(
-            backend="threads",
+            backend="cluster",
             num_executors=2,
             executor_cores=2,
             default_parallelism=4,

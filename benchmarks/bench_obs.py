@@ -31,13 +31,13 @@ Four legs, one report (``BENCH_obs.json``):
     PYTHONPATH=src python benchmarks/bench_obs.py
 
 Each job repeats inside one warm context and the minimum wall is kept,
-so pool spin-up doesn't pollute the comparison.  The skew leg models
-blocking (I/O-bound) tasks with ``time.sleep`` under the threads
-backend: sleeps yield exact per-task durations and overlap on any
-host, so the load-balancing win from repartitioning shows even on a
-single core, where CPU-bound tasks would just contend.  The overhead
-leg stays CPU-bound (numpy) under the cluster backend to price the
-worker-side log capture against real compute.
+so fleet spin-up doesn't pollute the comparison.  The skew leg models
+blocking (I/O-bound) tasks with ``time.sleep`` on the cluster backend:
+sleeps yield exact per-task durations and overlap on any host, so the
+load-balancing win from repartitioning shows even on a single core,
+where CPU-bound tasks would just contend.  The overhead leg stays
+CPU-bound (numpy) on the cluster backend to price the worker-side log
+capture against real compute.
 """
 
 from __future__ import annotations
@@ -165,7 +165,7 @@ def bench_skew_recovery(args) -> dict:
     per_part = 4
     items = [1] * (args.partitions - 1) * per_part + [args.heavy_units] * per_part
     task = _SimTask(args.sim_unit_ms / 1000.0)
-    config = _make_config(args, "threads")
+    config = _make_config(args, "cluster")
 
     with tempfile.TemporaryDirectory() as tmp:
         event_log = os.path.join(tmp, "skewed.jsonl")
@@ -327,10 +327,10 @@ def bench_postmortem_smoke(args) -> dict:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--overhead-backend", nargs="+",
-                        choices=["serial", "threads", "cluster"],
+                        choices=["serial", "cluster"],
                         default=["cluster"],
                         help="backend(s) for the overhead leg, each gated on "
-                             "the same budget (skew leg is threads)")
+                             "the same budget (skew leg is cluster)")
     parser.add_argument("--partitions", type=int, default=8)
     parser.add_argument("--executors", type=int, default=2)
     parser.add_argument("--cores", type=int, default=2)
@@ -356,15 +356,14 @@ def main(argv: list[str] | None = None) -> int:
         print(f"observability overhead ({backend}):")
         overhead_by_backend[backend] = bench_overhead(args, burn, backend)
     overhead = overhead_by_backend[args.overhead_backend[0]]
-    if "cluster" in overhead_by_backend:
-        # the overhead fleet served its purpose; later legs use their own
-        # backends and the report should not leak a running cluster
-        from repro.engine.cluster_backend import stop_all_clusters
-
-        stop_all_clusters()
 
     print("skew recovery:")
     recovery = bench_skew_recovery(args)
+    # the remaining legs run serial or local; the report should not leak a
+    # running cluster
+    from repro.engine.cluster_backend import stop_all_clusters
+
+    stop_all_clusters()
 
     print("inference convergence monitor:")
     inference = bench_inference_monitor(args)

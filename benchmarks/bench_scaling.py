@@ -1,7 +1,7 @@
 """Figure 6 / Table VI: strong scaling, plus the Table I hardware record.
 
-Live part: the same workload on 1, 2, and 4 executor-cores worth of thread
-parallelism -- more resources, same input.  Simulated part: the 1M-SNP
+Live part: the same workload on 1, 2, and 4 cluster worker processes --
+more resources, same input.  Simulated part: the 1M-SNP
 Monte Carlo workload on 6/12/18 simulated EMR nodes, reproducing the
 two-orders-of-magnitude gap the paper attributes to 18 nodes at 20
 iterations (the cached U RDD fits at 18 nodes and thrashes at 6 -- see
@@ -36,10 +36,10 @@ class TestTableI:
 
 
 class TestLiveStrongScaling:
-    @pytest.mark.parametrize("executors,cores", [(1, 1), (2, 2), (4, 2)])
-    def test_thread_scaling(self, benchmark, live_dataset, executors, cores):
+    @pytest.mark.parametrize("executors,cores", [(1, 1), (2, 1), (2, 2)])
+    def test_cluster_scaling(self, benchmark, live_dataset, executors, cores):
         config = EngineConfig(
-            backend="threads",
+            backend="cluster",
             num_executors=executors,
             executor_cores=cores,
             default_parallelism=executors * cores * 2,
@@ -53,11 +53,11 @@ class TestLiveStrongScaling:
         benchmark.pedantic(run, rounds=3, iterations=1)
 
     def test_more_slots_not_slower(self, benchmark, live_dataset):
-        """Sanity: 4x2 threads should not lose badly to 1x1 on real work."""
+        """Sanity: 2x2 workers should not lose badly to 1x1 on real work."""
 
         def timed(executors, cores):
             config = EngineConfig(
-                backend="threads",
+                backend="cluster",
                 num_executors=executors,
                 executor_cores=cores,
                 default_parallelism=8,
@@ -69,8 +69,8 @@ class TestLiveStrongScaling:
                 return time.perf_counter() - start
 
         single = timed(1, 1)
-        many = timed(4, 2)
-        benchmark.extra_info["live_speedup_4x2_vs_1x1"] = single / many
+        many = timed(2, 2)
+        benchmark.extra_info["live_speedup_2x2_vs_1x1"] = single / many
         benchmark(lambda: None)
         assert many < 3.0 * single  # engine overhead must not swamp the gain
 

@@ -56,7 +56,7 @@ def main() -> None:
         data,
         model=adjusted_model,
         engine="distributed",
-        config=EngineConfig(backend="threads", num_executors=3, executor_cores=2,
+        config=EngineConfig(backend="cluster", num_executors=2, executor_cores=2,
                             default_parallelism=6),
         flavor="vectorized",
     ) as dist:

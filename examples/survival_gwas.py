@@ -37,7 +37,7 @@ def main() -> None:
           f"blocks (replication {status.replication})")
 
     config = EngineConfig(
-        backend="threads", num_executors=4, executor_cores=2, default_parallelism=8
+        backend="serial", num_executors=4, executor_cores=2, default_parallelism=8
     )
     with Context(config, hdfs=fs) as ctx:
         analysis = SparkScoreAnalysis.from_files(

@@ -56,10 +56,9 @@ def _add_analyze(sub: argparse._SubParsersAction) -> None:
     p.add_argument("--batch-size", type=int, default=None,
                    help="replicates per engine pass (default: 64 monte-carlo, 16 permutation)")
     p.add_argument("--engine", choices=["local", "distributed"], default="local")
-    p.add_argument("--backend", choices=["serial", "threads", "cluster"],
-                   default="threads",
-                   help="where tasks run; 'cluster' is a fleet of persistent "
-                        "worker processes")
+    p.add_argument("--backend", choices=["serial", "cluster"], default="serial",
+                   help="where tasks run: inline on the driver thread, or on "
+                        "a fleet of persistent worker processes")
     p.add_argument("--cluster-address", default=None, metavar="HOST:PORT",
                    help="attach to an externally started cluster head "
                         "(sparkscore cluster start); implies --backend cluster")

@@ -25,8 +25,9 @@ class EngineConfig:
     the deployment and monitoring settings the CLI exposes.
     """
 
-    #: execution backend: "serial", "threads", or "cluster" (persistent
-    #: executor processes surviving across jobs and contexts)
+    #: execution backend: "serial" (inline on the driver thread) or
+    #: "cluster" (persistent executor processes surviving across jobs and
+    #: contexts)
     backend: str = "serial"
     #: number of executors (YARN containers); Experiment C varies this
     num_executors: int = 2
@@ -38,8 +39,10 @@ class EngineConfig:
     default_parallelism: int = 4
     #: maximum automatic retries for a failed task before failing the job
     max_task_retries: int = 3
-    #: seconds between executor heartbeats (0 disables the telemetry plane:
-    #: no hub thread, no heartbeat events, no timeout detection)
+    #: seconds between executor heartbeats on the cluster backend (0
+    #: disables the telemetry plane: no hub thread, no heartbeat events, no
+    #: timeout detection); a serial task runs on the driver thread, so the
+    #: serial backend has no heartbeats
     heartbeat_interval: float = 0.5
     #: seconds without a heartbeat from a busy executor before the driver
     #: declares it lost (``ExecutorTimedOut``); 0 disables timeout detection
@@ -102,6 +105,9 @@ class EngineConfig:
 
     def validate(self) -> None:
         """Raise :class:`ValueError` on inconsistent settings."""
+        # "threads" is a spelling of "serial" (see make_backend), kept only
+        # for benchmarks/e2e (``workloads.py`` runs ``paper_uncached_threads``
+        # on it); drop it in the next ``[benchmark]`` PR
         if self.backend not in ("serial", "threads", "cluster"):
             raise ValueError(f"unknown backend {self.backend!r}")
         if self.transport_scheme not in ("auto", "shm", "file", "tcp"):

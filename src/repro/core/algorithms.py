@@ -267,16 +267,6 @@ class _PermutedBlockPartialsFn:
         return block.skat_partial_rows(scores)
 
 
-class _BroadcastWeightFn:
-    """Map-side weight application (paper flavor, broadcast join strategy)."""
-
-    def __init__(self, w2_bc) -> None:
-        self.w2_bc = w2_bc
-
-    def __call__(self, kv):
-        return (kv[0], kv[1] * self.w2_bc.value[kv[0]])
-
-
 class _KeyBySetFn:
     """Re-key per-SNP scores by SNP-set index (Algorithm 1 step 11)."""
 
@@ -352,8 +342,9 @@ class DistributedSparkScore:
     flavor:
         ``"paper"`` or ``"vectorized"`` (see module docstring).
     join_strategy:
-        ``"rdd_join"`` joins the weights RDD per the paper; ``"broadcast"``
-        ships a weight dict with the tasks instead (paper flavor only).
+        Only ``"rdd_join"``: the paper flavor joins the weights RDD
+        (Algorithm 1 step 9).  Kept as a parameter for benchmarks/e2e, which
+        passes it; drop it in the next ``[benchmark]`` PR.
     """
 
     def __init__(
@@ -369,8 +360,8 @@ class DistributedSparkScore:
     ) -> None:
         if flavor not in FLAVORS:
             raise ValueError(f"flavor must be one of {FLAVORS}")
-        if join_strategy not in ("rdd_join", "broadcast"):
-            raise ValueError("join_strategy must be 'rdd_join' or 'broadcast'")
+        if join_strategy != "rdd_join":
+            raise ValueError(f"join_strategy must be 'rdd_join', not {join_strategy!r}")
         self.ctx = ctx
         self.dataset = dataset
         self.model = model or CoxScoreModel(dataset.phenotype)
@@ -378,7 +369,6 @@ class DistributedSparkScore:
             raise ValueError("model patients must match dataset")
         self.flavor = flavor
         self.block_size = block_size
-        self.join_strategy = join_strategy
         self.num_partitions = num_partitions or ctx.config.default_parallelism
         self._K = dataset.n_sets
 
@@ -387,9 +377,7 @@ class DistributedSparkScore:
         snp_ids = dataset.genotypes.snp_ids
         if flavor == "paper":
             set_map = {int(s): int(k) for s, k in zip(snp_ids, dataset.snpsets.set_ids)}
-            w2_map = {int(s): float(w) ** 2 for s, w in zip(snp_ids, dataset.weights)}
             self._set_map_bc = ctx.broadcast(set_map)
-            self._w2_map_bc = ctx.broadcast(w2_map)
             self._union_set_bc = ctx.broadcast(frozenset(set_map))
         else:
             self._lookup = SnpLookup.from_arrays(
@@ -440,7 +428,7 @@ class DistributedSparkScore:
         return blocks.persist() if input_paths is not None else blocks
 
     def _build_weights_rdd(self, input_paths: dict[str, str] | None) -> "RDD | None":
-        if self.flavor != "paper" or self.join_strategy != "rdd_join":
+        if self.flavor != "paper":
             return None
         ctx = self.ctx
         if input_paths is not None and "weights" in input_paths:
@@ -479,11 +467,8 @@ class DistributedSparkScore:
 
     def _per_set_scores(self, scored: "RDD") -> "RDD":
         """Weight join + per-set reduction for the paper flavor."""
-        if self.join_strategy == "rdd_join":
-            joined = scored.join(self._weights_rdd, num_partitions=self.num_partitions)
-            snp_scores = joined.map_values(_mul_pair)
-        else:
-            snp_scores = scored.map(_BroadcastWeightFn(self._w2_map_bc))
+        joined = scored.join(self._weights_rdd, num_partitions=self.num_partitions)
+        snp_scores = joined.map_values(_mul_pair)
         return snp_scores.map(_KeyBySetFn(self._set_map_bc)).reduce_by_key(
             _add, self.num_partitions
         )

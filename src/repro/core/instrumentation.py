@@ -51,8 +51,8 @@ SCORE_PASS_SECONDS = REGISTRY.histogram(
 # -- executor-side task instrumentation --------------------------------------
 #
 # These series are incremented *where the task runs*: directly in the
-# driver's registry under serial/threads, and in the worker process's
-# registry under the process backend -- from where they ship back with the
+# driver's registry under serial, and in the worker process's registry
+# under the cluster backend -- from where they ship back with the
 # task result as a registry delta and merge into the driver's registry
 # (see Registry.collect_delta / merge_delta).  Every backend therefore
 # exposes the same series names with consistent totals.

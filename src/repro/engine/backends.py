@@ -1,11 +1,8 @@
 """Execution backends: where task attempts actually run.
 
-- :class:`SerialBackend` -- deterministic in-line execution (default; the
-  reference for correctness tests).
-- :class:`ThreadBackend` -- a thread pool sized to the configured total
-  cores.  NumPy kernels release the GIL, so the score-statistic workload
-  gets real parallelism.
-- :class:`~repro.engine.cluster_backend.ClusterBackend` -- the one
+- :class:`SerialBackend` -- deterministic in-line execution on the driver
+  thread (default; the reference for correctness tests).
+- :class:`~repro.engine.cluster_backend.ClusterBackend` -- the parallel,
   process-isolated backend: a persistent fleet of worker processes.  A task
   envelope carries refs and its pre-fetched shuffle input, never partition
   or cache data; results, accumulator updates and the *metadata* of the
@@ -13,7 +10,7 @@
   :func:`_run_pickled_task`, which lives here with the rest of the
   worker-side task runner.
 
-Shared-state backends expose ``submit(fn, *args) -> Future``; the cluster
+The serial backend exposes ``submit(fn, *args) -> Future``; the cluster
 backend exposes ``submit_pickled(payload, executor_id, partition) -> Future``
 instead.
 
@@ -72,25 +69,6 @@ class SerialBackend:
 
     def shutdown(self) -> None:
         pass
-
-
-class ThreadBackend:
-    """Thread pool; shares the driver-side managers directly."""
-
-    name = "threads"
-    supports_shared_state = True
-
-    def __init__(self, config: "EngineConfig") -> None:
-        self.parallelism = max(1, config.total_cores)
-        self._pool = concurrent.futures.ThreadPoolExecutor(
-            max_workers=self.parallelism, thread_name_prefix="repro-task"
-        )
-
-    def submit(self, fn: Callable, *args: Any) -> concurrent.futures.Future:
-        return self._pool.submit(fn, *args)
-
-    def shutdown(self) -> None:
-        self._pool.shutdown(wait=True)
 
 
 #: worker-side memo of deserialized task binaries, keyed by the binary's
@@ -486,10 +464,11 @@ def shutdown_shared_pool() -> None:
 
 def make_backend(config: "EngineConfig"):
     """Instantiate the backend named in ``config.backend``."""
-    if config.backend == "serial":
+    # "threads" is a spelling of "serial", kept only for benchmarks/e2e
+    # (``paper_uncached_threads`` in workloads.py, a BENCHMARK.json path this
+    # repo may not edit); drop it in the next ``[benchmark]`` PR
+    if config.backend in ("serial", "threads"):
         return SerialBackend(config)
-    if config.backend == "threads":
-        return ThreadBackend(config)
     if config.backend == "cluster":
         from repro.engine.cluster_backend import ClusterBackend
 

@@ -1,7 +1,7 @@
 """Broadcast variables.
 
 A broadcast wraps a read-only value shipped once to every executor rather
-than with every task closure.  On the shared-state backends the win is
+than with every task closure.  On the serial backend the win is
 semantic fidelity plus metrics: the context records broadcast sizes so the
 cost model can charge network transfer, and ``unpersist``/``destroy``
 lifecycle matches Spark's.

@@ -29,7 +29,7 @@ class Context:
 
     Use as a context manager to guarantee backend shutdown::
 
-        with Context(EngineConfig(backend="threads", num_executors=4)) as ctx:
+        with Context(EngineConfig(backend="cluster", num_executors=4)) as ctx:
             ctx.parallelize(range(10)).map(str).collect()
     """
 
@@ -63,7 +63,7 @@ class Context:
         #: only the process-isolated cluster backend moves bytes across
         #: address spaces, and it owns the transport (which must outlive
         #: this context so warm workers keep their handles).  None on the
-        #: shared-state backends
+        #: serial backend
         self.transport = (
             None if self.backend.supports_shared_state else self.backend.transport
         )
@@ -209,9 +209,11 @@ class Context:
             self._ui = UIServer(self, port=ui_port)
             self._ui.start()
 
-        # heartbeat plane: liveness for busy executors + timeout monitor
+        # heartbeat plane: liveness for busy executors + timeout monitor.
+        # Cluster only: a serial task runs inline on the driver thread, so
+        # nothing could act on its timeout before it returned
         self.heartbeats = None
-        if self.config.heartbeat_interval > 0:
+        if self.config.heartbeat_interval > 0 and not self.backend.supports_shared_state:
             from repro.engine.heartbeat import HeartbeatHub
 
             self.heartbeats = HeartbeatHub(self)

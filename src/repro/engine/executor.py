@@ -52,9 +52,10 @@ class Executor:
     def suspend_heartbeats(self) -> None:
         """Stop reporting liveness while still (appearing to) run tasks.
 
-        Simulates a frozen/partitioned executor: the heartbeat hub stops
-        emitting on this executor's behalf, so the timeout monitor will
-        eventually declare it lost.  Used by fault drills and tests.
+        Simulates a frozen/partitioned executor: the driver's heartbeat hub
+        drops this executor's records on arrival, so the timeout monitor
+        will eventually declare it lost while its worker keeps running.
+        Used by fault drills and tests.
         """
         with self._lock:
             self._heartbeats_suspended = True

@@ -9,8 +9,7 @@ fires them from the task-launch hook.  Supported fault kinds:
   K-th task -- drops its cached blocks and shuffle outputs, exercising
   lineage recomputation and stage resubmission.
 
-All bookkeeping is thread-safe; the injector is shared across concurrently
-running tasks under the thread backend.
+All bookkeeping is thread-safe.
 """
 
 from __future__ import annotations

@@ -1,20 +1,14 @@
 """Executor heartbeats: liveness reporting and lost-executor detection.
 
-The analogue of Spark's driver<->executor heartbeat RPC.  While tasks are
-in flight every executor periodically reports liveness and progress
-(in-flight task ids, rows pulled through task iterators so far, RSS):
-
-- **shared-state backends** (serial/threads): the executors live in the
-  driver process, so the :class:`HeartbeatHub`'s own thread emits on their
-  behalf from the live :class:`~repro.engine.task.TaskContext` objects --
-  unless an executor's heartbeats are suspended
-  (:meth:`~repro.engine.executor.Executor.suspend_heartbeats`), which is
-  how tests and fault drills simulate a frozen executor;
-- **cluster backend**: each worker process runs a small daemon thread that
-  ships :class:`HeartbeatRecord`\\ s as frames over its driver socket, at
-  the interval carried in the running task's envelope -- genuine
-  cross-process liveness that does not depend on which Context spawned
-  the fleet.
+The analogue of Spark's driver<->executor heartbeat RPC, on the cluster
+backend.  While tasks are in flight each worker process runs a small daemon
+thread that ships :class:`HeartbeatRecord`\\ s (in-flight task ids, rows
+pulled through task iterators so far, RSS) as frames over its driver
+socket, at the interval carried in the running task's envelope -- genuine
+cross-process liveness that does not depend on which Context spawned the
+fleet.  A serial task runs inline on the driver thread, so the scheduler
+could not act on a timeout before that task returned: the serial backend
+has no heartbeat plane.
 
 The hub posts every received record as a typed
 :class:`~repro.engine.listener.ExecutorHeartbeat` on the listener bus (so
@@ -24,12 +18,15 @@ silence: a *busy* executor that has not heartbeated within
 posts :class:`~repro.engine.listener.ExecutorTimedOut` and the task
 scheduler folds it into the existing executor-loss machinery (blocks and
 shuffle outputs invalidated, in-flight attempts retried on healthy
-executors) instead of hanging the job.
+executors) instead of hanging the job.  Records from an executor whose
+heartbeats are suspended
+(:meth:`~repro.engine.executor.Executor.suspend_heartbeats`) are dropped on
+arrival, which is how tests and fault drills freeze a live worker from the
+driver.
 """
 
 from __future__ import annotations
 
-import os
 import queue
 import threading
 import time
@@ -43,7 +40,6 @@ from repro.engine.listener import (
     TaskEnd,
     TaskStart,
 )
-from repro.engine.task import TaskContext, current_rss_bytes
 from repro.obs.logging import get_logger
 
 log = get_logger("repro.heartbeat")
@@ -65,15 +61,13 @@ class HeartbeatRecord:
 
 
 class HeartbeatHub(Listener):
-    """Driver-side heartbeat plane: emitter, receiver, and timeout monitor.
+    """Driver-side heartbeat plane: receiver and timeout monitor.
 
     Registered on the context's listener bus (it tracks in-flight tasks via
     ``TaskStart``/``TaskEnd``) and runs one daemon thread that, every
-    ``interval`` seconds:
-
-    1. emits heartbeats for busy driver-hosted executors (shared backends);
-    2. drains worker-process heartbeats the backend delivered to its queue;
-    3. flags busy executors silent for longer than ``timeout`` seconds.
+    ``interval`` seconds, drains the worker-process heartbeats the cluster
+    backend delivered to its queue and flags busy executors silent for
+    longer than ``timeout`` seconds.
 
     The scheduler consumes flagged executors via :meth:`take_timed_out`.
     """
@@ -83,8 +77,8 @@ class HeartbeatHub(Listener):
         self.interval = ctx.config.heartbeat_interval
         self.timeout = ctx.config.heartbeat_timeout
         self._lock = threading.Lock()
-        #: executor_id -> {(stage, partition, attempt): TaskContext | None}
-        self._inflight: dict[str, dict[tuple, TaskContext | None]] = {}
+        #: executor_id -> in-flight (stage, partition, attempt) triples
+        self._inflight: dict[str, set[tuple]] = {}
         self._last_seen: dict[str, float] = {}
         #: flagged but not yet consumed by the scheduler
         self._pending_timeouts: set[str] = set()
@@ -100,16 +94,14 @@ class HeartbeatHub(Listener):
     # -- lifecycle --------------------------------------------------------
 
     def start(self) -> None:
-        if not self.ctx.backend.supports_shared_state:
-            self.ctx.backend.heartbeats.subscribe(self._worker_queue.put)
+        self.ctx.backend.heartbeats.subscribe(self._worker_queue.put)
         self._thread = threading.Thread(
             target=self._run, name="repro-heartbeat-hub", daemon=True
         )
         self._thread.start()
 
     def stop(self) -> None:
-        if not self.ctx.backend.supports_shared_state:
-            self.ctx.backend.heartbeats.unsubscribe(self._worker_queue.put)
+        self.ctx.backend.heartbeats.unsubscribe(self._worker_queue.put)
         self._stop.set()
         if self._thread is not None:
             self._thread.join(timeout=5.0)
@@ -123,11 +115,11 @@ class HeartbeatHub(Listener):
     def on_task_start(self, event: TaskStart) -> None:
         key = (event.stage_id, event.partition, event.attempt)
         with self._lock:
-            tasks = self._inflight.setdefault(event.executor_id, {})
+            tasks = self._inflight.setdefault(event.executor_id, set())
             if not tasks:  # idle -> busy: liveness clock starts now
                 self._last_seen[event.executor_id] = time.perf_counter()
                 self._announced.discard(event.executor_id)
-            tasks[key] = None
+            tasks.add(key)
 
     def on_task_end(self, event: TaskEnd) -> None:
         rec = event.record
@@ -135,16 +127,9 @@ class HeartbeatHub(Listener):
         with self._lock:
             tasks = self._inflight.get(rec.executor_id)
             if tasks is not None:
-                tasks.pop(key, None)
+                tasks.discard(key)
                 if not tasks:
                     del self._inflight[rec.executor_id]
-
-    def attach_context(self, executor_id: str, key: tuple, tc: TaskContext) -> None:
-        """Expose a live TaskContext for progress reporting (shared backends)."""
-        with self._lock:
-            tasks = self._inflight.get(executor_id)
-            if tasks is not None and key in tasks:
-                tasks[key] = tc
 
     # -- scheduler interface ----------------------------------------------
 
@@ -157,7 +142,7 @@ class HeartbeatHub(Listener):
     def busy_executors(self) -> dict[str, list[tuple]]:
         """{executor_id: in-flight (stage, partition, attempt) triples}."""
         with self._lock:
-            return {eid: list(tasks) for eid, tasks in self._inflight.items()}
+            return {eid: sorted(tasks) for eid, tasks in self._inflight.items()}
 
     def idle_executors(self) -> set[str]:
         """Alive executors with no tracked in-flight tasks (warm twin hosts)."""
@@ -181,40 +166,25 @@ class HeartbeatHub(Listener):
         if self.timeout > 0:
             period = min(period, max(self.timeout / 4.0, 0.01))
         while not self._stop.wait(period):
-            try:
-                self._tick()
-            except Exception:  # never kill the hub on a transient error
-                pass
+            # never kill the hub on a transient error, but never hide one
+            self._guarded(self._tick)
         # final drain so late worker records still reach the bus
+        self._guarded(self._drain_worker_queue)
+
+    def _guarded(self, step) -> None:
         try:
-            self._drain_worker_queue()
-        except Exception:
-            pass
+            step()
+        except Exception as exc:  # noqa: BLE001 - logged, the hub keeps ticking
+            log.warning(
+                "heartbeat hub step failed",
+                step=step.__name__,
+                error=f"{type(exc).__name__}: {exc}",
+            )
 
     def _tick(self) -> None:
-        if self.ctx.backend.supports_shared_state:
-            self._emit_driver_hosted()
         self._drain_worker_queue()
         if self.timeout > 0:
             self._check_timeouts()
-
-    def _emit_driver_hosted(self) -> None:
-        """Heartbeat on behalf of busy executors living in this process."""
-        with self._lock:
-            snapshot = {eid: dict(tasks) for eid, tasks in self._inflight.items()}
-        by_id = {e.executor_id: e for e in self.ctx.executors}
-        for executor_id, tasks in snapshot.items():
-            executor = by_id.get(executor_id)
-            if executor is None or not executor.alive or executor.heartbeats_suspended:
-                continue
-            rows = sum(tc.metrics.records_read for tc in tasks.values() if tc is not None)
-            self._receive(HeartbeatRecord(
-                executor_id=executor_id,
-                inflight=tuple(tasks),
-                records_read=rows,
-                rss_bytes=current_rss_bytes(),
-                worker_pid=os.getpid(),
-            ))
 
     def _drain_worker_queue(self) -> None:
         while True:
@@ -225,6 +195,11 @@ class HeartbeatHub(Listener):
             self._receive(record)
 
     def _receive(self, record: HeartbeatRecord) -> None:
+        if any(
+            e.executor_id == record.executor_id and e.heartbeats_suspended
+            for e in self.ctx.executors
+        ):
+            return  # a frozen executor: its beats never reach the driver
         with self._lock:
             self._last_seen[record.executor_id] = time.perf_counter()
             self.records_received += 1

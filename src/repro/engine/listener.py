@@ -156,8 +156,8 @@ class ExecutorDecommissioned(EngineEvent):
 class ExecutorHeartbeat(EngineEvent):
     """Periodic liveness/progress report from one executor.
 
-    Emitted by the driver-side heartbeat hub for shared-state backends and
-    by worker processes (over their socket) for the cluster backend.
+    Sent by cluster worker processes over their socket and posted by the
+    driver-side heartbeat hub; the serial backend has no heartbeats.
     """
 
     executor_id: str
@@ -167,7 +167,7 @@ class ExecutorHeartbeat(EngineEvent):
     records_read: int = 0
     #: resident set size of the reporting process, bytes
     rss_bytes: int = 0
-    #: OS pid of the reporting process (driver pid for shared backends)
+    #: OS pid of the reporting worker process
     worker_pid: int = 0
 
 

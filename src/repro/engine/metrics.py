@@ -39,16 +39,15 @@ class TaskMetrics:
     #: estimated bytes of this task's result materialized on the driver
     driver_bytes_collected: int = 0
     #: serialized stage task-binary bytes shipped with this attempt
-    #: (process backend only; 0 under shared-state backends)
+    #: (cluster backend only; 0 under serial)
     task_binary_bytes: int = 0
     # -- resource telemetry (executor telemetry plane) --------------------
     #: wall seconds spent deserializing the task payload + stage binary
-    #: (process backend only; shared-state backends ship nothing)
+    #: (cluster backend only; serial ships nothing)
     deserialize_seconds: float = 0.0
     #: wall seconds spent pickling the task result for the driver
     result_serialize_seconds: float = 0.0
-    #: cumulative GC pause observed during the attempt (approximate under
-    #: the thread backend: the collector is process-wide)
+    #: cumulative GC pause observed during the attempt
     gc_pause_seconds: float = 0.0
     #: peak resident set size of the executing process, bytes
     peak_rss_bytes: int = 0

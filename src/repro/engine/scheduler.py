@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import concurrent.futures
 import hashlib
-import itertools
 import pickle
 import threading
 import time
@@ -221,8 +220,6 @@ class TaskScheduler:
 
     def __init__(self, ctx: "Context") -> None:
         self.ctx = ctx
-        self._round_robin = itertools.count()
-        self._lock = threading.Lock()
 
     # -- placement ------------------------------------------------------------
 
@@ -247,16 +244,11 @@ class TaskScheduler:
             for executor in alive:
                 if executor.executor_id in preferred or executor.host in preferred:
                     return executor
-        # 3) the cluster's executors persist, so placement is *stable*:
-        # partition -> same executor (and, inside it, same worker process)
-        # across jobs and contexts, so a rerun lands where that partition's
-        # resident blocks, slice and broadcasts already are
-        if not self.ctx.backend.supports_shared_state:
-            return alive[task.partition % len(alive)]
-        # 4) round robin
-        with self._lock:
-            index = next(self._round_robin)
-        return alive[index % len(alive)]
+        # 3) placement is *stable*: partition -> same executor (and, on the
+        # cluster, same worker process) across jobs and contexts, so a rerun
+        # lands where that partition's resident blocks, slice and broadcasts
+        # already are
+        return alive[task.partition % len(alive)]
 
     # -- execution ---------------------------------------------------------------
 
@@ -609,15 +601,18 @@ class TaskScheduler:
         backend = self.ctx.backend
         if backend.supports_shared_state:
             return backend.submit(
-                self._run_shared, stage, task, attempt, executor, job.job_id,
-                commits, speculative,
+                self._run_shared, stage, task, attempt, executor, job.job_id
             )
         assert task_binary is not None
         return self._submit_process(
             stage, task, attempt, executor, task_binary, job, commits, speculative
         )
 
-    # -- shared-state execution (serial / threads) -----------------------------
+    # -- shared-state execution (serial) ------------------------------------------
+    #
+    # One task at a time, inline on the driver thread: serial's parallelism is
+    # 1, so run_task_set never arms speculation for it and no sibling attempt
+    # can race this one to the commit.
 
     def _run_shared(
         self,
@@ -626,8 +621,6 @@ class TaskScheduler:
         attempt: int,
         executor: Executor,
         job_id: int,
-        commits: _TaskSetCommits | None = None,
-        speculative: bool = False,
     ) -> tuple[Any, TaskRecord]:
         if not executor.alive:
             raise ExecutorLostError(executor.executor_id)
@@ -642,13 +635,7 @@ class TaskScheduler:
             block_master=self.ctx.block_master,
             accumulators=AccumulatorBuffer(self.ctx._accumulators),
             fault_hook=injector.on_task_launch if injector is not None else None,
-            speculative=speculative,
         )
-        hub = getattr(self.ctx, "heartbeats", None)
-        if hub is not None:
-            hub.attach_context(
-                executor.executor_id, (stage.id, task.partition, attempt), tc
-            )
         telemetry = TaskTelemetry()
         profiled = should_profile(
             self.ctx.config.profile_fraction, stage.id, task.partition
@@ -665,10 +652,6 @@ class TaskScheduler:
             else:
                 value, hotspots = task.run(tc), None
         duration = time.perf_counter() - start
-        if commits is not None and not commits.try_claim(task.partition, attempt):
-            # a speculative sibling committed first; discard this attempt
-            # before any non-idempotent driver-state merge below
-            raise _SpeculationLost(task.partition, attempt)
         telemetry.record(tc.metrics)
         from repro.core.instrumentation import observe_worker_task
 
@@ -747,7 +730,7 @@ class TaskScheduler:
                 raise ExecutorLostError(executor.executor_id)
             # fault plans fire at launch on the driver: the injector's state
             # cannot ship to worker processes, and the future surfaces the
-            # raise through the same retry path as the shared-state backends
+            # raise through the same retry path as the serial backend
             injector = self.ctx.fault_injector
             if injector is not None:
                 injector.on_task_launch(TaskContext(

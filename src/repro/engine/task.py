@@ -48,9 +48,7 @@ class _GcPauseMeter:
     """Process-wide accumulator of garbage-collection pause time.
 
     One :data:`gc.callbacks` hook feeds a monotone total; tasks sample the
-    total at start/end and attribute the delta to themselves.  Under the
-    thread backend concurrent tasks may each claim the same pause -- the
-    per-task figure is an upper bound, the process total is exact.
+    total at start/end and attribute the delta to themselves.
     """
 
     def __init__(self) -> None:

@@ -19,7 +19,7 @@ The engine's logging layer.  Three pieces:
   each task attempt in a capture; records emitted worker-side ship home
   with the task result (the same channel as span fragments) and are
   replayed into the driver's bus with their correlation ids intact, so
-  ``serial``/``threads``/``cluster`` runs expose identical log streams.
+  ``serial`` and ``cluster`` runs expose identical log streams.
 
 Levels are the classic four (``debug`` < ``info`` < ``warning`` <
 ``error``); the bus level gates emission up front so disabled records

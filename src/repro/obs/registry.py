@@ -364,8 +364,7 @@ class Registry:
     # made there (size estimation, per-task instrumentation, GC meters)
     # would otherwise be silently dropped.  A worker snapshots state before
     # a task, collects the delta after, and ships it with the task result;
-    # the driver merges it so serial/threads/cluster expose identical
-    # series.
+    # the driver merges it so serial and cluster expose identical series.
 
     def state_snapshot(self) -> dict:
         """Opaque baseline for a later :meth:`collect_delta`."""

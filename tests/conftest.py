@@ -13,9 +13,9 @@ from repro.config import EngineConfig
 from repro.engine.context import Context
 from repro.genomics.synthetic import SyntheticConfig, generate_dataset
 
-#: CI sets REPRO_BACKEND=threads to run the suite against the shared-state
-#: thread pool, exercising engine-level races on every push.  Tests that
-#: need determinism or backend-specific behavior use serial_config directly.
+#: CI sets REPRO_BACKEND=cluster to run the suite against the worker
+#: fleet, where tasks really run in parallel.  Tests that need determinism
+#: or backend-specific behavior use serial_config directly.
 DEFAULT_BACKEND = os.environ.get("REPRO_BACKEND", "serial")
 
 
@@ -53,9 +53,8 @@ def no_leaked_engine_threads():
     ``Context.stop()`` joins the heartbeat hub, UI server, and metrics
     sampler with bounded timeouts; a test that leaks a ``repro-*`` thread
     either forgot to stop its context or found a shutdown bug.  A short
-    grace poll absorbs threads mid-exit (pool workers finishing their
-    last task).  Persistent-cluster threads are exempt: they outlive
-    contexts on purpose.
+    grace poll absorbs threads mid-exit.  Persistent-cluster threads are
+    exempt: they outlive contexts on purpose.
     """
     yield
     deadline = time.monotonic() + 2.0
@@ -122,14 +121,6 @@ def ctx() -> Context:
         default_parallelism=4,
     )
     with Context(config) as context:
-        yield context
-
-
-@pytest.fixture
-def threads_ctx() -> Context:
-    with Context(
-        EngineConfig(backend="threads", num_executors=3, executor_cores=2, default_parallelism=6)
-    ) as context:
         yield context
 
 

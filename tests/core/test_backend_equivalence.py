@@ -1,7 +1,7 @@
-"""Cross-backend equivalence: serial, threads, and cluster must agree.
+"""Cross-backend equivalence: serial and cluster must agree.
 
 The engine's whole claim is that the backend is an execution detail --
-identical statistics bit for bit, whichever pool runs the tasks.  These
+identical statistics bit for bit, wherever the tasks run.  These
 tests pin that down for both algorithm flavors, plus the O(K) driver-byte
 bound on resampling batches (executor-side exceedance counting).
 """
@@ -41,7 +41,7 @@ class TestBackendsBitIdentical:
             out[flavor] = _run(small_dataset, "serial", flavor)
         return out
 
-    @pytest.mark.parametrize("backend", ["threads", "cluster"])
+    @pytest.mark.parametrize("backend", ["cluster"])
     def test_matches_serial(self, small_dataset, reference, flavor, backend):
         mc_ref, perm_ref = reference[flavor]
         mc, perm = _run(small_dataset, backend, flavor)
@@ -96,7 +96,7 @@ class TestFileAndMemoryRoutes:
     def serial(self, small_dataset, base):
         return _run_routes(small_dataset, base, "serial")
 
-    @pytest.mark.parametrize("backend", ["serial", "threads", "cluster"])
+    @pytest.mark.parametrize("backend", ["serial", "cluster"])
     def test_routes_agree_and_each_is_bit_identical_across_backends(
         self, small_dataset, base, serial, backend
     ):
@@ -115,7 +115,7 @@ class TestFileAndMemoryRoutes:
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("backend", ["serial", "threads", "cluster"])
+@pytest.mark.parametrize("backend", ["serial", "cluster"])
 class TestPermutationFlavorsAcrossBackends:
     def test_paper_refits_per_replicate_and_agrees_with_the_kernel(
         self, small_dataset, backend, monkeypatch

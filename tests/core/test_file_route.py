@@ -96,12 +96,9 @@ class TestWarmFleet:
         # the observed pass parses the four splits; three batch jobs hit them
         assert (result.info["cache_hits"], result.info["cache_misses"]) == (12, 4)
 
-    @pytest.mark.parametrize("backend", ["serial", "threads"])
-    def test_each_split_is_parsed_once_per_analysis(
-        self, backend, small_dataset, parse_calls, tmp_path
-    ):
+    def test_each_split_is_parsed_once_per_analysis(self, small_dataset, parse_calls, tmp_path):
         write_dataset(small_dataset, str(tmp_path))
-        config = EngineConfig(backend=backend, num_executors=2, default_parallelism=4)
+        config = EngineConfig(backend="serial", num_executors=2, default_parallelism=4)
         with SparkScoreAnalysis.from_files(
             str(tmp_path), engine="distributed", config=config
         ) as a:

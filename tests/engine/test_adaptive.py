@@ -147,7 +147,7 @@ class TestSpeculationPolicy:
 # -- cross-backend bit-equivalence -------------------------------------------
 
 
-BACKENDS = ["serial", "threads", "cluster"]
+BACKENDS = ["serial", "cluster"]
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -200,11 +200,8 @@ def test_rebalanced_shuffle_feeding_downstream_shuffle():
 # -- speculation fault drill ---------------------------------------------------
 
 
-def test_speculative_twin_wins_and_commits_exactly_once():
-    config = EngineConfig(
-        backend="threads", num_executors=2, executor_cores=2,
-        default_parallelism=4, speculation_enabled=True,
-    )
+def test_speculative_twin_wins_and_commits_exactly_once(fresh_cluster):
+    config, _ = fresh_cluster(executor_cores=2, speculation_enabled=True)
     hot = 6
     with Context(config) as ctx:
         ctx.adaptive.speculation = SpeculationPolicy(
@@ -267,31 +264,28 @@ def test_speculation_disabled_on_serial_backend():
 # -- no serialised first wave --------------------------------------------------
 
 
+def _sleep_then_key(x):
+    time.sleep(0.3)
+    return (x % 2, x)
+
+
 def test_adaptive_map_stage_launches_its_first_wave_in_parallel():
     """AQE must not hold a shuffle-map stage to one task until it ends:
-    every map blocks until a second one is running alongside it."""
-    import threading
-
+    on 2x2 slots the four sleeping maps all launch before any finishes,
+    and the stage takes about one sleep, not four."""
     from repro.engine.listener import CollectingListener, TaskEnd, TaskStart
 
-    barrier = threading.Barrier(2, timeout=5.0)
-
-    def meet_a_peer(x):
-        try:
-            barrier.wait()
-        except threading.BrokenBarrierError:
-            pass  # ran alone: let the job finish so the assertion reports it
-        return (x % 2, x)
-
-    with Context(_adaptive_config("threads")) as ctx:
+    with Context(_adaptive_config("cluster")) as ctx:
         sink = ctx.listener_bus.add_listener(CollectingListener(TaskStart, TaskEnd))
-        result = ctx.parallelize(range(4), 4).map(meet_a_peer).reduce_by_key(
+        result = ctx.parallelize(range(4), 4).map(_sleep_then_key).reduce_by_key(
             lambda a, b: a + b
         ).collect()
-        assert ctx.metrics.last_job.stages[0].is_shuffle_map
+        map_stage = ctx.metrics.last_job.stages[0]
+    assert map_stage.is_shuffle_map
     assert sorted(result) == [(0, 2), (1, 4)]
     names = sink.names()
-    assert names[: names.index("TaskEnd")].count("TaskStart") > 1
+    assert names[: names.index("TaskEnd")].count("TaskStart") == 4
+    assert map_stage.wall_seconds < 2 * 0.3
 
 
 # -- eventlog v7 side channel --------------------------------------------------
@@ -301,7 +295,7 @@ def test_eventlog_v7_adaptive_side_channel(tmp_path):
     from repro.engine.eventlog import read_channels, read_event_log
 
     path = str(tmp_path / "events.jsonl")
-    config = _adaptive_config("threads", speculation_enabled=True)
+    config = _adaptive_config("cluster", speculation_enabled=True)
     with Context(config, event_log_path=path) as ctx:
         ctx.parallelize(_skewed_pairs(), 4).partition_by(8).collect()
     jobs = read_event_log(path)
@@ -314,14 +308,11 @@ def test_eventlog_v7_adaptive_side_channel(tmp_path):
             "new_partitions", "detail"} <= set(plan[0])
 
 
-def test_eventlog_roundtrips_speculative_flag(tmp_path):
+def test_eventlog_roundtrips_speculative_flag(tmp_path, fresh_cluster):
     from repro.engine.eventlog import read_event_log
 
     path = str(tmp_path / "events.jsonl")
-    config = EngineConfig(
-        backend="threads", num_executors=2, executor_cores=2,
-        default_parallelism=4, speculation_enabled=True,
-    )
+    config, _ = fresh_cluster(executor_cores=2, speculation_enabled=True)
     with Context(config, event_log_path=path) as ctx:
         ctx.adaptive.speculation = SpeculationPolicy(
             multiplier=2.0, min_runtime=0.05, quantile=0.5

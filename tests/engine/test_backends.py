@@ -1,4 +1,4 @@
-"""Execution backends: serial, threads, cluster."""
+"""Execution backends: serial, cluster."""
 
 import operator
 import time
@@ -6,7 +6,7 @@ import time
 import pytest
 
 from repro.config import EngineConfig
-from repro.engine.backends import SerialBackend, ThreadBackend, make_backend
+from repro.engine.backends import SerialBackend, make_backend
 from repro.engine.context import Context
 from repro.engine.storage import StorageLevel
 
@@ -29,40 +29,14 @@ def _sleep_window(x):
 class TestBackendFactory:
     def test_make_each(self):
         assert isinstance(make_backend(EngineConfig(backend="serial")), SerialBackend)
-        backend = make_backend(EngineConfig(backend="threads"))
-        assert isinstance(backend, ThreadBackend)
-        backend.shutdown()
+        # "threads" is only a spelling of serial, for benchmarks/e2e
+        backend = make_backend(EngineConfig(backend="threads", num_executors=3, executor_cores=4))
+        assert isinstance(backend, SerialBackend)
+        assert backend.parallelism == 1
 
     def test_unknown_rejected_at_config(self):
         with pytest.raises(ValueError):
             EngineConfig(backend="gpu")
-
-    def test_thread_parallelism_from_config(self):
-        backend = make_backend(EngineConfig(backend="threads", num_executors=3, executor_cores=4))
-        assert backend.parallelism == 12
-        backend.shutdown()
-
-
-class TestThreadBackend:
-    def test_large_fanout(self):
-        with Context(EngineConfig(backend="threads", num_executors=4, executor_cores=2, default_parallelism=16)) as ctx:
-            assert ctx.parallelize(range(10_000), 16).map(_square).sum() == sum(
-                x * x for x in range(10_000)
-            )
-
-    def test_shuffle_under_threads(self):
-        with Context(EngineConfig(backend="threads", num_executors=2, executor_cores=2, default_parallelism=8)) as ctx:
-            out = dict(
-                ctx.parallelize(range(999), 8).map(_key_mod3).reduce_by_key(operator.add).collect()
-            )
-            assert sum(out.values()) == sum(range(999))
-
-    def test_caching_under_threads(self):
-        with Context(EngineConfig(backend="threads", num_executors=2, executor_cores=2, default_parallelism=8)) as ctx:
-            rdd = ctx.parallelize(range(100), 8).map(_square).cache()
-            assert rdd.sum() == rdd.sum()
-            totals = ctx.metrics.jobs[-1].totals()
-            assert totals.cache_hits == 8
 
 
 @pytest.mark.slow

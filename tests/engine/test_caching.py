@@ -309,7 +309,7 @@ class TestStopReleases:
         finally:
             gc.enable()
 
-    @pytest.mark.parametrize("backend", ["serial", "threads", "cluster"])
+    @pytest.mark.parametrize("backend", ["serial", "cluster"])
     def test_a_finished_job_does_not_pin_its_lineage(self, backend):
         gc.collect()
         gc.disable()

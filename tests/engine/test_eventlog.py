@@ -254,7 +254,7 @@ class TestV3Telemetry:
 
         path = str(tmp_path / "hb.jsonl")
         config = EngineConfig(
-            backend="threads", num_executors=2, executor_cores=2,
+            backend="cluster", num_executors=2, executor_cores=2,
             default_parallelism=4, heartbeat_interval=0.02,
         )
         with Context(config, event_log_path=path) as ctx:

@@ -45,7 +45,7 @@ class TestTaskRetry:
             with pytest.raises(JobFailedError):
                 ctx.parallelize(range(6), 6).sum()
 
-    @pytest.mark.parametrize("backend", ["serial", "threads", "cluster"])
+    @pytest.mark.parametrize("backend", ["serial", "cluster"])
     def test_malformed_input_is_not_retried(self, backend):
         """A ``FormatError`` is a property of the input bytes: one attempt,
         and the job fails with it, not with a retry-budget ``JobFailedError``."""

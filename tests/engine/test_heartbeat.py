@@ -12,7 +12,9 @@ from repro.engine.listener import (
     ExecutorHeartbeat,
     ExecutorLost,
     ExecutorTimedOut,
+    Listener,
     TaskEnd,
+    TaskStart,
 )
 
 
@@ -26,22 +28,38 @@ def _outlast_the_timeout(x):
     return x
 
 
+def _stall_first_attempt_of_partition_0(x):
+    from repro.engine.task import current_task_context
+
+    tc = current_task_context()
+    if tc.partition == 0 and tc.attempt == 0:
+        time.sleep(1.5)  # well past the heartbeat timeout
+    return x * 10
+
+
+class _FreezeOnLaunch(Listener):
+    """Suspends an executor's heartbeats as partition 0's first attempt
+    launches on it: the worker keeps running, the driver stops hearing it."""
+
+    def __init__(self, ctx) -> None:
+        self.ctx = ctx
+        self.frozen: list[str] = []
+
+    def on_task_start(self, event: TaskStart) -> None:
+        if event.partition == 0 and event.attempt == 0 and not self.frozen:
+            self.frozen.append(event.executor_id)
+            for executor in self.ctx.executors:
+                if executor.executor_id == event.executor_id:
+                    executor.suspend_heartbeats()
+
+
 class TestHeartbeatFlow:
-    def test_threads_backend_emits_heartbeats(self):
-        config = EngineConfig(
-            backend="threads", num_executors=2, executor_cores=2,
-            default_parallelism=4, heartbeat_interval=0.02,
-        )
-        with Context(config) as ctx:
-            collected = ctx.add_listener(CollectingListener(ExecutorHeartbeat))
+    def test_serial_backend_has_no_heartbeat_plane(self):
+        # a serial task runs inline on the driver thread: nothing could act
+        # on its timeout before it returned
+        with Context(EngineConfig(backend="serial", heartbeat_interval=0.02)) as ctx:
+            assert ctx.heartbeats is None
             assert ctx.parallelize(range(8), 4).map(_slow).sum() == 28
-            beats = collected.of(ExecutorHeartbeat)
-            assert beats, "busy executors should heartbeat"
-            assert ctx.heartbeats.records_received == len(beats)
-            for beat in beats:
-                assert beat.executor_id.startswith("exec-")
-                assert beat.worker_pid == os.getpid()  # driver-hosted
-                assert beat.rss_bytes > 0
 
     def test_process_backend_heartbeats_cross_process(self):
         config = EngineConfig(
@@ -74,36 +92,28 @@ class TestHeartbeatFlow:
 
 
 class TestTimeoutRecovery:
-    def test_stalled_executor_times_out_and_task_retries(self):
-        """The headline fault drill: an executor freezes mid-task (stops
-        heartbeating), the monitor declares it lost, and the scheduler
-        retries its in-flight task on a healthy executor instead of
-        hanging the job."""
-        config = EngineConfig(
-            backend="threads", num_executors=2, executor_cores=2,
-            default_parallelism=2, heartbeat_interval=0.03,
-            heartbeat_timeout=0.3,
+    def test_stalled_executor_times_out_and_task_retries(self, fresh_cluster):
+        """The headline fault drill: an executor freezes mid-task (the
+        driver stops hearing its heartbeats), the monitor declares it lost,
+        and the scheduler retries its in-flight task on a healthy executor
+        instead of hanging the job."""
+        config, _ = fresh_cluster(
+            executor_cores=2, default_parallelism=2,
+            heartbeat_interval=0.03, heartbeat_timeout=0.3,
         )
         with Context(config) as ctx:
             collected = ctx.add_listener(CollectingListener())
-            stalled: dict[str, str] = {}
+            freezer = ctx.add_listener(_FreezeOnLaunch(ctx))
 
-            def work(x):
-                from repro.engine.task import current_task_context
-
-                tc = current_task_context()
-                if tc.partition == 0 and tc.attempt == 0 and not stalled:
-                    stalled["executor"] = tc.executor_id
-                    for executor in ctx.executors:
-                        if executor.executor_id == tc.executor_id:
-                            executor.suspend_heartbeats()
-                    time.sleep(1.5)  # well past the heartbeat timeout
-                return x * 10
-
-            result = ctx.parallelize([1, 2], 2).map(work).collect()
+            start = time.perf_counter()
+            result = ctx.parallelize([1, 2], 2).map(
+                _stall_first_attempt_of_partition_0
+            ).collect()
             assert result == [10, 20]
+            # the retry finished the job while the frozen worker still slept
+            assert time.perf_counter() - start < 1.5
 
-            frozen = stalled["executor"]
+            (frozen,) = freezer.frozen
             timeouts = collected.of(ExecutorTimedOut)
             assert [e.executor_id for e in timeouts] == [frozen]
             assert timeouts[0].seconds_since_heartbeat >= 0.3
@@ -125,6 +135,16 @@ class TestTimeoutRecovery:
             # the frozen executor is dead; the survivor is alive
             by_id = {e.executor_id: e for e in ctx.executors}
             assert not by_id[frozen].alive
+
+        # the freeze was this driver's view: a fresh Context on the same
+        # fleet hears every executor, the one still asleep included
+        with Context(config) as ctx:
+            collected = ctx.add_listener(CollectingListener(ExecutorTimedOut, TaskEnd))
+            assert ctx.parallelize(range(4), 4).map(_slow).sum() == 6
+            assert not collected.of(ExecutorTimedOut)
+            assert all(e.alive for e in ctx.executors)
+            ran_on = {e.record.executor_id for e in collected.of(TaskEnd)}
+            assert ran_on == {"exec-0", "exec-1"}
 
     def test_fleet_spawned_without_heartbeats_still_reports_liveness(self):
         """Regression: worker heartbeats used to be baked in at spawn, so a
@@ -155,7 +175,7 @@ class TestTimeoutRecovery:
 
     def test_timed_out_flag_consumed_once(self):
         config = EngineConfig(
-            backend="threads", num_executors=2, executor_cores=2,
+            backend="cluster", num_executors=2, executor_cores=2,
             default_parallelism=4, heartbeat_interval=0.02,
         )
         with Context(config) as ctx:
@@ -164,6 +184,42 @@ class TestTimeoutRecovery:
             hub._pending_timeouts.add("exec-0")
             assert hub.take_timed_out() == {"exec-0"}
             assert hub.take_timed_out() == set()
+
+
+class TestHubErrors:
+    def test_a_failing_tick_is_logged_once_and_the_hub_keeps_ticking(self):
+        from repro.obs.logging import capture_logs
+
+        config = EngineConfig(
+            backend="cluster", num_executors=2, executor_cores=2,
+            default_parallelism=4, heartbeat_interval=0.02,
+        )
+        with Context(config) as ctx, capture_logs() as records:
+            hub = ctx.heartbeats
+            tick = hub._tick
+            failed = []
+
+            def tick_failing_once():
+                if not failed:
+                    failed.append(True)
+                    raise RuntimeError("injected hub fault")
+                tick()
+
+            hub._tick = tick_failing_once
+            deadline = time.monotonic() + 5.0
+            while not failed:
+                assert time.monotonic() < deadline, "the hub never ticked"
+                time.sleep(0.01)
+            received = hub.records_received
+            assert ctx.parallelize(range(8), 4).map(_slow).sum() == 28
+            while hub.records_received == received:
+                assert time.monotonic() < deadline, "no heartbeats after the fault"
+                time.sleep(0.01)
+        warnings = [
+            r for r in records if r.logger == "repro.heartbeat" and r.level == "warning"
+        ]
+        assert len(warnings) == 1
+        assert warnings[0].fields["error"] == "RuntimeError: injected hub fault"
 
 
 class TestExecutorSuspend:

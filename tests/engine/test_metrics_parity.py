@@ -2,7 +2,7 @@
 
 The same analysis must surface the same metric series names (with
 consistent deterministic totals) on the driver registry whether tasks ran
-serially, on threads, or in worker processes.  For the cluster backend
+serially or in worker processes.  For the cluster backend
 this exercises the worker -> driver registry-delta shipping path: the
 increments happen in another process and only reach the driver because
 each task result carries a delta that the scheduler merges.
@@ -16,7 +16,7 @@ from repro.config import EngineConfig
 from repro.engine.context import Context
 from repro.obs.registry import REGISTRY
 
-BACKENDS = ("serial", "threads", "cluster")
+BACKENDS = ("serial", "cluster")
 
 
 def _double(x):
@@ -95,15 +95,14 @@ class TestParity:
             'engine_shuffle_records_total{direction="read"}',
         )
         reference = runs["serial"]["delta"]
-        for backend in ("threads", "cluster"):
-            delta = runs[backend]["delta"]
-            for key in keys:
-                assert delta.get(key) == reference.get(key), (backend, key)
+        delta = runs["cluster"]["delta"]
+        for key in keys:
+            assert delta.get(key) == reference.get(key), key
 
     def test_metric_name_sets_consistent(self, runs):
-        """Serial's engine/worker series are a subset of every other
-        backend's (cluster legitimately adds serialization-path series
-        such as task-binary bytes)."""
+        """Serial's engine/worker series are a subset of the cluster's
+        (which legitimately adds serialization-path series such as
+        task-binary bytes)."""
         def names(run):
             # gauges (e.g. peak-RSS high-water marks) may legitimately not
             # move on a later run, GC-pause counters only move when the
@@ -123,9 +122,8 @@ class TestParity:
 
         base = names(runs["serial"])
         assert base  # sanity: the workload moved the registry
-        for backend in ("threads", "cluster"):
-            missing = base - names(runs[backend])
-            assert not missing, f"{backend} lost series: {sorted(missing)}"
+        missing = base - names(runs["cluster"])
+        assert not missing, f"cluster lost series: {sorted(missing)}"
 
     def test_task_binary_bytes_counted_under_processes(self, runs):
         """Only the cluster backend ships per-stage task binaries to worker

@@ -84,19 +84,6 @@ class TestProcessBackendHelpers:
 
 
 class TestExecutionDeterminism:
-    def test_threads_match_serial(self, ctx, threads_ctx):
-        data = [(i % 7, float(i)) for i in range(200)]
-
-        def pipeline(context):
-            return dict(
-                context.parallelize(data, 8)
-                .map_values(lambda v: v * 2)
-                .reduce_by_key(operator.add)
-                .collect()
-            )
-
-        assert pipeline(ctx) == pytest.approx(pipeline(threads_ctx))
-
     def test_metrics_recorded_per_job(self, ctx):
         ctx.parallelize(range(10), 2).count()
         ctx.parallelize(range(10), 2).count()

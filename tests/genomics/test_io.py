@@ -337,7 +337,7 @@ class TestReadDatasetStructure:
         assert np.array_equal(back.weights, dataset.weights)
         assert np.array_equal(back.snpsets.set_ids, dataset.snpsets.set_ids)
 
-    @pytest.mark.parametrize("backend", ["serial", "threads"])
+    @pytest.mark.parametrize("backend", ["serial", "cluster"])
     def test_in_task_parse_is_bit_identical(self, backend, dataset, tmp_path):
         write_dataset(dataset, str(tmp_path))
         options = dict(

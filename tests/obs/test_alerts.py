@@ -267,15 +267,30 @@ class TestBuiltinRules:
         assert all(r.gate is None for name, r in rules.items() if name != "heartbeat_loss")
 
 
+class _WaitForFile:
+    """A task that runs until ``path`` exists (a release signal that crosses
+    the process boundary to a cluster worker)."""
+
+    def __init__(self, path: str) -> None:
+        self.path = path
+
+    def __call__(self, x):
+        import os
+
+        deadline = time.monotonic() + 15.0
+        while not os.path.exists(self.path) and time.monotonic() < deadline:
+            time.sleep(0.01)
+        return x
+
+
 class TestLiveHeartbeatLoss:
-    def test_pending_firing_resolved_on_a_live_context(self):
+    def test_pending_firing_resolved_on_a_live_context(self, fresh_cluster, tmp_path):
         """The acceptance drill: suspend a busy executor's heartbeats and
         watch the built-in rule walk pending -> firing -> resolved."""
-        hold = threading.Event()
+        release = tmp_path / "release"
         done = threading.Event()
-        config = EngineConfig(
-            backend="threads", num_executors=1, executor_cores=1,
-            default_parallelism=1, heartbeat_interval=0.05,
+        config, _ = fresh_cluster(
+            num_executors=1, default_parallelism=1, heartbeat_interval=0.05,
             metrics_interval=0.02, alerts_enabled=True,
         )
         with Context(config) as ctx:
@@ -284,9 +299,7 @@ class TestLiveHeartbeatLoss:
 
             def run():
                 try:
-                    ctx.parallelize([0], 1).map(
-                        lambda x: (hold.wait(15.0), x)[1]
-                    ).collect()
+                    ctx.parallelize([0], 1).map(_WaitForFile(str(release))).collect()
                 finally:
                     done.set()
 
@@ -324,7 +337,7 @@ class TestLiveHeartbeatLoss:
                     )
                     time.sleep(0.02)
             finally:
-                hold.set()
+                release.touch()
                 worker.join(timeout=15.0)
             assert done.is_set()
             transitions = [
@@ -339,7 +352,7 @@ class TestLiveHeartbeatLoss:
         """Without in-flight work the gate closes: a stopped heartbeat on an
         idle executor is normal, not an incident."""
         config = EngineConfig(
-            backend="serial", num_executors=2, executor_cores=1,
+            backend="cluster", num_executors=2, executor_cores=1,
             default_parallelism=2, heartbeat_interval=0.05,
             metrics_interval=0.02, alerts_enabled=True,
         )

@@ -176,7 +176,7 @@ def _phase_chains(spans):
 
 
 class TestTraceParity:
-    BACKENDS = ("serial", "threads", "cluster")
+    BACKENDS = ("serial", "cluster")
 
     def _run_traced(self, backend, tmp_path):
         config = EngineConfig(

@@ -18,7 +18,7 @@ from repro.obs.flightrecorder import (
     load_bundle,
 )
 
-BACKENDS = ("serial", "threads", "cluster")
+BACKENDS = ("serial", "cluster")
 
 
 def _failing_ctx(backend, out_dir, **overrides):

@@ -198,7 +198,7 @@ class TestEngineIntegration:
         """The same job logs the same (job, stage, partition) ids under
         every backend -- worker-side records ship home with full ids."""
         expected = {(0, s, p) for s in (0, 1) for p in range(4)}
-        for backend in ("serial", "threads", "cluster"):
+        for backend in ("serial", "cluster"):
             assert self._task_finished_keys(backend) == expected, backend
 
     def test_worker_records_carry_executor_ids(self):

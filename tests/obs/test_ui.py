@@ -26,7 +26,7 @@ def _get_json(url):
 @pytest.fixture
 def ui_ctx():
     config = EngineConfig(
-        backend="threads", num_executors=2, executor_cores=2,
+        backend="cluster", num_executors=2, executor_cores=2,
         default_parallelism=4, heartbeat_interval=0.05,
     )
     with Context(config, ui_port=0) as ctx:
@@ -177,7 +177,7 @@ class TestMonitoringEndpoints:
     @pytest.fixture
     def monitored_ctx(self):
         config = EngineConfig(
-            backend="threads", num_executors=2, executor_cores=2,
+            backend="cluster", num_executors=2, executor_cores=2,
             default_parallelism=4, heartbeat_interval=0.05,
             metrics_interval=0.02, alerts_enabled=True,
         )

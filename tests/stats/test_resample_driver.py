@@ -207,7 +207,7 @@ class TestOnePolicyStopsEveryEngineAlike:
         )
         _assert_same_stop(result, mc_reference)
 
-    @pytest.mark.parametrize("backend", ["threads", "cluster"])
+    @pytest.mark.parametrize("backend", ["cluster"])
     def test_distributed_monte_carlo_on_parallel_backends(
         self, stopping_dataset, mc_reference, backend
     ):

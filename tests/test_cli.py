@@ -85,6 +85,15 @@ class TestAnalyze:
         assert exc.value.code == 2  # argparse usage error, not an ignored knob
         assert "--serializer" in capsys.readouterr().err
 
+    def test_backend_is_serial_or_cluster_and_defaults_to_serial(self, dataset_dir, capsys):
+        from repro.cli import build_parser
+
+        assert build_parser().parse_args(["analyze", dataset_dir]).backend == "serial"
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", dataset_dir, "--engine", "distributed", "--backend", "threads"])
+        assert exc.value.code == 2
+        assert "argument --backend: invalid choice: 'threads'" in capsys.readouterr().err
+
 
 class TestOneShotClusterRun:
     def test_exits_clean_and_matches_serial(self, dataset_dir, tmp_path):
@@ -280,7 +289,7 @@ class TestTelemetryFlags:
         from repro.engine.context import Context
 
         log = tmp_path / "hb.jsonl"
-        config = EngineConfig(backend="threads", num_executors=2,
+        config = EngineConfig(backend="cluster", num_executors=2,
                               executor_cores=2, default_parallelism=4,
                               heartbeat_interval=0.02)
         with Context(config, event_log_path=str(log)) as ctx:

@@ -47,7 +47,7 @@ class TestFullPipeline:
             fail_partition_attempts={1: 1},
         )
         config = EngineConfig(
-            backend="threads", num_executors=3, executor_cores=2, default_parallelism=6
+            backend="serial", num_executors=3, executor_cores=2, default_parallelism=6
         )
         with Context(config, hdfs=fs, fault_injector=FaultInjector(plan)) as ctx:
             analysis = SparkScoreAnalysis.from_files(
@@ -91,7 +91,7 @@ class TestFullPipeline:
 class TestCrossEngineMatrix:
     """Every (engine, flavor, backend) combination produces identical counts."""
 
-    @pytest.mark.parametrize("backend", ["serial", "threads"])
+    @pytest.mark.parametrize("backend", ["serial", "cluster"])
     @pytest.mark.parametrize("flavor", ["paper", "vectorized"])
     def test_matrix(self, dataset, reference, backend, flavor):
         config = EngineConfig(
