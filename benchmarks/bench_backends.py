@@ -69,11 +69,11 @@ def run_backend(dataset, backend: str, args) -> dict:
         row = {
             "backend": backend,
             "wall_seconds": wall,
-            "driver_bytes_collected": sum(t.driver_bytes_collected for t in totals),
+            "driver_bytes_collected": result.info["driver_bytes_collected"],
             "task_binary_bytes": sum(t.task_binary_bytes for t in totals),
-            "shuffle_bytes": sum(t.shuffle_bytes_written for t in totals),
+            "shuffle_bytes": result.info["shuffle_bytes"],
             "serializer_seconds": sum(t.serializer_seconds for t in totals),
-            "jobs_run": len(ctx.metrics.jobs),
+            "jobs_run": result.info["jobs_run"],
             "tasks_run": sum(len(s.tasks) for j in ctx.metrics.jobs for s in j.stages),
             "observed": result.observed,
             "exceed_counts": result.exceed_counts,
@@ -107,13 +107,14 @@ def cold_warm_sweep(dataset, args, reference_counts) -> dict:
             "job": "cold" if i == 0 else f"warm_{i}",
             "wall_seconds": end_to_end,
             "analyze_seconds": row["wall_seconds"],
+            "jobs_run": row["jobs_run"],
             "task_binary_bytes": row["task_binary_bytes"],
             "tasks_run": row["tasks_run"],
             "transport_bytes_published": row.get("transport_bytes_published", 0),
             "transport_dedup_hits": row.get("transport_dedup_hits", 0),
         })
         print(
-            f"{jobs[-1]['job']:>10}: {end_to_end:8.2f}s  "
+            f"{jobs[-1]['job']:>10}: {end_to_end:8.2f}s  {row['jobs_run']} jobs  "
             f"task-binaries {row['task_binary_bytes']:>10,} B  "
             f"published {jobs[-1]['transport_bytes_published']:>10,} B  "
             f"dedup hits {jobs[-1]['transport_dedup_hits']}"

@@ -40,19 +40,24 @@ vectorized flavor ships the ``(b, n)`` array of permuted
 replicate scores are one GEMM against it.  Both methods share one body,
 ``DistributedSparkScore._resample``: it picks the (method x flavor) kernel
 once and hands :func:`~repro.stats.resampling.driver.resample` -- the loop
-the local engine runs too -- a batch count (broadcast the payload, one job,
-destroy the broadcast) and an ``after_batch`` that records the batch and
-publishes the monitor.
+the local engine runs too -- a wave count and an ``after_batch`` that
+records the batch and publishes the monitor.  A paper-flavor wave is one
+batch and one join/``reduce_by_key`` job; a vectorized wave is
+:data:`WAVE_BATCHES` batches, one broadcast and one single-stage job.
 
 Every transformation in the hot path is a named module-level callable (not
 a lambda), so the whole pipeline pickles and runs on the process backend.
-Resampling exceedance counting happens *inside* tasks against a broadcast
-of the observed statistics: the driver receives ``(K,)`` int64 counts per
-batch instead of per-partition ``(batch, K)`` stat matrices.
+Exceedance counting happens *inside* tasks against a broadcast of the
+observed statistics: a vectorized task compares the sets it holds whole and
+returns per-block columns of the sets that straddle partitions, which the
+driver folds in partition -> block order (DESIGN.md §8 says why that is
+bit-identical to one fold of every block's partial).  No shuffle, and O(K)
+counts plus ``b`` floats per straddling (set, block) to the driver.
 """
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import time
 from typing import TYPE_CHECKING
@@ -82,6 +87,21 @@ FLAVORS = ("paper", "vectorized")
 #: once, and DESIGN.md §17 has the measurements it was picked from.
 CHUNK_ROWS = 64
 
+#: Resampling batches one vectorized-flavor job counts.  Not a parameter:
+#: it trades jobs per run against the payload a wave broadcasts at once, and
+#: EXPERIMENTS.md has the sweep it was picked from (DESIGN.md §8 the design).
+WAVE_BATCHES = 4
+
+
+@contextlib.contextmanager
+def _broadcast(ctx: "Context", value):
+    """A broadcast for the ``with`` block, destroyed however it ends."""
+    handle = ctx.broadcast(value)
+    try:
+        yield handle
+    finally:
+        handle.destroy()
+
 
 # ---------------------------------------------------------------------------
 # named pipeline callables (picklable; lambdas would strand the process
@@ -91,10 +111,6 @@ CHUNK_ROWS = 64
 
 def _add(a, b):
     return a + b
-
-
-def _first(value):
-    return value
 
 
 def _mul_pair(uw):
@@ -230,14 +246,60 @@ class _McChunkInnersFn:
             yield from zip(ids, np.square(rows @ z.T))
 
 
-class _McBlockPartialFn:
-    """(batch, K) per-set partials of one block under MC multipliers."""
+class _WaveCountsFn:
+    """One wave of batches on one partition's blocks (vectorized flavor).
 
-    def __init__(self, z_bc) -> None:
-        self.z_bc = z_bc
+    Per batch the blocks' ``(b, K)`` partials are folded left in block
+    order; a set all of whose SNPs are in this partition is compared in
+    place with the observed statistics, a set that straddles partitions
+    sends its per-block columns to :meth:`DistributedSparkScore._fold_wave`.
+    Yields ``(complete sets, (W, complete) counts, set of each column,
+    columns)``, a column holding the wave's batches end to end.
+    """
 
-    def __call__(self, block: SnpBlock):
-        return block.skat_partial(self.z_bc.value @ block.genotypes.T)
+    def __init__(self, wave_bc, observed_bc, lookup_bc, model_bc=None) -> None:
+        self.wave_bc = wave_bc
+        self.observed_bc = observed_bc
+        self.lookup_bc = lookup_bc
+        self.model_bc = model_bc
+
+    def __call__(self, blocks):
+        blocks = [(block, block.genotypes.astype(np.float64, copy=False)) for block in blocks]
+        if not blocks:
+            return
+        sizes = self.lookup_bc.value.set_sizes
+        held = [np.bincount(block.set_ids, minlength=sizes.size) for block, _ in blocks]
+        whole = (np.sum(held, axis=0) == sizes) & (sizes > 0)
+        complete = np.flatnonzero(whole)
+        straddling = [np.flatnonzero((n > 0) & ~whole) for n in held]
+        observed = self.observed_bc.value[complete]
+        counts, columns = [], []
+        for payload in self.wave_bc.value:
+            total, batch_columns = None, []
+            for (block, rows), sets in zip(blocks, straddling):
+                partial = self.partial(block, rows, payload)
+                total = partial if total is None else total + partial
+                batch_columns.append(partial[:, sets].T)
+            counts.append(exceedances(total[:, complete], observed))
+            columns.append(np.concatenate(batch_columns))
+        yield complete, np.array(counts), np.concatenate(straddling), np.hstack(columns)
+
+
+class _McWaveFn(_WaveCountsFn):
+    """MC multipliers against cached ``U`` blocks or, given the model (the
+    no-cache arm), against ``U`` re-derived from the dosages every batch."""
+
+    def partial(self, block: SnpBlock, rows: np.ndarray, z: np.ndarray) -> np.ndarray:
+        if self.model_bc is not None:
+            rows = self.model_bc.value.contributions(rows)
+        return block.skat_partial(z @ rows.T)
+
+
+class _PermutedWaveFn(_WaveCountsFn):
+    """Permuted score weights against the dosage blocks."""
+
+    def partial(self, block: SnpBlock, rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
+        return block.skat_partial_rows(weights @ rows.T)
 
 
 class _PermutedChunkInnersFn:
@@ -256,17 +318,6 @@ class _PermutedChunkInnersFn:
             yield from zip(ids, np.square(sums))
 
 
-class _PermutedBlockPartialsFn:
-    """(batch, K) per-set partials of one block under permuted score weights."""
-
-    def __init__(self, weights_bc) -> None:
-        self.weights_bc = weights_bc
-
-    def __call__(self, block: SnpBlock):
-        scores = self.weights_bc.value @ block.genotypes.astype(np.float64).T
-        return block.skat_partial_rows(scores)
-
-
 class _KeyBySetFn:
     """Re-key per-SNP scores by SNP-set index (Algorithm 1 step 11)."""
 
@@ -275,13 +326,6 @@ class _KeyBySetFn:
 
     def __call__(self, kv):
         return (self.set_bc.value[kv[0]], kv[1])
-
-
-class _KeyZeroFn:
-    """Key every partial under 0 so one reduce task folds them in order."""
-
-    def __call__(self, value):
-        return (0, value)
 
 
 class _ObservedZeroFn:
@@ -296,16 +340,6 @@ class _ObservedZeroFn:
 
 def _add_observed(a, b):
     return a[0] + b[0], a[1] + b[1]
-
-
-class _ExceedCountsFn:
-    """Executor-side exceedance counting: (width, K) stats -> (K,) ints."""
-
-    def __init__(self, observed_bc) -> None:
-        self.observed_bc = observed_bc
-
-    def __call__(self, stats):
-        return exceedances(stats, self.observed_bc.value)
 
 
 class _PaperExceedFn:
@@ -484,29 +518,33 @@ class DistributedSparkScore:
     def _scores_to_counts(
         self, scored: "RDD", width: int, observed_bc: "Broadcast"
     ) -> np.ndarray:
-        """Executor-side exceedance counting against the broadcast observed.
-
-        The replicate stat matrix is folded and compared *inside* the
-        engine: the vectorized flavor funnels every partition's partials to
-        one reduce task (no map-side combine, so the fold order matches a
-        driver-side collect exactly), the paper flavor compares per set
-        after its keyed reduction.  The driver receives ``(K,)`` int64
-        counts -- O(K) bytes per batch instead of O(P * batch * K).
-        """
-        observed = observed_bc.value
-        if self.flavor == "vectorized":
-            total = scored.map(_KeyZeroFn()).combine_by_key(
-                _first, _add, _add, num_partitions=1, map_side_combine=False
-            )
-            collected = total.map_values(_ExceedCountsFn(observed_bc)).collect()
-            if not collected:
-                return np.zeros(self._K, dtype=np.int64)
-            return collected[0][1]
+        """Paper flavor: per-set exceedance counts, compared against the
+        broadcast observed after the keyed reduction -- ``(K,)`` int64 to
+        the driver."""
         # sets with no SNPs keep the zero statistic of the old dense matrix
-        counts = (width * (0.0 >= observed)).astype(np.int64)
+        counts = (width * (0.0 >= observed_bc.value)).astype(np.int64)
         per_set = self._per_set_scores(scored)
         for set_idx, count in per_set.map(_PaperExceedFn(observed_bc)).collect():
             counts[set_idx] = count
+        return counts
+
+    def _fold_wave(self, parts: list, widths: list[int], observed: np.ndarray) -> np.ndarray:
+        """``(W, K)`` counts of a wave from every partition's
+        :class:`_WaveCountsFn` record.  A straddling set's columns are
+        folded left in partition -> block order: the order one fold of every
+        block's ``(b, K)`` partial adds them in, since the blocks without
+        the set add exact zeros.  Sets with no SNPs score zero."""
+        empty = (self._lookup.set_sizes == 0) & (0.0 >= observed)
+        counts = np.outer(widths, empty).astype(np.int64)
+        stats: dict[int, np.ndarray] = {}
+        for complete, complete_counts, sets, columns in parts:
+            counts[:, complete] += complete_counts
+            for k, column in zip(sets.tolist(), columns):
+                stats[k] = stats[k] + column if k in stats else column
+        batch_starts = np.cumsum(widths)[:-1]
+        for k, column in stats.items():
+            exceeded = np.split(column >= observed[k], batch_starts)
+            counts[:, k] += [np.count_nonzero(batch) for batch in exceeded]
         return counts
 
     # -- Algorithm 1: observed statistics ----------------------------------------------
@@ -541,9 +579,9 @@ class DistributedSparkScore:
             raise FormatError(f"{GENOTYPES_FILE}: SNP ids do not match the SNP-sets")
 
     def observed(self) -> ResamplingResult:
-        start = time.perf_counter()
+        start, first_job = time.perf_counter(), len(self.ctx.metrics.jobs)
         stats = self.observed_statistics()
-        return self._result("observed", stats, np.zeros(self._K, dtype=np.int64), 0, start)
+        return self._result("observed", stats, np.zeros(self._K, np.int64), 0, start, first_job)
 
     # -- Algorithms 2 and 3: resampling ---------------------------------------------------
 
@@ -572,15 +610,21 @@ class DistributedSparkScore:
     def _resample(
         self, method: str, batches, planned: int, cache_contributions: bool
     ) -> ResamplingResult:
-        """One batch is one broadcast of its payload and one job on the
-        engine; the loop around it is :func:`resample`'s."""
-        start = time.perf_counter()
+        """The loop is :func:`resample`'s.  A paper-flavor batch is one
+        broadcast of its payload and one two-stage job; a vectorized wave of
+        :data:`WAVE_BATCHES` batches is one broadcast of their payloads and
+        one single-stage job.  Every broadcast goes even if a job raises."""
+        start, first_job = time.perf_counter(), len(self.ctx.metrics.jobs)
         observed = self.observed_statistics(cache_contributions)
-        observed_bc = self.ctx.broadcast(observed)
-        paper = self.flavor == "paper"
+        paper, model_bc = self.flavor == "paper", None
         if method == "monte_carlo":
-            source, payload = self.contributions_rdd(cache_contributions), lambda z: z
-            kernel = _McChunkInnersFn if paper else _McBlockPartialFn
+            payload = lambda z: z
+            if paper:
+                source, kernel = self.contributions_rdd(cache_contributions), _McChunkInnersFn
+            elif cache_contributions:
+                source, kernel = self.contributions_rdd(), _McWaveFn
+            else:  # the no-cache arm: the kernel derives U again every batch
+                source, kernel, model_bc = self._gm_rdd, _McWaveFn, self._model_bc
         elif paper:
             # re-broadcast a block of shuffled phenotypes (Alg. 2 step 2)
             # and recompute steps 6-12 of Algorithm 1 under each
@@ -588,29 +632,35 @@ class DistributedSparkScore:
             payload = lambda perms: [self.model.permuted(perm) for perm in perms]
         else:
             # the shuffle only permutes the score weights: (b, n) float64
-            source, kernel = self._gm_rdd, _PermutedBlockPartialsFn
+            source, kernel = self._gm_rdd, _PermutedWaveFn
             payload = self.model.score_weights().__getitem__
-        score = source.map_partitions if paper else source.map
         monitor = self.ctx.inference.new_monitor(
             self._K, method, planned, list(self.dataset.snpsets.names)
         )
 
-        def count_batch(batch: np.ndarray) -> np.ndarray:
-            batch_bc = self.ctx.broadcast(payload(batch))
-            counts = self._scores_to_counts(score(kernel(batch_bc)), len(batch), observed_bc)
-            batch_bc.destroy()
-            return counts
+        def count_paper(wave: list[np.ndarray]) -> list[np.ndarray]:
+            (batch,) = wave
+            with _broadcast(self.ctx, payload(batch)) as batch_bc:
+                scored = source.map_partitions(kernel(batch_bc))
+                return [self._scores_to_counts(scored, len(batch), observed_bc)]
+
+        def count_wave(wave: list[np.ndarray]) -> np.ndarray:
+            with _broadcast(self.ctx, [payload(batch) for batch in wave]) as wave_bc:
+                fn = kernel(wave_bc, observed_bc, self._lookup_bc, model_bc)
+                parts = source.map_partitions(fn).collect()
+            return self._fold_wave(parts, [len(batch) for batch in wave], observed)
 
         def after_batch(width: int, seconds: float) -> None:
             instrumentation.observe_batch(method, "distributed", width, seconds)
             self.ctx.inference.publish(monitor)
 
-        counts, used = resample(
-            batches, count_batch, monitor, n_sets=self._K, after_batch=after_batch
-        )
+        with _broadcast(self.ctx, observed) as observed_bc:
+            counts, used = resample(
+                batches, count_paper if paper else count_wave, monitor, n_sets=self._K,
+                wave=1 if paper else WAVE_BATCHES, after_batch=after_batch,
+            )
         self.ctx.inference.publish(monitor, force=True)
-        observed_bc.destroy()
-        return self._result(method, observed, counts, used, start, monitor)
+        return self._result(method, observed, counts, used, start, first_job, monitor)
 
     # -- results -----------------------------------------------------------------------------------
 
@@ -621,10 +671,12 @@ class DistributedSparkScore:
         counts: np.ndarray,
         iterations: int,
         start: float,
+        first_job: int,
         monitor=None,
     ) -> ResamplingResult:
+        """``info`` counts the jobs from ``first_job`` on: this call's."""
         elapsed = time.perf_counter() - start
-        jobs = self.ctx.metrics.jobs
+        jobs = self.ctx.metrics.jobs_snapshot()[first_job:]
         totals = [j.totals() for j in jobs]
         info = {
             "wall_seconds": elapsed,

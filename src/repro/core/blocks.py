@@ -82,25 +82,29 @@ class SnpLookup:
 
     The one thing the block builder needs of the weight and SNP-set files,
     in the form it is broadcast: three ``(M,)`` arrays, joined to a chunk of
-    genotype rows by one ``searchsorted``.
+    genotype rows by one ``searchsorted``, and each set's SNP count -- a
+    task holding that many of a set's rows holds the whole set.
     """
 
     snp_ids: np.ndarray  # (M,) int64, ascending
     set_ids: np.ndarray  # (M,) int64
     weights_sq: np.ndarray  # (M,) float64
     n_sets: int
+    set_sizes: np.ndarray  # (K,) int64 SNPs per set
 
     @classmethod
     def from_arrays(
         cls, snp_ids: np.ndarray, set_ids: np.ndarray, weights_sq: np.ndarray, n_sets: int
     ) -> "SnpLookup":
         snp_ids = np.asarray(snp_ids, dtype=np.int64)
+        set_ids = np.asarray(set_ids, dtype=np.int64)
         order = np.argsort(snp_ids, kind="stable")
         return cls(
             snp_ids[order],
-            np.asarray(set_ids, dtype=np.int64)[order],
+            set_ids[order],
             np.asarray(weights_sq, dtype=np.float64)[order],
             n_sets,
+            np.bincount(set_ids, minlength=n_sets),
         )
 
     def blocks(

@@ -23,7 +23,7 @@ from repro.core.results import ResamplingResult
 from repro.genomics.synthetic import Dataset
 from repro.stats.asymptotic import skat_asymptotic_pvalues
 from repro.stats.resampling import streams
-from repro.stats.resampling.driver import exceedances, resample
+from repro.stats.resampling.driver import exceedances, per_batch, resample
 from repro.stats.resampling.montecarlo import MonteCarloResampler
 from repro.stats.resampling.permutation import PermutationResampler
 from repro.stats.score.base import ScoreModel
@@ -120,7 +120,7 @@ class LocalSparkScore:
                 self.dataset.n_patients, iterations, seed, batch_size
             )
             counts, used = resample(
-                batches, count_batch, monitor, n_sets=self._K, after_batch=after_batch
+                batches, per_batch(count_batch), monitor, n_sets=self._K, after_batch=after_batch
             )
         return self._result("monte_carlo", observed, counts, used, start, monitor)
 

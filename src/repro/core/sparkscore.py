@@ -141,11 +141,12 @@ class SparkScoreAnalysis:
         """Algorithm 2: permutation resampling (no cached U; each replicate
         is the model's score weights, permuted, times the genotypes).
 
-        ``batch_size`` is how many replicates go into one GEMM -- one
-        broadcast and one job on the distributed engine -- and how often a
-        convergence monitor is folded, so under early stopping both engines
-        stop at the same replicate; the replicate sequence itself does not
-        depend on it.  ``monitor`` follows the :meth:`monte_carlo` contract.
+        ``batch_size`` is how many replicates go into one GEMM -- the
+        distributed engine counts a wave of such batches per broadcast and
+        job -- and how often a convergence monitor is folded, so under
+        early stopping both engines stop at the same replicate; the
+        replicate sequence itself does not depend on it.  ``monitor``
+        follows the :meth:`monte_carlo` contract.
         """
         if isinstance(self._impl, LocalSparkScore):
             return self._impl.permutation(iterations, seed, batch_size, monitor=monitor)

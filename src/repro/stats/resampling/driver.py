@@ -1,17 +1,18 @@
 """The resampling loop, written once.
 
 Permutation (Algorithm 2) and Monte Carlo (Algorithm 3) differ only in the
-replicate stream and in what counting one batch costs -- a local GEMM or a
-job on the engine -- so every caller hands :func:`resample` a stream and a
-``count_batch``.  The module imports nothing from the engine or the
-observability plane: the monitor is duck-typed (``fold`` / ``done`` /
+replicate stream and in what counting costs -- a local GEMM per batch or one
+engine job per *wave* of batches -- so every caller hands :func:`resample`
+a stream and a ``count_wave``.  The module imports nothing from the engine
+or the observability plane: the monitor is duck-typed (``fold`` / ``done`` /
 ``finish``) and per-batch metrics go in ``after_batch``.
 """
 
 from __future__ import annotations
 
+import itertools
 import time
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -21,22 +22,44 @@ def exceedances(stats: np.ndarray, observed: np.ndarray) -> np.ndarray:
     return (stats >= observed).sum(axis=0, dtype=np.int64)
 
 
+def per_batch(count_batch: Callable[[np.ndarray], np.ndarray]) -> Callable:
+    """A one-batch count as a ``count_wave`` (what local callers pass)."""
+    return lambda wave: [count_batch(batch) for batch in wave]
+
+
+def _counted(batches, count_wave, wave: int) -> Iterator[tuple[int, np.ndarray, float]]:
+    """``(width, counts, seconds)`` per batch, counted ``wave`` batches at a
+    time; a batch's seconds are its wave's, split by width."""
+    batches = iter(batches)
+    while chunk := list(itertools.islice(batches, wave)):
+        start = time.perf_counter()
+        counted = list(count_wave(chunk))
+        widths = [len(batch) for batch in chunk]
+        share = (time.perf_counter() - start) / max(sum(widths), 1)
+        for width, batch_counts in zip(widths, counted):
+            yield width, batch_counts, share * width
+
+
 def resample(
     batches: Iterable[np.ndarray],
-    count_batch: Callable[[np.ndarray], np.ndarray],
+    count_wave: Callable[[Sequence[np.ndarray]], Iterable[np.ndarray]],
     monitor=None,
     *,
     n_sets: int,
+    wave: int = 1,
     per_set_masking: bool = True,
     after_batch: Callable[[int, float], None] | None = None,
 ) -> tuple[np.ndarray, int]:
     """Count batches until the stream ends or the monitor is done; returns
     the ``(n_sets,)`` exceedance counts and the replicates consumed.
 
-    Per batch: ``count_batch(batch)``, its counts added as ``monitor.fold``
+    The stream is cut into waves of up to ``wave`` batches and
+    ``count_wave(batches)`` returns one ``(n_sets,)`` count per batch.  Then,
+    batch by batch in stream order: its counts added as ``monitor.fold``
     returns them (plainly without a monitor), ``after_batch(width,
-    seconds)`` timing the count and the fold, then a stop if
-    ``monitor.done``.  ``monitor.finish()`` runs exactly once.
+    seconds)``, then a stop if ``monitor.done`` -- which discards the rest
+    of the wave, so counts and replicates consumed do not depend on
+    ``wave``.  ``monitor.finish()`` runs exactly once.
 
     ``per_set_masking=False`` keeps this run's monitor from freezing decided
     sets, for counts that need one common denominator (step-down maxT,
@@ -47,14 +70,11 @@ def resample(
         monitor.masking = False
     counts = np.zeros(n_sets, dtype=np.int64)
     used = 0
-    for batch in batches:
-        start = time.perf_counter()
-        batch_counts = count_batch(batch)
-        width = len(batch)
+    for width, batch_counts, seconds in _counted(batches, count_wave, wave):
         counts += batch_counts if monitor is None else monitor.fold(batch_counts, width)
         used += width
         if after_batch is not None:
-            after_batch(width, time.perf_counter() - start)
+            after_batch(width, seconds)
         if monitor is not None and monitor.done:
             break
     if monitor is not None:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.stats.resampling.driver import exceedances, resample
+from repro.stats.resampling.driver import exceedances, per_batch, resample
 from repro.stats.resampling.pvalues import empirical_pvalues
 from repro.stats.resampling.streams import mc_multiplier_batches
 from repro.stats.skat import skat_statistics, validate_set_ids
@@ -84,7 +84,7 @@ class MonteCarloResampler:
         """
         counts, used = resample(
             mc_multiplier_batches(self.n, n_resamples, seed, batch_size),
-            self._count_batch, monitor, n_sets=self.n_sets, after_batch=after_batch,
+            per_batch(self._count_batch), monitor, n_sets=self.n_sets, after_batch=after_batch,
         )
         return ResamplingOutcome(self.observed, counts, used)
 

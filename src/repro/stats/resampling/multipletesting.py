@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.stats.resampling.driver import exceedances, resample
+from repro.stats.resampling.driver import exceedances, per_batch, resample
 from repro.stats.resampling.streams import mc_multiplier_batches
 
 
@@ -104,8 +104,8 @@ def westfall_young_maxt(
         return exceedances(replicates.max(axis=1)[:, None], observed)
 
     adj_exceed, used = resample(
-        mc_multiplier_batches(n, n_resamples, seed, batch_size), count_batch, monitor,
-        n_sets=J, per_set_masking=False,
+        mc_multiplier_batches(n, n_resamples, seed, batch_size), per_batch(count_batch),
+        monitor, n_sets=J, per_set_masking=False,
     )
 
     raw = (raw_exceed + 1.0) / (used + 1.0)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.stats.resampling.driver import exceedances, resample
+from repro.stats.resampling.driver import exceedances, per_batch, resample
 from repro.stats.resampling.montecarlo import ResamplingOutcome
 from repro.stats.resampling.streams import permutation_batches
 from repro.stats.score.base import ScoreModel
@@ -81,7 +81,7 @@ class PermutationResampler:
         """
         counts, used = resample(
             permutation_batches(self.n, n_resamples, seed, batch_size),
-            self._count_batch, monitor, n_sets=self.n_sets, after_batch=after_batch,
+            per_batch(self._count_batch), monitor, n_sets=self.n_sets, after_batch=after_batch,
         )
         return ResamplingOutcome(self.observed, counts, used)
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.stats.resampling.driver import exceedances, resample
+from repro.stats.resampling.driver import exceedances, per_batch, resample
 from repro.stats.resampling.streams import mc_multiplier_batches
 from repro.stats.skat import membership_matrix, validate_set_ids
 
@@ -124,8 +124,8 @@ def skato_resampling(
         return (batch_grid >= observed).any(axis=2).sum(axis=0, dtype=np.int64)
 
     _, B = resample(
-        mc_multiplier_batches(n, n_resamples, seed, batch_size), count_batch, monitor,
-        n_sets=n_sets, per_set_masking=False,
+        mc_multiplier_batches(n, n_resamples, seed, batch_size), per_batch(count_batch),
+        monitor, n_sets=n_sets, per_set_masking=False,
     )
     replicates = np.concatenate(replicate_chunks, axis=0)  # (B, K, R)
 

@@ -115,6 +115,21 @@ class TestCachingBehavior:
         )
 
 
+class TestPerCallInfo:
+    def test_a_second_call_counts_only_its_own_jobs(self, small_dataset):
+        with make_ctx() as ctx:
+            scorer = DistributedSparkScore(ctx, small_dataset)
+            first = scorer.monte_carlo(128, seed=1, batch_size=64)
+            second = scorer.monte_carlo(128, seed=1, batch_size=64)
+            jobs = len(ctx.metrics.jobs)
+        assert first.info["jobs_run"] == second.info["jobs_run"]
+        assert first.info["driver_bytes_collected"] == second.info["driver_bytes_collected"]
+        assert first.info["jobs_run"] + second.info["jobs_run"] == jobs
+        assert second.info["jobs_run"] == 2  # the observed pass and one wave job
+        assert first.info["cache_misses"] == 4 and second.info["cache_misses"] == 0
+        assert second.info["cache_hits"] == 8  # both jobs find U cached
+
+
 class TestPermutationKernelStructure:
     """What each flavor's ``permutation(32, batch_size=16)`` may call and ship."""
 
@@ -159,9 +174,10 @@ class TestPermutationKernelStructure:
         assert calls["permuted"] == 0
         # the two runs' own observed passes, and nothing per replicate
         assert calls["contributions"] == 3 * observed_pass
-        observed_bc, *batches = calls["broadcasts"]
+        # one payload broadcast per wave: both batches' permuted weights
+        observed_bc, wave = calls["broadcasts"]
         assert observed_bc.shape == (small_dataset.n_sets,)
-        assert [(b.shape, b.dtype) for b in batches] == [
+        assert [(b.shape, b.dtype) for b in wave] == [
             ((16, small_dataset.n_patients), np.float64)
         ] * 2
 
@@ -257,13 +273,18 @@ class TestTextInputPaths:
 
 class TestFaultToleranceEndToEnd:
     def test_executor_kill_does_not_change_counts(self, small_dataset, reference):
-        plan = FaultPlan(kill_executor_after_tasks={"exec-1": 5})
+        # exec-1 runs three tasks of the observed pass and dies launching
+        # its first task of the wave stage, which computes on the cached U
+        plan = FaultPlan(kill_executor_after_tasks={"exec-1": 3})
         config = EngineConfig(backend="serial", num_executors=3, executor_cores=1, default_parallelism=6)
         with Context(config, fault_injector=FaultInjector(plan)) as ctx:
             scorer = DistributedSparkScore(ctx, small_dataset, flavor="vectorized")
             result = scorer.monte_carlo(100, seed=5)
             assert np.array_equal(result.exceed_counts, reference["mc"].exceed_counts)
             assert ctx.fault_injector.killed_executors == {"exec-1"}
+            wave_job = ctx.metrics.last_job
+            assert len(wave_job.stages) == 1
+            assert wave_job.num_executor_failures_observed == 1
 
     def test_transient_task_failures_do_not_change_counts(self, small_dataset, reference):
         plan = FaultPlan(fail_partition_attempts={0: 1, 2: 1})

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from repro.config import EngineConfig
-from repro.core.algorithms import DistributedSparkScore
+from repro.core.algorithms import WAVE_BATCHES, DistributedSparkScore
 from repro.core.local import LocalSparkScore
 from repro.core.sparkscore import SparkScoreAnalysis
 from repro.engine.context import Context
@@ -141,45 +141,58 @@ class TestPermutationFlavorsAcrossBackends:
         assert np.array_equal(paper.exceed_counts, local.exceed_counts)
 
 
+def _straddling_pairs(dataset, partitions: int, block_size: int) -> int:
+    """(set, block) pairs whose set is not whole in the block's partition,
+    for the in-memory route's even row split."""
+    set_ids, J = dataset.snpsets.set_ids, dataset.n_snps
+    sizes = np.bincount(set_ids, minlength=dataset.n_sets)
+    bounds = [(i * J) // partitions for i in range(partitions + 1)]
+    pairs = 0
+    for lo, hi in zip(bounds, bounds[1:]):
+        whole = np.bincount(set_ids[lo:hi], minlength=dataset.n_sets) == sizes
+        for start in range(lo, hi, block_size):
+            pairs += np.count_nonzero(~whole[np.unique(set_ids[start:min(start + block_size, hi)])])
+    return pairs
+
+
 class TestDriverTrafficBound:
-    def test_mc_batch_collects_o_k_bytes(self, small_dataset):
-        """Executor-side counting: an MC batch job hands the driver one
-        (K,) int64 count vector, not P per-partition (batch, K) matrices."""
+    """Executor-side counting: a wave job hands the driver O(K) int64 counts
+    per partition plus, per straddling (set, block), that block's ``b``
+    replicate partials of the set -- never a partition's ``(b, K)`` matrix."""
+
+    #: partitions, and the estimated framing of one partition's record
+    P, FRAMING = 4, 768
+
+    def _collected(self, dataset, method, b):
         config = EngineConfig(
-            backend="serial", num_executors=2, executor_cores=2, default_parallelism=4
+            backend="serial", num_executors=2, executor_cores=2, default_parallelism=self.P
         )
         with Context(config) as ctx:
-            scorer = DistributedSparkScore(
-                ctx, small_dataset, flavor="vectorized", block_size=64
-            )
-            batch = 50
-            scorer.monte_carlo(batch, seed=3, batch_size=batch)
-            # the last job is the single MC batch (observed pass ran before)
-            job = ctx.metrics.last_job
-            collected = job.totals().driver_bytes_collected
-            K = small_dataset.n_sets
-            P = 4
-            # O(K) ints plus per-record overhead -- far below one (batch, K)
-            # float matrix per partition
-            assert collected < P * batch * K * 8 / 2
-            assert collected <= K * 8 + 512
+            scorer = DistributedSparkScore(ctx, dataset, flavor="vectorized", block_size=64)
+            getattr(scorer, method)(b, seed=3, batch_size=b)
+            # the last job is the one wave of one batch (observed pass ran before)
+            return ctx.metrics.last_job.totals().driver_bytes_collected
+
+    def _bound(self, dataset, b):
+        pairs = _straddling_pairs(dataset, self.P, 64)
+        assert 0 < pairs < dataset.n_sets * self.P  # some sets straddle, most do not
+        return self.P * (dataset.n_sets * 8 + self.FRAMING) + pairs * b * 8
+
+    def test_mc_batch_collects_o_k_bytes(self, small_dataset):
+        b = 50
+        collected = self._collected(small_dataset, "monte_carlo", b)
+        assert collected <= self._bound(small_dataset, b)
 
     def test_permutation_batch_collects_o_k_bytes(self, small_dataset):
-        config = EngineConfig(
-            backend="serial", num_executors=2, executor_cores=2, default_parallelism=4
-        )
-        with Context(config) as ctx:
-            scorer = DistributedSparkScore(
-                ctx, small_dataset, flavor="vectorized", block_size=64
-            )
-            scorer.permutation(12, seed=3, batch_size=12)
-            collected = ctx.metrics.last_job.totals().driver_bytes_collected
-            assert collected <= small_dataset.n_sets * 8 + 512
+        b = 12
+        collected = self._collected(small_dataset, "permutation", b)
+        assert collected <= self._bound(small_dataset, b)
 
     def test_permutation_batch_publishes_one_weight_array(self, fresh_cluster, monkeypatch):
-        """Driver -> executors: a vectorized permutation batch job publishes
-        its two task binaries and the (b, n) float64 array of permuted score
-        weights -- b*n*8 bytes plus a pickle header, not b refit models."""
+        """Driver -> executors: a vectorized permutation wave job publishes
+        its one task binary and, per batch, the (b, n) float64 array of
+        permuted score weights -- W*b*n*8 bytes plus a pickle header, not
+        b refit models per batch."""
         b, n = 16, 200
         dataset = generate_dataset(
             SyntheticConfig(n_patients=n, n_snps=240, n_snpsets=6, seed=3)
@@ -205,16 +218,17 @@ class TestDriverTrafficBound:
             observed = scorer.observed_statistics(cache_contributions=False)
             monkeypatch.setattr(Context, "broadcast", broadcast_spy)
             monkeypatch.setattr(TaskScheduler, "_build_task_binary", build_spy)
-            scorer.permutation(2 * b, seed=3, batch_size=b)
+            scorer.permutation((WAVE_BATCHES + 1) * b, seed=3, batch_size=b)
             end = transport.bytes_published
-        (observed_bc, _, _), *batches = shipped
+        (observed_bc, _, _), *waves = shipped
         assert np.array_equal(observed_bc, observed)
-        assert len(batches) == 2
-        after = [mark for _, mark, _ in batches[1:]] + [end]
-        for (value, before, binaries), after in zip(batches, after):
-            assert value.shape == (b, n) and value.dtype == np.float64
+        assert [len(value) for value, _, _ in waves] == [WAVE_BATCHES, 1]
+        after = [mark for _, mark, _ in waves[1:]] + [end]
+        for (value, before, binaries), after in zip(waves, after):
+            assert all(w.shape == (b, n) and w.dtype == np.float64 for w in value)
             assert binaries > 0
-            assert b * n * 8 <= after - before - binaries <= b * n * 8 + 4096
+            size = len(value) * b * n * 8
+            assert size <= after - before - binaries <= size + 4096
 
 
 class TestBatchedPermutationEquivalence:

@@ -93,8 +93,9 @@ class TestWarmFleet:
             str(tmp_path), engine="distributed", config=config
         ) as a:
             result = a.permutation(24, seed=3, batch_size=8)
-        # the observed pass parses the four splits; three batch jobs hit them
-        assert (result.info["cache_hits"], result.info["cache_misses"]) == (12, 4)
+        # the observed pass parses the four splits; the one wave job (three
+        # batches) hits them
+        assert (result.info["cache_hits"], result.info["cache_misses"]) == (4, 4)
 
     def test_each_split_is_parsed_once_per_analysis(self, small_dataset, parse_calls, tmp_path):
         write_dataset(small_dataset, str(tmp_path))

@@ -1,0 +1,259 @@
+"""Resampling waves: one single-stage job counts ``WAVE_BATCHES`` batches.
+
+A task folds its blocks' partials and compares the sets it holds whole; a
+set that straddles partitions comes back as per-block columns the driver
+folds in partition -> block order.  Either way a replicate statistic is the
+one a single fold of every block's partial gives, so counts must not move
+with the wave size, the partitioning, the block size or the file's row
+order -- and must equal ``LocalSparkScore``'s.
+"""
+
+import dataclasses
+import os
+
+import numpy as np
+import pytest
+
+from repro.config import EngineConfig
+from repro.core import algorithms, instrumentation
+from repro.core.algorithms import DistributedSparkScore
+from repro.core.local import LocalSparkScore
+from repro.core.sparkscore import SparkScoreAnalysis
+from repro.engine.context import Context
+from repro.engine.scheduler import JobFailedError
+from repro.genomics.io.dataset_io import read_dataset, write_dataset
+from repro.genomics.io.formats import FormatError
+from repro.genomics.snpsets import SnpSetCollection
+from repro.genomics.synthetic import SyntheticConfig, generate_dataset
+from repro.stats.score.cox import CoxScoreModel
+
+#: five batches: a full wave and a wave of one
+MC = dict(iterations=160, seed=7, batch_size=32)
+PERM = dict(iterations=40, seed=7, batch_size=8)
+
+
+def _config(backend="serial", partitions=4, **overrides):
+    return EngineConfig(
+        backend=backend, num_executors=2, executor_cores=2,
+        default_parallelism=partitions, **overrides,
+    )
+
+
+def _runs(analysis):
+    """Cached MC, uncached MC and permutation results of one analysis."""
+    return [
+        analysis.monte_carlo(**MC),
+        analysis.monte_carlo(**MC, cache_contributions=False),
+        analysis.permutation(**PERM),
+    ]
+
+
+def _local(dataset):
+    local = LocalSparkScore(dataset)
+    return [local.monte_carlo(**MC), local.monte_carlo(**MC), local.permutation(**PERM)]
+
+
+def _by_wave(monkeypatch, analyse):
+    """``analyse()`` at ``WAVE_BATCHES`` and again at one batch per job."""
+    waves = analyse()
+    monkeypatch.setattr(algorithms, "WAVE_BATCHES", 1)
+    return waves, analyse()
+
+
+def _assert_same_counts(waves, single, local):
+    for wave, one, reference in zip(waves, single, local):
+        assert np.array_equal(wave.observed, one.observed)
+        assert np.array_equal(wave.exceed_counts, one.exceed_counts)
+        assert np.array_equal(wave.exceed_counts, reference.exceed_counts)
+
+
+@pytest.fixture(scope="module")
+def local(small_dataset):
+    return _local(small_dataset)
+
+
+class TestCountsDoNotDependOnTheWave:
+    @pytest.mark.parametrize("block_size", [7, 64, 256])
+    @pytest.mark.parametrize("partitions", [1, 3, 4, 7])
+    def test_partitions_and_block_sizes(
+        self, small_dataset, local, monkeypatch, partitions, block_size
+    ):
+        def analyse():
+            with Context(_config(partitions=partitions)) as ctx:
+                scorer = DistributedSparkScore(ctx, small_dataset, block_size=block_size)
+                return _runs(scorer)
+
+        _assert_same_counts(*_by_wave(monkeypatch, analyse), local)
+
+    def test_shuffled_rows_straddle_every_set_but_singletons(
+        self, small_dataset, monkeypatch, tmp_path
+    ):
+        base = str(tmp_path)
+        write_dataset(small_dataset, base)
+        path = os.path.join(base, "genotypes.txt")
+        with open(path) as fh:
+            lines = fh.read().splitlines()
+        order = np.random.default_rng(30).permutation(len(lines))
+        with open(path, "w") as fh:
+            fh.write("\n".join(lines[i] for i in order) + "\n")
+        records = []
+        fold = DistributedSparkScore._fold_wave
+
+        def spy(self, parts, widths, observed):
+            records.extend(parts)
+            return fold(self, parts, widths, observed)
+
+        monkeypatch.setattr(DistributedSparkScore, "_fold_wave", spy)
+
+        def analyse():
+            with SparkScoreAnalysis.from_files(
+                base, engine="distributed", config=_config(), block_size=64
+            ) as analysis:
+                return _runs(analysis)
+
+        waves, single = _by_wave(monkeypatch, analyse)
+        # no task held a set of more than one SNP whole: those counts were
+        # all made in the driver
+        held_whole = {int(k) for complete, *_ in records for k in complete}
+        assert records and held_whole <= set(np.flatnonzero(small_dataset.snpsets.sizes() == 1))
+        _assert_same_counts(waves, single, _local(read_dataset(base)))
+
+    def test_a_set_with_no_snps(self, small_dataset, monkeypatch):
+        ids = small_dataset.snpsets.set_ids
+        sets = SnpSetCollection(np.where(ids >= 3, ids + 1, ids))
+        sets.names.append("set-empty")  # 11 names, index 3 unused
+        dataset = dataclasses.replace(small_dataset, snpsets=sets)
+        assert dataset.snpsets.sizes()[3] == 0
+
+        def analyse():
+            with Context(_config()) as ctx:
+                return _runs(DistributedSparkScore(ctx, dataset, block_size=64))
+
+        waves, single = _by_wave(monkeypatch, analyse)
+        _assert_same_counts(waves, single, _local(dataset))
+        # 0.0 >= 0.0: every replicate of an empty set exceeds
+        assert [r.exceed_counts[3] for r in waves] == [160, 160, 40]
+
+
+# -- early stop inside a wave --------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def stopping_dataset():
+    """Every set decided within a few batches (the resample-driver tests' data)."""
+    return generate_dataset(SyntheticConfig(n_patients=60, n_snps=120, n_snpsets=6, seed=3))
+
+
+@pytest.mark.parametrize("backend", ["serial", "cluster"])
+@pytest.mark.parametrize(
+    "method, iterations, batch_size",
+    [("monte_carlo", 1024, 32), ("permutation", 400, 16)],
+    ids=["monte_carlo", "permutation"],
+)
+def test_early_stop_mid_wave_matches_one_batch_per_job(
+    stopping_dataset, monkeypatch, backend, method, iterations, batch_size
+):
+    config = _config(backend, inference_early_stop=True, inference_min_replicates=16)
+    observe = instrumentation.observe_batch
+
+    def analyse():
+        seen = []
+
+        def spy(*args):
+            seen.append(args)
+            observe(*args)
+
+        monkeypatch.setattr(instrumentation, "observe_batch", spy)
+        with SparkScoreAnalysis(stopping_dataset, engine="distributed", config=config) as a:
+            result = getattr(a, method)(iterations, seed=4, batch_size=batch_size)
+        return result, len(seen)
+
+    wave = algorithms.WAVE_BATCHES
+    (waves, wave_calls), (one, one_calls) = _by_wave(monkeypatch, analyse)
+    batches = one.n_resamples // batch_size
+    assert one.n_resamples < iterations and batches % wave != 0
+    assert wave_calls == one_calls == batches
+    assert waves.n_resamples == one.n_resamples
+    assert np.array_equal(waves.exceed_counts, one.exceed_counts)
+    assert np.array_equal(waves.explicit_pvalues, one.explicit_pvalues)
+    assert np.array_equal(waves.pvalues(), one.pvalues())
+    assert waves.info["replicates_saved"] == one.info["replicates_saved"]
+
+
+# -- what a wave computes and ships --------------------------------------------
+
+
+def test_uncached_arm_recomputes_u_per_block_per_batch(small_dataset, monkeypatch):
+    calls = []
+    contributions = CoxScoreModel.contributions
+
+    def counting(self, genotypes):
+        calls.append(genotypes.shape[0])
+        return contributions(self, genotypes)
+
+    monkeypatch.setattr(CoxScoreModel, "contributions", counting)
+    with Context(_config()) as ctx:
+        scorer = DistributedSparkScore(ctx, small_dataset, block_size=64)
+        scorer.monte_carlo(**MC, cache_contributions=False)
+    J, P = small_dataset.n_snps, 4
+    bounds = [(i * J) // P for i in range(P + 1)]
+    blocks = sum(-(-(hi - lo) // 64) for lo, hi in zip(bounds, bounds[1:]))
+    assert len(calls) == blocks * (1 + 5)  # the observed pass, then five batches
+    assert sum(calls) == J * (1 + 5)
+
+
+def test_warm_repeat_is_two_jobs_three_stages_and_no_shuffle(fresh_cluster, tmp_path):
+    config, _ = fresh_cluster()
+    dataset = generate_dataset(
+        SyntheticConfig(n_patients=40, n_snps=1200, n_snpsets=40, seed=31)
+    )
+    base = str(tmp_path)
+    write_dataset(dataset, base)
+    reference = LocalSparkScore(dataset).monte_carlo(256, seed=2, batch_size=64)
+
+    def analyse():
+        with SparkScoreAnalysis.from_files(base, engine="distributed", config=config) as a:
+            return a.monte_carlo(256, seed=2, batch_size=64), a.ctx.metrics.jobs_snapshot()
+
+    analyse()  # cold: parses the splits, computes U
+    result, jobs = analyse()
+    assert result.info["jobs_run"] == len(jobs) == 2
+    assert sum(len(job.stages) for job in jobs) == 3
+    assert result.info["cache_misses"] == 0
+    wave = jobs[-1].totals()
+    assert len(jobs[-1].stages) == 1 and wave.shuffle_bytes_written == 0
+    # counts and straddling columns, not one (b, K) float matrix
+    assert wave.driver_bytes_collected < 64 * dataset.n_sets * 8
+    assert np.array_equal(result.exceed_counts, reference.exceed_counts)
+
+
+class TestBroadcastsGoWhenAWaveRaises:
+    @pytest.mark.parametrize(
+        "error, raised",
+        [(FormatError("genotypes.txt:1: bad"), FormatError), (RuntimeError("lost"), JobFailedError)],
+        ids=["format-error", "retries-exhausted"],
+    )
+    def test_payload_and_observed_broadcasts_are_destroyed(
+        self, small_dataset, monkeypatch, error, raised
+    ):
+        handles = []
+        broadcast = Context.broadcast
+
+        def spy(ctx, value):
+            handles.append(broadcast(ctx, value))
+            return handles[-1]
+
+        def failing(self, block, rows, z):
+            raise error
+
+        with Context(_config()) as ctx:
+            scorer = DistributedSparkScore(ctx, small_dataset, block_size=64)
+            scorer.observed_statistics()
+            monkeypatch.setattr(Context, "broadcast", spy)
+            monkeypatch.setattr(algorithms._McWaveFn, "partial", failing)
+            with pytest.raises(raised):
+                scorer.monte_carlo(**MC)
+            # the observed statistics and the first wave's multipliers,
+            # released before the Context stops
+            assert len(handles) == 2
+            assert all("destroyed" in repr(handle) for handle in handles)

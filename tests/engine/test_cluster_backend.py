@@ -194,7 +194,9 @@ class TestTwoJobWarmth:
             ]
         finally:
             manager.stop()
-        assert len(binaries) == 6  # 3 jobs x (map stage, reduce stage), none alike
+        # the observed pass's map and reduce stages and the wave's one stage,
+        # none alike
+        assert len(binaries) == 3
         binary_bytes = sum(binaries.values())
         assert binary_bytes <= accounted <= binary_bytes + tasks * 512
         assert min(slice_bytes) >= BY_REF_MIN_BYTES  # the case under test
@@ -264,7 +266,7 @@ class TestThinBinaries:
 
         small, stages = binary_bytes(2000)
         large, _ = binary_bytes(8000)
-        assert stages == 6
+        assert stages == 3  # the observed pass's two, the one wave's one
         assert small < 64 * 1024 * stages and large < 64 * 1024 * stages
         assert abs(large - small) <= 0.05 * small
 
@@ -355,12 +357,13 @@ def _slow_hot_partition(split, it):
 class TestResidentBlockFailures:
     def test_sigkill_of_a_block_holder_between_batches(self, fresh_fleet, small_dataset):
         config, manager = fresh_fleet
-        reference = LocalSparkScore(small_dataset).monte_carlo(96, seed=3, batch_size=32)
+        reference = LocalSparkScore(small_dataset).monte_carlo(160, seed=3, batch_size=32)
         with Context(config) as ctx:
-            # job 0 computes U, job 1 is the first batch: kill between batches
+            # job 0 computes U, job 1 is the first wave (four batches), job 2
+            # the second (one batch): kill between waves
             ctx.add_listener(_KillHolderAfter(manager, jobs=2))
             scorer = DistributedSparkScore(ctx, small_dataset)
-            result = scorer.monte_carlo(96, seed=3, batch_size=32)
+            result = scorer.monte_carlo(160, seed=3, batch_size=32)
             u = scorer.contributions_rdd()
             holders = {p: ctx.block_master.locations((u.id, p)) for p in range(4)}
             jobs = ctx.metrics.jobs_snapshot()

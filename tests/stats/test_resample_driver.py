@@ -18,7 +18,7 @@ from repro.core.local import LocalSparkScore
 from repro.core.sparkscore import SparkScoreAnalysis
 from repro.genomics.synthetic import SyntheticConfig, generate_dataset
 from repro.obs.inference import ConvergenceMonitor, EarlyStopPolicy
-from repro.stats.resampling.driver import exceedances, resample
+from repro.stats.resampling.driver import exceedances, per_batch, resample
 from repro.stats.resampling.multipletesting import westfall_young_maxt
 from repro.stats.skato import skato_resampling
 
@@ -57,7 +57,7 @@ def _count(batch):
 class TestResample:
     def test_empty_stream(self):
         monitor = SpyMonitor()
-        counts, used = resample([], _count, monitor, n_sets=3)
+        counts, used = resample([], per_batch(_count), monitor, n_sets=3)
         assert used == 0
         assert counts.dtype == np.int64 and np.array_equal(counts, [0, 0, 0])
         assert monitor.folds == [] and monitor.finishes == 1
@@ -65,7 +65,7 @@ class TestResample:
     def test_no_monitor_adds_plainly(self):
         seen = []
         counts, used = resample(
-            _batches([4, 4, 2]), _count, n_sets=3,
+            _batches([4, 4, 2]), per_batch(_count), n_sets=3,
             after_batch=lambda width, seconds: seen.append((width, seconds)),
         )
         assert used == 10
@@ -81,14 +81,40 @@ class TestResample:
             calls.append(batch.shape[0])
             return _count(batch)
 
-        counts, used = resample(_batches([4, 4, 2]), count, monitor, n_sets=3)
+        counts, used = resample(_batches([4, 4, 2]), per_batch(count), monitor, n_sets=3)
         assert calls == [4] and used == 4
         assert np.array_equal(counts, [4, 1, 0])
         assert monitor.finishes == 1
 
+    def test_a_wave_is_counted_whole_and_folded_batch_by_batch(self):
+        waves, seen = [], []
+
+        def count_wave(wave):
+            waves.append([len(batch) for batch in wave])
+            return [_count(batch) for batch in wave]
+
+        monitor = SpyMonitor()
+        counts, used = resample(
+            _batches([4, 4, 2, 3, 1]), count_wave, monitor, n_sets=3, wave=2,
+            after_batch=lambda width, seconds: seen.append(width),
+        )
+        assert waves == [[4, 4], [2, 3], [1]]
+        assert [w for _, w in monitor.folds] == seen == [4, 4, 2, 3, 1]
+        assert used == 14 and np.array_equal(counts, [14, 5, 0])
+
+    @pytest.mark.parametrize("wave", [1, 2, 4])
+    def test_done_mid_wave_discards_the_rest_of_the_wave(self, wave):
+        monitor, seen = SpyMonitor(stop_after=3), []
+        counts, used = resample(
+            _batches([4] * 6), per_batch(_count), monitor, n_sets=3, wave=wave,
+            after_batch=lambda width, seconds: seen.append(width),
+        )
+        assert used == 12 and np.array_equal(counts, [12, 3, 0])
+        assert len(monitor.folds) == len(seen) == 3 and monitor.finishes == 1
+
     def test_finish_exactly_once_when_the_stream_ends(self):
         monitor = SpyMonitor()
-        resample(_batches([4, 4, 2]), _count, monitor, n_sets=3)
+        resample(_batches([4, 4, 2]), per_batch(_count), monitor, n_sets=3)
         assert [w for _, w in monitor.folds] == [4, 4, 2]
         assert monitor.finishes == 1
 
@@ -97,7 +123,7 @@ class TestResample:
         stream = [np.zeros((256, 2))] * 3
         # set 0 is decided significant by the first batch, set 1 never
         counts, used = resample(
-            stream, lambda batch: np.array([0, 13]), monitor, n_sets=2
+            stream, per_batch(lambda batch: np.array([0, 13])), monitor, n_sets=2
         )
         assert used == 768
         assert np.array_equal(counts, [0, 39])
@@ -117,7 +143,7 @@ class TestResample:
         monitor.fold = fold
         stream = [np.zeros((256, 2))] * 3
         counts, used = resample(
-            stream, lambda batch: np.array([5, 13]), monitor, n_sets=2,
+            stream, per_batch(lambda batch: np.array([5, 13])), monitor, n_sets=2,
             per_set_masking=False,
         )
         assert monitor.status[0] != "undecided"  # decided, yet never frozen
