@@ -4,9 +4,8 @@ Four legs, one report (``BENCH_obs.json``):
 
 1. **Overhead** -- the same compute-bound job runs bare (warning-level
    logging, no sinks) and fully loaded (debug logging with worker-side
-   capture, log file, event log, diagnostics, the metrics sampler
-   feeding the TSDB, and the alert engine evaluating the built-in
-   rules every tick).  The whole observability plane must cost less
+   capture, log file, event log, and the diagnostics listener that runs
+   on every context).  The whole observability plane must cost less
    than ``--max-overhead-pct`` (default 10%) of wall-clock.  The leg
    runs once per ``--overhead-backend`` (default: the persistent
    cluster, whose trace propagation and FleetStats fold points ride in
@@ -118,11 +117,7 @@ def bench_overhead(args, burn: _Burn, backend: str) -> dict:
     config = _make_config(args, backend)
 
     with tempfile.TemporaryDirectory() as tmp:
-        loaded = config.copy(
-            log_level="debug",
-            metrics_interval=args.metrics_interval,
-            alerts_enabled=True,
-        )
+        loaded = config.copy(log_level="debug")
         with Context(config.copy(log_level="warning")) as bare_ctx, Context(
             loaded,
             log_file=os.path.join(tmp, "driver-logs.jsonl"),
@@ -138,14 +133,11 @@ def bench_overhead(args, burn: _Burn, backend: str) -> dict:
                     _best_wall(loaded_ctx, items, args.partitions, burn, 1)
                 )
             bare, loaded = min(bare_walls), min(loaded_walls)
-            sampler_ticks = loaded_ctx.sampler.ticks
-            alert_evaluations = loaded_ctx.alerts.evaluations
 
     overhead_pct = (loaded - bare) / bare * 100.0
     print(
         f"  overhead[{backend}]: bare {bare:6.3f}s, instrumented {loaded:6.3f}s "
-        f"-> {overhead_pct:+.1f}% (budget {args.max_overhead_pct:.0f}%, "
-        f"{sampler_ticks} sampler ticks, {alert_evaluations} alert passes)"
+        f"-> {overhead_pct:+.1f}% (budget {args.max_overhead_pct:.0f}%)"
     )
     return {
         "backend": backend,
@@ -154,9 +146,6 @@ def bench_overhead(args, burn: _Burn, backend: str) -> dict:
         "overhead_pct": overhead_pct,
         "max_overhead_pct": args.max_overhead_pct,
         "within_budget": overhead_pct < args.max_overhead_pct,
-        "metrics_interval": args.metrics_interval,
-        "sampler_ticks": sampler_ticks,
-        "alert_evaluations": alert_evaluations,
     }
 
 
@@ -295,8 +284,6 @@ def bench_postmortem_smoke(args) -> dict:
         config = _make_config(args, "serial").copy(
             max_task_retries=0,
             flight_recorder_dir=tmp,
-            metrics_interval=args.metrics_interval,
-            alerts_enabled=True,
         )
         plan = FaultPlan(fail_partition_attempts={fail_partition: 99})
         with Context(config, fault_injector=FaultInjector(plan)) as ctx:
@@ -320,7 +307,6 @@ def bench_postmortem_smoke(args) -> dict:
         "failing_task": failing,
         "events_captured": len(bundle.get("events", [])),
         "logs_captured": len(bundle.get("logs", [])),
-        "has_series": bool(bundle.get("series")),
     }
 
 
@@ -341,8 +327,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--sim-unit-ms", type=float, default=10.0,
                         help="sleep per work unit in the skew leg")
     parser.add_argument("--repeats", type=int, default=3)
-    parser.add_argument("--metrics-interval", type=float, default=0.1,
-                        help="sampler interval for the instrumented legs")
     parser.add_argument("--inference-replicates", type=int, default=2048,
                         help="planned replicates for the convergence-monitor leg")
     parser.add_argument("--max-overhead-pct", type=float, default=10.0)

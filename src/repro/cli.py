@@ -19,8 +19,8 @@ Commands:
   high-severity findings into a nonzero exit for CI gating;
 - ``postmortem`` -- render a flight-recorder bundle (written on job
   failure when the engine runs with ``--flight-recorder``): the failing
-  task, its correlated log lines, alert history, the event timeline, and
-  the advisor's recommendations recomputed from the bundle.
+  task, its correlated log lines, the event timeline, and the advisor's
+  recommendations recomputed from the bundle.
 """
 
 from __future__ import annotations
@@ -104,17 +104,6 @@ def _add_analyze(sub: argparse._SubParsersAction) -> None:
     p.add_argument("--log-file", metavar="PATH", default=None,
                    help="append structured log records as JSONL to PATH "
                         "(distributed engine only)")
-    p.add_argument("--metrics-interval", type=float, default=None, metavar="S",
-                   help="sample the metrics registry into the in-memory TSDB "
-                        "every S seconds; series land in the event log's v5 "
-                        "side channel (distributed engine only)")
-    p.add_argument("--alerts", action="store_true", default=None,
-                   help="evaluate alerting rules (heartbeat loss, GC pressure, "
-                        "spill growth, stragglers, cache thrash) against the "
-                        "sampled series (distributed engine only)")
-    p.add_argument("--alert-rules", metavar="PATH", default=None,
-                   help="JSON file of extra alert rules to load alongside the "
-                        "built-ins (implies --alerts)")
     p.add_argument("--flight-recorder", metavar="DIR", default=None,
                    help="write a post-mortem bundle to DIR when a job fails "
                         "(inspect with: sparkscore postmortem <bundle>)")
@@ -152,10 +141,6 @@ def _add_history(sub: argparse._SubParsersAction) -> None:
                    help="write Chrome trace_event JSON (span JSONL if PATH ends in .jsonl)")
     p.add_argument("--metrics", action="store_true",
                    help="also print the process metrics registry (Prometheus text format)")
-    p.add_argument("--series", action="store_true",
-                   help="replay the v5 sampled-series side channel as "
-                        "per-metric sparklines (requires a log written with "
-                        "--metrics-interval)")
 
 
 def _add_doctor(sub: argparse._SubParsersAction) -> None:
@@ -178,7 +163,7 @@ def _add_doctor(sub: argparse._SubParsersAction) -> None:
 def _add_postmortem(sub: argparse._SubParsersAction) -> None:
     p = sub.add_parser(
         "postmortem",
-        help="render a flight-recorder bundle: failing task, logs, alerts, advice",
+        help="render a flight-recorder bundle: failing task, logs, advice",
     )
     p.add_argument("bundle",
                    help="post-mortem bundle JSON, or a directory of bundles "
@@ -298,9 +283,6 @@ _DISTRIBUTED_ONLY = {
     "alpha": "--alpha",
     "log_level": "--log-level",
     "log_file": "--log-file",
-    "metrics_interval": "--metrics-interval",
-    "alerts": "--alerts",
-    "alert_rules": "--alert-rules",
     "flight_recorder": "--flight-recorder",
 }
 
@@ -331,20 +313,18 @@ def _load_analysis(args: argparse.Namespace):
             "profile_fraction": args.profile_fraction,
             "cluster_address": args.cluster_address or "",
             "cluster_secret": args.cluster_secret or "",
-            "alerts_enabled": bool(args.alerts or args.alert_rules),
         }
         for field, value in (
             ("inference_early_stop", args.early_stop),
             ("inference_alpha", args.alpha),
             ("log_level", args.log_level),
-            ("metrics_interval", args.metrics_interval),
             ("flight_recorder_dir", args.flight_recorder),
         ):
             if value is not None:
                 fields[field] = value
         config = EngineConfig(**fields)
         kwargs = {"engine": "distributed", "flavor": args.flavor}
-        if (args.event_log or args.trace or args.log_file or args.alert_rules
+        if (args.event_log or args.trace or args.log_file
                 or args.ui_port is not None or want_progress):
             from repro.engine.context import Context
 
@@ -355,7 +335,6 @@ def _load_analysis(args: argparse.Namespace):
                 ui_port=args.ui_port,
                 progress=want_progress,
                 log_file=args.log_file,
-                alert_rules=args.alert_rules,
             )
             if args.ui_port is not None:
                 print(f"engine UI serving at {kwargs['ctx'].ui_url}", file=sys.stderr)
@@ -494,7 +473,7 @@ def _sparkline(values: list[float], width: int = 40) -> str:
 
 
 def cmd_history(args: argparse.Namespace) -> int:
-    from repro.engine.eventlog import read_channels, series_to_points
+    from repro.engine.eventlog import read_channels
     from repro.obs.history import render_history
     from repro.obs.spans import spans_from_jobs, write_chrome_trace, write_spans_jsonl
 
@@ -563,27 +542,6 @@ def cmd_history(args: argparse.Namespace) -> int:
                   f"{rec.get('status')} at p={rec.get('pvalue', 0.0):.4g} "
                   f"(CI {rec.get('ci_low', 0.0):.4g}..{rec.get('ci_high', 1.0):.4g}, "
                   f"{rec.get('replicates', 0)} replicates)")
-    if args.series:
-        points = series_to_points(channels["series"])
-        if not points:
-            print("\nno sampled series in this log "
-                  "(was it written with --metrics-interval?)")
-        else:
-            print(f"\n-- sampled series ({len(points)}) --")
-            width = max(len(_series_label(k)) for k in points)
-            for key in sorted(points):
-                pts = points[key]
-                values = [v for _, v in pts]
-                print(f"  {_series_label(key):<{width}}  "
-                      f"last {values[-1]:<12g} {_sparkline(values)}")
-        alerts = channels["alert"]
-        if alerts:
-            print(f"\n-- alert transitions ({len(alerts)}) --")
-            for a in alerts:
-                labels = ",".join(f"{k}={v}" for k, v in a.get("labels", {}).items())
-                print(f"  t={a.get('time', 0.0):.3f} {a.get('transition'):<9} "
-                      f"{a.get('rule')} [{a.get('severity')}] "
-                      f"{labels} value={a.get('value', 0.0):g}")
     if args.export_trace:
         spans = spans_from_jobs(jobs)
         if args.export_trace.endswith(".jsonl"):
@@ -597,13 +555,6 @@ def cmd_history(args: argparse.Namespace) -> int:
         print("\n-- process metrics registry --")
         print(REGISTRY.render(), end="")
     return 0
-
-
-def _series_label(key: tuple) -> str:
-    name, labels = key
-    if not labels:
-        return name
-    return name + "{" + ",".join(f"{k}={v}" for k, v in labels) + "}"
 
 
 def cmd_doctor(args: argparse.Namespace) -> int:
@@ -758,14 +709,6 @@ def cmd_postmortem(args: argparse.Namespace) -> int:
             )
             print(f"  [{rec.get('level', '?'):<7}] {rec.get('logger', '?')} "
                   f"{('(' + where + ') ') if where else ''}{rec.get('message')}")
-
-    alerts = (bundle.get("alerts") or {}).get("history", [])
-    if alerts:
-        print(f"\nalert history ({len(alerts)}):")
-        for a in alerts:
-            labels = ",".join(f"{k}={v}" for k, v in a.get("labels", {}).items())
-            print(f"  t={a.get('time', 0.0):.3f} {a.get('transition'):<9} "
-                  f"{a.get('rule')} [{a.get('severity')}] {labels}")
 
     executors = bundle.get("executors", [])
     if executors:

@@ -68,12 +68,6 @@ class EngineConfig:
     #: ("debug", "info", "warning", "error"); shipped to worker processes
     #: so their capture filters at the same level
     log_level: str = "info"
-    #: seconds between metrics-sampler snapshots of the process registry
-    #: into the in-memory TSDB (0 disables the sampler thread)
-    metrics_interval: float = 0.0
-    #: evaluate alerting rules each sampler tick (implies a sampler: when
-    #: ``metrics_interval`` is 0 the context picks a default interval)
-    alerts_enabled: bool = False
     #: directory for failure post-mortem bundles ("" disables the recorder)
     flight_recorder_dir: str = ""
     #: sequential early stopping: mask SNP-sets out of further resampling
@@ -137,8 +131,6 @@ class EngineConfig:
                 f"unknown log_level {self.log_level!r}; "
                 f"choose from {', '.join(LEVELS)}"
             )
-        if self.metrics_interval < 0:
-            raise ValueError("metrics_interval must be >= 0")
         if not 0.0 < self.inference_alpha < 1.0:
             raise ValueError("inference_alpha must be in (0, 1)")
         if self.inference_ci not in ("wilson", "clopper-pearson"):

@@ -218,6 +218,9 @@ _WORKER_HB: dict[str, Any] = {"send": None, "interval": 0.0}
 _WORKER_INFLIGHT: "dict[tuple, Any]" = {}  # (stage, partition, attempt) -> TaskContext
 _WORKER_INFLIGHT_LOCK = threading.Lock()
 _WORKER_HB_THREAD: threading.Thread | None = None
+#: set when a task changes the cadence, so a loop asleep on the old one
+#: (or idle, after a driver that disabled heartbeats) beats on the new one
+_WORKER_HB_WAKE = threading.Event()
 
 
 def _ensure_worker_heartbeat_thread() -> None:
@@ -236,7 +239,8 @@ def _worker_heartbeat_loop() -> None:
     while True:
         # 0 = the current task's driver disabled heartbeats: idle until a
         # task asks for them again
-        time.sleep(_WORKER_HB["interval"] or 0.5)
+        _WORKER_HB_WAKE.wait(_WORKER_HB["interval"] or None)
+        _WORKER_HB_WAKE.clear()
         _send_worker_heartbeats()
 
 
@@ -327,7 +331,10 @@ def _run_pickled_task(payload: bytes) -> bytes:
     with _WORKER_INFLIGHT_LOCK:
         _WORKER_INFLIGHT[key] = tc
     hb_interval = spec["heartbeat_interval"]
-    _WORKER_HB["interval"] = max(hb_interval, 0.05) if hb_interval > 0 else 0.0
+    interval = max(hb_interval, 0.05) if hb_interval > 0 else 0.0
+    if interval != _WORKER_HB["interval"]:
+        _WORKER_HB["interval"] = interval
+        _WORKER_HB_WAKE.set()
     _ensure_worker_heartbeat_thread()
     _send_worker_heartbeats()  # immediate "task picked up" liveness signal
     compute_start = time.perf_counter()

@@ -43,7 +43,6 @@ class Context:
         ui_port: int | None = None,
         progress: bool = False,
         log_file: str | None = None,
-        alert_rules: "str | list | None" = None,
     ) -> None:
         self.config = config or EngineConfig()
         #: when set, each completed job is streamed here as JSONL (v4)
@@ -133,51 +132,8 @@ class Context:
         self.diagnostics = DiagnosticsListener(self.listener_bus)
         self.listener_bus.add_listener(self.diagnostics)
 
-        # continuous monitoring: the driver-side metrics sampler feeding the
-        # in-memory TSDB, the alert engine riding its tick hook, and the
-        # failure flight recorder -- all off by default
-        self.timeseries = None
-        self.sampler = None
-        self.alerts = None
+        # failure flight recorder: off unless a bundle directory is set
         self.flight_recorder = None
-        sample_interval = self.config.metrics_interval
-        if self.config.alerts_enabled and sample_interval <= 0:
-            sample_interval = 0.25  # alerting needs a clock to evaluate on
-        if sample_interval > 0:
-            from repro.obs.timeseries import MetricsSampler, TimeSeriesStore
-
-            self.timeseries = TimeSeriesStore()
-            self.sampler = MetricsSampler(self.timeseries, interval=sample_interval)
-            if self._event_log_listener is not None:
-                self.sampler.add_tick_sink(self._event_log_listener.write_series)
-        if self.config.alerts_enabled:
-            from repro.obs.alerts import (
-                AlertManager,
-                ConsoleAlertSink,
-                builtin_rules,
-                load_rules,
-            )
-
-            def _busy_gate(labels: dict) -> bool:
-                # only alert on heartbeat silence from executors that hold
-                # in-flight tasks; idle ones legitimately go quiet
-                hub = self.heartbeats
-                return hub is not None and labels.get("executor") in hub.busy_executors()
-
-            rules = builtin_rules(
-                heartbeat_gate=_busy_gate,
-                heartbeat_window=max(0.5, self.config.heartbeat_interval * 4),
-            )
-            if alert_rules is not None:
-                if isinstance(alert_rules, str):
-                    rules.extend(load_rules(alert_rules))
-                else:
-                    rules.extend(alert_rules)
-            self.alerts = AlertManager(self.timeseries, self.listener_bus, rules)
-            self.alerts.add_sink(ConsoleAlertSink())
-            if self._event_log_listener is not None:
-                self.alerts.add_sink(self._event_log_listener.write_alert)
-            self.sampler.add_tick_hook(self.alerts.evaluate)
         if self.config.flight_recorder_dir:
             from repro.obs.flightrecorder import FlightRecorder
 
@@ -217,10 +173,6 @@ class Context:
         # on this context's bus: ExecutorRegistered per executor
         if not self.backend.supports_shared_state:
             self.backend.attach(self)
-        if self.sampler is not None:
-            # started after the heartbeat hub so the alert engine's busy
-            # gate sees live in-flight state from its first tick
-            self.sampler.start()
 
         self._rdd_ids = itertools.count()
         self._shuffle_ids = itertools.count()
@@ -382,8 +334,6 @@ class Context:
                 self._ui = None
             if self.heartbeats is not None:
                 self.heartbeats.stop()
-            if self.sampler is not None:
-                self.sampler.stop()
             if self.flight_recorder is not None:
                 # safety net: a failure whose dump never landed gets one
                 # last chance before the listeners close

@@ -26,13 +26,10 @@ future fields can be added compatibly.  Version history:
   and earlier fixtures still load unchanged.  Readers also became
   crash-safe: a truncated *final* line (the writer was killed mid-write)
   produces a warning and a partial result instead of raising.
-- **v5** -- continuous monitoring.  Two new side-channel kinds:
-  ``series`` lines carry one metrics-sampler tick each (only the samples
-  whose value changed, as ``[name, {labels}, value]`` triples against a
-  shared monotonic timestamp), recoverable as the ``series`` channel so
-  ``sparkscore history`` can replay metric evolution offline; ``alert``
-  lines record alert-engine transitions (firing/resolved), recoverable
-  as the ``alert`` channel.  v4 and earlier logs still load unchanged.
+- **v5** -- continuous monitoring, since removed.  v5 logs may carry
+  ``series`` lines (metrics-sampler ticks) and ``alert`` lines
+  (alert-engine transitions); readers skip both, and a v5 log loads to
+  the same job trees as before.  No writer emits either any more.
 - **v6** -- fleet observability.  ``fleet`` lines carry one
   cluster-resident fleet snapshot each (uptime, jobs served, per-driver
   throughput, warm-cache economics, trailing per-executor series from
@@ -214,13 +211,16 @@ _SIDE_CHANNELS = {
     "heartbeat": ("telemetry", 3, _identity),
     "executor_timed_out": ("telemetry", 3, _identity),
     "log": ("log", 4, LogRecord.from_dict),
-    "series": ("series", 5, lambda data: {
-        "time": data.get("time", 0.0), "samples": data.get("samples", []),
-    }),
-    "alert": ("alert", 5, _identity),
     "fleet": ("fleet", 6, lambda data: data.get("snapshot", {})),
     "inference": ("inference", 8, _identity),
 }
+
+
+#: side-channel kinds no writer emits any more -> the format version that
+#: introduced them: v5's metrics-sampler ``series`` ticks and alert-engine
+#: ``alert`` transitions, v7's planner ``adaptive`` decisions.  Readers skip
+#: them; in a log older than that version they are corruption, as above.
+_RETIRED = {"series": 5, "alert": 5, "adaptive": 7}
 
 
 def read_channels(path_or_file: str | IO[str]) -> dict[str, list]:
@@ -232,9 +232,6 @@ def read_channels(path_or_file: str | IO[str]) -> dict[str, list]:
     - ``"job"`` -- :class:`~repro.engine.metrics.JobMetrics` trees;
     - ``"telemetry"`` -- raw v3 ``heartbeat`` / ``executor_timed_out`` dicts;
     - ``"log"`` -- v4 :class:`~repro.obs.logging.LogRecord` objects;
-    - ``"series"`` -- one v5 ``{"time": t, "samples": [[name, {labels},
-      value], ...]}`` dict per sampler tick (see :func:`series_to_points`);
-    - ``"alert"`` -- raw v5 alert-transition dicts;
     - ``"fleet"`` -- v6 fleet snapshot dicts;
     - ``"inference"`` -- raw v8 convergence dicts (``kind`` is ``"batch"``
       or ``"converged"``).
@@ -272,8 +269,8 @@ def read_channels(path_or_file: str | IO[str]) -> dict[str, list]:
                 break
             raise ValueError(f"event log line {lineno} is corrupt: {exc}") from exc
         kind = data.get("event")
-        if kind == "adaptive" and data.get("version", 0) >= 7:
-            continue  # v7's planner decisions: the planner is gone
+        if kind in _RETIRED and data.get("version", 0) >= _RETIRED[kind]:
+            continue  # a side channel whose writer is gone
         side = _SIDE_CHANNELS.get(kind)
         if side is not None and data.get("version", 0) >= side[1]:
             channel, _, decode = side
@@ -289,24 +286,6 @@ def read_channels(path_or_file: str | IO[str]) -> dict[str, list]:
 def read_event_log(path_or_file: str | IO[str]) -> list[JobMetrics]:
     """The job records of an event log: ``read_channels(...)["job"]``."""
     return read_channels(path_or_file)["job"]
-
-
-def series_to_points(records: list[dict]) -> dict[tuple, list[tuple[float, float]]]:
-    """Pivot the ``series`` channel of :func:`read_channels` into per-series point lists.
-
-    Returns ``{(name, ((label, value), ...)): [(time, value), ...]}`` --
-    the shape ``sparkscore history --series`` plots from.  Because the
-    writer only records *changed* samples, consecutive points already
-    differ in value.
-    """
-    out: dict[tuple, list[tuple[float, float]]] = {}
-    for rec in records:
-        t = rec.get("time", 0.0)
-        for sample in rec.get("samples", []):
-            name, labels, value = sample
-            key = (name, tuple(sorted((str(k), str(v)) for k, v in labels.items())))
-            out.setdefault(key, []).append((t, float(value)))
-    return out
 
 
 class EventLogListener(Listener):
@@ -327,12 +306,6 @@ class EventLogListener(Listener):
     emitted :class:`~repro.obs.logging.LogRecord` lands as a ``log`` line
     interleaved with the jobs it describes.
 
-    The v5 monitoring side channel completes the picture: the context
-    registers :meth:`write_series` as a tick sink on the metrics sampler
-    (one ``series`` line per tick with a change) and :meth:`write_alert`
-    as an alert-manager sink (one flushed ``alert`` line per transition --
-    alerts are rare and forensic, so losing the tail is not acceptable).
-
     The v6 fleet side channel is stop-time: on a persistent-cluster
     backend the context calls :meth:`write_fleet` once as it stops,
     freezing the cluster-resident snapshot into the log this driver
@@ -345,8 +318,6 @@ class EventLogListener(Listener):
         self.jobs_written = 0
         self.telemetry_written = 0
         self.logs_written = 0
-        self.series_written = 0
-        self.alerts_written = 0
         self.fleet_written = 0
         self.inference_written = 0
 
@@ -436,27 +407,6 @@ class EventLogListener(Listener):
         data.update(record.to_dict())
         self._file().write(json.dumps(data, separators=(",", ":")) + "\n")
         self.logs_written += 1
-
-    def write_series(self, now: float, samples: list[tuple]) -> None:
-        """Sampler tick sink: append one v5 ``series`` line (unflushed --
-        same lost-tail tolerance as heartbeats)."""
-        data = {
-            "event": "series",
-            "version": FORMAT_VERSION,
-            "time": now,
-            "samples": [[name, labels, value] for name, labels, value in samples],
-        }
-        self._file().write(json.dumps(data, separators=(",", ":")) + "\n")
-        self.series_written += 1
-
-    def write_alert(self, transition: dict) -> None:
-        """Alert-manager sink: append one flushed v5 ``alert`` line."""
-        data = {"event": "alert", "version": FORMAT_VERSION}
-        data.update(transition)
-        fh = self._file()
-        fh.write(json.dumps(data, separators=(",", ":")) + "\n")
-        fh.flush()
-        self.alerts_written += 1
 
     def write_fleet(self, snapshot: dict) -> None:
         """Context-stop sink: append one flushed v6 ``fleet`` line (rare

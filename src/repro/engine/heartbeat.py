@@ -139,11 +139,6 @@ class HeartbeatHub(Listener):
             out, self._pending_timeouts = self._pending_timeouts, set()
             return out
 
-    def busy_executors(self) -> dict[str, list[tuple]]:
-        """{executor_id: in-flight (stage, partition, attempt) triples}."""
-        with self._lock:
-            return {eid: sorted(tasks) for eid, tasks in self._inflight.items()}
-
     def last_heartbeat_age(self, executor_id: str) -> float | None:
         with self._lock:
             seen = self._last_seen.get(executor_id)

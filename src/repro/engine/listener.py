@@ -250,34 +250,6 @@ class SnpSetConverged(EngineEvent):
     alpha: float = 0.05
 
 
-@dataclass
-class AlertFired(EngineEvent):
-    """An alerting rule crossed pending -> firing.
-
-    Posted by :class:`repro.obs.alerts.AlertManager` after a rule's
-    condition held for its dwell time; ``labels`` identifies which series
-    of the metric family tripped it."""
-
-    rule: str
-    severity: str
-    metric: str
-    labels: dict = field(default_factory=dict)
-    value: float = 0.0
-    description: str = ""
-
-
-@dataclass
-class AlertResolved(EngineEvent):
-    """A previously firing alert's condition cleared."""
-
-    rule: str
-    severity: str
-    metric: str
-    labels: dict = field(default_factory=dict)
-    value: float = 0.0
-    description: str = ""
-
-
 # -- listener + bus ----------------------------------------------------------
 
 _CAMEL = re.compile(r"(?<!^)(?=[A-Z])")
@@ -412,8 +384,6 @@ __all__ = [
     "StragglerDetected",
     "InferenceBatchCompleted",
     "SnpSetConverged",
-    "AlertFired",
-    "AlertResolved",
     "Listener",
     "ListenerBus",
     "CollectingListener",

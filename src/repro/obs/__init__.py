@@ -1,6 +1,6 @@
 """Observability: logging, tracing, metrics, diagnostics, and the advisor.
 
-Five coupled pieces, the analogue of Spark's web UI + log4j layout +
+Coupled pieces, the analogue of Spark's web UI + log4j layout +
 metrics system + history server, all fed by the engine's listener bus
 (:mod:`repro.engine.listener`):
 
@@ -18,23 +18,14 @@ metrics system + history server, all fed by the engine's listener bus
 - :mod:`repro.obs.diagnostics` / :mod:`repro.obs.advisor` -- skew,
   straggler, and cache-pressure detection over the recorded telemetry,
   and the rule-based recommendation engine behind ``sparkscore doctor``;
-- :mod:`repro.obs.timeseries` -- the in-memory ring-buffer TSDB and the
-  driver-side sampler thread that snapshots the registry into it;
-- :mod:`repro.obs.alerts` -- declarative threshold/rate/absence rules
-  over the TSDB with a pending -> firing -> resolved state machine;
+- :mod:`repro.obs.fleet` / :mod:`repro.obs.timeseries` -- the
+  cluster-resident fleet statistics and the ring-buffer store that keeps
+  their per-executor history (``/api/fleet``, ``sparkscore cluster top``);
 - :mod:`repro.obs.flightrecorder` -- the failure black box behind
   ``sparkscore postmortem``.
 """
 
 from repro.obs.advisor import Recommendation, diagnose, render_recommendations
-from repro.obs.alerts import (
-    AlertManager,
-    AlertRule,
-    ConsoleAlertSink,
-    JsonlAlertSink,
-    builtin_rules,
-    load_rules,
-)
 from repro.obs.diagnostics import (
     DiagnosticsListener,
     analyze_cache_pressure,
@@ -54,7 +45,7 @@ from repro.obs.logging import (
 from repro.obs.flightrecorder import FlightRecorder, load_bundle
 from repro.obs.registry import REGISTRY, Counter, Gauge, Histogram, Registry
 from repro.obs.spans import Span, TracingListener, spans_from_jobs, to_chrome_trace
-from repro.obs.timeseries import MetricsSampler, Series, TimeSeriesStore
+from repro.obs.timeseries import Series, TimeSeriesStore
 
 __all__ = [
     "REGISTRY",
@@ -83,13 +74,6 @@ __all__ = [
     "render_recommendations",
     "Series",
     "TimeSeriesStore",
-    "MetricsSampler",
-    "AlertRule",
-    "AlertManager",
-    "ConsoleAlertSink",
-    "JsonlAlertSink",
-    "builtin_rules",
-    "load_rules",
     "FlightRecorder",
     "load_bundle",
 ]

@@ -1,9 +1,9 @@
 """Cluster-resident fleet observability: metrics that outlive drivers.
 
-Everything PRs 1--6 built (spans, TSDB, alerts, dashboard) is scoped to
-one :class:`~repro.engine.context.Context` and evaporates at ``stop()``.
-The persistent cluster (PR 7) outlives every driver, so its telemetry
-must too: :class:`FleetStats` lives inside the
+Spans, the process registry and the dashboard are scoped to one
+:class:`~repro.engine.context.Context` and evaporate at ``stop()``.  The
+persistent cluster outlives every driver, so its telemetry must too:
+:class:`FleetStats` lives inside the
 :class:`~repro.engine.cluster_backend.ClusterManager`, folds worker
 heartbeats and task completions into a persistent
 :class:`~repro.obs.timeseries.TimeSeriesStore` keyed by executor, and
@@ -46,17 +46,11 @@ class FleetStats:
     the fleet).
     """
 
-    def __init__(
-        self,
-        raw_capacity: int = 512,
-        downsample_factor: int = 8,
-    ) -> None:
+    def __init__(self) -> None:
         self._lock = threading.Lock()
         self.started_wall = time.time()
         self._started_mono = time.perf_counter()
-        self.store = TimeSeriesStore(
-            raw_capacity=raw_capacity, downsample_factor=downsample_factor
-        )
+        self.store = TimeSeriesStore()
         #: driver attaches served since fleet start
         self.jobs_served = 0
         self.tasks_completed = 0

@@ -7,11 +7,9 @@ everything an operator needs to reconstruct the crash -- without grepping
 four different logs -- into one JSON **post-mortem bundle**:
 
 - the last N seconds of bus events (task starts/ends, stage transitions,
-  heartbeats, alerts) as compact dicts;
+  heartbeats, skew and straggler findings) as compact dicts;
 - the process log-bus ring (correlation ids intact, so records join back
   to the failing task);
-- the metric series window from the TSDB, when a sampler is running;
-- alert history and currently-firing alerts, when the alert engine is on;
 - spans still open at failure time (the work that never finished);
 - executor states (alive, suspended, task counts) and the effective
   engine config;
@@ -21,8 +19,8 @@ four different logs -- into one JSON **post-mortem bundle**:
   offline tooling (advisor, span reconstruction) reuses the same readers.
 
 ``sparkscore postmortem <bundle>`` renders the forensic timeline: the
-failing task, its correlated log lines, the alert history around the
-crash, and the PR-5 advisor's recommendations recomputed from the bundle.
+failing task, its correlated log lines, the events around the crash, and
+the advisor's recommendations recomputed from the bundle.
 
 One bundle per failed job (monotonic sequence in the filename), written
 synchronously from the bus thread -- by the time the driver's exception
@@ -225,14 +223,6 @@ class FlightRecorder(Listener):
                 }
                 for ex in ctx.executors
             ]
-            if ctx.timeseries is not None:
-                bundle["series"] = ctx.timeseries.dump(self.window, now)
-            if ctx.alerts is not None:
-                snap = ctx.alerts.snapshot()
-                bundle["alerts"] = {
-                    "history": snap["history"],
-                    "firing": ctx.alerts.firing(),
-                }
             if ctx._tracer is not None:
                 bundle["open_spans"] = [
                     s.to_dict() for s in ctx._tracer.open_spans()
@@ -247,8 +237,11 @@ class FlightRecorder(Listener):
             if fleet_fn is not None:
                 try:
                     bundle["fleet"] = fleet_fn(self.window)
-                except Exception:
-                    pass  # a dead head must not sink the post-mortem
+                except OSError as exc:  # a dead head must not sink the post-mortem
+                    log.warning(
+                        "fleet snapshot unavailable; bundle written without it",
+                        error=f"{type(exc).__name__}: {exc}",
+                    )
         os.makedirs(self.out_dir, exist_ok=True)
         self._seq += 1
         job_id = job.job_id if job is not None else "ctx"

@@ -20,7 +20,6 @@ import threading
 from typing import Iterable, Mapping, Sequence
 
 from repro.engine.listener import (
-    AlertFired,
     BlockCached,
     BlockEvicted,
     BlockFetchedRemote,
@@ -522,18 +521,14 @@ class MetricsListener(Listener):
         self.tasks_profiled = r.counter(
             "engine_tasks_profiled_total", "task attempts run under the sampled profiler"
         )
-        # -- continuous monitoring plane ----------------------------------
-        # skew/straggler findings surface here as counters so the alert
-        # engine's rate rules can watch them through the TSDB
+        # -- diagnostics ---------------------------------------------------
+        # skew/straggler findings surface here as counters, so a /metrics
+        # scrape sees them next to the task counters
         self.stage_skew = r.counter(
             "engine_stage_skew_total", "stages flagged with partition skew"
         )
         self.stragglers = r.counter(
             "engine_stragglers_total", "task attempts flagged as stragglers"
-        )
-        self.alerts_fired = r.counter(
-            "engine_alerts_fired_total", "alert rules that crossed into firing",
-            labelnames=("severity",),
         )
         # -- inference convergence -----------------------------------------
         self.inference_replicates = r.counter(
@@ -606,8 +601,6 @@ class MetricsListener(Listener):
                 self.inference_replicates_saved.inc(event.replicates_saved)
         elif isinstance(event, SnpSetConverged):
             self.inference_sets_converged.labels(status=event.status).inc()
-        elif isinstance(event, AlertFired):
-            self.alerts_fired.labels(severity=event.severity).inc()
 
 
 __all__ = [

@@ -17,11 +17,6 @@ Endpoints:
   (``?level=`` filters, ``?limit=`` bounds the tail length);
 - ``/api/diagnostics`` -- skew/straggler/cache-pressure findings from the
   online :class:`~repro.obs.diagnostics.DiagnosticsListener`;
-- ``/api/timeseries`` -- sampled metric history from the in-memory TSDB
-  (``?name=`` selects one metric family, ``?window=`` trims to trailing
-  seconds); empty unless the context runs a metrics sampler;
-- ``/api/alerts`` -- alert rules, live per-series states, and the
-  transition history; empty unless alerting is enabled;
 - ``/api/fleet`` -- the cluster-resident fleet snapshot (uptime, jobs
   served, per-driver throughput, per-executor series that survive
   driver teardown); disabled unless the backend exposes
@@ -31,7 +26,7 @@ Endpoints:
   throughput, and early-stop savings (always present; ``enabled``
   reflects the ``inference_early_stop`` knob);
 - ``/`` -- a minimal auto-refreshing HTML dashboard over the above, with
-  sparkline panels for sampled series and a banner for firing alerts.
+  sparklines for the fleet's per-executor occupancy and queue depth.
 
 Bind ``port=0`` to let the OS pick a free port (tests do this); the bound
 port is available as ``UIServer.port`` and the full base URL as
@@ -46,10 +41,13 @@ import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import TYPE_CHECKING
 
+from repro.obs.logging import get_logger
 from repro.obs.registry import REGISTRY
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.engine.context import Context
+
+log = get_logger("repro.obs.ui")
 
 
 def _job_summary(job) -> dict:
@@ -102,9 +100,6 @@ _DASHBOARD = """<!doctype html>
  .bar { background: #3b7; height: 10px; display: inline-block; }
  .trough { background: #ddd; width: 200px; display: inline-block; }
  .spark { font-size: 1.1em; letter-spacing: 1px; color: #37b; }
- #alertbanner { display: none; background: #c33; color: #fff;
-   padding: 6px 12px; margin: 8px 0; font-weight: bold; }
- #alertbanner.warning { background: #c93; }
 </style></head>
 <body>
 <h1>sparkscore engine UI</h1>
@@ -115,17 +110,13 @@ _DASHBOARD = """<!doctype html>
  <a href="/api/progress">/api/progress</a>
  <a href="/api/logs">/api/logs</a>
  <a href="/api/diagnostics">/api/diagnostics</a>
- <a href="/api/timeseries">/api/timeseries</a>
- <a href="/api/alerts">/api/alerts</a>
  <a href="/api/fleet">/api/fleet</a>
  <a href="/api/inference">/api/inference</a></p>
-<div id="alertbanner"></div>
 <h2>stages</h2><div id="stages">loading...</div>
 <h2>executors</h2><div id="executors"></div>
 <h2>completed jobs</h2><div id="jobs"></div>
 <h2>diagnostics</h2><div id="diagnostics"></div>
 <h2>inference convergence</h2><div id="inference">no resampling runs yet</div>
-<h2>metric sparklines</h2><div id="sparklines">sampler off</div>
 <h2>fleet</h2><div id="fleet">no persistent fleet</div>
 <h2>recent logs</h2><div id="logs"></div>
 <script>
@@ -194,19 +185,6 @@ async function refresh() {
     row(["level", "logger", "job", "stage", "part", "message"], "th") +
     logs.map(l => row([l.level, l.logger, l.job_id ?? "", l.stage_id ?? "",
       l.partition ?? "", l.message])).join("") + "</table>";
-  const alerts = await (await fetch("/api/alerts")).json();
-  const banner = document.getElementById("alertbanner");
-  if (alerts.enabled) {
-    const firing = alerts.states.filter(s => s.state === "firing");
-    if (firing.length) {
-      banner.style.display = "block";
-      banner.className = firing.some(s => s.severity === "critical") ? "" : "warning";
-      banner.textContent = "ALERTS FIRING: " + firing.map(s =>
-        s.rule + " (" + s.severity + ", " + JSON.stringify(s.labels) + ")").join("; ");
-    } else {
-      banner.style.display = "none";
-    }
-  }
   const fleet = await (await fetch("/api/fleet?window=120")).json();
   if (fleet.enabled) {
     const occ = {}, depth = {};
@@ -227,19 +205,6 @@ async function refresh() {
         '<span class="spark">' + sparkline(occ[eid] || []) + "</span>",
         '<span class="spark">' + sparkline(depth[eid] || []) + "</span>",
       ])).join("") + "</table>";
-  }
-  const ts = await (await fetch("/api/timeseries?window=60")).json();
-  if (ts.enabled) {
-    const interesting = ts.series.filter(s => s.samples.length > 1).slice(0, 12);
-    document.getElementById("sparklines").innerHTML = interesting.length
-      ? "<table>" + row(["series", "last", "trend"], "th") +
-        interesting.map(s => {
-          const vals = s.samples.map(p => p[1]);
-          const label = Object.keys(s.labels).length ? JSON.stringify(s.labels) : "";
-          return row([s.name + " " + label, vals[vals.length - 1],
-            '<span class="spark">' + sparkline(vals) + "</span>"]);
-        }).join("") + "</table>"
-      : "no moving series yet";
   }
 }
 refresh(); setInterval(refresh, 1000);
@@ -299,13 +264,10 @@ class UIServer:
             if snapshot_fn is not None:
                 from repro.obs.fleet import render_fleet_families
 
-                try:
-                    extra = render_fleet_families(
-                        snapshot_fn(None),
-                        skip={i.name for i in REGISTRY.instruments()},
-                    )
-                except Exception:
-                    extra = []
+                snapshot = self._rpc(snapshot_fn, None, endpoint="/metrics")
+                extra = [] if snapshot is None else render_fleet_families(
+                    snapshot, skip={i.name for i in REGISTRY.instruments()}
+                )
                 if extra:
                     body = (
                         body[: body.rindex("# EOF")]
@@ -336,10 +298,9 @@ class UIServer:
             cluster = {}
             info_fn = getattr(self.ctx.backend, "executor_info", None)
             if info_fn is not None:
-                try:
-                    cluster = {c["executor_id"]: c for c in info_fn()}
-                except Exception:
-                    cluster = {}
+                rows = self._rpc(info_fn, endpoint="/api/executors") or ()
+                cluster = {c["executor_id"]: c for c in rows}
+
             def _labeled(counter_name: str) -> dict:
                 counter = REGISTRY.get(counter_name)
                 if counter is None:
@@ -400,29 +361,6 @@ class UIServer:
             self._send_json(handler, [r.to_dict() for r in records])
         elif path == "/api/diagnostics":
             self._send_json(handler, self.ctx.diagnostics.snapshot())
-        elif path == "/api/timeseries":
-            store = getattr(self.ctx, "timeseries", None)
-            if store is None:
-                self._send_json(handler, {"enabled": False, "series": []})
-                return
-            query = handler.path.partition("?")[2]
-            params = dict(
-                part.split("=", 1) for part in query.split("&") if "=" in part
-            )
-            window = None
-            try:
-                if "window" in params:
-                    window = float(params["window"])
-            except ValueError:
-                window = None
-            if "name" in params:
-                series = store.query(params["name"])
-            else:
-                series = store.dump(window)
-            self._send_json(
-                handler,
-                {"enabled": True, "names": store.names(), "series": series},
-            )
         elif path == "/api/fleet":
             snapshot_fn = getattr(self.ctx.backend, "fleet_snapshot", None)
             if snapshot_fn is None:
@@ -438,9 +376,8 @@ class UIServer:
                     window = float(params["window"])
             except ValueError:
                 window = None
-            try:
-                snapshot = snapshot_fn(window)
-            except Exception:
+            snapshot = self._rpc(snapshot_fn, window, endpoint="/api/fleet")
+            if snapshot is None:
                 self._send_json(handler, {"enabled": False})
                 return
             out = {"enabled": True}
@@ -452,21 +389,26 @@ class UIServer:
                 self._send_json(handler, {"enabled": False, "runs": []})
                 return
             self._send_json(handler, holder.snapshot())
-        elif path == "/api/alerts":
-            manager = getattr(self.ctx, "alerts", None)
-            if manager is None:
-                self._send_json(
-                    handler,
-                    {"enabled": False, "rules": [], "states": [], "history": []},
-                )
-                return
-            out = {"enabled": True}
-            out.update(manager.snapshot())
-            self._send_json(handler, out)
         elif path == "/":
             self._send(handler, _DASHBOARD, "text/html; charset=utf-8")
         else:
             handler.send_error(404, "unknown endpoint")
+
+    @staticmethod
+    def _rpc(call, *args, endpoint: str):
+        """One fleet/executor RPC to the backend.  An external head that is
+        gone raises ``OSError`` (``ConnectionError``, a socket timeout):
+        that answers None and logs one warning; any other error is a bug
+        and propagates."""
+        try:
+            return call(*args)
+        except OSError as exc:
+            log.warning(
+                "backend RPC failed; serving the endpoint without it",
+                endpoint=endpoint,
+                error=f"{type(exc).__name__}: {exc}",
+            )
+            return None
 
     @staticmethod
     def _send(handler: BaseHTTPRequestHandler, body: str, content_type: str) -> None:

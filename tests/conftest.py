@@ -50,10 +50,10 @@ _PERSISTENT_THREAD_PREFIXES = ("repro-cluster",)
 def no_leaked_engine_threads():
     """Every engine thread must be joined by the end of each test.
 
-    ``Context.stop()`` joins the heartbeat hub, UI server, and metrics
-    sampler with bounded timeouts; a test that leaks a ``repro-*`` thread
-    either forgot to stop its context or found a shutdown bug.  A short
-    grace poll absorbs threads mid-exit.  Persistent-cluster threads are
+    ``Context.stop()`` joins the heartbeat hub and UI server with bounded
+    timeouts; a test that leaks a ``repro-*`` thread either forgot to stop
+    its context or found a shutdown bug.  A short grace poll absorbs
+    threads mid-exit.  Persistent-cluster threads are
     exempt: they outlive contexts on purpose.
     """
     yield

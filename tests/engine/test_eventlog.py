@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import json
 import operator
+import warnings
 from pathlib import Path
 
 import pytest
@@ -14,7 +15,6 @@ from repro.engine.eventlog import (
     EventLogListener,
     read_channels,
     read_event_log,
-    series_to_points,
     write_event_log,
 )
 
@@ -331,72 +331,69 @@ class TestV4Logs:
 
 
 class TestV5Monitoring:
+    """v5 added ``series`` (metrics-sampler ticks) and ``alert`` (alert-engine
+    transitions) side channels for a monitoring plane that has since been
+    removed: readers skip both."""
+
     def test_committed_v4_fixture_still_loads(self):
         """Regression: a real v4 log keeps loading whole -- jobs, telemetry,
-        and logs intact, with the v5 side channels reading as empty."""
+        and logs intact."""
         path = str(FIXTURES / "eventlog_v4.jsonl")
         (job,) = read_event_log(path)
         assert job.stages and job.stages[0].tasks
-        telemetry = read_channels(path)["telemetry"]
+        channels = read_channels(path)
+        telemetry = channels["telemetry"]
         assert telemetry and all(t["event"] == "heartbeat" for t in telemetry)
-        records = read_channels(path)["log"]
-        assert any(r.message == "job finished" for r in records)
-        assert read_channels(path)["series"] == []
-        assert read_channels(path)["alert"] == []
+        assert any(r.message == "job finished" for r in channels["log"])
+        assert not {"series", "alert"} & set(channels)
 
-    def test_series_lines_round_trip(self, tmp_path):
-        path = str(tmp_path / "v5.jsonl")
-        listener = EventLogListener(path)
-        listener.write_series(1.0, [("engine_jobs_total", {}, 3.0)])
-        listener.write_series(2.0, [
-            ("engine_jobs_total", {}, 4.0),
-            ("engine_executor_rss_bytes", {"executor": "exec-0"}, 1024.0),
-        ])
-        listener.close()
-        records = read_channels(path)["series"]
-        assert [r["time"] for r in records] == [1.0, 2.0]
-        points = series_to_points(records)
-        assert points[("engine_jobs_total", ())] == [(1.0, 3.0), (2.0, 4.0)]
-        assert points[("engine_executor_rss_bytes", (("executor", "exec-0"),))] == [
-            (2.0, 1024.0)
-        ]
+    def test_v5_series_and_alert_lines_are_skipped(self, tmp_path):
+        """A hand-written v5 log: the v4 fixture restamped v5, with a
+        sampler tick and an alert transition between its lines, loads to
+        the same job trees and warns about nothing."""
+        v5 = []
+        for line in (FIXTURES / "eventlog_v4.jsonl").read_text().splitlines():
+            data = json.loads(line)
+            data["version"] = 5
+            v5.append(json.dumps(data))
+        v5.insert(1, json.dumps({
+            "event": "series", "version": 5, "time": 1.0,
+            "samples": [["engine_jobs_total", {}, 3.0]],
+        }))
+        v5.insert(3, json.dumps({
+            "event": "alert", "version": 5, "time": 2.0, "transition": "firing",
+            "rule": "heartbeat_loss", "severity": "critical",
+            "labels": {"executor": "exec-1"}, "value": 2.5,
+        }))
+        path = tmp_path / "v5.jsonl"
+        path.write_text("\n".join(v5) + "\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            channels = read_channels(str(path))
+        assert _job_tree_digest(channels["job"]) == _job_tree_digest(
+            read_event_log(str(FIXTURES / "eventlog_v4.jsonl"))
+        )
+        assert set(channels) == {"job", "telemetry", "log", "fleet", "inference"}
 
-    def test_alert_lines_round_trip(self, tmp_path):
-        path = str(tmp_path / "v5.jsonl")
-        listener = EventLogListener(path)
-        transition = {
-            "time": 5.0, "transition": "firing", "rule": "heartbeat_loss",
-            "severity": "critical", "metric": "engine_executor_heartbeats_total",
-            "labels": {"executor": "exec-1"}, "value": 2.5, "description": "d",
-        }
-        listener.write_alert(transition)
-        listener.close()
-        (loaded,) = read_channels(path)["alert"]
-        assert loaded["event"] == "alert"
-        assert loaded["version"] == FORMAT_VERSION
-        for key, value in transition.items():
-            assert loaded[key] == value
+    def test_a_series_line_older_than_v5_is_corruption(self, tmp_path):
+        path = tmp_path / "v4.jsonl"
+        path.write_text(json.dumps({"event": "series", "version": 4, "time": 1.0}) + "\n")
+        with pytest.raises(ValueError, match="not a job event"):
+            read_channels(str(path))
 
     def test_side_channels_interleave_with_jobs(self, tmp_path, serial_config):
         from repro.engine.context import Context
 
         path = str(tmp_path / "live.jsonl")
-        config = serial_config.copy(metrics_interval=0.02)
-        with Context(config, event_log_path=path) as ctx:
+        with Context(serial_config, event_log_path=path) as ctx:
             ctx.parallelize(range(20), 4).map(lambda x: x + 1).sum()
-            # wait for at least one sampler tick to observe the job counters
-            import time as _time
-
-            deadline = _time.monotonic() + 5.0
-            while ctx._event_log_listener.series_written == 0:
-                assert _time.monotonic() < deadline, "no series line landed"
-                _time.sleep(0.02)
-        assert len(read_event_log(path)) == 1
-        points = series_to_points(read_channels(path)["series"])
-        names = {name for name, _ in points}
-        assert "engine_jobs_total" in names
-        # job readers and the other side channels ignore series lines
-        assert all(t["event"] == "heartbeat" for t in read_channels(path)["telemetry"])
+        events = [json.loads(line)["event"] for line in open(path)]
+        assert events.index("log") < events.index("job")  # "job started" first
+        channels = read_channels(path)
+        assert len(channels["job"]) == 1
+        assert any(r.message == "job finished" for r in channels["log"])
+        # a serial context has no heartbeat plane and no fleet
+        assert channels["telemetry"] == [] and channels["fleet"] == []
 
     def test_fleet_lines_round_trip(self, tmp_path):
         path = str(tmp_path / "v6.jsonl")
@@ -411,21 +408,22 @@ class TestV5Monitoring:
         # job readers and the other side channels skip fleet lines
         assert read_event_log(path) == []
         assert read_channels(path)["telemetry"] == []
-        assert read_channels(path)["series"] == []
 
     def test_torn_final_line_tolerated_by_side_channels(self, tmp_path):
-        """A writer killed mid-series-line must not poison any reader."""
+        """A writer killed mid-side-channel-line must not poison any reader."""
+        from repro.obs.logging import LogRecord
+
         path = str(tmp_path / "torn.jsonl")
         listener = EventLogListener(path)
-        listener.write_series(1.0, [("engine_jobs_total", {}, 3.0)])
-        listener.write_alert({"time": 2.0, "transition": "firing", "rule": "r"})
+        listener.write_log(LogRecord(time=1.0, level="info", logger="t", message="m"))
+        listener.write_fleet({"jobs_served": 1})
         listener.close()
         with open(path, "a") as fh:
-            fh.write('{"event":"series","version":5,"time":3.0,"samp')  # torn
+            fh.write('{"event":"fleet","version":8,"snaps')  # torn
         with pytest.warns(UserWarning, match="truncated"):
             channels = read_channels(path)
-        assert [r["time"] for r in channels["series"]] == [1.0]
-        assert [a["rule"] for a in channels["alert"]] == ["r"]
+        assert [r.message for r in channels["log"]] == ["m"]
+        assert channels["fleet"] == [{"jobs_served": 1}]
         assert channels["job"] == []  # no jobs, but no crash either
 
 
@@ -498,20 +496,24 @@ class TestV7Adaptive:
         assert "adaptive" not in channels
         assert channels["inference"] == []
 
-    # digests of the job trees the reader built before the planner went
-    # (the retired ``speculative`` task field left out; it was False
-    # throughout both logs)
+    # digests of the job trees the reader built before the planner and the
+    # monitoring plane went (the retired ``speculative`` task field left
+    # out; it was False throughout the v7 and v8 logs)
     @pytest.mark.parametrize("name,digest", [
+        ("eventlog_v2.jsonl",
+         "1ebfd829b2eb46c905b48af653f9ec977d6dff4566f5392fdf95a03ffc932dd4"),
+        ("eventlog_v4.jsonl",
+         "37b5a8cf5fa9ec69a5dd6f32705520afc69f42a548066f8516ac122afd10a6c1"),
+        ("eventlog_v6.jsonl",
+         "e7939c8b3bab096932d9d80c98c23d7f7b03bfb1ea9c17beb89a043b20028fc7"),
         ("eventlog_v7.jsonl",
          "f8eba5edb7f8806256bad8bdd8c64df60c49b83eb6ceff6208b62084d9e09862"),
         ("eventlog_v8.jsonl",
          "88eba6e96d4ed02787d97381055133da59787a0261feba273b1aff87091cf202"),
-    ], ids=["v7", "v8"])
+    ], ids=["v2", "v4", "v6", "v7", "v8"])
     def test_old_logs_load_to_the_same_job_trees(self, name, digest):
         channels = read_channels(str(FIXTURES / name))
-        assert set(channels) == {
-            "job", "telemetry", "log", "series", "alert", "fleet", "inference",
-        }
+        assert set(channels) == {"job", "telemetry", "log", "fleet", "inference"}
         assert _job_tree_digest(channels["job"]) == digest
 
     def test_a_speculative_task_key_is_ignored(self, tmp_path):

@@ -262,6 +262,38 @@ class TestTimeoutRecovery:
         finally:
             manager.stop()
 
+    def test_a_new_cadence_reaches_a_sleeping_worker_at_once(self, fresh_cluster):
+        """Regression: a worker's heartbeat loop slept out the cadence of
+        the driver before (here 5 s), so a driver with a 0.3 s timeout
+        heard nothing after the task's first beat and declared the healthy
+        executor lost.  A task that changes the cadence wakes the loop."""
+        slow, _ = fresh_cluster(
+            num_executors=1, default_parallelism=1,
+            heartbeat_interval=5.0, heartbeat_timeout=0,
+        )
+        with Context(slow) as ctx:
+            assert ctx.parallelize([1], 1).sum() == 1  # loop now sleeps 5 s
+        watched = slow.copy(heartbeat_interval=0.05, heartbeat_timeout=0.3)
+        with Context(watched) as ctx:
+            collected = ctx.add_listener(CollectingListener(ExecutorTimedOut))
+            assert ctx.parallelize([1], 1).map(_outlast_the_timeout).collect() == [1]
+            assert not collected.of(ExecutorTimedOut)
+
+    def test_idle_executors_never_alarm(self):
+        """Without in-flight work an executor legitimately goes quiet: a
+        timeout shorter than the idle gap must not declare it lost."""
+        config = EngineConfig(
+            backend="cluster", num_executors=2, executor_cores=1,
+            default_parallelism=2, heartbeat_interval=0.05, heartbeat_timeout=0.2,
+        )
+        with Context(config) as ctx:
+            collected = ctx.add_listener(CollectingListener(ExecutorTimedOut))
+            assert ctx.parallelize(range(4), 2).sum() == 6
+            time.sleep(0.8)  # four timeouts long, both executors idle
+            assert not collected.of(ExecutorTimedOut)
+            assert all(e.alive for e in ctx.executors)
+            assert ctx.parallelize(range(4), 2).sum() == 6
+
     def test_timed_out_flag_consumed_once(self):
         config = EngineConfig(
             backend="cluster", num_executors=2, executor_cores=2,

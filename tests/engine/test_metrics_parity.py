@@ -107,12 +107,10 @@ class TestParity:
             # gauges (e.g. peak-RSS high-water marks) may legitimately not
             # move on a later run, GC-pause counters only move when the
             # collector happens to fire inside a task, and the diagnostics
-            # bridge counters (skew/stragglers/alerts) only move when the
+            # bridge counters (skew/stragglers) only move when the
             # scheduler's timing happens to trip a detector; compare
             # deterministic monotonic series only
-            nondeterministic = (
-                "gc_pause", "stage_skew", "stragglers", "alerts_fired",
-            )
+            nondeterministic = ("gc_pause", "stage_skew", "stragglers")
             return {
                 k for k in run["delta"]
                 if k.startswith(("engine_", "repro_worker_"))

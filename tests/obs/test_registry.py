@@ -212,11 +212,7 @@ class TestExposition:
         assert "om_seconds_count 1 7" in lines
 
     def test_monitoring_counters_bridge_from_bus(self):
-        from repro.engine.listener import (
-            AlertFired,
-            StageSkewDetected,
-            StragglerDetected,
-        )
+        from repro.engine.listener import StageSkewDetected, StragglerDetected
 
         registry = Registry()
         bus = ListenerBus()
@@ -226,10 +222,8 @@ class TestExposition:
         bus.post(StragglerDetected(stage_id=0, job_id=0, partition=3,
                                    attempt=0, executor_id="e0",
                                    duration_seconds=9.0, median_seconds=1.0))
-        bus.post(AlertFired(rule="r", severity="critical", metric="m",
-                            labels={}, value=1.0, description=""))
         bus.stop()
         snap = registry.snapshot()
         assert snap["engine_stage_skew_total"] == 1
         assert snap["engine_stragglers_total"] == 1
-        assert snap['engine_alerts_fired_total{severity="critical"}'] == 1
+        assert not any(k.startswith("engine_alerts_fired") for k in snap)

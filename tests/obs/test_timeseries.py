@@ -1,19 +1,25 @@
-"""The in-memory TSDB: series retention tiers, queries, store, sampler."""
+"""The fleet's ring-buffer store: series retention tiers, range scans, the store."""
 
-import math
 import threading
-import time
 
 import pytest
 
-from repro.obs.registry import Registry
-from repro.obs.timeseries import (
-    Bin,
-    MetricsSampler,
-    Series,
-    TimeSeriesStore,
-    label_key,
-)
+from repro.obs import timeseries
+from repro.obs.timeseries import Series, TimeSeriesStore, label_key
+
+
+@pytest.fixture
+def rings(monkeypatch):
+    """``rings(raw, factor, downsampled)`` shrinks the retention constants
+    for the series created after the call."""
+
+    def shrink(raw=timeseries.RAW_CAPACITY, factor=timeseries.DOWNSAMPLE_FACTOR,
+               downsampled=timeseries.DOWNSAMPLED_CAPACITY):
+        monkeypatch.setattr(timeseries, "RAW_CAPACITY", raw)
+        monkeypatch.setattr(timeseries, "DOWNSAMPLE_FACTOR", factor)
+        monkeypatch.setattr(timeseries, "DOWNSAMPLED_CAPACITY", downsampled)
+
+    return shrink
 
 
 class TestLabelKey:
@@ -27,23 +33,17 @@ class TestLabelKey:
 
 
 class TestSeriesRetention:
-    def test_append_tracks_change(self):
+    def test_raw_ring_bounded(self, rings):
+        rings(raw=4, factor=2)
         s = Series("m")
-        assert s.append(1.0, 5.0) is True      # first sample is a change
-        assert s.append(2.0, 5.0) is False     # same value
-        assert s.append(3.0, 6.0) is True
-        assert s.last_change == 3.0
-        assert s.samples_recorded == 3
-
-    def test_raw_ring_bounded(self):
-        s = Series("m", raw_capacity=4, downsample_factor=2)
         for i in range(10):
             s.append(float(i), float(i))
         assert len(s.raw) == 4
         assert s.raw[0][0] == 6.0  # oldest retained raw sample
 
-    def test_evictions_fold_into_bins_not_dropped(self):
-        s = Series("m", raw_capacity=2, downsample_factor=2)
+    def test_evictions_fold_into_bins_not_dropped(self, rings):
+        rings(raw=2, factor=2)
+        s = Series("m")
         for i in range(8):
             s.append(float(i), float(i * 10))
         # 6 evicted samples -> 3 complete bins of 2
@@ -52,24 +52,25 @@ class TestSeriesRetention:
         assert (first.min, first.max, first.count) == (0.0, 10.0, 2)
         assert first.mean == pytest.approx(5.0)
 
-    def test_partial_bin_pending_until_full(self):
-        s = Series("m", raw_capacity=1, downsample_factor=4)
+    def test_partial_bin_pending_until_full(self, rings):
+        rings(raw=1, factor=4)
+        s = Series("m")
         for i in range(3):
             s.append(float(i), 1.0)
         # 2 evictions, factor 4: nothing downsampled yet, pending holds them
         assert len(s.downsampled) == 0
         assert s._pending is not None and s._pending.count == 2
 
-    def test_downsampled_ring_bounded(self):
-        s = Series("m", raw_capacity=1, downsample_factor=1,
-                   downsampled_capacity=5)
+    def test_downsampled_ring_bounded(self, rings):
+        rings(raw=1, factor=1, downsampled=5)
+        s = Series("m")
         for i in range(100):
             s.append(float(i), float(i))
         assert len(s.downsampled) == 5
 
-    def test_memory_strictly_bounded(self):
-        s = Series("m", raw_capacity=8, downsample_factor=4,
-                   downsampled_capacity=16)
+    def test_memory_strictly_bounded(self, rings):
+        rings(raw=8, factor=4, downsampled=16)
+        s = Series("m")
         for i in range(10_000):
             s.append(float(i), float(i))
         assert len(s.raw) <= 8
@@ -77,8 +78,9 @@ class TestSeriesRetention:
 
 
 class TestSeriesQueries:
-    def test_samples_merges_tiers_in_time_order(self):
-        s = Series("m", raw_capacity=2, downsample_factor=2)
+    def test_samples_merges_tiers_in_time_order(self, rings):
+        rings(raw=2, factor=2)
+        s = Series("m")
         for i in range(6):
             s.append(float(i), float(i))
         pts = s.samples()
@@ -101,57 +103,6 @@ class TestSeriesQueries:
         s.append(1.0, 7.0)
         assert s.latest() == (1.0, 7.0)
 
-    def test_rate_over_window(self):
-        s = Series("m", kind="counter")
-        for i in range(11):
-            s.append(float(i), float(i * 3))  # +3/s
-        assert s.rate(window=5.0, now=10.0) == pytest.approx(3.0)
-
-    def test_rate_ignores_counter_resets(self):
-        s = Series("m", kind="counter")
-        s.append(0.0, 100.0)
-        s.append(1.0, 110.0)
-        s.append(2.0, 5.0)    # process restart: counter reset
-        s.append(3.0, 15.0)
-        # positive deltas only: 10 + 10 over 3 seconds
-        assert s.rate(window=10.0, now=3.0) == pytest.approx(20.0 / 3.0)
-
-    def test_rate_empty_or_single_point(self):
-        s = Series("m")
-        assert s.rate(5.0, now=1.0) == 0.0
-        s.append(0.0, 1.0)
-        assert s.rate(5.0, now=1.0) == 0.0
-
-    def test_percentile_interpolates(self):
-        s = Series("m")
-        for i, v in enumerate([10.0, 20.0, 30.0, 40.0]):
-            s.append(float(i), v)
-        assert s.percentile(0.0, window=10.0, now=3.0) == 10.0
-        assert s.percentile(1.0, window=10.0, now=3.0) == 40.0
-        assert s.percentile(0.5, window=10.0, now=3.0) == pytest.approx(25.0)
-
-    def test_percentile_empty(self):
-        assert Series("m").percentile(0.9, window=5.0) == 0.0
-
-    def test_window_stats(self):
-        s = Series("m")
-        for i, v in enumerate([5.0, 1.0, 9.0]):
-            s.append(float(i), v)
-        stats = s.window_stats(window=10.0, now=2.0)
-        assert stats == {
-            "count": 3, "min": 1.0, "max": 9.0,
-            "mean": pytest.approx(5.0), "first": 5.0, "last": 9.0,
-        }
-
-    def test_seconds_since_change(self):
-        s = Series("m")
-        assert s.seconds_since_change(5.0) == math.inf
-        s.append(1.0, 2.0)
-        s.append(2.0, 2.0)   # no change
-        assert s.seconds_since_change(5.0) == pytest.approx(4.0)
-        s.append(3.0, 4.0)
-        assert s.seconds_since_change(5.0) == pytest.approx(2.0)
-
     def test_to_dict_shape(self):
         s = Series("m", label_key({"a": "1"}), kind="counter")
         s.append(1.0, 2.0)
@@ -169,58 +120,13 @@ class TestTimeSeriesStore:
         assert store.series("m", {"x": "1"}) is a
         assert store.series("m", {"x": "2"}) is not a
 
-    def test_cardinality_cap(self):
-        store = TimeSeriesStore(max_series=3)
+    def test_cardinality_cap(self, monkeypatch):
+        monkeypatch.setattr(timeseries, "MAX_SERIES", 3)
+        store = TimeSeriesStore()
         for i in range(5):
             store.record("m", 1.0, labels={"i": str(i)}, t=float(i))
-        assert len(store.all_series("m")) == 3
+        assert len(store.all_series()) == 3
         assert store.series_dropped == 2
-
-    def test_record_and_query_label_filter(self):
-        store = TimeSeriesStore()
-        store.record("m", 1.0, labels={"e": "a", "z": "1"}, t=0.0)
-        store.record("m", 2.0, labels={"e": "b"}, t=0.0)
-        hits = store.query("m", labels={"e": "a"})
-        assert len(hits) == 1
-        assert hits[0]["labels"] == {"e": "a", "z": "1"}
-        assert store.query("other") == []
-
-    def test_observe_registry_counters_and_gauges(self):
-        reg = Registry()
-        c = reg.counter("t_jobs_total", "jobs")
-        g = reg.gauge("t_rss", "rss", labelnames=("executor",))
-        c.inc(2)
-        g.labels(executor="e0").set(42.0)
-        store = TimeSeriesStore()
-        changed = store.observe_registry(reg, now=1.0)
-        assert ("t_jobs_total", {}, 2.0) in changed
-        assert ("t_rss", {"executor": "e0"}, 42.0) in changed
-        # unchanged second tick reports nothing but still appends samples
-        assert store.observe_registry(reg, now=2.0) == []
-        (s,) = store.query("t_jobs_total")
-        assert s["samples"] == [[1.0, 2.0], [2.0, 2.0]]
-
-    def test_observe_registry_histograms_become_count_and_sum(self):
-        reg = Registry()
-        h = reg.histogram("t_task_seconds", "durations")
-        h.observe(0.5)
-        h.observe(1.5)
-        store = TimeSeriesStore()
-        changed = dict(
-            (name, value) for name, _, value in store.observe_registry(reg, now=0.0)
-        )
-        assert changed["t_task_seconds_count"] == 2.0
-        assert changed["t_task_seconds_sum"] == pytest.approx(2.0)
-        (count_series,) = store.all_series("t_task_seconds_count")
-        assert count_series.kind == "counter"
-
-    def test_store_rate_sums_matching_series(self):
-        store = TimeSeriesStore()
-        for t in range(6):
-            store.record("c", t * 2.0, labels={"e": "a"}, t=float(t), kind="counter")
-            store.record("c", t * 3.0, labels={"e": "b"}, t=float(t), kind="counter")
-        assert store.rate("c", window=5.0, now=5.0) == pytest.approx(5.0)
-        assert store.rate("c", window=5.0, labels={"e": "a"}, now=5.0) == pytest.approx(2.0)
 
     def test_dump_trims_to_window_and_skips_empty(self):
         store = TimeSeriesStore()
@@ -251,66 +157,4 @@ class TestTimeSeriesStore:
             th.start()
         for th in threads:
             th.join()
-        assert sum(s.samples_recorded for s in store.all_series("m")) == 800
-
-
-class TestMetricsSampler:
-    def _fresh(self, interval=0.02):
-        reg = Registry()
-        counter = reg.counter("s_ticks_total", "test counter")
-        store = TimeSeriesStore()
-        return reg, counter, store, MetricsSampler(store, reg, interval=interval)
-
-    def test_manual_tick_feeds_sinks_and_hooks(self):
-        reg, counter, store, sampler = self._fresh()
-        seen_sinks, seen_hooks = [], []
-        sampler.add_tick_sink(lambda now, changed: seen_sinks.append(changed))
-        sampler.add_tick_hook(seen_hooks.append)
-        counter.inc()
-        sampler.tick(now=1.0)
-        assert seen_sinks == [[("s_ticks_total", {}, 1.0)]]
-        assert seen_hooks == [1.0]
-        # no change -> sinks skipped, hooks still run (alerts need the clock)
-        sampler.tick(now=2.0)
-        assert len(seen_sinks) == 1
-        assert seen_hooks == [1.0, 2.0]
-
-    def test_consumer_errors_isolated(self):
-        reg, counter, store, sampler = self._fresh()
-
-        def bad_sink(now, changed):
-            raise RuntimeError("sink boom")
-
-        def bad_hook(now):
-            raise RuntimeError("hook boom")
-
-        good = []
-        sampler.add_tick_sink(bad_sink)
-        sampler.add_tick_sink(lambda now, changed: good.append(changed))
-        sampler.add_tick_hook(bad_hook)
-        counter.inc()
-        sampler.tick(now=1.0)
-        assert good, "a raising sink must not starve later sinks"
-        assert len(sampler.consumer_errors) == 2
-
-    def test_thread_lifecycle_and_final_flush(self):
-        reg, counter, store, sampler = self._fresh(interval=0.01)
-        sampler.start()
-        try:
-            deadline = time.monotonic() + 5.0
-            while sampler.ticks < 3 and time.monotonic() < deadline:
-                time.sleep(0.01)
-            assert sampler.ticks >= 3
-        finally:
-            counter.inc(7)  # lands via the stop()-time flush tick
-            sampler.stop()
-        assert not any(
-            t.name == "repro-metrics-sampler" for t in threading.enumerate()
-        )
-        (s,) = store.all_series("s_ticks_total")
-        assert s.latest()[1] == 7.0
-
-    def test_stop_idempotent_without_start(self):
-        reg, counter, store, sampler = self._fresh()
-        sampler.stop()  # never started: still safe, runs the flush tick
-        assert sampler.ticks == 1
+        assert sum(len(s.samples()) for s in store.all_series()) == 800

@@ -179,73 +179,66 @@ class TestLiveProgress:
         assert all(s["state"] == "complete" for s in final["stages"])
 
 
-class TestMonitoringEndpoints:
+class TestRemovedMonitoringPlane:
+    @pytest.mark.parametrize("endpoint", ["/api/timeseries", "/api/alerts"])
+    def test_endpoint_is_gone(self, ui_ctx, endpoint):
+        with pytest.raises(urllib.error.HTTPError) as err:
+            _get(ui_ctx.ui_url + endpoint)
+        assert err.value.code == 404
+        assert endpoint not in _get(ui_ctx.ui_url + "/")[2]
+
+
+def _raise(exc):
+    def call(*args):
+        raise exc
+
+    return call
+
+
+class TestBackendRPCErrors:
+    """An unreachable external head costs the endpoint its fleet data and
+    logs one warning; a bug in the call is not masked."""
+
     @pytest.fixture
-    def monitored_ctx(self):
-        config = EngineConfig(
-            backend="cluster", num_executors=2, executor_cores=2,
-            default_parallelism=4, heartbeat_interval=0.05,
-            metrics_interval=0.02, alerts_enabled=True,
-        )
+    def serial_ui(self):
+        config = EngineConfig(backend="serial", num_executors=2,
+                              executor_cores=1, default_parallelism=2)
         with Context(config, ui_port=0) as ctx:
             yield ctx
 
-    def test_timeseries_disabled_without_sampler(self, ui_ctx):
-        payload = _get_json(ui_ctx.ui_url + "/api/timeseries")
-        assert payload == {"enabled": False, "series": []}
+    def _ui_warnings(self, records):
+        return [r for r in records if r.logger == "repro.obs.ui" and r.level == "warning"]
 
-    def test_alerts_disabled_without_manager(self, ui_ctx):
-        payload = _get_json(ui_ctx.ui_url + "/api/alerts")
-        assert payload == {"enabled": False, "rules": [], "states": [],
-                           "history": []}
+    def test_connection_error_disables_api_fleet_with_one_warning(self, serial_ui):
+        from repro.obs.logging import capture_logs
 
-    def _wait_for_series(self, ctx, name="engine_jobs_total", timeout=5.0):
-        deadline = time.monotonic() + timeout
-        while not ctx.timeseries.all_series(name):
-            assert time.monotonic() < deadline, f"{name} never sampled"
-            time.sleep(0.02)
+        serial_ui.backend.fleet_snapshot = _raise(ConnectionError("head gone"))
+        with capture_logs() as records:
+            payload = _get_json(serial_ui.ui_url + "/api/fleet")
+        assert payload == {"enabled": False}
+        (warning,) = self._ui_warnings(records)
+        assert warning.fields["endpoint"] == "/api/fleet"
+        assert warning.fields["error"] == "ConnectionError: head gone"
 
-    def test_timeseries_payload(self, monitored_ctx):
-        monitored_ctx.parallelize(range(20), 4).sum()
-        self._wait_for_series(monitored_ctx)
-        payload = _get_json(monitored_ctx.ui_url + "/api/timeseries")
-        assert payload["enabled"] is True
-        assert "engine_jobs_total" in payload["names"]
-        by_name = {s["name"]: s for s in payload["series"]}
-        series = by_name["engine_jobs_total"]
-        assert series["samples"], "sampled series must carry points"
-        assert all(len(p) == 2 for p in series["samples"])
+    def test_connection_error_keeps_metrics_and_executors_serving(self, serial_ui):
+        from repro.obs.logging import capture_logs
 
-    def test_timeseries_name_and_window_params(self, monitored_ctx):
-        monitored_ctx.parallelize(range(20), 4).sum()
-        self._wait_for_series(monitored_ctx)
-        one = _get_json(
-            monitored_ctx.ui_url + "/api/timeseries?name=engine_jobs_total"
-        )
-        assert {s["name"] for s in one["series"]} == {"engine_jobs_total"}
-        # let several more ticks land so the windows can actually differ
-        (series,) = monitored_ctx.timeseries.all_series("engine_jobs_total")
-        deadline = time.monotonic() + 5.0
-        while series.samples_recorded < 4:
-            assert time.monotonic() < deadline, "sampler stopped ticking"
-            time.sleep(0.02)
-        tiny = _get_json(monitored_ctx.ui_url + "/api/timeseries?window=0.0001")
-        wide = _get_json(monitored_ctx.ui_url + "/api/timeseries?window=3600")
-        n_tiny = sum(len(s["samples"]) for s in tiny["series"])
-        n_wide = sum(len(s["samples"]) for s in wide["series"])
-        assert n_tiny < n_wide
+        serial_ui.backend.fleet_snapshot = _raise(ConnectionError("head gone"))
+        serial_ui.backend.executor_info = _raise(TimeoutError("no reply"))
+        with capture_logs() as records:
+            body = _get(serial_ui.ui_url + "/metrics")[2]
+            executors = _get_json(serial_ui.ui_url + "/api/executors")
+        assert body.rstrip().endswith("# EOF")
+        assert {e["executor_id"] for e in executors} == {"exec-0", "exec-1"}
+        assert [w.fields["endpoint"] for w in self._ui_warnings(records)] == [
+            "/metrics", "/api/executors",
+        ]
 
-    def test_alerts_payload(self, monitored_ctx):
-        monitored_ctx.parallelize(range(20), 4).sum()
-        payload = _get_json(monitored_ctx.ui_url + "/api/alerts")
-        assert payload["enabled"] is True
-        assert {r["name"] for r in payload["rules"]} >= {
-            "heartbeat_loss", "cache_thrash",
-        }
-        assert isinstance(payload["states"], list)
-        assert isinstance(payload["history"], list)
+    def test_a_type_error_is_not_masked(self, serial_ui):
+        serial_ui.backend.fleet_snapshot = _raise(TypeError("bad call"))
 
-    def test_dashboard_links_monitoring_endpoints(self, monitored_ctx):
-        _, _, body = _get(monitored_ctx.ui_url + "/")
-        assert "/api/timeseries" in body and "/api/alerts" in body
-        assert "sparklines" in body and "alertbanner" in body
+        class _Handler:
+            path = "/api/fleet"
+
+        with pytest.raises(TypeError, match="bad call"):
+            serial_ui._ui._route(_Handler())

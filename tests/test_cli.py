@@ -381,51 +381,21 @@ class TestDoctorStrict:
 
 
 class TestMonitoringFlags:
-    def test_analyze_with_monitoring_writes_series(self, dataset_dir, tmp_path, capsys):
-        log = tmp_path / "mon.jsonl"
-        rc = main(["analyze", dataset_dir, "--method", "monte-carlo",
-                   "--iterations", "32", "--engine", "distributed",
-                   "--backend", "serial", "--event-log", str(log),
-                   "--metrics-interval", "0.02", "--alerts",
-                   "--no-progress"])
-        assert rc == 0
-        capsys.readouterr()
-        from repro.engine.eventlog import read_channels
-
-        assert read_channels(str(log))["series"], "sampler produced no v5 series lines"
-        rc = main(["history", str(log), "--series"])
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "-- sampled series" in out
-        assert "engine_jobs_total" in out
-        assert "last" in out
-
-    def test_history_series_on_unsampled_log(self, dataset_dir, tmp_path, capsys):
-        log = tmp_path / "plain.jsonl"
-        main(["analyze", dataset_dir, "--method", "monte-carlo",
-              "--iterations", "32", "--engine", "distributed",
-              "--backend", "serial", "--event-log", str(log),
-              "--no-progress"])
-        capsys.readouterr()
-        rc = main(["history", str(log), "--series"])
-        assert rc == 0
-        assert "no sampled series" in capsys.readouterr().out
-
     def test_monitoring_requires_distributed_engine(self, dataset_dir):
         with pytest.raises(SystemExit, match="--engine distributed"):
             main(["analyze", dataset_dir, "--method", "monte-carlo",
-                  "--iterations", "32", "--metrics-interval", "0.1"])
+                  "--iterations", "32", "--flight-recorder", "bundles"])
 
     def test_one_error_names_every_distributed_flag(self, dataset_dir, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["analyze", dataset_dir, "--iterations", "8",
                   "--event-log", str(tmp_path / "e.jsonl"), "--early-stop",
-                  "--log-level", "debug", "--metrics-interval", "0",
+                  "--log-level", "debug",
                   "--flight-recorder", str(tmp_path), "--ui-port", "0"])
         message = str(exc.value)
         assert "--engine distributed" in message
         for flag in ("--event-log", "--early-stop", "--log-level",
-                     "--metrics-interval", "--flight-recorder", "--ui-port"):
+                     "--flight-recorder", "--ui-port"):
             assert flag in message
         # forcing a feature off asks the local engine for nothing
         assert main(["analyze", dataset_dir, "--method", "observed",
@@ -438,20 +408,29 @@ class TestMonitoringFlags:
         assert exc.value.code == 2
         assert f"unrecognized arguments: --{flag}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "d", "--engine", "distributed", "--metrics-interval", "0.1"],
+        ["analyze", "d", "--engine", "distributed", "--alerts"],
+        ["analyze", "d", "--engine", "distributed", "--alert-rules", "x.json"],
+        ["history", "events.jsonl", "--series"],
+    ], ids=["metrics-interval", "alerts", "alert-rules", "history-series"])
+    def test_removed_monitoring_flags_are_unrecognised(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_flags_land_in_the_context_config(self, dataset_dir, tmp_path):
         from repro.cli import _load_analysis, build_parser
 
         args = build_parser().parse_args([
             "analyze", dataset_dir, "--engine", "distributed",
             "--backend", "serial", "--log-level", "warning",
-            "--metrics-interval", "0.5", "--alerts",
             "--flight-recorder", str(tmp_path), "--no-progress",
         ])
         with _load_analysis(args) as analysis:
             config = analysis.ctx.config
             assert config.log_level == "warning"
-            assert config.metrics_interval == 0.5
-            assert config.alerts_enabled is True
             assert config.flight_recorder_dir == str(tmp_path)
             assert analysis.ctx.flight_recorder is not None
 

@@ -17,10 +17,10 @@ class TestSurface:
             "default_parallelism", "max_task_retries", "heartbeat_interval",
             "heartbeat_timeout", "profile_fraction", "transport_scheme",
             "cluster_address", "cluster_secret", "log_level",
-            "metrics_interval", "alerts_enabled", "flight_recorder_dir",
-            "inference_early_stop", "inference_alpha", "inference_ci",
-            "inference_min_replicates",
+            "flight_recorder_dir", "inference_early_stop", "inference_alpha",
+            "inference_ci", "inference_min_replicates",
         ]
+        assert len(dataclasses.fields(EngineConfig)) == 18
 
     @pytest.mark.parametrize("knob", ["adaptive", "speculation"])
     def test_adaptive_execution_is_not_a_knob(self, knob):
@@ -32,6 +32,21 @@ class TestSurface:
         with Context(EngineConfig()) as ctx:
             assert not hasattr(ctx, "adaptive")
 
+    def test_metrics_sampler_and_alerts_are_not_knobs(self):
+        # decided by measurement: no built-in alert named a cause nothing
+        # else in the same run named (DESIGN.md section 12)
+        from repro.engine.context import Context
+
+        with pytest.raises(TypeError):
+            EngineConfig(metrics_interval=0.05)
+        with pytest.raises(TypeError):
+            EngineConfig(alerts_enabled=True)
+        with pytest.raises(TypeError):
+            Context(alert_rules=[])
+        with Context(EngineConfig()) as ctx:
+            for name in ("timeseries", "sampler", "alerts"):
+                assert not hasattr(ctx, name), name
+
     def test_no_second_spelling(self):
         for name in ("set", "get", "_ALIASES", "extra"):
             assert not hasattr(EngineConfig(), name), name
@@ -42,7 +57,7 @@ class TestSurface:
         params = list(inspect.signature(Context.__init__).parameters)[1:]
         assert params == [
             "config", "fault_injector", "hdfs", "event_log_path", "trace_path",
-            "ui_port", "progress", "log_file", "alert_rules",
+            "ui_port", "progress", "log_file",
         ]
 
 
@@ -94,15 +109,14 @@ class TestEngineConfig:
 class TestMonitoringKnobs:
     def test_defaults_off(self):
         config = EngineConfig()
-        assert config.metrics_interval == 0.0
-        assert config.alerts_enabled is False
         assert config.flight_recorder_dir == ""
+        assert config.inference_early_stop is False
         assert config.log_level == "info"
 
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"metrics_interval": -1.0},
+            {"inference_ci": "bayes"},
             {"log_level": "trace"},
             {"profile_fraction": 1.5},
             {"profile_fraction": -0.1},
@@ -114,9 +128,7 @@ class TestMonitoringKnobs:
 
     def test_copy_carries_monitoring_fields(self):
         config = EngineConfig().copy(
-            metrics_interval=0.25, alerts_enabled=True,
-            flight_recorder_dir="/tmp/fr",
+            log_level="debug", flight_recorder_dir="/tmp/fr",
         )
-        assert config.metrics_interval == 0.25
-        assert config.alerts_enabled is True
+        assert config.log_level == "debug"
         assert config.flight_recorder_dir == "/tmp/fr"
