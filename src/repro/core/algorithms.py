@@ -47,12 +47,15 @@ batch and one join/``reduce_by_key`` job; a vectorized wave is
 
 Every transformation in the hot path is a named module-level callable (not
 a lambda), so the whole pipeline pickles and runs on the process backend.
-Exceedance counting happens *inside* tasks against a broadcast of the
-observed statistics: a vectorized task compares the sets it holds whole and
-returns per-block columns of the sets that straddle partitions, which the
-driver folds in partition -> block order (DESIGN.md §8 says why that is
-bit-identical to one fold of every block's partial).  No shuffle, and O(K)
-counts plus ``b`` floats per straddling (set, block) to the driver.
+Exceedance counting happens *inside* tasks.  A vectorized run has no
+observed pass of its own: its first wave's tasks score their blocks'
+observed partials, compare the sets they hold whole in place, and return
+the partials with the SNP ids they scored; later waves carry the driver's
+folded observed vector in their payload broadcast.  Straddling sets come
+back as per-block columns the driver folds in partition -> block order
+(DESIGN.md §8 says why that is bit-identical to one fold of every block's
+partial).  No shuffle, and O(K) counts plus ``b`` floats per straddling
+(set, block) to the driver.
 """
 
 from __future__ import annotations
@@ -224,15 +227,6 @@ class _RowInnerFn:
         return float(np.sum(row)) ** 2
 
 
-class _ObservedBlockPartialFn:
-    """Observed per-set partials from a contributions block, paired with the
-    SNP ids it scored -- the block just built or found resident -- for the
-    driver to hold against the SNP-sets."""
-
-    def __call__(self, block: SnpBlock):
-        return block.skat_partial(block.genotypes.sum(axis=1)), [block.snp_ids]
-
-
 class _McChunkInnersFn:
     """(batch,) squared scores per SNP row under MC multipliers, one GEMM
     per chunk (paper flavor)."""
@@ -249,17 +243,20 @@ class _McChunkInnersFn:
 class _WaveCountsFn:
     """One wave of batches on one partition's blocks (vectorized flavor).
 
-    Per batch the blocks' ``(b, K)`` partials are folded left in block
-    order; a set all of whose SNPs are in this partition is compared in
-    place with the observed statistics, a set that straddles partitions
-    sends its per-block columns to :meth:`DistributedSparkScore._fold_wave`.
-    Yields ``(complete sets, (W, complete) counts, set of each column,
-    columns)``, a column holding the wave's batches end to end.
+    The broadcast is ``(observed, payloads)``; a first wave's ``observed``
+    is ``None``, and the task folds its blocks' observed partials -- of the
+    block (``U``) or, given the model, of its contributions -- instead.  Per
+    batch the blocks' ``(b, K)`` partials are folded left in block order; a
+    set all of whose SNPs are in this partition is compared in place with
+    the observed statistics, a set that straddles partitions sends its
+    per-block columns to :meth:`DistributedSparkScore._fold_wave`.  Yields
+    ``(complete sets, (W, complete) counts, set of each column, columns,
+    scored)``, a column holding the wave's batches end to end and
+    ``scored`` a first wave's ``((K,) observed, SNP ids)``, else ``None``.
     """
 
-    def __init__(self, wave_bc, observed_bc, lookup_bc, model_bc=None) -> None:
+    def __init__(self, wave_bc, lookup_bc, model_bc=None) -> None:
         self.wave_bc = wave_bc
-        self.observed_bc = observed_bc
         self.lookup_bc = lookup_bc
         self.model_bc = model_bc
 
@@ -272,17 +269,26 @@ class _WaveCountsFn:
         whole = (np.sum(held, axis=0) == sizes) & (sizes > 0)
         complete = np.flatnonzero(whole)
         straddling = [np.flatnonzero((n > 0) & ~whole) for n in held]
-        observed = self.observed_bc.value[complete]
-        counts, columns = [], []
-        for payload in self.wave_bc.value:
+        observed, payloads = self.wave_bc.value
+        scored = None
+        if observed is None:
+            observed = np.zeros(sizes.size)
+            for block, rows in blocks:
+                if self.model_bc is not None:
+                    rows = self.model_bc.value.contributions(rows)
+                observed = observed + block.skat_partial(rows.sum(axis=1))
+            scored = observed, np.concatenate([block.snp_ids for block, _ in blocks])
+        counts = np.zeros((len(payloads), complete.size), np.int64)
+        columns = [np.empty((sum(sets.size for sets in straddling), 0))]
+        for i, payload in enumerate(payloads):
             total, batch_columns = None, []
             for (block, rows), sets in zip(blocks, straddling):
                 partial = self.partial(block, rows, payload)
                 total = partial if total is None else total + partial
                 batch_columns.append(partial[:, sets].T)
-            counts.append(exceedances(total[:, complete], observed))
+            counts[i] = exceedances(total[:, complete], observed[complete])
             columns.append(np.concatenate(batch_columns))
-        yield complete, np.array(counts), np.concatenate(straddling), np.hstack(columns)
+        yield complete, counts, np.concatenate(straddling), np.hstack(columns), scored
 
 
 class _McWaveFn(_WaveCountsFn):
@@ -328,20 +334,6 @@ class _KeyBySetFn:
         return (self.set_bc.value[kv[0]], kv[1])
 
 
-class _ObservedZeroFn:
-    """Zero of the observed fold: a (K,) statistic and no scored ids."""
-
-    def __init__(self, n_sets: int) -> None:
-        self.n_sets = n_sets
-
-    def __call__(self):
-        return np.zeros(self.n_sets), []
-
-
-def _add_observed(a, b):
-    return a[0] + b[0], a[1] + b[1]
-
-
 class _PaperExceedFn:
     """Per-set exceedance count for the paper flavor's keyed totals."""
 
@@ -370,7 +362,7 @@ class DistributedSparkScore:
         Both flavors check every row in the task that parses its split (a
         :class:`~repro.genomics.io.formats.FormatError` names the file and
         the line).  The vectorized flavor also holds, in the driver, the
-        SNP ids the observed pass scored against the SNP-sets; the paper
+        SNP ids its first wave scored against the SNP-sets; the paper
         flavor makes no such cross-split check and re-parses on every
         uncached pass.
     flavor:
@@ -528,16 +520,32 @@ class DistributedSparkScore:
             counts[set_idx] = count
         return counts
 
-    def _fold_wave(self, parts: list, widths: list[int], observed: np.ndarray) -> np.ndarray:
-        """``(W, K)`` counts of a wave from every partition's
-        :class:`_WaveCountsFn` record.  A straddling set's columns are
-        folded left in partition -> block order: the order one fold of every
-        block's ``(b, K)`` partial adds them in, since the blocks without
-        the set add exact zeros.  Sets with no SNPs score zero."""
+    def _wave(self, kernel, cache: bool, payloads: list, observed: np.ndarray | None):
+        """One single-stage job counting a wave's ``payloads``: ``((W, K)
+        counts, (K,) observed)``.  Its blocks are the cached ``U`` or, off
+        the cache, the dosage blocks and the model.  Without ``observed`` --
+        a run's first wave -- the tasks score it as well."""
+        source = self.contributions_rdd() if cache else self._gm_rdd
+        model_bc = None if cache else self._model_bc
+        with _broadcast(self.ctx, (observed, payloads)) as wave_bc:
+            parts = source.map_partitions(kernel(wave_bc, self._lookup_bc, model_bc)).collect()
+        return self._fold_wave(parts, [len(payload) for payload in payloads], observed)
+
+    def _fold_wave(self, parts: list, widths: list[int], observed: np.ndarray | None):
+        """``((W, K) counts, (K,) observed)`` from every partition's
+        :class:`_WaveCountsFn` record, a first wave's observed partials added
+        in partition order and its scored ids checked.  Straddling columns
+        fold left in partition -> block order, as one fold of every block's
+        ``(b, K)`` partial adds them (a block without the set adds +0.0)."""
+        if observed is None:
+            observed = np.zeros(self._K)
+            for *_, (partial, _) in parts:
+                observed = observed + partial
+            self._check_scored_ids([ids for *_, (_, ids) in parts])
         empty = (self._lookup.set_sizes == 0) & (0.0 >= observed)
         counts = np.outer(widths, empty).astype(np.int64)
         stats: dict[int, np.ndarray] = {}
-        for complete, complete_counts, sets, columns in parts:
+        for complete, complete_counts, sets, columns, _ in parts:
             counts[:, complete] += complete_counts
             for k, column in zip(sets.tolist(), columns):
                 stats[k] = stats[k] + column if k in stats else column
@@ -545,23 +553,18 @@ class DistributedSparkScore:
         for k, column in stats.items():
             exceeded = np.split(column >= observed[k], batch_starts)
             counts[:, k] += [np.count_nonzero(batch) for batch in exceeded]
-        return counts
+        return counts, observed
 
     # -- Algorithm 1: observed statistics ----------------------------------------------
 
     def observed_statistics(self, cache_contributions: bool = True) -> np.ndarray:
+        """The paper flavor's keyed pass, or a vectorized wave of no batches."""
         pass_start = time.perf_counter()
-        u = self.contributions_rdd(cache_contributions)
         if self.flavor == "paper":
-            inner = u.map_values(_RowInnerFn())
+            inner = self.contributions_rdd(cache_contributions).map_values(_RowInnerFn())
             stats = self._scores_to_set_stats(inner)
         else:
-            # executors pre-combine per partition; the driver merges
-            # O(sqrt(P)) group partials instead of every block partial
-            stats, scored = u.map(_ObservedBlockPartialFn()).tree_aggregate(
-                _ObservedZeroFn(self._K), _add_observed, _add_observed, depth=2
-            )
-            self._check_scored_ids(scored)
+            _, stats = self._wave(_WaveCountsFn, cache_contributions, [], None)
         instrumentation.SCORE_PASS_SECONDS.labels(engine="distributed").observe(
             time.perf_counter() - pass_start
         )
@@ -611,20 +614,15 @@ class DistributedSparkScore:
         self, method: str, batches, planned: int, cache_contributions: bool
     ) -> ResamplingResult:
         """The loop is :func:`resample`'s.  A paper-flavor batch is one
-        broadcast of its payload and one two-stage job; a vectorized wave of
-        :data:`WAVE_BATCHES` batches is one broadcast of their payloads and
-        one single-stage job.  Every broadcast goes even if a job raises."""
+        broadcast and one two-stage job, after the observed pass; a
+        vectorized wave of :data:`WAVE_BATCHES` batches is one broadcast and
+        one single-stage job, the first scoring the observed statistics too.
+        Every broadcast goes even if a job raises."""
         start, first_job = time.perf_counter(), len(self.ctx.metrics.jobs)
-        observed = self.observed_statistics(cache_contributions)
-        paper, model_bc = self.flavor == "paper", None
+        paper = self.flavor == "paper"
         if method == "monte_carlo":
-            payload = lambda z: z
-            if paper:
-                source, kernel = self.contributions_rdd(cache_contributions), _McChunkInnersFn
-            elif cache_contributions:
-                source, kernel = self.contributions_rdd(), _McWaveFn
-            else:  # the no-cache arm: the kernel derives U again every batch
-                source, kernel, model_bc = self._gm_rdd, _McWaveFn, self._model_bc
+            payload, kernel = (lambda z: z), _McChunkInnersFn if paper else _McWaveFn
+            source = self.contributions_rdd(cache_contributions) if paper else None
         elif paper:
             # re-broadcast a block of shuffled phenotypes (Alg. 2 step 2)
             # and recompute steps 6-12 of Algorithm 1 under each
@@ -632,8 +630,8 @@ class DistributedSparkScore:
             payload = lambda perms: [self.model.permuted(perm) for perm in perms]
         else:
             # the shuffle only permutes the score weights: (b, n) float64
-            source, kernel = self._gm_rdd, _PermutedWaveFn
-            payload = self.model.score_weights().__getitem__
+            kernel, payload = _PermutedWaveFn, self.model.score_weights().__getitem__
+        observed = self.observed_statistics(cache_contributions) if paper else None
         monitor = self.ctx.inference.new_monitor(
             self._K, method, planned, list(self.dataset.snpsets.names)
         )
@@ -645,20 +643,22 @@ class DistributedSparkScore:
                 return [self._scores_to_counts(scored, len(batch), observed_bc)]
 
         def count_wave(wave: list[np.ndarray]) -> np.ndarray:
-            with _broadcast(self.ctx, [payload(batch) for batch in wave]) as wave_bc:
-                fn = kernel(wave_bc, observed_bc, self._lookup_bc, model_bc)
-                parts = source.map_partitions(fn).collect()
-            return self._fold_wave(parts, [len(batch) for batch in wave], observed)
+            nonlocal observed
+            payloads = [payload(batch) for batch in wave]
+            counts, observed = self._wave(kernel, cache_contributions, payloads, observed)
+            return counts
 
         def after_batch(width: int, seconds: float) -> None:
             instrumentation.observe_batch(method, "distributed", width, seconds)
             self.ctx.inference.publish(monitor)
 
-        with _broadcast(self.ctx, observed) as observed_bc:
+        with _broadcast(self.ctx, observed) if paper else contextlib.nullcontext() as observed_bc:
             counts, used = resample(
                 batches, count_paper if paper else count_wave, monitor, n_sets=self._K,
                 wave=1 if paper else WAVE_BATCHES, after_batch=after_batch,
             )
+        if observed is None:  # no batch ran
+            observed = self.observed_statistics(cache_contributions)
         self.ctx.inference.publish(monitor, force=True)
         return self._result(method, observed, counts, used, start, first_job, monitor)
 

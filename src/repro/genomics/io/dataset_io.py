@@ -1,4 +1,14 @@
-"""Whole-dataset round trips against a local directory or MiniHDFS."""
+"""Whole-dataset round trips against a local directory or MiniHDFS.
+
+The three small files -- phenotype, weights, SNP-sets -- are decoded a
+column at a time: each is split in one call, every column goes through one
+``map(int)`` / ``map(float)``, NumPy makes the range and uniqueness checks,
+and weights and sets are joined to the SNP ids with one ``searchsorted``.
+A file that fails any check is read again by the per-line parsers, which
+define what is accepted and word each error ``<file>:<line>:`` -- the split
+:func:`~repro.genomics.io.formats.parse_genotype_text` makes for genotypes.
+Either way the values are the same to the bit.
+"""
 
 from __future__ import annotations
 
@@ -14,6 +24,7 @@ from repro.genomics.genotypes import (
 )
 from repro.genomics.io.formats import (
     FormatError,
+    _columns,
     _decode_lines,
     _format_genotype_text,
     _parse_lines,
@@ -133,34 +144,116 @@ def _read_genotypes(data: bytes) -> GenotypeMatrix:
         ) from exc
 
 
+def _linenos(lines: list[str]) -> list[int]:
+    """The 1-based physical line of each non-blank line."""
+    return [i for i, line in enumerate(lines, 1) if line]
+
+
+def _decoded(columns: list[list[str]], dtypes: list) -> list[np.ndarray] | None:
+    """Each column in one ``np.array`` call, which takes every field through
+    ``int()`` / ``float()`` as the per-line parsers do; ``None`` if one fails."""
+    try:
+        return [np.array(column, dtype) for column, dtype in zip(columns, dtypes)]
+    except (ValueError, OverflowError):
+        return None
+
+
+def _read_phenotype(lines: list[str]) -> SurvivalPhenotype:
+    """Patient ``i``'s time and event in row ``i``; the indices must be
+    ``0..n-1``, each on one line."""
+    columns = _columns(lines, 3)
+    decoded = columns and _decoded(columns, [np.int64, np.float64, np.int64])
+    if decoded:
+        index, time, event = decoded
+        if ((index >= 0) & (index < index.size)).all() and np.isin(event, (0, 1)).all():
+            times, events = np.full(index.size, np.nan), np.full(index.size, -1)
+            times[index], events[index] = time, event
+            if (events >= 0).all() and not (time < 0).any():
+                return SurvivalPhenotype(times, events)
+    rows = list(_parse_lines(parse_phenotype_line, lines, PHENOTYPE_FILE))
+    first: dict[int, int] = {}
+    for (index, _, _), lineno in zip(rows, _linenos(lines)):
+        if not 0 <= index < len(rows):
+            raise FormatError(
+                f"patient index {index} is not in 0..{len(rows) - 1}", PHENOTYPE_FILE, lineno
+            )
+        if first.setdefault(index, lineno) != lineno:
+            raise FormatError(
+                f"patient index {index} repeats line {first[index]}", PHENOTYPE_FILE, lineno
+            )
+    rows.sort()
+    return SurvivalPhenotype(np.array([t for _, t, _ in rows]), np.array([e for _, _, e in rows]))
+
+
+def _read_weights(lines: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """``(SNP ids, weights)`` in file order, each id on one line.  An id
+    beyond 64 bits names no genotype row and is dropped."""
+    columns = _columns(lines, 2)
+    decoded = columns and _decoded(columns, [np.int64, np.float64])
+    if decoded:
+        snp_ids, weights = decoded
+        if not (weights < 0).any() and np.diff(np.sort(snp_ids)).all():
+            return snp_ids, weights
+    rows = list(_parse_lines(parse_weight_line, lines, WEIGHTS_FILE))
+    first: dict[int, int] = {}
+    for (snp_id, _), lineno in zip(rows, _linenos(lines)):
+        if first.setdefault(snp_id, lineno) != lineno:
+            raise FormatError(f"SNP id {snp_id} repeats line {first[snp_id]}", WEIGHTS_FILE, lineno)
+    rows = [(s, w) for s, w in rows if -(2**63) <= s < 2**63]
+    return np.array([s for s, _ in rows], np.int64), np.array([w for _, w in rows], np.float64)
+
+
+def _read_snpsets(lines: list[str]) -> dict[str, np.ndarray]:
+    """``{set name: int64 SNP ids}`` in file order; a name listed twice
+    keeps its first place and its last line's ids."""
+    rows = list(filter(None, lines))
+    if rows:
+        names, tabs, fields = zip(*(row.partition("\t") for row in rows))
+        unique = all(tabs) and len(set(names)) == len(names)
+        decoded = unique and _decoded([",".join(fields).split(",")], [np.int64])
+        if decoded:
+            sizes = [field.count(",") + 1 for field in fields]
+            return dict(zip(names, np.split(decoded[0], np.cumsum(sizes)[:-1])))
+    sets = dict(_parse_lines(parse_snpset_line, lines, SNPSETS_FILE))
+    for name, ids in sets.items():
+        try:
+            sets[name] = np.array(ids, np.int64)
+        except OverflowError:
+            huge = next(s for s in ids if not -(2**63) <= s < 2**63)
+            raise FormatError(f"{SNPSETS_FILE}: set {name!r} references unknown SNP {huge}") from None
+    return sets
+
+
 def _read_metadata(base: str, hdfs: "MiniHDFS | None"):
-    """The three small files: ``(phenotype, {snp: weight}, {set name: [snp ids]})``."""
+    """The three small files: ``(phenotype, (SNP ids, weights), {set name:
+    SNP ids})``."""
 
-    def parsed(parse, name):
-        return _parse_lines(parse, _decode_lines(_read_file(base, name, hdfs), name), name)
+    def lines(name):
+        return _decode_lines(_read_file(base, name, hdfs), name)
 
-    phenotype_rows = sorted(parsed(parse_phenotype_line, PHENOTYPE_FILE))
-    times = np.array([t for _, t, _ in phenotype_rows])
-    events = np.array([e for _, _, e in phenotype_rows])
-    phenotype = SurvivalPhenotype(times, events)
-    weight_map = dict(parsed(parse_weight_line, WEIGHTS_FILE))
-    sets = dict(parsed(parse_snpset_line, SNPSETS_FILE))
-    return phenotype, weight_map, sets
+    return (
+        _read_phenotype(lines(PHENOTYPE_FILE)),
+        _read_weights(lines(WEIGHTS_FILE)),
+        _read_snpsets(lines(SNPSETS_FILE)),
+    )
 
 
 def _align(
-    snp_ids: np.ndarray, weight_map: dict[int, float], sets: dict[str, list[int]]
+    snp_ids: np.ndarray, weights: tuple[np.ndarray, np.ndarray], sets: dict[str, np.ndarray]
 ) -> tuple[np.ndarray, SnpSetCollection]:
     """Weights and set membership in ``snp_ids`` order, joined by SNP id."""
-    try:
-        weights = np.array([weight_map[s] for s in snp_ids.tolist()])
-    except KeyError as exc:
-        raise FormatError(f"{WEIGHTS_FILE}: missing SNP {exc}") from exc
+    weight_ids, values = weights
+    order = np.argsort(weight_ids)
+    at = np.searchsorted(weight_ids, snp_ids, sorter=order)
+    found = at < order.size
+    found[found] = weight_ids[order[at[found]]] == snp_ids[found]
+    if not found.all():
+        raise FormatError(f"{WEIGHTS_FILE}: missing SNP {snp_ids[~found][0]}")
     try:
         snpsets = SnpSetCollection.from_lists(snp_ids, sets)
     except ValueError as exc:
         raise FormatError(f"{SNPSETS_FILE}: {exc}") from exc
-    return weights, snpsets
+    return values[order[at]], snpsets
 
 
 def read_dataset(base: str, hdfs: "MiniHDFS | None" = None) -> Dataset:
@@ -170,8 +263,8 @@ def read_dataset(base: str, hdfs: "MiniHDFS | None" = None) -> Dataset:
     (a ``ValueError``) whose message starts ``<file>:<line>:``.
     """
     genotypes = _read_genotypes(_read_file(base, GENOTYPES_FILE, hdfs))
-    phenotype, weight_map, sets = _read_metadata(base, hdfs)
-    weights, snpsets = _align(genotypes.snp_ids, weight_map, sets)
+    phenotype, weight_table, sets = _read_metadata(base, hdfs)
+    weights, snpsets = _align(genotypes.snp_ids, weight_table, sets)
     return Dataset(genotypes, phenotype, weights, snpsets)
 
 
@@ -185,9 +278,9 @@ def open_dataset(base: str, hdfs: "MiniHDFS | None" = None) -> Dataset:
     and whose ``matrix`` is read, validated as :func:`read_dataset`
     validates it and aligned to that order by SNP id when first touched.
     """
-    phenotype, weight_map, sets = _read_metadata(base, hdfs)
-    snp_ids = np.array([s for ids in sets.values() for s in ids], dtype=np.int64)
-    weights, snpsets = _align(snp_ids, weight_map, sets)
+    phenotype, weight_table, sets = _read_metadata(base, hdfs)
+    snp_ids = np.concatenate([np.empty(0, np.int64), *sets.values()])
+    weights, snpsets = _align(snp_ids, weight_table, sets)
 
     def load() -> np.ndarray:
         on_file = _read_genotypes(_read_file(base, GENOTYPES_FILE, hdfs))
@@ -196,7 +289,7 @@ def open_dataset(base: str, hdfs: "MiniHDFS | None" = None) -> Dataset:
         if np.array_equal(on_file.snp_ids, snp_ids):
             return on_file.matrix
         # words a SNP no set covers and a set naming a SNP the file lacks
-        _align(on_file.snp_ids, weight_map, sets)
+        _align(on_file.snp_ids, weight_table, sets)
         order = np.argsort(on_file.snp_ids)
         return on_file.matrix[order[np.searchsorted(on_file.snp_ids[order], snp_ids)]]
 

@@ -15,6 +15,11 @@ token-by-token parser, which therefore defines both the accepted inputs and
 the text of every error.  Which path a line takes is decided from its bytes
 alone.
 
+The three small files are read the same way round: :func:`_columns` splits
+a file into columns in one call for a reader that decodes and checks them a
+column at a time, and any file that fails a check goes to the per-line
+parsers below, which define what is accepted and word every error.
+
 The per-line parsers raise :class:`FormatError` without a location (a line
 does not know its file); the whole-file readers prefix ``<file>:<line>:``,
 and a reader handed part of a file (an engine task parsing its split) moves
@@ -72,6 +77,20 @@ def _parse_lines(
                 yield parse(line)
             except FormatError as exc:
                 raise FormatError(str(exc), source, lineno) from exc
+
+
+def _columns(lines: list[str], width: int) -> list[list[str]] | None:
+    """The non-blank ``lines`` as ``width`` columns of their tab-separated
+    fields, split in one call; ``None`` when some line holds another number
+    of fields, or none is left."""
+    rows = list(filter(None, lines))
+    text = "\n".join(rows)
+    buf = np.frombuffer(text.encode("utf-8"), np.uint8)
+    tabs = np.bincount(np.cumsum(buf == _NEWLINE)[buf == _TAB], minlength=len(rows))
+    if not rows or (tabs != width - 1).any():
+        return None
+    cells = text.replace("\n", "\t").split("\t")
+    return [cells[i::width] for i in range(width)]
 
 
 # -- genotype matrix ----------------------------------------------------------

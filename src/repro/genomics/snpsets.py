@@ -9,6 +9,7 @@ is stored as a ``set_ids`` vector over SNP row indices.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -63,20 +64,35 @@ class SnpSetCollection:
 
     @classmethod
     def from_lists(
-        cls, snp_ids: np.ndarray, sets: dict[str, list[int]]
+        cls, snp_ids: np.ndarray, sets: dict[str, Sequence[int]]
     ) -> "SnpSetCollection":
-        """Build from {name: [snp ids]}; every SNP must appear exactly once."""
-        index_of = {int(s): i for i, s in enumerate(snp_ids)}
-        set_ids = np.full(len(snp_ids), -1, dtype=np.int64)
+        """Build from {name: [snp ids]}; every SNP must appear exactly once.
+
+        Joined on arrays, one ``searchsorted`` against the sorted ids; the
+        first member, in set then list order, that names an unknown SNP or
+        one already placed is the error.
+        """
+        snp_ids = np.asarray(snp_ids, dtype=np.int64)
         names = list(sets)
-        for k, name in enumerate(names):
-            for snp in sets[name]:
-                row = index_of.get(int(snp))
-                if row is None:
-                    raise ValueError(f"set {name!r} references unknown SNP {snp}")
-                if set_ids[row] != -1:
-                    raise ValueError(f"SNP {snp} appears in more than one set")
-                set_ids[row] = k
+        members = [np.asarray(ids, dtype=np.int64) for ids in sets.values()]
+        owner = np.repeat(np.arange(len(names)), [m.size for m in members])
+        members = np.concatenate([np.empty(0, np.int64), *members])
+        order = np.argsort(snp_ids, kind="stable")
+        at = np.searchsorted(snp_ids, members, sorter=order)
+        known = at < snp_ids.size
+        rows = np.full(members.size, -1)
+        rows[known] = order[at[known]]
+        known[known] = snp_ids[rows[known]] == members[known]
+        repeat = np.ones(members.size, bool)
+        repeat[np.unique(np.where(known, rows, -1), return_index=True)[1]] = False
+        bad = ~known | repeat
+        if bad.any():
+            i = int(np.argmax(bad))
+            if not known[i]:
+                raise ValueError(f"set {names[owner[i]]!r} references unknown SNP {members[i]}")
+            raise ValueError(f"SNP {members[i]} appears in more than one set")
+        set_ids = np.full(snp_ids.size, -1, dtype=np.int64)
+        set_ids[rows] = owner
         if np.any(set_ids == -1):
             missing = snp_ids[set_ids == -1][:5]
             raise ValueError(f"SNPs not covered by any set (e.g. {missing.tolist()})")

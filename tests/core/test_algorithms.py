@@ -91,7 +91,8 @@ class TestCachingBehavior:
     def test_cache_hits_recorded_across_iterations(self, small_dataset):
         with make_ctx() as ctx:
             scorer = DistributedSparkScore(ctx, small_dataset, flavor="vectorized")
-            result = scorer.monte_carlo(60, seed=1, batch_size=20, cache_contributions=True)
+            # six batches: the second wave job finds U cached
+            result = scorer.monte_carlo(60, seed=1, batch_size=10, cache_contributions=True)
             assert result.info["cache_hits"] > 0
 
     def test_no_cache_means_no_hits(self, small_dataset):
@@ -101,14 +102,15 @@ class TestCachingBehavior:
             assert result.info["cache_hits"] == 0
 
     def test_cached_runs_fewer_recomputes(self, small_dataset):
-        """Caching saves work: compare compute effort via cache misses."""
+        """Caching saves work: compare compute effort via cache misses
+        (eight batches, two wave jobs)."""
         with make_ctx() as ctx_a:
             cached = DistributedSparkScore(ctx_a, small_dataset, flavor="vectorized").monte_carlo(
-                40, seed=1, batch_size=10
+                40, seed=1, batch_size=5
             )
         with make_ctx() as ctx_b:
             uncached = DistributedSparkScore(ctx_b, small_dataset, flavor="vectorized").monte_carlo(
-                40, seed=1, batch_size=10, cache_contributions=False
+                40, seed=1, batch_size=5, cache_contributions=False
             )
         assert cached.info["cache_misses"] < uncached.info["cache_misses"] or (
             cached.info["cache_hits"] > 0 and uncached.info["cache_hits"] == 0
@@ -125,9 +127,9 @@ class TestPerCallInfo:
         assert first.info["jobs_run"] == second.info["jobs_run"]
         assert first.info["driver_bytes_collected"] == second.info["driver_bytes_collected"]
         assert first.info["jobs_run"] + second.info["jobs_run"] == jobs
-        assert second.info["jobs_run"] == 2  # the observed pass and one wave job
+        assert second.info["jobs_run"] == 1  # one wave job, which scores observed too
         assert first.info["cache_misses"] == 4 and second.info["cache_misses"] == 0
-        assert second.info["cache_hits"] == 8  # both jobs find U cached
+        assert second.info["cache_hits"] == 4  # the wave job finds U cached
 
 
 class TestPermutationKernelStructure:
@@ -172,11 +174,12 @@ class TestPermutationKernelStructure:
             assert np.array_equal(result.observed, scorer.observed().observed)
         assert observed_pass > 0
         assert calls["permuted"] == 0
-        # the two runs' own observed passes, and nothing per replicate
+        # each run scores observed once per block, and nothing per replicate
         assert calls["contributions"] == 3 * observed_pass
-        # one payload broadcast per wave: both batches' permuted weights
-        observed_bc, wave = calls["broadcasts"]
-        assert observed_bc.shape == (small_dataset.n_sets,)
+        # one payload broadcast per wave: both batches' permuted weights and,
+        # in a first wave, no observed statistics; then observed()'s empty wave
+        (observed, wave), zero_wave = calls["broadcasts"]
+        assert observed is None and zero_wave == (None, [])
         assert [(b.shape, b.dtype) for b in wave] == [
             ((16, small_dataset.n_patients), np.float64)
         ] * 2
@@ -273,13 +276,13 @@ class TestTextInputPaths:
 
 class TestFaultToleranceEndToEnd:
     def test_executor_kill_does_not_change_counts(self, small_dataset, reference):
-        # exec-1 runs three tasks of the observed pass and dies launching
-        # its first task of the wave stage, which computes on the cached U
-        plan = FaultPlan(kill_executor_after_tasks={"exec-1": 3})
+        # exec-1 runs its two tasks of the first wave, which compute U, and
+        # dies launching its first task of the second, which reads it cached
+        plan = FaultPlan(kill_executor_after_tasks={"exec-1": 2})
         config = EngineConfig(backend="serial", num_executors=3, executor_cores=1, default_parallelism=6)
         with Context(config, fault_injector=FaultInjector(plan)) as ctx:
             scorer = DistributedSparkScore(ctx, small_dataset, flavor="vectorized")
-            result = scorer.monte_carlo(100, seed=5)
+            result = scorer.monte_carlo(100, seed=5, batch_size=20)
             assert np.array_equal(result.exceed_counts, reference["mc"].exceed_counts)
             assert ctx.fault_injector.killed_executors == {"exec-1"}
             wave_job = ctx.metrics.last_job

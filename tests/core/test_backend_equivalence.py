@@ -169,8 +169,9 @@ class TestDriverTrafficBound:
         )
         with Context(config) as ctx:
             scorer = DistributedSparkScore(ctx, dataset, flavor="vectorized", block_size=64)
-            getattr(scorer, method)(b, seed=3, batch_size=b)
-            # the last job is the one wave of one batch (observed pass ran before)
+            getattr(scorer, method)((WAVE_BATCHES + 1) * b, seed=3, batch_size=b)
+            # the last job is the second wave, of one batch: the first also
+            # returns the observed partials and the scored SNP ids
             return ctx.metrics.last_job.totals().driver_bytes_collected
 
     def _bound(self, dataset, b):
@@ -209,7 +210,7 @@ class TestDriverTrafficBound:
 
         def build_spy(self, stage, probe):
             tb = build(self, stage, probe)
-            if shipped:  # the run's observed pass comes before any broadcast
+            if shipped:  # observed_statistics' job comes before any broadcast
                 shipped[-1][2] += tb.size
             return tb
 
@@ -220,8 +221,11 @@ class TestDriverTrafficBound:
             monkeypatch.setattr(TaskScheduler, "_build_task_binary", build_spy)
             scorer.permutation((WAVE_BATCHES + 1) * b, seed=3, batch_size=b)
             end = transport.bytes_published
-        (observed_bc, _, _), *waves = shipped
-        assert np.array_equal(observed_bc, observed)
+        # the first wave scores the observed statistics, the second reads them
+        # from its own broadcast: no broadcast of its own
+        ((first, _), _, _), ((second, _), _, _) = shipped
+        assert first is None and np.array_equal(second, observed)
+        waves = [(payloads, *marks) for (_, payloads), *marks in shipped]
         assert [len(value) for value, _, _ in waves] == [WAVE_BATCHES, 1]
         after = [mark for _, mark, _ in waves[1:]] + [end]
         for (value, before, binaries), after in zip(waves, after):

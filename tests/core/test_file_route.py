@@ -71,10 +71,11 @@ class TestWarmFleet:
             return result, manager.transport.bytes_published - before
 
         first, _ = analyse()
-        # cold: four splits parsed into blocks, four U partitions computed
-        assert (first.info["cache_hits"], first.info["cache_misses"]) == (4, 8)
+        # cold: four splits parsed into blocks, four U partitions computed,
+        # in the one job
+        assert (first.info["cache_hits"], first.info["cache_misses"]) == (0, 8)
         second, published = analyse()
-        assert (second.info["cache_hits"], second.info["cache_misses"]) == (8, 0)
+        assert (second.info["cache_hits"], second.info["cache_misses"]) == (4, 0)
         assert parse_calls == []  # the driver never parsed a genotype
         # the multipliers and the small broadcasts; at the parent the row
         # slices went out again with every Context: more than the matrix
@@ -92,9 +93,9 @@ class TestWarmFleet:
         with SparkScoreAnalysis.from_files(
             str(tmp_path), engine="distributed", config=config
         ) as a:
-            result = a.permutation(24, seed=3, batch_size=8)
-        # the observed pass parses the four splits; the one wave job (three
-        # batches) hits them
+            result = a.permutation(40, seed=3, batch_size=8)
+        # the first wave job (four batches) parses the four splits, which
+        # the second (one batch) hits
         assert (result.info["cache_hits"], result.info["cache_misses"]) == (4, 4)
 
     def test_each_split_is_parsed_once_per_analysis(self, small_dataset, parse_calls, tmp_path):

@@ -5,10 +5,13 @@ set that straddles partitions comes back as per-block columns the driver
 folds in partition -> block order.  Either way a replicate statistic is the
 one a single fold of every block's partial gives, so counts must not move
 with the wave size, the partitioning, the block size or the file's row
-order -- and must equal ``LocalSparkScore``'s.
+order -- and must equal ``LocalSparkScore``'s.  The first wave scores the
+observed statistics as well: to the bit what the ``tree_aggregate`` pass it
+replaced gave, for every set at most two partitions hold.
 """
 
 import dataclasses
+import functools
 import os
 
 import numpy as np
@@ -67,6 +70,17 @@ def _assert_same_counts(waves, single, local):
         assert np.array_equal(wave.exceed_counts, reference.exceed_counts)
 
 
+def _shuffle_genotype_lines(base):
+    """Rewrite ``genotypes.txt`` in a random row order: every set of two or
+    more SNPs straddles partitions."""
+    path = os.path.join(base, "genotypes.txt")
+    with open(path) as fh:
+        lines = fh.read().splitlines()
+    order = np.random.default_rng(30).permutation(len(lines))
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines[i] for i in order) + "\n")
+
+
 @pytest.fixture(scope="module")
 def local(small_dataset):
     return _local(small_dataset)
@@ -90,12 +104,7 @@ class TestCountsDoNotDependOnTheWave:
     ):
         base = str(tmp_path)
         write_dataset(small_dataset, base)
-        path = os.path.join(base, "genotypes.txt")
-        with open(path) as fh:
-            lines = fh.read().splitlines()
-        order = np.random.default_rng(30).permutation(len(lines))
-        with open(path, "w") as fh:
-            fh.write("\n".join(lines[i] for i in order) + "\n")
+        _shuffle_genotype_lines(base)
         records = []
         fold = DistributedSparkScore._fold_wave
 
@@ -135,6 +144,96 @@ class TestCountsDoNotDependOnTheWave:
         assert [r.exceed_counts[3] for r in waves] == [160, 160, 40]
 
 
+# -- the observed statistics, scored by the first wave ------------------------
+
+
+def _block_observed(block):
+    return block.skat_partial(block.genotypes.sum(axis=1))
+
+
+def _tree_aggregate_observed(scorer, cache=True):
+    """The observed pass the first wave replaced: every ``U`` block's
+    partial, through ``tree_aggregate(depth=2)``."""
+    zero = functools.partial(np.zeros, scorer.dataset.n_sets)
+    u = scorer.contributions_rdd(cache).map(_block_observed)
+    return u.tree_aggregate(zero, np.add, np.add, depth=2)
+
+
+def _held_by_at_most_two(scorer):
+    """Sets whose rows at most two partitions hold."""
+    held = np.zeros(scorer.dataset.n_sets, np.int64)
+    for blocks in scorer._gm_rdd.glom().collect():
+        held[np.unique([k for block in blocks for k in block.set_ids])] += 1
+    return held <= 2
+
+
+def _assert_observed_matches_the_tree_fold(scorer):
+    fused = {
+        "observed": scorer.observed().observed,
+        "monte_carlo": scorer.monte_carlo(**MC).observed,
+        "no_cache": scorer.monte_carlo(**MC, cache_contributions=False).observed,
+        "permutation": scorer.permutation(**PERM).observed,
+    }
+    reference = _tree_aggregate_observed(scorer)
+    assert np.array_equal(reference, _tree_aggregate_observed(scorer, cache=False))
+    exact = _held_by_at_most_two(scorer)
+    assert exact.any()
+    for observed in fused.values():
+        assert np.array_equal(observed[exact], reference[exact])
+        # three or more partitions: the partials associate differently
+        assert np.allclose(observed, reference, rtol=1e-12, atol=0.0)
+    # one route for every method, to the bit
+    assert all(np.array_equal(fused["observed"], observed) for observed in fused.values())
+
+
+class TestObservedRidesTheFirstWave:
+    @pytest.mark.parametrize("block_size", [7, 64, 256])
+    @pytest.mark.parametrize("partitions", [1, 3, 4, 7])
+    def test_equals_the_tree_aggregate_fold(self, small_dataset, partitions, block_size):
+        with Context(_config(partitions=partitions)) as ctx:
+            scorer = DistributedSparkScore(ctx, small_dataset, block_size=block_size)
+            _assert_observed_matches_the_tree_fold(scorer)
+
+    def test_shuffled_file(self, small_dataset, tmp_path):
+        base = str(tmp_path)
+        write_dataset(small_dataset, base)
+        _shuffle_genotype_lines(base)
+        with SparkScoreAnalysis.from_files(
+            base, engine="distributed", config=_config(), block_size=64
+        ) as analysis:
+            _assert_observed_matches_the_tree_fold(analysis._impl)
+
+    def test_observed_is_one_single_stage_job(self, small_dataset):
+        with Context(_config()) as ctx:
+            result = DistributedSparkScore(ctx, small_dataset, block_size=64).observed()
+            (job,) = ctx.metrics.jobs_snapshot()
+        assert result.info["jobs_run"] == 1 and len(job.stages) == 1
+        assert job.totals().shuffle_bytes_written == 0
+        assert np.allclose(
+            result.observed, LocalSparkScore(small_dataset).observed_statistics(), rtol=1e-9
+        )
+
+    @pytest.mark.parametrize("method", ["observed", "monte_carlo", "permutation"])
+    def test_a_repeated_snp_id_across_splits_is_refused_on_a_warm_fleet(
+        self, fresh_cluster, tiny_dataset, tmp_path, method
+    ):
+        config, _ = fresh_cluster()
+        base = str(tmp_path)
+        write_dataset(tiny_dataset, base)
+        path = os.path.join(base, "genotypes.txt")
+        with open(path) as fh:
+            lines = fh.read().splitlines()
+        # line 31 becomes a second SNP 0, in another split than line 1
+        lines[30] = "0" + lines[30][lines[30].index("\t"):]
+        with open(path, "w") as fh:
+            fh.write("\n".join(lines) + "\n")
+        args = {"monte_carlo": (16,), "permutation": (8,), "observed": ()}[method]
+        for _ in range(2):  # the second run finds the blocks resident
+            with SparkScoreAnalysis.from_files(base, engine="distributed", config=config) as a:
+                with pytest.raises(FormatError, match=r"^genotypes\.txt:31: SNP id 0 repeats line 1$"):
+                    getattr(a, method)(*args)
+
+
 # -- early stop inside a wave --------------------------------------------------
 
 
@@ -171,9 +270,11 @@ def test_early_stop_mid_wave_matches_one_batch_per_job(
     wave = algorithms.WAVE_BATCHES
     (waves, wave_calls), (one, one_calls) = _by_wave(monkeypatch, analyse)
     batches = one.n_resamples // batch_size
-    assert one.n_resamples < iterations and batches % wave != 0
+    # the stop lands inside the first wave, the one that scores observed
+    assert one.n_resamples < iterations and batches < wave
     assert wave_calls == one_calls == batches
     assert waves.n_resamples == one.n_resamples
+    assert np.array_equal(waves.observed, one.observed)
     assert np.array_equal(waves.exceed_counts, one.exceed_counts)
     assert np.array_equal(waves.explicit_pvalues, one.explicit_pvalues)
     assert np.array_equal(waves.pvalues(), one.pvalues())
@@ -202,7 +303,7 @@ def test_uncached_arm_recomputes_u_per_block_per_batch(small_dataset, monkeypatc
     assert sum(calls) == J * (1 + 5)
 
 
-def test_warm_repeat_is_two_jobs_three_stages_and_no_shuffle(fresh_cluster, tmp_path):
+def test_warm_repeat_is_one_job_one_stage_and_no_shuffle(fresh_cluster, tmp_path):
     config, _ = fresh_cluster()
     dataset = generate_dataset(
         SyntheticConfig(n_patients=40, n_snps=1200, n_snpsets=40, seed=31)
@@ -217,13 +318,17 @@ def test_warm_repeat_is_two_jobs_three_stages_and_no_shuffle(fresh_cluster, tmp_
 
     analyse()  # cold: parses the splits, computes U
     result, jobs = analyse()
-    assert result.info["jobs_run"] == len(jobs) == 2
-    assert sum(len(job.stages) for job in jobs) == 3
+    (wave,) = jobs
+    assert result.info["jobs_run"] == 1 and len(wave.stages) == 1
     assert result.info["cache_misses"] == 0
-    wave = jobs[-1].totals()
-    assert len(jobs[-1].stages) == 1 and wave.shuffle_bytes_written == 0
-    # counts and straddling columns, not one (b, K) float matrix
-    assert wave.driver_bytes_collected < 64 * dataset.n_sets * 8
+    totals = wave.totals()
+    assert totals.shuffle_bytes_written == 0 and totals.shuffle_records_written == 0
+    # counts and straddling columns, under one (b, K) float matrix for all
+    # four batches, plus each partition's (K,) observed partials and the
+    # SNP ids scored
+    K, J, P = dataset.n_sets, dataset.n_snps, 4
+    assert totals.driver_bytes_collected < 64 * K * 8 + (P * K + J) * 8
+    assert np.allclose(result.observed, reference.observed, rtol=1e-9, atol=0.0)
     assert np.array_equal(result.exceed_counts, reference.exceed_counts)
 
 
@@ -248,12 +353,11 @@ class TestBroadcastsGoWhenAWaveRaises:
 
         with Context(_config()) as ctx:
             scorer = DistributedSparkScore(ctx, small_dataset, block_size=64)
-            scorer.observed_statistics()
             monkeypatch.setattr(Context, "broadcast", spy)
             monkeypatch.setattr(algorithms._McWaveFn, "partial", failing)
             with pytest.raises(raised):
                 scorer.monte_carlo(**MC)
-            # the observed statistics and the first wave's multipliers,
-            # released before the Context stops
-            assert len(handles) == 2
+            # the first wave's multipliers (its observed is scored in the
+            # tasks, and has no broadcast), released before the Context stops
+            assert len(handles) == 1
             assert all("destroyed" in repr(handle) for handle in handles)

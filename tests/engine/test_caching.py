@@ -332,9 +332,9 @@ class TestStopReleases:
 
 
 def _mc(config, dataset, **kwargs):
-    """One benchmark-shaped analysis (the observed pass, then one wave job
-    of four batches) in its own Context: ``(result, cache_hits,
-    cache_misses)``."""
+    """One benchmark-shaped analysis (one wave job of four batches, which
+    scores the observed statistics too) in its own Context: ``(result,
+    cache_hits, cache_misses)``."""
     with SparkScoreAnalysis(dataset, engine="distributed", config=config, **kwargs) as a:
         result = a.monte_carlo(128, seed=9, batch_size=32)
     return result, result.info["cache_hits"], result.info["cache_misses"]
@@ -353,9 +353,9 @@ class TestResidentBlocks:
     ):
         reference = LocalSparkScore(small_dataset).monte_carlo(128, seed=9, batch_size=32)
         first, hits, misses = _mc(fleet_config, small_dataset)
-        assert (hits, misses) == (4, 4)  # job 0 computes U, the wave job reuses it
+        assert (hits, misses) == (0, 4)  # the one job computes U
         second, hits, misses = _mc(fleet_config, small_dataset)
-        assert (hits, misses) == (8, 0)  # rdd ids restarted at 0; the key did not move
+        assert (hits, misses) == (4, 0)  # rdd ids restarted at 0; the key did not move
         for result in (first, second):
             assert np.array_equal(result.exceed_counts, reference.exceed_counts)
             assert np.array_equal(result.observed, first.observed)
@@ -374,7 +374,7 @@ class TestResidentBlocks:
         )
         _mc(fleet_config, small_dataset)
         result, hits, misses = _mc(fleet_config, other)
-        assert (hits, misses) == (4, 4)
+        assert (hits, misses) == (0, 4)
         reference = LocalSparkScore(other).monte_carlo(128, seed=9, batch_size=32)
         assert np.array_equal(result.exceed_counts, reference.exceed_counts)
         assert np.allclose(result.observed, reference.observed, rtol=1e-9, atol=0.0)

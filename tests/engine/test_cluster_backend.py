@@ -192,9 +192,8 @@ class TestTwoJobWarmth:
             ]
         finally:
             manager.stop()
-        # the observed pass's map and reduce stages and the wave's one stage,
-        # none alike
-        assert len(binaries) == 3
+        # one wave job of one stage, which scores the observed statistics too
+        assert len(binaries) == 1
         binary_bytes = sum(binaries.values())
         assert binary_bytes <= accounted <= binary_bytes + tasks * 512
         assert min(slice_bytes) >= BY_REF_MIN_BYTES  # the case under test
@@ -264,7 +263,7 @@ class TestThinBinaries:
 
         small, stages = binary_bytes(2000)
         large, _ = binary_bytes(8000)
-        assert stages == 3  # the observed pass's two, the one wave's one
+        assert stages == 1  # the one wave, which scores observed too
         assert small < 64 * 1024 * stages and large < 64 * 1024 * stages
         assert abs(large - small) <= 0.05 * small
 
@@ -283,7 +282,8 @@ class TestThinBinaries:
 
             ctx.backend.submit_pickled = spy
             scorer = DistributedSparkScore(ctx, small_dataset)
-            scorer.monte_carlo(96, seed=4, batch_size=32)
+            # five batches: the first wave job computes U, the second reads it
+            scorer.monte_carlo(160, seed=4, batch_size=32)
             u = scorer.contributions_rdd()
             first_batch = sum(len(s.tasks) for s in ctx.metrics.jobs[0].stages)
             blocks = []
@@ -349,9 +349,9 @@ class TestResidentBlockFailures:
         config, manager = fresh_fleet
         reference = LocalSparkScore(small_dataset).monte_carlo(160, seed=3, batch_size=32)
         with Context(config) as ctx:
-            # job 0 computes U, job 1 is the first wave (four batches), job 2
+            # job 0 is the first wave (four batches), which computes U, job 1
             # the second (one batch): kill between waves
-            ctx.add_listener(_KillHolderAfter(manager, jobs=2))
+            ctx.add_listener(_KillHolderAfter(manager, jobs=1))
             scorer = DistributedSparkScore(ctx, small_dataset)
             result = scorer.monte_carlo(160, seed=3, batch_size=32)
             u = scorer.contributions_rdd()

@@ -34,10 +34,13 @@ class TestTreeAggregate:
         assert any(s.is_shuffle_map for s in ctx.metrics.jobs[-1].stages)
 
     def test_empty_rdd_returns_zero(self, ctx):
-        assert ctx.parallelize([], 4).tree_aggregate(lambda: 7, operator.add, operator.add) in (7, 7 * 4) or True
-        # zero-elements: every partition contributes the zero; combined sum
-        # of zeros must equal a zero for additive monoids
-        assert ctx.parallelize([], 4).tree_aggregate(lambda: 0, operator.add, operator.add) == 0
+        rdd = ctx.parallelize([], 4)
+        for depth in (1, 2):
+            # every empty partition folds to one zero and the driver adds
+            # none: four sevens, combined in the driver or a level below it
+            assert rdd.tree_aggregate(lambda: 7, operator.add, operator.add, depth=depth) == 28
+            # for an additive monoid's zero that is the zero again
+            assert rdd.tree_aggregate(lambda: 0, operator.add, operator.add, depth=depth) == 0
 
     def test_invalid_depth(self, ctx):
         with pytest.raises(ValueError):

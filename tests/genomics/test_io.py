@@ -387,6 +387,13 @@ class TestLocatedErrors:
                    r"^weights\.txt:40: bad weight line .*negative weight"),
         "snpset": ("snpsets.txt", 3, lambda l: l + ",x",
                    r"^snpsets\.txt:3: bad SNP-set line"),
+        # line i holds patient i - 1 and SNP i - 1
+        "repeated-patient": ("phenotype.txt", 6, lambda l: "4" + l[l.index("\t"):],
+                             r"^phenotype\.txt:6: patient index 4 repeats line 5$"),
+        "patient-out-of-range": ("phenotype.txt", 8, lambda l: "12345" + l[l.index("\t"):],
+                                 r"^phenotype\.txt:8: patient index 12345 is not in 0\.\.29$"),
+        "repeated-weight": ("weights.txt", 9, lambda l: "2" + l[l.index("\t"):],
+                            r"^weights\.txt:9: SNP id 2 repeats line 3$"),
     }
 
     @pytest.fixture
@@ -424,7 +431,7 @@ class TestLocatedErrors:
     @pytest.mark.parametrize("backend", ["serial", "cluster"])
     @pytest.mark.parametrize("broken, flavor", ENGINE_CASES, indirect=["broken"])
     def test_engine_tasks_name_file_and_line(self, broken, flavor, backend, request):
-        """The executors read the genotype file: the same ten messages from
+        """The executors read the genotype file: the same messages from
         ``from_files(engine="distributed")``, the bad line met by one task
         attempt -- malformed input is not a fault to retry."""
         base, message = broken
