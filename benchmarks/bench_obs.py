@@ -23,9 +23,10 @@ Four legs, one report (``BENCH_obs.json``):
    run reports its replicate savings and must keep alpha=0.05
    significance calls identical to the full run.
 
-4. **Post-mortem smoke** -- a fault-injected job fails under the flight
-   recorder; the bundle must land, load, and name the injected failing
-   task (the ``sparkscore postmortem`` contract CI greps for).
+4. **Failure smoke** -- a fault-injected job fails with an event log on;
+   the advisor (``sparkscore doctor``) reads the log back and its first
+   finding must be ``failed-task``, naming the injected failing task and
+   carrying its ``task attempt failed`` log record as evidence.
 
     PYTHONPATH=src python benchmarks/bench_obs.py
 
@@ -51,7 +52,7 @@ import numpy as np
 
 from repro.config import EngineConfig
 from repro.engine.context import Context
-from repro.engine.eventlog import read_event_log
+from repro.engine.eventlog import read_channels, read_event_log
 from repro.obs.advisor import cache_pressure_from_jobs, diagnose
 
 
@@ -274,39 +275,38 @@ def bench_inference_monitor(args) -> dict:
 
 
 def bench_postmortem_smoke(args) -> dict:
-    """Fail one task on purpose; the flight recorder must name it."""
+    """Fail one task on purpose; doctor must name it from the event log."""
     from repro.engine.faults import FaultInjector, FaultPlan
     from repro.engine.scheduler import JobFailedError
-    from repro.obs.flightrecorder import load_bundle
 
     fail_partition = 2
     with tempfile.TemporaryDirectory() as tmp:
-        config = _make_config(args, "serial").copy(
-            max_task_retries=0,
-            flight_recorder_dir=tmp,
-        )
+        path = os.path.join(tmp, "events.jsonl")
+        config = _make_config(args, "serial").copy(max_task_retries=0)
         plan = FaultPlan(fail_partition_attempts={fail_partition: 99})
-        with Context(config, fault_injector=FaultInjector(plan)) as ctx:
+        with Context(config, fault_injector=FaultInjector(plan),
+                     event_log_path=path) as ctx:
             try:
                 ctx.parallelize([1] * (args.partitions * 4), args.partitions).sum()
             except JobFailedError:
                 pass
-            assert ctx.flight_recorder.bundles, "no post-mortem bundle written"
-            bundle = load_bundle(ctx.flight_recorder.bundles[-1])
-    failing = bundle.get("failing_task") or {}
-    assert failing.get("partition") == fail_partition, (
-        f"bundle blamed the wrong task: {failing}"
+        channels = read_channels(path)
+    jobs, logs = channels["job"], channels["log"]
+    first = diagnose(jobs, cache=cache_pressure_from_jobs(jobs), log=logs)[0]
+    assert first.rule == "failed-task", f"first finding is {first.rule}"
+    assert f"task 0.{fail_partition}#0 on " in first.title, (
+        f"doctor blamed the wrong task: {first.title}"
     )
-    print(
-        f"  postmortem: bundle names task "
-        f"{failing['stage_id']}.{failing['partition']}#{failing['attempt']} "
-        f"({len(bundle.get('events', []))} events, "
-        f"{len(bundle.get('logs', []))} log records captured)"
-    )
+    assert any(
+        r["message"] == "task attempt failed" for r in first.evidence["logs"]
+    ), "no correlated log record in the evidence"
+    print(f"  failure smoke: doctor says {first.title!r} "
+          f"({len(first.evidence['logs'])} correlated log record(s))")
     return {
-        "failing_task": failing,
-        "events_captured": len(bundle.get("events", [])),
-        "logs_captured": len(bundle.get("logs", [])),
+        "rule": first.rule,
+        "title": first.title,
+        "error": first.evidence["error"],
+        "correlated_logs": len(first.evidence["logs"]),
     }
 
 
@@ -352,7 +352,7 @@ def main(argv: list[str] | None = None) -> int:
     print("inference convergence monitor:")
     inference = bench_inference_monitor(args)
 
-    print("post-mortem smoke:")
+    print("failure smoke:")
     postmortem = bench_postmortem_smoke(args)
 
     report = {

@@ -13,14 +13,12 @@ Commands:
 - ``history`` -- the history server: render an engine event log as stage
   tables, straggler percentiles, cache hit rates, and critical-path
   analysis; optionally export a Chrome ``trace_event`` file;
-- ``doctor`` -- the tuning advisor: run skew/straggler/cache/sizing rules
-  over one event log (or every log in a directory) and print ranked,
-  actionable recommendations with their evidence; ``--strict`` turns
-  high-severity findings into a nonzero exit for CI gating;
-- ``postmortem`` -- render a flight-recorder bundle (written on job
-  failure when the engine runs with ``--flight-recorder``): the failing
-  task, its correlated log lines, the event timeline, and the advisor's
-  recommendations recomputed from the bundle.
+- ``doctor`` -- the tuning advisor: run failed-task/skew/straggler/cache/
+  sizing rules over one event log (or every log in a directory) and print
+  ranked, actionable recommendations with their evidence -- on a failed
+  run, first the task that never succeeded, its executor, its error and
+  its correlated log lines; ``--strict`` turns high-severity findings into
+  a nonzero exit for CI gating.
 """
 
 from __future__ import annotations
@@ -104,9 +102,6 @@ def _add_analyze(sub: argparse._SubParsersAction) -> None:
     p.add_argument("--log-file", metavar="PATH", default=None,
                    help="append structured log records as JSONL to PATH "
                         "(distributed engine only)")
-    p.add_argument("--flight-recorder", metavar="DIR", default=None,
-                   help="write a post-mortem bundle to DIR when a job fails "
-                        "(inspect with: sparkscore postmortem <bundle>)")
 
 
 def _add_maxt(sub: argparse._SubParsersAction) -> None:
@@ -158,22 +153,6 @@ def _add_doctor(sub: argparse._SubParsersAction) -> None:
     p.add_argument("--strict-severity", choices=["info", "warning", "critical"],
                    default="critical", metavar="LEVEL",
                    help="severity floor for --strict (default: critical)")
-
-
-def _add_postmortem(sub: argparse._SubParsersAction) -> None:
-    p = sub.add_parser(
-        "postmortem",
-        help="render a flight-recorder bundle: failing task, logs, advice",
-    )
-    p.add_argument("bundle",
-                   help="post-mortem bundle JSON, or a directory of bundles "
-                        "(newest is rendered)")
-    p.add_argument("--events", type=int, default=15, metavar="N",
-                   help="bus-event timeline rows to print (default: 15)")
-    p.add_argument("--logs", type=int, default=20, metavar="N",
-                   help="correlated log lines to print (default: 20)")
-    p.add_argument("--json", action="store_true",
-                   help="dump the raw bundle JSON instead of the report")
 
 
 def _add_tune(sub: argparse._SubParsersAction) -> None:
@@ -244,7 +223,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_tune(sub)
     _add_history(sub)
     _add_doctor(sub)
-    _add_postmortem(sub)
     _add_cluster(sub)
     return parser
 
@@ -283,7 +261,6 @@ _DISTRIBUTED_ONLY = {
     "alpha": "--alpha",
     "log_level": "--log-level",
     "log_file": "--log-file",
-    "flight_recorder": "--flight-recorder",
 }
 
 
@@ -318,7 +295,6 @@ def _load_analysis(args: argparse.Namespace):
             ("inference_early_stop", args.early_stop),
             ("inference_alpha", args.alpha),
             ("log_level", args.log_level),
-            ("flight_recorder_dir", args.flight_recorder),
         ):
             if value is not None:
                 fields[field] = value
@@ -579,7 +555,7 @@ def cmd_doctor(args: argparse.Namespace) -> int:
     else:
         paths = [args.path]
 
-    jobs, telemetry, fleet, inference, read = [], [], [], [], []
+    jobs, telemetry, fleet, inference, logs, read = [], [], [], [], [], []
     for path in paths:
         try:
             channels = read_channels(path)
@@ -595,6 +571,7 @@ def cmd_doctor(args: argparse.Namespace) -> int:
         telemetry.extend(channels["telemetry"])
         fleet.extend(channels["fleet"])
         inference.extend(channels["inference"])
+        logs.extend(channels["log"])
         read.append(path)
     if scan_dir and not read:
         print(f"no readable event logs in {args.path}", file=sys.stderr)
@@ -604,6 +581,7 @@ def cmd_doctor(args: argparse.Namespace) -> int:
         telemetry=telemetry,
         cache=cache_pressure_from_jobs(jobs),
         inference=inference,
+        log=logs,
     )
     if args.json:
         print(recommendations_to_json(recs))
@@ -634,143 +612,6 @@ def cmd_doctor(args: argparse.Namespace) -> int:
             print(f"\nstrict mode: {len(gating)} finding(s) at or above "
                   f"{args.strict_severity!r} -- failing", file=sys.stderr)
             return 2
-    return 0
-
-
-def cmd_postmortem(args: argparse.Namespace) -> int:
-    import json as _json
-
-    from repro.engine.eventlog import _job_from_dict
-    from repro.obs.advisor import (
-        cache_pressure_from_jobs,
-        diagnose,
-        render_recommendations,
-    )
-    from repro.obs.flightrecorder import load_bundle
-
-    path = args.bundle
-    if os.path.isdir(path):
-        candidates = sorted(
-            os.path.join(path, name)
-            for name in os.listdir(path)
-            if name.endswith(".json")
-        )
-        if not candidates:
-            print(f"no *.json bundles in {path}", file=sys.stderr)
-            return 1
-        path = candidates[-1]
-    try:
-        bundle = load_bundle(path)
-    except FileNotFoundError:
-        print(f"no such bundle: {args.bundle}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 1
-    if args.json:
-        print(_json.dumps(bundle, indent=1))
-        return 0
-
-    print(f"post-mortem bundle: {path}")
-    print(f"  reason: {bundle.get('reason')}   "
-          f"captured window: {bundle.get('window')}s   "
-          f"t={bundle.get('time', 0.0):.3f}")
-    config = bundle.get("config") or {}
-    if config:
-        print(f"  engine: backend={config.get('backend')} "
-              f"{config.get('num_executors')}x{config.get('executor_cores')} cores, "
-              f"parallelism {config.get('default_parallelism')}, "
-              f"max_task_retries {config.get('max_task_retries')}")
-
-    failing = bundle.get("failing_task")
-    if failing is not None:
-        print(f"\nfailing task: {failing['stage_id']}.{failing['partition']}"
-              f"#{failing['attempt']} on {failing['executor_id']}")
-        print(f"  error: {failing.get('error')}")
-    elif bundle.get("error"):
-        print(f"\nerror: {bundle['error']}")
-
-    # log lines correlated with the failing task (or, failing that, the
-    # tail of the captured ring)
-    logs = bundle.get("logs", [])
-    if failing is not None:
-        correlated = [
-            rec for rec in logs
-            if rec.get("stage_id") == failing["stage_id"]
-            and rec.get("partition") in (failing["partition"], None)
-        ] or logs
-    else:
-        correlated = logs
-    if correlated:
-        print(f"\ncorrelated logs ({min(len(correlated), args.logs)} of {len(correlated)}):")
-        for rec in correlated[-args.logs:]:
-            where = ".".join(
-                str(rec[k]) for k in ("stage_id", "partition") if rec.get(k) is not None
-            )
-            print(f"  [{rec.get('level', '?'):<7}] {rec.get('logger', '?')} "
-                  f"{('(' + where + ') ') if where else ''}{rec.get('message')}")
-
-    executors = bundle.get("executors", [])
-    if executors:
-        dead = [e for e in executors if not e.get("alive") or e.get("heartbeats_suspended")]
-        line = f"\nexecutors: {len(executors)} total"
-        if dead:
-            line += ", unhealthy: " + ", ".join(
-                f"{e['executor_id']}"
-                f"({'dead' if not e.get('alive') else 'silent'})" for e in dead
-            )
-        print(line)
-
-    events = bundle.get("events", [])
-    if events:
-        print(f"\nevent timeline (last {min(len(events), args.events)} "
-              f"of {len(events)} in window):")
-        for ev in events[-args.events:]:
-            desc = " ".join(
-                f"{k}={v}" for k, v in ev.items()
-                if k not in ("event", "time") and v not in (None, "", [], {})
-            )
-            print(f"  t={ev.get('time', 0.0):.3f} {ev['event']:<18} {desc}")
-
-    open_spans = bundle.get("open_spans", [])
-    if open_spans:
-        print(f"\nstill open at failure: "
-              + ", ".join(s.get("name", "?") for s in open_spans))
-
-    inference = bundle.get("inference")
-    if inference and inference.get("runs"):
-        mode = "early stopping" if inference.get("enabled") else "monitor only"
-        print(f"\ninference convergence ({mode}, "
-              f"alpha={inference.get('alpha', 0.05):g}, "
-              f"{inference.get('ci', 'wilson')} intervals):")
-        for run in inference["runs"]:
-            line = (f"  [{run.get('method')}] "
-                    f"{run.get('replicates_total', 0)} of "
-                    f"{run.get('planned_replicates', 0)} replicates, "
-                    f"{run.get('sets_converged', 0)}/{run.get('sets_total', 0)} "
-                    f"sets converged")
-            if run.get("replicates_saved"):
-                line += f", {run['replicates_saved']} saved"
-            print(line)
-            undecided = [
-                s for s in run.get("sets", ()) if s.get("status") == "undecided"
-            ]
-            if undecided:
-                print("    still undecided at failure: " + ", ".join(
-                    f"{s.get('name')} (p^={s.get('pvalue', 1.0):.3g})"
-                    for s in undecided[:5]
-                ) + (" ..." if len(undecided) > 5 else ""))
-
-    job_dict = bundle.get("job")
-    if job_dict is not None:
-        try:
-            job = _job_from_dict(job_dict)
-        except (KeyError, ValueError):
-            job = None
-        if job is not None:
-            recs = diagnose([job], cache=cache_pressure_from_jobs([job]))
-            print("\n-- advisor (recomputed from bundle) --")
-            print(render_recommendations(recs), end="")
     return 0
 
 
@@ -938,7 +779,6 @@ _COMMANDS = {
     "tune": cmd_tune,
     "history": cmd_history,
     "doctor": cmd_doctor,
-    "postmortem": cmd_postmortem,
     "cluster": cmd_cluster,
 }
 

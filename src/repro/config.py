@@ -68,8 +68,6 @@ class EngineConfig:
     #: ("debug", "info", "warning", "error"); shipped to worker processes
     #: so their capture filters at the same level
     log_level: str = "info"
-    #: directory for failure post-mortem bundles ("" disables the recorder)
-    flight_recorder_dir: str = ""
     #: sequential early stopping: mask SNP-sets out of further resampling
     #: batches once their p-value confidence interval excludes
     #: ``inference_alpha`` (monitoring itself is always on; this enables

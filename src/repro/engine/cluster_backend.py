@@ -864,7 +864,7 @@ class ClusterBackend:
         return self._manager.executor_info()
 
     def fleet_snapshot(self, window: float | None = None) -> dict:
-        """Cluster-resident fleet stats (``/api/fleet``, flight recorder)."""
+        """Cluster-resident fleet stats (``/api/fleet``, event-log ``fleet`` lines)."""
         return self._manager.fleet_snapshot(window)
 
     def decommission(self, executor_id: str, reason: str = "drain") -> None:

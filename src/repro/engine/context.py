@@ -18,10 +18,13 @@ from repro.engine.faults import FaultInjector
 from repro.engine.listener import ExecutorLost, ListenerBus
 from repro.engine.metrics import MetricsRegistry
 from repro.engine.shuffle import ShuffleManager
+from repro.obs.logging import get_logger
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.engine.rdd import RDD
     from repro.hdfs.filesystem import MiniHDFS
+
+log = get_logger("repro.engine.context")
 
 
 class Context:
@@ -85,8 +88,7 @@ class Context:
         self.shuffle_manager.bus = self.listener_bus
         self.metrics = MetricsRegistry()
         # inference observability: convergence monitors for resampling
-        # p-values.  Always present so /api/inference and flight-recorder
-        # bundles report "disabled"
+        # p-values.  Always present so /api/inference reports "disabled"
         from repro.obs.inference import InferenceObservability
 
         self.inference = InferenceObservability(self)
@@ -131,16 +133,6 @@ class Context:
 
         self.diagnostics = DiagnosticsListener(self.listener_bus)
         self.listener_bus.add_listener(self.diagnostics)
-
-        # failure flight recorder: off unless a bundle directory is set
-        self.flight_recorder = None
-        if self.config.flight_recorder_dir:
-            from repro.obs.flightrecorder import FlightRecorder
-
-            self.flight_recorder = FlightRecorder(
-                self.config.flight_recorder_dir, context=self
-            )
-            self.listener_bus.add_listener(self.flight_recorder)
 
         # live surfaces: structured progress state (feeds the UI and the
         # console bars) and the embedded HTTP server
@@ -334,10 +326,6 @@ class Context:
                 self._ui = None
             if self.heartbeats is not None:
                 self.heartbeats.stop()
-            if self.flight_recorder is not None:
-                # safety net: a failure whose dump never landed gets one
-                # last chance before the listeners close
-                self.flight_recorder.dump_on_stop()
             if self._tracer is not None and self.trace_path is not None:
                 from repro.obs.spans import write_chrome_trace, write_spans_jsonl
 
@@ -362,8 +350,11 @@ class Context:
                 if fleet_fn is not None:
                     try:
                         self._event_log_listener.write_fleet(fleet_fn(None))
-                    except Exception:
-                        pass  # a dead head must not break context teardown
+                    except OSError as exc:  # a dead head must not break teardown
+                        log.warning(
+                            "fleet snapshot unavailable; event log written without it",
+                            error=f"{type(exc).__name__}: {exc}",
+                        )
             if not self.backend.supports_shared_state:
                 self.backend.detach(self)
             self.listener_bus.stop()

@@ -293,8 +293,10 @@ class EventLogListener(Listener):
 
     Opens the file lazily on the first job, appends one line per
     :class:`~repro.engine.listener.JobEnd`, flushes after every write, and
-    closes on context stop.  Failed jobs are logged too (their partial
-    stage records are often the most interesting ones).
+    closes on context stop.  Failed jobs are logged too: their partial
+    stage records hold every failed attempt -- a raising task, a lost
+    executor, a heartbeat timeout -- with its executor and error, which is
+    what ``sparkscore doctor`` names a failed run by.
 
     The v3 telemetry side channel rides in the same file: heartbeat and
     executor-timeout events are appended as their own compact record lines

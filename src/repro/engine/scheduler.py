@@ -48,7 +48,7 @@ from repro.engine.listener import (
     TaskEnd,
     TaskStart,
 )
-from repro.engine.metrics import JobMetrics, StageMetrics, TaskRecord
+from repro.engine.metrics import JobMetrics, StageMetrics, TaskMetrics, TaskRecord
 from repro.engine.profiler import profile_call, should_profile
 from repro.engine.serializer import FrameBatch
 from repro.engine.shuffle import FetchFailedError
@@ -296,7 +296,7 @@ class TaskScheduler:
             if hub is not None:
                 for executor_id in hub.take_timed_out():
                     self._reschedule_lost_executor(
-                        executor_id, stage, inflight, pending, done, job, config
+                        executor_id, stage_metrics, inflight, pending, done, job, config
                     )
             for future in done:
                 att = inflight.pop(future)
@@ -316,7 +316,7 @@ class TaskScheduler:
                 except FetchFailedError as exc:
                     executor.note_task(False, trace_id=getattr(self.ctx, "trace_id", None))
                     job.num_task_failures += 1
-                    self._post_failed_task(stage, task, attempt, executor, exc)
+                    self._post_failed_task(stage_metrics, task, attempt, executor, exc)
                     log.warning(
                         "shuffle fetch failed; stage will be resubmitted",
                         job_id=job.job_id, stage_id=stage.id,
@@ -329,7 +329,7 @@ class TaskScheduler:
                 except ExecutorLostError as exc:
                     executor.note_task(False, trace_id=getattr(self.ctx, "trace_id", None))
                     job.num_task_failures += 1
-                    self._post_failed_task(stage, task, attempt, executor, exc)
+                    self._post_failed_task(stage_metrics, task, attempt, executor, exc)
                     log.warning(
                         "task lost its executor; retrying elsewhere",
                         job_id=job.job_id, stage_id=stage.id,
@@ -346,18 +346,7 @@ class TaskScheduler:
                 except Exception as exc:  # transient / injected task failure
                     executor.note_task(False, trace_id=getattr(self.ctx, "trace_id", None))
                     job.num_task_failures += 1
-                    record = TaskRecord(
-                        stage_id=stage.id,
-                        partition=task.partition,
-                        attempt=attempt,
-                        executor_id=executor.executor_id,
-                        duration_seconds=0.0,
-                        metrics=TaskContext(stage.id, task.partition, attempt, executor.executor_id).metrics,
-                        succeeded=False,
-                        error=f"{type(exc).__name__}: {exc}",
-                    )
-                    stage_metrics.tasks.append(record)
-                    self.ctx.listener_bus.post(TaskEnd(record))
+                    self._post_failed_task(stage_metrics, task, attempt, executor, exc)
                     log.warning(
                         "task attempt failed",
                         job_id=job.job_id, stage_id=stage.id,
@@ -398,7 +387,7 @@ class TaskScheduler:
     def _reschedule_lost_executor(
         self,
         executor_id: str,
-        stage: Stage,
+        stage_metrics: StageMetrics,
         inflight: dict,
         pending: deque,
         done: set,
@@ -416,7 +405,8 @@ class TaskScheduler:
         self._handle_executor_loss(executor_id, job)
         log.warning(
             "executor heartbeat timeout; rescheduling its in-flight tasks",
-            job_id=job.job_id, stage_id=stage.id, executor_id=executor_id,
+            job_id=job.job_id, stage_id=stage_metrics.stage_id,
+            executor_id=executor_id,
         )
         abandoned = [
             future
@@ -429,23 +419,32 @@ class TaskScheduler:
             att.executor.note_task(False, trace_id=getattr(self.ctx, "trace_id", None))
             job.num_task_failures += 1
             exc = ExecutorLostError(executor_id)
-            self._post_failed_task(stage, att.task, att.attempt, att.executor, exc)
+            self._post_failed_task(stage_metrics, att.task, att.attempt, att.executor, exc)
             if att.attempt + 1 > config.max_task_retries:
                 raise JobFailedError(
-                    f"task (stage={stage.id}, partition={att.task.partition}) "
+                    f"task (stage={stage_metrics.stage_id}, "
+                    f"partition={att.task.partition}) "
                     f"exceeded {config.max_task_retries} retries "
                     f"(executor {executor_id} heartbeat timeout)"
                 ) from exc
             pending.append((att.task, att.attempt + 1, {executor_id}))
 
     def _post_failed_task(
-        self, stage: Stage, task: Task, attempt: int, executor: Executor, exc: Exception
+        self,
+        stage_metrics: StageMetrics,
+        task: Task,
+        attempt: int,
+        executor: Executor,
+        exc: Exception,
     ) -> None:
-        """Publish a TaskEnd for failure paths that record no TaskRecord."""
-        from repro.engine.metrics import TaskMetrics
+        """Record a failed attempt on its stage and publish its TaskEnd.
 
-        self.ctx.listener_bus.post(TaskEnd(TaskRecord(
-            stage_id=stage.id,
+        Every failure path comes here -- a raising task, a lost executor, a
+        heartbeat timeout, a fetch failure -- so the job's event-log line
+        holds each failed attempt with its executor and error.
+        """
+        record = TaskRecord(
+            stage_id=stage_metrics.stage_id,
             partition=task.partition,
             attempt=attempt,
             executor_id=executor.executor_id,
@@ -453,7 +452,9 @@ class TaskScheduler:
             metrics=TaskMetrics(),
             succeeded=False,
             error=f"{type(exc).__name__}: {exc}",
-        )))
+        )
+        stage_metrics.tasks.append(record)
+        self.ctx.listener_bus.post(TaskEnd(record))
 
     def _submit(
         self,
@@ -945,8 +946,8 @@ class DAGScheduler:
                     break
                 except Exception:
                     # permanent failure: keep the partial stage tree on the
-                    # job metrics so the failed-job event-log line and
-                    # post-mortem bundles carry the failing task records
+                    # job metrics so the failed-job event-log line carries
+                    # the failing task records
                     stage_metrics.wall_seconds = time.perf_counter() - stage_start
                     job.stages.append(stage_metrics)
                     bus.post(StageCompleted(stage_metrics, job.job_id, failed=True))

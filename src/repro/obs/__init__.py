@@ -17,12 +17,11 @@ metrics system + history server, all fed by the engine's listener bus
   analysis (surfaced by ``sparkscore history``);
 - :mod:`repro.obs.diagnostics` / :mod:`repro.obs.advisor` -- skew,
   straggler, and cache-pressure detection over the recorded telemetry,
-  and the rule-based recommendation engine behind ``sparkscore doctor``;
+  and the rule-based recommendation engine behind ``sparkscore doctor``,
+  which also names the failing task of a failed run from its event log;
 - :mod:`repro.obs.fleet` / :mod:`repro.obs.timeseries` -- the
   cluster-resident fleet statistics and the ring-buffer store that keeps
-  their per-executor history (``/api/fleet``, ``sparkscore cluster top``);
-- :mod:`repro.obs.flightrecorder` -- the failure black box behind
-  ``sparkscore postmortem``.
+  their per-executor history (``/api/fleet``, ``sparkscore cluster top``).
 """
 
 from repro.obs.advisor import Recommendation, diagnose, render_recommendations
@@ -42,7 +41,6 @@ from repro.obs.logging import (
     get_logger,
     log_context,
 )
-from repro.obs.flightrecorder import FlightRecorder, load_bundle
 from repro.obs.registry import REGISTRY, Counter, Gauge, Histogram, Registry
 from repro.obs.spans import Span, TracingListener, spans_from_jobs, to_chrome_trace
 from repro.obs.timeseries import Series, TimeSeriesStore
@@ -74,6 +72,4 @@ __all__ = [
     "render_recommendations",
     "Series",
     "TimeSeriesStore",
-    "FlightRecorder",
-    "load_bundle",
 ]

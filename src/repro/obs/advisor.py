@@ -8,7 +8,10 @@ the *evidence* that fired it (metric values, stage ids) so a skeptical
 operator can check the reasoning, and an ``action`` string concrete
 enough to paste into a config or script.
 
-The rules encode the paper's own tuning playbook:
+A job that failed comes first: the ``failed-task`` rule names the task
+that never succeeded, its executor, its error and the log lines that
+carry its stage and partition, read from the failed job's event-log line.
+The other rules encode the paper's own tuning playbook:
 
 - skewed stages -> repartition (Section V's skew tail; the dominant
   resampling-cost pathology in Segal et al. / Larson & Owen workloads);
@@ -41,6 +44,7 @@ from repro.obs.diagnostics import (
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.engine.metrics import JobMetrics, StageMetrics
+    from repro.obs.logging import LogRecord
     from repro.obs.registry import Registry
 
 #: severity ordering for ranking (higher sorts first)
@@ -91,6 +95,8 @@ class DiagnosisInput:
     #: inference side-channel records (v8 event logs / live monitors):
     #: dicts with ``kind`` of ``"batch"`` or ``"converged"``
     inference: list = field(default_factory=list)
+    #: structured log records (the v4 ``log`` channel): LogRecord objects
+    log: list = field(default_factory=list)
 
     def stages(self):
         for job in self.jobs:
@@ -112,6 +118,71 @@ class DiagnosisInput:
 
 def _round_evidence(value: float) -> float:
     return round(value, 4) if math.isfinite(value) else value
+
+
+def rule_failed_task(inp: DiagnosisInput) -> list[Recommendation]:
+    """A task that never succeeded: the job failed, and this is why.
+
+    Fires once per ``(stage_id, partition)`` of a job with failed attempts
+    and no succeeded one (a failure a retry recovered does not fire).  The
+    title names the last failed attempt, its executor and its error; the
+    evidence adds the log records correlated with that stage and
+    partition (stage-level records, with no partition, included).  Jobs
+    rank in the order they ran; within a job, the task whose failure came
+    last ranks first: it is the one that failed the job.
+    """
+    out = []
+    for rank, job in enumerate(inp.jobs):
+        records = [rec for stage in job.stages for rec in stage.tasks]
+        attempts: dict[tuple[int, int], list] = {}
+        last_seen: dict[tuple[int, int], int] = {}
+        for position, rec in enumerate(records):
+            key = (rec.stage_id, rec.partition)
+            attempts.setdefault(key, []).append(rec)
+            last_seen[key] = position
+        for (stage_id, partition), recs in attempts.items():
+            if any(rec.succeeded for rec in recs):
+                continue
+            last = recs[-1]
+            logs = [
+                r.to_dict() for r in inp.log
+                if r.stage_id == stage_id
+                and r.partition in (partition, None)
+                and r.job_id in (job.job_id, None)
+            ]
+            out.append(
+                Recommendation(
+                    rule="failed-task",
+                    severity="critical",
+                    title=(
+                        f"job {job.job_id} failed: task {stage_id}.{partition}"
+                        f"#{last.attempt} on {last.executor_id}: {last.error}"
+                    ),
+                    action=(
+                        "fix the cause the error names (input file and line, "
+                        "user code, a lost executor), then re-run; a transient "
+                        "fault is retried up to EngineConfig(max_task_retries=...)"
+                    ),
+                    evidence={
+                        "error": last.error,
+                        "attempts": [
+                            {"attempt": r.attempt, "executor_id": r.executor_id,
+                             "error": r.error}
+                            for r in recs
+                        ],
+                        "logs": logs,
+                    },
+                    stage_id=stage_id,
+                    job_id=job.job_id,
+                    # in [3, 4): above any tuning finding (cache-thrash tops
+                    # out at 2.0); earlier jobs first, then later failures
+                    score=3.0 + (
+                        len(inp.jobs) - 1 - rank
+                        + last_seen[stage_id, partition] / len(records)
+                    ) / len(inp.jobs),
+                )
+            )
+    return out
 
 
 def rule_repartition_skew(inp: DiagnosisInput) -> list[Recommendation]:
@@ -462,6 +533,7 @@ def rule_insufficient_resamples(inp: DiagnosisInput) -> list[Recommendation]:
 
 
 RULES = (
+    rule_failed_task,
     rule_repartition_skew,
     rule_stragglers,
     rule_enable_early_stop,
@@ -480,12 +552,14 @@ def diagnose(
     cache: CachePressureReport | None = None,
     *,
     inference: Sequence[dict] | None = None,
+    log: Sequence["LogRecord"] | None = None,
 ) -> list[Recommendation]:
     """Run every rule; return recommendations ranked most-urgent first.
 
     ``cache`` overrides the registry-derived pressure report (the offline
     path: doctor reconstructs it from event-log task metrics because a
-    cold process's registry is empty).
+    cold process's registry is empty).  ``log`` is the event log's ``log``
+    channel, which ``failed-task`` draws its evidence from.
     """
     if cache is None:
         cache = analyze_cache_pressure(registry)
@@ -494,6 +568,7 @@ def diagnose(
         telemetry=list(telemetry or ()),
         cache=cache,
         inference=list(inference or ()),
+        log=list(log or ()),
     )
     recs: list[Recommendation] = []
     for rule in RULES:
@@ -560,6 +635,7 @@ __all__ = [
     "cache_pressure_from_jobs",
     "render_recommendations",
     "recommendations_to_json",
+    "rule_failed_task",
     "rule_repartition_skew",
     "rule_stragglers",
     "rule_enable_early_stop",

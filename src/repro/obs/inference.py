@@ -14,8 +14,8 @@ alpha, and emits typed listener-bus events
 (:class:`~repro.engine.listener.InferenceBatchCompleted`,
 :class:`~repro.engine.listener.SnpSetConverged`) that downstream surfaces
 consume: the metrics registry, the v8 event-log ``inference`` side channel,
-``/api/inference`` and the dashboard convergence panel, ``sparkscore
-history``/``doctor``, and flight-recorder bundles.
+``/api/inference`` and the dashboard convergence panel, and ``sparkscore
+history``/``doctor``.
 
 :class:`EarlyStopPolicy` closes the loop.  When attached (opt-in via
 ``inference_early_stop``), :meth:`ConvergenceMonitor.fold` masks converged
@@ -43,10 +43,13 @@ from typing import TYPE_CHECKING, Any, Sequence
 import numpy as np
 
 from repro.engine.listener import InferenceBatchCompleted, SnpSetConverged
+from repro.obs.logging import get_logger
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.engine.context import Context
     from repro.engine.listener import ListenerBus
+
+log = get_logger("repro.obs.inference")
 
 #: set decision states
 UNDECIDED = "undecided"
@@ -362,8 +365,7 @@ class ConvergenceMonitor:
         return float(self.pvalues().min())
 
     def snapshot(self) -> dict:
-        """JSON-safe state for ``/api/inference``, flight-recorder bundles,
-        and postmortem rendering."""
+        """JSON-safe state for ``/api/inference``."""
         phat = self.pvalues() if self.replicates_total else np.ones(self.n_sets)
         elapsed = max(time.perf_counter() - self._started, 1e-9)
         return {
@@ -439,8 +441,8 @@ class ConvergenceMonitor:
 class InferenceObservability:
     """Context-resident holder for convergence monitors.
 
-    Always present on a :class:`~repro.engine.context.Context` so dashboards, ``/api/inference``, and
-    flight-recorder bundles can report "disabled" instead of 404ing.
+    Always present on a :class:`~repro.engine.context.Context` so dashboards
+    and ``/api/inference`` can report "disabled" instead of 404ing.
     Resampling runs mint monitors through :meth:`new_monitor`, which wires
     the context's bus and -- when ``inference_early_stop`` is on -- the
     configured :class:`EarlyStopPolicy`.
@@ -458,6 +460,8 @@ class InferenceObservability:
         #: monitors minted this context, oldest first (bounded)
         self.monitors: list[ConvergenceMonitor] = []
         self._last_publish = 0.0
+        #: set when the head could not be reached: one warning, then quiet
+        self._head_lost = False
 
     def new_monitor(
         self,
@@ -486,7 +490,7 @@ class InferenceObservability:
     def publish(self, monitor: ConvergenceMonitor, force: bool = False) -> None:
         """Push a throughput summary to the fleet head, rate-limited."""
         note = getattr(self.ctx.backend, "note_inference", None)
-        if note is None:
+        if note is None or self._head_lost:
             return
         now = time.perf_counter()
         if not force and now - self._last_publish < self.PUBLISH_INTERVAL:
@@ -504,8 +508,12 @@ class InferenceObservability:
                 "sets_converged": snap["sets_converged"],
                 "sets_total": snap["sets_total"],
             })
-        except Exception:
-            pass  # fleet telemetry is advisory; never fail the run
+        except OSError as exc:  # advisory: a dead head must not fail the run
+            self._head_lost = True
+            log.warning(
+                "inference summary not published to the fleet head",
+                error=f"{type(exc).__name__}: {exc}",
+            )
 
     def snapshot(self) -> dict:
         """One JSON-safe dict answering ``/api/inference``."""

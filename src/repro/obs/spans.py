@@ -219,12 +219,6 @@ class TracingListener(Listener):
                 span.end = event.time
                 span.attrs["wall_seconds"] = event.job.wall_seconds
 
-    def open_spans(self) -> list[Span]:
-        """Spans still open right now (crashed-in-flight work, for the
-        flight recorder's post-mortem bundles)."""
-        with self._lock:
-            return list(self._open_jobs.values()) + list(self._open_stages.values())
-
 
 def spans_from_jobs(jobs: Iterable["JobMetrics"]) -> list[Span]:
     """Rebuild the job -> stage -> task span hierarchy from job metrics.

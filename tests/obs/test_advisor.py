@@ -16,11 +16,13 @@ from repro.obs.advisor import (
     render_recommendations,
     rule_cache_thrash,
     rule_container_sizing,
+    rule_failed_task,
     rule_repartition_skew,
     rule_stragglers,
     rule_tiny_tasks,
 )
 from repro.obs.diagnostics import CachePressureReport
+from repro.obs.logging import LogRecord
 
 
 def make_job(durations, records=None, job_id=0, executors=None):
@@ -40,6 +42,78 @@ def make_job(durations, records=None, job_id=0, executors=None):
     ]
     stage = StageMetrics(stage_id=1, name="map", num_tasks=len(tasks), tasks=tasks)
     return JobMetrics(job_id=job_id, description="test job", stages=[stage])
+
+
+def failed_job(outcomes, job_id=0):
+    """One stage of partition 0's attempts: each outcome is True (succeeded)
+    or an error string."""
+    tasks = [
+        TaskRecord(
+            stage_id=1, partition=0, attempt=i, executor_id=f"exec-{i % 2}",
+            duration_seconds=0.0, metrics=TaskMetrics(),
+            succeeded=outcome is True,
+            error=None if outcome is True else outcome,
+        )
+        for i, outcome in enumerate(outcomes)
+    ]
+    stage = StageMetrics(stage_id=1, name="map", num_tasks=1, tasks=tasks)
+    return JobMetrics(job_id=job_id, description="failed job", stages=[stage])
+
+
+class TestFailedTaskRule:
+    def test_names_the_last_attempt_and_its_log_lines(self):
+        job = failed_job(["ValueError: a", "ValueError: b"], job_id=3)
+        logs = [
+            LogRecord(time=1.0, level="warning", logger="s", message="task attempt failed",
+                      job_id=3, stage_id=1, partition=0),
+            LogRecord(time=2.0, level="warning", logger="s", message="stage-level",
+                      job_id=3, stage_id=1),
+            LogRecord(time=3.0, level="warning", logger="s", message="other partition",
+                      job_id=3, stage_id=1, partition=5),
+            LogRecord(time=4.0, level="warning", logger="s", message="other job",
+                      job_id=4, stage_id=1, partition=0),
+        ]
+        (rec,) = rule_failed_task(DiagnosisInput(jobs=[job], log=logs))
+        assert rec.severity == "critical"
+        assert rec.title == "job 3 failed: task 1.0#1 on exec-1: ValueError: b"
+        assert rec.evidence["error"] == "ValueError: b"
+        assert [a["error"] for a in rec.evidence["attempts"]] == [
+            "ValueError: a", "ValueError: b",
+        ]
+        assert [r["message"] for r in rec.evidence["logs"]] == [
+            "task attempt failed", "stage-level",
+        ]
+        json.dumps(rec.to_dict())  # evidence is JSON-safe
+
+    def test_the_task_that_failed_last_ranks_first(self):
+        def attempt(partition, n, succeeded=False):
+            return TaskRecord(
+                stage_id=1, partition=partition, attempt=n, executor_id="exec-0",
+                duration_seconds=0.0, metrics=TaskMetrics(), succeeded=succeeded,
+                error=None if succeeded else f"ValueError: p{partition}",
+            )
+
+        tasks = [attempt(0, 0), attempt(1, 0), attempt(2, 0, succeeded=True),
+                 attempt(0, 1), attempt(1, 1)]
+        stage = StageMetrics(stage_id=1, name="map", num_tasks=3, tasks=tasks)
+        job = JobMetrics(job_id=0, description="failed job", stages=[stage])
+        recs = diagnose([job])
+        assert [r.title for r in recs if r.rule == "failed-task"] == [
+            "job 0 failed: task 1.1#1 on exec-0: ValueError: p1",
+            "job 0 failed: task 1.0#1 on exec-0: ValueError: p0",
+        ]
+
+    def test_a_recovered_failure_does_not_fire(self):
+        job = failed_job(["ValueError: a", True])
+        assert rule_failed_task(DiagnosisInput(jobs=[job])) == []
+
+    def test_ranks_above_every_other_finding(self):
+        job = failed_job(["ValueError: a"])
+        thrash = CachePressureReport(blocks_cached=10, blocks_evicted=10,
+                                     cache_misses=10)
+        recs = diagnose([job], cache=thrash)
+        assert [r.rule for r in recs[:2]] == ["failed-task", "cache-thrash"]
+        assert recs[1].severity == "critical"
 
 
 class TestRepartitionRule:
@@ -208,6 +282,7 @@ def _firing_inputs() -> list[DiagnosisInput]:
     too_few = [{"kind": "batch", "method": "permutation", "replicates_total": 100,
                 "sets_total": 3, "sets_converged": 0, "min_pvalue": 0.001}]
     return [
+        DiagnosisInput(jobs=[failed_job(["ValueError: boom"])]),
         DiagnosisInput(jobs=[make_job([0.1] * 7 + [1.0])]),
         DiagnosisInput(jobs=[make_job(
             [0.2] * 6 + [1.5, 1.5], executors=["exec-0"] * 6 + ["exec-9"] * 2,

@@ -323,19 +323,62 @@ class TestFleetSurfaces:
         finally:
             head.stop()
 
-    def test_postmortem_bundle_carries_fleet_snapshot(self, tmp_path):
-        """Satellite: a job failure on a persistent fleet dumps the
-        cluster-resident history into the post-mortem bundle."""
-        from repro.obs.flightrecorder import load_bundle
+    def test_failed_run_event_log_carries_fleet_snapshot(self, tmp_path):
+        """Satellite: a job failure on a persistent fleet leaves the
+        cluster-resident history in the event log's ``fleet`` line."""
+        from repro.engine.eventlog import read_channels
 
-        with Context(_cluster_config(flight_recorder_dir=str(tmp_path))) as ctx:
+        log = str(tmp_path / "events.jsonl")
+        with Context(_cluster_config(), event_log_path=log) as ctx:
             with pytest.raises(Exception, match="boom"):
                 ctx.parallelize(range(4), 4).map(_raise_boom).collect()
-            (path,) = ctx.flight_recorder.bundles
-        fleet = load_bundle(path)["fleet"]
+        (fleet,) = read_channels(log)["fleet"]
         assert fleet["jobs_served"] >= 1
         assert fleet["task_errors"] >= 1
         assert "warm" in fleet and "lifecycle" in fleet
+
+
+def _raise(exc):
+    def call(*args):
+        raise exc
+
+    return call
+
+
+class TestFleetSnapshotErrors:
+    """The stop-time ``fleet`` line: an unreachable head costs one warning
+    and the line; any other error is a bug and propagates."""
+
+    @staticmethod
+    def _stub_ctx(tmp_path, snapshot):
+        config = EngineConfig(backend="serial", num_executors=1,
+                              executor_cores=1, default_parallelism=1)
+        ctx = Context(config, event_log_path=str(tmp_path / "events.jsonl"))
+        ctx.backend.fleet_snapshot = snapshot
+        assert ctx.parallelize(range(4), 1).sum() == 6
+        return ctx
+
+    def test_unreachable_head_costs_one_warning(self, tmp_path):
+        from repro.engine.eventlog import read_channels
+        from repro.obs.logging import capture_logs
+
+        ctx = self._stub_ctx(tmp_path, _raise(ConnectionError("head gone")))
+        with capture_logs() as records:
+            ctx.stop()
+        (warning,) = [r for r in records if r.level == "warning"]
+        assert warning.logger == "repro.engine.context"
+        assert warning.message.startswith("fleet snapshot")
+        assert warning.fields["error"] == "ConnectionError: head gone"
+        channels = read_channels(str(tmp_path / "events.jsonl"))
+        assert len(channels["job"]) == 1
+        assert channels["fleet"] == []
+
+    def test_a_type_error_propagates_from_stop(self, tmp_path):
+        ctx = self._stub_ctx(tmp_path, _raise(TypeError("bad call")))
+        with pytest.raises(TypeError, match="bad call"):
+            ctx.stop()
+        del ctx.backend.fleet_snapshot
+        ctx.stop()  # the rest of teardown still runs
 
 
 class TestFleetCli:

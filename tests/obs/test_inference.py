@@ -437,3 +437,52 @@ class TestFleetTelemetry:
         stats = FleetStats()
         stats.note_inference("driver-1", "not-a-dict")
         assert stats.snapshot()["inference_by_driver"] == {}
+
+
+def _raise(exc):
+    def call(*args):
+        raise exc
+
+    return call
+
+
+class TestPublishErrors:
+    """A head that cannot be reached costs one warning, never the run; any
+    other error from the publish call is a bug and propagates."""
+
+    @staticmethod
+    def _run(tmp_path, note):
+        from repro.core.algorithms import DistributedSparkScore
+        from repro.engine.context import Context
+        from repro.genomics.synthetic import SyntheticConfig, generate_dataset
+
+        dataset = generate_dataset(
+            SyntheticConfig(n_patients=40, n_snps=60, n_snpsets=4, seed=3)
+        )
+        log = str(tmp_path / "events.jsonl")
+        config = EngineConfig(backend="serial", num_executors=1,
+                              executor_cores=1, default_parallelism=2)
+        with Context(config, event_log_path=log) as ctx:
+            ctx.backend.note_inference = note
+            # one batch, then the closing summary: two publish calls
+            result = DistributedSparkScore(ctx, dataset).monte_carlo(
+                32, seed=1, batch_size=32
+            )
+        return result, log
+
+    def test_unreachable_head_warns_once_and_the_run_completes(self, tmp_path):
+        from repro.engine.eventlog import read_channels
+        from repro.obs.logging import capture_logs
+
+        with capture_logs() as records:
+            result, log = self._run(tmp_path, _raise(ConnectionError("head gone")))
+        assert result.n_resamples == 32
+        (warning,) = [r for r in records if r.level == "warning"]
+        assert warning.logger == "repro.obs.inference"
+        assert warning.fields["error"] == "ConnectionError: head gone"
+        assert read_channels(log)["fleet"] == []
+
+    def test_a_type_error_propagates(self, tmp_path):
+        with pytest.raises(TypeError, match="bad call"):
+            self._run(tmp_path, _raise(TypeError("bad call")))
+

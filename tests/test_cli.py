@@ -355,6 +355,7 @@ class TestDoctor:
         assert rc == 0
         out = capsys.readouterr().out
         assert "doctor: examined" in out
+        assert "failed-task" not in out
 
 
 class TestDoctorStrict:
@@ -384,18 +385,16 @@ class TestMonitoringFlags:
     def test_monitoring_requires_distributed_engine(self, dataset_dir):
         with pytest.raises(SystemExit, match="--engine distributed"):
             main(["analyze", dataset_dir, "--method", "monte-carlo",
-                  "--iterations", "32", "--flight-recorder", "bundles"])
+                  "--iterations", "32", "--log-file", "engine.jsonl"])
 
     def test_one_error_names_every_distributed_flag(self, dataset_dir, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["analyze", dataset_dir, "--iterations", "8",
                   "--event-log", str(tmp_path / "e.jsonl"), "--early-stop",
-                  "--log-level", "debug",
-                  "--flight-recorder", str(tmp_path), "--ui-port", "0"])
+                  "--log-level", "debug", "--ui-port", "0"])
         message = str(exc.value)
         assert "--engine distributed" in message
-        for flag in ("--event-log", "--early-stop", "--log-level",
-                     "--flight-recorder", "--ui-port"):
+        for flag in ("--event-log", "--early-stop", "--log-level", "--ui-port"):
             assert flag in message
         # forcing a feature off asks the local engine for nothing
         assert main(["analyze", dataset_dir, "--method", "observed",
@@ -413,12 +412,20 @@ class TestMonitoringFlags:
         ["analyze", "d", "--engine", "distributed", "--alerts"],
         ["analyze", "d", "--engine", "distributed", "--alert-rules", "x.json"],
         ["history", "events.jsonl", "--series"],
-    ], ids=["metrics-interval", "alerts", "alert-rules", "history-series"])
+        ["analyze", "d", "--engine", "distributed", "--flight-recorder", "dir"],
+    ], ids=["metrics-interval", "alerts", "alert-rules", "history-series",
+            "flight-recorder"])
     def test_removed_monitoring_flags_are_unrecognised(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_postmortem_command_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["postmortem", "bundles"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'postmortem'" in capsys.readouterr().err
 
     def test_flags_land_in_the_context_config(self, dataset_dir, tmp_path):
         from repro.cli import _load_analysis, build_parser
@@ -426,65 +433,164 @@ class TestMonitoringFlags:
         args = build_parser().parse_args([
             "analyze", dataset_dir, "--engine", "distributed",
             "--backend", "serial", "--log-level", "warning",
-            "--flight-recorder", str(tmp_path), "--no-progress",
+            "--early-stop", "--no-progress",
         ])
         with _load_analysis(args) as analysis:
             config = analysis.ctx.config
             assert config.log_level == "warning"
-            assert config.flight_recorder_dir == str(tmp_path)
-            assert analysis.ctx.flight_recorder is not None
+            assert config.inference_early_stop is True
 
 
-class TestPostmortem:
-    @pytest.fixture
-    def bundle_dir(self, tmp_path_factory):
+def _failed_run_log(backend, path, jobs=1):
+    """Event log of a run whose partition 2 always fails (no retries left)."""
+    from repro.config import EngineConfig
+    from repro.engine.context import Context
+    from repro.engine.faults import FaultInjector, FaultPlan
+    from repro.engine.scheduler import JobFailedError
+
+    config = EngineConfig(backend=backend, num_executors=2, executor_cores=2,
+                          default_parallelism=4, max_task_retries=0)
+    plan = FaultPlan(fail_partition_attempts={2: 99})
+    with Context(config, fault_injector=FaultInjector(plan),
+                 event_log_path=str(path)) as ctx:
+        for _ in range(jobs):
+            with pytest.raises(JobFailedError):
+                ctx.parallelize(range(16), 4).map(lambda x: x + 1).sum()
+    return str(path)
+
+
+class TestDoctorOnFailedRun:
+    """A failed run's event log holds the failing task, its error and its
+    log lines; ``doctor`` names them first."""
+
+    @pytest.fixture(scope="class", params=["serial", "cluster"])
+    def failed_log(self, request, tmp_path_factory):
+        path = tmp_path_factory.mktemp("failed") / "events.jsonl"
+        return _failed_run_log(request.param, path)
+
+    def test_first_finding_is_the_failed_task(self, failed_log, capsys):
+        import json
+
+        rc = main(["doctor", failed_log, "--json"])
+        assert rc == 0
+        first = json.loads(capsys.readouterr().out)[0]
+        assert first["rule"] == "failed-task"
+        assert first["severity"] == "critical"
+        assert first["title"].startswith("job 0 failed: task 0.2#0 on exec-")
+        assert "InjectedTaskFailure" in first["title"]
+        assert "InjectedTaskFailure" in first["evidence"]["error"]
+
+    def test_table_names_the_task_and_strict_exits_2(self, failed_log, capsys):
+        rc = main(["doctor", failed_log])
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert "failed-task" in out
+        assert "task 0.2#0 on exec-" in out
+        assert "InjectedTaskFailure" in out
+        rc = main(["doctor", failed_log, "--strict"])
+        assert rc == 2
+        assert "strict mode: 1 finding(s)" in capsys.readouterr().err
+
+    def test_evidence_holds_the_correlated_log_record(self, failed_log, capsys):
+        import json
+
+        main(["doctor", failed_log, "--json"])
+        (finding,) = [
+            r for r in json.loads(capsys.readouterr().out)
+            if r["rule"] == "failed-task"
+        ]
+        (record,) = [
+            r for r in finding["evidence"]["logs"]
+            if r["message"] == "task attempt failed"
+        ]
+        assert (record["stage_id"], record["partition"]) == (0, 2)
+        assert record["executor_id"].startswith("exec-")
+        assert "InjectedTaskFailure" in record["fields"]["error"]
+        assert finding["evidence"]["attempts"] == [{
+            "attempt": 0, "executor_id": record["executor_id"],
+            "error": finding["evidence"]["error"],
+        }]
+
+    def test_one_finding_per_failed_job(self, tmp_path, capsys):
+        import json
+
+        log = _failed_run_log("serial", tmp_path / "events.jsonl", jobs=3)
+        main(["doctor", log, "--json"])
+        titles = [
+            r["title"] for r in json.loads(capsys.readouterr().out)
+            if r["rule"] == "failed-task"
+        ]
+        assert [t.split(":")[0] for t in titles] == [
+            "job 0 failed", "job 1 failed", "job 2 failed",
+        ]
+        assert [t.split(": ")[1].split(" on ")[0] for t in titles] == [
+            "task 0.2#0", "task 1.2#0", "task 2.2#0",
+        ]
+
+    def test_a_lost_executor_is_named(self, tmp_path, capsys):
+        # an attempt failed by its executor's loss is a task record on the
+        # job line too, not only a TaskEnd on the bus
+        import json
+
         from repro.config import EngineConfig
         from repro.engine.context import Context
         from repro.engine.faults import FaultInjector, FaultPlan
         from repro.engine.scheduler import JobFailedError
 
-        out = tmp_path_factory.mktemp("bundles")
-        config = EngineConfig(backend="serial", num_executors=2,
-                              executor_cores=2, default_parallelism=4,
-                              max_task_retries=0, flight_recorder_dir=str(out))
-        plan = FaultPlan(fail_partition_attempts={2: 99})
-        with Context(config, fault_injector=FaultInjector(plan)) as ctx:
+        log = tmp_path / "events.jsonl"
+        config = EngineConfig(backend="serial", num_executors=2, executor_cores=2,
+                              default_parallelism=4, max_task_retries=0)
+        plan = FaultPlan(kill_executor_after_tasks={"exec-0": 0})
+        with Context(config, fault_injector=FaultInjector(plan),
+                     event_log_path=str(log)) as ctx:
             with pytest.raises(JobFailedError):
                 ctx.parallelize(range(16), 4).sum()
-        return str(out)
+        main(["doctor", str(log), "--json"])
+        first = json.loads(capsys.readouterr().out)[0]
+        assert first["rule"] == "failed-task"
+        assert first["title"] == (
+            "job 0 failed: task 0.0#0 on exec-0: "
+            "ExecutorLostError: executor exec-0 lost"
+        )
+        assert [r["message"] for r in first["evidence"]["logs"]] == [
+            "task lost its executor; retrying elsewhere",
+        ]
 
-    def test_renders_failing_task_and_timeline(self, bundle_dir, capsys):
-        rc = main(["postmortem", bundle_dir])
+    def test_a_retried_failure_does_not_fire(self, tmp_path, capsys):
+        from repro.config import EngineConfig
+        from repro.engine.context import Context
+        from repro.engine.eventlog import read_event_log
+        from repro.engine.faults import FaultInjector, FaultPlan
+
+        log = tmp_path / "events.jsonl"
+        config = EngineConfig(backend="serial", num_executors=2, executor_cores=2,
+                              default_parallelism=4, max_task_retries=1)
+        plan = FaultPlan(fail_partition_attempts={2: 1})
+        with Context(config, fault_injector=FaultInjector(plan),
+                     event_log_path=str(log)) as ctx:
+            assert ctx.parallelize(range(16), 4).sum() == 120
+        (job,) = read_event_log(str(log))
+        assert [(t.partition, t.attempt, t.succeeded) for t in job.stages[0].tasks
+                if t.partition == 2] == [(2, 0, False), (2, 1, True)]
+        rc = main(["doctor", str(log), "--strict"])
         assert rc == 0
         out = capsys.readouterr().out
-        assert "post-mortem bundle:" in out
-        assert "failing task: 0.2#0 on exec-" in out
-        assert "InjectedTaskFailure" in out
-        assert "event timeline" in out
-        assert "correlated logs" in out
+        assert "examined 1 job(s)" in out
+        assert "failed-task" not in out
 
-    def test_json_mode_dumps_the_bundle(self, bundle_dir, capsys):
+    def test_successful_jobs_give_no_finding(self, tmp_path, capsys):
         import json
 
-        rc = main(["postmortem", bundle_dir, "--json"])
+        from repro.config import EngineConfig
+        from repro.engine.context import Context
+
+        log = tmp_path / "events.jsonl"
+        config = EngineConfig(backend="serial", num_executors=2, executor_cores=2,
+                              default_parallelism=4, max_task_retries=0)
+        with Context(config, event_log_path=str(log)) as ctx:
+            for _ in range(3):
+                assert ctx.parallelize(range(16), 4).map(lambda x: x + 1).sum() == 136
+        rc = main(["doctor", str(log), "--json"])
         assert rc == 0
-        bundle = json.loads(capsys.readouterr().out)
-        assert bundle["kind"] == "sparkscore-postmortem"
-        assert bundle["failing_task"]["partition"] == 2
-
-    def test_missing_bundle_errors(self, tmp_path, capsys):
-        rc = main(["postmortem", str(tmp_path / "nope.json")])
-        assert rc == 1
-        assert "no such bundle" in capsys.readouterr().err
-
-    def test_empty_directory_errors(self, tmp_path, capsys):
-        rc = main(["postmortem", str(tmp_path)])
-        assert rc == 1
-        assert "no *.json bundles" in capsys.readouterr().err
-
-    def test_foreign_json_rejected(self, tmp_path, capsys):
-        bad = tmp_path / "bad.json"
-        bad.write_text('{"kind": "not-a-bundle"}')
-        rc = main(["postmortem", str(bad)])
-        assert rc == 1
-        assert "sparkscore-postmortem" in capsys.readouterr().err
+        rules = [r["rule"] for r in json.loads(capsys.readouterr().out)]
+        assert "failed-task" not in rules

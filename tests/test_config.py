@@ -17,10 +17,10 @@ class TestSurface:
             "default_parallelism", "max_task_retries", "heartbeat_interval",
             "heartbeat_timeout", "profile_fraction", "transport_scheme",
             "cluster_address", "cluster_secret", "log_level",
-            "flight_recorder_dir", "inference_early_stop", "inference_alpha",
+            "inference_early_stop", "inference_alpha",
             "inference_ci", "inference_min_replicates",
         ]
-        assert len(dataclasses.fields(EngineConfig)) == 18
+        assert len(dataclasses.fields(EngineConfig)) == 17
 
     @pytest.mark.parametrize("knob", ["adaptive", "speculation"])
     def test_adaptive_execution_is_not_a_knob(self, knob):
@@ -46,6 +46,18 @@ class TestSurface:
         with Context(EngineConfig()) as ctx:
             for name in ("timeseries", "sampler", "alerts"):
                 assert not hasattr(ctx, name), name
+
+    def test_flight_recorder_is_not_a_knob(self):
+        # decided by measurement: a failed run's event log holds what the
+        # bundle held, and doctor names it (DESIGN.md section 12)
+        from repro.engine.context import Context
+        from repro.obs.spans import TracingListener
+
+        with pytest.raises(TypeError):
+            EngineConfig(flight_recorder_dir="/tmp/fr")
+        with Context(EngineConfig()) as ctx:
+            assert not hasattr(ctx, "flight_recorder")
+        assert not hasattr(TracingListener, "open_spans")
 
     def test_no_second_spelling(self):
         for name in ("set", "get", "_ALIASES", "extra"):
@@ -109,7 +121,6 @@ class TestEngineConfig:
 class TestMonitoringKnobs:
     def test_defaults_off(self):
         config = EngineConfig()
-        assert config.flight_recorder_dir == ""
         assert config.inference_early_stop is False
         assert config.log_level == "info"
 
@@ -128,7 +139,7 @@ class TestMonitoringKnobs:
 
     def test_copy_carries_monitoring_fields(self):
         config = EngineConfig().copy(
-            log_level="debug", flight_recorder_dir="/tmp/fr",
+            log_level="debug", inference_early_stop=True,
         )
         assert config.log_level == "debug"
-        assert config.flight_recorder_dir == "/tmp/fr"
+        assert config.inference_early_stop is True
