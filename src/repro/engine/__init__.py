@@ -20,7 +20,7 @@ Entry point is :class:`repro.engine.context.Context`::
 
     with Context() as ctx:
         rdd = ctx.parallelize(range(100), num_partitions=4)
-        total = rdd.map(lambda x: x * x).reduce(lambda a, b: a + b)
+        total = rdd.map(lambda x: x * x).sum()
 """
 
 from repro.engine.accumulator import Accumulator

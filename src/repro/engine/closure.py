@@ -17,8 +17,9 @@ that idea with the stdlib only:
 Limits (documented, same shape as Spark's): marshal'd code objects only
 load on the same interpreter version, and by-value capture copies
 closed-over state -- mutating a captured list inside a worker does not
-mutate the driver's list.  Identity-sensitive singletons must implement
-``__reduce__`` (see ``repro.engine.ops._Empty``).
+mutate the driver's list.  An identity-sensitive singleton must implement
+``__reduce__`` to rebuild as the worker's own instance, since a by-value
+copy is a new object.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ def _is_importable(obj: types.FunctionType) -> bool:
         target: Any = mod
         for part in qualname.split("."):
             target = getattr(target, part)
-    except Exception:
+    except (ImportError, AttributeError):
         return False
     return target is obj
 

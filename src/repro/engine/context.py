@@ -225,14 +225,6 @@ class Context:
             return HdfsTextFileRDD(self, self.hdfs, path)
         return LocalTextFileRDD(self, path, n)
 
-    def union(self, rdds: list["RDD"]) -> "RDD":
-        from repro.engine.rdd import UnionRDD
-
-        return UnionRDD(self, rdds)
-
-    def empty_rdd(self) -> "RDD":
-        return self.parallelize([], 1)
-
     # -- shared variables ----------------------------------------------------------
 
     def broadcast(self, value: Any) -> Broadcast:

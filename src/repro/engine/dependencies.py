@@ -1,9 +1,9 @@
 """RDD dependency descriptors.
 
 Spark distinguishes *narrow* dependencies, where each child partition reads
-a bounded set of parent partitions (map, filter, union), from *shuffle*
+a bounded set of parent partitions (map, filter), from *shuffle*
 (wide) dependencies, where every child partition may read from every parent
-partition (reduceByKey, join).  The DAG scheduler splits the lineage graph
+partition (reduce_by_key, join).  The DAG scheduler splits the lineage graph
 into stages at shuffle dependencies.
 """
 
@@ -36,36 +36,6 @@ class OneToOneDependency(NarrowDependency):
 
     def parents(self, child_partition: int) -> list[int]:
         return [child_partition]
-
-
-class RangeDependency(NarrowDependency):
-    """A contiguous range of child partitions maps onto parent partitions.
-
-    Used by union: child partitions ``[out_start, out_start + length)`` read
-    parent partitions ``[in_start, in_start + length)``.
-    """
-
-    def __init__(self, rdd: "RDD", in_start: int, out_start: int, length: int) -> None:
-        super().__init__(rdd)
-        self.in_start = in_start
-        self.out_start = out_start
-        self.length = length
-
-    def parents(self, child_partition: int) -> list[int]:
-        if self.out_start <= child_partition < self.out_start + self.length:
-            return [child_partition - self.out_start + self.in_start]
-        return []
-
-
-class ManyToOneDependency(NarrowDependency):
-    """Child partition reads an explicit list of parent partitions (coalesce)."""
-
-    def __init__(self, rdd: "RDD", mapping: list[list[int]]) -> None:
-        super().__init__(rdd)
-        self.mapping = mapping
-
-    def parents(self, child_partition: int) -> list[int]:
-        return self.mapping[child_partition]
 
 
 class ShuffleDependency(Dependency):

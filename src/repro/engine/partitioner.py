@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-import bisect
-from typing import Any, Hashable, Sequence
+from typing import Any, Hashable
 
 
 def _portable_hash(key: Hashable) -> int:
@@ -58,25 +57,3 @@ class HashPartitioner(Partitioner):
 
     def partition(self, key: Any) -> int:
         return _portable_hash(key) % self.num_partitions
-
-
-class RangePartitioner(Partitioner):
-    """Assigns keys to contiguous sorted ranges given precomputed bounds.
-
-    ``bounds`` are the (num_partitions - 1) split points; keys <= bounds[i]
-    go to partition i.  Used by ``sort_by_key``.
-    """
-
-    def __init__(self, bounds: Sequence[Any]) -> None:
-        super().__init__(len(bounds) + 1)
-        self.bounds = list(bounds)
-
-    def partition(self, key: Any) -> int:
-        return bisect.bisect_left(self.bounds, key)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, RangePartitioner) and self.bounds == other.bounds
-
-    def __hash__(self) -> int:
-        return hash(("RangePartitioner", tuple(self.bounds)))
-

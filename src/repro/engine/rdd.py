@@ -1,12 +1,11 @@
 """Resilient Distributed Datasets: lazy, partitioned, lineage-tracked.
 
-This module defines the :class:`RDD` base class, the narrow
-transformations, and the actions.  Key-value (shuffle) operations live in
-:mod:`repro.engine.pair_rdd` and are attached to :class:`RDD` at import
-time so ``rdd.reduce_by_key(...)`` works as in Spark.
-
-Naming follows Python convention (``flat_map``); camelCase aliases
-(``flatMap``) are provided for people porting Spark code.
+This module defines the :class:`RDD` base class and the operators
+SparkScore's Algorithms 1-3, the examples and the benchmarks call: the
+narrow transformations, ``repartition``, the key-value operators
+``map_values`` / ``reduce_by_key`` / ``join``, and the actions ``collect``,
+``count`` and ``sum``.  Names follow Python convention (``flat_map``, not
+``flatMap``).
 
 RDDs hold a reference to their driver :class:`~repro.engine.context.Context`
 for action execution; the reference is dropped on pickling (cluster
@@ -19,20 +18,20 @@ blocks are resident under on the workers.
 
 from __future__ import annotations
 
-import heapq
+import functools
 import itertools
 import operator
 import os
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, TypeVar
 
 from repro.engine.dependencies import (
+    Aggregator,
     Dependency,
-    ManyToOneDependency,
     NarrowDependency,
     OneToOneDependency,
-    RangeDependency,
     ShuffleDependency,
 )
+from repro.engine.partitioner import HashPartitioner
 from repro.engine.storage import StorageLevel
 from repro.engine.task import TaskContext
 from repro.engine.transport import ByRef
@@ -138,23 +137,13 @@ class RDD:
 
     # -- narrow transformations ---------------------------------------------
 
-    def map_partitions_with_index(
-        self,
-        func: Callable[[int, Iterator], Iterator],
-        name: str | None = None,
-        preserves_partitioning: bool = False,
-    ) -> "RDD":
-        """The fundamental narrow transform: ``func(split, iter) -> iter``."""
-        return MappedPartitionsRDD(
-            self.context, self, func, name or "map_partitions_with_index", preserves_partitioning
-        )
-
     def map_partitions(
         self,
         func: Callable[[Iterator], Iterator],
         name: str | None = None,
         preserves_partitioning: bool = False,
     ) -> "RDD":
+        """The fundamental narrow transform: ``func(iter) -> iter`` per partition."""
         return MappedPartitionsRDD(
             self.context, self, _IndexlessFn(func), name or "map_partitions",
             preserves_partitioning,
@@ -173,31 +162,15 @@ class RDD:
     def flat_map(self, func: Callable[[T], Iterable[U]]) -> "RDD":
         return MappedPartitionsRDD(self.context, self, _FlatMapFn(func), "flat_map")
 
-    def glom(self) -> "RDD":
-        """Each partition becomes a single list element."""
-        return MappedPartitionsRDD(self.context, self, _glom_fn, "glom")
-
-    def key_by(self, func: Callable[[T], Any]) -> "RDD":
-        return self.map(lambda item: (func(item), item))
-
-    def union(self, other: "RDD") -> "RDD":
-        return UnionRDD(self.context, [self, other])
-
-    def coalesce(self, num_partitions: int) -> "RDD":
-        """Reduce partition count without a shuffle."""
-        return CoalescedRDD(self.context, self, num_partitions)
-
     def repartition(self, num_partitions: int) -> "RDD":
         """Redistribute elements evenly across ``num_partitions`` via a shuffle.
 
-        Unlike :meth:`coalesce` this can increase the partition count, and
-        it always breaks up skewed partitions: elements are dealt
-        round-robin onto reducers regardless of where they currently sit.
+        The partition count may grow or shrink, and a skewed partition is
+        always broken up: elements are dealt round-robin onto reducers
+        regardless of where they currently sit.
         """
         if num_partitions <= 0:
             raise ValueError("num_partitions must be positive")
-        from repro.engine.partitioner import HashPartitioner
-
         keyed = MappedPartitionsRDD(
             self.context, self, _RoundRobinKeyFn(num_partitions), "repartition"
         )
@@ -208,37 +181,44 @@ class RDD:
             self.context, shuffled, _drop_keys_fn, "repartition"
         )
 
-    def sample(self, fraction: float, seed: int = 0) -> "RDD":
-        """Bernoulli sample of elements, deterministic per (seed, partition)."""
-        if not 0.0 <= fraction <= 1.0:
-            raise ValueError("fraction must be in [0, 1]")
+    # -- key-value operators ------------------------------------------------------
 
-        def sampler(split: int, it: Iterator) -> Iterator:
-            import numpy as np
+    def map_values(self, func: Callable) -> "RDD":
+        """``(k, v) -> (k, func(v))``; keys, hence partitioning, survive."""
+        return self.map_partitions(
+            _MapValuesFn(func), name="map_values", preserves_partitioning=True
+        )
 
-            rng = np.random.default_rng(np.random.SeedSequence([seed, split]))
-            return (item for item in it if rng.random() < fraction)
+    def reduce_by_key(self, op: Callable, num_partitions: int | None = None) -> "RDD":
+        """Merge each key's values with ``op``, combining map-side first.
 
-        return MappedPartitionsRDD(self.context, self, sampler, "sample")
+        Input already hash-partitioned into the target partitioning (a
+        ``reduce_by_key`` or ``join`` output, kept through ``map_values`` or
+        ``filter``) is reduced within its partitions, without a shuffle.
+        """
+        partitioner = HashPartitioner(_default_partitions(self, num_partitions))
+        if self.partitioner == partitioner:
+            return self.map_partitions(
+                _LocalReduceFn(op), name="reduce_by_key(local)",
+                preserves_partitioning=True,
+            )
+        return ShuffledRDD(
+            self.context, self, partitioner, Aggregator(_identity, op, op), "reduce_by_key"
+        )
 
-    def zip_with_index(self) -> "RDD":
-        """Pair each element with its global index (triggers a size job)."""
-        sizes = self.context.run_job(self, lambda it: sum(1 for _ in it))
-        offsets = [0]
-        for size in sizes[:-1]:
-            offsets.append(offsets[-1] + size)
+    def join(self, other: "RDD", num_partitions: int | None = None) -> "RDD":
+        """Inner join: ``(k, (v, w))`` for every pairing of values under ``k``.
 
-        def indexer(split: int, it: Iterator) -> Iterator:
-            return ((item, offsets[split] + i) for i, item in enumerate(it))
-
-        return MappedPartitionsRDD(self.context, self, indexer, "zip_with_index")
-
-    def distinct(self, num_partitions: int | None = None) -> "RDD":
-        """Deduplicate via a shuffle (elements must be hashable)."""
-        return (
-            self.map(lambda item: (item, None))
-            .reduce_by_key(lambda a, _b: a, num_partitions)
-            .map(lambda kv: kv[0])
+        A side already hash-partitioned lends the join its partitioner and
+        joins through a narrow dependency; the other side is shuffled to it.
+        """
+        partitioner = HashPartitioner(_default_partitions(self, num_partitions))
+        for rdd in (self, other):
+            if isinstance(rdd.partitioner, HashPartitioner):
+                partitioner = rdd.partitioner
+                break
+        return CoGroupedRDD(self.context, [self, other], partitioner).flat_map(
+            _InnerJoinExpandFn()
         )
 
     # -- actions ----------------------------------------------------------------
@@ -246,107 +226,12 @@ class RDD:
     def collect(self) -> list:
         return [item for part in self.context.run_job(self, list) for item in part]
 
-    def collect_partitions(self) -> list[list]:
-        return self.context.run_job(self, list)
-
     def count(self) -> int:
         return sum(self.context.run_job(self, _count_iter))
 
-    def first(self) -> Any:
-        taken = self.take(1)
-        if not taken:
-            raise ValueError("RDD is empty")
-        return taken[0]
-
-    def take(self, n: int) -> list:
-        """Collect the first ``n`` elements scanning partitions in order."""
-        if n <= 0:
-            return []
-        out: list = []
-        for split in range(self.num_partitions()):
-            part = self.context.run_job(self, lambda it: list(itertools.islice(it, n - len(out))), [split])[0]
-            out.extend(part)
-            if len(out) >= n:
-                break
-        return out[:n]
-
-    def take_ordered(self, n: int, key: Callable | None = None) -> list:
-        """Smallest ``n`` elements (by ``key``) across the RDD."""
-        parts = self.context.run_job(self, lambda it: heapq.nsmallest(n, it, key=key))
-        return heapq.nsmallest(n, itertools.chain.from_iterable(parts), key=key)
-
-    def reduce(self, op: Callable[[T, T], T]) -> T:
-        partials = [
-            p for part in self.context.run_job(self, _ReduceFn(op)) for p in part
-        ]
-        if not partials:
-            raise ValueError("reduce() of empty RDD")
-        acc = partials[0]
-        for item in partials[1:]:
-            acc = op(acc, item)
-        return acc
-
-    def fold(self, zero: T, op: Callable[[T, T], T]) -> T:
-        partials = self.context.run_job(self, _FoldFn(zero, op))
-        acc = zero
-        for item in partials:
-            acc = op(acc, item)
-        return acc
-
-    def aggregate(self, zero: U, seq_op: Callable[[U, T], U], comb_op: Callable[[U, U], U]) -> U:
-        partials = self.context.run_job(self, _FoldFn(zero, seq_op))
-        acc = zero
-        for item in partials:
-            acc = comb_op(acc, item)
-        return acc
-
     def sum(self) -> Any:
-        return self.fold(0, operator.add)
-
-    def min(self) -> Any:
-        return self.reduce(_min2)
-
-    def max(self) -> Any:
-        return self.reduce(_max2)
-
-    def mean(self) -> float:
-        total, count = self.aggregate((0.0, 0), _mean_seq, _mean_comb)
-        if count == 0:
-            raise ValueError("mean() of empty RDD")
-        return total / count
-
-    def count_by_value(self) -> dict:
-        out: dict = {}
-        for partial in self.context.run_job(self, _count_values):
-            for key, count in partial.items():
-                out[key] = out.get(key, 0) + count
-        return out
-
-    def foreach(self, func: Callable[[T], None]) -> None:
-        def apply_all(it: Iterator) -> None:
-            for item in it:
-                func(item)
-
-        self.context.run_job(self, apply_all)
-
-    def foreach_partition(self, func: Callable[[Iterator], None]) -> None:
-        self.context.run_job(self, lambda it: func(it))
-
-    def save_as_text_file(self, path: str) -> None:
-        """Write one ``part-NNNNN`` file per partition (local or hdfs://)."""
-        parts = self.context.run_job(self, lambda it: [str(x) for x in it])
-        if path.startswith("hdfs://"):
-            fs = self.context.hdfs
-            if fs is None:
-                raise RuntimeError("context has no HDFS attached")
-            for i, lines in enumerate(parts):
-                fs.write_text(f"{path.rstrip('/')}/part-{i:05d}", "\n".join(lines) + ("\n" if lines else ""))
-        else:
-            os.makedirs(path, exist_ok=True)
-            for i, lines in enumerate(parts):
-                with open(os.path.join(path, f"part-{i:05d}"), "w") as fh:
-                    for line in lines:
-                        fh.write(line + "\n")
+        """Left fold with ``+`` from 0: in each partition, then over the partials."""
+        return _sum_iter(self.context.run_job(self, _sum_iter))
 
     # -- introspection ---------------------------------------------------------
 
@@ -458,10 +343,6 @@ class _IndexlessFn:
         return self.func(it)
 
 
-def _glom_fn(_split: int, it: Iterator) -> Iterator:
-    return iter([list(it)])
-
-
 class _RoundRobinKeyFn:
     """Deal elements round-robin onto reducer keys (repartition map side)."""
 
@@ -484,58 +365,49 @@ def _count_iter(it: Iterator) -> int:
     return sum(1 for _ in it)
 
 
-def _count_values(it: Iterator) -> dict:
-    counts: dict = {}
-    for item in it:
-        counts[item] = counts.get(item, 0) + 1
-    return counts
+def _sum_iter(it: Iterable) -> Any:
+    return functools.reduce(operator.add, it, 0)
 
 
-def _min2(a: Any, b: Any) -> Any:
-    return a if a <= b else b
+def _identity(value: Any) -> Any:
+    return value
 
 
-def _max2(a: Any, b: Any) -> Any:
-    return a if a >= b else b
+def _default_partitions(rdd: RDD, num_partitions: int | None) -> int:
+    if num_partitions is not None:
+        return num_partitions
+    return rdd.context.config.default_parallelism
 
 
-def _mean_seq(acc: tuple, x: Any) -> tuple:
-    return (acc[0] + x, acc[1] + 1)
+class _MapValuesFn:
+    """Picklable value-mapper keeping keys (and hence partitioning)."""
+
+    def __init__(self, func: Callable) -> None:
+        self.func = func
+
+    def __call__(self, it: Iterator) -> Iterator:
+        return ((k, self.func(v)) for k, v in it)
 
 
-def _mean_comb(a: tuple, b: tuple) -> tuple:
-    return (a[0] + b[0], a[1] + b[1])
-
-
-class _FoldFn:
-    """Picklable per-partition fold (also serves aggregate's seq phase)."""
-
-    def __init__(self, zero: Any, op: Callable) -> None:
-        self.zero = zero
-        self.op = op
-
-    def __call__(self, it: Iterator) -> Any:
-        acc = self.zero
-        for item in it:
-            acc = self.op(acc, item)
-        return acc
-
-
-class _ReduceFn:
-    """Picklable per-partition reduce returning [] for empty partitions."""
+class _LocalReduceFn:
+    """Picklable in-partition ``reduce_by_key`` for co-partitioned input."""
 
     def __init__(self, op: Callable) -> None:
         self.op = op
 
-    def __call__(self, it: Iterator) -> list:
-        it = iter(it)
-        try:
-            acc = next(it)
-        except StopIteration:
-            return []
-        for item in it:
-            acc = self.op(acc, item)
-        return [acc]
+    def __call__(self, it: Iterator) -> Iterator:
+        merged: dict = {}
+        for k, v in it:
+            merged[k] = self.op(merged[k], v) if k in merged else v
+        return iter(merged.items())
+
+
+class _InnerJoinExpandFn:
+    """Picklable inner-join expansion over cogrouped value lists."""
+
+    def __call__(self, kv):
+        key, (left, right) = kv
+        return [(key, (v, w)) for v in left for w in right]
 
 
 class ParallelCollectionRDD(RDD):
@@ -605,7 +477,7 @@ class MappedPartitionsRDD(RDD):
     """Applies ``func(split, iterator)`` to the single parent partition.
 
     ``preserves_partitioning`` must only be set when ``func`` does not
-    change element keys (mapValues, filter); a key-changing map that kept
+    change element keys (map_values, filter); a key-changing map that kept
     the parent's partitioner would let ``reduce_by_key`` skip a required
     shuffle and silently produce per-partition partial results.
     """
@@ -629,59 +501,6 @@ class MappedPartitionsRDD(RDD):
 
     def compute(self, split: int, tc: TaskContext) -> Iterator:
         return iter(self._func(split, self._parent.iterator(split, tc)))
-
-
-class UnionRDD(RDD):
-    """Concatenation of parents' partitions (narrow; no shuffle)."""
-
-    def __init__(self, ctx: "Context", parents: list[RDD]) -> None:
-        deps: list[Dependency] = []
-        offset = 0
-        self._ranges: list[tuple[RDD, int]] = []
-        for parent in parents:
-            n = parent.num_partitions()
-            deps.append(RangeDependency(parent, 0, offset, n))
-            self._ranges.append((parent, offset))
-            offset += n
-        self._total = offset
-        super().__init__(ctx, deps, "union")
-
-    def num_partitions(self) -> int:
-        return self._total
-
-    def compute(self, split: int, tc: TaskContext) -> Iterator:
-        for dep in self.dependencies:
-            assert isinstance(dep, RangeDependency)
-            parents = dep.parents(split)
-            if parents:
-                return dep.rdd.iterator(parents[0], tc)
-        raise IndexError(f"partition {split} out of range for union of {self._total}")
-
-
-class CoalescedRDD(RDD):
-    """Merges parent partitions into fewer partitions without shuffling."""
-
-    def __init__(self, ctx: "Context", parent: RDD, num_partitions: int) -> None:
-        if num_partitions < 1:
-            raise ValueError("num_partitions must be >= 1")
-        parent_count = parent.num_partitions()
-        target = min(num_partitions, parent_count)
-        mapping: list[list[int]] = []
-        for i in range(target):
-            start = (i * parent_count) // target
-            end = ((i + 1) * parent_count) // target
-            mapping.append(list(range(start, end)))
-        super().__init__(ctx, [ManyToOneDependency(parent, mapping)], "coalesce")
-        self._parent = parent
-        self._mapping = mapping
-
-    def num_partitions(self) -> int:
-        return len(self._mapping)
-
-    def compute(self, split: int, tc: TaskContext) -> Iterator:
-        return itertools.chain.from_iterable(
-            self._parent.iterator(p, tc) for p in self._mapping[split]
-        )
 
 
 class TextFileRDD(RDD):
@@ -924,32 +743,3 @@ class CoGroupedRDD(RDD):
             for key, value in records:
                 bucket_for(key)[idx].append(value)
         return iter(grouped.items())
-
-
-# Attach pair-RDD operations (reduce_by_key, join, ...) and extended ops
-# (tree_aggregate, checkpoint, stats_summary, ...) to RDD.
-from repro.engine import ops as _ops  # noqa: E402  (intentional late import)
-from repro.engine import pair_rdd as _pair_rdd  # noqa: E402
-
-_pair_rdd.install(RDD)
-_ops.install(RDD)
-
-# Spark camelCase aliases for users porting code.
-RDD.flatMap = RDD.flat_map  # type: ignore[attr-defined]
-RDD.mapPartitions = RDD.map_partitions  # type: ignore[attr-defined]
-RDD.mapPartitionsWithIndex = RDD.map_partitions_with_index  # type: ignore[attr-defined]
-RDD.reduceByKey = RDD.reduce_by_key  # type: ignore[attr-defined]
-RDD.groupByKey = RDD.group_by_key  # type: ignore[attr-defined]
-RDD.combineByKey = RDD.combine_by_key  # type: ignore[attr-defined]
-RDD.aggregateByKey = RDD.aggregate_by_key  # type: ignore[attr-defined]
-RDD.countByKey = RDD.count_by_key  # type: ignore[attr-defined]
-RDD.countByValue = RDD.count_by_value  # type: ignore[attr-defined]
-RDD.mapValues = RDD.map_values  # type: ignore[attr-defined]
-RDD.flatMapValues = RDD.flat_map_values  # type: ignore[attr-defined]
-RDD.sortByKey = RDD.sort_by_key  # type: ignore[attr-defined]
-RDD.partitionBy = RDD.partition_by  # type: ignore[attr-defined]
-RDD.collectAsMap = RDD.collect_as_map  # type: ignore[attr-defined]
-RDD.zipWithIndex = RDD.zip_with_index  # type: ignore[attr-defined]
-RDD.keyBy = RDD.key_by  # type: ignore[attr-defined]
-RDD.takeOrdered = RDD.take_ordered  # type: ignore[attr-defined]
-RDD.saveAsTextFile = RDD.save_as_text_file  # type: ignore[attr-defined]

@@ -370,7 +370,7 @@ def rule_tiny_tasks(inp: DiagnosisInput) -> list[Recommendation]:
                     f"{med * 1000:.1f} ms median -- scheduling overhead dominates"
                 ),
                 action=(
-                    f"coalesce to ~{target} partitions or raise block_size; "
+                    f"use ~{target} partitions (num_partitions) or raise block_size; "
                     "per-task overhead is amortized by bigger batches"
                 ),
                 evidence={

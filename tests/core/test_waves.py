@@ -7,7 +7,8 @@ one a single fold of every block's partial gives, so counts must not move
 with the wave size, the partitioning, the block size or the file's row
 order -- and must equal ``LocalSparkScore``'s.  The first wave scores the
 observed statistics as well: to the bit what the ``tree_aggregate`` pass it
-replaced gave, for every set at most two partitions hold.
+replaced gave (a per-partition fold, then a fold over partitions), for every
+set at most two partitions hold.
 """
 
 import dataclasses
@@ -151,19 +152,34 @@ def _block_observed(block):
     return block.skat_partial(block.genotypes.sum(axis=1))
 
 
+def _fold_partition(n_sets, blocks):
+    """One partition's blocks' partials, folded left from zero."""
+    acc = np.zeros(n_sets)
+    for block in blocks:
+        acc = acc + _block_observed(block)
+    return [acc]
+
+
 def _tree_aggregate_observed(scorer, cache=True):
-    """The observed pass the first wave replaced: every ``U`` block's
-    partial, through ``tree_aggregate(depth=2)``."""
-    zero = functools.partial(np.zeros, scorer.dataset.n_sets)
-    u = scorer.contributions_rdd(cache).map(_block_observed)
-    return u.tree_aggregate(zero, np.add, np.add, depth=2)
+    """The observed pass the first wave replaced, ``tree_aggregate``'s fold:
+    every partition folds its ``U`` blocks' partials left from zero, and the
+    driver folds the partition partials left in partition order.  For a set
+    at most two partitions hold this is ``tree_aggregate(depth=2)`` to the
+    bit (``x + 0.0 == x``, and ``+`` commutes)."""
+    fold = functools.partial(_fold_partition, scorer.dataset.n_sets)
+    partials = scorer.contributions_rdd(cache).map_partitions(fold).collect()
+    return functools.reduce(np.add, partials, np.zeros(scorer.dataset.n_sets))
+
+
+def _set_ids_by_partition(blocks):
+    return [np.unique([k for block in blocks for k in block.set_ids])]
 
 
 def _held_by_at_most_two(scorer):
     """Sets whose rows at most two partitions hold."""
     held = np.zeros(scorer.dataset.n_sets, np.int64)
-    for blocks in scorer._gm_rdd.glom().collect():
-        held[np.unique([k for block in blocks for k in block.set_ids])] += 1
+    for set_ids in scorer._gm_rdd.map_partitions(_set_ids_by_partition).collect():
+        held[set_ids] += 1
     return held <= 2
 
 

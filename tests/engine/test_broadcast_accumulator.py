@@ -81,7 +81,7 @@ class TestBroadcast:
 class TestAccumulator:
     def test_task_side_adds_merge_at_driver(self, ctx):
         acc = ctx.accumulator(0)
-        ctx.parallelize(range(20), 4).foreach(lambda x: acc.add(x))
+        ctx.parallelize(range(20), 4).map(lambda x: acc.add(x)).count()
         assert acc.value == sum(range(20))
 
     def test_driver_side_add_is_direct(self, ctx):

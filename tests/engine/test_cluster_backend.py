@@ -61,6 +61,10 @@ def _square(x):
     return x * x
 
 
+def _head(it):
+    return next(iter(it))
+
+
 def _frozen_object_count(_):
     return gc.get_freeze_count()
 
@@ -70,7 +74,7 @@ def _warm_workload_shm(ctx: Context):
 
 
 def _warm_workload_tcp(ctx: Context):
-    return ctx.parallelize(range(64), 4).map(_square).reduce(lambda a, b: a + b)
+    return ctx.parallelize(range(64), 4).map(lambda x: x * x).sum()
 
 
 def _counter_total(name: str) -> float:
@@ -310,9 +314,9 @@ class TestThinBinaries:
         first, second = Context(config), Context(config)
         try:
             # partition 0 only: no worker has fetched slices 1-3 yet
-            assert first.parallelize(data, 4).take(1) == [0]
+            assert first.run_job(first.parallelize(data, 4), _head, [0]) == [0]
             rdd = second.parallelize(data, 4)
-            assert rdd.take(1) == [0]
+            assert second.run_job(rdd, _head, [0]) == [0]
             refs = [part._ref for part in rdd._published.parts]
             first.stop()
             assert all(manager.transport.get(ref) for ref in refs)

@@ -63,7 +63,7 @@ class TestTaskRetry:
         plan = FaultPlan(fail_partition_attempts={2: 1})
         with make_ctx(plan) as ctx:
             acc = ctx.accumulator(0)
-            ctx.parallelize(range(12), 6).foreach(lambda x: acc.add(1))
+            ctx.parallelize(range(12), 6).map(lambda x: acc.add(1)).count()
             # partition 2 ran twice, but its adds merged exactly once
             assert acc.value == 12
             assert ctx.fault_injector.injected_failures == 1

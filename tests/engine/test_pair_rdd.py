@@ -5,7 +5,13 @@ from collections import defaultdict
 
 import pytest
 
+from repro.engine.dependencies import Aggregator
 from repro.engine.partitioner import HashPartitioner
+from repro.engine.rdd import ShuffledRDD
+
+
+def _identity(value):
+    return value
 
 
 @pytest.fixture
@@ -25,77 +31,28 @@ class TestAggregations:
         assert out.num_partitions() == 7
         assert len(out.collect()) == 5
 
-    def test_fold_by_key(self, ctx):
-        rdd = ctx.parallelize([("a", 1), ("a", 2), ("b", 3)], 2)
-        assert dict(rdd.fold_by_key(10, operator.add).collect()) == {"a": 23, "b": 13}
-
-    def test_aggregate_by_key(self, ctx):
-        rdd = ctx.parallelize([("a", 1), ("a", 2), ("b", 3)], 2)
-        out = rdd.aggregate_by_key(
-            (0, 0),
-            lambda acc, v: (acc[0] + v, acc[1] + 1),
-            lambda x, y: (x[0] + y[0], x[1] + y[1]),
-        )
-        assert dict(out.collect()) == {"a": (3, 2), "b": (3, 1)}
-
-    def test_group_by_key(self, ctx):
-        rdd = ctx.parallelize([(1, "a"), (2, "b"), (1, "c")], 3)
-        grouped = {k: sorted(v) for k, v in rdd.group_by_key().collect()}
-        assert grouped == {1: ["a", "c"], 2: ["b"]}
-
-    def test_group_by(self, ctx):
-        grouped = dict(ctx.parallelize(range(6), 2).group_by(lambda x: x % 2).collect())
-        assert sorted(grouped[0]) == [0, 2, 4]
-        assert sorted(grouped[1]) == [1, 3, 5]
-
-    def test_combine_by_key_custom(self, ctx):
-        rdd = ctx.parallelize([("x", 1), ("x", 2), ("y", 5)], 2)
-        out = rdd.combine_by_key(
-            create_combiner=lambda v: [v],
-            merge_value=lambda acc, v: acc + [v],
-            merge_combiners=lambda a, b: a + b,
-            map_side_combine=False,
-        )
-        assert {k: sorted(v) for k, v in out.collect()} == {"x": [1, 2], "y": [5]}
-
-    def test_count_by_key(self, kv):
-        assert kv.count_by_key() == {k: 10 for k in range(5)}
-
     def test_map_side_combine_matches_no_combine(self, ctx):
         data = [(i % 3, float(i)) for i in range(30)]
-        a = ctx.parallelize(data, 5).combine_by_key(
-            lambda v: v, operator.add, operator.add, map_side_combine=True
-        )
-        b = ctx.parallelize(data, 5).combine_by_key(
-            lambda v: v, operator.add, operator.add, map_side_combine=False
-        )
-        assert dict(a.collect()) == pytest.approx(dict(b.collect()))
+
+        def combined(map_side_combine):
+            agg = Aggregator(_identity, operator.add, operator.add, map_side_combine)
+            parent = ctx.parallelize(data, 5)
+            return ShuffledRDD(ctx, parent, HashPartitioner(4), agg, "combine").collect()
+
+        assert dict(combined(True)) == pytest.approx(dict(combined(False)))
 
 
 class TestPartitioning:
-    def test_partition_by_places_keys(self, ctx):
-        rdd = ctx.parallelize([(i, i) for i in range(20)], 3).partition_by(4)
-        parts = rdd.collect_partitions()
-        partitioner = HashPartitioner(4)
-        for idx, part in enumerate(parts):
-            for key, _ in part:
-                assert partitioner.partition(key) == idx
-
-    def test_partition_by_idempotent(self, ctx):
-        rdd = ctx.parallelize([(1, 1)], 2).partition_by(HashPartitioner(3))
-        again = rdd.partition_by(HashPartitioner(3))
-        assert again is rdd
-
     def test_map_values_preserves_partitioner(self, ctx):
-        rdd = ctx.parallelize([(i, i) for i in range(10)], 2).partition_by(3)
+        rdd = ctx.parallelize([(i, i) for i in range(10)], 2).reduce_by_key(operator.add, 3)
         assert rdd.map_values(str).partitioner == rdd.partitioner
 
     def test_plain_map_drops_partitioner(self, ctx):
-        rdd = ctx.parallelize([(i, i) for i in range(10)], 2).partition_by(3)
+        rdd = ctx.parallelize([(i, i) for i in range(10)], 2).reduce_by_key(operator.add, 3)
         assert rdd.map(lambda kv: (kv[0] + 1, kv[1])).partitioner is None
 
     def test_filter_preserves_partitioner(self, ctx):
-        rdd = ctx.parallelize([(i, i) for i in range(10)], 2).partition_by(3)
+        rdd = ctx.parallelize([(i, i) for i in range(10)], 2).reduce_by_key(operator.add, 3)
         assert rdd.filter(lambda kv: kv[0] > 2).partitioner == rdd.partitioner
 
     def test_key_changing_map_after_join_still_shuffles(self, ctx):
@@ -112,14 +69,14 @@ class TestPartitioning:
         assert got == pytest.approx(dict(expected))
 
     def test_co_partitioned_combine_skips_shuffle(self, ctx):
-        rdd = ctx.parallelize([(i % 4, 1) for i in range(16)], 4).partition_by(4)
+        rdd = ctx.parallelize([(i % 4, 1) for i in range(16)], 4).reduce_by_key(operator.add, 4)
         before = len(ctx.metrics.jobs)
-        out = rdd.reduce_by_key(operator.add, 4)
-        assert dict(out.collect()) == {k: 4 for k in range(4)}
+        out = rdd.map_values(lambda v: 1).reduce_by_key(operator.add, 4)
+        assert dict(out.collect()) == {k: 1 for k in range(4)}
         job = ctx.metrics.jobs[-1]
         assert len(ctx.metrics.jobs) == before + 1
-        # only the original partition_by shuffle exists in the lineage; the
-        # combine itself added no shuffle-map stage beyond it
+        # only the first reduce_by_key's shuffle exists in the lineage; the
+        # second, over the same partitioning, added no shuffle-map stage
         shuffle_stages = [s for s in job.stages if s.is_shuffle_map]
         assert len(shuffle_stages) == 1
 
@@ -135,75 +92,15 @@ class TestJoins:
         b = ctx.parallelize([(1, "b1"), (1, "b2")], 2)
         assert len(a.join(b).collect()) == 4
 
-    def test_left_outer_join(self, ctx):
-        a = ctx.parallelize([(1, "a"), (2, "b")], 2)
-        b = ctx.parallelize([(1, "x")], 2)
-        out = dict(a.left_outer_join(b).collect())
-        assert out == {1: ("a", "x"), 2: ("b", None)}
-
-    def test_right_outer_join(self, ctx):
-        a = ctx.parallelize([(1, "a")], 2)
-        b = ctx.parallelize([(1, "x"), (2, "y")], 2)
-        out = dict(a.right_outer_join(b).collect())
-        assert out == {1: ("a", "x"), 2: (None, "y")}
-
-    def test_full_outer_join(self, ctx):
-        a = ctx.parallelize([(1, "a"), (2, "b")], 2)
-        b = ctx.parallelize([(2, "x"), (3, "y")], 2)
-        out = dict(a.full_outer_join(b).collect())
-        assert out == {1: ("a", None), 2: ("b", "x"), 3: (None, "y")}
-
-    def test_cogroup_three_way(self, ctx):
-        a = ctx.parallelize([(1, "a")], 1)
-        b = ctx.parallelize([(1, "b"), (2, "b2")], 1)
-        c = ctx.parallelize([(2, "c")], 1)
-        out = {k: tuple(sorted(g) for g in gs) for k, gs in a.cogroup(b, c).collect()}
-        assert out == {1: (["a"], ["b"], []), 2: ([], ["b2"], ["c"])}
-
-
-class TestMisc:
-    def test_keys_values(self, ctx):
-        rdd = ctx.parallelize([(1, "a"), (2, "b")], 1)
-        assert rdd.keys().collect() == [1, 2]
-        assert rdd.values().collect() == ["a", "b"]
-
-    def test_flat_map_values(self, ctx):
-        rdd = ctx.parallelize([(1, "ab")], 1)
-        assert rdd.flat_map_values(list).collect() == [(1, "a"), (1, "b")]
-
-    def test_collect_as_map(self, ctx):
-        assert ctx.parallelize([(1, "a")], 1).collect_as_map() == {1: "a"}
-
-    def test_lookup_unpartitioned(self, ctx):
-        rdd = ctx.parallelize([(1, "a"), (2, "b"), (1, "c")], 3)
-        assert sorted(rdd.lookup(1)) == ["a", "c"]
-
-    def test_lookup_partitioned_single_task(self, ctx):
-        rdd = ctx.parallelize([(i, str(i)) for i in range(20)], 4).partition_by(4)
-        rdd.count()  # materialize shuffle
-        before = len(ctx.metrics.jobs)
-        assert rdd.lookup(7) == ["7"]
+    def test_join_reuses_a_partitioned_side(self, ctx):
+        """A ``reduce_by_key`` output joins through a narrow dependency:
+        only the other side is shuffled to its partitioner."""
+        left = ctx.parallelize([(i % 4, i) for i in range(16)], 4).reduce_by_key(operator.add, 3)
+        right = ctx.parallelize([(k, str(k)) for k in range(4)], 2)
+        joined = left.join(right)
+        assert joined.partitioner is None  # flat_map may change keys
+        assert sorted(joined.collect()) == [(k, (24 + 4 * k, str(k))) for k in range(4)]
         job = ctx.metrics.jobs[-1]
-        assert len(ctx.metrics.jobs) == before + 1
-        result_stage = [s for s in job.stages if not s.is_shuffle_map]
-        assert result_stage[-1].num_tasks == 1
-
-    def test_sort_by_key_ascending(self, ctx, rng):
-        data = [(int(k), None) for k in rng.integers(0, 1000, size=200)]
-        out = [k for k, _ in ctx.parallelize(data, 5).sort_by_key().collect()]
-        assert out == sorted(out)
-
-    def test_sort_by_key_descending(self, ctx, rng):
-        data = [(int(k), None) for k in rng.integers(0, 1000, size=200)]
-        out = [k for k, _ in ctx.parallelize(data, 5).sort_by_key(ascending=False).collect()]
-        assert out == sorted(out, reverse=True)
-
-    def test_sort_by(self, ctx):
-        out = ctx.parallelize([3, 1, 2], 2).sort_by(lambda x: x).collect()
-        assert out == [1, 2, 3]
-
-    def test_sort_by_key_small_input(self, ctx):
-        assert ctx.parallelize([(2, "b"), (1, "a")], 1).sort_by_key().collect() == [
-            (1, "a"),
-            (2, "b"),
-        ]
+        # left's reduce shuffle and right's join shuffle; no third for left
+        assert len([s for s in job.stages if s.is_shuffle_map]) == 2
+        assert job.stages[-1].num_tasks == 3

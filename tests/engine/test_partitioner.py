@@ -5,7 +5,6 @@ import pytest
 from repro.engine.partitioner import (
     HashPartitioner,
     Partitioner,
-    RangePartitioner,
     _portable_hash,
 )
 
@@ -48,25 +47,7 @@ class TestHashPartitioner:
         assert p.partition("gene-X") == p.partition("gene-X")
 
 
-class TestRangePartitioner:
-    def test_bounds(self):
-        p = RangePartitioner([10, 20])
-        assert p.num_partitions == 3
-        assert p.partition(5) == 0
-        assert p.partition(10) == 0
-        assert p.partition(11) == 1
-        assert p.partition(25) == 2
-
-    def test_empty_bounds_single_partition(self):
-        p = RangePartitioner([])
-        assert p.num_partitions == 1
-        assert p.partition(99) == 0
-
-    def test_equality_by_bounds(self):
-        assert RangePartitioner([1]) == RangePartitioner([1])
-        assert RangePartitioner([1]) != RangePartitioner([2])
-        assert RangePartitioner([1]) != HashPartitioner(2)
-
+class TestPartitionerBase:
     def test_abstract_base(self):
         with pytest.raises(NotImplementedError):
             Partitioner(2).partition(1)

@@ -7,6 +7,10 @@ import pytest
 from repro.engine.rdd import _slice_collection
 
 
+def _size(it):
+    return [sum(1 for _ in it)]
+
+
 class TestParallelize:
     def test_collect_roundtrip(self, ctx):
         data = list(range(37))
@@ -59,141 +63,29 @@ class TestTransformations:
         out = ctx.parallelize(range(8), 4).map_partitions(lambda it: [sum(it)]).collect()
         assert out == [1, 5, 9, 13]
 
-    def test_map_partitions_with_index(self, ctx):
-        out = (
-            ctx.parallelize(range(8), 4)
-            .map_partitions_with_index(lambda i, it: [(i, sum(it))])
-            .collect()
-        )
-        assert out == [(0, 1), (1, 5), (2, 9), (3, 13)]
-
-    def test_glom(self, ctx):
-        assert ctx.parallelize(range(4), 2).glom().collect() == [[0, 1], [2, 3]]
-
-    def test_key_by(self, ctx):
-        assert ctx.parallelize([3, 4], 1).key_by(lambda x: x % 2).collect() == [(1, 3), (0, 4)]
-
-    def test_union(self, ctx):
-        a = ctx.parallelize([1, 2], 2)
-        b = ctx.parallelize([3, 4], 2)
-        u = a.union(b)
-        assert u.num_partitions() == 4
-        assert u.collect() == [1, 2, 3, 4]
-
-    def test_context_union_many(self, ctx):
-        rdds = [ctx.parallelize([i], 1) for i in range(5)]
-        assert ctx.union(rdds).collect() == [0, 1, 2, 3, 4]
-
-    def test_coalesce(self, ctx):
-        rdd = ctx.parallelize(range(12), 6).coalesce(2)
-        assert rdd.num_partitions() == 2
-        assert rdd.collect() == list(range(12))
-
-    def test_coalesce_never_increases(self, ctx):
-        rdd = ctx.parallelize(range(4), 2).coalesce(10)
-        assert rdd.num_partitions() == 2
-
     def test_repartition_can_increase_partitions(self, ctx):
         rdd = ctx.parallelize(range(12), 2).repartition(6)
         assert rdd.num_partitions() == 6
         assert sorted(rdd.collect()) == list(range(12))
 
     def test_repartition_balances_a_skewed_partition(self, ctx):
-        sizes = ctx.parallelize(range(64), 1).repartition(4).glom().map(len).collect()
+        sizes = ctx.parallelize(range(64), 1).repartition(4).map_partitions(_size).collect()
         assert sizes == [16, 16, 16, 16]
 
     def test_repartition_rejects_nonpositive(self, ctx):
         with pytest.raises(ValueError):
             ctx.parallelize([1], 1).repartition(0)
 
-    def test_sample_deterministic(self, ctx):
-        rdd = ctx.parallelize(range(1000), 4)
-        first = rdd.sample(0.1, seed=3).collect()
-        second = rdd.sample(0.1, seed=3).collect()
-        assert first == second
-        assert 40 < len(first) < 200
-
-    def test_sample_fraction_bounds(self, ctx):
-        rdd = ctx.parallelize(range(10), 2)
-        assert rdd.sample(0.0).collect() == []
-        assert rdd.sample(1.0).count() == 10
-        with pytest.raises(ValueError):
-            rdd.sample(1.5)
-
-    def test_distinct(self, ctx):
-        out = ctx.parallelize([1, 2, 2, 3, 3, 3], 3).distinct()
-        assert sorted(out.collect()) == [1, 2, 3]
-
-    def test_zip_with_index(self, ctx):
-        out = ctx.parallelize(list("abcd"), 3).zip_with_index().collect()
-        assert out == [("a", 0), ("b", 1), ("c", 2), ("d", 3)]
-
 
 class TestActions:
     def test_count(self, ctx):
         assert ctx.parallelize(range(17), 4).count() == 17
 
-    def test_reduce(self, ctx):
-        assert ctx.parallelize(range(1, 11), 3).reduce(operator.add) == 55
-
-    def test_reduce_empty_raises(self, ctx):
-        with pytest.raises(ValueError):
-            ctx.parallelize([], 2).reduce(operator.add)
-
-    def test_reduce_with_empty_partitions(self, ctx):
-        assert ctx.parallelize([5], 4).reduce(operator.add) == 5
-
-    def test_fold(self, ctx):
-        assert ctx.parallelize(range(5), 2).fold(0, operator.add) == 10
-
-    def test_aggregate(self, ctx):
-        total, count = ctx.parallelize(range(10), 3).aggregate(
-            (0, 0),
-            lambda acc, x: (acc[0] + x, acc[1] + 1),
-            lambda a, b: (a[0] + b[0], a[1] + b[1]),
-        )
-        assert (total, count) == (45, 10)
-
-    def test_sum_min_max_mean(self, ctx):
-        rdd = ctx.parallelize([4, 1, 7, 2], 2)
-        assert rdd.sum() == 14
-        assert rdd.min() == 1
-        assert rdd.max() == 7
-        assert rdd.mean() == pytest.approx(3.5)
-
-    def test_mean_empty_raises(self, ctx):
-        with pytest.raises(ValueError):
-            ctx.parallelize([], 1).mean()
-
-    def test_first_and_take(self, ctx):
-        rdd = ctx.parallelize(range(100), 10)
-        assert rdd.first() == 0
-        assert rdd.take(3) == [0, 1, 2]
-        assert rdd.take(0) == []
-        assert len(rdd.take(1000)) == 100
-
-    def test_first_empty_raises(self, ctx):
-        with pytest.raises(ValueError):
-            ctx.parallelize([], 1).first()
-
-    def test_take_ordered(self, ctx):
-        rdd = ctx.parallelize([5, 3, 9, 1, 7], 3)
-        assert rdd.take_ordered(3) == [1, 3, 5]
-        assert rdd.take_ordered(2, key=lambda x: -x) == [9, 7]
-
-    def test_count_by_value(self, ctx):
-        out = ctx.parallelize(list("aabbbc"), 3).count_by_value()
-        assert out == {"a": 2, "b": 3, "c": 1}
-
-    @pytest.mark.shared_driver_state
-    def test_foreach_side_effects(self, ctx):
-        seen = []
-        ctx.parallelize(range(5), 2).foreach(seen.append)
-        assert sorted(seen) == [0, 1, 2, 3, 4]
-
-    def test_collect_partitions(self, ctx):
-        parts = ctx.parallelize(range(6), 3).collect_partitions()
-        assert parts == [[0, 1], [2, 3], [4, 5]]
+    def test_sum(self, ctx):
+        assert ctx.parallelize([4, 1, 7, 2], 2).sum() == 14
+        assert ctx.parallelize([], 3).sum() == 0
+        # a left fold from 0: per partition, then over the partials in order
+        assert ctx.parallelize([0.1, 0.2, 0.3], 2).sum() == (0 + 0.1) + ((0 + 0.2) + 0.3)
 
     def test_run_job_partition_subset(self, ctx):
         rdd = ctx.parallelize(range(8), 4)

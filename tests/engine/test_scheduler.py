@@ -45,9 +45,10 @@ class TestStageGraph:
 
     def test_shared_shuffle_memoized(self, ctx):
         base = ctx.parallelize([(1, 1), (2, 2)], 2).reduce_by_key(operator.add)
-        merged = base.map_values(lambda v: v + 1).union(base.map_values(lambda v: v + 2))
+        merged = base.map_values(lambda v: v + 1).join(base.map_values(lambda v: v + 2))
         graph = StageGraph(merged, itertools.count())
-        # the shared parent shuffle appears once, not twice
+        # both join sides reach the shared parent shuffle through narrow
+        # dependencies: it appears once, not twice
         assert len(graph.shuffle_stages) == 1
 
     def test_upstream_deps_stop_at_shuffle(self, ctx):

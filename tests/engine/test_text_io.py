@@ -1,6 +1,4 @@
-"""Local text file reading with Hadoop-style splits, and text output."""
-
-import os
+"""Local text file reading with Hadoop-style splits."""
 
 import pytest
 
@@ -50,30 +48,3 @@ class TestLocalTextFile:
         path = self.write(tmp_path, "f.txt", ["a", "b", "c"])
         ctx.text_file(path, 1).count()
         assert ctx.metrics.jobs[-1].totals().records_read == 3
-
-
-class TestSaveAsTextFile:
-    def test_local_roundtrip(self, ctx, tmp_path):
-        out_dir = str(tmp_path / "out")
-        ctx.parallelize(range(10), 3).save_as_text_file(out_dir)
-        parts = sorted(os.listdir(out_dir))
-        assert parts == ["part-00000", "part-00001", "part-00002"]
-        back = ctx.text_file(out_dir, 3).map(int).collect()
-        assert back == list(range(10))
-
-    def test_hdfs_roundtrip(self, tmp_path):
-        from repro.config import EngineConfig
-        from repro.engine.context import Context
-        from repro.hdfs.filesystem import MiniHDFS
-
-        fs = MiniHDFS(num_datanodes=2)
-        with Context(EngineConfig(default_parallelism=2), hdfs=fs) as ctx:
-            ctx.parallelize(["x", "y", "z"], 2).save_as_text_file("hdfs://out/dir")
-            files = [p for p in fs.listdir("/out/dir")]
-            assert len(files) == 2
-            combined = "".join(fs.read_text(p) for p in sorted(files))
-            assert combined.split() == ["x", "y", "z"]
-
-    def test_hdfs_write_without_fs_raises(self, ctx):
-        with pytest.raises(RuntimeError):
-            ctx.parallelize([1], 1).save_as_text_file("hdfs://x")

@@ -157,7 +157,7 @@ class TestLocalSplits:
     def test_splits_rdd_carries_one_record_per_partition(self, driver, tmp_path):
         path = tmp_path / "t.txt"
         path.write_bytes(b"1\t0\n2\t1\n3\t2\n")
-        parts = driver.text_file(str(path), 2).splits().collect_partitions()
+        parts = driver.run_job(driver.text_file(str(path), 2).splits(), list)
         assert [len(part) for part in parts] == [1, 1]
         assert b"".join(part[0].data for part in parts) == path.read_bytes()
 
