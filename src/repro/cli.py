@@ -57,12 +57,6 @@ def _add_analyze(sub: argparse._SubParsersAction) -> None:
     p.add_argument("--backend", choices=["serial", "cluster"], default="serial",
                    help="where tasks run: inline on the driver thread, or on "
                         "a fleet of persistent worker processes")
-    p.add_argument("--cluster-address", default=None, metavar="HOST:PORT",
-                   help="attach to an externally started cluster head "
-                        "(sparkscore cluster start); implies --backend cluster")
-    p.add_argument("--cluster-secret", default=None, metavar="TOKEN",
-                   help="auth secret of the external cluster head "
-                        "(default: $REPRO_CLUSTER_SECRET)")
     p.add_argument("--executors", type=int, default=2)
     p.add_argument("--cores", type=int, default=2)
     p.add_argument("--flavor", choices=["paper", "vectorized"], default="vectorized")
@@ -167,49 +161,6 @@ def _add_tune(sub: argparse._SubParsersAction) -> None:
     p.add_argument("--cores", type=int, nargs="+", default=[2, 3, 6])
 
 
-def _add_cluster(sub: argparse._SubParsersAction) -> None:
-    p = sub.add_parser(
-        "cluster",
-        help="manage a persistent executor cluster (start / status / stop)",
-    )
-    cluster_sub = p.add_subparsers(dest="cluster_command", required=True)
-    start = cluster_sub.add_parser(
-        "start", help="run a cluster head serving a persistent worker fleet"
-    )
-    start.add_argument("--executors", type=int, default=2)
-    start.add_argument("--cores", type=int, default=2)
-    start.add_argument("--host", default="127.0.0.1")
-    start.add_argument("--port", type=int, default=7077)
-    start.add_argument(
-        "--secret", default=None, metavar="TOKEN",
-        help="shared auth secret drivers must present (default: "
-             "$REPRO_CLUSTER_SECRET, or an auto-generated token printed "
-             "at startup)",
-    )
-    start.add_argument(
-        "--duration", type=float, default=None, metavar="SECONDS",
-        help="exit after this many seconds (default: serve until stopped)",
-    )
-    status = cluster_sub.add_parser("status", help="show executor lifecycle/warmth")
-    status.add_argument("--address", default="127.0.0.1:7077", metavar="HOST:PORT")
-    status.add_argument("--secret", default=None, metavar="TOKEN",
-                        help="head auth secret (default: $REPRO_CLUSTER_SECRET)")
-    top = cluster_sub.add_parser(
-        "top", help="live per-executor occupancy/queue/warmth view of a fleet"
-    )
-    top.add_argument("--address", default="127.0.0.1:7077", metavar="HOST:PORT")
-    top.add_argument("--secret", default=None, metavar="TOKEN",
-                     help="head auth secret (default: $REPRO_CLUSTER_SECRET)")
-    top.add_argument("--interval", type=float, default=1.0, metavar="SECONDS",
-                     help="refresh interval (default: 1.0)")
-    top.add_argument("--iterations", type=int, default=None, metavar="N",
-                     help="exit after N refreshes (default: run until ^C)")
-    stop = cluster_sub.add_parser("stop", help="shut the head and its fleet down")
-    stop.add_argument("--address", default="127.0.0.1:7077", metavar="HOST:PORT")
-    stop.add_argument("--secret", default=None, metavar="TOKEN",
-                      help="head auth secret (default: $REPRO_CLUSTER_SECRET)")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sparkscore",
@@ -223,7 +174,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_tune(sub)
     _add_history(sub)
     _add_doctor(sub)
-    _add_cluster(sub)
     return parser
 
 
@@ -252,8 +202,6 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 #: analyze flags that only the distributed engine reads, by argparse dest
 _DISTRIBUTED_ONLY = {
-    "cluster_address": "--cluster-address",
-    "cluster_secret": "--cluster-secret",
     "event_log": "--event-log",
     "trace": "--trace",
     "ui_port": "--ui-port",
@@ -283,13 +231,11 @@ def _load_analysis(args: argparse.Namespace):
         kwargs: dict = {"engine": "local"}
     else:
         fields = {
-            "backend": "cluster" if args.cluster_address else args.backend,
+            "backend": args.backend,
             "num_executors": args.executors,
             "executor_cores": args.cores,
             "default_parallelism": args.executors * args.cores,
             "profile_fraction": args.profile_fraction,
-            "cluster_address": args.cluster_address or "",
-            "cluster_secret": args.cluster_secret or "",
         }
         for field, value in (
             ("inference_early_stop", args.early_stop),
@@ -431,21 +377,6 @@ def cmd_tune(args: argparse.Namespace) -> int:
           f" + observed {run.observed_seconds:.0f}s"
           f" + {args.iterations} x {run.per_iteration_seconds:.3f}s")
     return 0
-
-
-_SPARK_TICKS = "▁▂▃▄▅▆▇█"
-
-
-def _sparkline(values: list[float], width: int = 40) -> str:
-    """Render a value list as a unicode block sparkline."""
-    if not values:
-        return ""
-    values = values[-width:]
-    lo, hi = min(values), max(values)
-    span = (hi - lo) or 1.0
-    return "".join(
-        _SPARK_TICKS[min(7, int(8 * (v - lo) / span))] for v in values
-    )
 
 
 def cmd_history(args: argparse.Namespace) -> int:
@@ -615,162 +546,6 @@ def cmd_doctor(args: argparse.Namespace) -> int:
     return 0
 
 
-def _fleet_series(snap: dict, name: str) -> "dict[str, list[float]]":
-    """Per-executor value lists for one fleet series name."""
-    out: dict[str, list[float]] = {}
-    for series in snap.get("series", ()):
-        if series.get("name") != name:
-            continue
-        eid = (series.get("labels") or {}).get("executor_id", "")
-        out[eid] = [v for _, v in series.get("samples", ())]
-    return out
-
-
-def _render_fleet_top(address: str, snap: dict) -> str:
-    """One ``cluster top`` frame: fleet totals + a per-executor table."""
-    warm = snap.get("warm") or {}
-    lines = [
-        f"fleet at {address}  up {snap.get('uptime_seconds', 0.0):,.0f}s  "
-        f"jobs {snap.get('jobs_served', 0)}  "
-        f"tasks {snap.get('tasks_completed', 0)} "
-        f"({snap.get('task_errors', 0)} err)  "
-        f"heartbeats {snap.get('heartbeats_received', 0)}",
-        f"warm cache: {warm.get('binaries_cached', 0)} binaries, "
-        f"{warm.get('warm_bytes_saved', 0) / (1 << 20):,.1f} MiB saved, "
-        f"dedup hit rate {warm.get('dedup_hit_rate', 0.0):.0%}  "
-        f"frames in/out {snap.get('frame_bytes_in', 0) / (1 << 20):,.1f}/"
-        f"{snap.get('frame_bytes_out', 0) / (1 << 20):,.1f} MiB",
-    ]
-    drivers = snap.get("tasks_by_driver") or {}
-    if drivers:
-        lines.append("drivers: " + "  ".join(
-            f"{d[:12]}={n}" for d, n in sorted(drivers.items())
-        ))
-    inference = snap.get("inference_by_driver") or {}
-    for driver, info in sorted(inference.items()):
-        tag = "early-stop" if info.get("early_stop") else "monitor"
-        lines.append(
-            f"inference [{driver[:12]}] {info.get('method', '?')}: "
-            f"{info.get('replicates_total', 0)}/"
-            f"{info.get('planned_replicates', 0)} replicates @ "
-            f"{info.get('replicates_per_sec', 0.0):,.0f}r/s, "
-            f"{info.get('sets_converged', 0)}/{info.get('sets_total', 0)} "
-            f"sets converged ({tag})"
-        )
-    occupancy = _fleet_series(snap, "fleet_slot_occupancy")
-    depth = _fleet_series(snap, "fleet_queue_depth")
-    rss = _fleet_series(snap, "fleet_executor_rss_bytes")
-    lines.append("")
-    lines.append(f"  {'executor':<10} {'state':<12} {'occ':<5} {'queue':<5} "
-                 f"{'rss MiB':<8} {'done':<6} occupancy trend")
-    for row in snap.get("executors", ()):
-        eid = row.get("executor_id", "?")
-        occ = occupancy.get(eid, [])
-        lines.append(
-            f"  {eid:<10} {row.get('state', '?'):<12} "
-            f"{(occ[-1] if occ else 0.0):<5.0%} "
-            f"{int((depth.get(eid) or [0])[-1]):<5} "
-            f"{(rss.get(eid) or [0])[-1] / (1 << 20):<8,.0f} "
-            f"{row.get('tasks_done', 0):<6} "
-            f"{_sparkline(occ)}"
-        )
-    lifecycle = snap.get("lifecycle") or []
-    if lifecycle:
-        tail = lifecycle[-3:]
-        lines.append("recent lifecycle: " + "; ".join(
-            f"{eid} -> {state}" for _, eid, state in tail
-        ))
-    return "\n".join(lines)
-
-
-def cmd_cluster(args: argparse.Namespace) -> int:
-    from repro.engine.cluster_backend import (
-        ClusterHead,
-        cluster_shutdown,
-        cluster_status,
-        fleet_status,
-    )
-
-    if args.cluster_command == "start":
-        generated = args.secret is None and not os.environ.get("REPRO_CLUSTER_SECRET")
-        head = ClusterHead(
-            num_executors=args.executors,
-            executor_cores=args.cores,
-            host=args.host,
-            port=args.port,
-            secret=args.secret,
-        )
-        print(f"cluster head listening on {head.address} "
-              f"({args.executors} executors x {args.cores} cores)", flush=True)
-        if generated:
-            print(f"cluster secret: {head.secret}\n"
-                  f"  drivers attach with --cluster-secret {head.secret} "
-                  f"or REPRO_CLUSTER_SECRET={head.secret}", flush=True)
-        try:
-            head.serve_forever(duration=args.duration)
-        except KeyboardInterrupt:
-            pass
-        finally:
-            head.stop()
-        return 0
-
-    if args.cluster_command == "status":
-        try:
-            info = cluster_status(args.address, args.secret)
-        except (ConnectionError, OSError) as exc:
-            print(f"no cluster head at {args.address}: {exc}", file=sys.stderr)
-            return 1
-        print(f"cluster at {args.address}: {len(info)} executor(s)")
-        for row in info:
-            print(f"  {row['executor_id']:<10} {row['state']:<8} "
-                  f"pid={row['pid']} slots={row['slots']} "
-                  f"inflight={row['inflight']} tasks_done={row['tasks_done']} "
-                  f"binaries_cached={row['binaries_cached']} "
-                  f"{'warm' if row['warm'] else 'cold'}")
-        try:
-            snap = fleet_status(args.address, args.secret)
-        except (ConnectionError, OSError):
-            snap = None  # pre-fleet head: the executor table stands alone
-        if snap is not None:
-            warm = snap.get("warm") or {}
-            print(f"fleet: up {snap.get('uptime_seconds', 0.0):,.0f}s, "
-                  f"{snap.get('jobs_served', 0)} job(s) served, "
-                  f"{snap.get('tasks_completed', 0)} task(s) completed, "
-                  f"{warm.get('warm_bytes_saved', 0) / (1 << 20):,.1f} MiB "
-                  f"warm-cache bytes saved")
-        return 0
-
-    if args.cluster_command == "top":
-        import time as _time
-
-        shown = 0
-        try:
-            while True:
-                try:
-                    snap = fleet_status(args.address, args.secret)
-                except (ConnectionError, OSError) as exc:
-                    print(f"no cluster head at {args.address}: {exc}",
-                          file=sys.stderr)
-                    return 1
-                if shown:
-                    print("\x1b[2J\x1b[H", end="")  # clear + home between frames
-                print(_render_fleet_top(args.address, snap), flush=True)
-                shown += 1
-                if args.iterations is not None and shown >= args.iterations:
-                    return 0
-                _time.sleep(args.interval)
-        except KeyboardInterrupt:
-            return 0
-
-    try:
-        cluster_shutdown(args.address, args.secret)
-    except (ConnectionError, OSError) as exc:
-        print(f"no cluster head at {args.address}: {exc}", file=sys.stderr)
-        return 1
-    print(f"cluster at {args.address} shutting down")
-    return 0
-
-
 _COMMANDS = {
     "generate": cmd_generate,
     "analyze": cmd_analyze,
@@ -779,7 +554,6 @@ _COMMANDS = {
     "tune": cmd_tune,
     "history": cmd_history,
     "doctor": cmd_doctor,
-    "cluster": cmd_cluster,
 }
 
 

@@ -2,8 +2,9 @@
 
 A :class:`EngineConfig` field exists only if something outside the tests
 sets it (a CLI flag, library code, an example or a benchmark) or if it
-describes the deployment (address, secret, transport, timeout).  Every
-other engine constant lives next to the one module that reads it.
+describes the deployment (fleet shape, memory, timeouts).  Every other
+engine constant lives next to the one module that reads it; the payload
+transport picks shared memory or temp files by probing the host.
 """
 
 from __future__ import annotations
@@ -51,19 +52,6 @@ class EngineConfig:
     #: fraction of task attempts to run under ``cProfile`` (0 disables);
     #: sampling is deterministic in (stage_id, partition)
     profile_fraction: float = 0.0
-    #: out-of-band transport scheme: "auto" (probe shared memory, fall back
-    #: to temp files), "shm", "file", or "tcp" (socket blob server with
-    #: SHA-256 dedup offers -- required for executors on other hosts)
-    transport_scheme: str = "auto"
-    #: "host:port" of an externally started cluster head (``sparkscore
-    #: cluster start``); empty means the cluster backend spawns and owns a
-    #: process-local persistent worker pool
-    cluster_address: str = ""
-    #: shared secret for the HMAC handshake an external cluster head
-    #: requires on every connection (``sparkscore cluster start`` prints
-    #: one when not given ``--secret``); empty falls back to the
-    #: ``REPRO_CLUSTER_SECRET`` environment variable at connect time
-    cluster_secret: str = ""
     #: minimum level of structured log records the process log bus keeps
     #: ("debug", "info", "warning", "error"); shipped to worker processes
     #: so their capture filters at the same level
@@ -96,11 +84,6 @@ class EngineConfig:
         # on it); drop it in the next ``[benchmark]`` PR
         if self.backend not in ("serial", "threads", "cluster"):
             raise ValueError(f"unknown backend {self.backend!r}")
-        if self.transport_scheme not in ("auto", "shm", "file", "tcp"):
-            raise ValueError(
-                f"unknown transport_scheme {self.transport_scheme!r}; "
-                "choose from auto, shm, file, tcp"
-            )
         if self.num_executors < 1:
             raise ValueError("num_executors must be >= 1")
         if self.executor_cores < 1:

@@ -33,14 +33,11 @@ take nothing new), *decommission* (worker exits, driver announces it) --
 and surfaced as :class:`~repro.engine.listener.ExecutorRegistered` /
 :class:`~repro.engine.listener.ExecutorDecommissioned` bus events.
 
-Two deployment shapes share the protocol:
-
-- **in-process** (default): ``Context(backend="cluster")`` lazily builds a
-  process-wide :class:`ClusterManager` keyed by cluster shape; it persists
-  until :func:`stop_all_clusters` (or interpreter exit).
-- **external**: ``sparkscore cluster start`` runs a :class:`ClusterHead`
-  in its own process; drivers attach over TCP via :class:`ClusterClient`
-  (``cluster_address`` config), and blobs travel the socket transport.
+``Context(backend="cluster")`` lazily builds a process-wide
+:class:`ClusterManager` keyed by cluster shape; it persists until
+:func:`stop_all_clusters` (or interpreter exit), so the fleet lives and
+dies with its driver process (DESIGN.md section 13 records why no fleet
+outlives it).
 """
 
 from __future__ import annotations
@@ -48,10 +45,10 @@ from __future__ import annotations
 import atexit
 import concurrent.futures
 import gc
+import ctypes
 import itertools
 import os
 import pickle
-import queue
 import secrets
 import selectors
 import socket
@@ -63,7 +60,7 @@ from typing import TYPE_CHECKING, Any
 from repro.engine import frames
 from repro.engine.executor import ExecutorLostError
 from repro.engine.listener import ExecutorDecommissioned, ExecutorRegistered
-from repro.engine.transport import advertised_host, create_transport, from_spec
+from repro.engine.transport import Transport
 from repro.obs.fleet import FleetStats
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -77,8 +74,9 @@ _REGISTER_TIMEOUT = 60.0
 # -- worker process -----------------------------------------------------------
 
 
-def _claim_cpu_share(slot: int, num_slots: int) -> None:
-    """Confine this worker to its share of the CPUs the fleet may run on.
+def _claim_cpu_share(slot: int, num_slots: int) -> int:
+    """Confine this worker to its share of the CPUs the fleet may run on;
+    returns how many CPUs that share is worth (at least one).
 
     A socket send wakes its reader on the *sender's* CPU (the kernel takes
     the send as a hint that the sender is about to sleep), so a driver that
@@ -91,13 +89,50 @@ def _claim_cpu_share(slot: int, num_slots: int) -> None:
     more slots than CPUs is left to the scheduler.
     """
     if not hasattr(os, "sched_setaffinity"):  # pragma: no cover - not Linux
-        return
+        return max(1, (os.cpu_count() or 1) // num_slots)
     cpus = sorted(os.sched_getaffinity(0))
     if num_slots <= len(cpus):
         try:
             os.sched_setaffinity(0, cpus[slot::num_slots])
         except OSError:  # pragma: no cover - a cpuset that forbids it
             pass
+    return max(1, len(cpus) // num_slots)
+
+
+def _openblas() -> "tuple[Any, Any] | None":
+    """``(get_num_threads, set_num_threads)`` of the scipy-openblas library
+    NumPy's wheels bundle, if this process has loaded it; else None."""
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = sorted({
+                line.split()[-1] for line in fh if "scipy_openblas" in line
+            })
+    except OSError:  # pragma: no cover - not Linux
+        return None
+    for path in paths:
+        lib = ctypes.CDLL(path)  # already mapped: returns the loaded handle
+        get_fn = getattr(lib, "scipy_openblas_get_num_threads64_", None)
+        set_fn = getattr(lib, "scipy_openblas_set_num_threads64_", None)
+        if get_fn is not None and set_fn is not None:
+            return get_fn, set_fn
+    return None
+
+
+def _limit_blas_threads(budget: int) -> None:
+    """Shrink this process's OpenBLAS pool to at most ``budget`` threads.
+
+    A worker is forked after NumPy has loaded OpenBLAS, which sized its pool
+    to the whole host, so an environment variable set at spawn is read by
+    nobody.  Left alone, every worker of a fleet that pins one CPU per slot
+    runs a host-wide pool on that one CPU: a warm Monte Carlo analysis at
+    gate size took 6.4 s instead of 0.38 s on a 2-CPU host.
+    """
+    calls = _openblas()
+    if calls is None:
+        return
+    get_threads, set_threads = calls
+    if budget < get_threads():
+        set_threads(budget)
 
 
 def _cluster_worker_main(
@@ -110,7 +145,7 @@ def _cluster_worker_main(
     interleaves two tasks' increments, and DRAIN can exit at any frame
     boundary knowing nothing is in flight.
     """
-    _claim_cpu_share(slot, num_slots)
+    _limit_blas_threads(_claim_cpu_share(slot, num_slots))
     # The heap this process was forked with is the driver's: park it in the
     # permanent generation so no collection here ever traverses it.  A fork
     # also copies the driver's collector counters, so a full collection that
@@ -156,7 +191,7 @@ def _cluster_worker_main(
                 return
             ftype, payload = received
             if ftype == frames.TASK:
-                token, _eid, _partition, spec = frames.unpack_task(payload)
+                token, spec = frames.unpack_token(payload)
                 try:
                     result = _run_pickled_task(spec)
                 except BaseException as exc:  # noqa: BLE001 - shipped to driver
@@ -196,11 +231,10 @@ def _cluster_worker_main(
 class _HeartbeatFanout:
     """Hands each worker heartbeat to whoever is subscribed when it arrives.
 
-    Subscribers are the heartbeat hubs of attached drivers (and a head's
-    forwarder to its external drivers).  A record nobody is subscribed to
-    is dropped: liveness is only ever read by a live hub, so there is
-    nothing to queue it for.  Sinks run on the publishing thread (the
-    dispatch loop / client reader) and must not block.
+    Subscribers are the heartbeat hubs of attached drivers.  A record
+    nobody is subscribed to is dropped: liveness is only ever read by a
+    live hub, so there is nothing to queue it for.  Sinks run on the
+    publishing thread (the dispatch loop) and must not block.
     """
 
     def __init__(self) -> None:
@@ -255,23 +289,14 @@ class ClusterManager:
     by spec, so a transport that died with its context would strand them.
     """
 
-    def __init__(
-        self,
-        num_executors: int,
-        executor_cores: int,
-        transport_scheme: str = "auto",
-        transport_host: str = "127.0.0.1",
-    ) -> None:
+    def __init__(self, num_executors: int, executor_cores: int) -> None:
         self.num_executors = num_executors
         self.executor_cores = executor_cores
         #: per-cluster authkey (multiprocessing-style): workers receive it
         #: via their spawn args and must answer the listener's HMAC
         #: challenge before any frame of theirs is deserialized
         self.secret = secrets.token_bytes(32)
-        self.transport = create_transport(
-            transport_scheme, thread_prefix="repro-cluster-transport",
-            host=transport_host,
-        )
+        self.transport = Transport.create()
         self.heartbeats = _HeartbeatFanout()
         self.stopped = False
         #: attach() calls so far; >0 means the fleet is warm for the next one
@@ -281,8 +306,6 @@ class ClusterManager:
         self.fleet = FleetStats()
         self._ctx: "Context | None" = None
         self._tokens = itertools.count(1)
-        #: token -> submitting driver label, for per-driver throughput
-        self._token_driver: dict[int, str] = {}
         self._last_fleet_sample = 0.0
         self._lock = threading.Lock()
         self._cmds: deque = deque()
@@ -354,8 +377,7 @@ class ClusterManager:
     # -- backend interface -------------------------------------------------
 
     def submit(
-        self, payload: bytes, executor_id: str, partition: int = 0,
-        driver: str | None = None,
+        self, payload: bytes, executor_id: str, partition: int = 0
     ) -> concurrent.futures.Future:
         """Queue one task on the named executor's slot for ``partition``.
 
@@ -365,14 +387,8 @@ class ClusterManager:
         executor with no alive slot fails the future with
         :class:`ExecutorLostError`; the scheduler then forgets its block
         locations and places the task elsewhere.
-
-        ``driver`` labels this submission for the fleet's per-driver
-        throughput series; the head passes its per-connection label, the
-        in-process path defaults to the attached context's trace id.
         """
         future: concurrent.futures.Future = concurrent.futures.Future()
-        if driver is None:
-            driver = self.fleet.current_driver()
         with self._lock:
             if self.stopped:
                 future.set_exception(RuntimeError("cluster is stopped"))
@@ -389,11 +405,10 @@ class ClusterManager:
             handle = candidates[(partition // self.num_executors) % len(candidates)]
             token = next(self._tokens)
             handle.inflight[token] = future
-            self._token_driver[token] = driver
             # the token rides along so the dispatch loop can drop the frame
             # if the future is cancelled (an abandoned attempt) before sending
             self._cmds.append(("send", handle, frames.encode_frame(
-                frames.TASK, frames.pack_task(token, executor_id, partition, payload)
+                frames.TASK, frames.pack_token(token, payload)
             ), token))
         self._wake()
         return future
@@ -411,18 +426,12 @@ class ClusterManager:
         """Fold a driver's inference-convergence summary into fleet stats."""
         self.fleet.note_inference(self.fleet.current_driver() or None, info)
 
-    def mark_attached(self) -> bool:
-        """Count one more driver attach; True if the fleet was already warm."""
+    def attach(self, ctx: "Context") -> None:
+        """Announce the fleet on a (new) driver's listener bus."""
+        self.fleet.note_attach(getattr(ctx, "trace_id", None))
         with self._lock:
             warm = self.jobs_attached > 0
             self.jobs_attached += 1
-            return warm
-
-    def attach(self, ctx: "Context") -> None:
-        """Announce the fleet on a (new) driver's listener bus."""
-        warm = self.mark_attached()
-        self.fleet.note_attach(getattr(ctx, "trace_id", None))
-        with self._lock:
             self._ctx = ctx
         for info in self.executor_info():
             ctx.listener_bus.post(ExecutorRegistered(
@@ -444,7 +453,7 @@ class ClusterManager:
         return self.fleet.snapshot(self, window)
 
     def executor_info(self) -> list[dict]:
-        """Per-executor lifecycle/warmth snapshot (CLI status, /api/executors)."""
+        """Per-executor lifecycle/warmth snapshot (``/api/executors``)."""
         with self._lock:
             grouped: dict[str, dict] = {}
             for h in self.workers:
@@ -561,7 +570,6 @@ class ClusterManager:
                     future = handle.inflight.get(token)
                     if future is None or future.cancelled():
                         handle.inflight.pop(token, None)
-                        self._token_driver.pop(token, None)
                         continue
             if handle.sock is None or not handle.alive:
                 continue
@@ -661,9 +669,9 @@ class ClusterManager:
             with self._lock:
                 future = handle.inflight.pop(token, None)
                 handle.tasks_done += 1
-                driver = self._token_driver.pop(token, None)
             self.fleet.note_task_done(
-                handle.executor_id, driver, ok=ftype == frames.RESULT
+                handle.executor_id, self.fleet.current_driver(),
+                ok=ftype == frames.RESULT,
             )
             if future is None or future.cancelled():
                 return  # attempt abandoned after a heartbeat timeout
@@ -729,7 +737,7 @@ class ClusterManager:
     # -- lifecycle ---------------------------------------------------------
 
     def stop(self) -> None:
-        """Tear the fleet down for real (tests / CLI stop / interpreter exit)."""
+        """Tear the fleet down for real (tests / interpreter exit)."""
         with self._lock:
             if self.stopped:
                 return
@@ -768,39 +776,23 @@ class ClusterManager:
 
 # -- process-wide cluster registry --------------------------------------------
 
-_CLUSTERS: dict[tuple, Any] = {}
+_CLUSTERS: dict[tuple, ClusterManager] = {}
 _CLUSTERS_LOCK = threading.Lock()
 
 
 def get_cluster(config: "EngineConfig") -> ClusterManager:
     """The process-wide persistent cluster for this shape (create on first use)."""
-    key = (config.num_executors, config.executor_cores, config.transport_scheme)
+    key = (config.num_executors, config.executor_cores)
     with _CLUSTERS_LOCK:
         manager = _CLUSTERS.get(key)
         if manager is None or manager.stopped:
-            manager = ClusterManager(
-                config.num_executors,
-                config.executor_cores,
-                config.transport_scheme,
-            )
+            manager = ClusterManager(config.num_executors, config.executor_cores)
             _CLUSTERS[key] = manager
         return manager
 
 
-def get_cluster_client(config: "EngineConfig") -> "ClusterClient":
-    """A persistent client to an externally started head (memoized by address)."""
-    secret = getattr(config, "cluster_secret", "")
-    key = ("external", config.cluster_address, secret)
-    with _CLUSTERS_LOCK:
-        client = _CLUSTERS.get(key)
-        if client is None or client.stopped:
-            client = ClusterClient(config.cluster_address, secret=secret)
-            _CLUSTERS[key] = client
-        return client
-
-
 def stop_all_clusters() -> None:
-    """Stop every persistent cluster/client this process started."""
+    """Stop every persistent cluster this process started."""
     with _CLUSTERS_LOCK:
         managers = list(_CLUSTERS.values())
         _CLUSTERS.clear()
@@ -809,7 +801,7 @@ def stop_all_clusters() -> None:
 
 
 class ClusterBackend:
-    """Backend facade over the persistent cluster (or an external head).
+    """Backend facade over the process-wide persistent cluster.
 
     ``shutdown`` only detaches -- the cluster outlives the context by
     design.  As the one backend without shared driver state it is what the
@@ -825,14 +817,11 @@ class ClusterBackend:
 
     def __init__(self, config: "EngineConfig") -> None:
         self.parallelism = max(1, config.total_cores)
-        if config.cluster_address:
-            self._manager: Any = get_cluster_client(config)
-        else:
-            self._manager = get_cluster(config)
+        self._manager = get_cluster(config)
         self._detached = False
 
     @property
-    def transport(self) -> Any:
+    def transport(self) -> Transport:
         return self._manager.transport
 
     @property
@@ -851,7 +840,7 @@ class ClusterBackend:
         return self._manager.note_binary_shipped(executor_id, binary_id)
 
     def note_inference(self, info: dict) -> None:
-        """Best-effort inference-convergence telemetry for ``cluster top``."""
+        """Inference-convergence telemetry for the fleet snapshot."""
         self._manager.note_inference(info)
 
     def attach(self, ctx: "Context") -> None:
@@ -875,479 +864,9 @@ class ClusterBackend:
         self._detached = True
 
 
-# -- external mode: head + client ---------------------------------------------
-
-
-def _resolve_secret(secret: str | None) -> bytes:
-    """The shared secret an external head requires, as HMAC key bytes."""
-    value = secret or os.environ.get("REPRO_CLUSTER_SECRET", "")
-    if not value:
-        raise ConnectionError(
-            "no cluster secret configured: set EngineConfig.cluster_secret "
-            "(analyze --cluster-secret), pass --secret, or export "
-            "REPRO_CLUSTER_SECRET with the value the head printed at start"
-        )
-    return value.encode("utf-8")
-
-
-class _ConnWriter:
-    """Per-connection outbound queue + writer thread.
-
-    Every frame to an external driver goes through here instead of a
-    blocking ``sendall`` in whichever thread produced it -- in particular
-    the manager's dispatch thread, which runs result-future callbacks.  A
-    stalled driver (full socket buffer, not reading) therefore backs up
-    only its own queue; dispatch, results, and heartbeats for everyone
-    else keep flowing.
-    """
-
-    def __init__(self, conn: socket.socket, name: str) -> None:
-        self.conn = conn
-        self.queue: "queue.Queue[tuple[int, bytes] | None]" = queue.Queue()
-        self.failed = False
-        self.thread = threading.Thread(target=self._run, name=name, daemon=True)
-        self.thread.start()
-
-    def send(self, ftype: int, payload: bytes = b"") -> None:
-        self.queue.put((ftype, payload))
-
-    def pending(self) -> int:
-        return self.queue.qsize()
-
-    def _run(self) -> None:
-        while True:
-            item = self.queue.get()
-            if item is None:
-                return
-            try:
-                frames.send_frame(self.conn, item[0], item[1])
-            except (ConnectionError, OSError):
-                self.failed = True
-                return
-
-    def stop(self, join_timeout: float = 2.0) -> None:
-        """Ask the writer to flush and exit; callers close the socket after."""
-        self.queue.put(None)
-        if self.thread is not threading.current_thread():
-            self.thread.join(timeout=join_timeout)
-
-
-class ClusterHead:
-    """Standalone cluster head: a :class:`ClusterManager` plus a public TCP
-    front door (``sparkscore cluster start``).
-
-    Every connection must pass the HMAC challenge for the head's shared
-    secret (``--secret`` / ``REPRO_CLUSTER_SECRET``) before its first real
-    frame is read.  Authenticated connections then self-identify: ATTACH
-    is an external driver, STATUS/SHUTDOWN the CLI.  Driver TASK frames
-    are re-tokenized onto the manager and results routed back with the
-    driver's own token, so several drivers can share one fleet without
-    coordinating token spaces.
-    """
-
-    def __init__(
-        self,
-        num_executors: int,
-        executor_cores: int,
-        host: str = "127.0.0.1",
-        port: int = 7077,
-        secret: str | None = None,
-    ) -> None:
-        if secret is None:
-            secret = os.environ.get("REPRO_CLUSTER_SECRET") or secrets.token_hex(16)
-        #: shared secret external drivers and the CLI must present; shown
-        #: once by ``sparkscore cluster start`` when auto-generated
-        self.secret = secret
-        self._secret_bytes = secret.encode("utf-8")
-        # blobs must be reachable from other hosts, so the head always
-        # speaks the socket transport -- bound to the same interface as
-        # the front door, not loopback, or remote drivers would dial
-        # their own 127.0.0.1 for every blob
-        self.manager = ClusterManager(
-            num_executors, executor_cores, "tcp", transport_host=host
-        )
-        self._listener = socket.create_server((host, port))
-        self.address = "%s:%d" % (
-            advertised_host(host), self._listener.getsockname()[1]
-        )
-        self._stopped = threading.Event()
-        self._drivers: list[_ConnWriter] = []
-        #: fallback per-connection driver labels (ATTACH may override)
-        self._conn_ids = itertools.count(1)
-        self._lock = threading.Lock()
-        self._accept = threading.Thread(
-            target=self._accept_loop, name="repro-cluster-head", daemon=True
-        )
-        self._accept.start()
-        self.manager.heartbeats.subscribe(self._forward_heartbeat)
-
-    def serve_forever(self, duration: float | None = None) -> None:
-        self._stopped.wait(timeout=duration)
-
-    def _accept_loop(self) -> None:
-        while not self._stopped.is_set():
-            try:
-                conn, _ = self._listener.accept()
-            except OSError:
-                return
-            threading.Thread(
-                target=self._serve_conn, args=(conn,),
-                name="repro-cluster-head-conn", daemon=True,
-            ).start()
-
-    def _serve_conn(self, conn: socket.socket) -> None:
-        conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        writer: _ConnWriter | None = None
-        attached = False
-        # every connection gets its own driver label so a shared fleet's
-        # per-driver throughput stays distinguishable; ATTACH may replace
-        # it with the driver's self-declared identity (its pid label)
-        driver_label = f"conn-{next(self._conn_ids)}"
-        try:
-            # challenge-response before the first frame is even read:
-            # nothing below deserializes bytes from an unproven peer
-            frames.expect_auth(conn, self._secret_bytes)
-            writer = _ConnWriter(conn, "repro-cluster-head-writer")
-            while True:
-                received = frames.recv_frame(conn)
-                if received is None:
-                    return
-                ftype, payload = received
-                if ftype == frames.ATTACH:
-                    if payload:  # authed peer; older clients send none
-                        try:
-                            declared = pickle.loads(payload).get("driver")
-                            if declared:
-                                driver_label = str(declared)
-                        except Exception:
-                            pass
-                    warm = self.manager.mark_attached()
-                    self.manager.fleet.note_attach(driver_label)
-                    writer.send(frames.ATTACH_REPLY, pickle.dumps({
-                        "num_executors": self.manager.num_executors,
-                        "executor_cores": self.manager.executor_cores,
-                        "executor_ids": sorted(
-                            {h.executor_id for h in self.manager.workers}
-                        ),
-                        "transport_spec": self.manager.transport.spec(),
-                        "warm": warm,
-                    }, protocol=pickle.HIGHEST_PROTOCOL))
-                    attached = True
-                    with self._lock:
-                        self._drivers.append(writer)
-                elif ftype == frames.TASK:
-                    token, eid, partition, spec = frames.unpack_task(payload)
-                    future = self.manager.submit(
-                        spec, eid, partition, driver=driver_label
-                    )
-                    future.add_done_callback(
-                        self._result_forwarder(writer, token)
-                    )
-                elif ftype == frames.BINARY_SHIPPED:
-                    eid, binary_id = pickle.loads(payload)
-                    self.manager.note_binary_shipped(eid, binary_id)
-                elif ftype == frames.INFERENCE:
-                    # fire-and-forget convergence telemetry; no reply
-                    try:
-                        self.manager.fleet.note_inference(
-                            driver_label, pickle.loads(payload)
-                        )
-                    except Exception:
-                        pass
-                elif ftype == frames.STATUS:
-                    writer.send(frames.STATUS_REPLY, pickle.dumps(
-                        self.manager.executor_info(),
-                        protocol=pickle.HIGHEST_PROTOCOL,
-                    ))
-                    if not attached:
-                        return
-                elif ftype == frames.FLEET:
-                    writer.send(frames.FLEET_REPLY, pickle.dumps(
-                        self.manager.fleet_snapshot(),
-                        protocol=pickle.HIGHEST_PROTOCOL,
-                    ))
-                    if not attached:
-                        return
-                elif ftype == frames.SHUTDOWN:
-                    writer.send(frames.STATUS_REPLY, b"")
-                    self.stop()
-                    return
-                else:
-                    return
-        except (ConnectionError, OSError):
-            return
-        finally:
-            if writer is not None:
-                with self._lock:
-                    self._drivers = [d for d in self._drivers if d is not writer]
-                writer.stop()
-            try:
-                conn.close()
-            except OSError:
-                pass
-
-    def _result_forwarder(self, writer: _ConnWriter, token: int):
-        # runs in the manager's dispatch thread (future callbacks fire
-        # where set_result happens): must never block, so it only enqueues
-        def _forward(done: concurrent.futures.Future) -> None:
-            exc = done.exception()
-            if exc is None:
-                ftype, body = frames.RESULT, done.result()
-            else:
-                try:
-                    body = pickle.dumps(exc, protocol=pickle.HIGHEST_PROTOCOL)
-                except Exception:
-                    body = pickle.dumps(
-                        RuntimeError(f"{type(exc).__name__}: {exc}"),
-                        protocol=pickle.HIGHEST_PROTOCOL,
-                    )
-                ftype = frames.TASK_ERROR
-            writer.send(ftype, frames.pack_token(token, body))
-
-        return _forward
-
-    def _forward_heartbeat(self, record: Any) -> None:
-        """Forward a worker heartbeat to every attached external driver.
-
-        Runs in the manager's dispatch thread, so it only enqueues.
-        """
-        with self._lock:
-            drivers = list(self._drivers)
-        if not drivers:
-            return
-        payload = pickle.dumps(record, protocol=pickle.HIGHEST_PROTOCOL)
-        for writer in drivers:
-            # heartbeats are advisory: skip drivers whose queue is
-            # already backed up rather than growing it without bound
-            if not writer.failed and writer.pending() < 512:
-                writer.send(frames.HEARTBEAT, payload)
-
-    def stop(self) -> None:
-        if self._stopped.is_set():
-            return
-        self._stopped.set()
-        try:
-            self._listener.close()
-        except OSError:
-            pass
-        self.manager.stop()
-
-
-class ClusterClient:
-    """Driver-side handle to an external :class:`ClusterHead`.
-
-    Presents the same surface as :class:`ClusterManager` (submit /
-    heartbeats / attach / note_binary_shipped / executor_info), so
-    :class:`ClusterBackend` cannot tell local from remote.  One persistent
-    connection; a reader thread resolves futures and feeds heartbeats.
-    """
-
-    def __init__(self, address: str, secret: str = "") -> None:
-        host, _, port = address.rpartition(":")
-        self.address = address
-        self.stopped = False
-        self._secret = secret
-        self._sock = socket.create_connection((host, int(port)), timeout=30.0)
-        self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        frames.answer_challenge(self._sock, _resolve_secret(secret))
-        self._sock.settimeout(None)
-        self._send_lock = threading.Lock()
-        #: this client's driver label in the head's fleet stats (pid-keyed:
-        #: one label per driver process, distinct across a shared fleet)
-        self.driver_label = f"driver-{os.getpid()}"
-        with self._send_lock:
-            frames.send_frame(self._sock, frames.ATTACH, pickle.dumps(
-                {"driver": self.driver_label}, protocol=pickle.HIGHEST_PROTOCOL
-            ))
-        reply = frames.recv_frame(self._sock)
-        if reply is None or reply[0] != frames.ATTACH_REPLY:
-            raise ConnectionError(f"cluster head at {address} refused attach")
-        info = pickle.loads(reply[1])
-        self.num_executors = info["num_executors"]
-        self.executor_cores = info["executor_cores"]
-        self.executor_ids = list(info["executor_ids"])
-        self.warm = bool(info.get("warm"))
-        self.transport = from_spec(tuple(info["transport_spec"]))
-        self.heartbeats = _HeartbeatFanout()
-        self.jobs_attached = 1 if self.warm else 0
-        self._tokens = itertools.count(1)
-        self._lock = threading.Lock()
-        self._futures: dict[int, concurrent.futures.Future] = {}
-        self._shipped: set[tuple[str, str]] = set()
-        self._ctx: "Context | None" = None
-        self._reader = threading.Thread(
-            target=self._read_loop, name="repro-cluster-client", daemon=True
-        )
-        self._reader.start()
-
-    def _read_loop(self) -> None:
-        try:
-            while True:
-                received = frames.recv_frame(self._sock)
-                if received is None:
-                    break
-                ftype, payload = received
-                if ftype in (frames.RESULT, frames.TASK_ERROR):
-                    token, body = frames.unpack_token(payload)
-                    with self._lock:
-                        future = self._futures.pop(token, None)
-                    if future is None or future.cancelled():
-                        continue
-                    try:
-                        if ftype == frames.RESULT:
-                            future.set_result(body)
-                        else:
-                            future.set_exception(pickle.loads(body))
-                    except concurrent.futures.InvalidStateError:
-                        pass
-                elif ftype == frames.HEARTBEAT:
-                    self.heartbeats.publish(pickle.loads(payload))
-        except (ConnectionError, OSError):
-            pass
-        self.stopped = True
-        with self._lock:
-            orphans = list(self._futures.values())
-            self._futures.clear()
-        for future in orphans:
-            if not future.cancelled():
-                try:
-                    future.set_exception(ConnectionError("cluster head connection lost"))
-                except concurrent.futures.InvalidStateError:
-                    pass
-
-    # -- manager-compatible surface ---------------------------------------
-
-    def submit(
-        self, payload: bytes, executor_id: str, partition: int = 0
-    ) -> concurrent.futures.Future:
-        future: concurrent.futures.Future = concurrent.futures.Future()
-        if self.stopped:
-            future.set_exception(ConnectionError("cluster head connection lost"))
-            return future
-        with self._lock:
-            token = next(self._tokens)
-            self._futures[token] = future
-        try:
-            with self._send_lock:
-                frames.send_frame(
-                    self._sock, frames.TASK,
-                    frames.pack_task(token, executor_id, partition, payload),
-                )
-        except (ConnectionError, OSError) as exc:
-            with self._lock:
-                self._futures.pop(token, None)
-            future.set_exception(exc)
-        return future
-
-    def note_binary_shipped(self, executor_id: str, binary_id: str) -> bool:
-        with self._lock:
-            key = (executor_id, binary_id)
-            if key in self._shipped:
-                return False
-            self._shipped.add(key)
-        # fire-and-forget: keep the head's shipped-binary index (and the
-        # binaries_cached column of ``cluster status``) truthful
-        try:
-            with self._send_lock:
-                frames.send_frame(
-                    self._sock, frames.BINARY_SHIPPED,
-                    pickle.dumps((executor_id, binary_id),
-                                 protocol=pickle.HIGHEST_PROTOCOL),
-                )
-        except (ConnectionError, OSError):
-            pass
-        return True
-
-    def note_inference(self, info: dict) -> None:
-        """Fire-and-forget convergence telemetry to the head (cluster top)."""
-        try:
-            with self._send_lock:
-                frames.send_frame(
-                    self._sock, frames.INFERENCE,
-                    pickle.dumps(info, protocol=pickle.HIGHEST_PROTOCOL),
-                )
-        except (ConnectionError, OSError):
-            pass
-
-    def attach(self, ctx: "Context") -> None:
-        with self._lock:
-            warm = self.jobs_attached > 0
-            self.jobs_attached += 1
-            self._ctx = ctx
-        for eid in self.executor_ids:
-            ctx.listener_bus.post(ExecutorRegistered(
-                executor_id=eid, host=self.address.rpartition(":")[0],
-                slots=self.executor_cores, warm=warm,
-            ))
-
-    def detach(self, ctx: "Context") -> None:
-        with self._lock:
-            if self._ctx is ctx:
-                self._ctx = None
-
-    def executor_info(self) -> list[dict]:
-        return cluster_status(self.address, self._secret or None)
-
-    def fleet_snapshot(self, window: float | None = None) -> dict:
-        """Fetch the head-resident fleet snapshot (window applies head-side
-        retention only; the remote call always returns the full dump)."""
-        return fleet_status(self.address, self._secret or None)
-
-    def decommission(self, executor_id: str, reason: str = "drain") -> None:
-        raise RuntimeError("decommission an external cluster from its head CLI")
-
-    def stop(self) -> None:
-        self.stopped = True
-        try:
-            self._sock.close()
-        except OSError:
-            pass
-        if self._reader.is_alive():
-            self._reader.join(timeout=2.0)
-
-
-# -- CLI helpers ---------------------------------------------------------------
-
-
-def _head_request(
-    address: str, ftype: int, secret: str | None = None,
-    expect: int = frames.STATUS_REPLY,
-) -> bytes:
-    host, _, port = address.rpartition(":")
-    with socket.create_connection((host, int(port)), timeout=10.0) as conn:
-        frames.answer_challenge(conn, _resolve_secret(secret))
-        frames.send_frame(conn, ftype)
-        reply = frames.recv_frame(conn)
-        if reply is None or reply[0] != expect:
-            raise ConnectionError(f"no reply from cluster head at {address}")
-        return reply[1]
-
-
-def cluster_status(address: str, secret: str | None = None) -> list[dict]:
-    """Executor-info list from an external head (``sparkscore cluster status``)."""
-    return pickle.loads(_head_request(address, frames.STATUS, secret))
-
-
-def fleet_status(address: str, secret: str | None = None) -> dict:
-    """Fleet-stats snapshot from an external head (``cluster top`` / ``status``)."""
-    return pickle.loads(
-        _head_request(address, frames.FLEET, secret, expect=frames.FLEET_REPLY)
-    )
-
-
-def cluster_shutdown(address: str, secret: str | None = None) -> None:
-    """Stop an external head and its fleet (``sparkscore cluster stop``)."""
-    _head_request(address, frames.SHUTDOWN, secret)
-
-
 __all__ = [
     "ClusterManager",
     "ClusterBackend",
-    "ClusterHead",
-    "ClusterClient",
     "get_cluster",
     "stop_all_clusters",
-    "cluster_status",
-    "fleet_status",
-    "cluster_shutdown",
 ]

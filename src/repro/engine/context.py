@@ -18,13 +18,10 @@ from repro.engine.faults import FaultInjector
 from repro.engine.listener import ExecutorLost, ListenerBus
 from repro.engine.metrics import MetricsRegistry
 from repro.engine.shuffle import ShuffleManager
-from repro.obs.logging import get_logger
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.engine.rdd import RDD
     from repro.hdfs.filesystem import MiniHDFS
-
-log = get_logger("repro.engine.context")
 
 
 class Context:
@@ -336,17 +333,11 @@ class Context:
             LOG_BUS.set_level(self._previous_log_level)
             # freeze the cluster-resident fleet snapshot into this driver's
             # event log (v6 side channel) before detaching: the fleet
-            # outlives us, but the log is how history/doctor see it later
+            # outlives this context, but the log is how history/doctor see it
             if self._event_log_listener is not None:
                 fleet_fn = getattr(self.backend, "fleet_snapshot", None)
                 if fleet_fn is not None:
-                    try:
-                        self._event_log_listener.write_fleet(fleet_fn(None))
-                    except OSError as exc:  # a dead head must not break teardown
-                        log.warning(
-                            "fleet snapshot unavailable; event log written without it",
-                            error=f"{type(exc).__name__}: {exc}",
-                        )
+                    self._event_log_listener.write_fleet(fleet_fn(None))
             if not self.backend.supports_shared_state:
                 self.backend.detach(self)
             self.listener_bus.stop()

@@ -4,15 +4,10 @@ A worker's task socket is the wrong place for megabyte payloads: every
 task that carried its stage's task binary (or a large broadcast / result
 body) inline would pay a full copy per task.
 This module moves those payloads through POSIX shared memory
-(:mod:`multiprocessing.shared_memory`) -- or a temp-file handoff when
-shared memory is unavailable -- and ships only a tiny
-:class:`TransportRef` in the task frame.  A third variant,
-:class:`SocketTransport`, serves the same refs over TCP with SHA-256
-dedup offers ahead of every payload push, so executors on *other hosts*
-(the persistent cluster's remote workers) speak the identical protocol.
-Socket connections authenticate with an HMAC challenge before any frame
-is processed; the shared secret rides inside the transport spec, which
-itself only travels over authenticated cluster channels.
+(:mod:`multiprocessing.shared_memory`) -- or a temp-file handoff where
+shared memory is unusable -- and ships only a tiny :class:`TransportRef`
+in the task frame.  Every worker shares the driver's host, so there is no
+network variant: :meth:`Transport.create` picks the scheme once per fleet.
 
 Key properties:
 
@@ -49,7 +44,6 @@ import hashlib
 import os
 import pickle
 import secrets
-import socket
 import tempfile
 import threading
 import time
@@ -61,10 +55,7 @@ from typing import Any
 __all__ = [
     "TransportRef",
     "Transport",
-    "SocketTransport",
     "ByRef",
-    "advertised_host",
-    "create_transport",
     "from_spec",
     "worker_transport",
 ]
@@ -82,35 +73,6 @@ class TransportRef:
 
 def _sha256(blob: bytes) -> str:
     return hashlib.sha256(blob).hexdigest()
-
-
-#: byte budget for a socket transport's dedup'd blob store; a persistent
-#: head otherwise keeps every task binary ever offered for the life of the
-#: fleet
-_STORE_BUDGET = 256 * 1024 * 1024
-
-
-def advertised_host(bind_host: str) -> str:
-    """A host other machines can dial when we bound a wildcard address.
-
-    Binding ``0.0.0.0`` is fine, *advertising* it in a transport spec is
-    not -- a remote driver would dial its own loopback.  Resolve the
-    machine's outbound address instead; concrete hosts pass through.
-    """
-    if bind_host not in ("", "0.0.0.0", "::"):
-        return bind_host
-    probe = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
-    try:
-        # no packet is sent; connect() just selects the outbound interface
-        probe.connect(("10.255.255.255", 1))
-        return probe.getsockname()[0]
-    except OSError:
-        try:
-            return socket.gethostbyname(socket.gethostname())
-        except OSError:
-            return "127.0.0.1"
-    finally:
-        probe.close()
 
 
 def _shm_usable() -> bool:
@@ -197,9 +159,10 @@ class Transport:
     # -- construction -----------------------------------------------------
 
     @classmethod
-    def create(cls, prefer_shm: bool = True) -> "Transport":
-        """Make a driver-side transport, probing shared-memory support."""
-        if prefer_shm and _shm_usable():
+    def create(cls) -> "Transport":
+        """Make a driver-side transport: shared memory where it works,
+        temp files where it does not."""
+        if _shm_usable():
             return cls("shm", "")
         return cls("file", tempfile.mkdtemp(prefix="repro-transport-"))
 
@@ -343,436 +306,20 @@ class Transport:
                 pass  # worker blobs may still be in flight; leave the dir
 
 
-# -- socket transport ---------------------------------------------------------
-#
-# The cross-host variant: blobs live in a driver-side (or cluster-head-side)
-# in-memory store fronted by a tiny TCP server speaking the frame protocol
-# of :mod:`repro.engine.frames`.  Remote writers never push a payload blind:
-# a ``put(dedup=True)`` first sends a SHA-256 *offer* (hash + size) and only
-# ships the bytes when the server answers WANT -- the second executor to
-# publish an identical task binary or result body pays ~100 bytes, not
-# megabytes.  This is the stepping stone from one box to the paper's real
-# multi-node EMR topology: a ``TransportRef`` with scheme ``tcp`` is valid
-# on any host that can reach the server.
-
-
-class SocketTransport:
-    """TCP blob store: length-prefixed frames, SHA-256 dedup offers.
-
-    Two personalities behind one interface:
-
-    - **serving** (driver / cluster head): :meth:`serve` binds a listener
-      and handles GET/OFFER/PUSH/DELETE from remote handles; local ``put``
-      and ``get`` touch the in-memory store directly (no loopback hop).
-    - **client** (worker, or an external driver): built by
-      :func:`from_spec` from ``("tcp", "host:port")``; one persistent
-      connection per process, a lock serializing request/response pairs.
-    """
-
-    scheme = "tcp"
-
-    def __init__(
-        self,
-        addr: str,
-        serving: bool = False,
-        secret: bytes | None = None,
-        store_budget: int | None = None,
-    ) -> None:
-        self.addr = addr
-        self._serving = serving
-        #: shared HMAC secret: the server challenges every connection and
-        #: drops it before the first deserialize unless the reply checks out
-        self.secret = secret if secret is not None else secrets.token_bytes(32)
-        #: byte budget for dedup'd (``sha256-``) blobs; oldest-touched are
-        #: evicted past it.  ``tok-`` blobs (one-shot result bodies) are
-        #: exempt: they are deleted explicitly as soon as the driver merges
-        #: them, while evicted content blobs just cost a re-offer/re-push.
-        self.store_budget = (
-            store_budget if store_budget is not None else _STORE_BUDGET
-        )
-        self._lock = threading.Lock()
-        #: key -> blob (server side only), LRU order: oldest-touched first
-        self._store: "OrderedDict[str, bytes]" = OrderedDict()
-        self._store_bytes = 0
-        #: content hash -> ref (server side dedup index; client side memo)
-        self._by_hash: dict[str, TransportRef] = {}
-        self.bytes_published = 0
-        self.dedup_hits = 0
-        #: bytes dedup offers kept off the wire (fleet "warm bytes saved")
-        self.dedup_bytes_saved = 0
-        self.evictions = 0
-        self._listener: socket.socket | None = None
-        self._threads: list[threading.Thread] = []
-        self._conn: socket.socket | None = None  # client-mode connection
-        self._server_conns: list[socket.socket] = []  # accepted connections
-        self._closed = threading.Event()
-
-    # -- construction -----------------------------------------------------
-
-    @classmethod
-    def serve(
-        cls, host: str = "127.0.0.1", port: int = 0,
-        thread_prefix: str = "repro-transport",
-        secret: bytes | None = None,
-    ) -> "SocketTransport":
-        """Start a serving transport; returns once the listener is bound."""
-        listener = socket.create_server((host, port))
-        bound_port = listener.getsockname()[1]
-        transport = cls(
-            f"{advertised_host(host)}:{bound_port}", serving=True, secret=secret
-        )
-        transport._listener = listener
-        accept = threading.Thread(
-            target=transport._accept_loop,
-            name=f"{thread_prefix}-accept",
-            args=(thread_prefix,),
-            daemon=True,
-        )
-        transport._threads.append(accept)
-        accept.start()
-        return transport
-
-    def spec(self) -> tuple[str, str, str]:
-        # the secret rides in the spec: specs only travel over already
-        # authenticated channels (task payloads on cluster sockets, the
-        # head's ATTACH_REPLY), so holding a spec is holding the key
-        return ("tcp", self.addr, self.secret.hex())
-
-    # -- server side -------------------------------------------------------
-
-    def _accept_loop(self, thread_prefix: str) -> None:
-        while not self._closed.is_set():
-            try:
-                conn, _ = self._listener.accept()
-            except OSError:  # listener closed
-                return
-            with self._lock:
-                self._server_conns.append(conn)
-            handler = threading.Thread(
-                target=self._serve_conn,
-                name=f"{thread_prefix}-conn",
-                args=(conn,),
-                daemon=True,
-            )
-            self._threads.append(handler)
-            handler.start()
-
-    def _serve_conn(self, conn: socket.socket) -> None:
-        import pickle
-
-        from repro.engine import frames
-
-        try:
-            # close() may reap this conn before the handler thread gets here
-            conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            # challenge first: nothing below -- in particular the pickled
-            # BLOB_OFFER body -- is reachable by an unauthenticated peer
-            frames.expect_auth(conn, self.secret)
-            while True:
-                received = frames.recv_frame(conn)
-                if received is None:
-                    return
-                ftype, payload = received
-                if ftype == frames.BLOB_GET:
-                    key = payload.decode("utf-8")
-                    with self._lock:
-                        blob = self._store.get(key)
-                        if blob is not None:
-                            self._store.move_to_end(key)
-                    if blob is None:
-                        frames.send_frame(conn, frames.BLOB_MISSING, payload)
-                    else:
-                        frames.send_frame(conn, frames.BLOB_DATA, blob)
-                elif ftype == frames.BLOB_OFFER:
-                    content_hash, size = pickle.loads(payload)
-                    with self._lock:
-                        existing = self._by_hash.get(content_hash)
-                        if existing is not None:
-                            self.dedup_hits += 1
-                            self.dedup_bytes_saved += int(size)
-                    if existing is not None:
-                        frames.send_frame(
-                            conn, frames.BLOB_HAVE,
-                            pickle.dumps(existing, protocol=pickle.HIGHEST_PROTOCOL),
-                        )
-                    else:
-                        frames.send_frame(conn, frames.BLOB_WANT, payload)
-                elif ftype == frames.BLOB_PUSH:
-                    key_len = int.from_bytes(payload[:2], "big")
-                    key = bytes(payload[2:2 + key_len]).decode("utf-8")
-                    blob = bytes(payload[2 + key_len:])
-                    self._store_blob(key, blob)
-                    frames.send_frame(conn, frames.BLOB_OK, key.encode("utf-8"))
-                elif ftype == frames.BLOB_DELETE:
-                    self._delete_key(payload.decode("utf-8"))
-                    frames.send_frame(conn, frames.BLOB_OK, payload)
-                else:
-                    return  # unknown frame: drop the connection
-        except (ConnectionError, OSError):
-            return
-        finally:
-            try:
-                conn.close()
-            except OSError:
-                pass
-
-    def _store_blob(self, key: str, blob: bytes, content_hash: str | None = None) -> None:
-        if content_hash is None and key.startswith("sha256-"):
-            content_hash = key[len("sha256-"):]
-        ref = TransportRef("tcp", key, len(blob), content_hash)
-        with self._lock:
-            old = self._store.pop(key, None)
-            if old is None:
-                self.bytes_published += len(blob)
-            else:
-                self._store_bytes -= len(old)
-            self._store[key] = blob
-            self._store_bytes += len(blob)
-            if content_hash is not None:
-                self._by_hash[content_hash] = ref
-            self._evict_locked(keep=key)
-
-    def _evict_locked(self, keep: str) -> None:
-        """Drop oldest-touched dedup'd blobs past the byte budget.
-
-        Only ``sha256-`` keys are candidates: their eviction is recoverable
-        (the next offer gets WANT and re-pushes), while ``tok-`` result
-        bodies must survive until the driver's explicit delete.  ``keep``
-        (the blob just stored) is never evicted, even when it alone
-        overflows the budget.
-        """
-        if self._store_bytes <= self.store_budget:
-            return
-        for key in [k for k in self._store if k != keep and k.startswith("sha256-")]:
-            if self._store_bytes <= self.store_budget:
-                return
-            blob = self._store.pop(key)
-            self._store_bytes -= len(blob)
-            self._by_hash.pop(key[len("sha256-"):], None)
-            self.evictions += 1
-
-    def _delete_key(self, key: str) -> None:
-        with self._lock:
-            blob = self._store.pop(key, None)
-            if blob is not None:
-                self._store_bytes -= len(blob)
-            if blob is not None and key.startswith("sha256-"):
-                self._by_hash.pop(key[len("sha256-"):], None)
-
-    # -- put / get / delete ------------------------------------------------
-
-    def put(self, blob: bytes, dedup: bool = False) -> TransportRef:
-        content_hash = _sha256(blob) if dedup else None
-        if self._serving:
-            if content_hash is not None:
-                with self._lock:
-                    existing = self._by_hash.get(content_hash)
-                if existing is not None:
-                    with self._lock:
-                        self.dedup_hits += 1
-                        self.dedup_bytes_saved += len(blob)
-                    return existing
-                key = f"sha256-{content_hash}"
-            else:
-                key = f"tok-{secrets.token_hex(8)}"
-            self._store_blob(key, blob, content_hash)
-            return TransportRef("tcp", key, len(blob), content_hash)
-        return self._remote_put(blob, content_hash)
-
-    def _remote_put(self, blob: bytes, content_hash: str | None) -> TransportRef:
-        import pickle
-
-        from repro.engine import frames
-
-        if content_hash is not None:
-            with self._lock:
-                memo = self._by_hash.get(content_hash)
-            if memo is not None:
-                with self._lock:
-                    self.dedup_hits += 1
-                    self.dedup_bytes_saved += len(blob)
-                return memo
-            key = f"sha256-{content_hash}"
-        else:
-            key = f"tok-{secrets.token_hex(8)}"
-        with self._lock:
-            conn = self._connect_locked()
-            if content_hash is not None:
-                # dedup offer: hash + size first; the payload only moves if
-                # the server does not already hold this content
-                frames.send_frame(conn, frames.BLOB_OFFER, pickle.dumps(
-                    (content_hash, len(blob)), protocol=pickle.HIGHEST_PROTOCOL
-                ))
-                reply = frames.recv_frame(conn)
-                if reply is None:
-                    raise ConnectionError("transport server closed during offer")
-                ftype, payload = reply
-                if ftype == frames.BLOB_HAVE:
-                    ref = pickle.loads(payload)
-                    self.dedup_hits += 1
-                    self.dedup_bytes_saved += len(blob)
-                    self._by_hash[content_hash] = ref
-                    return ref
-            key_bytes = key.encode("utf-8")
-            frames.send_frame(
-                conn, frames.BLOB_PUSH,
-                len(key_bytes).to_bytes(2, "big") + key_bytes + blob,
-            )
-            reply = frames.recv_frame(conn)
-            if reply is None or reply[0] != frames.BLOB_OK:
-                raise ConnectionError("transport server rejected push")
-            self.bytes_published += len(blob)
-            ref = TransportRef("tcp", key, len(blob), content_hash)
-            if content_hash is not None:
-                self._by_hash[content_hash] = ref
-            return ref
-
-    def get(self, ref: TransportRef) -> bytes:
-        if self._serving:
-            with self._lock:
-                blob = self._store.get(ref.key)
-                if blob is not None:
-                    self._store.move_to_end(ref.key)
-            if blob is None:
-                raise KeyError(f"transport blob {ref.key!r} not found")
-            return blob
-        from repro.engine import frames
-
-        with self._lock:
-            conn = self._connect_locked()
-            frames.send_frame(conn, frames.BLOB_GET, ref.key.encode("utf-8"))
-            reply = frames.recv_frame(conn)
-        if reply is None:
-            raise ConnectionError("transport server closed during get")
-        ftype, payload = reply
-        if ftype != frames.BLOB_DATA:
-            raise KeyError(f"transport blob {ref.key!r} not found on server")
-        return payload
-
-    def delete(self, ref: TransportRef) -> None:
-        if self._serving:
-            self._delete_key(ref.key)
-            return
-        from repro.engine import frames
-
-        try:
-            with self._lock:
-                conn = self._connect_locked()
-                frames.send_frame(conn, frames.BLOB_DELETE, ref.key.encode("utf-8"))
-                frames.recv_frame(conn)
-                if ref.content_hash is not None:
-                    self._by_hash.pop(ref.content_hash, None)
-        except (ConnectionError, OSError):
-            pass
-
-    # -- client connection --------------------------------------------------
-
-    def _connect_locked(self) -> socket.socket:
-        if self._conn is None:
-            from repro.engine import frames
-
-            host, _, port = self.addr.rpartition(":")
-            conn = socket.create_connection((host, int(port)), timeout=30.0)
-            conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            try:
-                frames.answer_challenge(conn, self.secret)
-            except (ConnectionError, OSError):
-                conn.close()
-                raise
-            self._conn = conn
-        return self._conn
-
-    # -- lifecycle ---------------------------------------------------------
-
-    def close(self) -> None:
-        self._closed.set()
-        if self._listener is not None:
-            # a blocked accept() is not reliably woken by close(); dial in
-            # once so the accept loop observes _closed and exits
-            try:
-                host, _, port = self.addr.rpartition(":")
-                socket.create_connection((host, int(port)), timeout=1.0).close()
-            except OSError:
-                pass
-            try:
-                self._listener.close()
-            except OSError:
-                pass
-            self._listener = None
-        with self._lock:
-            if self._conn is not None:
-                try:
-                    self._conn.close()
-                except OSError:
-                    pass
-                self._conn = None
-            # unblock handler threads waiting in recv_frame on live clients
-            conns, self._server_conns = self._server_conns, []
-            self._store.clear()
-            self._store_bytes = 0
-            self._by_hash.clear()
-        for conn in conns:
-            try:
-                conn.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            try:
-                conn.close()
-            except OSError:
-                pass
-        for thread in self._threads:
-            if thread is not threading.current_thread():
-                thread.join(timeout=2.0)
-        self._threads.clear()
-
-
-def create_transport(
-    scheme: str = "auto",
-    thread_prefix: str = "repro-transport",
-    host: str = "127.0.0.1",
-) -> "Transport | SocketTransport":
-    """Factory over the transport variants.
-
-    ``auto`` probes shared memory and falls back to temp files; ``shm`` /
-    ``file`` force one local scheme; ``tcp`` starts a serving socket
-    transport bound to ``host`` (executors on other hosts reach it by the
-    advertised address in its spec).
-    """
-    if scheme == "auto":
-        return Transport.create()
-    if scheme == "shm":
-        if not _shm_usable():
-            raise RuntimeError("shared memory transport requested but unusable here")
-        return Transport("shm", "")
-    if scheme == "file":
-        return Transport("file", tempfile.mkdtemp(prefix="repro-transport-"))
-    if scheme == "tcp":
-        return SocketTransport.serve(host=host, thread_prefix=thread_prefix)
-    raise ValueError(f"unknown transport scheme {scheme!r}")
-
-
 # -- worker-side handle cache -------------------------------------------------
 
 _WORKER: dict[str, Any] = {"spec": None, "transport": None}
 _WORKER_LOCK = threading.Lock()
 
 
-def from_spec(spec: tuple) -> "Transport | SocketTransport":
-    """Worker-side: rebuild (and memoize) a transport handle from its spec.
-
-    Specs are ``(scheme, root)`` for the local variants and
-    ``("tcp", addr, secret_hex)`` for the socket transport.
-    """
+def from_spec(spec: tuple) -> Transport:
+    """Worker-side: rebuild (and memoize) a transport handle from its
+    ``(scheme, root)`` spec."""
     spec = tuple(spec)
     with _WORKER_LOCK:
         if _WORKER["spec"] != spec:
             _WORKER["spec"] = spec
-            if spec[0] == "tcp":
-                _WORKER["transport"] = SocketTransport(
-                    spec[1], secret=bytes.fromhex(spec[2])
-                )
-            else:
-                _WORKER["transport"] = Transport(spec[0], spec[1])
+            _WORKER["transport"] = Transport(spec[0], spec[1])
         return _WORKER["transport"]
 
 

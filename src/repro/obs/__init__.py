@@ -21,7 +21,7 @@ metrics system + history server, all fed by the engine's listener bus
   which also names the failing task of a failed run from its event log;
 - :mod:`repro.obs.fleet` / :mod:`repro.obs.timeseries` -- the
   cluster-resident fleet statistics and the ring-buffer store that keeps
-  their per-executor history (``/api/fleet``, ``sparkscore cluster top``).
+  their per-executor history (``/api/fleet``, the event log's ``fleet`` line).
 """
 
 from repro.obs.advisor import Recommendation, diagnose, render_recommendations

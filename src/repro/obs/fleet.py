@@ -1,13 +1,13 @@
-"""Cluster-resident fleet observability: metrics that outlive drivers.
+"""Cluster-resident fleet observability: metrics that outlive contexts.
 
 Spans, the process registry and the dashboard are scoped to one
 :class:`~repro.engine.context.Context` and evaporate at ``stop()``.  The
-persistent cluster outlives every driver, so its telemetry must too:
-:class:`FleetStats` lives inside the
+persistent cluster outlives every Context of its driver process, so its
+telemetry must too: :class:`FleetStats` lives inside the
 :class:`~repro.engine.cluster_backend.ClusterManager`, folds worker
 heartbeats and task completions into a persistent
 :class:`~repro.obs.timeseries.TimeSeriesStore` keyed by executor, and
-answers snapshot queries from any driver -- including drivers started
+answers snapshot queries from any Context -- including Contexts started
 long after the jobs whose statistics it is reporting.
 
 Fed from three places in the manager:
@@ -15,13 +15,13 @@ Fed from three places in the manager:
 - the dispatch loop's HEARTBEAT branch (per-executor RSS, in-flight
   depth, records read);
 - the RESULT/TASK_ERROR branch (per-driver task throughput, keyed by the
-  submitting driver's trace id);
+  attached Context's trace id);
 - a periodic :meth:`sample` call from the dispatch loop (slot occupancy,
   dispatch-queue depth, transport dedup counters, frame bytes in/out).
 
 Series use ``fleet_``-prefixed names and carry ``executor_id`` (and
-``driver`` where it applies) labels, so a multi-driver fleet's exposition
-never collides with any single Context's registry families.
+``driver`` where it applies) labels, so a fleet that served several
+Contexts never collides with any single Context's registry families.
 """
 
 from __future__ import annotations
@@ -55,10 +55,10 @@ class FleetStats:
         self.jobs_served = 0
         self.tasks_completed = 0
         self.task_errors = 0
-        #: driver label (trace id / connection label) -> completed tasks
+        #: driver label (the attached Context's trace id) -> completed tasks
         self.tasks_by_driver: dict[str, int] = {}
         #: driver label -> latest inference-convergence summary (replicates
-        #: done/planned, throughput, sets converged) from INFERENCE frames
+        #: done/planned, throughput, sets converged)
         self.inference_by_driver: dict[str, dict] = {}
         self.heartbeats_received = 0
         self.frame_bytes_in = 0
@@ -207,7 +207,8 @@ class FleetStats:
         }
 
     def snapshot(self, manager: Any = None, window: float | None = None) -> dict:
-        """One JSON-safe dict answering ``/api/fleet`` and FLEET frames."""
+        """One JSON-safe dict answering ``/api/fleet`` (and the event log's
+        ``fleet`` line)."""
         with self._lock:
             out: dict[str, Any] = {
                 "started_wall": self.started_wall,

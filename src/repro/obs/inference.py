@@ -43,13 +43,10 @@ from typing import TYPE_CHECKING, Any, Sequence
 import numpy as np
 
 from repro.engine.listener import InferenceBatchCompleted, SnpSetConverged
-from repro.obs.logging import get_logger
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.engine.context import Context
     from repro.engine.listener import ListenerBus
-
-log = get_logger("repro.obs.inference")
 
 #: set decision states
 UNDECIDED = "undecided"
@@ -447,9 +444,9 @@ class InferenceObservability:
     the context's bus and -- when ``inference_early_stop`` is on -- the
     configured :class:`EarlyStopPolicy`.
 
-    On cluster backends the holder also publishes a small throughput
-    summary to the fleet head (best-effort, throttled) so ``sparkscore
-    cluster top`` can show replicates/sec per driver.
+    On the cluster backend the holder also folds a small throughput
+    summary into the fleet's stats (throttled), so the fleet snapshot
+    (``/api/fleet``) shows replicates/sec per driver.
     """
 
     #: minimum seconds between fleet publications
@@ -460,8 +457,6 @@ class InferenceObservability:
         #: monitors minted this context, oldest first (bounded)
         self.monitors: list[ConvergenceMonitor] = []
         self._last_publish = 0.0
-        #: set when the head could not be reached: one warning, then quiet
-        self._head_lost = False
 
     def new_monitor(
         self,
@@ -488,32 +483,25 @@ class InferenceObservability:
         return monitor
 
     def publish(self, monitor: ConvergenceMonitor, force: bool = False) -> None:
-        """Push a throughput summary to the fleet head, rate-limited."""
+        """Fold a throughput summary into the fleet stats, rate-limited."""
         note = getattr(self.ctx.backend, "note_inference", None)
-        if note is None or self._head_lost:
+        if note is None:
             return
         now = time.perf_counter()
         if not force and now - self._last_publish < self.PUBLISH_INTERVAL:
             return
         self._last_publish = now
         snap = monitor.snapshot()
-        try:
-            note({
-                "method": snap["method"],
-                "replicates_total": snap["replicates_total"],
-                "planned_replicates": snap["planned_replicates"],
-                "replicates_per_sec": snap["replicates_per_sec"],
-                "replicates_saved": snap["replicates_saved"],
-                "early_stop": snap["early_stop"],
-                "sets_converged": snap["sets_converged"],
-                "sets_total": snap["sets_total"],
-            })
-        except OSError as exc:  # advisory: a dead head must not fail the run
-            self._head_lost = True
-            log.warning(
-                "inference summary not published to the fleet head",
-                error=f"{type(exc).__name__}: {exc}",
-            )
+        note({
+            "method": snap["method"],
+            "replicates_total": snap["replicates_total"],
+            "planned_replicates": snap["planned_replicates"],
+            "replicates_per_sec": snap["replicates_per_sec"],
+            "replicates_saved": snap["replicates_saved"],
+            "early_stop": snap["early_stop"],
+            "sets_converged": snap["sets_converged"],
+            "sets_total": snap["sets_total"],
+        })
 
     def snapshot(self) -> dict:
         """One JSON-safe dict answering ``/api/inference``."""

@@ -41,13 +41,10 @@ import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import TYPE_CHECKING
 
-from repro.obs.logging import get_logger
 from repro.obs.registry import REGISTRY
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.engine.context import Context
-
-log = get_logger("repro.obs.ui")
 
 
 def _job_summary(job) -> dict:
@@ -264,9 +261,8 @@ class UIServer:
             if snapshot_fn is not None:
                 from repro.obs.fleet import render_fleet_families
 
-                snapshot = self._rpc(snapshot_fn, None, endpoint="/metrics")
-                extra = [] if snapshot is None else render_fleet_families(
-                    snapshot, skip={i.name for i in REGISTRY.instruments()}
+                extra = render_fleet_families(
+                    snapshot_fn(None), skip={i.name for i in REGISTRY.instruments()}
                 )
                 if extra:
                     body = (
@@ -298,8 +294,7 @@ class UIServer:
             cluster = {}
             info_fn = getattr(self.ctx.backend, "executor_info", None)
             if info_fn is not None:
-                rows = self._rpc(info_fn, endpoint="/api/executors") or ()
-                cluster = {c["executor_id"]: c for c in rows}
+                cluster = {c["executor_id"]: c for c in info_fn()}
 
             def _labeled(counter_name: str) -> dict:
                 counter = REGISTRY.get(counter_name)
@@ -376,12 +371,8 @@ class UIServer:
                     window = float(params["window"])
             except ValueError:
                 window = None
-            snapshot = self._rpc(snapshot_fn, window, endpoint="/api/fleet")
-            if snapshot is None:
-                self._send_json(handler, {"enabled": False})
-                return
             out = {"enabled": True}
-            out.update(snapshot)
+            out.update(snapshot_fn(window))
             self._send_json(handler, out)
         elif path == "/api/inference":
             holder = getattr(self.ctx, "inference", None)
@@ -393,22 +384,6 @@ class UIServer:
             self._send(handler, _DASHBOARD, "text/html; charset=utf-8")
         else:
             handler.send_error(404, "unknown endpoint")
-
-    @staticmethod
-    def _rpc(call, *args, endpoint: str):
-        """One fleet/executor RPC to the backend.  An external head that is
-        gone raises ``OSError`` (``ConnectionError``, a socket timeout):
-        that answers None and logs one warning; any other error is a bug
-        and propagates."""
-        try:
-            return call(*args)
-        except OSError as exc:
-            log.warning(
-                "backend RPC failed; serving the endpoint without it",
-                endpoint=endpoint,
-                error=f"{type(exc).__name__}: {exc}",
-            )
-            return None
 
     @staticmethod
     def _send(handler: BaseHTTPRequestHandler, body: str, content_type: str) -> None:

@@ -41,8 +41,8 @@ def pytest_collection_modifyitems(config, items):
 
 
 #: threads that are *supposed* to outlive a context: the persistent
-#: cluster's dispatch loop and transport servers survive across contexts
-#: by design and are reaped once per session (see _reap_persistent_engine)
+#: cluster's dispatch loop survives across contexts by design and is
+#: reaped once per session (see _reap_persistent_engine)
 _PERSISTENT_THREAD_PREFIXES = ("repro-cluster",)
 
 

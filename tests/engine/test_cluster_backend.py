@@ -20,12 +20,11 @@ import numpy as np
 import pytest
 
 from repro.config import EngineConfig
+from repro.engine import transport
 from repro.engine.cluster_backend import (
-    ClusterHead,
     ClusterManager,
     _claim_cpu_share,
-    cluster_shutdown,
-    cluster_status,
+    _openblas,
     get_cluster,
 )
 from repro.core.algorithms import DistributedSparkScore
@@ -73,8 +72,25 @@ def _warm_workload_shm(ctx: Context):
     return ctx.parallelize(range(64), 4).map(_square).sum()
 
 
-def _warm_workload_tcp(ctx: Context):
+def _warm_workload_file(ctx: Context):
     return ctx.parallelize(range(64), 4).map(lambda x: x * x).sum()
+
+
+def _openblas_threads(_):
+    return _openblas()[0]()
+
+
+@pytest.fixture
+def file_fleet(fresh_cluster, monkeypatch):
+    """A fresh 2x1 fleet on a host where shared memory is unusable: its
+    transport falls back to temp files, the only path such a host has."""
+    monkeypatch.setattr(transport, "_shm_usable", lambda: False)
+    config, manager = fresh_cluster()
+    if manager.transport.scheme != "file":  # spawned earlier, over shm
+        manager.stop()
+        config, manager = fresh_cluster()
+    assert manager.transport.scheme == "file"
+    return config, manager
 
 
 def _counter_total(name: str) -> float:
@@ -122,19 +138,22 @@ def _raise_boom(x):
 
 
 class TestTwoJobWarmth:
-    """The issue's drill: job 2 on a warm fleet republishes nothing.
+    """Job 2 on a warm fleet republishes nothing.
 
-    Parameterized over both persistence paths: the default local transport
-    (shm/file) and the socket transport (length-prefixed TCP frames with
-    SHA-256 dedup offers).
+    Parameterized over both transport schemes: the probe's pick on this host
+    (shared memory where it works) and the temp-file fallback a host without
+    usable shared memory gets.
     """
 
     @pytest.mark.parametrize("scheme,workload", [
         ("auto", _warm_workload_shm),
-        ("tcp", _warm_workload_tcp),
+        ("file", _warm_workload_file),
     ])
-    def test_warm_job_republishes_nothing(self, scheme, workload):
-        config = _cluster_config(transport_scheme=scheme)
+    def test_warm_job_republishes_nothing(self, scheme, workload, request):
+        if scheme == "file":
+            config, _ = request.getfixturevalue("file_fleet")
+        else:
+            config = _cluster_config()
         expected = sum(x * x for x in range(64))
 
         with Context(config) as ctx1:
@@ -423,6 +442,21 @@ class TestLifecycle:
         _claim_cpu_share(3, 6)
         assert claimed == []
 
+    @needs_affinity
+    def test_workers_fit_their_blas_pool_to_their_cpu_share(self, fresh_cluster):
+        # forked after NumPy sized OpenBLAS's pool to the host, a worker
+        # pinned to one CPU ran that whole pool on it: 17x slower Monte Carlo
+        calls = _openblas()
+        if calls is None:
+            pytest.skip("NumPy without OpenBLAS")
+        driver_threads = calls[0]()
+        config, manager = fresh_cluster()
+        with Context(config) as ctx:
+            counts = ctx.parallelize(range(4), 4).map(_openblas_threads).collect()
+        budget = max(1, len(os.sched_getaffinity(0)) // len(manager.workers))
+        assert all(1 <= count <= budget for count in counts), counts
+        assert calls[0]() == driver_threads  # the driver keeps its pool
+
     def test_workers_freeze_the_heap_they_were_forked_with(self, fresh_cluster):
         # a worker that traversed the driver's heap paid the driver's overdue
         # full collection in its first task, page-copying as it went
@@ -503,20 +537,20 @@ def _sleep_a_beat(x):
 
 
 class TestBitEquivalence:
-    """Socket transport must not perturb numerics: identical bytes out."""
+    """The temp-file fallback must not perturb numerics: identical bytes out."""
 
-    def test_mc_workload_bitwise_equal(self):
+    def test_mc_workload_bitwise_equal(self, file_fleet):
         def draw(seed):
             rng = np.random.default_rng(seed)
             return rng.standard_normal(256).sum()
 
         with Context(EngineConfig(backend="serial", default_parallelism=4)) as sctx:
             reference = sctx.parallelize(range(16), 4).map(draw).collect()
-        with Context(_cluster_config(transport_scheme="tcp")) as cctx:
-            over_sockets = cctx.parallelize(range(16), 4).map(draw).collect()
+        with Context(file_fleet[0]) as cctx:
+            over_files = cctx.parallelize(range(16), 4).map(draw).collect()
         assert all(
             np.asarray(a).tobytes() == np.asarray(b).tobytes()
-            for a, b in zip(reference, over_sockets)
+            for a, b in zip(reference, over_files)
         )
 
 
@@ -547,45 +581,3 @@ class TestListenerAuth:
             assert all(h.alive for h in manager.workers)
         finally:
             manager.stop()
-
-
-class TestExternalHead:
-    def test_attach_run_status_stop(self):
-        head = ClusterHead(num_executors=1, executor_cores=2, port=0)
-        try:
-            config = _cluster_config(
-                num_executors=1, cluster_address=head.address,
-                cluster_secret=head.secret,
-            )
-            with Context(config) as ctx:
-                got = ctx.parallelize(range(20), 4).map(_square).collect()
-            assert got == [x * x for x in range(20)]
-
-            rows = cluster_status(head.address, head.secret)
-            assert [r["executor_id"] for r in rows] == ["exec-0"]
-            assert rows[0]["tasks_done"] >= 4
-
-            cluster_shutdown(head.address, head.secret)
-            deadline = time.monotonic() + 5.0
-            while time.monotonic() < deadline and not head.manager.stopped:
-                time.sleep(0.05)
-            assert head.manager.stopped
-        finally:
-            head.stop()
-
-    def test_head_requires_secret(self, monkeypatch):
-        monkeypatch.delenv("REPRO_CLUSTER_SECRET", raising=False)
-        head = ClusterHead(num_executors=1, executor_cores=1, port=0)
-        try:
-            # wrong secret: the head drops the connection at the handshake,
-            # before any frame of ours is deserialized
-            with pytest.raises((ConnectionError, OSError)):
-                cluster_status(head.address, "wrong-" + head.secret)
-            # missing secret (no env fallback): refused client-side
-            with pytest.raises(ConnectionError, match="secret"):
-                cluster_status(head.address, None)
-            # the right secret still works after the failed attempts
-            rows = cluster_status(head.address, head.secret)
-            assert [r["executor_id"] for r in rows] == ["exec-0"]
-        finally:
-            head.stop()

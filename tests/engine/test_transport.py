@@ -1,4 +1,4 @@
-"""Shared-memory / temp-file / socket transport: refs, dedup, lifecycle."""
+"""Shared-memory / temp-file transport: refs, dedup, lifecycle."""
 
 import os
 import pickle
@@ -8,14 +8,7 @@ import pytest
 from repro.engine import task as engine_task
 from repro.engine import transport as tp
 from repro.engine.task import TaskContext
-from repro.engine.transport import (
-    ByRef,
-    SocketTransport,
-    Transport,
-    TransportRef,
-    create_transport,
-    from_spec,
-)
+from repro.engine.transport import ByRef, Transport, TransportRef, from_spec
 
 
 @pytest.fixture(params=["auto", "file"])
@@ -203,159 +196,6 @@ class TestRefEquality:
         with pytest.raises(Exception):
             ref.size = 4
         assert ref == TransportRef("file", "/tmp/x", 3, "aa")
-
-
-@pytest.fixture
-def socket_pair():
-    """A serving socket transport plus a client handle dialed into it."""
-    server = SocketTransport.serve()
-    client = SocketTransport(server.addr, secret=server.secret)
-    yield server, client
-    client.close()
-    server.close()
-
-
-class TestSocketTransport:
-    def test_create_transport_tcp(self):
-        t = create_transport("tcp")
-        try:
-            assert isinstance(t, SocketTransport)
-            assert t.spec()[0] == "tcp"
-        finally:
-            t.close()
-
-    def test_local_roundtrip_on_server(self, socket_pair):
-        server, _ = socket_pair
-        blob = b"\x07" * 4096
-        assert server.get(server.put(blob)) == blob
-
-    def test_client_push_and_get(self, socket_pair):
-        server, client = socket_pair
-        blob = b"over the wire" * 500
-        ref = client.put(blob)
-        assert ref.scheme == "tcp"
-        assert client.get(ref) == blob
-        assert server.get(ref) == blob  # landed in the server store
-
-    def test_client_get_missing_raises(self, socket_pair):
-        _, client = socket_pair
-        missing = TransportRef("tcp", "tok-deadbeef", 4, None)
-        with pytest.raises(KeyError):
-            client.get(missing)
-
-    def test_dedup_offer_short_circuits_payload(self, socket_pair):
-        server, client = socket_pair
-        blob = b"publish me once" * 1000
-        r1 = client.put(blob, dedup=True)
-        published = client.bytes_published
-        # a *different* client handle with a cold memo: only the offer
-        # (hash + size) crosses the wire, the server answers BLOB_HAVE
-        fresh = SocketTransport(server.addr, secret=server.secret)
-        try:
-            r2 = fresh.put(blob, dedup=True)
-        finally:
-            fresh.close()
-        assert r2 == r1
-        assert fresh.bytes_published == 0
-        assert fresh.dedup_hits == 1
-        assert server.dedup_hits >= 1
-        assert client.bytes_published == published  # original unaffected
-
-    def test_dedup_memo_on_same_client(self, socket_pair):
-        _, client = socket_pair
-        blob = b"memo" * 2000
-        r1 = client.put(blob, dedup=True)
-        r2 = client.put(blob, dedup=True)
-        assert r1 == r2
-        assert client.dedup_hits == 1
-
-    def test_delete_then_get_misses(self, socket_pair):
-        server, client = socket_pair
-        ref = client.put(b"short-lived")
-        client.delete(ref)
-        with pytest.raises(KeyError):
-            client.get(ref)
-        with pytest.raises(KeyError):
-            server.get(ref)
-
-    def test_delete_clears_server_dedup_index(self, socket_pair):
-        server, client = socket_pair
-        blob = b"dedup reset" * 300
-        ref = client.put(blob, dedup=True)
-        client.delete(ref)
-        fresh = SocketTransport(server.addr, secret=server.secret)
-        try:
-            again = fresh.put(blob, dedup=True)
-        finally:
-            fresh.close()
-        assert fresh.bytes_published == len(blob)  # re-pushed for real
-        assert server.get(again) == blob
-
-    def test_from_spec_builds_client(self, socket_pair):
-        server, _ = socket_pair
-        handle = from_spec(server.spec())
-        assert isinstance(handle, SocketTransport)
-        blob = b"spec-dialed payload"
-        assert handle.get(handle.put(blob)) == blob
-
-    def test_empty_blob(self, socket_pair):
-        _, client = socket_pair
-        ref = client.put(b"")
-        assert client.get(ref) == b""
-
-
-class TestSocketAuth:
-    """Connections that cannot answer the HMAC challenge are dropped."""
-
-    def test_wrong_secret_rejected(self, socket_pair):
-        server, _ = socket_pair
-        intruder = SocketTransport(server.addr, secret=b"not the secret")
-        try:
-            with pytest.raises((ConnectionError, OSError)):
-                intruder.put(b"payload", dedup=True)
-        finally:
-            intruder.close()
-        # the fleet keeps serving authenticated peers afterwards
-        good = SocketTransport(server.addr, secret=server.secret)
-        try:
-            assert good.get(good.put(b"still alive")) == b"still alive"
-        finally:
-            good.close()
-
-    def test_spec_carries_secret(self, socket_pair):
-        server, _ = socket_pair
-        scheme, addr, secret_hex = server.spec()
-        assert scheme == "tcp" and addr == server.addr
-        assert bytes.fromhex(secret_hex) == server.secret
-
-
-class TestStoreEviction:
-    """The serving store keeps dedup'd blobs under a byte budget."""
-
-    def test_oldest_dedup_blob_evicted(self, socket_pair):
-        server, client = socket_pair
-        server.store_budget = 3000
-        first = client.put(b"a" * 2000, dedup=True)
-        second = client.put(b"b" * 2000, dedup=True)  # pushes store past budget
-        assert server.evictions == 1
-        with pytest.raises(KeyError):
-            server.get(first)
-        assert server.get(second) == b"b" * 2000
-        # the evicted hash left the dedup index: a re-offer re-pushes
-        fresh = SocketTransport(server.addr, secret=server.secret)
-        try:
-            again = fresh.put(b"a" * 2000, dedup=True)
-            assert fresh.bytes_published == 2000
-            assert server.get(again) == b"a" * 2000
-        finally:
-            fresh.close()
-
-    def test_result_blobs_never_evicted(self, socket_pair):
-        server, client = socket_pair
-        server.store_budget = 1000
-        result = client.put(b"r" * 5000)  # tok- key, exempt from eviction
-        client.put(b"c" * 5000, dedup=True)
-        assert server.get(result) == b"r" * 5000
 
 
 class TestShmNamespace:

@@ -21,7 +21,6 @@ import urllib.request
 import pytest
 
 from repro.config import EngineConfig
-from repro.engine.cluster_backend import ClusterHead, fleet_status
 from repro.engine.context import Context
 from repro.obs.fleet import FleetStats, render_fleet_families
 
@@ -302,27 +301,6 @@ class TestFleetSurfaces:
         assert len(families) == len(set(families)), "duplicate metric family"
         assert body.rstrip().endswith("# EOF")
 
-    def test_fleet_status_over_head_socket(self):
-        """The FLEET frame round-trips the snapshot through an external
-        head, and per-connection driver labels attribute the tasks."""
-        head = ClusterHead(num_executors=1, executor_cores=2, port=0)
-        try:
-            config = _cluster_config(
-                num_executors=1, cluster_address=head.address,
-                cluster_secret=head.secret,
-            )
-            with Context(config) as ctx:
-                ctx.parallelize(range(8), 4).map(_add_one).collect()
-            snap = fleet_status(head.address, head.secret)
-            assert snap["jobs_served"] >= 1
-            assert snap["tasks_completed"] >= 4
-            assert sum(snap["tasks_by_driver"].values()) >= 4
-            # the attach payload named the driver; no fallback conn label
-            assert any(d.startswith("driver-") for d in snap["drivers_seen"])
-            assert "fleet_tasks_total" in snap["series_names"]
-        finally:
-            head.stop()
-
     def test_failed_run_event_log_carries_fleet_snapshot(self, tmp_path):
         """Satellite: a job failure on a persistent fleet leaves the
         cluster-resident history in the event log's ``fleet`` line."""
@@ -346,8 +324,8 @@ def _raise(exc):
 
 
 class TestFleetSnapshotErrors:
-    """The stop-time ``fleet`` line: an unreachable head costs one warning
-    and the line; any other error is a bug and propagates."""
+    """The stop-time ``fleet`` line: an in-process snapshot does no I/O, so
+    any error from it is a bug and propagates."""
 
     @staticmethod
     def _stub_ctx(tmp_path, snapshot):
@@ -358,54 +336,9 @@ class TestFleetSnapshotErrors:
         assert ctx.parallelize(range(4), 1).sum() == 6
         return ctx
 
-    def test_unreachable_head_costs_one_warning(self, tmp_path):
-        from repro.engine.eventlog import read_channels
-        from repro.obs.logging import capture_logs
-
-        ctx = self._stub_ctx(tmp_path, _raise(ConnectionError("head gone")))
-        with capture_logs() as records:
-            ctx.stop()
-        (warning,) = [r for r in records if r.level == "warning"]
-        assert warning.logger == "repro.engine.context"
-        assert warning.message.startswith("fleet snapshot")
-        assert warning.fields["error"] == "ConnectionError: head gone"
-        channels = read_channels(str(tmp_path / "events.jsonl"))
-        assert len(channels["job"]) == 1
-        assert channels["fleet"] == []
-
     def test_a_type_error_propagates_from_stop(self, tmp_path):
         ctx = self._stub_ctx(tmp_path, _raise(TypeError("bad call")))
         with pytest.raises(TypeError, match="bad call"):
             ctx.stop()
         del ctx.backend.fleet_snapshot
         ctx.stop()  # the rest of teardown still runs
-
-
-class TestFleetCli:
-    def test_cluster_status_and_top_render_fleet_state(self, capsys):
-        from repro.cli import main
-
-        head = ClusterHead(num_executors=1, executor_cores=2, port=0)
-        try:
-            config = _cluster_config(
-                num_executors=1, cluster_address=head.address,
-                cluster_secret=head.secret,
-            )
-            with Context(config) as ctx:
-                ctx.parallelize(range(8), 4).map(_add_one).collect()
-
-            rc = main(["cluster", "status", "--address", head.address,
-                       "--secret", head.secret])
-            out = capsys.readouterr().out
-            assert rc == 0
-            assert "job(s) served" in out and "warm-cache bytes saved" in out
-
-            rc = main(["cluster", "top", "--address", head.address,
-                       "--secret", head.secret, "--iterations", "1"])
-            out = capsys.readouterr().out
-            assert rc == 0
-            assert f"fleet at {head.address}" in out
-            assert "exec-0" in out and "occupancy trend" in out
-            assert "warm cache:" in out
-        finally:
-            head.stop()

@@ -447,8 +447,8 @@ def _raise(exc):
 
 
 class TestPublishErrors:
-    """A head that cannot be reached costs one warning, never the run; any
-    other error from the publish call is a bug and propagates."""
+    """Publishing folds into the in-process fleet stats: an error from the
+    call is a bug and propagates."""
 
     @staticmethod
     def _run(tmp_path, note):
@@ -469,18 +469,6 @@ class TestPublishErrors:
                 32, seed=1, batch_size=32
             )
         return result, log
-
-    def test_unreachable_head_warns_once_and_the_run_completes(self, tmp_path):
-        from repro.engine.eventlog import read_channels
-        from repro.obs.logging import capture_logs
-
-        with capture_logs() as records:
-            result, log = self._run(tmp_path, _raise(ConnectionError("head gone")))
-        assert result.n_resamples == 32
-        (warning,) = [r for r in records if r.level == "warning"]
-        assert warning.logger == "repro.obs.inference"
-        assert warning.fields["error"] == "ConnectionError: head gone"
-        assert read_channels(log)["fleet"] == []
 
     def test_a_type_error_propagates(self, tmp_path):
         with pytest.raises(TypeError, match="bad call"):

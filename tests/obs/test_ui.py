@@ -196,8 +196,8 @@ def _raise(exc):
 
 
 class TestBackendRPCErrors:
-    """An unreachable external head costs the endpoint its fleet data and
-    logs one warning; a bug in the call is not masked."""
+    """A fleet snapshot is an in-process read: a bug in the call is not
+    masked."""
 
     @pytest.fixture
     def serial_ui(self):
@@ -205,34 +205,6 @@ class TestBackendRPCErrors:
                               executor_cores=1, default_parallelism=2)
         with Context(config, ui_port=0) as ctx:
             yield ctx
-
-    def _ui_warnings(self, records):
-        return [r for r in records if r.logger == "repro.obs.ui" and r.level == "warning"]
-
-    def test_connection_error_disables_api_fleet_with_one_warning(self, serial_ui):
-        from repro.obs.logging import capture_logs
-
-        serial_ui.backend.fleet_snapshot = _raise(ConnectionError("head gone"))
-        with capture_logs() as records:
-            payload = _get_json(serial_ui.ui_url + "/api/fleet")
-        assert payload == {"enabled": False}
-        (warning,) = self._ui_warnings(records)
-        assert warning.fields["endpoint"] == "/api/fleet"
-        assert warning.fields["error"] == "ConnectionError: head gone"
-
-    def test_connection_error_keeps_metrics_and_executors_serving(self, serial_ui):
-        from repro.obs.logging import capture_logs
-
-        serial_ui.backend.fleet_snapshot = _raise(ConnectionError("head gone"))
-        serial_ui.backend.executor_info = _raise(TimeoutError("no reply"))
-        with capture_logs() as records:
-            body = _get(serial_ui.ui_url + "/metrics")[2]
-            executors = _get_json(serial_ui.ui_url + "/api/executors")
-        assert body.rstrip().endswith("# EOF")
-        assert {e["executor_id"] for e in executors} == {"exec-0", "exec-1"}
-        assert [w.fields["endpoint"] for w in self._ui_warnings(records)] == [
-            "/metrics", "/api/executors",
-        ]
 
     def test_a_type_error_is_not_masked(self, serial_ui):
         serial_ui.backend.fleet_snapshot = _raise(TypeError("bad call"))
