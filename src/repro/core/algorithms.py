@@ -20,7 +20,9 @@ executors read the genotype file themselves: each split's *bytes* go to
 ``FormatError`` naming the file and the line on either flavor.  Without
 ``input_paths`` the in-memory matrix is parallelized as one slice per
 partition.  The paper flavor flat-maps the chunks into per-SNP records
-(Algorithm 1 step 3, re-parsed by every uncached pass); the vectorized
+(Algorithm 1 step 3, re-parsed by every uncached pass), and its tasks read
+``weights.txt`` for the join the same way, a split each
+(``parse_weight_rows``, errors located in the file); the vectorized
 flavor cuts blocks from them with one builder and, on the file route,
 persists the int8 blocks, so the file is parsed once per fleet -- the
 blocks, like the cached ``U``, are resident in the workers under a lineage
@@ -70,8 +72,13 @@ import numpy as np
 from repro.core import instrumentation
 from repro.core.blocks import SnpBlock, SnpLookup
 from repro.core.results import ResamplingResult
-from repro.genomics.io.dataset_io import GENOTYPES_FILE, SNPSETS_FILE, parse_genotype_rows
-from repro.genomics.io.formats import FormatError, parse_weight_line
+from repro.genomics.io.dataset_io import (
+    GENOTYPES_FILE,
+    SNPSETS_FILE,
+    parse_genotype_rows,
+    parse_weight_rows,
+)
+from repro.genomics.io.formats import FormatError
 from repro.genomics.synthetic import Dataset
 from repro.stats.resampling import streams
 from repro.stats.resampling.driver import exceedances, resample
@@ -135,9 +142,21 @@ def _snp_records(chunk):
     return zip(snp_ids.tolist(), matrix)
 
 
+def _parse_split(parse, split, *args):
+    """``parse(split.data, *args)``, an error located in the split's file."""
+    try:
+        return parse(split.data, *args)
+    except FormatError as exc:
+        # located within the split: count the file's lines before it
+        raise exc.moved(split.lines_before()) from None
+
+
 class _ParseWeightsFn:
-    def __call__(self, it):
-        return (parse_weight_line(line) for line in it if line)
+    """``weights.txt`` splits' bytes -> their ``(snp_id, weight)`` records."""
+
+    def __call__(self, splits):
+        for split in splits:
+            yield from _parse_split(parse_weight_rows, split)
 
 
 class _SquareWeightFn:
@@ -162,11 +181,7 @@ class _ParseSplitFn:
         self.n_patients = n_patients
 
     def __call__(self, split):
-        try:
-            return parse_genotype_rows(split.data, self.n_patients)
-        except FormatError as exc:
-            # located within the split: count the file's lines before it
-            raise exc.moved(split.lines_before()) from None
+        return _parse_split(parse_genotype_rows, split, self.n_patients)
 
 
 class _BuildBlocksFn:
@@ -458,8 +473,8 @@ class DistributedSparkScore:
             return None
         ctx = self.ctx
         if input_paths is not None and "weights" in input_paths:
-            lines = ctx.text_file(input_paths["weights"], self.num_partitions)
-            pairs = lines.map_partitions(_ParseWeightsFn(), name="parse_weights")
+            splits = ctx.text_file(input_paths["weights"], self.num_partitions).splits()
+            pairs = splits.map_partitions(_ParseWeightsFn(), name="parse_weights")
             rdd = pairs.map(_SquareWeightFn())
         else:
             records = [

@@ -185,15 +185,35 @@ def _read_phenotype(lines: list[str]) -> SurvivalPhenotype:
     return SurvivalPhenotype(np.array([t for _, t, _ in rows]), np.array([e for _, _, e in rows]))
 
 
+def _weight_columns(lines: list[str]) -> list[np.ndarray] | None:
+    """``[SNP ids, weights]`` of the non-blank ``lines``, decoded a column at
+    a time; ``None`` when a check fails (a line for the per-line parser)."""
+    columns = _columns(lines, 2)
+    decoded = columns and _decoded(columns, [np.int64, np.float64])
+    return decoded if decoded and not (decoded[1] < 0).any() else None
+
+
+def parse_weight_rows(data: bytes) -> list[tuple[int, float]]:
+    """Whole lines of a weights file -> its ``(snp_id, weight)`` records in
+    file order, each what :func:`parse_weight_line` gives for its line.
+
+    What an engine task runs on its split of ``weights.txt``: errors are
+    :class:`FormatError` as ``weights.txt:<line of data>:``.
+    """
+    lines = _decode_lines(data, WEIGHTS_FILE)
+    decoded = _weight_columns(lines)
+    if decoded:
+        return list(zip(*(column.tolist() for column in decoded)))
+    return list(_parse_lines(parse_weight_line, lines, WEIGHTS_FILE))
+
+
 def _read_weights(lines: list[str]) -> tuple[np.ndarray, np.ndarray]:
     """``(SNP ids, weights)`` in file order, each id on one line.  An id
     beyond 64 bits names no genotype row and is dropped."""
-    columns = _columns(lines, 2)
-    decoded = columns and _decoded(columns, [np.int64, np.float64])
-    if decoded:
+    decoded = _weight_columns(lines)
+    if decoded and np.diff(np.sort(decoded[0])).all():
         snp_ids, weights = decoded
-        if not (weights < 0).any() and np.diff(np.sort(snp_ids)).all():
-            return snp_ids, weights
+        return snp_ids, weights
     rows = list(_parse_lines(parse_weight_line, lines, WEIGHTS_FILE))
     first: dict[int, int] = {}
     for (snp_id, _), lineno in zip(rows, _linenos(lines)):

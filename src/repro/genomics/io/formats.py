@@ -13,7 +13,9 @@ per-genotype Python call; every other line -- multi-digit or signed tokens,
 spaces, non-ASCII digits, a trailing comma, a missing tab -- goes through the
 token-by-token parser, which therefore defines both the accepted inputs and
 the text of every error.  Which path a line takes is decided from its bytes
-alone.
+alone.  :func:`parse_genotype_text` decodes a whole run of adjacent
+canonical lines of one width as one 2-D block, with no per-row Python call;
+a line the block checks refuse is parsed on its own, as above.
 
 The three small files are read the same way round: :func:`_columns` splits
 a file into columns in one call for a reader that decodes and checks them a
@@ -38,6 +40,12 @@ _ZERO, _COMMA, _TAB, _NEWLINE = b"0,\t\n"
 #: a canonical SNP id is at most this many ASCII digits: it fits ``int64`` and
 #: ``int()`` cannot refuse it (Python caps the digits it will convert)
 _ID_DIGITS = 18
+#: fewer adjacent lines than this go line by line: a block pays about 16 us
+#: of NumPy calls however short it is, a canonical line of 1000 dosages 7 us
+_MIN_RUN = 3
+#: ``"0,"`` read as one little-endian ``uint16``: a canonical ``"d,"`` pair is
+#: this plus ``d``
+_PAIR = _COMMA << 8 | _ZERO
 
 
 class FormatError(ValueError):
@@ -160,51 +168,129 @@ def parse_genotype_text(
     """Genotype text -> ``(snp_ids int64 (J,), matrix int8 (J, n))``.
 
     ``data`` is a whole file or any run of whole lines of one.  Row for row
-    what :func:`parse_genotype_line` returns for each non-blank line, without
-    the per-line ``str`` and array copies.  Errors (a malformed line, a row
-    of another length than ``n_columns`` -- the first row's, when not given --
-    an id beyond 64 bits) are :class:`FormatError` prefixed ``source:line:``,
-    counting the physical lines of ``data``.
+    what :func:`parse_genotype_line` returns for each non-blank line; the
+    canonical lines are decoded a run at a time (:func:`_runs`), every other
+    line by the per-row body below, in file order.  Errors (a malformed line,
+    a row of another length than ``n_columns`` -- the first row's, when not
+    given -- an id beyond 64 bits) are :class:`FormatError` prefixed
+    ``source:line:``, counting the physical lines of ``data``.
     """
     buf = np.frombuffer(data, dtype=np.uint8)
-    newlines, tabs = np.flatnonzero(buf == _NEWLINE), np.flatnonzero(buf == _TAB)
-    if buf.size and (
-        buf.max() > 0x7F or np.count_nonzero(buf < 0x20) != newlines.size + tabs.size
-    ):
+    newlines, tabs, controls = _control_bytes(buf)
+    if buf.size and (buf.max() > 0x7F or controls != newlines.size + tabs.size):
         # something other than "\n" may break lines here ("\r\n", "\x0c",
         # U+2028 ...): let str.splitlines, the definition, rewrite them
         data = "\n".join(_decode_lines(data, source)).encode("utf-8")
         buf = np.frombuffer(data, dtype=np.uint8)
-        newlines, tabs = np.flatnonzero(buf == _NEWLINE), np.flatnonzero(buf == _TAB)
+        newlines, tabs, _ = _control_bytes(buf)
     # the last line ends at the end of the buffer (and is blank after a final "\n")
     ends = np.append(newlines, buf.size)
     starts = np.concatenate(([0], ends[:-1] + 1))
     # each line's first tab (the line's end or beyond when it has none)
     first_tab = np.append(tabs, buf.size)[np.searchsorted(tabs, starts)]
     linenos = np.flatnonzero(ends > starts)
+    starts, first_tab, ends = starts[linenos], first_tab[linenos], ends[linenos]
     snp_ids = np.empty(linenos.size, dtype=np.int64)
-    matrix = np.empty((linenos.size, n_columns or 0), dtype=np.int8)
-    rows = zip(linenos.tolist(), starts[linenos].tolist(),
-               first_tab[linenos].tolist(), ends[linenos].tolist())
-    for row, (lineno, start, tab, end) in enumerate(rows):
-        snp_id = data[start:tab] if tab < end else b""  # digits, until int() below
-        values = None
-        if len(snp_id) <= _ID_DIGITS and snp_id.isdigit():
-            values = _decode_digits(buf[tab + 1:end])
-        try:
-            if values is None:
-                snp_id, values = _parse_genotype_tokens(data[start:end].decode("utf-8"))
-            if row == 0 and n_columns is None:
-                matrix = np.empty((linenos.size, values.size), dtype=np.int8)
-            elif values.size != matrix.shape[1]:
-                raise FormatError(
-                    f"expected {matrix.shape[1]} genotypes, found {values.size}"
-                )
-            matrix[row] = values
-            snp_ids[row] = int(snp_id)
-        except (FormatError, OverflowError) as exc:
-            raise FormatError(str(exc), source, lineno + 1) from exc
-    return snp_ids, matrix
+    matrix = None if n_columns is None else np.empty((linenos.size, n_columns), np.int8)
+
+    def rows_of(n: int) -> np.ndarray:
+        """The matrix, sized by the first row when ``n_columns`` is not given;
+        refuses ``n`` genotypes when they do not fit it."""
+        nonlocal matrix
+        if matrix is None:
+            matrix = np.empty((linenos.size, n), dtype=np.int8)
+        elif n != matrix.shape[1]:
+            raise FormatError(f"expected {matrix.shape[1]} genotypes, found {n}")
+        return matrix
+
+    bounds = linenos.tolist(), starts.tolist(), first_tab.tolist(), ends.tolist()
+    for lo, hi, ids, pairs in _runs(buf, starts, first_tab, ends):
+        if pairs is not None:
+            try:
+                rows = rows_of(pairs.shape[1])[lo:hi]
+            except FormatError as exc:
+                raise FormatError(str(exc), source, bounds[0][lo] + 1) from exc
+            # less "0," a pair's low byte is its dosage, which the cast keeps
+            np.subtract(pairs, _PAIR, out=rows, casting="unsafe")
+            snp_ids[lo:hi] = ids
+            continue
+        for row in range(lo, hi):
+            lineno, start, tab, end = (column[row] for column in bounds)
+            snp_id = data[start:tab] if tab < end else b""  # digits, until int() below
+            values = None
+            if len(snp_id) <= _ID_DIGITS and snp_id.isdigit():
+                values = _decode_digits(buf[tab + 1:end])
+            try:
+                if values is None:
+                    snp_id, values = _parse_genotype_tokens(data[start:end].decode("utf-8"))
+                rows_of(values.size)[row] = values
+                snp_ids[row] = int(snp_id)
+            except (FormatError, OverflowError) as exc:
+                raise FormatError(str(exc), source, lineno + 1) from exc
+    return snp_ids, np.empty((0, 0), np.int8) if matrix is None else matrix
+
+
+def _control_bytes(buf: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """The offsets of the newlines and of the tabs in ``buf``, and how many
+    bytes below ``0x20`` it holds, from one scan."""
+    controls = np.flatnonzero(buf < 0x20)
+    kinds = buf[controls]
+    return controls[kinds == _NEWLINE], controls[kinds == _TAB], controls.size
+
+
+def _runs(
+    buf: np.ndarray, starts: np.ndarray, tabs: np.ndarray, ends: np.ndarray
+) -> Iterator[tuple[int, int, np.ndarray | None, np.ndarray | None]]:
+    """The lines ``starts``/``tabs``/``ends`` bound in ``buf``, in order, as
+    ``(lo, hi, ids, pairs)`` for lines ``lo:hi``: for lines in the canonical
+    shape, their int64 ids and their ``(hi - lo, n)`` dosage fields as
+    ``"d,"`` pairs (:data:`_PAIR` plus the dosage; the last pair is
+    ``"d\\n"``); ``None`` twice for lines left to the per-line parser.
+
+    Adjacent lines of one width and one id width (a *run*) are one
+    ``(r, width + 1)`` view of ``buf``, checked in one pass; a line of the
+    run the checks refuse goes to the per-line parser alone, as do runs of
+    fewer than :data:`_MIN_RUN` lines.  A line with no newline after it (the
+    last) is never in a run.
+    """
+    if not starts.size:
+        return
+    widths, id_widths = ends - starts, tabs - starts
+    # 1-18 id digits, a tab, an odd number of dosage bytes, a newline
+    shaped = (
+        (id_widths > 0) & (id_widths <= _ID_DIGITS) & (tabs < ends)
+        & ((widths - id_widths) % 2 == 0) & (ends < buf.size)
+    )
+    breaks = (
+        (widths[1:] != widths[:-1]) | (id_widths[1:] != id_widths[:-1])
+        | (starts[1:] != ends[:-1] + 1)
+    )
+    heads = np.flatnonzero(np.concatenate(
+        ([True], (shaped[1:] != shaped[:-1]) | (shaped[1:] & breaks))
+    )).tolist()
+    for lo, hi in zip(heads, heads[1:] + [starts.size]):
+        if not shaped[lo] or hi - lo < _MIN_RUN:
+            yield lo, hi, None, None
+            continue
+        t, width = int(id_widths[lo]), int(widths[lo])
+        run = buf[starts[lo]:ends[hi - 1] + 1].reshape(hi - lo, width + 1)
+        pairs = run[:, t + 1:].view("<u2")
+        body = pairs[:, :-1]
+        # uint8 wraps: a byte below "0" lands above 9 too
+        digits = run[:, :t] - _ZERO
+        ok = (
+            (digits.max(axis=1) <= 9)
+            & (body.min(axis=1, initial=_PAIR) >= _PAIR)
+            & (body.max(axis=1, initial=_PAIR) <= _PAIR + 9)
+            & (run[:, -2] - _ZERO <= 9)  # the last dosage, before its newline
+        )
+        ids = digits.astype(np.int64) @ 10 ** np.arange(t - 1, -1, -1, dtype=np.int64)
+        cuts = [0, *(np.flatnonzero(ok[1:] != ok[:-1]) + 1).tolist(), hi - lo]
+        for a, b in zip(cuts, cuts[1:]):
+            if ok[a]:
+                yield lo + a, lo + b, ids[a:b], pairs[a:b]
+            else:
+                yield lo + a, lo + b, None, None
 
 
 # -- phenotype pairs ------------------------------------------------------------

@@ -10,6 +10,8 @@ from repro.engine.backends import SerialBackend
 from repro.engine.context import Context
 from repro.engine.faults import FaultInjector, FaultPlan
 from repro.genomics.io.dataset_io import write_dataset
+from repro.genomics.io.formats import FormatError
+from repro.genomics.synthetic import SyntheticConfig, generate_dataset
 from repro.hdfs.filesystem import MiniHDFS
 
 
@@ -256,6 +258,28 @@ class TestTextInputPaths:
                 input_paths={"genotypes": paths["genotypes"], "weights": paths["weights"]},
             )
             assert np.allclose(scorer.observed_statistics(), reference["observed"])
+
+    @pytest.mark.parametrize("backend", ["serial", "cluster"])
+    def test_bad_weight_line_is_located_in_its_file(self, backend, tmp_path):
+        """A task meets the bad line past the first split of weights.txt:
+        the error names the file and the file's line, not the split's."""
+        dataset = generate_dataset(
+            SyntheticConfig(n_patients=12, n_snps=2400, n_snpsets=4, seed=2)
+        )
+        paths = write_dataset(dataset, str(tmp_path / "ds"))
+        with open(paths["weights"]) as fh:
+            lines = fh.read().splitlines()
+        lines[2000] = "2000\tabc"
+        with open(paths["weights"], "w") as fh:
+            fh.write("\n".join(lines) + "\n")
+        with make_ctx(backend=backend, executor_cores=1) as ctx:
+            assert ctx.text_file(paths["weights"], 4).read_split(0).data.count(b"\n") < 2000
+            scorer = DistributedSparkScore(ctx, dataset, flavor="paper", input_paths=paths)
+            with pytest.raises(
+                FormatError,
+                match=r"^weights\.txt:2001: bad weight line '2000\\tabc': could not convert",
+            ):
+                scorer.observed_statistics()
 
     def test_hdfs_files(self, small_dataset, reference):
         fs = MiniHDFS(num_datanodes=3, block_size=8192)

@@ -162,6 +162,38 @@ def _genotype_lines(draw, n_tokens=st.integers(0, 6)):
     return snp_id + tab + ",".join(tokens)
 
 
+@st.composite
+def _run_files(draw):
+    """20-200 lines: runs of canonical lines of one width, ids 1-19 digits
+    (leading zeros and all), with odd, ragged and blank lines and a
+    ``\r\n`` mixed in.  ``((lines, line breaks), dosages per canonical line)``."""
+    rnd = draw(st.randoms(use_true_random=False))
+    n = draw(st.integers(1, 6))
+    size = draw(st.integers(20, 200))
+    lines: list[str] = []
+    while len(lines) < size:
+        width = draw(st.one_of(st.integers(1, 19), st.sampled_from([18, 19])))
+        for _ in range(draw(st.integers(1, 60))):
+            digits = "".join(rnd.choice("0123456789") for _ in range(width))
+            if width == 19 and rnd.random() < 0.7:
+                digits = "0" + digits[1:]  # 19 digits that still fit int64
+            lines.append(digits + "\t" + ",".join(rnd.choice("0123456789") for _ in range(n)))
+    del lines[size:]
+    odd = st.one_of(
+        _genotype_lines(st.just(n)),
+        _genotype_lines(),
+        st.just(""),
+        st.integers(0, 10**6).map(lambda i: f"{i}\t" + ",".join(["1"] * (n + 1))),  # ragged
+        st.integers(0, 10**6).map(lambda i: f"{i}\t" + ",".join(["1"] * max(n - 1, 0))),
+    )
+    for _ in range(draw(st.integers(0, 4))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(odd))
+    breaks = ["\n"] * len(lines)
+    for _ in range(draw(st.integers(0, 1))):
+        breaks[draw(st.integers(0, len(lines) - 1))] = "\r\n"
+    return (lines, breaks), n
+
+
 def _outcome(call, *args):
     """A parse result, or the exception it raised, in comparable form."""
     try:
@@ -171,17 +203,19 @@ def _outcome(call, *args):
     return snp_id, values.dtype, values.tolist()
 
 
-def _reference_text(text: str, source: str = "genotypes.txt"):
+def _reference_text(text: str, source: str = "genotypes.txt", n_columns=None):
     """The parent's read loop -- token parser over ``str.splitlines`` -- with
-    the locations and the ragged-row check ``parse_genotype_text`` adds."""
+    the locations and the ragged-row check ``parse_genotype_text`` adds: every
+    row holds ``n_columns`` genotypes, or the first row's number."""
     ids, rows = [], []
     for lineno, line in enumerate(text.splitlines(), 1):
         if not line:
             continue
         try:
             snp_id, values = _parse_genotype_tokens(line)
-            if rows and values.size != rows[0].size:
-                raise FormatError(f"expected {rows[0].size} genotypes, found {values.size}")
+            width = n_columns if n_columns is not None or not rows else rows[0].size
+            if width is not None and values.size != width:
+                raise FormatError(f"expected {width} genotypes, found {values.size}")
             np.int64(snp_id)
         except (FormatError, OverflowError) as exc:
             return "FormatError", f"{source}:{lineno}: {exc}"
@@ -190,9 +224,9 @@ def _reference_text(text: str, source: str = "genotypes.txt"):
     return ids, [row.tolist() for row in rows]
 
 
-def _text_outcome(data: bytes):
+def _text_outcome(data: bytes, n_columns=None):
     try:
-        snp_ids, matrix = parse_genotype_text(data)
+        snp_ids, matrix = parse_genotype_text(data, n_columns=n_columns)
     except FormatError as exc:
         return "FormatError", str(exc)
     assert snp_ids.dtype == np.int64 and matrix.dtype == np.int8
@@ -251,6 +285,21 @@ class TestCodecAgainstTokenParser:
         text = newline.join(lines) + (newline if trailing else "")
         assert _text_outcome(text.encode("utf-8")) == _reference_text(text)
 
+    @seed(190_004)
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(_run_files(), st.booleans(), st.sampled_from([None, 0, 1]))
+    def test_runs_match_lines(self, file, trailing, n_columns):
+        """Long files of equal-width runs, odd lines mixed in: the run decode
+        and its per-row fallback give the reference's rows or its first error."""
+        (lines, breaks), n = file
+        if n_columns is not None:
+            n_columns += n  # the runs' width, or one more than every run has
+        text = "".join(line + brk for line, brk in zip(lines, breaks))
+        if not trailing:
+            text = text.removesuffix(breaks[-1])
+        expected = _reference_text(text, n_columns=n_columns)
+        assert _text_outcome(text.encode("utf-8"), n_columns) == expected
+
     def test_not_utf8_is_located(self):
         with pytest.raises(FormatError, match=r"^g\.txt:2: not UTF-8"):
             parse_genotype_text(b"1\t0,1\n2\t0,\xff\n", "g.txt")
@@ -281,6 +330,74 @@ class TestCodecAgainstTokenParser:
         assert f",{odd}," in expected
         with open(paths["genotypes"], "rb") as fh:
             assert fh.read() == expected.encode()
+
+
+class TestRunDecodeStructure:
+    """A split of canonical lines decodes one run at a time: no per-row parser
+    call at all, and one odd line costs one per-row parse, not its run's."""
+
+    @pytest.fixture(scope="class")
+    def split(self):
+        rng = np.random.default_rng(38)
+        matrix = rng.integers(0, 3, size=(750, 1000), dtype=np.int8)
+        snp_ids = np.arange(1000, 1750)  # one id width: the split is one run
+        return snp_ids, matrix, _format_genotype_text(snp_ids, matrix)
+
+    @pytest.fixture
+    def row_calls(self, monkeypatch):
+        calls = {"tokens": 0, "digits": 0}
+        tokens, digits = formats._parse_genotype_tokens, formats._decode_digits
+
+        def tokens_spy(line):
+            calls["tokens"] += 1
+            return tokens(line)
+
+        def digits_spy(field):
+            calls["digits"] += 1
+            return digits(field)
+
+        monkeypatch.setattr(formats, "_parse_genotype_tokens", tokens_spy)
+        monkeypatch.setattr(formats, "_decode_digits", digits_spy)
+        return calls
+
+    def _edited(self, data: bytes, row: int, edit) -> bytes:
+        lines = data.split(b"\n")
+        lines[row] = edit(lines[row])
+        return b"\n".join(lines)
+
+    def test_canonical_split_makes_no_per_row_call(self, split, row_calls):
+        snp_ids, matrix, data = split
+        ids, back = parse_genotype_text(data, n_columns=1000)
+        assert row_calls == {"tokens": 0, "digits": 0}
+        assert np.array_equal(ids, snp_ids) and np.array_equal(back, matrix)
+
+    @pytest.mark.parametrize("edit, calls", [
+        # same width, an id int() reads but the digit check refuses
+        (lambda line: b" " + line[1:], {"tokens": 1, "digits": 0}),
+        # one byte wider: a run of its own, taken by the per-row parser
+        (lambda line: line.replace(b"\t", b"\t ", 1), {"tokens": 1, "digits": 1}),
+    ], ids=["refused-in-run", "another-width"])
+    def test_one_odd_line_costs_one_row(self, split, row_calls, edit, calls):
+        snp_ids, matrix, data = split
+        edited = self._edited(data, 120, edit)
+        ids, back = parse_genotype_text(edited, n_columns=1000)
+        assert row_calls == calls
+        odd_id, odd_row = parse_genotype_line(edited.split(b"\n")[120].decode())
+        assert ids.tolist() == [*snp_ids[:120].tolist(), odd_id, *snp_ids[121:].tolist()]
+        assert np.array_equal(back, matrix) and np.array_equal(odd_row, matrix[120])
+
+    def test_last_line_without_newline_is_one_row(self, split, row_calls):
+        snp_ids, matrix, data = split
+        ids, back = parse_genotype_text(data.rstrip(b"\n"), n_columns=1000)
+        assert row_calls == {"tokens": 0, "digits": 1}
+        assert np.array_equal(ids, snp_ids) and np.array_equal(back, matrix)
+
+    def test_ragged_row_in_a_run_is_located(self, split, row_calls):
+        _, _, data = split
+        ragged = self._edited(data, 120, lambda line: line[:-2])
+        with pytest.raises(FormatError, match=r"^genotypes\.txt:121: expected 1000 genotypes, found 999$"):
+            parse_genotype_text(ragged, n_columns=1000)
+        assert row_calls == {"tokens": 0, "digits": 1}
 
 
 class TestReadDatasetStructure:
