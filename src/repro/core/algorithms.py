@@ -45,16 +45,21 @@ once and hands :func:`~repro.stats.resampling.driver.resample` -- the loop
 the local engine runs too -- a wave count and an ``after_batch`` that
 records the batch and publishes the monitor.  A paper-flavor wave is one
 batch and one join/``reduce_by_key`` job; a vectorized wave is
-:data:`WAVE_BATCHES` batches, one broadcast and one single-stage job.
+:data:`WAVE_BATCHES` batches, stacked once in the driver into one array,
+one broadcast and one single-stage job -- on the cached ``U``, one GEMM per
+block for the whole wave.
 
 Every transformation in the hot path is a named module-level callable (not
 a lambda), so the whole pipeline pickles and runs on the process backend.
 Exceedance counting happens *inside* tasks.  A vectorized run has no
 observed pass of its own: its first wave's tasks score their blocks'
-observed partials, compare the sets they hold whole in place, and return
-the partials with the SNP ids they scored; later waves carry the driver's
-folded observed vector in their payload broadcast.  Straddling sets come
-back as per-block columns the driver folds in partition -> block order
+observed partials from the marginal scores ``G . c`` -- one GEMV on the
+model's ``score_weights()``, the route ``LocalSparkScore`` takes; a cached
+``U`` block carries the scores ``_BlockContributionsFn`` computed -- compare
+the sets they hold whole in place, and return the partials with the SNP
+ids they scored; later waves carry the driver's folded observed vector in
+their payload broadcast.  Straddling sets come back as per-block columns
+the driver folds in partition -> block order
 (DESIGN.md §8 says why that is bit-identical to one fold of every block's
 partial).  No shuffle, and O(K) counts plus ``b`` floats per straddling
 (set, block) to the driver.
@@ -220,18 +225,21 @@ class _ChunkContributionsFn:
 
 
 class _BlockContributionsFn:
-    """Re-block with contributions in place of dosages (vectorized flavor)."""
+    """Re-block with contributions in place of dosages (vectorized flavor),
+    carrying the marginal scores a dosage-route wave would compute."""
 
     def __init__(self, model_bc) -> None:
         self.model_bc = model_bc
 
     def __call__(self, block: SnpBlock) -> SnpBlock:
+        model, rows = self.model_bc.value, block.genotypes.astype(np.float64)
         return SnpBlock(
             block.snp_ids,
             block.set_ids,
             block.weights_sq,
-            self.model_bc.value.contributions(block.genotypes.astype(np.float64)),
+            model.contributions(rows),
             block.n_sets,
+            scores=model.scores(rows),
         )
 
 
@@ -255,25 +263,52 @@ class _McChunkInnersFn:
             yield from zip(ids, np.square(rows @ z.T))
 
 
+class _StackedWave:
+    """A wave's batches, stacked once in the driver into one ``(sum(widths),
+    n)`` array of replicates: one buffer to broadcast and one GEMM per block.
+    Sized and iterated as its batches (views of the stack)."""
+
+    def __init__(self, replicates: np.ndarray, widths: list[int]) -> None:
+        self.replicates = replicates
+        self.widths = widths
+
+    def __len__(self) -> int:
+        return len(self.widths)
+
+    def __iter__(self):
+        return iter(self.split(self.replicates))
+
+    def split(self, stacked: np.ndarray) -> list[np.ndarray]:
+        """``stacked``'s rows cut into the wave's batches."""
+        return np.split(stacked, np.cumsum(self.widths)[:-1])
+
+
 class _WaveCountsFn:
     """One wave of batches on one partition's blocks (vectorized flavor).
 
-    The broadcast is ``(observed, payloads)``; a first wave's ``observed``
-    is ``None``, and the task folds its blocks' observed partials -- of the
-    block (``U``) or, given the model, of its contributions -- instead.  Per
-    batch the blocks' ``(b, K)`` partials are folded left in block order; a
-    set all of whose SNPs are in this partition is compared in place with
-    the observed statistics, a set that straddles partitions sends its
-    per-block columns to :meth:`DistributedSparkScore._fold_wave`.  Yields
-    ``(complete sets, (W, complete) counts, set of each column, columns,
-    scored)``, a column holding the wave's batches end to end and
-    ``scored`` a first wave's ``((K,) observed, SNP ids)``, else ``None``.
+    The broadcast is ``(observed, wave)``, the wave a :class:`_StackedWave`
+    (``[]`` for a wave of no batches).  A first wave's ``observed`` is
+    ``None``, and the task folds its blocks' observed partials instead, from
+    the marginal scores ``G . c`` -- the ones a block of ``U`` carries or,
+    given the model, the model's scores of the dosages.  A block's
+    ``(sum(widths), K)`` replicate partials are folded left in block order;
+    a set all of whose SNPs are in this partition is compared in place with
+    the observed statistics, batch by batch, and a set that straddles
+    partitions sends its per-block columns to
+    :meth:`DistributedSparkScore._fold_wave`.  Yields ``(complete sets,
+    (W, complete) counts, set of each column, columns, scored)``, a column
+    holding the wave's batches end to end and ``scored`` a first wave's
+    ``((K,) observed, SNP ids)``, else ``None``.
     """
 
     def __init__(self, wave_bc, lookup_bc, model_bc=None) -> None:
         self.wave_bc = wave_bc
         self.lookup_bc = lookup_bc
         self.model_bc = model_bc
+
+    @property
+    def wave(self) -> _StackedWave:
+        return self.wave_bc.value[1]
 
     def __call__(self, blocks):
         blocks = [(block, block.genotypes.astype(np.float64, copy=False)) for block in blocks]
@@ -284,43 +319,49 @@ class _WaveCountsFn:
         whole = (np.sum(held, axis=0) == sizes) & (sizes > 0)
         complete = np.flatnonzero(whole)
         straddling = [np.flatnonzero((n > 0) & ~whole) for n in held]
-        observed, payloads = self.wave_bc.value
+        observed, wave = self.wave_bc.value
         scored = None
         if observed is None:
             observed = np.zeros(sizes.size)
             for block, rows in blocks:
-                if self.model_bc is not None:
-                    rows = self.model_bc.value.contributions(rows)
-                observed = observed + block.skat_partial(rows.sum(axis=1))
+                scores = block.scores if self.model_bc is None else self.model_bc.value.scores(rows)
+                observed = observed + block.skat_partial(scores)
             scored = observed, np.concatenate([block.snp_ids for block, _ in blocks])
-        counts = np.zeros((len(payloads), complete.size), np.int64)
-        columns = [np.empty((sum(sets.size for sets in straddling), 0))]
-        for i, payload in enumerate(payloads):
-            total, batch_columns = None, []
+        counts = np.zeros((len(wave), complete.size), np.int64)
+        columns = np.empty((sum(sets.size for sets in straddling), 0))
+        if len(wave):
+            total, columns = None, []
             for (block, rows), sets in zip(blocks, straddling):
-                partial = self.partial(block, rows, payload)
+                partial = self.partial(block, rows, wave.replicates)
                 total = partial if total is None else total + partial
-                batch_columns.append(partial[:, sets].T)
-            counts[i] = exceedances(total[:, complete], observed[complete])
-            columns.append(np.concatenate(batch_columns))
-        yield complete, counts, np.concatenate(straddling), np.hstack(columns), scored
+                columns.append(partial[:, sets].T)
+            for i, batch in enumerate(wave.split(total[:, complete])):
+                counts[i] = exceedances(batch, observed[complete])
+            columns = np.concatenate(columns)
+        yield complete, counts, np.concatenate(straddling), columns, scored
 
 
 class _McWaveFn(_WaveCountsFn):
-    """MC multipliers against cached ``U`` blocks or, given the model (the
-    no-cache arm), against ``U`` re-derived from the dosages every batch."""
+    """MC multipliers against cached ``U`` blocks, one GEMM per block per
+    wave or, given the model (the no-cache arm), against ``U`` re-derived
+    from the dosages every batch."""
 
     def partial(self, block: SnpBlock, rows: np.ndarray, z: np.ndarray) -> np.ndarray:
-        if self.model_bc is not None:
-            rows = self.model_bc.value.contributions(rows)
-        return block.skat_partial(z @ rows.T)
+        if self.model_bc is None:
+            return block.skat_partial(z @ rows.T)
+        model = self.model_bc.value
+        return block.skat_partial(
+            np.concatenate([batch @ model.contributions(rows).T for batch in self.wave.split(z)])
+        )
 
 
 class _PermutedWaveFn(_WaveCountsFn):
-    """Permuted score weights against the dosage blocks."""
+    """Permuted score weights against the dosage blocks, batch by batch."""
 
     def partial(self, block: SnpBlock, rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
-        return block.skat_partial_rows(weights @ rows.T)
+        return np.concatenate(
+            [block.skat_partial_rows(batch @ rows.T) for batch in self.wave.split(weights)]
+        )
 
 
 class _PermutedChunkInnersFn:
@@ -535,16 +576,16 @@ class DistributedSparkScore:
             counts[set_idx] = count
         return counts
 
-    def _wave(self, kernel, cache: bool, payloads: list, observed: np.ndarray | None):
-        """One single-stage job counting a wave's ``payloads``: ``((W, K)
-        counts, (K,) observed)``.  Its blocks are the cached ``U`` or, off
-        the cache, the dosage blocks and the model.  Without ``observed`` --
-        a run's first wave -- the tasks score it as well."""
+    def _wave(self, kernel, cache: bool, wave, observed: np.ndarray | None):
+        """One single-stage job counting a :class:`_StackedWave` (or ``[]``):
+        ``((W, K) counts, (K,) observed)``.  Its blocks are the cached ``U``
+        or, off the cache, the dosage blocks and the model.  Without
+        ``observed`` -- a run's first wave -- the tasks score it as well."""
         source = self.contributions_rdd() if cache else self._gm_rdd
         model_bc = None if cache else self._model_bc
-        with _broadcast(self.ctx, (observed, payloads)) as wave_bc:
+        with _broadcast(self.ctx, (observed, wave)) as wave_bc:
             parts = source.map_partitions(kernel(wave_bc, self._lookup_bc, model_bc)).collect()
-        return self._fold_wave(parts, [len(payload) for payload in payloads], observed)
+        return self._fold_wave(parts, [len(batch) for batch in wave], observed)
 
     def _fold_wave(self, parts: list, widths: list[int], observed: np.ndarray | None):
         """``((W, K) counts, (K,) observed)`` from every partition's
@@ -659,8 +700,8 @@ class DistributedSparkScore:
 
         def count_wave(wave: list[np.ndarray]) -> np.ndarray:
             nonlocal observed
-            payloads = [payload(batch) for batch in wave]
-            counts, observed = self._wave(kernel, cache_contributions, payloads, observed)
+            stacked = _StackedWave(payload(np.concatenate(wave)), [len(batch) for batch in wave])
+            counts, observed = self._wave(kernel, cache_contributions, stacked, observed)
             return counts
 
         def after_batch(width: int, seconds: float) -> None:

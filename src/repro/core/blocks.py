@@ -5,7 +5,9 @@ faithful but pays per-record overhead for every genotype row; the
 ``"vectorized"`` flavor instead carries *blocks* of SNP rows per record so
 each map task is a handful of NumPy kernel calls.  A block carries its
 members' weights and set assignments, resolved once at construction, plus a
-cached sparse membership matrix for set aggregation.
+dense indicator over the sets it holds, built on first use and cached, for
+aggregating a batch of replicates.  A block of contributions ``U`` also
+carries its SNPs' marginal scores ``G_j . c``, computed from the same rows.
 
 Blocks are cut from ``(snp_ids, matrix)`` chunks -- a parsed split of the
 genotype file, or a slice of an in-memory matrix -- by
@@ -19,7 +21,6 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping
 
 import numpy as np
-from scipy import sparse
 
 
 @dataclass
@@ -29,9 +30,12 @@ class SnpBlock:
     snp_ids: np.ndarray  # (m,) SNP identifiers
     set_ids: np.ndarray  # (m,) SNP-set index per row
     weights_sq: np.ndarray  # (m,) omega_j^2 per row
-    genotypes: np.ndarray  # (m, n) dosages (any numeric dtype)
+    genotypes: np.ndarray  # (m, n) dosages (any numeric dtype), or U
     n_sets: int
-    _membership: sparse.csr_matrix | None = field(default=None, repr=False, compare=False)
+    scores: np.ndarray | None = None  # (m,) marginal scores, on a block of U
+    _indicator: tuple[np.ndarray, np.ndarray] | None = field(
+        default=None, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         m = self.genotypes.shape[0]
@@ -42,14 +46,15 @@ class SnpBlock:
     def n_snps(self) -> int:
         return self.genotypes.shape[0]
 
-    def membership(self) -> sparse.csr_matrix:
-        """(K, m) indicator matrix, built lazily and cached on the block."""
-        if self._membership is None:
-            m = self.n_snps
-            self._membership = sparse.csr_matrix(
-                (np.ones(m), (self.set_ids, np.arange(m))), shape=(self.n_sets, m)
-            )
-        return self._membership
+    def _held_sets(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(k_b,)`` sets this block holds and the dense ``(m, k_b)``
+        indicator of its rows in them, built once and cached on the block."""
+        if self._indicator is None:
+            held, column = np.unique(self.set_ids, return_inverse=True)
+            indicator = np.zeros((self.n_snps, held.size))
+            indicator[np.arange(self.n_snps), column] = 1.0
+            self._indicator = held, indicator
+        return self._indicator
 
     def aggregate_per_snp(self, per_snp: np.ndarray) -> np.ndarray:
         """Sum per-SNP values into per-set partials.
@@ -58,7 +63,10 @@ class SnpBlock:
         """
         if per_snp.ndim == 1:
             return np.bincount(self.set_ids, weights=per_snp, minlength=self.n_sets)
-        return np.asarray(per_snp @ self.membership().T)
+        held, indicator = self._held_sets()
+        out = np.zeros((per_snp.shape[0], self.n_sets))
+        out[:, held] = per_snp @ indicator
+        return out
 
     def skat_partial(self, scores: np.ndarray) -> np.ndarray:
         """Per-set SKAT partials from marginal scores for this block's SNPs."""
@@ -67,10 +75,10 @@ class SnpBlock:
     def skat_partial_rows(self, score_rows: np.ndarray) -> np.ndarray:
         """(b, K) partials, one bincount pass per replicate row.
 
-        Batched replicates must go row-by-row through the 1-D
-        ``skat_partial`` path: the 2-D sparse-matmul path associates the
-        per-set additions differently, so a batched replicate would not be
-        bit-identical to the same replicate computed unbatched.
+        Row by row through the 1-D ``skat_partial`` path, a replicate's
+        partial is the same sequential sum whatever batch it rides in.  The
+        2-D path's GEMM against the indicator leaves the order of the
+        per-set additions to BLAS, so it is held only to rounding.
         """
         rows = np.atleast_2d(score_rows)
         return np.stack([self.skat_partial(row) for row in rows])

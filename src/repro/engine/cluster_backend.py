@@ -62,10 +62,13 @@ from repro.engine.executor import ExecutorLostError
 from repro.engine.listener import ExecutorDecommissioned, ExecutorRegistered
 from repro.engine.transport import Transport
 from repro.obs.fleet import FleetStats
+from repro.obs.logging import get_logger
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.config import EngineConfig
     from repro.engine.context import Context
+
+log = get_logger("repro.cluster")
 
 #: how long to wait for the fleet to register before declaring a dud start
 _REGISTER_TIMEOUT = 60.0
@@ -307,6 +310,7 @@ class ClusterManager:
         self._ctx: "Context | None" = None
         self._tokens = itertools.count(1)
         self._last_fleet_sample = 0.0
+        self._sampler_failed = False
         self._lock = threading.Lock()
         self._cmds: deque = deque()
         self._exec_state: dict[str, str] = {}
@@ -520,19 +524,31 @@ class ClusterManager:
                         self._service_conn(key.fileobj, tag, mask)
                 except (BlockingIOError, OSError):
                     pass
-                except Exception:
+                except Exception as exc:  # noqa: BLE001 - logged, the loop lives on
                     # a poisoned frame must not kill the dispatch plane; the
-                    # offending connection is dropped, the loop lives on
-                    if isinstance(tag, _WorkerHandle) or isinstance(tag, dict):
-                        self._on_disconnect(key.fileobj, tag if isinstance(tag, _WorkerHandle) else None)
+                    # offending connection is dropped
+                    handle = tag if isinstance(tag, _WorkerHandle) else None
+                    log.warning(
+                        "dropping a connection the dispatch loop failed to service",
+                        executor_id=handle.executor_id if handle else None,
+                        error=f"{type(exc).__name__}: {exc}",
+                    )
+                    if handle is not None or isinstance(tag, dict):
+                        self._on_disconnect(key.fileobj, handle)
             self._process_commands()
             now = time.monotonic()
             if now - self._last_fleet_sample >= 1.0:
                 self._last_fleet_sample = now
                 try:
                     self.fleet.sample(self)
-                except Exception:
-                    pass  # observability must never stall dispatch
+                except Exception as exc:  # noqa: BLE001 - must never stall dispatch
+                    if not self._sampler_failed:
+                        self._sampler_failed = True
+                        log.warning(
+                            "fleet sampler failed; later failures of this fleet's "
+                            "sampler are not logged",
+                            error=f"{type(exc).__name__}: {exc}",
+                        )
 
     def _accept_pending(self) -> None:
         while True:

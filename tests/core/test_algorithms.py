@@ -169,22 +169,22 @@ class TestPermutationKernelStructure:
         with make_ctx() as ctx:
             scorer = DistributedSparkScore(ctx, small_dataset, flavor="vectorized", block_size=64)
             scorer.observed_statistics(cache_contributions=False)
-            observed_pass = calls["contributions"]  # one call per block
             calls["broadcasts"].clear()
             result = scorer.permutation(32, seed=5, batch_size=16)
-            # the observed pass stays on the contributions route, to the bit
+            # observed is scored by G . c on every route, replicates by a GEMM
+            assert calls["contributions"] == 0
+            # to the bit what the cached route (which builds U) scores
             assert np.array_equal(result.observed, scorer.observed().observed)
-        assert observed_pass > 0
         assert calls["permuted"] == 0
-        # each run scores observed once per block, and nothing per replicate
-        assert calls["contributions"] == 3 * observed_pass
-        # one payload broadcast per wave: both batches' permuted weights and,
-        # in a first wave, no observed statistics; then observed()'s empty wave
+        # one payload broadcast per wave: both batches' permuted weights,
+        # stacked, and, in a first wave, no observed statistics; then
+        # observed()'s empty wave
         (observed, wave), zero_wave = calls["broadcasts"]
         assert observed is None and zero_wave == (None, [])
-        assert [(b.shape, b.dtype) for b in wave] == [
-            ((16, small_dataset.n_patients), np.float64)
-        ] * 2
+        assert (wave.replicates.shape, wave.replicates.dtype) == (
+            (32, small_dataset.n_patients), np.float64
+        )
+        assert wave.widths == [16, 16]
 
     def test_paper_flavor_is_algorithm_2_as_written(self, small_dataset, calls):
         with make_ctx() as ctx:

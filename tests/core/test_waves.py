@@ -149,7 +149,7 @@ class TestCountsDoNotDependOnTheWave:
 
 
 def _block_observed(block):
-    return block.skat_partial(block.genotypes.sum(axis=1))
+    return block.skat_partial(block.scores)
 
 
 def _fold_partition(n_sets, blocks):
@@ -315,8 +315,54 @@ def test_uncached_arm_recomputes_u_per_block_per_batch(small_dataset, monkeypatc
     J, P = small_dataset.n_snps, 4
     bounds = [(i * J) // P for i in range(P + 1)]
     blocks = sum(-(-(hi - lo) // 64) for lo, hi in zip(bounds, bounds[1:]))
-    assert len(calls) == blocks * (1 + 5)  # the observed pass, then five batches
-    assert sum(calls) == J * (1 + 5)
+    assert len(calls) == blocks * 5  # five batches; the observed pass needs no U
+    assert sum(calls) == J * 5
+
+
+def _blocks(dataset, block_size=64, partitions=4):
+    """Blocks of ``block_size`` rows the in-memory route cuts."""
+    J = dataset.n_snps
+    bounds = [(i * J) // partitions for i in range(partitions + 1)]
+    return sum(-(-(hi - lo) // block_size) for lo, hi in zip(bounds, bounds[1:]))
+
+
+def test_cached_mc_wave_is_one_gemm_per_block(small_dataset, monkeypatch):
+    rows = []
+    partial = algorithms._McWaveFn.partial
+
+    def spy(self, block, u, z):
+        rows.append(z.shape[0])
+        return partial(self, block, u, z)
+
+    monkeypatch.setattr(algorithms._McWaveFn, "partial", spy)
+    with Context(_config()) as ctx:
+        DistributedSparkScore(ctx, small_dataset, block_size=64).monte_carlo(**MC)
+    # a wave of four batches of 32, then a wave of one: one call per block
+    # each, on every replicate row of the wave
+    blocks = _blocks(small_dataset)
+    assert sorted(rows, reverse=True) == [4 * 32] * blocks + [32] * blocks
+
+
+def test_dosage_route_first_wave_scores_observed_without_u(small_dataset, monkeypatch):
+    calls = {"contributions": 0, "scores": 0}
+
+    def counting(name):
+        method = getattr(CoxScoreModel, name)
+
+        def wrapper(self, genotypes):
+            calls[name] += 1
+            return method(self, genotypes)
+
+        monkeypatch.setattr(CoxScoreModel, name, wrapper)
+
+    counting("contributions")
+    counting("scores")
+    with Context(_config()) as ctx:
+        scorer = DistributedSparkScore(ctx, small_dataset, block_size=64)
+        scorer.observed_statistics(cache_contributions=False)
+        scorer.permutation(**PERM)
+    # one G . c per block in each first wave, and no U anywhere
+    assert calls == {"contributions": 0, "scores": 2 * _blocks(small_dataset)}
 
 
 def test_warm_repeat_is_one_job_one_stage_and_no_shuffle(fresh_cluster, tmp_path):

@@ -25,6 +25,7 @@ from repro.engine.cluster_backend import (
     ClusterManager,
     _claim_cpu_share,
     _openblas,
+    _WorkerHandle,
     get_cluster,
 )
 from repro.core.algorithms import DistributedSparkScore
@@ -42,6 +43,7 @@ from repro.engine.listener import (
 from repro.engine.scheduler import TaskScheduler
 from repro.engine.transport import BY_REF_MIN_BYTES
 from repro.genomics.synthetic import SyntheticConfig, generate_dataset
+from repro.obs.logging import capture_logs
 from repro.obs.registry import REGISTRY
 
 
@@ -388,6 +390,58 @@ class TestResidentBlockFailures:
         assert sum(job.num_task_failures for job in jobs) == 2
         manager.stop()
         assert not glob.glob(f"/dev/shm/repro-{manager.transport.namespace}-*")
+
+
+class TestDispatchLoopErrors:
+    """What the dispatch loop swallows it logs, and the run goes on."""
+
+    @staticmethod
+    def _warnings(records):
+        return [r for r in records if r.logger == "repro.cluster" and r.level == "warning"]
+
+    def test_a_connection_that_fails_to_service_is_logged_and_dropped(
+        self, fresh_cluster, monkeypatch
+    ):
+        config, manager = fresh_cluster()
+        service = manager._service_conn
+        failed = []
+
+        def failing_once(sock, tag, mask):
+            if not failed and isinstance(tag, _WorkerHandle):
+                failed.append(tag.executor_id)
+                raise RuntimeError("injected dispatch fault")
+            service(sock, tag, mask)
+
+        with Context(config) as ctx, capture_logs() as records:
+            # this fleet's only: other fleets of the process run on
+            monkeypatch.setattr(manager, "_service_conn", failing_once)
+            # the dropped worker's task, if it had one, is retried on its peer
+            assert _warm_workload_shm(ctx) == sum(x * x for x in range(64))
+        assert failed
+        (warning,) = self._warnings(records)
+        assert warning.executor_id == failed[0]
+        assert warning.fields == {"error": "RuntimeError: injected dispatch fault"}
+
+    def test_a_failing_fleet_sampler_is_logged_once_per_fleet(
+        self, fresh_cluster, monkeypatch
+    ):
+        config, manager = fresh_cluster()
+        calls = []
+
+        def failing(sampled):
+            calls.append(sampled)
+            raise RuntimeError("injected sampler fault")
+
+        with Context(config) as ctx, capture_logs() as records:
+            # this fleet's only: other fleets of the process sample on
+            monkeypatch.setattr(manager.fleet, "sample", failing)
+            deadline = time.monotonic() + 10.0
+            while len(calls) < 2:  # samples come once a second
+                assert _warm_workload_shm(ctx) == sum(x * x for x in range(64))
+                assert time.monotonic() < deadline, "the sampler never ran twice"
+                time.sleep(0.05)
+        (warning,) = self._warnings(records)
+        assert warning.fields == {"error": "RuntimeError: injected sampler fault"}
 
 
 needs_affinity = pytest.mark.skipif(
