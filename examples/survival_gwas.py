@@ -3,9 +3,10 @@
 Reproduces the flow of Figure 1 / Algorithms 1-3 at laptop scale:
 
 1. generate the Section III synthetic dataset,
-2. write the four input text files into a simulated HDFS,
+2. write the four input text files into a directory,
 3. run the distributed engine with the genotype parse happening in map
-   tasks (exactly the paper's stage 0),
+   tasks, each reading the byte range of its own split (exactly the
+   paper's stage 0),
 4. compare Monte Carlo (cached U RDD) against permutation resampling, and
 5. report the engine's cache/shuffle metrics showing *why* MC wins.
 
@@ -14,6 +15,8 @@ Run:  python examples/survival_gwas.py
 
 from __future__ import annotations
 
+import os
+import tempfile
 import time
 
 import numpy as np
@@ -21,7 +24,6 @@ import numpy as np
 from repro import EngineConfig, SparkScoreAnalysis, SyntheticConfig, generate_dataset
 from repro.engine.context import Context
 from repro.genomics.io.dataset_io import write_dataset
-from repro.hdfs.filesystem import MiniHDFS
 
 
 def main() -> None:
@@ -29,20 +31,18 @@ def main() -> None:
         SyntheticConfig(n_patients=200, n_snps=3000, n_snpsets=60, seed=99)
     )
 
-    # --- stage the inputs on (simulated) HDFS --------------------------------
-    fs = MiniHDFS(num_datanodes=4, block_size=256 * 1024, replication=2)
-    write_dataset(data, "/gwas/run1", hdfs=fs)
-    status = fs.status("/gwas/run1/genotypes.txt")
-    print(f"genotype file on HDFS: {status.size/1e6:.2f} MB in {status.num_blocks} "
-          f"blocks (replication {status.replication})")
-
     config = EngineConfig(
         backend="serial", num_executors=4, executor_cores=2, default_parallelism=8
     )
-    with Context(config, hdfs=fs) as ctx:
+    with tempfile.TemporaryDirectory() as base, Context(config) as ctx:
+        # --- stage the inputs as text files -----------------------------------
+        write_dataset(data, base)
+        genotypes = os.path.join(base, "genotypes.txt")
+        print(f"genotype file: {os.path.getsize(genotypes)/1e6:.2f} MB in "
+              f"{ctx.text_file(genotypes).num_partitions()} splits")
+
         analysis = SparkScoreAnalysis.from_files(
-            "/gwas/run1", hdfs=fs,
-            engine="distributed", ctx=ctx, flavor="vectorized", block_size=256,
+            base, engine="distributed", ctx=ctx, flavor="vectorized", block_size=256,
         )
 
         # --- Algorithm 3: Monte Carlo with the U RDD cached -------------------

@@ -5,7 +5,6 @@ Genomic Inference* (Bahmani et al., IPDPSW 2016).  It contains
 
 - :mod:`repro.engine` -- a from-scratch Spark-like execution engine (lazy
   RDDs, DAG scheduler, shuffle, caching, broadcast, fault tolerance);
-- :mod:`repro.hdfs` -- a simulated block filesystem;
 - :mod:`repro.cluster` -- node/YARN models and a discrete-event cluster
   simulator with a calibrated cost model;
 - :mod:`repro.stats` -- efficient score statistics (Cox, binomial,

@@ -567,6 +567,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         # a malformed input file: the message already names file and line
         print(f"sparkscore: error: {exc}", file=sys.stderr)
         return 2
+    except FileNotFoundError as exc:
+        # a missing input directory or file, met by the driver
+        print(f"sparkscore: error: {exc.filename}: no such file or directory", file=sys.stderr)
+        return 2
     except BrokenPipeError:
         # stdout went away mid-report (e.g. `sparkscore history ... | head`);
         # detach so the interpreter doesn't raise again at shutdown

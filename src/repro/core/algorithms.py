@@ -413,8 +413,8 @@ class DistributedSparkScore:
         Phenotype, weights and SNP-sets for the driver side; its genotype
         matrix is read only when ``input_paths`` is not given.
     input_paths:
-        ``{"genotypes": path, "weights": path}`` text files (local or
-        ``hdfs://``) the executors read themselves (see module docstring).
+        ``{"genotypes": path, "weights": path}`` local text files the
+        executors read themselves (see module docstring).
         Both flavors check every row in the task that parses its split (a
         :class:`~repro.genomics.io.formats.FormatError` names the file and
         the line).  The vectorized flavor also holds, in the driver, the
@@ -444,6 +444,8 @@ class DistributedSparkScore:
             raise ValueError(f"flavor must be one of {FLAVORS}")
         if join_strategy != "rdd_join":
             raise ValueError(f"join_strategy must be 'rdd_join', not {join_strategy!r}")
+        if num_partitions is not None and num_partitions < 1:
+            raise ValueError("num_partitions must be >= 1")
         self.ctx = ctx
         self.dataset = dataset
         self.model = model or CoxScoreModel(dataset.phenotype)
@@ -451,7 +453,9 @@ class DistributedSparkScore:
             raise ValueError("model patients must match dataset")
         self.flavor = flavor
         self.block_size = block_size
-        self.num_partitions = num_partitions or ctx.config.default_parallelism
+        self.num_partitions = (
+            ctx.config.default_parallelism if num_partitions is None else num_partitions
+        )
         self._K = dataset.n_sets
 
         # broadcast the SNP-set mapping and, inside the model, the phenotype

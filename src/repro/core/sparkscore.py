@@ -37,7 +37,6 @@ class SparkScoreAnalysis:
         engine: str = "local",
         config: EngineConfig | None = None,
         ctx: "Context | None" = None,
-        hdfs=None,
         **engine_options: Any,
     ) -> None:
         if engine not in ENGINES:
@@ -57,8 +56,7 @@ class SparkScoreAnalysis:
             if ctx is None:
                 from repro.engine.context import Context
 
-                # ``hdfs``: the filesystem ``hdfs://`` input paths are read from
-                ctx = Context(config or EngineConfig(), hdfs=hdfs)
+                ctx = Context(config or EngineConfig())
                 self._owns_ctx = True
             self.ctx = ctx
             self._impl = DistributedSparkScore(ctx, dataset, self.model, **engine_options)
@@ -71,7 +69,7 @@ class SparkScoreAnalysis:
 
     @classmethod
     def from_files(
-        cls, base: str, hdfs=None, parse_with_engine: bool = False, **kwargs: Any
+        cls, base: str, parse_with_engine: bool = False, **kwargs: Any
     ) -> "SparkScoreAnalysis":
         """Build an analysis from the four input files under ``base``.
 
@@ -95,15 +93,13 @@ class SparkScoreAnalysis:
         if kwargs.get("engine", "local") != "distributed":
             if parse_with_engine:
                 raise ValueError("parse_with_engine requires engine='distributed'")
-            return cls(read_dataset(base, hdfs), **kwargs)
+            return cls(read_dataset(base), **kwargs)
         prefix = f"{base.rstrip('/')}/"
-        if hdfs is not None and not prefix.startswith("hdfs://"):
-            prefix = "hdfs://" + prefix.lstrip("/")
         kwargs.setdefault("input_paths", {
             "genotypes": prefix + GENOTYPES_FILE,
             "weights": prefix + WEIGHTS_FILE,
         })
-        return cls(open_dataset(base, hdfs), hdfs=hdfs, **kwargs)
+        return cls(open_dataset(base), **kwargs)
 
     # -- analyses ------------------------------------------------------------------
 

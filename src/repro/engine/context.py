@@ -21,7 +21,6 @@ from repro.engine.shuffle import ShuffleManager
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.engine.rdd import RDD
-    from repro.hdfs.filesystem import MiniHDFS
 
 
 class Context:
@@ -37,7 +36,6 @@ class Context:
         self,
         config: EngineConfig | None = None,
         fault_injector: FaultInjector | None = None,
-        hdfs: "MiniHDFS | None" = None,
         event_log_path: str | None = None,
         trace_path: str | None = None,
         ui_port: int | None = None,
@@ -90,7 +88,6 @@ class Context:
 
         self.inference = InferenceObservability(self)
         self.fault_injector = fault_injector
-        self.hdfs = hdfs
 
         # standard listeners: process-wide metrics bridge, plus the event
         # log writer and tracer when requested
@@ -204,23 +201,15 @@ class Context:
         return self.parallelize(range(start, end, step), num_partitions)
 
     def text_file(self, path: str, min_partitions: int | None = None) -> "RDD":
-        """Read a text file into an RDD of lines.
-
-        ``hdfs://`` paths read from the attached simulated HDFS (one
-        partition per block, with datanode locality hints); other paths read
-        from the local filesystem with Hadoop-style line splits.
-        """
-        from repro.engine.rdd import LocalTextFileRDD
+        """Read a local text file into an RDD of lines, split by byte range
+        with Hadoop's line-ownership rule."""
+        from repro.engine.rdd import TextFileRDD
 
         self._check_alive()
-        n = min_partitions or self.config.default_parallelism
-        if path.startswith("hdfs://"):
-            if self.hdfs is None:
-                raise RuntimeError("context has no HDFS attached; pass hdfs= to Context()")
-            from repro.hdfs.rdd import HdfsTextFileRDD
-
-            return HdfsTextFileRDD(self, self.hdfs, path)
-        return LocalTextFileRDD(self, path, n)
+        if min_partitions is not None and min_partitions < 1:
+            raise ValueError("num_partitions must be >= 1")
+        n = min_partitions if min_partitions is not None else self.config.default_parallelism
+        return TextFileRDD(self, path, n)
 
     # -- shared variables ----------------------------------------------------------
 

@@ -18,6 +18,7 @@ blocks are resident under on the workers.
 
 from __future__ import annotations
 
+import errno
 import functools
 import itertools
 import operator
@@ -27,7 +28,6 @@ from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, TypeVar
 from repro.engine.dependencies import (
     Aggregator,
     Dependency,
-    NarrowDependency,
     OneToOneDependency,
     ShuffleDependency,
 )
@@ -63,16 +63,6 @@ class RDD:
     def compute(self, split: int, tc: TaskContext) -> Iterator:
         """Compute partition ``split`` from parents (no cache involvement)."""
         raise NotImplementedError
-
-    def preferred_locations(self, split: int) -> list[str]:
-        """Host/executor hints for this partition (locality scheduling)."""
-        for dep in self.dependencies:
-            if isinstance(dep, NarrowDependency):
-                for parent_split in dep.parents(split):
-                    locs = dep.rdd.preferred_locations(parent_split)
-                    if locs:
-                        return locs
-        return []
 
     def iterator(self, split: int, tc: TaskContext) -> Iterator:
         """Cache-aware access: local cache, remote cache, else compute."""
@@ -504,24 +494,11 @@ class MappedPartitionsRDD(RDD):
 
 
 class TextFileRDD(RDD):
-    """Lines of a text file, one partition per split of its bytes.
+    """Lines of a local text file (or directory of part files), one
+    partition per split of its bytes.
 
-    A subclass says which bytes a split owns (``read_split``) and how they
-    break into lines (``compute``)."""
-
-    def read_split(self, split: int) -> "TextSplit":
-        raise NotImplementedError
-
-    def splits(self) -> RDD:
-        """One :class:`TextSplit` per partition instead of its decoded lines."""
-        return TextSplitsRDD(self.context, self)
-
-
-class LocalTextFileRDD(TextFileRDD):
-    """Reads a local text file (or directory of part files), one partition per chunk.
-
-    The file is split into ``min_partitions`` byte ranges aligned to line
-    boundaries at read time, mimicking HDFS block splits.
+    The file is split into ``min_partitions`` byte ranges; a split owns the
+    lines that start in its range (Hadoop's rule), decided at read time.
     """
 
     def __init__(self, ctx: "Context", path: str, min_partitions: int) -> None:
@@ -533,7 +510,7 @@ class LocalTextFileRDD(TextFileRDD):
         else:
             self._files = [path]
         if not self._files:
-            raise FileNotFoundError(f"no input files under {path}")
+            raise FileNotFoundError(errno.ENOENT, "no input files", path)
         # one or more splits per file, proportional to size
         total = sum(os.path.getsize(f) for f in self._files)
         self._splits: list[tuple[str, int, int]] = []  # (file, start, end)
@@ -551,8 +528,6 @@ class LocalTextFileRDD(TextFileRDD):
                 if end >= size:
                     break
                 start = end
-            if size == 0:
-                continue
 
     def num_partitions(self) -> int:
         return len(self._splits)
@@ -590,7 +565,11 @@ class LocalTextFileRDD(TextFileRDD):
             first, last = self._owned_range(fh, split)
             fh.seek(first)
             data = fh.read(last - first)
-        return TextSplit(data, lambda: count_lines(_read_prefix(filename, first)))
+        return TextSplit(data, lambda: _lines_before(filename, first))
+
+    def splits(self) -> RDD:
+        """One :class:`TextSplit` per partition instead of its decoded lines."""
+        return TextSplitsRDD(self.context, self)
 
     def compute(self, split: int, tc: TaskContext) -> Iterator:
         # streamed: a split's lines are never all in memory beside its bytes
@@ -618,14 +597,11 @@ class TextSplit:
         self.lines_before = lines_before
 
 
-def _read_prefix(filename: str, length: int) -> bytes:
+def _lines_before(filename: str, offset: int) -> int:
+    """Physical lines of ``filename`` before byte ``offset`` (what
+    :meth:`TextSplit.lines_before` counts)."""
     with open(filename, "rb") as fh:
-        return fh.read(length)
-
-
-def count_lines(data: bytes) -> int:
-    """Physical lines of ``data`` (what :meth:`TextSplit.lines_before` counts)."""
-    return len(data.decode("utf-8", "replace").splitlines())
+        return len(fh.read(offset).decode("utf-8", "replace").splitlines())
 
 
 class TextSplitsRDD(RDD):
@@ -660,9 +636,6 @@ class ShuffledRDD(RDD):
 
     def num_partitions(self) -> int:
         return self.partitioner.num_partitions
-
-    def preferred_locations(self, split: int) -> list[str]:
-        return []
 
     def compute(self, split: int, tc: TaskContext) -> Iterator:
         dep = self.shuffle_dep

@@ -4,7 +4,7 @@ The :class:`DAGScheduler` turns an action into a :class:`StageGraph`,
 executes stages whose parents' shuffle outputs are available, and handles
 shuffle-fetch failures by letting the missing map partitions be recomputed
 (Spark's stage-resubmission path).  The :class:`TaskScheduler` places task
-attempts on alive executors (locality-aware), retries transient failures up
+attempts on alive executors (cache-aware), retries transient failures up
 to ``max_task_retries``, and converts executor loss into block/shuffle
 invalidation plus rescheduling.  A task that raises
 :class:`~repro.genomics.io.formats.FormatError` met malformed input: it is
@@ -228,16 +228,10 @@ class TaskScheduler:
             for executor in alive:
                 if executor.executor_id in holders:
                     return executor
-        # 2) honor RDD-provided locality hints (HDFS block locations)
-        preferred = set(task.preferred_locations())
-        if preferred:
-            for executor in alive:
-                if executor.executor_id in preferred or executor.host in preferred:
-                    return executor
-        # 3) placement is *stable*: partition -> same executor (and, on the
-        # cluster, same worker process) across jobs and contexts, so a rerun
-        # lands where that partition's resident blocks, slice and broadcasts
-        # already are
+        # 2) otherwise placement is *stable*: partition -> same executor (and,
+        # on the cluster, same worker process) across jobs and contexts, so a
+        # rerun lands where that partition's resident blocks, slice and
+        # broadcasts already are
         return alive[task.partition % len(alive)]
 
     # -- execution ---------------------------------------------------------------

@@ -176,10 +176,6 @@ class Task:
         self.partition = partition
         self.attempt = 0
 
-    def preferred_locations(self) -> list[str]:
-        """Executor/host hints for locality-aware placement."""
-        return self.rdd.preferred_locations(self.partition)
-
     def run(self, tc: TaskContext) -> Any:
         raise NotImplementedError
 

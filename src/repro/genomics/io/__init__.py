@@ -9,7 +9,7 @@ Four files, mirroring Algorithm 1's inputs:
 
 Line-level parse/format functions live in :mod:`repro.genomics.io.formats`;
 whole-dataset round trips in :mod:`repro.genomics.io.dataset_io` work against
-either a local directory or a :class:`~repro.hdfs.filesystem.MiniHDFS`.  An
+a local directory.  An
 engine task parses a split of a file whole: genotype splits with
 ``parse_genotype_text``, and the paper flavor's weight splits with
 ``dataset_io.parse_weight_rows``, a column at a time like the driver's

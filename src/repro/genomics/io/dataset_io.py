@@ -1,4 +1,4 @@
-"""Whole-dataset round trips against a local directory or MiniHDFS.
+"""Whole-dataset round trips against a local directory.
 
 The three small files -- phenotype, weights, SNP-sets -- are decoded a
 column at a time: each is split in one call, every column goes through one
@@ -13,7 +13,6 @@ Either way the values are the same to the bit.
 from __future__ import annotations
 
 import os
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -40,20 +39,13 @@ from repro.genomics.snpsets import SnpSetCollection
 from repro.genomics.synthetic import Dataset
 from repro.stats.score.base import SurvivalPhenotype
 
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.hdfs.filesystem import MiniHDFS
-
 GENOTYPES_FILE = "genotypes.txt"
 PHENOTYPE_FILE = "phenotype.txt"
 WEIGHTS_FILE = "weights.txt"
 SNPSETS_FILE = "snpsets.txt"
 
 
-def _write_file(base: str, name: str, content: bytes, hdfs: "MiniHDFS | None") -> str:
-    if hdfs is not None:
-        path = f"{base.rstrip('/')}/{name}"
-        hdfs.write_bytes(path, content, line_aligned=True)
-        return f"hdfs://{path.lstrip('/')}" if not path.startswith("hdfs://") else path
+def _write_file(base: str, name: str, content: bytes) -> str:
     os.makedirs(base, exist_ok=True)
     path = os.path.join(base, name)
     with open(path, "wb") as fh:
@@ -61,9 +53,7 @@ def _write_file(base: str, name: str, content: bytes, hdfs: "MiniHDFS | None") -
     return path
 
 
-def _read_file(base: str, name: str, hdfs: "MiniHDFS | None") -> bytes:
-    if hdfs is not None:
-        return hdfs.read_bytes(f"{base.rstrip('/')}/{name}")
+def _read_file(base: str, name: str) -> bytes:
     with open(os.path.join(base, name), "rb") as fh:
         return fh.read()
 
@@ -72,7 +62,7 @@ def _encode_lines(lines: list[str]) -> bytes:
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
-def write_dataset(dataset: Dataset, base: str, hdfs: "MiniHDFS | None" = None) -> dict[str, str]:
+def write_dataset(dataset: Dataset, base: str) -> dict[str, str]:
     """Serialize all four input files; returns {kind: path}."""
     genotypes = dataset.genotypes
     phenotype_lines = [
@@ -87,10 +77,10 @@ def write_dataset(dataset: Dataset, base: str, hdfs: "MiniHDFS | None" = None) -
     snpset_lines = [format_snpset_line(name, ids) for name, ids in set_lists.items()]
     genotype_text = _format_genotype_text(genotypes.snp_ids, genotypes.matrix)
     return {
-        "genotypes": _write_file(base, GENOTYPES_FILE, genotype_text, hdfs),
-        "phenotype": _write_file(base, PHENOTYPE_FILE, _encode_lines(phenotype_lines), hdfs),
-        "weights": _write_file(base, WEIGHTS_FILE, _encode_lines(weight_lines), hdfs),
-        "snpsets": _write_file(base, SNPSETS_FILE, _encode_lines(snpset_lines), hdfs),
+        "genotypes": _write_file(base, GENOTYPES_FILE, genotype_text),
+        "phenotype": _write_file(base, PHENOTYPE_FILE, _encode_lines(phenotype_lines)),
+        "weights": _write_file(base, WEIGHTS_FILE, _encode_lines(weight_lines)),
+        "snpsets": _write_file(base, SNPSETS_FILE, _encode_lines(snpset_lines)),
     }
 
 
@@ -244,12 +234,12 @@ def _read_snpsets(lines: list[str]) -> dict[str, np.ndarray]:
     return sets
 
 
-def _read_metadata(base: str, hdfs: "MiniHDFS | None"):
+def _read_metadata(base: str):
     """The three small files: ``(phenotype, (SNP ids, weights), {set name:
     SNP ids})``."""
 
     def lines(name):
-        return _decode_lines(_read_file(base, name, hdfs), name)
+        return _decode_lines(_read_file(base, name), name)
 
     return (
         _read_phenotype(lines(PHENOTYPE_FILE)),
@@ -276,19 +266,19 @@ def _align(
     return values[order[at]], snpsets
 
 
-def read_dataset(base: str, hdfs: "MiniHDFS | None" = None) -> Dataset:
+def read_dataset(base: str) -> Dataset:
     """Load a dataset previously written by :func:`write_dataset`.
 
     Malformed input raises :class:`~repro.genomics.io.formats.FormatError`
     (a ``ValueError``) whose message starts ``<file>:<line>:``.
     """
-    genotypes = _read_genotypes(_read_file(base, GENOTYPES_FILE, hdfs))
-    phenotype, weight_table, sets = _read_metadata(base, hdfs)
+    genotypes = _read_genotypes(_read_file(base, GENOTYPES_FILE))
+    phenotype, weight_table, sets = _read_metadata(base)
     weights, snpsets = _align(genotypes.snp_ids, weight_table, sets)
     return Dataset(genotypes, phenotype, weights, snpsets)
 
 
-def open_dataset(base: str, hdfs: "MiniHDFS | None" = None) -> Dataset:
+def open_dataset(base: str) -> Dataset:
     """:func:`read_dataset` without reading the genotype file.
 
     Reads phenotype, weights and SNP-sets; ``dataset.genotypes`` is a
@@ -298,12 +288,12 @@ def open_dataset(base: str, hdfs: "MiniHDFS | None" = None) -> Dataset:
     and whose ``matrix`` is read, validated as :func:`read_dataset`
     validates it and aligned to that order by SNP id when first touched.
     """
-    phenotype, weight_table, sets = _read_metadata(base, hdfs)
+    phenotype, weight_table, sets = _read_metadata(base)
     snp_ids = np.concatenate([np.empty(0, np.int64), *sets.values()])
     weights, snpsets = _align(snp_ids, weight_table, sets)
 
     def load() -> np.ndarray:
-        on_file = _read_genotypes(_read_file(base, GENOTYPES_FILE, hdfs))
+        on_file = _read_genotypes(_read_file(base, GENOTYPES_FILE))
         if on_file.n_patients != phenotype.n:
             raise ValueError("phenotype length must match genotype columns")
         if np.array_equal(on_file.snp_ids, snp_ids):

@@ -104,10 +104,8 @@ def parse_vcf(lines) -> VcfData:
     return VcfData(snps=snps, samples=samples, genotypes=genotypes, n_imputed=n_imputed)
 
 
-def read_vcf(path: str, hdfs=None) -> VcfData:
-    """Read a VCF from the local filesystem or a MiniHDFS."""
-    if hdfs is not None:
-        return parse_vcf(hdfs.read_text(path).splitlines())
+def read_vcf(path: str) -> VcfData:
+    """Read a VCF file."""
     with open(path) as fh:
         return parse_vcf(fh)
 
@@ -117,7 +115,6 @@ def write_vcf(
     snps: list[Snp],
     samples: list[str],
     path: str,
-    hdfs=None,
 ) -> None:
     """Write dosages back out as a minimal GT-only VCF."""
     if len(snps) != genotypes.n_snps:
@@ -134,9 +131,5 @@ def write_vcf(
                 + tokens
             )
         )
-    content = "\n".join(lines) + "\n"
-    if hdfs is not None:
-        hdfs.write_text(path, content)
-    else:
-        with open(path, "w") as fh:
-            fh.write(content)
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")

@@ -12,7 +12,6 @@ from repro.engine.faults import FaultInjector, FaultPlan
 from repro.genomics.io.dataset_io import write_dataset
 from repro.genomics.io.formats import FormatError
 from repro.genomics.synthetic import SyntheticConfig, generate_dataset
-from repro.hdfs.filesystem import MiniHDFS
 
 
 @pytest.fixture(scope="module")
@@ -87,6 +86,24 @@ class TestJoinStrategies:
         with make_ctx() as ctx:
             with pytest.raises(ValueError):
                 DistributedSparkScore(ctx, small_dataset, flavor="hybrid")
+
+
+class TestPartitionCount:
+    @pytest.mark.parametrize("num_partitions", [0, -2])
+    @pytest.mark.parametrize("route", ["dense", "files"])
+    @pytest.mark.parametrize("flavor", ["paper", "vectorized"])
+    def test_below_one_is_refused_on_every_route(
+        self, small_dataset, tmp_path, flavor, route, num_partitions
+    ):
+        paths = write_dataset(small_dataset, str(tmp_path)) if route == "files" else None
+        with make_ctx() as ctx:
+            with pytest.raises(ValueError, match=r"^num_partitions must be >= 1$"):
+                DistributedSparkScore(
+                    ctx, small_dataset, flavor=flavor,
+                    num_partitions=num_partitions, input_paths=paths,
+                )
+            scorer = DistributedSparkScore(ctx, small_dataset, flavor=flavor, input_paths=paths)
+            assert scorer.num_partitions == ctx.config.default_parallelism
 
 
 class TestCachingBehavior:
@@ -281,21 +298,6 @@ class TestTextInputPaths:
             ):
                 scorer.observed_statistics()
 
-    def test_hdfs_files(self, small_dataset, reference):
-        fs = MiniHDFS(num_datanodes=3, block_size=8192)
-        paths = write_dataset(small_dataset, "/exp", hdfs=fs)
-        config = EngineConfig(backend="serial", num_executors=2, default_parallelism=4)
-        with Context(config, hdfs=fs) as ctx:
-            scorer = DistributedSparkScore(
-                ctx,
-                small_dataset,
-                flavor="vectorized",
-                input_paths={"genotypes": paths["genotypes"], "weights": paths["weights"]},
-            )
-            assert np.allclose(scorer.observed_statistics(), reference["observed"])
-            result = scorer.monte_carlo(50, seed=5)
-            local = LocalSparkScore(small_dataset).monte_carlo(50, seed=5)
-            assert np.array_equal(result.exceed_counts, local.exceed_counts)
 
 
 class TestFaultToleranceEndToEnd:

@@ -7,7 +7,6 @@ from repro.config import EngineConfig
 from repro.core.sparkscore import SparkScoreAnalysis
 from repro.genomics.io.dataset_io import write_dataset
 from repro.genomics.synthetic import SyntheticConfig, generate_dataset
-from repro.hdfs.filesystem import MiniHDFS
 from repro.obs.inference import ConvergenceMonitor, EarlyStopPolicy
 
 
@@ -133,19 +132,6 @@ class TestFromFiles:
             analysis.observed().observed,
             SparkScoreAnalysis(small_dataset).observed().observed,
         )
-
-    def test_hdfs_with_engine_parse(self, small_dataset):
-        fs = MiniHDFS(num_datanodes=2, block_size=8192)
-        write_dataset(small_dataset, "/in", hdfs=fs)
-        from repro.engine.context import Context
-
-        with Context(EngineConfig(backend="serial", num_executors=2), hdfs=fs) as ctx:
-            analysis = SparkScoreAnalysis.from_files(
-                "/in", hdfs=fs, parse_with_engine=True, engine="distributed", ctx=ctx
-            )
-            result = analysis.monte_carlo(30, seed=4)
-            local = SparkScoreAnalysis(small_dataset).monte_carlo(30, seed=4)
-            assert np.array_equal(result.exceed_counts, local.exceed_counts)
 
     def test_parse_with_engine_requires_distributed(self, small_dataset, tmp_path):
         write_dataset(small_dataset, str(tmp_path / "d"))

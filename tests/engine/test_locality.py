@@ -1,54 +1,7 @@
-"""Locality-aware task placement: HDFS blocks and cached partitions."""
-
-import pytest
+"""Cache-aware task placement: a task goes where its partition is cached."""
 
 from repro.config import EngineConfig
 from repro.engine.context import Context
-from repro.hdfs.filesystem import MiniHDFS
-
-
-@pytest.fixture
-def hdfs_ctx():
-    """Three executors on host-0/1/2 over a 3-datanode HDFS (same hosts)."""
-    fs = MiniHDFS(num_datanodes=3, block_size=256, replication=1, seed=0)
-    config = EngineConfig(
-        backend="serial", num_executors=3, executor_cores=1, default_parallelism=3
-    )
-    with Context(config, hdfs=fs) as ctx:
-        yield ctx, fs
-
-
-class TestHdfsLocality:
-    def test_tasks_run_on_block_hosts(self, hdfs_ctx):
-        ctx, fs = hdfs_ctx
-        lines = [f"record-{i:04d}" for i in range(60)]
-        fs.write_text("/data.txt", "\n".join(lines) + "\n")
-        rdd = ctx.text_file("hdfs://data.txt")
-        assert rdd.collect() == lines
-        job = ctx.metrics.last_job
-        # with replication 1, every partition has exactly one valid host;
-        # each task must have run on the executor at that host
-        host_of_executor = {e.executor_id: e.host for e in ctx.executors}
-        for record in job.stages[-1].tasks:
-            preferred = rdd.preferred_locations(record.partition)
-            assert host_of_executor[record.executor_id] in preferred
-
-    def test_locality_survives_narrow_transforms(self, hdfs_ctx):
-        ctx, fs = hdfs_ctx
-        fs.write_text("/x.txt", "\n".join(str(i) for i in range(40)) + "\n")
-        rdd = ctx.text_file("hdfs://x.txt").map(int).filter(lambda v: v % 2 == 0)
-        base = ctx.text_file("hdfs://x.txt")
-        for split in range(rdd.num_partitions()):
-            assert rdd.preferred_locations(split) == base.preferred_locations(split)
-
-    def test_dead_host_falls_back(self, hdfs_ctx):
-        ctx, fs = hdfs_ctx
-        fs.write_text("/y.txt", "\n".join(str(i) for i in range(40)) + "\n")
-        rdd = ctx.text_file("hdfs://y.txt")
-        # kill the executor on host-0; its blocks are still on dn-0 (alive),
-        # so tasks run non-locally but correctly
-        ctx.kill_executor("exec-0")
-        assert rdd.map(int).sum() == sum(range(40))
 
 
 class TestCacheLocality:

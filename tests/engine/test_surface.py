@@ -14,7 +14,7 @@ from repro.engine.rdd import RDD
 
 KEPT = {
     # the core interface the scheduler and tasks drive
-    "num_partitions", "compute", "preferred_locations", "iterator",
+    "num_partitions", "compute", "iterator",
     # persistence
     "persist", "cache", "unpersist", "is_cached",
     # transformations

@@ -48,3 +48,12 @@ class TestLocalTextFile:
         path = self.write(tmp_path, "f.txt", ["a", "b", "c"])
         ctx.text_file(path, 1).count()
         assert ctx.metrics.jobs[-1].totals().records_read == 3
+
+    @pytest.mark.parametrize("min_partitions", [0, -3])
+    def test_partition_count_below_one_is_refused(self, ctx, tmp_path, min_partitions):
+        path = self.write(tmp_path, "f.txt", [f"line-{i}" for i in range(10)])
+        with pytest.raises(ValueError, match=r"^num_partitions must be >= 1$"):
+            ctx.text_file(path, min_partitions)
+        with pytest.raises(ValueError, match=r"^num_partitions must be >= 1$"):
+            ctx.parallelize(range(10), min_partitions)
+        assert ctx.text_file(path).num_partitions() == ctx.config.default_parallelism

@@ -1,4 +1,4 @@
-"""Text formats and whole-dataset round trips (local + HDFS)."""
+"""Text formats and whole-dataset round trips."""
 
 import os
 import re
@@ -31,7 +31,6 @@ from repro.genomics.io.formats import (
     parse_weight_line,
 )
 from repro.genomics.synthetic import SyntheticConfig, generate_dataset
-from repro.hdfs.filesystem import MiniHDFS
 
 
 class TestGenotypeLines:
@@ -104,13 +103,6 @@ class TestDatasetRoundTrip:
         paths = write_dataset(tiny_dataset, str(tmp_path / "ds"))
         assert set(paths) == {"genotypes", "phenotype", "weights", "snpsets"}
         back = read_dataset(str(tmp_path / "ds"))
-        self.assert_equal(tiny_dataset, back)
-
-    def test_hdfs(self, tiny_dataset):
-        fs = MiniHDFS(num_datanodes=3, block_size=2048)
-        paths = write_dataset(tiny_dataset, "/data/run1", hdfs=fs)
-        assert paths["genotypes"].startswith("hdfs://")
-        back = read_dataset("/data/run1", hdfs=fs)
         self.assert_equal(tiny_dataset, back)
 
     def test_missing_weight_detected(self, tiny_dataset, tmp_path):
@@ -586,11 +578,3 @@ class TestLocatedErrors:
         assert code == 2 and captured.out == ""
         (line,) = captured.err.splitlines()
         assert line.startswith("sparkscore: error: genotypes.txt:21: bad genotype line")
-
-    def test_hdfs_errors_are_located_too(self, tiny_dataset):
-        fs = MiniHDFS(num_datanodes=2, block_size=1024)
-        write_dataset(tiny_dataset, "/bad", hdfs=fs)
-        lines = fs.read_text("/bad/genotypes.txt").split("\n")
-        fs.write_text("/bad/genotypes.txt", "\n".join(lines[:3] + ["x"] + lines[3:]))
-        with pytest.raises(FormatError, match=r"^genotypes\.txt:4: bad genotype line 'x'"):
-            read_dataset("/bad", hdfs=fs)

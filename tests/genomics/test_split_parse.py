@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 from repro.config import EngineConfig
 from repro.engine.context import Context
 from repro.genomics.io.formats import FormatError, parse_genotype_line, parse_genotype_text
-from repro.hdfs.filesystem import MiniHDFS
 from tests.genomics.test_io import _genotype_lines
 
 _NEWLINES = st.sampled_from(["\n", "\n", "\r\n", "\r", "\x0c", " "])
@@ -103,6 +102,7 @@ class TestLocalSplits:
     @example("1\t0,1\n\n\n2\t1,1", None)
     @example("1\t0,1\r\n2\t1,x\r\n3\t2,0\r\n", None)
     @example("1\t0,1\n2\t1\n3\t2,0\n", None)
+    @example("1\t0,1\n2\t1,x\n3\t2,0\n", None)
     @example("", None)
     def test_matches_the_whole_file_parse(self, driver, text, data):
         raw = text.encode("utf-8")
@@ -160,21 +160,6 @@ class TestLocalSplits:
         parts = driver.run_job(driver.text_file(str(path), 2).splits(), list)
         assert [len(part) for part in parts] == [1, 1]
         assert b"".join(part[0].data for part in parts) == path.read_bytes()
-
-
-class TestHdfsBlocks:
-    @seed(210_003)
-    @settings(max_examples=150, deadline=None, database=None)
-    @given(_genotype_files(), st.integers(1, 40))
-    @example("1\t0,1\n2\t1,x\n3\t2,0\n", 7)
-    def test_matches_the_whole_file_parse(self, text, block_size):
-        fs = MiniHDFS(num_datanodes=2, block_size=block_size)
-        fs.write_text("/g/genotypes.txt", text)
-        raw = text.encode("utf-8")
-        with Context(_CONFIG, hdfs=fs) as ctx:
-            text_rdd = ctx.text_file("hdfs:///g/genotypes.txt")
-            _assert_whole_lines_owned_once(text_rdd, raw)
-            assert _split_by_split(text_rdd, _width_of_first_row(text)) == _whole(raw)
 
 
 def test_n_columns_holds_the_first_row_too():

@@ -92,17 +92,6 @@ class TestRoundTrip:
         assert back.samples == samples
         assert back.snps == snps
 
-    def test_hdfs_roundtrip(self, rng):
-        from repro.genomics.genotypes import GenotypeMatrix
-        from repro.hdfs.filesystem import MiniHDFS
-
-        fs = MiniHDFS(num_datanodes=2)
-        G = GenotypeMatrix(np.arange(3), rng.binomial(2, 0.4, size=(3, 2)).astype(np.int8))
-        snps = [Snp("chr1", i + 1) for i in range(3)]
-        write_vcf(G, snps, ["A", "B"], "/g.vcf", hdfs=fs)
-        back = read_vcf("/g.vcf", hdfs=fs)
-        assert np.array_equal(back.genotypes.matrix, G.matrix)
-
     def test_write_validation(self, rng):
         from repro.genomics.genotypes import GenotypeMatrix
 

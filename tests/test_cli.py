@@ -1,5 +1,7 @@
 """The sparkscore command-line interface."""
 
+import os
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -93,6 +95,46 @@ class TestAnalyze:
             main(["analyze", dataset_dir, "--engine", "distributed", "--backend", "threads"])
         assert exc.value.code == 2
         assert "argument --backend: invalid choice: 'threads'" in capsys.readouterr().err
+
+
+class TestMissingInput:
+    """A missing input directory or file is one stderr line and exit 2."""
+
+    @pytest.fixture
+    def no_genotypes(self, dataset_dir, tmp_path):
+        path = tmp_path / "partial"
+        shutil.copytree(dataset_dir, path)
+        (path / "genotypes.txt").unlink()
+        return path
+
+    def run(self, capsys, argv):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        (line,) = captured.err.splitlines()
+        return line
+
+    @pytest.mark.parametrize("engine", [
+        ["--engine", "local"],
+        ["--engine", "distributed", "--backend", "serial"],
+    ], ids=["local", "serial"])
+    def test_analyze(self, tmp_path, no_genotypes, capsys, engine):
+        missing = tmp_path / "nowhere"
+        line = self.run(capsys, ["analyze", str(missing), "--iterations", "16", *engine])
+        assert line.startswith(f"sparkscore: error: {missing}{os.sep}")
+        assert line.endswith(".txt: no such file or directory")
+        line = self.run(capsys, ["analyze", str(no_genotypes), "--iterations", "16", *engine])
+        assert line == (
+            f"sparkscore: error: {no_genotypes / 'genotypes.txt'}: no such file or directory"
+        )
+
+    def test_maxt(self, tmp_path, no_genotypes, capsys):
+        line = self.run(capsys, ["maxt", str(tmp_path / "nowhere"), "--iterations", "16"])
+        assert line.endswith(".txt: no such file or directory")
+        line = self.run(capsys, ["maxt", str(no_genotypes), "--iterations", "16"])
+        assert line == (
+            f"sparkscore: error: {no_genotypes / 'genotypes.txt'}: no such file or directory"
+        )
 
 
 class TestOneShotClusterRun:

@@ -99,7 +99,7 @@ class TestSurface:
 
         params = list(inspect.signature(Context.__init__).parameters)[1:]
         assert params == [
-            "config", "fault_injector", "hdfs", "event_log_path", "trace_path",
+            "config", "fault_injector", "event_log_path", "trace_path",
             "ui_port", "progress", "log_file",
         ]
 

@@ -1,6 +1,6 @@
 """End-to-end integration: the whole stack in one flow.
 
-generate -> write to MiniHDFS -> distributed analysis with engine-side
+generate -> write the input files -> distributed analysis with engine-side
 parsing -> resampling under injected faults -> results identical to the
 pure-NumPy reference; plus the perf-model round trip on the same shape.
 """
@@ -15,7 +15,6 @@ from repro.cluster.nodes import emr_cluster
 from repro.engine.context import Context
 from repro.engine.faults import FaultInjector, FaultPlan
 from repro.genomics.io.dataset_io import write_dataset
-from repro.hdfs.filesystem import MiniHDFS
 
 
 @pytest.fixture(scope="module")
@@ -35,12 +34,8 @@ def reference(dataset):
 
 
 class TestFullPipeline:
-    def test_hdfs_distributed_faulty_pipeline(self, dataset, reference):
-        fs = MiniHDFS(num_datanodes=3, block_size=16 * 1024, replication=2)
-        write_dataset(dataset, "/study", hdfs=fs)
-        # one datanode dies after the write; replication keeps data readable
-        fs.kill_datanode("dn-2")
-        assert fs.re_replicate() >= 0
+    def test_files_distributed_faulty_pipeline(self, dataset, reference, tmp_path):
+        write_dataset(dataset, str(tmp_path / "study"))
 
         plan = FaultPlan(
             kill_executor_after_tasks={"exec-0": 2},
@@ -49,15 +44,15 @@ class TestFullPipeline:
         config = EngineConfig(
             backend="serial", num_executors=3, executor_cores=2, default_parallelism=6
         )
-        with Context(config, hdfs=fs, fault_injector=FaultInjector(plan)) as ctx:
+        with Context(config, fault_injector=FaultInjector(plan)) as ctx:
             analysis = SparkScoreAnalysis.from_files(
-                "/study", hdfs=fs, parse_with_engine=True,
+                str(tmp_path / "study"), parse_with_engine=True,
                 engine="distributed", ctx=ctx, flavor="vectorized", block_size=64,
             )
             # six batches: the second wave job reads U cached
             result = analysis.monte_carlo(120, seed=9, batch_size=20)
-            # identical inference despite datanode loss + executor kill +
-            # transient task failure
+            # identical inference despite an executor kill + a transient
+            # task failure
             assert np.array_equal(result.exceed_counts, reference.exceed_counts)
             assert ctx.fault_injector.killed_executors == {"exec-0"}
             assert result.info["cache_hits"] > 0
