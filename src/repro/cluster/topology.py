@@ -1,4 +1,4 @@
-"""Cluster network topology (networkx) for transfer-cost estimation.
+"""Cluster network topology for transfer-cost estimation.
 
 A simple two-level model: nodes hang off rack switches, racks hang off a
 core switch.  Transfers within a node are free, within a rack pay the NIC
@@ -8,8 +8,6 @@ The cost model uses :meth:`Topology.broadcast_seconds` and
 """
 
 from __future__ import annotations
-
-import networkx as nx
 
 from repro.cluster.nodes import ClusterSpec
 
@@ -31,35 +29,24 @@ class Topology:
         self.nodes_per_rack = nodes_per_rack
         self.nic_gbps = cluster.instance.network_gbps
         self.uplink_gbps = self.nic_gbps * nodes_per_rack / uplink_oversubscription
-        self.graph = nx.Graph()
-        self.graph.add_node("core", kind="switch")
-        n_racks = -(-cluster.n_nodes // nodes_per_rack)
-        for r in range(n_racks):
-            rack = f"rack-{r}"
-            self.graph.add_node(rack, kind="switch")
-            self.graph.add_edge("core", rack, gbps=self.uplink_gbps)
-        for i in range(cluster.n_nodes):
-            rack = f"rack-{i // nodes_per_rack}"
-            node = f"node-{i}"
-            self.graph.add_node(node, kind="host")
-            self.graph.add_edge(rack, node, gbps=self.nic_gbps)
 
     @property
     def n_racks(self) -> int:
-        return sum(1 for _, d in self.graph.nodes(data=True) if d["kind"] == "switch") - 1
+        return -(-self.cluster.n_nodes // self.nodes_per_rack)
 
     def rack_of(self, node_index: int) -> int:
         return node_index // self.nodes_per_rack
 
     def path_bandwidth_gbps(self, src: int, dst: int) -> float:
         """Bottleneck bandwidth between two hosts."""
+        for host in (src, dst):
+            if not 0 <= host < self.cluster.n_nodes:
+                raise ValueError(f"no host {host} in a {self.cluster.n_nodes}-node cluster")
         if src == dst:
             return float("inf")
-        path = nx.shortest_path(self.graph, f"node-{src}", f"node-{dst}")
-        gbps = min(
-            self.graph.edges[a, b]["gbps"] for a, b in zip(path, path[1:])
-        )
-        return gbps
+        if self.rack_of(src) == self.rack_of(dst):
+            return self.nic_gbps
+        return min(self.nic_gbps, self.uplink_gbps)
 
     def broadcast_seconds(self, payload_bytes: int) -> float:
         """Time to fan a driver payload out to every node (BitTorrent-ish:

@@ -3,16 +3,14 @@
 A *stage* is a maximal set of RDDs connected by narrow dependencies; stage
 boundaries are exactly the :class:`ShuffleDependency` edges.  Shuffle-map
 stages write map output for one shuffle id; the final (result) stage
-computes the action.  The stage DAG is kept in a :class:`networkx.DiGraph`
-for topological scheduling and introspection.
+computes the action.  A stage's id is drawn only after its parents are
+built, so ascending stage id is a topological order of the stage DAG.
 """
 
 from __future__ import annotations
 
 import itertools
 from typing import TYPE_CHECKING
-
-import networkx as nx
 
 from repro.engine.dependencies import NarrowDependency, ShuffleDependency
 
@@ -80,7 +78,8 @@ class StageGraph:
         #: shuffle_id -> shuffle-map Stage (memoized so shared shuffles are
         #: computed once even when the lineage DAG is not a tree)
         self.shuffle_stages: dict[int, Stage] = {}
-        self.graph = nx.DiGraph()
+        #: every stage, appended as its id is drawn
+        self._stages: list[Stage] = []
         self.result_stage = self._build_result_stage(final_rdd)
 
     # -- construction -----------------------------------------------------
@@ -88,7 +87,7 @@ class StageGraph:
     def _build_result_stage(self, rdd: "RDD") -> Stage:
         parents = self._parent_stages(rdd)
         stage = Stage(next(self._ids), rdd, None, parents)
-        self._add_node(stage)
+        self._stages.append(stage)
         return stage
 
     def _shuffle_stage(self, dep: ShuffleDependency) -> Stage:
@@ -98,29 +97,17 @@ class StageGraph:
         parents = self._parent_stages(dep.rdd)
         stage = Stage(next(self._ids), dep.rdd, dep, parents)
         self.shuffle_stages[dep.shuffle_id] = stage
-        self._add_node(stage)
+        self._stages.append(stage)
         return stage
 
     def _parent_stages(self, rdd: "RDD") -> list[Stage]:
         return [self._shuffle_stage(dep) for dep in upstream_shuffle_deps(rdd)]
 
-    def _add_node(self, stage: Stage) -> None:
-        self.graph.add_node(stage.id, stage=stage)
-        for parent in stage.parents:
-            self.graph.add_edge(parent.id, stage.id)
-
     # -- queries ------------------------------------------------------------
 
     def all_stages(self) -> list[Stage]:
-        """Stages in a valid execution (topological) order."""
-        order = nx.topological_sort(self.graph)
-        return [self.graph.nodes[sid]["stage"] for sid in order]
-
-    def stage(self, stage_id: int) -> Stage:
-        return self.graph.nodes[stage_id]["stage"]
-
-    def ancestors(self, stage: Stage) -> list[Stage]:
-        return [self.graph.nodes[sid]["stage"] for sid in nx.ancestors(self.graph, stage.id)]
+        """Stages in a valid execution (topological) order: ascending id."""
+        return list(self._stages)
 
     def __len__(self) -> int:
-        return self.graph.number_of_nodes()
+        return len(self._stages)

@@ -849,11 +849,6 @@ class DAGScheduler:
                     error=f"{type(exc).__name__}: {exc}",
                 )
                 raise
-            finally:
-                # a networkx graph caches views that point back at it: without
-                # this the job's stages -- and through them the lineage and the
-                # dataset it parallelized -- wait for a gen-2 collection
-                graph.graph.clear()
 
             job.wall_seconds = time.perf_counter() - job_start
             self.ctx.metrics.add_job(job)

@@ -23,8 +23,6 @@ from __future__ import annotations
 import warnings
 
 import numpy as np
-from scipy import integrate
-from scipy import stats as sps
 
 from repro.stats.skat import validate_set_ids
 
@@ -60,6 +58,8 @@ def skat_mixture_eigenvalues(contributions: np.ndarray, weights: np.ndarray) -> 
 
 def pvalue_satterthwaite(statistic: float, lam: np.ndarray) -> float:
     """Two-moment approximation: match to ``a * chi^2_g``."""
+    from scipy import stats as sps
+
     lam = np.asarray(lam, dtype=np.float64)
     if lam.size == 0:
         return 1.0
@@ -72,6 +72,8 @@ def pvalue_satterthwaite(statistic: float, lam: np.ndarray) -> float:
 
 def pvalue_liu(statistic: float, lam: np.ndarray) -> float:
     """Liu-Tang-Zhang (2009) four-moment chi-square approximation."""
+    from scipy import stats as sps
+
     lam = np.asarray(lam, dtype=np.float64)
     if lam.size == 0:
         return 1.0
@@ -104,6 +106,8 @@ def pvalue_imhof(statistic: float, lam: np.ndarray, limit: int = 400) -> float:
     slowly decaying tail for few eigenvalues); use :func:`pvalue_liu` when
     speed matters and this when accuracy matters.
     """
+    from scipy import integrate
+
     lam = np.asarray(lam, dtype=np.float64)
     if lam.size == 0:
         return 1.0

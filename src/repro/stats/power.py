@@ -17,7 +17,6 @@ replicates.
 from __future__ import annotations
 
 import numpy as np
-from scipy import stats as sps
 
 
 def unit_information(allele_frequency: float, event_rate: float) -> float:
@@ -47,6 +46,8 @@ def score_test_power(
         raise ValueError("n_patients must be >= 1")
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must be in (0, 1)")
+    from scipy import stats as sps
+
     info = unit_information(allele_frequency, event_rate)
     ncp = abs(effect_size) * np.sqrt(n_patients * info)
     z = sps.norm.isf(alpha / 2.0)
@@ -65,6 +66,8 @@ def required_sample_size(
         raise ValueError("effect_size must be nonzero")
     if not 0.0 < power < 1.0:
         raise ValueError("power must be in (0, 1)")
+    from scipy import stats as sps
+
     info = unit_information(allele_frequency, event_rate)
     z_alpha = sps.norm.isf(alpha / 2.0)
     z_power = sps.norm.isf(1.0 - power)

@@ -49,9 +49,11 @@ class CoxScoreModel(ScoreModel):
     def contributions(self, genotypes: np.ndarray) -> np.ndarray:
         block = self._check_block(genotypes)
         # prefix sums over patients sorted by descending time: column
-        # (b_i - 1) of the cumulative sum is exactly a_ij
-        prefix = np.cumsum(block[:, self._order], axis=1)
-        risk_sums = prefix[:, self._risk_counts - 1]
+        # (b_i - 1) of the cumulative sum is exactly a_ij.  np.take gathers
+        # into a C-ordered array (fancy indexing gives an F-ordered one), so
+        # the cumsum along patients runs over contiguous memory
+        prefix = np.cumsum(np.take(block, self._order, axis=1), axis=1)
+        risk_sums = np.take(prefix, self._risk_counts - 1, axis=1)
         return self._event * (block - risk_sums / self._risk_counts)
 
     def score_weights(self) -> np.ndarray:

@@ -11,8 +11,12 @@ both compact and exactly the join structure Algorithm 1 shuffles.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
-from scipy import sparse
+
+if TYPE_CHECKING:  # pragma: no cover
+    from scipy import sparse
 
 
 def skat_statistic(scores: np.ndarray, weights: np.ndarray) -> float:
@@ -66,6 +70,8 @@ def skat_statistics(
 
 def membership_matrix(set_ids: np.ndarray, n_sets: int) -> sparse.csr_matrix:
     """Sparse (K, J) indicator matrix: row k marks the SNPs in set k."""
+    from scipy import sparse
+
     J = set_ids.shape[0]
     data = np.ones(J)
     return sparse.csr_matrix((data, (set_ids, np.arange(J))), shape=(n_sets, J))

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as sps
 
 from repro.stats.score.base import SurvivalPhenotype
 
@@ -34,9 +33,13 @@ class CoxMleResult:
     converged: np.ndarray  # (m,) bool
 
     def wald_pvalues(self) -> np.ndarray:
+        from scipy import stats as sps
+
         return sps.chi2.sf(self.wald, df=1)
 
     def lrt_pvalues(self) -> np.ndarray:
+        from scipy import stats as sps
+
         return sps.chi2.sf(self.lrt, df=1)
 
 

@@ -10,7 +10,6 @@ array the caller supplies.
 from __future__ import annotations
 
 import numpy as np
-from scipy import stats as sps
 
 
 def _check_maf(maf: np.ndarray) -> np.ndarray:
@@ -34,6 +33,8 @@ def beta_maf_weights(maf, a: float = 1.0, b: float = 25.0) -> np.ndarray:
 
     The default (1, 25) sharply up-weights rare variants.
     """
+    from scipy import stats as sps
+
     arr = _check_maf(maf)
     return sps.beta.pdf(np.clip(arr, 1e-12, 1 - 1e-12), a, b)
 

@@ -17,10 +17,10 @@ class TestStructure:
         assert topo.rack_of(19) == 0
         assert topo.rack_of(20) == 1
 
-    def test_graph_size(self):
+    def test_host_and_rack_counts(self):
         topo = Topology(emr_cluster(6), nodes_per_rack=4)
-        # 6 hosts + 2 racks + core
-        assert topo.graph.number_of_nodes() == 9
+        assert topo.cluster.n_nodes == 6
+        assert topo.n_racks == 2
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -42,6 +42,15 @@ class TestBandwidth:
         topo = Topology(emr_cluster(40), nodes_per_rack=20, uplink_oversubscription=40.0)
         # uplink = 1 * 20/40 = 0.5 Gbps < NIC
         assert topo.path_bandwidth_gbps(0, 25) == pytest.approx(0.5)
+
+    def test_cross_rack_nic_bound_when_uplink_is_wider(self):
+        topo = Topology(emr_cluster(40), nodes_per_rack=20, uplink_oversubscription=4.0)
+        assert topo.path_bandwidth_gbps(0, 25) == pytest.approx(1.0)
+
+    def test_unknown_host_rejected(self):
+        topo = Topology(emr_cluster(4))
+        with pytest.raises(ValueError, match="no host 4"):
+            topo.path_bandwidth_gbps(0, 4)
 
 
 class TestTransferTimes:

@@ -301,9 +301,8 @@ class TestStopReleases:
             del cached
             analysis.close()
             assert array() is None
-            # nor does a finished job's stage graph (networkx caches views
-            # that point back at the graph) keep the lineage, and with it
-            # the parallelized dataset, once its owner lets go
+            # nor does a finished job's stage graph keep the lineage, and
+            # with it the parallelized dataset, once its owner lets go
             del analysis
             assert rows() is None
         finally:

@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.stats.score.base import SurvivalPhenotype
 from repro.stats.score.cox import CoxScoreModel, cox_contributions_naive
@@ -44,6 +47,45 @@ class TestAgainstNaive:
         g = rng.binomial(2, 0.3, size=25).astype(float)
         model = CoxScoreModel(pheno)
         assert model.contributions(g).shape == (1, 25)
+
+
+def fancy_index_contributions(model, G):
+    """``contributions`` as written with fancy-index gathers, whose
+    F-ordered result made the cumsum along patients strided."""
+    block = np.asarray(G, dtype=np.float64)
+    order = np.argsort(-model.phenotype.time, kind="stable")
+    prefix = np.cumsum(block[:, order], axis=1)
+    risk_sums = prefix[:, model.risk_set_sizes - 1]
+    return model.phenotype.event * (block - risk_sums / model.risk_set_sizes)
+
+
+@st.composite
+def _cox_blocks(draw):
+    n = draw(st.integers(1, 40))
+    m = draw(st.integers(1, 8))
+    dtype = draw(st.sampled_from([np.int8, np.float64]))
+    G = draw(hnp.arrays(dtype, (m, n), elements=st.sampled_from([0, 1, 2])))
+    # few distinct times, so ties are the rule rather than the exception
+    time = draw(hnp.arrays(np.float64, n, elements=st.sampled_from([0.5, 1.0, 2.0, 3.5, 9.0])))
+    if draw(st.booleans()):
+        event = np.zeros(n, dtype=np.int64)  # every patient censored
+    else:
+        event = draw(hnp.arrays(np.int64, n, elements=st.integers(0, 1)))
+    return SurvivalPhenotype(time, event), G
+
+
+class TestContiguousGather:
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(_cox_blocks())
+    def test_bit_identical_to_fancy_index_gather(self, case):
+        pheno, G = case
+        model = CoxScoreModel(pheno)
+        U = model.contributions(G)
+        # signed zeros included: compare the bit patterns, not the values
+        np.testing.assert_array_equal(
+            U.view(np.int64), fancy_index_contributions(model, G).view(np.int64)
+        )
+        np.testing.assert_allclose(U, cox_contributions_naive(pheno, G), rtol=1e-12)
 
 
 class TestStructuralProperties:
