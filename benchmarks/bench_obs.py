@@ -8,9 +8,8 @@ Four legs, one report (``BENCH_obs.json``):
    on every context).  The whole observability plane must cost less
    than ``--max-overhead-pct`` (default 10%) of wall-clock.  The leg
    runs once per ``--overhead-backend`` (default: the persistent
-   cluster, whose trace propagation and FleetStats fold points ride in
-   the task envelope and dispatch loop) and every backend must hold the
-   same budget.
+   cluster, whose trace propagation rides in every task envelope) and
+   every backend must hold the same budget.
 
 2. **Skew recovery** -- a heavy-tailed workload runs skewed, its event
    log is fed to the advisor (the same engine behind ``sparkscore
@@ -111,8 +110,7 @@ def bench_overhead(args, burn: _Burn, backend: str) -> dict:
     them, so slow load drift on the host hits both sides equally instead
     of masquerading as (or masking) instrumentation cost.  On the cluster
     backend both contexts share one persistent fleet, so the comparison
-    additionally prices the fleet's observability fold points (trace
-    context in every envelope, FleetStats sampling in the dispatch loop).
+    additionally prices the trace context every task envelope carries.
     """
     items = [1] * (args.partitions * 4)
     config = _make_config(args, backend)

@@ -411,20 +411,6 @@ def cmd_history(args: argparse.Namespace) -> int:
                 t["executor_id"] for t in timeouts
             )
         print(line)
-    fleet = channels["fleet"]
-    if fleet:
-        snap = fleet[-1]
-        warm = snap.get("warm") or {}
-        drivers = snap.get("tasks_by_driver") or {}
-        line = (f"\n   fleet (v6 side channel): up "
-                f"{snap.get('uptime_seconds', 0.0):,.0f}s at log time, "
-                f"{snap.get('jobs_served', 0)} job(s) served across "
-                f"{len(drivers)} driver(s), "
-                f"{snap.get('tasks_completed', 0)} task(s)")
-        if warm.get("warm_bytes_saved"):
-            line += (f", {warm['warm_bytes_saved'] / (1 << 20):,.1f} MiB "
-                     f"warm-cache bytes saved")
-        print(line)
     inference = channels["inference"]
     if inference:
         batches = [r for r in inference if r.get("kind") == "batch"]
@@ -486,7 +472,7 @@ def cmd_doctor(args: argparse.Namespace) -> int:
     else:
         paths = [args.path]
 
-    jobs, telemetry, fleet, inference, logs, read = [], [], [], [], [], []
+    jobs, telemetry, inference, logs, read = [], [], [], [], []
     for path in paths:
         try:
             channels = read_channels(path)
@@ -500,7 +486,6 @@ def cmd_doctor(args: argparse.Namespace) -> int:
             continue  # directories may hold other JSONL (log files, traces)
         jobs.extend(channels["job"])
         telemetry.extend(channels["telemetry"])
-        fleet.extend(channels["fleet"])
         inference.extend(channels["inference"])
         logs.extend(channels["log"])
         read.append(path)
@@ -520,13 +505,6 @@ def cmd_doctor(args: argparse.Namespace) -> int:
         n_stages = sum(len(j.stages) for j in jobs)
         print(f"doctor: examined {len(jobs)} job(s), {n_stages} stage(s) "
               f"from {len(read)} log(s)")
-        if fleet:
-            snap = fleet[-1]
-            warm = snap.get("warm") or {}
-            print(f"fleet context: {snap.get('jobs_served', 0)} job(s) on a "
-                  f"persistent fleet, {snap.get('tasks_completed', 0)} "
-                  f"task(s), {warm.get('warm_bytes_saved', 0) / (1 << 20):,.1f} "
-                  f"MiB warm-cache bytes saved")
         if inference:
             batches = sum(1 for r in inference if r.get("kind") == "batch")
             decided = sum(1 for r in inference if r.get("kind") == "converged")

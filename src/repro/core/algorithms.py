@@ -43,11 +43,11 @@ replicate scores are one GEMM against it.  Both methods share one body,
 ``DistributedSparkScore._resample``: it picks the (method x flavor) kernel
 once and hands :func:`~repro.stats.resampling.driver.resample` -- the loop
 the local engine runs too -- a wave count and an ``after_batch`` that
-records the batch and publishes the monitor.  A paper-flavor wave is one
-batch and one join/``reduce_by_key`` job; a vectorized wave is
-:data:`WAVE_BATCHES` batches, stacked once in the driver into one array,
-one broadcast and one single-stage job -- on the cached ``U``, one GEMM per
-block for the whole wave.
+records the batch.  A paper-flavor wave is one batch and one
+join/``reduce_by_key`` job; a vectorized wave is :data:`WAVE_BATCHES`
+batches, stacked once in the driver into one array, one broadcast and one
+single-stage job -- on the cached ``U``, one GEMM per block for the whole
+wave.
 
 Every transformation in the hot path is a named module-level callable (not
 a lambda), so the whole pipeline pickles and runs on the process backend.
@@ -68,6 +68,7 @@ partial).  No shuffle, and O(K) counts plus ``b`` floats per straddling
 from __future__ import annotations
 
 import contextlib
+import functools
 import itertools
 import time
 from typing import TYPE_CHECKING
@@ -126,6 +127,16 @@ def _broadcast(ctx: "Context", value):
 
 def _add(a, b):
     return a + b
+
+
+def _add_with_ids(a, b):
+    """``_add`` on ``(total, SNP ids summed into it)`` pairs: the totals sum
+    in the order ``_add`` sums them, so they stay bit-identical."""
+    return (a[0] + b[0], a[1] + b[1])
+
+
+def _with_id(kv):
+    return (kv[0], (kv[1], (kv[0],)))
 
 
 def _mul_pair(uw):
@@ -417,10 +428,10 @@ class DistributedSparkScore:
         executors read themselves (see module docstring).
         Both flavors check every row in the task that parses its split (a
         :class:`~repro.genomics.io.formats.FormatError` names the file and
-        the line).  The vectorized flavor also holds, in the driver, the
-        SNP ids its first wave scored against the SNP-sets; the paper
-        flavor makes no such cross-split check and re-parses on every
-        uncached pass.
+        the line).  Both also hold, in the driver, the SNP ids their
+        observed pass scored against the SNP-sets, so a SNP id repeated
+        across splits is refused either way.  The paper flavor re-parses on
+        every uncached pass.
     flavor:
         ``"paper"`` or ``"vectorized"`` (see module docstring).
     join_strategy:
@@ -551,20 +562,27 @@ class DistributedSparkScore:
 
     # -- per-set reductions (Algorithm 1 steps 8-12) ---------------------------------
 
-    def _per_set_scores(self, scored: "RDD") -> "RDD":
-        """Weight join + per-set reduction for the paper flavor."""
+    def _per_set_scores(self, scored: "RDD", with_ids: bool = False) -> "RDD":
+        """Weight join + per-set reduction for the paper flavor; ``with_ids``
+        pairs each set's total with the SNP ids summed into it."""
         joined = scored.join(self._weights_rdd, num_partitions=self.num_partitions)
         snp_scores = joined.map_values(_mul_pair)
+        if with_ids:
+            snp_scores = snp_scores.map(_with_id)
         return snp_scores.map(_KeyBySetFn(self._set_map_bc)).reduce_by_key(
-            _add, self.num_partitions
+            _add_with_ids if with_ids else _add, self.num_partitions
         )
 
     def _scores_to_set_stats(self, scored: "RDD") -> np.ndarray:
         """Steps 8-12, paper flavor: inner sigma -> weight join -> per-set
-        reduction of ``(snp_id, squared score)`` records to (K,) statistics."""
+        reduction of ``(snp_id, squared score)`` records to (K,) statistics,
+        the ids that made them checked."""
         stats = np.zeros(self._K)
-        for set_idx, value in self._per_set_scores(scored).collect():
+        scored_ids = []
+        for set_idx, (value, ids) in self._per_set_scores(scored, with_ids=True).collect():
             stats[set_idx] = value
+            scored_ids.append(np.array(ids, np.int64))
+        self._check_scored_ids(scored_ids)
         return stats
 
     def _scores_to_counts(
@@ -635,7 +653,7 @@ class DistributedSparkScore:
         scored, and scored once.  Made on what the observed pass reports,
         so blocks found resident on a warm fleet are held to it too."""
         scored_ids = np.sort(np.concatenate([np.empty(0, np.int64), *scored]))
-        if not np.array_equal(scored_ids, self._lookup.snp_ids):
+        if not np.array_equal(scored_ids, np.sort(self.dataset.genotypes.snp_ids)):
             # an id on two lines, or a set naming a SNP the file lacks: the
             # whole-file reader behind a deferred matrix finds and words it
             self.dataset.genotypes.matrix
@@ -708,18 +726,14 @@ class DistributedSparkScore:
             counts, observed = self._wave(kernel, cache_contributions, stacked, observed)
             return counts
 
-        def after_batch(width: int, seconds: float) -> None:
-            instrumentation.observe_batch(method, "distributed", width, seconds)
-            self.ctx.inference.publish(monitor)
-
         with _broadcast(self.ctx, observed) if paper else contextlib.nullcontext() as observed_bc:
             counts, used = resample(
                 batches, count_paper if paper else count_wave, monitor, n_sets=self._K,
-                wave=1 if paper else WAVE_BATCHES, after_batch=after_batch,
+                wave=1 if paper else WAVE_BATCHES,
+                after_batch=functools.partial(instrumentation.observe_batch, method, "distributed"),
             )
         if observed is None:  # no batch ran
             observed = self.observed_statistics(cache_contributions)
-        self.ctx.inference.publish(monitor, force=True)
         return self._result(method, observed, counts, used, start, first_job, monitor)
 
     # -- results -----------------------------------------------------------------------------------

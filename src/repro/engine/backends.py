@@ -67,6 +67,11 @@ class SerialBackend:
     def submit(self, fn: Callable, *args: Any) -> concurrent.futures.Future:
         return _ImmediateFuture(fn, args)
 
+    def executor_info(self) -> list[dict]:
+        """No worker processes, so nothing beyond the Context's own
+        executors to report (``/api/executors``)."""
+        return []
+
     def shutdown(self) -> None:
         pass
 

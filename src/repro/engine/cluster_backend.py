@@ -37,7 +37,8 @@ and surfaced as :class:`~repro.engine.listener.ExecutorRegistered` /
 :class:`ClusterManager` keyed by cluster shape; it persists until
 :func:`stop_all_clusters` (or interpreter exit), so the fleet lives and
 dies with its driver process (DESIGN.md section 13 records why no fleet
-outlives it).
+outlives it, and section 12 why it keeps no telemetry of its own: each
+driver's Context reports what its executors did).
 """
 
 from __future__ import annotations
@@ -61,7 +62,6 @@ from repro.engine import frames
 from repro.engine.executor import ExecutorLostError
 from repro.engine.listener import ExecutorDecommissioned, ExecutorRegistered
 from repro.engine.transport import Transport
-from repro.obs.fleet import FleetStats
 from repro.obs.logging import get_logger
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -304,13 +304,8 @@ class ClusterManager:
         self.stopped = False
         #: attach() calls so far; >0 means the fleet is warm for the next one
         self.jobs_attached = 0
-        #: cluster-resident observability plane: lives (and keeps its
-        #: series) as long as the manager, across every driver attach
-        self.fleet = FleetStats()
         self._ctx: "Context | None" = None
         self._tokens = itertools.count(1)
-        self._last_fleet_sample = 0.0
-        self._sampler_failed = False
         self._lock = threading.Lock()
         self._cmds: deque = deque()
         self._exec_state: dict[str, str] = {}
@@ -333,7 +328,6 @@ class ClusterManager:
         ]
         for eid in {h.executor_id for h in self.workers}:
             self._exec_state[eid] = "starting"
-            self.fleet.note_lifecycle(eid, "starting")
         self._spawn_workers()
 
         self._selector = selectors.DefaultSelector()
@@ -376,7 +370,6 @@ class ClusterManager:
                 )
         for eid in self._exec_state:
             self._exec_state[eid] = "registered"
-            self.fleet.note_lifecycle(eid, "registered")
 
     # -- backend interface -------------------------------------------------
 
@@ -426,13 +419,8 @@ class ClusterManager:
             self._shipped.add(key)
             return True
 
-    def note_inference(self, info: dict) -> None:
-        """Fold a driver's inference-convergence summary into fleet stats."""
-        self.fleet.note_inference(self.fleet.current_driver() or None, info)
-
     def attach(self, ctx: "Context") -> None:
         """Announce the fleet on a (new) driver's listener bus."""
-        self.fleet.note_attach(getattr(ctx, "trace_id", None))
         with self._lock:
             warm = self.jobs_attached > 0
             self.jobs_attached += 1
@@ -450,11 +438,6 @@ class ClusterManager:
         with self._lock:
             if self._ctx is ctx:
                 self._ctx = None
-        self.fleet.note_detach()
-
-    def fleet_snapshot(self, window: float | None = None) -> dict:
-        """The cluster-resident observability snapshot (``/api/fleet``)."""
-        return self.fleet.snapshot(self, window)
 
     def executor_info(self) -> list[dict]:
         """Per-executor lifecycle/warmth snapshot (``/api/executors``)."""
@@ -494,8 +477,6 @@ class ClusterManager:
                 self._cmds.append(("send", handle, frames.encode_frame(frames.DRAIN)))
             if targets:
                 self._exec_state[executor_id] = "draining"
-        if targets:
-            self.fleet.note_lifecycle(executor_id, "draining")
         self._wake()
 
     # -- dispatch loop -----------------------------------------------------
@@ -536,19 +517,6 @@ class ClusterManager:
                     if handle is not None or isinstance(tag, dict):
                         self._on_disconnect(key.fileobj, handle)
             self._process_commands()
-            now = time.monotonic()
-            if now - self._last_fleet_sample >= 1.0:
-                self._last_fleet_sample = now
-                try:
-                    self.fleet.sample(self)
-                except Exception as exc:  # noqa: BLE001 - must never stall dispatch
-                    if not self._sampler_failed:
-                        self._sampler_failed = True
-                        log.warning(
-                            "fleet sampler failed; later failures of this fleet's "
-                            "sampler are not logged",
-                            error=f"{type(exc).__name__}: {exc}",
-                        )
 
     def _accept_pending(self) -> None:
         while True:
@@ -606,7 +574,6 @@ class ClusterManager:
             try:
                 sent = sock.send(handle.outbuf)
                 del handle.outbuf[:sent]
-                self.fleet.note_frame_bytes(bytes_out=sent)
             except (BlockingIOError, InterruptedError):
                 pass
             except OSError:
@@ -628,7 +595,6 @@ class ClusterManager:
         if not data:
             self._on_disconnect(sock, handle)
             return
-        self.fleet.note_frame_bytes(bytes_in=len(data))
         parser = handle.parser if handle is not None else tag["parser"]
         try:
             parsed = parser.feed(data)
@@ -685,10 +651,6 @@ class ClusterManager:
             with self._lock:
                 future = handle.inflight.pop(token, None)
                 handle.tasks_done += 1
-            self.fleet.note_task_done(
-                handle.executor_id, self.fleet.current_driver(),
-                ok=ftype == frames.RESULT,
-            )
             if future is None or future.cancelled():
                 return  # attempt abandoned after a heartbeat timeout
             try:
@@ -699,9 +661,7 @@ class ClusterManager:
             except concurrent.futures.InvalidStateError:
                 pass
         elif ftype == frames.HEARTBEAT:
-            record = pickle.loads(payload)
-            self.fleet.note_heartbeat(record)
-            self.heartbeats.publish(record)
+            self.heartbeats.publish(pickle.loads(payload))
 
     def _on_disconnect(self, sock: socket.socket, handle: _WorkerHandle | None) -> None:
         try:
@@ -732,11 +692,6 @@ class ClusterManager:
                 self._exec_state[handle.executor_id] = (
                     "decommissioned" if was_draining else "lost"
                 )
-        if not peers_alive:
-            self.fleet.note_lifecycle(
-                handle.executor_id,
-                "decommissioned" if was_draining else "lost",
-            )
         for future in orphans:
             if future.cancelled():
                 continue
@@ -855,10 +810,6 @@ class ClusterBackend:
     def note_binary_shipped(self, executor_id: str, binary_id: str) -> bool:
         return self._manager.note_binary_shipped(executor_id, binary_id)
 
-    def note_inference(self, info: dict) -> None:
-        """Inference-convergence telemetry for the fleet snapshot."""
-        self._manager.note_inference(info)
-
     def attach(self, ctx: "Context") -> None:
         self._manager.attach(ctx)
 
@@ -867,10 +818,6 @@ class ClusterBackend:
 
     def executor_info(self) -> list[dict]:
         return self._manager.executor_info()
-
-    def fleet_snapshot(self, window: float | None = None) -> dict:
-        """Cluster-resident fleet stats (``/api/fleet``, event-log ``fleet`` lines)."""
-        return self._manager.fleet_snapshot(window)
 
     def decommission(self, executor_id: str, reason: str = "drain") -> None:
         self._manager.decommission(executor_id, reason)

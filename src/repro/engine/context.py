@@ -320,13 +320,6 @@ class Context:
                 self._log_file_sink.close()
                 self._log_file_sink = None
             LOG_BUS.set_level(self._previous_log_level)
-            # freeze the cluster-resident fleet snapshot into this driver's
-            # event log (v6 side channel) before detaching: the fleet
-            # outlives this context, but the log is how history/doctor see it
-            if self._event_log_listener is not None:
-                fleet_fn = getattr(self.backend, "fleet_snapshot", None)
-                if fleet_fn is not None:
-                    self._event_log_listener.write_fleet(fleet_fn(None))
             if not self.backend.supports_shared_state:
                 self.backend.detach(self)
             self.listener_bus.stop()

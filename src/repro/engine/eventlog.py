@@ -30,13 +30,12 @@ future fields can be added compatibly.  Version history:
   ``series`` lines (metrics-sampler ticks) and ``alert`` lines
   (alert-engine transitions); readers skip both, and a v5 log loads to
   the same job trees as before.  No writer emits either any more.
-- **v6** -- fleet observability.  ``fleet`` lines carry one
-  cluster-resident fleet snapshot each (uptime, jobs served, per-driver
-  throughput, warm-cache economics, trailing per-executor series from
-  the fleet's own TSDB), written by the context at ``stop()`` when the
-  backend exposes one.  Recoverable as the ``fleet`` channel, so
-  ``sparkscore history`` and ``doctor`` can see cross-job fleet state
-  long after the cluster is gone.  v5 and earlier logs load unchanged.
+- **v6** -- fleet observability, since removed.  v6 logs may carry one
+  ``fleet`` line per cluster-backed Context (a snapshot of the fleet's
+  own counters and series, written at ``stop()``); readers skip it, and a
+  v6 log loads to the same job trees as before.  No writer emits it any
+  more: the fleet lives and dies with its driver, and the job lines and
+  side channels below state what it did.
 - **v7** -- adaptive query execution, since removed.  v7 logs carry
   ``adaptive`` lines (planner decisions) and an optional task
   ``speculative`` flag; readers skip both, and a v7 log loads to the same
@@ -211,16 +210,16 @@ _SIDE_CHANNELS = {
     "heartbeat": ("telemetry", 3, _identity),
     "executor_timed_out": ("telemetry", 3, _identity),
     "log": ("log", 4, LogRecord.from_dict),
-    "fleet": ("fleet", 6, lambda data: data.get("snapshot", {})),
     "inference": ("inference", 8, _identity),
 }
 
 
 #: side-channel kinds no writer emits any more -> the format version that
 #: introduced them: v5's metrics-sampler ``series`` ticks and alert-engine
-#: ``alert`` transitions, v7's planner ``adaptive`` decisions.  Readers skip
-#: them; in a log older than that version they are corruption, as above.
-_RETIRED = {"series": 5, "alert": 5, "adaptive": 7}
+#: ``alert`` transitions, v6's fleet snapshots, v7's planner ``adaptive``
+#: decisions.  Readers skip them; in a log older than that version they are
+#: corruption, as above.
+_RETIRED = {"series": 5, "alert": 5, "fleet": 6, "adaptive": 7}
 
 
 def read_channels(path_or_file: str | IO[str]) -> dict[str, list]:
@@ -232,7 +231,6 @@ def read_channels(path_or_file: str | IO[str]) -> dict[str, list]:
     - ``"job"`` -- :class:`~repro.engine.metrics.JobMetrics` trees;
     - ``"telemetry"`` -- raw v3 ``heartbeat`` / ``executor_timed_out`` dicts;
     - ``"log"`` -- v4 :class:`~repro.obs.logging.LogRecord` objects;
-    - ``"fleet"`` -- v6 fleet snapshot dicts;
     - ``"inference"`` -- raw v8 convergence dicts (``kind`` is ``"batch"``
       or ``"converged"``).
 
@@ -307,11 +305,6 @@ class EventLogListener(Listener):
     registers :meth:`write_log` as a sink on the process log bus, so every
     emitted :class:`~repro.obs.logging.LogRecord` lands as a ``log`` line
     interleaved with the jobs it describes.
-
-    The v6 fleet side channel is stop-time: on a persistent-cluster
-    backend the context calls :meth:`write_fleet` once as it stops,
-    freezing the cluster-resident snapshot into the log this driver
-    leaves behind.
     """
 
     def __init__(self, path: str) -> None:
@@ -320,7 +313,6 @@ class EventLogListener(Listener):
         self.jobs_written = 0
         self.telemetry_written = 0
         self.logs_written = 0
-        self.fleet_written = 0
         self.inference_written = 0
 
     def _file(self) -> IO[str]:
@@ -409,19 +401,6 @@ class EventLogListener(Listener):
         data.update(record.to_dict())
         self._file().write(json.dumps(data, separators=(",", ":")) + "\n")
         self.logs_written += 1
-
-    def write_fleet(self, snapshot: dict) -> None:
-        """Context-stop sink: append one flushed v6 ``fleet`` line (rare
-        and forensic -- cross-job state the next driver cannot rebuild)."""
-        data = {
-            "event": "fleet",
-            "version": FORMAT_VERSION,
-            "snapshot": snapshot,
-        }
-        fh = self._file()
-        fh.write(json.dumps(data, separators=(",", ":")) + "\n")
-        fh.flush()
-        self.fleet_written += 1
 
     def close(self) -> None:
         if self._fh is not None:

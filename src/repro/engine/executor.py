@@ -35,9 +35,6 @@ class Executor:
         self._heartbeats_suspended = False
         self.tasks_run = 0
         self.tasks_failed = 0
-        #: driver trace id -> completed task count; on persistent fleets an
-        #: executor serves many drivers, and this is what tells them apart
-        self.tasks_by_trace: dict[str, int] = {}
 
     @property
     def alive(self) -> bool:
@@ -76,15 +73,11 @@ class Executor:
             self._alive = True
             self._heartbeats_suspended = False
 
-    def note_task(self, succeeded: bool, trace_id: str | None = None) -> None:
+    def note_task(self, succeeded: bool) -> None:
         with self._lock:
             self.tasks_run += 1
             if not succeeded:
                 self.tasks_failed += 1
-            if trace_id:
-                self.tasks_by_trace[trace_id] = (
-                    self.tasks_by_trace.get(trace_id, 0) + 1
-                )
 
     def __repr__(self) -> str:
         state = "alive" if self.alive else "dead"

@@ -308,7 +308,7 @@ class TaskScheduler:
                         executor_id=executor.executor_id,
                     )
                 except FetchFailedError as exc:
-                    executor.note_task(False, trace_id=getattr(self.ctx, "trace_id", None))
+                    executor.note_task(False)
                     job.num_task_failures += 1
                     self._post_failed_task(stage_metrics, task, attempt, executor, exc)
                     log.warning(
@@ -321,7 +321,7 @@ class TaskScheduler:
                     if fetch_failure is None:
                         fetch_failure = _FetchFailedSignal(exc.shuffle_id, exc.map_partition)
                 except ExecutorLostError as exc:
-                    executor.note_task(False, trace_id=getattr(self.ctx, "trace_id", None))
+                    executor.note_task(False)
                     job.num_task_failures += 1
                     self._post_failed_task(stage_metrics, task, attempt, executor, exc)
                     log.warning(
@@ -338,7 +338,7 @@ class TaskScheduler:
                         ) from exc
                     pending.append((task, attempt + 1, set()))
                 except Exception as exc:  # transient / injected task failure
-                    executor.note_task(False, trace_id=getattr(self.ctx, "trace_id", None))
+                    executor.note_task(False)
                     job.num_task_failures += 1
                     self._post_failed_task(stage_metrics, task, attempt, executor, exc)
                     log.warning(
@@ -361,7 +361,7 @@ class TaskScheduler:
                     tried = set(tried) | {executor.executor_id}
                     pending.append((task, attempt + 1, tried))
                 else:
-                    executor.note_task(True, trace_id=getattr(self.ctx, "trace_id", None))
+                    executor.note_task(True)
                     results[task.partition] = value
                     if isinstance(task, ResultTask):
                         record.metrics.driver_bytes_collected += estimate_size(value)
@@ -410,7 +410,7 @@ class TaskScheduler:
         for future in abandoned:
             att = inflight.pop(future)
             _cancel_attempt(future)  # no-op if already running; drops queued attempts
-            att.executor.note_task(False, trace_id=getattr(self.ctx, "trace_id", None))
+            att.executor.note_task(False)
             job.num_task_failures += 1
             exc = ExecutorLostError(executor_id)
             self._post_failed_task(stage_metrics, att.task, att.attempt, att.executor, exc)
@@ -637,8 +637,8 @@ class TaskScheduler:
                     # id plus the open stage span the worker's task-phase
                     # fragments will stitch under.  Travels inside the task
                     # envelope across process and cluster-socket boundaries,
-                    # so one fleet serving many drivers can tell their task
-                    # streams apart
+                    # so every span a worker ships home carries the id of
+                    # the Context that asked for it
                     "trace_id": getattr(self.ctx, "trace_id", None),
                     "parent_span_id": (
                         self.ctx._tracer.open_stage_span_id(stage.id)

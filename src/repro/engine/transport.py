@@ -152,9 +152,6 @@ class Transport:
         self._created: list[TransportRef] = []
         self.bytes_published = 0
         self.dedup_hits = 0
-        #: bytes a dedup hit kept off the wire/segment store -- the fleet
-        #: observability plane's "warm bytes saved" figure
-        self.dedup_bytes_saved = 0
 
     # -- construction -----------------------------------------------------
 
@@ -190,7 +187,6 @@ class Transport:
                 existing = self._by_hash.get(content_hash)
                 if existing is not None:
                     self.dedup_hits += 1
-                    self.dedup_bytes_saved += len(blob)
                     self._holders[content_hash] += 1
                     return existing
             ref = self._write(blob, content_hash)

@@ -18,10 +18,11 @@ metrics system + history server, all fed by the engine's listener bus
 - :mod:`repro.obs.diagnostics` / :mod:`repro.obs.advisor` -- skew,
   straggler, and cache-pressure detection over the recorded telemetry,
   and the rule-based recommendation engine behind ``sparkscore doctor``,
-  which also names the failing task of a failed run from its event log;
-- :mod:`repro.obs.fleet` / :mod:`repro.obs.timeseries` -- the
-  cluster-resident fleet statistics and the ring-buffer store that keeps
-  their per-executor history (``/api/fleet``, the event log's ``fleet`` line).
+  which also names the failing task of a failed run from its event log.
+
+A cluster fleet lives and dies with its one driver process, so it keeps
+no telemetry of its own: each Context's surfaces above state what its
+executors did (DESIGN.md section 12).
 """
 
 from repro.obs.advisor import Recommendation, diagnose, render_recommendations
@@ -43,7 +44,6 @@ from repro.obs.logging import (
 )
 from repro.obs.registry import REGISTRY, Counter, Gauge, Histogram, Registry
 from repro.obs.spans import Span, TracingListener, spans_from_jobs, to_chrome_trace
-from repro.obs.timeseries import Series, TimeSeriesStore
 
 __all__ = [
     "REGISTRY",
@@ -70,6 +70,4 @@ __all__ = [
     "Recommendation",
     "diagnose",
     "render_recommendations",
-    "Series",
-    "TimeSeriesStore",
 ]

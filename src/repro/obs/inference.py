@@ -443,20 +443,12 @@ class InferenceObservability:
     Resampling runs mint monitors through :meth:`new_monitor`, which wires
     the context's bus and -- when ``inference_early_stop`` is on -- the
     configured :class:`EarlyStopPolicy`.
-
-    On the cluster backend the holder also folds a small throughput
-    summary into the fleet's stats (throttled), so the fleet snapshot
-    (``/api/fleet``) shows replicates/sec per driver.
     """
-
-    #: minimum seconds between fleet publications
-    PUBLISH_INTERVAL = 0.5
 
     def __init__(self, ctx: "Context") -> None:
         self.ctx = ctx
         #: monitors minted this context, oldest first (bounded)
         self.monitors: list[ConvergenceMonitor] = []
-        self._last_publish = 0.0
 
     def new_monitor(
         self,
@@ -481,27 +473,6 @@ class InferenceObservability:
         if len(self.monitors) > 8:
             del self.monitors[: len(self.monitors) - 8]
         return monitor
-
-    def publish(self, monitor: ConvergenceMonitor, force: bool = False) -> None:
-        """Fold a throughput summary into the fleet stats, rate-limited."""
-        note = getattr(self.ctx.backend, "note_inference", None)
-        if note is None:
-            return
-        now = time.perf_counter()
-        if not force and now - self._last_publish < self.PUBLISH_INTERVAL:
-            return
-        self._last_publish = now
-        snap = monitor.snapshot()
-        note({
-            "method": snap["method"],
-            "replicates_total": snap["replicates_total"],
-            "planned_replicates": snap["planned_replicates"],
-            "replicates_per_sec": snap["replicates_per_sec"],
-            "replicates_saved": snap["replicates_saved"],
-            "early_stop": snap["early_stop"],
-            "sets_converged": snap["sets_converged"],
-            "sets_total": snap["sets_total"],
-        })
 
     def snapshot(self) -> dict:
         """One JSON-safe dict answering ``/api/inference``."""

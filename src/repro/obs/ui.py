@@ -10,23 +10,19 @@ Endpoints:
   registry deltas home with every task result);
 - ``/api/jobs`` -- completed jobs, Spark-REST-style JSON;
 - ``/api/stages`` -- per-stage summaries with aggregated task metrics;
-- ``/api/executors`` -- the executor fleet with heartbeat liveness;
+- ``/api/executors`` -- the Context's executors with heartbeat liveness,
+  plus each cluster worker's lifecycle state and warmth;
 - ``/api/progress`` -- live jobs/stages/executors snapshot (what the
   console progress bar renders), advancing while a job is mid-flight;
 - ``/api/logs`` -- the tail of the structured log ring buffer
   (``?level=`` filters, ``?limit=`` bounds the tail length);
 - ``/api/diagnostics`` -- skew/straggler/cache-pressure findings from the
   online :class:`~repro.obs.diagnostics.DiagnosticsListener`;
-- ``/api/fleet`` -- the cluster-resident fleet snapshot (uptime, jobs
-  served, per-driver throughput, per-executor series that survive
-  driver teardown); disabled unless the backend exposes
-  ``fleet_snapshot`` (cluster backend only);
 - ``/api/inference`` -- convergence telemetry for resampling runs:
   per-set running p-values with CI bounds, decision status, replicate
   throughput, and early-stop savings (always present; ``enabled``
   reflects the ``inference_early_stop`` knob);
-- ``/`` -- a minimal auto-refreshing HTML dashboard over the above, with
-  sparklines for the fleet's per-executor occupancy and queue depth.
+- ``/`` -- a minimal auto-refreshing HTML dashboard over the above.
 
 Bind ``port=0`` to let the OS pick a free port (tests do this); the bound
 port is available as ``UIServer.port`` and the full base URL as
@@ -107,14 +103,12 @@ _DASHBOARD = """<!doctype html>
  <a href="/api/progress">/api/progress</a>
  <a href="/api/logs">/api/logs</a>
  <a href="/api/diagnostics">/api/diagnostics</a>
- <a href="/api/fleet">/api/fleet</a>
  <a href="/api/inference">/api/inference</a></p>
 <h2>stages</h2><div id="stages">loading...</div>
 <h2>executors</h2><div id="executors"></div>
 <h2>completed jobs</h2><div id="jobs"></div>
 <h2>diagnostics</h2><div id="diagnostics"></div>
 <h2>inference convergence</h2><div id="inference">no resampling runs yet</div>
-<h2>fleet</h2><div id="fleet">no persistent fleet</div>
 <h2>recent logs</h2><div id="logs"></div>
 <script>
 function row(cells, tag) {
@@ -182,27 +176,6 @@ async function refresh() {
     row(["level", "logger", "job", "stage", "part", "message"], "th") +
     logs.map(l => row([l.level, l.logger, l.job_id ?? "", l.stage_id ?? "",
       l.partition ?? "", l.message])).join("") + "</table>";
-  const fleet = await (await fetch("/api/fleet?window=120")).json();
-  if (fleet.enabled) {
-    const occ = {}, depth = {};
-    (fleet.series || []).forEach(s => {
-      const eid = (s.labels || {}).executor_id;
-      if (!eid) return;
-      if (s.name === "fleet_slot_occupancy") occ[eid] = s.samples.map(p => p[1]);
-      if (s.name === "fleet_queue_depth") depth[eid] = s.samples.map(p => p[1]);
-    });
-    const eids = (fleet.executors || []).map(e => e.executor_id);
-    const warm = fleet.warm || {};
-    document.getElementById("fleet").innerHTML =
-      "uptime " + (fleet.uptime_seconds || 0).toFixed(0) + "s, " +
-      "jobs served " + (fleet.jobs_served || 0) + ", " +
-      "warm bytes saved " + ((warm.warm_bytes_saved || 0) / 1048576).toFixed(1) + " MB" +
-      "<table>" + row(["executor", "occupancy", "queue depth"], "th") +
-      eids.map(eid => row([eid,
-        '<span class="spark">' + sparkline(occ[eid] || []) + "</span>",
-        '<span class="spark">' + sparkline(depth[eid] || []) + "</span>",
-      ])).join("") + "</table>";
-  }
 }
 refresh(); setInterval(refresh, 1000);
 </script></body></html>
@@ -254,25 +227,9 @@ class UIServer:
     def _route(self, handler: BaseHTTPRequestHandler) -> None:
         path = handler.path.split("?", 1)[0].rstrip("/") or "/"
         if path == "/metrics":
-            body = REGISTRY.render(openmetrics=True, timestamp=time.time())
-            # a persistent fleet contributes its own (executor_id/driver
-            # labeled) families, minus any name the registry already owns
-            snapshot_fn = getattr(self.ctx.backend, "fleet_snapshot", None)
-            if snapshot_fn is not None:
-                from repro.obs.fleet import render_fleet_families
-
-                extra = render_fleet_families(
-                    snapshot_fn(None), skip={i.name for i in REGISTRY.instruments()}
-                )
-                if extra:
-                    body = (
-                        body[: body.rindex("# EOF")]
-                        + "\n".join(extra)
-                        + "\n# EOF\n"
-                    )
             self._send(
                 handler,
-                body,
+                REGISTRY.render(openmetrics=True, timestamp=time.time()),
                 "application/openmetrics-text; version=1.0.0; charset=utf-8",
             )
         elif path == "/api/jobs":
@@ -289,12 +246,10 @@ class UIServer:
                 e["executor_id"]: e
                 for e in self.ctx.progress.snapshot()["executors"]
             }
-            # persistent backends contribute lifecycle state + warmth;
-            # the registry contributes per-executor warm-cache hit counts
-            cluster = {}
-            info_fn = getattr(self.ctx.backend, "executor_info", None)
-            if info_fn is not None:
-                cluster = {c["executor_id"]: c for c in info_fn()}
+            # cluster workers contribute lifecycle state + warmth (the
+            # serial backend has none); the registry contributes
+            # per-executor warm-cache hit counts
+            cluster = {c["executor_id"]: c for c in self.ctx.backend.executor_info()}
 
             def _labeled(counter_name: str) -> dict:
                 counter = REGISTRY.get(counter_name)
@@ -356,24 +311,6 @@ class UIServer:
             self._send_json(handler, [r.to_dict() for r in records])
         elif path == "/api/diagnostics":
             self._send_json(handler, self.ctx.diagnostics.snapshot())
-        elif path == "/api/fleet":
-            snapshot_fn = getattr(self.ctx.backend, "fleet_snapshot", None)
-            if snapshot_fn is None:
-                self._send_json(handler, {"enabled": False})
-                return
-            query = handler.path.partition("?")[2]
-            params = dict(
-                part.split("=", 1) for part in query.split("&") if "=" in part
-            )
-            window = None
-            try:
-                if "window" in params:
-                    window = float(params["window"])
-            except ValueError:
-                window = None
-            out = {"enabled": True}
-            out.update(snapshot_fn(window))
-            self._send_json(handler, out)
         elif path == "/api/inference":
             holder = getattr(self.ctx, "inference", None)
             if holder is None:

@@ -422,27 +422,6 @@ class TestDispatchLoopErrors:
         assert warning.executor_id == failed[0]
         assert warning.fields == {"error": "RuntimeError: injected dispatch fault"}
 
-    def test_a_failing_fleet_sampler_is_logged_once_per_fleet(
-        self, fresh_cluster, monkeypatch
-    ):
-        config, manager = fresh_cluster()
-        calls = []
-
-        def failing(sampled):
-            calls.append(sampled)
-            raise RuntimeError("injected sampler fault")
-
-        with Context(config) as ctx, capture_logs() as records:
-            # this fleet's only: other fleets of the process sample on
-            monkeypatch.setattr(manager.fleet, "sample", failing)
-            deadline = time.monotonic() + 10.0
-            while len(calls) < 2:  # samples come once a second
-                assert _warm_workload_shm(ctx) == sum(x * x for x in range(64))
-                assert time.monotonic() < deadline, "the sampler never ran twice"
-                time.sleep(0.05)
-        (warning,) = self._warnings(records)
-        assert warning.fields == {"error": "RuntimeError: injected sampler fault"}
-
 
 needs_affinity = pytest.mark.skipif(
     not hasattr(os, "sched_setaffinity"), reason="CPU affinity is a Linux call"

@@ -17,6 +17,7 @@ from repro.engine.eventlog import (
     read_event_log,
     write_event_log,
 )
+from repro.engine.listener import InferenceBatchCompleted
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -373,7 +374,7 @@ class TestV5Monitoring:
         assert _job_tree_digest(channels["job"]) == _job_tree_digest(
             read_event_log(str(FIXTURES / "eventlog_v4.jsonl"))
         )
-        assert set(channels) == {"job", "telemetry", "log", "fleet", "inference"}
+        assert set(channels) == {"job", "telemetry", "log", "inference"}
 
     def test_a_series_line_older_than_v5_is_corruption(self, tmp_path):
         path = tmp_path / "v4.jsonl"
@@ -392,22 +393,8 @@ class TestV5Monitoring:
         channels = read_channels(path)
         assert len(channels["job"]) == 1
         assert any(r.message == "job finished" for r in channels["log"])
-        # a serial context has no heartbeat plane and no fleet
-        assert channels["telemetry"] == [] and channels["fleet"] == []
-
-    def test_fleet_lines_round_trip(self, tmp_path):
-        path = str(tmp_path / "v6.jsonl")
-        listener = EventLogListener(path)
-        listener.write_fleet({"jobs_served": 3, "tasks_completed": 12,
-                              "tasks_by_driver": {"abc": 12}})
-        listener.close()
-        assert listener.fleet_written == 1
-        (snap,) = read_channels(path)["fleet"]
-        assert snap["jobs_served"] == 3
-        assert snap["tasks_by_driver"] == {"abc": 12}
-        # job readers and the other side channels skip fleet lines
-        assert read_event_log(path) == []
-        assert read_channels(path)["telemetry"] == []
+        # a serial context has no heartbeat plane
+        assert channels["telemetry"] == []
 
     def test_torn_final_line_tolerated_by_side_channels(self, tmp_path):
         """A writer killed mid-side-channel-line must not poison any reader."""
@@ -416,39 +403,38 @@ class TestV5Monitoring:
         path = str(tmp_path / "torn.jsonl")
         listener = EventLogListener(path)
         listener.write_log(LogRecord(time=1.0, level="info", logger="t", message="m"))
-        listener.write_fleet({"jobs_served": 1})
+        listener.on_inference_batch_completed(InferenceBatchCompleted(
+            method="monte_carlo", batch_width=8, replicates_total=8,
+            planned_replicates=8, sets_total=1, sets_converged=0, min_pvalue=0.5,
+        ))
         listener.close()
         with open(path, "a") as fh:
-            fh.write('{"event":"fleet","version":8,"snaps')  # torn
+            fh.write('{"event":"inference","version":8,"kin')  # torn
         with pytest.warns(UserWarning, match="truncated"):
             channels = read_channels(path)
         assert [r.message for r in channels["log"]] == ["m"]
-        assert channels["fleet"] == [{"jobs_served": 1}]
+        assert [r["replicates_total"] for r in channels["inference"]] == [8]
         assert channels["job"] == []  # no jobs, but no crash either
 
 
 class TestV6Fleet:
-    def test_cluster_context_writes_fleet_line_on_stop(self, tmp_path):
-        """A cluster-backed context appends one v6 ``fleet`` line at stop:
-        the cluster-resident snapshot the next driver cannot rebuild."""
+    """v6 added a ``fleet`` side channel (a stop-time snapshot of the
+    cluster fleet's own counters and series) for a telemetry plane that has
+    since been removed: readers skip it."""
+
+    def test_cluster_context_writes_no_fleet_line(self, tmp_path):
         from repro.config import EngineConfig
         from repro.engine.context import Context
 
-        path = str(tmp_path / "fleet.jsonl")
+        path = str(tmp_path / "cluster.jsonl")
         config = EngineConfig(
             backend="cluster", num_executors=2, executor_cores=2,
             default_parallelism=4,
         )
         with Context(config, event_log_path=path) as ctx:
             ctx.parallelize(range(8), 4).map(_plus_two).sum()
-            trace_id = ctx.trace_id
-            assert read_channels(path)["fleet"] == []  # written at stop, not before
-        (snap,) = read_channels(path)["fleet"]
-        assert snap["jobs_served"] >= 1
-        assert snap["tasks_by_driver"].get(trace_id, 0) >= 4
-        assert "fleet_tasks_total" in snap["series_names"]
-        # the fleet line never confuses the job reader
-        assert len(read_event_log(path)) == 1
+        events = {json.loads(line)["event"] for line in open(path)}
+        assert "job" in events and "fleet" not in events
 
     def test_serial_context_writes_no_fleet_line(self, tmp_path, serial_config):
         from repro.engine.context import Context
@@ -456,24 +442,32 @@ class TestV6Fleet:
         path = str(tmp_path / "serial.jsonl")
         with Context(serial_config, event_log_path=path) as ctx:
             ctx.parallelize(range(8), 4).sum()
-        assert read_channels(path)["fleet"] == []
+        assert "fleet" not in read_channels(path)
+        assert all(json.loads(line)["event"] != "fleet" for line in open(path))
 
     def test_committed_v6_fixture_still_loads(self):
-        """Regression: a real v6 log keeps loading whole -- job, telemetry,
-        logs, and the fleet side channel all intact."""
+        """Regression: a real v6 log keeps loading whole -- job, telemetry
+        and logs intact, its ``fleet`` line skipped."""
         path = str(FIXTURES / "eventlog_v6.jsonl")
+        assert '"event":"fleet"' in (FIXTURES / "eventlog_v6.jsonl").read_text()
         (job,) = read_event_log(path)
         assert job.stages and job.stages[0].tasks
-        assert read_channels(path)["telemetry"], "expected heartbeat lines in the v6 log"
-        (snap,) = read_channels(path)["fleet"]
-        assert snap["jobs_served"] == 1
-        assert snap["tasks_completed"] == 4
-        assert snap["warm"]["binaries_cached"] == 1
-        assert "fleet_slot_occupancy" in snap["series_names"]
+        channels = read_channels(path)
+        assert channels["telemetry"], "expected heartbeat lines in the v6 log"
+        assert "fleet" not in channels
 
-    def test_old_fixtures_have_no_fleet(self):
-        assert read_channels(str(FIXTURES / "eventlog_v2.jsonl"))["fleet"] == []
-        assert read_channels(str(FIXTURES / "eventlog_v4.jsonl"))["fleet"] == []
+    def test_a_fleet_line_older_than_v6_is_corruption(self, tmp_path):
+        path = tmp_path / "v5.jsonl"
+        path.write_text(json.dumps({"event": "fleet", "version": 5, "snapshot": {}}) + "\n")
+        with pytest.raises(ValueError, match="not a job event"):
+            read_channels(str(path))
+
+    @pytest.mark.parametrize("command", ["history", "doctor"])
+    def test_history_and_doctor_read_the_v6_fixture(self, command, capsys):
+        from repro.cli import main
+
+        assert main([command, str(FIXTURES / "eventlog_v6.jsonl")]) == 0
+        assert "fleet" not in capsys.readouterr().out
 
 
 def _job_tree_digest(jobs) -> str:
@@ -513,7 +507,7 @@ class TestV7Adaptive:
     ], ids=["v2", "v4", "v6", "v7", "v8"])
     def test_old_logs_load_to_the_same_job_trees(self, name, digest):
         channels = read_channels(str(FIXTURES / name))
-        assert set(channels) == {"job", "telemetry", "log", "fleet", "inference"}
+        assert set(channels) == {"job", "telemetry", "log", "inference"}
         assert _job_tree_digest(channels["job"]) == digest
 
     def test_a_speculative_task_key_is_ignored(self, tmp_path):

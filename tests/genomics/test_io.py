@@ -530,11 +530,7 @@ class TestLocatedErrors:
 
     # (case, flavor); the vectorized ids are the bare case names
     ENGINE_CASES = [pytest.param(case, "vectorized", id=case) for case in CASES] + [
-        pytest.param(case, "paper", id=f"{case}-paper")
-        for case in CASES
-        # the paper flavor makes no cross-split id check: a repeated id is
-        # joined and scored twice, not refused
-        if case != "repeated-id"
+        pytest.param(case, "paper", id=f"{case}-paper") for case in CASES
     ]
 
     @pytest.mark.parametrize("backend", ["serial", "cluster"])
@@ -578,3 +574,26 @@ class TestLocatedErrors:
         assert code == 2 and captured.out == ""
         (line,) = captured.err.splitlines()
         assert line.startswith("sparkscore: error: genotypes.txt:21: bad genotype line")
+
+    @pytest.mark.parametrize("backend", ["serial", "cluster"])
+    def test_cli_paper_flavor_refuses_a_repeated_snp_id(
+        self, backend, tiny_dataset, tmp_path, capsys
+    ):
+        """A second line for SNP 5 at the end of the file, in another split
+        than the first: each split is fine alone, so the engine's check on
+        the ids the paper flavor's observed pass scored refuses it, with the
+        message the vectorized flavor and the local engine print."""
+        write_dataset(tiny_dataset, str(tmp_path))
+        path = tmp_path / "genotypes.txt"
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join([*lines, lines[5]]) + "\n")
+        code = main([
+            "analyze", str(tmp_path), "--engine", "distributed", "--backend", backend,
+            "--flavor", "paper", "--method", "monte-carlo", "--iterations", "32",
+            "--no-progress",
+        ])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.splitlines() == [
+            "sparkscore: error: genotypes.txt:41: SNP id 5 repeats line 6"
+        ]

@@ -414,63 +414,3 @@ class TestAdvisorRules:
         assert rule_insufficient_resamples(
             DiagnosisInput(jobs=[], inference=[final])
         ) == []
-
-
-class TestFleetTelemetry:
-    def test_note_inference_lands_in_snapshot(self):
-        from repro.obs.fleet import FleetStats
-
-        stats = FleetStats()
-        stats.note_inference("driver-1", {
-            "method": "monte_carlo", "replicates_total": 512,
-            "planned_replicates": 2048, "replicates_per_sec": 1000.0,
-            "sets_converged": 3, "sets_total": 8, "early_stop": True,
-        })
-        snap = stats.snapshot()
-        info = snap["inference_by_driver"]["driver-1"]
-        assert info["replicates_total"] == 512
-        assert "fleet_replicates_total" in snap["series_names"]
-
-    def test_note_inference_ignores_garbage(self):
-        from repro.obs.fleet import FleetStats
-
-        stats = FleetStats()
-        stats.note_inference("driver-1", "not-a-dict")
-        assert stats.snapshot()["inference_by_driver"] == {}
-
-
-def _raise(exc):
-    def call(*args):
-        raise exc
-
-    return call
-
-
-class TestPublishErrors:
-    """Publishing folds into the in-process fleet stats: an error from the
-    call is a bug and propagates."""
-
-    @staticmethod
-    def _run(tmp_path, note):
-        from repro.core.algorithms import DistributedSparkScore
-        from repro.engine.context import Context
-        from repro.genomics.synthetic import SyntheticConfig, generate_dataset
-
-        dataset = generate_dataset(
-            SyntheticConfig(n_patients=40, n_snps=60, n_snpsets=4, seed=3)
-        )
-        log = str(tmp_path / "events.jsonl")
-        config = EngineConfig(backend="serial", num_executors=1,
-                              executor_cores=1, default_parallelism=2)
-        with Context(config, event_log_path=log) as ctx:
-            ctx.backend.note_inference = note
-            # one batch, then the closing summary: two publish calls
-            result = DistributedSparkScore(ctx, dataset).monte_carlo(
-                32, seed=1, batch_size=32
-            )
-        return result, log
-
-    def test_a_type_error_propagates(self, tmp_path):
-        with pytest.raises(TypeError, match="bad call"):
-            self._run(tmp_path, _raise(TypeError("bad call")))
-

@@ -1,7 +1,17 @@
-"""Span construction, JSONL round-trip, and Chrome trace export."""
+"""Span construction, JSONL round-trip, and Chrome trace export.
+
+Trace stitching anchors the last classes: every backend -- in-process or
+across the cluster's socket boundary -- must produce the *same* span tree
+for the same job, with worker task-phase spans parented under the
+driver's stage spans and every span stamped with the driver's trace id.
+Their workload function is module-level: task-binary identity is the hash
+of the pickled closure.
+"""
 
 import json
 
+from repro.config import EngineConfig
+from repro.engine.context import Context
 from repro.engine.eventlog import read_event_log, write_event_log
 from repro.engine.listener import (
     JobEnd,
@@ -144,3 +154,131 @@ class TestSpanDataclass:
     def test_dict_round_trip(self):
         span = Span(1, None, "x", "task", 1.0, 2.0, {"k": "v"})
         assert Span.from_dict(span.to_dict()) == span
+
+
+# -- trace stitching across backends -----------------------------------------
+
+
+def _cluster_config(**overrides) -> EngineConfig:
+    base = dict(
+        backend="cluster",
+        num_executors=2,
+        executor_cores=2,
+        default_parallelism=4,
+    )
+    base.update(overrides)
+    return EngineConfig(**base)
+
+
+def _add_one(x):
+    return x + 1
+
+
+def _span_index(spans):
+    return {s.span_id: s for s in spans}
+
+
+def _tree_shape(spans):
+    """Canonical stitched-tree shape: (category, parent category) edge
+    multiset over the core hierarchy, independent of ids and timing."""
+    by_id = _span_index(spans)
+    return sorted(
+        (s.category,
+         by_id[s.parent_id].category if s.parent_id in by_id else None)
+        for s in spans if s.category in ("job", "stage", "task")
+    )
+
+
+def _phase_chains(spans):
+    """(phase name, parent category chain) for every worker task-phase
+    fragment -- the cross-process stitching under test."""
+    by_id = _span_index(spans)
+    chains = set()
+    for span in spans:
+        if span.category != "task_phase":
+            continue
+        task = by_id[span.parent_id]
+        stage = by_id[task.parent_id]
+        job = by_id[stage.parent_id]
+        chains.add((span.attrs["phase"], task.category, stage.category,
+                    job.category))
+    return chains
+
+
+class TestTraceParity:
+    BACKENDS = ("serial", "cluster")
+
+    def _run_traced(self, backend, tmp_path):
+        config = EngineConfig(
+            backend=backend, num_executors=2, executor_cores=2,
+            default_parallelism=4,
+        )
+        path = str(tmp_path / f"{backend}.jsonl")
+        with Context(config, trace_path=path) as ctx:
+            assert ctx.parallelize(range(12), 4).map(_add_one).sum() == 78
+            return ctx.trace_id, list(ctx.spans)
+
+    def test_every_backend_stitches_the_same_tree(self, tmp_path):
+        shapes, phases = {}, {}
+        for backend in self.BACKENDS:
+            trace_id, spans = self._run_traced(backend, tmp_path)
+            # every span -- including worker-shipped fragments -- carries
+            # the driver's trace id
+            assert {s.attrs.get("trace_id") for s in spans} == {trace_id}
+            shapes[backend] = _tree_shape(spans)
+            phases[backend] = _phase_chains(spans)
+        # one job span, one stage under it, four tasks under the stage --
+        # identically stitched whether tasks ran in-process or over sockets
+        assert len(set(map(tuple, shapes.values()))) == 1
+        assert shapes["cluster"] == [
+            ("job", None), ("stage", "job"),
+            ("task", "stage"), ("task", "stage"),
+            ("task", "stage"), ("task", "stage"),
+        ]
+        # worker task phases cross the process/socket boundary and stitch
+        # under task -> stage -> job
+        assert {p for p, *_ in phases["cluster"]} >= {
+            "deserialize", "compute", "result_serialize"
+        }
+        assert all(
+            chain == ["task", "stage", "job"]
+            for _, *chain in phases["cluster"]
+        )
+
+    def test_cluster_chrome_trace_has_worker_phase_tracks(self, tmp_path):
+        """Acceptance: the exported Chrome trace from a cluster job carries
+        worker task-phase slices on executor tracks, stamped with the
+        driver's trace id."""
+        path = str(tmp_path / "cluster_trace.json")
+        with Context(_cluster_config(), trace_path=path) as ctx:
+            ctx.parallelize(range(12), 4).map(_add_one).sum()
+            trace_id = ctx.trace_id
+        with open(path) as fh:
+            trace = json.load(fh)
+        slices = [e for e in trace["traceEvents"] if e["ph"] == "X"]
+        by_cat = {}
+        for e in slices:
+            by_cat.setdefault(e["cat"], []).append(e)
+        assert set(by_cat) == {"job", "stage", "task", "task_phase"}
+        assert all(e["args"]["trace_id"] == trace_id for e in slices)
+        # job/stage on the driver track (tid 0); worker phases elsewhere
+        assert all(e["tid"] == 0 for e in by_cat["job"] + by_cat["stage"])
+        assert all(e["tid"] != 0 for e in by_cat["task_phase"])
+
+    def test_two_drivers_keep_distinct_trace_ids_on_one_fleet(self, tmp_path):
+        """Two successive Contexts share the persistent fleet but stay
+        distinguishable by their own spans: distinct trace ids, and every
+        task -- and every phase its worker shipped home -- under its own."""
+        config = _cluster_config()
+        traced = []
+        for run in range(2):
+            with Context(config, trace_path=str(tmp_path / f"{run}.jsonl")) as ctx:
+                ctx.parallelize(range(8), 4).map(_add_one).collect()
+                traced.append((ctx.trace_id, list(ctx.spans), ctx.backend._manager))
+        (first, first_spans, manager), (second, second_spans, again) = traced
+        assert again is manager  # same persistent fleet
+        assert first != second
+        for trace_id, spans in ((first, first_spans), (second, second_spans)):
+            tasks = [s for s in spans if s.category in ("task", "task_phase")]
+            assert sum(s.category == "task" for s in tasks) == 4
+            assert {s.attrs.get("trace_id") for s in tasks} == {trace_id}

@@ -86,6 +86,18 @@ class TestEndpoints:
         assert sum(e["tasks_run"] for e in executors) == 4
         # heartbeat info is folded in for executors that reported
         assert any(e.get("heartbeats", 0) > 0 for e in executors)
+        # each cluster worker's lifecycle state and warmth ride along
+        assert all(e["cluster_state"] == "registered" and e["slots"] == 2
+                   for e in executors)
+
+    def test_api_executors_on_serial_has_no_worker_fields(self, serial_config):
+        with Context(serial_config, ui_port=0) as ctx:
+            ctx.parallelize(range(20), 4).sum()
+            executors = _get_json(ctx.ui_url + "/api/executors")
+        assert ctx.backend.executor_info() == []
+        assert {e["executor_id"] for e in executors} == {"exec-0", "exec-1"}
+        assert all("cluster_state" not in e for e in executors)
+        assert sum(e["tasks_run"] for e in executors) == 4
 
     def test_api_logs_serves_the_ring_tail(self, ui_ctx):
         from repro.obs.logging import LOG_BUS
@@ -180,7 +192,7 @@ class TestLiveProgress:
 
 
 class TestRemovedMonitoringPlane:
-    @pytest.mark.parametrize("endpoint", ["/api/timeseries", "/api/alerts"])
+    @pytest.mark.parametrize("endpoint", ["/api/timeseries", "/api/alerts", "/api/fleet"])
     def test_endpoint_is_gone(self, ui_ctx, endpoint):
         with pytest.raises(urllib.error.HTTPError) as err:
             _get(ui_ctx.ui_url + endpoint)
@@ -196,8 +208,8 @@ def _raise(exc):
 
 
 class TestBackendRPCErrors:
-    """A fleet snapshot is an in-process read: a bug in the call is not
-    masked."""
+    """The backend's executor report is an in-process read: a bug in the
+    call is not masked."""
 
     @pytest.fixture
     def serial_ui(self):
@@ -207,10 +219,10 @@ class TestBackendRPCErrors:
             yield ctx
 
     def test_a_type_error_is_not_masked(self, serial_ui):
-        serial_ui.backend.fleet_snapshot = _raise(TypeError("bad call"))
+        serial_ui.backend.executor_info = _raise(TypeError("bad call"))
 
         class _Handler:
-            path = "/api/fleet"
+            path = "/api/executors"
 
         with pytest.raises(TypeError, match="bad call"):
             serial_ui._ui._route(_Handler())
