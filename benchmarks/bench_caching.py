@@ -19,7 +19,6 @@ from repro.config import EngineConfig
 from repro.core.algorithms import DistributedSparkScore
 from repro.core.perfmodel import SparkScorePerfModel, WorkloadSpec
 from repro.engine.context import Context
-from repro.obs.registry import REGISTRY
 
 
 def engine_config():
@@ -28,22 +27,24 @@ def engine_config():
     )
 
 
-def registry_delta(before: dict) -> dict:
-    """What the engine counters moved by since ``before`` (a snapshot)."""
-    after = REGISTRY.snapshot()
-    return {k: v - before.get(k, 0) for k, v in after.items()}
+def job_totals(ctx: Context) -> dict:
+    """The cache and shuffle counts of every job the context ran."""
+    totals = [job.totals() for job in ctx.metrics.jobs]
+    return {
+        "hits": sum(t.cache_hits for t in totals),
+        "misses": sum(t.cache_misses for t in totals),
+        "shuffle_bytes": sum(t.shuffle_bytes_written for t in totals),
+    }
 
 
-def cache_summary_line(tag: str, delta: dict) -> str:
-    hits = delta.get("engine_cache_hits_total", 0)
-    misses = delta.get("engine_cache_misses_total", 0)
+def cache_summary_line(tag: str, totals: dict) -> str:
+    hits, misses = totals["hits"], totals["misses"]
     accesses = hits + misses
     rate = hits / accesses if accesses else 0.0
-    shuffle_kib = delta.get("engine_shuffle_bytes_total", 0) / 1024
     return (
-        f"[registry] {tag}: cache hit rate {rate:.1%} "
-        f"({hits:.0f} hits / {misses:.0f} misses), "
-        f"shuffle volume {shuffle_kib:.1f} KiB"
+        f"[jobs] {tag}: cache hit rate {rate:.1%} "
+        f"({hits} hits / {misses} misses), "
+        f"shuffle volume {totals['shuffle_bytes'] / 1024:.1f} KiB"
     )
 
 
@@ -70,29 +71,27 @@ class TestLiveCaching:
 
     def test_cached_faster_live(self, benchmark, live_dataset):
         """B1 live: same analysis, caching wins on wall clock -- and the
-        engine metrics registry shows why (hit rate + shuffle volume)."""
-        snap = REGISTRY.snapshot()
+        job records show why (hit rate + shuffle volume)."""
         with Context(engine_config()) as ctx:
             cached_scorer = DistributedSparkScore(ctx, live_dataset, flavor="vectorized")
             start = time.perf_counter()
             cached_scorer.monte_carlo(60, seed=1, batch_size=10)
             cached = time.perf_counter() - start
-        cached_delta = registry_delta(snap)
-        snap = REGISTRY.snapshot()
+            cached_totals = job_totals(ctx)
         with Context(engine_config()) as ctx:
             uncached_scorer = DistributedSparkScore(ctx, live_dataset, flavor="vectorized")
             start = time.perf_counter()
             uncached_scorer.monte_carlo(60, seed=1, batch_size=10, cache_contributions=False)
             uncached = time.perf_counter() - start
-        uncached_delta = registry_delta(snap)
-        for tag, delta in (("cached", cached_delta), ("no-cache", uncached_delta)):
-            line = cache_summary_line(tag, delta)
+            uncached_totals = job_totals(ctx)
+        for tag, totals in (("cached", cached_totals), ("no-cache", uncached_totals)):
+            line = cache_summary_line(tag, totals)
             print(line)
-            benchmark.extra_info[f"registry_{tag}"] = line
+            benchmark.extra_info[f"jobs_{tag}"] = line
         benchmark.extra_info["live_cache_speedup"] = uncached / cached
         benchmark(lambda: None)
-        assert cached_delta["engine_cache_hits_total"] > 0
-        assert uncached_delta["engine_cache_hits_total"] == 0
+        assert cached_totals["hits"] > 0
+        assert uncached_totals["hits"] == 0
         assert uncached > cached
 
 

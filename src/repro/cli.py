@@ -66,9 +66,6 @@ def _add_analyze(sub: argparse._SubParsersAction) -> None:
                    help="write an engine event log (JSONL; distributed engine only)")
     p.add_argument("--trace", metavar="PATH",
                    help="write a Chrome trace_event file (distributed engine only)")
-    p.add_argument("--ui-port", type=int, default=None, metavar="PORT",
-                   help="serve the live engine UI on this port while the "
-                        "analysis runs (0 picks a free port; distributed only)")
     progress = p.add_mutually_exclusive_group()
     progress.add_argument("--progress", dest="progress", action="store_true",
                           default=None,
@@ -86,9 +83,10 @@ def _add_analyze(sub: argparse._SubParsersAction) -> None:
     p.add_argument("--alpha", type=float, default=None, metavar="A",
                    help="significance threshold the convergence monitor "
                         "classifies against (default: 0.05)")
-    p.add_argument("--profile-fraction", type=float, default=0.0, metavar="F",
+    p.add_argument("--profile-fraction", type=float, default=None, metavar="F",
                    help="run this fraction of tasks under cProfile; hotspots "
-                        "land in the event log and `sparkscore history`")
+                        "land in the event log and `sparkscore history` "
+                        "(distributed only; default: 0)")
     p.add_argument("--log-level", choices=["debug", "info", "warning", "error"],
                    default=None,
                    help="structured-log level for the engine (distributed only; "
@@ -128,8 +126,6 @@ def _add_history(sub: argparse._SubParsersAction) -> None:
     p.add_argument("--job", type=int, default=None, help="show only this job id")
     p.add_argument("--export-trace", metavar="PATH",
                    help="write Chrome trace_event JSON (span JSONL if PATH ends in .jsonl)")
-    p.add_argument("--metrics", action="store_true",
-                   help="also print the process metrics registry (Prometheus text format)")
 
 
 def _add_doctor(sub: argparse._SubParsersAction) -> None:
@@ -204,11 +200,11 @@ def cmd_generate(args: argparse.Namespace) -> int:
 _DISTRIBUTED_ONLY = {
     "event_log": "--event-log",
     "trace": "--trace",
-    "ui_port": "--ui-port",
     "early_stop": "--early-stop",
     "alpha": "--alpha",
     "log_level": "--log-level",
     "log_file": "--log-file",
+    "profile_fraction": "--profile-fraction",
 }
 
 
@@ -235,31 +231,27 @@ def _load_analysis(args: argparse.Namespace):
             "num_executors": args.executors,
             "executor_cores": args.cores,
             "default_parallelism": args.executors * args.cores,
-            "profile_fraction": args.profile_fraction,
         }
         for field, value in (
             ("inference_early_stop", args.early_stop),
             ("inference_alpha", args.alpha),
             ("log_level", args.log_level),
+            ("profile_fraction", args.profile_fraction),
         ):
             if value is not None:
                 fields[field] = value
         config = EngineConfig(**fields)
         kwargs = {"engine": "distributed", "flavor": args.flavor}
-        if (args.event_log or args.trace or args.log_file
-                or args.ui_port is not None or want_progress):
+        if args.event_log or args.trace or args.log_file or want_progress:
             from repro.engine.context import Context
 
             kwargs["ctx"] = Context(
                 config,
                 event_log_path=args.event_log,
                 trace_path=args.trace,
-                ui_port=args.ui_port,
                 progress=want_progress,
                 log_file=args.log_file,
             )
-            if args.ui_port is not None:
-                print(f"engine UI serving at {kwargs['ctx'].ui_url}", file=sys.stderr)
         else:
             kwargs["config"] = config
     analysis = SparkScoreAnalysis.from_files(args.dataset_dir, **kwargs)
@@ -442,22 +434,12 @@ def cmd_history(args: argparse.Namespace) -> int:
         else:
             write_chrome_trace(spans, args.export_trace)
         print(f"\ntrace ({len(spans)} spans) written to {args.export_trace}")
-    if args.metrics:
-        from repro.obs.registry import REGISTRY
-
-        print("\n-- process metrics registry --")
-        print(REGISTRY.render(), end="")
     return 0
 
 
 def cmd_doctor(args: argparse.Namespace) -> int:
     from repro.engine.eventlog import read_channels
-    from repro.obs.advisor import (
-        cache_pressure_from_jobs,
-        diagnose,
-        recommendations_to_json,
-        render_recommendations,
-    )
+    from repro.obs.advisor import diagnose, recommendations_to_json, render_recommendations
 
     scan_dir = os.path.isdir(args.path)
     if scan_dir:
@@ -492,13 +474,7 @@ def cmd_doctor(args: argparse.Namespace) -> int:
     if scan_dir and not read:
         print(f"no readable event logs in {args.path}", file=sys.stderr)
         return 1
-    recs = diagnose(
-        jobs,
-        telemetry=telemetry,
-        cache=cache_pressure_from_jobs(jobs),
-        inference=inference,
-        log=logs,
-    )
+    recs = diagnose(jobs, telemetry=telemetry, inference=inference, log=logs)
     if args.json:
         print(recommendations_to_json(recs))
     else:

@@ -42,9 +42,8 @@ vectorized flavor ships the ``(b, n)`` array of permuted
 replicate scores are one GEMM against it.  Both methods share one body,
 ``DistributedSparkScore._resample``: it picks the (method x flavor) kernel
 once and hands :func:`~repro.stats.resampling.driver.resample` -- the loop
-the local engine runs too -- a wave count and an ``after_batch`` that
-records the batch.  A paper-flavor wave is one batch and one
-join/``reduce_by_key`` job; a vectorized wave is :data:`WAVE_BATCHES`
+the local engine runs too -- a wave count.  A paper-flavor wave is one
+batch and one join/``reduce_by_key`` job; a vectorized wave is :data:`WAVE_BATCHES`
 batches, stacked once in the driver into one array, one broadcast and one
 single-stage job -- on the cached ``U``, one GEMM per block for the whole
 wave.
@@ -68,14 +67,12 @@ partial).  No shuffle, and O(K) counts plus ``b`` floats per straddling
 from __future__ import annotations
 
 import contextlib
-import functools
 import itertools
 import time
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.core import instrumentation
 from repro.core.blocks import SnpBlock, SnpLookup
 from repro.core.results import ResamplingResult
 from repro.genomics.io.dataset_io import (
@@ -637,15 +634,10 @@ class DistributedSparkScore:
 
     def observed_statistics(self, cache_contributions: bool = True) -> np.ndarray:
         """The paper flavor's keyed pass, or a vectorized wave of no batches."""
-        pass_start = time.perf_counter()
         if self.flavor == "paper":
             inner = self.contributions_rdd(cache_contributions).map_values(_RowInnerFn())
-            stats = self._scores_to_set_stats(inner)
-        else:
-            _, stats = self._wave(_WaveCountsFn, cache_contributions, [], None)
-        instrumentation.SCORE_PASS_SECONDS.labels(engine="distributed").observe(
-            time.perf_counter() - pass_start
-        )
+            return self._scores_to_set_stats(inner)
+        _, stats = self._wave(_WaveCountsFn, cache_contributions, [], None)
         return stats
 
     def _check_scored_ids(self, scored: list[np.ndarray]) -> None:
@@ -730,7 +722,6 @@ class DistributedSparkScore:
             counts, used = resample(
                 batches, count_paper if paper else count_wave, monitor, n_sets=self._K,
                 wave=1 if paper else WAVE_BATCHES,
-                after_batch=functools.partial(instrumentation.observe_batch, method, "distributed"),
             )
         if observed is None:  # no batch ran
             observed = self.observed_statistics(cache_contributions)

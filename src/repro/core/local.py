@@ -6,19 +6,15 @@ same seed both paths consume identical resampling streams, see
 the benchmarks.  Its resampling runs through the same driver as the
 engine's (:func:`~repro.stats.resampling.driver.resample`): the cached Monte
 Carlo arm and permutation through the resamplers' ``run``, the no-cache arm
-with a batch count that rebuilds ``U`` every batch.  Every batch is recorded
-in the ``repro_resampling_batch_seconds`` / ``repro_replicates_total``
-series under ``engine="local"``, as the engine records its own.
+with a batch count that rebuilds ``U`` every batch.
 """
 
 from __future__ import annotations
 
 import time
-from functools import partial
 
 import numpy as np
 
-from repro.core import instrumentation
 from repro.core.results import ResamplingResult
 from repro.genomics.synthetic import Dataset
 from repro.stats.asymptotic import skat_asymptotic_pvalues
@@ -61,13 +57,8 @@ class LocalSparkScore:
         return self._result("observed", stats, np.zeros(self._K, dtype=np.int64), 0, start)
 
     def observed_statistics(self) -> np.ndarray:
-        pass_start = time.perf_counter()
         scores = self.model.scores(self._G)
-        stats = skat_statistics(scores, self._weights, self._set_ids, self._K)
-        instrumentation.SCORE_PASS_SECONDS.labels(engine="local").observe(
-            time.perf_counter() - pass_start
-        )
-        return stats
+        return skat_statistics(scores, self._weights, self._set_ids, self._K)
 
     def contributions(self) -> np.ndarray:
         """The (J, n) U matrix Algorithm 3 caches.
@@ -97,14 +88,11 @@ class LocalSparkScore:
         :class:`~repro.obs.inference.ConvergenceMonitor` (the local engine
         has no context to mint one, so callers wire their own)."""
         start = time.perf_counter()
-        after_batch = partial(instrumentation.observe_batch, "monte_carlo", "local")
         if cache_contributions:
             sampler = MonteCarloResampler(
                 self.contributions(), self._weights, self._set_ids, self._K
             )
-            outcome = sampler.run(
-                iterations, seed, batch_size, monitor=monitor, after_batch=after_batch
-            )
+            outcome = sampler.run(iterations, seed, batch_size, monitor=monitor)
             observed, counts, used = outcome.observed, outcome.exceed_counts, outcome.n_resamples
         else:
             # no-cache arm: re-derive U from genotypes for every batch,
@@ -119,9 +107,7 @@ class LocalSparkScore:
             batches = streams.mc_multiplier_batches(
                 self.dataset.n_patients, iterations, seed, batch_size
             )
-            counts, used = resample(
-                batches, per_batch(count_batch), monitor, n_sets=self._K, after_batch=after_batch
-            )
+            counts, used = resample(batches, per_batch(count_batch), monitor, n_sets=self._K)
         return self._result("monte_carlo", observed, counts, used, start, monitor)
 
     # -- Algorithm 2 (permutation) --------------------------------------------------
@@ -133,10 +119,7 @@ class LocalSparkScore:
         sampler = PermutationResampler(
             self.model, self._G, self._weights, self._set_ids, self._K
         )
-        outcome = sampler.run(
-            iterations, seed, batch_size, monitor=monitor,
-            after_batch=partial(instrumentation.observe_batch, "permutation", "local"),
-        )
+        outcome = sampler.run(iterations, seed, batch_size, monitor=monitor)
         return self._result(
             "permutation", outcome.observed, outcome.exceed_counts,
             outcome.n_resamples, start, monitor,

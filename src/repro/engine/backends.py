@@ -67,11 +67,6 @@ class SerialBackend:
     def submit(self, fn: Callable, *args: Any) -> concurrent.futures.Future:
         return _ImmediateFuture(fn, args)
 
-    def executor_info(self) -> list[dict]:
-        """No worker processes, so nothing beyond the Context's own
-        executors to report (``/api/executors``)."""
-        return []
-
     def shutdown(self) -> None:
         pass
 
@@ -85,45 +80,26 @@ class SerialBackend:
 _TASK_BINARY_CACHE: "OrderedDict[str, Any]" = OrderedDict()
 _TASK_BINARY_CACHE_MAX = 64
 
-#: executor id of the task currently running on this thread; labels the
-#: warm-cache counters so the dashboard can tell warm executors from cold
-_CURRENT_EXECUTOR = threading.local()
 
-
-def current_task_executor() -> str:
-    return getattr(_CURRENT_EXECUTOR, "executor_id", "driver")
-
-
-def _load_task_binary(ref: Any, transport: Any) -> Any:
+def _load_task_binary(ref: Any, transport: Any) -> "tuple[Any, bool]":
     """Materialize a stage's task binary at most once per worker process.
 
     The binary always travels out-of-band: ``ref`` is the
     :class:`~repro.engine.transport.TransportRef` to fetch its pickle by on
     a cache miss (and its content hash is the binary's id), so a task frame
-    carries the ref whatever the lineage.
+    carries the ref whatever the lineage.  Returns the binary and whether
+    the warm cache already held it.
     """
-    from repro.obs.registry import REGISTRY
-
     binary_id = ref.content_hash
     binary = _TASK_BINARY_CACHE.get(binary_id)
     if binary is not None:
         _TASK_BINARY_CACHE.move_to_end(binary_id)
-        REGISTRY.counter(
-            "task_binary_cache_hits_total",
-            "task binaries served from the worker-side warm cache",
-            labelnames=("executor",),
-        ).labels(executor=current_task_executor()).inc()
-        return binary
-    REGISTRY.counter(
-        "task_binary_cache_misses_total",
-        "task binaries fetched and deserialized (cold path)",
-        labelnames=("executor",),
-    ).labels(executor=current_task_executor()).inc()
+        return binary, True
     binary = pickle.loads(transport.get(ref))
     _TASK_BINARY_CACHE[binary_id] = binary
     while len(_TASK_BINARY_CACHE) > _TASK_BINARY_CACHE_MAX:
         _TASK_BINARY_CACHE.popitem(last=False)
-    return binary
+    return binary, False
 
 
 # -- worker-side resident blocks -----------------------------------------------
@@ -287,10 +263,9 @@ def _run_pickled_task(payload: bytes) -> bytes:
     :class:`~repro.engine.shuffle.ShuffleBlock` frames), the metadata of
     the cache blocks it left resident or evicted (never their data),
     accumulator updates, task metrics + resource telemetry,
-    optional cProfile hotspot rows, worker-local span fragments
-    (task-relative offsets), and a delta of every metrics-registry
-    increment made while the task ran -- the driver merges the delta so
-    worker-side instrumentation is never lost.
+    optional cProfile hotspot rows and worker-local span fragments
+    (task-relative offsets).  The worker's warm-cache facts (task binary
+    and by-ref memo hits) travel on the task metrics.
 
     The return value is an offset-prefixed frame (see
     :func:`_frame_result`): a fixed-size header carrying the serialization
@@ -304,14 +279,11 @@ def _run_pickled_task(payload: bytes) -> bytes:
     from repro.engine.task import ShuffleMapTask, TaskContext, TaskTelemetry
     from repro.engine.transport import from_spec
     from repro.obs.logging import capture_logs, log_context
-    from repro.obs.registry import REGISTRY
 
     task_start = time.perf_counter()
-    registry_baseline = REGISTRY.state_snapshot()
     spec = pickle.loads(payload)
-    _CURRENT_EXECUTOR.executor_id = spec["executor_id"]
     transport = from_spec(spec["transport"])
-    binary = _load_task_binary(spec["binary_ref"], transport)
+    binary, binary_cached = _load_task_binary(spec["binary_ref"], transport)
     task = binary.make_task(spec["partition"])
     blocks = _TaskBlocks(_resident_blocks(spec["storage_memory"]), binary.block_keys)
     worker_shuffle = ShuffleManager(track_bytes=False)
@@ -330,6 +302,8 @@ def _run_pickled_task(payload: bytes) -> bytes:
     tc.prefetched_shuffle = spec["prefetched_shuffle"]
     deserialize_seconds = time.perf_counter() - task_start
     tc.metrics.deserialize_seconds = deserialize_seconds
+    tc.metrics.task_binary_cache_hits = int(binary_cached)
+    tc.metrics.task_binary_cache_misses = int(not binary_cached)
 
     key = (task.stage_id, task.partition, spec["attempt"])
     telemetry = TaskTelemetry()
@@ -364,10 +338,6 @@ def _run_pickled_task(payload: bytes) -> bytes:
     compute_end = time.perf_counter()
     telemetry.record(tc.metrics)
 
-    from repro.core.instrumentation import observe_worker_task
-
-    observe_worker_task(binary.kind, compute_end - compute_start, tc.metrics.gc_pause_seconds)
-
     shuffle_output = None
     if isinstance(task, ShuffleMapTask):
         sid = task.shuffle_dep.shuffle_id
@@ -390,7 +360,6 @@ def _run_pickled_task(payload: bytes) -> bytes:
             {"name": "compute", "start": compute_start - task_start,
              "end": compute_end - task_start},
         ],
-        "registry_delta": REGISTRY.collect_delta(registry_baseline),
         "log_records": [r.to_dict() for r in log_records],
         "worker_pid": os.getpid(),
         # echo the trace context so the driver can verify the worker ran

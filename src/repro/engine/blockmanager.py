@@ -214,7 +214,8 @@ class BlockManager:
         If the block does not fit even after evicting everything else, it is
         *not* cached (Spark drops oversized blocks the same way) but the
         materialized list is still returned so the task can proceed.  When
-        ``metrics`` is given, size-estimation time is charged to the task.
+        ``metrics`` is given, size-estimation time and the blocks this put
+        evicted are charged to the task.
         """
         materialized = data if isinstance(data, list) else list(data)
         if level is StorageLevel.NONE:
@@ -241,6 +242,9 @@ class BlockManager:
             self._blocks[block_id] = _Block(data=stored, size=size, level=level)
             self._memory_used += size
             self._blocks.move_to_end(block_id)
+        if metrics is not None:
+            metrics.blocks_evicted += len(events)
+            metrics.blocks_spilled += sum(spilled for _, _, spilled in events)
         self._post_cached(block_id, size, level, events)
         return materialized
 

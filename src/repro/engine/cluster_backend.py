@@ -144,9 +144,9 @@ def _cluster_worker_main(
     """Worker process entry point: one task slot, one socket, one loop.
 
     Single-threaded on purpose: tasks run serially per slot (parallelism
-    comes from the fleet), so the worker-side registry delta never
-    interleaves two tasks' increments, and DRAIN can exit at any frame
-    boundary knowing nothing is in flight.
+    comes from the fleet), so process-wide worker state (the warm caches,
+    the resident blocks) is only ever touched by one task at a time, and
+    DRAIN can exit at any frame boundary knowing nothing is in flight.
     """
     _limit_blas_threads(_claim_cpu_share(slot, num_slots))
     # The heap this process was forked with is the driver's: park it in the
@@ -440,7 +440,7 @@ class ClusterManager:
                 self._ctx = None
 
     def executor_info(self) -> list[dict]:
-        """Per-executor lifecycle/warmth snapshot (``/api/executors``)."""
+        """Per-executor lifecycle snapshot: state, pid, slots, tasks done."""
         with self._lock:
             grouped: dict[str, dict] = {}
             for h in self.workers:
@@ -450,19 +450,11 @@ class ClusterManager:
                     "pid": 0,
                     "slots": 0,
                     "tasks_done": 0,
-                    "inflight": 0,
                 })
                 info["slots"] += 1
                 info["tasks_done"] += h.tasks_done
-                info["inflight"] += len(h.inflight)
                 if info["pid"] == 0:
                     info["pid"] = h.pid
-            for info in grouped.values():
-                eid = info["executor_id"]
-                info["warm"] = info["tasks_done"] > 0
-                info["binaries_cached"] = sum(
-                    1 for (e, _) in self._shipped if e == eid
-                )
             return [grouped[eid] for eid in sorted(grouped)]
 
     def decommission(self, executor_id: str, reason: str = "drain") -> None:
@@ -815,9 +807,6 @@ class ClusterBackend:
 
     def detach(self, ctx: "Context") -> None:
         self._manager.detach(ctx)
-
-    def executor_info(self) -> list[dict]:
-        return self._manager.executor_info()
 
     def decommission(self, executor_id: str, reason: str = "drain") -> None:
         self._manager.decommission(executor_id, reason)

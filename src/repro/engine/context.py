@@ -38,7 +38,6 @@ class Context:
         fault_injector: FaultInjector | None = None,
         event_log_path: str | None = None,
         trace_path: str | None = None,
-        ui_port: int | None = None,
         progress: bool = False,
         log_file: str | None = None,
     ) -> None:
@@ -83,17 +82,13 @@ class Context:
         self.shuffle_manager.bus = self.listener_bus
         self.metrics = MetricsRegistry()
         # inference observability: convergence monitors for resampling
-        # p-values.  Always present so /api/inference reports "disabled"
+        # p-values
         from repro.obs.inference import InferenceObservability
 
         self.inference = InferenceObservability(self)
         self.fault_injector = fault_injector
 
-        # standard listeners: process-wide metrics bridge, plus the event
-        # log writer and tracer when requested
-        from repro.obs.registry import MetricsListener
-
-        self.listener_bus.add_listener(MetricsListener())
+        # optional listeners: the event log writer and tracer when requested
         self._tracer = None
         self._event_log_listener = None
         if event_log_path is not None:
@@ -125,25 +120,16 @@ class Context:
         # online diagnostics: skew/straggler detection on stage completion
         from repro.obs.diagnostics import DiagnosticsListener
 
-        self.diagnostics = DiagnosticsListener(self.listener_bus)
-        self.listener_bus.add_listener(self.diagnostics)
+        self.listener_bus.add_listener(DiagnosticsListener())
 
-        # live surfaces: structured progress state (feeds the UI and the
-        # console bars) and the embedded HTTP server
-        from repro.obs.progress import ProgressTracker
-
-        self.progress = ProgressTracker()
-        self.listener_bus.add_listener(self.progress)
+        # console stage bars: the progress state exists only to draw them
+        self.progress = None
         if progress:
-            from repro.obs.progress import ConsoleProgressListener
+            from repro.obs.progress import ConsoleProgressListener, ProgressTracker
 
+            self.progress = ProgressTracker()
+            self.listener_bus.add_listener(self.progress)
             self.listener_bus.add_listener(ConsoleProgressListener(self.progress))
-        self._ui = None
-        if ui_port is not None:
-            from repro.obs.ui import UIServer
-
-            self._ui = UIServer(self, port=ui_port)
-            self._ui.start()
 
         # heartbeat plane: liveness for busy executors + timeout monitor.
         # Cluster only: a serial task runs inline on the driver thread, so
@@ -292,16 +278,8 @@ class Context:
 
     # -- lifecycle ---------------------------------------------------------------------
 
-    @property
-    def ui_url(self) -> str | None:
-        """Base URL of the embedded UI server, if one is running."""
-        return self._ui.url if self._ui is not None else None
-
     def stop(self) -> None:
         if not self._stopped:
-            if self._ui is not None:
-                self._ui.stop()
-                self._ui = None
             if self.heartbeats is not None:
                 self.heartbeats.stop()
             if self._tracer is not None and self.trace_path is not None:

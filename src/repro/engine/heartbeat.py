@@ -12,7 +12,7 @@ has no heartbeat plane.
 
 The hub posts every received record as a typed
 :class:`~repro.engine.listener.ExecutorHeartbeat` on the listener bus (so
-the metrics registry, event log, and UI all see them) and watches for
+the event log's ``telemetry`` channel records them) and watches for
 silence: a *busy* executor that has not heartbeated within
 ``EngineConfig.heartbeat_timeout`` seconds is declared lost -- the hub
 posts :class:`~repro.engine.listener.ExecutorTimedOut` and the task

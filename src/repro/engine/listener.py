@@ -5,8 +5,9 @@ completing, a task attempt finishing, a block entering or leaving a cache,
 shuffle bytes moving, an executor dying -- is published as a typed event on
 the context's :class:`ListenerBus`.  Consumers subscribe by registering a
 :class:`Listener`; the event log (:mod:`repro.engine.eventlog`), the tracer
-(:mod:`repro.obs.spans`), and the metrics registry bridge
-(:mod:`repro.obs.registry`) are all just listeners.
+(:mod:`repro.obs.spans`), online diagnostics (:mod:`repro.obs.diagnostics`)
+and the console progress bars (:mod:`repro.obs.progress`) are all just
+listeners.
 
 Delivery is synchronous and in posting order per thread.  A listener that
 raises is isolated: the exception is recorded on the bus
@@ -181,35 +182,6 @@ class ExecutorTimedOut(EngineEvent):
 
 
 @dataclass
-class StageSkewDetected(EngineEvent):
-    """A completed stage's per-partition distribution is badly imbalanced.
-
-    Posted by :class:`repro.obs.diagnostics.DiagnosticsListener` when the
-    max-over-median ratio of a partition metric (records, bytes, or
-    duration) crosses the configured threshold."""
-
-    stage_id: int
-    job_id: int
-    metric: str
-    max_over_median: float
-    gini: float = 0.0
-    max_partition: int = -1
-
-
-@dataclass
-class StragglerDetected(EngineEvent):
-    """One task attempt ran far past its stage's median duration."""
-
-    stage_id: int
-    job_id: int
-    partition: int
-    attempt: int
-    executor_id: str
-    duration_seconds: float
-    median_seconds: float
-
-
-@dataclass
 class InferenceBatchCompleted(EngineEvent):
     """One replicate batch folded into the convergence monitor.
 
@@ -380,8 +352,6 @@ __all__ = [
     "ExecutorDecommissioned",
     "ExecutorHeartbeat",
     "ExecutorTimedOut",
-    "StageSkewDetected",
-    "StragglerDetected",
     "InferenceBatchCompleted",
     "SnpSetConverged",
     "Listener",

@@ -31,6 +31,10 @@ class TaskMetrics:
     cache_misses: int = 0
     remote_cache_hits: int = 0
     disk_blocks_read: int = 0
+    #: cached blocks this attempt's cache puts pushed out of memory, and
+    #: how many of those went to disk instead of being dropped
+    blocks_evicted: int = 0
+    blocks_spilled: int = 0
     compute_seconds: float = 0.0
     size_estimation_seconds: float = 0.0
     #: wall seconds spent encoding/decoding shuffle frames, distinct from
@@ -41,6 +45,13 @@ class TaskMetrics:
     #: serialized stage task-binary bytes shipped with this attempt
     #: (cluster backend only; 0 under serial)
     task_binary_bytes: int = 0
+    #: the stage's task binary was already in the worker's warm cache (a
+    #: hit) or had to be fetched and unpickled (a miss); cluster only
+    task_binary_cache_hits: int = 0
+    task_binary_cache_misses: int = 0
+    #: by-ref values (broadcasts, partitions) the worker's memo already held
+    #: when this attempt first read them; cluster only
+    broadcast_memo_hits: int = 0
     # -- resource telemetry (executor telemetry plane) --------------------
     #: wall seconds spent deserializing the task payload + stage binary
     #: (cluster backend only; serial ships nothing)
@@ -159,7 +170,7 @@ class MetricsRegistry:
             return self.jobs[-1] if self.jobs else None
 
     def jobs_snapshot(self) -> list[JobMetrics]:
-        """Point-in-time copy of the completed-job list (UI / API use)."""
+        """Point-in-time copy of the completed-job list."""
         with self._lock:
             return list(self.jobs)
 

@@ -107,8 +107,8 @@ class _TaskSetCommits:
 
     An attempt abandoned at a heartbeat timeout keeps running in its
     worker, and its late result can reach the driver after the retry's.
-    Accumulator merges already dedup by (stage, partition), but registry
-    deltas, worker log replays, and telemetry observations do not -- so a
+    Accumulator merges already dedup by (stage, partition), but worker log
+    replays and telemetry observations do not -- so a
     task attempt must win the claim for its partition *before* any of its
     side effects are folded into driver state.  Exactly one attempt per
     partition ever commits."""
@@ -515,10 +515,6 @@ class TaskScheduler:
                 value, hotspots = task.run(tc), None
         duration = time.perf_counter() - start
         telemetry.record(tc.metrics)
-        from repro.core.instrumentation import observe_worker_task
-
-        kind = "shuffle_map" if isinstance(task, ShuffleMapTask) else "result"
-        observe_worker_task(kind, duration, tc.metrics.gc_pause_seconds)
         tc.accumulators.merge_into_driver(stage.id, task.partition)
         record = TaskRecord(
             stage_id=stage.id,
@@ -601,12 +597,19 @@ class TaskScheduler:
             # the map outputs' frames (no driver-side decode + re-pickle).
             # Cached blocks are the worker's own business: resident there
             # or recomputed from the lineage in the binary
+            # The worker reads the frames without a shuffle manager, so the
+            # driver counts the read here, as ShuffleManager.fetch would
             prefetched: dict[tuple[int, int], FrameBatch] = {}
+            read_records = read_bytes = 0
             for shuffle_id, reduce_part in stage_shuffle_inputs(task.rdd, task.partition):
                 blocks = self.ctx.shuffle_manager.fetch_blocks(shuffle_id, reduce_part)
                 prefetched[(shuffle_id, reduce_part)] = FrameBatch(
                     [b.payload for b in blocks]
                 )
+                for b in blocks:
+                    if b.num_records:
+                        read_records += b.num_records
+                        read_bytes += len(b.payload)
             payload = pickle.dumps(
                 {
                     "binary_ref": tb.ref,
@@ -673,6 +676,8 @@ class TaskScheduler:
                 out, serialize_seconds, serialize_offset = unframe_result(
                     done.result(), transport
                 )
+                out["metrics"].shuffle_records_read += read_records
+                out["metrics"].shuffle_bytes_read += read_bytes
                 if not commits.try_claim(task.partition, attempt):
                     # a sibling attempt committed first: drop this result
                     # before any driver-state merge
@@ -721,11 +726,6 @@ class TaskScheduler:
             "start": serialize_offset,
             "end": serialize_offset + serialize_seconds,
         })
-        # merge the worker registry's increments into the driver registry so
-        # worker-side instrumentation survives the process boundary
-        from repro.obs.registry import REGISTRY
-
-        REGISTRY.merge_delta(out.get("registry_delta") or {})
         # replay worker-captured log records into the driver bus; they were
         # already level-filtered worker-side and carry their correlation ids
         from repro.obs.logging import LOG_BUS

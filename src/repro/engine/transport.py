@@ -385,7 +385,8 @@ def _fetch_value(holder: "ByRef") -> Any:
 
     Runs on every read (per chunk or per record, on the paper flavor), so the hit path
     is one memo lookup; a *warm* hit -- the holder's first read found the
-    value already there -- is counted once per holder.  A memo miss fetches
+    value already there -- is counted once per holder, on the reading task's
+    ``broadcast_memo_hits``.  A memo miss fetches
     and unpickles; that time is moved from the running task's
     ``compute_seconds`` to its ``deserialize_seconds``, where the layer
     table expects it.
@@ -394,15 +395,12 @@ def _fetch_value(holder: "ByRef") -> Any:
     entry = _WORKER_VALUES.get(ref.content_hash)
     if entry is not None:
         if not holder._read:
-            holder._read = True
-            from repro.engine.backends import current_task_executor
-            from repro.obs.registry import REGISTRY
+            from repro.engine.task import current_task_context
 
-            REGISTRY.counter(
-                "broadcast_memo_hits_total",
-                "By-ref values (broadcasts, partitions) a worker's memo already held",
-                labelnames=("executor",),
-            ).labels(executor=current_task_executor()).inc()
+            holder._read = True
+            tc = current_task_context()
+            if tc is not None:
+                tc.metrics.broadcast_memo_hits += 1
         return entry[0]
     holder._read = True
     transport = worker_transport()

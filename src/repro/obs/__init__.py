@@ -1,15 +1,12 @@
-"""Observability: logging, tracing, metrics, diagnostics, and the advisor.
+"""Observability: logging, tracing, diagnostics, and the advisor.
 
-Coupled pieces, the analogue of Spark's web UI + log4j layout +
-metrics system + history server, all fed by the engine's listener bus
+Coupled pieces, the analogue of Spark's log4j layout + event log +
+history server, all fed by the engine's listener bus
 (:mod:`repro.engine.listener`):
 
 - :mod:`repro.obs.logging` -- structured JSONL logging with automatic
   task correlation ids, a ring-buffered :class:`LogBus`, and worker-side
   capture that ships records home with task results;
-- :mod:`repro.obs.registry` -- process-wide counters / gauges / histograms
-  with Prometheus-style text exposition, plus a bus bridge that keeps
-  engine-level series (tasks, shuffle bytes, cache traffic) up to date;
 - :mod:`repro.obs.spans` -- hierarchical spans (job -> stage -> task
   attempt) exportable as JSONL or Chrome ``trace_event`` JSON;
 - :mod:`repro.obs.history` -- offline analysis of event logs: stage
@@ -18,17 +15,21 @@ metrics system + history server, all fed by the engine's listener bus
 - :mod:`repro.obs.diagnostics` / :mod:`repro.obs.advisor` -- skew,
   straggler, and cache-pressure detection over the recorded telemetry,
   and the rule-based recommendation engine behind ``sparkscore doctor``,
-  which also names the failing task of a failed run from its event log.
+  which also names the failing task of a failed run from its event log;
+- :mod:`repro.obs.inference` -- convergence monitors for resampling
+  p-values and the opt-in early-stop policy;
+- :mod:`repro.obs.progress` -- Spark-style console stage bars.
 
-A cluster fleet lives and dies with its one driver process, so it keeps
-no telemetry of its own: each Context's surfaces above state what its
-executors did (DESIGN.md section 12).
+Every number is a job record's (``ctx.metrics``, the event log's job
+lines) or an event-log side channel's: there is no process-wide metrics
+registry and no embedded web UI (DESIGN.md section 12 has the
+measurement that decided it).  A cluster fleet lives and dies with its
+one driver process, so it keeps no telemetry of its own either.
 """
 
 from repro.obs.advisor import Recommendation, diagnose, render_recommendations
 from repro.obs.diagnostics import (
     DiagnosticsListener,
-    analyze_cache_pressure,
     detect_skew,
     detect_stragglers,
     gini,
@@ -42,15 +43,9 @@ from repro.obs.logging import (
     get_logger,
     log_context,
 )
-from repro.obs.registry import REGISTRY, Counter, Gauge, Histogram, Registry
 from repro.obs.spans import Span, TracingListener, spans_from_jobs, to_chrome_trace
 
 __all__ = [
-    "REGISTRY",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "Registry",
     "Span",
     "TracingListener",
     "spans_from_jobs",
@@ -63,7 +58,6 @@ __all__ = [
     "log_context",
     "capture_logs",
     "DiagnosticsListener",
-    "analyze_cache_pressure",
     "detect_skew",
     "detect_stragglers",
     "gini",

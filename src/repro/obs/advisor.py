@@ -2,7 +2,7 @@
 
 Rule-based analyzers over everything the engine records -- job/stage/task
 metrics (in-memory or reloaded from an event log), telemetry side-channel
-records, and the process-wide metrics registry -- producing ranked,
+records and the inference side channel -- producing ranked,
 actionable :class:`Recommendation` objects.  Each recommendation carries
 the *evidence* that fired it (metric values, stage ids) so a skeptical
 operator can check the reasoning, and an ``action`` string concrete
@@ -36,7 +36,6 @@ from repro.obs.diagnostics import (
     STRAGGLER_MULTIPLIER,
     CachePressureReport,
     StragglerReport,
-    analyze_cache_pressure,
     detect_skew,
     detect_stragglers,
     median,
@@ -45,7 +44,6 @@ from repro.obs.diagnostics import (
 if TYPE_CHECKING:  # pragma: no cover
     from repro.engine.metrics import JobMetrics, StageMetrics
     from repro.obs.logging import LogRecord
-    from repro.obs.registry import Registry
 
 #: severity ordering for ranking (higher sorts first)
 SEVERITIES = {"critical": 3, "warning": 2, "info": 1}
@@ -548,7 +546,6 @@ RULES = (
 def diagnose(
     jobs: Sequence["JobMetrics"],
     telemetry: Sequence[dict] | None = None,
-    registry: "Registry" | None = None,
     cache: CachePressureReport | None = None,
     *,
     inference: Sequence[dict] | None = None,
@@ -556,13 +553,12 @@ def diagnose(
 ) -> list[Recommendation]:
     """Run every rule; return recommendations ranked most-urgent first.
 
-    ``cache`` overrides the registry-derived pressure report (the offline
-    path: doctor reconstructs it from event-log task metrics because a
-    cold process's registry is empty).  ``log`` is the event log's ``log``
-    channel, which ``failed-task`` draws its evidence from.
+    ``cache`` overrides the pressure report :func:`cache_pressure_from_jobs`
+    builds from ``jobs``.  ``log`` is the event log's ``log`` channel,
+    which ``failed-task`` draws its evidence from.
     """
     if cache is None:
-        cache = analyze_cache_pressure(registry)
+        cache = cache_pressure_from_jobs(jobs)
     inp = DiagnosisInput(
         jobs=list(jobs),
         telemetry=list(telemetry or ()),
@@ -578,17 +574,20 @@ def diagnose(
 
 
 def cache_pressure_from_jobs(jobs: Sequence["JobMetrics"]) -> CachePressureReport:
-    """Offline approximation of cache pressure from task metrics alone.
+    """Cache pressure from task metrics alone (live or event-log jobs).
 
-    Event logs don't carry the BlockManager counters, but task metrics
-    record hits/misses; block churn is invisible, so eviction fields stay
-    zero and the thrash rule keys off hit rate only when this is used.
+    Every miss computes its partition and caches it, so misses count the
+    blocks cached; the evictions (and spills) are the ones each task's
+    cache puts caused.
     """
     report = CachePressureReport()
     for job in jobs:
         totals = job.totals()
         report.cache_hits += totals.cache_hits
         report.cache_misses += totals.cache_misses
+        report.blocks_evicted += totals.blocks_evicted
+        report.blocks_spilled += totals.blocks_spilled
+    report.blocks_cached = report.cache_misses
     return report
 
 

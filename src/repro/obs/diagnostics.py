@@ -1,7 +1,7 @@
 """Skew / straggler / cache-pressure diagnostics over engine telemetry.
 
-The interpretive layer between raw telemetry (TaskMetrics, the registry
-series) and the tuning advisor.  Three analyses:
+The interpretive layer between raw telemetry (the task metrics on each
+job record) and the tuning advisor.  Three analyses:
 
 - **partition skew** -- per-stage distributions of records, bytes, and
   duration across partitions, scored with the Gini coefficient and the
@@ -12,13 +12,13 @@ series) and the tuning advisor.  Three analyses:
 - **stragglers** -- individual task attempts that ran far longer than
   their stage's median (a fixed multiplier, with an absolute floor so
   trivial stages don't alarm).
-- **cache pressure** -- eviction and recompute ratios derived from the
-  BlockManager counters in the process-wide metrics registry.
+- **cache pressure** -- eviction and recompute ratios, a
+  :class:`CachePressureReport` the advisor reads (built from job records
+  by :func:`repro.obs.advisor.cache_pressure_from_jobs`).
 
 :class:`DiagnosticsListener` runs the first two online: it watches
-``StageCompleted`` events, posts :class:`StageSkewDetected` /
-:class:`StragglerDetected` back onto the bus, and logs a structured
-warning for each, so skew shows up in the live UI and the event log while
+``StageCompleted`` events and logs a structured warning for each finding,
+so skew shows up in the log (and the event log's ``log`` channel) while
 the job is still running.  The same pure functions run offline inside
 ``sparkscore doctor`` over a loaded event log: the thresholds below are
 the only copy, so online detection and ``doctor`` always agree.
@@ -30,18 +30,11 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
-from repro.engine.listener import (
-    Listener,
-    StageCompleted,
-    StageSkewDetected,
-    StragglerDetected,
-)
+from repro.engine.listener import Listener, StageCompleted
 from repro.obs.logging import get_logger
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.engine.listener import ListenerBus
     from repro.engine.metrics import StageMetrics
-    from repro.obs.registry import Registry
 
 log = get_logger("repro.diagnostics")
 
@@ -231,7 +224,7 @@ def detect_stragglers(stage: "StageMetrics") -> list[StragglerReport]:
 
 @dataclass
 class CachePressureReport:
-    """Eviction / recompute pressure derived from BlockManager counters."""
+    """Eviction / recompute pressure derived from block-manager counts."""
 
     blocks_cached: int = 0
     blocks_evicted: int = 0
@@ -261,61 +254,26 @@ class CachePressureReport:
         }
 
 
-def _counter_total(registry: "Registry", name: str) -> int:
-    inst = registry.get(name)
-    if inst is None:
-        return 0
-    return int(sum(child.value for child in inst.children().values()))
-
-
-def analyze_cache_pressure(registry: "Registry" | None = None) -> CachePressureReport:
-    """Fold the BlockManager registry series into one pressure report."""
-    if registry is None:
-        from repro.obs.registry import REGISTRY
-
-        registry = REGISTRY
-    return CachePressureReport(
-        blocks_cached=_counter_total(registry, "engine_blocks_cached_total"),
-        blocks_evicted=_counter_total(registry, "engine_blocks_evicted_total"),
-        blocks_spilled=_counter_total(registry, "engine_blocks_spilled_total"),
-        cache_hits=_counter_total(registry, "engine_cache_hits_total"),
-        cache_misses=_counter_total(registry, "engine_cache_misses_total"),
-    )
-
-
 class DiagnosticsListener(Listener):
     """Online skew/straggler detection on stage completion.
 
     For every completed stage this runs :func:`detect_skew` and
-    :func:`detect_stragglers` at the module thresholds, re-posts findings as typed bus events (so other listeners -- UI
-    progress, event log -- see them), and emits structured warnings.
-    Reports accumulate for the life of the context; ``snapshot()`` serves
-    the UI Diagnostics panel.
+    :func:`detect_stragglers` at the module thresholds and logs a
+    structured warning per finding, once: a retried stage re-completes,
+    so only the keys of findings already logged are kept.
     """
 
-    def __init__(self, bus: "ListenerBus") -> None:
-        self._bus = bus
-        self.skew_reports: list[SkewReport] = []
-        self.straggler_reports: list[StragglerReport] = []
+    def __init__(self) -> None:
+        self._seen_skew: set[tuple[int, str]] = set()
+        self._seen_stragglers: set[tuple[int, int, int]] = set()
 
     def on_stage_completed(self, event: StageCompleted) -> None:
         stage = event.stage
-        # dedupe per (stage, metric): retried stage attempts re-complete
-        seen_skew = {(r.stage_id, r.metric) for r in self.skew_reports}
         for report in detect_skew(stage):
-            if (report.stage_id, report.metric) in seen_skew:
+            key = (report.stage_id, report.metric)
+            if key in self._seen_skew:
                 continue
-            self.skew_reports.append(report)
-            self._bus.post(
-                StageSkewDetected(
-                    stage_id=report.stage_id,
-                    job_id=event.job_id,
-                    metric=report.metric,
-                    max_over_median=report.max_over_median,
-                    gini=report.gini,
-                    max_partition=report.max_partition,
-                )
-            )
+            self._seen_skew.add(key)
             log.warning(
                 "stage partition skew detected",
                 stage_id=report.stage_id,
@@ -325,24 +283,11 @@ class DiagnosticsListener(Listener):
                 gini=round(report.gini, 3),
                 max_partition=report.max_partition,
             )
-        seen_straggler = {
-            (r.stage_id, r.partition, r.attempt) for r in self.straggler_reports
-        }
         for report in detect_stragglers(stage):
-            if (report.stage_id, report.partition, report.attempt) in seen_straggler:
+            key = (report.stage_id, report.partition, report.attempt)
+            if key in self._seen_stragglers:
                 continue
-            self.straggler_reports.append(report)
-            self._bus.post(
-                StragglerDetected(
-                    stage_id=report.stage_id,
-                    job_id=event.job_id,
-                    partition=report.partition,
-                    attempt=report.attempt,
-                    executor_id=report.executor_id,
-                    duration_seconds=report.duration_seconds,
-                    median_seconds=report.median_seconds,
-                )
-            )
+            self._seen_stragglers.add(key)
             log.warning(
                 "straggler task detected",
                 stage_id=report.stage_id,
@@ -352,14 +297,6 @@ class DiagnosticsListener(Listener):
                 duration_seconds=round(report.duration_seconds, 4),
                 median_seconds=round(report.median_seconds, 4),
             )
-
-    def snapshot(self) -> dict:
-        """JSON-ready view for the UI ``/api/diagnostics`` endpoint."""
-        return {
-            "skew": [r.to_dict() for r in self.skew_reports],
-            "stragglers": [r.to_dict() for r in self.straggler_reports],
-            "cache_pressure": analyze_cache_pressure().to_dict(),
-        }
 
 
 __all__ = [
@@ -376,6 +313,5 @@ __all__ = [
     "CachePressureReport",
     "detect_skew",
     "detect_stragglers",
-    "analyze_cache_pressure",
     "DiagnosticsListener",
 ]

@@ -236,6 +236,13 @@ def render_job_summary(job: JobMetrics) -> str:
             f"deserialize {_fmt_secs(totals.deserialize_seconds)}, "
             f"result serialize {_fmt_secs(totals.result_serialize_seconds)}"
         )
+    binaries = totals.task_binary_cache_hits + totals.task_binary_cache_misses
+    if binaries or totals.blocks_evicted:
+        lines.append(
+            f"   worker caches: task binary {totals.task_binary_cache_hits}/{binaries} "
+            f"warm, {totals.broadcast_memo_hits} by-ref memo hits, "
+            f"{totals.blocks_evicted} blocks evicted ({totals.blocks_spilled} spilled)"
+        )
     return "\n".join(lines)
 
 

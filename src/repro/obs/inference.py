@@ -13,9 +13,8 @@ counts into running p-value estimates with binomial confidence intervals
 alpha, and emits typed listener-bus events
 (:class:`~repro.engine.listener.InferenceBatchCompleted`,
 :class:`~repro.engine.listener.SnpSetConverged`) that downstream surfaces
-consume: the metrics registry, the v8 event-log ``inference`` side channel,
-``/api/inference`` and the dashboard convergence panel, and ``sparkscore
-history``/``doctor``.
+consume: the v8 event-log ``inference`` side channel, ``sparkscore
+history``/``doctor`` and the console progress bar.
 
 :class:`EarlyStopPolicy` closes the loop.  When attached (opt-in via
 ``inference_early_stop``), :meth:`ConvergenceMonitor.fold` masks converged
@@ -36,7 +35,6 @@ the replicates actually consumed), so:
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Sequence
 
@@ -62,9 +60,6 @@ CI_METHODS = ("wilson", "clopper-pearson")
 #: test, and a tight interval keeps wrong early calls rare enough that the
 #: CI drill's "identical significance calls" gate holds in practice.
 DECISION_CONFIDENCE = 0.999
-
-#: trajectory points kept per set (dashboard sparklines); oldest dropped
-_TRAJECTORY_MAX = 256
 
 
 def wilson_interval(
@@ -249,9 +244,6 @@ class ConvergenceMonitor:
         self.decided_at = np.full(n_sets, -1, dtype=np.int64)
         self._ci_low = np.zeros(n_sets, dtype=np.float64)
         self._ci_high = np.ones(n_sets, dtype=np.float64)
-        #: per-set [replicates, phat, lo, hi] points for trajectory plots
-        self.trajectories: list[list[list[float]]] = [[] for _ in range(n_sets)]
-        self._started = time.perf_counter()
         self._mask = np.ones(n_sets, dtype=bool)
         self._posted_replicates = 0
 
@@ -306,15 +298,10 @@ class ConvergenceMonitor:
         n = int(self.replicates_total)
         counts = self.exceed[open_sets]
         low, high = binomial_interval(counts, max(n, 1), self.ci)
-        phat = counts / max(n, 1)
         newly: list[int] = []
         for i, k in enumerate(open_sets):
             self._ci_low[k] = low[i]
             self._ci_high[k] = high[i]
-            traj = self.trajectories[k]
-            traj.append([float(n), float(phat[i]), float(low[i]), float(high[i])])
-            if len(traj) > _TRAJECTORY_MAX:
-                del traj[: len(traj) - _TRAJECTORY_MAX]
             if n < self.min_replicates:
                 continue
             if high[i] < self.alpha:
@@ -361,40 +348,6 @@ class ConvergenceMonitor:
             return 1.0
         return float(self.pvalues().min())
 
-    def snapshot(self) -> dict:
-        """JSON-safe state for ``/api/inference``."""
-        phat = self.pvalues() if self.replicates_total else np.ones(self.n_sets)
-        elapsed = max(time.perf_counter() - self._started, 1e-9)
-        return {
-            "method": self.method,
-            "alpha": self.alpha,
-            "ci": self.ci,
-            "min_replicates": self.min_replicates,
-            "early_stop": self.policy is not None,
-            "planned_replicates": self.planned_replicates,
-            "replicates_total": self.replicates_total,
-            "replicates_saved": self.replicates_saved,
-            "replicates_per_sec": self.replicates_total / elapsed,
-            "batches": self.batches_folded,
-            "finished": self.finished,
-            "sets_total": self.n_sets,
-            "sets_converged": self.sets_converged,
-            "min_pvalue": self.min_pvalue(),
-            "sets": [
-                {
-                    "name": self.set_names[k],
-                    "status": self.status[k],
-                    "pvalue": float(phat[k]),
-                    "ci_low": float(self._ci_low[k]),
-                    "ci_high": float(self._ci_high[k]),
-                    "replicates": int(self.denominators[k]),
-                    "decided_at": int(self.decided_at[k]),
-                    "trajectory": [list(p) for p in self.trajectories[k]],
-                }
-                for k in range(self.n_sets)
-            ],
-        }
-
     # -- event emission ----------------------------------------------------
 
     def _batch_event(self, batch_width: int) -> InferenceBatchCompleted:
@@ -438,11 +391,12 @@ class ConvergenceMonitor:
 class InferenceObservability:
     """Context-resident holder for convergence monitors.
 
-    Always present on a :class:`~repro.engine.context.Context` so dashboards
-    and ``/api/inference`` can report "disabled" instead of 404ing.
-    Resampling runs mint monitors through :meth:`new_monitor`, which wires
-    the context's bus and -- when ``inference_early_stop`` is on -- the
-    configured :class:`EarlyStopPolicy`.
+    Always present on a :class:`~repro.engine.context.Context`.  Resampling
+    runs mint monitors through :meth:`new_monitor`, which wires the
+    context's bus and -- when ``inference_early_stop`` is on -- the
+    configured :class:`EarlyStopPolicy`; :attr:`monitors` keeps the most
+    recent ones for in-process inspection (per-set ``status``,
+    ``pvalues()``, ``decided_at``).
     """
 
     def __init__(self, ctx: "Context") -> None:
@@ -473,17 +427,6 @@ class InferenceObservability:
         if len(self.monitors) > 8:
             del self.monitors[: len(self.monitors) - 8]
         return monitor
-
-    def snapshot(self) -> dict:
-        """One JSON-safe dict answering ``/api/inference``."""
-        config = self.ctx.config
-        return {
-            "enabled": bool(config.inference_early_stop),
-            "alpha": config.inference_alpha,
-            "ci": config.inference_ci,
-            "min_replicates": config.inference_min_replicates,
-            "runs": [m.snapshot() for m in self.monitors],
-        }
 
 
 __all__ = [

@@ -10,7 +10,7 @@ The engine's logging layer.  Three pieces:
   execution.  A log call inside a task needs no plumbing to know which
   task it belongs to -- exactly like Spark's MDC-enriched log4j layout.
 - :class:`LogBus` -- the per-process fan-out point.  Every record lands in
-  a bounded ring buffer (the live UI serves it at ``/api/logs``) and is
+  a bounded ring buffer (``LOG_BUS.records()``, the recent tail) and is
   offered to registered sinks: a JSONL file (``--log-file``), a
   human-readable console sink (``--log-level`` on a TTY), and the event
   log (v4 ``log`` record lines interleaved with job/telemetry records).

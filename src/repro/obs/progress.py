@@ -1,15 +1,15 @@
-"""Live job/stage/executor progress state and Spark-style console bars.
+"""Live job/stage progress state and Spark-style console bars.
 
-:class:`ProgressTracker` is a listener that folds bus events into a
-structured, point-in-time snapshot of everything currently running --
-jobs, stages with task completion counts, and per-executor liveness from
-heartbeats.  It is the single source the live surfaces read from: the
-embedded HTTP server (:mod:`repro.obs.ui`) serializes
-:meth:`ProgressTracker.snapshot` at ``/api/progress``, and
-:class:`ConsoleProgressListener` renders the classic Spark console bar
-from the same state::
+:class:`ProgressTracker` is a listener that folds bus events into the
+state the console bar draws -- running stages with task completion counts,
+and the resampling runs' replicate throughput -- and
+:class:`ConsoleProgressListener` renders the classic Spark console bar from
+it::
 
     [Stage 3:=====================>                         (12/48)]
+
+A :class:`~repro.engine.context.Context` attaches both only when asked for
+``progress=True`` (``sparkscore analyze --progress``).
 """
 
 from __future__ import annotations
@@ -20,14 +20,9 @@ import time
 from typing import IO
 
 from repro.engine.listener import (
-    ExecutorHeartbeat,
-    ExecutorLost,
-    ExecutorTimedOut,
     InferenceBatchCompleted,
     JobEnd,
-    JobStart,
     Listener,
-    SnpSetConverged,
     StageCompleted,
     StageSubmitted,
     TaskEnd,
@@ -40,38 +35,18 @@ class ProgressTracker(Listener):
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        #: job_id -> {description, state, stage_ids, submitted, wall_seconds}
-        self.jobs: dict[int, dict] = {}
         #: (stage_id, attempt) -> {name, num_tasks, completed, failed, ...}
         self.stages: dict[tuple[int, int], dict] = {}
-        #: executor_id -> {heartbeats, records_read, rss_bytes, ...}
-        self.executors: dict[str, dict] = {}
-        #: method -> {replicates_total, replicates_per_sec, sets_converged, ...}
+        #: stage_id -> its newest attempt's entry in ``stages``
+        self._latest: dict[int, dict] = {}
+        #: method -> {replicates_total, replicates_per_sec, sets_converged, sets_total}
         self.inference: dict[str, dict] = {}
 
-    # -- jobs / stages -----------------------------------------------------
-
-    def on_job_start(self, event: JobStart) -> None:
-        with self._lock:
-            self.jobs[event.job_id] = {
-                "job_id": event.job_id,
-                "description": event.description,
-                "state": "running",
-                "stage_ids": [],
-                "submitted": event.time,
-                "wall_seconds": None,
-            }
-
-    def on_job_end(self, event: JobEnd) -> None:
-        with self._lock:
-            job = self.jobs.get(event.job_id)
-            if job is not None:
-                job["state"] = "succeeded" if event.succeeded else "failed"
-                job["wall_seconds"] = event.job.wall_seconds
+    # -- stages ------------------------------------------------------------
 
     def on_stage_submitted(self, event: StageSubmitted) -> None:
         with self._lock:
-            self.stages[(event.stage_id, event.attempt)] = {
+            self.stages[(event.stage_id, event.attempt)] = self._latest[event.stage_id] = {
                 "stage_id": event.stage_id,
                 "attempt": event.attempt,
                 "name": event.name,
@@ -82,9 +57,6 @@ class ProgressTracker(Listener):
                 "active_tasks": 0,
                 "state": "running",
             }
-            job = self.jobs.get(event.job_id)
-            if job is not None and event.stage_id not in job["stage_ids"]:
-                job["stage_ids"].append(event.stage_id)
 
     def on_stage_completed(self, event: StageCompleted) -> None:
         with self._lock:
@@ -95,58 +67,20 @@ class ProgressTracker(Listener):
 
     def on_task_start(self, event: TaskStart) -> None:
         with self._lock:
-            stage = self._latest_stage(event.stage_id)
+            stage = self._latest.get(event.stage_id)
             if stage is not None:
                 stage["active_tasks"] += 1
 
     def on_task_end(self, event: TaskEnd) -> None:
         record = event.record
         with self._lock:
-            stage = self._latest_stage(record.stage_id)
+            stage = self._latest.get(record.stage_id)
             if stage is not None:
                 stage["active_tasks"] = max(0, stage["active_tasks"] - 1)
                 if record.succeeded:
                     stage["completed_tasks"] += 1
                 else:
                     stage["failed_tasks"] += 1
-
-    def _latest_stage(self, stage_id: int) -> dict | None:
-        """Newest attempt's entry for a stage id (insertion order wins)."""
-        found = None
-        for (sid, _), stage in self.stages.items():
-            if sid == stage_id:
-                found = stage
-        return found
-
-    # -- executors ---------------------------------------------------------
-
-    def on_executor_heartbeat(self, event: ExecutorHeartbeat) -> None:
-        with self._lock:
-            info = self.executors.setdefault(event.executor_id, {
-                "executor_id": event.executor_id,
-                "heartbeats": 0,
-                "state": "alive",
-            })
-            info["heartbeats"] += 1
-            info["inflight"] = len(event.inflight)
-            info["records_read"] = event.records_read
-            info["rss_bytes"] = event.rss_bytes
-            info["worker_pid"] = event.worker_pid
-            info["last_heartbeat"] = event.time
-
-    def on_executor_timed_out(self, event: ExecutorTimedOut) -> None:
-        with self._lock:
-            info = self.executors.setdefault(event.executor_id, {
-                "executor_id": event.executor_id, "heartbeats": 0,
-            })
-            info["state"] = "timed_out"
-
-    def on_executor_lost(self, event: ExecutorLost) -> None:
-        with self._lock:
-            info = self.executors.setdefault(event.executor_id, {
-                "executor_id": event.executor_id, "heartbeats": 0,
-            })
-            info["state"] = "lost"
 
     # -- inference convergence ---------------------------------------------
 
@@ -158,41 +92,10 @@ class ProgressTracker(Listener):
                 "sets_converged": 0,
             })
             info["replicates_total"] = event.replicates_total
-            info["planned_replicates"] = event.planned_replicates
             info["sets_total"] = event.sets_total
             info["sets_converged"] = event.sets_converged
-            info["replicates_saved"] = event.replicates_saved
-            info["early_stop"] = event.early_stop
             elapsed = max(event.time - info["started"], 1e-9)
             info["replicates_per_sec"] = event.replicates_total / elapsed
-
-    def on_snp_set_converged(self, event: SnpSetConverged) -> None:
-        with self._lock:
-            info = self.inference.setdefault(event.method, {
-                "method": event.method,
-                "started": event.time,
-                "sets_converged": 0,
-            })
-            decisions = info.setdefault("recent_decisions", [])
-            decisions.append({
-                "set_name": event.set_name,
-                "status": event.status,
-                "pvalue": event.pvalue,
-                "replicates": event.replicates,
-            })
-            del decisions[:-10]
-
-    # -- snapshots ---------------------------------------------------------
-
-    def snapshot(self) -> dict:
-        """JSON-serializable point-in-time copy of all live state."""
-        with self._lock:
-            return {
-                "jobs": [dict(j) for j in self.jobs.values()],
-                "stages": [dict(s) for s in self.stages.values()],
-                "executors": [dict(e) for e in self.executors.values()],
-                "inference": [dict(i) for i in self.inference.values()],
-            }
 
     def active_stages(self) -> list[dict]:
         with self._lock:

@@ -5,13 +5,12 @@ replicate stream and in what counting costs -- a local GEMM per batch or one
 engine job per *wave* of batches -- so every caller hands :func:`resample`
 a stream and a ``count_wave``.  The module imports nothing from the engine
 or the observability plane: the monitor is duck-typed (``fold`` / ``done`` /
-``finish``) and per-batch metrics go in ``after_batch``.
+``finish``).
 """
 
 from __future__ import annotations
 
 import itertools
-import time
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -27,17 +26,12 @@ def per_batch(count_batch: Callable[[np.ndarray], np.ndarray]) -> Callable:
     return lambda wave: [count_batch(batch) for batch in wave]
 
 
-def _counted(batches, count_wave, wave: int) -> Iterator[tuple[int, np.ndarray, float]]:
-    """``(width, counts, seconds)`` per batch, counted ``wave`` batches at a
-    time; a batch's seconds are its wave's, split by width."""
+def _counted(batches, count_wave, wave: int) -> Iterator[tuple[int, np.ndarray]]:
+    """``(width, counts)`` per batch, counted ``wave`` batches at a time."""
     batches = iter(batches)
     while chunk := list(itertools.islice(batches, wave)):
-        start = time.perf_counter()
-        counted = list(count_wave(chunk))
-        widths = [len(batch) for batch in chunk]
-        share = (time.perf_counter() - start) / max(sum(widths), 1)
-        for width, batch_counts in zip(widths, counted):
-            yield width, batch_counts, share * width
+        for batch, batch_counts in zip(chunk, list(count_wave(chunk))):
+            yield len(batch), batch_counts
 
 
 def resample(
@@ -48,7 +42,6 @@ def resample(
     n_sets: int,
     wave: int = 1,
     per_set_masking: bool = True,
-    after_batch: Callable[[int, float], None] | None = None,
 ) -> tuple[np.ndarray, int]:
     """Count batches until the stream ends or the monitor is done; returns
     the ``(n_sets,)`` exceedance counts and the replicates consumed.
@@ -56,8 +49,8 @@ def resample(
     The stream is cut into waves of up to ``wave`` batches and
     ``count_wave(batches)`` returns one ``(n_sets,)`` count per batch.  Then,
     batch by batch in stream order: its counts added as ``monitor.fold``
-    returns them (plainly without a monitor), ``after_batch(width,
-    seconds)``, then a stop if ``monitor.done`` -- which discards the rest
+    returns them (plainly without a monitor), then a stop if
+    ``monitor.done`` -- which discards the rest
     of the wave, so counts and replicates consumed do not depend on
     ``wave``.  ``monitor.finish()`` runs exactly once.
 
@@ -70,11 +63,9 @@ def resample(
         monitor.masking = False
     counts = np.zeros(n_sets, dtype=np.int64)
     used = 0
-    for width, batch_counts, seconds in _counted(batches, count_wave, wave):
+    for width, batch_counts in _counted(batches, count_wave, wave):
         counts += batch_counts if monitor is None else monitor.fold(batch_counts, width)
         used += width
-        if after_batch is not None:
-            after_batch(width, seconds)
         if monitor is not None and monitor.done:
             break
     if monitor is not None:

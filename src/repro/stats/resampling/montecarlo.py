@@ -70,7 +70,6 @@ class MonteCarloResampler:
         seed: int,
         batch_size: int = 256,
         monitor=None,
-        after_batch=None,
     ) -> ResamplingOutcome:
         """Run B Monte Carlo replicates.
 
@@ -84,7 +83,7 @@ class MonteCarloResampler:
         """
         counts, used = resample(
             mc_multiplier_batches(self.n, n_resamples, seed, batch_size),
-            per_batch(self._count_batch), monitor, n_sets=self.n_sets, after_batch=after_batch,
+            per_batch(self._count_batch), monitor, n_sets=self.n_sets,
         )
         return ResamplingOutcome(self.observed, counts, used)
 

@@ -67,7 +67,6 @@ class PermutationResampler:
         seed: int,
         batch_size: int = 64,
         monitor=None,
-        after_batch=None,
     ) -> ResamplingOutcome:
         """Run B permutation replicates, ``batch_size`` per GEMM.
 
@@ -81,7 +80,7 @@ class PermutationResampler:
         """
         counts, used = resample(
             permutation_batches(self.n, n_resamples, seed, batch_size),
-            per_batch(self._count_batch), monitor, n_sets=self.n_sets, after_batch=after_batch,
+            per_batch(self._count_batch), monitor, n_sets=self.n_sets,
         )
         return ResamplingOutcome(self.observed, counts, used)
 

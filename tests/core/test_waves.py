@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from repro.config import EngineConfig
-from repro.core import algorithms, instrumentation
+from repro.core import algorithms
 from repro.core.algorithms import DistributedSparkScore
 from repro.core.local import LocalSparkScore
 from repro.core.sparkscore import SparkScoreAnalysis
@@ -269,19 +269,12 @@ def test_early_stop_mid_wave_matches_one_batch_per_job(
     stopping_dataset, monkeypatch, backend, method, iterations, batch_size
 ):
     config = _config(backend, inference_early_stop=True, inference_min_replicates=16)
-    observe = instrumentation.observe_batch
 
     def analyse():
-        seen = []
-
-        def spy(*args):
-            seen.append(args)
-            observe(*args)
-
-        monkeypatch.setattr(instrumentation, "observe_batch", spy)
         with SparkScoreAnalysis(stopping_dataset, engine="distributed", config=config) as a:
             result = getattr(a, method)(iterations, seed=4, batch_size=batch_size)
-        return result, len(seen)
+            folds = a.ctx.inference.monitors[-1].batches_folded
+        return result, folds
 
     wave = algorithms.WAVE_BATCHES
     (waves, wave_calls), (one, one_calls) = _by_wave(monkeypatch, analyse)

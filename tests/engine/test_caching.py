@@ -12,6 +12,7 @@ from repro.core.local import LocalSparkScore
 from repro.core.sparkscore import SparkScoreAnalysis
 from repro.engine.blockmanager import BlockManager, BlockManagerMaster, estimate_size
 from repro.engine.context import Context
+from repro.engine.metrics import TaskMetrics
 from repro.engine.storage import StorageLevel
 from repro.genomics.genotypes import GenotypeMatrix
 from repro.genomics.io import write_dataset
@@ -110,6 +111,18 @@ class TestBlockManager:
         assert bm.get((1, 1)) is None
         assert bm.get((1, 0)) is not None
         assert bm.evictions >= 1
+
+    def test_put_charges_its_evictions_to_the_task(self, tmp_path):
+        payload = [np.zeros(1000)]  # ~8KB
+        bm = BlockManager("e0", memory_budget=20_000, spill_dir=str(tmp_path))
+        metrics = TaskMetrics()
+        bm.put((1, 0), list(payload), StorageLevel.MEMORY, metrics=metrics)
+        bm.put((1, 1), list(payload), StorageLevel.MEMORY_AND_DISK, metrics=metrics)
+        assert (metrics.blocks_evicted, metrics.blocks_spilled) == (0, 0)
+        bm.put((1, 2), list(payload), StorageLevel.MEMORY, metrics=metrics)  # drops (1, 0)
+        bm.put((1, 3), list(payload), StorageLevel.MEMORY, metrics=metrics)  # spills (1, 1)
+        assert (metrics.blocks_evicted, metrics.blocks_spilled) == (2, 1)
+        assert bm.evictions == 2
 
     def test_oversized_block_not_cached(self):
         bm = BlockManager("e0", memory_budget=100)

@@ -44,7 +44,6 @@ from repro.engine.scheduler import TaskScheduler
 from repro.engine.transport import BY_REF_MIN_BYTES
 from repro.genomics.synthetic import SyntheticConfig, generate_dataset
 from repro.obs.logging import capture_logs
-from repro.obs.registry import REGISTRY
 
 
 def _cluster_config(**overrides) -> EngineConfig:
@@ -93,13 +92,6 @@ def file_fleet(fresh_cluster, monkeypatch):
         config, manager = fresh_cluster()
     assert manager.transport.scheme == "file"
     return config, manager
-
-
-def _counter_total(name: str) -> float:
-    inst = REGISTRY.get(name)
-    if inst is None:
-        return 0.0
-    return sum(child.value for child in inst.children().values())
 
 
 class _BusOnly:
@@ -165,12 +157,12 @@ class TestTwoJobWarmth:
         # context torn down; the fleet and its transport live on
         published_after_cold = manager.transport.bytes_published
         dedup_after_cold = manager.transport.dedup_hits
-        cache_hits_before = _counter_total("task_binary_cache_hits_total")
 
         with Context(config) as ctx2:
             assert ctx2.backend._manager is manager  # same persistent fleet
             assert workload(ctx2) == expected
-            warm_binary_bytes = ctx2.metrics.last_job.totals().task_binary_bytes
+            warm_totals = ctx2.metrics.last_job.totals()
+            warm_binary_bytes = warm_totals.task_binary_bytes
 
         # zero task-binary republication: the driver's dedup'd put was
         # answered from the content-hash index, no payload moved
@@ -179,8 +171,10 @@ class TestTwoJobWarmth:
         # the warm job charges only pickled refs, not the compressed blob
         assert 0 < warm_binary_bytes < cold_binary_bytes
         assert warm_binary_bytes <= 4 * 512  # ~ref cost per task
-        # worker-side task-binary LRU hits flowed home through the registry
-        assert _counter_total("task_binary_cache_hits_total") > cache_hits_before
+        # worker-side task-binary LRU hits flowed home on the task metrics
+        assert warm_totals.task_binary_cache_hits > 0
+        assert (warm_totals.task_binary_cache_hits
+                + warm_totals.task_binary_cache_misses) == 4
 
     def test_analysis_binaries_are_published_once_and_shipped_by_ref(
         self, small_dataset, monkeypatch
@@ -229,7 +223,6 @@ class TestTwoJobWarmth:
         assert manager.transport.dedup_hits == 0
 
     def test_broadcast_memo_hits_on_second_job(self):
-        memo_before = _counter_total("broadcast_memo_hits_total")
         with Context(_cluster_config()) as ctx:
             # > BY_REF_MIN_BYTES, so the value travels by transport ref and
             # workers go through the memo
@@ -240,8 +233,11 @@ class TestTwoJobWarmth:
             job = ctx.parallelize(range(8), 4).map(lambda x: table.value[x])
             first = job.collect()
             second = job.collect()  # same partitions land on the same slots
+            first_job, second_job = ctx.metrics.jobs
         assert first == second == [payload[i] for i in range(8)]
-        assert _counter_total("broadcast_memo_hits_total") > memo_before
+        # each task's memo hits ride home on its metrics, so the job record
+        # says the second job found the value its workers already held
+        assert second_job.totals().broadcast_memo_hits > 0
 
     def test_stable_placement_routes_by_partition(self):
         config = _cluster_config()
@@ -534,15 +530,13 @@ class TestLifecycle:
         config = _cluster_config()
         with Context(config) as ctx:
             ctx.parallelize(range(4), 4).map(_square).collect()
-            infos = ctx.backend.executor_info()
+            infos = ctx.backend._manager.executor_info()
         assert [i["executor_id"] for i in infos] == ["exec-0", "exec-1"]
         for info in infos:
             assert info["state"] == "registered"
             assert info["slots"] == 2
             assert info["pid"] > 0
             assert info["tasks_done"] >= 1
-            assert info["warm"] is True
-            assert info["binaries_cached"] >= 1
 
     def test_heartbeats_flow_over_sockets(self):
         config = _cluster_config(heartbeat_interval=0.05)

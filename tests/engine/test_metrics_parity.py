@@ -1,11 +1,11 @@
-"""Cross-backend metrics parity.
+"""Cross-backend metrics parity, read from the job records.
 
-The same analysis must surface the same metric series names (with
-consistent deterministic totals) on the driver registry whether tasks ran
-serially or in worker processes.  For the cluster backend
-this exercises the worker -> driver registry-delta shipping path: the
-increments happen in another process and only reach the driver because
-each task result carries a delta that the scheduler merges.
+The same workload must leave job records that agree between the serial
+and cluster backends: task counts, shuffle and cache counts, GC-pause
+telemetry on every attempt.  The cluster's worker-side facts (task-binary
+bytes, the warm task-binary cache, the by-ref value memo) travel home on
+each task's :class:`~repro.engine.metrics.TaskMetrics`; serial ships
+nothing, so those read zero there.
 """
 
 import operator
@@ -14,7 +14,6 @@ import pytest
 
 from repro.config import EngineConfig
 from repro.engine.context import Context
-from repro.obs.registry import REGISTRY
 
 BACKENDS = ("serial", "cluster")
 
@@ -23,37 +22,37 @@ def _double(x):
     return x * 2
 
 
+def _offset(x, bc):
+    return x + bc.value
+
+
 def _run_workload(backend):
-    """Run a two-job workload (one with a shuffle) and return the registry
-    delta it produced plus the action results."""
+    """Run a cached RDD twice, a shuffle and a broadcast job; return the
+    action results and the job records."""
     config = EngineConfig(
         backend=backend, num_executors=2, executor_cores=2,
         default_parallelism=4, heartbeat_interval=0.0,
     )
-    before = REGISTRY.snapshot(include_histograms=True)
     with Context(config) as ctx:
-        total = ctx.parallelize(range(60), 4).map(_double).sum()
+        doubled = ctx.parallelize(range(60), 4).map(_double).cache()
+        total = doubled.sum()
+        again = doubled.sum()
         pairs = sorted(
             ctx.parallelize([(i % 4, 1) for i in range(40)], 4)
             .reduce_by_key(operator.add)
             .collect()
         )
-        tasks = sum(len(s.tasks) for j in ctx.metrics.jobs for s in j.stages)
-        binary_bytes = sum(
-            j.totals().task_binary_bytes for j in ctx.metrics.jobs
-        )
-    after = REGISTRY.snapshot(include_histograms=True)
-    delta = {
-        name: after[name] - before.get(name, 0.0)
-        for name in after
-        if after[name] != before.get(name, 0.0)
-    }
+        bc = ctx.broadcast(1000)
+        shifted = ctx.parallelize(range(8), 4).map(lambda x: _offset(x, bc)).collect()
+        jobs = ctx.metrics.jobs_snapshot()
     return {
         "total": total,
+        "again": again,
         "pairs": pairs,
-        "tasks": tasks,
-        "binary_bytes": binary_bytes,
-        "delta": delta,
+        "shifted": shifted,
+        "jobs": jobs,
+        "records": [t for j in jobs for s in j.stages for t in s.tasks],
+        "totals": [j.totals() for j in jobs],
     }
 
 
@@ -65,74 +64,55 @@ def runs():
 class TestParity:
     def test_results_identical(self, runs):
         for backend in BACKENDS:
-            assert runs[backend]["total"] == 2 * sum(range(60))
+            assert runs[backend]["total"] == runs[backend]["again"] == 2 * sum(range(60))
             assert runs[backend]["pairs"] == [(0, 10), (1, 10), (2, 10), (3, 10)]
-
-    def test_worker_series_present_on_driver_everywhere(self, runs):
-        """The point-of-execution series must reach the driver registry no
-        matter where execution happened."""
-        for backend in BACKENDS:
-            delta = runs[backend]["delta"]
-            for kind in ("result", "shuffle_map"):
-                key = f'repro_worker_task_seconds_count{{kind="{kind}"}}'
-                assert delta.get(key, 0) > 0, f"{key} missing under {backend}"
-
-    def test_worker_task_counts_match_task_records(self, runs):
-        for backend in BACKENDS:
-            delta = runs[backend]["delta"]
-            observed = sum(
-                v for k, v in delta.items()
-                if k.startswith("repro_worker_task_seconds_count")
-            )
-            assert observed == runs[backend]["tasks"], backend
+            assert runs[backend]["shifted"] == [1000 + x for x in range(8)]
 
     def test_deterministic_engine_totals_match(self, runs):
-        """Counters derived from record counts are backend-invariant."""
-        keys = (
-            "engine_jobs_total",
-            'engine_tasks_total{outcome="success"}',
-            'engine_shuffle_records_total{direction="written"}',
-            'engine_shuffle_records_total{direction="read"}',
-        )
-        reference = runs["serial"]["delta"]
-        delta = runs["cluster"]["delta"]
-        for key in keys:
-            assert delta.get(key) == reference.get(key), key
+        """Counts derived from the work itself are backend-invariant."""
+        def shape(run):
+            return [
+                [(s.num_tasks, len(s.tasks)) for s in job.stages] for job in run["jobs"]
+            ]
 
-    def test_metric_name_sets_consistent(self, runs):
-        """Serial's engine/worker series are a subset of the cluster's
-        (which legitimately adds serialization-path series such as
-        task-binary bytes)."""
-        def names(run):
-            # gauges (e.g. peak-RSS high-water marks) may legitimately not
-            # move on a later run, GC-pause counters only move when the
-            # collector happens to fire inside a task, and the diagnostics
-            # bridge counters (skew/stragglers) only move when the
-            # scheduler's timing happens to trip a detector; compare
-            # deterministic monotonic series only
-            nondeterministic = ("gc_pause", "stage_skew", "stragglers")
-            return {
-                k for k in run["delta"]
-                if k.startswith(("engine_", "repro_worker_"))
-                and k.split("{")[0].endswith(("_total", "_count", "_sum"))
-                and not any(tag in k for tag in nondeterministic)
-            }
+        def counts(run):
+            return [
+                (t.cache_hits, t.cache_misses, t.shuffle_records_written,
+                 t.shuffle_records_read, t.shuffle_bytes_read, t.blocks_evicted)
+                for t in run["totals"]
+            ]
 
-        base = names(runs["serial"])
-        assert base  # sanity: the workload moved the registry
-        missing = base - names(runs["cluster"])
-        assert not missing, f"cluster lost series: {sorted(missing)}"
+        assert shape(runs["serial"]) == shape(runs["cluster"])
+        assert counts(runs["serial"]) == counts(runs["cluster"])
+        # the cached RDD: four misses on the first sum, four hits on the second
+        assert counts(runs["serial"])[:2] == [(0, 4, 0, 0, 0, 0), (4, 0, 0, 0, 0, 0)]
+        # the reduce_by_key job: the driver's prefetch counts the cluster's
+        # shuffle read as ShuffleManager.fetch counts the serial one
+        written, read = counts(runs["serial"])[2][2:4]
+        assert written == read > 0
 
     def test_task_binary_bytes_counted_under_processes(self, runs):
         """Only the cluster backend ships per-stage task binaries to worker
-        processes; its byte counter must be live both in TaskMetrics and the
-        registry."""
-        assert runs["cluster"]["binary_bytes"] > 0
-        assert runs["cluster"]["delta"].get("engine_task_binary_bytes_total", 0) > 0
+        processes, and every cluster attempt records the bytes it shipped."""
+        assert all(t.metrics.task_binary_bytes == 0 for t in runs["serial"]["records"])
+        assert all(t.metrics.task_binary_bytes > 0 for t in runs["cluster"]["records"])
 
     def test_gc_pause_counter_exists_everywhere(self, runs):
         for backend in BACKENDS:
-            # value may legitimately be 0.0 (no collection during the tasks),
-            # but the series must exist on the driver registry
-            snapshot = REGISTRY.snapshot()
-            assert "repro_worker_gc_pause_seconds_total" in snapshot, backend
+            # may legitimately be 0.0 (no collection during the task), but
+            # every attempt measured it
+            for record in runs[backend]["records"]:
+                assert record.metrics.gc_pause_seconds >= 0.0, backend
+
+    def test_warm_cache_fields_on_job_records(self, runs):
+        """Each cluster attempt found its task binary in the worker's warm
+        cache or fetched it -- exactly one of the two; serial has no worker
+        caches (the second Context's hits are pinned in
+        ``test_cluster_backend.py``)."""
+        for record in runs["serial"]["records"]:
+            m = record.metrics
+            assert (m.task_binary_cache_hits, m.task_binary_cache_misses,
+                    m.broadcast_memo_hits) == (0, 0, 0)
+        for record in runs["cluster"]["records"]:
+            m = record.metrics
+            assert m.task_binary_cache_hits + m.task_binary_cache_misses == 1

@@ -242,6 +242,17 @@ class TestDiagnose:
         assert report.cache_hits == 3
         assert report.cache_misses == 1
 
+    def test_recorded_evictions_fire_cache_thrash_offline(self):
+        """Evictions ride on the task metrics, so a job record alone (as
+        ``doctor`` reads it from an event log) can show a thrashing cache."""
+        job = make_job([0.1] * 8)
+        for rec in job.stages[0].tasks:
+            rec.metrics.cache_misses = 1
+            rec.metrics.blocks_evicted = 1
+        (thrash,) = [r for r in diagnose([job]) if r.rule == "cache-thrash"]
+        assert thrash.title.startswith("cache thrash: 8/8 cached blocks evicted")
+        assert "MEMORY_AND_DISK" in thrash.action
+
 
 class TestRendering:
     def test_empty_report(self):

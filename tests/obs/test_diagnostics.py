@@ -4,25 +4,19 @@ from __future__ import annotations
 
 import pytest
 
-from repro.engine.listener import (
-    CollectingListener,
-    ListenerBus,
-    StageCompleted,
-    StageSkewDetected,
-    StragglerDetected,
-)
+from repro.engine.listener import ListenerBus, StageCompleted
 from repro.engine.metrics import JobMetrics, StageMetrics, TaskMetrics, TaskRecord
+from repro.obs.advisor import cache_pressure_from_jobs
 from repro.obs.diagnostics import (
     CachePressureReport,
     DiagnosticsListener,
-    analyze_cache_pressure,
     detect_skew,
     detect_stragglers,
     gini,
     median,
     stage_distribution,
 )
-from repro.obs.registry import Registry
+from repro.obs.logging import LOG_BUS
 
 
 def make_stage(durations, records=None, stage_id=0, name="map"):
@@ -131,20 +125,22 @@ class TestDetectStragglers:
 
 
 class TestCachePressure:
-    def test_from_registry_counters(self):
-        reg = Registry()
-        reg.counter("engine_blocks_cached_total").inc(10)
-        reg.counter("engine_blocks_evicted_total").inc(8)
-        reg.counter("engine_blocks_spilled_total").inc(2)
-        reg.counter("engine_cache_hits_total").inc(3)
-        reg.counter("engine_cache_misses_total").inc(7)
-        report = analyze_cache_pressure(reg)
-        assert report.blocks_cached == 10
-        assert report.eviction_ratio == pytest.approx(0.8)
+    def test_from_task_metrics(self):
+        """Each task's cache puts record the blocks they evicted; a miss
+        computes and caches its partition."""
+        stage = make_stage([0.1] * 10)
+        for i, rec in enumerate(stage.tasks):
+            rec.metrics.cache_hits = int(i < 3)
+            rec.metrics.cache_misses = int(i >= 3)
+            rec.metrics.blocks_evicted = int(i < 8) * 2
+            rec.metrics.blocks_spilled = int(i < 2)
+        report = cache_pressure_from_jobs([JobMetrics(job_id=0, stages=[stage])])
+        assert (report.blocks_cached, report.blocks_evicted, report.blocks_spilled) == (7, 16, 2)
         assert report.hit_rate == pytest.approx(0.3)
+        assert report.eviction_ratio == pytest.approx(16 / 7)
 
-    def test_empty_registry_is_all_zero(self):
-        report = analyze_cache_pressure(Registry())
+    def test_no_jobs_is_all_zero(self):
+        report = cache_pressure_from_jobs([])
         assert report.eviction_ratio == 0.0
         assert report.hit_rate == 0.0
 
@@ -153,42 +149,35 @@ class TestCachePressure:
         assert d["eviction_ratio"] == 0.5
 
 
+def _findings():
+    """(skew metrics, straggler partitions) the listener logged."""
+    warnings = LOG_BUS.records(level="warning")
+    skew = [r.fields["metric"] for r in warnings
+            if r.message == "stage partition skew detected"]
+    stragglers = [r.partition for r in warnings
+                  if r.message == "straggler task detected"]
+    return skew, stragglers
+
+
 class TestDiagnosticsListener:
     def _completed(self, stage):
         return StageCompleted(stage=stage, job_id=0)
 
-    def test_posts_events_and_accumulates(self):
+    def test_logs_each_finding(self):
         bus = ListenerBus()
-        collected = bus.add_listener(
-            CollectingListener(StageSkewDetected, StragglerDetected)
-        )
-        diag = DiagnosticsListener(bus)
-        bus.add_listener(diag)
+        bus.add_listener(DiagnosticsListener())
+        LOG_BUS.clear()
         bus.post(self._completed(make_stage([0.1] * 7 + [1.0])))
-        skew_events = collected.of(StageSkewDetected)
-        straggler_events = collected.of(StragglerDetected)
-        assert len(skew_events) == 1
-        assert skew_events[0].metric == "duration"
-        assert len(straggler_events) == 1
-        assert straggler_events[0].partition == 7
-        assert len(diag.skew_reports) == 1
-        assert len(diag.straggler_reports) == 1
+        assert _findings() == (["duration"], [7])
 
     def test_stage_retry_does_not_duplicate(self):
         bus = ListenerBus()
-        diag = bus.add_listener(DiagnosticsListener(bus))
+        bus.add_listener(DiagnosticsListener())
+        LOG_BUS.clear()
         stage = make_stage([0.1] * 7 + [1.0])
         bus.post(self._completed(stage))
         bus.post(self._completed(stage))
-        assert len(diag.skew_reports) == 1
-        assert len(diag.straggler_reports) == 1
-
-    def test_snapshot_shape(self):
-        bus = ListenerBus()
-        diag = DiagnosticsListener(bus)
-        snap = diag.snapshot()
-        assert set(snap) == {"skew", "stragglers", "cache_pressure"}
-        assert snap["skew"] == []
+        assert _findings() == (["duration"], [7])
 
 
 class TestOneThreshold:
@@ -203,9 +192,10 @@ class TestOneThreshold:
         for durations, skewed in ((at, True), (under, False)):
             stage = make_stage(durations)
             bus = ListenerBus()
-            diag = bus.add_listener(DiagnosticsListener(bus))
+            bus.add_listener(DiagnosticsListener())
+            LOG_BUS.clear()
             bus.post(StageCompleted(stage=stage, job_id=0))
-            assert bool(diag.skew_reports) is skewed
+            assert bool(_findings()[0]) is skewed
             job = JobMetrics(job_id=0, description="j", stages=[stage])
             rules = {r.rule for r in diagnose([job], cache=CachePressureReport())}
             assert ("repartition-skewed-stage" in rules) is skewed

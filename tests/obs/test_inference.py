@@ -314,9 +314,9 @@ class TestResamplerIntegration:
         assert result.info["early_stop"] is False
         assert result.info["replicates_planned"] == 128
         assert result.info["replicates_saved"] == 0
-        snap = ctx.inference.snapshot()
-        assert snap["enabled"] is False
-        assert snap["runs"] and snap["runs"][-1]["replicates_total"] == 128
+        monitor = ctx.inference.monitors[-1]
+        assert monitor.policy is None
+        assert monitor.replicates_total == 128 and monitor.finished
 
     def test_distributed_rejects_caller_monitor(self, ctx, tiny_dataset):
         from repro.core.sparkscore import SparkScoreAnalysis
@@ -343,12 +343,9 @@ class TestResamplerIntegration:
         assert result.info["early_stop"] is True
         assert result.n_resamples < 2048
         assert (result.n_resamples + result.info["replicates_saved"] == 2048)
-        # registry counters folded from the bus events
-        from repro.obs.registry import REGISTRY
-
-        rendered = REGISTRY.render()
-        assert "engine_inference_replicates_total" in rendered
-        assert "engine_inference_replicates_saved_total" in rendered
+        monitor = ctx.inference.monitors[-1]
+        assert monitor.replicates_total == result.n_resamples
+        assert monitor.replicates_saved == result.info["replicates_saved"]
 
 
 class TestAdvisorRules:

@@ -1,12 +1,12 @@
 """ProgressTracker state machine and Spark-style console bars."""
 
 import io
+import threading
+import time
 
 from repro.config import EngineConfig
 from repro.engine.context import Context
 from repro.engine.listener import (
-    ExecutorHeartbeat,
-    ExecutorTimedOut,
     JobEnd,
     JobStart,
     ListenerBus,
@@ -36,6 +36,10 @@ def _tracked():
     return bus, tracker
 
 
+def _stages(tracker):
+    return list(tracker.stages.values())
+
+
 class TestTracker:
     def test_job_and_stage_lifecycle(self):
         bus, tracker = _tracked()
@@ -45,24 +49,21 @@ class TestTracker:
         ))
         bus.post(TaskStart(stage_id=0, partition=0, attempt=0,
                            executor_id="exec-0"))
-        snap = tracker.snapshot()
-        assert snap["jobs"][0]["state"] == "running"
-        assert snap["stages"][0]["active_tasks"] == 1
-        assert snap["stages"][0]["completed_tasks"] == 0
+        (stage,) = tracker.active_stages()
+        assert stage["active_tasks"] == 1
+        assert stage["completed_tasks"] == 0
 
         bus.post(_task_end(0, 0))
         bus.post(_task_end(0, 1))
-        snap = tracker.snapshot()
-        assert snap["stages"][0]["completed_tasks"] == 2
-        assert snap["stages"][0]["active_tasks"] == 0
+        (stage,) = tracker.active_stages()
+        assert stage["completed_tasks"] == 2
+        assert stage["active_tasks"] == 0
 
         job = JobMetrics(job_id=0, description="sum", wall_seconds=0.1)
         stage = StageMetrics(stage_id=0, name="stage 0", num_tasks=2)
         bus.post(StageCompleted(stage=stage, job_id=0))
         bus.post(JobEnd(job_id=0, job=job, succeeded=True))
-        snap = tracker.snapshot()
-        assert snap["stages"][0]["state"] == "complete"
-        assert snap["jobs"][0]["state"] == "succeeded"
+        assert _stages(tracker)[0]["state"] == "complete"
         assert tracker.active_stages() == []
         assert not bus.listener_errors
 
@@ -72,7 +73,7 @@ class TestTracker:
             stage_id=0, attempt=0, name="s", job_id=0, num_tasks=2
         ))
         bus.post(_task_end(0, 0, succeeded=False))
-        assert tracker.snapshot()["stages"][0]["failed_tasks"] == 1
+        assert _stages(tracker)[0]["failed_tasks"] == 1
 
     def test_stage_retry_tracked_separately(self):
         bus, tracker = _tracked()
@@ -83,28 +84,83 @@ class TestTracker:
             stage_id=0, attempt=1, name="s", job_id=0, num_tasks=2
         ))
         bus.post(_task_end(0, 0))
-        stages = tracker.snapshot()["stages"]
+        stages = _stages(tracker)
         assert len(stages) == 2
         # task events land on the newest attempt
         by_attempt = {s["attempt"]: s for s in stages}
         assert by_attempt[1]["completed_tasks"] == 1
         assert by_attempt[0]["completed_tasks"] == 0
 
-    def test_executor_liveness_from_heartbeats(self):
+    def test_task_events_find_their_stage_among_many(self):
+        """A task event goes to its own stage's newest attempt whatever
+        other stages the tracker has seen."""
         bus, tracker = _tracked()
-        beat = ExecutorHeartbeat(
-            executor_id="exec-0", inflight=((0, 1, 0),),
-            records_read=42, rss_bytes=1 << 20, worker_pid=123,
+        for stage_id in range(50):
+            bus.post(StageSubmitted(
+                stage_id=stage_id, attempt=0, name="s", job_id=0, num_tasks=1
+            ))
+        bus.post(StageSubmitted(
+            stage_id=7, attempt=1, name="s", job_id=0, num_tasks=1
+        ))
+        bus.post(_task_end(7, 0))
+        assert tracker.stages[(7, 1)]["completed_tasks"] == 1
+        assert tracker.stages[(7, 0)]["completed_tasks"] == 0
+        assert sum(s["completed_tasks"] for s in _stages(tracker)) == 1
+
+
+class TestContextWiring:
+    def _config(self):
+        return EngineConfig(backend="serial", num_executors=1,
+                            executor_cores=1, default_parallelism=4)
+
+    def test_default_context_attaches_no_progress_listener(self):
+        with Context(self._config()) as ctx:
+            attached = {type(l).__name__ for l in ctx.listener_bus.listeners}
+            assert ctx.progress is None
+        assert not attached & {"ProgressTracker", "ConsoleProgressListener"}
+        assert not any("Metrics" in name for name in attached), attached
+
+    def test_progress_context_draws_its_bars(self, capsys):
+        with Context(self._config(), progress=True) as ctx:
+            assert isinstance(ctx.progress, ProgressTracker)
+            attached = {type(l) for l in ctx.listener_bus.listeners}
+            assert {ProgressTracker, ConsoleProgressListener} <= attached
+            ctx.parallelize(range(16), 4).sum()
+        err = capsys.readouterr().err
+        assert "[Stage 0:" in err
+        assert err.endswith("\r"), "bar must be cleared once the job ends"
+
+    def test_progress_advances_mid_flight(self):
+        """Read the tracker while a slow job runs: completion counts must
+        move before the job finishes -- what the console bar draws."""
+        release = threading.Event()
+
+        def slow(x):
+            if x % 10 == 5:
+                time.sleep(0.15)
+            return x
+
+        with Context(self._config(), progress=False) as ctx:
+            tracker = ctx.add_listener(ProgressTracker())
+
+            def run():
+                ctx.parallelize(range(80), 8).map(slow).sum()
+                release.set()
+
+            worker = threading.Thread(target=run)
+            worker.start()
+            mid_flight = []
+            try:
+                deadline = time.time() + 10.0
+                while not release.is_set() and time.time() < deadline:
+                    mid_flight += [s["completed_tasks"] for s in tracker.active_stages()]
+                    time.sleep(0.02)
+            finally:
+                worker.join(timeout=10.0)
+        assert any(0 < done < 8 for done in mid_flight), (
+            f"progress never advanced mid-flight: {mid_flight}"
         )
-        bus.post(beat)
-        bus.post(beat)
-        bus.post(ExecutorTimedOut(executor_id="exec-0",
-                                  seconds_since_heartbeat=1.0))
-        (info,) = tracker.snapshot()["executors"]
-        assert info["heartbeats"] == 2
-        assert info["records_read"] == 42
-        assert info["worker_pid"] == 123
-        assert info["state"] == "timed_out"
+        assert tracker.active_stages() == []
 
 
 class TestConsoleBars:
@@ -113,9 +169,8 @@ class TestConsoleBars:
         config = EngineConfig(backend="serial", num_executors=1,
                               executor_cores=1, default_parallelism=4)
         with Context(config) as ctx:
-            console = ConsoleProgressListener(
-                ctx.progress, stream=out, min_interval=0.0
-            )
+            tracker = ctx.add_listener(ProgressTracker())
+            console = ConsoleProgressListener(tracker, stream=out, min_interval=0.0)
             ctx.add_listener(console)
             ctx.parallelize(range(16), 4).sum()
         text = out.getvalue()

@@ -4,7 +4,7 @@ Unit cases of :func:`resample` itself, then what routing every resampling
 method through it must guarantee: one early-stop policy stops every engine
 and flavor at the same replicate with the same counts, maxT and SKAT-O stop
 the whole run without masking (and without touching the caller's policy),
-and every engine records the replicate instruments once per batch.
+and every engine folds each batch into its monitor once.
 """
 
 import dataclasses
@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from repro.config import EngineConfig
-from repro.core import instrumentation
 from repro.core.local import LocalSparkScore
 from repro.core.sparkscore import SparkScoreAnalysis
 from repro.genomics.synthetic import SyntheticConfig, generate_dataset
@@ -63,15 +62,9 @@ class TestResample:
         assert monitor.folds == [] and monitor.finishes == 1
 
     def test_no_monitor_adds_plainly(self):
-        seen = []
-        counts, used = resample(
-            _batches([4, 4, 2]), per_batch(_count), n_sets=3,
-            after_batch=lambda width, seconds: seen.append((width, seconds)),
-        )
+        counts, used = resample(_batches([4, 4, 2]), per_batch(_count), n_sets=3)
         assert used == 10
         assert np.array_equal(counts, [10, 3, 0])
-        assert [w for w, _ in seen] == [4, 4, 2]
-        assert all(seconds >= 0.0 for _, seconds in seen)
 
     def test_stops_when_done_after_the_first_batch(self):
         monitor = SpyMonitor(stop_after=1)
@@ -87,7 +80,7 @@ class TestResample:
         assert monitor.finishes == 1
 
     def test_a_wave_is_counted_whole_and_folded_batch_by_batch(self):
-        waves, seen = [], []
+        waves = []
 
         def count_wave(wave):
             waves.append([len(batch) for batch in wave])
@@ -96,21 +89,19 @@ class TestResample:
         monitor = SpyMonitor()
         counts, used = resample(
             _batches([4, 4, 2, 3, 1]), count_wave, monitor, n_sets=3, wave=2,
-            after_batch=lambda width, seconds: seen.append(width),
         )
         assert waves == [[4, 4], [2, 3], [1]]
-        assert [w for _, w in monitor.folds] == seen == [4, 4, 2, 3, 1]
+        assert [w for _, w in monitor.folds] == [4, 4, 2, 3, 1]
         assert used == 14 and np.array_equal(counts, [14, 5, 0])
 
     @pytest.mark.parametrize("wave", [1, 2, 4])
     def test_done_mid_wave_discards_the_rest_of_the_wave(self, wave):
-        monitor, seen = SpyMonitor(stop_after=3), []
+        monitor = SpyMonitor(stop_after=3)
         counts, used = resample(
             _batches([4] * 6), per_batch(_count), monitor, n_sets=3, wave=wave,
-            after_batch=lambda width, seconds: seen.append(width),
         )
         assert used == 12 and np.array_equal(counts, [12, 3, 0])
-        assert len(monitor.folds) == len(seen) == 3 and monitor.finishes == 1
+        assert len(monitor.folds) == 3 and monitor.finishes == 1
 
     def test_finish_exactly_once_when_the_stream_ends(self):
         monitor = SpyMonitor()
@@ -314,35 +305,25 @@ class TestCommonDenominatorRuns:
         _assert_same_stop(shared, fresh)
 
 
-# -- the replicate instruments -------------------------------------------------
-
-
-def _instrument_reading(engine):
-    labels = dict(method="monte_carlo", engine=engine)
-    return (
-        instrumentation.BATCH_SECONDS.labels(**labels).count,
-        instrumentation.REPLICATES.labels(**labels).value,
-    )
+# -- one fold per batch --------------------------------------------------------
 
 
 class TestReplicateInstruments:
-    """One observation per batch, on every engine, under the method's own label."""
+    """One monitor fold per batch, on every engine."""
 
     @pytest.mark.parametrize("cached", [True, False], ids=["cached", "uncached"])
     def test_local(self, tiny_dataset, cached):
-        batches, replicates = _instrument_reading("local")
+        monitor = ConvergenceMonitor(tiny_dataset.n_sets, planned_replicates=128)
         LocalSparkScore(tiny_dataset).monte_carlo(
-            128, seed=1, batch_size=32, cache_contributions=cached
+            128, seed=1, batch_size=32, cache_contributions=cached, monitor=monitor
         )
-        after = _instrument_reading("local")
-        assert after == (batches + 4, replicates + 128)
+        assert (monitor.batches_folded, monitor.replicates_total) == (4, 128)
 
     def test_distributed(self, tiny_dataset):
-        batches, replicates = _instrument_reading("distributed")
         config = EngineConfig(
             backend="serial", num_executors=2, executor_cores=2, default_parallelism=4
         )
         with SparkScoreAnalysis(tiny_dataset, engine="distributed", config=config) as a:
             a.monte_carlo(128, seed=1, batch_size=32)
-        after = _instrument_reading("distributed")
-        assert after == (batches + 4, replicates + 128)
+            monitor = a.ctx.inference.monitors[-1]
+        assert (monitor.batches_folded, monitor.replicates_total) == (4, 128)

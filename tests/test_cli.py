@@ -246,11 +246,6 @@ class TestHistory:
             events = json.load(fh)["traceEvents"]
         assert any(e.get("ph") == "X" for e in events)
 
-    def test_metrics_flag_renders_registry(self, event_log, capsys):
-        main(["history", event_log, "--metrics"])
-        out = capsys.readouterr().out
-        assert "# TYPE engine_jobs_total counter" in out
-
     def test_event_log_requires_distributed_engine(self, dataset_dir, tmp_path):
         with pytest.raises(SystemExit):
             main(["analyze", dataset_dir, "--method", "monte-carlo",
@@ -272,18 +267,6 @@ class TestTelemetryFlags:
         out = capsys.readouterr().out
         assert "profiler hotspots" in out
         assert "tottime" in out
-
-    def test_ui_port_requires_distributed(self, dataset_dir):
-        with pytest.raises(SystemExit):
-            main(["analyze", dataset_dir, "--method", "monte-carlo",
-                  "--iterations", "10", "--ui-port", "0"])
-
-    def test_ui_port_serves_during_analysis(self, dataset_dir, capsys):
-        rc = main(["analyze", dataset_dir, "--method", "monte-carlo",
-                   "--iterations", "32", "--engine", "distributed",
-                   "--backend", "serial", "--ui-port", "0", "--no-progress"])
-        assert rc == 0
-        assert "engine UI serving at http://127.0.0.1:" in capsys.readouterr().err
 
     def test_progress_flag_renders_bars(self, dataset_dir, capsys):
         rc = main(["analyze", dataset_dir, "--method", "monte-carlo",
@@ -433,11 +416,15 @@ class TestMonitoringFlags:
         with pytest.raises(SystemExit) as exc:
             main(["analyze", dataset_dir, "--iterations", "8",
                   "--event-log", str(tmp_path / "e.jsonl"), "--early-stop",
-                  "--log-level", "debug", "--ui-port", "0"])
+                  "--log-level", "debug", "--profile-fraction", "1.0"])
         message = str(exc.value)
         assert "--engine distributed" in message
-        for flag in ("--event-log", "--early-stop", "--log-level", "--ui-port"):
+        for flag in ("--event-log", "--early-stop", "--log-level", "--profile-fraction"):
             assert flag in message
+        # the local engine has no tasks to profile: any fraction is refused
+        with pytest.raises(SystemExit, match="--profile-fraction"):
+            main(["analyze", dataset_dir, "--method", "monte-carlo",
+                  "--iterations", "16", "--profile-fraction", "1.0"])
         # forcing a feature off asks the local engine for nothing
         assert main(["analyze", dataset_dir, "--method", "observed",
                      "--no-early-stop"]) == 0
@@ -455,8 +442,10 @@ class TestMonitoringFlags:
         ["analyze", "d", "--engine", "distributed", "--alert-rules", "x.json"],
         ["history", "events.jsonl", "--series"],
         ["analyze", "d", "--engine", "distributed", "--flight-recorder", "dir"],
+        ["analyze", "d", "--engine", "distributed", "--ui-port", "0"],
+        ["history", "events.jsonl", "--metrics"],
     ], ids=["metrics-interval", "alerts", "alert-rules", "history-series",
-            "flight-recorder"])
+            "flight-recorder", "ui-port", "history-metrics"])
     def test_removed_monitoring_flags_are_unrecognised(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
             main(argv)
