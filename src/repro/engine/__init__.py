@@ -10,7 +10,7 @@ Algorithms 1-3 are written against:
   (:mod:`repro.engine.scheduler`);
 - per-executor block managers with LRU eviction and optional disk spill,
   giving ``cache()``/``persist()`` semantics (:mod:`repro.engine.blockmanager`);
-- broadcast variables and accumulators;
+- broadcast variables;
 - task retry and lineage-based recomputation after injected executor
   failures (:mod:`repro.engine.faults`).
 
@@ -23,7 +23,6 @@ Entry point is :class:`repro.engine.context.Context`::
         total = rdd.map(lambda x: x * x).sum()
 """
 
-from repro.engine.accumulator import Accumulator
 from repro.engine.broadcast import Broadcast
 from repro.engine.context import Context
 from repro.engine.faults import FaultInjector, FaultPlan
@@ -31,7 +30,6 @@ from repro.engine.rdd import RDD
 from repro.engine.storage import StorageLevel
 
 __all__ = [
-    "Accumulator",
     "Broadcast",
     "Context",
     "FaultInjector",

@@ -5,8 +5,8 @@
 - :class:`~repro.engine.cluster_backend.ClusterBackend` -- the parallel,
   process-isolated backend: a persistent fleet of worker processes.  A task
   envelope carries refs and its pre-fetched shuffle input, never partition
-  or cache data; results, accumulator updates and the *metadata* of the
-  blocks the task left resident ship back to the driver.  Its workers run
+  or cache data; results, task metrics and the *ids* of the blocks the
+  task left resident or evicted ship back to the driver.  Its workers run
   :func:`_run_pickled_task`, which lives here with the rest of the
   worker-side task runner.
 
@@ -144,8 +144,7 @@ class _TaskBlocks:
         self._keys = keys
         self._rdd_of = {key: rdd_id for rdd_id, key in keys.items()}
         self._touched: set[tuple[int, int]] = set()
-        self.evicted: list[tuple[tuple[int, int], int, bool]] = []
-        manager.bus = self  # one task at a time per worker process
+        self.evicted: list[tuple[int, int]] = []
 
     def _key(self, block_id: "tuple[int, int]") -> "tuple[str, int]":
         self._touched.add(block_id)
@@ -158,32 +157,28 @@ class _TaskBlocks:
         return self._manager.get(self._key(block_id))
 
     def put(self, block_id: "tuple[int, int]", data: Any, level: Any, metrics: Any = None) -> list:
-        return self._manager.put(self._key(block_id), data, level, metrics=metrics)
+        """Cache through the resident manager, noting what the put evicted:
+        this stage's RDDs are reported, another context's blocks leave
+        silently (its driver finds out by missing)."""
+        victims: list = []
+        stored = self._manager.put(
+            self._key(block_id), data, level, metrics=metrics, evicted=victims
+        )
+        for key, split in victims:
+            rdd_id = self._rdd_of.get(key)
+            if rdd_id is not None:
+                self.evicted.append((rdd_id, split))
+        return stored
 
     def contains(self, block_id: "tuple[int, int]") -> bool:
         return self._manager.contains(self._key(block_id))
 
-    def post(self, event: Any) -> None:
-        """The manager's cache events; evictions of this stage's RDDs are
-        reported, another context's blocks leave silently (its driver finds
-        out by missing)."""
-        from repro.engine.listener import BlockEvicted
-
-        if isinstance(event, BlockEvicted):
-            rdd_id = self._rdd_of.get(event.block_id[0])
-            if rdd_id is not None:
-                self.evicted.append(
-                    ((rdd_id, event.block_id[1]), event.size, event.spilled)
-                )
-
-    def resident(self) -> "list[tuple[tuple[int, int], int, str]]":
-        """``(block_id, size, level)`` of every touched block still held."""
-        out = []
-        for block_id in sorted(self._touched):
-            held = self._manager.held(self._key(block_id))
-            if held is not None:
-                out.append((block_id, held[0], held[1].name))
-        return out
+    def resident(self) -> "list[tuple[int, int]]":
+        """Every touched block this worker still holds."""
+        return [
+            block_id for block_id in sorted(self._touched)
+            if self._manager.contains(self._key(block_id))
+        ]
 
 
 # -- worker-side heartbeats ---------------------------------------------------
@@ -260,12 +255,13 @@ def _run_pickled_task(payload: bytes) -> bytes:
     (lineage + closure, memoized per worker and fetched on a cache miss),
     the partition/attempt to run and pre-fetched shuffle frames; computes a
     result dict with the result, any shuffle output written (as
-    :class:`~repro.engine.shuffle.ShuffleBlock` frames), the metadata of
-    the cache blocks it left resident or evicted (never their data),
-    accumulator updates, task metrics + resource telemetry,
-    optional cProfile hotspot rows and worker-local span fragments
-    (task-relative offsets).  The worker's warm-cache facts (task binary
-    and by-ref memo hits) travel on the task metrics.
+    :class:`~repro.engine.shuffle.ShuffleBlock` frames), the ids of the
+    cache blocks it left resident or evicted (never their data), task
+    metrics + resource telemetry, optional cProfile hotspot rows, captured
+    log records and worker-local span fragments (task-relative offsets,
+    which the driver stitches under this attempt's ``TaskRecord``).  The
+    worker's warm-cache facts (task binary and by-ref memo hits) travel on
+    the task metrics.
 
     The return value is an offset-prefixed frame (see
     :func:`_frame_result`): a fixed-size header carrying the serialization
@@ -273,7 +269,6 @@ def _run_pickled_task(payload: bytes) -> bytes:
     second time inside a wrapper, and large bodies travel by transport ref
     instead of through the worker's socket.
     """
-    from repro.engine.accumulator import AccumulatorBuffer
     from repro.engine.profiler import profile_call
     from repro.engine.shuffle import ShuffleManager
     from repro.engine.task import ShuffleMapTask, TaskContext, TaskTelemetry
@@ -295,9 +290,6 @@ def _run_pickled_task(payload: bytes) -> bytes:
         shuffle_manager=worker_shuffle,
         block_manager=blocks,
         block_master=None,
-        accumulators=AccumulatorBuffer(binary.accumulators),
-        trace_id=spec.get("trace_id"),
-        parent_span_id=spec.get("parent_span_id"),
     )
     tc.prefetched_shuffle = spec["prefetched_shuffle"]
     deserialize_seconds = time.perf_counter() - task_start
@@ -352,7 +344,6 @@ def _run_pickled_task(payload: bytes) -> bytes:
         "shuffle_output": shuffle_output,
         "resident_blocks": blocks.resident(),
         "evicted_blocks": blocks.evicted,
-        "accumulator_updates": tc.accumulators.snapshot(),
         "metrics": tc.metrics,
         "profile": hotspots,
         "span_fragments": [
@@ -361,14 +352,6 @@ def _run_pickled_task(payload: bytes) -> bytes:
              "end": compute_end - task_start},
         ],
         "log_records": [r.to_dict() for r in log_records],
-        "worker_pid": os.getpid(),
-        # echo the trace context so the driver can verify the worker ran
-        # under the expected trace (multi-driver fleets) and stamp it on
-        # the fragments' spans
-        "trace": {
-            "trace_id": spec.get("trace_id"),
-            "parent_span_id": spec.get("parent_span_id"),
-        },
     }
     serialize_start = time.perf_counter()
     body = pickle.dumps(out, protocol=pickle.HIGHEST_PROTOCOL)

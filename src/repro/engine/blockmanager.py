@@ -36,7 +36,6 @@ from repro.engine.serializer import dumps, loads
 from repro.engine.storage import StorageLevel
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.engine.listener import ListenerBus
     from repro.engine.metrics import TaskMetrics
 
 BlockId = tuple[int, int]  # (rdd_id, partition)
@@ -172,8 +171,6 @@ class BlockManager:
         self._spilled: dict[BlockId, str] = {}
         self.evictions = 0
         self.spills = 0
-        #: optional listener bus (set by the context); cache events go here
-        self.bus: "ListenerBus | None" = None
 
     # -- properties --------------------------------------------------------
 
@@ -190,16 +187,6 @@ class BlockManager:
         with self._lock:
             return list(self._blocks) + list(self._spilled)
 
-    def held(self, block_id: BlockId) -> tuple[int, StorageLevel] | None:
-        """``(accounted bytes, level)`` of a block held here, else None."""
-        with self._lock:
-            block = self._blocks.get(block_id)
-            if block is not None:
-                return block.size, block.level
-            if block_id in self._spilled:
-                return 0, StorageLevel.MEMORY_AND_DISK  # no memory accounted
-        return None
-
     # -- put / get ----------------------------------------------------------
 
     def put(
@@ -208,6 +195,7 @@ class BlockManager:
         data: Iterable,
         level: StorageLevel,
         metrics: "TaskMetrics | None" = None,
+        evicted: list | None = None,
     ) -> list:
         """Materialize ``data``, cache it under ``level``, return the list.
 
@@ -215,7 +203,8 @@ class BlockManager:
         *not* cached (Spark drops oversized blocks the same way) but the
         materialized list is still returned so the task can proceed.  When
         ``metrics`` is given, size-estimation time and the blocks this put
-        evicted are charged to the task.
+        evicted are charged to the task; when ``evicted`` is given, the ids
+        of those blocks are appended to it.
         """
         materialized = data if isinstance(data, list) else list(data)
         if level is StorageLevel.NONE:
@@ -229,7 +218,7 @@ class BlockManager:
             size = 64 + sum(estimate_size(item) for item in materialized)
         if metrics is not None:
             metrics.size_estimation_seconds += time.perf_counter() - est_start
-        events: list = []
+        victims: list[tuple[BlockId, bool]] = []
         with self._lock:
             if block_id in self._blocks:
                 return materialized
@@ -238,27 +227,16 @@ class BlockManager:
                 if level.spills_to_disk:
                     self._spill(block_id, materialized)
                 return materialized
-            self._evict_until_fits(size, protect=block_id, events=events)
+            self._evict_until_fits(size, protect=block_id, victims=victims)
             self._blocks[block_id] = _Block(data=stored, size=size, level=level)
             self._memory_used += size
             self._blocks.move_to_end(block_id)
         if metrics is not None:
-            metrics.blocks_evicted += len(events)
-            metrics.blocks_spilled += sum(spilled for _, _, spilled in events)
-        self._post_cached(block_id, size, level, events)
+            metrics.blocks_evicted += len(victims)
+            metrics.blocks_spilled += sum(spilled for _, spilled in victims)
+        if evicted is not None:
+            evicted.extend(victim_id for victim_id, _ in victims)
         return materialized
-
-    def _post_cached(
-        self, block_id: BlockId, size: int, level: StorageLevel, evictions: list
-    ) -> None:
-        """Publish cache events gathered while the lock was held."""
-        if self.bus is None:
-            return
-        from repro.engine.listener import BlockCached, BlockEvicted
-
-        for victim_id, victim_size, spilled in evictions:
-            self.bus.post(BlockEvicted(victim_id, self.executor_id, victim_size, spilled))
-        self.bus.post(BlockCached(block_id, self.executor_id, size, level.name))
 
     def get(self, block_id: BlockId) -> list | None:
         """Return the cached partition, or None.  Touches LRU recency."""
@@ -299,13 +277,10 @@ class BlockManager:
 
     # -- internals ----------------------------------------------------------
 
-    def _evict_until_fits(
-        self, size: int, protect: BlockId, events: list | None = None
-    ) -> None:
+    def _evict_until_fits(self, size: int, protect: BlockId, victims: list) -> None:
         """LRU-evict blocks until ``size`` fits in the budget (lock held).
 
-        Eviction facts are appended to ``events`` so the caller can publish
-        them on the bus *after* releasing the lock.
+        Each victim is appended to ``victims`` as ``(block_id, spilled)``.
         """
         while self._memory_used + size > self.memory_budget and self._blocks:
             victim_id = next(iter(self._blocks))
@@ -316,8 +291,7 @@ class BlockManager:
             self.evictions += 1
             if victim.level.spills_to_disk:
                 self._spill(victim_id, victim.data)
-            if events is not None:
-                events.append((victim_id, victim.size, victim.level.spills_to_disk))
+            victims.append((victim_id, victim.level.spills_to_disk))
 
     def _spill(self, block_id: BlockId, data: list) -> None:
         if self._spill_dir is None:
@@ -340,8 +314,6 @@ class BlockManagerMaster:
         self._lock = threading.Lock()
         self._locations: dict[BlockId, set[str]] = {}
         self._managers: dict[str, BlockManager] = {}
-        #: optional listener bus (set by the context)
-        self.bus: "ListenerBus | None" = None
 
     def register_manager(self, manager: BlockManager) -> None:
         with self._lock:
@@ -366,10 +338,6 @@ class BlockManagerMaster:
                 continue
             data = manager.get(block_id)
             if data is not None:
-                if self.bus is not None:
-                    from repro.engine.listener import BlockFetchedRemote
-
-                    self.bus.post(BlockFetchedRemote(block_id, executor_id, excluding))
                 return data, executor_id
             # registry was stale (block evicted): repair it
             self.unregister_block(block_id, executor_id)

@@ -5,8 +5,8 @@ broadcast are the dominant costs of a small job, so this module pays them
 once and keeps the fleet alive.  A :class:`ClusterManager` owns one
 single-threaded worker *process per task slot* (``executor_cores`` slots
 form one logical executor) connected back to the driver over loopback
-TCP, and survives any number of Context attach/detach cycles.  A fleet
-no wider than the host confines each worker to its own share of the CPUs
+TCP, and survives any number of driver Contexts.  A fleet no wider
+than the host confines each worker to its own share of the CPUs
 (:func:`_claim_cpu_share`), so where a task runs does not depend on what
 the fleet did a second earlier, and every worker freezes the heap it was
 forked with (``gc.freeze()``), so what its first task costs does not depend
@@ -29,9 +29,8 @@ Executor lifecycle is explicit -- *register* (worker connects and
 announces itself), *heartbeat* (socket frames, at the cadence the task's
 driver asked for, fanned out to every subscribed
 :class:`~repro.engine.heartbeat.HeartbeatHub`), *drain* (finish in-flight,
-take nothing new), *decommission* (worker exits, driver announces it) --
-and surfaced as :class:`~repro.engine.listener.ExecutorRegistered` /
-:class:`~repro.engine.listener.ExecutorDecommissioned` bus events.
+take nothing new), *decommission* (worker exits) -- and read back from
+:meth:`ClusterManager.executor_info`.
 
 ``Context(backend="cluster")`` lazily builds a process-wide
 :class:`ClusterManager` keyed by cluster shape; it persists until
@@ -60,13 +59,11 @@ from typing import TYPE_CHECKING, Any
 
 from repro.engine import frames
 from repro.engine.executor import ExecutorLostError
-from repro.engine.listener import ExecutorDecommissioned, ExecutorRegistered
 from repro.engine.transport import Transport
 from repro.obs.logging import get_logger
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.config import EngineConfig
-    from repro.engine.context import Context
 
 log = get_logger("repro.cluster")
 
@@ -284,12 +281,11 @@ class _WorkerHandle:
 class ClusterManager:
     """Owns a persistent worker fleet and its event-driven dispatch loop.
 
-    Lives independently of any Context: drivers :meth:`attach` (which
-    announces the executors, warm or cold, on their listener bus), submit
-    jobs, and :meth:`detach`; the workers -- and everything warm inside
-    them -- stay up for the next driver.  The manager also owns the blob
-    transport, for the same reason: worker-side transport handles memoize
-    by spec, so a transport that died with its context would strand them.
+    Lives independently of any Context: each driver Context submits its
+    jobs through it; the workers -- and everything warm inside them --
+    stay up for the next one.  The manager also owns the blob transport,
+    for the same reason: worker-side transport handles memoize by spec,
+    so a transport that died with its context would strand them.
     """
 
     def __init__(self, num_executors: int, executor_cores: int) -> None:
@@ -302,9 +298,6 @@ class ClusterManager:
         self.transport = Transport.create()
         self.heartbeats = _HeartbeatFanout()
         self.stopped = False
-        #: attach() calls so far; >0 means the fleet is warm for the next one
-        self.jobs_attached = 0
-        self._ctx: "Context | None" = None
         self._tokens = itertools.count(1)
         self._lock = threading.Lock()
         self._cmds: deque = deque()
@@ -419,26 +412,6 @@ class ClusterManager:
             self._shipped.add(key)
             return True
 
-    def attach(self, ctx: "Context") -> None:
-        """Announce the fleet on a (new) driver's listener bus."""
-        with self._lock:
-            warm = self.jobs_attached > 0
-            self.jobs_attached += 1
-            self._ctx = ctx
-        for info in self.executor_info():
-            ctx.listener_bus.post(ExecutorRegistered(
-                executor_id=info["executor_id"],
-                host="127.0.0.1",
-                pid=info["pid"],
-                slots=info["slots"],
-                warm=warm and info["state"] == "registered",
-            ))
-
-    def detach(self, ctx: "Context") -> None:
-        with self._lock:
-            if self._ctx is ctx:
-                self._ctx = None
-
     def executor_info(self) -> list[dict]:
         """Per-executor lifecycle snapshot: state, pid, slots, tasks done."""
         with self._lock:
@@ -457,7 +430,7 @@ class ClusterManager:
                     info["pid"] = h.pid
             return [grouped[eid] for eid in sorted(grouped)]
 
-    def decommission(self, executor_id: str, reason: str = "drain") -> None:
+    def decommission(self, executor_id: str) -> None:
         """Drain one executor: finish in-flight work, then retire its slots."""
         with self._lock:
             targets = [
@@ -675,11 +648,6 @@ class ClusterManager:
             peers_alive = any(
                 h.alive for h in self.workers if h.executor_id == handle.executor_id
             )
-            ctx = self._ctx
-            tasks_run = sum(
-                h.tasks_done for h in self.workers
-                if h.executor_id == handle.executor_id
-            )
             if not peers_alive:
                 self._exec_state[handle.executor_id] = (
                     "decommissioned" if was_draining else "lost"
@@ -691,11 +659,6 @@ class ClusterManager:
                 future.set_exception(ExecutorLostError(handle.executor_id))
             except concurrent.futures.InvalidStateError:
                 pass
-        if not peers_alive and was_draining and ctx is not None:
-            ctx.listener_bus.post(ExecutorDecommissioned(
-                executor_id=handle.executor_id, reason="drained",
-                tasks_run=tasks_run,
-            ))
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -802,14 +765,8 @@ class ClusterBackend:
     def note_binary_shipped(self, executor_id: str, binary_id: str) -> bool:
         return self._manager.note_binary_shipped(executor_id, binary_id)
 
-    def attach(self, ctx: "Context") -> None:
-        self._manager.attach(ctx)
-
-    def detach(self, ctx: "Context") -> None:
-        self._manager.detach(ctx)
-
-    def decommission(self, executor_id: str, reason: str = "drain") -> None:
-        self._manager.decommission(executor_id, reason)
+    def decommission(self, executor_id: str) -> None:
+        self._manager.decommission(executor_id)
 
     def shutdown(self) -> None:
         """Detach only; the fleet stays warm for the next context."""

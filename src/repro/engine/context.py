@@ -3,19 +3,17 @@
 from __future__ import annotations
 
 import itertools
-import secrets
 import threading
 import weakref
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator
 
 from repro.config import EngineConfig
-from repro.engine.accumulator import Accumulator
 from repro.engine.backends import make_backend
 from repro.engine.blockmanager import BlockManagerMaster
 from repro.engine.broadcast import Broadcast
 from repro.engine.executor import build_executors
 from repro.engine.faults import FaultInjector
-from repro.engine.listener import ExecutorLost, ListenerBus
+from repro.engine.listener import CollectingListener, JobEnd, ListenerBus
 from repro.engine.metrics import MetricsRegistry
 from repro.engine.shuffle import ShuffleManager
 
@@ -49,10 +47,6 @@ class Context:
         #: when set, a span trace is written on stop() -- Chrome
         #: ``trace_event`` JSON, or span JSONL if the path ends in .jsonl
         self.trace_path = trace_path
-        #: W3C-traceparent-style trace id for this driver.  Stamped on every
-        #: span and shipped in every task envelope, so traces from multiple
-        #: drivers sharing one persistent fleet stay distinguishable
-        self.trace_id = secrets.token_hex(16)
         self.listener_bus = ListenerBus()
         self.backend = make_backend(self.config)
         #: out-of-band blob transport (shared memory / temp files / TCP);
@@ -74,12 +68,9 @@ class Context:
             self.config.storage_memory_per_executor,
         )
         self.block_master = BlockManagerMaster()
-        self.block_master.bus = self.listener_bus
         for executor in self.executors:
             self.block_master.register_manager(executor.block_manager)
-            executor.block_manager.bus = self.listener_bus
         self.shuffle_manager = ShuffleManager()
-        self.shuffle_manager.bus = self.listener_bus
         self.metrics = MetricsRegistry()
         # inference observability: convergence monitors for resampling
         # p-values
@@ -88,19 +79,19 @@ class Context:
         self.inference = InferenceObservability(self)
         self.fault_injector = fault_injector
 
-        # optional listeners: the event log writer and tracer when requested
-        self._tracer = None
+        # optional listeners: the event log writer when requested, and for
+        # a trace the job record of every JobEnd (failed jobs included),
+        # the records the event log keeps, so the trace written on stop()
+        # is the one ``history --export-trace`` rebuilds from that log
         self._event_log_listener = None
         if event_log_path is not None:
             from repro.engine.eventlog import EventLogListener
 
             self._event_log_listener = EventLogListener(event_log_path)
             self.listener_bus.add_listener(self._event_log_listener)
+        self._traced_jobs = None
         if trace_path is not None:
-            from repro.obs.spans import TracingListener
-
-            self._tracer = TracingListener(trace_id=self.trace_id)
-            self.listener_bus.add_listener(self._tracer)
+            self._traced_jobs = self.listener_bus.add_listener(CollectingListener(JobEnd))
 
         # structured logging: the process log bus runs at this context's
         # configured level; optional sinks mirror records to a JSONL file
@@ -141,18 +132,12 @@ class Context:
             self.heartbeats = HeartbeatHub(self)
             self.listener_bus.add_listener(self.heartbeats)
             self.heartbeats.start()
-        # the cluster announces its (possibly pre-existing, warm) executors
-        # on this context's bus: ExecutorRegistered per executor
-        if not self.backend.supports_shared_state:
-            self.backend.attach(self)
 
         self._rdd_ids = itertools.count()
         self._shuffle_ids = itertools.count()
         self._stage_ids = itertools.count()
         self._job_ids = itertools.count()
         self._broadcast_ids = itertools.count()
-        self._accumulator_ids = itertools.count()
-        self._accumulators: dict[int, Accumulator] = {}
         self._lock = threading.Lock()
         self._stopped = False
 
@@ -209,16 +194,6 @@ class Context:
     def _track_published(self, holders: Iterable) -> None:
         self._published.update(holders)
 
-    def accumulator(self, initial: Any, op: Callable | None = None, zero: Any | None = None) -> Accumulator:
-        self._check_alive()
-        acc_id = next(self._accumulator_ids)
-        if op is None:
-            acc = Accumulator(acc_id, initial, zero=zero)
-        else:
-            acc = Accumulator(acc_id, initial, op, zero=zero)
-        self._accumulators[acc_id] = acc
-        return acc
-
     # -- execution ------------------------------------------------------------------
 
     def run_job(
@@ -261,7 +236,6 @@ class Context:
                 break
         else:
             raise KeyError(f"no executor {executor_id!r}")
-        self.listener_bus.post(ExecutorLost(executor_id, reason="killed by driver"))
         self.block_master.remove_executor(executor_id)
         self.shuffle_manager.remove_outputs_on_executor(executor_id)
 
@@ -271,24 +245,24 @@ class Context:
         """Subscribe a :class:`~repro.engine.listener.Listener` to engine events."""
         return self.listener_bus.add_listener(listener)
 
-    @property
-    def spans(self):
-        """Spans collected so far (requires ``trace_path=``), else None."""
-        return self._tracer.spans if self._tracer is not None else None
-
     # -- lifecycle ---------------------------------------------------------------------
 
     def stop(self) -> None:
         if not self._stopped:
             if self.heartbeats is not None:
                 self.heartbeats.stop()
-            if self._tracer is not None and self.trace_path is not None:
-                from repro.obs.spans import write_chrome_trace, write_spans_jsonl
+            if self._traced_jobs is not None:
+                from repro.obs.spans import (
+                    spans_from_jobs,
+                    write_chrome_trace,
+                    write_spans_jsonl,
+                )
 
+                spans = spans_from_jobs(e.job for e in self._traced_jobs.events)
                 if self.trace_path.endswith(".jsonl"):
-                    write_spans_jsonl(self._tracer.spans, self.trace_path)
+                    write_spans_jsonl(spans, self.trace_path)
                 else:
-                    write_chrome_trace(self._tracer.spans, self.trace_path)
+                    write_chrome_trace(spans, self.trace_path)
             from repro.obs.logging import LOG_BUS
 
             for sink in self._log_sinks:
@@ -298,8 +272,6 @@ class Context:
                 self._log_file_sink.close()
                 self._log_file_sink = None
             LOG_BUS.set_level(self._previous_log_level)
-            if not self.backend.supports_shared_state:
-                self.backend.detach(self)
             self.listener_bus.stop()
             self.backend.shutdown()
             # release what this context owns now rather than at the next

@@ -1,13 +1,18 @@
 """Engine listener bus: typed events, the analogue of Spark's ``LiveListenerBus``.
 
-Every interesting thing the engine does -- a job starting, a stage
-completing, a task attempt finishing, a block entering or leaving a cache,
-shuffle bytes moving, an executor dying -- is published as a typed event on
-the context's :class:`ListenerBus`.  Consumers subscribe by registering a
-:class:`Listener`; the event log (:mod:`repro.engine.eventlog`), the tracer
-(:mod:`repro.obs.spans`), online diagnostics (:mod:`repro.obs.diagnostics`)
-and the console progress bars (:mod:`repro.obs.progress`) are all just
-listeners.
+The bus carries the job lifecycle (job start/end, stage submitted/completed,
+task start/end -- a ``TaskEnd`` holds the attempt's whole
+:class:`~repro.engine.metrics.TaskRecord`), executor liveness (heartbeats
+and heartbeat timeouts) and the resampling monitor's progress (batches
+folded, SNP-sets decided).  Cache, shuffle and executor-membership facts
+are not events: they are counted on each attempt's
+:class:`~repro.engine.metrics.TaskMetrics` and the job record built from
+it, or read from the cluster's ``executor_info()``.  Consumers subscribe by
+registering a :class:`Listener`; the event log
+(:mod:`repro.engine.eventlog`), online diagnostics
+(:mod:`repro.obs.diagnostics`), the heartbeat hub
+(:mod:`repro.engine.heartbeat`) and the console progress bars
+(:mod:`repro.obs.progress`) are all just listeners.
 
 Delivery is synchronous and in posting order per thread.  A listener that
 raises is isolated: the exception is recorded on the bus
@@ -82,75 +87,6 @@ class TaskStart(EngineEvent):
 @dataclass
 class TaskEnd(EngineEvent):
     record: "TaskRecord"
-
-
-@dataclass
-class BlockCached(EngineEvent):
-    block_id: tuple
-    executor_id: str
-    size: int
-    level: str
-
-
-@dataclass
-class BlockEvicted(EngineEvent):
-    block_id: tuple
-    executor_id: str
-    size: int
-    spilled: bool
-
-
-@dataclass
-class BlockFetchedRemote(EngineEvent):
-    block_id: tuple
-    from_executor: str
-    to_executor: str
-
-
-@dataclass
-class ShuffleWrite(EngineEvent):
-    shuffle_id: int
-    map_partition: int
-    executor_id: str
-    bytes_written: int
-    records_written: int
-
-
-@dataclass
-class ShuffleFetch(EngineEvent):
-    shuffle_id: int
-    reduce_partition: int
-    records_read: int
-
-
-@dataclass
-class ExecutorLost(EngineEvent):
-    executor_id: str
-    reason: str = ""
-
-
-@dataclass
-class ExecutorRegistered(EngineEvent):
-    """An executor joined the cluster (or an already-running persistent
-    executor re-announced itself to a newly attached driver).
-
-    ``warm`` distinguishes a fresh cold worker from a long-lived one whose
-    task-binary / broadcast caches survived earlier jobs."""
-
-    executor_id: str
-    host: str = ""
-    pid: int = 0
-    slots: int = 0
-    warm: bool = False
-
-
-@dataclass
-class ExecutorDecommissioned(EngineEvent):
-    """An executor left the cluster after a drain (or a cluster stop)."""
-
-    executor_id: str
-    reason: str = ""
-    tasks_run: int = 0
 
 
 @dataclass
@@ -342,14 +278,6 @@ __all__ = [
     "StageCompleted",
     "TaskStart",
     "TaskEnd",
-    "BlockCached",
-    "BlockEvicted",
-    "BlockFetchedRemote",
-    "ShuffleWrite",
-    "ShuffleFetch",
-    "ExecutorLost",
-    "ExecutorRegistered",
-    "ExecutorDecommissioned",
     "ExecutorHeartbeat",
     "ExecutorTimedOut",
     "InferenceBatchCompleted",

@@ -90,7 +90,8 @@ class TaskRecord:
     metrics: TaskMetrics
     succeeded: bool
     error: str | None = None
-    #: monotonic (perf_counter) launch timestamp; 0.0 in v1 event logs
+    #: monotonic (perf_counter) launch timestamp -- for a failed attempt,
+    #: when the driver saw it fail; 0.0 in v1 event logs
     start_time: float = 0.0
     #: sampled-profiler hotspot rows ({func, ncalls, tottime, cumtime}),
     #: present only when this attempt was profiled

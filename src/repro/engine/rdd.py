@@ -207,7 +207,7 @@ class RDD:
             if isinstance(rdd.partitioner, HashPartitioner):
                 partitioner = rdd.partitioner
                 break
-        return CoGroupedRDD(self.context, [self, other], partitioner).flat_map(
+        return CoGroupedRDD(self.context, self, other, partitioner).flat_map(
             _InnerJoinExpandFn()
         )
 
@@ -667,16 +667,17 @@ class ShuffledRDD(RDD):
 
 
 class CoGroupedRDD(RDD):
-    """Groups several pair-RDDs by key: ``(k, (values_0, values_1, ...))``.
+    """Groups two pair-RDDs by key: ``(k, (left_values, right_values))``,
+    the input ``join`` expands.
 
-    Parents already partitioned compatibly contribute through a narrow
-    dependency; the rest are shuffled.
+    A parent already partitioned compatibly contributes through a narrow
+    dependency; the other is shuffled.
     """
 
-    def __init__(self, ctx, parents: list[RDD], partitioner) -> None:
+    def __init__(self, ctx, left: RDD, right: RDD, partitioner) -> None:
         deps: list[Dependency] = []
         self._dep_kinds: list[tuple[str, Any]] = []
-        for parent in parents:
+        for parent in (left, right):
             if parent.partitioner is not None and parent.partitioner == partitioner:
                 deps.append(OneToOneDependency(parent))
                 self._dep_kinds.append(("narrow", parent))
@@ -687,20 +688,12 @@ class CoGroupedRDD(RDD):
                 self._dep_kinds.append(("shuffle", dep))
         super().__init__(ctx, deps, "cogroup")
         self.partitioner = partitioner
-        self._num_parents = len(parents)
 
     def num_partitions(self) -> int:
         return self.partitioner.num_partitions
 
     def compute(self, split: int, tc: TaskContext) -> Iterator:
-        grouped: dict[Any, tuple[list, ...]] = {}
-
-        def bucket_for(key: Any) -> tuple[list, ...]:
-            entry = grouped.get(key)
-            if entry is None:
-                entry = tuple([] for _ in range(self._num_parents))
-                grouped[key] = entry
-            return entry
+        grouped: dict[Any, tuple[list, list]] = {}
 
         for idx, (kind, source) in enumerate(self._dep_kinds):
             if kind == "narrow":
@@ -714,5 +707,8 @@ class CoGroupedRDD(RDD):
                         raise RuntimeError("no shuffle manager available to cogroup task")
                     records = tc.shuffle_manager.fetch(source.shuffle_id, split, tc.metrics)
             for key, value in records:
-                bucket_for(key)[idx].append(value)
+                entry = grouped.get(key)
+                if entry is None:
+                    entry = grouped[key] = ([], [])
+                entry[idx].append(value)
         return iter(grouped.items())

@@ -14,10 +14,11 @@ The cluster branch ships a stage as a kilobyte task binary (lineage,
 closures and content-hash refs; see :meth:`TaskScheduler._build_task_binary`)
 and a task as an envelope of refs plus its pre-fetched shuffle frames.
 Cached blocks stay resident in the worker that computed them: a result
-carries ``(block_id, size, level)`` metadata, the driver keeps locations in
-its ``BlockManagerMaster`` and none of the data, placement sends a
-partition to the same worker process every time, and a miss anywhere
-(evicted, dead holder, retry elsewhere) recomputes from lineage.
+carries the ids of the blocks it left resident or evicted, the driver
+keeps locations in its ``BlockManagerMaster`` and none of the data,
+placement sends a partition to the same worker process every time, and a
+miss anywhere (evicted, dead holder, retry elsewhere) recomputes from
+lineage.
 """
 
 from __future__ import annotations
@@ -31,16 +32,12 @@ from collections import deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Iterator
 
-from repro.engine.accumulator import AccumulatorBuffer
 from repro.engine.blockmanager import estimate_size
 from repro.engine.closure import dumps as closure_dumps
 from repro.engine.dag import Stage, StageGraph
 from repro.engine.dependencies import ShuffleDependency
 from repro.engine.executor import Executor, ExecutorLostError
 from repro.engine.listener import (
-    BlockCached,
-    BlockEvicted,
-    ExecutorLost,
     JobEnd,
     JobStart,
     StageCompleted,
@@ -107,11 +104,10 @@ class _TaskSetCommits:
 
     An attempt abandoned at a heartbeat timeout keeps running in its
     worker, and its late result can reach the driver after the retry's.
-    Accumulator merges already dedup by (stage, partition), but worker log
-    replays and telemetry observations do not -- so a
-    task attempt must win the claim for its partition *before* any of its
-    side effects are folded into driver state.  Exactly one attempt per
-    partition ever commits."""
+    Map-output registration, block locations and worker log replays do not
+    dedup by themselves -- so a task attempt must win the claim for its
+    partition *before* any of its side effects are folded into driver
+    state.  Exactly one attempt per partition ever commits."""
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
@@ -435,7 +431,8 @@ class TaskScheduler:
 
         Every failure path comes here -- a raising task, a lost executor, a
         heartbeat timeout, a fetch failure -- so the job's event-log line
-        holds each failed attempt with its executor and error.
+        holds each failed attempt with its executor and error, stamped with
+        the moment the driver saw it fail (its span is that instant).
         """
         record = TaskRecord(
             stage_id=stage_metrics.stage_id,
@@ -446,6 +443,7 @@ class TaskScheduler:
             metrics=TaskMetrics(),
             succeeded=False,
             error=f"{type(exc).__name__}: {exc}",
+            start_time=time.perf_counter(),
         )
         stage_metrics.tasks.append(record)
         self.ctx.listener_bus.post(TaskEnd(record))
@@ -495,7 +493,6 @@ class TaskScheduler:
             shuffle_manager=self.ctx.shuffle_manager,
             block_manager=executor.block_manager,
             block_master=self.ctx.block_master,
-            accumulators=AccumulatorBuffer(self.ctx._accumulators),
             fault_hook=injector.on_task_launch if injector is not None else None,
         )
         telemetry = TaskTelemetry()
@@ -515,7 +512,6 @@ class TaskScheduler:
                 value, hotspots = task.run(tc), None
         duration = time.perf_counter() - start
         telemetry.record(tc.metrics)
-        tc.accumulators.merge_into_driver(stage.id, task.partition)
         record = TaskRecord(
             stage_id=stage.id,
             partition=task.partition,
@@ -550,7 +546,7 @@ class TaskScheduler:
             stage.id, "shuffle_map" if shuffle_map else "result", stage.rdd,
             func=None if shuffle_map else probe.func,
             shuffle_dep=probe.shuffle_dep if shuffle_map else None,
-            accumulators=self.ctx._accumulators, block_keys=block_keys,
+            block_keys=block_keys,
         )
         blob = closure_dumps(binary)
         # every binary is published by ref regardless of size: workers that
@@ -576,7 +572,7 @@ class TaskScheduler:
 
         The returned future resolves to ``(value, TaskRecord)`` once the
         worker finishes *and* the driver-side merge (shuffle output, block
-        locations, accumulators) has run in the backend future's completion
+        locations) has run in the backend future's completion
         callback, so ``run_task_set`` keeps ``max_inflight`` attempts
         genuinely parallel.
         """
@@ -636,18 +632,6 @@ class TaskScheduler:
                     # the driver's level and stamps these ids on its records
                     "job_id": job.job_id,
                     "log_level": self.ctx.config.log_level,
-                    # W3C-traceparent-style trace context: the driver's trace
-                    # id plus the open stage span the worker's task-phase
-                    # fragments will stitch under.  Travels inside the task
-                    # envelope across process and cluster-socket boundaries,
-                    # so every span a worker ships home carries the id of
-                    # the Context that asked for it
-                    "trace_id": getattr(self.ctx, "trace_id", None),
-                    "parent_span_id": (
-                        self.ctx._tracer.open_stage_span_id(stage.id)
-                        if getattr(self.ctx, "_tracer", None) is not None
-                        else None
-                    ),
                 },
                 protocol=pickle.HIGHEST_PROTOCOL,
             )
@@ -747,19 +731,11 @@ class TaskScheduler:
                 metrics=out["metrics"],
             )
         # the blocks stay in the worker; the driver learns where they are
-        master, bus = self.ctx.block_master, self.ctx.listener_bus
-        for block_id, size, spilled in out["evicted_blocks"]:
+        master = self.ctx.block_master
+        for block_id in out["evicted_blocks"]:
             master.unregister_block(block_id, executor.executor_id)
-            bus.post(BlockEvicted(block_id, executor.executor_id, size, spilled))
-        for block_id, size, level in out["resident_blocks"]:
-            if executor.executor_id not in master.locations(block_id):
-                master.register_block(block_id, executor.executor_id)
-                bus.post(BlockCached(block_id, executor.executor_id, size, level))
-        # merge accumulator updates (dedup by stage/partition)
-        for acc_id, local in out["accumulator_updates"].items():
-            acc = self.ctx._accumulators.get(acc_id)
-            if acc is not None:
-                acc._merge(stage.id, task.partition, local)
+        for block_id in out["resident_blocks"]:
+            master.register_block(block_id, executor.executor_id)
         # task-binary accounting with per-executor dedup: the pickle
         # is charged once per (binary, executor); subsequent tasks on the
         # same executor only pay the pickled TransportRef (the bytes that
@@ -793,9 +769,6 @@ class TaskScheduler:
             if executor.executor_id == executor_id and executor.alive:
                 executor.kill()
                 job.num_executor_failures_observed += 1
-                self.ctx.listener_bus.post(
-                    ExecutorLost(executor_id, reason="task execution failure")
-                )
         self.ctx.block_master.remove_executor(executor_id)
         self.ctx.shuffle_manager.remove_outputs_on_executor(executor_id)
 

@@ -29,7 +29,6 @@ from repro.engine.serializer import dumps, loads
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.engine.dependencies import ShuffleDependency
-    from repro.engine.listener import ListenerBus
     from repro.engine.metrics import TaskMetrics
 
 
@@ -74,8 +73,6 @@ class ShuffleManager:
     """
 
     def __init__(self, track_bytes: bool = True) -> None:
-        #: optional listener bus (set by the context); shuffle events go here
-        self.bus: "ListenerBus | None" = None
         self._lock = threading.Lock()
         # (shuffle_id, map_partition) -> {reduce_partition: ShuffleBlock}
         self._outputs: dict[tuple[int, int], dict[int, ShuffleBlock]] = {}
@@ -191,7 +188,6 @@ class ShuffleManager:
         count_records: bool = True,
     ) -> MapStatus:
         sizes = tuple(len(blocks[i].payload) for i in range(num_reducers))
-        records_written = sum(block.num_records for block in blocks.values())
         status = MapStatus(shuffle_id, map_partition, executor_id, sizes)
         with self._lock:
             self._outputs[(shuffle_id, map_partition)] = blocks
@@ -202,16 +198,11 @@ class ShuffleManager:
             # managers never double-count
             metrics.serializer_seconds += encode_seconds
             if count_records:
-                metrics.shuffle_records_written += records_written
+                metrics.shuffle_records_written += sum(
+                    block.num_records for block in blocks.values()
+                )
             if self._track_bytes:
                 metrics.shuffle_bytes_written += sum(sizes)
-        if self.bus is not None:
-            from repro.engine.listener import ShuffleWrite
-
-            self.bus.post(ShuffleWrite(
-                shuffle_id, map_partition, executor_id, sum(sizes),
-                records_written,
-            ))
         return status
 
     # -- fetch ----------------------------------------------------------------
@@ -244,13 +235,6 @@ class ShuffleManager:
                 block = output.get(reduce_partition)
                 if block is not None:
                     blocks.append(block)
-        if self.bus is not None:
-            from repro.engine.listener import ShuffleFetch
-
-            self.bus.post(ShuffleFetch(
-                shuffle_id, reduce_partition,
-                sum(b.num_records for b in blocks),
-            ))
         return blocks
 
     def fetch(

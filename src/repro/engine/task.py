@@ -21,7 +21,6 @@ from typing import TYPE_CHECKING, Any, Callable, Iterator
 
 import threading
 
-from repro.engine.accumulator import AccumulatorBuffer
 from repro.engine.metrics import TaskMetrics
 
 _LOCAL = threading.local()
@@ -106,9 +105,9 @@ class TaskTelemetry:
 def current_task_context() -> "TaskContext | None":
     """The TaskContext of the task running on this thread, if any.
 
-    Lets user closures call ``Accumulator.add`` from inside tasks without
-    plumbing the context through, matching Spark's thread-local
-    ``TaskContext.get()``.
+    Lets code deep inside a task (the worker-side by-ref memo) charge the
+    running attempt's metrics without plumbing the context through,
+    matching Spark's thread-local ``TaskContext.get()``.
     """
     return getattr(_LOCAL, "tc", None)
 
@@ -122,8 +121,7 @@ class TaskContext:
     """Per-task runtime context threaded through ``RDD.iterator``.
 
     Carries the executing executor's identity, handles to the shuffle
-    manager and block managers, the fault-injection hook, metrics, and the
-    accumulator buffer.
+    manager and block managers, the fault-injection hook, and metrics.
     """
 
     def __init__(
@@ -135,10 +133,7 @@ class TaskContext:
         shuffle_manager: "ShuffleManager | None" = None,
         block_manager: "BlockManager | None" = None,
         block_master: "BlockManagerMaster | None" = None,
-        accumulators: AccumulatorBuffer | None = None,
         fault_hook: Callable[["TaskContext"], None] | None = None,
-        trace_id: str | None = None,
-        parent_span_id: int | None = None,
     ) -> None:
         self.stage_id = stage_id
         self.partition = partition
@@ -147,16 +142,8 @@ class TaskContext:
         self.shuffle_manager = shuffle_manager
         self.block_manager = block_manager
         self.block_master = block_master
-        self.accumulators = accumulators or AccumulatorBuffer({})
         self.metrics = TaskMetrics()
         self._fault_hook = fault_hook
-        #: W3C-traceparent-style trace context carried in the task envelope:
-        #: the submitting driver's trace id and the stage span this attempt
-        #: stitches under.  ``current_task_context().trace_id`` gives user
-        #: code and worker-side instrumentation the driver identity without
-        #: plumbing -- the executor may be serving several drivers
-        self.trace_id = trace_id
-        self.parent_span_id = parent_span_id
         #: pre-fetched shuffle input for the process backend, keyed by
         #: (shuffle_id, reduce_partition)
         self.prefetched_shuffle: dict[tuple[int, int], list] = {}
@@ -220,7 +207,6 @@ class TaskBinary:
         rdd: "RDD",
         func: Callable[[Iterator], Any] | None,
         shuffle_dep: Any | None,
-        accumulators: dict,
         block_keys: dict[int, str],
     ) -> None:
         if kind not in ("result", "shuffle_map"):
@@ -230,9 +216,6 @@ class TaskBinary:
         self.rdd = rdd
         self.func = func
         self.shuffle_dep = shuffle_dep
-        #: accumulator *definitions* (id -> Accumulator); driver-side state
-        #: is stripped by Accumulator.__getstate__ on pickling
-        self.accumulators = accumulators
         #: lineage fingerprint per persisted rdd id computed in this stage:
         #: what a worker keys the RDD's resident blocks by (rdd ids restart
         #: at 0 in every context; the SHA-256 of the RDD's pickle does not)

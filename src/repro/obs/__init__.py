@@ -43,11 +43,10 @@ from repro.obs.logging import (
     get_logger,
     log_context,
 )
-from repro.obs.spans import Span, TracingListener, spans_from_jobs, to_chrome_trace
+from repro.obs.spans import Span, spans_from_jobs, to_chrome_trace
 
 __all__ = [
     "Span",
-    "TracingListener",
     "spans_from_jobs",
     "to_chrome_trace",
     "LOG_BUS",

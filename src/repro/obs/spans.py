@@ -5,13 +5,14 @@ attempt -- with a parent pointer forming the hierarchy
 ``job -> stage -> task``.  Spans carry wall/compute time and shuffle/cache
 attributes pulled from task metrics.
 
-Spans come from two places:
-
-- **live**: attach a :class:`TracingListener` to a context's listener bus
-  (``Context(..., trace_path=...)`` does this for you);
-- **offline**: :func:`spans_from_jobs` rebuilds the same hierarchy from
-  persisted :class:`~repro.engine.metrics.JobMetrics` (i.e. an event log),
-  which is what ``sparkscore history --export-trace`` uses.
+Spans come from one place: :func:`spans_from_jobs` builds the hierarchy
+from :class:`~repro.engine.metrics.JobMetrics` records -- the ones a
+``Context(..., trace_path=...)`` collects as its jobs end and writes on
+``stop()``, or the ones an event log persisted, which is what ``sparkscore
+history --export-trace`` reads.  Both routes therefore produce the same
+tree.  A worker's task-phase fragments ride on its attempt's
+:class:`~repro.engine.metrics.TaskRecord` as task-relative offsets and are
+stitched under the task span here.
 
 Exports: :func:`write_spans_jsonl` / :func:`read_spans_jsonl` round-trip
 the span list; :func:`to_chrome_trace` emits Chrome ``trace_event`` JSON
@@ -23,18 +24,8 @@ from __future__ import annotations
 
 import itertools
 import json
-import threading
 from dataclasses import dataclass, field
 from typing import IO, TYPE_CHECKING, Iterable
-
-from repro.engine.listener import (
-    JobEnd,
-    JobStart,
-    Listener,
-    StageCompleted,
-    StageSubmitted,
-    TaskEnd,
-)
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.engine.metrics import JobMetrics
@@ -121,105 +112,6 @@ def _fragment_children(ids, task_span: "Span", record, task_start: float) -> lis
     return children
 
 
-class TracingListener(Listener):
-    """Builds the span tree live from bus events.  Thread-safe.
-
-    When a ``trace_id`` is given (the context's per-driver W3C-style trace
-    id) every span is stamped with it, so traces from several drivers
-    sharing one fleet remain distinguishable after export.
-    """
-
-    def __init__(self, trace_id: str | None = None) -> None:
-        self.trace_id = trace_id
-        self._lock = threading.Lock()
-        self._ids = itertools.count(1)
-        self.spans: list[Span] = []
-        self._open_jobs: dict[int, Span] = {}
-        self._open_stages: dict[tuple[int, int], Span] = {}
-        self._stage_jobs: dict[int, int] = {}  # stage_id -> owning job span id
-
-    def _new_span(self, parent_id, name, category, start, end, attrs) -> Span:
-        if self.trace_id is not None:
-            attrs = {**attrs, "trace_id": self.trace_id}
-        span = Span(next(self._ids), parent_id, name, category, start, end, attrs)
-        self.spans.append(span)
-        return span
-
-    def open_stage_span_id(self, stage_id: int) -> int | None:
-        """Span id of the newest open stage span for ``stage_id``.
-
-        This is the ``parent_span_id`` half of the trace context the
-        scheduler ships in every cluster/process task envelope: the worker's
-        task-phase fragments ultimately stitch under this span.
-        """
-        with self._lock:
-            span_id = None
-            for (sid, _), open_span in self._open_stages.items():
-                if sid == stage_id:
-                    span_id = open_span.span_id
-            return span_id
-
-    def on_job_start(self, event: JobStart) -> None:
-        with self._lock:
-            span = self._new_span(
-                None, f"job {event.job_id}: {event.description}", "job",
-                event.time, event.time, {"job_id": event.job_id},
-            )
-            self._open_jobs[event.job_id] = span
-
-    def on_stage_submitted(self, event: StageSubmitted) -> None:
-        with self._lock:
-            job_span = self._open_jobs.get(event.job_id)
-            span = self._new_span(
-                job_span.span_id if job_span else None,
-                event.name, "stage", event.time, event.time,
-                {
-                    "stage_id": event.stage_id,
-                    "attempt": event.attempt,
-                    "num_tasks": event.num_tasks,
-                    "job_id": event.job_id,
-                },
-            )
-            self._open_stages[(event.stage_id, event.attempt)] = span
-            self._stage_jobs[event.stage_id] = span.span_id
-
-    def on_task_end(self, event: TaskEnd) -> None:
-        record = event.record
-        with self._lock:
-            # record.attempt is the *task* attempt; find the newest open
-            # stage span for this stage id (dicts preserve insertion order)
-            stage_span = None
-            for (sid, _), open_span in self._open_stages.items():
-                if sid == record.stage_id:
-                    stage_span = open_span
-            start = record.start_time or (event.time - record.duration_seconds)
-            task_span = self._new_span(
-                stage_span.span_id if stage_span else None,
-                f"task {record.stage_id}.{record.partition}#{record.attempt}",
-                "task", start, start + record.duration_seconds, _task_attrs(record),
-            )
-            fragments = _fragment_children(self._ids, task_span, record, start)
-            if self.trace_id is not None:
-                for frag in fragments:
-                    frag.attrs["trace_id"] = self.trace_id
-            self.spans.extend(fragments)
-
-    def on_stage_completed(self, event: StageCompleted) -> None:
-        with self._lock:
-            span = self._open_stages.pop((event.stage.stage_id, event.stage.attempt), None)
-            if span is not None:
-                span.end = event.time
-                span.attrs["failed"] = event.failed
-                span.attrs["total_task_seconds"] = event.stage.total_task_seconds
-
-    def on_job_end(self, event: JobEnd) -> None:
-        with self._lock:
-            span = self._open_jobs.pop(event.job_id, None)
-            if span is not None:
-                span.end = event.time
-                span.attrs["wall_seconds"] = event.job.wall_seconds
-
-
 def spans_from_jobs(jobs: Iterable["JobMetrics"]) -> list[Span]:
     """Rebuild the job -> stage -> task span hierarchy from job metrics.
 
@@ -251,6 +143,10 @@ def spans_from_jobs(jobs: Iterable["JobMetrics"]) -> list[Span]:
                     "num_tasks": stage.num_tasks,
                     "job_id": job.job_id,
                     "total_task_seconds": stage.total_task_seconds,
+                    # a stage attempt that ended on a fetch failure or a
+                    # permanent task failure left a partition unfinished
+                    "failed": len({t.partition for t in stage.tasks if t.succeeded})
+                    < stage.num_tasks,
                 },
             )
             spans.append(stage_span)
@@ -354,7 +250,6 @@ def write_chrome_trace(spans: list[Span], path_or_file: str | IO[str]) -> None:
 
 __all__ = [
     "Span",
-    "TracingListener",
     "spans_from_jobs",
     "write_spans_jsonl",
     "read_spans_jsonl",

@@ -96,7 +96,8 @@ def fresh_cluster():
             "default_parallelism": 4, **overrides,
         })
         manager = get_cluster(config)
-        if manager.jobs_attached:  # warm from an earlier test: start over
+        # warm from an earlier test: start over
+        if any(info["tasks_done"] for info in manager.executor_info()):
             manager.stop()
             manager = get_cluster(config)
         managers.append(manager)

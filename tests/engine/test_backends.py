@@ -1,5 +1,6 @@
 """Execution backends: serial, cluster."""
 
+import hashlib
 import operator
 import time
 
@@ -7,6 +8,7 @@ import pytest
 
 from repro.config import EngineConfig
 from repro.engine.backends import SerialBackend, make_backend
+from repro.engine.closure import dumps as closure_dumps
 from repro.engine.context import Context
 from repro.engine.storage import StorageLevel
 
@@ -24,6 +26,27 @@ def _sleep_window(x):
     start = time.monotonic()
     time.sleep(0.4)
     return (start, time.monotonic())
+
+
+class _ResidentLevels:
+    """Probe task: ``(split, level, size > 0)`` of every block of one
+    lineage the worker process running it holds."""
+
+    def __init__(self, key: str) -> None:
+        self.key = key
+
+    def __call__(self, _):
+        from repro.engine import backends
+
+        manager = backends._RESIDENT_BLOCKS
+        if manager is None:
+            return []
+        with manager._lock:
+            return [
+                (split, block.level.name, block.size > 0)
+                for (key, split), block in manager._blocks.items()
+                if key == self.key
+            ]
 
 
 class TestBackendFactory:
@@ -109,11 +132,13 @@ class TestProcessBackend:
 
     def test_remote_cache_respects_storage_level(self, pctx):
         """Regression: blocks computed in workers must be cached at the
-        RDD's requested storage level, not hardcoded MEMORY."""
-        from repro.engine.listener import BlockCached, CollectingListener
-
-        sink = pctx.add_listener(CollectingListener(BlockCached))
+        RDD's requested storage level, not hardcoded MEMORY.  A probe task
+        reads the level from each worker's resident block manager."""
         rdd = pctx.parallelize(range(20), 4).map(_square).persist(StorageLevel.MEMORY_SER)
         rdd.sum()
-        assert [e.level for e in sink.events] == [StorageLevel.MEMORY_SER.name] * 4
-        assert all(e.size > 0 for e in sink.events)
+        # the key the worker files the RDD's blocks under (its lineage
+        # fingerprint, as the scheduler's task binary carries it)
+        key = hashlib.sha256(closure_dumps(rdd)).hexdigest()
+        probe = _ResidentLevels(key)
+        held = set(pctx.parallelize(range(4), 4).map_partitions(probe).collect())
+        assert held == {(split, StorageLevel.MEMORY_SER.name, True) for split in range(4)}

@@ -1,11 +1,10 @@
-"""Broadcast variables and accumulators."""
+"""Broadcast variables (the engine's one shared-variable kind: it has no
+accumulators, see tests/engine/test_surface.py)."""
 
-import operator
 import pickle
 
 import pytest
 
-from repro.engine.accumulator import Accumulator, AccumulatorBuffer
 from repro.engine.broadcast import Broadcast, BroadcastDestroyedError
 
 
@@ -76,87 +75,3 @@ class TestBroadcast:
             assert len(memo) == 0 and memo.bytes_used == 0
         finally:
             t.close()
-
-
-class TestAccumulator:
-    def test_task_side_adds_merge_at_driver(self, ctx):
-        acc = ctx.accumulator(0)
-        ctx.parallelize(range(20), 4).map(lambda x: acc.add(x)).count()
-        assert acc.value == sum(range(20))
-
-    def test_driver_side_add_is_direct(self, ctx):
-        acc = ctx.accumulator(5)
-        acc.add(3)
-        assert acc.value == 8
-
-    def test_adds_inside_shuffle_map_tasks(self, ctx):
-        import operator as op
-
-        acc = ctx.accumulator(0)
-        rdd = ctx.parallelize([(i % 2, i) for i in range(10)], 2).map(
-            lambda kv: (acc.add(1) or kv[0], kv[1])
-        )
-        rdd.reduce_by_key(op.add).collect()
-        assert acc.value == 10
-
-    def test_manual_merge_dedup(self):
-        acc = Accumulator(0, 0)
-        acc._merge(1, 0, 5)
-        acc._merge(1, 0, 5)  # same stage/partition: retried task
-        acc._merge(1, 1, 2)
-        assert acc.value == 7
-
-    def test_custom_op(self):
-        acc = Accumulator(0, 1.0, op=operator.mul, zero=1.0)
-        acc._merge(0, 0, 3.0)
-        acc._merge(0, 1, 4.0)
-        assert acc.value == 12.0
-
-    def test_list_accumulator(self):
-        acc = Accumulator(0, [])
-        acc._merge(0, 0, [1, 2])
-        acc._merge(0, 1, [3])
-        assert sorted(acc.value) == [1, 2, 3]
-
-    def test_non_numeric_without_zero_rejected(self):
-        with pytest.raises(ValueError):
-            Accumulator(0, {"a": 1})
-
-    def test_reset(self):
-        acc = Accumulator(0, 0)
-        acc._merge(0, 0, 5)
-        acc.reset(0)
-        acc._merge(0, 0, 3)  # dedup record cleared
-        assert acc.value == 3
-
-    def test_picklable_without_lock(self):
-        acc = Accumulator(3, 10)
-        clone = pickle.loads(pickle.dumps(acc))
-        assert clone.value == 10
-        clone._merge(0, 0, 1)
-        assert clone.value == 11
-
-    def test_buffer_strict_registration(self):
-        acc = Accumulator(0, 0)
-        buffer = AccumulatorBuffer({})
-        with pytest.raises(KeyError):
-            buffer.add(acc, 1)
-
-    def test_buffer_merge_path(self):
-        acc = Accumulator(0, 0)
-        buffer = AccumulatorBuffer({0: acc})
-        buffer.add(acc, 2)
-        buffer.add(acc, 3)
-        buffer.merge_into_driver(stage_id=1, partition=0)
-        assert acc.value == 5
-
-    def test_tasks_update_accumulator_via_buffer(self, ctx):
-        # end-to-end: accumulator updates flow through task contexts; the
-        # engine merges once per successful partition
-        acc = ctx.accumulator(0)
-        rdd = ctx.parallelize(range(10), 5)
-        # run a job whose func records partition sizes through the shared
-        # accumulator object captured in the action closure executed inside
-        # the task (shared-state backends share driver objects directly)
-        sizes = ctx.run_job(rdd, lambda it: sum(1 for _ in it))
-        assert sum(sizes) == 10

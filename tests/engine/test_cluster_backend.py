@@ -32,14 +32,7 @@ from repro.core.algorithms import DistributedSparkScore
 from repro.core.local import LocalSparkScore
 from repro.engine.backends import unframe_result
 from repro.engine.context import Context
-from repro.engine.listener import (
-    CollectingListener,
-    ExecutorDecommissioned,
-    ExecutorRegistered,
-    JobEnd,
-    Listener,
-    ListenerBus,
-)
+from repro.engine.listener import JobEnd, Listener
 from repro.engine.scheduler import TaskScheduler
 from repro.engine.transport import BY_REF_MIN_BYTES
 from repro.genomics.synthetic import SyntheticConfig, generate_dataset
@@ -92,14 +85,6 @@ def file_fleet(fresh_cluster, monkeypatch):
         config, manager = fresh_cluster()
     assert manager.transport.scheme == "file"
     return config, manager
-
-
-class _BusOnly:
-    """The slice of Context that ClusterManager.attach/decommission touch."""
-
-    def __init__(self):
-        self.listener_bus = ListenerBus()
-        self.sink = self.listener_bus.add_listener(CollectingListener())
 
 
 class TestCorrectness:
@@ -315,11 +300,8 @@ class TestThinBinaries:
                 out, _, _ = unframe_result(frame, manager.transport)
                 assert "new_blocks" not in out
                 blocks += out["resident_blocks"]
-            # what does come back: where U's four partitions are, and how big
-            assert {block_id for block_id, _, _ in blocks} == {(u.id, p) for p in range(4)}
-            assert all(
-                size > 16 * 1024 and level == "MEMORY" for _, size, level in blocks
-            )
+            # what does come back: where U's four partitions are
+            assert set(blocks) == {(u.id, p) for p in range(4)}
             assert ctx.cached_partition_count(u) == 4
 
 
@@ -425,23 +407,24 @@ needs_affinity = pytest.mark.skipif(
 
 
 class TestLifecycle:
-    def test_attach_announces_cold_then_warm(self):
-        manager = ClusterManager(num_executors=1, executor_cores=1)
-        try:
-            first = _BusOnly()
-            manager.attach(first)
-            cold = [e for e in first.sink.events if isinstance(e, ExecutorRegistered)]
-            assert [e.executor_id for e in cold] == ["exec-0"]
-            assert not cold[0].warm
-            assert cold[0].pid > 0 and cold[0].slots == 1
-            manager.detach(first)
-
-            second = _BusOnly()
-            manager.attach(second)
-            warm = [e for e in second.sink.events if isinstance(e, ExecutorRegistered)]
-            assert warm and all(e.warm for e in warm)
-        finally:
-            manager.stop()
+    def test_second_context_finds_the_fleet_warm(self, fresh_cluster):
+        """Warmth reads from the tasks: the first Context's attempts load
+        the task binary (a miss), the second's find it in the worker's
+        cache; membership reads from ``executor_info()``."""
+        config, manager = fresh_cluster(
+            num_executors=1, executor_cores=1, default_parallelism=2
+        )
+        hits = []
+        for _ in range(2):
+            with Context(config) as ctx:
+                ctx.parallelize(range(4), 2).map(_square).collect()
+                (stage,) = ctx.metrics.last_job.stages
+                hits.append([t.metrics.task_binary_cache_hits for t in stage.tasks])
+        assert sorted(hits[0]) == [0, 1]  # a cold fleet's one worker loads it once
+        assert hits[1] == [1, 1]
+        (info,) = manager.executor_info()
+        assert info["executor_id"] == "exec-0" and info["state"] == "registered"
+        assert info["pid"] > 0 and info["slots"] == 1
 
     @needs_affinity
     def test_each_slot_claims_its_share_of_the_cpus(self):
@@ -496,30 +479,31 @@ class TestLifecycle:
         assert gc.get_freeze_count() == 0  # the driver's own collector is untouched
 
     def test_decommission_drains_and_announces(self):
-        # a dedicated 2x1 shape so draining exec-1 cannot degrade the
+        # the drained executor announces itself through executor_info().
+        # A dedicated 2x1 shape so draining exec-1 cannot degrade the
         # session-shared 2x2 fleet other tests warm up
         config = _cluster_config(num_executors=2, executor_cores=1,
                                  default_parallelism=2)
         manager = get_cluster(config)
         try:
             with Context(config) as ctx:
-                sink = ctx.add_listener(CollectingListener())
                 ctx.parallelize(range(4), 2).map(_square).collect()
                 ctx.backend.decommission("exec-1")
                 deadline = time.monotonic() + 5.0
-                gone = []
-                while time.monotonic() < deadline and not gone:
-                    gone = [
-                        e for e in sink.events
-                        if isinstance(e, ExecutorDecommissioned)
-                    ]
+                states: dict = {}
+                while (
+                    time.monotonic() < deadline
+                    and states.get("exec-1") != "decommissioned"
+                ):
+                    states = {
+                        i["executor_id"]: i["state"] for i in manager.executor_info()
+                    }
                     time.sleep(0.02)
-                assert gone and gone[0].executor_id == "exec-1"
-                assert gone[0].reason == "drained"
-                states = {
-                    i["executor_id"]: i["state"] for i in manager.executor_info()
-                }
-                assert states["exec-1"] == "decommissioned"
+                assert states == {"exec-0": "registered", "exec-1": "decommissioned"}
+                (drained,) = [
+                    i for i in manager.executor_info() if i["executor_id"] == "exec-1"
+                ]
+                assert drained["tasks_done"] >= 1
                 # tasks placed on the retired executor fall back to survivors
                 got = ctx.parallelize(range(4), 2).map(_square).collect()
                 assert got == [x * x for x in range(4)]

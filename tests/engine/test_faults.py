@@ -59,14 +59,19 @@ class TestTaskRetry:
         failed = [e.record for e in ended.events if not e.record.succeeded]
         assert [(r.partition, r.attempt) for r in failed] == [(2, 0)]
 
-    def test_retry_does_not_duplicate_accumulator(self):
+    def test_retry_does_not_duplicate_map_output(self):
         plan = FaultPlan(fail_partition_attempts={2: 1})
         with make_ctx(plan) as ctx:
-            acc = ctx.accumulator(0)
-            ctx.parallelize(range(12), 6).map(lambda x: acc.add(1)).count()
-            # partition 2 ran twice, but its adds merged exactly once
-            assert acc.value == 12
-            assert ctx.fault_injector.injected_failures == 1
+            pairs = ctx.parallelize(range(12), 6).map(lambda x: (x % 3, 1))
+            totals = dict(pairs.reduce_by_key(operator.add).collect())
+            # partition 2 failed once in each stage; the map attempt ran
+            # twice, but its output folded exactly once
+            assert totals == {0: 4, 1: 4, 2: 4}
+            assert ctx.fault_injector.injected_failures == 2
+            (map_stage,) = [s for s in ctx.metrics.last_job.stages if s.is_shuffle_map]
+            attempts = [(r.attempt, r.succeeded) for r in map_stage.tasks if r.partition == 2]
+            assert sorted(attempts) == [(0, False), (1, True)]
+            assert map_stage.totals().shuffle_records_written == 12
 
 
 class TestExecutorLoss:

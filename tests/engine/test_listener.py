@@ -5,15 +5,12 @@ import operator
 import pytest
 
 from repro.engine.listener import (
-    BlockCached,
     CollectingListener,
     EngineEvent,
     JobEnd,
     JobStart,
     Listener,
     ListenerBus,
-    ShuffleFetch,
-    ShuffleWrite,
     StageCompleted,
     StageSubmitted,
     TaskEnd,
@@ -27,7 +24,7 @@ class TestHandlerNames:
         assert _handler_name(JobStart) == "on_job_start"
         assert _handler_name(StageSubmitted) == "on_stage_submitted"
         assert _handler_name(TaskEnd) == "on_task_end"
-        assert _handler_name(BlockCached) == "on_block_cached"
+        assert _handler_name(StageCompleted) == "on_stage_completed"
 
 
 class TestBusMechanics:
@@ -134,18 +131,24 @@ class TestEngineIntegration:
         assert job_end.succeeded and job_end.job.stages
 
     def test_shuffle_and_stage_events(self, ctx):
-        sink = ctx.add_listener(CollectingListener(ShuffleWrite, ShuffleFetch, StageCompleted))
+        """Shuffle volume is stated by the job record the stage events
+        carry: each map task's record counts what it wrote, each reduce
+        task's what it read."""
+        sink = ctx.add_listener(CollectingListener(StageCompleted))
         pairs = ctx.parallelize([(i % 3, 1) for i in range(30)], 4)
         pairs.reduce_by_key(operator.add).collect()
 
-        writes = sink.of(ShuffleWrite)
-        assert len(writes) == 4  # one per map partition
-        # map-side combine: each partition writes one record per distinct key
-        assert sum(e.records_written for e in writes) == 12
-        fetches = sink.of(ShuffleFetch)
-        assert sum(e.records_read for e in fetches) == sum(e.records_written for e in writes)
         stages = sink.of(StageCompleted)
         assert len(stages) == 2 and not any(e.failed for e in stages)
+        map_stage, reduce_stage = (e.stage for e in stages)
+        writes = [t.metrics.shuffle_records_written for t in map_stage.tasks]
+        assert len(writes) == 4  # one record per map partition
+        # map-side combine: each partition writes one record per distinct key
+        assert sum(writes) == 12
+        assert all(t.metrics.shuffle_bytes_written > 0 for t in map_stage.tasks)
+        job = ctx.metrics.last_job
+        assert job.totals().shuffle_records_read == sum(writes)
+        assert reduce_stage.totals().shuffle_records_read == sum(writes)
 
     def test_failed_job_posts_job_end(self, ctx):
         sink = ctx.add_listener(CollectingListener(JobEnd))

@@ -7,6 +7,7 @@ without such a caller, or when a kept one goes.
 """
 
 import importlib
+import inspect
 
 import pytest
 
@@ -78,3 +79,63 @@ def test_removed_classes_are_gone():
         (partitioner, "RangePartitioner"),
     ]:
         assert not hasattr(module, name), name
+
+
+# -- one channel from task to driver ------------------------------------------
+#
+# An event type stays when a listener outside the tests subscribes to it
+# (DESIGN.md, "One channel from task to driver"); cache, shuffle and
+# executor-membership facts are counted on TaskMetrics and the job record.
+
+KEPT_EVENTS = {
+    "JobStart", "JobEnd", "StageSubmitted", "StageCompleted", "TaskStart",
+    "TaskEnd", "ExecutorHeartbeat", "ExecutorTimedOut",
+    "InferenceBatchCompleted", "SnpSetConverged",
+}
+
+REMOVED_EVENTS = [
+    "BlockCached", "BlockEvicted", "BlockFetchedRemote", "ShuffleWrite",
+    "ShuffleFetch", "ExecutorLost", "ExecutorRegistered",
+    "ExecutorDecommissioned",
+]
+
+
+def test_listener_exports_are_the_kept_events():
+    from repro.engine import listener
+
+    assert set(listener.__all__) == KEPT_EVENTS | {
+        "EngineEvent", "Listener", "ListenerBus", "CollectingListener",
+    }
+
+
+def test_removed_side_channels_raise_attribute_error(ctx):
+    from repro.engine import listener
+    from repro.obs import spans
+
+    for name in REMOVED_EVENTS:
+        with pytest.raises(AttributeError):
+            getattr(listener, name)
+    for name in ["accumulator", "trace_id", "spans"]:
+        with pytest.raises(AttributeError):
+            getattr(ctx, name)
+    with pytest.raises(AttributeError):
+        spans.TracingListener
+
+
+def test_accumulator_module_is_not_importable():
+    with pytest.raises(ImportError):
+        importlib.import_module("repro.engine.accumulator")
+
+
+def test_cogroup_takes_the_two_sides_join_passes(ctx):
+    from repro.engine.rdd import CoGroupedRDD
+
+    left = ctx.parallelize([(1, "a"), (2, "b")], 2)
+    right = ctx.parallelize([(1, "x")], 1)
+    joined = left.join(right)
+    (cogrouped,) = [dep.rdd for dep in joined.dependencies]
+    assert isinstance(cogrouped, CoGroupedRDD)
+    params = list(inspect.signature(CoGroupedRDD.__init__).parameters)[1:]
+    assert params == ["ctx", "left", "right", "partitioner"]
+    assert not hasattr(cogrouped, "_num_parents")
+    assert joined.collect() == [(1, ("a", "x"))]

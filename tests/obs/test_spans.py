@@ -2,29 +2,22 @@
 
 Trace stitching anchors the last classes: every backend -- in-process or
 across the cluster's socket boundary -- must produce the *same* span tree
-for the same job, with worker task-phase spans parented under the
-driver's stage spans and every span stamped with the driver's trace id.
-Their workload function is module-level: task-binary identity is the hash
-of the pickled closure.
+for the same job, with the worker task-phase fragments a ``TaskRecord``
+carries stitched under the driver's task and stage spans.  Their workload
+function is module-level: task-binary identity is the hash of the pickled
+closure.
 """
 
 import json
 
+import pytest
+
 from repro.config import EngineConfig
 from repro.engine.context import Context
 from repro.engine.eventlog import read_event_log, write_event_log
-from repro.engine.listener import (
-    JobEnd,
-    JobStart,
-    ListenerBus,
-    StageCompleted,
-    StageSubmitted,
-    TaskEnd,
-)
 from repro.engine.metrics import JobMetrics, StageMetrics, TaskMetrics, TaskRecord
 from repro.obs.spans import (
     Span,
-    TracingListener,
     read_spans_jsonl,
     spans_from_jobs,
     to_chrome_trace,
@@ -48,36 +41,45 @@ def _job(job_id=0):
                       stages=[stage])
 
 
-class TestTracingListener:
-    def test_builds_job_stage_task_hierarchy(self):
-        bus = ListenerBus()
-        tracer = bus.add_listener(TracingListener())
-        bus.post(JobStart(job_id=3, description="d"))
-        bus.post(StageSubmitted(stage_id=0, attempt=0, name="map", num_tasks=1, job_id=3))
-        stage = StageMetrics(stage_id=0, name="map", num_tasks=1)
-        stage.tasks.append(_record())
-        bus.post(TaskEnd(record=stage.tasks[0]))
-        bus.post(StageCompleted(stage=stage, job_id=3))
-        bus.post(JobEnd(job_id=3, job=JobMetrics(job_id=3, stages=[stage])))
+def _fail(x):
+    raise ValueError("bad record")
 
-        by_cat = {s.category: s for s in tracer.spans}
-        assert set(by_cat) == {"job", "stage", "task"}
-        assert by_cat["stage"].parent_id == by_cat["job"].span_id
-        assert by_cat["task"].parent_id == by_cat["stage"].span_id
-        assert by_cat["job"].end >= by_cat["job"].start
-        assert by_cat["task"].attrs["executor_id"] == "e0"
 
-    def test_live_spans_from_engine(self, serial_config, tmp_path):
-        from repro.engine.context import Context
+class TestContextTrace:
+    """``Context(trace_path=)`` writes ``spans_from_jobs`` of the job
+    records its jobs ended with -- the records its event log keeps -- so
+    the trace equals ``history --export-trace`` of that log."""
 
+    def test_trace_written_on_stop(self, serial_config, tmp_path):
         path = str(tmp_path / "live.json")
         with Context(serial_config, trace_path=path) as ctx:
             ctx.parallelize(range(8), 2).map(lambda x: x + 1).sum()
-            cats = [s.category for s in ctx.spans]
-            assert cats.count("job") == 1
-            assert cats.count("task") == 2
         with open(path) as fh:
-            assert json.load(fh)["traceEvents"]
+            cats = [e["cat"] for e in json.load(fh)["traceEvents"] if e["ph"] == "X"]
+        assert cats.count("job") == 1
+        assert cats.count("task") == 2
+
+    def test_trace_is_the_event_logs_span_tree(self, serial_config, tmp_path):
+        trace, log = str(tmp_path / "trace.jsonl"), str(tmp_path / "events.jsonl")
+        with Context(serial_config, trace_path=trace, event_log_path=log) as ctx:
+            ctx.parallelize([(i % 3, i) for i in range(12)], 4).reduce_by_key(
+                lambda a, b: a + b
+            ).collect()
+            with pytest.raises(Exception):
+                ctx.parallelize(range(4), 2).map(_fail).collect()
+        live = [s.to_dict() for s in read_spans_jsonl(trace)]
+        assert live == [s.to_dict() for s in spans_from_jobs(read_event_log(log))]
+        # the failed job is traced too: its stage is flagged, its failed
+        # attempts sit at the instant the driver saw them fail
+        stages = [s for s in live if s["category"] == "stage"]
+        assert [s["attrs"]["failed"] for s in stages] == [False, False, True]
+        failed = [
+            s for s in live
+            if s["category"] == "task" and not s["attrs"]["succeeded"]
+        ]
+        assert failed and all(
+            stages[-1]["start"] <= s["start"] == s["end"] for s in failed
+        )
 
 
 class TestOfflineSpans:
@@ -216,15 +218,12 @@ class TestTraceParity:
         path = str(tmp_path / f"{backend}.jsonl")
         with Context(config, trace_path=path) as ctx:
             assert ctx.parallelize(range(12), 4).map(_add_one).sum() == 78
-            return ctx.trace_id, list(ctx.spans)
+        return read_spans_jsonl(path)
 
     def test_every_backend_stitches_the_same_tree(self, tmp_path):
         shapes, phases = {}, {}
         for backend in self.BACKENDS:
-            trace_id, spans = self._run_traced(backend, tmp_path)
-            # every span -- including worker-shipped fragments -- carries
-            # the driver's trace id
-            assert {s.attrs.get("trace_id") for s in spans} == {trace_id}
+            spans = self._run_traced(backend, tmp_path)
             shapes[backend] = _tree_shape(spans)
             phases[backend] = _phase_chains(spans)
         # one job span, one stage under it, four tasks under the stage --
@@ -247,12 +246,10 @@ class TestTraceParity:
 
     def test_cluster_chrome_trace_has_worker_phase_tracks(self, tmp_path):
         """Acceptance: the exported Chrome trace from a cluster job carries
-        worker task-phase slices on executor tracks, stamped with the
-        driver's trace id."""
+        worker task-phase slices on executor tracks."""
         path = str(tmp_path / "cluster_trace.json")
         with Context(_cluster_config(), trace_path=path) as ctx:
             ctx.parallelize(range(12), 4).map(_add_one).sum()
-            trace_id = ctx.trace_id
         with open(path) as fh:
             trace = json.load(fh)
         slices = [e for e in trace["traceEvents"] if e["ph"] == "X"]
@@ -260,25 +257,6 @@ class TestTraceParity:
         for e in slices:
             by_cat.setdefault(e["cat"], []).append(e)
         assert set(by_cat) == {"job", "stage", "task", "task_phase"}
-        assert all(e["args"]["trace_id"] == trace_id for e in slices)
         # job/stage on the driver track (tid 0); worker phases elsewhere
         assert all(e["tid"] == 0 for e in by_cat["job"] + by_cat["stage"])
         assert all(e["tid"] != 0 for e in by_cat["task_phase"])
-
-    def test_two_drivers_keep_distinct_trace_ids_on_one_fleet(self, tmp_path):
-        """Two successive Contexts share the persistent fleet but stay
-        distinguishable by their own spans: distinct trace ids, and every
-        task -- and every phase its worker shipped home -- under its own."""
-        config = _cluster_config()
-        traced = []
-        for run in range(2):
-            with Context(config, trace_path=str(tmp_path / f"{run}.jsonl")) as ctx:
-                ctx.parallelize(range(8), 4).map(_add_one).collect()
-                traced.append((ctx.trace_id, list(ctx.spans), ctx.backend._manager))
-        (first, first_spans, manager), (second, second_spans, again) = traced
-        assert again is manager  # same persistent fleet
-        assert first != second
-        for trace_id, spans in ((first, first_spans), (second, second_spans)):
-            tasks = [s for s in spans if s.category in ("task", "task_phase")]
-            assert sum(s.category == "task" for s in tasks) == 4
-            assert {s.attrs.get("trace_id") for s in tasks} == {trace_id}

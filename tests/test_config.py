@@ -82,13 +82,14 @@ class TestSurface:
         # decided by measurement: a failed run's event log holds what the
         # bundle held, and doctor names it (DESIGN.md section 12)
         from repro.engine.context import Context
-        from repro.obs.spans import TracingListener
+        from repro.obs import spans
 
         with pytest.raises(TypeError):
             EngineConfig(flight_recorder_dir="/tmp/fr")
         with Context(EngineConfig()) as ctx:
             assert not hasattr(ctx, "flight_recorder")
-        assert not hasattr(TracingListener, "open_spans")
+        # the live tracer (and its open-span view) is gone with it
+        assert not hasattr(spans, "TracingListener")
 
     def test_no_second_spelling(self):
         for name in ("set", "get", "_ALIASES", "extra"):
