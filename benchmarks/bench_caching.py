@@ -2,7 +2,8 @@
 
 Live part: the real engine runs Monte Carlo with and without the cached
 contributions RDD; uncached must recompute lineage per batch (B1 in
-DESIGN.md).  Simulated part: the 10K-SNP (Fig. 4 / Table V) and 1M-SNP
+DESIGN.md).  The two arms are the ``paper`` flavor's, Algorithm 3 as
+written: the vectorized flavor builds no ``U`` and has one route.  Simulated part: the 10K-SNP (Fig. 4 / Table V) and 1M-SNP
 (Fig. 5) workloads on 18 nodes, printed next to the published numbers.
 """
 
@@ -53,12 +54,12 @@ def cache_summary_line(tag: str, totals: dict) -> str:
 
 
 class TestLiveCaching:
-    # B = 160 in batches of 20 is two waves of WAVE_BATCHES = 4: the second
-    # wave reads the blocks the first persisted (one wave reads no hits)
+    # B = 160 in batches of 20: every batch after the observed pass reads
+    # the U it cached
     def test_monte_carlo_cached(self, benchmark, live_dataset):
         def run():
             with Context(engine_config()) as ctx:
-                scorer = DistributedSparkScore(ctx, live_dataset, flavor="vectorized")
+                scorer = DistributedSparkScore(ctx, live_dataset, flavor="paper")
                 return scorer.monte_carlo(160, seed=1, batch_size=20)
 
         result = benchmark.pedantic(run, rounds=3, iterations=1)
@@ -67,7 +68,7 @@ class TestLiveCaching:
     def test_monte_carlo_uncached(self, benchmark, live_dataset):
         def run():
             with Context(engine_config()) as ctx:
-                scorer = DistributedSparkScore(ctx, live_dataset, flavor="vectorized")
+                scorer = DistributedSparkScore(ctx, live_dataset, flavor="paper")
                 return scorer.monte_carlo(
                     160, seed=1, batch_size=20, cache_contributions=False
                 )
@@ -85,7 +86,7 @@ class TestLiveCaching:
 
         def timed(cache: bool) -> tuple[float, dict]:
             with Context(engine_config()) as ctx:
-                scorer = DistributedSparkScore(ctx, live_dataset, flavor="vectorized")
+                scorer = DistributedSparkScore(ctx, live_dataset, flavor="paper")
                 start = time.perf_counter()
                 scorer.monte_carlo(60, seed=1, batch_size=10, cache_contributions=cache)
                 return time.perf_counter() - start, job_totals(ctx)
@@ -192,18 +193,18 @@ class TestCacheEvictionAblation:
             default_parallelism=4,
         )
 
-        # 8 batches of 10: two waves, so a budget that holds the blocks
-        # shows hits in the second
+        # 8 batches of 10 after the observed pass: a budget that holds U
+        # shows hits in every batch
         def run():
             with Context(config) as ctx:
-                scorer = DistributedSparkScore(ctx, live_dataset_small, flavor="vectorized")
+                scorer = DistributedSparkScore(ctx, live_dataset_small, flavor="paper")
                 return scorer.monte_carlo(80, seed=1, batch_size=10)
 
         result = benchmark.pedantic(run, rounds=3, iterations=1)
         if memory_kib >= 262144:
             assert result.info["cache_hits"] > 0
         else:
-            # a 48 KiB budget cannot hold any ~100 KiB contribution block:
-            # every access falls back to lineage recomputation
+            # a 48 KiB budget cannot hold any U partition: every access
+            # falls back to lineage recomputation
             assert result.info["cache_hits"] == 0
             assert result.info["cache_misses"] > 0

@@ -23,38 +23,37 @@ partition.  The paper flavor flat-maps the chunks into per-SNP records
 (Algorithm 1 step 3, re-parsed by every uncached pass), and its tasks read
 ``weights.txt`` for the join the same way, a split each
 (``parse_weight_rows``, errors located in the file); the vectorized
-flavor cuts blocks from them with one builder and, on the file route,
-persists the int8 blocks, so the file is parsed once per fleet -- the
-blocks, like the cached ``U``, are resident in the workers under a lineage
-fingerprint that folds the file's size and mtime and the content of the
-weight/set broadcast.
+flavor cuts blocks from them with one builder and persists the int8
+blocks on either route, so the genotypes are parsed or sliced once per
+fleet -- the blocks are resident in the workers under a lineage
+fingerprint that folds the file's size and mtime (or the slices' content)
+and the content of the weight/set broadcast.
 
-Monte Carlo (Algorithm 3) caches the contributions RDD and reuses it for
-every replicate batch; permutation (Algorithm 2) re-runs the scoring
-pipeline per replicate *batch*, amortizing DAG-build/scheduling overhead
-the same way the MC multiplier batches do.  What a batch re-broadcasts is
-where the flavors part: the paper flavor ships refit models and recomputes
-every contribution row under each (one ``contributions`` call per model per
-chunk) -- Algorithm 2 as written, the shape the
-simulator's cost model charges, and the referee for the other flavor; the
-vectorized flavor ships the ``(b, n)`` array of permuted
+The paper flavor runs Algorithms 2 and 3 as written -- the shape the
+simulator's cost model charges, and the referee for the other flavor:
+Monte Carlo caches the contributions RDD ``U`` (or, off the cache,
+recomputes it every batch: Table IV/V's arms); permutation ships refit
+models and recomputes every contribution row under each.  The vectorized
+flavor never builds ``U``: every score model is linear in the genotypes,
+so ``Z @ U.T == c(Z) @ G.T`` with ``c`` the model's
+:meth:`~repro.stats.score.base.ScoreModel.adjoint`.  A Monte Carlo wave
+broadcasts ``c(Z)``, a permutation wave the permuted
 :meth:`~repro.stats.score.base.ScoreModel.score_weights`, and a block's
-replicate scores are one GEMM against it.  Both methods share one body,
+replicate scores are one GEMM against its resident genotypes.  Both
+methods share one body,
 ``DistributedSparkScore._resample``: it picks the (method x flavor) kernel
 once and hands :func:`~repro.stats.resampling.driver.resample` -- the loop
 the local engine runs too -- a wave count.  A paper-flavor wave is one
 batch and one join/``reduce_by_key`` job; a vectorized wave is :data:`WAVE_BATCHES`
 batches, stacked once in the driver into one array, one broadcast and one
-single-stage job -- on the cached ``U``, one GEMM per block for the whole
-wave.
+single-stage job -- one GEMM per block for the whole wave.
 
 Every transformation in the hot path is a named module-level callable (not
 a lambda), so the whole pipeline pickles and runs on the process backend.
 Exceedance counting happens *inside* tasks.  A vectorized run has no
 observed pass of its own: its first wave's tasks score their blocks'
 observed partials from the marginal scores ``G . c`` -- one GEMV on the
-model's ``score_weights()``, the route ``LocalSparkScore`` takes; a cached
-``U`` block carries the scores ``_BlockContributionsFn`` computed -- compare
+model's ``score_weights()``, the route ``LocalSparkScore`` takes -- compare
 the sets they hold whole in place, and return the partials with the SNP
 ids they scored; later waves carry the driver's folded observed vector in
 their payload broadcast.  Straddling sets come back as per-block columns
@@ -232,25 +231,6 @@ class _ChunkContributionsFn:
             yield from zip(ids, model.contributions(rows))
 
 
-class _BlockContributionsFn:
-    """Re-block with contributions in place of dosages (vectorized flavor),
-    carrying the marginal scores a dosage-route wave would compute."""
-
-    def __init__(self, model_bc) -> None:
-        self.model_bc = model_bc
-
-    def __call__(self, block: SnpBlock) -> SnpBlock:
-        model, rows = self.model_bc.value, block.genotypes.astype(np.float64)
-        return SnpBlock(
-            block.snp_ids,
-            block.set_ids,
-            block.weights_sq,
-            model.contributions(rows),
-            block.n_sets,
-            scores=model.scores(rows),
-        )
-
-
 class _RowInnerFn:
     """Observed inner sigma: squared row-sum of a contribution row."""
 
@@ -297,8 +277,7 @@ class _WaveCountsFn:
     The broadcast is ``(observed, wave)``, the wave a :class:`_StackedWave`
     (``[]`` for a wave of no batches).  A first wave's ``observed`` is
     ``None``, and the task folds its blocks' observed partials instead, from
-    the marginal scores ``G . c`` -- the ones a block of ``U`` carries or,
-    given the model, the model's scores of the dosages.  A block's
+    the model's marginal scores ``G . c`` of the dosages.  A block's
     ``(sum(widths), K)`` replicate partials are folded left in block order;
     a set all of whose SNPs are in this partition is compared in place with
     the observed statistics, batch by batch, and a set that straddles
@@ -306,10 +285,11 @@ class _WaveCountsFn:
     :meth:`DistributedSparkScore._fold_wave`.  Yields ``(complete sets,
     (W, complete) counts, set of each column, columns, scored)``, a column
     holding the wave's batches end to end and ``scored`` a first wave's
-    ``((K,) observed, SNP ids)``, else ``None``.
+    ``((K,) observed, SNP ids)``, else ``None``.  The blocks' int8 rows are
+    widened into one float64 buffer in turn.
     """
 
-    def __init__(self, wave_bc, lookup_bc, model_bc=None) -> None:
+    def __init__(self, wave_bc, lookup_bc, model_bc) -> None:
         self.wave_bc = wave_bc
         self.lookup_bc = lookup_bc
         self.model_bc = model_bc
@@ -319,48 +299,44 @@ class _WaveCountsFn:
         return self.wave_bc.value[1]
 
     def __call__(self, blocks):
-        blocks = [(block, block.genotypes.astype(np.float64, copy=False)) for block in blocks]
+        blocks = list(blocks)
         if not blocks:
             return
         sizes = self.lookup_bc.value.set_sizes
-        held = [np.bincount(block.set_ids, minlength=sizes.size) for block, _ in blocks]
+        held = [np.bincount(block.set_ids, minlength=sizes.size) for block in blocks]
         whole = (np.sum(held, axis=0) == sizes) & (sizes > 0)
         complete = np.flatnonzero(whole)
         straddling = [np.flatnonzero((n > 0) & ~whole) for n in held]
         observed, wave = self.wave_bc.value
-        scored = None
-        if observed is None:
+        scoring = observed is None
+        if scoring:
             observed = np.zeros(sizes.size)
-            for block, rows in blocks:
-                scores = block.scores if self.model_bc is None else self.model_bc.value.scores(rows)
-                observed = observed + block.skat_partial(scores)
-            scored = observed, np.concatenate([block.snp_ids for block, _ in blocks])
-        counts = np.zeros((len(wave), complete.size), np.int64)
-        columns = np.empty((sum(sets.size for sets in straddling), 0))
-        if len(wave):
-            total, columns = None, []
-            for (block, rows), sets in zip(blocks, straddling):
+        widened = np.empty((max(b.n_snps for b in blocks), blocks[0].genotypes.shape[1]))
+        total, columns = None, []
+        for block, sets in zip(blocks, straddling):
+            rows = widened[: block.n_snps]
+            rows[...] = block.genotypes
+            if scoring:
+                observed = observed + block.skat_partial(self.model_bc.value.scores(rows))
+            if len(wave):
                 partial = self.partial(block, rows, wave.replicates)
                 total = partial if total is None else total + partial
                 columns.append(partial[:, sets].T)
+        counts = np.zeros((len(wave), complete.size), np.int64)
+        if len(wave):
             for i, batch in enumerate(wave.split(total[:, complete])):
                 counts[i] = exceedances(batch, observed[complete])
-            columns = np.concatenate(columns)
+        columns = np.concatenate(columns) if columns else np.empty((sum(map(len, straddling)), 0))
+        scored = (observed, np.concatenate([b.snp_ids for b in blocks])) if scoring else None
         yield complete, counts, np.concatenate(straddling), columns, scored
 
 
 class _McWaveFn(_WaveCountsFn):
-    """MC multipliers against cached ``U`` blocks, one GEMM per block per
-    wave or, given the model (the no-cache arm), against ``U`` re-derived
-    from the dosages every batch."""
+    """Monte Carlo against the dosage blocks: the wave broadcasts ``c(Z)``,
+    and ``c(Z) @ G.T == Z @ U.T`` is one GEMM per block per wave."""
 
-    def partial(self, block: SnpBlock, rows: np.ndarray, z: np.ndarray) -> np.ndarray:
-        if self.model_bc is None:
-            return block.skat_partial(z @ rows.T)
-        model = self.model_bc.value
-        return block.skat_partial(
-            np.concatenate([batch @ model.contributions(rows).T for batch in self.wave.split(z)])
-        )
+    def partial(self, block: SnpBlock, rows: np.ndarray, multipliers: np.ndarray) -> np.ndarray:
+        return block.skat_partial(multipliers @ rows.T)
 
 
 class _PermutedWaveFn(_WaveCountsFn):
@@ -518,8 +494,9 @@ class DistributedSparkScore:
         blocks = chunks.map_partitions(
             _BuildBlocksFn(self._lookup_bc, self.block_size), name="gm_blocks"
         )
-        # parsed once per fleet: int8, an eighth of the U they become
-        return blocks.persist() if input_paths is not None else blocks
+        # the resident data of every vectorized analysis: built once per
+        # fleet, as int8 as the file or matrix they came from
+        return blocks.persist()
 
     def _build_weights_rdd(self, input_paths: dict[str, str] | None) -> "RDD | None":
         if self.flavor != "paper":
@@ -541,15 +518,14 @@ class DistributedSparkScore:
     # -- U RDD (Algorithm 1 step 7) ------------------------------------------------
 
     def contributions_rdd(self, cache: bool = True) -> "RDD":
-        """The per-patient contributions RDD; cached when requested."""
+        """The paper flavor's per-patient contributions RDD; cached when requested."""
+        if self.flavor != "paper":
+            raise ValueError("the vectorized flavor keeps genotype blocks, not U")
         if self._u_rdd is not None and self._u_cached == cache:
             return self._u_rdd
-        if self.flavor == "paper":
-            u = self._gm_rdd.map_partitions(
-                _ChunkContributionsFn(self._model_bc), preserves_partitioning=True
-            )
-        else:
-            u = self._gm_rdd.map(_BlockContributionsFn(self._model_bc))
+        u = self._gm_rdd.map_partitions(
+            _ChunkContributionsFn(self._model_bc), preserves_partitioning=True
+        )
         u.name = "U"
         if cache:
             u.cache()
@@ -595,15 +571,14 @@ class DistributedSparkScore:
             counts[set_idx] = count
         return counts
 
-    def _wave(self, kernel, cache: bool, wave, observed: np.ndarray | None):
-        """One single-stage job counting a :class:`_StackedWave` (or ``[]``):
-        ``((W, K) counts, (K,) observed)``.  Its blocks are the cached ``U``
-        or, off the cache, the dosage blocks and the model.  Without
-        ``observed`` -- a run's first wave -- the tasks score it as well."""
-        source = self.contributions_rdd() if cache else self._gm_rdd
-        model_bc = None if cache else self._model_bc
+    def _wave(self, kernel, wave, observed: np.ndarray | None):
+        """One single-stage job counting a :class:`_StackedWave` (or ``[]``)
+        on the resident genotype blocks: ``((W, K) counts, (K,) observed)``.
+        Without ``observed`` -- a run's first wave -- the tasks score it as
+        well."""
         with _broadcast(self.ctx, (observed, wave)) as wave_bc:
-            parts = source.map_partitions(kernel(wave_bc, self._lookup_bc, model_bc)).collect()
+            count = kernel(wave_bc, self._lookup_bc, self._model_bc)
+            parts = self._gm_rdd.map_partitions(count).collect()
         return self._fold_wave(parts, [len(batch) for batch in wave], observed)
 
     def _fold_wave(self, parts: list, widths: list[int], observed: np.ndarray | None):
@@ -633,11 +608,12 @@ class DistributedSparkScore:
     # -- Algorithm 1: observed statistics ----------------------------------------------
 
     def observed_statistics(self, cache_contributions: bool = True) -> np.ndarray:
-        """The paper flavor's keyed pass, or a vectorized wave of no batches."""
+        """The paper flavor's keyed pass over its (cached) ``U``, or a
+        vectorized wave of no batches, which ignores ``cache_contributions``."""
         if self.flavor == "paper":
             inner = self.contributions_rdd(cache_contributions).map_values(_RowInnerFn())
             return self._scores_to_set_stats(inner)
-        _, stats = self._wave(_WaveCountsFn, cache_contributions, [], None)
+        _, stats = self._wave(_WaveCountsFn, [], None)
         return stats
 
     def _check_scored_ids(self, scored: list[np.ndarray]) -> None:
@@ -665,7 +641,9 @@ class DistributedSparkScore:
         batch_size: int = 64,
         cache_contributions: bool = True,
     ) -> ResamplingResult:
-        """Algorithm 3: Monte Carlo multipliers against the (cached) ``U``."""
+        """Algorithm 3: Monte Carlo multipliers against ``U``, which the paper
+        flavor caches or, off ``cache_contributions``, recomputes every batch
+        (Table IV/V's arms); the vectorized flavor's one route never builds it."""
         batches = streams.mc_multiplier_batches(
             self.dataset.n_patients, iterations, seed, batch_size
         )
@@ -690,9 +668,12 @@ class DistributedSparkScore:
         Every broadcast goes even if a job raises."""
         start, first_job = time.perf_counter(), len(self.ctx.metrics.jobs)
         paper = self.flavor == "paper"
-        if method == "monte_carlo":
-            payload, kernel = (lambda z: z), _McChunkInnersFn if paper else _McWaveFn
-            source = self.contributions_rdd(cache_contributions) if paper else None
+        if paper and method == "monte_carlo":
+            payload, kernel = (lambda z: z), _McChunkInnersFn
+            source = self.contributions_rdd(cache_contributions)
+        elif method == "monte_carlo":
+            # Z @ U.T == c(Z) @ G.T, and c(Z) is (b, n) float64 as Z is
+            kernel, payload = _McWaveFn, self.model.adjoint
         elif paper:
             # re-broadcast a block of shuffled phenotypes (Alg. 2 step 2)
             # and recompute steps 6-12 of Algorithm 1 under each
@@ -715,7 +696,7 @@ class DistributedSparkScore:
         def count_wave(wave: list[np.ndarray]) -> np.ndarray:
             nonlocal observed
             stacked = _StackedWave(payload(np.concatenate(wave)), [len(batch) for batch in wave])
-            counts, observed = self._wave(kernel, cache_contributions, stacked, observed)
+            counts, observed = self._wave(kernel, stacked, observed)
             return counts
 
         with _broadcast(self.ctx, observed) if paper else contextlib.nullcontext() as observed_bc:

@@ -6,8 +6,9 @@ faithful but pays per-record overhead for every genotype row; the
 each map task is a handful of NumPy kernel calls.  A block carries its
 members' weights and set assignments, resolved once at construction, plus a
 dense indicator over the sets it holds, built on first use and cached, for
-aggregating a batch of replicates.  A block of contributions ``U`` also
-carries its SNPs' marginal scores ``G_j . c``, computed from the same rows.
+aggregating a batch of replicates.  Its rows are the genotypes as parsed
+(int8 on every engine route): a block is what the engine keeps resident,
+and every replicate is a product with those rows (``stats.score.base``).
 
 Blocks are cut from ``(snp_ids, matrix)`` chunks -- a parsed split of the
 genotype file, or a slice of an in-memory matrix -- by
@@ -30,9 +31,8 @@ class SnpBlock:
     snp_ids: np.ndarray  # (m,) SNP identifiers
     set_ids: np.ndarray  # (m,) SNP-set index per row
     weights_sq: np.ndarray  # (m,) omega_j^2 per row
-    genotypes: np.ndarray  # (m, n) dosages (any numeric dtype), or U
+    genotypes: np.ndarray  # (m, n) dosages (any numeric dtype)
     n_sets: int
-    scores: np.ndarray | None = None  # (m,) marginal scores, on a block of U
     _indicator: tuple[np.ndarray, np.ndarray] | None = field(
         default=None, repr=False, compare=False
     )

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import itertools
-import threading
 import weakref
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator
 
@@ -138,7 +137,6 @@ class Context:
         self._stage_ids = itertools.count()
         self._job_ids = itertools.count()
         self._broadcast_ids = itertools.count()
-        self._lock = threading.Lock()
         self._stopped = False
 
         # deferred import to avoid a cycle (scheduler -> context typing)

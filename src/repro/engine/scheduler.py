@@ -288,7 +288,9 @@ class TaskScheduler:
                     self._reschedule_lost_executor(
                         executor_id, stage_metrics, inflight, pending, done, job, config
                     )
-            for future in done:
+            # in launch order, not the wait set's: which of a failed job's
+            # finished siblings post their TaskEnds must not vary run to run
+            for future in [future for future in inflight if future in done]:
                 att = inflight.pop(future)
                 task, attempt, executor = att.task, att.attempt, att.executor
                 try:

@@ -1,14 +1,14 @@
 """Phenotype containers and the score-model interface.
 
-A *score model* encapsulates a phenotype and its null model.  Its job is to
-produce the per-patient score contributions ``U[j, i]`` for a block of SNP
-genotypes: ``U_j = sum_i U[j, i]`` is the marginal efficient score for SNP
-``j`` (paper, Section II).  The contributions matrix -- not just its row
-sums -- is what Monte Carlo resampling reuses
-(``U~_j = sum_i Z_i U[j, i]``, Lin 2005), which is why SparkScore caches it.
-The row sums alone are one matrix-vector product, ``U_j = G_j . c`` with
-``c`` the model's :meth:`~ScoreModel.score_weights`, and a permuted
-replicate is the same product against ``c[perm]``.
+A *score model* encapsulates a phenotype and its null model.  Its
+contributions ``U[j, i]`` sum over patients to SNP ``j``'s marginal
+efficient score (paper, Section II), and Lin's (2005) Monte Carlo
+replicate is ``U~_j = sum_i Z_i U[j, i]``.  Every model is linear in the
+genotypes, so ``Z @ contributions(G).T == adjoint(Z) @ G.T``: the engine's
+vectorized flavor keeps the genotypes resident and never builds ``U``.
+The marginal scores are ``G @ c`` with ``c`` the adjoint of a ones row
+(:meth:`~ScoreModel.score_weights`), and a permuted replicate is the same
+product against ``c[perm]``.
 """
 
 from __future__ import annotations
@@ -135,14 +135,20 @@ class ScoreModel(abc.ABC):
         """
 
     @abc.abstractmethod
+    def adjoint(self, multipliers: np.ndarray) -> np.ndarray:
+        """The transpose of :meth:`contributions`: ``(b, n)`` multipliers to
+        ``W`` of the same shape with ``W @ G.T == multipliers @
+        contributions(G).T`` for every genotype block ``G``, to rounding."""
+
     def score_weights(self) -> np.ndarray:
         """The ``(n,)`` vector ``c`` with ``scores(G) == G @ c``.
 
-        Every score here is linear in the genotypes, and shuffling the
-        phenotype pairs jointly (covariates travel with the outcome) only
-        permutes ``c``: ``permuted(perm).score_weights()`` equals
-        ``score_weights()[perm]``.  Both identities hold to rounding.
+        The adjoint of a ones row.  Shuffling the phenotype pairs jointly
+        (covariates travel with the outcome) only permutes ``c``:
+        ``permuted(perm).score_weights()`` equals ``score_weights()[perm]``
+        to rounding.
         """
+        return self.adjoint(np.ones((1, self.n_patients)))[0]
 
     @abc.abstractmethod
     def permuted(self, perm: np.ndarray) -> "ScoreModel":

@@ -11,9 +11,10 @@ exactly as the paper notes.  The vectorized implementation sorts patients
 by descending survival time once; risk-set sums for every SNP in a block
 are then prefix sums, giving O(m*n + n log n) per block instead of the
 O(m*n^2) of the defining formula (kept in
-:func:`cox_contributions_naive` as the correctness oracle).  The marginal
-scores alone need none of that: ``U_j = sum_l G_lj * c_l`` with ``c`` the
-null martingale residuals (:meth:`CoxScoreModel.score_weights`).
+:func:`cox_contributions_naive` as the correctness oracle).  Replicates
+need none of that: ``sum_i Z_i U_ij = sum_l G_lj c(Z)_l``
+(:meth:`CoxScoreModel.adjoint`, one prefix sum per replicate row), and
+``c(1)`` is the null martingale residual.
 """
 
 from __future__ import annotations
@@ -36,6 +37,10 @@ class CoxScoreModel(ScoreModel):
         time_asc = np.sort(time)
         self._risk_counts = (n - np.searchsorted(time_asc, time, side="left")).astype(np.int64)
         self._event = phenotype.event
+        # the adjoint's prefix sum runs in ascending time; patient l reads it
+        # at the last patient with Y_i <= Y_l (ties included)
+        self._ascending_steps = (self._event / self._risk_counts)[self._order[::-1]]
+        self._last_at_or_before = np.searchsorted(time_asc, time, side="right") - 1
 
     @property
     def n_patients(self) -> int:
@@ -56,16 +61,17 @@ class CoxScoreModel(ScoreModel):
         risk_sums = np.take(prefix, self._risk_counts - 1, axis=1)
         return self._event * (block - risk_sums / self._risk_counts)
 
-    def score_weights(self) -> np.ndarray:
-        # sum_i Delta_i (G_ij - a_ij / b_i) with the two sums swapped: patient
-        # l sits in the risk set of every i with Y_i <= Y_l (ties included),
-        # so c_l = Delta_l - sum_{i: Y_i <= Y_l} Delta_i / b_i -- the null
-        # martingale residual (event minus Breslow cumulative hazard at Y_l)
-        time = self.phenotype.time
-        ascending = self._order[::-1]
-        cum_hazard = np.cumsum((self._event / self._risk_counts)[ascending])
-        at_or_before = np.searchsorted(time[ascending], time, side="right")
-        return self._event - cum_hazard[at_or_before - 1]
+    def adjoint(self, multipliers: np.ndarray) -> np.ndarray:
+        # the two sums of sum_i Z_i Delta_i (G_ij - a_ij / b_i) swapped: l is
+        # at risk at every Y_i <= Y_l, so c(Z)_l = Z_l Delta_l - sum of
+        # Z_i Delta_i / b_i over them.  np.take keeps rows C-ordered for the
+        # cumsum; in place, a wave allocates two arrays of its size
+        Z = np.atleast_2d(np.asarray(multipliers, dtype=np.float64))
+        hazard = np.take(Z, self._order[::-1], axis=1)
+        hazard *= self._ascending_steps
+        np.cumsum(hazard, axis=1, out=hazard)
+        at_risk = np.take(hazard, self._last_at_or_before, axis=1)
+        return np.subtract(np.multiply(Z, self._event, out=hazard), at_risk, out=at_risk)
 
     def permuted(self, perm: np.ndarray) -> "CoxScoreModel":
         return CoxScoreModel(self.phenotype.permuted(perm))

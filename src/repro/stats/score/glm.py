@@ -115,13 +115,14 @@ def project_out_covariates(block: np.ndarray, fit: NullFit) -> np.ndarray:
 
 
 def project_residuals(residuals: np.ndarray, fit: NullFit) -> np.ndarray:
-    """The projection's transpose applied to the residual vector.
+    """The projection's transpose applied to residual rows.
 
-    ``c = r - W X (X' W X)^{-1} X' r``, so that
+    ``c = r - W X (X' W X)^{-1} X' r`` for every row ``r`` of ``(b, n)``
+    ``residuals`` (or the one ``(n,)`` vector), so that
     ``project_out_covariates(G, fit) @ r == G @ c`` for every block.
     """
     X, w = fit.X, fit.weights
-    return residuals - w * (X @ (_information_inverse(fit) @ (X.T @ residuals)))
+    return residuals - w * ((residuals @ X) @ _information_inverse(fit).T @ X.T)
 
 
 class GlmScoreModel(ScoreModel):
@@ -151,10 +152,11 @@ class GlmScoreModel(ScoreModel):
             block = project_out_covariates(block, self._fit)
         return block * self._residuals[None, :]
 
-    def score_weights(self) -> np.ndarray:
+    def adjoint(self, multipliers: np.ndarray) -> np.ndarray:
+        scaled = np.atleast_2d(multipliers) * self._residuals
         if self.adjust_genotypes:
-            return project_residuals(self._residuals, self._fit)
-        return self._residuals.copy()
+            return project_residuals(scaled, self._fit)
+        return scaled
 
     def permuted(self, perm: np.ndarray) -> "GlmScoreModel":
         # permutation shuffles outcomes over patients; covariates travel

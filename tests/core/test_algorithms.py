@@ -107,28 +107,31 @@ class TestPartitionCount:
 
 
 class TestCachingBehavior:
+    """Table IV/V's two arms, which the paper flavor keeps: ``U`` cached
+    once, or recomputed by every batch (the vectorized flavor builds none)."""
+
     def test_cache_hits_recorded_across_iterations(self, small_dataset):
         with make_ctx() as ctx:
-            scorer = DistributedSparkScore(ctx, small_dataset, flavor="vectorized")
-            # six batches: the second wave job finds U cached
+            scorer = DistributedSparkScore(ctx, small_dataset, flavor="paper")
+            # six batches after the observed pass: each finds U cached
             result = scorer.monte_carlo(60, seed=1, batch_size=10, cache_contributions=True)
             assert result.info["cache_hits"] > 0
 
     def test_no_cache_means_no_hits(self, small_dataset):
         with make_ctx() as ctx:
-            scorer = DistributedSparkScore(ctx, small_dataset, flavor="vectorized")
+            scorer = DistributedSparkScore(ctx, small_dataset, flavor="paper")
             result = scorer.monte_carlo(60, seed=1, batch_size=20, cache_contributions=False)
             assert result.info["cache_hits"] == 0
 
     def test_cached_runs_fewer_recomputes(self, small_dataset):
         """Caching saves work: compare compute effort via cache misses
-        (eight batches, two wave jobs)."""
+        (eight batches)."""
         with make_ctx() as ctx_a:
-            cached = DistributedSparkScore(ctx_a, small_dataset, flavor="vectorized").monte_carlo(
+            cached = DistributedSparkScore(ctx_a, small_dataset, flavor="paper").monte_carlo(
                 40, seed=1, batch_size=5
             )
         with make_ctx() as ctx_b:
-            uncached = DistributedSparkScore(ctx_b, small_dataset, flavor="vectorized").monte_carlo(
+            uncached = DistributedSparkScore(ctx_b, small_dataset, flavor="paper").monte_carlo(
                 40, seed=1, batch_size=5, cache_contributions=False
             )
         assert cached.info["cache_misses"] < uncached.info["cache_misses"] or (
@@ -148,7 +151,7 @@ class TestPerCallInfo:
         assert first.info["jobs_run"] + second.info["jobs_run"] == jobs
         assert second.info["jobs_run"] == 1  # one wave job, which scores observed too
         assert first.info["cache_misses"] == 4 and second.info["cache_misses"] == 0
-        assert second.info["cache_hits"] == 4  # the wave job finds U cached
+        assert second.info["cache_hits"] == 4  # the wave job finds the blocks cached
 
 
 class TestPermutationKernelStructure:
@@ -190,7 +193,7 @@ class TestPermutationKernelStructure:
             result = scorer.permutation(32, seed=5, batch_size=16)
             # observed is scored by G . c on every route, replicates by a GEMM
             assert calls["contributions"] == 0
-            # to the bit what the cached route (which builds U) scores
+            # to the bit what observed() scores
             assert np.array_equal(result.observed, scorer.observed().observed)
         assert calls["permuted"] == 0
         # one payload broadcast per wave: both batches' permuted weights,
@@ -302,8 +305,9 @@ class TestTextInputPaths:
 
 class TestFaultToleranceEndToEnd:
     def test_executor_kill_does_not_change_counts(self, small_dataset, reference):
-        # exec-1 runs its two tasks of the first wave, which compute U, and
-        # dies launching its first task of the second, which reads it cached
+        # exec-1 runs its two tasks of the first wave, which build the
+        # blocks, and dies launching its first task of the second, which
+        # reads them cached
         plan = FaultPlan(kill_executor_after_tasks={"exec-1": 2})
         config = EngineConfig(backend="serial", num_executors=3, executor_cores=1, default_parallelism=6)
         with Context(config, fault_injector=FaultInjector(plan)) as ctx:

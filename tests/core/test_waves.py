@@ -148,26 +148,22 @@ class TestCountsDoNotDependOnTheWave:
 # -- the observed statistics, scored by the first wave ------------------------
 
 
-def _block_observed(block):
-    return block.skat_partial(block.scores)
-
-
-def _fold_partition(n_sets, blocks):
+def _fold_partition(model, n_sets, blocks):
     """One partition's blocks' partials, folded left from zero."""
     acc = np.zeros(n_sets)
     for block in blocks:
-        acc = acc + _block_observed(block)
+        acc = acc + block.skat_partial(model.scores(block.genotypes.astype(np.float64)))
     return [acc]
 
 
-def _tree_aggregate_observed(scorer, cache=True):
+def _tree_aggregate_observed(scorer):
     """The observed pass the first wave replaced, ``tree_aggregate``'s fold:
-    every partition folds its ``U`` blocks' partials left from zero, and the
+    every partition folds its blocks' partials left from zero, and the
     driver folds the partition partials left in partition order.  For a set
     at most two partitions hold this is ``tree_aggregate(depth=2)`` to the
     bit (``x + 0.0 == x``, and ``+`` commutes)."""
-    fold = functools.partial(_fold_partition, scorer.dataset.n_sets)
-    partials = scorer.contributions_rdd(cache).map_partitions(fold).collect()
+    fold = functools.partial(_fold_partition, scorer.model, scorer.dataset.n_sets)
+    partials = scorer._gm_rdd.map_partitions(fold).collect()
     return functools.reduce(np.add, partials, np.zeros(scorer.dataset.n_sets))
 
 
@@ -191,7 +187,6 @@ def _assert_observed_matches_the_tree_fold(scorer):
         "permutation": scorer.permutation(**PERM).observed,
     }
     reference = _tree_aggregate_observed(scorer)
-    assert np.array_equal(reference, _tree_aggregate_observed(scorer, cache=False))
     exact = _held_by_at_most_two(scorer)
     assert exact.any()
     for observed in fused.values():
@@ -293,23 +288,36 @@ def test_early_stop_mid_wave_matches_one_batch_per_job(
 # -- what a wave computes and ships --------------------------------------------
 
 
-def test_uncached_arm_recomputes_u_per_block_per_batch(small_dataset, monkeypatch):
-    calls = []
-    contributions = CoxScoreModel.contributions
+@pytest.mark.parametrize("backend", ["serial", "cluster"])
+@pytest.mark.parametrize("route", ["memory", "files"])
+def test_vectorized_route_never_calls_contributions(
+    small_dataset, local, monkeypatch, fresh_cluster, tmp_path, backend, route
+):
+    """No ``U`` anywhere: every method of a vectorized analysis, on either
+    input route and backend, with ``contributions`` refusing to be called.
+    Cluster workers forked after the patch refuse too, so a call there
+    would fail its task and the job."""
 
-    def counting(self, genotypes):
-        calls.append(genotypes.shape[0])
-        return contributions(self, genotypes)
+    def refusing(self, genotypes):
+        raise AssertionError("contributions called on the vectorized route")
 
-    monkeypatch.setattr(CoxScoreModel, "contributions", counting)
-    with Context(_config()) as ctx:
-        scorer = DistributedSparkScore(ctx, small_dataset, block_size=64)
-        scorer.monte_carlo(**MC, cache_contributions=False)
-    J, P = small_dataset.n_snps, 4
-    bounds = [(i * J) // P for i in range(P + 1)]
-    blocks = sum(-(-(hi - lo) // 64) for lo, hi in zip(bounds, bounds[1:]))
-    assert len(calls) == blocks * 5  # five batches; the observed pass needs no U
-    assert sum(calls) == J * 5
+    monkeypatch.setattr(CoxScoreModel, "contributions", refusing)
+    config = _config()
+    if backend == "cluster":
+        _, manager = fresh_cluster()
+        manager.stop()  # this shape's next fleet forks with the patch
+        config, _ = fresh_cluster()
+    if route == "files":
+        write_dataset(small_dataset, str(tmp_path))
+        analysis = SparkScoreAnalysis.from_files(str(tmp_path), engine="distributed", config=config)
+    else:
+        analysis = SparkScoreAnalysis(small_dataset, engine="distributed", config=config)
+    with analysis:
+        observed = analysis.observed().observed
+        results = _runs(analysis)
+    for result, reference in zip(results, local):
+        assert np.array_equal(result.exceed_counts, reference.exceed_counts)
+        assert np.array_equal(result.observed, observed)
 
 
 def _blocks(dataset, block_size=64, partitions=4):
@@ -323,9 +331,9 @@ def test_cached_mc_wave_is_one_gemm_per_block(small_dataset, monkeypatch):
     rows = []
     partial = algorithms._McWaveFn.partial
 
-    def spy(self, block, u, z):
-        rows.append(z.shape[0])
-        return partial(self, block, u, z)
+    def spy(self, block, genotypes, multipliers):
+        rows.append(multipliers.shape[0])
+        return partial(self, block, genotypes, multipliers)
 
     monkeypatch.setattr(algorithms._McWaveFn, "partial", spy)
     with Context(_config()) as ctx:
@@ -371,7 +379,7 @@ def test_warm_repeat_is_one_job_one_stage_and_no_shuffle(fresh_cluster, tmp_path
         with SparkScoreAnalysis.from_files(base, engine="distributed", config=config) as a:
             return a.monte_carlo(256, seed=2, batch_size=64), a.ctx.metrics.jobs_snapshot()
 
-    analyse()  # cold: parses the splits, computes U
+    analyse()  # cold: parses the splits into resident blocks
     result, jobs = analyse()
     (wave,) = jobs
     assert result.info["jobs_run"] == 1 and len(wave.stages) == 1

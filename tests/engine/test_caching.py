@@ -291,7 +291,7 @@ class TestBlockMaster:
 class TestStopReleases:
     def test_cached_blocks_die_with_close_not_with_the_next_gc(self, small_dataset):
         """``Context.stop()`` clears what it owns: the context sits in
-        reference cycles, so without that every cached ``U`` block of an
+        reference cycles, so without that every cached genotype block of an
         analysis stays pinned until a gen-2 collection happens to run."""
         gc.collect()
         gc.disable()
@@ -307,7 +307,7 @@ class TestStopReleases:
                 for block_id in executor.block_manager.block_ids()
                 for block in executor.block_manager.get(block_id)
             ]
-            assert cached  # U was cached
+            assert cached  # the blocks were cached
             array = weakref.ref(cached[0].genotypes)
             # the parallelized dataset, under the block builder
             rows = weakref.ref(analysis._impl._gm_rdd.dependencies[0].rdd)
@@ -360,12 +360,12 @@ class TestResidentBlocks:
     def fleet_config(self, request, fresh_cluster):
         return fresh_cluster(executor_cores=request.param)[0]
 
-    def test_identical_analysis_in_a_second_context_finds_u_resident(
+    def test_identical_analysis_in_a_second_context_finds_the_blocks_resident(
         self, fleet_config, small_dataset
     ):
         reference = LocalSparkScore(small_dataset).monte_carlo(128, seed=9, batch_size=32)
         first, hits, misses = _mc(fleet_config, small_dataset)
-        assert (hits, misses) == (0, 4)  # the one job computes U
+        assert (hits, misses) == (0, 4)  # the one job builds the blocks
         second, hits, misses = _mc(fleet_config, small_dataset)
         assert (hits, misses) == (4, 0)  # rdd ids restarted at 0; the key did not move
         for result in (first, second):
@@ -376,7 +376,7 @@ class TestResidentBlocks:
         self, fleet_config, small_dataset
     ):
         """Both contexts number their RDDs from 0: a key made of rdd ids
-        would serve the first dataset's ``U`` to the second analysis."""
+        would serve the first dataset's blocks to the second analysis."""
         other = dataclasses.replace(
             small_dataset,
             genotypes=GenotypeMatrix(
@@ -416,7 +416,7 @@ class TestResidentBlocks:
         )
         write_dataset(rolled, base)
         second = from_files()
-        assert second.info["cache_misses"] == 8  # 4 splits re-parsed into blocks, 4 U
+        assert second.info["cache_misses"] == 4  # 4 splits re-parsed into blocks
         reference = LocalSparkScore(rolled).monte_carlo(128, seed=9, batch_size=32)
         assert np.array_equal(second.exceed_counts, reference.exceed_counts)
         assert not np.array_equal(second.observed, first.observed)

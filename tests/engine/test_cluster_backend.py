@@ -288,9 +288,10 @@ class TestThinBinaries:
 
             ctx.backend.submit_pickled = spy
             scorer = DistributedSparkScore(ctx, small_dataset)
-            # five batches: the first wave job computes U, the second reads it
+            # five batches: the first wave job builds the blocks, the second
+            # reads them
             scorer.monte_carlo(160, seed=4, batch_size=32)
-            u = scorer.contributions_rdd()
+            resident = scorer._gm_rdd
             first_batch = sum(len(s.tasks) for s in ctx.metrics.jobs[0].stages)
             blocks = []
             for nbytes, future in sent[first_batch:]:
@@ -300,9 +301,9 @@ class TestThinBinaries:
                 out, _, _ = unframe_result(frame, manager.transport)
                 assert "new_blocks" not in out
                 blocks += out["resident_blocks"]
-            # what does come back: where U's four partitions are
-            assert set(blocks) == {(u.id, p) for p in range(4)}
-            assert ctx.cached_partition_count(u) == 4
+            # what does come back: where the blocks' four partitions are
+            assert set(blocks) == {(resident.id, p) for p in range(4)}
+            assert ctx.cached_partition_count(resident) == 4
 
 
     def test_stopping_one_context_leaves_a_shared_slice_to_the_other(self, fresh_fleet):
@@ -352,18 +353,18 @@ class TestResidentBlockFailures:
         config, manager = fresh_fleet
         reference = LocalSparkScore(small_dataset).monte_carlo(160, seed=3, batch_size=32)
         with Context(config) as ctx:
-            # job 0 is the first wave (four batches), which computes U, job 1
-            # the second (one batch): kill between waves
+            # job 0 is the first wave (four batches), which builds the
+            # blocks, job 1 the second (one batch): kill between waves
             ctx.add_listener(_KillHolderAfter(manager, jobs=1))
             scorer = DistributedSparkScore(ctx, small_dataset)
             result = scorer.monte_carlo(160, seed=3, batch_size=32)
-            u = scorer.contributions_rdd()
-            holders = {p: ctx.block_master.locations((u.id, p)) for p in range(4)}
+            resident = scorer._gm_rdd
+            holders = {p: ctx.block_master.locations((resident.id, p)) for p in range(4)}
             jobs = ctx.metrics.jobs_snapshot()
         # finished on the survivor, by lineage recompute, bit for bit
         assert np.array_equal(result.exceed_counts, reference.exceed_counts)
         assert holders == {p: ["exec-1"] for p in range(4)}
-        assert result.info["cache_misses"] == 4 + 2  # U once, then exec-0's half again
+        assert result.info["cache_misses"] == 4 + 2  # blocks once, then exec-0's half again
         # partitions 0 and 2 were both placed on exec-0 before the driver knew
         assert sum(job.num_task_failures for job in jobs) == 2
         manager.stop()

@@ -1,5 +1,6 @@
 """Fault injection: task retry, executor loss, lineage recovery."""
 
+import json
 import operator
 
 import pytest
@@ -18,11 +19,11 @@ def _refuse_four(x):
     return x
 
 
-def make_ctx(plan=None, **config_overrides):
+def make_ctx(plan=None, event_log_path=None, **config_overrides):
     defaults = dict(backend="serial", num_executors=3, executor_cores=1, default_parallelism=6)
     defaults.update(config_overrides)
     injector = FaultInjector(plan) if plan is not None else None
-    return Context(EngineConfig(**defaults), fault_injector=injector)
+    return Context(EngineConfig(**defaults), fault_injector=injector, event_log_path=event_log_path)
 
 
 class TestTaskRetry:
@@ -58,6 +59,34 @@ class TestTaskRetry:
         assert (raised.value.source, raised.value.lineno) == ("g.txt", 7)
         failed = [e.record for e in ended.events if not e.record.succeeded]
         assert [(r.partition, r.attempt) for r in failed] == [(2, 0)]
+
+    def test_a_failed_job_posts_the_same_task_ends_every_run(self, tmp_path):
+        """CI's failure smoke, ten times: serial, 8 partitions, partition 2
+        always failing, no retries.  A wait's finished attempts are handled
+        in launch order, so which siblings post a ``TaskEnd`` before the job
+        fails, and the task records of its event-log line, never vary."""
+        plan = FaultPlan(fail_partition_attempts={2: 99})
+        runs = set()
+        for run in range(10):
+            path = tmp_path / f"failed-{run}.jsonl"
+            ended = CollectingListener(TaskEnd)
+            with make_ctx(
+                plan, num_executors=2, executor_cores=2, default_parallelism=4,
+                max_task_retries=0, event_log_path=str(path),
+            ) as ctx:
+                ctx.add_listener(ended)
+                with pytest.raises(JobFailedError):
+                    ctx.parallelize(range(32), 8).sum()
+            (line,) = [json.loads(line) for line in path.read_text().splitlines()
+                       if json.loads(line)["event"] == "job"]
+            records = tuple(
+                (task["stage_id"], task["partition"], task["attempt"],
+                 task["executor_id"], task["succeeded"], task["error"])
+                for stage in line["stages"] for task in stage["tasks"]
+            )
+            runs.add((len(ended.events), records))
+        (only,) = runs
+        assert only[0] == len(only[1])
 
     def test_retry_does_not_duplicate_map_output(self):
         plan = FaultPlan(fail_partition_attempts={2: 1})

@@ -1,13 +1,17 @@
-"""The score-weight contract every :class:`ScoreModel` signs.
+"""The score-weight and adjoint contract every :class:`ScoreModel` signs.
 
 ``scores(G) == G @ score_weights()`` and
 ``permuted(perm).score_weights() == score_weights()[perm]``, both to
 rounding, held against the routes that do not use the weights: the
 per-patient contributions summed over patients, a model refit on the
-shuffled phenotype, and for Cox the O(m n^2) defining formula.
+shuffled phenotype, and for Cox the O(m n^2) defining formula.  And
+``adjoint(Z) @ G.T == Z @ contributions(G).T``, the identity the engine's
+Monte Carlo runs on in place of a cached ``U``, with ``score_weights()``
+the adjoint of a ones row.
 """
 
 import numpy as np
+import pytest
 from hypothesis import assume, example, given, seed, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -77,8 +81,13 @@ def _glm_cases(draw, binary):
 
 
 def test_score_weights_is_part_of_the_interface():
-    # abstract, so no caller probes for it and no model can leave it out
-    assert "score_weights" in ScoreModel.__abstractmethods__
+    # the adjoint of a ones row, on the base class over the abstract
+    # adjoint: no caller probes for it and no model can leave it out
+    assert "adjoint" in ScoreModel.__abstractmethods__
+    assert all(
+        cls.score_weights is ScoreModel.score_weights
+        for cls in (CoxScoreModel, GaussianScoreModel, BinomialScoreModel)
+    )
 
 
 _IDENTITY3 = np.arange(3)
@@ -148,3 +157,75 @@ class TestGlmWeights:
         weights = model.score_weights()
         weights[:] = 0.0  # a copy: the model's own residuals are untouched
         assert np.any(model._residuals != 0.0)
+
+
+def check_adjoint(model, G, draw_seed):
+    """``adjoint(Z) @ G.T`` against ``Z @ U.T`` (rtol 1e-12 of the terms'
+    size: ``|Z| |U|``, floored by ``|c(Z)| |G|`` where ``U`` cancels)."""
+    Z = np.random.default_rng(draw_seed).standard_normal((3, model.n_patients))
+    W = model.adjoint(Z)
+    assert W.shape == Z.shape and W.dtype == np.float64
+    U = model.contributions(G)
+    scale = max(
+        np.linalg.norm(Z) * np.linalg.norm(U), np.linalg.norm(W) * np.linalg.norm(G), 1.0
+    )
+    np.testing.assert_allclose(W @ G.T, Z @ U.T, rtol=0.0, atol=1e-12 * scale)
+    np.testing.assert_array_equal(
+        model.adjoint(np.ones((1, model.n_patients)))[0], model.score_weights()
+    )
+
+
+_ALL_CENSORED = SurvivalPhenotype([1.0, 2.0, 2.0, 5.0], [0, 0, 0, 0])
+
+
+class TestAdjoint:
+    @seed(200_004)
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(_survival_cases(), st.integers(0, 2**32 - 1))
+    @example((_ALL_CENSORED, np.array([[0.0, 1.0, 2.0, 1.0]]), np.arange(4)), 0)
+    @example((SurvivalPhenotype([3.0, 3.0, 1.0], [1, 0, 1]), _ONES * 2, _IDENTITY3), 1)
+    def test_cox(self, case, draw_seed):
+        phenotype, G, _ = case
+        check_adjoint(CoxScoreModel(phenotype), G, draw_seed)
+
+    def test_cox_all_censored_adjoint_vanishes(self):
+        model = CoxScoreModel(_ALL_CENSORED)
+        assert np.array_equal(model.adjoint(np.full((2, 4), 3.0)), np.zeros((2, 4)))
+
+    @seed(200_005)
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(_glm_cases(binary=False), st.integers(0, 2**32 - 1))
+    def test_gaussian(self, case, draw_seed):
+        y, covariates, adjust, G, _ = case
+        model = GaussianScoreModel(QuantitativePhenotype(y, covariates), adjust)
+        check_adjoint(model, G, draw_seed)
+
+    @seed(200_006)
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(_glm_cases(binary=True), st.integers(0, 2**32 - 1))
+    def test_binomial(self, case, draw_seed):
+        y, covariates, adjust, G, _ = case
+        try:
+            # a fit near separation overflows exp(-eta) on its way to mu = 0
+            with np.errstate(over="ignore"):
+                model = BinomialScoreModel(BinaryPhenotype(y, covariates), adjust)
+        except NullModelError:
+            assume(False)
+        # at the edge of separation X'WX is singular, as in the contract test
+        assume(0.02 < model.fitted_means.min() and model.fitted_means.max() < 0.98)
+        check_adjoint(model, G, draw_seed)
+
+    @pytest.mark.parametrize("adjust", [True, False])
+    @pytest.mark.parametrize("family", ["gaussian", "binomial"])
+    def test_glm_with_covariates(self, rng, family, adjust):
+        """Both GLMs, two covariates, both ``adjust_genotypes`` settings."""
+        n = 80
+        X = rng.normal(size=(n, 2))
+        if family == "gaussian":
+            y = X @ [0.5, -1.0] + rng.normal(size=n)
+            model = GaussianScoreModel(QuantitativePhenotype(y, X), adjust)
+        else:
+            y = (rng.random(n) < 1 / (1 + np.exp(-X[:, 0]))).astype(float)
+            model = BinomialScoreModel(BinaryPhenotype(y, X), adjust)
+        G = rng.integers(0, 3, size=(6, n)).astype(float)
+        check_adjoint(model, G, 7)

@@ -49,7 +49,7 @@ class TestFullPipeline:
                 str(tmp_path / "study"), parse_with_engine=True,
                 engine="distributed", ctx=ctx, flavor="vectorized", block_size=64,
             )
-            # six batches: the second wave job reads U cached
+            # six batches: the second wave job reads the blocks cached
             result = analysis.monte_carlo(120, seed=9, batch_size=20)
             # identical inference despite an executor kill + a transient
             # task failure
