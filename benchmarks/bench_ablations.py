@@ -11,6 +11,7 @@
 
 from __future__ import annotations
 
+import statistics
 import time
 
 import pytest
@@ -20,6 +21,9 @@ from repro.core.algorithms import DistributedSparkScore
 from repro.core.local import LocalSparkScore
 from repro.engine.context import Context
 from repro.stats.wald import cox_mle, score_test_statistics
+
+#: timed calls per flavor; their median is compared
+TIMED_ROUNDS = 5
 
 
 class TestScoreVsWald:
@@ -72,13 +76,23 @@ class TestFlavorAblation:
         )
 
     def test_vectorized_faster(self, benchmark, live_dataset):
-        start = time.perf_counter()
-        a = self._run(live_dataset, "paper")
-        paper_t = time.perf_counter() - start
-        start = time.perf_counter()
-        b = self._run(live_dataset, "vectorized")
-        vec_t = time.perf_counter() - start
-        assert (a.exceed_counts == b.exceed_counts).all()
+        """Each flavor gets one untimed warm-up call, so neither pays the
+        process's first-call costs, then the flavors alternate which goes
+        first and the medians of five timed calls are compared."""
+
+        def timed(flavor: str):
+            start = time.perf_counter()
+            result = self._run(live_dataset, flavor)
+            return time.perf_counter() - start, result
+
+        results = {flavor: timed(flavor)[1] for flavor in ("paper", "vectorized")}
+        walls: dict[str, list[float]] = {"paper": [], "vectorized": []}
+        for round_ in range(TIMED_ROUNDS):
+            order = ("paper", "vectorized") if round_ % 2 == 0 else ("vectorized", "paper")
+            for flavor in order:
+                walls[flavor].append(timed(flavor)[0])
+        paper_t, vec_t = statistics.median(walls["paper"]), statistics.median(walls["vectorized"])
+        assert (results["paper"].exceed_counts == results["vectorized"].exceed_counts).all()
         benchmark.extra_info["vectorized_speedup"] = paper_t / vec_t
         benchmark(lambda: None)
         assert vec_t < paper_t

@@ -63,11 +63,6 @@ class EngineConfig:
     inference_early_stop: bool = False
     #: significance threshold the convergence monitor classifies against
     inference_alpha: float = 0.05
-    #: binomial interval for the running p-value estimates: "wilson"
-    #: (score interval, fast) or "clopper-pearson" (exact, conservative)
-    inference_ci: str = "wilson"
-    #: replicates every set must see before any early-stop decision
-    inference_min_replicates: int = 64
 
     #: the one frame format's name; a class constant, not a field.  Kept only
     #: for benchmarks/e2e (``layers.py`` reads ``config.serializer``); drop
@@ -114,13 +109,6 @@ class EngineConfig:
             )
         if not 0.0 < self.inference_alpha < 1.0:
             raise ValueError("inference_alpha must be in (0, 1)")
-        if self.inference_ci not in ("wilson", "clopper-pearson"):
-            raise ValueError(
-                f"unknown inference_ci {self.inference_ci!r}; "
-                "choose from wilson, clopper-pearson"
-            )
-        if self.inference_min_replicates < 1:
-            raise ValueError("inference_min_replicates must be >= 1")
 
     # -- derived quantities ----------------------------------------------
 

@@ -36,15 +36,18 @@ recomputes it every batch: Table IV/V's arms); permutation ships refit
 models and recomputes every contribution row under each.  The vectorized
 flavor never builds ``U``: every score model is linear in the genotypes,
 so ``Z @ U.T == c(Z) @ G.T`` with ``c`` the model's
-:meth:`~repro.stats.score.base.ScoreModel.adjoint`.  A Monte Carlo wave
-broadcasts ``c(Z)``, a permutation wave the permuted
-:meth:`~repro.stats.score.base.ScoreModel.score_weights`, and a block's
-replicate scores are one GEMM against its resident genotypes.  Both
-methods share one body,
-``DistributedSparkScore._resample``: it picks the (method x flavor) kernel
-once and hands :func:`~repro.stats.resampling.driver.resample` -- the loop
-the local engine runs too -- a wave count.  A paper-flavor wave is one
-batch and one join/``reduce_by_key`` job; a vectorized wave is :data:`WAVE_BATCHES`
+:meth:`~repro.stats.score.base.ScoreModel.adjoint`.  The two methods differ
+only in their replicate weights ``W``: ``c(Z)`` for Monte Carlo, the
+permuted :meth:`~repro.stats.score.base.ScoreModel.score_weights` ``c[pi]``
+for permutation.  One kernel, :class:`_WaveCountsFn`, takes either: a
+block's replicate scores are one GEMM ``W @ G.T`` against its resident
+genotypes, and its per-set partials one GEMM against the block's set
+indicator.  Both methods share one body,
+``DistributedSparkScore._resample``: it picks the paper flavor's kernel or
+the vectorized flavor's ``W``, and hands
+:func:`~repro.stats.resampling.driver.resample` -- the loop the local
+engine runs too -- a wave count.  A paper-flavor wave is one batch and one
+join/``reduce_by_key`` job; a vectorized wave is :data:`WAVE_BATCHES`
 batches, stacked once in the driver into one array, one broadcast and one
 single-stage job -- one GEMM per block for the whole wave.
 
@@ -72,7 +75,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.core.blocks import SnpBlock, SnpLookup
+from repro.core.blocks import SnpLookup
 from repro.core.results import ResamplingResult
 from repro.genomics.io.dataset_io import (
     GENOTYPES_FILE,
@@ -253,8 +256,9 @@ class _McChunkInnersFn:
 
 class _StackedWave:
     """A wave's batches, stacked once in the driver into one ``(sum(widths),
-    n)`` array of replicates: one buffer to broadcast and one GEMM per block.
-    Sized and iterated as its batches (views of the stack)."""
+    n)`` array of replicate weights ``W``: one buffer to broadcast and one
+    GEMM per block.  Sized and iterated as its batches (views of the
+    stack)."""
 
     def __init__(self, replicates: np.ndarray, widths: list[int]) -> None:
         self.replicates = replicates
@@ -272,10 +276,14 @@ class _StackedWave:
 
 
 class _WaveCountsFn:
-    """One wave of batches on one partition's blocks (vectorized flavor).
+    """One wave of batches on one partition's blocks (vectorized flavor),
+    the one kernel of both resampling methods.
 
     The broadcast is ``(observed, wave)``, the wave a :class:`_StackedWave`
-    (``[]`` for a wave of no batches).  A first wave's ``observed`` is
+    (``[]`` for a wave of no batches).  Whatever its rows are -- ``c(Z)``
+    for Monte Carlo, permuted score weights ``c[pi]`` for permutation -- a
+    block's replicate scores are one GEMM ``W @ G.T`` and its partials one
+    :meth:`SnpBlock.skat_partial`.  A first wave's ``observed`` is
     ``None``, and the task folds its blocks' observed partials instead, from
     the model's marginal scores ``G . c`` of the dosages.  A block's
     ``(sum(widths), K)`` replicate partials are folded left in block order;
@@ -293,10 +301,6 @@ class _WaveCountsFn:
         self.wave_bc = wave_bc
         self.lookup_bc = lookup_bc
         self.model_bc = model_bc
-
-    @property
-    def wave(self) -> _StackedWave:
-        return self.wave_bc.value[1]
 
     def __call__(self, blocks):
         blocks = list(blocks)
@@ -319,7 +323,7 @@ class _WaveCountsFn:
             if scoring:
                 observed = observed + block.skat_partial(self.model_bc.value.scores(rows))
             if len(wave):
-                partial = self.partial(block, rows, wave.replicates)
+                partial = block.skat_partial(wave.replicates @ rows.T)
                 total = partial if total is None else total + partial
                 columns.append(partial[:, sets].T)
         counts = np.zeros((len(wave), complete.size), np.int64)
@@ -329,23 +333,6 @@ class _WaveCountsFn:
         columns = np.concatenate(columns) if columns else np.empty((sum(map(len, straddling)), 0))
         scored = (observed, np.concatenate([b.snp_ids for b in blocks])) if scoring else None
         yield complete, counts, np.concatenate(straddling), columns, scored
-
-
-class _McWaveFn(_WaveCountsFn):
-    """Monte Carlo against the dosage blocks: the wave broadcasts ``c(Z)``,
-    and ``c(Z) @ G.T == Z @ U.T`` is one GEMM per block per wave."""
-
-    def partial(self, block: SnpBlock, rows: np.ndarray, multipliers: np.ndarray) -> np.ndarray:
-        return block.skat_partial(multipliers @ rows.T)
-
-
-class _PermutedWaveFn(_WaveCountsFn):
-    """Permuted score weights against the dosage blocks, batch by batch."""
-
-    def partial(self, block: SnpBlock, rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
-        return np.concatenate(
-            [block.skat_partial_rows(batch @ rows.T) for batch in self.wave.split(weights)]
-        )
 
 
 class _PermutedChunkInnersFn:
@@ -571,13 +558,13 @@ class DistributedSparkScore:
             counts[set_idx] = count
         return counts
 
-    def _wave(self, kernel, wave, observed: np.ndarray | None):
+    def _wave(self, wave, observed: np.ndarray | None):
         """One single-stage job counting a :class:`_StackedWave` (or ``[]``)
         on the resident genotype blocks: ``((W, K) counts, (K,) observed)``.
         Without ``observed`` -- a run's first wave -- the tasks score it as
         well."""
         with _broadcast(self.ctx, (observed, wave)) as wave_bc:
-            count = kernel(wave_bc, self._lookup_bc, self._model_bc)
+            count = _WaveCountsFn(wave_bc, self._lookup_bc, self._model_bc)
             parts = self._gm_rdd.map_partitions(count).collect()
         return self._fold_wave(parts, [len(batch) for batch in wave], observed)
 
@@ -613,7 +600,7 @@ class DistributedSparkScore:
         if self.flavor == "paper":
             inner = self.contributions_rdd(cache_contributions).map_values(_RowInnerFn())
             return self._scores_to_set_stats(inner)
-        _, stats = self._wave(_WaveCountsFn, [], None)
+        _, stats = self._wave([], None)
         return stats
 
     def _check_scored_ids(self, scored: list[np.ndarray]) -> None:
@@ -671,17 +658,17 @@ class DistributedSparkScore:
         if paper and method == "monte_carlo":
             payload, kernel = (lambda z: z), _McChunkInnersFn
             source = self.contributions_rdd(cache_contributions)
-        elif method == "monte_carlo":
-            # Z @ U.T == c(Z) @ G.T, and c(Z) is (b, n) float64 as Z is
-            kernel, payload = _McWaveFn, self.model.adjoint
         elif paper:
             # re-broadcast a block of shuffled phenotypes (Alg. 2 step 2)
             # and recompute steps 6-12 of Algorithm 1 under each
             source, kernel = self._gm_rdd, _PermutedChunkInnersFn
             payload = lambda perms: [self.model.permuted(perm) for perm in perms]
+        elif method == "monte_carlo":
+            # Z @ U.T == c(Z) @ G.T, and c(Z) is (b, n) float64 as Z is
+            payload = self.model.adjoint
         else:
             # the shuffle only permutes the score weights: (b, n) float64
-            kernel, payload = _PermutedWaveFn, self.model.score_weights().__getitem__
+            payload = self.model.score_weights().__getitem__
         observed = self.observed_statistics(cache_contributions) if paper else None
         monitor = self.ctx.inference.new_monitor(
             self._K, method, planned, list(self.dataset.snpsets.names)
@@ -696,7 +683,7 @@ class DistributedSparkScore:
         def count_wave(wave: list[np.ndarray]) -> np.ndarray:
             nonlocal observed
             stacked = _StackedWave(payload(np.concatenate(wave)), [len(batch) for batch in wave])
-            counts, observed = self._wave(kernel, stacked, observed)
+            counts, observed = self._wave(stacked, observed)
             return counts
 
         with _broadcast(self.ctx, observed) if paper else contextlib.nullcontext() as observed_bc:

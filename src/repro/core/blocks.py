@@ -10,6 +10,13 @@ aggregating a batch of replicates.  Its rows are the genotypes as parsed
 (int8 on every engine route): a block is what the engine keeps resident,
 and every replicate is a product with those rows (``stats.score.base``).
 
+A block has one per-set aggregation for replicates: the ``(b, m)`` per-SNP
+terms of a batch, Monte Carlo or permutation alike, times that ``(m, k_b)``
+indicator -- one small GEMM.  An exact per-row ``bincount`` over ``(row,
+set)`` bins keeps each set's sum in SNP order but costs ~10x the GEMM on a
+256 x 256 block (DESIGN.md §8); the GEMM is held to the oracle by the
+counts it gives, not by the bits of each partial.
+
 Blocks are cut from ``(snp_ids, matrix)`` chunks -- a parsed split of the
 genotype file, or a slice of an in-memory matrix -- by
 :meth:`SnpLookup.blocks`, the one builder: ids are joined to weights and
@@ -71,17 +78,6 @@ class SnpBlock:
     def skat_partial(self, scores: np.ndarray) -> np.ndarray:
         """Per-set SKAT partials from marginal scores for this block's SNPs."""
         return self.aggregate_per_snp(self.weights_sq * np.square(scores))
-
-    def skat_partial_rows(self, score_rows: np.ndarray) -> np.ndarray:
-        """(b, K) partials, one bincount pass per replicate row.
-
-        Row by row through the 1-D ``skat_partial`` path, a replicate's
-        partial is the same sequential sum whatever batch it rides in.  The
-        2-D path's GEMM against the indicator leaves the order of the
-        per-set additions to BLAS, so it is held only to rounding.
-        """
-        rows = np.atleast_2d(score_rows)
-        return np.stack([self.skat_partial(row) for row in rows])
 
 
 @dataclass(frozen=True)

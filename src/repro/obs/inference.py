@@ -7,10 +7,9 @@ which SNP-sets are already statistically decided.  This module makes the
 telemetry-then-action shape the skew work proved out.
 
 :class:`ConvergenceMonitor` folds each replicate batch's per-set exceedance
-counts into running p-value estimates with binomial confidence intervals
-(Wilson score or Clopper-Pearson), classifies every SNP-set as
-``decided_significant`` / ``decided_null`` / ``undecided`` against a target
-alpha, and emits typed listener-bus events
+counts into running p-value estimates with Wilson score intervals,
+classifies every SNP-set as ``decided_significant`` / ``decided_null`` /
+``undecided`` against a target alpha, and emits typed listener-bus events
 (:class:`~repro.engine.listener.InferenceBatchCompleted`,
 :class:`~repro.engine.listener.SnpSetConverged`) that downstream surfaces
 consume: the v8 event-log ``inference`` side channel, ``sparkscore
@@ -34,8 +33,8 @@ the replicates actually consumed), so:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from statistics import NormalDist
 from typing import TYPE_CHECKING, Any, Sequence
 
 import numpy as np
@@ -50,9 +49,6 @@ if TYPE_CHECKING:  # pragma: no cover
 UNDECIDED = "undecided"
 DECIDED_SIGNIFICANT = "decided_significant"
 DECIDED_NULL = "decided_null"
-
-#: supported CI methods (the ``inference_ci`` knob)
-CI_METHODS = ("wilson", "clopper-pearson")
 
 #: one-sided tail mass for the decision interval.  Decisions are made at
 #: 99.9% two-sided confidence regardless of the target alpha: alpha is the
@@ -74,83 +70,15 @@ def wilson_interval(
     counts = np.asarray(count, dtype=np.float64)
     if n < 1:
         raise ValueError("n must be >= 1")
-    z = _normal_quantile(0.5 + confidence / 2.0)
+    z = NormalDist().inv_cdf(0.5 + confidence / 2.0)
     phat = counts / n
     denom = 1.0 + z * z / n
     center = (phat + z * z / (2.0 * n)) / denom
     half = (z / denom) * np.sqrt(phat * (1.0 - phat) / n + z * z / (4.0 * n * n))
-    low = np.clip(center - half, 0.0, 1.0)
-    high = np.clip(center + half, 0.0, 1.0)
+    # exact at the ends, where the bound is 0 or 1 only up to rounding
+    low = np.where(counts == 0, 0.0, np.clip(center - half, 0.0, 1.0))
+    high = np.where(counts == n, 1.0, np.clip(center + half, 0.0, 1.0))
     return low, high
-
-
-def clopper_pearson_interval(
-    count: int | np.ndarray, n: int, confidence: float = DECISION_CONFIDENCE
-) -> tuple[np.ndarray, np.ndarray]:
-    """Exact (Clopper-Pearson) binomial interval via beta quantiles.
-
-    Conservative by construction: coverage is always >= ``confidence``,
-    which makes it the cautious choice for the early-stop policy at the
-    price of slightly later decisions than Wilson.
-    """
-    from scipy.stats import beta
-
-    counts = np.atleast_1d(np.asarray(count, dtype=np.float64))
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    tail = (1.0 - confidence) / 2.0
-    low = np.zeros_like(counts)
-    high = np.ones_like(counts)
-    nz = counts > 0
-    low[nz] = beta.ppf(tail, counts[nz], n - counts[nz] + 1)
-    below = counts < n
-    high[below] = beta.ppf(1.0 - tail, counts[below] + 1, n - counts[below])
-    return np.clip(low, 0.0, 1.0), np.clip(high, 0.0, 1.0)
-
-
-def _normal_quantile(q: float) -> float:
-    """Standard normal quantile without a scipy dependency on the hot path
-    (Acklam's rational approximation, |error| < 1.2e-9 -- far below what a
-    stopping rule can perceive)."""
-    if not 0.0 < q < 1.0:
-        raise ValueError("q must be in (0, 1)")
-    # coefficients for the central and tail regions
-    a = (-3.969683028665376e01, 2.209460984245205e02, -2.759285104469687e02,
-         1.383577518672690e02, -3.066479806614716e01, 2.506628277459239e00)
-    b = (-5.447609879822406e01, 1.615858368580409e02, -1.556989798598866e02,
-         6.680131188771972e01, -1.328068155288572e01)
-    c = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e00,
-         -2.549732539343734e00, 4.374664141464968e00, 2.938163982698783e00)
-    d = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e00,
-         3.754408661907416e00)
-    p_low = 0.02425
-    if q < p_low:
-        u = math.sqrt(-2.0 * math.log(q))
-        return (((((c[0] * u + c[1]) * u + c[2]) * u + c[3]) * u + c[4]) * u + c[5]) / (
-            (((d[0] * u + d[1]) * u + d[2]) * u + d[3]) * u + 1.0
-        )
-    if q > 1.0 - p_low:
-        u = math.sqrt(-2.0 * math.log(1.0 - q))
-        return -(((((c[0] * u + c[1]) * u + c[2]) * u + c[3]) * u + c[4]) * u + c[5]) / (
-            (((d[0] * u + d[1]) * u + d[2]) * u + d[3]) * u + 1.0
-        )
-    u = q - 0.5
-    r = u * u
-    return (((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]) * u / (
-        ((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0
-    )
-
-
-def binomial_interval(
-    count: int | np.ndarray, n: int, method: str = "wilson",
-    confidence: float = DECISION_CONFIDENCE,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Dispatch on the ``inference_ci`` knob value."""
-    if method == "wilson":
-        return wilson_interval(count, n, confidence)
-    if method == "clopper-pearson":
-        return clopper_pearson_interval(count, n, confidence)
-    raise ValueError(f"unknown CI method {method!r}; choose from {CI_METHODS}")
 
 
 @dataclass
@@ -165,7 +93,6 @@ class EarlyStopPolicy:
     """
 
     alpha: float = 0.05
-    ci: str = "wilson"
     min_replicates: int = 64
 
     @classmethod
@@ -173,11 +100,7 @@ class EarlyStopPolicy:
         """The configured policy, or None when early stopping is off."""
         if not getattr(config, "inference_early_stop", False):
             return None
-        return cls(
-            alpha=config.inference_alpha,
-            ci=config.inference_ci,
-            min_replicates=config.inference_min_replicates,
-        )
+        return cls(alpha=config.inference_alpha)
 
 
 class ConvergenceMonitor:
@@ -198,7 +121,6 @@ class ConvergenceMonitor:
         planned_replicates: int = 0,
         set_names: Sequence[str] | None = None,
         alpha: float = 0.05,
-        ci: str = "wilson",
         min_replicates: int = 64,
         bus: "ListenerBus | None" = None,
         policy: EarlyStopPolicy | None = None,
@@ -219,13 +141,10 @@ class ConvergenceMonitor:
         #: driver turns it off for this run only (``per_set_masking=False``)
         self.masking = policy is not None
         if policy is not None:
-            alpha, ci, min_replicates = policy.alpha, policy.ci, policy.min_replicates
+            alpha, min_replicates = policy.alpha, policy.min_replicates
         if not 0.0 < alpha < 1.0:
             raise ValueError("alpha must be in (0, 1)")
-        if ci not in CI_METHODS:
-            raise ValueError(f"unknown CI method {ci!r}; choose from {CI_METHODS}")
         self.alpha = float(alpha)
-        self.ci = ci
         self.min_replicates = max(1, int(min_replicates))
         self.bus = bus
         #: per-set exceedance counts as accumulated by the caller (frozen
@@ -297,7 +216,7 @@ class ConvergenceMonitor:
             return
         n = int(self.replicates_total)
         counts = self.exceed[open_sets]
-        low, high = binomial_interval(counts, max(n, 1), self.ci)
+        low, high = wilson_interval(counts, max(n, 1))
         newly: list[int] = []
         for i, k in enumerate(open_sets):
             self._ci_low[k] = low[i]
@@ -418,8 +337,6 @@ class InferenceObservability:
             planned_replicates=planned_replicates,
             set_names=set_names,
             alpha=config.inference_alpha,
-            ci=config.inference_ci,
-            min_replicates=config.inference_min_replicates,
             bus=self.ctx.listener_bus,
             policy=EarlyStopPolicy.from_config(config),
         )
@@ -433,12 +350,9 @@ __all__ = [
     "ConvergenceMonitor",
     "EarlyStopPolicy",
     "InferenceObservability",
-    "binomial_interval",
     "wilson_interval",
-    "clopper_pearson_interval",
     "UNDECIDED",
     "DECIDED_SIGNIFICANT",
     "DECIDED_NULL",
-    "CI_METHODS",
     "DECISION_CONFIDENCE",
 ]

@@ -7,16 +7,15 @@ Paper, Section II::
 with ``I_1 ... I_K`` a partition of the SNPs.  The partition is represented
 as a ``set_ids`` vector mapping each SNP index to its set index, which is
 both compact and exactly the join structure Algorithm 1 shuffles.
+
+Per-set sums, one analysis or a batch of replicates, are one ``bincount``
+over ``(row, set)`` bins (:func:`set_sums`): each set is summed in SNP
+order whatever the batch, with NumPy alone.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 import numpy as np
-
-if TYPE_CHECKING:  # pragma: no cover
-    from scipy import sparse
 
 
 def skat_statistic(scores: np.ndarray, weights: np.ndarray) -> float:
@@ -55,26 +54,24 @@ def skat_statistics(
     single = scores.ndim == 1
     if single:
         scores = scores[None, :]
-    B, J = scores.shape
+    J = scores.shape[1]
     if weights.shape != (J,):
         raise ValueError(f"weights must have shape ({J},), got {weights.shape}")
     ids = validate_set_ids(set_ids, n_sets, J)
-    per_snp = (weights**2)[None, :] * scores**2
-    if B == 1:
-        out = np.bincount(ids, weights=per_snp[0], minlength=n_sets)[None, :]
-    else:
-        out = per_snp @ membership_matrix(ids, n_sets).T
-        out = np.asarray(out)
+    out = set_sums((weights**2)[None, :] * scores**2, ids, n_sets)
     return out[0] if single else out
 
 
-def membership_matrix(set_ids: np.ndarray, n_sets: int) -> sparse.csr_matrix:
-    """Sparse (K, J) indicator matrix: row k marks the SNPs in set k."""
-    from scipy import sparse
+def set_sums(per_snp: np.ndarray, set_ids: np.ndarray, n_sets: int) -> np.ndarray:
+    """``(B, J)`` per-SNP values -> ``(B, K)`` per-set sums.
 
-    J = set_ids.shape[0]
-    data = np.ones(J)
-    return sparse.csr_matrix((data, (set_ids, np.arange(J))), shape=(n_sets, J))
+    One ``bincount`` over ``(row, set)`` bins: every bin adds its values in
+    SNP order, so a row's sums are those of a 1-D ``bincount`` of that row,
+    bit for bit, and a set with no SNPs sums to 0.0.
+    """
+    B = per_snp.shape[0]
+    bins = (np.arange(B)[:, None] * n_sets + set_ids[None, :]).ravel()
+    return np.bincount(bins, weights=per_snp.ravel(), minlength=B * n_sets).reshape(B, n_sets)
 
 
 def set_sizes(set_ids: np.ndarray, n_sets: int) -> np.ndarray:

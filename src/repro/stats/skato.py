@@ -22,7 +22,7 @@ import numpy as np
 
 from repro.stats.resampling.driver import exceedances, per_batch, resample
 from repro.stats.resampling.streams import mc_multiplier_batches
-from repro.stats.skat import membership_matrix, validate_set_ids
+from repro.stats.skat import set_sums, validate_set_ids
 
 DEFAULT_RHO_GRID = (0.0, 0.1, 0.25, 0.5, 0.75, 1.0)
 
@@ -37,8 +37,7 @@ def burden_statistics(
         scores = scores[None, :]
     weights = np.asarray(weights, dtype=np.float64)
     ids = validate_set_ids(set_ids, n_sets, scores.shape[1])
-    linear = (scores * weights[None, :]) @ membership_matrix(ids, n_sets).T
-    out = np.square(np.asarray(linear))
+    out = np.square(set_sums(scores * weights[None, :], ids, n_sets))
     return out[0] if single else out
 
 

@@ -237,18 +237,19 @@ class TestDriverTrafficBound:
 
 class TestBatchedPermutationEquivalence:
     def test_batch_size_does_not_change_counts(self, small_dataset):
-        """Batching permutations changes scheduling, never statistics."""
+        """Batching replicates changes scheduling, never statistics: the one
+        wave kernel's indicator GEMM gives every batch shape the same counts,
+        Monte Carlo and permutation alike."""
         config = EngineConfig(
             backend="serial", num_executors=2, executor_cores=2, default_parallelism=4
         )
-        results = []
-        for batch_size in (1, 5, 16):
-            with Context(config) as ctx:
-                scorer = DistributedSparkScore(
-                    ctx, small_dataset, flavor="vectorized", block_size=64
-                )
-                results.append(
-                    scorer.permutation(16, seed=2, batch_size=batch_size).exceed_counts
-                )
-        assert np.array_equal(results[0], results[1])
-        assert np.array_equal(results[0], results[2])
+        for method in ("permutation", "monte_carlo"):
+            results = []
+            for batch_size in (1, 5, 7, 16, 64):
+                with Context(config) as ctx:
+                    scorer = DistributedSparkScore(
+                        ctx, small_dataset, flavor="vectorized", block_size=64
+                    )
+                    run = getattr(scorer, method)
+                    results.append(run(64, seed=2, batch_size=batch_size).exceed_counts)
+            assert all(np.array_equal(results[0], counts) for counts in results[1:]), method

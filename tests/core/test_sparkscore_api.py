@@ -105,14 +105,13 @@ class TestPermutationBatchSize:
         )
         config = EngineConfig(
             backend="serial", num_executors=2, default_parallelism=4,
-            inference_early_stop=True, inference_min_replicates=16,
+            inference_early_stop=True,
         )
         with SparkScoreAnalysis(dataset, engine="distributed", config=config) as dist:
             engine = dist.permutation(400, seed=4, batch_size=batch_size)
         monitor = ConvergenceMonitor(
             n_sets=dataset.n_sets, method="permutation", planned_replicates=400,
-            alpha=config.inference_alpha, ci=config.inference_ci,
-            min_replicates=config.inference_min_replicates,
+            alpha=config.inference_alpha,
             policy=EarlyStopPolicy.from_config(config),
         )
         local = SparkScoreAnalysis(dataset).permutation(

@@ -21,6 +21,7 @@ import pytest
 from repro.config import EngineConfig
 from repro.core import algorithms
 from repro.core.algorithms import DistributedSparkScore
+from repro.core.blocks import SnpBlock
 from repro.core.local import LocalSparkScore
 from repro.core.sparkscore import SparkScoreAnalysis
 from repro.engine.context import Context
@@ -257,13 +258,14 @@ def stopping_dataset():
 @pytest.mark.parametrize("backend", ["serial", "cluster"])
 @pytest.mark.parametrize(
     "method, iterations, batch_size",
-    [("monte_carlo", 1024, 32), ("permutation", 400, 16)],
+    # two batches reach the policy's floor of 64 replicates, inside a wave
+    [("monte_carlo", 1024, 32), ("permutation", 400, 32)],
     ids=["monte_carlo", "permutation"],
 )
 def test_early_stop_mid_wave_matches_one_batch_per_job(
     stopping_dataset, monkeypatch, backend, method, iterations, batch_size
 ):
-    config = _config(backend, inference_early_stop=True, inference_min_replicates=16)
+    config = _config(backend, inference_early_stop=True)
 
     def analyse():
         with SparkScoreAnalysis(stopping_dataset, engine="distributed", config=config) as a:
@@ -328,20 +330,27 @@ def _blocks(dataset, block_size=64, partitions=4):
 
 
 def test_cached_mc_wave_is_one_gemm_per_block(small_dataset, monkeypatch):
+    """Monte Carlo and permutation run one kernel: every block's replicate
+    partials of a wave are one ``skat_partial`` call on every replicate row
+    of the wave, whatever ``W`` the rows are."""
     rows = []
-    partial = algorithms._McWaveFn.partial
+    partial = SnpBlock.skat_partial
 
-    def spy(self, block, genotypes, multipliers):
-        rows.append(multipliers.shape[0])
-        return partial(self, block, genotypes, multipliers)
+    def spy(self, scores):
+        if scores.ndim == 2:  # a replicate GEMM, not the observed GEMV
+            rows.append(scores.shape[0])
+        return partial(self, scores)
 
-    monkeypatch.setattr(algorithms._McWaveFn, "partial", spy)
-    with Context(_config()) as ctx:
-        DistributedSparkScore(ctx, small_dataset, block_size=64).monte_carlo(**MC)
-    # a wave of four batches of 32, then a wave of one: one call per block
-    # each, on every replicate row of the wave
+    monkeypatch.setattr(SnpBlock, "skat_partial", spy)
     blocks = _blocks(small_dataset)
-    assert sorted(rows, reverse=True) == [4 * 32] * blocks + [32] * blocks
+    with Context(_config()) as ctx:
+        scorer = DistributedSparkScore(ctx, small_dataset, block_size=64)
+        for run, batch in ((scorer.monte_carlo, 32), (scorer.permutation, 16)):
+            rows.clear()
+            run(iterations=5 * batch, seed=7, batch_size=batch)
+            # a wave of four batches, then a wave of one: one call per block
+            # each, on every replicate row of the wave
+            assert sorted(rows, reverse=True) == [4 * batch] * blocks + [batch] * blocks
 
 
 def test_dosage_route_first_wave_scores_observed_without_u(small_dataset, monkeypatch):
@@ -411,13 +420,13 @@ class TestBroadcastsGoWhenAWaveRaises:
             handles.append(broadcast(ctx, value))
             return handles[-1]
 
-        def failing(self, block, rows, z):
+        def failing(self, scores):
             raise error
 
         with Context(_config()) as ctx:
             scorer = DistributedSparkScore(ctx, small_dataset, block_size=64)
             monkeypatch.setattr(Context, "broadcast", spy)
-            monkeypatch.setattr(algorithms._McWaveFn, "partial", failing)
+            monkeypatch.setattr(SnpBlock, "skat_partial", failing)
             with pytest.raises(raised):
                 scorer.monte_carlo(**MC)
             # the first wave's multipliers (its observed is scored in the

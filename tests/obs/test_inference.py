@@ -19,8 +19,6 @@ from repro.obs.inference import (
     UNDECIDED,
     ConvergenceMonitor,
     EarlyStopPolicy,
-    binomial_interval,
-    clopper_pearson_interval,
     wilson_interval,
 )
 
@@ -49,17 +47,6 @@ class TestIntervals:
         _, high_small = wilson_interval(5, 100)
         _, high_large = wilson_interval(500, 10_000)
         assert high_large - 0.05 < high_small - 0.05
-
-    def test_clopper_pearson_brackets_and_hits_boundaries(self):
-        pytest.importorskip("scipy")  # exact CI needs beta.ppf
-        low, high = clopper_pearson_interval(3, 200)
-        assert low < 3 / 200 < high
-        low0, high0 = clopper_pearson_interval(np.array([0, 200]), 200)
-        assert low0[0] == 0.0 and high0[1] == 1.0
-
-    def test_dispatch_rejects_unknown_method(self):
-        with pytest.raises(ValueError, match="unknown CI method"):
-            binomial_interval(1, 10, "wald")
 
     def test_zero_n_rejected(self):
         with pytest.raises(ValueError):
@@ -232,18 +219,14 @@ class TestPolicyConfig:
         config = EngineConfig(
             backend="serial", num_executors=1, executor_cores=1,
             default_parallelism=1, inference_early_stop=True,
-            inference_alpha=0.01, inference_ci="clopper-pearson",
-            inference_min_replicates=32,
+            inference_alpha=0.01,
         )
         policy = EarlyStopPolicy.from_config(config)
         assert policy is not None
         assert policy.alpha == 0.01
-        assert policy.ci == "clopper-pearson"
-        assert policy.min_replicates == 32
+        assert policy.min_replicates == 64
         # masking is a per-run setting of the monitor, never the policy's
-        assert [f.name for f in dataclasses.fields(policy)] == [
-            "alpha", "ci", "min_replicates",
-        ]
+        assert [f.name for f in dataclasses.fields(policy)] == ["alpha", "min_replicates"]
 
     def test_validation(self):
         base = dict(
@@ -252,10 +235,10 @@ class TestPolicyConfig:
         )
         with pytest.raises(ValueError, match="inference_alpha"):
             EngineConfig(**base, inference_alpha=1.5)
-        with pytest.raises(ValueError, match="inference_ci"):
-            EngineConfig(**base, inference_ci="wald")
-        with pytest.raises(ValueError, match="inference_min_replicates"):
-            EngineConfig(**base, inference_min_replicates=0)
+        # the interval and the replicate floor are the policy's, not settings
+        for knob in ("inference_ci", "inference_min_replicates"):
+            with pytest.raises(TypeError):
+                EngineConfig(**base, **{knob: 1})
 
 
 class TestResamplerIntegration:

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.stats.skat import (
-    membership_matrix,
     set_sizes,
     skat_statistic,
     skat_statistics,
@@ -49,6 +48,18 @@ class TestVectorized:
         for b in range(B):
             assert np.allclose(batch[b], skat_statistics(scores[b], weights, set_ids, K))
 
+    def test_batch_is_the_row_by_row_bincount_bit_for_bit(self, rng):
+        J, K, B = 200, 7, 33
+        scores = rng.normal(size=(B, J))
+        weights = rng.uniform(0.5, 2.0, J)
+        set_ids = rng.integers(0, K - 1, J)  # set K - 1 holds no SNP
+        batch = skat_statistics(scores, weights, set_ids, K)
+        rows = np.stack([
+            np.bincount(set_ids, weights=weights**2 * row**2, minlength=K) for row in scores
+        ])
+        assert np.array_equal(batch, rows)
+        assert np.all(batch[:, K - 1] == 0.0)
+
     def test_empty_set_zero(self, rng):
         scores = rng.normal(size=5)
         stats = skat_statistics(scores, np.ones(5), np.zeros(5, dtype=int), 3)
@@ -92,11 +103,6 @@ class TestValidation:
     def test_set_ids_range(self):
         with pytest.raises(ValueError):
             validate_set_ids(np.array([0, 5, 1]), 3, 3)
-
-    def test_membership_matrix(self):
-        M = membership_matrix(np.array([0, 1, 0]), 2)
-        assert M.shape == (2, 3)
-        assert M.toarray().tolist() == [[1, 0, 1], [0, 1, 0]]
 
     def test_set_sizes(self):
         assert set_sizes(np.array([0, 0, 2]), 3).tolist() == [2, 0, 1]

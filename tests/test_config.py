@@ -17,9 +17,8 @@ class TestSurface:
             "default_parallelism", "max_task_retries", "heartbeat_interval",
             "heartbeat_timeout", "profile_fraction", "log_level",
             "inference_early_stop", "inference_alpha",
-            "inference_ci", "inference_min_replicates",
         ]
-        assert len(dataclasses.fields(EngineConfig)) == 14
+        assert len(dataclasses.fields(EngineConfig)) == 12
 
     def test_one_warm_fleet_mechanism(self):
         # decided by measurement: an external head saved a CLI run less than
@@ -159,7 +158,7 @@ class TestMonitoringKnobs:
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"inference_ci": "bayes"},
+            {"inference_alpha": 1.0},
             {"log_level": "trace"},
             {"profile_fraction": 1.5},
             {"profile_fraction": -0.1},

@@ -1,8 +1,9 @@
 """An analysis loads NumPy and nothing heavier.
 
 scipy is the dependency of the comparators (asymptotic p-values, Wald,
-power, SKAT-O, beta weights, the local engine's batched SKAT); the
-distributed engine needs none of it, and no module imports networkx.  The
+power, SKAT-O calibration, beta weights); the distributed engine and the
+local engine's Monte Carlo and permutation need none of it, and no module
+imports networkx.  The
 child process below poisons both names in ``sys.modules`` so that any
 import of either raises, in the driver and in the cluster workers it forks,
 then drives every analysis route through the CLI.
@@ -41,7 +42,11 @@ CHILD = textwrap.dedent(
     for extra in runs:
         rc = cli.main(base + extra)
         assert rc == 0, (extra, rc)
-    print("ROUTES", len(runs))
+    for method in ("monte-carlo", "permutation"):
+        rc = cli.main(["analyze", data, "--engine", "local", f"--method={method}",
+                       "--iterations", "32", "--no-progress"])
+        assert rc == 0, (method, rc)
+    print("ROUTES", len(runs) + 2)
     """
 )
 
@@ -54,4 +59,4 @@ def test_analysis_routes_need_neither_scipy_nor_networkx(tmp_path):
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr[-4000:]
-    assert "ROUTES 13" in proc.stdout
+    assert "ROUTES 15" in proc.stdout
