@@ -58,6 +58,7 @@ from collections import deque
 from typing import TYPE_CHECKING, Any
 
 from repro.engine import frames
+from repro.engine.allocator import release_free_heap
 from repro.engine.executor import ExecutorLostError
 from repro.engine.transport import Transport
 from repro.obs.logging import get_logger
@@ -341,6 +342,7 @@ class ClusterManager:
         import multiprocessing
 
         host, _, port = self.address.rpartition(":")
+        release_free_heap()
         for handle in self.workers:
             proc = multiprocessing.Process(
                 target=_cluster_worker_main,

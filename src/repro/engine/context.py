@@ -7,6 +7,7 @@ import weakref
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator
 
 from repro.config import EngineConfig
+from repro.engine.allocator import pin_thresholds
 from repro.engine.backends import make_backend
 from repro.engine.blockmanager import BlockManagerMaster
 from repro.engine.broadcast import Broadcast
@@ -38,6 +39,7 @@ class Context:
         progress: bool = False,
         log_file: str | None = None,
     ) -> None:
+        pin_thresholds()
         self.config = config or EngineConfig()
         #: when set, each completed job is streamed here as JSONL (v4)
         self.event_log_path = event_log_path

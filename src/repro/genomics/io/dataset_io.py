@@ -13,6 +13,7 @@ Either way the values are the same to the bit.
 from __future__ import annotations
 
 import os
+from collections.abc import Iterable
 
 import numpy as np
 
@@ -36,7 +37,7 @@ from repro.genomics.io.formats import (
     parse_weight_line,
 )
 from repro.genomics.snpsets import SnpSetCollection
-from repro.genomics.synthetic import Dataset
+from repro.genomics.synthetic import Dataset, row_blocks
 from repro.stats.score.base import SurvivalPhenotype
 
 GENOTYPES_FILE = "genotypes.txt"
@@ -45,11 +46,11 @@ WEIGHTS_FILE = "weights.txt"
 SNPSETS_FILE = "snpsets.txt"
 
 
-def _write_file(base: str, name: str, content: bytes) -> str:
+def _write_file(base: str, name: str, chunks: Iterable[bytes]) -> str:
     os.makedirs(base, exist_ok=True)
     path = os.path.join(base, name)
     with open(path, "wb") as fh:
-        fh.write(content)
+        fh.writelines(chunks)
     return path
 
 
@@ -58,8 +59,8 @@ def _read_file(base: str, name: str) -> bytes:
         return fh.read()
 
 
-def _encode_lines(lines: list[str]) -> bytes:
-    return ("\n".join(lines) + "\n").encode("utf-8")
+def _encode_lines(lines: list[str]) -> list[bytes]:
+    return [("\n".join(lines) + "\n").encode("utf-8")]
 
 
 def write_dataset(dataset: Dataset, base: str) -> dict[str, str]:
@@ -75,7 +76,12 @@ def write_dataset(dataset: Dataset, base: str) -> dict[str, str]:
     ]
     set_lists = dataset.snpsets.as_lists(genotypes.snp_ids)
     snpset_lines = [format_snpset_line(name, ids) for name, ids in set_lists.items()]
-    genotype_text = _format_genotype_text(genotypes.snp_ids, genotypes.matrix)
+    snp_ids, matrix = genotypes.snp_ids, genotypes.matrix
+    # one row block's text at a time: the file is never whole in memory
+    genotype_text = (
+        _format_genotype_text(snp_ids[rows], matrix[rows])
+        for rows in row_blocks(*matrix.shape)
+    )
     return {
         "genotypes": _write_file(base, GENOTYPES_FILE, genotype_text),
         "phenotype": _write_file(base, PHENOTYPE_FILE, _encode_lines(phenotype_lines)),

@@ -16,6 +16,7 @@ examples can demonstrate statistical power, not just speed.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,6 +24,12 @@ import numpy as np
 from repro.genomics.genotypes import GenotypeMatrix
 from repro.genomics.snpsets import SnpSetCollection
 from repro.stats.score.base import SurvivalPhenotype
+
+#: dosages in one row block: the generator draws and the writer formats a
+#: genotype matrix this many dosages at a time (at least one row), so neither
+#: holds more than a block's int64 draw or text beside the int8 matrix
+#: (DESIGN.md §19)
+ROW_BLOCK_DOSAGES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -128,13 +135,24 @@ def snpset_size_partition(
     return set_ids
 
 
+def row_blocks(n_rows: int, n_columns: int) -> Iterator[slice]:
+    """Consecutive row slices of ``ROW_BLOCK_DOSAGES`` dosages, one row at least."""
+    step = max(1, ROW_BLOCK_DOSAGES // max(n_columns, 1))
+    for lo in range(0, n_rows, step):
+        yield slice(lo, min(lo + step, n_rows))
+
+
 def generate_dataset(config: SyntheticConfig) -> Dataset:
     """Generate a full synthetic dataset per Section III."""
     rng = np.random.default_rng(config.seed)
     n, m = config.n_patients, config.n_snps
 
     rho = rng.uniform(*config.maf_range, size=m)
-    genotype_values = rng.binomial(2, rho[:, None], size=(m, n)).astype(np.int8)
+    # a draw consumes the stream element by element in C order, so row
+    # blocks draw exactly what one (m, n) call would
+    genotype_values = np.empty((m, n), dtype=np.int8)
+    for rows in row_blocks(m, n):
+        genotype_values[rows] = rng.binomial(2, rho[rows, None], size=(rows.stop - rows.start, n))
     snp_ids = np.arange(m, dtype=np.int64)
     genotypes = GenotypeMatrix(snp_ids, genotype_values)
 

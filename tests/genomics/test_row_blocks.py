@@ -1,0 +1,125 @@
+"""The generator draws and the writer formats genotypes a row block at a time.
+
+Blocks change memory, never values: ``generate_dataset`` must return what one
+``(m, n)`` draw returns, and ``write_dataset`` the bytes of one whole-matrix
+format.  The reference is drawn inline, not stored as a digest, because a
+NumPy release may change what a ``Generator`` stream yields.
+"""
+
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import repro.genomics.synthetic as synthetic
+from repro.genomics.io.dataset_io import write_dataset
+from repro.genomics.io.formats import _format_genotype_text
+from repro.genomics.synthetic import SyntheticConfig, generate_dataset
+
+SRC = Path(__file__).resolve().parents[2] / "src"
+
+
+def one_shot_reference(config: SyntheticConfig):
+    """Section III drawn as before row blocks: every dosage in one call."""
+    rng = np.random.default_rng(config.seed)
+    n, m = config.n_patients, config.n_snps
+    rho = rng.uniform(*config.maf_range, size=m)
+    matrix = rng.binomial(2, rho[:, None], size=(m, n)).astype(np.int8)
+    causal_rows = np.empty(0, dtype=np.int64)
+    if config.n_causal_snps > 0 and config.effect_size != 0.0:
+        causal_rows = np.sort(rng.choice(m, size=config.n_causal_snps, replace=False))
+        linear = config.effect_size * matrix[causal_rows].sum(axis=0)
+        times = rng.exponential(1.0 / (np.exp(linear) / config.mean_survival_months))
+    else:
+        times = rng.exponential(config.mean_survival_months, size=n)
+    events = rng.binomial(1, config.event_rate, size=n)
+    set_ids = synthetic.snpset_size_partition(m, config.n_snpsets, rng)
+    return matrix, times, events, set_ids, causal_rows
+
+
+class TestGenerateMatchesOneDraw:
+    @pytest.mark.parametrize(
+        "block, n_patients, n_snps, n_causal",
+        [
+            (None, 1000, 600, 0),  # 262 rows a block: m is not a multiple
+            (None, 1000, 100, 0),  # m smaller than one block
+            (1, 7, 40, 0),  # one row a block
+            (7, 3, 41, 0),  # two rows a block, a one-row tail
+            (None, 1000, 600, 5),  # planted signal reads the causal rows
+            (7, 3, 41, 4),
+        ],
+    )
+    def test_arrays_are_the_one_shot_draw(self, monkeypatch, block, n_patients, n_snps, n_causal):
+        if block is not None:
+            monkeypatch.setattr(synthetic, "ROW_BLOCK_DOSAGES", block, raising=False)
+        config = SyntheticConfig(
+            n_patients=n_patients, n_snps=n_snps, n_snpsets=4, seed=11,
+            n_causal_snps=n_causal, effect_size=0.7 if n_causal else 0.0,
+        )
+        matrix, times, events, set_ids, causal_rows = one_shot_reference(config)
+        data = generate_dataset(config)
+        assert data.genotypes.matrix.dtype == np.int8
+        assert np.array_equal(data.genotypes.matrix, matrix)
+        assert np.array_equal(data.genotypes.snp_ids, np.arange(n_snps))
+        assert np.array_equal(data.phenotype.time, times)
+        assert np.array_equal(data.phenotype.event, events)
+        assert np.array_equal(data.snpsets.set_ids, set_ids)
+        assert np.array_equal(data.causal_rows, causal_rows)
+        assert causal_rows.size == n_causal
+
+
+class TestWriteMatchesOneFormat:
+    @pytest.mark.parametrize("block", [1, 7, 20, None])
+    def test_genotype_bytes_are_the_whole_matrix_format(self, monkeypatch, tmp_path, block):
+        data = generate_dataset(SyntheticConfig(n_patients=3, n_snps=12, n_snpsets=2, seed=4))
+        # ids 9 | 10 change width where 2-row blocks (budget 7) meet; the
+        # dosages >= 10 on either side take the per-line formatter
+        data.genotypes.matrix[9, 0] = 12
+        data.genotypes.matrix[10, 2] = 10
+        if block is not None:
+            monkeypatch.setattr(synthetic, "ROW_BLOCK_DOSAGES", block, raising=False)
+        paths = write_dataset(data, str(tmp_path / "ds"))
+        expected = _format_genotype_text(data.genotypes.snp_ids, data.genotypes.matrix)
+        assert b"9\t12," in expected and b"10\t" in expected and b",10\n" in expected
+        assert Path(paths["genotypes"]).read_bytes() == expected
+
+
+MEMORY_CHILD = textwrap.dedent(
+    """
+    import resource, sys
+    from repro.genomics.io.dataset_io import write_dataset
+    from repro.genomics.synthetic import SyntheticConfig, generate_dataset
+
+    def peak_kib():
+        return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+
+    before = peak_kib()
+    dataset = generate_dataset(
+        SyntheticConfig(n_patients=1000, n_snps=20_000, n_snpsets=200, seed=1)
+    )
+    write_dataset(dataset, sys.argv[1])
+    print("PEAK_KIB", before, peak_kib())
+    """
+)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss in KiB is Linux's")
+def test_generate_and_write_hold_little_beside_the_matrix(tmp_path):
+    """A fresh process's peak grows by under 3 bytes per dosage: the int8
+    matrix is one, and no whole-matrix int64 draw or text is ever held (those
+    read ~9.4 bytes per dosage)."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", MEMORY_CHILD, str(tmp_path / "ds")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr[-4000:]
+    before, after = (int(v) for v in proc.stdout.split("PEAK_KIB")[1].split())
+    per_dosage = (after - before) * 1024 / (20_000 * 1000)
+    assert per_dosage < 3.0, f"{per_dosage:.2f} bytes per dosage"
+    assert (tmp_path / "ds" / "genotypes.txt").stat().st_size > 20_000 * 2000
