@@ -128,25 +128,11 @@ class TestBackendAblation:
 
 
 class TestSetStatisticVariants:
-    """SKAT vs burden vs SKAT-O cost on the same replicate stream."""
+    """Set-level SKAT vs variant-level maxT cost on the same replicate stream."""
 
     def test_skat_monte_carlo(self, benchmark, live_dataset_small):
         local = LocalSparkScore(live_dataset_small)
         benchmark.pedantic(local.monte_carlo, args=(500, 3), rounds=3, iterations=1)
-
-    def test_skat_o_grid(self, benchmark, live_dataset_small):
-        from repro.stats.skato import skato_resampling
-
-        local = LocalSparkScore(live_dataset_small)
-        U = local.contributions()
-        result = benchmark.pedantic(
-            skato_resampling,
-            args=(U, live_dataset_small.weights, live_dataset_small.snpsets.set_ids,
-                  live_dataset_small.n_sets, 500),
-            kwargs={"seed": 3},
-            rounds=2, iterations=1,
-        )
-        assert result.pvalues.shape == (live_dataset_small.n_sets,)
 
     def test_variant_maxt(self, benchmark, live_dataset_small):
         from repro.stats.resampling.multipletesting import westfall_young_maxt

@@ -3,7 +3,7 @@
 :class:`SparkScoreAnalysis` wraps a dataset plus an execution engine
 ("local" pure-NumPy or "distributed" mini-Spark) and exposes the paper's
 methods -- observed SKAT statistics, Monte Carlo and permutation
-resampling -- alongside the asymptotic and Wald comparators.
+resampling -- alongside the asymptotic comparator and variant-level maxT.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from repro.core.results import ResamplingResult
 from repro.genomics.synthetic import Dataset
 from repro.stats.score.base import ScoreModel
 from repro.stats.score.cox import CoxScoreModel
-from repro.stats.wald import CoxMleResult, cox_mle
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.engine.context import Context
@@ -78,8 +77,8 @@ class SparkScoreAnalysis:
         else: the executors read the genotype file themselves, split by
         split (see :mod:`repro.core.algorithms`), and
         ``analysis.dataset.genotypes.matrix`` is loaded in the driver only
-        if something touches it (``wald``, ``skat_o``, ``marginal_scores``,
-        ``variant_maxt``, ``asymptotic``).  ``parse_with_engine`` changes
+        if something touches it (``marginal_scores``, ``variant_maxt``,
+        ``asymptotic``).  ``parse_with_engine`` changes
         nothing there; it is refused with the local engine, which has no
         tasks to parse in.
         """
@@ -161,59 +160,9 @@ class SparkScoreAnalysis:
         )
         return local.asymptotic(method)
 
-    def wald(self, **kwargs: Any) -> CoxMleResult:
-        """Per-SNP Wald/LRT via Newton-Raphson -- the costly comparator.
-
-        Only defined for survival phenotypes (Cox model).
-        """
-        if not isinstance(self.model, CoxScoreModel):
-            raise TypeError("Wald comparator requires a Cox score model")
-        return cox_mle(self.dataset.phenotype, self.dataset.genotypes.matrix, **kwargs)
-
     def marginal_scores(self) -> np.ndarray:
         """Per-SNP marginal scores U_j (variant-by-variant analysis)."""
         return self.model.scores(self.dataset.genotypes.matrix.astype(np.float64))
-
-    def _auto_monitor(self, method: str, planned: int, n_sets: int, set_names):
-        """A context-wired convergence monitor, or None on the local engine."""
-        if self.ctx is None:
-            return None
-        return self.ctx.inference.new_monitor(n_sets, method, planned, set_names)
-
-    def skat_o(
-        self,
-        iterations: int,
-        seed: int = 0,
-        batch_size: int = 128,
-        rho_grid: tuple[float, ...] | None = None,
-        monitor=None,
-    ):
-        """SKAT-O: per-set optimum over the SKAT/burden interpolation grid.
-
-        Resampling-based with min-p calibration; returns a
-        :class:`~repro.stats.skato.SkatOResult`.  With a distributed
-        context attached a convergence monitor is minted automatically
-        (per-set masking off -- min-p calibration needs the full tensor).
-        """
-        from repro.stats.skato import DEFAULT_RHO_GRID, skato_resampling
-
-        if monitor is None:
-            monitor = self._auto_monitor(
-                "skat_o", iterations, self.dataset.n_sets,
-                list(self.dataset.snpsets.names),
-            )
-        U = self.model.contributions(self.dataset.genotypes.matrix.astype(np.float64))
-        return skato_resampling(
-            U,
-            self.dataset.weights,
-            self.dataset.snpsets.set_ids,
-            self.dataset.n_sets,
-            iterations,
-            seed=seed,
-            batch_size=batch_size,
-            rho_grid=rho_grid or DEFAULT_RHO_GRID,
-            monitor=monitor,
-        )
 
     def variant_maxt(
         self,
@@ -234,9 +183,9 @@ class SparkScoreAnalysis:
         """
         from repro.stats.resampling.multipletesting import westfall_young_maxt
 
-        if monitor is None:
-            monitor = self._auto_monitor(
-                "variant_maxt", iterations, self.dataset.n_snps,
+        if monitor is None and self.ctx is not None:
+            monitor = self.ctx.inference.new_monitor(
+                self.dataset.n_snps, "variant_maxt", iterations,
                 [str(s) for s in self.dataset.genotypes.snp_ids],
             )
         U = self.model.contributions(self.dataset.genotypes.matrix.astype(np.float64))

@@ -88,9 +88,9 @@ class DeferredGenotypeMatrix(GenotypeMatrix):
 
     What ``SparkScoreAnalysis.from_files(engine="distributed")`` holds: the
     engine's tasks read the genotype file themselves, so the driver loads
-    it only for an analysis that needs the dense matrix (``wald``,
-    ``skat_o`` ...).  ``load()`` returns the validated ``(J, n)`` int8
-    matrix, rows in ``snp_ids`` order.
+    it only for an analysis that needs the dense matrix (``asymptotic``,
+    ``marginal_scores``, ``variant_maxt``).  ``load()`` returns the
+    validated ``(J, n)`` int8 matrix, rows in ``snp_ids`` order.
     """
 
     def __init__(

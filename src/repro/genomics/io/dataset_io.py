@@ -13,7 +13,7 @@ Either way the values are the same to the bit.
 from __future__ import annotations
 
 import os
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 
 import numpy as np
 
@@ -63,30 +63,54 @@ def _encode_lines(lines: list[str]) -> list[bytes]:
     return [("\n".join(lines) + "\n").encode("utf-8")]
 
 
+#: row blocks of text count each line or SNP id as at least this many
+#: dosages, about the bytes of the Python objects formatting it holds, so a
+#: block holds at most 4,096 of them whatever the patient count
+TEXT_FIELD_DOSAGES = 64
+
+
+def _weight_text(snp_ids: np.ndarray, weights: np.ndarray) -> Iterator[bytes]:
+    """``weights.txt``, a row block of :func:`format_weight_line` lines at a time."""
+    weights = np.asarray(weights, dtype=np.float64)
+    for rows in row_blocks(snp_ids.size, TEXT_FIELD_DOSAGES):
+        lines = map(format_weight_line, snp_ids[rows].tolist(), weights[rows].tolist())
+        yield ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def _snpset_text(snpsets: SnpSetCollection, snp_ids: np.ndarray) -> Iterator[bytes]:
+    """``snpsets.txt``: per set, :func:`format_snpset_line` of its SNP ids in
+    row order, the ids a row block at a time."""
+    sizes = snpsets.sizes()
+    members = np.split(np.argsort(snpsets.set_ids, kind="stable"), np.cumsum(sizes)[:-1])
+    for name, rows in zip(snpsets.names, members):
+        yield format_snpset_line(name, []).encode("utf-8")
+        separator = b""
+        for block in row_blocks(rows.size, TEXT_FIELD_DOSAGES):
+            yield separator + ",".join(map(str, snp_ids[rows[block]].tolist())).encode("utf-8")
+            separator = b","
+        yield b"\n"
+
+
 def write_dataset(dataset: Dataset, base: str) -> dict[str, str]:
-    """Serialize all four input files; returns {kind: path}."""
-    genotypes = dataset.genotypes
+    """Serialize all four input files; returns {kind: path}.
+
+    Genotypes, weights and SNP-sets are formatted a row block at a time, so
+    no file's text and no per-SNP Python object is ever whole in memory.
+    """
     phenotype_lines = [
         format_phenotype_line(i, float(t), int(e))
         for i, (t, e) in enumerate(zip(dataset.phenotype.time, dataset.phenotype.event))
     ]
-    weight_lines = [
-        format_weight_line(int(snp_id), float(w))
-        for snp_id, w in zip(genotypes.snp_ids, dataset.weights)
-    ]
-    set_lists = dataset.snpsets.as_lists(genotypes.snp_ids)
-    snpset_lines = [format_snpset_line(name, ids) for name, ids in set_lists.items()]
-    snp_ids, matrix = genotypes.snp_ids, genotypes.matrix
-    # one row block's text at a time: the file is never whole in memory
+    snp_ids, matrix = dataset.genotypes.snp_ids, dataset.genotypes.matrix
     genotype_text = (
         _format_genotype_text(snp_ids[rows], matrix[rows])
-        for rows in row_blocks(*matrix.shape)
+        for rows in row_blocks(snp_ids.size, max(matrix.shape[1], TEXT_FIELD_DOSAGES))
     )
     return {
         "genotypes": _write_file(base, GENOTYPES_FILE, genotype_text),
         "phenotype": _write_file(base, PHENOTYPE_FILE, _encode_lines(phenotype_lines)),
-        "weights": _write_file(base, WEIGHTS_FILE, _encode_lines(weight_lines)),
-        "snpsets": _write_file(base, SNPSETS_FILE, _encode_lines(snpset_lines)),
+        "weights": _write_file(base, WEIGHTS_FILE, _weight_text(snp_ids, dataset.weights)),
+        "snpsets": _write_file(base, SNPSETS_FILE, _snpset_text(dataset.snpsets, snp_ids)),
     }
 
 

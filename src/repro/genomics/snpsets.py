@@ -55,13 +55,6 @@ class SnpSetCollection:
     def sizes(self) -> np.ndarray:
         return np.bincount(self.set_ids, minlength=self.n_sets)
 
-    def as_lists(self, snp_ids: np.ndarray) -> dict[str, list[int]]:
-        """{set name: [snp ids]} -- the SNP-set text-file payload."""
-        out: dict[str, list[int]] = {name: [] for name in self.names}
-        for row, k in enumerate(self.set_ids):
-            out[self.names[k]].append(int(snp_ids[row]))
-        return out
-
     @classmethod
     def from_lists(
         cls, snp_ids: np.ndarray, sets: dict[str, Sequence[int]]

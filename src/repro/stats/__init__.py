@@ -6,10 +6,12 @@ Public surface:
   :class:`~repro.stats.score.binomial.BinomialScoreModel`,
   :class:`~repro.stats.score.gaussian.GaussianScoreModel`;
 - :func:`~repro.stats.skat.skat_statistics` aggregation;
-- SNP weighting schemes in :mod:`repro.stats.weights`;
-- resampling inference in :mod:`repro.stats.resampling`;
+- beta allele-frequency weights in :mod:`repro.stats.weights`;
+- resampling inference in :mod:`repro.stats.resampling`, SKAT's Monte Carlo
+  and permutation p-values and variant-level Westfall-Young maxT;
 - asymptotic p-values in :mod:`repro.stats.asymptotic`;
-- the Wald/LRT comparator in :mod:`repro.stats.wald`.
+- the Wald/LRT cost comparator in :mod:`repro.stats.wald` and score-test
+  power in :mod:`repro.stats.power`, for study design.
 """
 
 from repro.stats.score.base import (
@@ -22,7 +24,7 @@ from repro.stats.score.binomial import BinomialScoreModel
 from repro.stats.score.cox import CoxScoreModel
 from repro.stats.score.gaussian import GaussianScoreModel
 from repro.stats.skat import skat_statistic, skat_statistics
-from repro.stats.weights import beta_maf_weights, flat_weights, madsen_browning_weights
+from repro.stats.weights import beta_maf_weights
 
 __all__ = [
     "BinaryPhenotype",
@@ -33,8 +35,6 @@ __all__ = [
     "ScoreModel",
     "SurvivalPhenotype",
     "beta_maf_weights",
-    "flat_weights",
-    "madsen_browning_weights",
     "skat_statistic",
     "skat_statistics",
 ]

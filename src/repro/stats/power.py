@@ -75,16 +75,3 @@ def required_sample_size(
     n = ((z_alpha + z_power) / abs(effect_size)) ** 2 / info
     return int(np.ceil(n))
 
-
-def power_curve(
-    sample_sizes: list[int],
-    effect_size: float,
-    allele_frequency: float,
-    event_rate: float = 0.85,
-    alpha: float = 0.05,
-) -> dict[int, float]:
-    """Power at each sample size (study-design table)."""
-    return {
-        n: score_test_power(n, effect_size, allele_frequency, event_rate, alpha)
-        for n in sample_sizes
-    }

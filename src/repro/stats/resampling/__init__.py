@@ -2,11 +2,7 @@
 
 from repro.stats.resampling.driver import exceedances, resample
 from repro.stats.resampling.montecarlo import MonteCarloResampler
-from repro.stats.resampling.multipletesting import (
-    MaxTResult,
-    adjust_pvalues,
-    westfall_young_maxt,
-)
+from repro.stats.resampling.multipletesting import MaxTResult, westfall_young_maxt
 from repro.stats.resampling.permutation import PermutationResampler
 from repro.stats.resampling.pvalues import empirical_pvalues
 
@@ -14,7 +10,6 @@ __all__ = [
     "MaxTResult",
     "MonteCarloResampler",
     "PermutationResampler",
-    "adjust_pvalues",
     "empirical_pvalues",
     "exceedances",
     "resample",

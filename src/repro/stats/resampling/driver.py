@@ -55,8 +55,8 @@ def resample(
     ``wave``.  ``monitor.finish()`` runs exactly once.
 
     ``per_set_masking=False`` keeps this run's monitor from freezing decided
-    sets, for counts that need one common denominator (step-down maxT,
-    SKAT-O's min-p calibration): the run stops only once every set is
+    sets, for counts that need one common denominator (step-down maxT):
+    the run stops only once every set is
     decided, and the monitor's early-stop policy is left as it was.
     """
     if monitor is not None and not per_set_masking:

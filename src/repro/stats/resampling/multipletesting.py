@@ -10,8 +10,7 @@ Monte Carlo replicate stream used for SKAT:
 - **single-step maxT** family-wise error control: adjust by the null
   distribution of the *maximum* statistic across SNPs;
 - **step-down maxT** (Westfall-Young): sharper, still strong FWER control
-  under subset pivotality;
-- classical comparators: Bonferroni, Holm, and Benjamini-Hochberg.
+  under subset pivotality.
 """
 
 from __future__ import annotations
@@ -121,27 +120,3 @@ def westfall_young_maxt(
         method="maxT step-down" if step_down else "maxT single-step",
     )
 
-
-def adjust_pvalues(pvalues: np.ndarray, method: str = "holm") -> np.ndarray:
-    """Classical p-value adjustments: bonferroni, holm, or bh (FDR)."""
-    p = np.asarray(pvalues, dtype=np.float64)
-    if p.ndim != 1:
-        raise ValueError("pvalues must be a vector")
-    if np.any((p < 0) | (p > 1)):
-        raise ValueError("pvalues must lie in [0, 1]")
-    m = p.shape[0]
-    if m == 0:
-        return p.copy()
-    if method == "bonferroni":
-        return np.minimum(p * m, 1.0)
-    order = np.argsort(p, kind="stable")
-    out = np.empty_like(p)
-    if method == "holm":
-        scaled = p[order] * (m - np.arange(m))
-        out[order] = np.minimum(np.maximum.accumulate(scaled), 1.0)
-        return out
-    if method == "bh":
-        scaled = p[order] * m / (np.arange(m) + 1)
-        out[order] = np.minimum(np.minimum.accumulate(scaled[::-1])[::-1], 1.0)
-        return out
-    raise ValueError(f"unknown adjustment {method!r}")

@@ -73,6 +73,3 @@ def set_sums(per_snp: np.ndarray, set_ids: np.ndarray, n_sets: int) -> np.ndarra
     bins = (np.arange(B)[:, None] * n_sets + set_ids[None, :]).ravel()
     return np.bincount(bins, weights=per_snp.ravel(), minlength=B * n_sets).reshape(B, n_sets)
 
-
-def set_sizes(set_ids: np.ndarray, n_sets: int) -> np.ndarray:
-    return np.bincount(set_ids, minlength=n_sets)

@@ -2,9 +2,9 @@
 
 The paper: "SNPs could be weighted by the quality of the genotyping
 results, their relative allelic frequency, or by the probability that a
-mutation at that locus is detrimental."  The standard frequency-based
-choices are implemented here; arbitrary per-SNP quality weights are just an
-array the caller supplies.
+mutation at that locus is detrimental."  The frequency-based choice SKAT
+uses by default, Wu et al.'s beta density, is implemented here; arbitrary
+per-SNP quality weights are just an array the caller supplies.
 """
 
 from __future__ import annotations
@@ -21,13 +21,6 @@ def _check_maf(maf: np.ndarray) -> np.ndarray:
     return arr
 
 
-def flat_weights(n_snps: int) -> np.ndarray:
-    """Unit weight for every SNP (the burden-free default)."""
-    if n_snps < 1:
-        raise ValueError("n_snps must be positive")
-    return np.ones(n_snps)
-
-
 def beta_maf_weights(maf, a: float = 1.0, b: float = 25.0) -> np.ndarray:
     """Wu et al. (2011) SKAT weights: ``Beta(maf; a, b)`` density.
 
@@ -37,12 +30,6 @@ def beta_maf_weights(maf, a: float = 1.0, b: float = 25.0) -> np.ndarray:
 
     arr = _check_maf(maf)
     return sps.beta.pdf(np.clip(arr, 1e-12, 1 - 1e-12), a, b)
-
-
-def madsen_browning_weights(maf) -> np.ndarray:
-    """Madsen-Browning weights ``1 / sqrt(maf * (1 - maf))``."""
-    arr = np.clip(_check_maf(maf), 1e-8, 1 - 1e-8)
-    return 1.0 / np.sqrt(arr * (1.0 - arr))
 
 
 def estimate_maf(genotypes: np.ndarray) -> np.ndarray:

@@ -64,22 +64,6 @@ class TestAnalyses:
             assert result.method == "asymptotic"
             assert np.all((result.pvalues() >= 0) & (result.pvalues() <= 1))
 
-    def test_wald_comparator(self, small_dataset):
-        analysis = SparkScoreAnalysis(small_dataset)
-        mle = analysis.wald()
-        assert mle.beta.shape == (small_dataset.n_snps,)
-        assert np.all(mle.wald >= 0)
-
-    def test_wald_requires_cox(self, small_dataset, rng):
-        from repro.stats.score.base import QuantitativePhenotype
-        from repro.stats.score.gaussian import GaussianScoreModel
-
-        pheno = QuantitativePhenotype(rng.normal(size=small_dataset.n_patients))
-        model = GaussianScoreModel(pheno)
-        analysis = SparkScoreAnalysis(small_dataset, model=model)
-        with pytest.raises(TypeError):
-            analysis.wald()
-
     def test_marginal_scores(self, small_dataset):
         scores = SparkScoreAnalysis(small_dataset).marginal_scores()
         assert scores.shape == (small_dataset.n_snps,)
@@ -139,17 +123,6 @@ class TestFromFiles:
 
 
 class TestExtendedAnalyses:
-    def test_skat_o(self, small_dataset):
-        analysis = SparkScoreAnalysis(small_dataset)
-        result = analysis.skat_o(iterations=200, seed=1)
-        assert result.pvalues.shape == (small_dataset.n_sets,)
-        assert np.all((result.pvalues > 0) & (result.pvalues <= 1))
-
-    def test_skat_o_custom_grid(self, small_dataset):
-        analysis = SparkScoreAnalysis(small_dataset)
-        result = analysis.skat_o(iterations=100, seed=1, rho_grid=(0.0, 1.0))
-        assert result.observed_grid.shape == (small_dataset.n_sets, 2)
-
     def test_variant_maxt(self, small_dataset):
         analysis = SparkScoreAnalysis(small_dataset)
         result = analysis.variant_maxt(iterations=200, seed=2)

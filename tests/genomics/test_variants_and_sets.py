@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.genomics.io import dataset_io
 from repro.genomics.snpsets import SnpSetCollection
 from repro.genomics.variants import Gene, Snp
 
@@ -67,8 +68,9 @@ class TestSnpSetCollection:
     def test_lists_roundtrip(self):
         snp_ids = np.array([10, 20, 30, 40])
         coll = SnpSetCollection(np.array([0, 1, 0, 1]), ["a", "b"])
-        lists = coll.as_lists(snp_ids)
-        assert lists == {"a": [10, 30], "b": [20, 40]}
+        text = b"".join(dataset_io._snpset_text(coll, snp_ids))
+        assert text == b"a\t10,30\nb\t20,40\n"
+        lists = dataset_io._read_snpsets(text.decode().splitlines())
         back = SnpSetCollection.from_lists(snp_ids, lists)
         assert back.set_ids.tolist() == coll.set_ids.tolist()
         assert back.names == coll.names

@@ -1,10 +1,9 @@
-"""Westfall-Young maxT and classical p-value adjustments."""
+"""Westfall-Young maxT."""
 
 import numpy as np
 import pytest
 
 from repro.stats.resampling.multipletesting import (
-    adjust_pvalues,
     standardized_statistics,
     westfall_young_maxt,
 )
@@ -62,7 +61,7 @@ class TestMaxT:
 
     def test_adjusted_leq_bonferroni(self, null_contributions):
         result = westfall_young_maxt(null_contributions, 500, seed=2)
-        bonf = adjust_pvalues(result.raw_pvalues, "bonferroni")
+        bonf = np.minimum(result.raw_pvalues * result.raw_pvalues.size, 1.0)
         # WY exploits correlation: adjusted p never exceeds Bonferroni by
         # more than Monte Carlo noise
         assert np.all(result.adjusted_pvalues <= bonf + 0.1)
@@ -99,43 +98,3 @@ class TestMaxT:
         for p in (result.raw_pvalues, result.adjusted_pvalues):
             assert np.all((p > 0) & (p <= 1))
 
-
-class TestClassicalAdjustments:
-    def test_bonferroni(self):
-        p = np.array([0.01, 0.04, 0.5])
-        assert adjust_pvalues(p, "bonferroni").tolist() == [0.03, 0.12, 1.0]
-
-    def test_holm_ordering(self):
-        p = np.array([0.01, 0.04, 0.03])
-        holm = adjust_pvalues(p, "holm")
-        assert holm[0] == pytest.approx(0.03)
-        assert np.all(holm <= adjust_pvalues(p, "bonferroni") + 1e-12)
-
-    def test_holm_monotone(self, rng):
-        p = rng.uniform(size=30)
-        holm = adjust_pvalues(p, "holm")
-        order = np.argsort(p)
-        assert np.all(np.diff(holm[order]) >= -1e-12)
-
-    def test_bh_monotone_and_bounded(self, rng):
-        p = rng.uniform(size=30)
-        bh = adjust_pvalues(p, "bh")
-        order = np.argsort(p)
-        assert np.all(np.diff(bh[order]) >= -1e-12)
-        assert np.all(bh >= p - 1e-12)
-        assert np.all(bh <= 1.0)
-
-    def test_bh_less_conservative_than_holm(self, rng):
-        p = rng.uniform(0, 0.2, size=20)
-        assert np.all(adjust_pvalues(p, "bh") <= adjust_pvalues(p, "holm") + 1e-12)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            adjust_pvalues(np.array([1.5]))
-        with pytest.raises(ValueError):
-            adjust_pvalues(np.array([[0.1]]))
-        with pytest.raises(ValueError):
-            adjust_pvalues(np.array([0.1]), "magic")
-
-    def test_empty(self):
-        assert adjust_pvalues(np.array([]), "bonferroni").size == 0

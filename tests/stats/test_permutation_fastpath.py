@@ -41,7 +41,6 @@ FOLDING_CALLERS = (
     "DistributedSparkScore.monte_carlo",
     "DistributedSparkScore.permutation",
     "westfall_young_maxt",
-    "skato_resampling",
 )
 
 
@@ -53,7 +52,6 @@ def _run_caller(caller, dataset, monitor, monkeypatch):
     from repro.engine.context import Context
     from repro.stats.resampling.montecarlo import MonteCarloResampler
     from repro.stats.resampling.multipletesting import westfall_young_maxt
-    from repro.stats.skato import skato_resampling
 
     local = LocalSparkScore(dataset)
     sets = (dataset.weights, dataset.snpsets.set_ids, dataset.n_sets)
@@ -73,10 +71,8 @@ def _run_caller(caller, dataset, monitor, monkeypatch):
         PermutationResampler(local.model, G, *sets).run(40, **run)
     elif caller == "LocalSparkScore.monte_carlo(uncached)":
         local.monte_carlo(40, cache_contributions=False, **run)
-    elif caller == "westfall_young_maxt":
-        westfall_young_maxt(local.contributions(), 40, **run)
     else:
-        skato_resampling(local.contributions(), *sets, 40, **run)
+        westfall_young_maxt(local.contributions(), 40, **run)
 
 
 def dosages(rng, J, n):

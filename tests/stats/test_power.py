@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.stats.power import (
-    power_curve,
     required_sample_size,
     score_test_power,
     unit_information,
@@ -40,11 +39,6 @@ class TestClosedForms:
         assert required_sample_size(0.3, 0.3, alpha=5e-8) > required_sample_size(
             0.3, 0.3, alpha=0.05
         )
-
-    def test_power_curve(self):
-        curve = power_curve([100, 400], 0.4, 0.25)
-        assert set(curve) == {100, 400}
-        assert curve[100] < curve[400]
 
     @pytest.mark.parametrize(
         "kwargs",

@@ -2,7 +2,7 @@
 
 Unit cases of :func:`resample` itself, then what routing every resampling
 method through it must guarantee: one early-stop policy stops every engine
-and flavor at the same replicate with the same counts, maxT and SKAT-O stop
+and flavor at the same replicate with the same counts, maxT stops
 the whole run without masking (and without touching the caller's policy),
 and every engine folds each batch into its monitor once.
 """
@@ -19,7 +19,6 @@ from repro.genomics.synthetic import SyntheticConfig, generate_dataset
 from repro.obs.inference import ConvergenceMonitor, EarlyStopPolicy
 from repro.stats.resampling.driver import exceedances, per_batch, resample
 from repro.stats.resampling.multipletesting import westfall_young_maxt
-from repro.stats.skato import skato_resampling
 
 
 class SpyMonitor:
@@ -261,39 +260,12 @@ class TestCommonDenominatorRuns:
         assert np.array_equal(stopped.raw_pvalues, truncated.raw_pvalues)
         assert np.array_equal(stopped.adjusted_pvalues, truncated.adjusted_pvalues)
 
-    def test_skato_stops_globally_and_equals_the_truncated_run(
-        self, tiny_dataset, contributions
-    ):
-        args = (tiny_dataset.weights, tiny_dataset.snpsets.set_ids, tiny_dataset.n_sets)
-        monitor = ConvergenceMonitor(
-            tiny_dataset.n_sets, planned_replicates=2048,
-            policy=EarlyStopPolicy(min_replicates=64),
-        )
-        stopped = skato_resampling(
-            contributions, *args, 2048, seed=3, batch_size=16, monitor=monitor
-        )
-        assert stopped.n_resamples < 2048
-        assert np.all(monitor.denominators == stopped.n_resamples)
-        truncated = skato_resampling(
-            contributions, *args, stopped.n_resamples, seed=3, batch_size=16
-        )
-        assert np.array_equal(stopped.pvalues, truncated.pvalues)
-        assert np.array_equal(stopped.per_rho_pvalues, truncated.per_rho_pvalues)
-
-    @pytest.mark.parametrize("method", ["maxt", "skato"])
-    def test_caller_policy_is_left_as_it_was(self, tiny_dataset, contributions, method):
+    def test_caller_policy_is_left_as_it_was(self, tiny_dataset, contributions):
         """Turning masking off is the run's business: a policy shared with a
         later run must stop that run where a fresh policy stops it."""
         policy = EarlyStopPolicy(min_replicates=64)
-        if method == "maxt":
-            monitor = ConvergenceMonitor(contributions.shape[0], policy=policy)
-            westfall_young_maxt(contributions, 64, monitor=monitor)
-        else:
-            monitor = ConvergenceMonitor(tiny_dataset.n_sets, policy=policy)
-            skato_resampling(
-                contributions, tiny_dataset.weights, tiny_dataset.snpsets.set_ids,
-                tiny_dataset.n_sets, 64, monitor=monitor,
-            )
+        monitor = ConvergenceMonitor(contributions.shape[0], policy=policy)
+        westfall_young_maxt(contributions, 64, monitor=monitor)
         assert dataclasses.asdict(policy) == dataclasses.asdict(
             EarlyStopPolicy(min_replicates=64)
         )

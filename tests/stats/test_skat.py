@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.stats.skat import (
-    set_sizes,
     skat_statistic,
     skat_statistics,
     validate_set_ids,
@@ -103,6 +102,3 @@ class TestValidation:
     def test_set_ids_range(self):
         with pytest.raises(ValueError):
             validate_set_ids(np.array([0, 5, 1]), 3, 3)
-
-    def test_set_sizes(self):
-        assert set_sizes(np.array([0, 0, 2]), 3).tolist() == [2, 0, 1]

@@ -1,24 +1,10 @@
-"""SNP weighting schemes."""
+"""Beta allele-frequency weights and MAF estimates."""
 
 import numpy as np
 import pytest
 from scipy import stats as sps
 
-from repro.stats.weights import (
-    beta_maf_weights,
-    estimate_maf,
-    flat_weights,
-    madsen_browning_weights,
-)
-
-
-class TestFlat:
-    def test_ones(self):
-        assert flat_weights(5).tolist() == [1.0] * 5
-
-    def test_invalid(self):
-        with pytest.raises(ValueError):
-            flat_weights(0)
+from repro.stats.weights import beta_maf_weights, estimate_maf
 
 
 class TestBetaMaf:
@@ -41,20 +27,6 @@ class TestBetaMaf:
     def test_custom_shape(self):
         maf = np.array([0.1, 0.3])
         assert np.allclose(beta_maf_weights(maf, 0.5, 0.5), sps.beta.pdf(maf, 0.5, 0.5))
-
-
-class TestMadsenBrowning:
-    def test_formula(self):
-        maf = np.array([0.1, 0.25])
-        assert np.allclose(madsen_browning_weights(maf), 1 / np.sqrt(maf * (1 - maf)))
-
-    def test_symmetric(self):
-        assert madsen_browning_weights(np.array([0.2]))[0] == pytest.approx(
-            madsen_browning_weights(np.array([0.8]))[0]
-        )
-
-    def test_finite_at_zero(self):
-        assert np.isfinite(madsen_browning_weights(np.array([0.0]))[0])
 
 
 class TestEstimateMaf:

@@ -1,7 +1,7 @@
 """An analysis loads NumPy and nothing heavier.
 
 scipy is the dependency of the comparators (asymptotic p-values, Wald,
-power, SKAT-O calibration, beta weights); the distributed engine and the
+power, beta weights); the distributed engine and the
 local engine's Monte Carlo and permutation need none of it, and no module
 imports networkx.  The
 child process below poisons both names in ``sys.modules`` so that any
@@ -9,11 +9,14 @@ import of either raises, in the driver and in the cluster workers it forks,
 then drives every analysis route through the CLI.
 """
 
+import importlib
 import os
 import subprocess
 import sys
 import textwrap
 from pathlib import Path
+
+import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -60,3 +63,10 @@ def test_analysis_routes_need_neither_scipy_nor_networkx(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr[-4000:]
     assert "ROUTES 15" in proc.stdout
+
+
+@pytest.mark.parametrize("module", ["repro.stats.skato", "repro.genomics.io.vcf"])
+def test_deleted_extensions_do_not_import(module):
+    """SKAT-O and the VCF reader/writer had no user path (DESIGN.md section 6)."""
+    with pytest.raises(ImportError):
+        importlib.import_module(module)
