@@ -63,16 +63,10 @@ def _encode_lines(lines: list[str]) -> list[bytes]:
     return [("\n".join(lines) + "\n").encode("utf-8")]
 
 
-#: row blocks of text count each line or SNP id as at least this many
-#: dosages, about the bytes of the Python objects formatting it holds, so a
-#: block holds at most 4,096 of them whatever the patient count
-TEXT_FIELD_DOSAGES = 64
-
-
 def _weight_text(snp_ids: np.ndarray, weights: np.ndarray) -> Iterator[bytes]:
     """``weights.txt``, a row block of :func:`format_weight_line` lines at a time."""
     weights = np.asarray(weights, dtype=np.float64)
-    for rows in row_blocks(snp_ids.size, TEXT_FIELD_DOSAGES):
+    for rows in row_blocks(snp_ids.size, 1):
         lines = map(format_weight_line, snp_ids[rows].tolist(), weights[rows].tolist())
         yield ("\n".join(lines) + "\n").encode("utf-8")
 
@@ -85,7 +79,7 @@ def _snpset_text(snpsets: SnpSetCollection, snp_ids: np.ndarray) -> Iterator[byt
     for name, rows in zip(snpsets.names, members):
         yield format_snpset_line(name, []).encode("utf-8")
         separator = b""
-        for block in row_blocks(rows.size, TEXT_FIELD_DOSAGES):
+        for block in row_blocks(rows.size, 1):
             yield separator + ",".join(map(str, snp_ids[rows[block]].tolist())).encode("utf-8")
             separator = b","
         yield b"\n"
@@ -104,7 +98,7 @@ def write_dataset(dataset: Dataset, base: str) -> dict[str, str]:
     snp_ids, matrix = dataset.genotypes.snp_ids, dataset.genotypes.matrix
     genotype_text = (
         _format_genotype_text(snp_ids[rows], matrix[rows])
-        for rows in row_blocks(snp_ids.size, max(matrix.shape[1], TEXT_FIELD_DOSAGES))
+        for rows in row_blocks(snp_ids.size, matrix.shape[1])
     )
     return {
         "genotypes": _write_file(base, GENOTYPES_FILE, genotype_text),

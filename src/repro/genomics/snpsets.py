@@ -31,7 +31,7 @@ class SnpSetCollection:
             raise TypeError("set_ids must be integers")
         if ids.size and ids.min() < 0:
             raise ValueError("set ids must be non-negative")
-        self.set_ids = ids.astype(np.int64)
+        self.set_ids = ids.astype(np.int64, copy=False)
         k = int(ids.max()) + 1 if ids.size else 0
         if not self.names:
             self.names = [f"set{k_idx:05d}" for k_idx in range(k)]

@@ -16,6 +16,7 @@ examples can demonstrate statistical power, not just speed.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 
@@ -27,9 +28,14 @@ from repro.stats.score.base import SurvivalPhenotype
 
 #: dosages in one row block: the generator draws and the writer formats a
 #: genotype matrix this many dosages at a time (at least one row), so neither
-#: holds more than a block's int64 draw or text beside the int8 matrix
+#: holds more than a block's float64 uniforms or text beside the int8 matrix
 #: (DESIGN.md §19)
-ROW_BLOCK_DOSAGES = 1 << 18
+ROW_BLOCK_DOSAGES = 1 << 17
+
+#: a row block counts each row as at least this many dosages, about the bytes
+#: of the per-row thresholds the generator and the Python objects the writer
+#: hold for it, so a block holds at most 2,048 rows whatever the patient count
+ROW_MIN_DOSAGES = 64
 
 
 @dataclass(frozen=True)
@@ -136,10 +142,65 @@ def snpset_size_partition(
 
 
 def row_blocks(n_rows: int, n_columns: int) -> Iterator[slice]:
-    """Consecutive row slices of ``ROW_BLOCK_DOSAGES`` dosages, one row at least."""
-    step = max(1, ROW_BLOCK_DOSAGES // max(n_columns, 1))
+    """Consecutive row slices of ``ROW_BLOCK_DOSAGES`` dosages, one row at
+    least, a row counting as ``max(n_columns, ROW_MIN_DOSAGES)``."""
+    step = max(1, ROW_BLOCK_DOSAGES // max(n_columns, ROW_MIN_DOSAGES))
     for lo in range(0, n_rows, step):
         yield slice(lo, min(lo + step, n_rows))
+
+
+def invert_binomial2(uniforms: np.ndarray, rho: np.ndarray, out: np.ndarray) -> bool:
+    """NumPy's ``random_binomial`` inversion for n = 2, one uniform a dosage.
+
+    Row ``i`` of ``out`` (int8) receives the Binomial(2, ``rho[i]``) dosages
+    that ``Generator.binomial`` returns for the uniforms of row ``i`` of
+    ``uniforms`` (consumed: it is overwritten).  The thresholds come from the
+    same libm calls in the same IEEE order as ``distributions.c``; a row
+    with rho > 0.5 is ``2 - X(1 - rho)``, as NumPy reflects it.  Returns
+    whether any uniform lies past all three thresholds, where NumPy would
+    draw again (DESIGN.md §19, "Exact inversion"); ``out`` is then not the
+    draw.  ``rho`` must lie in (0, 1).
+    """
+    flip = rho > 0.5
+    p = np.where(flip, 1.0 - rho, rho)
+    q = 1.0 - p
+    # px0 = exp(n * log(q)); np.log and np.exp may differ from libm in the last bit
+    log_q = np.fromiter(map(math.log, q.tolist()), np.float64, q.size)
+    log_q *= 2.0
+    px0 = np.fromiter(map(math.exp, log_q.tolist()), np.float64, q.size)
+    # px = ((n - X + 1) * p * px) / (X * q), at X = 1 and X = 2
+    px1 = 2.0 * p * px0 / q
+    px2 = p * px1 / (2.0 * q)
+    # (u - px0) - px1 never falls as u grows: a row redraws iff its largest does
+    top = uniforms.max(axis=1)
+    np.greater(uniforms, px0[:, None], out=out.view(np.bool_))
+    uniforms -= px0[:, None]
+    out += (uniforms > px1[:, None]).view(np.int8)
+    if flip.any():
+        out[flip] = 2 - out[flip]
+    return bool(((top - px0) - px1 > px2).any())
+
+
+def draw_binomial2(rng: np.random.Generator, rho: np.ndarray, n: int) -> np.ndarray:
+    """``rng.binomial(2, rho[:, None], size=(rho.size, n))`` as int8.
+
+    The same dosages, with ``rng`` left in the same state: each row block
+    is one ``rng.random`` fill of a reused buffer, inverted by
+    :func:`invert_binomial2`.  Both consume the stream one ``next_double``
+    a dosage in C order.  A block where NumPy would draw again is drawn by
+    ``rng.binomial`` from the state before it.
+    """
+    dosages = np.empty((rho.size, n), dtype=np.int8)
+    buffer = None
+    for rows in row_blocks(rho.size, n):
+        block, p = dosages[rows], rho[rows]
+        if buffer is None:  # the first block is the largest
+            buffer = np.empty(block.shape)
+        state = rng.bit_generator.state
+        if invert_binomial2(rng.random(out=buffer[: len(block)]), p, block):
+            rng.bit_generator.state = state
+            block[...] = rng.binomial(2, p[:, None], size=block.shape)
+    return dosages
 
 
 def generate_dataset(config: SyntheticConfig) -> Dataset:
@@ -148,11 +209,7 @@ def generate_dataset(config: SyntheticConfig) -> Dataset:
     n, m = config.n_patients, config.n_snps
 
     rho = rng.uniform(*config.maf_range, size=m)
-    # a draw consumes the stream element by element in C order, so row
-    # blocks draw exactly what one (m, n) call would
-    genotype_values = np.empty((m, n), dtype=np.int8)
-    for rows in row_blocks(m, n):
-        genotype_values[rows] = rng.binomial(2, rho[rows, None], size=(rows.stop - rows.start, n))
+    genotype_values = draw_binomial2(rng, rho, n)
     snp_ids = np.arange(m, dtype=np.int64)
     genotypes = GenotypeMatrix(snp_ids, genotype_values)
 

@@ -12,6 +12,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -52,10 +53,10 @@ class TestGenerateMatchesOneDraw:
     @pytest.mark.parametrize(
         "block, n_patients, n_snps, n_causal",
         [
-            (None, 1000, 600, 0),  # 262 rows a block: m is not a multiple
+            (None, 1000, 600, 0),  # 131 rows a block: m is not a multiple
             (None, 1000, 100, 0),  # m smaller than one block
             (1, 7, 40, 0),  # one row a block
-            (7, 3, 41, 0),  # two rows a block, a one-row tail
+            (7, 3, 41, 0),  # a row counts as 64 dosages: one row a block
             (None, 1000, 600, 5),  # planted signal reads the causal rows
             (7, 3, 41, 4),
         ],
@@ -193,3 +194,20 @@ def test_writing_many_snps_holds_no_per_snp_objects(tmp_path):
     per_snp = (after - before) * 1024 / 200_000
     assert per_snp < 16.0, f"{per_snp:.1f} bytes per SNP"
     assert (tmp_path / "ds" / "weights.txt").read_text().count("\n") == 200_000
+
+
+def test_generate_holds_one_set_id_vector():
+    """At 1,000,000 SNPs x 2 patients the per-SNP vectors are what
+    ``generate_dataset`` holds.  Its traced peak exceeds what it returns by
+    the allele frequencies and a row block: under one and a half 8-byte
+    per-SNP vectors.  A copy of the SNP-set ids in ``SnpSetCollection``
+    held a second set-id vector to the end and read ~2.1 vectors."""
+    m = 1_000_000
+    tracemalloc.start()
+    try:
+        data = generate_dataset(SyntheticConfig(n_patients=2, n_snps=m, n_snpsets=10_000, seed=1))
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert data.snpsets.set_ids.dtype == np.int64
+    assert peak - retained < 1.5 * 8 * m, f"{(peak - retained) / (8 * m):.2f} set-id vectors"

@@ -1,11 +1,18 @@
 """Section III synthetic generator: distributions and set construction."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import repro.genomics.synthetic as synthetic
 from repro.genomics.synthetic import (
     SyntheticConfig,
+    draw_binomial2,
     generate_dataset,
+    invert_binomial2,
     snpset_size_partition,
 )
 
@@ -158,3 +165,141 @@ class TestDatasetValidation:
         assert tiny_dataset.n_snps == 40
         assert tiny_dataset.n_patients == 30
         assert tiny_dataset.n_sets == 4
+
+
+def numpy_binomial2(u: float, p: float) -> int | None:
+    """``random_binomial`` of NumPy's ``distributions.c`` at n = 2 for one
+    uniform, its inversion loop transcribed line by line; ``None`` where the
+    loop would draw a second uniform."""
+
+    def inversion(u: float, p: float, n: int = 2) -> int | None:
+        q = 1.0 - p
+        qn = math.exp(n * math.log(q))
+        np_ = n * p
+        bound = int(min(n, np_ + 10.0 * math.sqrt(np_ * q + 1)))
+        x, px = 0, qn
+        while u > px:
+            x += 1
+            if x > bound:
+                return None
+            u -= px
+            px = ((n - x + 1) * p * px) / (x * q)
+        return x
+
+    if p <= 0.5:
+        return inversion(u, p)
+    x = inversion(u, 1.0 - p)
+    return None if x is None else 2 - x
+
+
+def block_dosages(rows_per_block: int, n: int) -> int:
+    """The ``ROW_BLOCK_DOSAGES`` that cuts ``rows_per_block`` rows of ``n``."""
+    return rows_per_block * max(n, synthetic.ROW_MIN_DOSAGES)
+
+
+def draw_in_blocks(rng, rho, n, rows_per_block):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(synthetic, "ROW_BLOCK_DOSAGES", block_dosages(rows_per_block, n))
+        return draw_binomial2(rng, rho, n)
+
+
+# allele frequencies in (0, 1): tiny ones, 0.5 itself and its neighbours, and
+# the upper half, which NumPy reflects
+_RHO = st.one_of(
+    st.floats(1e-300, 1e-6),
+    st.sampled_from([0.5, math.nextafter(0.5, 0.0), math.nextafter(0.5, 1.0)]),
+    st.floats(1e-6, 1.0, exclude_max=True),
+)
+
+
+class TestExactInversion:
+    """``draw_binomial2`` is ``Generator.binomial(2, rho)`` by inversion, a
+    row block at a time: the same int8 dosages and the same stream position
+    afterwards."""
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(
+        seed=st.integers(0, 2**63),
+        rho=st.lists(_RHO, min_size=1, max_size=40),
+        n=st.integers(1, 300),
+        rows_per_block=st.integers(1, 16),
+    )
+    @example(seed=0, rho=[0.9, 0.5, 0.6, 0.99], n=1, rows_per_block=3)
+    @example(seed=1, rho=[1e-300], n=300, rows_per_block=1)
+    def test_blocks_are_one_binomial_call(self, seed, rho, n, rows_per_block):
+        rho = np.array(rho)
+        reference = np.random.default_rng(seed)
+        expected = reference.binomial(2, rho[:, None], size=(rho.size, n)).astype(np.int8)
+        rng = np.random.default_rng(seed)
+        assert np.array_equal(draw_in_blocks(rng, rho, n, rows_per_block), expected)
+        assert rng.bit_generator.state == reference.bit_generator.state
+
+    @settings(max_examples=20, deadline=None, database=None)
+    @given(
+        seed=st.integers(0, 2**32),
+        n_snps=st.integers(1, 90),
+        n_patients=st.integers(2, 100),
+        rows_per_block=st.integers(1, 40),
+        maf=st.sampled_from([(0.05, 0.5), (1e-9, 1e-3), (0.5, 0.5), (0.3, 0.97)]),
+    )
+    def test_generate_dataset_is_the_one_shot_draw(
+        self, seed, n_snps, n_patients, rows_per_block, maf
+    ):
+        config = SyntheticConfig(
+            n_patients=n_patients, n_snps=n_snps, n_snpsets=1, seed=seed, maf_range=maf
+        )
+        rng = np.random.default_rng(seed)
+        rho = rng.uniform(*maf, size=n_snps)
+        expected = rng.binomial(2, rho[:, None], size=(n_snps, n_patients)).astype(np.int8)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(synthetic, "ROW_BLOCK_DOSAGES", block_dosages(rows_per_block, n_patients))
+            data = generate_dataset(config)
+        assert np.array_equal(data.genotypes.matrix, expected)
+        # the rest of Section III reads the stream where the draw left it
+        assert np.array_equal(data.phenotype.time, rng.exponential(12.0, size=n_patients))
+
+    def test_uniforms_past_every_threshold_are_a_restart(self):
+        """Crafted uniforms against the transcribed loop: at the top of
+        ``next_double``'s range, where the three thresholds' rounded sum can
+        fall short of 1; on the first threshold and either side of it; and
+        on a grid.  Each row holds them all, then all but the top ones: the
+        dosage where the loop stops, a restart where any of them redraws."""
+        rho = np.random.default_rng(3).uniform(1e-6, 1.0 - 1e-6, 400)
+        rho[:3] = [0.5, 0.25, 0.75]
+        top = [1.0 - k * 2.0**-53 for k in (1, 2, 3)]
+        grid = np.random.default_rng(4).integers(0, 2**53, 8) * 2.0**-53
+        restarts = 0
+        for p in rho.tolist():
+            qn = math.exp(2 * math.log(1.0 - min(p, 1.0 - p)))
+            ties = [qn, math.nextafter(qn, 0.0), math.nextafter(qn, 1.0)]
+            for row in ([*ties, *grid.tolist(), *top], [*ties, *grid.tolist()]):
+                out = np.empty((1, len(row)), dtype=np.int8)
+                restart = invert_binomial2(np.array([row]), np.array([p]), out)
+                expected = [numpy_binomial2(u, p) for u in row]
+                assert restart == (None in expected), (p, row)
+                restarts += restart
+                for u, dosage, want in zip(row, out[0].tolist(), expected):
+                    assert want is None or dosage == want, (u, p)
+        assert restarts > 10
+
+    def test_a_restarting_block_is_redrawn_from_its_own_state(self, monkeypatch):
+        """A block the inversion flags is drawn again by ``rng.binomial`` from
+        the state before it: the same matrix, the same stream position."""
+        invert, calls = synthetic.invert_binomial2, []
+
+        def restart_second_block(uniforms, rho, out):
+            calls.append(rho.size)
+            invert(uniforms, rho, out)
+            if len(calls) != 2:
+                return False
+            out[...] = 3  # what the redraw must overwrite
+            return True
+
+        monkeypatch.setattr(synthetic, "invert_binomial2", restart_second_block)
+        rho = np.random.default_rng(5).uniform(0.05, 0.95, 9)
+        reference = np.random.default_rng(6)
+        expected = reference.binomial(2, rho[:, None], size=(9, 50)).astype(np.int8)
+        rng = np.random.default_rng(6)
+        assert np.array_equal(draw_in_blocks(rng, rho, 50, 4), expected)
+        assert rng.bit_generator.state == reference.bit_generator.state
+        assert calls == [4, 4, 1]

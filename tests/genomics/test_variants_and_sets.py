@@ -56,6 +56,17 @@ class TestSnpSetCollection:
         coll = SnpSetCollection(np.array([0, 1]), ["geneA", "geneB"])
         assert coll.names == ["geneA", "geneB"]
 
+    def test_int64_ids_are_kept_not_copied(self):
+        ids = np.array([0, 1, 1, 2], dtype=np.int64)
+        assert np.shares_memory(SnpSetCollection(ids).set_ids, ids)
+        narrow = SnpSetCollection(np.array([0, 1, 1, 2], dtype=np.int32))
+        assert narrow.set_ids.dtype == np.int64
+        assert narrow.set_ids.tolist() == [0, 1, 1, 2]
+        with pytest.raises(ValueError, match="non-negative"):
+            SnpSetCollection(np.array([0, -1], dtype=np.int64))
+        with pytest.raises(TypeError, match="integers"):
+            SnpSetCollection(np.array([0.0, 1.0]))
+
     def test_too_few_names(self):
         with pytest.raises(ValueError):
             SnpSetCollection(np.array([0, 1, 2]), ["only", "two"])
