@@ -83,10 +83,6 @@ def _add_analyze(sub: argparse._SubParsersAction) -> None:
     p.add_argument("--alpha", type=float, default=None, metavar="A",
                    help="significance threshold the convergence monitor "
                         "classifies against (default: 0.05)")
-    p.add_argument("--profile-fraction", type=float, default=None, metavar="F",
-                   help="run this fraction of tasks under cProfile; hotspots "
-                        "land in the event log and `sparkscore history` "
-                        "(distributed only; default: 0)")
     p.add_argument("--log-level", choices=["debug", "info", "warning", "error"],
                    default=None,
                    help="structured-log level for the engine (distributed only; "
@@ -204,7 +200,6 @@ _DISTRIBUTED_ONLY = {
     "alpha": "--alpha",
     "log_level": "--log-level",
     "log_file": "--log-file",
-    "profile_fraction": "--profile-fraction",
 }
 
 
@@ -236,7 +231,6 @@ def _load_analysis(args: argparse.Namespace):
             ("inference_early_stop", args.early_stop),
             ("inference_alpha", args.alpha),
             ("log_level", args.log_level),
-            ("profile_fraction", args.profile_fraction),
         ):
             if value is not None:
                 fields[field] = value
@@ -380,6 +374,9 @@ def cmd_history(args: argparse.Namespace) -> int:
         channels = read_channels(args.event_log)
     except FileNotFoundError:
         print(f"no such event log: {args.event_log}", file=sys.stderr)
+        return 1
+    except ValueError as exc:  # the message names the line
+        print(f"{args.event_log}: {exc}", file=sys.stderr)
         return 1
     jobs = channels["job"]
     if args.job is not None:

@@ -49,9 +49,6 @@ class EngineConfig:
     #: declares it lost (``ExecutorTimedOut``); 0 disables timeout detection
     #: while keeping heartbeat events flowing
     heartbeat_timeout: float = 30.0
-    #: fraction of task attempts to run under ``cProfile`` (0 disables);
-    #: sampling is deterministic in (stage_id, partition)
-    profile_fraction: float = 0.0
     #: minimum level of structured log records the process log bus keeps
     #: ("debug", "info", "warning", "error"); shipped to worker processes
     #: so their capture filters at the same level
@@ -98,8 +95,6 @@ class EngineConfig:
                 f"heartbeat_timeout ({self.heartbeat_timeout:g}s) must exceed "
                 f"heartbeat_interval ({self.heartbeat_interval:g}s), or be 0"
             )
-        if not 0.0 <= self.profile_fraction <= 1.0:
-            raise ValueError("profile_fraction must be in [0, 1]")
         from repro.obs.logging import LEVELS
 
         if self.log_level not in LEVELS:

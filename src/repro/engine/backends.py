@@ -257,8 +257,8 @@ def _run_pickled_task(payload: bytes) -> bytes:
     result dict with the result, any shuffle output written (as
     :class:`~repro.engine.shuffle.ShuffleBlock` frames), the ids of the
     cache blocks it left resident or evicted (never their data), task
-    metrics + resource telemetry, optional cProfile hotspot rows, captured
-    log records and worker-local span fragments (task-relative offsets,
+    metrics + resource telemetry, captured log records (only when there
+    are some) and worker-local span fragments (task-relative offsets,
     which the driver stitches under this attempt's ``TaskRecord``).  The
     worker's warm-cache facts (task binary and by-ref memo hits) travel on
     the task metrics.
@@ -269,7 +269,6 @@ def _run_pickled_task(payload: bytes) -> bytes:
     second time inside a wrapper, and large bodies travel by transport ref
     instead of through the worker's socket.
     """
-    from repro.engine.profiler import profile_call
     from repro.engine.shuffle import ShuffleManager
     from repro.engine.task import ShuffleMapTask, TaskContext, TaskTelemetry
     from repro.engine.transport import from_spec
@@ -320,10 +319,7 @@ def _run_pickled_task(payload: bytes) -> bytes:
             attempt=spec["attempt"],
             executor_id=spec["executor_id"],
         ):
-            if spec.get("profile"):
-                result, hotspots = profile_call(lambda: task.run(tc))
-            else:
-                result, hotspots = task.run(tc), None
+            result = task.run(tc)
     finally:
         with _WORKER_INFLIGHT_LOCK:
             _WORKER_INFLIGHT.pop(key, None)
@@ -345,14 +341,14 @@ def _run_pickled_task(payload: bytes) -> bytes:
         "resident_blocks": blocks.resident(),
         "evicted_blocks": blocks.evicted,
         "metrics": tc.metrics,
-        "profile": hotspots,
         "span_fragments": [
             {"name": "deserialize", "start": 0.0, "end": deserialize_seconds},
             {"name": "compute", "start": compute_start - task_start,
              "end": compute_end - task_start},
         ],
-        "log_records": [r.to_dict() for r in log_records],
     }
+    if log_records:
+        out["log_records"] = [r.to_dict() for r in log_records]
     serialize_start = time.perf_counter()
     body = pickle.dumps(out, protocol=pickle.HIGHEST_PROTOCOL)
     serialize_seconds = time.perf_counter() - serialize_start

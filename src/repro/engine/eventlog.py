@@ -1,61 +1,24 @@
 """Event log: persist job/stage/task metrics as JSON lines.
 
 The analogue of Spark's event log + history server: every completed job's
-stage DAG and per-task measurements can be written to a ``.jsonl`` file
-and reloaded later -- including in a different process -- for offline
-inspection (``sparkscore history``), trace export, or what-if replay
-through :mod:`repro.core.replay`.
+stage DAG and per-task measurements are written to a ``.jsonl`` file and
+reloaded later -- including in a different process -- for offline
+inspection (``sparkscore history`` / ``doctor``), trace export, or what-if
+replay through :mod:`repro.core.replay`.
 
-Format: one JSON object per line, ``{"event": "job", ...}``, versioned so
-future fields can be added compatibly.  Version history:
-
-- **v1** -- original format: job/stage/task tree with metrics.
-- **v2** -- adds monotonic timestamps (job/stage ``submit_time``, task
-  ``start_time``) and the ``size_estimation_seconds`` task metric, feeding
-  critical-path analysis and Chrome trace export.  v1 logs still load:
-  the new fields default to zero.
-- **v3** -- executor telemetry plane.  Task records carry the resource
-  telemetry metrics (GC pause, peak RSS, deserialize/serialize split),
-  sampled-profiler hotspot rows, and worker span fragments; the log also
-  interleaves ``heartbeat`` and ``executor_timed_out`` record lines.
-  Loading is zero-default in both directions: v1/v2 logs load with the new
-  fields defaulted, and v3 telemetry lines are skipped by job readers.
-- **v4** -- structured logging.  The log may interleave ``log`` record
-  lines (one :class:`repro.obs.logging.LogRecord` each, with correlation
-  ids), recoverable as the ``log`` channel of :func:`read_channels`.  Job readers skip them; v3
-  and earlier fixtures still load unchanged.  Readers also became
-  crash-safe: a truncated *final* line (the writer was killed mid-write)
-  produces a warning and a partial result instead of raising.
-- **v5** -- continuous monitoring, since removed.  v5 logs may carry
-  ``series`` lines (metrics-sampler ticks) and ``alert`` lines
-  (alert-engine transitions); readers skip both, and a v5 log loads to
-  the same job trees as before.  No writer emits either any more.
-- **v6** -- fleet observability, since removed.  v6 logs may carry one
-  ``fleet`` line per cluster-backed Context (a snapshot of the fleet's
-  own counters and series, written at ``stop()``); readers skip it, and a
-  v6 log loads to the same job trees as before.  No writer emits it any
-  more: the fleet lives and dies with its driver, and the job lines and
-  side channels below state what it did.
-- **v7** -- adaptive query execution, since removed.  v7 logs carry
-  ``adaptive`` lines (planner decisions) and an optional task
-  ``speculative`` flag; readers skip both, and a v7 log loads to the same
-  job trees as before.  No writer emits either any more.
-- **v8** -- inference observability.  An ``inference`` side channel
-  records the convergence of resampling p-values: one ``batch`` line per
-  replicate batch folded into the convergence monitor (running replicate
-  totals, sets converged, smallest p-value estimate) and one flushed
-  ``converged`` line per SNP-set whose confidence interval became
-  decisive (status, p-value, CI bounds at decision time).  Recoverable
-  as the ``inference`` channel so ``sparkscore history``/``doctor`` can
-  audit early-stop decisions and recommend replicate budgets offline.
-  v7 and earlier logs load unchanged.
-
-Since the listener-bus refactor the log is written *incrementally*: the
-context attaches an :class:`EventLogListener` to its bus and each job is
+Format v8: one JSON object per line, each with an ``event`` kind and
+``"version": 8``.  ``job`` lines hold a job's stage/task tree with every
+task's metrics and monotonic timestamps; ``heartbeat`` and
+``executor_timed_out`` lines are the cluster's liveness telemetry; ``log``
+lines are structured log records (:class:`repro.obs.logging.LogRecord`)
+with their correlation ids; ``inference`` lines trace the resampling
+convergence monitor (one ``batch`` line per folded replicate batch, one
+``converged`` line per SNP-set decision).  There is one writer, :class:`EventLogListener`, which
+a context attaches to its bus (``Context(event_log_path=)``): each job is
 flushed as it ends, so a crashed driver still leaves every completed job
-on disk.  The module-level :func:`write_event_log` / :func:`read_channels`
-functions remain for bulk/offline use: one reader, one pass, every side
-channel.
+on disk.  There is one reader, :func:`read_channels`: one pass, every
+channel, and a located :class:`ValueError` for any line it cannot read,
+a line of another format version included.
 """
 
 from __future__ import annotations
@@ -63,7 +26,7 @@ from __future__ import annotations
 import json
 import warnings
 from dataclasses import asdict, fields
-from typing import IO, Iterable
+from typing import IO
 
 from repro.engine.listener import (
     ExecutorHeartbeat,
@@ -77,7 +40,6 @@ from repro.engine.metrics import JobMetrics, StageMetrics, TaskMetrics, TaskReco
 from repro.obs.logging import LogRecord
 
 FORMAT_VERSION = 8
-SUPPORTED_VERSIONS = (1, 2, 3, 4, 5, 6, 7, 8)
 
 def _job_to_dict(job: JobMetrics) -> dict:
     return {
@@ -119,9 +81,7 @@ def _task_to_dict(rec: TaskRecord) -> dict:
         "error": rec.error,
         "metrics": asdict(rec.metrics),
     }
-    # telemetry payloads are omitted when absent to keep lines compact
-    if rec.profile is not None:
-        out["profile"] = rec.profile
+    # worker phases are omitted when absent to keep lines compact
     if rec.span_fragments:
         out["span_fragments"] = rec.span_fragments
     return out
@@ -131,22 +91,18 @@ _TASK_METRIC_FIELDS = frozenset(f.name for f in fields(TaskMetrics))
 
 
 def _task_metrics(data: dict) -> TaskMetrics:
-    """Task metrics from any log version: fields added later take their
-    defaults, keys since retired from ``TaskMetrics`` are dropped."""
+    """Task metrics as a v8 line holds them: fields added since the line
+    was written take their defaults, keys since retired from
+    ``TaskMetrics`` are dropped."""
     return TaskMetrics(**{k: v for k, v in data.items() if k in _TASK_METRIC_FIELDS})
 
 
 def _job_from_dict(data: dict) -> JobMetrics:
-    if data.get("event") != "job":
-        raise ValueError(f"not a job event: {data.get('event')!r}")
-    version = data.get("version")
-    if version not in SUPPORTED_VERSIONS:
-        raise ValueError(f"unsupported event-log version {version!r}")
     job = JobMetrics(
         job_id=data["job_id"],
         description=data["description"],
         wall_seconds=data["wall_seconds"],
-        submit_time=data.get("submit_time", 0.0),
+        submit_time=data["submit_time"],
         num_task_failures=data["num_task_failures"],
         num_stage_resubmissions=data["num_stage_resubmissions"],
         num_executor_failures_observed=data["num_executor_failures_observed"],
@@ -160,7 +116,7 @@ def _job_from_dict(data: dict) -> JobMetrics:
             parent_stage_ids=tuple(stage_data["parent_stage_ids"]),
             is_shuffle_map=stage_data["is_shuffle_map"],
             wall_seconds=stage_data["wall_seconds"],
-            submit_time=stage_data.get("submit_time", 0.0),
+            submit_time=stage_data["submit_time"],
         )
         for rec in stage_data["tasks"]:
             stage.tasks.append(
@@ -170,11 +126,10 @@ def _job_from_dict(data: dict) -> JobMetrics:
                     attempt=rec["attempt"],
                     executor_id=rec["executor_id"],
                     duration_seconds=rec["duration_seconds"],
-                    start_time=rec.get("start_time", 0.0),
+                    start_time=rec["start_time"],
                     metrics=_task_metrics(rec["metrics"]),
                     succeeded=rec["succeeded"],
                     error=rec["error"],
-                    profile=rec.get("profile"),
                     span_fragments=list(rec.get("span_fragments") or ()),
                 )
             )
@@ -182,63 +137,62 @@ def _job_from_dict(data: dict) -> JobMetrics:
     return job
 
 
-def write_event_log(jobs: Iterable[JobMetrics], path_or_file: str | IO[str]) -> int:
-    """Append one JSON line per job; returns the number written."""
-    own = isinstance(path_or_file, str)
-    fh: IO[str] = open(path_or_file, "a") if own else path_or_file  # type: ignore[assignment]
-    count = 0
-    try:
-        for job in jobs:
-            fh.write(json.dumps(_job_to_dict(job), separators=(",", ":")) + "\n")
-            count += 1
-    finally:
-        if own:
-            fh.close()
-    return count
-
-
 def _identity(data: dict) -> dict:
     return data
 
 
-#: event kind -> (channel :func:`read_channels` files it under, format
-#: version that introduced it, decoder from the raw line to the record
-#: readers get).  A listed kind in a log older than its version predates
-#: the side channel, so there it is corruption and fails like any other
-#: non-job line.
-_SIDE_CHANNELS = {
-    "heartbeat": ("telemetry", 3, _identity),
-    "executor_timed_out": ("telemetry", 3, _identity),
-    "log": ("log", 4, LogRecord.from_dict),
-    "inference": ("inference", 8, _identity),
+#: event kind -> (channel :func:`read_channels` files it under, decoder
+#: from the raw line to the record readers get)
+_DECODERS = {
+    "job": ("job", _job_from_dict),
+    "heartbeat": ("telemetry", _identity),
+    "executor_timed_out": ("telemetry", _identity),
+    "log": ("log", LogRecord.from_dict),
+    "inference": ("inference", _identity),
 }
 
 
-#: side-channel kinds no writer emits any more -> the format version that
-#: introduced them: v5's metrics-sampler ``series`` ticks and alert-engine
-#: ``alert`` transitions, v6's fleet snapshots, v7's planner ``adaptive``
-#: decisions.  Readers skip them; in a log older than that version they are
-#: corruption, as above.
-_RETIRED = {"series": 5, "alert": 5, "fleet": 6, "adaptive": 7}
+def _decode(data) -> tuple[str, object]:
+    """``(channel, record)`` of one parsed line; raises on anything that
+    is not a v8 event of a known kind with the fields its kind needs."""
+    if not isinstance(data, dict):
+        raise ValueError(f"not an event object: {type(data).__name__}")
+    version = data.get("version")
+    if version != FORMAT_VERSION:
+        raise ValueError(
+            f"unsupported event-log version {version!r} "
+            f"(this reader reads v{FORMAT_VERSION})"
+        )
+    kind = data.get("event")
+    if not isinstance(kind, str) or kind not in _DECODERS:
+        raise ValueError(f"unknown event kind {kind!r}")
+    channel, decode = _DECODERS[kind]
+    try:
+        return channel, decode(data)
+    except KeyError as exc:
+        raise ValueError(f"{kind} event has no field {exc}") from exc
+    except (TypeError, AttributeError, ValueError) as exc:
+        raise ValueError(f"{kind} event has a field of the wrong type: {exc}") from exc
 
 
 def read_channels(path_or_file: str | IO[str]) -> dict[str, list]:
-    """Load an event log (any supported version) in one pass.
+    """Load a v8 event log in one pass.
 
     Returns ``{channel: [records in file order]}`` with every channel
     present (empty when the log has no such lines):
 
     - ``"job"`` -- :class:`~repro.engine.metrics.JobMetrics` trees;
-    - ``"telemetry"`` -- raw v3 ``heartbeat`` / ``executor_timed_out`` dicts;
-    - ``"log"`` -- v4 :class:`~repro.obs.logging.LogRecord` objects;
-    - ``"inference"`` -- raw v8 convergence dicts (``kind`` is ``"batch"``
-      or ``"converged"``).
+    - ``"telemetry"`` -- raw ``heartbeat`` / ``executor_timed_out`` dicts;
+    - ``"log"`` -- :class:`~repro.obs.logging.LogRecord` objects;
+    - ``"inference"`` -- raw convergence dicts (``kind`` is ``"batch"`` or
+      ``"converged"``).
 
     Crash-safe: a final line that is not valid JSON is the signature of a
     writer killed mid-write, so it produces a :class:`UserWarning` and the
     records loaded so far instead of raising.  Unparseable lines *before*
-    the end of the file -- and parseable-but-invalid records anywhere --
-    are real corruption and raise :class:`ValueError`.
+    the end of the file -- and parseable-but-invalid records anywhere, a
+    line of another format version included -- are real corruption and
+    raise a :class:`ValueError` that names the line.
     """
     own = isinstance(path_or_file, str)
     fh: IO[str] = open(path_or_file) if own else path_or_file  # type: ignore[assignment]
@@ -247,17 +201,15 @@ def read_channels(path_or_file: str | IO[str]) -> dict[str, list]:
     finally:
         if own:
             fh.close()
-    out: dict[str, list] = {"job": []}
-    for channel, _, _ in _SIDE_CHANNELS.values():
-        out.setdefault(channel, [])
+    out: dict[str, list] = {channel: [] for channel, _ in _DECODERS.values()}
     for lineno, line in enumerate(lines, start=1):
         line = line.strip()
         if not line:
             continue
         try:
             data = json.loads(line)
-        except json.JSONDecodeError as exc:
-            if lineno == len(lines):
+        except ValueError as exc:
+            if lineno == len(lines) and isinstance(exc, json.JSONDecodeError):
                 warnings.warn(
                     f"event log ends with a truncated line {lineno} "
                     f"(writer killed mid-write?); loaded {len(out['job'])} "
@@ -266,18 +218,11 @@ def read_channels(path_or_file: str | IO[str]) -> dict[str, list]:
                 )
                 break
             raise ValueError(f"event log line {lineno} is corrupt: {exc}") from exc
-        kind = data.get("event")
-        if kind in _RETIRED and data.get("version", 0) >= _RETIRED[kind]:
-            continue  # a side channel whose writer is gone
-        side = _SIDE_CHANNELS.get(kind)
-        if side is not None and data.get("version", 0) >= side[1]:
-            channel, _, decode = side
-        else:  # a job line, or a non-job line _job_from_dict rejects
-            channel, decode = "job", _job_from_dict
         try:
-            out[channel].append(decode(data))
-        except KeyError as exc:
-            raise ValueError(f"event log line {lineno} is corrupt: {exc}") from exc
+            channel, record = _decode(data)
+        except ValueError as exc:
+            raise ValueError(f"event log line {lineno}: {exc}") from exc
+        out[channel].append(record)
     return out
 
 
@@ -296,12 +241,12 @@ class EventLogListener(Listener):
     executor, a heartbeat timeout -- with its executor and error, which is
     what ``sparkscore doctor`` names a failed run by.
 
-    The v3 telemetry side channel rides in the same file: heartbeat and
+    The telemetry side channel rides in the same file: heartbeat and
     executor-timeout events are appended as their own compact record lines
     (these are not flushed per line -- heartbeats are periodic, and a lost
     tail of liveness records is harmless).
 
-    The v4 structured-log side channel rides there too: the context
+    The structured-log side channel rides there too: the context
     registers :meth:`write_log` as a sink on the process log bus, so every
     emitted :class:`~repro.obs.logging.LogRecord` lands as a ``log`` line
     interleaved with the jobs it describes.
@@ -352,7 +297,7 @@ class EventLogListener(Listener):
         self.telemetry_written += 1
 
     def on_inference_batch_completed(self, event: InferenceBatchCompleted) -> None:
-        """v8 ``inference`` line for one folded replicate batch."""
+        """``inference`` line for one folded replicate batch."""
         self._write_inference({
             "event": "inference",
             "version": FORMAT_VERSION,
@@ -370,7 +315,7 @@ class EventLogListener(Listener):
         })
 
     def on_snp_set_converged(self, event: SnpSetConverged) -> None:
-        """v8 ``inference`` line for one SNP-set decision."""
+        """``inference`` line for one SNP-set decision."""
         self._write_inference({
             "event": "inference",
             "version": FORMAT_VERSION,
@@ -396,7 +341,7 @@ class EventLogListener(Listener):
         self.inference_written += 1
 
     def write_log(self, record: LogRecord) -> None:
-        """Log-bus sink: append one v4 ``log`` record line (unflushed)."""
+        """Log-bus sink: append one ``log`` record line (unflushed)."""
         data = {"event": "log", "version": FORMAT_VERSION}
         data.update(record.to_dict())
         self._file().write(json.dumps(data, separators=(",", ":")) + "\n")

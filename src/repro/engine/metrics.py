@@ -91,11 +91,8 @@ class TaskRecord:
     succeeded: bool
     error: str | None = None
     #: monotonic (perf_counter) launch timestamp -- for a failed attempt,
-    #: when the driver saw it fail; 0.0 in v1 event logs
+    #: when the driver saw it fail
     start_time: float = 0.0
-    #: sampled-profiler hotspot rows ({func, ncalls, tottime, cumtime}),
-    #: present only when this attempt was profiled
-    profile: list[dict] | None = None
     #: worker-side sub-phase spans ({name, start, end}, seconds relative to
     #: task start); shipped by the process backend, empty elsewhere
     span_fragments: list[dict] = field(default_factory=list)
@@ -113,7 +110,7 @@ class StageMetrics:
     is_shuffle_map: bool = False
     tasks: list[TaskRecord] = field(default_factory=list)
     wall_seconds: float = 0.0
-    #: monotonic submission timestamp; 0.0 in v1 event logs
+    #: monotonic submission timestamp
     submit_time: float = 0.0
 
     @property
@@ -140,7 +137,7 @@ class JobMetrics:
     num_task_failures: int = 0
     num_stage_resubmissions: int = 0
     num_executor_failures_observed: int = 0
-    #: monotonic submission timestamp; 0.0 in v1 event logs
+    #: monotonic submission timestamp
     submit_time: float = 0.0
 
     def totals(self) -> TaskMetrics:

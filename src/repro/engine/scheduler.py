@@ -46,7 +46,6 @@ from repro.engine.listener import (
     TaskStart,
 )
 from repro.engine.metrics import JobMetrics, StageMetrics, TaskMetrics, TaskRecord
-from repro.engine.profiler import profile_call, should_profile
 from repro.engine.serializer import FrameBatch
 from repro.engine.shuffle import FetchFailedError
 from repro.engine.task import (
@@ -498,9 +497,6 @@ class TaskScheduler:
             fault_hook=injector.on_task_launch if injector is not None else None,
         )
         telemetry = TaskTelemetry()
-        profiled = should_profile(
-            self.ctx.config.profile_fraction, stage.id, task.partition
-        )
         start = time.perf_counter()
         # ambient correlation: anything logged inside the task (engine or
         # user code) carries the full id set without plumbing
@@ -508,10 +504,7 @@ class TaskScheduler:
             job_id=job_id, stage_id=stage.id, partition=task.partition,
             attempt=attempt, executor_id=executor.executor_id,
         ):
-            if profiled:
-                value, hotspots = profile_call(lambda: task.run(tc))
-            else:
-                value, hotspots = task.run(tc), None
+            value = task.run(tc)
         duration = time.perf_counter() - start
         telemetry.record(tc.metrics)
         record = TaskRecord(
@@ -523,7 +516,6 @@ class TaskScheduler:
             metrics=tc.metrics,
             succeeded=True,
             start_time=start,
-            profile=hotspots,
         )
         return value, record
 
@@ -625,11 +617,6 @@ class TaskScheduler:
                     # the worker heartbeats at *this* driver's cadence while
                     # the task runs, whoever spawned the fleet (0 = none)
                     "heartbeat_interval": self.ctx.config.heartbeat_interval,
-                    # the driver decides sampling so the profiled subset is
-                    # identical across backends and retries
-                    "profile": should_profile(
-                        self.ctx.config.profile_fraction, stage.id, task.partition
-                    ),
                     # structured-logging correlation: the worker captures at
                     # the driver's level and stamps these ids on its records
                     "job_id": job.job_id,
@@ -758,7 +745,6 @@ class TaskScheduler:
             metrics=out["metrics"],
             succeeded=True,
             start_time=start,
-            profile=out.get("profile"),
             span_fragments=span_fragments,
         )
         return value, record

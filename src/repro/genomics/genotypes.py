@@ -39,7 +39,10 @@ class GenotypeMatrix:
             self.matrix = values.astype(np.int8)
         if self.matrix.size and (self.matrix.min() < 0 or self.matrix.max() > 2):
             raise ValueError(DOSAGE_RANGE_ERROR)
-        if len(np.unique(self.snp_ids)) != len(self.snp_ids):
+        # sort-and-compare: NumPy's hash-based unique holds a table several
+        # times the ids' size; a sorted copy is one more id vector
+        ids = np.sort(self.snp_ids)
+        if (ids[1:] == ids[:-1]).any():
             raise ValueError("snp_ids must be unique")
 
     @property

@@ -13,9 +13,7 @@ the analyses the benchmarks and ``sparkscore history`` report:
   a stage run in parallel; stages on a dependency chain cannot overlap).
   ``total task time / critical path time`` bounds the theoretical speedup
   any scheduler could still extract from more parallelism;
-- **resource telemetry** rollups (GC pause, peak RSS, serialization split)
-  and an aggregated **profiler hotspot table** when any task in the log was
-  run under the sampled profiler (v3 logs).
+- **resource telemetry** rollups (GC pause, peak RSS, serialization split).
 """
 
 from __future__ import annotations
@@ -24,7 +22,6 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from repro.engine.metrics import JobMetrics, StageMetrics
-from repro.engine.profiler import aggregate_hotspots
 
 
 def percentile(values: Sequence[float], q: float) -> float:
@@ -246,36 +243,6 @@ def render_job_summary(job: JobMetrics) -> str:
     return "\n".join(lines)
 
 
-def render_hotspot_table(jobs: Iterable[JobMetrics], top_n: int = 15) -> str:
-    """Aggregated profiler hotspots over every profiled task in the log.
-
-    Returns an empty string when no task carried profile rows (profiling
-    off, or a pre-v3 log).
-    """
-    profiles = [
-        rec.profile
-        for job in jobs
-        for stage in job.stages
-        for rec in stage.tasks
-        if rec.profile
-    ]
-    if not profiles:
-        return ""
-    rows = aggregate_hotspots(profiles)[:top_n]
-    header = f"{'tottime':>9} {'cumtime':>9} {'ncalls':>9} {'tasks':>5}  function"
-    lines = [
-        f"== profiler hotspots ({len(profiles)} profiled task attempts) ==",
-        header,
-        "-" * len(header),
-    ]
-    for row in rows:
-        lines.append(
-            f"{_fmt_secs(row['tottime']):>9} {_fmt_secs(row['cumtime']):>9} "
-            f"{row['ncalls']:>9} {row['tasks']:>5}  {row['func']}"
-        )
-    return "\n".join(lines)
-
-
 def aggregate_cache_stats(jobs: Iterable[JobMetrics]) -> dict:
     """Whole-log cache/shuffle rollup used by the CLI footer and benches."""
     hits = misses = remote = shuffle_bytes = shuffle_records = 0
@@ -305,9 +272,6 @@ def render_history(jobs: list[JobMetrics]) -> str:
     if not jobs:
         return "(event log contains no jobs)"
     parts = [render_job_summary(job) for job in jobs]
-    hotspots = render_hotspot_table(jobs)
-    if hotspots:
-        parts.append(hotspots)
     agg = aggregate_cache_stats(jobs)
     total_wall = sum(j.wall_seconds for j in jobs)
     total_cp = sum(critical_path(j).critical_seconds for j in jobs)
@@ -330,7 +294,6 @@ __all__ = [
     "critical_path",
     "render_stage_table",
     "render_job_summary",
-    "render_hotspot_table",
     "render_history",
     "aggregate_cache_stats",
 ]

@@ -115,8 +115,8 @@ def _fragment_children(ids, task_span: "Span", record, task_start: float) -> lis
 def spans_from_jobs(jobs: Iterable["JobMetrics"]) -> list[Span]:
     """Rebuild the job -> stage -> task span hierarchy from job metrics.
 
-    Works on any event log: v2 logs carry real monotonic timestamps; for v1
-    logs (all timestamps zero) a synthetic timeline is laid out from the
+    Event-log records carry real monotonic timestamps; for records without
+    them (all timestamps zero) a synthetic timeline is laid out from the
     recorded wall/duration figures, preserving relative structure.
     """
     ids = itertools.count(1)

@@ -2,12 +2,16 @@
 
 import dataclasses
 import hashlib
+import io
 import json
 import operator
+import re
 import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.replay import capture_job, replay
 from repro.engine.eventlog import (
@@ -15,11 +19,19 @@ from repro.engine.eventlog import (
     EventLogListener,
     read_channels,
     read_event_log,
-    write_event_log,
 )
-from repro.engine.listener import InferenceBatchCompleted
+from repro.engine.listener import InferenceBatchCompleted, JobEnd
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+
+
+def write_jobs(jobs, path) -> int:
+    """Append one job line per record through the one writer."""
+    listener = EventLogListener(path)
+    for job in jobs:
+        listener.on_job_end(JobEnd(job_id=job.job_id, job=job))
+    listener.close()
+    return listener.jobs_written
 
 
 @pytest.fixture
@@ -27,7 +39,7 @@ def logged_jobs(ctx, tmp_path):
     ctx.parallelize(range(40), 4).map(lambda x: x + 1).sum()
     ctx.parallelize([(i % 3, 1) for i in range(30)], 4).reduce_by_key(operator.add).collect()
     path = str(tmp_path / "events.jsonl")
-    n = write_event_log(ctx.metrics.jobs, path)
+    n = write_jobs(ctx.metrics.jobs, path)
     assert n == 2
     return ctx.metrics.jobs, path
 
@@ -57,9 +69,9 @@ class TestRoundTrip:
     def test_append_mode(self, ctx, tmp_path):
         path = str(tmp_path / "log.jsonl")
         ctx.parallelize(range(4), 2).count()
-        write_event_log([ctx.metrics.jobs[-1]], path)
+        write_jobs([ctx.metrics.jobs[-1]], path)
         ctx.parallelize(range(4), 2).count()
-        write_event_log([ctx.metrics.jobs[-1]], path)
+        write_jobs([ctx.metrics.jobs[-1]], path)
         assert len(read_event_log(path)) == 2
 
     def test_replay_from_loaded_log(self, logged_jobs):
@@ -80,9 +92,9 @@ class TestErrors:
         path = tmp_path / "bad.jsonl"
         path.write_text(
             '{"event": "job"\n'
-            '{"event": "heartbeat", "version": 3, "executor_id": "e0"}\n'
+            '{"event": "heartbeat", "version": 8, "executor_id": "e0"}\n'
         )
-        with pytest.raises(ValueError, match="line 1"):
+        with pytest.raises(ValueError, match="line 1 is corrupt"):
             read_event_log(str(path))
 
     def test_truncated_final_line_warns_and_loads_rest(self, ctx, tmp_path):
@@ -90,7 +102,7 @@ class TestErrors:
         every complete job and warns instead of raising."""
         ctx.parallelize(range(8), 2).sum()
         path = str(tmp_path / "chopped.jsonl")
-        write_event_log(ctx.metrics.jobs, path)
+        write_jobs(ctx.metrics.jobs, path)
         full = open(path).read()
         with open(path, "a") as fh:
             fh.write(full[: len(full) // 2].rstrip("\n"))  # half a job line
@@ -101,20 +113,54 @@ class TestErrors:
 
     def test_wrong_event_kind(self, tmp_path):
         path = tmp_path / "bad.jsonl"
-        path.write_text('{"event": "heartbeat", "version": 1}\n')
-        with pytest.raises(ValueError):
+        path.write_text('{"event": "series", "version": 8}\n')
+        with pytest.raises(ValueError, match="line 1: unknown event kind 'series'"):
             read_event_log(str(path))
 
     def test_unsupported_version(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text('{"event": "job", "version": 99}\n')
-        with pytest.raises(ValueError, match="version"):
+        with pytest.raises(ValueError, match="line 1: unsupported event-log version 99"):
             read_event_log(str(path))
+
+    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6, 7])
+    @pytest.mark.parametrize("kind", ["job", "heartbeat", "log", "series", "fleet", "adaptive"])
+    def test_a_pre_v8_line_is_a_located_error(self, kind, version, tmp_path):
+        """Every earlier format is refused by the line that carries it, the
+        side channels v5-v7 introduced and later retired included."""
+        v8 = (FIXTURES / "eventlog_v8.jsonl").read_text().splitlines()
+        old = dict(json.loads(v8[1]), event=kind, version=version)
+        path = tmp_path / "old.jsonl"
+        path.write_text("\n".join([v8[0], json.dumps(old), *v8[2:]]) + "\n")
+        with pytest.raises(
+            ValueError, match=f"event log line 2: unsupported event-log version {version} "
+        ):
+            read_channels(str(path))
+
+    @pytest.mark.parametrize("line", ["[1, 2]", "5", '"job"', "null", "true"])
+    def test_a_line_that_is_not_an_object(self, line, tmp_path):
+        path = tmp_path / "bad.jsonl"
+        path.write_text(line + "\n")
+        with pytest.raises(ValueError, match="line 1: not an event object"):
+            read_channels(str(path))
+
+    def test_a_wrong_typed_or_missing_field_names_its_line(self, tmp_path):
+        lines = (FIXTURES / "eventlog_v8.jsonl").read_text().splitlines()
+        job = json.loads(lines[1])
+        for broken, reason in (
+            (dict(job, stages=5), "job event has a field of the wrong type"),
+            (dict(job, stages=[{"tasks": 5}]), "job event has no field 'stage_id'"),
+            ({k: v for k, v in job.items() if k != "job_id"}, "job event has no field 'job_id'"),
+        ):
+            path = tmp_path / "bad.jsonl"
+            path.write_text("\n".join([lines[0], json.dumps(broken), *lines[2:]]) + "\n")
+            with pytest.raises(ValueError, match=f"line 2: {reason}"):
+                read_channels(str(path))
 
     def test_blank_lines_skipped(self, ctx, tmp_path):
         ctx.parallelize([1], 1).count()
         path = str(tmp_path / "log.jsonl")
-        write_event_log(ctx.metrics.jobs, path)
+        write_jobs(ctx.metrics.jobs, path)
         with open(path, "a") as fh:
             fh.write("\n\n")
         assert len(read_event_log(path)) == 1
@@ -144,58 +190,11 @@ class TestContextIntegration:
             assert len(read_event_log(path)) == 2
 
 
-# hand-written v1 line: no submit_time/start_time, no size_estimation_seconds
-_V1_LINE = json.dumps({
-    "event": "job", "version": 1, "job_id": 0, "description": "legacy",
-    "wall_seconds": 1.5, "num_task_failures": 0,
-    "num_stage_resubmissions": 0, "num_executor_failures_observed": 0,
-    "stages": [{
-        "stage_id": 0, "name": "map", "num_tasks": 1, "attempt": 0,
-        "parent_stage_ids": [], "is_shuffle_map": False, "wall_seconds": 1.5,
-        "tasks": [{
-            "stage_id": 0, "partition": 0, "attempt": 0, "executor_id": "e0",
-            "duration_seconds": 1.4, "succeeded": True, "error": None,
-            "metrics": {
-                "records_read": 5, "records_written": 5,
-                "shuffle_bytes_read": 0, "shuffle_bytes_written": 0,
-                "shuffle_records_read": 0, "shuffle_records_written": 0,
-                "cache_hits": 1, "cache_misses": 1, "remote_cache_hits": 0,
-                "disk_blocks_read": 0, "compute_seconds": 1.3,
-            },
-        }],
-    }],
-})
-
-
 class TestVersionCompat:
-    def test_v1_line_loads_with_zero_defaults(self, tmp_path):
-        path = tmp_path / "v1.jsonl"
-        path.write_text(_V1_LINE + "\n")
-        (job,) = read_event_log(str(path))
-        assert job.description == "legacy"
-        assert job.submit_time == 0.0
-        assert job.stages[0].submit_time == 0.0
-        task = job.stages[0].tasks[0]
-        assert task.start_time == 0.0
-        assert task.metrics.size_estimation_seconds == 0.0
-        assert task.metrics.cache_hits == 1  # v1 fields intact
-
-    def test_v1_log_supports_history_analysis(self, tmp_path):
-        """Critical-path/history math needs no timestamps."""
-        from repro.obs.history import critical_path
-        from repro.obs.spans import spans_from_jobs
-
-        path = tmp_path / "v1.jsonl"
-        path.write_text(_V1_LINE + "\n")
-        (job,) = read_event_log(str(path))
-        cp = critical_path(job)
-        assert cp.critical_seconds == pytest.approx(1.4)
-        assert len(spans_from_jobs([job])) == 3  # synthetic timeline works
-
     def test_writes_current_version(self, ctx, tmp_path):
         ctx.parallelize(range(4), 2).sum()
         path = str(tmp_path / "current.jsonl")
-        write_event_log(ctx.metrics.jobs, path)
+        write_jobs(ctx.metrics.jobs, path)
         with open(path) as fh:
             data = json.loads(fh.readline())
         assert data["version"] == FORMAT_VERSION == 8
@@ -205,50 +204,14 @@ class TestVersionCompat:
     def test_v2_timestamps_survive_round_trip(self, ctx, tmp_path):
         ctx.parallelize(range(4), 2).sum()
         path = str(tmp_path / "v2.jsonl")
-        write_event_log(ctx.metrics.jobs, path)
+        write_jobs(ctx.metrics.jobs, path)
         (loaded,) = read_event_log(path)
         original = ctx.metrics.jobs[0]
         assert loaded.submit_time == original.submit_time
         assert loaded.stages[0].tasks[0].start_time == original.stages[0].tasks[0].start_time
 
-    def test_committed_v2_fixture_still_loads(self):
-        """Regression: a real v2 log on disk must keep loading as-is, with
-        the v3 telemetry fields zero-defaulted."""
-        (job,) = read_event_log(str(FIXTURES / "eventlog_v2.jsonl"))
-        assert job.description == "sum at reduce"
-        assert len(job.stages) == 2
-        assert job.stages[0].is_shuffle_map
-        totals = job.totals()
-        assert totals.shuffle_bytes_written == 1010
-        assert totals.task_binary_bytes == 5120
-        # v3 fields default to zero on old logs
-        task = job.stages[0].tasks[0]
-        assert task.metrics.gc_pause_seconds == 0.0
-        assert task.metrics.peak_rss_bytes == 0
-        assert task.profile is None
-        assert task.span_fragments == []
-        assert read_channels(str(FIXTURES / "eventlog_v2.jsonl"))["telemetry"] == []
-
 
 class TestV3Telemetry:
-    def test_profile_and_fragments_round_trip(self, tmp_path):
-        from repro.config import EngineConfig
-        from repro.engine.context import Context
-
-        config = EngineConfig(
-            backend="serial", num_executors=2, executor_cores=2,
-            default_parallelism=4, profile_fraction=1.0,
-        )
-        with Context(config) as ctx:
-            ctx.parallelize(range(20), 2).map(lambda x: x * x).sum()
-            jobs = ctx.metrics.jobs
-        path = str(tmp_path / "v3.jsonl")
-        write_event_log(jobs, path)
-        (loaded,) = read_event_log(path)
-        task = loaded.stages[0].tasks[0]
-        assert task.profile, "profiled task should carry hotspot rows"
-        assert {"func", "ncalls", "tottime", "cumtime"} <= set(task.profile[0])
-
     def test_heartbeat_lines_written_and_skipped(self, tmp_path):
         """Heartbeat records interleave in the stream; job readers skip
         them, the telemetry channel returns them."""
@@ -275,11 +238,11 @@ class TestV3Telemetry:
         assert any(t["executor_id"].startswith("exec-") for t in telemetry)
 
     def test_v1_heartbeat_line_still_rejected(self, tmp_path):
-        """Only version >= 3 telemetry lines are skippable; a non-job line
-        claiming v1/v2 is corruption and must raise (compat guarantee)."""
+        """A telemetry line claiming a version before v8 is corruption,
+        located like any other."""
         path = tmp_path / "bad.jsonl"
         path.write_text('{"event": "heartbeat", "version": 2}\n')
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="line 1: unsupported event-log version 2"):
             read_event_log(str(path))
 
 
@@ -320,25 +283,31 @@ class TestV4Logs:
         assert quiet == []
 
     def test_old_fixture_has_no_logs(self):
-        assert read_channels(str(FIXTURES / "eventlog_v2.jsonl"))["log"] == []
+        assert read_channels(str(FIXTURES / "eventlog_skew.jsonl"))["log"] == []
 
     def test_committed_truncated_fixture_loads_partially(self):
         """Regression: the chopped fixture simulates a driver killed
-        mid-write; the complete first job must survive."""
+        mid-write; the complete first job must survive, whole."""
         with pytest.warns(UserWarning, match="truncated"):
             jobs = read_event_log(str(FIXTURES / "eventlog_truncated.jsonl"))
         assert len(jobs) == 1
-        assert jobs[0].description == "sum at reduce"
+        (job,) = jobs
+        assert job.description == "sum at reduce"
+        assert len(job.stages) == 2
+        assert job.stages[0].is_shuffle_map
+        totals = job.totals()
+        assert totals.shuffle_bytes_written == 1010
+        assert totals.task_binary_bytes == 5120
 
 
 class TestV5Monitoring:
     """v5 added ``series`` (metrics-sampler ticks) and ``alert`` (alert-engine
     transitions) side channels for a monitoring plane that has since been
-    removed: readers skip both."""
+    removed: no writer emits them and the reader refuses them."""
 
     def test_committed_v4_fixture_still_loads(self):
-        """Regression: a real v4 log keeps loading whole -- jobs, telemetry,
-        and logs intact."""
+        """Regression: the log of a v4 run, converted once to v8, loads
+        whole -- jobs, telemetry, and logs intact."""
         path = str(FIXTURES / "eventlog_v4.jsonl")
         (job,) = read_event_log(path)
         assert job.stages and job.stages[0].tasks
@@ -348,38 +317,10 @@ class TestV5Monitoring:
         assert any(r.message == "job finished" for r in channels["log"])
         assert not {"series", "alert"} & set(channels)
 
-    def test_v5_series_and_alert_lines_are_skipped(self, tmp_path):
-        """A hand-written v5 log: the v4 fixture restamped v5, with a
-        sampler tick and an alert transition between its lines, loads to
-        the same job trees and warns about nothing."""
-        v5 = []
-        for line in (FIXTURES / "eventlog_v4.jsonl").read_text().splitlines():
-            data = json.loads(line)
-            data["version"] = 5
-            v5.append(json.dumps(data))
-        v5.insert(1, json.dumps({
-            "event": "series", "version": 5, "time": 1.0,
-            "samples": [["engine_jobs_total", {}, 3.0]],
-        }))
-        v5.insert(3, json.dumps({
-            "event": "alert", "version": 5, "time": 2.0, "transition": "firing",
-            "rule": "heartbeat_loss", "severity": "critical",
-            "labels": {"executor": "exec-1"}, "value": 2.5,
-        }))
-        path = tmp_path / "v5.jsonl"
-        path.write_text("\n".join(v5) + "\n")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            channels = read_channels(str(path))
-        assert _job_tree_digest(channels["job"]) == _job_tree_digest(
-            read_event_log(str(FIXTURES / "eventlog_v4.jsonl"))
-        )
-        assert set(channels) == {"job", "telemetry", "log", "inference"}
-
     def test_a_series_line_older_than_v5_is_corruption(self, tmp_path):
         path = tmp_path / "v4.jsonl"
         path.write_text(json.dumps({"event": "series", "version": 4, "time": 1.0}) + "\n")
-        with pytest.raises(ValueError, match="not a job event"):
+        with pytest.raises(ValueError, match="line 1: unsupported event-log version 4"):
             read_channels(str(path))
 
     def test_side_channels_interleave_with_jobs(self, tmp_path, serial_config):
@@ -420,7 +361,7 @@ class TestV5Monitoring:
 class TestV6Fleet:
     """v6 added a ``fleet`` side channel (a stop-time snapshot of the
     cluster fleet's own counters and series) for a telemetry plane that has
-    since been removed: readers skip it."""
+    since been removed: no writer emits it."""
 
     def test_cluster_context_writes_no_fleet_line(self, tmp_path):
         from repro.config import EngineConfig
@@ -445,29 +386,11 @@ class TestV6Fleet:
         assert "fleet" not in read_channels(path)
         assert all(json.loads(line)["event"] != "fleet" for line in open(path))
 
-    def test_committed_v6_fixture_still_loads(self):
-        """Regression: a real v6 log keeps loading whole -- job, telemetry
-        and logs intact, its ``fleet`` line skipped."""
-        path = str(FIXTURES / "eventlog_v6.jsonl")
-        assert '"event":"fleet"' in (FIXTURES / "eventlog_v6.jsonl").read_text()
-        (job,) = read_event_log(path)
-        assert job.stages and job.stages[0].tasks
-        channels = read_channels(path)
-        assert channels["telemetry"], "expected heartbeat lines in the v6 log"
-        assert "fleet" not in channels
-
     def test_a_fleet_line_older_than_v6_is_corruption(self, tmp_path):
         path = tmp_path / "v5.jsonl"
         path.write_text(json.dumps({"event": "fleet", "version": 5, "snapshot": {}}) + "\n")
-        with pytest.raises(ValueError, match="not a job event"):
+        with pytest.raises(ValueError, match="line 1: unsupported event-log version 5"):
             read_channels(str(path))
-
-    @pytest.mark.parametrize("command", ["history", "doctor"])
-    def test_history_and_doctor_read_the_v6_fixture(self, command, capsys):
-        from repro.cli import main
-
-        assert main([command, str(FIXTURES / "eventlog_v6.jsonl")]) == 0
-        assert "fleet" not in capsys.readouterr().out
 
 
 #: task metrics added after the committed fixtures were written; a log
@@ -491,52 +414,58 @@ def _job_tree_digest(jobs) -> str:
 
 class TestV7Adaptive:
     """v7 added an ``adaptive`` side channel and a task ``speculative`` flag
-    for a planner that has since been removed: readers skip both."""
+    for a planner that has since been removed; the committed logs load to
+    the job trees the reader built before it and the other retired pieces
+    went."""
 
-    def test_committed_v7_fixture_still_loads(self):
-        """Regression: a real v7 log keeps loading whole -- job and logs
-        intact, its ``adaptive`` line skipped, v8 inference reading empty."""
-        path = str(FIXTURES / "eventlog_v7.jsonl")
-        (job,) = read_event_log(path)
-        assert job.stages and job.stages[0].tasks
-        channels = read_channels(path)
-        assert any(r.message == "job finished" for r in channels["log"])
-        assert "adaptive" not in channels
-        assert channels["inference"] == []
-
-    # digests of the job trees the reader built before the planner and the
-    # monitoring plane went (the retired ``speculative`` task field left
-    # out; it was False throughout the v7 and v8 logs)
+    # digests of the job trees the parent of the one-format reader built
+    # from each committed log, before eventlog_skew (v4), eventlog_truncated
+    # (v2) and eventlog_v4 were converted to v8 (its own writer's lines,
+    # side channels restamped); the retired ``profile`` task field, None
+    # throughout, left out
     @pytest.mark.parametrize("name,digest", [
-        ("eventlog_v2.jsonl",
-         "1ebfd829b2eb46c905b48af653f9ec977d6dff4566f5392fdf95a03ffc932dd4"),
+        ("eventlog_skew.jsonl",
+         "2dc2be7ea0a80bcb0ba250de710bef7631afeaf291d3c71fcbb8c3cd499ec865"),
+        ("eventlog_truncated.jsonl",
+         "bc499c3d7e206d738ec16ecc2d4bf6442c9900d7852d0c6e0c69a08978ba87f6"),
         ("eventlog_v4.jsonl",
-         "37b5a8cf5fa9ec69a5dd6f32705520afc69f42a548066f8516ac122afd10a6c1"),
-        ("eventlog_v6.jsonl",
-         "e7939c8b3bab096932d9d80c98c23d7f7b03bfb1ea9c17beb89a043b20028fc7"),
-        ("eventlog_v7.jsonl",
-         "f8eba5edb7f8806256bad8bdd8c64df60c49b83eb6ceff6208b62084d9e09862"),
+         "1108d442c344655b29140fbe675086f36bde4a48351664d49c90e5f44b1e881d"),
         ("eventlog_v8.jsonl",
-         "88eba6e96d4ed02787d97381055133da59787a0261feba273b1aff87091cf202"),
-    ], ids=["v2", "v4", "v6", "v7", "v8"])
+         "4668675c7ed9de380c1d4b5357abd3b94b47ac548b980c07312b57bbf2e1b257"),
+    ], ids=["skew", "truncated", "v4", "v8"])
     def test_old_logs_load_to_the_same_job_trees(self, name, digest):
-        channels = read_channels(str(FIXTURES / name))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the truncated fixture's torn tail
+            channels = read_channels(str(FIXTURES / name))
         assert set(channels) == {"job", "telemetry", "log", "inference"}
         assert _job_tree_digest(channels["job"]) == digest
 
-    def test_a_speculative_task_key_is_ignored(self, tmp_path):
-        lines = (FIXTURES / "eventlog_v7.jsonl").read_text().splitlines()
-        flagged = []
-        for line in lines:
+    @staticmethod
+    def _with_task_key(tmp_path, key, value):
+        lines = []
+        for line in (FIXTURES / "eventlog_v8.jsonl").read_text().splitlines():
             data = json.loads(line)
             if data["event"] == "job":
-                data["stages"][0]["tasks"][0]["speculative"] = True
-            flagged.append(json.dumps(data))
-        path = tmp_path / "flagged.jsonl"
-        path.write_text("\n".join(flagged) + "\n")
-        assert _job_tree_digest(read_event_log(str(path))) == _job_tree_digest(
-            read_event_log(str(FIXTURES / "eventlog_v7.jsonl"))
-        )
+                for stage in data["stages"]:
+                    for task in stage["tasks"]:
+                        task[key] = value
+            lines.append(json.dumps(data))
+        path = tmp_path / f"{key}.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        return read_event_log(str(path))
+
+    def test_a_speculative_task_key_is_ignored(self, tmp_path):
+        assert _job_tree_digest(self._with_task_key(tmp_path, "speculative", True)) == \
+            _job_tree_digest(read_event_log(str(FIXTURES / "eventlog_v8.jsonl")))
+
+    def test_profile_rows_are_ignored(self, tmp_path):
+        """A v8 log whose tasks carry the retired sampled profiler's hotspot
+        rows loads to the same job trees."""
+        rows = [{"func": "core/algorithms.py:1(run)", "ncalls": 1,
+                 "tottime": 0.001, "cumtime": 0.002}]
+        jobs = self._with_task_key(tmp_path, "profile", rows)
+        assert _job_tree_digest(jobs) == \
+            "4668675c7ed9de380c1d4b5357abd3b94b47ac548b980c07312b57bbf2e1b257"
 
 
 class TestV8Inference:
@@ -636,10 +565,84 @@ class TestV8Inference:
         assert channels["job"] == []  # no jobs, but no crash either
 
     def test_old_fixtures_have_no_inference(self):
-        assert read_channels(str(FIXTURES / "eventlog_v2.jsonl"))["inference"] == []
+        assert read_channels(str(FIXTURES / "eventlog_skew.jsonl"))["inference"] == []
         assert read_channels(str(FIXTURES / "eventlog_v4.jsonl"))["inference"] == []
-        assert read_channels(str(FIXTURES / "eventlog_v6.jsonl"))["inference"] == []
 
 
 def _plus_two(x):
     return x + 2
+
+
+# -- fuzzing the reader (ROADMAP item 9) ----------------------------------------
+
+_V8_LINES = (FIXTURES / "eventlog_v8.jsonl").read_text().splitlines()
+
+#: JSON values of every type, for swapping into a field
+_ANY_JSON = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(allow_nan=False),
+    st.text(max_size=4), st.lists(st.integers(), max_size=3),
+    st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
+)
+
+
+def _paths(node, prefix=()):
+    """Every (container path, key) of a parsed line, nested ones included."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        yield prefix, key
+        if isinstance(value, (dict, list)):
+            yield from _paths(value, prefix + (key,))
+
+
+def _at(node, path):
+    for key in path:
+        node = node[key]
+    return node
+
+
+@st.composite
+def _mutated_logs(draw):
+    """The v8 fixture with one line mutated, and that line's number."""
+    lines = list(_V8_LINES)
+    index = draw(st.integers(0, len(lines) - 1))
+    line = lines[index]
+    data = json.loads(line)
+    how = draw(st.sampled_from(["truncate", "swap", "drop", "replace", "version", "event"]))
+    if how == "truncate":
+        lines[index] = line[: draw(st.integers(0, len(line) - 1))]
+    elif how == "replace":
+        lines[index] = json.dumps(draw(st.one_of(
+            st.none(), st.booleans(), st.integers(), st.text(max_size=4),
+            st.lists(st.integers(), max_size=3),
+        )))
+    else:
+        if how in ("swap", "drop"):
+            path, key = draw(st.sampled_from(list(_paths(data))))
+            container = _at(data, path)
+            if how == "drop":
+                del container[key]
+            else:
+                container[key] = draw(_ANY_JSON)
+        elif how == "version":
+            data["version"] = draw(st.one_of(st.integers(-1, 12), _ANY_JSON))
+        else:
+            data["event"] = draw(st.one_of(st.sampled_from(
+                ["job", "heartbeat", "executor_timed_out", "log", "inference",
+                 "series", "alert", "fleet", "adaptive"]), _ANY_JSON))
+        lines[index] = json.dumps(data)
+    return "\n".join(lines) + "\n", index + 1
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(_mutated_logs())
+def test_a_mutated_log_loads_or_names_its_line(mutated):
+    """Truncate a line, swap a field for another type, drop a key, replace
+    a line with a JSON scalar or list, or change its version or kind: the
+    log either loads or raises a ValueError naming that line."""
+    text, lineno = mutated
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # a truncated last line warns
+            read_channels(io.StringIO(text))
+    except ValueError as exc:
+        assert re.search(rf"event log line {lineno}\b", str(exc)), str(exc)

@@ -6,6 +6,7 @@ operator surface, decided").  These pins fail when an operator comes back
 without such a caller, or when a kept one goes.
 """
 
+import dataclasses
 import importlib
 import inspect
 
@@ -64,10 +65,22 @@ def test_removed_operators_raise_attribute_error(ctx):
 
 @pytest.mark.parametrize("module", [
     "repro.engine.ops", "repro.engine.pair_rdd", "repro.genomics.qc",
+    "repro.engine.profiler",
 ])
 def test_removed_module_is_not_importable(module):
     with pytest.raises(ImportError):
         importlib.import_module(module)
+
+
+def test_one_event_log_reader_and_writer():
+    from repro.engine import eventlog
+    from repro.engine.metrics import TaskRecord
+    from repro.obs import history
+
+    for name in ("write_event_log", "SUPPORTED_VERSIONS", "_RETIRED"):
+        assert not hasattr(eventlog, name), name
+    assert not hasattr(history, "render_hotspot_table")
+    assert "profile" not in {f.name for f in dataclasses.fields(TaskRecord)}
 
 
 def test_removed_classes_are_gone():

@@ -14,7 +14,8 @@ import pytest
 
 from repro.config import EngineConfig
 from repro.engine.context import Context
-from repro.engine.eventlog import read_event_log, write_event_log
+from repro.engine.eventlog import EventLogListener, read_event_log
+from repro.engine.listener import JobEnd
 from repro.engine.metrics import JobMetrics, StageMetrics, TaskMetrics, TaskRecord
 from repro.obs.spans import (
     Span,
@@ -91,7 +92,8 @@ class TestOfflineSpans:
         assert t0.parent_id == t1.parent_id == stage_span.span_id
 
     def test_synthetic_timeline_for_v1_logs(self):
-        # all timestamps zero (a v1 log): spans still get a usable timeline
+        # all timestamps zero (hand-built records): spans still get a usable
+        # timeline
         spans = spans_from_jobs([_job(0), _job(1)])
         jobs = [s for s in spans if s.category == "job"]
         assert jobs[1].start >= jobs[0].end  # jobs laid out sequentially
@@ -99,10 +101,15 @@ class TestOfflineSpans:
         assert all(t.duration > 0 for t in tasks)
 
     def test_round_trip_through_event_log(self, tmp_path):
+        job = _job()
+        job.stages[0].tasks[0].span_fragments = [{"name": "compute", "start": 0.1, "end": 0.4}]
         path = str(tmp_path / "ev.jsonl")
-        write_event_log([_job()], path)
+        listener = EventLogListener(path)
+        listener.on_job_end(JobEnd(job_id=0, job=job))
+        listener.close()
         spans = spans_from_jobs(read_event_log(path))
-        assert len(spans) == 4
+        assert len(spans) == 5  # job, stage, two tasks and one worker phase
+        assert [s.to_dict() for s in spans] == [s.to_dict() for s in spans_from_jobs([job])]
 
 
 class TestJsonlRoundTrip:

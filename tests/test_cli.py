@@ -1,5 +1,6 @@
 """The sparkscore command-line interface."""
 
+import json
 import os
 import shutil
 from pathlib import Path
@@ -254,20 +255,6 @@ class TestHistory:
 
 
 class TestTelemetryFlags:
-    def test_profile_fraction_flows_into_history(self, dataset_dir, tmp_path, capsys):
-        log = tmp_path / "prof.jsonl"
-        rc = main(["analyze", dataset_dir, "--method", "monte-carlo",
-                   "--iterations", "32", "--engine", "distributed",
-                   "--backend", "serial", "--profile-fraction", "1.0",
-                   "--event-log", str(log)])
-        assert rc == 0
-        capsys.readouterr()
-        rc = main(["history", str(log)])
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "profiler hotspots" in out
-        assert "tottime" in out
-
     def test_progress_flag_renders_bars(self, dataset_dir, capsys):
         rc = main(["analyze", dataset_dir, "--method", "monte-carlo",
                    "--iterations", "32", "--engine", "distributed",
@@ -406,6 +393,31 @@ class TestDoctorStrict:
         capsys.readouterr()
 
 
+class TestUnreadableEventLogs:
+    """``history`` and ``doctor`` refuse a log they cannot read with one
+    stderr line that names the bad line, and exit 1."""
+
+    @pytest.mark.parametrize("command", ["history", "doctor"])
+    @pytest.mark.parametrize("break_line,reason", [
+        (lambda job: json.dumps(job)[:-9], "line 2 is corrupt"),
+        (lambda job: "[1, 2]", "line 2: not an event object"),
+        (lambda job: json.dumps(dict(job, stages=5)),
+         "line 2: job event has a field of the wrong type"),
+        (lambda job: json.dumps(dict(job, version=7)),
+         "line 2: unsupported event-log version 7"),
+    ], ids=["corrupt", "list", "wrong-type", "v7"])
+    def test_one_located_stderr_line(self, command, break_line, reason, tmp_path, capsys):
+        (line,) = (FIXTURES / "eventlog_skew.jsonl").read_text().splitlines()
+        path = str(tmp_path / "events.jsonl")
+        with open(path, "w") as fh:
+            fh.write("\n".join([line, break_line(json.loads(line)), line]) + "\n")
+        assert main([command, path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith(f"{path}: event log {reason}"), line
+
+
 class TestMonitoringFlags:
     def test_monitoring_requires_distributed_engine(self, dataset_dir):
         with pytest.raises(SystemExit, match="--engine distributed"):
@@ -416,15 +428,11 @@ class TestMonitoringFlags:
         with pytest.raises(SystemExit) as exc:
             main(["analyze", dataset_dir, "--iterations", "8",
                   "--event-log", str(tmp_path / "e.jsonl"), "--early-stop",
-                  "--log-level", "debug", "--profile-fraction", "1.0"])
+                  "--log-level", "debug", "--alpha", "0.01"])
         message = str(exc.value)
         assert "--engine distributed" in message
-        for flag in ("--event-log", "--early-stop", "--log-level", "--profile-fraction"):
+        for flag in ("--event-log", "--early-stop", "--log-level", "--alpha"):
             assert flag in message
-        # the local engine has no tasks to profile: any fraction is refused
-        with pytest.raises(SystemExit, match="--profile-fraction"):
-            main(["analyze", dataset_dir, "--method", "monte-carlo",
-                  "--iterations", "16", "--profile-fraction", "1.0"])
         # forcing a feature off asks the local engine for nothing
         assert main(["analyze", dataset_dir, "--method", "observed",
                      "--no-early-stop"]) == 0
@@ -444,8 +452,9 @@ class TestMonitoringFlags:
         ["analyze", "d", "--engine", "distributed", "--flight-recorder", "dir"],
         ["analyze", "d", "--engine", "distributed", "--ui-port", "0"],
         ["history", "events.jsonl", "--metrics"],
+        ["analyze", "d", "--engine", "distributed", "--profile-fraction", "0.25"],
     ], ids=["metrics-interval", "alerts", "alert-rules", "history-series",
-            "flight-recorder", "ui-port", "history-metrics"])
+            "flight-recorder", "ui-port", "history-metrics", "profile-fraction"])
     def test_removed_monitoring_flags_are_unrecognised(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
             main(argv)

@@ -15,10 +15,10 @@ class TestSurface:
         assert [f.name for f in dataclasses.fields(EngineConfig)] == [
             "backend", "num_executors", "executor_cores", "executor_memory",
             "default_parallelism", "max_task_retries", "heartbeat_interval",
-            "heartbeat_timeout", "profile_fraction", "log_level",
+            "heartbeat_timeout", "log_level",
             "inference_early_stop", "inference_alpha",
         ]
-        assert len(dataclasses.fields(EngineConfig)) == 12
+        assert len(dataclasses.fields(EngineConfig)) == 11
 
     def test_one_warm_fleet_mechanism(self):
         # decided by measurement: an external head saved a CLI run less than
@@ -160,8 +160,8 @@ class TestMonitoringKnobs:
         [
             {"inference_alpha": 1.0},
             {"log_level": "trace"},
-            {"profile_fraction": 1.5},
-            {"profile_fraction": -0.1},
+            {"inference_alpha": 0.0},
+            {"log_level": "verbose"},
         ],
     )
     def test_invalid_monitoring_values(self, kwargs):
