@@ -4,9 +4,8 @@ Four legs, one report (``BENCH_obs.json``):
 
 1. **Overhead** -- the same compute-bound job runs bare (warning-level
    logging, no sinks) and fully loaded (debug logging with worker-side
-   capture, log file, event log, and the diagnostics listener that runs
-   on every context).  The whole observability plane must cost less
-   than ``--max-overhead-pct`` (default 10%) of wall-clock.  The leg
+   capture, log file and event log).  The whole observability plane must
+   cost less than ``--max-overhead-pct`` (default 10%) of wall-clock.  The leg
    runs once per ``--overhead-backend`` (default: the persistent
    cluster, whose trace propagation rides in every task envelope) and
    every backend must hold the same budget.

@@ -367,6 +367,12 @@ def cmd_tune(args: argparse.Namespace) -> int:
 
 def cmd_history(args: argparse.Namespace) -> int:
     from repro.engine.eventlog import read_channels
+    from repro.engine.listener import (
+        ExecutorHeartbeat,
+        ExecutorTimedOut,
+        InferenceBatchCompleted,
+        SnpSetConverged,
+    )
     from repro.obs.history import render_history
     from repro.obs.spans import spans_from_jobs, write_chrome_trace, write_spans_jsonl
 
@@ -387,43 +393,38 @@ def cmd_history(args: argparse.Namespace) -> int:
     print(render_history(jobs))
     telemetry = channels["telemetry"]
     if telemetry:
-        heartbeats = [t for t in telemetry if t["event"] == "heartbeat"]
-        timeouts = [t for t in telemetry if t["event"] == "executor_timed_out"]
-        executors = sorted({t["executor_id"] for t in heartbeats})
-        peak_rss = max((t.get("rss_bytes", 0) for t in heartbeats), default=0)
+        heartbeats = [t for t in telemetry if isinstance(t, ExecutorHeartbeat)]
+        timeouts = [t for t in telemetry if isinstance(t, ExecutorTimedOut)]
+        executors = sorted({t.executor_id for t in heartbeats})
+        peak_rss = max((t.rss_bytes for t in heartbeats), default=0)
         line = (f"\n   heartbeats: {len(heartbeats)} from "
                 f"{len(executors)} executor(s)")
         if peak_rss:
             line += f", peak reported rss {peak_rss / (1 << 20):,.1f} MiB"
         if timeouts:
             line += f"; {len(timeouts)} executor timeout(s): " + ", ".join(
-                t["executor_id"] for t in timeouts
+                t.executor_id for t in timeouts
             )
         print(line)
     inference = channels["inference"]
     if inference:
-        batches = [r for r in inference if r.get("kind") == "batch"]
-        converged = [r for r in inference if r.get("kind") == "converged"]
+        batches = [r for r in inference if isinstance(r, InferenceBatchCompleted)]
+        converged = [r for r in inference if isinstance(r, SnpSetConverged)]
         # final batch record per method carries the run's totals
-        finals: dict = {}
-        for rec in batches:
-            finals[rec.get("method")] = rec
+        finals = {rec.method: rec for rec in batches}
         print(f"\n   inference (v8 side channel): "
               f"{len(batches)} batch(es), {len(converged)} set decision(s)")
         for method, rec in sorted(finals.items()):
-            line = (f"     [{method}] {rec.get('replicates_total', 0)} of "
-                    f"{rec.get('planned_replicates', 0)} replicates, "
-                    f"{rec.get('sets_converged', 0)}/{rec.get('sets_total', 0)} "
-                    f"sets converged")
-            if rec.get("replicates_saved"):
-                line += (f", {rec['replicates_saved']} replicates saved "
-                         f"by early stopping")
+            line = (f"     [{method}] {rec.replicates_total} of "
+                    f"{rec.planned_replicates} replicates, "
+                    f"{rec.sets_converged}/{rec.sets_total} sets converged")
+            if rec.replicates_saved:
+                line += f", {rec.replicates_saved} replicates saved by early stopping"
             print(line)
         for rec in converged[-5:]:
-            print(f"     [{rec.get('method')}] {rec.get('set_name')}: "
-                  f"{rec.get('status')} at p={rec.get('pvalue', 0.0):.4g} "
-                  f"(CI {rec.get('ci_low', 0.0):.4g}..{rec.get('ci_high', 1.0):.4g}, "
-                  f"{rec.get('replicates', 0)} replicates)")
+            print(f"     [{rec.method}] {rec.set_name}: {rec.status} at "
+                  f"p={rec.pvalue:.4g} (CI {rec.ci_low:.4g}..{rec.ci_high:.4g}, "
+                  f"{rec.replicates} replicates)")
     if args.export_trace:
         spans = spans_from_jobs(jobs)
         if args.export_trace.endswith(".jsonl"):
@@ -436,6 +437,7 @@ def cmd_history(args: argparse.Namespace) -> int:
 
 def cmd_doctor(args: argparse.Namespace) -> int:
     from repro.engine.eventlog import read_channels
+    from repro.engine.listener import InferenceBatchCompleted
     from repro.obs.advisor import diagnose, recommendations_to_json, render_recommendations
 
     scan_dir = os.path.isdir(args.path)
@@ -451,7 +453,7 @@ def cmd_doctor(args: argparse.Namespace) -> int:
     else:
         paths = [args.path]
 
-    jobs, telemetry, inference, logs, read = [], [], [], [], []
+    jobs, inference, logs, read = [], [], [], []
     for path in paths:
         try:
             channels = read_channels(path)
@@ -464,14 +466,13 @@ def cmd_doctor(args: argparse.Namespace) -> int:
                 return 1
             continue  # directories may hold other JSONL (log files, traces)
         jobs.extend(channels["job"])
-        telemetry.extend(channels["telemetry"])
         inference.extend(channels["inference"])
         logs.extend(channels["log"])
         read.append(path)
     if scan_dir and not read:
         print(f"no readable event logs in {args.path}", file=sys.stderr)
         return 1
-    recs = diagnose(jobs, telemetry=telemetry, inference=inference, log=logs)
+    recs = diagnose(jobs, inference=inference, log=logs)
     if args.json:
         print(recommendations_to_json(recs))
     else:
@@ -479,8 +480,8 @@ def cmd_doctor(args: argparse.Namespace) -> int:
         print(f"doctor: examined {len(jobs)} job(s), {n_stages} stage(s) "
               f"from {len(read)} log(s)")
         if inference:
-            batches = sum(1 for r in inference if r.get("kind") == "batch")
-            decided = sum(1 for r in inference if r.get("kind") == "converged")
+            batches = sum(isinstance(r, InferenceBatchCompleted) for r in inference)
+            decided = len(inference) - batches
             print(f"inference context: {batches} replicate batch(es), "
                   f"{decided} set decision(s) recorded")
         print()

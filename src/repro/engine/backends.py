@@ -348,7 +348,7 @@ def _run_pickled_task(payload: bytes) -> bytes:
         ],
     }
     if log_records:
-        out["log_records"] = [r.to_dict() for r in log_records]
+        out["log_records"] = log_records
     serialize_start = time.perf_counter()
     body = pickle.dumps(out, protocol=pickle.HIGHEST_PROTOCOL)
     serialize_seconds = time.perf_counter() - serialize_start

@@ -109,11 +109,6 @@ class Context:
         if self._event_log_listener is not None:
             self._log_sinks.append(LOG_BUS.add_sink(self._event_log_listener.write_log))
 
-        # online diagnostics: skew/straggler detection on stage completion
-        from repro.obs.diagnostics import DiagnosticsListener
-
-        self.listener_bus.add_listener(DiagnosticsListener())
-
         # console stage bars: the progress state exists only to draw them
         self.progress = None
         if progress:

@@ -9,8 +9,7 @@ are not events: they are counted on each attempt's
 :class:`~repro.engine.metrics.TaskMetrics` and the job record built from
 it, or read from the cluster's ``executor_info()``.  Consumers subscribe by
 registering a :class:`Listener`; the event log
-(:mod:`repro.engine.eventlog`), online diagnostics
-(:mod:`repro.obs.diagnostics`), the heartbeat hub
+(:mod:`repro.engine.eventlog`), the heartbeat hub
 (:mod:`repro.engine.heartbeat`) and the console progress bars
 (:mod:`repro.obs.progress`) are all just listeners.
 
@@ -26,7 +25,9 @@ import re
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING
+
+from repro.obs.logging import get_logger
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.engine.metrics import JobMetrics, StageMetrics, TaskRecord
@@ -99,7 +100,7 @@ class ExecutorHeartbeat(EngineEvent):
 
     executor_id: str
     #: (stage_id, partition, attempt) triples currently running
-    inflight: tuple = ()
+    inflight: tuple[tuple[int, ...], ...] = ()
     #: rows pulled through in-flight task iterators so far
     records_read: int = 0
     #: resident set size of the reporting process, bytes
@@ -225,10 +226,6 @@ class ListenerBus:
             except Exception as exc:  # isolation: never fail the engine
                 with self._lock:
                     self.listener_errors.append((listener, event, exc))
-                # deferred import: repro.obs pulls this module in at package
-                # init, so a top-level import would be circular
-                from repro.obs.logging import get_logger
-
                 get_logger("repro.listener").warning(
                     "listener raised; event delivery continued",
                     listener=type(listener).__name__,

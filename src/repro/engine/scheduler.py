@@ -57,7 +57,7 @@ from repro.engine.task import (
     TaskTelemetry,
 )
 from repro.genomics.io.formats import FormatError
-from repro.obs.logging import LogRecord, get_logger, log_context
+from repro.obs.logging import LOG_BUS, get_logger, log_context
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.engine.context import Context
@@ -701,10 +701,8 @@ class TaskScheduler:
         })
         # replay worker-captured log records into the driver bus; they were
         # already level-filtered worker-side and carry their correlation ids
-        from repro.obs.logging import LOG_BUS
-
-        for data in out.get("log_records") or ():
-            LOG_BUS.replay(LogRecord.from_dict(data))
+        for record in out.get("log_records") or ():
+            LOG_BUS.replay(record)
         # merge shuffle output written remotely
         value = out["result"]
         if isinstance(task, ShuffleMapTask) and out["shuffle_output"] is not None:

@@ -15,7 +15,8 @@ history server, all fed by the engine's listener bus
 - :mod:`repro.obs.diagnostics` / :mod:`repro.obs.advisor` -- skew,
   straggler, and cache-pressure detection over the recorded telemetry,
   and the rule-based recommendation engine behind ``sparkscore doctor``,
-  which also names the failing task of a failed run from its event log;
+  which computes every finding offline from an event log and also names
+  the failing task of a failed run;
 - :mod:`repro.obs.inference` -- convergence monitors for resampling
   p-values and the opt-in early-stop policy;
 - :mod:`repro.obs.progress` -- Spark-style console stage bars.
@@ -25,42 +26,7 @@ lines) or an event-log side channel's: there is no process-wide metrics
 registry and no embedded web UI (DESIGN.md section 12 has the
 measurement that decided it).  A cluster fleet lives and dies with its
 one driver process, so it keeps no telemetry of its own either.
+
+The package re-exports nothing: import the submodule you need, so that an
+engine process loads only the pieces it runs.
 """
-
-from repro.obs.advisor import Recommendation, diagnose, render_recommendations
-from repro.obs.diagnostics import (
-    DiagnosticsListener,
-    detect_skew,
-    detect_stragglers,
-    gini,
-)
-from repro.obs.logging import (
-    LOG_BUS,
-    JsonlLogSink,
-    LogBus,
-    LogRecord,
-    capture_logs,
-    get_logger,
-    log_context,
-)
-from repro.obs.spans import Span, spans_from_jobs, to_chrome_trace
-
-__all__ = [
-    "Span",
-    "spans_from_jobs",
-    "to_chrome_trace",
-    "LOG_BUS",
-    "LogBus",
-    "LogRecord",
-    "JsonlLogSink",
-    "get_logger",
-    "log_context",
-    "capture_logs",
-    "DiagnosticsListener",
-    "detect_skew",
-    "detect_stragglers",
-    "gini",
-    "Recommendation",
-    "diagnose",
-    "render_recommendations",
-]

@@ -1,8 +1,8 @@
 """Telemetry-driven tuning advisor: the brain behind ``sparkscore doctor``.
 
-Rule-based analyzers over everything the engine records -- job/stage/task
-metrics (in-memory or reloaded from an event log), telemetry side-channel
-records and the inference side channel -- producing ranked,
+Rule-based analyzers over what the engine records -- job/stage/task
+metrics (in-memory or reloaded from an event log), the inference side
+channel and the structured log -- producing ranked,
 actionable :class:`Recommendation` objects.  Each recommendation carries
 the *evidence* that fired it (metric values, stage ids) so a skeptical
 operator can check the reasoning, and an ``action`` string concrete
@@ -32,6 +32,7 @@ import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Sequence
 
+from repro.engine.listener import InferenceBatchCompleted
 from repro.obs.diagnostics import (
     STRAGGLER_MULTIPLIER,
     CachePressureReport,
@@ -88,12 +89,11 @@ class DiagnosisInput:
     """Everything the rules may look at; any piece may be absent."""
 
     jobs: list = field(default_factory=list)
-    telemetry: list = field(default_factory=list)
     cache: CachePressureReport | None = None
-    #: inference side-channel records (v8 event logs / live monitors):
-    #: dicts with ``kind`` of ``"batch"`` or ``"converged"``
+    #: the event log's ``inference`` channel: InferenceBatchCompleted and
+    #: SnpSetConverged events
     inference: list = field(default_factory=list)
-    #: structured log records (the v4 ``log`` channel): LogRecord objects
+    #: the event log's ``log`` channel: LogRecord objects
     log: list = field(default_factory=list)
 
     def stages(self):
@@ -101,14 +101,12 @@ class DiagnosisInput:
             for stage in job.stages:
                 yield job, stage
 
-    def inference_final_batches(self) -> dict:
-        """Last ``kind="batch"`` record per resampling method."""
-        final: dict[str, dict] = {}
-        for rec in self.inference:
-            if isinstance(rec, dict) and rec.get("kind") == "batch":
-                method = str(rec.get("method", "resampling"))
-                final[method] = rec
-        return final
+    def batches(self) -> list[InferenceBatchCompleted]:
+        return [rec for rec in self.inference if isinstance(rec, InferenceBatchCompleted)]
+
+    def inference_final_batches(self) -> dict[str, InferenceBatchCompleted]:
+        """Last batch event per resampling method."""
+        return {rec.method: rec for rec in self.batches()}
 
 
 # -- individual rules ---------------------------------------------------------
@@ -436,17 +434,13 @@ def rule_enable_early_stop(inp: DiagnosisInput) -> list[Recommendation]:
     """
     out = []
     converged_at: dict[str, int] = {}
-    for rec in inp.inference:
-        if not isinstance(rec, dict) or rec.get("kind") != "batch":
-            continue
-        method = str(rec.get("method", "resampling"))
-        sets_total = int(rec.get("sets_total", 0) or 0)
-        if sets_total and rec.get("sets_converged") == sets_total:
-            converged_at.setdefault(method, int(rec.get("replicates_total", 0)))
+    for rec in inp.batches():
+        if rec.sets_total and rec.sets_converged == rec.sets_total:
+            converged_at.setdefault(rec.method, rec.replicates_total)
     for method, final in inp.inference_final_batches().items():
-        if final.get("early_stop"):
+        if final.early_stop:
             continue
-        total = int(final.get("replicates_total", 0) or 0)
+        total = final.replicates_total
         decisive = converged_at.get(method)
         if decisive is None or total <= 0 or decisive > total // 2:
             continue
@@ -470,7 +464,7 @@ def rule_enable_early_stop(inp: DiagnosisInput) -> list[Recommendation]:
                     "replicates_total": total,
                     "decisive_at": decisive,
                     "replicates_past_decisiveness": wasted,
-                    "sets_total": int(final.get("sets_total", 0) or 0),
+                    "sets_total": final.sets_total,
                 },
                 score=wasted / max(total, 1),
             )
@@ -491,13 +485,12 @@ def rule_insufficient_resamples(inp: DiagnosisInput) -> list[Recommendation]:
 
     out = []
     for method, final in inp.inference_final_batches().items():
-        total = int(final.get("replicates_total", 0) or 0)
+        total = final.replicates_total
         if total <= 0:
             continue
-        min_p = float(final.get("min_pvalue", 1.0) or 1.0)
         # the empirical floor: a zero-exceedance set reports p ~ 1/(B+1)
         floor = 1.0 / (total + 1.0)
-        target = min(max(min_p, floor), 1.0 - 1e-12)
+        target = min(max(final.min_pvalue, floor), 1.0 - 1e-12)
         if target >= 1.0 - 1e-9:
             continue
         required = required_resamples(target)
@@ -545,23 +538,22 @@ RULES = (
 
 def diagnose(
     jobs: Sequence["JobMetrics"],
-    telemetry: Sequence[dict] | None = None,
     cache: CachePressureReport | None = None,
     *,
-    inference: Sequence[dict] | None = None,
+    inference: Sequence | None = None,
     log: Sequence["LogRecord"] | None = None,
 ) -> list[Recommendation]:
     """Run every rule; return recommendations ranked most-urgent first.
 
     ``cache`` overrides the pressure report :func:`cache_pressure_from_jobs`
-    builds from ``jobs``.  ``log`` is the event log's ``log`` channel,
+    builds from ``jobs``.  ``inference`` is the event log's ``inference``
+    channel, which the resampling rules read; ``log`` its ``log`` channel,
     which ``failed-task`` draws its evidence from.
     """
     if cache is None:
         cache = cache_pressure_from_jobs(jobs)
     inp = DiagnosisInput(
         jobs=list(jobs),
-        telemetry=list(telemetry or ()),
         cache=cache,
         inference=list(inference or ()),
         log=list(log or ()),

@@ -16,12 +16,8 @@ job record) and the tuning advisor.  Three analyses:
   :class:`CachePressureReport` the advisor reads (built from job records
   by :func:`repro.obs.advisor.cache_pressure_from_jobs`).
 
-:class:`DiagnosticsListener` runs the first two online: it watches
-``StageCompleted`` events and logs a structured warning for each finding,
-so skew shows up in the log (and the event log's ``log`` channel) while
-the job is still running.  The same pure functions run offline inside
-``sparkscore doctor`` over a loaded event log: the thresholds below are
-the only copy, so online detection and ``doctor`` always agree.
+The functions are pure and run offline: ``sparkscore doctor`` applies
+them to the job records of a loaded event log, at the thresholds below.
 """
 
 from __future__ import annotations
@@ -30,13 +26,8 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
-from repro.engine.listener import Listener, StageCompleted
-from repro.obs.logging import get_logger
-
 if TYPE_CHECKING:  # pragma: no cover
     from repro.engine.metrics import StageMetrics
-
-log = get_logger("repro.diagnostics")
 
 #: per-partition metrics the skew detector scores
 SKEW_METRICS = ("records", "bytes", "duration")
@@ -254,51 +245,6 @@ class CachePressureReport:
         }
 
 
-class DiagnosticsListener(Listener):
-    """Online skew/straggler detection on stage completion.
-
-    For every completed stage this runs :func:`detect_skew` and
-    :func:`detect_stragglers` at the module thresholds and logs a
-    structured warning per finding, once: a retried stage re-completes,
-    so only the keys of findings already logged are kept.
-    """
-
-    def __init__(self) -> None:
-        self._seen_skew: set[tuple[int, str]] = set()
-        self._seen_stragglers: set[tuple[int, int, int]] = set()
-
-    def on_stage_completed(self, event: StageCompleted) -> None:
-        stage = event.stage
-        for report in detect_skew(stage):
-            key = (report.stage_id, report.metric)
-            if key in self._seen_skew:
-                continue
-            self._seen_skew.add(key)
-            log.warning(
-                "stage partition skew detected",
-                stage_id=report.stage_id,
-                job_id=event.job_id,
-                metric=report.metric,
-                max_over_median=round(report.max_over_median, 2),
-                gini=round(report.gini, 3),
-                max_partition=report.max_partition,
-            )
-        for report in detect_stragglers(stage):
-            key = (report.stage_id, report.partition, report.attempt)
-            if key in self._seen_stragglers:
-                continue
-            self._seen_stragglers.add(key)
-            log.warning(
-                "straggler task detected",
-                stage_id=report.stage_id,
-                job_id=event.job_id,
-                partition=report.partition,
-                executor_id=report.executor_id,
-                duration_seconds=round(report.duration_seconds, 4),
-                median_seconds=round(report.median_seconds, 4),
-            )
-
-
 __all__ = [
     "SKEW_METRICS",
     "SKEW_RATIO",
@@ -313,5 +259,4 @@ __all__ = [
     "CachePressureReport",
     "detect_skew",
     "detect_stragglers",
-    "DiagnosticsListener",
 ]

@@ -7,21 +7,22 @@ the analyses the benchmarks and ``sparkscore history`` report:
 - per-job **stage tables** (tasks, wall time, task-time sum, shuffle and
   cache traffic);
 - **straggler percentiles** (p50 / p95 / max task duration per stage);
-- **cache hit rates**;
+- **cache hit rates** and every other task counter, summed per job and
+  per log;
 - DAG **critical-path analysis**: the longest dependency chain through the
   stage graph, where each stage contributes its slowest task (tasks within
   a stage run in parallel; stages on a dependency chain cannot overlap).
   ``total task time / critical path time`` bounds the theoretical speedup
-  any scheduler could still extract from more parallelism;
-- **resource telemetry** rollups (GC pause, peak RSS, serialization split).
+  any scheduler could still extract from more parallelism.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+import textwrap
+from dataclasses import dataclass, field, fields
+from typing import Sequence
 
-from repro.engine.metrics import JobMetrics, StageMetrics
+from repro.engine.metrics import JobMetrics, StageMetrics, TaskMetrics
 
 
 def percentile(values: Sequence[float], q: float) -> float:
@@ -201,15 +202,47 @@ def render_stage_table(job: JobMetrics) -> str:
     return "\n".join(lines)
 
 
-def render_job_summary(job: JobMetrics) -> str:
-    """Multi-line textual report for one job: header, stage table, cache
-    hit rate, stragglers, and the critical-path verdict."""
-    totals = job.totals()
-    cp = critical_path(job)
+def _fmt_total(name: str, value: float) -> str:
+    """A task counter in the unit its name carries (``compute_seconds``,
+    ``shuffle_bytes_read``), else as a count."""
+    words = name.split("_")
+    if "seconds" in words:
+        return _fmt_secs(value)
+    if "bytes" in words:
+        return _fmt_bytes(value)
+    return f"{value:,}"
+
+
+def render_totals(totals: TaskMetrics) -> list[str]:
+    """Rollup lines of a job or a log: the cache hit rate when the cache was
+    read, then every non-zero :class:`TaskMetrics` field (summed over
+    successful attempts, a ``peak_*`` field its maximum)."""
+    lines = []
     accesses = totals.cache_hits + totals.cache_misses
-    hit_rate = totals.cache_hits / accesses if accesses else 0.0
+    if accesses:
+        lines.append(
+            f"   cache hit rate {totals.cache_hits / accesses:.1%} "
+            f"({totals.cache_hits} hits / {totals.cache_misses} misses)"
+        )
+    # a no-break space inside each item: lines wrap between items only
+    items = [
+        f"{f.name} {_fmt_total(f.name, getattr(totals, f.name))}".replace(" ", "\xa0")
+        for f in fields(totals) if getattr(totals, f.name)
+    ]
+    if items:
+        lines.append(textwrap.fill(
+            ", ".join(items), width=100, break_long_words=False,
+            initial_indent="   totals: ", subsequent_indent=" " * 11,
+        ).replace("\xa0", " "))
+    return lines
+
+
+def render_job_summary(job: JobMetrics) -> str:
+    """Multi-line textual report for one job: header, stage table, task
+    totals, and the critical-path verdict."""
+    cp = critical_path(job)
     n_tasks = sum(len(s.tasks) for s in job.stages)
-    lines = [
+    return "\n".join([
         f"== job {job.job_id}: {job.description!r} ==",
         f"   wall {_fmt_secs(job.wall_seconds)}  stages {len(job.stages)}  "
         f"task attempts {n_tasks}  failures {job.num_task_failures}  "
@@ -217,54 +250,12 @@ def render_job_summary(job: JobMetrics) -> str:
         "",
         render_stage_table(job),
         "",
-        f"   cache: {totals.cache_hits} hits / {totals.cache_misses} misses "
-        f"({hit_rate:.1%} hit rate, {totals.remote_cache_hits} remote)",
-        f"   shuffle: {_fmt_bytes(totals.shuffle_bytes_written)} written, "
-        f"{totals.shuffle_records_read} records read",
+        *render_totals(job.totals()),
         f"   critical path: stages {' -> '.join(map(str, cp.path)) or '-'} | "
         f"{_fmt_secs(cp.critical_seconds)} critical vs "
         f"{_fmt_secs(cp.total_task_seconds)} total task time "
         f"=> max speedup {cp.max_speedup:.2f}x",
-    ]
-    if totals.gc_pause_seconds or totals.peak_rss_bytes:
-        lines.append(
-            f"   telemetry: gc pause {_fmt_secs(totals.gc_pause_seconds)}, "
-            f"peak rss {_fmt_bytes(totals.peak_rss_bytes)}, "
-            f"deserialize {_fmt_secs(totals.deserialize_seconds)}, "
-            f"result serialize {_fmt_secs(totals.result_serialize_seconds)}"
-        )
-    binaries = totals.task_binary_cache_hits + totals.task_binary_cache_misses
-    if binaries or totals.blocks_evicted:
-        lines.append(
-            f"   worker caches: task binary {totals.task_binary_cache_hits}/{binaries} "
-            f"warm, {totals.broadcast_memo_hits} by-ref memo hits, "
-            f"{totals.blocks_evicted} blocks evicted ({totals.blocks_spilled} spilled)"
-        )
-    return "\n".join(lines)
-
-
-def aggregate_cache_stats(jobs: Iterable[JobMetrics]) -> dict:
-    """Whole-log cache/shuffle rollup used by the CLI footer and benches."""
-    hits = misses = remote = shuffle_bytes = shuffle_records = 0
-    task_seconds = 0.0
-    for job in jobs:
-        totals = job.totals()
-        hits += totals.cache_hits
-        misses += totals.cache_misses
-        remote += totals.remote_cache_hits
-        shuffle_bytes += totals.shuffle_bytes_written
-        shuffle_records += totals.shuffle_records_read
-        task_seconds += job.total_task_seconds
-    accesses = hits + misses
-    return {
-        "cache_hits": hits,
-        "cache_misses": misses,
-        "remote_cache_hits": remote,
-        "cache_hit_rate": hits / accesses if accesses else 0.0,
-        "shuffle_bytes_written": shuffle_bytes,
-        "shuffle_records_read": shuffle_records,
-        "total_task_seconds": task_seconds,
-    }
+    ])
 
 
 def render_history(jobs: list[JobMetrics]) -> str:
@@ -272,17 +263,18 @@ def render_history(jobs: list[JobMetrics]) -> str:
     if not jobs:
         return "(event log contains no jobs)"
     parts = [render_job_summary(job) for job in jobs]
-    agg = aggregate_cache_stats(jobs)
+    totals = TaskMetrics()
+    for job in jobs:
+        totals.merge_from(job.totals())
     total_wall = sum(j.wall_seconds for j in jobs)
+    task_seconds = sum(j.total_task_seconds for j in jobs)
     total_cp = sum(critical_path(j).critical_seconds for j in jobs)
-    parts.append(
-        f"== overall: {len(jobs)} jobs ==\n"
-        f"   wall {_fmt_secs(total_wall)}  task time {_fmt_secs(agg['total_task_seconds'])}  "
-        f"critical path {_fmt_secs(total_cp)}\n"
-        f"   cache hit rate {agg['cache_hit_rate']:.1%} "
-        f"({agg['cache_hits']} hits / {agg['cache_misses']} misses)\n"
-        f"   shuffle volume {_fmt_bytes(agg['shuffle_bytes_written'])}"
-    )
+    parts.append("\n".join([
+        f"== overall: {len(jobs)} jobs ==",
+        f"   wall {_fmt_secs(total_wall)}  task time {_fmt_secs(task_seconds)}  "
+        f"critical path {_fmt_secs(total_cp)}",
+        *render_totals(totals),
+    ]))
     return "\n\n".join(parts)
 
 
@@ -294,6 +286,6 @@ __all__ = [
     "critical_path",
     "render_stage_table",
     "render_job_summary",
+    "render_totals",
     "render_history",
-    "aggregate_cache_stats",
 ]

@@ -11,14 +11,13 @@ The engine's logging layer.  Three pieces:
   task it belongs to -- exactly like Spark's MDC-enriched log4j layout.
 - :class:`LogBus` -- the per-process fan-out point.  Every record lands in
   a bounded ring buffer (``LOG_BUS.records()``, the recent tail) and is
-  offered to registered sinks: a JSONL file (``--log-file``), a
-  human-readable console sink (``--log-level`` on a TTY), and the event
-  log (v4 ``log`` record lines interleaved with job/telemetry records).
+  offered to registered sinks: a JSONL file (``--log-file``) and the
+  event log (``log`` record lines interleaved with job/telemetry records).
   Sinks are isolated -- a raising sink can never fail the engine.
 - worker capture (:func:`capture_logs`) -- the cluster backend wraps
-  each task attempt in a capture; records emitted worker-side ship home
-  with the task result (the same channel as span fragments) and are
-  replayed into the driver's bus with their correlation ids intact, so
+  each task attempt in a capture; the records emitted worker-side ship
+  home, as they are, in the pickled task result (the same channel as span
+  fragments) and are replayed into the driver's bus with their correlation ids intact, so
   ``serial`` and ``cluster`` runs expose identical log streams.
 
 Levels are the classic four (``debug`` < ``info`` < ``warning`` <
@@ -29,7 +28,6 @@ cost one dict lookup and one comparison.
 from __future__ import annotations
 
 import json
-import sys
 import threading
 import time
 from collections import deque
@@ -92,22 +90,6 @@ class LogRecord:
         if self.fields:
             out["fields"] = self.fields
         return out
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "LogRecord":
-        return cls(
-            time=data.get("time", 0.0),
-            level=data.get("level", "info"),
-            logger=data.get("logger", ""),
-            message=data.get("message", ""),
-            app=data.get("app"),
-            job_id=data.get("job_id"),
-            stage_id=data.get("stage_id"),
-            partition=data.get("partition"),
-            attempt=data.get("attempt"),
-            executor_id=data.get("executor_id"),
-            fields=dict(data.get("fields") or {}),
-        )
 
     def correlation(self) -> tuple:
         """(job_id, stage_id, partition, attempt, executor_id) key."""
@@ -346,35 +328,6 @@ class JsonlLogSink:
                 self._fh = None
 
 
-def format_record(record: LogRecord) -> str:
-    """One human-readable line: level, logger, correlation, message, fields."""
-    ids = []
-    if record.job_id is not None:
-        ids.append(f"job={record.job_id}")
-    if record.stage_id is not None:
-        ids.append(f"stage={record.stage_id}")
-    if record.partition is not None:
-        ids.append(f"task={record.partition}.{record.attempt or 0}")
-    if record.executor_id is not None:
-        ids.append(f"exec={record.executor_id}")
-    ctx = (" [" + " ".join(ids) + "]") if ids else ""
-    extras = "".join(f" {k}={v}" for k, v in record.fields.items())
-    return f"{record.level.upper():<7} {record.logger}{ctx} {record.message}{extras}"
-
-
-class ConsoleLogSink:
-    """Writes :func:`format_record` lines to a stream (stderr by default)."""
-
-    def __init__(self, stream: IO[str] | None = None) -> None:
-        self.stream = stream if stream is not None else sys.stderr
-
-    def __call__(self, record: LogRecord) -> None:
-        try:
-            self.stream.write(format_record(record) + "\n")
-        except (ValueError, OSError):  # closed stream
-            pass
-
-
 # -- worker capture -----------------------------------------------------------
 
 
@@ -414,7 +367,5 @@ __all__ = [
     "log_context",
     "current_log_context",
     "JsonlLogSink",
-    "ConsoleLogSink",
-    "format_record",
     "capture_logs",
 ]

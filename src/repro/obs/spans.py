@@ -2,8 +2,8 @@
 
 A :class:`Span` is one timed region -- a job, a stage execution, or a task
 attempt -- with a parent pointer forming the hierarchy
-``job -> stage -> task``.  Spans carry wall/compute time and shuffle/cache
-attributes pulled from task metrics.
+``job -> stage -> task``.  A task span carries its attempt's ids and
+every field of its :class:`~repro.engine.metrics.TaskMetrics`.
 
 Spans come from one place: :func:`spans_from_jobs` builds the hierarchy
 from :class:`~repro.engine.metrics.JobMetrics` records -- the ones a
@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import IO, TYPE_CHECKING, Iterable
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -72,26 +72,14 @@ class Span:
 
 
 def _task_attrs(record) -> dict:
-    m = record.metrics
+    """A task span's attributes: the attempt's ids and every task metric."""
     return {
         "executor_id": record.executor_id,
         "stage_id": record.stage_id,
         "partition": record.partition,
         "attempt": record.attempt,
         "succeeded": record.succeeded,
-        "compute_seconds": m.compute_seconds,
-        "cache_hits": m.cache_hits,
-        "cache_misses": m.cache_misses,
-        "remote_cache_hits": m.remote_cache_hits,
-        "shuffle_bytes_read": m.shuffle_bytes_read,
-        "shuffle_bytes_written": m.shuffle_bytes_written,
-        "shuffle_records_read": m.shuffle_records_read,
-        "shuffle_records_written": m.shuffle_records_written,
-        "size_estimation_seconds": m.size_estimation_seconds,
-        "deserialize_seconds": m.deserialize_seconds,
-        "result_serialize_seconds": m.result_serialize_seconds,
-        "gc_pause_seconds": m.gc_pause_seconds,
-        "peak_rss_bytes": m.peak_rss_bytes,
+        **asdict(record.metrics),
     }
 
 
@@ -102,7 +90,7 @@ def _fragment_children(ids, task_span: "Span", record, task_start: float) -> lis
     are rebased onto the driver's task-span timeline here.
     """
     children = []
-    for frag in getattr(record, "span_fragments", None) or ():
+    for frag in record.span_fragments:
         children.append(Span(
             next(ids), task_span.span_id,
             f"{task_span.name}:{frag['name']}", "task_phase",
@@ -113,30 +101,22 @@ def _fragment_children(ids, task_span: "Span", record, task_start: float) -> lis
 
 
 def spans_from_jobs(jobs: Iterable["JobMetrics"]) -> list[Span]:
-    """Rebuild the job -> stage -> task span hierarchy from job metrics.
-
-    Event-log records carry real monotonic timestamps; for records without
-    them (all timestamps zero) a synthetic timeline is laid out from the
-    recorded wall/duration figures, preserving relative structure.
-    """
+    """Rebuild the job -> stage -> task span hierarchy from job metrics,
+    on the monotonic timestamps the scheduler stamps every job, stage and
+    attempt with."""
     ids = itertools.count(1)
     spans: list[Span] = []
-    clock = 0.0
     for job in jobs:
-        synthetic = job.submit_time == 0.0
-        job_start = clock if synthetic else job.submit_time
         job_span = Span(
             next(ids), None, f"job {job.job_id}: {job.description}", "job",
-            job_start, job_start + job.wall_seconds,
+            job.submit_time, job.submit_time + job.wall_seconds,
             {"job_id": job.job_id, "wall_seconds": job.wall_seconds},
         )
         spans.append(job_span)
-        stage_clock = job_start
         for stage in job.stages:
-            stage_start = stage_clock if stage.submit_time == 0.0 else stage.submit_time
             stage_span = Span(
                 next(ids), job_span.span_id, stage.name, "stage",
-                stage_start, stage_start + stage.wall_seconds,
+                stage.submit_time, stage.submit_time + stage.wall_seconds,
                 {
                     "stage_id": stage.stage_id,
                     "attempt": stage.attempt,
@@ -151,17 +131,14 @@ def spans_from_jobs(jobs: Iterable["JobMetrics"]) -> list[Span]:
             )
             spans.append(stage_span)
             for record in stage.tasks:
-                task_start = stage_start if record.start_time == 0.0 else record.start_time
                 task_span = Span(
                     next(ids), stage_span.span_id,
                     f"task {record.stage_id}.{record.partition}#{record.attempt}",
-                    "task", task_start, task_start + record.duration_seconds,
+                    "task", record.start_time, record.start_time + record.duration_seconds,
                     _task_attrs(record),
                 )
                 spans.append(task_span)
-                spans.extend(_fragment_children(ids, task_span, record, task_start))
-            stage_clock = stage_span.end
-        clock = max(clock, job_span.end) + 1e-9
+                spans.extend(_fragment_children(ids, task_span, record, record.start_time))
     return spans
 
 

@@ -7,12 +7,14 @@ import json
 import operator
 import re
 import warnings
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cli import main
 from repro.core.replay import capture_job, replay
 from repro.engine.eventlog import (
     FORMAT_VERSION,
@@ -20,7 +22,13 @@ from repro.engine.eventlog import (
     read_channels,
     read_event_log,
 )
-from repro.engine.listener import InferenceBatchCompleted, JobEnd
+from repro.engine.listener import (
+    ExecutorHeartbeat,
+    InferenceBatchCompleted,
+    JobEnd,
+    SnpSetConverged,
+)
+from repro.engine.metrics import JobMetrics, StageMetrics, TaskMetrics, TaskRecord
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -31,7 +39,7 @@ def write_jobs(jobs, path) -> int:
     for job in jobs:
         listener.on_job_end(JobEnd(job_id=job.job_id, job=job))
     listener.close()
-    return listener.jobs_written
+    return listener.written["job"]
 
 
 @pytest.fixture
@@ -148,9 +156,9 @@ class TestErrors:
         lines = (FIXTURES / "eventlog_v8.jsonl").read_text().splitlines()
         job = json.loads(lines[1])
         for broken, reason in (
-            (dict(job, stages=5), "job event has a field of the wrong type"),
-            (dict(job, stages=[{"tasks": 5}]), "job event has no field 'stage_id'"),
-            ({k: v for k, v in job.items() if k != "job_id"}, "job event has no field 'job_id'"),
+            (dict(job, stages=5), "job field stages is int, not list"),
+            (dict(job, stages=[{"tasks": 5}]), r"job field stages\[0\]\.stage_id is missing"),
+            ({k: v for k, v in job.items() if k != "job_id"}, "job field job_id is missing"),
         ):
             path = tmp_path / "bad.jsonl"
             path.write_text("\n".join([lines[0], json.dumps(broken), *lines[2:]]) + "\n")
@@ -233,9 +241,8 @@ class TestV3Telemetry:
         assert len(jobs) == 1
         telemetry = read_channels(path)["telemetry"]
         assert telemetry, "expected heartbeat records in the v3 log"
-        assert all(t["event"] == "heartbeat" for t in telemetry)
-        assert all(t["version"] == FORMAT_VERSION for t in telemetry)
-        assert any(t["executor_id"].startswith("exec-") for t in telemetry)
+        assert all(isinstance(t, ExecutorHeartbeat) for t in telemetry)
+        assert any(t.executor_id.startswith("exec-") for t in telemetry)
 
     def test_v1_heartbeat_line_still_rejected(self, tmp_path):
         """A telemetry line claiming a version before v8 is corruption,
@@ -276,7 +283,7 @@ class TestV4Logs:
         jobs = read_event_log(path)
         assert len(jobs) == 1
         # and telemetry readers don't confuse log lines with heartbeats
-        assert all(t["event"] != "log" for t in read_channels(path)["telemetry"])
+        assert read_channels(path)["telemetry"] == []
 
     def test_level_gates_the_side_channel(self, tmp_path):
         quiet = read_channels(self._run_logged(tmp_path, level="error"))["log"]
@@ -313,7 +320,7 @@ class TestV5Monitoring:
         assert job.stages and job.stages[0].tasks
         channels = read_channels(path)
         telemetry = channels["telemetry"]
-        assert telemetry and all(t["event"] == "heartbeat" for t in telemetry)
+        assert telemetry and all(isinstance(t, ExecutorHeartbeat) for t in telemetry)
         assert any(r.message == "job finished" for r in channels["log"])
         assert not {"series", "alert"} & set(channels)
 
@@ -344,7 +351,7 @@ class TestV5Monitoring:
         path = str(tmp_path / "torn.jsonl")
         listener = EventLogListener(path)
         listener.write_log(LogRecord(time=1.0, level="info", logger="t", message="m"))
-        listener.on_inference_batch_completed(InferenceBatchCompleted(
+        listener.on_event(InferenceBatchCompleted(
             method="monte_carlo", batch_width=8, replicates_total=8,
             planned_replicates=8, sets_total=1, sets_converged=0, min_pvalue=0.5,
         ))
@@ -354,7 +361,7 @@ class TestV5Monitoring:
         with pytest.warns(UserWarning, match="truncated"):
             channels = read_channels(path)
         assert [r.message for r in channels["log"]] == ["m"]
-        assert [r["replicates_total"] for r in channels["inference"]] == [8]
+        assert [r.replicates_total for r in channels["inference"]] == [8]
         assert channels["job"] == []  # no jobs, but no crash either
 
 
@@ -470,35 +477,28 @@ class TestV7Adaptive:
 
 class TestV8Inference:
     def test_inference_lines_round_trip(self, tmp_path):
-        """Listener hooks write flushed ``inference`` lines the reader
-        recovers verbatim."""
-        from repro.engine.listener import (
-            InferenceBatchCompleted,
-            SnpSetConverged,
-        )
-
-        path = str(tmp_path / "v8.jsonl")
-        listener = EventLogListener(path)
-        listener.on_inference_batch_completed(InferenceBatchCompleted(
+        """The bus's inference events come back from the log as the events
+        they were, bus timestamp included."""
+        batch = InferenceBatchCompleted(
             method="monte_carlo", batch_width=64, replicates_total=64,
             planned_replicates=512, sets_total=3, sets_converged=1,
             min_pvalue=0.01,
-        ))
-        listener.on_snp_set_converged(SnpSetConverged(
+        )
+        batch.time = 12.5
+        decision = SnpSetConverged(
             method="monte_carlo", set_index=0, set_name="set0",
             status="decided_significant", pvalue=0.01, ci_low=0.002,
             ci_high=0.04, replicates=64,
-        ))
+        )
+        path = str(tmp_path / "v8.jsonl")
+        listener = EventLogListener(path)
+        listener.on_event(batch)
+        listener.on_event(decision)
         listener.close()
-        assert listener.inference_written == 2
-        batch, decision = read_channels(path)["inference"]
-        assert batch["kind"] == "batch"
-        assert batch["replicates_total"] == 64
-        assert batch["planned_replicates"] == 512
-        assert decision["kind"] == "converged"
-        assert decision["set_name"] == "set0"
-        assert decision["status"] == "decided_significant"
-        assert decision["ci_low"] == pytest.approx(0.002)
+        assert listener.written["inference"] == 2
+        assert [json.loads(line)["kind"] for line in open(path)] == ["batch", "converged"]
+        assert read_channels(path)["inference"] == [batch, decision]
+        assert read_channels(path)["inference"][0].time == 12.5
         # job readers and the other side channels skip inference lines
         assert read_event_log(path) == []
         assert read_channels(path)["telemetry"] == []
@@ -510,18 +510,18 @@ class TestV8Inference:
         jobs = read_event_log(path)
         assert jobs and all(j.stages for j in jobs)
         records = read_channels(path)["inference"]
-        batches = [r for r in records if r["kind"] == "batch"]
-        converged = [r for r in records if r["kind"] == "converged"]
+        batches = [r for r in records if isinstance(r, InferenceBatchCompleted)]
+        converged = [r for r in records if isinstance(r, SnpSetConverged)]
         assert batches and converged
+        assert len(batches) + len(converged) == len(records)
         final = batches[-1]
-        assert final["early_stop"] is True
-        assert final["sets_converged"] == final["sets_total"] == 6
-        assert final["replicates_total"] + final["replicates_saved"] == \
-            final["planned_replicates"]
-        assert all(r["status"] in ("decided_significant", "decided_null")
+        assert final.early_stop is True
+        assert final.sets_converged == final.sets_total == 6
+        assert final.replicates_total + final.replicates_saved == final.planned_replicates
+        assert all(r.status in ("decided_significant", "decided_null")
                    for r in converged)
-        assert all(0.0 <= r["ci_low"] <= r["pvalue"] <= r["ci_high"] <= 1.0
-                   or r["ci_low"] <= r["ci_high"]
+        assert all(0.0 <= r.ci_low <= r.pvalue <= r.ci_high <= 1.0
+                   or r.ci_low <= r.ci_high
                    for r in converged)
 
     def test_live_run_writes_inference_lines(self, tmp_path, serial_config):
@@ -540,18 +540,16 @@ class TestV8Inference:
             analysis = SparkScoreAnalysis(dataset, engine="distributed", ctx=ctx)
             result = analysis.monte_carlo(256, seed=0, batch_size=64)
         records = read_channels(path)["inference"]
-        batches = [r for r in records if r["kind"] == "batch"]
+        batches = [r for r in records if isinstance(r, InferenceBatchCompleted)]
         assert batches, "expected inference batch lines in the v8 log"
-        assert batches[-1]["replicates_total"] == result.n_resamples
+        assert batches[-1].replicates_total == result.n_resamples
         assert len(read_event_log(path)) >= 1  # jobs unharmed
 
     def test_torn_final_inference_line_tolerated(self, tmp_path):
         """A writer killed mid-inference-line must not poison any reader."""
-        from repro.engine.listener import InferenceBatchCompleted
-
         path = str(tmp_path / "torn.jsonl")
         listener = EventLogListener(path)
-        listener.on_inference_batch_completed(InferenceBatchCompleted(
+        listener.on_event(InferenceBatchCompleted(
             method="permutation", batch_width=16, replicates_total=16,
             planned_replicates=128, sets_total=2, sets_converged=0,
         ))
@@ -561,7 +559,7 @@ class TestV8Inference:
         with pytest.warns(UserWarning, match="truncated"):
             channels = read_channels(path)
         (batch,) = channels["inference"]
-        assert batch["replicates_total"] == 16
+        assert batch.replicates_total == 16
         assert channels["job"] == []  # no jobs, but no crash either
 
     def test_old_fixtures_have_no_inference(self):
@@ -633,16 +631,103 @@ def _mutated_logs(draw):
     return "\n".join(lines) + "\n", index + 1
 
 
+def _cli(*argv):
+    """``sparkscore <argv>``: (exit code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err), warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # a truncated last line warns
+        code = main([str(arg) for arg in argv])
+    return code, out.getvalue(), err.getvalue()
+
+
 @settings(max_examples=300, deadline=None, database=None)
 @given(_mutated_logs())
-def test_a_mutated_log_loads_or_names_its_line(mutated):
+def test_a_mutated_log_loads_or_names_its_line(tmp_path_factory, mutated):
     """Truncate a line, swap a field for another type, drop a key, replace
     a line with a JSON scalar or list, or change its version or kind: the
-    log either loads or raises a ValueError naming that line."""
+    log either loads and ``history`` and ``doctor`` both render it, or the
+    reader raises a ValueError naming that line, which both print as their
+    one stderr line and exit 1."""
     text, lineno = mutated
+    path = tmp_path_factory.getbasetemp() / "mutated.jsonl"
+    path.write_text(text)
     try:
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # a truncated last line warns
+            warnings.simplefilter("ignore")
             read_channels(io.StringIO(text))
     except ValueError as exc:
         assert re.search(rf"event log line {lineno}\b", str(exc)), str(exc)
+        for command in ("history", "doctor"):
+            code, _, err = _cli(command, path)
+            assert code == 1 and err == f"{path}: {exc}\n", (command, err)
+    else:
+        for command in ("history", "doctor"):
+            code, _, err = _cli(command, path)
+            assert code == 0, (command, err)
+
+
+def _set_first(data, path, value):
+    """Set ``path`` (keys and indexes) of a parsed line to ``value``."""
+    for key in path[:-1]:
+        data = data[key]
+    data[path[-1]] = value
+
+
+@pytest.mark.parametrize("command", ["history", "doctor"])
+@pytest.mark.parametrize("fixture,record,path,message", [
+    ("eventlog_skew.jsonl", ("job", None), ("wall_seconds",),
+     "job field wall_seconds is str, not float"),
+    ("eventlog_skew.jsonl", ("job", None), ("stages", 0, "tasks", 0, "duration_seconds"),
+     "job field stages[0].tasks[0].duration_seconds is str, not float"),
+    ("eventlog_v8.jsonl", ("job", None), ("stages", 0, "tasks", 0, "metrics", "cache_hits"),
+     "job field stages[0].tasks[0].metrics.cache_hits is str, not int"),
+    ("eventlog_v8.jsonl", ("inference", "batch"), ("replicates_total",),
+     "inference field replicates_total is str, not int"),
+], ids=["job-wall", "task-duration", "task-metric", "inference-batch"])
+def test_a_wrong_typed_scalar_is_one_located_line(command, fixture, record, path,
+                                                  message, tmp_path):
+    """The first line of ``record``'s kind with the field at ``path`` set to
+    a string."""
+    lines = (FIXTURES / fixture).read_text().splitlines()
+    index = next(
+        i for i, line in enumerate(lines)
+        if (json.loads(line)["event"], json.loads(line).get("kind")) == record
+    )
+    data = json.loads(lines[index])
+    _set_first(data, path, "x")
+    lines[index] = json.dumps(data)
+    log = tmp_path / fixture
+    log.write_text("\n".join(lines) + "\n")
+    code, _, err = _cli(command, log)
+    assert code == 1
+    assert err == f"{log}: event log line {index + 1}: {message}\n"
+
+
+def test_every_task_metric_reaches_the_log_history_and_trace(tmp_path):
+    """Each :class:`TaskMetrics` field, set non-zero, survives the log round
+    trip, shows in ``history`` and rides on the trace's task span: a field
+    added to the dataclass needs no other edit to get there."""
+    names = [f.name for f in dataclasses.fields(TaskMetrics)]
+    metrics = TaskMetrics(**{
+        f.name: type(f.default)(i + 1) for i, f in enumerate(dataclasses.fields(TaskMetrics))
+    })
+    record = TaskRecord(
+        stage_id=0, partition=0, attempt=0, executor_id="exec-0",
+        duration_seconds=0.5, metrics=metrics, succeeded=True, start_time=10.0,
+        span_fragments=[{"name": "compute", "start": 0.1, "end": 0.4}],
+    )
+    stage = StageMetrics(stage_id=0, name="map", num_tasks=1, tasks=[record],
+                         wall_seconds=0.5, submit_time=10.0)
+    job = JobMetrics(job_id=0, description="every counter", wall_seconds=0.6,
+                     stages=[stage], submit_time=10.0)
+    log = tmp_path / "events.jsonl"
+    write_jobs([job], str(log))
+    assert read_event_log(str(log)) == [job]
+    trace = tmp_path / "trace.json"
+    code, out, _ = _cli("history", log, "--export-trace", trace)
+    assert code == 0
+    totals = out.split("totals:")[1]
+    for name in names:
+        assert re.search(rf"(?<![a-z_]){name} \S", totals), name
+    (task,) = [e for e in json.loads(trace.read_text())["traceEvents"] if e.get("cat") == "task"]
+    assert {name: task["args"][name] for name in names} == dataclasses.asdict(metrics)

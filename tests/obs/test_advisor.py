@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import re
 
+from repro.engine.listener import InferenceBatchCompleted
 from repro.engine.metrics import JobMetrics, StageMetrics, TaskMetrics, TaskRecord
 from repro.obs.advisor import (
     RULES,
@@ -284,14 +285,19 @@ def _firing_inputs() -> list[DiagnosisInput]:
     for task in gc_job.stages[0].tasks:
         task.metrics.gc_pause_seconds = 0.05
     decided_early = [
-        {"kind": "batch", "method": "monte_carlo", "replicates_total": 64,
-         "sets_total": 3, "sets_converged": 3, "early_stop": False},
-        {"kind": "batch", "method": "monte_carlo", "replicates_total": 512,
-         "sets_total": 3, "sets_converged": 3, "early_stop": False,
-         "min_pvalue": 0.5},
+        InferenceBatchCompleted(
+            method="monte_carlo", batch_width=64, replicates_total=64,
+            planned_replicates=512, sets_total=3, sets_converged=3,
+        ),
+        InferenceBatchCompleted(
+            method="monte_carlo", batch_width=448, replicates_total=512,
+            planned_replicates=512, sets_total=3, sets_converged=3, min_pvalue=0.5,
+        ),
     ]
-    too_few = [{"kind": "batch", "method": "permutation", "replicates_total": 100,
-                "sets_total": 3, "sets_converged": 0, "min_pvalue": 0.001}]
+    too_few = [InferenceBatchCompleted(
+        method="permutation", batch_width=100, replicates_total=100,
+        planned_replicates=100, sets_total=3, sets_converged=0, min_pvalue=0.001,
+    )]
     return [
         DiagnosisInput(jobs=[failed_job(["ValueError: boom"])]),
         DiagnosisInput(jobs=[make_job([0.1] * 7 + [1.0])]),

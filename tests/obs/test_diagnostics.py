@@ -4,19 +4,16 @@ from __future__ import annotations
 
 import pytest
 
-from repro.engine.listener import ListenerBus, StageCompleted
 from repro.engine.metrics import JobMetrics, StageMetrics, TaskMetrics, TaskRecord
 from repro.obs.advisor import cache_pressure_from_jobs
 from repro.obs.diagnostics import (
     CachePressureReport,
-    DiagnosticsListener,
     detect_skew,
     detect_stragglers,
     gini,
     median,
     stage_distribution,
 )
-from repro.obs.logging import LOG_BUS
 
 
 def make_stage(durations, records=None, stage_id=0, name="map"):
@@ -149,53 +146,16 @@ class TestCachePressure:
         assert d["eviction_ratio"] == 0.5
 
 
-def _findings():
-    """(skew metrics, straggler partitions) the listener logged."""
-    warnings = LOG_BUS.records(level="warning")
-    skew = [r.fields["metric"] for r in warnings
-            if r.message == "stage partition skew detected"]
-    stragglers = [r.partition for r in warnings
-                  if r.message == "straggler task detected"]
-    return skew, stragglers
-
-
-class TestDiagnosticsListener:
-    def _completed(self, stage):
-        return StageCompleted(stage=stage, job_id=0)
-
-    def test_logs_each_finding(self):
-        bus = ListenerBus()
-        bus.add_listener(DiagnosticsListener())
-        LOG_BUS.clear()
-        bus.post(self._completed(make_stage([0.1] * 7 + [1.0])))
-        assert _findings() == (["duration"], [7])
-
-    def test_stage_retry_does_not_duplicate(self):
-        bus = ListenerBus()
-        bus.add_listener(DiagnosticsListener())
-        LOG_BUS.clear()
-        stage = make_stage([0.1] * 7 + [1.0])
-        bus.post(self._completed(stage))
-        bus.post(self._completed(stage))
-        assert _findings() == (["duration"], [7])
-
-
 class TestOneThreshold:
-    def test_online_offline_and_aqe_share_the_skew_ratio(self):
+    def test_doctor_flags_skew_at_the_module_ratio(self):
         from repro.obs import diagnostics
         from repro.obs.advisor import diagnose
 
-        # a stage exactly at the ratio is skewed for the live listener and
-        # for doctor alike; just under it, for neither
+        # a stage exactly at the ratio is skewed for doctor; just under it,
+        # it is not
         at = [0.1] * 7 + [0.1 * diagnostics.SKEW_RATIO]
         under = [0.1] * 7 + [0.1 * diagnostics.SKEW_RATIO * 0.95]
         for durations, skewed in ((at, True), (under, False)):
-            stage = make_stage(durations)
-            bus = ListenerBus()
-            bus.add_listener(DiagnosticsListener())
-            LOG_BUS.clear()
-            bus.post(StageCompleted(stage=stage, job_id=0))
-            assert bool(_findings()[0]) is skewed
-            job = JobMetrics(job_id=0, description="j", stages=[stage])
+            job = JobMetrics(job_id=0, description="j", stages=[make_stage(durations)])
             rules = {r.rule for r in diagnose([job], cache=CachePressureReport())}
             assert ("repartition-skewed-stage" in rules) is skewed

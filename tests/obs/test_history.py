@@ -4,7 +4,6 @@ import pytest
 
 from repro.engine.metrics import JobMetrics, StageMetrics, TaskMetrics, TaskRecord
 from repro.obs.history import (
-    aggregate_cache_stats,
     critical_path,
     percentile,
     render_history,
@@ -137,13 +136,15 @@ class TestRendering:
         assert "job 4" in out and "mc batch" in out
         assert "critical path" in out
         assert "max speedup" in out
-        assert "75.0% hit rate" in out
+        assert "cache hit rate 75.0% (3 hits / 1 misses)" in out
+        assert "totals: cache_hits 3, cache_misses 1" in out
 
     def test_render_history_overall_footer(self):
         out = render_history([self._job(), self._job()])
         assert "== overall: 2 jobs ==" in out
-        assert "cache hit rate" in out
-        assert "shuffle volume" in out
+        footer = out.split("== overall")[1]
+        assert "cache hit rate 75.0% (6 hits / 2 misses)" in footer
+        assert "totals: cache_hits 6, cache_misses 2" in footer
 
     def test_render_history_empty(self):
         assert "no jobs" in render_history([])
@@ -151,10 +152,16 @@ class TestRendering:
 
 class TestAggregateCacheStats:
     def test_rollup(self):
+        """The log's footer sums every job's task counters, each in the unit
+        its name carries; a zero counter is left out."""
         job = JobMetrics(job_id=0, stages=[_stage(0, [1.0])])
-        job.stages[0].tasks[0].metrics.cache_hits = 2
-        job.stages[0].tasks[0].metrics.cache_misses = 2
-        agg = aggregate_cache_stats([job, job])
-        assert agg["cache_hits"] == 4
-        assert agg["cache_hit_rate"] == pytest.approx(0.5)
-        assert agg["total_task_seconds"] == pytest.approx(2.0)
+        metrics = job.stages[0].tasks[0].metrics
+        metrics.cache_hits = metrics.cache_misses = 2
+        metrics.shuffle_bytes_written = 3 * 1024
+        metrics.compute_seconds = 0.25
+        footer = render_history([job, job]).split("== overall")[1]
+        assert "task time 2.00s" in footer
+        assert "cache hit rate 50.0% (4 hits / 4 misses)" in footer
+        assert "shuffle_bytes_written 6.0 KiB" in footer
+        assert "compute_seconds 500.0ms" in footer
+        assert "records_read" not in footer

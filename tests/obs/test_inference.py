@@ -333,14 +333,15 @@ class TestResamplerIntegration:
 
 class TestAdvisorRules:
     def _final_batch(self, **overrides):
-        base = {
-            "event": "inference", "kind": "batch", "method": "monte_carlo",
-            "batch_width": 0, "replicates_total": 4096,
-            "planned_replicates": 4096, "sets_total": 4, "sets_converged": 4,
-            "replicates_saved": 0, "min_pvalue": 0.25, "early_stop": False,
-        }
+        from repro.engine.listener import InferenceBatchCompleted
+
+        base = dict(
+            method="monte_carlo", batch_width=0, replicates_total=4096,
+            planned_replicates=4096, sets_total=4, sets_converged=4,
+            replicates_saved=0, min_pvalue=0.25, early_stop=False,
+        )
         base.update(overrides)
-        return base
+        return InferenceBatchCompleted(**base)
 
     def test_enable_early_stop_fires_on_wasted_replicates(self):
         from repro.obs.advisor import DiagnosisInput, rule_enable_early_stop

@@ -10,14 +10,12 @@ from repro.config import EngineConfig
 from repro.engine.context import Context
 from repro.obs.logging import (
     LOG_BUS,
-    ConsoleLogSink,
     JsonlLogSink,
     LogBus,
     LogRecord,
     StructuredLogger,
     capture_logs,
     current_log_context,
-    format_record,
     log_context,
 )
 
@@ -33,12 +31,19 @@ class TestLogRecord:
         d = make_record().to_dict()
         assert d == {"time": 1.0, "level": "info", "logger": "t", "message": "hello"}
 
-    def test_round_trip(self):
+    def test_round_trip(self, tmp_path):
+        """Through the event log's one writer and one reader."""
+        from repro.engine.eventlog import EventLogListener, read_channels
+
         rec = make_record(
             job_id=3, stage_id=7, partition=1, attempt=0, executor_id="exec-2",
             fields={"rows": 10},
         )
-        back = LogRecord.from_dict(json.loads(json.dumps(rec.to_dict())))
+        path = str(tmp_path / "events.jsonl")
+        listener = EventLogListener(path)
+        listener.write_log(rec)
+        listener.close()
+        (back,) = read_channels(path)["log"]
         assert back == rec
         assert back.correlation() == (3, 7, 1, 0, "exec-2")
 
@@ -153,24 +158,7 @@ class TestSinks:
         sink.close()
         lines = open(path).read().splitlines()
         assert len(lines) == 1
-        assert LogRecord.from_dict(json.loads(lines[0])).job_id == 1
-
-    def test_format_record_shows_correlation(self):
-        rec = make_record(
-            level="warning", job_id=2, stage_id=4, partition=1, attempt=0,
-            executor_id="exec-1", fields={"rows": 3},
-        )
-        line = format_record(rec)
-        assert "WARNING" in line
-        assert "job=2" in line and "stage=4" in line
-        assert "task=1.0" in line and "exec=exec-1" in line
-        assert "rows=3" in line
-
-    def test_console_sink_survives_closed_stream(self, tmp_path):
-        fh = open(tmp_path / "out.txt", "w")
-        sink = ConsoleLogSink(fh)
-        fh.close()
-        sink(make_record())  # must not raise
+        assert LogRecord(**json.loads(lines[0])) == make_record(job_id=1, fields={"k": "v"})
 
 
 class TestEngineIntegration:

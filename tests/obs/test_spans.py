@@ -91,15 +91,6 @@ class TestOfflineSpans:
         assert stage_span.parent_id == job_span.span_id
         assert t0.parent_id == t1.parent_id == stage_span.span_id
 
-    def test_synthetic_timeline_for_v1_logs(self):
-        # all timestamps zero (hand-built records): spans still get a usable
-        # timeline
-        spans = spans_from_jobs([_job(0), _job(1)])
-        jobs = [s for s in spans if s.category == "job"]
-        assert jobs[1].start >= jobs[0].end  # jobs laid out sequentially
-        tasks = [s for s in spans if s.category == "task"]
-        assert all(t.duration > 0 for t in tasks)
-
     def test_round_trip_through_event_log(self, tmp_path):
         job = _job()
         job.stages[0].tasks[0].span_fragments = [{"name": "compute", "start": 0.1, "end": 0.4}]

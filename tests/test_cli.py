@@ -402,7 +402,7 @@ class TestUnreadableEventLogs:
         (lambda job: json.dumps(job)[:-9], "line 2 is corrupt"),
         (lambda job: "[1, 2]", "line 2: not an event object"),
         (lambda job: json.dumps(dict(job, stages=5)),
-         "line 2: job event has a field of the wrong type"),
+         "line 2: job field stages is int, not list"),
         (lambda job: json.dumps(dict(job, version=7)),
          "line 2: unsupported event-log version 7"),
     ], ids=["corrupt", "list", "wrong-type", "v7"])
