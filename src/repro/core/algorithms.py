@@ -23,7 +23,7 @@ partition.  The paper flavor flat-maps the chunks into per-SNP records
 (Algorithm 1 step 3, re-parsed by every uncached pass), and its tasks read
 ``weights.txt`` for the join the same way, a split each
 (``parse_weight_rows``, errors located in the file); the vectorized
-flavor cuts blocks from them with one builder and persists the int8
+flavor cuts blocks from them with one builder and caches the int8
 blocks on either route, so the genotypes are parsed or sliced once per
 fleet -- the blocks are resident in the workers under a lineage
 fingerprint that folds the file's size and mtime (or the slices' content)
@@ -483,7 +483,7 @@ class DistributedSparkScore:
         )
         # the resident data of every vectorized analysis: built once per
         # fleet, as int8 as the file or matrix they came from
-        return blocks.persist()
+        return blocks.cache()
 
     def _build_weights_rdd(self, input_paths: dict[str, str] | None) -> "RDD | None":
         if self.flavor != "paper":

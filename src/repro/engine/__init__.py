@@ -8,8 +8,8 @@ Algorithms 1-3 are written against:
 - a DAG scheduler that splits the lineage graph into stages at shuffle
   boundaries and executes them topologically
   (:mod:`repro.engine.scheduler`);
-- per-executor block managers with LRU eviction and optional disk spill,
-  giving ``cache()``/``persist()`` semantics (:mod:`repro.engine.blockmanager`);
+- per-executor block managers with LRU eviction behind ``cache()``; a miss
+  recomputes from lineage (:mod:`repro.engine.blockmanager`);
 - broadcast variables;
 - task retry and lineage-based recomputation after injected executor
   failures (:mod:`repro.engine.faults`).
@@ -27,7 +27,6 @@ from repro.engine.broadcast import Broadcast
 from repro.engine.context import Context
 from repro.engine.faults import FaultInjector, FaultPlan
 from repro.engine.rdd import RDD
-from repro.engine.storage import StorageLevel
 
 __all__ = [
     "Broadcast",
@@ -35,5 +34,4 @@ __all__ = [
     "FaultInjector",
     "FaultPlan",
     "RDD",
-    "StorageLevel",
 ]

@@ -121,7 +121,7 @@ def _resident_blocks(memory_budget: int) -> Any:
 
 
 def release_resident_blocks() -> None:
-    """Worker exit: drop every block (and with them any spilled file)."""
+    """Worker exit: drop every block."""
     global _RESIDENT_BLOCKS
     if _RESIDENT_BLOCKS is not None:
         _RESIDENT_BLOCKS.clear()
@@ -150,19 +150,16 @@ class _TaskBlocks:
         self._touched.add(block_id)
         return (self._keys[block_id[0]], block_id[1])
 
-    def was_spilled(self, block_id: "tuple[int, int]") -> bool:
-        return self._manager.was_spilled(self._key(block_id))
-
     def get(self, block_id: "tuple[int, int]") -> "list | None":
         return self._manager.get(self._key(block_id))
 
-    def put(self, block_id: "tuple[int, int]", data: Any, level: Any, metrics: Any = None) -> list:
+    def put(self, block_id: "tuple[int, int]", data: Any, metrics: Any = None) -> list:
         """Cache through the resident manager, noting what the put evicted:
         this stage's RDDs are reported, another context's blocks leave
         silently (its driver finds out by missing)."""
         victims: list = []
         stored = self._manager.put(
-            self._key(block_id), data, level, metrics=metrics, evicted=victims
+            self._key(block_id), data, metrics=metrics, evicted=victims
         )
         for key, split in victims:
             rdd_id = self._rdd_of.get(key)

@@ -1,16 +1,15 @@
-"""Per-executor block managers with LRU eviction and optional disk spill.
+"""Per-executor block managers: live lists in a memory LRU.
 
 A cached RDD partition is a *block*, keyed ``(rdd_id, partition)``.  Each
 executor owns a :class:`BlockManager` with a memory budget; the driver-side
-:class:`BlockManagerMaster` tracks which executors hold which blocks so
-tasks scheduled elsewhere can fetch remotely (counted in metrics, and
-charged as network transfer by the cost model).
+:class:`BlockManagerMaster` tracks which executors hold which blocks, so
+the scheduler can place a task on the holder.  Nothing is fetched from
+another executor: a miss recomputes from lineage and caches locally.
 
 On the cluster backend the data side of that split lives in the workers:
 every worker process keeps one manager for its whole life, keyed
 ``(lineage fingerprint, partition)`` (see :mod:`repro.engine.backends`),
-and the driver's master holds locations only -- nothing fetches remotely, a
-miss recomputes from lineage.
+and the driver's master holds locations only.
 
 Sizes are estimated with :func:`estimate_size`, which understands NumPy
 arrays exactly, walks plain-attribute objects (so block payloads like
@@ -21,9 +20,7 @@ payload is never re-pickled on every cache insert.
 
 from __future__ import annotations
 
-import os
 import pickle
-import tempfile
 import threading
 import time
 from collections import OrderedDict
@@ -32,8 +29,6 @@ from typing import TYPE_CHECKING, Any, Iterable
 
 import numpy as np
 
-from repro.engine.serializer import dumps, loads
-from repro.engine.storage import StorageLevel
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.engine.metrics import TaskMetrics
@@ -150,27 +145,20 @@ def estimate_size(obj: Any, _depth: int = 0) -> int:
 
 @dataclass
 class _Block:
-    #: the live list, or its frame alone when ``level.serialized``
-    data: list | bytes
+    data: list
     size: int
-    level: StorageLevel
 
 
 class BlockManager:
-    """One executor's cache: memory LRU with optional spill-to-disk."""
+    """One executor's cache: live lists in a memory LRU."""
 
-    def __init__(self, executor_id: str, memory_budget: int, spill_dir: str | None = None) -> None:
+    def __init__(self, executor_id: str, memory_budget: int) -> None:
         self.executor_id = executor_id
         self.memory_budget = memory_budget
         self._lock = threading.RLock()
         self._blocks: "OrderedDict[BlockId, _Block]" = OrderedDict()
         self._memory_used = 0
-        self._spill_dir = spill_dir
-        #: a directory this manager made for itself (removed by ``clear``)
-        self._own_spill_dir: str | None = None
-        self._spilled: dict[BlockId, str] = {}
         self.evictions = 0
-        self.spills = 0
 
     # -- properties --------------------------------------------------------
 
@@ -181,11 +169,11 @@ class BlockManager:
 
     def contains(self, block_id: BlockId) -> bool:
         with self._lock:
-            return block_id in self._blocks or block_id in self._spilled
+            return block_id in self._blocks
 
     def block_ids(self) -> list[BlockId]:
         with self._lock:
-            return list(self._blocks) + list(self._spilled)
+            return list(self._blocks)
 
     # -- put / get ----------------------------------------------------------
 
@@ -193,11 +181,10 @@ class BlockManager:
         self,
         block_id: BlockId,
         data: Iterable,
-        level: StorageLevel,
         metrics: "TaskMetrics | None" = None,
         evicted: list | None = None,
     ) -> list:
-        """Materialize ``data``, cache it under ``level``, return the list.
+        """Materialize ``data``, cache it, return the list.
 
         If the block does not fit even after evicting everything else, it is
         *not* cached (Spark drops oversized blocks the same way) but the
@@ -207,81 +194,48 @@ class BlockManager:
         of those blocks are appended to it.
         """
         materialized = data if isinstance(data, list) else list(data)
-        if level is StorageLevel.NONE:
-            return materialized
-        stored: list | bytes = materialized
         est_start = time.perf_counter()
-        if level.serialized:
-            stored = dumps(materialized)
-            size = len(stored) + 64
-        else:
-            size = 64 + sum(estimate_size(item) for item in materialized)
+        size = 64 + sum(estimate_size(item) for item in materialized)
         if metrics is not None:
             metrics.size_estimation_seconds += time.perf_counter() - est_start
-        victims: list[tuple[BlockId, bool]] = []
+        victims: list[BlockId] = []
         with self._lock:
-            if block_id in self._blocks:
-                return materialized
-            if size > self.memory_budget:
-                # cannot ever fit in memory: spill directly if allowed
-                if level.spills_to_disk:
-                    self._spill(block_id, materialized)
+            if block_id in self._blocks or size > self.memory_budget:
                 return materialized
             self._evict_until_fits(size, protect=block_id, victims=victims)
-            self._blocks[block_id] = _Block(data=stored, size=size, level=level)
+            self._blocks[block_id] = _Block(data=materialized, size=size)
             self._memory_used += size
-            self._blocks.move_to_end(block_id)
         if metrics is not None:
             metrics.blocks_evicted += len(victims)
-            metrics.blocks_spilled += sum(spilled for _, spilled in victims)
         if evicted is not None:
-            evicted.extend(victim_id for victim_id, _ in victims)
+            evicted.extend(victims)
         return materialized
 
     def get(self, block_id: BlockId) -> list | None:
         """Return the cached partition, or None.  Touches LRU recency."""
         with self._lock:
             block = self._blocks.get(block_id)
-            if block is not None:
-                self._blocks.move_to_end(block_id)
-                if block.level.serialized:
-                    return loads(block.data)
-                return block.data
-            path = self._spilled.get(block_id)
-        if path is not None:
-            with open(path, "rb") as fh:
-                return loads(fh.read())
-        return None
-
-    def was_spilled(self, block_id: BlockId) -> bool:
-        with self._lock:
-            return block_id in self._spilled
+            if block is None:
+                return None
+            self._blocks.move_to_end(block_id)
+            return block.data
 
     def remove(self, block_id: BlockId) -> None:
         with self._lock:
             block = self._blocks.pop(block_id, None)
             if block is not None:
                 self._memory_used -= block.size
-            path = self._spilled.pop(block_id, None)
-        if path is not None and os.path.exists(path):
-            os.unlink(path)
 
     def clear(self) -> None:
-        for block_id in self.block_ids():
-            self.remove(block_id)
-        if self._own_spill_dir is not None:
-            try:
-                os.rmdir(self._own_spill_dir)
-            except OSError:
-                pass  # a concurrent put spilled again; the next clear gets it
+        with self._lock:
+            self._blocks.clear()
+            self._memory_used = 0
 
     # -- internals ----------------------------------------------------------
 
     def _evict_until_fits(self, size: int, protect: BlockId, victims: list) -> None:
-        """LRU-evict blocks until ``size`` fits in the budget (lock held).
-
-        Each victim is appended to ``victims`` as ``(block_id, spilled)``.
-        """
+        """LRU-evict blocks until ``size`` fits in the budget (lock held),
+        appending each victim's id to ``victims``."""
         while self._memory_used + size > self.memory_budget and self._blocks:
             victim_id = next(iter(self._blocks))
             if victim_id == protect:
@@ -289,22 +243,7 @@ class BlockManager:
             victim = self._blocks.pop(victim_id)
             self._memory_used -= victim.size
             self.evictions += 1
-            if victim.level.spills_to_disk:
-                self._spill(victim_id, victim.data)
-            victims.append((victim_id, victim.level.spills_to_disk))
-
-    def _spill(self, block_id: BlockId, data: list) -> None:
-        if self._spill_dir is None:
-            self._spill_dir = self._own_spill_dir = tempfile.mkdtemp(
-                prefix=f"repro-spill-{self.executor_id}-"
-            )
-        os.makedirs(self._spill_dir, exist_ok=True)
-        path = os.path.join(self._spill_dir, f"block_{block_id[0]}_{block_id[1]}.pkl")
-        with open(path, "wb") as fh:
-            fh.write(dumps(data))
-        with self._lock:
-            self._spilled[block_id] = path
-        self.spills += 1
+            victims.append(victim_id)
 
 
 class BlockManagerMaster:
@@ -313,11 +252,6 @@ class BlockManagerMaster:
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._locations: dict[BlockId, set[str]] = {}
-        self._managers: dict[str, BlockManager] = {}
-
-    def register_manager(self, manager: BlockManager) -> None:
-        with self._lock:
-            self._managers[manager.executor_id] = manager
 
     def register_block(self, block_id: BlockId, executor_id: str) -> None:
         with self._lock:
@@ -326,22 +260,6 @@ class BlockManagerMaster:
     def locations(self, block_id: BlockId) -> list[str]:
         with self._lock:
             return sorted(self._locations.get(block_id, ()))
-
-    def get_remote(self, block_id: BlockId, excluding: str) -> tuple[list, str] | None:
-        """Fetch a block from any executor other than ``excluding``."""
-        with self._lock:
-            holders = [e for e in sorted(self._locations.get(block_id, ())) if e != excluding]
-            managers = {e: self._managers[e] for e in holders if e in self._managers}
-        for executor_id in holders:
-            manager = managers.get(executor_id)
-            if manager is None:
-                continue
-            data = manager.get(block_id)
-            if data is not None:
-                return data, executor_id
-            # registry was stale (block evicted): repair it
-            self.unregister_block(block_id, executor_id)
-        return None
 
     def unregister_block(self, block_id: BlockId, executor_id: str) -> None:
         with self._lock:
@@ -352,10 +270,11 @@ class BlockManagerMaster:
                     del self._locations[block_id]
 
     def remove_executor(self, executor_id: str) -> list[BlockId]:
-        """Drop all block registrations for a dead executor; return lost ids."""
+        """Drop all block registrations for a dead executor; return lost ids.
+
+        The executor's own manager was cleared by ``Executor.kill``."""
         lost: list[BlockId] = []
         with self._lock:
-            manager = self._managers.pop(executor_id, None)
             for block_id in list(self._locations):
                 holders = self._locations[block_id]
                 if executor_id in holders:
@@ -363,8 +282,6 @@ class BlockManagerMaster:
                     if not holders:
                         lost.append(block_id)
                         del self._locations[block_id]
-        if manager is not None:
-            manager.clear()
         return lost
 
     def remove_rdd(self, rdd_id: int) -> None:

@@ -69,8 +69,6 @@ class Context:
             self.config.storage_memory_per_executor,
         )
         self.block_master = BlockManagerMaster()
-        for executor in self.executors:
-            self.block_master.register_manager(executor.block_manager)
         self.shuffle_manager = ShuffleManager()
         self.metrics = MetricsRegistry()
         # inference observability: convergence monitors for resampling
@@ -210,8 +208,8 @@ class Context:
                 if block_id[0] == rdd_id:
                     executor.block_manager.remove(block_id)
         # cluster workers keep their resident copies until LRU takes them:
-        # the RDD now pickles as not persisted, so nothing reads them, and
-        # persisting it again finds them (same lineage, same fingerprint)
+        # the RDD now pickles as not cached, so nothing reads them, and
+        # caching it again finds them (same lineage, same fingerprint)
         self.block_master.remove_rdd(rdd_id)
 
     def cached_partition_count(self, rdd: "RDD") -> int:

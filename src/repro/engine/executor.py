@@ -24,12 +24,11 @@ class Executor:
         host: str,
         cores: int,
         memory_budget: int,
-        spill_dir: str | None = None,
     ) -> None:
         self.executor_id = executor_id
         self.host = host
         self.cores = cores
-        self.block_manager = BlockManager(executor_id, memory_budget, spill_dir)
+        self.block_manager = BlockManager(executor_id, memory_budget)
         self._lock = threading.Lock()
         self._alive = True
         self._heartbeats_suspended = False

@@ -29,12 +29,8 @@ class TaskMetrics:
     shuffle_records_written: int = 0
     cache_hits: int = 0
     cache_misses: int = 0
-    remote_cache_hits: int = 0
-    disk_blocks_read: int = 0
-    #: cached blocks this attempt's cache puts pushed out of memory, and
-    #: how many of those went to disk instead of being dropped
+    #: cached blocks this attempt's cache puts pushed out of memory
     blocks_evicted: int = 0
-    blocks_spilled: int = 0
     compute_seconds: float = 0.0
     size_estimation_seconds: float = 0.0
     #: wall seconds spent encoding/decoding shuffle frames, distinct from

@@ -32,7 +32,6 @@ from repro.engine.dependencies import (
     ShuffleDependency,
 )
 from repro.engine.partitioner import HashPartitioner
-from repro.engine.storage import StorageLevel
 from repro.engine.task import TaskContext
 from repro.engine.transport import ByRef
 
@@ -50,7 +49,7 @@ class RDD:
         self.context = ctx
         self.id = ctx._new_rdd_id()
         self.dependencies = dependencies
-        self.storage_level = StorageLevel.NONE
+        self._cached = False
         self.name = name or type(self).__name__
         #: set when the RDD's output is co-partitioned by a known partitioner
         self.partitioner = None
@@ -65,58 +64,42 @@ class RDD:
         raise NotImplementedError
 
     def iterator(self, split: int, tc: TaskContext) -> Iterator:
-        """Cache-aware access: local cache, remote cache, else compute."""
-        if self.storage_level is StorageLevel.NONE:
+        """Cache-aware access: this executor's cache, else compute and cache."""
+        if not self._cached:
             return self.compute(split, tc)
         block_id = (self.id, split)
         manager = tc.block_manager
         if manager is not None:
-            spilled = manager.was_spilled(block_id)
             data = manager.get(block_id)
             if data is not None:
                 tc.metrics.cache_hits += 1
-                if spilled:
-                    tc.metrics.disk_blocks_read += 1
-                return iter(data)
-        if tc.block_master is not None:
-            remote = tc.block_master.get_remote(block_id, excluding=tc.executor_id)
-            if remote is not None:
-                data, _holder = remote
-                tc.metrics.cache_hits += 1
-                tc.metrics.remote_cache_hits += 1
                 return iter(data)
         tc.metrics.cache_misses += 1
         computed = self.compute(split, tc)
         if manager is not None:
-            stored = manager.put(block_id, computed, self.storage_level, metrics=tc.metrics)
+            stored = manager.put(block_id, computed, metrics=tc.metrics)
             if manager.contains(block_id) and tc.block_master is not None:
                 tc.block_master.register_block(block_id, tc.executor_id)
             return iter(stored)
         return iter(list(computed))
 
-    # -- persistence ----------------------------------------------------------
-
-    def persist(self, level: StorageLevel = StorageLevel.MEMORY) -> "RDD":
-        """Mark for caching at the given storage level.  Returns self."""
-        if not isinstance(level, StorageLevel):
-            raise TypeError(f"expected StorageLevel, got {type(level).__name__}")
-        self.storage_level = level
-        return self
+    # -- caching ----------------------------------------------------------------
 
     def cache(self) -> "RDD":
-        """Shorthand for ``persist(StorageLevel.MEMORY)``."""
-        return self.persist(StorageLevel.MEMORY)
+        """Mark for caching in the executors' block managers.  Returns self."""
+        self._cached = True
+        return self
 
     def unpersist(self) -> "RDD":
-        """Drop the persistence flag and evict any cached blocks."""
-        self.storage_level = StorageLevel.NONE
+        """Drop the caching flag and evict any cached blocks."""
+        self._cached = False
         if self.context is not None:
             self.context._drop_cached_rdd(self.id)
         return self
 
     @property
     def is_cached(self) -> bool:
-        return self.storage_level is not StorageLevel.NONE
+        return self._cached
 
     # -- pickling (process backend) ---------------------------------------------
 
@@ -242,9 +225,9 @@ class RDD:
     def to_debug_string(self) -> str:
         """Spark-style indented lineage dump.
 
-        Each node shows its partition count, a ``*`` marker plus the storage
-        level when persisted, and -- for cached RDDs -- how many partitions
-        are currently materialised in executor block managers.
+        Each node shows its partition count, a ``*`` marker when cached, and
+        -- for cached RDDs -- how many partitions are currently materialised
+        in executor block managers.
         """
         lines: list[str] = []
 
@@ -253,7 +236,7 @@ class RDD:
             label = f"{'  ' * depth}({rdd.num_partitions()}){marker} {rdd.name} [{rdd.id}]"
             if rdd.is_cached:
                 cached = rdd.context.cached_partition_count(rdd)
-                label += f" <{rdd.storage_level.value}: {cached}/{rdd.num_partitions()} cached>"
+                label += f" <{cached}/{rdd.num_partitions()} cached>"
             lines.append(label)
             for dep in rdd.dependencies:
                 if isinstance(dep, ShuffleDependency):
@@ -271,7 +254,7 @@ class RDD:
         The tree is :meth:`to_debug_string`; below it, one line per shuffle
         boundary explains where the scheduler will cut stages and how many
         partitions cross each shuffle.  ``sparkscore doctor`` points at this
-        when it recommends repartitioning or persisting an RDD.
+        when it recommends repartitioning an RDD.
         """
         lines = [self.to_debug_string()]
         shuffles = [

@@ -158,7 +158,7 @@ def stage_shuffle_inputs(rdd: "RDD", split: int) -> set[tuple[int, int]]:
 
 
 def stage_cached_rdds(rdd: "RDD") -> list["RDD"]:
-    """Persisted RDDs a task of this stage may compute: ``rdd`` and its
+    """Cached RDDs a task of this stage may compute: ``rdd`` and its
     ancestors through narrow dependencies (a shuffle ends the stage)."""
     seen: dict[int, "RDD"] = {}
     frontier = [rdd]

@@ -1,8 +1,8 @@
 """The data plane's one frame format.
 
-A *frame* is ``pickle.dumps(records, HIGHEST_PROTOCOL)``.  Everything the
-engine stores or moves as encoded records -- shuffle buckets, ``MEMORY_SER``
-cache blocks, spilled blocks -- is a frame, produced by :func:`dumps` and decoded by :func:`loads`.  This
+A *frame* is ``pickle.dumps(records, HIGHEST_PROTOCOL)``.  The records the
+engine moves encoded -- shuffle buckets -- are frames, produced by
+:func:`dumps` and decoded by :func:`loads`.  This
 module is the only place that decision lives: a frame is self-describing,
 so a worker decodes what the driver encoded (and vice versa) with no format
 name on the wire.

@@ -216,7 +216,7 @@ class TaskBinary:
         self.rdd = rdd
         self.func = func
         self.shuffle_dep = shuffle_dep
-        #: lineage fingerprint per persisted rdd id computed in this stage:
+        #: lineage fingerprint per cached rdd id computed in this stage:
         #: what a worker keys the RDD's resident blocks by (rdd ids restart
         #: at 0 in every context; the SHA-256 of the RDD's pickle does not)
         self.block_keys = block_keys

@@ -15,8 +15,8 @@ The other rules encode the paper's own tuning playbook:
 
 - skewed stages -> repartition (Section V's skew tail; the dominant
   resampling-cost pathology in Segal et al. / Larson & Owen workloads);
-- cache thrash -> spillable storage levels / more executor memory
-  (the paper's memory-pressure analysis);
+- cache thrash -> more executor memory (the paper's memory-pressure
+  analysis);
 - executor/core sizing -> many small containers (Experiment C,
   Tables VII/VIII: 126 x 2-core beat 42 x 6-core on equal hardware);
 - GC pressure and task granularity -> the engine's own knobs.
@@ -283,18 +283,7 @@ def rule_cache_thrash(inp: DiagnosisInput) -> list[Recommendation]:
         return []
     if cache.eviction_ratio < 0.5 or cache.hit_rate >= 0.6:
         return []
-    spilled_all = cache.blocks_spilled >= cache.blocks_evicted > 0
-    action = (
-        "raise executor_memory, or persist with StorageLevel.MEMORY_SER "
-        "(pickled blocks: a smaller footprint for numeric rows)"
-    )
-    if not spilled_all:
-        action += (
-            "; evicted blocks are being recomputed -- switch persist() to "
-            "StorageLevel.MEMORY_AND_DISK so evictions spill instead of "
-            "recompute"
-        )
-    out = [
+    return [
         Recommendation(
             rule="cache-thrash",
             severity="critical" if cache.hit_rate < 0.3 else "warning",
@@ -302,12 +291,14 @@ def rule_cache_thrash(inp: DiagnosisInput) -> list[Recommendation]:
                 f"cache thrash: {cache.blocks_evicted}/{cache.blocks_cached} "
                 f"cached blocks evicted, hit rate {cache.hit_rate:.0%}"
             ),
-            action=action,
+            action=(
+                "raise executor_memory: evicted blocks are recomputed from "
+                "lineage on their next read"
+            ),
             evidence=cache.to_dict(),
             score=cache.eviction_ratio + (1 - cache.hit_rate),
         )
     ]
-    return out
 
 
 def rule_gc_pressure(inp: DiagnosisInput) -> list[Recommendation]:
@@ -506,8 +497,8 @@ def rule_insufficient_resamples(inp: DiagnosisInput) -> list[Recommendation]:
                     f"{total}"
                 ),
                 action=(
-                    f"raise n_resamples to >= {required} (sparkscore analyze "
-                    f"--iterations {required}), or accept the wider CI the "
+                    f"raise the replicate count to >= {required} (sparkscore "
+                    f"analyze --iterations {required}), or accept the wider CI the "
                     "convergence panel shows for the extreme sets"
                 ),
                 evidence={
@@ -569,8 +560,8 @@ def cache_pressure_from_jobs(jobs: Sequence["JobMetrics"]) -> CachePressureRepor
     """Cache pressure from task metrics alone (live or event-log jobs).
 
     Every miss computes its partition and caches it, so misses count the
-    blocks cached; the evictions (and spills) are the ones each task's
-    cache puts caused.
+    blocks cached; the evictions are the ones each task's cache puts
+    caused.
     """
     report = CachePressureReport()
     for job in jobs:
@@ -578,7 +569,6 @@ def cache_pressure_from_jobs(jobs: Sequence["JobMetrics"]) -> CachePressureRepor
         report.cache_hits += totals.cache_hits
         report.cache_misses += totals.cache_misses
         report.blocks_evicted += totals.blocks_evicted
-        report.blocks_spilled += totals.blocks_spilled
     report.blocks_cached = report.cache_misses
     return report
 

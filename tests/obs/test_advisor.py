@@ -153,38 +153,49 @@ class TestStragglerRule:
 
 
 def assert_names_real_settings(action: str) -> None:
-    """Every storage level an action names exists, and no removed knob."""
-    from repro.config import EngineConfig
-    from repro.engine.storage import StorageLevel
+    """Every lever an action names exists: each snake_case name is an
+    ``EngineConfig`` field or a ``DistributedSparkScore`` parameter, each
+    ``--flag`` parses as a ``sparkscore analyze`` flag, and each
+    ``rdd.<name>(`` is an ``RDD`` attribute."""
+    import inspect
 
-    levels = re.findall(r"\bMEMORY\w*", action)
-    assert levels, action
-    assert set(levels) <= set(StorageLevel.__members__), levels
+    from repro.cli import build_parser
+    from repro.config import EngineConfig
+    from repro.core.algorithms import DistributedSparkScore
+    from repro.engine.rdd import RDD
+
     assert "spark." not in action
     fields = set(EngineConfig.__dataclass_fields__)
+    levers = fields | set(inspect.signature(DistributedSparkScore).parameters)
     for name in re.findall(r"\b[a-z]+_[a-z_]+\b", action):
-        assert name in fields, name
+        assert name in levers, (name, action)
+    for args in re.findall(r"EngineConfig\(([^)]*)\)", action):
+        named = set(re.findall(r"(\w+)=", args))
+        assert named and named <= fields, (named - fields, action)
+    parser = build_parser()
+    for flag, value in re.findall(r"(--[a-z][a-z-]*)(?: (\d+))?", action):
+        argv = ["analyze", "d", "--engine", "distributed", flag]
+        parser.parse_args(argv + ([value] if value else []))
+    for name in re.findall(r"\brdd\.(\w+)\(", action):
+        assert hasattr(RDD, name), (name, action)
 
 
 class TestCacheThrashRule:
     def test_critical_when_hit_rate_collapses(self):
         cache = CachePressureReport(
-            blocks_cached=10, blocks_evicted=8, blocks_spilled=0,
-            cache_hits=1, cache_misses=9,
+            blocks_cached=10, blocks_evicted=8, cache_hits=1, cache_misses=9,
         )
         (rec,) = rule_cache_thrash(DiagnosisInput(cache=cache))
         assert rec.severity == "critical"
-        assert "MEMORY_AND_DISK" in rec.action  # evictions recompute
+        assert rec.action.startswith("raise executor_memory")
         assert_names_real_settings(rec.action)
 
-    def test_spilled_evictions_soften_the_advice(self):
+    def test_moderate_thrash_is_a_warning(self):
         cache = CachePressureReport(
-            blocks_cached=10, blocks_evicted=8, blocks_spilled=8,
-            cache_hits=4, cache_misses=6,
+            blocks_cached=10, blocks_evicted=8, cache_hits=4, cache_misses=6,
         )
         (rec,) = rule_cache_thrash(DiagnosisInput(cache=cache))
         assert rec.severity == "warning"
-        assert "MEMORY_AND_DISK" not in rec.action
         assert_names_real_settings(rec.action)
 
     def test_healthy_cache_is_quiet(self):
@@ -252,7 +263,7 @@ class TestDiagnose:
             rec.metrics.blocks_evicted = 1
         (thrash,) = [r for r in diagnose([job]) if r.rule == "cache-thrash"]
         assert thrash.title.startswith("cache thrash: 8/8 cached blocks evicted")
-        assert "MEMORY_AND_DISK" in thrash.action
+        assert "executor_memory" in thrash.action
 
 
 class TestRendering:
@@ -279,7 +290,7 @@ class TestRendering:
 
 
 def _firing_inputs() -> list[DiagnosisInput]:
-    """One input per rule (two for the rules with two wordings) that makes
+    """One input per rule (two for the rule with two wordings) that makes
     it fire."""
     gc_job = make_job([0.2] * 4)
     for task in gc_job.stages[0].tasks:
@@ -310,10 +321,6 @@ def _firing_inputs() -> list[DiagnosisInput]:
         DiagnosisInput(cache=CachePressureReport(
             blocks_cached=10, blocks_evicted=8, cache_hits=1, cache_misses=9,
         )),
-        DiagnosisInput(cache=CachePressureReport(
-            blocks_cached=10, blocks_evicted=8, blocks_spilled=8,
-            cache_hits=4, cache_misses=6,
-        )),
         DiagnosisInput(jobs=[gc_job]),
         DiagnosisInput(jobs=[make_job([0.002] * 32)]),
         DiagnosisInput(inference=decided_early),
@@ -329,20 +336,8 @@ class TestActionsNameRealSettings:
         assert fired == {rule.__name__ for rule in RULES}
 
     def test_flags_parse_and_config_fields_exist(self):
-        from repro.cli import build_parser
-        from repro.config import EngineConfig
-
-        parser = build_parser()
-        fields = set(EngineConfig.__dataclass_fields__)
         actions = [
             rec.action for inp in _firing_inputs() for rule in RULES for rec in rule(inp)
         ]
         for action in actions:
-            for flag, value in re.findall(r"(--[a-z][a-z-]*)(?: (\d+))?", action):
-                argv = ["analyze", "d", "--engine", "distributed", flag]
-                parser.parse_args(argv + ([value] if value else []))
-            for args in re.findall(r"EngineConfig\(([^)]*)\)", action):
-                named = set(re.findall(r"(\w+)=", args))
-                assert named and named <= fields, (named - fields, action)
-            for name in re.findall(r"\b([a-z]+_[a-z_]+)=", action):
-                assert name in fields, (name, action)
+            assert_names_real_settings(action)

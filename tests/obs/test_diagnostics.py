@@ -130,9 +130,8 @@ class TestCachePressure:
             rec.metrics.cache_hits = int(i < 3)
             rec.metrics.cache_misses = int(i >= 3)
             rec.metrics.blocks_evicted = int(i < 8) * 2
-            rec.metrics.blocks_spilled = int(i < 2)
         report = cache_pressure_from_jobs([JobMetrics(job_id=0, stages=[stage])])
-        assert (report.blocks_cached, report.blocks_evicted, report.blocks_spilled) == (7, 16, 2)
+        assert (report.blocks_cached, report.blocks_evicted) == (7, 16)
         assert report.hit_rate == pytest.approx(0.3)
         assert report.eviction_ratio == pytest.approx(16 / 7)
 
