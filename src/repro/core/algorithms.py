@@ -44,22 +44,25 @@ block's replicate scores are one GEMM ``W @ G.T`` against its resident
 genotypes, and its per-set partials one GEMM against the block's set
 indicator.  Both methods share one body,
 ``DistributedSparkScore._resample``: it picks the paper flavor's kernel or
-the vectorized flavor's ``W``, and hands
+the vectorized flavor's waves, and hands
 :func:`~repro.stats.resampling.driver.resample` -- the loop the local
-engine runs too -- a wave count.  A paper-flavor wave is one batch and one
-join/``reduce_by_key`` job; a vectorized wave is :data:`WAVE_BATCHES`
-batches, stacked once in the driver into one array, one broadcast and one
-single-stage job -- one GEMM per block for the whole wave.
+engine runs too -- a wave count.  A paper-flavor wave is one batch, drawn
+in the driver, and one join/``reduce_by_key`` job; a vectorized wave is
+:data:`WAVE_BATCHES` batches named by their place in the seeded stream
+(:class:`_Wave`), one small broadcast and one single-stage job whose tasks
+draw the batches and form ``W`` themselves, once per process -- one GEMM
+per block for the whole wave.
 
 Every transformation in the hot path is a named module-level callable (not
 a lambda), so the whole pipeline pickles and runs on the process backend.
 Exceedance counting happens *inside* tasks.  A vectorized run has no
 observed pass of its own: its first wave's tasks score their blocks'
 observed partials from the marginal scores ``G . c`` -- one GEMV on the
-model's ``score_weights()``, the route ``LocalSparkScore`` takes -- compare
-the sets they hold whole in place, and return the partials with the SNP
-ids they scored; later waves carry the driver's folded observed vector in
-their payload broadcast.  Straddling sets come back as per-block columns
+model's ``score_weights()``, the route ``LocalSparkScore`` takes, kept with
+the resident block for the model's next analysis -- compare the sets they
+hold whole in place, and return the partials with the SNP ids they scored;
+later waves carry the driver's folded observed vector in their wave
+broadcast.  Straddling sets come back as per-block columns
 the driver folds in partition -> block order
 (DESIGN.md §8 says why that is bit-identical to one fold of every block's
 partial).  No shuffle, and O(K) counts plus ``b`` floats per straddling
@@ -69,8 +72,13 @@ partial).  No shuffle, and O(K) counts plus ``b`` floats per straddling
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import itertools
+import pickle
+import threading
 import time
+from collections import OrderedDict
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -254,53 +262,95 @@ class _McChunkInnersFn:
             yield from zip(ids, np.square(rows @ z.T))
 
 
-class _StackedWave:
-    """A wave's batches, stacked once in the driver into one ``(sum(widths),
-    n)`` array of replicate weights ``W``: one buffer to broadcast and one
-    GEMM per block.  Sized and iterated as its batches (views of the
-    stack)."""
+@dataclass(frozen=True)
+class _Wave:
+    """A vectorized wave by its place in the seeded stream: batches
+    ``first`` to ``first + len(widths)`` of ``stream``.  A few hundred
+    bytes whatever ``b`` and ``n``: each process that runs one of the
+    wave's tasks draws the batches and forms ``W`` itself
+    (:func:`_wave_weights`)."""
 
-    def __init__(self, replicates: np.ndarray, widths: list[int]) -> None:
-        self.replicates = replicates
-        self.widths = widths
+    stream: streams.ReplicateStream
+    first: int
+    widths: tuple[int, ...]
 
-    def __len__(self) -> int:
-        return len(self.widths)
 
-    def __iter__(self):
-        return iter(self.split(self.replicates))
+class _Cursor:
+    """One model's replicate stream in this process, and the ``W`` of the
+    last wave formed from it."""
 
-    def split(self, stacked: np.ndarray) -> list[np.ndarray]:
-        """``stacked``'s rows cut into the wave's batches."""
-        return np.split(stacked, np.cumsum(self.widths)[:-1])
+    def __init__(self, stream: streams.ReplicateStream) -> None:
+        self.stream = streams.StreamCursor(stream)
+        self.wave: tuple[int, tuple[int, ...]] | None = None  # (first, widths) of ``weights``
+        self.weights: np.ndarray | None = None
+
+
+#: this process's cursors by ``(model content hash, stream)`` -- never by
+#: the seed alone: ``W`` depends on the model, and a caller may reuse a
+#: seed.  The key is content, not a per-call id, so an identical analysis
+#: on a warm fleet builds byte-identical task binaries (and may find its
+#: ``W`` here).  A cursor evicted mid-run restarts from the seed.
+_CURSORS: "OrderedDict[tuple[str, streams.ReplicateStream], _Cursor]" = OrderedDict()
+_CURSORS_LOCK = threading.Lock()
+_MAX_CURSORS = 2
+
+
+def _wave_weights(wave: _Wave, model: ScoreModel, model_key: str) -> np.ndarray:
+    """The wave's ``(sum(widths), n)`` replicate weights ``W`` under the
+    model whose content hash is ``model_key``, bit for bit what the
+    stream's first consumer would form: ``model.adjoint`` of its stacked
+    multipliers, or ``model.score_weights()`` gathered by its stacked
+    permutations.  The first of the wave's tasks in this process draws
+    (replaying the stream as :class:`~repro.stats.resampling.streams.StreamCursor`
+    does) and forms it; the others read the memo."""
+    key = (model_key, wave.stream)
+    with _CURSORS_LOCK:
+        cursor = _CURSORS.pop(key, None) or _Cursor(wave.stream)
+        _CURSORS[key] = cursor
+        while len(_CURSORS) > _MAX_CURSORS:
+            _CURSORS.popitem(last=False)
+        if cursor.wave != (wave.first, wave.widths):
+            cursor.weights = None  # the last wave's W goes before this one's is drawn
+            drawn = np.concatenate(cursor.stream.take(wave.first, len(wave.widths)))
+            if wave.stream.method == "monte_carlo":
+                # Z @ U.T == c(Z) @ G.T, and c(Z) is (b, n) float64 as Z is
+                cursor.weights = model.adjoint(drawn)
+            else:
+                # the shuffle only permutes the score weights: (b, n) float64
+                cursor.weights = model.score_weights()[drawn]
+            cursor.wave = (wave.first, wave.widths)
+        return cursor.weights
 
 
 class _WaveCountsFn:
     """One wave of batches on one partition's blocks (vectorized flavor),
     the one kernel of both resampling methods.
 
-    The broadcast is ``(observed, wave)``, the wave a :class:`_StackedWave`
-    (``[]`` for a wave of no batches).  Whatever its rows are -- ``c(Z)``
-    for Monte Carlo, permuted score weights ``c[pi]`` for permutation -- a
-    block's replicate scores are one GEMM ``W @ G.T`` and its partials one
-    :meth:`SnpBlock.skat_partial`.  A first wave's ``observed`` is
-    ``None``, and the task folds its blocks' observed partials instead, from
-    the model's marginal scores ``G . c`` of the dosages.  A block's
-    ``(sum(widths), K)`` replicate partials are folded left in block order;
-    a set all of whose SNPs are in this partition is compared in place with
-    the observed statistics, batch by batch, and a set that straddles
-    partitions sends its per-block columns to
-    :meth:`DistributedSparkScore._fold_wave`.  Yields ``(complete sets,
-    (W, complete) counts, set of each column, columns, scored)``, a column
+    The broadcast is ``(observed, wave)``, the wave a :class:`_Wave`
+    (``None`` for a wave of no batches).  Whatever its rows ``W`` are --
+    ``c(Z)`` for Monte Carlo, permuted score weights ``c[pi]`` for
+    permutation -- a block's replicate scores are one GEMM ``W @ G.T`` and
+    its partials one :meth:`SnpBlock.skat_partial`.  A first wave's
+    ``observed`` is ``None``, and the task folds its blocks' observed
+    partials instead, from the model's marginal scores ``G . c`` of the
+    dosages; a block keeps its partial under ``model_key`` (the model's
+    content hash), so a later analysis of the same model reads it instead.
+    A block's ``(sum(widths), K)`` replicate partials are folded left in
+    block order; a set all of whose SNPs are in this partition is compared
+    in place with the observed statistics, batch by batch, and a set that
+    straddles partitions sends its per-block columns to
+    :meth:`DistributedSparkScore._fold_wave`.  Yields ``(complete sets, (W,
+    complete) counts, set of each column, columns, scored)``, a column
     holding the wave's batches end to end and ``scored`` a first wave's
     ``((K,) observed, SNP ids)``, else ``None``.  The blocks' int8 rows are
-    widened into one float64 buffer in turn.
+    widened into one float64 buffer in turn, where a product needs them.
     """
 
-    def __init__(self, wave_bc, lookup_bc, model_bc) -> None:
+    def __init__(self, wave_bc, lookup_bc, model_bc, model_key: str) -> None:
         self.wave_bc = wave_bc
         self.lookup_bc = lookup_bc
         self.model_bc = model_bc
+        self.model_key = model_key
 
     def __call__(self, blocks):
         blocks = list(blocks)
@@ -312,27 +362,44 @@ class _WaveCountsFn:
         complete = np.flatnonzero(whole)
         straddling = [np.flatnonzero((n > 0) & ~whole) for n in held]
         observed, wave = self.wave_bc.value
+        model = self.model_bc.value
+        widths = wave.widths if wave is not None else ()
+        replicates = _wave_weights(wave, model, self.model_key) if widths else None
         scoring = observed is None
         if scoring:
             observed = np.zeros(sizes.size)
         widened = np.empty((max(b.n_snps for b in blocks), blocks[0].genotypes.shape[1]))
         total, columns = None, []
         for block, sets in zip(blocks, straddling):
-            rows = widened[: block.n_snps]
-            rows[...] = block.genotypes
+            rows = None
             if scoring:
-                observed = observed + block.skat_partial(self.model_bc.value.scores(rows))
-            if len(wave):
-                partial = block.skat_partial(wave.replicates @ rows.T)
+                partial = block.observed.get(self.model_key)
+                if partial is None:
+                    rows = _widen(widened, block)
+                    partial = block.remember_observed(
+                        self.model_key, block.skat_partial(model.scores(rows))
+                    )
+                observed = observed + partial
+            if replicates is not None:
+                rows = _widen(widened, block) if rows is None else rows
+                partial = block.skat_partial(replicates @ rows.T)
                 total = partial if total is None else total + partial
                 columns.append(partial[:, sets].T)
-        counts = np.zeros((len(wave), complete.size), np.int64)
-        if len(wave):
-            for i, batch in enumerate(wave.split(total[:, complete])):
+        counts = np.zeros((len(widths), complete.size), np.int64)
+        if replicates is not None:
+            batch_starts = np.cumsum(widths)[:-1]
+            for i, batch in enumerate(np.split(total[:, complete], batch_starts)):
                 counts[i] = exceedances(batch, observed[complete])
         columns = np.concatenate(columns) if columns else np.empty((sum(map(len, straddling)), 0))
         scored = (observed, np.concatenate([b.snp_ids for b in blocks])) if scoring else None
         yield complete, counts, np.concatenate(straddling), columns, scored
+
+
+def _widen(buffer: np.ndarray, block) -> np.ndarray:
+    """``block``'s rows as float64, in the head of ``buffer``."""
+    rows = buffer[: block.n_snps]
+    rows[...] = block.genotypes
+    return rows
 
 
 class _PermutedChunkInnersFn:
@@ -441,6 +508,11 @@ class DistributedSparkScore:
                 snp_ids, dataset.snpsets.set_ids, np.square(dataset.weights), self._K
             )
             self._lookup_bc = ctx.broadcast(self._lookup)
+            #: the model's content hash, which a resident block keeps its
+            #: observed partials under
+            self._model_key = hashlib.sha256(
+                pickle.dumps(self.model, protocol=pickle.HIGHEST_PROTOCOL)
+            ).hexdigest()
         self._model_bc = ctx.broadcast(self.model)
 
         self._gm_rdd = self._build_genotype_rdd(input_paths)
@@ -558,15 +630,15 @@ class DistributedSparkScore:
             counts[set_idx] = count
         return counts
 
-    def _wave(self, wave, observed: np.ndarray | None):
-        """One single-stage job counting a :class:`_StackedWave` (or ``[]``)
-        on the resident genotype blocks: ``((W, K) counts, (K,) observed)``.
-        Without ``observed`` -- a run's first wave -- the tasks score it as
-        well."""
+    def _wave(self, wave: _Wave | None, observed: np.ndarray | None):
+        """One single-stage job counting a :class:`_Wave` (or ``None``, no
+        batches) on the resident genotype blocks: ``((W, K) counts, (K,)
+        observed)``.  Without ``observed`` -- a run's first wave -- the tasks
+        score it as well."""
         with _broadcast(self.ctx, (observed, wave)) as wave_bc:
-            count = _WaveCountsFn(wave_bc, self._lookup_bc, self._model_bc)
+            count = _WaveCountsFn(wave_bc, self._lookup_bc, self._model_bc, self._model_key)
             parts = self._gm_rdd.map_partitions(count).collect()
-        return self._fold_wave(parts, [len(batch) for batch in wave], observed)
+        return self._fold_wave(parts, list(wave.widths) if wave else [], observed)
 
     def _fold_wave(self, parts: list, widths: list[int], observed: np.ndarray | None):
         """``((W, K) counts, (K,) observed)`` from every partition's
@@ -600,7 +672,7 @@ class DistributedSparkScore:
         if self.flavor == "paper":
             inner = self.contributions_rdd(cache_contributions).map_values(_RowInnerFn())
             return self._scores_to_set_stats(inner)
-        _, stats = self._wave([], None)
+        _, stats = self._wave(None, None)
         return stats
 
     def _check_scored_ids(self, scored: list[np.ndarray]) -> None:
@@ -631,29 +703,31 @@ class DistributedSparkScore:
         """Algorithm 3: Monte Carlo multipliers against ``U``, which the paper
         flavor caches or, off ``cache_contributions``, recomputes every batch
         (Table IV/V's arms); the vectorized flavor's one route never builds it."""
-        batches = streams.mc_multiplier_batches(
-            self.dataset.n_patients, iterations, seed, batch_size
+        stream = streams.ReplicateStream(
+            "monte_carlo", self.dataset.n_patients, iterations, seed, batch_size
         )
-        return self._resample("monte_carlo", batches, iterations, cache_contributions)
+        return self._resample(stream, cache_contributions)
 
     def permutation(
         self, iterations: int, seed: int = 0, batch_size: int = 16
     ) -> ResamplingResult:
         """Algorithm 2: the scoring pipeline re-run per batch of permutations."""
-        batches = streams.permutation_batches(
-            self.dataset.n_patients, iterations, seed, batch_size
+        stream = streams.ReplicateStream(
+            "permutation", self.dataset.n_patients, iterations, seed, batch_size
         )
-        return self._resample("permutation", batches, iterations, cache_contributions=False)
+        return self._resample(stream, cache_contributions=False)
 
     def _resample(
-        self, method: str, batches, planned: int, cache_contributions: bool
+        self, stream: streams.ReplicateStream, cache_contributions: bool
     ) -> ResamplingResult:
-        """The loop is :func:`resample`'s.  A paper-flavor batch is one
-        broadcast and one two-stage job, after the observed pass; a
-        vectorized wave of :data:`WAVE_BATCHES` batches is one broadcast and
-        one single-stage job, the first scoring the observed statistics too.
-        Every broadcast goes even if a job raises."""
+        """The loop is :func:`resample`'s.  A paper-flavor batch is drawn
+        here and is one broadcast and one two-stage job, after the observed
+        pass; a vectorized wave of :data:`WAVE_BATCHES` batches is one
+        broadcast of its place in the stream and one single-stage job, the
+        first scoring the observed statistics too -- the loop only needs
+        the batches' widths.  Every broadcast goes even if a job raises."""
         start, first_job = time.perf_counter(), len(self.ctx.metrics.jobs)
+        method = stream.method
         paper = self.flavor == "paper"
         if paper and method == "monte_carlo":
             payload, kernel = (lambda z: z), _McChunkInnersFn
@@ -663,15 +737,9 @@ class DistributedSparkScore:
             # and recompute steps 6-12 of Algorithm 1 under each
             source, kernel = self._gm_rdd, _PermutedChunkInnersFn
             payload = lambda perms: [self.model.permuted(perm) for perm in perms]
-        elif method == "monte_carlo":
-            # Z @ U.T == c(Z) @ G.T, and c(Z) is (b, n) float64 as Z is
-            payload = self.model.adjoint
-        else:
-            # the shuffle only permutes the score weights: (b, n) float64
-            payload = self.model.score_weights().__getitem__
         observed = self.observed_statistics(cache_contributions) if paper else None
         monitor = self.ctx.inference.new_monitor(
-            self._K, method, planned, list(self.dataset.snpsets.names)
+            self._K, method, stream.n_resamples, list(self.dataset.snpsets.names)
         )
 
         def count_paper(wave: list[np.ndarray]) -> list[np.ndarray]:
@@ -680,15 +748,19 @@ class DistributedSparkScore:
                 scored = source.map_partitions(kernel(batch_bc))
                 return [self._scores_to_counts(scored, len(batch), observed_bc)]
 
-        def count_wave(wave: list[np.ndarray]) -> np.ndarray:
-            nonlocal observed
-            stacked = _StackedWave(payload(np.concatenate(wave)), [len(batch) for batch in wave])
-            counts, observed = self._wave(stacked, observed)
+        position = 0
+
+        def count_wave(widths: list[int]) -> np.ndarray:
+            nonlocal observed, position
+            wave = _Wave(stream, position, tuple(widths))
+            position += len(widths)
+            counts, observed = self._wave(wave, observed)
             return counts
 
         with _broadcast(self.ctx, observed) if paper else contextlib.nullcontext() as observed_bc:
             counts, used = resample(
-                batches, count_paper if paper else count_wave, monitor, n_sets=self._K,
+                stream.batches() if paper else stream.widths(),
+                count_paper if paper else count_wave, monitor, n_sets=self._K,
                 wave=1 if paper else WAVE_BATCHES,
             )
         if observed is None:  # no batch ran

@@ -9,6 +9,9 @@ dense indicator over the sets it holds, built on first use and cached, for
 aggregating a batch of replicates.  Its rows are the genotypes as parsed
 (int8 on every engine route): a block is what the engine keeps resident,
 and every replicate is a product with those rows (``stats.score.base``).
+A resident block also keeps its observed per-set partials under the
+content hash of each model that scored it (:meth:`SnpBlock.remember_observed`),
+so a later analysis of the same model on a warm fleet scores nothing.
 
 A block has one per-set aggregation for replicates: the ``(b, m)`` per-SNP
 terms of a batch, Monte Carlo or permutation alike, times that ``(m, k_b)``
@@ -30,6 +33,9 @@ from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
+#: models a block keeps observed partials for, newest last
+OBSERVED_MODELS = 4
+
 
 @dataclass
 class SnpBlock:
@@ -43,6 +49,9 @@ class SnpBlock:
     _indicator: tuple[np.ndarray, np.ndarray] | None = field(
         default=None, repr=False, compare=False
     )
+    #: ``(K,)`` observed partials by the content hash of the model that
+    #: scored them
+    observed: dict[str, np.ndarray] = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         m = self.genotypes.shape[0]
@@ -78,6 +87,16 @@ class SnpBlock:
     def skat_partial(self, scores: np.ndarray) -> np.ndarray:
         """Per-set SKAT partials from marginal scores for this block's SNPs."""
         return self.aggregate_per_snp(self.weights_sq * np.square(scores))
+
+    def remember_observed(self, model_key: str, partial: np.ndarray) -> np.ndarray:
+        """Keep ``partial`` -- :meth:`skat_partial` of the marginal scores
+        under the model whose content hash is ``model_key`` -- for the
+        model's next analysis; returns it.  Up to :data:`OBSERVED_MODELS`
+        models, the oldest dropped first."""
+        self.observed[model_key] = partial
+        while len(self.observed) > OBSERVED_MODELS:
+            del self.observed[next(iter(self.observed))]
+        return partial
 
 
 @dataclass(frozen=True)

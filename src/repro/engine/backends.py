@@ -12,7 +12,8 @@
 
 The serial backend exposes ``submit(fn, *args) -> Future``; the cluster
 backend exposes ``submit_pickled(payload, executor_id, partition) -> Future``
-instead.
+instead, which queues the task until ``flush()`` (the scheduler flushes once
+per pass of launches).
 
 Stage closures ship as *task binaries* (see
 :class:`~repro.engine.task.TaskBinary`): the scheduler pickles each stage's
@@ -153,8 +154,12 @@ class _TaskBlocks:
     def get(self, block_id: "tuple[int, int]") -> "list | None":
         return self._manager.get(self._key(block_id))
 
-    def put(self, block_id: "tuple[int, int]", data: Any, metrics: Any = None) -> list:
-        """Cache through the resident manager, noting what the put evicted:
+    def put(
+        self, block_id: "tuple[int, int]", data: Any, metrics: Any = None,
+        evicted: "list | None" = None,
+    ) -> list:
+        """Cache through the resident manager, noting what the put evicted
+        (and appending it to ``evicted``, as ``BlockManager.put`` does):
         this stage's RDDs are reported, another context's blocks leave
         silently (its driver finds out by missing)."""
         victims: list = []
@@ -165,6 +170,8 @@ class _TaskBlocks:
             rdd_id = self._rdd_of.get(key)
             if rdd_id is not None:
                 self.evicted.append((rdd_id, split))
+                if evicted is not None:
+                    evicted.append((rdd_id, split))
         return stored
 
     def contains(self, block_id: "tuple[int, int]") -> bool:

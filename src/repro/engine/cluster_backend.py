@@ -371,7 +371,8 @@ class ClusterManager:
     def submit(
         self, payload: bytes, executor_id: str, partition: int = 0
     ) -> concurrent.futures.Future:
-        """Queue one task on the named executor's slot for ``partition``.
+        """Queue one task on the named executor's slot for ``partition``;
+        it goes out at the next :meth:`flush`.
 
         The slot is a function of the partition, not of load: each slot is
         its own worker process with its own resident blocks and memos, so
@@ -402,8 +403,14 @@ class ClusterManager:
             self._cmds.append(("send", handle, frames.encode_frame(
                 frames.TASK, frames.pack_token(token, payload)
             ), token))
-        self._wake()
         return future
+
+    def flush(self) -> None:
+        """Send every task queued since the last flush: one wake of the
+        dispatch thread for a whole pass of launches, so every worker gets
+        its first frame together -- a wake per task let the dispatch thread
+        hold the GIL between the driver's submits."""
+        self._wake()
 
     def note_binary_shipped(self, executor_id: str, binary_id: str) -> bool:
         """True exactly once per (executor, binary content hash) -- ever."""
@@ -763,6 +770,10 @@ class ClusterBackend:
         if self._detached:
             raise RuntimeError("backend is shut down")
         return self._manager.submit(payload, executor_id or "exec-0", partition)
+
+    def flush(self) -> None:
+        """Send the tasks :meth:`submit_pickled` queued."""
+        self._manager.flush()
 
     def note_binary_shipped(self, executor_id: str, binary_id: str) -> bool:
         return self._manager.note_binary_shipped(executor_id, binary_id)

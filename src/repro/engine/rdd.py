@@ -77,9 +77,14 @@ class RDD:
         tc.metrics.cache_misses += 1
         computed = self.compute(split, tc)
         if manager is not None:
-            stored = manager.put(block_id, computed, metrics=tc.metrics)
-            if manager.contains(block_id) and tc.block_master is not None:
-                tc.block_master.register_block(block_id, tc.executor_id)
+            evicted: list = []
+            stored = manager.put(block_id, computed, metrics=tc.metrics, evicted=evicted)
+            if tc.block_master is not None:
+                # the LRU's victims leave the registry, as the cluster's do
+                for victim in evicted:
+                    tc.block_master.unregister_block(victim, tc.executor_id)
+                if manager.contains(block_id):
+                    tc.block_master.register_block(block_id, tc.executor_id)
             return iter(stored)
         return iter(list(computed))
 

@@ -265,6 +265,7 @@ class TaskScheduler:
             wait_timeout = max(hub.interval, 0.01)
 
         while pending or inflight:
+            launched = False
             while pending and len(inflight) < max_inflight and fetch_failure is None:
                 task, attempt, tried = pending.popleft()
                 executor = self._choose_executor(task, exclude=tried)
@@ -275,6 +276,10 @@ class TaskScheduler:
                     stage, task, attempt, executor, task_binary, job, commits
                 )
                 inflight[future] = _Attempt(task, attempt, executor)
+                launched = True
+            if launched and task_binary is not None:
+                # the cluster sends this pass's launches together
+                backend.flush()
             if not inflight:
                 break
             done, _ = concurrent.futures.wait(

@@ -31,12 +31,12 @@ def _counted(batches, count_wave, wave: int) -> Iterator[tuple[int, np.ndarray]]
     batches = iter(batches)
     while chunk := list(itertools.islice(batches, wave)):
         for batch, batch_counts in zip(chunk, list(count_wave(chunk))):
-            yield len(batch), batch_counts
+            yield batch if isinstance(batch, int) else len(batch), batch_counts
 
 
 def resample(
-    batches: Iterable[np.ndarray],
-    count_wave: Callable[[Sequence[np.ndarray]], Iterable[np.ndarray]],
+    batches: Iterable[np.ndarray | int],
+    count_wave: Callable[[Sequence[np.ndarray | int]], Iterable[np.ndarray]],
     monitor=None,
     *,
     n_sets: int,
@@ -47,7 +47,9 @@ def resample(
     the ``(n_sets,)`` exceedance counts and the replicates consumed.
 
     The stream is cut into waves of up to ``wave`` batches and
-    ``count_wave(batches)`` returns one ``(n_sets,)`` count per batch.  Then,
+    ``count_wave(batches)`` returns one ``(n_sets,)`` count per batch.  A
+    batch is its replicate rows or, for a ``count_wave`` that draws them
+    where it counts, just its width.  Then,
     batch by batch in stream order: its counts added as ``monitor.fold``
     returns them (plainly without a monitor), then a stop if
     ``monitor.done`` -- which discards the rest

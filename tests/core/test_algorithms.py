@@ -196,15 +196,15 @@ class TestPermutationKernelStructure:
             # to the bit what observed() scores
             assert np.array_equal(result.observed, scorer.observed().observed)
         assert calls["permuted"] == 0
-        # one payload broadcast per wave: both batches' permuted weights,
-        # stacked, and, in a first wave, no observed statistics; then
-        # observed()'s empty wave
+        # one broadcast per wave: its place in the permutation stream, not
+        # the permuted weights, and, in a first wave, no observed
+        # statistics; then observed()'s empty wave
         (observed, wave), zero_wave = calls["broadcasts"]
-        assert observed is None and zero_wave == (None, [])
-        assert (wave.replicates.shape, wave.replicates.dtype) == (
-            (32, small_dataset.n_patients), np.float64
+        assert observed is None and zero_wave == (None, None)
+        assert not any(isinstance(v, np.ndarray) for v in vars(wave).values())
+        assert (wave.stream.method, wave.stream.seed, wave.first, wave.widths) == (
+            "permutation", 5, 0, (16, 16)
         )
-        assert wave.widths == [16, 16]
 
     def test_paper_flavor_is_algorithm_2_as_written(self, small_dataset, calls):
         with make_ctx() as ctx:

@@ -14,6 +14,7 @@ from repro.core.algorithms import WAVE_BATCHES, DistributedSparkScore
 from repro.core.local import LocalSparkScore
 from repro.core.sparkscore import SparkScoreAnalysis
 from repro.engine.context import Context
+from repro.engine.faults import FaultInjector, FaultPlan
 from repro.engine.scheduler import TaskScheduler
 from repro.genomics.io.dataset_io import write_dataset
 from repro.genomics.synthetic import SyntheticConfig, generate_dataset
@@ -189,50 +190,57 @@ class TestDriverTrafficBound:
         collected = self._collected(small_dataset, "permutation", b)
         assert collected <= self._bound(small_dataset, b)
 
-    def test_permutation_batch_publishes_one_weight_array(self, fresh_cluster, monkeypatch):
-        """Driver -> executors: a vectorized permutation wave job publishes
-        its one task binary and, per batch, the (b, n) float64 array of
-        permuted score weights -- W*b*n*8 bytes plus a pickle header, not
-        b refit models per batch."""
-        b, n = 16, 200
+    def test_a_wave_publishes_no_weight_array(
+        self, fresh_cluster, monkeypatch, tmp_path
+    ):
+        """Driver -> executors: a vectorized wave broadcasts its place in the
+        seeded stream -- never a ``(b, n)`` array of replicate weights -- so
+        a warm file-route analysis publishes the same bytes at B = 256 and
+        at B = 2000, up to the extra waves' task binaries."""
+        b, n = 64, 200
         dataset = generate_dataset(
             SyntheticConfig(n_patients=n, n_snps=240, n_snpsets=6, seed=3)
         )
+        base = str(tmp_path)
+        write_dataset(dataset, base)
         config, manager = fresh_cluster()
         transport = manager.transport
-        shipped = []  # (broadcast value, bytes published so far, binary bytes after it)
+        waves, binaries = [], []
         broadcast = Context.broadcast
         build = TaskScheduler._build_task_binary
 
         def broadcast_spy(ctx, value):
-            shipped.append([value, transport.bytes_published, 0])
+            waves.append(value)
             return broadcast(ctx, value)
 
         def build_spy(self, stage, probe):
             tb = build(self, stage, probe)
-            if shipped:  # observed_statistics' job comes before any broadcast
-                shipped[-1][2] += tb.size
+            binaries.append(tb.size)
             return tb
 
-        with Context(config) as ctx:
-            scorer = DistributedSparkScore(ctx, dataset, flavor="vectorized", block_size=64)
-            observed = scorer.observed_statistics(cache_contributions=False)
-            monkeypatch.setattr(Context, "broadcast", broadcast_spy)
-            monkeypatch.setattr(TaskScheduler, "_build_task_binary", build_spy)
-            scorer.permutation((WAVE_BATCHES + 1) * b, seed=3, batch_size=b)
-            end = transport.bytes_published
-        # the first wave scores the observed statistics, the second reads them
-        # from its own broadcast: no broadcast of its own
-        ((first, _), _, _), ((second, _), _, _) = shipped
-        assert first is None and np.array_equal(second, observed)
-        waves = [(payloads, *marks) for (_, payloads), *marks in shipped]
-        assert [len(value) for value, _, _ in waves] == [WAVE_BATCHES, 1]
-        after = [mark for _, mark, _ in waves[1:]] + [end]
-        for (value, before, binaries), after in zip(waves, after):
-            assert all(w.shape == (b, n) and w.dtype == np.float64 for w in value)
-            assert binaries > 0
-            size = len(value) * b * n * 8
-            assert size <= after - before - binaries <= size + 4096
+        def analyse(method, iterations):
+            with SparkScoreAnalysis.from_files(base, engine="distributed", config=config) as a:
+                waves.clear()
+                binaries.clear()
+                before = transport.bytes_published
+                getattr(a, method)(iterations, seed=3, batch_size=b)
+                return transport.bytes_published - before, sum(binaries)
+
+        analyse("monte_carlo", b)  # cold: the splits parsed into resident blocks
+        monkeypatch.setattr(Context, "broadcast", broadcast_spy)
+        monkeypatch.setattr(TaskScheduler, "_build_task_binary", build_spy)
+        for method in ("monte_carlo", "permutation"):
+            published = {}
+            for iterations in (256, 2000):
+                published[iterations] = analyse(method, iterations)
+                assert len(waves) == -(-iterations // (WAVE_BATCHES * b))
+                for observed, wave in waves:
+                    assert observed is None or observed.shape == (dataset.n_sets,)
+                    assert not any(isinstance(v, np.ndarray) for v in vars(wave).values())
+                assert all(size < 16 * 1024 for size in binaries)
+            (short, short_binaries), (long, long_binaries) = published[256], published[2000]
+            assert 0 <= short - short_binaries == long - long_binaries
+            assert long - short <= long_binaries - short_binaries
 
 
 class TestBatchedPermutationEquivalence:
@@ -253,3 +261,52 @@ class TestBatchedPermutationEquivalence:
                     run = getattr(scorer, method)
                     results.append(run(64, seed=2, batch_size=batch_size).exceed_counts)
             assert all(np.array_equal(results[0], counts) for counts in results[1:]), method
+
+
+class TestWaveRetries:
+    """A task draws its wave's replicates itself, from the wave's place in
+    the seeded stream: a retry on another executor -- whose cursor is
+    elsewhere in the stream, and which holds none of the partition's
+    blocks -- forms the same ``W`` and the counts do not move a bit."""
+
+    @pytest.mark.parametrize("method, b", [("monte_carlo", 16), ("permutation", 8)])
+    def test_a_wave_2_retry_off_its_holder_is_byte_identical(
+        self, fresh_cluster, small_dataset, monkeypatch, method, b
+    ):
+        config, _ = fresh_cluster()
+        iterations = 2 * WAVE_BATCHES * b
+
+        def analyse():
+            with Context(config) as ctx:
+                scorer = DistributedSparkScore(ctx, small_dataset, block_size=64)
+                result = getattr(scorer, method)(iterations, seed=11, batch_size=b)
+                return result, ctx.metrics.jobs_snapshot()
+
+        clean, _ = analyse()
+        wave = DistributedSparkScore._wave
+        waves = []
+
+        def second_wave_fails_partition_2(self, w, observed):
+            waves.append(w)
+            if len(waves) == 2:
+                self.ctx.set_fault_injector(
+                    FaultInjector(FaultPlan(fail_partition_attempts={2: 1}))
+                )
+            return wave(self, w, observed)
+
+        monkeypatch.setattr(DistributedSparkScore, "_wave", second_wave_fails_partition_2)
+        retried, jobs = analyse()
+        assert [w.first for w in waves] == [0, WAVE_BATCHES]
+        first_job, second_job = jobs
+        assert first_job.num_task_failures == 0
+        attempts = [t for s in second_job.stages for t in s.tasks if t.partition == 2]
+        failed, retry = sorted(attempts, key=lambda t: t.attempt)
+        holder = next(
+            t.executor_id for s in first_job.stages for t in s.tasks if t.partition == 2
+        )
+        assert (failed.succeeded, failed.executor_id) == (False, holder)
+        assert retry.succeeded and retry.executor_id != holder
+        assert retry.metrics.cache_misses == 1  # recomputed from lineage there
+        assert retried.exceed_counts.tobytes() == clean.exceed_counts.tobytes()
+        assert retried.observed.tobytes() == clean.observed.tobytes()
+

@@ -246,6 +246,60 @@ class TestObservedRidesTheFirstWave:
                     getattr(a, method)(*args)
 
 
+class TestWarmFleetObserved:
+    def test_a_block_keeps_its_observed_partial_per_model(
+        self, small_dataset, monkeypatch, fresh_cluster, tmp_path
+    ):
+        """Two phenotype files over one genotype file on one fleet: each
+        analysis equals its own ``LocalSparkScore``, and the second analysis
+        of a model calls ``scores`` on no resident block -- in workers
+        forked after the spy, which logs every call to a file."""
+        calls = tmp_path / "scores.log"
+        scores = CoxScoreModel.scores
+
+        def logging_scores(self, genotypes):
+            with open(calls, "a") as fh:
+                fh.write(f"{os.getpid()}\n")
+            return scores(self, genotypes)
+
+        def logged():
+            return len(calls.read_text().splitlines()) if calls.exists() else 0
+
+        monkeypatch.setattr(CoxScoreModel, "scores", logging_scores)
+        _, manager = fresh_cluster()
+        manager.stop()  # this shape's next fleet forks with the spy
+        config, _ = fresh_cluster()
+        base, other = tmp_path / "data", tmp_path / "other"
+        write_dataset(small_dataset, str(base))
+        shuffled = np.random.default_rng(5).permutation(small_dataset.n_patients)
+        write_dataset(
+            dataclasses.replace(small_dataset, phenotype=small_dataset.phenotype.permuted(shuffled)),
+            str(other),
+        )
+        phenotypes = {
+            name: (directory / "phenotype.txt").read_bytes()
+            for name, directory in (("a", base), ("b", other))
+        }
+        results, scored = [], []
+        for name in ("a", "b", "b", "a"):
+            # only phenotype.txt changes: the blocks stay resident
+            (base / "phenotype.txt").write_bytes(phenotypes[name])
+            before = logged()
+            with SparkScoreAnalysis.from_files(str(base), engine="distributed", config=config) as a:
+                result = a.monte_carlo(**MC)
+            scored.append(logged() - before)
+            reference = LocalSparkScore(read_dataset(str(base))).monte_carlo(**MC)
+            assert np.allclose(result.observed, reference.observed, rtol=1e-9, atol=0.0)
+            assert np.array_equal(result.exceed_counts, reference.exceed_counts)
+            results.append(result)
+        blocks = _blocks(small_dataset, block_size=256)
+        assert scored == [blocks, blocks, 0, 0]
+        assert not np.array_equal(results[0].observed, results[1].observed)
+        for first, again in ((0, 3), (1, 2)):
+            assert results[first].observed.tobytes() == results[again].observed.tobytes()
+            assert results[first].exceed_counts.tobytes() == results[again].exceed_counts.tobytes()
+
+
 # -- early stop inside a wave --------------------------------------------------
 
 
@@ -371,8 +425,9 @@ def test_dosage_route_first_wave_scores_observed_without_u(small_dataset, monkey
         scorer = DistributedSparkScore(ctx, small_dataset, block_size=64)
         scorer.observed_statistics(cache_contributions=False)
         scorer.permutation(**PERM)
-    # one G . c per block in each first wave, and no U anywhere
-    assert calls == {"contributions": 0, "scores": 2 * _blocks(small_dataset)}
+    # one G . c per block in the first wave of the model, no U anywhere;
+    # the second first wave reads the partials the blocks kept
+    assert calls == {"contributions": 0, "scores": _blocks(small_dataset)}
 
 
 def test_warm_repeat_is_one_job_one_stage_and_no_shuffle(fresh_cluster, tmp_path):

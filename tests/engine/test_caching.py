@@ -2,6 +2,7 @@
 
 import dataclasses
 import gc
+import hashlib
 import weakref
 
 import numpy as np
@@ -11,6 +12,7 @@ from repro.config import EngineConfig
 from repro.core.local import LocalSparkScore
 from repro.core.sparkscore import SparkScoreAnalysis
 from repro.engine.blockmanager import BlockManager, BlockManagerMaster, estimate_size
+from repro.engine.closure import dumps as closure_dumps
 from repro.engine.context import Context
 from repro.engine.faults import FaultInjector, FaultPlan
 from repro.engine.metrics import TaskMetrics
@@ -235,6 +237,58 @@ class TestMissRecomputes:
             assert (failed.succeeded, failed.executor_id) == (False, holder)
             assert retry.succeeded and retry.executor_id != holder
             assert job.totals().cache_misses == clean.cache_misses + 1
+
+
+def _32_kilobytes(i):
+    return np.full(4096, float(i))
+
+
+class _HeldSplits:
+    """Probe task: the splits of one lineage the worker running it holds."""
+
+    def __init__(self, key: str) -> None:
+        self.key = key
+
+    def __call__(self, _):
+        from repro.engine import backends
+
+        manager = backends._RESIDENT_BLOCKS
+        return [split for key, split in manager.block_ids() if key == self.key]
+
+
+def _held_splits(ctx, rdd) -> set[int]:
+    """The splits of ``rdd`` its executors' block managers hold."""
+    if ctx.backend.supports_shared_state:
+        return {
+            split for executor in ctx.executors
+            for rdd_id, split in executor.block_manager.block_ids() if rdd_id == rdd.id
+        }
+    # the worker files the blocks under the RDD's lineage fingerprint
+    probe = _HeldSplits(hashlib.sha256(closure_dumps(rdd)).hexdigest())
+    return set(ctx.parallelize(range(1), 1).map_partitions(probe).collect())
+
+
+class TestEvictionLeavesTheRegistry:
+    @pytest.mark.parametrize("backend", ["serial", "cluster"])
+    def test_registry_and_debug_string_follow_the_lru(self, backend, fresh_cluster):
+        """Eight 32 KB partitions through one executor whose cache holds one:
+        what the driver says is cached is what the manager holds."""
+        shape = dict(
+            num_executors=1, executor_cores=1, default_parallelism=8,
+            executor_memory=64 * 1024,
+        )
+        if backend == "cluster":
+            config, _ = fresh_cluster(**shape)
+        else:
+            config = EngineConfig(backend="serial", **shape)
+        with Context(config) as ctx:
+            rdd = ctx.parallelize(range(8), 8).map(_32_kilobytes).cache()
+            assert rdd.count() == 8
+            held = _held_splits(ctx, rdd)
+            assert 0 < len(held) < 8
+            assert ctx.block_master.cached_partitions(rdd.id) == held
+            assert ctx.cached_partition_count(rdd) == len(held)
+            assert f"<{len(held)}/8 cached>" in rdd.to_debug_string()
 
 
 class TestStopReleases:

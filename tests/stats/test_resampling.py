@@ -6,7 +6,12 @@ import pytest
 from repro.stats.resampling.montecarlo import MonteCarloResampler
 from repro.stats.resampling.permutation import PermutationResampler
 from repro.stats.resampling.pvalues import empirical_pvalues, required_resamples
-from repro.stats.resampling.streams import mc_multiplier_batches, permutation_stream
+from repro.stats.resampling.streams import (
+    ReplicateStream,
+    StreamCursor,
+    mc_multiplier_batches,
+    permutation_stream,
+)
 from repro.stats.score.base import SurvivalPhenotype
 from repro.stats.score.cox import CoxScoreModel
 from repro.stats.skat import skat_statistics
@@ -151,3 +156,29 @@ class TestStreams:
         a = [p.tolist() for p in permutation_stream(6, 4, seed=1)]
         b = [p.tolist() for p in permutation_stream(6, 4, seed=1)]
         assert a == b
+
+
+class TestStreamCursor:
+    """A cursor hands any batch of a stream the values one pass from the
+    start gives it, whether it is at, behind or ahead of that batch."""
+
+    @pytest.mark.parametrize("method", ["monte_carlo", "permutation"])
+    def test_at_behind_and_ahead(self, method):
+        stream = ReplicateStream(method, 9, 50, seed=4, batch_size=6)
+        batches = list(stream.batches())
+        assert [len(b) for b in batches] == list(stream.widths()) == [6] * 8 + [2]
+        cursor = StreamCursor(stream)
+        for first, count in [(0, 4), (4, 4), (8, 4), (2, 3), (7, 1), (3, 2), (9, 4)]:
+            taken = cursor.take(first, count)
+            expected = batches[first:first + count]
+            assert len(taken) == len(expected)
+            assert all(np.array_equal(a, b) for a, b in zip(taken, expected))
+
+    def test_widths_check_their_arguments(self):
+        with pytest.raises(ValueError, match="batch_size"):
+            list(ReplicateStream("monte_carlo", 5, 10, 0, 0).widths())
+        with pytest.raises(ValueError, match="n_resamples"):
+            list(ReplicateStream("permutation", 5, -1, 0, 4).widths())
+        with pytest.raises(ValueError, match="method"):
+            ReplicateStream("bootstrap", 5, 10, 0, 4)
+
