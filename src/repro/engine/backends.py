@@ -1,38 +1,47 @@
-"""Execution backends: where task attempts actually run.
+"""Execution backends: where task attempts run, and the one body they run.
 
-- :class:`SerialBackend` -- deterministic in-line execution on the driver
-  thread (default; the reference for correctness tests).
-- :class:`~repro.engine.cluster_backend.ClusterBackend` -- the parallel,
-  process-isolated backend: a persistent fleet of worker processes.  A task
-  envelope carries refs and its pre-fetched shuffle input, never partition
-  or cache data; results, task metrics and the *ids* of the blocks the
-  task left resident or evicted ship back to the driver.  Its workers run
-  :func:`_run_pickled_task`, which lives here with the rest of the
-  worker-side task runner.
+Every attempt, on either backend, runs :func:`run_task`: it builds the
+:class:`~repro.engine.task.TaskContext` from a block window
+(:class:`_TaskBlocks`) and the attempt's prefetched shuffle input, runs the
+task and returns one ``out`` dict -- the result (a map task's is its
+encoded buckets), the ids of the cache blocks the attempt left resident or
+evicted, and its metrics -- which the scheduler folds into driver state
+through one merge.  What differs is how the task reaches the runner:
 
-The serial backend exposes ``submit(fn, *args) -> Future``; the cluster
-backend exposes ``submit_pickled(payload, executor_id, partition) -> Future``
-instead, which queues the task until ``flush()`` (the scheduler flushes once
-per pass of launches).
+- :class:`SerialBackend` -- calls :func:`run_task` inline on the driver
+  thread with the live task (default; the reference for correctness
+  tests).  Its window sits over the executor's own block manager, keyed
+  by rdd id: that store dies with its Context.
+- :class:`~repro.engine.cluster_backend.ClusterBackend` -- a persistent
+  fleet of worker processes.  A task envelope carries refs and its
+  pre-fetched shuffle input, never partition or cache data; the worker
+  wrapper :func:`_run_pickled_task` unpickles it, runs :func:`run_task`
+  and frames the ``out`` dict home with what only a worker has to report
+  (deserialize/serialize timings, span fragments, captured logs).
 
-Stage closures ship as *task binaries* (see
+Both expose ``submit_task(...) -> Future`` and ``open_result``, which turns
+what the future resolved to into the ``out`` dict.  The cluster queues
+tasks until ``flush()`` (the scheduler flushes once per pass of launches).
+
+Stage closures ship to the cluster as *task binaries* (see
 :class:`~repro.engine.task.TaskBinary`): the scheduler pickles each stage's
 lineage+closure once -- kilobytes: partitions and large broadcasts are
 content-hash refs (:class:`~repro.engine.transport.ByRef`) -- and workers
 memoize the deserialized binary by content hash so repeated tasks of the
 same stage skip the unpickling entirely.
 
-Cached RDD blocks are *resident*: each worker process keeps one
-:class:`~repro.engine.blockmanager.BlockManager` for its whole life, keyed
-``(lineage fingerprint, split)`` so that contexts whose RDD ids all restart
-at 0 cannot collide and an identical analysis on a warm fleet finds its
-blocks already there.  Block data never leaves the worker; a miss anywhere
-recomputes from the (cheap to ship) lineage.
+Cached RDD blocks on the cluster are *resident*: each worker process keeps
+one :class:`~repro.engine.blockmanager.BlockManager` for its whole life,
+keyed ``(lineage fingerprint, split)`` so that contexts whose RDD ids all
+restart at 0 cannot collide and an identical analysis on a warm fleet
+finds its blocks already there.  Block data never leaves the worker; a
+miss anywhere recomputes from the (cheap to ship) lineage.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
+import contextlib
 import os
 import pickle
 import struct
@@ -41,32 +50,128 @@ import time
 from collections import OrderedDict
 from typing import TYPE_CHECKING, Any, Callable
 
+from repro.engine.task import TaskContext, TaskTelemetry
+from repro.obs.logging import log_context
+
 if TYPE_CHECKING:  # pragma: no cover
     from repro.config import EngineConfig
+    from repro.engine.executor import Executor
+    from repro.engine.rdd import RDD
+    from repro.engine.task import Task
 
 
-class _ImmediateFuture(concurrent.futures.Future):
-    """A future that is resolved at construction (serial backend)."""
+class _TaskBlocks:
+    """One task's window onto a block store.
 
-    def __init__(self, fn: Callable, args: tuple) -> None:
-        super().__init__()
-        try:
-            self.set_result(fn(*args))
-        except BaseException as exc:  # noqa: BLE001 - mirrors Future semantics
-            self.set_exception(exc)
+    ``RDD.iterator`` asks for ``(rdd_id, split)``; the window files each
+    block under ``(keys[rdd_id], split)``, the store's own key: the rdd id
+    itself in a serial executor's manager, the lineage fingerprint in a
+    worker's resident one (rdd ids restart at 0 in every context while
+    that store outlives them all).  The window also notes which blocks the
+    task touched and the store key of every block its puts pushed out, so
+    the result tells the driver *where* blocks are without carrying any.
+    """
+
+    def __init__(self, manager: Any, keys: "dict[int, Any]") -> None:
+        self._manager = manager
+        self._keys = keys
+        self._touched: set[tuple[int, int]] = set()
+        #: ``(store key, split)`` of each block this task's puts evicted,
+        #: whatever RDD (or Context) cached it
+        self.evicted: list[tuple[Any, int]] = []
+
+    def _key(self, block_id: "tuple[int, int]") -> "tuple[Any, int]":
+        self._touched.add(block_id)
+        return (self._keys[block_id[0]], block_id[1])
+
+    def get(self, block_id: "tuple[int, int]") -> "list | None":
+        return self._manager.get(self._key(block_id))
+
+    def put(self, block_id: "tuple[int, int]", data: Any, metrics: Any = None) -> list:
+        return self._manager.put(
+            self._key(block_id), data, metrics=metrics, evicted=self.evicted
+        )
+
+    def resident(self) -> "list[tuple[int, int]]":
+        """Every touched block the store still holds."""
+        return [
+            block_id for block_id in sorted(self._touched)
+            if self._manager.contains(self._key(block_id))
+        ]
+
+
+def run_task(
+    task: "Task",
+    attempt: int,
+    executor_id: str,
+    blocks: _TaskBlocks,
+    prefetched: dict,
+    job_id: Any,
+    running: Callable[[TaskContext], Any] = contextlib.nullcontext,
+) -> dict:
+    """The one task body, on either backend: run one attempt, return ``out``.
+
+    ``running(tc)`` is a context manager around the task's run (a worker
+    registers the attempt for its heartbeats there).  Anything logged
+    inside the task carries the attempt's full correlation id set.
+    """
+    tc = TaskContext(task.stage_id, task.partition, attempt, executor_id, blocks, prefetched)
+    telemetry = TaskTelemetry()
+    with running(tc), log_context(
+        job_id=job_id, stage_id=task.stage_id, partition=task.partition,
+        attempt=attempt, executor_id=executor_id,
+    ):
+        result = task.run(tc)
+    telemetry.record(tc.metrics)
+    return {
+        "result": result,
+        "resident_blocks": blocks.resident(),
+        "evicted_blocks": blocks.evicted,
+        "metrics": tc.metrics,
+    }
 
 
 class SerialBackend:
-    """Runs every task inline on submit; fully deterministic ordering."""
+    """Runs every task inline on submit; fully deterministic ordering.
+
+    Nothing crosses an address space, so there is no transport, no task
+    binary and no heartbeat plane (a task that runs inline on the driver
+    thread returns before anything could act on its timeout).
+    """
 
     name = "serial"
-    supports_shared_state = True
+    transport = None
+    heartbeats = None
 
     def __init__(self, config: "EngineConfig") -> None:
         self.parallelism = 1
 
-    def submit(self, fn: Callable, *args: Any) -> concurrent.futures.Future:
-        return _ImmediateFuture(fn, args)
+    @staticmethod
+    def block_key(rdd: "RDD") -> int:
+        """An executor's store dies with its Context: the rdd id is unique."""
+        return rdd.id
+
+    def submit_task(
+        self, task: "Task", attempt: int, executor: "Executor", prefetched: dict,
+        job_id: int, keys: "dict[int, Any]", binary: Any,
+    ) -> concurrent.futures.Future:
+        """Run the attempt now; the future is already resolved."""
+        future: concurrent.futures.Future = concurrent.futures.Future()
+        blocks = _TaskBlocks(executor.block_manager, keys)
+        try:
+            future.set_result(run_task(
+                task, attempt, executor.executor_id, blocks, prefetched, job_id
+            ))
+        except BaseException as exc:  # noqa: BLE001 - surfaced through the future
+            future.set_exception(exc)
+        return future
+
+    @staticmethod
+    def open_result(out: dict) -> dict:
+        return out
+
+    def flush(self) -> None:
+        pass
 
     def shutdown(self) -> None:
         pass
@@ -129,62 +234,6 @@ def release_resident_blocks() -> None:
         _RESIDENT_BLOCKS = None
 
 
-class _TaskBlocks:
-    """One task's window onto the worker's resident block manager.
-
-    ``RDD.iterator`` asks for ``(rdd_id, split)``, but rdd ids restart at 0
-    in every context while the resident store outlives them all, so each
-    access is re-keyed to ``(lineage fingerprint, split)`` with the
-    fingerprints the task binary carries.  The window also notes which
-    blocks the task touched and which it pushed out, so the result can tell
-    the driver *where* blocks are without carrying any of them.
-    """
-
-    def __init__(self, manager: Any, keys: "dict[int, str]") -> None:
-        self._manager = manager
-        self._keys = keys
-        self._rdd_of = {key: rdd_id for rdd_id, key in keys.items()}
-        self._touched: set[tuple[int, int]] = set()
-        self.evicted: list[tuple[int, int]] = []
-
-    def _key(self, block_id: "tuple[int, int]") -> "tuple[str, int]":
-        self._touched.add(block_id)
-        return (self._keys[block_id[0]], block_id[1])
-
-    def get(self, block_id: "tuple[int, int]") -> "list | None":
-        return self._manager.get(self._key(block_id))
-
-    def put(
-        self, block_id: "tuple[int, int]", data: Any, metrics: Any = None,
-        evicted: "list | None" = None,
-    ) -> list:
-        """Cache through the resident manager, noting what the put evicted
-        (and appending it to ``evicted``, as ``BlockManager.put`` does):
-        this stage's RDDs are reported, another context's blocks leave
-        silently (its driver finds out by missing)."""
-        victims: list = []
-        stored = self._manager.put(
-            self._key(block_id), data, metrics=metrics, evicted=victims
-        )
-        for key, split in victims:
-            rdd_id = self._rdd_of.get(key)
-            if rdd_id is not None:
-                self.evicted.append((rdd_id, split))
-                if evicted is not None:
-                    evicted.append((rdd_id, split))
-        return stored
-
-    def contains(self, block_id: "tuple[int, int]") -> bool:
-        return self._manager.contains(self._key(block_id))
-
-    def resident(self) -> "list[tuple[int, int]]":
-        """Every touched block this worker still holds."""
-        return [
-            block_id for block_id in sorted(self._touched)
-            if self._manager.contains(self._key(block_id))
-        ]
-
-
 # -- worker-side heartbeats ---------------------------------------------------
 #
 # A cluster worker installs ``send`` (a callable framing one record over its
@@ -225,11 +274,11 @@ def _worker_heartbeat_loop() -> None:
 
 
 def _send_worker_heartbeats() -> None:
-    """Ship one HeartbeatRecord per executor with tasks in this worker."""
+    """Ship one ExecutorHeartbeat per executor with tasks in this worker."""
     send = _WORKER_HB["send"]
     if send is None or _WORKER_HB["interval"] <= 0:
         return
-    from repro.engine.heartbeat import HeartbeatRecord
+    from repro.engine.listener import ExecutorHeartbeat
     from repro.engine.task import current_rss_bytes
 
     with _WORKER_INFLIGHT_LOCK:
@@ -238,7 +287,7 @@ def _send_worker_heartbeats() -> None:
             by_executor.setdefault(tc.executor_id, {})[key] = tc
     rss = current_rss_bytes() if by_executor else 0
     for executor_id, tasks in by_executor.items():
-        record = HeartbeatRecord(
+        record = ExecutorHeartbeat(
             executor_id=executor_id,
             inflight=tuple(tasks),
             records_read=sum(tc.metrics.records_read for tc in tasks.values()),
@@ -252,20 +301,32 @@ def _send_worker_heartbeats() -> None:
             return
 
 
+@contextlib.contextmanager
+def _in_flight(tc: TaskContext):
+    """Report the attempt in this worker's heartbeats while it runs."""
+    key = (tc.stage_id, tc.partition, tc.attempt)
+    with _WORKER_INFLIGHT_LOCK:
+        _WORKER_INFLIGHT[key] = tc
+    _send_worker_heartbeats()  # immediate "task picked up" liveness signal
+    try:
+        yield tc
+    finally:
+        with _WORKER_INFLIGHT_LOCK:
+            _WORKER_INFLIGHT.pop(key, None)
+
+
 def _run_pickled_task(payload: bytes) -> bytes:
     """Worker-side entry point: run one self-contained task attempt.
 
     Receives a pickled dict with a transport ref to the stage's task binary
     (lineage + closure, memoized per worker and fetched on a cache miss),
-    the partition/attempt to run and pre-fetched shuffle frames; computes a
-    result dict with the result, any shuffle output written (as
-    :class:`~repro.engine.shuffle.ShuffleBlock` frames), the ids of the
-    cache blocks it left resident or evicted (never their data), task
-    metrics + resource telemetry, captured log records (only when there
-    are some) and worker-local span fragments (task-relative offsets,
-    which the driver stitches under this attempt's ``TaskRecord``).  The
-    worker's warm-cache facts (task binary and by-ref memo hits) travel on
-    the task metrics.
+    the partition/attempt to run and pre-fetched shuffle frames, and runs
+    :func:`run_task` against this process's resident blocks.  On top of
+    its ``out`` dict the worker reports what only it can: captured log
+    records (only when there are some), worker-local span fragments
+    (task-relative offsets, which the driver stitches under this attempt's
+    ``TaskRecord``) and, on the task metrics, its deserialize time and
+    warm-cache facts (task binary and by-ref memo hits).
 
     The return value is an offset-prefixed frame (see
     :func:`_frame_result`): a fixed-size header carrying the serialization
@@ -273,10 +334,8 @@ def _run_pickled_task(payload: bytes) -> bytes:
     second time inside a wrapper, and large bodies travel by transport ref
     instead of through the worker's socket.
     """
-    from repro.engine.shuffle import ShuffleManager
-    from repro.engine.task import ShuffleMapTask, TaskContext, TaskTelemetry
     from repro.engine.transport import from_spec
-    from repro.obs.logging import capture_logs, log_context
+    from repro.obs.logging import capture_logs
 
     task_start = time.perf_counter()
     spec = pickle.loads(payload)
@@ -284,73 +343,32 @@ def _run_pickled_task(payload: bytes) -> bytes:
     binary, binary_cached = _load_task_binary(spec["binary_ref"], transport)
     task = binary.make_task(spec["partition"])
     blocks = _TaskBlocks(_resident_blocks(spec["storage_memory"]), binary.block_keys)
-    worker_shuffle = ShuffleManager(track_bytes=False)
-    tc = TaskContext(
-        stage_id=task.stage_id,
-        partition=task.partition,
-        attempt=spec["attempt"],
-        executor_id=spec["executor_id"],
-        shuffle_manager=worker_shuffle,
-        block_manager=blocks,
-        block_master=None,
-    )
-    tc.prefetched_shuffle = spec["prefetched_shuffle"]
     deserialize_seconds = time.perf_counter() - task_start
-    tc.metrics.deserialize_seconds = deserialize_seconds
-    tc.metrics.task_binary_cache_hits = int(binary_cached)
-    tc.metrics.task_binary_cache_misses = int(not binary_cached)
-
-    key = (task.stage_id, task.partition, spec["attempt"])
-    telemetry = TaskTelemetry()
-    with _WORKER_INFLIGHT_LOCK:
-        _WORKER_INFLIGHT[key] = tc
     hb_interval = spec["heartbeat_interval"]
     interval = max(hb_interval, 0.05) if hb_interval > 0 else 0.0
     if interval != _WORKER_HB["interval"]:
         _WORKER_HB["interval"] = interval
         _WORKER_HB_WAKE.set()
     _ensure_worker_heartbeat_thread()
-    _send_worker_heartbeats()  # immediate "task picked up" liveness signal
     compute_start = time.perf_counter()
     # capture worker-side structured logs at the driver's configured level;
     # they ship home in the result dict and the driver replays them into
-    # its own bus with these correlation ids intact
-    try:
-        with capture_logs(level=spec.get("log_level")) as log_records, log_context(
-            job_id=spec.get("job_id"),
-            stage_id=task.stage_id,
-            partition=task.partition,
-            attempt=spec["attempt"],
-            executor_id=spec["executor_id"],
-        ):
-            result = task.run(tc)
-    finally:
-        with _WORKER_INFLIGHT_LOCK:
-            _WORKER_INFLIGHT.pop(key, None)
+    # its own bus with their correlation ids intact
+    with capture_logs(level=spec["log_level"]) as log_records:
+        out = run_task(
+            task, spec["attempt"], spec["executor_id"], blocks,
+            spec["prefetched_shuffle"], spec["job_id"], running=_in_flight,
+        )
     compute_end = time.perf_counter()
-    telemetry.record(tc.metrics)
-
-    shuffle_output = None
-    if isinstance(task, ShuffleMapTask):
-        sid = task.shuffle_dep.shuffle_id
-        shuffle_output = {
-            key: buckets
-            for key, buckets in tc.shuffle_manager._outputs.items()  # noqa: SLF001
-            if key[0] == sid
-        }
-        result = None  # MapStatus rebuilt by the driver
-    out = {
-        "result": result,
-        "shuffle_output": shuffle_output,
-        "resident_blocks": blocks.resident(),
-        "evicted_blocks": blocks.evicted,
-        "metrics": tc.metrics,
-        "span_fragments": [
-            {"name": "deserialize", "start": 0.0, "end": deserialize_seconds},
-            {"name": "compute", "start": compute_start - task_start,
-             "end": compute_end - task_start},
-        ],
-    }
+    metrics = out["metrics"]
+    metrics.deserialize_seconds += deserialize_seconds
+    metrics.task_binary_cache_hits = int(binary_cached)
+    metrics.task_binary_cache_misses = int(not binary_cached)
+    out["span_fragments"] = [
+        {"name": "deserialize", "start": 0.0, "end": deserialize_seconds},
+        {"name": "compute", "start": compute_start - task_start,
+         "end": compute_end - task_start},
+    ]
     if log_records:
         out["log_records"] = log_records
     serialize_start = time.perf_counter()

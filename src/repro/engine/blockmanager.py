@@ -6,10 +6,14 @@ executor owns a :class:`BlockManager` with a memory budget; the driver-side
 the scheduler can place a task on the holder.  Nothing is fetched from
 another executor: a miss recomputes from lineage and caches locally.
 
-On the cluster backend the data side of that split lives in the workers:
-every worker process keeps one manager for its whole life, keyed
-``(lineage fingerprint, partition)`` (see :mod:`repro.engine.backends`),
-and the driver's master holds locations only.
+A task reaches its executor's manager through a per-attempt window
+(``backends._TaskBlocks``) and never touches the master: the scheduler's
+merge registers the blocks each attempt left resident and unregisters
+the ones its puts evicted, on both backends.  On the cluster backend the
+data side of that split lives in the workers: every worker process keeps
+one manager for its whole life, keyed ``(lineage fingerprint,
+partition)`` (see :mod:`repro.engine.backends`), and the driver's master
+holds locations only.
 
 Sizes are estimated with :func:`estimate_size`, which understands NumPy
 arrays exactly, walks plain-attribute objects (so block payloads like

@@ -44,8 +44,9 @@ from __future__ import annotations
 
 import atexit
 import concurrent.futures
-import gc
 import ctypes
+import gc
+import hashlib
 import itertools
 import os
 import pickle
@@ -59,6 +60,8 @@ from typing import TYPE_CHECKING, Any
 
 from repro.engine import frames
 from repro.engine.allocator import release_free_heap
+from repro.engine.backends import unframe_result
+from repro.engine.closure import dumps as closure_dumps
 from repro.engine.executor import ExecutorLostError
 from repro.engine.transport import Transport
 from repro.obs.logging import get_logger
@@ -232,10 +235,11 @@ def _cluster_worker_main(
 class _HeartbeatFanout:
     """Hands each worker heartbeat to whoever is subscribed when it arrives.
 
-    Subscribers are the heartbeat hubs of attached drivers.  A record
-    nobody is subscribed to is dropped: liveness is only ever read by a
-    live hub, so there is nothing to queue it for.  Sinks run on the
-    publishing thread (the dispatch loop) and must not block.
+    Subscribers are the heartbeat hubs of attached drivers, and each gets
+    its own copy of a record (its hub posts it as is; the bus stamps it).
+    A record nobody is subscribed to is dropped unread: liveness is only
+    ever read by a live hub.  Sinks run on the publishing thread (the
+    dispatch loop) and must not block.
     """
 
     def __init__(self) -> None:
@@ -250,9 +254,9 @@ class _HeartbeatFanout:
         with self._lock:
             self._sinks = tuple(s for s in self._sinks if s != sink)
 
-    def publish(self, record: Any) -> None:
+    def publish(self, payload: bytes) -> None:
         for sink in self._sinks:
-            sink(record)
+            sink(pickle.loads(payload))
 
 
 class _WorkerHandle:
@@ -635,7 +639,7 @@ class ClusterManager:
             except concurrent.futures.InvalidStateError:
                 pass
         elif ftype == frames.HEARTBEAT:
-            self.heartbeats.publish(pickle.loads(payload))
+            self.heartbeats.publish(payload)
 
     def _on_disconnect(self, sock: socket.socket, handle: _WorkerHandle | None) -> None:
         try:
@@ -739,19 +743,17 @@ class ClusterBackend:
     """Backend facade over the process-wide persistent cluster.
 
     ``shutdown`` only detaches -- the cluster outlives the context by
-    design.  As the one backend without shared driver state it is what the
-    scheduler's process-isolated path assumes: partition -> worker-process
-    placement is pinned across jobs and contexts so resident blocks and
-    warm memos actually get re-hit, and every task binary is published by
-    transport ref, which is what turns job 2's publication into a dedup
-    hit.
+    design.  Partition -> worker-process placement is pinned across jobs
+    and contexts so resident blocks and warm memos actually get re-hit, and
+    every task binary is published by transport ref, which is what turns
+    job 2's publication into a dedup hit.
     """
 
     name = "cluster"
-    supports_shared_state = False
 
     def __init__(self, config: "EngineConfig") -> None:
         self.parallelism = max(1, config.total_cores)
+        self._config = config
         self._manager = get_cluster(config)
         self._detached = False
 
@@ -764,12 +766,63 @@ class ClusterBackend:
         """Where a heartbeat hub subscribes to this fleet's worker records."""
         return self._manager.heartbeats
 
+    @staticmethod
+    def block_key(rdd: Any) -> str:
+        """The lineage fingerprint (SHA-256 of the RDD's closure-aware
+        pickle): a worker's store outlives every Context, whose rdd ids all
+        restart at 0, and an identical lineage finds its blocks again."""
+        return hashlib.sha256(closure_dumps(rdd)).hexdigest()
+
+    def submit_task(
+        self, task: Any, attempt: int, executor: Any, prefetched: dict,
+        job_id: int, keys: dict, binary: Any,
+    ) -> concurrent.futures.Future:
+        """Queue one attempt as an envelope of refs and its prefetched
+        shuffle frames (``binary`` carries the lineage and ``keys``)."""
+        config = self._config
+        payload = pickle.dumps(
+            {
+                "binary_ref": binary.ref,
+                "partition": task.partition,
+                "attempt": attempt,
+                "executor_id": executor.executor_id,
+                "prefetched_shuffle": prefetched,
+                # budget of the worker process's resident block manager:
+                # the executor's, split over its slot processes
+                "storage_memory": (
+                    config.storage_memory_per_executor // config.executor_cores
+                ),
+                "transport": self.transport.spec(),
+                # the worker heartbeats at *this* driver's cadence while the
+                # task runs, whoever spawned the fleet (0 = none)
+                "heartbeat_interval": config.heartbeat_interval,
+                # structured-logging correlation: the worker captures at the
+                # driver's level and stamps this id on its records
+                "job_id": job_id,
+                "log_level": config.log_level,
+            },
+            protocol=pickle.HIGHEST_PROTOCOL,
+        )
+        return self.submit_pickled(payload, executor.executor_id, task.partition)
+
     def submit_pickled(
         self, payload: bytes, executor_id: str | None = None, partition: int = 0
     ) -> concurrent.futures.Future:
         if self._detached:
             raise RuntimeError("backend is shut down")
         return self._manager.submit(payload, executor_id or "exec-0", partition)
+
+    def open_result(self, frame: bytes) -> dict:
+        """A worker's ``out`` dict, with the serialization time its frame
+        header carries (outside the body it measured) folded in."""
+        out, serialize_seconds, serialize_offset = unframe_result(frame, self.transport)
+        out["metrics"].result_serialize_seconds += serialize_seconds
+        out["span_fragments"].append({
+            "name": "result_serialize",
+            "start": serialize_offset,
+            "end": serialize_offset + serialize_seconds,
+        })
+        return out
 
     def flush(self) -> None:
         """Send the tasks :meth:`submit_pickled` queued."""

@@ -55,18 +55,14 @@ class Context:
         #: address spaces, and it owns the transport (which must outlive
         #: this context so warm workers keep their handles).  None on the
         #: serial backend
-        self.transport = (
-            None if self.backend.supports_shared_state else self.backend.transport
-        )
+        self.transport = self.backend.transport
         #: live :class:`~repro.engine.transport.ByRef` holders (broadcast
         #: payloads, ``parallelize`` partitions) this context may have
         #: published on that transport; ``stop()`` deletes their segments so
         #: a long-lived fleet's ``/dev/shm`` stays bounded
         self._published: "weakref.WeakSet" = weakref.WeakSet()
         self.executors = build_executors(
-            self.config.num_executors,
-            self.config.executor_cores,
-            self.config.storage_memory_per_executor,
+            self.config.num_executors, self.config.storage_memory_per_executor
         )
         self.block_master = BlockManagerMaster()
         self.shuffle_manager = ShuffleManager()
@@ -116,11 +112,11 @@ class Context:
             self.listener_bus.add_listener(self.progress)
             self.listener_bus.add_listener(ConsoleProgressListener(self.progress))
 
-        # heartbeat plane: liveness for busy executors + timeout monitor.
-        # Cluster only: a serial task runs inline on the driver thread, so
-        # nothing could act on its timeout before it returned
+        # heartbeat plane: liveness for busy executors + timeout monitor,
+        # where the backend has one (the cluster: a serial task runs inline
+        # on the driver thread, so nothing could act on its timeout)
         self.heartbeats = None
-        if self.config.heartbeat_interval > 0 and not self.backend.supports_shared_state:
+        if self.config.heartbeat_interval > 0 and self.backend.heartbeats is not None:
             from repro.engine.heartbeat import HeartbeatHub
 
             self.heartbeats = HeartbeatHub(self)

@@ -1,4 +1,4 @@
-"""Executor model: a named worker with task slots and a block manager."""
+"""Executor model: a named worker with a liveness flag and a block manager."""
 
 from __future__ import annotations
 
@@ -16,18 +16,10 @@ class ExecutorLostError(RuntimeError):
 
 
 class Executor:
-    """A simulated executor (YARN container): identity, slots, cache."""
+    """A simulated executor (YARN container): identity, liveness, cache."""
 
-    def __init__(
-        self,
-        executor_id: str,
-        host: str,
-        cores: int,
-        memory_budget: int,
-    ) -> None:
+    def __init__(self, executor_id: str, memory_budget: int) -> None:
         self.executor_id = executor_id
-        self.host = host
-        self.cores = cores
         self.block_manager = BlockManager(executor_id, memory_budget)
         self._lock = threading.Lock()
         self._alive = True
@@ -80,22 +72,9 @@ class Executor:
 
     def __repr__(self) -> str:
         state = "alive" if self.alive else "dead"
-        return f"Executor({self.executor_id}@{self.host}, cores={self.cores}, {state})"
+        return f"Executor({self.executor_id}, {state})"
 
 
-def build_executors(
-    num_executors: int,
-    cores: int,
-    memory_budget: int,
-    hosts_per_executor: int = 1,
-) -> list[Executor]:
-    """Construct the executor fleet, distributing executors over hosts.
-
-    ``hosts_per_executor`` > 1 packs multiple executors per host (the
-    paper's Experiment C runs 42/84/126 containers on 36 nodes).
-    """
-    executors = []
-    for i in range(num_executors):
-        host = f"host-{i // max(1, hosts_per_executor)}"
-        executors.append(Executor(f"exec-{i}", host, cores, memory_budget))
-    return executors
+def build_executors(num_executors: int, memory_budget: int) -> list[Executor]:
+    """Construct the executor fleet: ``exec-0`` .. ``exec-{n-1}``."""
+    return [Executor(f"exec-{i}", memory_budget) for i in range(num_executors)]

@@ -45,7 +45,7 @@ TASK = 2
 RESULT = 3
 #: worker -> driver: ``!Q`` token, pickled exception
 TASK_ERROR = 4
-#: worker -> driver: pickled :class:`~repro.engine.heartbeat.HeartbeatRecord`
+#: worker -> driver: pickled :class:`~repro.engine.listener.ExecutorHeartbeat`
 HEARTBEAT = 5
 #: driver -> worker: stop accepting tasks, finish in-flight, then exit
 DRAIN = 6

@@ -2,17 +2,16 @@
 
 The analogue of Spark's driver<->executor heartbeat RPC, on the cluster
 backend.  While tasks are in flight each worker process runs a small daemon
-thread that ships :class:`HeartbeatRecord`\\ s (in-flight task ids, rows
-pulled through task iterators so far, RSS) as frames over its driver
-socket, at the interval carried in the running task's envelope -- genuine
-cross-process liveness that does not depend on which Context spawned the
-fleet.  A serial task runs inline on the driver thread, so the scheduler
-could not act on a timeout before that task returned: the serial backend
-has no heartbeat plane.
+thread that ships :class:`~repro.engine.listener.ExecutorHeartbeat`
+records (in-flight task ids, rows pulled through task iterators so far,
+RSS) as frames over its driver socket, at the interval carried in the
+running task's envelope -- genuine cross-process liveness that does not
+depend on which Context spawned the fleet.  A serial task runs inline on
+the driver thread, so the scheduler could not act on a timeout before
+that task returned: the serial backend has no heartbeat plane.
 
-The hub posts every received record as a typed
-:class:`~repro.engine.listener.ExecutorHeartbeat` on the listener bus (so
-the event log's ``telemetry`` channel records them) and watches for
+The hub posts every record it receives, as it arrived, on the listener
+bus (so the event log's ``telemetry`` channel records them) and watches for
 silence: a *busy* executor that has not heartbeated within
 ``EngineConfig.heartbeat_timeout`` seconds is declared lost -- the hub
 posts :class:`~repro.engine.listener.ExecutorTimedOut` and the task
@@ -30,7 +29,6 @@ from __future__ import annotations
 import queue
 import threading
 import time
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.engine.listener import (
@@ -46,18 +44,6 @@ log = get_logger("repro.heartbeat")
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.engine.context import Context
-
-
-@dataclass
-class HeartbeatRecord:
-    """One liveness report; plain data so it pickles across processes."""
-
-    executor_id: str
-    #: (stage_id, partition, attempt) triples running on the reporter
-    inflight: tuple = ()
-    records_read: int = 0
-    rss_bytes: int = 0
-    worker_pid: int = 0
 
 
 class HeartbeatHub(Listener):
@@ -87,7 +73,7 @@ class HeartbeatHub(Listener):
         self.records_received = 0
         #: worker-process records land here while the hub is subscribed to
         #: the backend; the queue is the hub's own, so it dies with the hub
-        self._worker_queue: "queue.Queue[HeartbeatRecord]" = queue.Queue()
+        self._worker_queue: "queue.Queue[ExecutorHeartbeat]" = queue.Queue()
         self._stop = threading.Event()
         self._thread: threading.Thread | None = None
 
@@ -179,7 +165,7 @@ class HeartbeatHub(Listener):
                 return
             self._receive(record)
 
-    def _receive(self, record: HeartbeatRecord) -> None:
+    def _receive(self, record: ExecutorHeartbeat) -> None:
         if any(
             e.executor_id == record.executor_id and e.heartbeats_suspended
             for e in self.ctx.executors
@@ -188,13 +174,7 @@ class HeartbeatHub(Listener):
         with self._lock:
             self._last_seen[record.executor_id] = time.perf_counter()
             self.records_received += 1
-        self.ctx.listener_bus.post(ExecutorHeartbeat(
-            executor_id=record.executor_id,
-            inflight=tuple(record.inflight),
-            records_read=record.records_read,
-            rss_bytes=record.rss_bytes,
-            worker_pid=record.worker_pid,
-        ))
+        self.ctx.listener_bus.post(record)
 
     def _check_timeouts(self) -> None:
         now = time.perf_counter()
@@ -217,4 +197,4 @@ class HeartbeatHub(Listener):
             self.ctx.listener_bus.post(ExecutorTimedOut(executor_id, age))
 
 
-__all__ = ["HeartbeatRecord", "HeartbeatHub"]
+__all__ = ["HeartbeatHub"]

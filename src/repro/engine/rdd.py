@@ -68,25 +68,12 @@ class RDD:
         if not self._cached:
             return self.compute(split, tc)
         block_id = (self.id, split)
-        manager = tc.block_manager
-        if manager is not None:
-            data = manager.get(block_id)
-            if data is not None:
-                tc.metrics.cache_hits += 1
-                return iter(data)
+        data = tc.block_manager.get(block_id)
+        if data is not None:
+            tc.metrics.cache_hits += 1
+            return iter(data)
         tc.metrics.cache_misses += 1
-        computed = self.compute(split, tc)
-        if manager is not None:
-            evicted: list = []
-            stored = manager.put(block_id, computed, metrics=tc.metrics, evicted=evicted)
-            if tc.block_master is not None:
-                # the LRU's victims leave the registry, as the cluster's do
-                for victim in evicted:
-                    tc.block_master.unregister_block(victim, tc.executor_id)
-                if manager.contains(block_id):
-                    tc.block_master.register_block(block_id, tc.executor_id)
-            return iter(stored)
-        return iter(list(computed))
+        return iter(tc.block_manager.put(block_id, self.compute(split, tc), metrics=tc.metrics))
 
     # -- caching ----------------------------------------------------------------
 
@@ -610,9 +597,9 @@ class TextSplitsRDD(RDD):
 class ShuffledRDD(RDD):
     """Reduce side of a shuffle: one partition per reducer.
 
-    Reads merged map output for its partition from the shuffle manager (or
-    from pre-fetched input shipped with the task under the process
-    backend) and applies the dependency's aggregator.
+    Reads the map outputs' frames for its partition, which the scheduler
+    prefetched into the task context, and applies the dependency's
+    aggregator.
     """
 
     def __init__(self, ctx, parent: RDD, partitioner, aggregator, name: str) -> None:
@@ -627,13 +614,7 @@ class ShuffledRDD(RDD):
 
     def compute(self, split: int, tc: TaskContext) -> Iterator:
         dep = self.shuffle_dep
-        key = (dep.shuffle_id, split)
-        if key in tc.prefetched_shuffle:
-            records: Iterator = iter(tc.prefetched_shuffle[key])
-        else:
-            if tc.shuffle_manager is None:
-                raise RuntimeError("no shuffle manager available to reduce task")
-            records = tc.shuffle_manager.fetch(dep.shuffle_id, split, tc.metrics)
+        records = tc.shuffle_input(dep.shuffle_id, split)
         agg = dep.aggregator
         if agg is None:
             return records
@@ -685,15 +666,9 @@ class CoGroupedRDD(RDD):
 
         for idx, (kind, source) in enumerate(self._dep_kinds):
             if kind == "narrow":
-                records: Iterator = source.iterator(split, tc)
+                records = source.iterator(split, tc)
             else:
-                fetch_key = (source.shuffle_id, split)
-                if fetch_key in tc.prefetched_shuffle:
-                    records = iter(tc.prefetched_shuffle[fetch_key])
-                else:
-                    if tc.shuffle_manager is None:
-                        raise RuntimeError("no shuffle manager available to cogroup task")
-                    records = tc.shuffle_manager.fetch(source.shuffle_id, split, tc.metrics)
+                records = tc.shuffle_input(source.shuffle_id, split)
             for key, value in records:
                 entry = grouped.get(key)
                 if entry is None:

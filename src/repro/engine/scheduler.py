@@ -10,21 +10,25 @@ invalidation plus rescheduling.  A task that raises
 :class:`~repro.genomics.io.formats.FormatError` met malformed input: it is
 not retried and the job fails with that error, unwrapped.
 
-The cluster branch ships a stage as a kilobyte task binary (lineage,
-closures and content-hash refs; see :meth:`TaskScheduler._build_task_binary`)
-and a task as an envelope of refs plus its pre-fetched shuffle frames.
-Cached blocks stay resident in the worker that computed them: a result
-carries the ids of the blocks it left resident or evicted, the driver
-keeps locations in its ``BlockManagerMaster`` and none of the data,
-placement sends a partition to the same worker process every time, and a
-miss anywhere (evicted, dead holder, retry elsewhere) recomputes from
-lineage.
+Every attempt takes one path on either backend: the fault injector fires
+at launch, the task's shuffle input is prefetched as frames, the backend
+runs the task (inline on serial, in a worker process on the cluster), the
+attempt claims its partition's commit, and one merge
+(:meth:`TaskScheduler._merge_attempt`) folds its result into driver state.
+A task touches no driver state itself: it returns its value (a map task's
+encoded buckets, which the merge registers) and the ids of the cache
+blocks it left resident or evicted, and the driver keeps block locations
+in its ``BlockManagerMaster`` and none of the data.  Placement sends a
+partition to the same executor (and worker process) every time, and a miss
+anywhere (evicted, dead holder, retry elsewhere) recomputes from lineage.
+The cluster also ships each stage once, as a kilobyte task binary
+(lineage, closures and content-hash refs; see
+:meth:`TaskScheduler._build_task_binary`).
 """
 
 from __future__ import annotations
 
 import concurrent.futures
-import hashlib
 import pickle
 import threading
 import time
@@ -54,7 +58,6 @@ from repro.engine.task import (
     Task,
     TaskBinary,
     TaskContext,
-    TaskTelemetry,
 )
 from repro.genomics.io.formats import FormatError
 from repro.obs.logging import LOG_BUS, get_logger, log_context
@@ -205,6 +208,9 @@ class TaskScheduler:
 
     def __init__(self, ctx: "Context") -> None:
         self.ctx = ctx
+        #: store key -> rdd id of every cached RDD this Context's stages
+        #: computed (see :meth:`_block_keys`)
+        self._rdd_of_key: dict[Any, int] = {}
 
     # -- placement ------------------------------------------------------------
 
@@ -252,9 +258,12 @@ class TaskScheduler:
         inflight: dict[concurrent.futures.Future, _Attempt] = {}
         max_inflight = max(1, backend.parallelism) * 2
         fetch_failure: _FetchFailedSignal | None = None
+        keys = self._block_keys(stage)
         task_binary: _SerializedTaskBinary | None = None
-        if tasks and not backend.supports_shared_state:
-            task_binary = self._build_task_binary(stage, tasks[0])
+        if tasks and self.ctx.transport is not None:
+            # only a backend that moves bytes between address spaces ships
+            # the stage as a binary, published on its transport
+            task_binary = self._build_task_binary(stage, tasks[0], keys)
 
         commits = _TaskSetCommits()
         hub = getattr(self.ctx, "heartbeats", None)
@@ -273,11 +282,11 @@ class TaskScheduler:
                     TaskStart(stage.id, task.partition, attempt, executor.executor_id)
                 )
                 future = self._submit(
-                    stage, task, attempt, executor, task_binary, job, commits
+                    stage, task, attempt, executor, keys, task_binary, job, commits
                 )
                 inflight[future] = _Attempt(task, attempt, executor)
                 launched = True
-            if launched and task_binary is not None:
+            if launched:
                 # the cluster sends this pass's launches together
                 backend.flush()
             if not inflight:
@@ -454,79 +463,18 @@ class TaskScheduler:
         stage_metrics.tasks.append(record)
         self.ctx.listener_bus.post(TaskEnd(record))
 
-    def _submit(
-        self,
-        stage: Stage,
-        task: Task,
-        attempt: int,
-        executor: Executor,
-        task_binary: _SerializedTaskBinary | None,
-        job: JobMetrics,
-        commits: _TaskSetCommits,
-    ) -> concurrent.futures.Future:
+    def _block_keys(self, stage: Stage) -> dict[int, Any]:
+        """The store key of each cached RDD this stage may compute, by rdd
+        id, and noted in the driver's key -> rdd id map (an attempt reports
+        the blocks its puts evicted by store key)."""
         backend = self.ctx.backend
-        if backend.supports_shared_state:
-            return backend.submit(
-                self._run_shared, stage, task, attempt, executor, job.job_id
-            )
-        assert task_binary is not None
-        return self._submit_process(
-            stage, task, attempt, executor, task_binary, job, commits
-        )
+        keys = {node.id: backend.block_key(node) for node in stage_cached_rdds(stage.rdd)}
+        self._rdd_of_key.update((key, rdd_id) for rdd_id, key in keys.items())
+        return keys
 
-    # -- shared-state execution (serial) ------------------------------------------
-    #
-    # One task at a time, inline on the driver thread: serial has no heartbeat
-    # monitor to abandon an attempt, so no sibling attempt can race this one
-    # to the commit.
-
-    def _run_shared(
-        self,
-        stage: Stage,
-        task: Task,
-        attempt: int,
-        executor: Executor,
-        job_id: int,
-    ) -> tuple[Any, TaskRecord]:
-        if not executor.alive:
-            raise ExecutorLostError(executor.executor_id)
-        injector = self.ctx.fault_injector
-        tc = TaskContext(
-            stage_id=stage.id,
-            partition=task.partition,
-            attempt=attempt,
-            executor_id=executor.executor_id,
-            shuffle_manager=self.ctx.shuffle_manager,
-            block_manager=executor.block_manager,
-            block_master=self.ctx.block_master,
-            fault_hook=injector.on_task_launch if injector is not None else None,
-        )
-        telemetry = TaskTelemetry()
-        start = time.perf_counter()
-        # ambient correlation: anything logged inside the task (engine or
-        # user code) carries the full id set without plumbing
-        with log_context(
-            job_id=job_id, stage_id=stage.id, partition=task.partition,
-            attempt=attempt, executor_id=executor.executor_id,
-        ):
-            value = task.run(tc)
-        duration = time.perf_counter() - start
-        telemetry.record(tc.metrics)
-        record = TaskRecord(
-            stage_id=stage.id,
-            partition=task.partition,
-            attempt=attempt,
-            executor_id=executor.executor_id,
-            duration_seconds=duration,
-            metrics=tc.metrics,
-            succeeded=True,
-            start_time=start,
-        )
-        return value, record
-
-    # -- cluster-backend execution ------------------------------------------------
-
-    def _build_task_binary(self, stage: Stage, probe: Task) -> _SerializedTaskBinary:
+    def _build_task_binary(
+        self, stage: Stage, probe: Task, keys: dict[int, Any]
+    ) -> _SerializedTaskBinary:
         """Serialize the stage's closure/lineage once for all its tasks.
 
         The pickle is thin -- ``parallelize`` partitions and large
@@ -534,19 +482,15 @@ class TaskScheduler:
         kilobytes, not the dataset, and a stage a warm fleet has seen
         before pickles to the same bytes and publishes nothing.
         """
-        # closure-aware pickling: lambdas and locally-defined functions in
-        # the lineage serialize by value (repro.engine.closure)
-        block_keys = {
-            node.id: hashlib.sha256(closure_dumps(node)).hexdigest()
-            for node in stage_cached_rdds(stage.rdd)
-        }
         shuffle_map = isinstance(probe, ShuffleMapTask)
         binary = TaskBinary(
             stage.id, "shuffle_map" if shuffle_map else "result", stage.rdd,
             func=None if shuffle_map else probe.func,
             shuffle_dep=probe.shuffle_dep if shuffle_map else None,
-            block_keys=block_keys,
+            block_keys=keys,
         )
+        # closure-aware pickling: lambdas and locally-defined functions in
+        # the lineage serialize by value (repro.engine.closure)
         blob = closure_dumps(binary)
         # every binary is published by ref regardless of size: workers that
         # evicted it can re-fetch it from the long-lived transport, and the
@@ -557,86 +501,56 @@ class TaskScheduler:
             len(blob), ref, len(pickle.dumps(ref, protocol=pickle.HIGHEST_PROTOCOL))
         )
 
-    def _submit_process(
+    def _submit(
         self,
         stage: Stage,
         task: Task,
         attempt: int,
         executor: Executor,
-        tb: _SerializedTaskBinary,
+        keys: dict[int, Any],
+        tb: _SerializedTaskBinary | None,
         job: JobMetrics,
         commits: _TaskSetCommits,
     ) -> concurrent.futures.Future:
-        """Dispatch one attempt to the cluster without blocking.
+        """Launch one attempt on either backend without blocking.
 
         The returned future resolves to ``(value, TaskRecord)`` once the
-        worker finishes *and* the driver-side merge (shuffle output, block
-        locations) has run in the backend future's completion
-        callback, so ``run_task_set`` keeps ``max_inflight`` attempts
-        genuinely parallel.
+        task has run *and* the driver-side merge (shuffle output, block
+        locations) has run in the backend future's completion callback,
+        so ``run_task_set`` keeps ``max_inflight`` attempts genuinely
+        parallel on the cluster.
         """
         out_future: concurrent.futures.Future = concurrent.futures.Future()
-        transport = self.ctx.transport
+        backend = self.ctx.backend
         try:
             if not executor.alive:
                 raise ExecutorLostError(executor.executor_id)
             # fault plans fire at launch on the driver: the injector's state
             # cannot ship to worker processes, and the future surfaces the
-            # raise through the same retry path as the serial backend
+            # raise through the retry path
             injector = self.ctx.fault_injector
             if injector is not None:
                 injector.on_task_launch(TaskContext(
                     stage.id, task.partition, attempt, executor.executor_id
                 ))
-            # make the task self-contained: pre-fetch its shuffle input, as
-            # the map outputs' frames (no driver-side decode + re-pickle).
-            # Cached blocks are the worker's own business: resident there
-            # or recomputed from the lineage in the binary
-            # The worker reads the frames without a shuffle manager, so the
-            # driver counts the read here, as ShuffleManager.fetch would
-            prefetched: dict[tuple[int, int], FrameBatch] = {}
-            read_records = read_bytes = 0
-            for shuffle_id, reduce_part in stage_shuffle_inputs(task.rdd, task.partition):
-                blocks = self.ctx.shuffle_manager.fetch_blocks(shuffle_id, reduce_part)
-                prefetched[(shuffle_id, reduce_part)] = FrameBatch(
-                    [b.payload for b in blocks]
-                )
-                for b in blocks:
-                    if b.num_records:
-                        read_records += b.num_records
-                        read_bytes += len(b.payload)
-            payload = pickle.dumps(
-                {
-                    "binary_ref": tb.ref,
-                    "partition": task.partition,
-                    "attempt": attempt,
-                    "executor_id": executor.executor_id,
-                    "prefetched_shuffle": prefetched,
-                    # budget of the worker process's resident block
-                    # manager: the executor's, split over its slot processes
-                    "storage_memory": (
-                        self.ctx.config.storage_memory_per_executor
-                        // self.ctx.config.executor_cores
-                    ),
-                    "transport": transport.spec(),
-                    # the worker heartbeats at *this* driver's cadence while
-                    # the task runs, whoever spawned the fleet (0 = none)
-                    "heartbeat_interval": self.ctx.config.heartbeat_interval,
-                    # structured-logging correlation: the worker captures at
-                    # the driver's level and stamps these ids on its records
-                    "job_id": job.job_id,
-                    "log_level": self.ctx.config.log_level,
-                },
-                protocol=pickle.HIGHEST_PROTOCOL,
+            # the task reads its shuffle input as the map outputs' frames,
+            # prefetched here (cached blocks are the executor's business:
+            # held there or recomputed from the lineage)
+            prefetched = {
+                key: FrameBatch([
+                    block.payload
+                    for block in self.ctx.shuffle_manager.fetch_blocks(*key)
+                    if block.num_records
+                ])
+                for key in stage_shuffle_inputs(task.rdd, task.partition)
+            }
+            start = time.perf_counter()
+            pool_future = backend.submit_task(
+                task, attempt, executor, prefetched, job.job_id, keys, tb
             )
         except BaseException as exc:  # noqa: BLE001 - surface via the future
             out_future.set_exception(exc)
             return out_future
-
-        start = time.perf_counter()
-        pool_future = self.ctx.backend.submit_pickled(
-            payload, executor.executor_id, task.partition
-        )
 
         def _finish(done: concurrent.futures.Future) -> None:
             # nothing left to cancel; and the two futures pointing at each
@@ -649,20 +563,13 @@ class TaskScheduler:
             if out_future.cancelled():
                 return
             try:
-                from repro.engine.backends import unframe_result
-
-                out, serialize_seconds, serialize_offset = unframe_result(
-                    done.result(), transport
-                )
-                out["metrics"].shuffle_records_read += read_records
-                out["metrics"].shuffle_bytes_read += read_bytes
+                out = backend.open_result(done.result())
                 if not commits.try_claim(task.partition, attempt):
                     # a sibling attempt committed first: drop this result
                     # before any driver-state merge
                     raise _SiblingCommitted(task.partition, attempt)
-                value, record = self._merge_process_result(
-                    stage, task, attempt, executor, tb,
-                    out, serialize_seconds, serialize_offset, start,
+                value, record = self._merge_attempt(
+                    stage, task, attempt, executor, tb, out, start
                 )
             except BaseException as exc:  # noqa: BLE001 - surface via the future
                 try:
@@ -681,74 +588,63 @@ class TaskScheduler:
         pool_future.add_done_callback(_finish)
         return out_future
 
-    def _merge_process_result(
+    def _merge_attempt(
         self,
         stage: Stage,
         task: Task,
         attempt: int,
         executor: Executor,
-        tb: _SerializedTaskBinary,
+        tb: _SerializedTaskBinary | None,
         out: dict,
-        serialize_seconds: float,
-        serialize_offset: float,
         start: float,
     ) -> tuple[Any, TaskRecord]:
-        """Fold a worker's self-contained result back into driver state."""
+        """Fold one committed attempt's result into driver state, whichever
+        backend ran it."""
         duration = time.perf_counter() - start
-        # serialization time rides in the result frame header, outside the
-        # body it measured
-        out["metrics"].result_serialize_seconds += serialize_seconds
-        span_fragments = list(out.get("span_fragments") or ())
-        span_fragments.append({
-            "name": "result_serialize",
-            "start": serialize_offset,
-            "end": serialize_offset + serialize_seconds,
-        })
+        metrics = out["metrics"]
         # replay worker-captured log records into the driver bus; they were
         # already level-filtered worker-side and carry their correlation ids
         for record in out.get("log_records") or ():
             LOG_BUS.replay(record)
-        # merge shuffle output written remotely
         value = out["result"]
-        if isinstance(task, ShuffleMapTask) and out["shuffle_output"] is not None:
-            # the worker already bucketed (and map-side combined) its output;
-            # adopt the buckets as-is instead of re-combining them
+        if isinstance(task, ShuffleMapTask):
+            # the task already bucketed (and map-side combined) its output;
+            # adopt the buckets as-is
             value = self.ctx.shuffle_manager.register_map_output(
-                task.shuffle_dep,
-                map_partition=task.partition,
-                buckets=out["shuffle_output"].get(
-                    (task.shuffle_dep.shuffle_id, task.partition), {}
-                ),
-                executor_id=executor.executor_id,
-                metrics=out["metrics"],
+                task.shuffle_dep, task.partition, value, executor.executor_id, metrics
             )
-        # the blocks stay in the worker; the driver learns where they are
+        # the blocks stay with the executor; the driver learns where they
+        # are.  A victim is reported by store key: one this Context never
+        # cached is another Context's, which finds out by missing
         master = self.ctx.block_master
-        for block_id in out["evicted_blocks"]:
-            master.unregister_block(block_id, executor.executor_id)
+        for key, split in out["evicted_blocks"]:
+            rdd_id = self._rdd_of_key.get(key)
+            if rdd_id is not None:
+                master.unregister_block((rdd_id, split), executor.executor_id)
         for block_id in out["resident_blocks"]:
             master.register_block(block_id, executor.executor_id)
-        # task-binary accounting with per-executor dedup: the pickle
-        # is charged once per (binary, executor); subsequent tasks on the
-        # same executor only pay the pickled TransportRef (the bytes that
-        # actually crossed the pipe once the blob is memoized worker-side).
-        # The cluster remembers shipments *across contexts* -- a warm job
-        # re-running an identical stage charges only refs, which is the
-        # whole point of keeping the executors alive.
-        if self.ctx.backend.note_binary_shipped(executor.executor_id, tb.binary_id):
-            out["metrics"].task_binary_bytes += tb.size
-        else:
-            out["metrics"].task_binary_bytes += tb.ref_cost
+        if tb is not None:
+            # task-binary accounting with per-executor dedup: the pickle is
+            # charged once per (binary, executor); later tasks on the same
+            # executor only pay the pickled TransportRef (the bytes that
+            # crossed the pipe once the blob is memoized worker-side).  The
+            # cluster remembers shipments *across contexts* -- a warm job
+            # re-running an identical stage charges only refs, which is the
+            # whole point of keeping the executors alive.
+            if self.ctx.backend.note_binary_shipped(executor.executor_id, tb.binary_id):
+                metrics.task_binary_bytes += tb.size
+            else:
+                metrics.task_binary_bytes += tb.ref_cost
         record = TaskRecord(
             stage_id=stage.id,
             partition=task.partition,
             attempt=attempt,
             executor_id=executor.executor_id,
             duration_seconds=duration,
-            metrics=out["metrics"],
+            metrics=metrics,
             succeeded=True,
             start_time=start,
-            span_fragments=span_fragments,
+            span_fragments=out.get("span_fragments", []),
         )
         return value, record
 

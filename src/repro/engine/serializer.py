@@ -8,7 +8,7 @@ so a worker decodes what the driver encoded (and vice versa) with no format
 name on the wire.
 
 :class:`FrameBatch` sits next to the codec: a picklable list of frames that
-decodes on iteration, so shuffle input travels to a worker without a
+decodes on iteration, so shuffle input reaches a task without a
 driver-side decode + re-pickle.
 
 DESIGN.md section 10 records why there is no second format and why nothing
@@ -45,10 +45,11 @@ def loads(frame: bytes) -> Any:
 class FrameBatch:
     """A picklable sequence of frames, decoded on iteration.
 
-    The scheduler pre-fetches shuffle input for worker-process tasks as the
-    map outputs' *frames* (no driver-side decode + re-pickle); the worker
-    iterates the batch, which decodes each frame as the traversal reaches
-    it and yields the concatenated records.
+    The scheduler pre-fetches a reduce task's shuffle input as the map
+    outputs' *frames* (no driver-side decode + re-pickle); the task
+    decodes each frame as its traversal reaches it
+    (:meth:`~repro.engine.task.TaskContext.shuffle_input`), and iterating
+    the batch yields the concatenated records.
     """
 
     __slots__ = ("frames",)

@@ -1,21 +1,25 @@
-"""Shuffle manager: map-output registry and reduce-side fetch.
+"""Shuffle: map-side bucketing and the driver's map-output registry.
 
-Map tasks bucket their key-value output by the shuffle dependency's
-partitioner and register the buckets here, tagged with the executor that
-produced them.  Reduce tasks fetch and merge the buckets for their
-partition.  When a fault kills an executor, its map outputs are invalidated
-and subsequent fetches raise :class:`FetchFailedError`, which the DAG
-scheduler handles by resubmitting the parent stage's missing tasks --
-exactly Spark's recovery path.
+A map task buckets its key-value output by the shuffle dependency's
+partitioner (:func:`bucket_map_output`) and returns the buckets; the
+driver registers them here, tagged with the executor that produced them
+(:meth:`ShuffleManager.register_map_output`, the only writer of map
+outputs).  Before a reduce task launches, the scheduler prefetches the
+frames for its partition (:meth:`ShuffleManager.fetch_blocks`).  When a
+fault kills an executor, its map outputs are invalidated and subsequent
+fetches raise :class:`FetchFailedError`, which the DAG scheduler handles by
+resubmitting the parent stage's missing tasks -- exactly Spark's recovery
+path.
 
 Map outputs are stored as *frames* (:class:`ShuffleBlock`, encoded by
 :func:`repro.engine.serializer.dumps`), not live Python lists.  Each bucket
-is encoded once on the write side; the reduce side decodes lazily, one
-map-output frame at a time, as the fetch iterator advances.  This is the
-analogue of Spark's serialized shuffle files: a worker-process map task
-ships its frames to the driver as opaque bytes (no per-record pickle
-overhead), and :meth:`register_map_output` adopts them without a
-decode/re-encode cycle.
+is encoded once, in the map task; the reduce task decodes lazily, one
+map-output frame at a time.  This is the analogue of Spark's serialized
+shuffle files: a worker-process map task ships its frames to the driver as
+opaque bytes (no per-record pickle overhead), and the driver adopts them
+without a decode/re-encode cycle.  Records written (and the encode time)
+are counted by the map task; bytes written are priced by the driver when
+it registers the frames.
 """
 
 from __future__ import annotations
@@ -23,9 +27,9 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable
 
-from repro.engine.serializer import dumps, loads
+from repro.engine.serializer import dumps
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.engine.dependencies import ShuffleDependency
@@ -64,15 +68,42 @@ class ShuffleBlock:
     num_records: int
 
 
+def bucket_map_output(
+    dep: "ShuffleDependency", records: Iterable, metrics: "TaskMetrics"
+) -> dict[int, ShuffleBlock]:
+    """Bucket ``records`` by key (map-side combining them when the
+    dependency's aggregator asks) and encode each bucket as one frame."""
+    partitioner = dep.partitioner
+    buckets: dict[int, list] = {i: [] for i in range(partitioner.num_partitions)}
+    agg = dep.aggregator
+    if agg is not None and agg.map_side_combine:
+        combined: dict[int, dict] = {i: {} for i in range(partitioner.num_partitions)}
+        for key, value in records:
+            bucket = combined[partitioner.partition(key)]
+            if key in bucket:
+                bucket[key] = agg.merge_value(bucket[key], value)
+            else:
+                bucket[key] = agg.create_combiner(value)
+        for reduce_idx, bucket in combined.items():
+            buckets[reduce_idx] = list(bucket.items())
+    else:
+        for key, value in records:
+            buckets[partitioner.partition(key)].append((key, value))
+
+    encode_start = time.perf_counter()
+    blocks = {
+        reduce_idx: ShuffleBlock(dumps(bucket), len(bucket))
+        for reduce_idx, bucket in buckets.items()
+    }
+    metrics.serializer_seconds += time.perf_counter() - encode_start
+    metrics.shuffle_records_written += sum(len(bucket) for bucket in buckets.values())
+    return blocks
+
+
 class ShuffleManager:
-    """Holds shuffle blocks as frames; thread-safe.
+    """The driver's registry of map outputs, held as frames; thread-safe."""
 
-    ``track_bytes=False`` (worker-local managers) suppresses metric byte
-    accounting -- the driver prices adopted buckets when it merges them --
-    but frames are always encoded: they *are* the storage format.
-    """
-
-    def __init__(self, track_bytes: bool = True) -> None:
+    def __init__(self) -> None:
         self._lock = threading.Lock()
         # (shuffle_id, map_partition) -> {reduce_partition: ShuffleBlock}
         self._outputs: dict[tuple[int, int], dict[int, ShuffleBlock]] = {}
@@ -80,7 +111,6 @@ class ShuffleManager:
         self._writers: dict[tuple[int, int], str] = {}
         # shuffle_id -> number of map partitions expected
         self._num_maps: dict[int, int] = {}
-        self._track_bytes = track_bytes
 
     # -- registration --------------------------------------------------------
 
@@ -88,122 +118,31 @@ class ShuffleManager:
         with self._lock:
             self._num_maps[shuffle_id] = num_maps
 
-    @staticmethod
-    def encode_bucket(records: list) -> ShuffleBlock:
-        """Encode one reduce bucket into a frame."""
-        return ShuffleBlock(dumps(records), len(records))
-
-    def write_map_output(
-        self,
-        dep: "ShuffleDependency",
-        map_partition: int,
-        records: Iterable,
-        executor_id: str,
-        metrics: "TaskMetrics | None" = None,
-    ) -> MapStatus:
-        """Bucket ``records`` by key, encode the buckets, register them."""
-        partitioner = dep.partitioner
-        buckets: dict[int, list] = {i: [] for i in range(partitioner.num_partitions)}
-        agg = dep.aggregator
-        if agg is not None and agg.map_side_combine:
-            combined: dict[int, dict] = {i: {} for i in range(partitioner.num_partitions)}
-            for key, value in records:
-                bucket = combined[partitioner.partition(key)]
-                if key in bucket:
-                    bucket[key] = agg.merge_value(bucket[key], value)
-                else:
-                    bucket[key] = agg.create_combiner(value)
-            for reduce_idx, bucket in combined.items():
-                buckets[reduce_idx] = list(bucket.items())
-        else:
-            for key, value in records:
-                buckets[partitioner.partition(key)].append((key, value))
-
-        encode_start = time.perf_counter()
-        blocks = {
-            reduce_idx: self.encode_bucket(bucket)
-            for reduce_idx, bucket in buckets.items()
-        }
-        encode_seconds = time.perf_counter() - encode_start
-        return self._register(
-            dep.shuffle_id,
-            map_partition,
-            blocks,
-            partitioner.num_partitions,
-            executor_id,
-            metrics,
-            encode_seconds,
-        )
-
     def register_map_output(
         self,
         dep: "ShuffleDependency",
         map_partition: int,
-        buckets: "dict[int, ShuffleBlock] | dict[int, list]",
+        buckets: dict[int, ShuffleBlock],
         executor_id: str,
         metrics: "TaskMetrics | None" = None,
     ) -> MapStatus:
-        """Adopt pre-bucketed output computed by a worker process.
+        """Adopt a map task's encoded buckets as this map partition's output.
 
-        The worker already partitioned the records, ran any map-side
-        combine, *and encoded the buckets into frames*; pushing its
-        output back through :meth:`write_map_output` would apply
-        ``create_combiner`` a second time (wrong for non-identity combiners
-        such as ``fold_by_key`` zeros) and pay a decode/re-encode cycle.
-        Frames are adopted as-is; live lists (legacy callers / tests) are
-        encoded here.  Byte accounting happens on this side of the process
-        boundary: the worker counted ``shuffle_records_written`` into the
-        task metrics but runs with ``track_bytes=False``.
+        The task already partitioned the records, ran any map-side combine
+        and encoded the buckets into frames (re-bucketing would apply
+        ``create_combiner`` a second time, wrong for non-identity combiners
+        such as ``fold_by_key`` zeros); the frames are adopted as-is.  The
+        task counted its records written; bytes written are priced here.
         """
-        partitioner = dep.partitioner
-        encode_start = time.perf_counter()
-        blocks: dict[int, ShuffleBlock] = {}
-        for reduce_idx in range(partitioner.num_partitions):
-            bucket = buckets.get(reduce_idx)
-            if isinstance(bucket, ShuffleBlock):
-                blocks[reduce_idx] = bucket
-            else:
-                blocks[reduce_idx] = self.encode_bucket(list(bucket or ()))
-        encode_seconds = time.perf_counter() - encode_start
-        return self._register(
-            dep.shuffle_id,
-            map_partition,
-            blocks,
-            partitioner.num_partitions,
-            executor_id,
-            metrics,
-            encode_seconds,
-            count_records=False,
+        sizes = tuple(
+            len(buckets[i].payload) for i in range(dep.partitioner.num_partitions)
         )
-
-    def _register(
-        self,
-        shuffle_id: int,
-        map_partition: int,
-        blocks: dict[int, ShuffleBlock],
-        num_reducers: int,
-        executor_id: str,
-        metrics: "TaskMetrics | None",
-        encode_seconds: float,
-        count_records: bool = True,
-    ) -> MapStatus:
-        sizes = tuple(len(blocks[i].payload) for i in range(num_reducers))
-        status = MapStatus(shuffle_id, map_partition, executor_id, sizes)
         with self._lock:
-            self._outputs[(shuffle_id, map_partition)] = blocks
-            self._writers[(shuffle_id, map_partition)] = executor_id
+            self._outputs[(dep.shuffle_id, map_partition)] = buckets
+            self._writers[(dep.shuffle_id, map_partition)] = executor_id
         if metrics is not None:
-            # encode time is charged where the encode ran; byte totals are
-            # only priced on the driver side (track_bytes) so worker-side
-            # managers never double-count
-            metrics.serializer_seconds += encode_seconds
-            if count_records:
-                metrics.shuffle_records_written += sum(
-                    block.num_records for block in blocks.values()
-                )
-            if self._track_bytes:
-                metrics.shuffle_bytes_written += sum(sizes)
-        return status
+            metrics.shuffle_bytes_written += sum(sizes)
+        return MapStatus(dep.shuffle_id, map_partition, executor_id, sizes)
 
     # -- fetch ----------------------------------------------------------------
 
@@ -219,9 +158,8 @@ class ShuffleManager:
         """All map-output frames destined for ``reduce_partition``.
 
         Raises :class:`FetchFailedError` on the first missing map output.
-        Frames are returned still-encoded so the caller (reduce task, or
-        the scheduler pre-fetching for a worker process) can move them as
-        opaque bytes and decode lazily.
+        Frames are returned still-encoded: the scheduler prefetches them
+        for the reduce task as opaque bytes, and the task decodes lazily.
         """
         with self._lock:
             num_maps = self._num_maps.get(shuffle_id)
@@ -236,30 +174,6 @@ class ShuffleManager:
                 if block is not None:
                     blocks.append(block)
         return blocks
-
-    def fetch(
-        self,
-        shuffle_id: int,
-        reduce_partition: int,
-        metrics: "TaskMetrics | None" = None,
-    ) -> Iterator[tuple]:
-        """Yield all (k, v) pairs destined for ``reduce_partition``.
-
-        Decodes one map-output frame at a time as the iterator advances
-        (lazy reduce-side decode).  Raises :class:`FetchFailedError` on the
-        first missing map output.
-        """
-        blocks = self.fetch_blocks(shuffle_id, reduce_partition)
-        for block in blocks:
-            if block.num_records == 0:
-                continue
-            decode_start = time.perf_counter()
-            records = loads(block.payload)
-            if metrics is not None:
-                metrics.serializer_seconds += time.perf_counter() - decode_start
-                metrics.shuffle_records_read += block.num_records
-                metrics.shuffle_bytes_read += len(block.payload)
-            yield from records
 
     # -- failure handling -------------------------------------------------------
 

@@ -4,7 +4,7 @@ Two task kinds, exactly as in Spark:
 
 - :class:`ShuffleMapTask` computes one partition of the stage's final RDD
   and buckets its key-value output by the shuffle dependency's partitioner,
-  writing the buckets to the shuffle manager.
+  returning the encoded buckets (the driver registers them).
 - :class:`ResultTask` computes one partition and applies the action's
   per-partition function, returning its value to the driver.
 """
@@ -22,6 +22,8 @@ from typing import TYPE_CHECKING, Any, Callable, Iterator
 import threading
 
 from repro.engine.metrics import TaskMetrics
+from repro.engine.serializer import FrameBatch, loads
+from repro.engine.shuffle import bucket_map_output
 
 _LOCAL = threading.local()
 
@@ -112,16 +114,16 @@ def current_task_context() -> "TaskContext | None":
     return getattr(_LOCAL, "tc", None)
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.engine.blockmanager import BlockManager, BlockManagerMaster
     from repro.engine.rdd import RDD
-    from repro.engine.shuffle import ShuffleManager
 
 
 class TaskContext:
     """Per-task runtime context threaded through ``RDD.iterator``.
 
-    Carries the executing executor's identity, handles to the shuffle
-    manager and block managers, the fault-injection hook, and metrics.
+    Carries the executing executor's identity, the attempt's window onto
+    its block store (``block_manager``), its prefetched shuffle input and
+    its metrics.  A task touches no driver state: what it cached, evicted
+    and wrote reaches the driver in the attempt's result.
     """
 
     def __init__(
@@ -130,28 +132,31 @@ class TaskContext:
         partition: int,
         attempt: int,
         executor_id: str,
-        shuffle_manager: "ShuffleManager | None" = None,
-        block_manager: "BlockManager | None" = None,
-        block_master: "BlockManagerMaster | None" = None,
-        fault_hook: Callable[["TaskContext"], None] | None = None,
+        block_manager: Any = None,
+        prefetched_shuffle: "dict[tuple[int, int], FrameBatch] | None" = None,
     ) -> None:
         self.stage_id = stage_id
         self.partition = partition
         self.attempt = attempt
         self.executor_id = executor_id
-        self.shuffle_manager = shuffle_manager
         self.block_manager = block_manager
-        self.block_master = block_master
         self.metrics = TaskMetrics()
-        self._fault_hook = fault_hook
-        #: pre-fetched shuffle input for the process backend, keyed by
-        #: (shuffle_id, reduce_partition)
-        self.prefetched_shuffle: dict[tuple[int, int], list] = {}
+        #: the map outputs' frames this task reads, keyed by
+        #: (shuffle_id, reduce_partition); the scheduler prefetched them
+        self.prefetched_shuffle = prefetched_shuffle or {}
 
-    def check_faults(self) -> None:
-        """Invoke the fault-injection hook (may raise to simulate failure)."""
-        if self._fault_hook is not None:
-            self._fault_hook(self)
+    def shuffle_input(self, shuffle_id: int, split: int) -> Iterator:
+        """The records of one prefetched shuffle input, in map-partition
+        order, decoding one map output's frame at a time; the read (and the
+        decode time, as ``serializer_seconds``) is counted as it happens."""
+        metrics = self.metrics
+        for frame in self.prefetched_shuffle[(shuffle_id, split)].frames:
+            start = time.perf_counter()
+            records = loads(frame)
+            metrics.serializer_seconds += time.perf_counter() - start
+            metrics.shuffle_records_read += len(records)
+            metrics.shuffle_bytes_read += len(frame)
+            yield from records
 
 
 class Task:
@@ -161,9 +166,21 @@ class Task:
         self.stage_id = stage_id
         self.rdd = rdd
         self.partition = partition
-        self.attempt = 0
 
     def run(self, tc: TaskContext) -> Any:
+        """Compute the partition and apply :meth:`_finish` to its records,
+        with ``tc`` as this thread's task context."""
+        start = time.perf_counter()
+        previous = getattr(_LOCAL, "tc", None)
+        _LOCAL.tc = tc
+        try:
+            result = self._finish(self.rdd.iterator(self.partition, tc), tc)
+        finally:
+            _LOCAL.tc = previous
+        tc.metrics.compute_seconds += time.perf_counter() - start
+        return result
+
+    def _finish(self, records: Iterator, tc: TaskContext) -> Any:
         raise NotImplementedError
 
 
@@ -174,17 +191,8 @@ class ResultTask(Task):
         super().__init__(stage_id, rdd, partition)
         self.func = func
 
-    def run(self, tc: TaskContext) -> Any:
-        tc.check_faults()
-        start = time.perf_counter()
-        previous = getattr(_LOCAL, "tc", None)
-        _LOCAL.tc = tc
-        try:
-            result = self.func(self.rdd.iterator(self.partition, tc))
-        finally:
-            _LOCAL.tc = previous
-        tc.metrics.compute_seconds += time.perf_counter() - start
-        return result
+    def _finish(self, records: Iterator, tc: TaskContext) -> Any:
+        return self.func(records)
 
 
 class TaskBinary:
@@ -229,32 +237,15 @@ class TaskBinary:
 
 
 class ShuffleMapTask(Task):
-    """Computes one map partition and writes bucketed output to the shuffle.
+    """Computes one map partition and buckets it for the shuffle.
 
-    Returns the map status (output sizes per reduce partition) so the driver
-    can track shuffle output availability.
+    Returns the encoded buckets (``{reduce_partition: ShuffleBlock}``); the
+    driver registers them as this map partition's output.
     """
 
     def __init__(self, stage_id: int, rdd: "RDD", partition: int, shuffle_dep) -> None:
         super().__init__(stage_id, rdd, partition)
         self.shuffle_dep = shuffle_dep
 
-    def run(self, tc: TaskContext) -> Any:
-        tc.check_faults()
-        if tc.shuffle_manager is None:
-            raise RuntimeError("ShuffleMapTask requires a shuffle manager")
-        start = time.perf_counter()
-        previous = getattr(_LOCAL, "tc", None)
-        _LOCAL.tc = tc
-        try:
-            status = tc.shuffle_manager.write_map_output(
-                self.shuffle_dep,
-                map_partition=self.partition,
-                records=self.rdd.iterator(self.partition, tc),
-                executor_id=tc.executor_id,
-                metrics=tc.metrics,
-            )
-        finally:
-            _LOCAL.tc = previous
-        tc.metrics.compute_seconds += time.perf_counter() - start
-        return status
+    def _finish(self, records: Iterator, tc: TaskContext) -> Any:
+        return bucket_map_output(self.shuffle_dep, records, tc.metrics)

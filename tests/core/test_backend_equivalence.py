@@ -213,8 +213,8 @@ class TestDriverTrafficBound:
             waves.append(value)
             return broadcast(ctx, value)
 
-        def build_spy(self, stage, probe):
-            tb = build(self, stage, probe)
+        def build_spy(self, stage, probe, keys):
+            tb = build(self, stage, probe, keys)
             binaries.append(tb.size)
             return tb
 

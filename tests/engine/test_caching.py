@@ -258,7 +258,7 @@ class _HeldSplits:
 
 def _held_splits(ctx, rdd) -> set[int]:
     """The splits of ``rdd`` its executors' block managers hold."""
-    if ctx.backend.supports_shared_state:
+    if ctx.backend.name == "serial":
         return {
             split for executor in ctx.executors
             for rdd_id, split in executor.block_manager.block_ids() if rdd_id == rdd.id
@@ -289,6 +289,32 @@ class TestEvictionLeavesTheRegistry:
             assert ctx.block_master.cached_partitions(rdd.id) == held
             assert ctx.cached_partition_count(rdd) == len(held)
             assert f"<{len(held)}/8 cached>" in rdd.to_debug_string()
+
+    @pytest.mark.parametrize("backend", ["serial", "cluster"])
+    def test_another_rdds_stage_evicting_a_block_unregisters_it(
+        self, backend, fresh_cluster
+    ):
+        """One 32 KB block each of two cached RDDs through one executor
+        whose cache holds one: B's job evicts A's block, which A's stage
+        never ran in, and the driver stops counting it as cached."""
+        shape = dict(
+            num_executors=1, executor_cores=1, default_parallelism=1,
+            executor_memory=80 * 1024,
+        )
+        if backend == "cluster":
+            config, _ = fresh_cluster(**shape)
+        else:
+            config = EngineConfig(backend="serial", **shape)
+        with Context(config) as ctx:
+            a = ctx.parallelize(range(1), 1).map(_32_kilobytes).cache()
+            b = ctx.parallelize(range(1, 2), 1).map(_32_kilobytes).cache()
+            assert a.count() == 1
+            assert ctx.cached_partition_count(a) == 1
+            assert b.count() == 1
+            assert _held_splits(ctx, a) == set()
+            assert ctx.cached_partition_count(a) == 0
+            assert "<0/1 cached>" in a.to_debug_string()
+            assert ctx.cached_partition_count(b) == 1
 
 
 class TestStopReleases:

@@ -172,8 +172,8 @@ class TestTwoJobWarmth:
         binaries: dict[str, int] = {}
         build = TaskScheduler._build_task_binary
 
-        def spy(self, stage, probe):
-            tb = build(self, stage, probe)
+        def spy(self, stage, probe, keys):
+            tb = build(self, stage, probe, keys)
             binaries[tb.binary_id] = tb.size
             return tb
 

@@ -361,7 +361,7 @@ class TestExecutorSuspend:
     def test_suspend_and_resume(self):
         from repro.engine.executor import Executor
 
-        executor = Executor("exec-9", "host-0", 2, 1 << 20)
+        executor = Executor("exec-9", 1 << 20)
         assert not executor.heartbeats_suspended
         executor.suspend_heartbeats()
         assert executor.heartbeats_suspended
@@ -371,7 +371,7 @@ class TestExecutorSuspend:
     def test_revive_clears_suspension(self):
         from repro.engine.executor import Executor
 
-        executor = Executor("exec-9", "host-0", 2, 1 << 20)
+        executor = Executor("exec-9", 1 << 20)
         executor.suspend_heartbeats()
         executor.kill()
         executor.revive()

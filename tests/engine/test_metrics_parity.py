@@ -2,7 +2,8 @@
 
 The same workload must leave job records that agree between the serial
 and cluster backends: task counts, shuffle and cache counts, GC-pause
-telemetry on every attempt.  The cluster's worker-side facts (task-binary
+telemetry on every attempt -- and, through a join and a retried attempt,
+the failed attempts themselves.  The cluster's worker-side facts (task-binary
 bytes, the warm task-binary cache, the by-ref value memo) travel home on
 each task's :class:`~repro.engine.metrics.TaskMetrics`; serial ships
 nothing, so those read zero there.
@@ -14,6 +15,7 @@ import pytest
 
 from repro.config import EngineConfig
 from repro.engine.context import Context
+from repro.engine.faults import FaultInjector, FaultPlan
 
 BACKENDS = ("serial", "cluster")
 
@@ -56,9 +58,35 @@ def _run_workload(backend):
     }
 
 
+def _run_join_workload(backend):
+    """Join a cached, already hash-partitioned left side (a narrow
+    dependency) with a shuffled right side twice, with every stage's
+    partition 1 failing its first attempt; return the joins and the jobs."""
+    config = EngineConfig(
+        backend=backend, num_executors=2, executor_cores=2,
+        default_parallelism=4, heartbeat_interval=0.0,
+    )
+    injector = FaultInjector(FaultPlan(fail_partition_attempts={1: 1}))
+    with Context(config, fault_injector=injector) as ctx:
+        left = (
+            ctx.parallelize([(i % 8, i) for i in range(40)], 4)
+            .reduce_by_key(operator.add, 4)
+            .cache()
+        )
+        right = ctx.parallelize([(k, -k) for k in range(0, 12, 2)], 3)
+        joins = [sorted(left.join(right).collect()) for _ in range(2)]
+        jobs = ctx.metrics.jobs_snapshot()
+    return {"joins": joins, "jobs": jobs}
+
+
 @pytest.fixture(scope="module")
 def runs():
     return {backend: _run_workload(backend) for backend in BACKENDS}
+
+
+@pytest.fixture(scope="module")
+def join_runs():
+    return {backend: _run_join_workload(backend) for backend in BACKENDS}
 
 
 class TestParity:
@@ -86,8 +114,8 @@ class TestParity:
         assert counts(runs["serial"]) == counts(runs["cluster"])
         # the cached RDD: four misses on the first sum, four hits on the second
         assert counts(runs["serial"])[:2] == [(0, 4, 0, 0, 0, 0), (4, 0, 0, 0, 0, 0)]
-        # the reduce_by_key job: the driver's prefetch counts the cluster's
-        # shuffle read as ShuffleManager.fetch counts the serial one
+        # the reduce_by_key job: a reduce task counts the frames it decodes,
+        # on either backend
         written, read = counts(runs["serial"])[2][2:4]
         assert written == read > 0
 
@@ -116,3 +144,51 @@ class TestParity:
         for record in runs["cluster"]["records"]:
             m = record.metrics
             assert m.task_binary_cache_hits + m.task_binary_cache_misses == 1
+
+
+class TestJoinWithARetry:
+    """A cogroup with one narrow and one shuffled parent, and a failed
+    attempt in every stage: both backends run the same attempts and count
+    the same reads, writes, hits and misses."""
+
+    def test_results_identical(self, join_runs):
+        sums = {k: sum(i for i in range(40) if i % 8 == k) for k in range(8)}
+        expected = [(k, (sums[k], -k)) for k in range(0, 8, 2)]
+        for backend in BACKENDS:
+            assert join_runs[backend]["joins"] == [expected, expected]
+
+    def test_per_job_shuffle_and_cache_counts_match(self, join_runs):
+        def counts(run):
+            return [
+                (t.shuffle_records_read, t.shuffle_bytes_read,
+                 t.shuffle_records_written, t.shuffle_bytes_written,
+                 t.cache_hits, t.cache_misses)
+                for t in (job.totals() for job in run["jobs"])
+            ]
+
+        serial = counts(join_runs["serial"])
+        assert serial == counts(join_runs["cluster"])
+        # the first join writes and reads both shuffles and misses the
+        # cache; the second (a new cogroup, so a new right-side shuffle)
+        # hits the cached left side and moves only the right's six records
+        (first, second) = serial
+        assert first[4:] == (0, 4) and second[4:] == (4, 0)
+        assert first[0] == first[2] > 6
+        assert second[0] == second[2] == 6
+
+    def test_attempt_records_match(self, join_runs):
+        def attempts(run):
+            return sorted(
+                (t.stage_id, t.partition, t.attempt, t.succeeded,
+                 t.error.split(":")[0] if t.error else None)
+                for job in run["jobs"] for s in job.stages for t in s.tasks
+            )
+
+        serial = attempts(join_runs["serial"])
+        assert serial == attempts(join_runs["cluster"])
+        failed = [a for a in serial if not a[3]]
+        # partition 1 of every stage that ran: the first join's three and
+        # the second's right-side map and result stages (the left side's
+        # map outputs were still registered)
+        assert len(failed) == 5
+        assert {a[1:] for a in failed} == {(1, 0, False, "InjectedTaskFailure")}

@@ -1,11 +1,10 @@
 """Shuffle blocks as frames, and fault recovery through them.
 
 The shuffle store holds frames, not live lists; these tests pin the frame
-lifecycle (write-side encode, adopt-without-re-encode, lazy reduce-side
+lifecycle (map-side encode, adopt-without-re-encode, lazy reduce-side
 decode), driver-side byte pricing, and the FetchFailed ->
-stage-resubmission recovery path running entirely over frames -- including
-the worker-combined ``register_map_output`` route used by the cluster
-backend.
+stage-resubmission recovery path running entirely over frames on both
+backends (``register_map_output`` is the one writer of map outputs).
 """
 
 import operator
@@ -19,7 +18,14 @@ from repro.engine.dependencies import Aggregator, ShuffleDependency
 from repro.engine.faults import FaultInjector, FaultPlan
 from repro.engine.metrics import TaskMetrics
 from repro.engine.partitioner import HashPartitioner
-from repro.engine.shuffle import FetchFailedError, ShuffleBlock, ShuffleManager
+from repro.engine.serializer import FrameBatch
+from repro.engine.shuffle import (
+    FetchFailedError,
+    ShuffleBlock,
+    ShuffleManager,
+    bucket_map_output,
+)
+from repro.engine.task import TaskContext
 
 
 class _FakeRdd:
@@ -30,12 +36,26 @@ def make_dep(shuffle_id=0, partitions=2, aggregator=None):
     return ShuffleDependency(_FakeRdd(), HashPartitioner(partitions), shuffle_id, aggregator)
 
 
+def write(mgr, dep, map_partition, records, executor_id, metrics=None):
+    """A map task's bucketing, then the driver's registration of its buckets."""
+    metrics = metrics if metrics is not None else TaskMetrics()
+    buckets = bucket_map_output(dep, records, metrics)
+    return mgr.register_map_output(dep, map_partition, buckets, executor_id, metrics)
+
+
+def read(mgr, shuffle_id, split):
+    """A reduce task's read of its prefetched frames: (records, task metrics)."""
+    frames = FrameBatch([b.payload for b in mgr.fetch_blocks(shuffle_id, split)])
+    tc = TaskContext(0, split, 0, "e0", prefetched_shuffle={(shuffle_id, split): frames})
+    return list(tc.shuffle_input(shuffle_id, split)), tc.metrics
+
+
 class TestFrameStorage:
     def test_outputs_stored_as_frames(self):
         mgr = ShuffleManager()
         dep = make_dep(partitions=2)
         mgr.register_shuffle(0, 1)
-        mgr.write_map_output(dep, 0, [(i, np.full(4, float(i))) for i in range(6)], "e0")
+        write(mgr, dep, 0, [(i, np.full(4, float(i))) for i in range(6)], "e0")
         blocks = mgr.fetch_blocks(0, 0)
         assert blocks and all(isinstance(b, ShuffleBlock) for b in blocks)
         assert all(isinstance(b.payload, bytes) for b in blocks)
@@ -45,8 +65,8 @@ class TestFrameStorage:
         dep = make_dep(partitions=2)
         mgr.register_shuffle(0, 1)
         records = [(i % 2, np.arange(5, dtype=np.float64) * i) for i in range(8)]
-        mgr.write_map_output(dep, 0, records, "e0")
-        got = list(mgr.fetch(0, 0)) + list(mgr.fetch(0, 1))
+        write(mgr, dep, 0, records, "e0")
+        got = read(mgr, 0, 0)[0] + read(mgr, 0, 1)[0]
         assert len(got) == 8
         by_key = sorted(got, key=lambda kv: kv[1].sum())
         expect = sorted(records, key=lambda kv: kv[1].sum())
@@ -58,18 +78,14 @@ class TestFrameStorage:
         dep = make_dep(partitions=1)
         mgr.register_shuffle(0, 1)
         metrics = TaskMetrics()
-        mgr.write_map_output(dep, 0, [(1, "x")] * 50, "e0", metrics)
+        write(mgr, dep, 0, [(1, "x")] * 50, "e0", metrics)
         assert metrics.serializer_seconds > 0
-        read_metrics = TaskMetrics()
-        list(mgr.fetch(0, 0, read_metrics))
+        _, read_metrics = read(mgr, 0, 0)
         assert read_metrics.serializer_seconds > 0
 
     def test_register_map_output_adopts_frames_without_reencode(self):
-        worker = ShuffleManager(track_bytes=False)
         dep = make_dep(partitions=2)
-        worker.register_shuffle(0, 1)
-        worker.write_map_output(dep, 0, [(0, "a"), (1, "b"), (2, "c")], "e0")
-        buckets = worker._outputs[(0, 0)]
+        buckets = bucket_map_output(dep, [(0, "a"), (1, "b"), (2, "c")], TaskMetrics())
 
         driver = ShuffleManager()
         driver.register_shuffle(0, 1)
@@ -77,26 +93,18 @@ class TestFrameStorage:
         status = driver.register_map_output(dep, 0, buckets, "e0", metrics)
         # adopted payloads are the very same frame objects
         assert driver._outputs[(0, 0)][0].payload is buckets[0].payload
-        # driver prices bytes; worker already counted records
+        # driver prices bytes; the map task already counted records
         assert metrics.shuffle_bytes_written == sum(status.bytes_by_reducer) > 0
         assert metrics.shuffle_records_written == 0
-        assert sorted(driver.fetch(0, 0)) == [(0, "a"), (2, "c")]
+        assert sorted(read(driver, 0, 0)[0]) == [(0, "a"), (2, "c")]
 
     def test_worker_manager_skips_byte_pricing(self):
-        mgr = ShuffleManager(track_bytes=False)
-        dep = make_dep(partitions=1)
-        mgr.register_shuffle(0, 1)
+        """The map task counts records and encode time, never bytes: those
+        are priced once, where the driver registers the frames."""
         metrics = TaskMetrics()
-        mgr.write_map_output(dep, 0, [(0, 1)] * 20, "e0", metrics)
+        bucket_map_output(make_dep(partitions=1), [(0, 1)] * 20, metrics)
         assert metrics.shuffle_bytes_written == 0
         assert metrics.shuffle_records_written > 0  # records still counted
-
-    def test_register_map_output_encodes_legacy_lists(self):
-        driver = ShuffleManager()
-        dep = make_dep(partitions=2)
-        driver.register_shuffle(0, 1)
-        driver.register_map_output(dep, 0, {0: [(0, "a")], 1: [(1, "b")]}, "e0")
-        assert list(driver.fetch(0, 1)) == [(1, "b")]
 
 
 class TestFetchFailureOverFrames:
@@ -104,8 +112,8 @@ class TestFetchFailureOverFrames:
         mgr = ShuffleManager()
         dep = make_dep(partitions=1)
         mgr.register_shuffle(0, 2)
-        mgr.write_map_output(dep, 0, [(1, "x")], "e0")
-        mgr.write_map_output(dep, 1, [(1, "y")], "e1")
+        write(mgr, dep, 0, [(1, "x")], "e0")
+        write(mgr, dep, 1, [(1, "y")], "e1")
         mgr.remove_outputs_on_executor("e0")
         with pytest.raises(FetchFailedError) as exc:
             mgr.fetch_blocks(0, 0)
@@ -117,9 +125,9 @@ class TestFetchFailureOverFrames:
         dep = make_dep(partitions=1, aggregator=agg)
         mgr.register_shuffle(0, 1)
         metrics = TaskMetrics()
-        mgr.write_map_output(dep, 0, [(1, 1)] * 100, "e0", metrics)
+        write(mgr, dep, 0, [(1, 1)] * 100, "e0", metrics)
         assert metrics.shuffle_records_written == 1
-        assert list(mgr.fetch(0, 0)) == [(1, 100)]
+        assert read(mgr, 0, 0)[0] == [(1, 100)]
 
 
 def _make_ctx(backend, plan=None):
@@ -172,8 +180,9 @@ class TestEngineRecoveryOverFrames:
     @pytest.mark.slow
     def test_recovery_through_worker_combined_route(self):
         """Cluster backend: map output flows through register_map_output
-        (worker-encoded frames adopted by the driver), then an executor dies
-        and the reduce recovers via resubmission of the lost maps."""
+        (worker-encoded frames adopted by the driver) as on serial, then an
+        executor dies and the reduce recovers via resubmission of the lost
+        maps."""
         with _make_ctx("cluster") as ctx:
             rdd = (
                 ctx.parallelize([(i % 4, i) for i in range(40)], 4)
