@@ -3,8 +3,8 @@
 Live part: the real engine runs Monte Carlo with and without the cached
 contributions RDD; uncached must recompute lineage per batch (B1 in
 DESIGN.md).  The two arms are the ``paper`` flavor's, Algorithm 3 as
-written: the vectorized flavor builds no ``U`` and has one route.  Simulated part: the 10K-SNP (Fig. 4 / Table V) and 1M-SNP
-(Fig. 5) workloads on 18 nodes, printed next to the published numbers.
+written: the vectorized flavor builds no ``U`` and has one route.  The
+one- and two-slot Table V rows at gate size are ``live_tables.py``'s.
 """
 
 from __future__ import annotations
@@ -14,12 +14,8 @@ import time
 
 import pytest
 
-from repro.bench.experiments import EXPERIMENT_B_10K, EXPERIMENT_B_1M, PAPER_TABLE_V
-from repro.bench.tables import format_comparison_table, format_series_table
-from repro.cluster.nodes import emr_cluster
 from repro.config import EngineConfig
 from repro.core.algorithms import DistributedSparkScore
-from repro.core.perfmodel import SparkScorePerfModel, WorkloadSpec
 from repro.engine.context import Context
 
 #: timed calls per arm in the live wall-clock comparison
@@ -111,72 +107,6 @@ class TestLiveCaching:
         assert totals[True]["hits"] > 0
         assert totals[False]["hits"] == 0
         assert uncached > cached
-
-
-class TestPaperScaleSimulation:
-    @pytest.fixture(scope="class")
-    def model(self):
-        return SparkScorePerfModel()
-
-    def test_simulate_table_v_10k(self, benchmark, model, paper_tables):
-        cluster = emr_cluster(EXPERIMENT_B_10K.n_nodes)
-        cached = model.predict(
-            WorkloadSpec(1000, EXPERIMENT_B_10K.n_snps, 1000, "monte_carlo"), cluster
-        )
-        uncached = model.predict(
-            WorkloadSpec(1000, EXPERIMENT_B_10K.n_snps, 1000, "monte_carlo", cache=False),
-            cluster,
-        )
-        benchmark(lambda: cached.total_at(10_000))
-        iters = PAPER_TABLE_V["iterations"]
-        paper_tables.append(format_comparison_table(
-            "Table V / Fig. 4 -- MC with caching, 10K SNPs, 18 nodes (seconds)",
-            "iterations", iters,
-            [cached.total_at(b) for b in iters],
-            list(PAPER_TABLE_V["caching_avg"]),
-        ))
-        paper_tables.append(format_comparison_table(
-            "Table V / Fig. 4 -- MC without caching, 10K SNPs, 18 nodes (seconds)",
-            "iterations", iters,
-            [uncached.total_at(b) if PAPER_TABLE_V["nocache_avg"][i] is not None else None
-             for i, b in enumerate(iters)],
-            list(PAPER_TABLE_V["nocache_avg"]),
-        ))
-        # headline claim: cached @ 10000 beats uncached @ 200
-        assert cached.total_at(10_000) < uncached.total_at(200)
-
-    def test_simulate_fig5_1m(self, benchmark, model, paper_tables):
-        cluster = emr_cluster(EXPERIMENT_B_1M.n_nodes)
-        cached = model.predict(
-            WorkloadSpec(1000, EXPERIMENT_B_1M.n_snps, 1000, "monte_carlo"), cluster
-        )
-        uncached = model.predict(
-            WorkloadSpec(1000, EXPERIMENT_B_1M.n_snps, 1000, "monte_carlo", cache=False),
-            cluster,
-        )
-        benchmark(lambda: cached.total_at(1000))
-        grid = [0, 10, 100, 1000]
-        paper_tables.append(format_series_table(
-            "Fig. 5 -- MC w/ and w/o caching, 1M SNPs, 18 nodes "
-            "(claim: cached@1000 < uncached@10)",
-            "iterations", grid,
-            {
-                "cached": [cached.total_at(b) for b in grid],
-                "no cache": [uncached.total_at(b) if b <= 10 else None for b in grid],
-            },
-        ))
-        assert cached.total_at(1000) < uncached.total_at(10)
-
-    def test_per_iteration_collapse(self, benchmark, model):
-        cluster = emr_cluster(18)
-        cached = model.predict(WorkloadSpec(1000, 10_000, 1000, "monte_carlo"), cluster)
-        uncached = model.predict(
-            WorkloadSpec(1000, 10_000, 1000, "monte_carlo", cache=False), cluster
-        )
-        ratio = uncached.per_iteration_seconds / cached.per_iteration_seconds
-        benchmark.extra_info["per_iteration_collapse"] = ratio
-        benchmark(lambda: None)
-        assert ratio > 50
 
 
 class TestCacheEvictionAblation:

@@ -3,21 +3,15 @@
 Live part: measure Monte Carlo and permutation replicate costs on the real
 engine at reduced scale and assert the paper's ordering (A1-A3 in
 DESIGN.md) for Algorithm 2 as the paper wrote it; the score-weight kernel
-``LocalSparkScore.permutation`` runs is timed beside it.  Simulated part:
-replay the exact Table II workload (1000 patients x 100K SNPs x 1000 sets
-on 6 m3.2xlarge nodes) and print our predicted seconds next to Table III's
-published numbers.
+``LocalSparkScore.permutation`` runs is timed beside it.  The one- and
+two-slot Table III rows at gate size are ``live_tables.py``'s.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.bench.experiments import EXPERIMENT_A, PAPER_TABLE_III
-from repro.bench.tables import format_comparison_table
-from repro.cluster.nodes import emr_cluster
 from repro.core.local import LocalSparkScore
-from repro.core.perfmodel import SparkScorePerfModel, WorkloadSpec
 
 
 @pytest.fixture(scope="module")
@@ -70,59 +64,3 @@ class TestLiveScaling:
         print(f"\nlive @64: MC {mc * 1e3:.0f} ms, permutation as written "
               f"{perm * 1e3:.0f} ms, score-weight kernel {kernel_seconds * 1e3:.0f} ms")
         benchmark(lambda: None)
-
-
-class TestPaperScaleSimulation:
-    """Predicted Table III at the paper's exact parameters."""
-
-    @pytest.fixture(scope="class")
-    def predictions(self):
-        model = SparkScorePerfModel()
-        cluster = emr_cluster(EXPERIMENT_A.n_nodes)
-        mc = model.predict(
-            WorkloadSpec(EXPERIMENT_A.n_patients, EXPERIMENT_A.n_snps,
-                         EXPERIMENT_A.n_snpsets, "monte_carlo"),
-            cluster,
-        )
-        perm = model.predict(
-            WorkloadSpec(EXPERIMENT_A.n_patients, EXPERIMENT_A.n_snps,
-                         EXPERIMENT_A.n_snpsets, "permutation"),
-            cluster,
-        )
-        return mc, perm
-
-    def test_simulate_experiment_a(self, benchmark, predictions, paper_tables):
-        mc, perm = predictions
-        iters = PAPER_TABLE_III["iterations"]
-        benchmark(lambda: [mc.total_at(b) for b in iters])
-
-        paper_tables.append(format_comparison_table(
-            "Table III / Fig. 2 -- Monte Carlo, 100K SNPs, 6 nodes (seconds)",
-            "iterations", iters,
-            [mc.total_at(b) for b in iters],
-            list(PAPER_TABLE_III["monte_carlo_avg"]),
-        ))
-        paper_tables.append(format_comparison_table(
-            "Table III / Fig. 2 -- Permutation, 100K SNPs, 6 nodes (seconds)",
-            "iterations", iters,
-            [perm.total_at(b) for b in iters],
-            list(PAPER_TABLE_III["permutation_avg"]),
-        ))
-
-    def test_shape_a1_mc_flat_perm_linear(self, benchmark, predictions):
-        mc, perm = predictions
-        benchmark(lambda: None)
-        assert mc.total_at(100) < 1.5 * mc.total_at(0)
-        assert perm.total_at(16) > 10 * perm.total_at(0) * 0.9
-
-    def test_shape_a2_order_of_magnitude_at_16(self, benchmark, predictions):
-        mc, perm = predictions
-        ratio = perm.total_at(16) / mc.total_at(16)
-        benchmark.extra_info["simulated_ratio_at_16"] = ratio
-        benchmark(lambda: None)
-        assert ratio > 8.0  # paper: "an order of magnitude faster"
-
-    def test_shape_a3_mc10000_below_perm16(self, benchmark, predictions):
-        mc, perm = predictions
-        benchmark(lambda: None)
-        assert mc.total_at(10_000) < perm.total_at(16)

@@ -5,11 +5,7 @@ observes that runtime is similar within each method while Monte Carlo
 dominates permutation throughout.  The live part scales the product down
 to 2e4 (iterations x SNPs) and measures the same invariance on the real
 local engine (permutation as the paper wrote it: refit and recompute U per
-replicate); the simulated part replays the paper-scale configurations.
-
-Note: the paper does not state the cluster size for this figure; we use
-the 18-node Experiment B cluster so the 1M-SNP configuration sits in the
-cache-fits regime (see EXPERIMENTS.md).
+replicate).
 """
 
 from __future__ import annotations
@@ -18,11 +14,7 @@ import time
 
 import pytest
 
-from repro.bench.experiments import FIG3_CONFIGS
-from repro.bench.tables import format_series_table
-from repro.cluster.nodes import emr_cluster
 from repro.core.local import LocalSparkScore
-from repro.core.perfmodel import SparkScorePerfModel, WorkloadSpec
 from repro.genomics.synthetic import SyntheticConfig, generate_dataset
 
 #: live configurations: iterations x SNPs = 40_000 in all three
@@ -75,26 +67,3 @@ class TestLiveSensitivity:
             assert mc < perm
         benchmark.extra_info["kernel_over_mc"] = kernel_over_mc
         benchmark(lambda: None)
-
-
-class TestPaperScaleSimulation:
-    def test_simulate_fig3(self, benchmark, paper_tables):
-        model = SparkScorePerfModel()
-        cluster = emr_cluster(18)
-        mc_totals, perm_totals, labels = [], [], []
-        for iterations, n_snps in FIG3_CONFIGS:
-            mc = model.predict(WorkloadSpec(1000, n_snps, 1000, "monte_carlo"), cluster)
-            perm = model.predict(WorkloadSpec(1000, n_snps, 1000, "permutation"), cluster)
-            mc_totals.append(mc.total_at(iterations))
-            perm_totals.append(perm.total_at(iterations))
-            labels.append(f"{iterations}x{n_snps}")
-        benchmark(lambda: None)
-        paper_tables.append(format_series_table(
-            "Fig. 3 -- sensitivity: iterations x SNPs = 1e7 (18 nodes)",
-            "iters x SNPs", labels,
-            {"monte carlo": mc_totals, "permutation": perm_totals},
-        ))
-        # shape claims: similar within method, MC wins everywhere
-        assert max(mc_totals) / min(mc_totals) < 10
-        assert max(perm_totals) / min(perm_totals) < 10
-        assert all(m < p for m, p in zip(mc_totals, perm_totals))

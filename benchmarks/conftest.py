@@ -1,18 +1,12 @@
-"""Benchmark harness plumbing.
+"""Benchmark harness plumbing: the live datasets the ``bench_*.py``
+modules share, and Algorithm 2 as written on one node.
 
-Every benchmark here does two things:
-
-1. **live measurement** -- pytest-benchmark times real engine/local runs at
-   reduced scale, so relative claims (MC vs permutation, cached vs
-   uncached, flavor ablations) are measured on real hardware;
-2. **paper-scale replay** -- the calibrated simulator predicts the exact
-   workloads of Tables II/IV/VI/VII-VIII, and the resulting rows are
-   rendered next to the paper's published numbers.
-
-Rendered tables are collected via the ``paper_tables`` fixture and printed
-in the terminal summary, so ``pytest benchmarks/ --benchmark-only | tee
-bench_output.txt`` captures both the timing stats and the reproduction
-tables.
+Every ``bench_*`` module measures the real engine or the local oracle at
+reduced scale, so relative claims (MC vs permutation, cached vs uncached,
+flavor ablations) are measured on real hardware; pytest-benchmark times
+them (``--benchmark-disable`` runs them as plain tests).  The one- and
+two-slot rows of Tables III and V and Fig. 6 at gate size are
+``live_tables.py``'s, a script, not a pytest module.
 """
 
 from __future__ import annotations
@@ -24,25 +18,6 @@ from repro.genomics.synthetic import SyntheticConfig, generate_dataset
 from repro.stats.resampling.streams import permutation_stream
 from repro.stats.score.cox import CoxScoreModel
 from repro.stats.skat import skat_statistics
-
-_TABLES: list[str] = []
-
-
-@pytest.fixture
-def paper_tables():
-    """Append rendered table strings; they print in the terminal summary."""
-    return _TABLES
-
-
-def pytest_terminal_summary(terminalreporter, exitstatus, config):
-    if not _TABLES:
-        return
-    terminalreporter.write_sep("=", "paper reproduction tables")
-    for table in _TABLES:
-        terminalreporter.write_line("")
-        for line in table.splitlines():
-            terminalreporter.write_line(line)
-    terminalreporter.write_line("")
 
 
 @pytest.fixture(scope="session")

@@ -1,6 +1,6 @@
-"""Study design: how many patients, how many replicates, what cluster?
+"""Study design: how many patients, how many replicates?
 
-Chains three planning tools this repository provides around the paper's
+Chains two planning tools this repository provides around the paper's
 workflow:
 
 1. statistical power (Owzar et al., the paper's refs. [25]/[26]) -- how
@@ -8,7 +8,6 @@ workflow:
 2. resampling budget -- how many Monte Carlo replicates to estimate the
    target p-value precisely enough (the paper: "the precision of the
    p-value is ... directly tied to the number of resamplings performed")?
-3. the calibrated performance model -- what does that study cost on EMR?
 
 Finishes with a small live simulation confirming the power prediction.
 
@@ -19,8 +18,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.cluster.nodes import emr_cluster
-from repro.core.perfmodel import SparkScorePerfModel, WorkloadSpec
 from repro.stats.power import required_sample_size, score_test_power
 from repro.stats.resampling.pvalues import required_resamples
 
@@ -44,19 +41,7 @@ def main() -> None:
     print(f"\nestimating p ~ {alpha_per_set:.2g} to 10% relative error needs "
           f"B ~ {B:,} Monte Carlo replicates")
 
-    # --- 3. cluster cost ----------------------------------------------------------
-    model = SparkScorePerfModel()
-    workload = WorkloadSpec(
-        n_patients=n, n_snps=100_000, n_snpsets=1000, method="monte_carlo", iterations=B
-    )
-    print("\npredicted wall-clock for the full study (100K SNPs):")
-    for nodes in (6, 12, 18):
-        run = model.predict(workload, emr_cluster(nodes))
-        hours = run.total_seconds / 3600
-        print(f"  {nodes:>2} x m3.2xlarge: {run.total_seconds:10,.0f}s  (~{hours:.1f}h)"
-              f"   [{B:,} x {run.per_iteration_seconds:.2f}s/replicate]")
-
-    # --- 4. verify the power prediction with a live mini-simulation -----------------
+    # --- 3. verify the power prediction with a live mini-simulation -----------------
     from repro.stats.score.base import SurvivalPhenotype
     from repro.stats.wald import score_test_statistics
     from scipy import stats as sps

@@ -5,17 +5,13 @@ Genomic Inference* (Bahmani et al., IPDPSW 2016).  It contains
 
 - :mod:`repro.engine` -- a from-scratch Spark-like execution engine (lazy
   RDDs, DAG scheduler, shuffle, caching, broadcast, fault tolerance);
-- :mod:`repro.cluster` -- node/YARN models and a discrete-event cluster
-  simulator with a calibrated cost model;
 - :mod:`repro.stats` -- efficient score statistics (Cox, binomial,
   Gaussian), SKAT aggregation, permutation and Monte Carlo resampling,
   asymptotic approximations, and the Wald/LRT comparator;
 - :mod:`repro.genomics` -- SNP/gene data model, file formats, and the
   paper's synthetic data generator;
 - :mod:`repro.core` -- the SparkScore algorithms (Algorithms 1-3) and the
-  high-level analysis API;
-- :mod:`repro.bench` -- the experiment registry and harness used by the
-  ``benchmarks/`` suite to regenerate every table and figure.
+  high-level analysis API.
 
 Quickstart::
 

@@ -7,9 +7,6 @@ Commands:
 - ``analyze`` -- run a SparkScore analysis (observed / monte-carlo /
   permutation / asymptotic) over a dataset directory;
 - ``maxt`` -- variant-level Westfall-Young adjusted p-values;
-- ``plan`` -- predicted runtimes on simulated EMR clusters (the paper's
-  strong-scaling question);
-- ``tune`` -- recommend a container shape for a workload (Experiment C);
 - ``history`` -- the history server: render an engine event log as stage
   tables, straggler percentiles, cache hit rates, and critical-path
   analysis; optionally export a Chrome ``trace_event`` file;
@@ -102,17 +99,6 @@ def _add_maxt(sub: argparse._SubParsersAction) -> None:
     p.add_argument("--top", type=int, default=10)
 
 
-def _add_plan(sub: argparse._SubParsersAction) -> None:
-    p = sub.add_parser("plan", help="predict runtimes on simulated EMR clusters")
-    p.add_argument("--patients", type=int, default=1000)
-    p.add_argument("--snps", type=int, default=1_000_000)
-    p.add_argument("--snpsets", type=int, default=1000)
-    p.add_argument("--method", choices=["monte_carlo", "permutation"], default="monte_carlo")
-    p.add_argument("--iterations", type=int, nargs="+", default=[0, 10, 100, 1000])
-    p.add_argument("--nodes", type=int, nargs="+", default=[6, 12, 18])
-    p.add_argument("--no-cache", action="store_true")
-
-
 def _add_history(sub: argparse._SubParsersAction) -> None:
     p = sub.add_parser(
         "history",
@@ -141,18 +127,6 @@ def _add_doctor(sub: argparse._SubParsersAction) -> None:
                    help="severity floor for --strict (default: critical)")
 
 
-def _add_tune(sub: argparse._SubParsersAction) -> None:
-    p = sub.add_parser("tune", help="recommend a YARN container shape")
-    p.add_argument("--patients", type=int, default=1000)
-    p.add_argument("--snps", type=int, default=100_000)
-    p.add_argument("--snpsets", type=int, default=1000)
-    p.add_argument("--iterations", type=int, default=10_000)
-    p.add_argument("--nodes", type=int, default=18)
-    p.add_argument("--containers", type=int, nargs="+", default=None)
-    p.add_argument("--memories", type=float, nargs="+", default=[3.0, 5.0, 10.0])
-    p.add_argument("--cores", type=int, nargs="+", default=[2, 3, 6])
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sparkscore",
@@ -162,8 +136,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_generate(sub)
     _add_analyze(sub)
     _add_maxt(sub)
-    _add_plan(sub)
-    _add_tune(sub)
     _add_history(sub)
     _add_doctor(sub)
     return parser
@@ -320,51 +292,6 @@ def cmd_maxt(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_plan(args: argparse.Namespace) -> int:
-    from repro.bench.tables import format_series_table
-    from repro.cluster.nodes import emr_cluster
-    from repro.core.perfmodel import SparkScorePerfModel, WorkloadSpec
-
-    model = SparkScorePerfModel()
-    workload = WorkloadSpec(
-        args.patients, args.snps, args.snpsets, args.method, cache=not args.no_cache
-    )
-    runs = {n: model.predict(workload, emr_cluster(n)) for n in args.nodes}
-    print(format_series_table(
-        f"Predicted runtime -- {args.snps} SNPs x {args.patients} patients, {args.method}",
-        "iterations",
-        args.iterations,
-        {f"{n} nodes": [runs[n].total_at(b) for b in args.iterations] for n in args.nodes},
-    ))
-    for n in args.nodes:
-        fits = "fits" if runs[n].cache_fits else "THRASHES"
-        print(f"  {n:>3} nodes: per-iteration {runs[n].per_iteration_seconds:.2f}s, cache {fits}")
-    return 0
-
-
-def cmd_tune(args: argparse.Namespace) -> int:
-    from repro.cluster.nodes import emr_cluster
-    from repro.core.autotune import ModelTuner
-    from repro.core.perfmodel import WorkloadSpec
-
-    tuner = ModelTuner()
-    workload = WorkloadSpec(
-        args.patients, args.snps, args.snpsets, "monte_carlo", iterations=args.iterations
-    )
-    containers = args.containers or [args.nodes, 2 * args.nodes, 3 * args.nodes]
-    shape, run = tuner.recommend(
-        workload, emr_cluster(args.nodes),
-        container_counts=containers,
-        memories_gib=args.memories,
-        cores_options=args.cores,
-    )
-    print(f"recommended: {shape} on {args.nodes} nodes")
-    print(f"predicted total {run.total_seconds:,.0f}s = startup {run.startup_seconds:.0f}s"
-          f" + observed {run.observed_seconds:.0f}s"
-          f" + {args.iterations} x {run.per_iteration_seconds:.3f}s")
-    return 0
-
-
 def cmd_history(args: argparse.Namespace) -> int:
     from repro.engine.eventlog import read_channels
     from repro.engine.listener import (
@@ -502,8 +429,6 @@ _COMMANDS = {
     "generate": cmd_generate,
     "analyze": cmd_analyze,
     "maxt": cmd_maxt,
-    "plan": cmd_plan,
-    "tune": cmd_tune,
     "history": cmd_history,
     "doctor": cmd_doctor,
 }

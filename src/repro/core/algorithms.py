@@ -29,8 +29,8 @@ fleet -- the blocks are resident in the workers under a lineage
 fingerprint that folds the file's size and mtime (or the slices' content)
 and the content of the weight/set broadcast.
 
-The paper flavor runs Algorithms 2 and 3 as written -- the shape the
-simulator's cost model charges, and the referee for the other flavor:
+The paper flavor runs Algorithms 2 and 3 as written -- the shape of the
+paper's Tables III and V, and the referee for the other flavor:
 Monte Carlo caches the contributions RDD ``U`` (or, off the cache,
 recomputes it every batch: Table IV/V's arms); permutation ships refit
 models and recomputes every contribution row under each.  The vectorized

@@ -342,7 +342,12 @@ def _run_pickled_task(payload: bytes) -> bytes:
     transport = from_spec(spec["transport"])
     binary, binary_cached = _load_task_binary(spec["binary_ref"], transport)
     task = binary.make_task(spec["partition"])
-    blocks = _TaskBlocks(_resident_blocks(spec["storage_memory"]), binary.block_keys)
+    manager = _resident_blocks(spec["storage_memory"])
+    blocks = _TaskBlocks(manager, binary.block_keys)
+    # under a smaller budget than the last driver's, evict down to it before
+    # the task reads, or blocks put under the larger one keep hitting
+    manager.fit_budget(blocks.evicted)
+    budget_evictions = len(blocks.evicted)
     deserialize_seconds = time.perf_counter() - task_start
     hb_interval = spec["heartbeat_interval"]
     interval = max(hb_interval, 0.05) if hb_interval > 0 else 0.0
@@ -361,6 +366,7 @@ def _run_pickled_task(payload: bytes) -> bytes:
         )
     compute_end = time.perf_counter()
     metrics = out["metrics"]
+    metrics.blocks_evicted += budget_evictions
     metrics.deserialize_seconds += deserialize_seconds
     metrics.task_binary_cache_hits = int(binary_cached)
     metrics.task_binary_cache_misses = int(not binary_cached)

@@ -235,6 +235,13 @@ class BlockManager:
             self._blocks.clear()
             self._memory_used = 0
 
+    def fit_budget(self, evicted: list) -> None:
+        """LRU-evict down to the current budget, which a caller may have
+        lowered under blocks put before; each victim's id goes to
+        ``evicted``, as a put's do."""
+        with self._lock:
+            self._evict_until_fits(0, protect=None, victims=evicted)
+
     # -- internals ----------------------------------------------------------
 
     def _evict_until_fits(self, size: int, protect: BlockId, victims: list) -> None:

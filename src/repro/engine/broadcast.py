@@ -2,9 +2,8 @@
 
 A broadcast wraps a read-only value shipped once to every executor rather
 than with every task closure.  On the serial backend the win is
-semantic fidelity plus metrics: the context records broadcast sizes so the
-cost model can charge network transfer, and ``unpersist``/``destroy``
-lifecycle matches Spark's.
+semantic fidelity: a broadcast knows its pickled size, and its
+``unpersist``/``destroy`` lifecycle matches Spark's.
 
 On the cluster backend the value travels as a
 :class:`~repro.engine.transport.ByRef` -- the same publish-once /

@@ -3,8 +3,7 @@
 The analogue of Spark's event log + history server: every completed job's
 stage DAG and per-task measurements are written to a ``.jsonl`` file and
 reloaded later -- including in a different process -- for offline
-inspection (``sparkscore history`` / ``doctor``), trace export, or what-if
-replay through :mod:`repro.core.replay`.
+inspection (``sparkscore history`` / ``doctor``) and trace export.
 
 Format v8: one JSON object per line, each with an ``event`` kind,
 ``"version": 8`` and the fields of the dataclass :data:`RECORDS` declares

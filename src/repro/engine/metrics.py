@@ -1,9 +1,6 @@
-"""Task / stage / job metrics, plus task-graph capture for simulator replay.
-
-Every job records enough structure (stages, per-task wall times, shuffle
-volumes) that :mod:`repro.cluster.simulation` can replay the same task graph
-on a *simulated* cluster of arbitrary size -- this is how the benchmarks
-extrapolate laptop runs to the paper's 6/12/18/36-node EMR clusters.
+"""Task / stage / job metrics: what every job records of its stages and
+task attempts (wall times, compute, shuffle and cache counts), which the
+event log persists and ``history`` / ``doctor`` read back.
 """
 
 from __future__ import annotations

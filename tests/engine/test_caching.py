@@ -317,6 +317,42 @@ class TestEvictionLeavesTheRegistry:
             assert ctx.cached_partition_count(b) == 1
 
 
+def _two_scans(config) -> tuple[int, int, int]:
+    """Two counts of four cached 32 KB partitions in one Context: ``(cache
+    hits, cache misses, partitions the driver counts as cached)``."""
+    with Context(config) as ctx:
+        rdd = ctx.parallelize(range(4), 4).map(_32_kilobytes).cache()
+        assert rdd.count() == 4 and rdd.count() == 4
+        totals = [job.totals() for job in ctx.metrics.jobs_snapshot()]
+        return (
+            sum(t.cache_hits for t in totals),
+            sum(t.cache_misses for t in totals),
+            ctx.cached_partition_count(rdd),
+        )
+
+
+class TestASmallerBudget:
+    @pytest.mark.parametrize("backend", ["serial", "cluster"])
+    def test_a_warm_fleet_evicts_down_to_the_new_budget(self, backend, fresh_cluster):
+        """A fleet outlives its Contexts' memory settings.  Warm at the
+        default memory, then scan under a budget that holds two of the four
+        blocks: the scan thrashes, as on a fresh fleet and on serial, rather
+        than hitting the four blocks the larger budget left resident."""
+        shape = dict(num_executors=1, executor_cores=1, default_parallelism=4)
+        small = 140 * 1024  # storage holds two 32 KB blocks, not three
+        if backend == "cluster":
+            warm, _ = fresh_cluster(**shape)
+        else:
+            warm = EngineConfig(backend="serial", **shape)
+        _two_scans(warm)
+        after_warm = _two_scans(warm.copy(executor_memory=small))
+        if backend == "cluster":
+            fresh, _ = fresh_cluster(**shape)  # stops the warm fleet first
+            assert _two_scans(fresh.copy(executor_memory=small)) == after_warm
+        serial = EngineConfig(backend="serial", executor_memory=small, **shape)
+        assert _two_scans(serial) == after_warm == (0, 8, 2)
+
+
 class TestStopReleases:
     def test_cached_blocks_die_with_close_not_with_the_next_gc(self, small_dataset):
         """``Context.stop()`` clears what it owns: the context sits in

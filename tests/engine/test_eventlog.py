@@ -1,4 +1,4 @@
-"""Event log persistence and cross-process replay."""
+"""Event log persistence: what one process writes, another reads back."""
 
 import dataclasses
 import hashlib
@@ -15,7 +15,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cli import main
-from repro.core.replay import capture_job, replay
 from repro.engine.eventlog import (
     FORMAT_VERSION,
     EventLogListener,
@@ -83,14 +82,22 @@ class TestRoundTrip:
         assert len(read_event_log(path)) == 2
 
     def test_replay_from_loaded_log(self, logged_jobs):
-        """The history-server use case: load a log, run a what-if."""
+        """The history-server use case: a loaded log holds the job records
+        the run made, field for field -- every stage's structure and every
+        task attempt's timings and metrics."""
         original, path = logged_jobs
         loaded = read_event_log(path)
-        rec_orig = capture_job(original[1])
-        rec_loaded = capture_job(loaded[1])
-        assert replay(rec_loaded, 4).makespan == pytest.approx(
-            replay(rec_orig, 4).makespan
-        )
+        assert len(loaded) == len(original)
+        for job_a, job_b in zip(original, loaded):
+            assert job_a.num_task_failures == job_b.num_task_failures
+            for stage_a, stage_b in zip(job_a.stages, job_b.stages):
+                assert (stage_a.stage_id, stage_a.parent_stage_ids, stage_a.num_tasks) == (
+                    stage_b.stage_id, stage_b.parent_stage_ids, stage_b.num_tasks
+                )
+                for task_a, task_b in zip(stage_a.tasks, stage_b.tasks):
+                    assert task_a.duration_seconds == task_b.duration_seconds
+                    assert task_a.succeeded == task_b.succeeded
+                    assert task_a.metrics == task_b.metrics
 
 
 class TestErrors:

@@ -16,13 +16,11 @@ import pytest
 EXAMPLES = pathlib.Path(__file__).resolve().parents[1] / "examples"
 
 FAST = [
-    "cluster_planning.py",
     "eqtl_study.py",
     "fault_tolerance.py",
     "quickstart.py",
     "study_design.py",
     "survival_gwas.py",
-    "whatif_replay.py",
 ]
 
 

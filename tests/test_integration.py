@@ -2,7 +2,7 @@
 
 generate -> write the input files -> distributed analysis with engine-side
 parsing -> resampling under injected faults -> results identical to the
-pure-NumPy reference; plus the perf-model round trip on the same shape.
+pure-NumPy reference.
 """
 
 import numpy as np
@@ -10,8 +10,6 @@ import pytest
 
 from repro import EngineConfig, SparkScoreAnalysis, SyntheticConfig, generate_dataset
 from repro.core.local import LocalSparkScore
-from repro.core.perfmodel import SparkScorePerfModel, WorkloadSpec
-from repro.cluster.nodes import emr_cluster
 from repro.engine.context import Context
 from repro.engine.faults import FaultInjector, FaultPlan
 from repro.genomics.io.dataset_io import write_dataset
@@ -74,14 +72,6 @@ class TestFullPipeline:
         # the most extreme score should be among the smallest Wald p-values
         top_score = int(np.argmax(np.abs(scores)))
         assert mle.wald_pvalues()[top_score] < np.median(mle.wald_pvalues())
-
-    def test_perfmodel_covers_same_shape(self, dataset):
-        model = SparkScorePerfModel()
-        run = model.predict(
-            WorkloadSpec(dataset.n_patients, dataset.n_snps, dataset.n_sets, "monte_carlo"),
-            emr_cluster(2),
-        )
-        assert run.total_at(100) > run.total_at(0) > 0
 
 
 class TestCrossEngineMatrix:
